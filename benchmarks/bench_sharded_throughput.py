@@ -7,10 +7,10 @@ this benchmark measures what that costs and what it buys:
   sequential planner, with answer-for-answer parity checked along the way
   (the sharded executor must be a pure speedup, never a different answer);
 * **initializer payload** — what the pool initializer ships to each worker:
-  O(1) :class:`ShardDescriptor` handles on the shared-memory plane vs the
-  legacy pickled-shards payload that grows with the database;
+  O(1) :class:`ShardDescriptor` handles, held against the bytes the
+  shared-memory plane publishes once for everyone;
 * **pool spin-up** — wall-clock from no pool to every worker answering a
-  probe, for both payload styles;
+  probe;
 * **per-worker memory** — each worker's shard-attributable private bytes at
   spin-up (descriptors only; the dense arrays stay in the parent's shared
   segments) and the lazily materialized graph bytes after the workload.
@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import platform
 import sys
 import time
@@ -67,7 +66,8 @@ QUERY_SIZE = 4
 NUM_SHARDS = 4
 SPEEDUP_FLOOR = 1.5
 # at spin-up a worker's shard-attributable private bytes are the pickled
-# descriptors it received — they must stay a sliver of copying a shard
+# descriptors it received — they must stay a sliver of the shard bytes the
+# plane publishes (what a copy-per-worker transport would ship)
 SPINUP_BYTES_CEILING_FRACTION = 0.2
 
 SHARDED_SEARCH_CONFIG = SearchConfig(
@@ -143,27 +143,25 @@ def probe_workers(planner: ShardedPlanner, workers: int, delay: float = 0.25) ->
     return list(by_pid.values())
 
 
-def measure_spinup(database, workers: int, use_shared_memory: bool) -> dict:
-    """Pool spin-up cost and the per-worker payload for one initializer style."""
-    planner = ShardedPlanner.build(
-        database.graphs,
-        num_shards=NUM_SHARDS,
+def measure_spinup(database, workers: int) -> dict:
+    """Pool spin-up cost and the per-worker descriptor payload."""
+    engine = ProbabilisticGraphDatabase(database.graphs)
+    engine.build_index(
         feature_config=BENCH_FEATURE_CONFIG,
         bound_config=BENCH_BOUND_CONFIG,
         rng=BENCH_SEED,
+        num_shards=NUM_SHARDS,
         max_workers=workers,
     )
-    planner.use_shared_memory = use_shared_memory
     try:
-        payload_bytes = len(pickle.dumps(planner.initializer_payload()))
         spinup_timer = Timer()
         with spinup_timer:
-            probes = probe_workers(planner, workers)
-        shard_bytes = (
-            planner.shard_plane.shard_bytes() if use_shared_memory else None
-        )
+            probes = probe_workers(engine.planner, workers)
+        plane = engine.planner.shard_plane
+        payload_bytes = plane.payload_bytes()
+        shard_bytes = plane.shard_bytes()
     finally:
-        planner.close()
+        engine.close()
     return {
         "payload_bytes": payload_bytes,
         "spinup_seconds": spinup_timer.elapsed,
@@ -251,11 +249,9 @@ def run_benchmark(profile: dict) -> dict:
     queries = [record.query for record in workload]
     workers = profile["num_workers"]
 
-    shm_spinup = measure_spinup(database, workers, use_shared_memory=True)
-    legacy_spinup = measure_spinup(database, workers, use_shared_memory=False)
+    shm_spinup = measure_spinup(database, workers)
     throughput = run_sharded_comparison(database, queries, workers)
 
-    one_shard_bytes = len(pickle.dumps(database.graphs)) // NUM_SHARDS
     return {
         "num_graphs": len(database.graphs),
         "num_shards": NUM_SHARDS,
@@ -263,12 +259,8 @@ def run_benchmark(profile: dict) -> dict:
         "usable_cores": usable_cores(),
         **{k: v for k, v in throughput.items() if k != "post_query_probes"},
         "initializer_payload_bytes": shm_spinup["payload_bytes"],
-        "legacy_payload_bytes": legacy_spinup["payload_bytes"],
-        "payload_ratio": legacy_spinup["payload_bytes"]
-        / max(shm_spinup["payload_bytes"], 1),
         "shard_plane_bytes": shm_spinup["shard_bytes"],
         "shm_spinup_seconds": shm_spinup["spinup_seconds"],
-        "legacy_spinup_seconds": legacy_spinup["spinup_seconds"],
         "workers_probed": shm_spinup["workers_probed"],
         "spinup_worker_private_dirty_kb": [
             probe["private_dirty_kb"] for probe in shm_spinup["probes"]
@@ -283,7 +275,6 @@ def run_benchmark(profile: dict) -> dict:
         "post_query_worker_private_dirty_kb": [
             probe["private_dirty_kb"] for probe in throughput["post_query_probes"]
         ],
-        "one_shard_copy_bytes": one_shard_bytes,
     }
 
 
@@ -338,26 +329,12 @@ def main() -> None:
         ],
     )
     print(f"speedup: {report['speedup']:.2f}x")
-    print_table(
-        "Pool spin-up: shared-memory descriptors vs legacy pickled shards",
-        ["initializer", "payload bytes", "spin-up seconds"],
-        [
-            [
-                "shm descriptors",
-                report["initializer_payload_bytes"],
-                f"{report['shm_spinup_seconds']:.3f}",
-            ],
-            [
-                "legacy shards",
-                report["legacy_payload_bytes"],
-                f"{report['legacy_spinup_seconds']:.3f}",
-            ],
-        ],
-    )
     print(
-        f"payload ratio: {report['payload_ratio']:.1f}x smaller; shard plane "
-        f"{report['shard_plane_bytes']} B shared, worst worker materialized "
-        f"{report['post_query_materialized_graph_bytes']} B of graphs lazily"
+        f"pool spin-up: {report['shm_spinup_seconds']:.3f} s, "
+        f"{report['initializer_payload_bytes']} B of descriptors per worker; "
+        f"shard plane {report['shard_plane_bytes']} B shared, worst worker "
+        f"materialized {report['post_query_materialized_graph_bytes']} B of "
+        "graphs lazily"
     )
 
     point = {
@@ -371,17 +348,13 @@ def main() -> None:
     print(f"trajectory point appended to {args.out}")
 
     # the zero-copy contract holds at any scale, so it is asserted in smoke
-    # runs too: descriptors must be far smaller than shipping the shards,
-    # and an added worker must cost descriptors — not a shard copy
-    assert report["initializer_payload_bytes"] < report["legacy_payload_bytes"] / 10, (
-        f"descriptor payload {report['initializer_payload_bytes']} B is not "
-        f"O(1)-small next to the legacy {report['legacy_payload_bytes']} B"
-    )
-    spinup_ceiling = SPINUP_BYTES_CEILING_FRACTION * report["one_shard_copy_bytes"]
+    # runs too: an added worker must cost descriptors — not a copy of the
+    # shard bytes the plane publishes once for everyone
+    spinup_ceiling = SPINUP_BYTES_CEILING_FRACTION * report["shard_plane_bytes"]
     assert report["initializer_payload_bytes"] <= spinup_ceiling, (
         f"per-worker spin-up payload {report['initializer_payload_bytes']} B "
-        f"exceeds {SPINUP_BYTES_CEILING_FRACTION:.0%} of one shard copy "
-        f"({report['one_shard_copy_bytes']} B)"
+        f"exceeds {SPINUP_BYTES_CEILING_FRACTION:.0%} of the published shard "
+        f"plane ({report['shard_plane_bytes']} B)"
     )
     under_xdist = "PYTEST_XDIST_WORKER" in os.environ
     if (

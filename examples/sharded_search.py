@@ -4,8 +4,8 @@ Builds the same synthetic PPI database twice — once behind the sequential
 planner, once split into 4 shards with per-shard PMI slices — runs an
 identical workload through both, and shows that the answers match exactly
 while the sharded run uses every core the machine has.  Also demonstrates
-the warm-start path: shard PMI slices are persisted (npz+JSON) on the first
-build and loaded on the second.
+the warm-start path: a durable ``GraphCatalog`` snapshots its shards on the
+first build, and ``GraphCatalog.open`` loads them instead of rebuilding.
 
 Run with:  python examples/sharded_search.py
 """
@@ -14,7 +14,12 @@ from __future__ import annotations
 
 import tempfile
 
-from repro import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro import (
+    GraphCatalog,
+    ProbabilisticGraphDatabase,
+    SearchConfig,
+    VerificationConfig,
+)
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.utils.timer import Timer
@@ -47,64 +52,70 @@ def main() -> None:
         )
     print(f"sequential: {len(queries)} queries in {timer.elapsed:.3f}s")
 
-    with tempfile.TemporaryDirectory() as cache_dir:
-        # 2. Sharded: K contiguous shards, each with its own PMI slice,
-        #    structural slice and planner; queries fan out over a process pool.
-        build_timer = Timer()
-        with build_timer:
-            sharded = ProbabilisticGraphDatabase(dataset.graphs)
-            sharded.build_index(
+    # 2. Sharded: K contiguous shards, each with its own PMI slice,
+    #    structural slice and planner; queries fan out over a process pool.
+    build_timer = Timer()
+    with build_timer:
+        sharded = ProbabilisticGraphDatabase(dataset.graphs)
+        sharded.build_index(
+            feature_config=feature_config,
+            bound_config=bound_config,
+            rng=SEED,
+            num_shards=NUM_SHARDS,
+        )
+    print(f"sharded index build ({NUM_SHARDS} shards): {build_timer.elapsed:.3f}s")
+
+    timer = Timer()
+    with timer:
+        sharded_results = sharded.query_many(
+            queries, 0.3, 1, config=search_config, rng=SEED
+        )
+    # Memory footprint: the dense shard arrays live ONCE in shared-memory
+    # segments; each pool worker attaches read-only and was initialized
+    # with a few KB of descriptors, so adding workers costs descriptors,
+    # not database copies.  close() below unlinks every segment.
+    plane = sharded.planner.shard_plane
+    if plane is not None:
+        print(
+            f"shard plane: {plane.shard_bytes()} B shared across all "
+            f"workers, {plane.payload_bytes()} B shipped per worker"
+        )
+    sharded.close()
+    print(f"sharded:    {len(queries)} queries in {timer.elapsed:.3f}s")
+
+    # 3. Determinism: the sharded executor returns byte-for-byte the
+    #    sequential planner's answers — same ids, SSP estimates, order.
+    def identical(results) -> bool:
+        return all(
+            [(a.graph_id, a.probability) for a in sequential_result.answers]
+            == [(a.graph_id, a.probability) for a in result.answers]
+            for sequential_result, result in zip(sequential_results, results)
+        )
+
+    print(f"sharded answers identical to sequential: {identical(sharded_results)}")
+
+    # 4. Warm start: a durable catalog snapshots every shard (graphs, PMI
+    #    slice, structural counts) when it is built; a restart opens the
+    #    snapshot instead of recomputing any SIP bound.
+    with tempfile.TemporaryDirectory() as directory:
+        cold_timer = Timer()
+        with cold_timer:
+            GraphCatalog.build(
+                dataset.graphs,
                 feature_config=feature_config,
                 bound_config=bound_config,
                 rng=SEED,
                 num_shards=NUM_SHARDS,
-                shard_cache_dir=cache_dir,
-            )
-        print(f"sharded index build (cold, {NUM_SHARDS} shards): {build_timer.elapsed:.3f}s")
-
-        timer = Timer()
-        with timer:
-            sharded_results = sharded.query_many(
-                queries, 0.3, 1, config=search_config, rng=SEED
-            )
-        # Memory footprint: the dense shard arrays live ONCE in shared-memory
-        # segments; each pool worker attaches read-only and was initialized
-        # with ~2 KB of descriptors, so adding workers costs descriptors,
-        # not database copies.  close() below unlinks every segment.
-        plane = sharded.planner.shard_plane
-        if plane is not None:
-            import pickle
-
-            payload = len(pickle.dumps(sharded.planner.initializer_payload()))
-            print(
-                f"shard plane: {plane.shard_bytes()} B shared across all "
-                f"workers, {payload} B shipped per worker"
-            )
-        sharded.close()
-        print(f"sharded:    {len(queries)} queries in {timer.elapsed:.3f}s")
-
-        # 3. Determinism: the sharded executor returns byte-for-byte the
-        #    sequential planner's answers — same ids, SSP estimates, order.
-        agree = all(
-            [(a.graph_id, a.probability) for a in sequential_result.answers]
-            == [(a.graph_id, a.probability) for a in sharded_result.answers]
-            for sequential_result, sharded_result in zip(sequential_results, sharded_results)
-        )
-        print(f"sharded answers identical to sequential: {agree}")
-
-        # 4. Warm start: the shard slices were persisted above, so a rebuild
-        #    loads them instead of recomputing any SIP bounds.
+                directory=directory,
+            ).close()
+        print(f"durable catalog build (cold):  {cold_timer.elapsed:.3f}s")
         warm_timer = Timer()
         with warm_timer:
-            warm = ProbabilisticGraphDatabase(dataset.graphs)
-            warm.build_index(
-                feature_config=feature_config,
-                bound_config=bound_config,
-                rng=SEED,
-                num_shards=NUM_SHARDS,
-                shard_cache_dir=cache_dir,
-            )
-        print(f"sharded index build (warm cache):        {warm_timer.elapsed:.3f}s")
+            warm = GraphCatalog.open(directory)
+        print(f"durable catalog open (warm):   {warm_timer.elapsed:.3f}s")
+        with warm:
+            warm_results = warm.query_many(queries, 0.3, 1, config=search_config, rng=SEED)
+        print(f"reopened answers identical to sequential: {identical(warm_results)}")
 
     for sequential_result, query in zip(sequential_results, queries):
         merged = sequential_result.statistics

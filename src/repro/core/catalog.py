@@ -42,7 +42,7 @@ shard with the fewest live graphs (:func:`repro.core.sharding.route_to_smallest`
 ``compact()`` rebalances by collecting all live graphs (ordered by external
 id) and re-partitioning them contiguously with
 :func:`repro.core.sharding.partition_ranges` — the same balanced-split rule
-static builds use.  Queries fan out through the ordinary
+the initial build uses.  Queries fan out through the ordinary
 :class:`~repro.core.sharding.ShardedPlanner`; mutations invalidate the
 cached planner (and its worker pool), so read-heavy phases amortize the
 rebuild while writes stay cheap.
@@ -101,6 +101,7 @@ from repro.core.sharding import (
     DatabaseShard,
     ShardSpec,
     ShardedPlanner,
+    _resolve_workers,
     partition_ranges,
     route_to_smallest,
 )
@@ -347,6 +348,7 @@ class GraphCatalog:
     ) -> None:
         if not stores:
             raise CatalogError("a catalog needs at least one shard store")
+        _resolve_workers(max_workers, len(stores))  # rejects a negative width
         self._stores = stores
         self._feature_config = feature_config
         self._bound_config = bound_config
@@ -1028,6 +1030,21 @@ class GraphCatalog:
     # ------------------------------------------------------------------
     # querying (engine-compatible surface)
     # ------------------------------------------------------------------
+    def planner(self) -> QueryPlanner | ShardedPlanner:
+        """The current planner view; rebuilt lazily after any mutation."""
+        if self._planner_cache is None:
+            shards = [
+                store.make_shard(store_index)
+                for store_index, store in enumerate(self._stores)
+            ]
+            if len(shards) == 1:
+                self._planner_cache = shards[0].make_planner()
+            else:
+                self._planner_cache = ShardedPlanner(
+                    shards, max_workers=self._max_workers
+                )
+        return self._planner_cache
+
     def query(
         self,
         query_graph: LabeledGraph,
@@ -1038,7 +1055,7 @@ class GraphCatalog:
     ) -> QueryResult:
         """One T-PS query over the live graphs; answers carry external ids."""
         validate_query(query_graph, probability_threshold, distance_threshold)
-        return self._planner().execute(
+        return self.planner().execute(
             query_graph, probability_threshold, distance_threshold, config, rng=rng
         )
 
@@ -1059,7 +1076,7 @@ class GraphCatalog:
         """
         for query_graph in query_graphs:
             validate_query(query_graph, probability_threshold, distance_threshold)
-        return self._planner().execute_many(
+        return self.planner().execute_many(
             query_graphs,
             probability_threshold,
             distance_threshold,
@@ -1078,7 +1095,7 @@ class GraphCatalog:
     ) -> QueryResult:
         """The k most probable live graphs, best first (ties → smaller id)."""
         validate_top_k_query(query_graph, k, distance_threshold)
-        return self._planner().execute_top_k(
+        return self.planner().execute_top_k(
             query_graph, k, distance_threshold, config, rng=rng
         )
 
@@ -1097,7 +1114,7 @@ class GraphCatalog:
         """
         for query_graph in query_graphs:
             validate_top_k_query(query_graph, k, distance_threshold)
-        return self._planner().execute_top_k_many(
+        return self.planner().execute_top_k_many(
             query_graphs, k, distance_threshold, config, rng=rng, rngs=rngs
         )
 
@@ -1125,21 +1142,6 @@ class GraphCatalog:
         if location is None:
             raise CatalogError(f"external id {external_id!r} is not live")
         return location
-
-    def _planner(self) -> QueryPlanner | ShardedPlanner:
-        """The current planner view; rebuilt lazily after any mutation."""
-        if self._planner_cache is None:
-            shards = [
-                store.make_shard(store_index)
-                for store_index, store in enumerate(self._stores)
-            ]
-            if len(shards) == 1:
-                self._planner_cache = shards[0].make_planner()
-            else:
-                self._planner_cache = ShardedPlanner(
-                    shards, max_workers=self._max_workers
-                )
-        return self._planner_cache
 
     def _invalidate(self) -> None:
         closer = getattr(self._planner_cache, "close", None)

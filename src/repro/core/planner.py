@@ -170,26 +170,22 @@ class QueryPlanner:
         graphs: list[ProbabilisticGraph],
         pmi: ProbabilisticMatrixIndex,
         structural_index: StructuralFeatureIndex,
-        graph_id_offset: int = 0,
         graph_ids=None,
         active_mask: np.ndarray | None = None,
     ) -> None:
         self.graphs = graphs
         self.pmi = pmi
         self.structural_index = structural_index
-        # When the planner owns a shard (a contiguous slice of a larger
-        # database), local row 0 is global graph `graph_id_offset`: answers
-        # and RNG stream salts always use global ids so a sharded run is
-        # indistinguishable from the sequential one.  A mutable catalog goes
-        # one step further and passes explicit `graph_ids` — the stable
+        # A planner over the whole database uses row positions as global
+        # ids.  A catalog shard passes explicit `graph_ids` — the stable
         # external id of every storage row — plus an `active_mask` that turns
         # tombstoned rows off before any stage runs.  Everything downstream
         # (answers, RNG salts, top-k visit order) keys on `global_ids`, so
         # answers depend only on the (id → graph) mapping, never on row
-        # placement.
-        self.graph_id_offset = graph_id_offset
+        # placement, and a sharded run is indistinguishable from the
+        # sequential one.
         if graph_ids is None:
-            self.global_ids = graph_id_offset + np.arange(len(graphs), dtype=np.int64)
+            self.global_ids = np.arange(len(graphs), dtype=np.int64)
         else:
             self.global_ids = np.asarray(graph_ids, dtype=np.int64)
             if self.global_ids.shape != (len(graphs),):

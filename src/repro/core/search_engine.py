@@ -30,10 +30,12 @@ Typical usage::
 
     # scale across cores: K shards, queries fan out over a process pool
     # (note: the full matrices then live sliced inside the shards, so
-    # ``database.pmi``/``database.structural_index`` are None — persist via
-    # shard_cache_dir=..., which also makes warm rebuilds load, not compute)
+    # ``database.pmi``/``database.structural_index`` are None — for a
+    # sharded index that survives restarts use
+    # GraphCatalog.build(graphs, num_shards=4, directory=...) and
+    # GraphCatalog.open(...))
     parallel = ProbabilisticGraphDatabase(graphs)
-    parallel.build_index(num_shards=4, shard_cache_dir="shards_dir", rng=7)
+    parallel.build_index(num_shards=4, rng=7)
     results = parallel.query_many(queries, 0.5, 2)
     parallel.close()  # or use the database as a context manager
 """
@@ -82,6 +84,8 @@ class ProbabilisticGraphDatabase:
         self.pmi: ProbabilisticMatrixIndex | None = None
         self.structural_index: StructuralFeatureIndex | None = None
         self.planner: QueryPlanner | None = None
+        # the catalog behind a sharded (num_shards > 1) index
+        self._catalog: GraphCatalog | None = None
 
     # ------------------------------------------------------------------
     # indexing
@@ -94,7 +98,6 @@ class ProbabilisticGraphDatabase:
         pmi: ProbabilisticMatrixIndex | None = None,
         num_shards: int = 1,
         max_workers: int | None = None,
-        shard_cache_dir=None,
     ) -> "ProbabilisticGraphDatabase":
         """Mine features, build both indexes, and construct the query planner.
 
@@ -102,18 +105,17 @@ class ProbabilisticGraphDatabase:
         ``pmi`` to skip the expensive SIP-bound computation; it must have been
         built over the same graphs in the same order.
 
-        With ``num_shards > 1`` the database is partitioned into contiguous
-        shards: per-shard PMI construction fans out to ``max_workers``
-        processes (``None`` → cpu count) and queries execute through a
-        :class:`~repro.core.sharding.ShardedPlanner`, with answers identical
-        to the sequential path.  ``shard_cache_dir`` persists each shard's
-        PMI slice (npz+JSON) so warm rebuilds load instead of recompute —
-        except on the prebuilt-``pmi`` path, where the cache is not
-        consulted (the expensive bounds are already in hand) and structural
-        counts are rebuilt in the parent.  ``num_shards=1`` is exactly the
-        sequential single-planner path — ``max_workers`` and
-        ``shard_cache_dir`` only take effect with ``num_shards > 1`` (for a
-        persisted sequential index use ``database.pmi.save()``).
+        With ``num_shards > 1`` the engine holds a
+        :class:`~repro.core.catalog.GraphCatalog` over contiguous shards
+        (:meth:`GraphCatalog.build`, or :meth:`GraphCatalog.from_index` for
+        a prebuilt ``pmi``, which must carry its ``build_root``) and queries
+        fan out over ``max_workers`` processes (``None`` → cpu count)
+        through its :class:`~repro.core.sharding.ShardedPlanner`, with
+        answers identical to the sequential path.  ``num_shards=1`` is
+        exactly the sequential single-planner path — ``max_workers`` only
+        takes effect with ``num_shards > 1``.  To persist an index use
+        ``database.pmi.save()`` (sequential) or
+        ``GraphCatalog.build(directory=...)`` (sharded).
         """
         if num_shards < 1:
             raise ConfigurationError(f"num_shards must be >= 1, got {num_shards!r}")
@@ -130,19 +132,33 @@ class ProbabilisticGraphDatabase:
         # a rebuild replaces the planner; shut down any worker pool the old
         # one may own before dropping the reference
         self.close()
+        self._catalog = None
         if num_shards > 1:
-            from repro.core.sharding import ShardedPlanner
+            from repro.core.catalog import GraphCatalog
 
-            self.planner = ShardedPlanner.build(
-                self.graphs,
-                num_shards=num_shards,
-                feature_config=feature_config,
-                bound_config=bound_config,
-                rng=rng,
-                max_workers=max_workers,
-                cache_dir=shard_cache_dir,
-                pmi=pmi,
-            )
+            if pmi is None:
+                self._catalog = GraphCatalog.build(
+                    self.graphs,
+                    feature_config=feature_config,
+                    bound_config=bound_config,
+                    rng=rng,
+                    num_shards=num_shards,
+                    max_workers=max_workers,
+                )
+            else:
+                structural = StructuralFeatureIndex(
+                    embedding_limit=pmi.feature_config.embedding_limit
+                )
+                structural.build([graph.skeleton for graph in self.graphs], pmi.features)
+                self._catalog = GraphCatalog.from_index(
+                    self.graphs,
+                    pmi,
+                    structural,
+                    num_shards=num_shards,
+                    max_workers=max_workers,
+                )
+            # never mutated, so the catalog's cached planner stays the live one
+            self.planner = self._catalog.planner()
             # the full matrices live sliced inside the shards; the engine-level
             # handles stay unset so nothing mistakes a shard view for the whole
             self.pmi = None

@@ -2,7 +2,7 @@
 
 The T-PS pipeline is embarrassingly partitionable: every candidate graph is
 filtered, pruned, and verified independently of every other graph, so a
-database of N probabilistic graphs can be split into K contiguous *shards*,
+database of N probabilistic graphs can be split into K disjoint *shards*,
 each owning a PMI row slice, a structural-index row slice, and its own
 :class:`~repro.core.planner.QueryPlanner`.  :class:`ShardedPlanner` fans
 ``query()`` / ``query_many()`` out over a ``concurrent.futures`` process
@@ -25,17 +25,15 @@ count, or OS scheduling:
    sum across the disjoint slices; wall-clock fields take the critical-path
    max).
 
-Index build parallelizes the same way: features are mined once over the
-full database in the parent (identical to the sequential path), then each
-worker fills its shard's PMI cells and structural counts.  With a
-``cache_dir`` each shard slice is persisted in the npz+JSON format of
-:meth:`ProbabilisticMatrixIndex.save`, so warm workers load instead of
-rebuild.
+Shards are built and owned by :class:`~repro.core.catalog.GraphCatalog`
+(``ProbabilisticGraphDatabase.build_index(num_shards=K)`` holds one): every
+shard carries the stable external id of each storage row plus a tombstone
+mask, and its indexes are the catalog's segmented base+delta views.
 
 **The zero-copy shard plane.**  Shipping every :class:`DatabaseShard` into
-the pool initializer costs O(shard-bytes) per worker — resident memory
-scales with worker count and every pool (re)build pays a full copy of all
-PMI and structural matrices.  By default the planner instead *publishes*
+the pool initializer would cost O(shard-bytes) per worker — resident memory
+scaling with worker count and every pool (re)build paying a full copy of all
+PMI and structural matrices.  The planner instead *publishes*
 each shard exactly once into ``multiprocessing.shared_memory``
 (:func:`publish_shard` packs the dense arrays plus per-graph pickle blobs
 into one :class:`~repro.utils.shm.ShardArena` segment), and workers receive
@@ -56,16 +54,12 @@ because the arrays workers map are bit-for-bit the parent's.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pickle
 import threading
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -75,11 +69,8 @@ from repro.core.results import QueryResult, QueryStatistics
 from repro.exceptions import ConfigurationError, IndexError_
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
-from repro.pmi.features import Feature, FeatureMiner, FeatureSelectionConfig
-from repro.pmi.bounds import BoundConfig
 from repro.pmi.index import ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
-from repro.utils.atomic_io import atomic_write_text, atomic_writer
 from repro.utils.rng import RandomLike, rng_root
 from repro.utils.shm import (
     ArenaDescriptor,
@@ -133,24 +124,22 @@ def partition_ranges(num_graphs: int, num_shards: int) -> list[ShardSpec]:
 
 @dataclass
 class DatabaseShard:
-    """One shard's graphs plus its PMI and structural-index row slices.
+    """One shard's graphs plus its PMI and structural-index row views.
 
-    Two flavours share this container.  A *static* shard (``graph_ids is
-    None``) owns the contiguous global-id slice ``[spec.start, spec.stop)``.
-    A *catalog* shard carries explicit per-row ``graph_ids`` (stable external
-    ids, not necessarily contiguous) and an ``active_mask`` that switches
-    tombstoned storage rows off; its ``spec`` records only the shard id and
-    the live-row count.  ``pmi``/``structural_index`` may be segmented
-    base+delta views (:mod:`repro.core.catalog`) — planners only need their
-    row-read protocol.
+    ``graph_ids`` holds the stable external id of every storage row (not
+    necessarily contiguous) and ``active_mask`` switches tombstoned rows
+    off; ``spec`` records only the shard id and the live-row count.
+    ``pmi``/``structural_index`` are the catalog's segmented base+delta
+    views (:mod:`repro.core.catalog`) — planners only need their row-read
+    protocol.
     """
 
     spec: ShardSpec
     graphs: list[ProbabilisticGraph]
     pmi: ProbabilisticMatrixIndex
     structural_index: StructuralFeatureIndex
-    graph_ids: np.ndarray | None = None
-    active_mask: np.ndarray | None = None
+    graph_ids: np.ndarray
+    active_mask: np.ndarray
     # set only on worker-side shards materialized from a shared-memory
     # descriptor: keeps the attached segment mapped for the shard's lifetime
     arena: AttachedArena | None = field(default=None, repr=False, compare=False)
@@ -161,18 +150,13 @@ class DatabaseShard:
             self.graphs,
             self.pmi,
             self.structural_index,
-            graph_id_offset=self.spec.start if self.graph_ids is None else 0,
             graph_ids=self.graph_ids,
             active_mask=self.active_mask,
         )
 
     def live_global_ids(self) -> np.ndarray:
         """The global ids this shard can answer with (tombstones excluded)."""
-        if self.graph_ids is None:
-            return np.arange(self.spec.start, self.spec.stop, dtype=np.int64)
         ids = np.asarray(self.graph_ids, dtype=np.int64)
-        if self.active_mask is None:
-            return ids
         return ids[np.asarray(self.active_mask, dtype=bool)]
 
 
@@ -206,154 +190,6 @@ def merge_query_results(parts: list[QueryResult]) -> QueryResult:
 
 
 # ----------------------------------------------------------------------
-# shard construction (runs in worker processes)
-# ----------------------------------------------------------------------
-def shard_cache_path(cache_dir: str | Path, shard_id: int) -> Path:
-    """Directory holding one shard's persisted PMI slice."""
-    return Path(cache_dir) / f"shard_{shard_id:03d}"
-
-
-_SHARD_SIDECAR = "shard_build.json"
-_SHARD_COUNTS = "structural_counts.npy"
-
-
-def _features_fingerprint(features: list[Feature]) -> list[tuple[int, str]]:
-    return [(feature.feature_id, feature.canonical) for feature in features]
-
-
-def _graphs_fingerprint(graphs: list[ProbabilisticGraph]) -> str:
-    """Content hash of a shard's graphs — skeletons *and* probability factors.
-
-    Feature mining only sees skeletons, so edited edge probabilities can
-    leave the mined feature set unchanged; this digest is what makes such an
-    edit invalidate the cache.
-    """
-    from repro.graphs.io import probabilistic_graph_to_dict
-
-    digest = hashlib.sha256()
-    for graph in graphs:
-        digest.update(
-            json.dumps(probabilistic_graph_to_dict(graph), sort_keys=True).encode()
-        )
-    return digest.hexdigest()
-
-
-def _load_cached_shard(
-    directory: Path,
-    spec: ShardSpec,
-    graphs: list[ProbabilisticGraph],
-    features: list[Feature],
-    feature_config: FeatureSelectionConfig,
-    bound_config: BoundConfig,
-    root: int,
-) -> tuple[ProbabilisticMatrixIndex, StructuralFeatureIndex] | None:
-    """The cached slice, or None when anything about the build disagrees.
-
-    Staleness guard: a cache entry is only reused when the slice geometry,
-    the graph contents, the feature set, *both* build configurations, and
-    the 64-bit build root all match — a cache written under a different
-    seed, sample count, or edited database must trigger a rebuild, or the
-    sharded-equals-sequential guarantee would silently break.  Any unreadable
-    or truncated cache file likewise falls through to a cold rebuild.
-    """
-    sidecar = directory / _SHARD_SIDECAR
-    if not sidecar.exists():
-        return None
-    try:
-        meta = json.loads(sidecar.read_text())
-        cached = ProbabilisticMatrixIndex.load(directory)
-        if (
-            meta.get("root") != root
-            or meta.get("start") != spec.start
-            or meta.get("stop") != spec.stop
-            or meta.get("graphs") != _graphs_fingerprint(graphs)
-            or cached.database_size != spec.size
-            or cached.feature_config != feature_config
-            or cached.bound_config != bound_config
-            or _features_fingerprint(cached.features) != _features_fingerprint(features)
-        ):
-            return None
-        counts = np.load(directory / _SHARD_COUNTS)
-    except (
-        IndexError_,
-        json.JSONDecodeError,
-        OSError,
-        ValueError,
-        KeyError,
-        EOFError,
-        zipfile.BadZipFile,
-    ):
-        # missing, corrupt, or half-written cache entries rebuild cold
-        return None
-    if counts.shape != (spec.size, len(features)):
-        return None
-    structural = StructuralFeatureIndex.from_counts(
-        cached.features, counts, embedding_limit=feature_config.embedding_limit
-    )
-    return cached, structural
-
-
-def build_shard(
-    spec: ShardSpec,
-    graphs: list[ProbabilisticGraph],
-    features: list[Feature],
-    feature_config: FeatureSelectionConfig,
-    bound_config: BoundConfig,
-    root: int,
-    cache_dir: str | Path | None,
-) -> DatabaseShard:
-    """Build (or load from cache) one shard's PMI slice and structural slice.
-
-    Runs in a worker process during parallel index builds; also callable
-    in-process for the sequential fallback.  The cache stores the PMI slice
-    (npz+JSON), the structural count matrix, and a sidecar recording the
-    build root and slice geometry; a warm hit skips both the SIP-bound
-    computation and the embedding enumeration.
-    """
-    if cache_dir is not None:
-        cached = _load_cached_shard(
-            shard_cache_path(cache_dir, spec.shard_id),
-            spec,
-            graphs,
-            features,
-            feature_config,
-            bound_config,
-            root,
-        )
-        if cached is not None:
-            pmi, structural = cached
-            return DatabaseShard(
-                spec=spec, graphs=graphs, pmi=pmi, structural_index=structural
-            )
-    pmi = ProbabilisticMatrixIndex(feature_config=feature_config, bound_config=bound_config)
-    pmi.build(graphs, features=features, rng=root, graph_id_offset=spec.start)
-    structural = StructuralFeatureIndex(embedding_limit=feature_config.embedding_limit)
-    structural.build([graph.skeleton for graph in graphs], pmi.features)
-    if cache_dir is not None:
-        directory = shard_cache_path(cache_dir, spec.shard_id)
-        # the sidecar is the entry's commit marker: written last, and removed
-        # *before* any file of an existing entry is overwritten — a crash
-        # mid-rewrite must never leave an old sidecar validating new arrays
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / _SHARD_SIDECAR).unlink(missing_ok=True)
-        pmi.save(directory)
-        with atomic_writer(directory / _SHARD_COUNTS) as handle:
-            np.save(handle, structural.counts_matrix())
-        atomic_write_text(
-            directory / _SHARD_SIDECAR,
-            json.dumps(
-                {
-                    "root": root,
-                    "start": spec.start,
-                    "stop": spec.stop,
-                    "graphs": _graphs_fingerprint(graphs),
-                }
-            ),
-        )
-    return DatabaseShard(spec=spec, graphs=graphs, pmi=pmi, structural_index=structural)
-
-
-# ----------------------------------------------------------------------
 # the shared-memory shard plane
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -375,51 +211,41 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 def publish_shard(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
     """Pack one shard into a shared-memory arena; return it with its handle.
 
-    Dense arrays — the five PMI matrices (base and delta separately for a
-    catalog shard's segmented views), the structural count matrix, and the
-    catalog's external-id / tombstone columns — are copied bit-for-bit into
-    the segment, so a worker's attached view reads the exact cells the
-    parent computed and answers cannot drift.  Graphs go in as back-to-back
-    per-graph pickles with an offset table (lazy deserialization on the
-    worker); everything non-array (spec, features, configs, sparse
-    chosen-set dicts) rides in one pickled ``meta`` blob.
+    Dense arrays — the five PMI matrices and the structural count matrix
+    (base and delta segments separately) and the external-id / tombstone
+    columns — are copied bit-for-bit into the segment, so a worker's
+    attached view reads the exact cells the parent computed and answers
+    cannot drift.  Graphs go in as back-to-back per-graph pickles with an
+    offset table (lazy deserialization on the worker); everything non-array
+    (spec, features, configs, sparse chosen-set dicts) rides in one pickled
+    ``meta`` blob.
     """
     from repro.core.catalog import SegmentedPmiView, SegmentedStructuralView
 
-    arrays: dict[str, np.ndarray] = {}
-    meta: dict = {"spec": shard.spec}
     pmi = shard.pmi
     structural = shard.structural_index
-    if isinstance(pmi, SegmentedPmiView):
-        if not isinstance(structural, SegmentedStructuralView):
-            raise IndexError_(
-                "a segmented PMI view requires a segmented structural view"
-            )
-        meta["segmented"] = True
-        for prefix, segment_pmi in (("base", pmi.base), ("delta", pmi.delta)):
-            for key, array in segment_pmi.arena_arrays().items():
-                arrays[f"{prefix}_pmi_{key}"] = array
-            meta[f"{prefix}_pmi"] = segment_pmi.arena_meta()
-        arrays["base_counts"] = np.asarray(structural.base.counts_matrix())
-        arrays["delta_counts"] = np.asarray(structural.delta.counts_matrix())
-        meta["features"] = pmi.base.features
-        meta["feature_config"] = pmi.base.feature_config
-        meta["bound_config"] = pmi.base.bound_config
-        meta["embedding_limit"] = structural.base.embedding_limit
-    else:
-        meta["segmented"] = False
-        for key, array in pmi.arena_arrays().items():
-            arrays[f"pmi_{key}"] = array
-        meta["pmi"] = pmi.arena_meta()
-        arrays["counts"] = np.asarray(structural.counts_matrix())
-        meta["features"] = pmi.features
-        meta["feature_config"] = pmi.feature_config
-        meta["bound_config"] = pmi.bound_config
-        meta["embedding_limit"] = structural.embedding_limit
-    if shard.graph_ids is not None:
-        arrays["graph_ids"] = np.asarray(shard.graph_ids, dtype=np.int64)
-    if shard.active_mask is not None:
-        arrays["active_mask"] = np.asarray(shard.active_mask, dtype=bool)
+    if not isinstance(pmi, SegmentedPmiView) or not isinstance(
+        structural, SegmentedStructuralView
+    ):
+        raise IndexError_(
+            "a shard publishes segmented (base + delta) PMI and structural views"
+        )
+    arrays: dict[str, np.ndarray] = {}
+    meta: dict = {
+        "spec": shard.spec,
+        "features": pmi.base.features,
+        "feature_config": pmi.base.feature_config,
+        "bound_config": pmi.base.bound_config,
+        "embedding_limit": structural.base.embedding_limit,
+    }
+    for prefix, segment_pmi in (("base", pmi.base), ("delta", pmi.delta)):
+        for key, array in segment_pmi.arena_arrays().items():
+            arrays[f"{prefix}_pmi_{key}"] = array
+        meta[f"{prefix}_pmi"] = segment_pmi.arena_meta()
+    arrays["base_counts"] = np.asarray(structural.base.counts_matrix())
+    arrays["delta_counts"] = np.asarray(structural.delta.counts_matrix())
+    arrays["graph_ids"] = np.asarray(shard.graph_ids, dtype=np.int64)
+    arrays["active_mask"] = np.asarray(shard.active_mask, dtype=bool)
     payloads = [
         pickle.dumps(graph, protocol=_PICKLE_PROTOCOL) for graph in shard.graphs
     ]
@@ -473,46 +299,31 @@ def materialize_shard(
             segment_meta,
         )
 
-    if meta["segmented"]:
-        pmi = SegmentedPmiView(
-            pmi_from("base_pmi_", meta["base_pmi"]),
-            pmi_from("delta_pmi_", meta["delta_pmi"]),
-        )
-        structural = SegmentedStructuralView(
-            StructuralFeatureIndex.from_counts(
-                features,
-                arena.array("base_counts"),
-                embedding_limit=embedding_limit,
-                copy=False,
-            ),
-            StructuralFeatureIndex.from_counts(
-                features,
-                arena.array("delta_counts"),
-                embedding_limit=embedding_limit,
-                copy=False,
-            ),
-        )
-    else:
-        pmi = pmi_from("pmi_", meta["pmi"])
-        structural = StructuralFeatureIndex.from_counts(
+    pmi = SegmentedPmiView(
+        pmi_from("base_pmi_", meta["base_pmi"]),
+        pmi_from("delta_pmi_", meta["delta_pmi"]),
+    )
+    structural = SegmentedStructuralView(
+        StructuralFeatureIndex.from_counts(
             features,
-            arena.array("counts"),
+            arena.array("base_counts"),
             embedding_limit=embedding_limit,
             copy=False,
-        )
-    graph_ids = (
-        arena.array("graph_ids") if "graph_ids" in descriptor.arena else None
-    )
-    active_mask = (
-        arena.array("active_mask") if "active_mask" in descriptor.arena else None
+        ),
+        StructuralFeatureIndex.from_counts(
+            features,
+            arena.array("delta_counts"),
+            embedding_limit=embedding_limit,
+            copy=False,
+        ),
     )
     return DatabaseShard(
         spec=meta["spec"],
         graphs=graphs,
         pmi=pmi,
         structural_index=structural,
-        graph_ids=graph_ids,
-        active_mask=active_mask,
+        graph_ids=arena.array("graph_ids"),
+        active_mask=arena.array("active_mask"),
         arena=arena,
     )
 
@@ -565,25 +376,12 @@ class ShardPlane:
 # ----------------------------------------------------------------------
 # One pool worker caches the shards it has seen and lazily builds a
 # QueryPlanner per shard on first use, so steady-state tasks ship only
-# (shard_id, queries, thresholds, roots).  The shared-memory initializer
-# records descriptors and defers the attach itself to the first task that
-# needs the shard — a worker that never serves a shard never maps it.
+# (shard_id, queries, thresholds, roots).  The initializer records
+# descriptors and defers the attach itself to the first task that needs the
+# shard — a worker that never serves a shard never maps it.
 _WORKER_SHARDS: dict[int, DatabaseShard] = {}
 _WORKER_PLANNERS: dict[int, QueryPlanner] = {}
 _WORKER_DESCRIPTORS: dict[int, ShardDescriptor] = {}
-
-
-def _init_query_worker(shards: list[DatabaseShard]) -> None:
-    """Legacy initializer: ships whole shards (O(shard-bytes) per worker).
-
-    Kept for ``ShardedPlanner(use_shared_memory=False)`` — the benchmark's
-    baseline and an escape hatch for platforms without POSIX shared memory.
-    """
-    _WORKER_SHARDS.clear()
-    _WORKER_PLANNERS.clear()
-    _WORKER_DESCRIPTORS.clear()
-    for shard in shards:
-        _WORKER_SHARDS[shard.spec.shard_id] = shard
 
 
 def _init_shm_query_worker(descriptors: tuple[ShardDescriptor, ...]) -> None:
@@ -627,17 +425,13 @@ class ShardedPlanner:
     the sequential planner's, independent of shard count and worker count.
     ``max_workers`` picks the process-pool width for query fan-out
     (``None`` → ``min(num_shards, cpu_count)``); at width <= 1 shards run
-    in-process, which is also the zero-dependency fallback path.  With
-    ``use_shared_memory=True`` (the default) shards are published once into
-    a shared-memory :class:`ShardPlane` and workers attach read-only via
-    O(1) descriptors; ``use_shared_memory=False`` falls back to shipping
-    whole shards through the pool initializer.
+    in-process, which is also the zero-dependency fallback path.  Shards
+    are published once into a shared-memory :class:`ShardPlane` and workers
+    attach read-only via O(1) descriptors.
 
-    Shards come in two flavours (see :class:`DatabaseShard`): static
-    contiguous slices, validated to tile the global id space, and mutable
-    *catalog* shards carrying explicit stable ids plus a tombstone mask,
-    validated for live-id disjointness instead.  The determinism contract is
-    the same for both: answers and counters are byte-identical to a
+    Shards carry explicit stable ids plus a tombstone mask (see
+    :class:`DatabaseShard`) and are validated for live-id disjointness.
+    The determinism contract: answers and counters are byte-identical to a
     sequential run over the same live graphs under the same ``rng``.
     """
 
@@ -645,34 +439,16 @@ class ShardedPlanner:
         self,
         shards: list[DatabaseShard],
         max_workers: int | None = None,
-        use_shared_memory: bool = True,
     ) -> None:
         if not shards:
             raise ConfigurationError("a sharded planner needs at least one shard")
-        catalog_mode = any(shard.graph_ids is not None for shard in shards)
-        if catalog_mode and not all(shard.graph_ids is not None for shard in shards):
-            raise ConfigurationError(
-                "cannot mix catalog shards (explicit graph_ids) with "
-                "contiguous-slice shards"
-            )
-        if catalog_mode:
-            # catalog shards own arbitrary stable-id sets: no tiling to
-            # check, but the merge invariants need the live ids disjoint
-            ordered = sorted(shards, key=lambda shard: shard.spec.shard_id)
-            all_ids = np.concatenate([shard.live_global_ids() for shard in ordered])
-            if len(np.unique(all_ids)) != len(all_ids):
-                raise ConfigurationError("catalog shards must cover disjoint live graph ids")
-        else:
-            ordered = sorted(shards, key=lambda shard: shard.spec.start)
-            expected_start = 0
-            for shard in ordered:
-                if shard.spec.start != expected_start:
-                    raise ConfigurationError(
-                        "shards must tile the graph-id space contiguously; "
-                        f"expected a shard starting at {expected_start}, "
-                        f"got {shard.spec!r}"
-                    )
-                expected_start = shard.spec.stop
+        _resolve_workers(max_workers, len(shards))  # rejects a negative width
+        # shards own arbitrary stable-id sets: the merge invariants need the
+        # live ids disjoint
+        ordered = sorted(shards, key=lambda shard: shard.spec.shard_id)
+        all_ids = np.concatenate([shard.live_global_ids() for shard in ordered])
+        if len(np.unique(all_ids)) != len(all_ids):
+            raise ConfigurationError("catalog shards must cover disjoint live graph ids")
         seen_ids: set[int] = set()
         for shard in ordered:
             # planner caches and pool tasks are keyed by shard_id
@@ -681,7 +457,6 @@ class ShardedPlanner:
             seen_ids.add(shard.spec.shard_id)
         self.shards = ordered
         self.max_workers = max_workers
-        self.use_shared_memory = use_shared_memory
         self._executor: ProcessPoolExecutor | None = None
         self._executor_width = 0
         self._local_planners: dict[int, QueryPlanner] = {}
@@ -694,84 +469,6 @@ class ShardedPlanner:
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        graphs: list[ProbabilisticGraph],
-        num_shards: int,
-        feature_config: FeatureSelectionConfig | None = None,
-        bound_config: BoundConfig | None = None,
-        rng: RandomLike = None,
-        max_workers: int | None = None,
-        cache_dir: str | Path | None = None,
-        pmi: ProbabilisticMatrixIndex | None = None,
-    ) -> "ShardedPlanner":
-        """Partition ``graphs`` and build every shard's indexes.
-
-        Features are mined once over the full database in the parent (the
-        same mining the sequential path performs), then per-shard SIP-bound
-        computation fans out to worker processes.  Passing a prebuilt full
-        ``pmi`` skips all bound computation: the loaded index is row-sliced
-        into the shards via :meth:`ProbabilisticMatrixIndex.subset`.  On that
-        path ``cache_dir`` is not consulted — the expensive SIP bounds are
-        already in hand — and the structural counts are rebuilt in the
-        parent; use a seed-keyed ``cache_dir`` build (no ``pmi``) when warm
-        restarts should skip the embedding enumeration too.
-
-        The cache key includes the 64-bit build root, so ``cache_dir`` only
-        pays off with a deterministic ``rng`` (an int seed or a seeded
-        generator): with ``rng=None`` every build draws a fresh root and the
-        cache can never hit.
-        """
-        if not graphs:
-            raise ConfigurationError("the database needs at least one probabilistic graph")
-        specs = partition_ranges(len(graphs), num_shards)
-        if pmi is not None:
-            if feature_config is not None or bound_config is not None:
-                raise IndexError_(
-                    "feature_config/bound_config conflict with a prebuilt pmi; "
-                    "the loaded index already carries its build configuration"
-                )
-            if pmi.database_size != len(graphs):
-                raise IndexError_(
-                    f"prebuilt PMI covers {pmi.database_size} graphs, "
-                    f"database has {len(graphs)}"
-                )
-            structural = StructuralFeatureIndex(
-                embedding_limit=pmi.feature_config.embedding_limit
-            )
-            structural.build([graph.skeleton for graph in graphs], pmi.features)
-            shards = [
-                DatabaseShard(
-                    spec=spec,
-                    graphs=graphs[spec.start : spec.stop],
-                    pmi=pmi.subset(spec.global_ids()),
-                    structural_index=structural.subset(spec.global_ids()),
-                )
-                for spec in specs
-            ]
-            return cls(shards, max_workers=max_workers)
-
-        feature_cfg = feature_config or FeatureSelectionConfig()
-        bound_cfg = bound_config or BoundConfig()
-        root = rng_root(rng)
-        features = FeatureMiner(feature_cfg).mine(graphs)
-        tasks = [
-            (spec, graphs[spec.start : spec.stop], features, feature_cfg, bound_cfg, root, cache_dir)
-            for spec in specs
-        ]
-        workers = _resolve_workers(max_workers, len(specs))
-        if workers <= 1:
-            shards = [build_shard(*task) for task in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(build_shard, *task) for task in tasks]
-                shards = [future.result() for future in futures]
-        return cls(shards, max_workers=max_workers)
-
-    # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
     @property
@@ -780,12 +477,8 @@ class ShardedPlanner:
 
     @property
     def database_size(self) -> int:
-        """Live graphs across all shards.
-
-        For contiguous-slice shards the spec sizes tile ``range(N)`` so the
-        sum equals the static database size; for catalog shards each spec
-        size is the shard's live (non-tombstoned) row count.
-        """
+        """Live graphs across all shards (each spec size is the shard's
+        live, non-tombstoned row count)."""
         return sum(shard.spec.size for shard in self.shards)
 
     # ------------------------------------------------------------------
@@ -1001,19 +694,6 @@ class ShardedPlanner:
         with self._lock:
             return self._plane
 
-    def initializer_payload(self):
-        """Exactly what the pool initializer ships to every worker.
-
-        Descriptors (O(1) in shard bytes) on the shared-memory path — this
-        publishes the plane if needed — or the shard list itself on the
-        legacy path.  The resize-regression test and the benchmark pickle
-        this to measure the initializer cost.
-        """
-        if self.use_shared_memory:
-            with self._lock:
-                return self._ensure_plane().payload()
-        return self.shards
-
     def _ensure_plane(self) -> ShardPlane:
         with self._lock:
             if self._plane is None:
@@ -1040,17 +720,10 @@ class ShardedPlanner:
                 # descriptors instead of paying a fresh copy of every shard
                 self._shutdown_pool()
             if self._executor is None:
-                if self.use_shared_memory:
-                    initializer, initargs = (
-                        _init_shm_query_worker,
-                        (self._ensure_plane().payload(),),
-                    )
-                else:
-                    initializer, initargs = _init_query_worker, (self.shards,)
                 self._executor = ProcessPoolExecutor(
                     max_workers=workers,
-                    initializer=initializer,
-                    initargs=initargs,
+                    initializer=_init_shm_query_worker,
+                    initargs=(self._ensure_plane().payload(),),
                 )
                 self._executor_width = workers
             return self._executor
@@ -1058,10 +731,10 @@ class ShardedPlanner:
 
 def _resolve_workers(max_workers: int | None, num_tasks: int) -> int:
     """The effective pool width: never more than tasks, ``None`` → cpu count."""
+    if max_workers is not None and max_workers < 0:
+        raise ConfigurationError(f"max_workers must be >= 0, got {max_workers!r}")
     if num_tasks <= 1:
         return 1
     if max_workers is None:
         return min(num_tasks, os.cpu_count() or 1)
-    if max_workers < 0:
-        raise ConfigurationError(f"max_workers must be >= 0, got {max_workers!r}")
     return min(max_workers, num_tasks)

@@ -119,24 +119,20 @@ class ProbabilisticMatrixIndex:
         database: list[ProbabilisticGraph],
         features: list[Feature] | None = None,
         rng: RandomLike = None,
-        graph_id_offset: int = 0,
         graph_ids=None,
     ) -> "ProbabilisticMatrixIndex":
         """Mine features (unless provided) and fill every PMI cell.
 
         Monte-Carlo SIP-bound sampling derives one RNG stream per graph from
         ``(rng, BUILD_STREAM, stable graph id)``, where the stable id of row
-        ``k`` is ``graph_ids[k]`` when given and ``graph_id_offset + k``
-        otherwise.  A shard build over ``database[start:stop]`` with
-        ``graph_id_offset=start`` (and the globally mined ``features``)
-        therefore produces exactly the rows a sequential full build would —
-        regardless of which worker process runs it — and a build with
-        explicit ``graph_ids`` produces exactly the rows a
+        ``k`` is ``graph_ids[k]`` when given and ``k`` otherwise.  A shard
+        build over ``database[start:stop]`` with ``graph_ids=range(start,
+        stop)`` (and the globally mined ``features``) therefore produces
+        exactly the rows a sequential full build would, and more generally a
+        build with explicit ``graph_ids`` produces exactly the rows a
         :class:`~repro.core.catalog.GraphCatalog` assembles for the same
         (id → graph) mapping under the same root.
         """
-        if graph_ids is not None and graph_id_offset != 0:
-            raise IndexError_("pass graph_ids or graph_id_offset, not both")
         root = rng_root(rng)
         timer = Timer()
         with timer:
@@ -148,7 +144,7 @@ class ProbabilisticMatrixIndex:
             self._index_features()
             num_graphs = len(database)
             if graph_ids is None:
-                stable_ids = [graph_id_offset + row for row in range(num_graphs)]
+                stable_ids = list(range(num_graphs))
             else:
                 stable_ids = [int(gid) for gid in graph_ids]
                 if len(stable_ids) != num_graphs:

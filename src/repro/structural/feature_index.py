@@ -54,7 +54,7 @@ class StructuralFeatureIndex:
         copy: bool = True,
     ) -> "StructuralFeatureIndex":
         """Reconstruct an index from a persisted ``counts[graph, feature]``
-        matrix (the shard-cache warm path), skipping embedding enumeration.
+        matrix (the snapshot-open path), skipping embedding enumeration.
 
         ``copy=False`` adopts the matrix as-is — the shared-memory attach
         path, where ``counts`` is a read-only ``int32`` view into a shard
@@ -142,7 +142,7 @@ class StructuralFeatureIndex:
 
     def counts_matrix(self) -> np.ndarray:
         """The raw ``counts[graph, feature]`` matrix (read-only view; this is
-        what :meth:`from_counts` restores on the shard-cache warm path)."""
+        what :meth:`from_counts` restores when a snapshot is opened)."""
         if not self._built:
             raise StateError("the structural feature index must be built first")
         view = self._counts.view()

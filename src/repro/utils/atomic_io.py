@@ -1,10 +1,10 @@
 """Atomic file persistence: tmp file + flush + fsync + ``os.replace``.
 
 Every on-disk artifact the library writes (graph databases, PMI npz/JSON
-payloads, shard caches, catalog snapshots, the durable catalog's CURRENT
-pointer) goes through these helpers, so a crash at any instant leaves either
-the old complete file or the new complete file — never a torn one.  The
-recipe is the standard one:
+payloads, catalog snapshots, the durable catalog's CURRENT pointer) goes
+through these helpers, so a crash at any instant leaves either the old
+complete file or the new complete file — never a torn one.  The recipe is
+the standard one:
 
 1. write the full payload to a uniquely named temporary file *in the target
    directory* (same filesystem, so the final rename cannot cross devices),

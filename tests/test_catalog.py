@@ -24,7 +24,7 @@ from repro.core import (
     route_to_smallest,
 )
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
-from repro.exceptions import CatalogError, IndexError_
+from repro.exceptions import CatalogError, ConfigurationError, IndexError_
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
 
@@ -257,23 +257,44 @@ class TestShardedCatalog:
         with pytest.raises(ValueError, match="disjoint"):
             ShardedPlanner([shard_a, clash])
 
-    def test_sharded_planner_rejects_mixed_shard_flavours(self, base_graphs):
+
+    @pytest.mark.parametrize(
+        "entry", ["planner_one_shard", "planner_two_shards", "build", "from_index", "open"]
+    )
+    def test_negative_max_workers_rejected_at_construction(
+        self, base_graphs, tmp_path, entry
+    ):
+        """A negative pool width is a configuration error where the planner
+        or catalog is constructed — for one shard too, and never as late as
+        the first fanned-out query."""
         catalog = GraphCatalog.build(
             base_graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BOUND_CONFIG,
             rng=7,
             num_shards=2,
+            directory=tmp_path,
         )
-        static_shard = ShardedPlanner.build(
-            base_graphs,
-            num_shards=2,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BOUND_CONFIG,
-            rng=7,
-        ).shards[0]
-        with pytest.raises(ValueError, match="mix"):
-            ShardedPlanner([catalog._stores[0].make_shard(0), static_shard])
+        catalog.close()
+        shards = [store.make_shard(i) for i, store in enumerate(catalog._stores)]
+        store = catalog._stores[0]
+        attempts = {
+            "planner_one_shard": lambda: ShardedPlanner(shards[:1], max_workers=-5),
+            "planner_two_shards": lambda: ShardedPlanner(shards, max_workers=-5),
+            "build": lambda: GraphCatalog.build(
+                base_graphs[:2],
+                feature_config=FEATURE_CONFIG,
+                bound_config=BOUND_CONFIG,
+                rng=7,
+                max_workers=-5,
+            ),
+            "from_index": lambda: GraphCatalog.from_index(
+                store.graphs, store.base_pmi, store.base_structural, max_workers=-5
+            ),
+            "open": lambda: GraphCatalog.open(tmp_path, max_workers=-5),
+        }
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            attempts[entry]()
 
 
 # ----------------------------------------------------------------------
@@ -348,13 +369,6 @@ class TestBuildingBlocks:
         ).build(base_graphs[:3], rng=7)
         with pytest.raises(IndexError_, match="entries"):
             pmi.append(base_graphs[3:5], graph_ids=[9], rng=7)
-
-    def test_pmi_build_rejects_ids_and_offset_together(self, base_graphs):
-        pmi = ProbabilisticMatrixIndex(
-            feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
-        )
-        with pytest.raises(IndexError_, match="not both"):
-            pmi.build(base_graphs[:2], rng=7, graph_id_offset=3, graph_ids=[0, 1])
 
     def test_concat_rows_reassembles_subsets(self, base_graphs):
         full = ProbabilisticMatrixIndex(

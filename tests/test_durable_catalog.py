@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import GraphCatalog, ProbabilisticGraphDatabase
@@ -17,6 +18,8 @@ from repro.core.catalog import CURRENT_FILENAME
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.datasets import extract_query
 from repro.exceptions import CatalogError
+from repro.pmi import ProbabilisticMatrixIndex
+from repro.structural.feature_index import StructuralFeatureIndex
 from tests.test_catalog_parity import (
     BOUND_CONFIG,
     DISTANCE_THRESHOLD,
@@ -126,6 +129,43 @@ class TestPersistAndOpen:
         reopened = GraphCatalog.open(tmp_path / "adopted")
         assert reopened.num_live == len(graphs) + 1
         reopened.close()
+
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_open_loads_the_snapshot_without_rebuilding(
+        self, tmp_path, monkeypatch, num_shards
+    ):
+        """A warm restart is build(directory=...) then open(): reopening a
+        clean snapshot computes no SIP bound and enumerates no embedding, and
+        hands back the exact base arrays the build wrote."""
+        built, _ = durable_catalog(tmp_path, num_shards=num_shards)
+        built.close()
+
+        # spies: bit-equal arrays alone could also come from a silent rebuild
+        rebuilds = []
+        for index_class in (ProbabilisticMatrixIndex, StructuralFeatureIndex):
+            original = index_class.build
+
+            def counting_build(self, *args, _original=original, **kwargs):
+                rebuilds.append(type(self).__name__)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(index_class, "build", counting_build)
+        reopened = GraphCatalog.open(tmp_path / "catalog")
+        monkeypatch.undo()
+        reopened.close()
+        assert not rebuilds, f"open() rebuilt {rebuilds} instead of loading"
+
+        assert reopened.num_shards == built.num_shards == num_shards
+        for built_store, reopened_store in zip(built._stores, reopened._stores):
+            built_arrays = built_store.base_pmi.arena_arrays()
+            reopened_arrays = reopened_store.base_pmi.arena_arrays()
+            for key in ("lower", "upper", "present"):
+                assert np.array_equal(built_arrays[key], reopened_arrays[key]), key
+            assert np.array_equal(
+                built_store.base_structural.counts_matrix(),
+                reopened_store.base_structural.counts_matrix(),
+            )
 
 
 class TestRecoveryInvariant:

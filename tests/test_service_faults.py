@@ -211,7 +211,7 @@ def test_sigkilled_pool_worker_recovers_with_identical_answers():
                 client = ServiceClient(service)
                 # Warm the pool, then murder one of its workers.
                 await client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=9)
-                planner = catalog._planner()
+                planner = catalog.planner()
                 assert planner._executor is not None, "pool should be warm"
                 victim = next(iter(planner._executor._processes.values()))
                 os.kill(victim.pid, signal.SIGKILL)
@@ -328,7 +328,7 @@ class TestShardedPlannerCloseRegression:
                 query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
                 config=SEARCH_CONFIG, rng=71,
             )
-            planner = catalog._planner()
+            planner = catalog.planner()
             planner.close()
             planner.close()  # regression: second close must not raise
             assert planner.shard_plane is None
@@ -348,7 +348,7 @@ class TestShardedPlannerCloseRegression:
                 query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
                 config=SEARCH_CONFIG, rng=74,
             )
-            planner = catalog._planner()
+            planner = catalog.planner()
             errors = []
 
             def closer():
@@ -380,7 +380,7 @@ class TestShardedPlannerCloseRegression:
             extract_query(database.graphs[i % 6].skeleton, 3, rng=80 + i) for i in range(4)
         ]
         try:
-            planner = catalog._planner()
+            planner = catalog.planner()
             results: dict[str, object] = {}
 
             def run_workload():
@@ -421,7 +421,7 @@ class TestShardedPlannerCloseRegression:
         )
         query = extract_query(database.graphs[3].skeleton, 3, rng=90)
         try:
-            planner = catalog._planner()
+            planner = catalog.planner()
             outcomes: list = [None] * 3
 
             def submitter(slot: int):

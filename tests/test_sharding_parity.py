@@ -24,13 +24,13 @@ from repro.core import (
     ProbabilisticGraphDatabase,
     QueryStatistics,
     SearchConfig,
-    ShardedPlanner,
     ShardSpec,
     VerificationConfig,
     partition_ranges,
 )
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
-from repro.pmi import BoundConfig, FeatureSelectionConfig
+from repro.exceptions import CatalogError
+from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -192,6 +192,63 @@ class TestRandomizedCrossShardParity:
         assert counter_dict(before.statistics) == counter_dict(after.statistics)
 
 
+    def test_loaded_pmi_sharded_matches_sequential(self, tmp_path):
+        """A persisted PMI row-sliced into shards answers byte-identically
+        (threshold answers and counters, top-k ranked answers) to the
+        sequential engine built from the same loaded PMI."""
+        database = random_database(414, 7)
+        workload = random_workload(database, seed=41)
+        built = ProbabilisticGraphDatabase(database.graphs).build_index(
+            feature_config=FEATURE_CONFIG, bound_config=BoundConfig(num_samples=40), rng=6
+        )
+        built.pmi.save(tmp_path)
+
+        sequential = ProbabilisticGraphDatabase(database.graphs).build_index(
+            pmi=ProbabilisticMatrixIndex.load(tmp_path)
+        )
+        sharded = ProbabilisticGraphDatabase(database.graphs).build_index(
+            pmi=ProbabilisticMatrixIndex.load(tmp_path), num_shards=3, max_workers=0
+        )
+        assert sharded.planner.num_shards == 3
+        for expected, actual in zip(
+            sequential.query_many(
+                workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=6
+            ),
+            sharded.query_many(
+                workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=6
+            ),
+        ):
+            assert answer_tuples(expected) == answer_tuples(actual)
+            assert counter_dict(expected.statistics) == counter_dict(actual.statistics)
+        # top-k: ranked answers only — shard-partial mode verifies against a
+        # shard-local floor, so merged work counters may exceed sequential
+        # (tests/test_topk_parity.py::test_merged_statistics_report_shard_work)
+        for expected, actual in zip(
+            sequential.query_top_k_many(
+                workload, 3, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=6
+            ),
+            sharded.query_top_k_many(
+                workload, 3, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=6
+            ),
+        ):
+            assert answer_tuples(expected) == answer_tuples(actual)
+            assert expected.statistics.answers == actual.statistics.answers
+
+    def test_loaded_pmi_without_build_root_is_refused(self, tmp_path):
+        """Delta appends must reuse the build root, so a payload that predates
+        its recording cannot back a catalog — a typed error, not a mismatch."""
+        database = random_database(515, 4)
+        ProbabilisticGraphDatabase(database.graphs).build_index(
+            feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=6
+        ).pmi.save(tmp_path)
+        loaded = ProbabilisticMatrixIndex.load(tmp_path)
+        loaded.build_root = None
+        with pytest.raises(CatalogError, match="build root"):
+            ProbabilisticGraphDatabase(database.graphs).build_index(
+                pmi=loaded, num_shards=3
+            )
+
+
 class TestDeterminismRegression:
     """Same seed ⇒ byte-identical results, independent of worker count."""
 
@@ -271,22 +328,6 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             partition_ranges(5, 0)
 
-    def test_non_contiguous_shards_rejected(self):
-        database = random_database(606, 4)
-        planner = ShardedPlanner.build(
-            database.graphs,
-            num_shards=2,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(method="exact"),
-            rng=2,
-            max_workers=0,
-        )
-        first, second = planner.shards
-        with pytest.raises(ValueError):
-            ShardedPlanner([second])  # starts at the wrong offset
-        with pytest.raises(ValueError):
-            ShardedPlanner([first, first])  # overlapping tiles
-
 
 class TestStatisticsMerge:
     def test_merge_sums_counters_and_maxes_times(self):
@@ -363,84 +404,6 @@ class TestStatisticsMerge:
         for key in full_before:
             if not key.endswith("_seconds"):
                 assert full_before[key] == full_after[key], key
-
-
-class TestShardCache:
-    def test_warm_hit_and_staleness_guard(self, tmp_path, monkeypatch):
-        """A warm cache is reused only for the exact same build (configs and
-        root); a different seed must rebuild rather than serve stale bounds."""
-        import numpy as np
-
-        from repro.pmi import ProbabilisticMatrixIndex
-
-        database = random_database(808, 4)
-        kwargs = dict(
-            num_shards=2,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(num_samples=30),
-            max_workers=0,
-            cache_dir=tmp_path,
-        )
-        cold = ShardedPlanner.build(database.graphs, rng=5, **kwargs)
-
-        # spy on PMI builds: a true warm hit must not rebuild anything —
-        # identical arrays alone could also come from a silent cache miss
-        rebuilds = []
-        original_build = ProbabilisticMatrixIndex.build
-
-        def counting_build(self, *args, **build_kwargs):
-            rebuilds.append(1)
-            return original_build(self, *args, **build_kwargs)
-
-        monkeypatch.setattr(ProbabilisticMatrixIndex, "build", counting_build)
-        warm = ShardedPlanner.build(database.graphs, rng=5, **kwargs)
-        monkeypatch.undo()
-        assert not rebuilds, "warm build recomputed SIP bounds instead of loading"
-        for cold_shard, warm_shard in zip(cold.shards, warm.shards):
-            assert np.array_equal(cold_shard.pmi._lower, warm_shard.pmi._lower)
-            assert np.array_equal(
-                cold_shard.structural_index.counts_matrix(),
-                warm_shard.structural_index.counts_matrix(),
-            )
-
-        # same cache dir, different seed: must match a cache-less fresh build
-        # with that seed, not the cached rng=5 cells
-        stale_guarded = ShardedPlanner.build(database.graphs, rng=6, **kwargs)
-        fresh = ShardedPlanner.build(
-            database.graphs, rng=6, **{**kwargs, "cache_dir": None}
-        )
-        for guarded_shard, fresh_shard in zip(stale_guarded.shards, fresh.shards):
-            assert np.array_equal(guarded_shard.pmi._lower, fresh_shard.pmi._lower)
-            assert np.array_equal(guarded_shard.pmi._upper, fresh_shard.pmi._upper)
-
-    def test_edited_probabilities_invalidate_cache(self, tmp_path):
-        """Edited edge probabilities leave the skeletons (and thus the mined
-        features) unchanged — the graph-content fingerprint must still force
-        a rebuild instead of serving the stale bounds."""
-        import numpy as np
-
-        from repro.graphs import ProbabilisticGraph
-
-        database = random_database(909, 4)
-        kwargs = dict(
-            num_shards=2,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(num_samples=30),
-            rng=5,
-            max_workers=0,
-        )
-        ShardedPlanner.build(database.graphs, cache_dir=tmp_path, **kwargs)
-        edited = [
-            ProbabilisticGraph.from_edge_probabilities(
-                graph.skeleton, {key: 0.5 for key in graph.skeleton.edge_keys()}
-            )
-            for graph in database.graphs
-        ]
-        guarded = ShardedPlanner.build(edited, cache_dir=tmp_path, **kwargs)
-        fresh = ShardedPlanner.build(edited, cache_dir=None, **kwargs)
-        for guarded_shard, fresh_shard in zip(guarded.shards, fresh.shards):
-            assert np.array_equal(guarded_shard.pmi._lower, fresh_shard.pmi._lower)
-            assert np.array_equal(guarded_shard.pmi._upper, fresh_shard.pmi._upper)
 
 
 class TestShardSpec:

@@ -282,11 +282,12 @@ class TestShardPlaneCleanup:
             clone = materialize_shard(descriptor)
             assert clone.spec == shard.spec
             np.testing.assert_array_equal(
-                clone.pmi.arena_arrays()["lower"], shard.pmi.arena_arrays()["lower"]
+                clone.pmi.base.arena_arrays()["lower"],
+                shard.pmi.base.arena_arrays()["lower"],
             )
             np.testing.assert_array_equal(
-                np.asarray(clone.structural_index.counts_matrix()),
-                np.asarray(shard.structural_index.counts_matrix()),
+                np.asarray(clone.structural_index.base.counts_matrix()),
+                np.asarray(shard.structural_index.base.counts_matrix()),
             )
             assert len(clone.graphs) == len(shard.graphs)
             assert clone.graphs[0].name == shard.graphs[0].name

@@ -36,7 +36,7 @@ from test_sharding_parity import (
     random_workload,
 )
 
-from repro.core import GraphCatalog, ProbabilisticGraphDatabase, ShardedPlanner
+from repro.core import GraphCatalog, ProbabilisticGraphDatabase, ShardPlane
 from repro.pmi import BoundConfig
 from repro.utils.shm import resident_segment_names
 
@@ -121,45 +121,6 @@ class TestPoolShmParity:
         finally:
             sharded.close()
         assert answer_tuples(actual) == answer_tuples(expected)
-
-    def test_shm_and_legacy_pools_byte_identical(self):
-        """The legacy O(shard-bytes) pickle path and the shm descriptor path
-        drive the exact same computation."""
-        database = random_database(8303, 6)
-        workload = random_workload(database, seed=8307, num_queries=2)
-        fingerprints = []
-        for use_shared_memory in (True, False):
-            planner = ShardedPlanner.build(
-                database.graphs,
-                num_shards=2,
-                feature_config=FEATURE_CONFIG,
-                bound_config=BoundConfig(method="exact"),
-                rng=7,
-                max_workers=2,
-            )
-            planner.use_shared_memory = use_shared_memory
-            try:
-                results = planner.execute_many(
-                    workload,
-                    PROBABILITY_THRESHOLD,
-                    DISTANCE_THRESHOLD,
-                    config=SEARCH_CONFIG,
-                    rng=7,
-                )
-            finally:
-                planner.close()
-            fingerprints.append(
-                pickle.dumps(
-                    [
-                        (
-                            tuple(answer_tuples(result)),
-                            tuple(sorted(counter_dict(result.statistics).items())),
-                        )
-                        for result in results
-                    ]
-                )
-            )
-        assert fingerprints[0] == fingerprints[1]
 
 
 class TestGenerationHotSwap:
@@ -275,27 +236,26 @@ class TestExecutorResizeAndPayload:
     """The O(1) initializer contract and the cheap pool-resize path."""
 
     def test_initializer_payload_stays_o1_in_shard_bytes(self):
-        """Descriptor payload must not grow with the database; the legacy
-        pickled-shards payload does — that asymmetry IS the feature."""
+        """Descriptor payload must not grow with the database; pickling the
+        shards themselves does — that asymmetry IS the feature."""
         payloads = {}
         for label, num_graphs in (("small", 6), ("large", 24)):
-            planner = ShardedPlanner.build(
-                random_database(8601, num_graphs).graphs,
-                num_shards=2,
+            engine = ProbabilisticGraphDatabase(random_database(8601, num_graphs).graphs)
+            engine.build_index(
                 feature_config=FEATURE_CONFIG,
                 bound_config=BoundConfig(method="exact"),
                 rng=11,
+                num_shards=2,
                 max_workers=0,
             )
+            plane = ShardPlane(engine.planner.shards)
             try:
-                descriptor_bytes = len(
-                    pickle.dumps(planner.initializer_payload())
-                )
-                shard_bytes = planner.shard_plane.shard_bytes()
-                legacy_bytes = len(pickle.dumps(planner.shards))
+                descriptor_bytes = plane.payload_bytes()
+                shard_bytes = plane.shard_bytes()
+                pickled_bytes = len(pickle.dumps(engine.planner.shards))
             finally:
-                planner.close()
-            payloads[label] = (descriptor_bytes, shard_bytes, legacy_bytes)
+                plane.close()
+            payloads[label] = (descriptor_bytes, shard_bytes, pickled_bytes)
 
         small, large = payloads["small"], payloads["large"]
         # 4x the graphs: shard bytes grow, descriptors stay ~flat
@@ -307,14 +267,15 @@ class TestExecutorResizeAndPayload:
     def test_resize_reuses_published_plane(self):
         database = random_database(8702, 8)
         workload = random_workload(database, seed=8703, num_queries=1)
-        planner = ShardedPlanner.build(
-            database.graphs,
-            num_shards=4,
+        engine = ProbabilisticGraphDatabase(database.graphs)
+        engine.build_index(
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=13,
+            num_shards=4,
             max_workers=2,
         )
+        planner = engine.planner
         try:
             first = planner.execute_many(
                 workload,
