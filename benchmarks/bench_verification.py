@@ -23,6 +23,16 @@ Run as a script::
     python benchmarks/bench_verification.py            # full run, asserts >= 3x
     python benchmarks/bench_verification.py --smoke    # small, CI-friendly, no floor
 
+Two kernel-internal rates ride along in the trajectory point, measured on the
+same candidates: ``clause_weight_ms_per_event`` (``clause_weights`` — Pr(Bf)
+off the compiled world model) and ``worlds_per_s`` (conditioned worlds drawn
+and coverage-tested per second inside ``estimate_union_probability_batch``).
+Every run (``--smoke`` included, which is what CI runs) also asserts that no
+``VariableEliminationEngine`` is constructed while estimating these
+(edge-partitioned) graphs: variable elimination is the fallback for
+overlapping factor components and must not silently become the main path
+again.
+
 Each run appends one trajectory point to ``BENCH_verification.json``
 (``--out`` to relocate), so the perf history accumulates across commits.
 """
@@ -43,6 +53,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from repro.core import VerificationConfig, Verifier
 from repro.core.relaxation import relax_query
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
+from repro.probability import batch_kernel
+from repro.probability.dnf import normalize_events
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.rng import VERIFY_STREAM, derive_rng
 from repro.utils.timer import Timer
@@ -112,6 +124,63 @@ def verify_all(verifier: Verifier, method: str, query, graphs, relaxed) -> list[
     )
 
 
+def kernel_rates(verifier: Verifier, graphs, relaxed, num_samples: int, repeats: int) -> dict:
+    """Clause-weight and world-sampling rates of the kernel's two inner steps.
+
+    Embedding enumeration is done up front and excluded: the timed regions
+    are ``clause_weights`` alone and the whole batched estimate (weights,
+    event picks, the conditioned world batch, the coverage product).
+    """
+    candidates = []
+    for graph, events in zip(graphs, verifier._embedding_events_block(relaxed, graphs)):
+        clean = normalize_events(events)
+        if clean:
+            candidates.append((graph, clean))
+    num_events = sum(len(clean) for _, clean in candidates)
+    weight_timer = Timer()
+    with weight_timer:
+        for _ in range(repeats):
+            for graph, clean in candidates:
+                batch_kernel.clause_weights(graph, clean)
+    estimate_timer = Timer()
+    with estimate_timer:
+        for _ in range(repeats):
+            for position, (graph, clean) in enumerate(candidates):
+                batch_kernel.estimate_union_probability_batch(
+                    graph,
+                    clean,
+                    num_samples=num_samples,
+                    rng=derive_rng(ROOT, VERIFY_STREAM, position),
+                )
+    return {
+        "num_events": num_events,
+        "clause_weight_ms_per_event": (
+            1e3 * weight_timer.elapsed / max(repeats * num_events, 1)
+        ),
+        "worlds_per_s": (
+            repeats * len(candidates) * num_samples / max(estimate_timer.elapsed, 1e-9)
+        ),
+    }
+
+
+def count_elimination_engines(verifier: Verifier, query, graphs, relaxed) -> int:
+    """``VariableEliminationEngine`` constructions during one batch pass."""
+    built = 0
+    original = batch_kernel.VariableEliminationEngine
+
+    def counting(graph):
+        nonlocal built
+        built += 1
+        return original(graph)
+
+    batch_kernel.VariableEliminationEngine = counting
+    try:
+        verify_all(verifier, "sampling", query, graphs, relaxed)
+    finally:
+        batch_kernel.VariableEliminationEngine = original
+    return built
+
+
 def run_comparison(profile: dict) -> dict:
     graphs, query = build_workload(profile)
     config = VerificationConfig(num_samples=profile["num_samples"])
@@ -156,6 +225,13 @@ def run_comparison(profile: dict) -> dict:
         "scalar_candidates_per_second": len(graphs) / max(scalar_seconds, 1e-9),
         "batch_candidates_per_second": len(graphs) / max(batch_seconds, 1e-9),
         "worst_estimate_gap": worst_gap,
+        **kernel_rates(
+            verifier, graphs, relaxed, profile["num_samples"], profile["repeats"]
+        ),
+        "partition_graphs": all(graph.is_edge_partition() for graph in graphs),
+        "elimination_engines_built": count_elimination_engines(
+            verifier, query, graphs, relaxed
+        ),
     }
 
 
@@ -209,6 +285,8 @@ def main() -> None:
     )
     print(f"speedup: {report['speedup']:.2f}x  "
           f"(worst scalar-vs-batch estimate gap {report['worst_estimate_gap']:.3f})")
+    print(f"kernel: {report['clause_weight_ms_per_event']:.4f} ms/event clause weights "
+          f"over {report['num_events']} events, {report['worlds_per_s']:,.0f} worlds/s")
 
     point = {
         "bench": "verification",
@@ -224,6 +302,12 @@ def main() -> None:
     assert report["worst_estimate_gap"] <= tolerance, (
         f"scalar and batch estimates disagree by {report['worst_estimate_gap']:.3f} "
         f"(> {tolerance}); the kernel is computing a different quantity"
+    )
+    assert report["partition_graphs"], "the bench datasets are expected to be edge partitions"
+    assert report["elimination_engines_built"] == 0, (
+        f"{report['elimination_engines_built']} VariableEliminationEngine(s) built "
+        "while estimating edge-partitioned graphs: clause weights fell back to "
+        "variable elimination"
     )
     if not args.smoke:
         assert report["speedup"] >= SPEEDUP_FLOOR, (

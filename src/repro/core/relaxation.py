@@ -108,7 +108,7 @@ def relax_query(
                     break
         if len(variants) >= cfg.max_variants:
             break
-    ordered = sorted(variants.values(), key=canonical_form)
+    ordered = [variants[key] for key in sorted(variants)]
     return ordered[: cfg.max_variants]
 
 

@@ -38,6 +38,7 @@ from repro.isomorphism.embeddings import find_embeddings, find_embeddings_block
 from repro.isomorphism.mcs import is_subgraph_similar
 from repro.probability.batch_kernel import estimate_union_probability_batch
 from repro.probability.dnf import estimate_union_probability, exact_union_probability
+from repro.probability.sampling import check_sample_count
 from repro.utils.rng import RandomLike, ensure_rng
 
 
@@ -56,6 +57,9 @@ class VerificationConfig:
     # stage; block composition never affects estimates (each graph keeps its
     # own rng stream), only how work is chunked
     block_size: int = 64
+
+    def __post_init__(self) -> None:
+        check_sample_count(self.num_samples)
 
 
 class Verifier:

@@ -17,7 +17,7 @@ exactness matters.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import groupby, permutations, product
 
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.exceptions import ConfigurationError
@@ -76,15 +76,15 @@ def canonical_form(graph: LabeledGraph, max_exact_vertices: int = MAX_EXACT_VERT
 
     colors = _refined_colors(graph)
     vertices = sorted(graph.vertices(), key=lambda v: (colors[v], repr(v)))
-    # Group vertices by refined color; only permute within color classes to
-    # keep the search small, then take the lexicographically smallest string.
+    # Candidate orderings keep the refined color classes in sorted color
+    # order and permute only within a class: the product of the per-class
+    # permutations, not all n! orderings.  The lexicographically smallest
+    # serialization wins.
+    classes = [list(group) for _, group in groupby(vertices, key=colors.__getitem__)]
     best: str | None = None
-    for order in permutations(vertices):
-        # prune: orderings must be sorted by color class to be candidates
-        order_colors = [colors[v] for v in order]
-        if order_colors != sorted(order_colors):
-            continue
-        candidate = _ordering_string(graph, list(order))
+    for arrangement in product(*(permutations(members) for members in classes)):
+        order = [vertex for members in arrangement for vertex in members]
+        candidate = _ordering_string(graph, order)
         if best is None or candidate < best:
             best = candidate
     assert best is not None

@@ -12,6 +12,7 @@ are O(1), neighbourhood iteration is O(degree).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -263,12 +264,24 @@ class LabeledGraph:
 
         This is a stronger quick filter than raw label counts: a query edge
         signature missing from the target cannot possibly be matched.
+
+        Memoised against :attr:`mutation_version` (the way
+        ``generic_join.compile_edge_table`` memoises its table): the
+        structural filter asks for it per (query, candidate) pair.  Treat the
+        returned ``Counter`` as read-only; any mutation of the graph makes
+        the next call build a fresh one.
         """
+        cached = self.__dict__.get("_edge_signature_counts")
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
         signatures: Counter = Counter()
         for (u, v), label in self._edge_labels.items():
             lu, lv = self._vertex_labels[u], self._vertex_labels[v]
-            pair = tuple(sorted((repr(lu), repr(lv))))
+            # interned: the memo outlives the call, and label reprs repeat
+            # across every graph of a database
+            pair = tuple(sorted((sys.intern(repr(lu)), sys.intern(repr(lv)))))
             signatures[(pair, label)] += 1
+        self.__dict__["_edge_signature_counts"] = (self._version, signatures)
         return signatures
 
     # ------------------------------------------------------------------

@@ -254,7 +254,7 @@ def _build_edge_table(graph: LabeledGraph) -> EdgeTable:
         num_vertices=n,
         num_edges=graph.num_edges,
         vertex_label_counts=dict(graph.vertex_label_counts()),
-        edge_signature_counts=dict(graph.edge_signature_counts()),
+        edge_signature_counts=graph.edge_signature_counts(),  # the graph's memo, shared
     )
 
 
@@ -301,7 +301,7 @@ def _build_join_plan(pattern: LabeledGraph, label_sensitive: bool) -> JoinPlan:
         num_vertices=pattern.num_vertices,
         num_edges=pattern.num_edges,
         vertex_label_counts=dict(pattern.vertex_label_counts()),
-        edge_signature_counts=dict(pattern.edge_signature_counts()),
+        edge_signature_counts=pattern.edge_signature_counts(),  # the pattern's memo, shared
     )
 
 

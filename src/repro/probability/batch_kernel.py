@@ -1,4 +1,5 @@
-"""The vectorized batch verification kernel: array-at-a-time possible-world
+"""The vectorized batch verification kernel — the single owner of
+verification arithmetic: clause weights, array-at-a-time possible-world
 sampling and the batched Karp-Luby coverage estimator.
 
 The scalar pipeline (``probability.sampling.WorldSampler`` driving
@@ -8,28 +9,39 @@ through ``Factor.condition``, and tests events with frozenset containment.
 This module restructures that inner loop into numpy kernels:
 
 * :func:`compile_world_model` compiles a graph once into integer edge-index
-  arrays plus per-factor probability tables
-  (:class:`CompiledWorldModel` / :class:`CompiledFactor`);
+  arrays, per-factor probability tables and the connected components of its
+  factors (:class:`CompiledWorldModel` / :class:`CompiledFactor`);
+* :func:`clause_weights` reads ``Pr(Bf)`` — the probability that every edge
+  of an event exists — off the compiled model: a product over the factor
+  components the event touches, one cached masked sum per single-factor
+  component (every edge-partitioned graph) and variable elimination with a
+  cached ``Z`` per multi-factor (overlapping) component.  It is the one
+  source of weights for the batched estimator, the scalar estimator and
+  exact inclusion-exclusion;
 * :class:`BatchWorldSampler` draws an ``S x E`` edge-presence matrix in one
   shot — a single uniform matrix compare on the independent-edge fast path,
   and a per-factor categorical draw (grouped by the conditioning pattern of
-  already-assigned overlap/evidence edges) on the correlated path;
+  evidence and already-assigned overlap edges) on the correlated path;
 * :func:`estimate_union_probability_batch` runs Algorithm 5's Karp-Luby
   coverage estimator over those matrices: one vectorized weighted event
-  choice for all samples, one conditioned world batch per chosen event, and
-  a boolean matrix product for the canonical-clause coverage test.
+  choice for all samples, **one** world batch for the whole estimate in
+  which row ``s`` is conditioned on its own chosen event, and one boolean
+  matrix product for the canonical-clause coverage test.
 
 **Determinism contract.**  The kernel defines one *canonical draw order*
 anchored on the caller's ``random.Random`` stream (in the query pipeline:
 ``derive_rng(root, VERIFY_STREAM, global graph id)``): the stream is
 collapsed into a numpy ``Generator`` via :func:`repro.utils.rng.numpy_generator`,
-event picks are drawn first as one array, then conditioned world batches are
-drawn per chosen event in ascending event order, walking factors in graph
-order and conditioning patterns in ascending code order.  Every step is a
+event picks are drawn first as one array; then the world batch walks the
+factors once, in graph order, and within a factor draws one uniform vector
+per conditioning pattern (which slots are known — from the row's event or
+from an earlier overlapping factor — and their values) in ascending pattern
+code order, rows in ascending order within a pattern.  On the independent
+fast path the batch is a single ``n x E`` uniform matrix.  Every step is a
 pure function of the generator and the (graph, events) pair — never of
 frozenset iteration order, shard layout, block composition, or how many
 candidates ran before — so a graph's estimate is byte-identical across
-sequential, sharded, top-k-replay, and catalog executions.
+sequential, sharded, top-k-replay, catalog and service executions.
 
 The canonical order is *not* the scalar sampler's interleaved order, so
 batched estimates differ (both unbiased) from ``method="sampling_scalar"``.
@@ -53,6 +65,7 @@ from repro.probability.junction_tree import VariableEliminationEngine
 from repro.probability.sampling import (
     DEFAULT_TAU,
     DEFAULT_XI,
+    check_sample_count,
     monte_carlo_sample_size,
 )
 from repro.utils.rng import RandomLike, ensure_rng, numpy_generator
@@ -64,6 +77,7 @@ __all__ = [
     "BatchWorldSampler",
     "CompiledFactor",
     "CompiledWorldModel",
+    "clause_weights",
     "compile_events",
     "compile_world_model",
     "estimate_union_probability_batch",
@@ -72,6 +86,10 @@ __all__ = [
 # Widest factor for which the independent-product structure test enumerates
 # the full assignment grid; wider factors always take the general path.
 _MAX_PRODUCT_CHECK_WIDTH = 12
+
+# A conditioning pattern packs a factor's known-slot mask and the known
+# values into one int64 code (two bits per slot).
+_MAX_FACTOR_WIDTH = 31
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +107,7 @@ class CompiledFactor:
     assignments: np.ndarray  # (n_entries, w) uint8, table insertion order
     values: np.ndarray  # (n_entries,) float64
     cumulative: np.ndarray  # (n_entries,) float64 running sum of values
-    # conditional-distribution cache: (fixed local slots, pattern code) ->
+    # conditional-distribution cache: (slot mask, value bits) ->
     # (entry indices, cumulative values, total mass)
     _conditionals: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -97,33 +115,43 @@ class CompiledFactor:
     def width(self) -> int:
         return int(self.positions.size)
 
-    def conditional(
-        self, fixed_local: tuple[int, ...], code: int
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Entries compatible with the fixed slots taking the code's bits.
+    @property
+    def total(self) -> float:
+        """This factor's own partition function (1 for a normalized JPT)."""
+        return float(self.cumulative[-1])
 
-        ``fixed_local`` holds slot indices into this factor's edge tuple and
-        ``code`` packs their 0/1 values (slot ``j`` in bit ``j``).  Raises
-        :class:`ProbabilityError` on zero conditional mass, mirroring the
-        scalar sampler.
+    def codes(self) -> np.ndarray:
+        """Each entry's assignment packed into one integer (slot ``j`` in
+        bit ``j``)."""
+        return self.assignments @ _slot_bits(self.width)
+
+    def restricted(self, mask: int, bits: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Entries whose slots in ``mask`` take the values in ``bits``.
+
+        Both arguments are bit codes over this factor's slots (slot ``j`` in
+        bit ``j``; ``bits`` is zero outside ``mask``).  Returns the matching
+        entry indices, the running sum of their values and their total mass
+        — which is zero, with empty arrays, for an impossible pattern.
         """
-        key = (fixed_local, code)
+        key = (mask, bits)
         cached = self._conditionals.get(key)
-        if cached is not None:
-            return cached
-        slots = np.array(fixed_local, dtype=np.int64)
-        bits = (code >> np.arange(len(fixed_local), dtype=np.int64)) & 1
-        keep = np.flatnonzero((self.assignments[:, slots] == bits).all(axis=1))
-        values = self.values[keep]
-        total = float(values.sum())
-        if total <= 0.0:
+        if cached is None:
+            keep = np.flatnonzero((self.codes() & mask) == bits)
+            cumulative = np.cumsum(self.values[keep])
+            total = float(cumulative[-1]) if keep.size else 0.0
+            cached = self._conditionals[key] = (keep, cumulative, total)
+        return cached
+
+    def conditional(self, mask: int, bits: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """:meth:`restricted`, for sampling: raises :class:`ProbabilityError`
+        on zero conditional mass, mirroring the scalar sampler."""
+        restricted = self.restricted(mask, bits)
+        if restricted[2] <= 0.0:
             raise ProbabilityError(
-                f"conditioning pattern {bits.tolist()!r} on factor slots "
-                f"{fixed_local!r} has zero probability mass"
+                f"conditioning pattern (slot mask {mask:#b}, values {bits:#b}) "
+                "has zero probability mass"
             )
-        result = (keep, np.cumsum(values), total)
-        self._conditionals[key] = result
-        return result
+        return restricted
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +162,19 @@ class CompiledWorldModel:
     index: dict  # EdgeKey -> column
     factors: tuple  # CompiledFactor per graph factor, in graph order
     marginals: np.ndarray | None  # (E,) — set iff the fast path is valid
+    # per column: the first factor that covers it and its slot there
+    edge_factor: tuple
+    edge_slot: tuple
+    # per factor: None when the factor shares no edge with any other (it is
+    # a connected component by itself — every factor of an edge partition),
+    # else the ascending positions of all factors in its component
+    factor_group: tuple
+    # per factor, the bit mask of its slots an earlier factor also covers
+    # (all zero on an edge partition)
+    overlap_masks: tuple
+    # Z of each multi-factor component, by first factor position; filled on
+    # first use by clause_weights
+    _component_z: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -173,6 +214,11 @@ def compile_world_model(
     index = {key: column for column, key in enumerate(edges)}
     compiled = []
     for factor in graph.factors:
+        if len(factor.edges) > _MAX_FACTOR_WIDTH:
+            raise ConfigurationError(
+                f"factor over {len(factor.edges)} edges is wider than the batch "
+                f"kernel supports ({_MAX_FACTOR_WIDTH})"
+            )
         entries = list(factor.jpt.table.items())
         assignments = np.array([a for a, _ in entries], dtype=np.uint8)
         values = np.array([v for _, v in entries], dtype=np.float64)
@@ -188,11 +234,56 @@ def compile_world_model(
     if allow_fast_path and graph.is_edge_partition():
         marginals = _independent_marginals(compiled, len(edges))
     model = CompiledWorldModel(
-        edges=edges, index=index, factors=tuple(compiled), marginals=marginals
+        edges=edges,
+        index=index,
+        factors=tuple(compiled),
+        marginals=marginals,
+        **_factor_components(compiled, len(edges)),
     )
     if allow_fast_path:
         _MODEL_CACHE[graph] = model
     return model
+
+
+def _slot_bits(width: int) -> np.ndarray:
+    """``[1, 2, 4, ...]``: a 0/1 slot matrix times this is its bit code."""
+    return 1 << np.arange(width, dtype=np.int64)
+
+
+def _factor_components(factors: list[CompiledFactor], num_edges: int) -> dict:
+    """How the factors hang together through shared edge columns: the
+    ``edge_factor``, ``edge_slot``, ``factor_group`` and ``overlap_masks``
+    fields of :class:`CompiledWorldModel` (connected components by
+    union-find)."""
+    parent = list(range(len(factors)))
+
+    def find(position: int) -> int:
+        while parent[position] != position:
+            parent[position] = parent[parent[position]]
+            position = parent[position]
+        return position
+
+    edge_factor = [-1] * num_edges
+    edge_slot = [0] * num_edges
+    overlap_masks = [0] * len(factors)
+    for position, cf in enumerate(factors):
+        for slot, column in enumerate(cf.positions.tolist()):
+            if edge_factor[column] < 0:
+                edge_factor[column] = position
+                edge_slot[column] = slot
+            else:
+                overlap_masks[position] |= 1 << slot
+                parent[find(position)] = find(edge_factor[column])
+    members: dict[int, list[int]] = {}
+    for position in range(len(factors)):
+        members.setdefault(find(position), []).append(position)
+    groups = {root: tuple(group) for root, group in members.items() if len(group) > 1}
+    return {
+        "edge_factor": tuple(edge_factor),
+        "edge_slot": tuple(edge_slot),
+        "factor_group": tuple(groups.get(find(position)) for position in range(len(factors))),
+        "overlap_masks": tuple(overlap_masks),
+    }
 
 
 def _independent_marginals(
@@ -204,17 +295,82 @@ def _independent_marginals(
         w = cf.width
         if w > _MAX_PRODUCT_CHECK_WIDTH:
             return None
-        total = float(cf.values.sum())
+        total = cf.total
         p = (cf.values @ cf.assignments) / total  # marginal P(edge = 1) per slot
-        codes = cf.assignments @ (1 << np.arange(w, dtype=np.int64))
         dense = np.zeros(1 << w, dtype=np.float64)
-        dense[codes] = cf.values / total
+        dense[cf.codes()] = cf.values / total
         grid = (np.arange(1 << w)[:, None] >> np.arange(w)) & 1
         expected = np.where(grid == 1, p, 1.0 - p).prod(axis=1)
         if not np.allclose(dense, expected, rtol=1e-9, atol=1e-12):
             return None
         marginals[cf.positions] = p
     return marginals
+
+
+# ----------------------------------------------------------------------
+# clause weights: Pr(Bf) from the compiled model
+# ----------------------------------------------------------------------
+def clause_weights(graph: "ProbabilisticGraph", events) -> list[float]:
+    """``Pr(all edges of the event present)`` for every event, in order.
+
+    The ``Pr(Bf)`` of Algorithm 5.  Factors outside the components an event
+    touches cancel, so the weight is a product over touched components of
+    ``Z(component | event edges = 1) / Z(component)``.  The model records
+    which factors stand alone and which hang together, and that picks the
+    arithmetic: a single-factor component (all of an edge-partitioned graph)
+    is one masked sum over the factor's table, cached per edge subset on the
+    compiled factor; a multi-factor component goes through
+    :class:`VariableEliminationEngine` restricted to that component, with
+    its ``Z`` cached on the model.  An impossible event weighs 0.
+
+    Callers treat the returned list as the clause weights of *one*
+    estimator run: the batched, scalar-replay and scalar estimators and
+    exact inclusion-exclusion all take their weights from here, which is
+    what keeps ``scalar_replay`` bit-exact against the scalar reference.
+    """
+    model = compile_world_model(graph)
+    engine: VariableEliminationEngine | None = None
+    weights = []
+    for event in events:
+        try:
+            columns = sorted(model.index[key] for key in event)
+        except KeyError:
+            unknown = sorted(repr(key) for key in event if key not in model.index)
+            raise ProbabilityError(
+                f"edges without probability factors: {unknown[:5]}"
+            ) from None
+        # component (by its first factor) -> slot mask of the event's edges
+        # in a single-factor component, their columns in a multi-factor one
+        touched: dict = {}
+        for column in columns:
+            position = model.edge_factor[column]
+            group = model.factor_group[position]
+            if group is None:
+                touched[position] = touched.get(position, 0) | 1 << model.edge_slot[column]
+            else:
+                touched.setdefault(group[0], []).append(column)
+        weight = 1.0
+        for first, hit in touched.items():
+            group = model.factor_group[first]
+            if group is None:
+                cf = model.factors[first]
+                weight *= cf.restricted(hit, hit)[2] / cf.total
+            else:
+                if engine is None:
+                    engine = VariableEliminationEngine(graph)
+                z = model._component_z.get(first)
+                if z is None:
+                    z = model._component_z[first] = engine.partition_function(group)
+                if z <= 0:
+                    raise ProbabilityError(
+                        "zero partition function; the factor component is degenerate"
+                    )
+                evidence = {model.edges[column]: 1 for column in hit}
+                weight *= engine.partition_function(group, evidence) / z
+            if weight <= 0.0:
+                break
+        weights.append(min(1.0, max(0.0, weight)))
+    return weights
 
 
 class BatchWorldSampler:
@@ -243,80 +399,99 @@ class BatchWorldSampler:
     ) -> np.ndarray:
         """``(num_samples, num_edges)`` boolean edge-presence matrix.
 
-        ``evidence`` maps edge keys to forced 0/1 values (the Karp-Luby
-        conditioning step passes the chosen event's edges as 1).  Raises
+        ``evidence`` maps edge keys to forced 0/1 values, shared by every
+        row — the one-pattern case of the routine the Karp-Luby estimator
+        drives with one evidence pattern per row.  Raises
         :class:`ProbabilityError` when the evidence is impossible under some
         factor, mirroring the scalar sampler.
         """
         model = self.model
         if num_samples < 0:
             raise ConfigurationError(f"num_samples must be >= 0, got {num_samples!r}")
-        ev_cols, ev_vals = _evidence_arrays(model, evidence)
-        if model.is_independent:
-            return self._sample_independent(generator, num_samples, ev_cols, ev_vals)
-        return self._sample_general(generator, num_samples, ev_cols, ev_vals)
+        known = np.zeros((1, model.num_edges), dtype=bool)
+        values = np.zeros((1, model.num_edges), dtype=bool)
+        for key, value in (evidence or {}).items():
+            if value not in (0, 1):
+                raise ProbabilityError(
+                    f"evidence values must be 0/1, got {dict(evidence)!r}"
+                )
+            known[0, model.index[key]] = True
+            values[0, model.index[key]] = bool(value)
+        which = np.zeros(num_samples, dtype=np.intp)
+        return _draw_worlds(model, generator, known, values, which)
 
-    # ------------------------------------------------------------------
-    # fast path: every factor is a product of per-edge Bernoullis
-    # ------------------------------------------------------------------
-    def _sample_independent(self, generator, num_samples, ev_cols, ev_vals):
-        marginals = self.model.marginals
-        impossible = (marginals[ev_cols] <= 0.0) & (ev_vals == 1)
-        impossible |= (marginals[ev_cols] >= 1.0) & (ev_vals == 0)
+
+def _draw_worlds(
+    model: CompiledWorldModel,
+    generator: np.random.Generator,
+    known: np.ndarray,
+    values: np.ndarray,
+    which: np.ndarray,
+    read_columns: np.ndarray | None = None,
+) -> np.ndarray:
+    """One world per row, each row conditioned on its own evidence pattern.
+
+    ``known`` / ``values`` are ``(k, E)`` boolean tables of evidence
+    patterns — the edges a pattern fixes and their 0/1 values (read only
+    where ``known``) — and row ``s`` of the result is drawn given pattern
+    ``which[s]``.  This is the kernel's only sampling loop: the independent
+    fast path is one uniform-matrix compare; the general path walks the
+    factors once and, per factor, groups the rows by conditioning pattern —
+    which slots are known (row evidence, or any edge an earlier overlapping
+    factor assigned) and their values — drawing one categorical batch per
+    (factor, pattern) in ascending pattern-code order.
+
+    ``read_columns`` (ascending) names the only columns the caller will
+    read.  Factor components are independent of each other, so the general
+    path then skips every component covering none of them, leaving those
+    columns at their evidence fill.
+    """
+    num_rows = which.size
+    fixed = known & values
+    if model.is_independent:
+        marginals = model.marginals
+        impossible = (fixed & (marginals <= 0.0)) | (known & ~values & (marginals >= 1.0))
         if impossible.any():
-            column = int(ev_cols[np.flatnonzero(impossible)[0]])
+            column = int(np.flatnonzero(impossible.any(axis=0))[0])
             raise ProbabilityError(
-                f"evidence on edge {self.model.edges[column]!r} has zero probability"
+                f"evidence on edge {model.edges[column]!r} has zero probability"
             )
-        present = generator.random((num_samples, self.model.num_edges)) < marginals
-        present[:, ev_cols] = ev_vals.astype(bool)
-        return present
+        present = generator.random((num_rows, model.num_edges)) < marginals
+        return np.where(known[which], values[which], present)
 
-    # ------------------------------------------------------------------
-    # general path: factor-conditioned categorical batches
-    # ------------------------------------------------------------------
-    def _sample_general(self, generator, num_samples, ev_cols, ev_vals):
-        model = self.model
-        worlds = np.zeros((num_samples, model.num_edges), dtype=np.uint8)
-        worlds[:, ev_cols] = ev_vals
-        assigned = np.zeros(model.num_edges, dtype=bool)
-        assigned[ev_cols] = True
-        for cf in model.factors:
-            fixed_slots = np.flatnonzero(assigned[cf.positions])
-            pending_slots = np.flatnonzero(~assigned[cf.positions])
-            if pending_slots.size == 0:
-                continue
-            pending_cols = cf.positions[pending_slots]
-            if fixed_slots.size == 0:
-                picks = generator.random(num_samples) * cf.cumulative[-1]
-                entry = _categorical(cf.cumulative, picks)
-                worlds[:, pending_cols] = cf.assignments[entry][:, pending_slots]
-            else:
-                fixed_key = tuple(int(slot) for slot in fixed_slots)
-                patterns = worlds[:, cf.positions[fixed_slots]].astype(np.int64)
-                codes = patterns @ (1 << np.arange(fixed_slots.size, dtype=np.int64))
-                for code in np.unique(codes):
-                    rows = np.flatnonzero(codes == code)
-                    keep, cumulative, total = cf.conditional(fixed_key, int(code))
-                    picks = generator.random(rows.size) * total
-                    entry = keep[_categorical(cumulative, picks)]
-                    worlds[np.ix_(rows, pending_cols)] = cf.assignments[entry][
-                        :, pending_slots
-                    ]
-            assigned[cf.positions] = True
-        return worlds.astype(bool)
-
-
-def _evidence_arrays(model: CompiledWorldModel, evidence):
-    """Evidence as (ascending column array, value array) — order-canonical."""
-    if not evidence:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-    pairs = sorted((model.index[key], int(value)) for key, value in evidence.items())
-    if any(value not in (0, 1) for _, value in pairs):
-        raise ProbabilityError(f"evidence values must be 0/1, got {dict(evidence)!r}")
-    cols = np.array([column for column, _ in pairs], dtype=np.int64)
-    vals = np.array([value for _, value in pairs], dtype=np.uint8)
-    return cols, vals
+    drawn = range(len(model.factors))
+    if read_columns is not None:
+        needed: set[int] = set()
+        for column in read_columns.tolist():
+            position = model.edge_factor[column]
+            needed.update(model.factor_group[position] or (position,))
+        drawn = sorted(needed)
+    worlds = fixed.view(np.uint8)[which]
+    for position in drawn:
+        cf = model.factors[position]
+        columns, width = cf.positions, cf.width
+        overlap = model.overlap_masks[position]
+        # conditioning pattern per row: the known-slot mask and the known
+        # values as bit codes (slot j in bit j), packed side by side
+        slot_bits = _slot_bits(width)
+        masks = (known[:, columns] @ slot_bits)[which] | overlap
+        if overlap:  # values of overlap slots come from the earlier draws
+            bits = (worlds[:, columns] @ slot_bits) & masks
+        else:
+            bits = (fixed[:, columns] @ slot_bits)[which]
+        codes = (masks << width) | bits
+        full_mask = (1 << width) - 1
+        for code in np.unique(codes).tolist():
+            mask, known_bits = code >> width, code & full_mask
+            if mask == full_mask:
+                continue  # every edge of the factor is already known
+            rows = np.flatnonzero(codes == code)
+            keep, cumulative, total = cf.conditional(mask, known_bits)
+            picks = generator.random(rows.size) * total
+            entry = keep[_categorical(cumulative, picks)]
+            pending = [slot for slot in range(width) if not mask >> slot & 1]
+            worlds[rows[:, None], columns[pending]] = cf.assignments[entry][:, pending]
+    return worlds.view(bool)
 
 
 def _categorical(cumulative: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -350,19 +525,20 @@ def estimate_union_probability_batch(
     """Batched Karp-Luby coverage estimate of the union probability.
 
     The drop-in vectorized counterpart of :func:`repro.probability.dnf.
-    estimate_union_probability`: same inputs, same unbiased ``V * Cnt / N``
-    estimator, same [0, 1] clamp — but every per-sample step is an array
-    operation and the draw order is the kernel's canonical one (module
-    docstring).  With ``scalar_replay=True`` the uniforms are generated in
-    the scalar sampler's interleaved order instead, reproducing its output
-    bit-for-bit (testing hook; slower, still vectorized evaluation).
+    estimate_union_probability`: same inputs, same clause weights
+    (:func:`clause_weights`), same unbiased ``V * Cnt / N`` estimator, same
+    [0, 1] clamp — but every per-sample step is an array operation and the
+    draw order is the kernel's canonical one (module docstring).  With
+    ``scalar_replay=True`` the uniforms are generated in the scalar
+    sampler's interleaved order instead, reproducing its output bit-for-bit
+    (testing hook; slower, still vectorized evaluation).
     """
+    check_sample_count(num_samples)
     clean = normalize_events(events)
     if not clean:
         return 0.0
     generator = ensure_rng(rng)
-    engine = VariableEliminationEngine(graph)
-    weights = [engine.probability_all_present(event) for event in clean]
+    weights = clause_weights(graph, clean)
     total_weight = sum(weights)
     if total_weight <= 0.0:
         return 0.0
@@ -375,43 +551,39 @@ def estimate_union_probability_batch(
             graph, model, clean, required, weights, total_weight, n, generator
         )
     else:
-        count = _count_canonical(
-            model, clean, required, weights, total_weight, n, generator
-        )
+        count = _count_canonical(model, required, weights, total_weight, n, generator)
     estimate = total_weight * count / n
     return min(1.0, max(0.0, estimate))
 
 
-def _coverage_count(worlds: np.ndarray, required: np.ndarray, event_index: int) -> int:
-    """Samples counting for ``event_index``: no earlier event fully present.
+def _canonical_clause_count(
+    worlds: np.ndarray, required: np.ndarray, chosen: np.ndarray
+) -> int:
+    """Samples whose chosen event is the first event their world satisfies.
 
-    ``(~worlds) @ required[:i].T`` is a boolean matrix product: entry
-    ``(s, j)`` is True iff some edge event ``j`` requires is absent in world
-    ``s`` — so event ``j`` covers world ``s`` exactly when the entry is
-    False (the canonical-clause check of Algorithm 5, vectorized).
+    ``(~worlds) @ required.T`` is a boolean matrix product: entry ``(s, j)``
+    is True iff some edge event ``j`` requires is absent in world ``s`` — so
+    event ``j`` covers world ``s`` exactly when the entry is False.  Row
+    ``s`` was conditioned on event ``chosen[s]``, which therefore covers it;
+    the sample counts when no *earlier* event does (the canonical-clause
+    check of Algorithm 5, vectorized).
     """
-    if event_index == 0:
-        return int(worlds.shape[0])
-    missing_any = ~worlds @ required[:event_index].T
-    covered_by_earlier = ~missing_any
-    return int(worlds.shape[0] - covered_by_earlier.any(axis=1).sum())
+    missing_any = ~worlds @ required.T
+    first_covered = missing_any.argmin(axis=1)
+    return int((first_covered == chosen).sum())
 
 
-def _count_canonical(model, clean, required, weights, total_weight, n, generator):
-    """Canonical draw order: event picks first, then per-event world batches."""
+def _count_canonical(model, required, weights, total_weight, n, generator):
+    """Canonical draw order: event picks first, then one world batch."""
     np_generator = numpy_generator(generator)
     cumulative = np.cumsum(np.asarray(weights, dtype=np.float64))
     picks = np_generator.random(n) * total_weight
     chosen = _categorical(cumulative, picks)
-    sampler = BatchWorldSampler(model)
-    count = 0
-    for event_index in np.unique(chosen):
-        event_index = int(event_index)
-        group = int((chosen == event_index).sum())
-        evidence = {key: 1 for key in clean[event_index]}
-        worlds = sampler.sample_presence(np_generator, group, evidence)
-        count += _coverage_count(worlds, required, event_index)
-    return count
+    # row s is conditioned on containing every edge of event chosen[s]; only
+    # the columns some event requires are ever read back
+    read = np.flatnonzero(required.any(axis=0))
+    worlds = _draw_worlds(model, np_generator, required, required, chosen, read)
+    return _canonical_clause_count(worlds[:, read], required[:, read], chosen)
 
 
 def _count_scalar_replay(
@@ -441,15 +613,13 @@ def _count_scalar_replay(
         chosen[sample] = event_index
         for factor_position in consuming_factors[event_index]:
             factor_uniforms[factor_position, sample] = generator.random()
-    count = 0
-    for event_index in np.unique(chosen):
-        event_index = int(event_index)
+    worlds = np.empty((n, model.num_edges), dtype=bool)
+    for event_index in np.unique(chosen).tolist():
         rows = np.flatnonzero(chosen == event_index)
-        worlds = _replay_worlds(
+        worlds[rows] = _replay_worlds(
             graph, model, clean[event_index], factor_uniforms[:, rows]
         )
-        count += _coverage_count(worlds, required, event_index)
-    return count
+    return _canonical_clause_count(worlds, required, chosen)
 
 
 def _consuming_factors(graph, event) -> list[int]:

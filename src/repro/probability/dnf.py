@@ -9,7 +9,9 @@ must all be present in the sampled world.
 
 * :func:`exact_union_probability` — inclusion-exclusion over the events
   (Equation 21); exponential in the number of events, guarded by a cap, used
-  by the ``Exact`` verification baseline and by tests.
+  by the ``Exact`` verification baseline and by tests.  Like both
+  estimators it takes every ``Pr(Bf)`` from
+  :func:`repro.probability.batch_kernel.clause_weights`.
 * :func:`estimate_union_probability` — the Karp-Luby coverage estimator that
   Algorithm 5 instantiates.  The paper's pseudo-code returns ``Cnt/N``; the
   unbiased coverage estimator is ``V * Cnt / N`` with ``V = Σ Pr(Bfi)``, which
@@ -28,11 +30,11 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from repro.exceptions import VerificationError
-from repro.probability.junction_tree import VariableEliminationEngine
 from repro.probability.sampling import (
     DEFAULT_TAU,
     DEFAULT_XI,
     WorldSampler,
+    check_sample_count,
     monte_carlo_sample_size,
 )
 from repro.utils.rng import RandomLike, ensure_rng
@@ -101,6 +103,15 @@ def normalize_events(events: list[frozenset | set]) -> list[Event]:
 DEFAULT_EXACT_TOLERANCE = 1e-6
 
 
+def clause_weights(graph: ProbabilisticGraph, events) -> list[float]:
+    """``Pr(Bf)`` per event, from :func:`repro.probability.batch_kernel.
+    clause_weights` (imported on call: that module imports this one's event
+    helpers at module level)."""
+    from repro.probability import batch_kernel
+
+    return batch_kernel.clause_weights(graph, events)
+
+
 def exact_union_probability(
     graph: ProbabilisticGraph,
     events: list[frozenset | set],
@@ -123,7 +134,6 @@ def exact_union_probability(
             f"inclusion-exclusion over {len(clean)} events (limit {max_events}); "
             "use estimate_union_probability instead"
         )
-    engine = VariableEliminationEngine(graph)
     total = 0.0
     for size in range(1, len(clean) + 1):
         sign = 1.0 if size % 2 == 1 else -1.0
@@ -131,7 +141,7 @@ def exact_union_probability(
             union_edges: set[EdgeKey] = set()
             for event in subset:
                 union_edges.update(event)
-            total += sign * engine.probability_all_present(union_edges)
+            total += sign * clause_weights(graph, [union_edges])[0]
     if total < -tolerance or total > 1.0 + tolerance:
         raise VerificationError(
             f"inclusion-exclusion total {total!r} leaves [0, 1] by more than "
@@ -162,12 +172,12 @@ def estimate_union_probability(
     num_samples:
         Explicit override of the sample count.
     """
+    check_sample_count(num_samples)
     clean = normalize_events(events)
     if not clean:
         return 0.0
     generator = ensure_rng(rng)
-    engine = VariableEliminationEngine(graph)
-    weights = [engine.probability_all_present(event) for event in clean]
+    weights = clause_weights(graph, clean)
     total_weight = sum(weights)
     if total_weight <= 0.0:
         return 0.0

@@ -13,8 +13,14 @@ variable elimination over the graph's neighbor-edge factors:
 Factors outside the connected factor component of the queried edges cancel
 between numerator and denominator, so only the touched component is ever
 multiplied out.  For edge-partitioned graphs (the common case produced by the
-dataset generators) each factor is its own component and the computation is a
-simple product of per-factor marginals.
+dataset generators) each factor is its own component and ``Pr(Bf)`` is a
+simple product of per-factor marginals — which is how the production path
+computes it: :func:`repro.probability.batch_kernel.clause_weights` reads each
+single-factor component's masked sum straight off the compiled factor arrays
+and comes here only for multi-factor (overlapping) components, through
+:meth:`VariableEliminationEngine.partition_function` with the component's
+``Z`` cached.  This engine stays the reference oracle the tests compare
+those weights against.
 """
 
 from __future__ import annotations
@@ -56,16 +62,29 @@ class VariableEliminationEngine:
             raise ProbabilityError(
                 f"edges without probability factors: {sorted(map(repr, unknown))[:5]}"
             )
-        component_positions = self._touched_component(evidence.keys())
-        factors = [self.graph.factors[i] for i in sorted(component_positions)]
-        raw_factors = [Factor(f.edges, dict(f.jpt.table)) for f in factors]
-        numerator = _partition_function(
-            [f.condition(evidence) for f in raw_factors]
-        )
-        denominator = _partition_function(raw_factors)
+        positions = sorted(self._touched_component(evidence.keys()))
+        denominator = self.partition_function(positions)
         if denominator <= 0:
             raise ProbabilityError("zero partition function; the factor component is degenerate")
+        numerator = self.partition_function(positions, evidence)
         return min(1.0, max(0.0, numerator / denominator))
+
+    def partition_function(
+        self, positions: Iterable[int], evidence: Mapping[EdgeKey, int] | None = None
+    ) -> float:
+        """Unnormalized mass of the factors at ``positions`` under ``evidence``.
+
+        ``positions`` index ``graph.factors`` and should be closed under
+        edge sharing (whole connected factor components) for the ratio of
+        two calls to be a probability.  With no evidence this is the
+        component's ``Z`` — which :func:`repro.probability.batch_kernel.
+        clause_weights` caches per compiled model instead of recomputing it
+        per event.
+        """
+        tables = [self.graph.factors[position].jpt for position in positions]
+        if evidence:
+            tables = [table.condition(evidence) for table in tables]
+        return _partition_function(tables)
 
     # ------------------------------------------------------------------
     # internals

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError, ProbabilityError
@@ -40,6 +41,26 @@ def monte_carlo_sample_size(xi: float = DEFAULT_XI, tau: float = DEFAULT_TAU) ->
     if not 0.0 < tau <= 1.0:
         raise ConfigurationError(f"tau must be in (0, 1], got {tau!r}")
     return max(1, math.ceil((4.0 * math.log(2.0 / xi)) / (tau * tau)))
+
+
+def check_sample_count(num_samples: int | None) -> None:
+    """Reject an explicit sample count that is not an integer >= 1.
+
+    ``None`` (use the cycling number for ``(ξ, τ)``) passes.  Without the
+    check a count of 0 divides by zero inside the estimators and a negative
+    one fails in numpy or yields a silent ``0.0``; bool is an int subclass
+    and is rejected explicitly.
+    """
+    if num_samples is None:
+        return
+    if (
+        isinstance(num_samples, bool)
+        or not isinstance(num_samples, Integral)
+        or num_samples < 1
+    ):
+        raise ConfigurationError(
+            f"num_samples must be an integer >= 1 or None, got {num_samples!r}"
+        )
 
 
 class WorldSampler:

@@ -13,28 +13,40 @@ scalar reference (``probability.dnf.estimate_union_probability``):
   sample count;
 * **determinism** — equal rng streams give byte-identical estimates and
   byte-identical sample matrices, independent of compile caching or which
-  code path (fast independent vs general factor-conditioned) is forced.
+  code path (fast independent vs general factor-conditioned) is forced;
+* **clause weights** — ``clause_weights`` (compiled-model arithmetic) equals
+  the ``VariableEliminationEngine`` oracle on partition and overlapping
+  graphs, zero-mass events included;
+* **calibration** — over hundreds of independent roots the batched estimate
+  misses the exact value by more than ``τ·p`` no more often than ``ξ``
+  allows, and its mean sits on the exact value (unbiasedness).
 """
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ProbabilityError
-from repro.graphs import LabeledGraph, ProbabilisticGraph
+from repro.exceptions import ConfigurationError, ProbabilityError
+from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph
 from repro.probability import (
     BatchWorldSampler,
+    JointProbabilityTable,
+    VariableEliminationEngine,
     compile_world_model,
     estimate_union_probability,
     estimate_union_probability_batch,
     exact_union_probability,
+    monte_carlo_sample_size,
 )
-from repro.probability.batch_kernel import compile_events
+from repro.probability import batch_kernel
+from repro.probability.batch_kernel import clause_weights, compile_events
 from repro.utils.rng import numpy_generator
 
 from tests.conftest import make_simple_probabilistic_graph
@@ -72,6 +84,205 @@ class TestCompiledModel:
         required = compile_events(model, events)
         assert required.shape == (1, model.num_edges)
         assert required[0].tolist() == [True, False, True]
+
+
+def star_graph(factor_tables) -> ProbabilisticGraph:
+    """A star around vertex 0 with one factor per ``(leaves, table)`` entry.
+
+    Every edge is incident to the hub, so any leaf subset is a neighbor edge
+    set; factors sharing a leaf overlap on that edge.  ``table`` lists the
+    ``2 ** len(leaves)`` unnormalized values in ``Factor.full_table`` order.
+    """
+    leaves = sorted({leaf for leaf_set, _ in factor_tables for leaf in leaf_set})
+    skeleton = LabeledGraph(name="star")
+    skeleton.add_vertex(0, "hub")
+    for leaf in leaves:
+        skeleton.add_vertex(leaf, "leaf")
+        skeleton.add_edge(0, leaf, "e")
+    factors = []
+    for leaf_set, values in factor_tables:
+        edges = tuple((0, leaf) for leaf in leaf_set)
+        assignments = [
+            tuple((index >> (len(edges) - 1 - slot)) & 1 for slot in range(len(edges)))
+            for index in range(2 ** len(edges))
+        ]
+        jpt = JointProbabilityTable(edges, dict(zip(assignments, values)), normalize=True)
+        factors.append(NeighborEdgeFactor(edges, jpt))
+    return ProbabilisticGraph(skeleton, factors, name="star")
+
+
+def assert_weights_match_oracle(graph, events):
+    """``clause_weights`` against variable elimination, event by event."""
+    engine = VariableEliminationEngine(graph)
+    for event in events:
+        try:
+            expected = engine.probability_all_present(event)
+        except ProbabilityError:  # degenerate component: Z == 0
+            with pytest.raises(ProbabilityError):
+                clause_weights(graph, [event])
+            continue
+        assert clause_weights(graph, [event])[0] == pytest.approx(expected, abs=1e-12)
+
+
+table_values = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=1.0))
+
+
+class TestClauseWeights:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        probabilities=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=7, max_size=7
+        ),
+        correlation=st.sampled_from(["independent", "max"]),
+        max_factor_size=st.integers(min_value=1, max_value=4),
+        event_masks=st.lists(st.integers(min_value=1, max_value=127), min_size=1, max_size=6),
+    )
+    def test_partition_graphs_match_variable_elimination(
+        self, probabilities, correlation, max_factor_size, event_masks
+    ):
+        """Generated edge partitions, both correlation models; marginals of
+        exactly 0 make some events impossible (weight 0)."""
+        skeleton = LabeledGraph(name="wheel")
+        for vertex in range(5):
+            skeleton.add_vertex(vertex, "ab"[vertex % 2])
+        for u, v in ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)):
+            skeleton.add_edge(u, v, "x")
+        keys = sorted(skeleton.edge_keys())
+        graph = ProbabilisticGraph.from_edge_probabilities(
+            skeleton,
+            dict(zip(keys, probabilities)),
+            correlation=correlation,
+            max_factor_size=max_factor_size,
+        )
+        assert set(compile_world_model(graph).factor_group) == {None}
+        events = [
+            {key for bit, key in enumerate(keys) if mask >> bit & 1}
+            for mask in event_masks
+        ]
+        assert_weights_match_oracle(graph, events)
+
+    def test_paper_overlap_graph_every_edge_subset(self, overlap_graph_002):
+        """Graph 002: two JPTs sharing e3 are one two-factor component."""
+        model = compile_world_model(overlap_graph_002)
+        assert model.factor_group == ((0, 1), (0, 1))
+        edges = overlap_graph_002.edge_variables()
+        events = [
+            set(subset)
+            for size in range(1, len(edges) + 1)
+            for subset in combinations(edges, size)
+        ]
+        assert_weights_match_oracle(overlap_graph_002, events)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        first=st.lists(table_values, min_size=8, max_size=8),
+        second=st.lists(table_values, min_size=8, max_size=8),
+        third=st.lists(table_values, min_size=4, max_size=4),
+        apart=st.lists(table_values, min_size=4, max_size=4),
+        event_masks=st.lists(st.integers(min_value=1, max_value=255), min_size=1, max_size=6),
+    )
+    def test_generated_overlapping_factors_match_variable_elimination(
+        self, first, second, third, apart, event_masks
+    ):
+        """A three-factor chain (sharing edges 3 and 5) beside a
+        single-factor component; zeros in the tables give zero-mass events."""
+        tables = [((1, 2, 3), first), ((3, 4, 5), second), ((5, 6), third), ((7, 8), apart)]
+        for _, values in tables:
+            assume(sum(values) > 0.0)
+        graph = star_graph(tables)
+        assert compile_world_model(graph).factor_group == ((0, 1, 2),) * 3 + (None,)
+        leaves = range(1, 9)
+        events = [
+            {(0, leaf) for bit, leaf in enumerate(leaves) if mask >> bit & 1}
+            for mask in event_masks
+        ]
+        assert_weights_match_oracle(graph, events)
+
+    def test_zero_mass_event_weighs_zero_on_both_paths(self):
+        """P(e1 ∧ e2) = 0 in the single factor; P(e3 ∧ e5) = 0 only through
+        the chain e3-e4 / e4-e5 (e4 forced both ways)."""
+        never_both = [0.3, 0.3, 0.4, 0.0]  # (0,0) (0,1) (1,0) (1,1)
+        chain_a = [0.5, 0.0, 0.0, 0.5]  # e3 == e4
+        chain_b = [0.0, 0.5, 0.5, 0.0]  # e4 != e5
+        graph = star_graph([((1, 2), never_both), ((3, 4), chain_a), ((4, 5), chain_b)])
+        weights = clause_weights(
+            graph, [{(0, 1), (0, 2)}, {(0, 3), (0, 5)}, {(0, 1)}, {(0, 3), (0, 4)}]
+        )
+        assert weights[0] == 0.0
+        assert weights[1] == 0.0
+        assert weights[2] == pytest.approx(0.4)
+        assert weights[3] == pytest.approx(0.5)
+        assert estimate_union_probability_batch(
+            graph, [{(0, 1), (0, 2)}, {(0, 3), (0, 5)}], rng=0
+        ) == 0.0
+
+    def test_unknown_edge_is_a_typed_failure(self, triangle_graph_001):
+        with pytest.raises(ProbabilityError, match="without probability factors"):
+            clause_weights(triangle_graph_001, [{(9, 10)}])
+
+    def test_partition_graph_never_builds_the_elimination_engine(self, monkeypatch):
+        """The fallback must not silently become the main path again."""
+
+        def refuse(graph):
+            raise AssertionError("VariableEliminationEngine built for a partition graph")
+
+        monkeypatch.setattr(batch_kernel, "VariableEliminationEngine", refuse)
+        graph = make_simple_probabilistic_graph(edge_probability=0.6, correlation="max")
+        events = two_event_list(graph)
+        assert 0.0 < estimate_union_probability_batch(graph, events, rng=3) <= 1.0
+        assert 0.0 < estimate_union_probability(graph, events, num_samples=50, rng=3) <= 1.0
+        assert 0.0 < exact_union_probability(graph, events) <= 1.0
+
+    def test_overlapping_component_z_is_computed_once(self, overlap_graph_002, monkeypatch):
+        calls = []
+        original = VariableEliminationEngine.partition_function
+
+        def counting(self, positions, evidence=None):
+            calls.append(bool(evidence))
+            return original(self, positions, evidence)
+
+        monkeypatch.setattr(VariableEliminationEngine, "partition_function", counting)
+        e1, e2, e3, e4, e5 = overlap_graph_002.edge_variables()
+        compile_world_model(overlap_graph_002)._component_z.clear()
+        clause_weights(overlap_graph_002, [{e1, e3}, {e4}, {e2, e5}])
+        clause_weights(overlap_graph_002, [{e1}])
+        assert calls.count(False) == 1  # Z: once per model, not per event
+        assert calls.count(True) == 4  # one conditioned mass per event
+
+
+class TestSampleCountValidation:
+    """``num_samples < 1`` is a ConfigurationError everywhere it is accepted
+    (it used to be a ZeroDivisionError, numpy's "negative dimensions", or a
+    silent 0.0 depending on the estimator)."""
+
+    @pytest.mark.parametrize("bad", [0, -5, True, False, 2.5])
+    def test_estimators_reject_bad_counts(self, bad):
+        graph = make_simple_probabilistic_graph()
+        events = two_event_list(graph)
+        with pytest.raises(ConfigurationError, match="num_samples"):
+            estimate_union_probability_batch(graph, events, num_samples=bad, rng=0)
+        with pytest.raises(ConfigurationError, match="num_samples"):
+            estimate_union_probability_batch(
+                graph, events, num_samples=bad, rng=0, scalar_replay=True
+            )
+        with pytest.raises(ConfigurationError, match="num_samples"):
+            estimate_union_probability(graph, events, num_samples=bad, rng=0)
+
+    @pytest.mark.parametrize("bad", [0, -5, True])
+    def test_verification_config_rejects_bad_counts(self, bad):
+        from repro.core import VerificationConfig
+
+        with pytest.raises(ConfigurationError, match="num_samples"):
+            VerificationConfig(num_samples=bad)
+
+    def test_valid_counts_still_pass(self):
+        from repro.core import VerificationConfig
+
+        assert VerificationConfig(num_samples=None).num_samples is None
+        assert VerificationConfig(num_samples=np.int64(7)).num_samples == 7
+        graph = make_simple_probabilistic_graph()
+        events = two_event_list(graph)
+        assert 0.0 <= estimate_union_probability_batch(graph, events, num_samples=1, rng=0) <= 1.0
 
 
 class TestBatchWorldSampler:
@@ -313,6 +524,57 @@ class TestCanonicalBatchEstimator:
         ) == estimate_union_probability_batch(
             graph, shuffled, num_samples=100, rng=7
         )
+
+
+class TestCalibration:
+    """Do the sampled numbers meet their (ξ, τ) promise against exact
+    inference?  First slice of ROADMAP's statistical harness: the batched
+    estimator, both correlation models, graphs small enough for
+    ``exact_union_probability``."""
+
+    XI, TAU, ROOTS = 0.05, 0.1, 300
+
+    @pytest.mark.parametrize("correlation", ["independent", "max"])
+    def test_failure_rate_within_xi_and_mean_on_exact(self, correlation):
+        skeleton = LabeledGraph(name="calibration")
+        for vertex in range(6):
+            skeleton.add_vertex(vertex, "ab"[vertex % 2])
+        ring = [(vertex, (vertex + 1) % 6) for vertex in range(6)]
+        for u, v in [*ring, (0, 3), (1, 4)]:
+            skeleton.add_edge(u, v, "x")
+        keys = sorted(skeleton.edge_keys())
+        stream = random.Random(20120827)
+        graph = ProbabilisticGraph.from_edge_probabilities(
+            skeleton,
+            {key: stream.uniform(0.35, 0.75) for key in keys},
+            correlation=correlation,
+            max_factor_size=3,
+        )
+        # overlapping events spread over several factors: rows of one
+        # estimate carry different evidence patterns into the same factor
+        events = [set(keys[i : i + 2]) for i in range(0, 6)] + [{keys[0], keys[4], keys[7]}]
+        exact = exact_union_probability(graph, events)
+        num_samples = monte_carlo_sample_size(self.XI, self.TAU)
+        estimates = np.array(
+            [
+                estimate_union_probability_batch(
+                    graph, events, xi=self.XI, tau=self.TAU, rng=root
+                )
+                for root in range(self.ROOTS)
+            ]
+        )
+        assert len(set(estimates.tolist())) > self.ROOTS // 4  # roots are independent
+
+        failures = int((np.abs(estimates - exact) > self.TAU * exact).sum())
+        binomial_sd = math.sqrt(self.ROOTS * self.XI * (1.0 - self.XI))
+        assert failures <= self.ROOTS * self.XI + 3.0 * binomial_sd
+
+        # unbiasedness: V * Cnt / N has mean p and variance p (V - p) / N
+        total_weight = sum(clause_weights(graph, batch_kernel.normalize_events(events)))
+        standard_error = math.sqrt(
+            exact * (total_weight - exact) / num_samples / self.ROOTS
+        )
+        assert abs(estimates.mean() - exact) <= 4.0 * standard_error
 
 
 class TestVerifierIntegration:

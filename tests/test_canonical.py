@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import random
+from itertools import permutations
+
 import pytest
 
 from repro.graphs import LabeledGraph
-from repro.graphs.canonical import are_isomorphic_small, canonical_form, refinement_certificate
+from repro.graphs.canonical import (
+    _ordering_string,
+    _refined_colors,
+    are_isomorphic_small,
+    canonical_form,
+    refinement_certificate,
+)
 
 
 def path(labels, edge_labels=None):
@@ -73,3 +82,51 @@ class TestIsomorphismSmall:
         big = path(list("abcdefghij"))
         with pytest.raises(ValueError):
             are_isomorphic_small(big, big.copy())
+
+
+def all_permutations_canonical_form(graph: LabeledGraph) -> str:
+    """The pre-optimisation search, kept as the reference: every one of the
+    ``n!`` vertex orderings, discarding those not sorted by refined color."""
+    colors = _refined_colors(graph)
+    vertices = sorted(graph.vertices(), key=lambda v: (colors[v], repr(v)))
+    best = None
+    for order in permutations(vertices):
+        order_colors = [colors[v] for v in order]
+        if order_colors != sorted(order_colors):
+            continue
+        candidate = _ordering_string(graph, list(order))
+        if best is None or candidate < best:
+            best = candidate
+    return "exact:" + best
+
+
+def random_small_graph(rng: random.Random) -> LabeledGraph:
+    num_vertices = rng.randint(1, 6)
+    graph = LabeledGraph()
+    for vertex in range(num_vertices):
+        graph.add_vertex(vertex, rng.choice("ab"))
+    for u in range(num_vertices):
+        for v in range(u + 1, num_vertices):
+            if rng.random() < 0.45:
+                graph.add_edge(u, v, rng.choice("xy"))
+    return graph
+
+
+class TestColorClassSearchMatchesAllPermutations:
+    def test_byte_identical_strings_on_generated_graphs(self):
+        """Permuting within color classes visits exactly the orderings the
+        factorial loop kept, so the minimum string is the same bytes."""
+        rng = random.Random(20120827)
+        for _ in range(150):
+            graph = random_small_graph(rng)
+            assert canonical_form(graph) == all_permutations_canonical_form(graph)
+
+    def test_one_color_class_still_searches_every_ordering(self):
+        """A uniformly labeled cycle refines to one class: the search must
+        not collapse to the single sorted ordering."""
+        cycle = LabeledGraph.from_edges(
+            {i: "a" for i in range(5)}, [(i, (i + 1) % 5, "e") for i in range(5)]
+        )
+        shuffled = cycle.relabel_vertices({0: 3, 1: 0, 2: 4, 3: 1, 4: 2})
+        assert canonical_form(cycle) == all_permutations_canonical_form(cycle)
+        assert canonical_form(cycle) == canonical_form(shuffled)

@@ -87,7 +87,7 @@ class TestNormalizeEvents:
             graph, events, num_samples=250, rng=2012
         )
         assert scalar == pytest.approx(0.92976, abs=1e-12)
-        assert batched == pytest.approx(0.94848, abs=1e-12)
+        assert batched == pytest.approx(0.94224, abs=1e-12)
 
 
 class TestExactUnion:
@@ -136,9 +136,7 @@ class TestExactUnion:
 
         graph = make_simple_probabilistic_graph(edge_probability=1.0)
         monkeypatch.setattr(
-            dnf.VariableEliminationEngine,
-            "probability_all_present",
-            lambda self, edges: 1.0 + 4e-7,
+            dnf, "clause_weights", lambda graph, events: [1.0 + 4e-7] * len(events)
         )
         key = graph.edge_variables()[0]
         assert exact_union_probability(graph, [{key}]) == 1.0
@@ -150,9 +148,7 @@ class TestExactUnion:
 
         graph = make_simple_probabilistic_graph(edge_probability=0.5)
         monkeypatch.setattr(
-            dnf.VariableEliminationEngine,
-            "probability_all_present",
-            lambda self, edges: 1.7,
+            dnf, "clause_weights", lambda graph, events: [1.7] * len(events)
         )
         key = graph.edge_variables()[0]
         with pytest.raises(VerificationError, match="leaves \\[0, 1\\]"):

@@ -135,6 +135,36 @@ class TestInspection:
         assert sum(signatures.values()) == 2
         assert signatures[(("'a'", "'a'"), "x")] == 1
 
+    def test_edge_signature_counts_is_memoised_until_a_mutation(self):
+        """One Counter per mutation_version: the structural filter reads it
+        per (query, candidate) pair and must not rebuild it each time."""
+        graph = LabeledGraph.from_edges(
+            {1: "a", 2: "a", 3: "b"}, [(1, 2, "x"), (2, 3, "x")]
+        )
+        first = graph.edge_signature_counts()
+        assert graph.edge_signature_counts() is first
+        graph.add_vertex(4, "b")
+        graph.add_edge(3, 4, "x")
+        after_add = graph.edge_signature_counts()
+        assert after_add is not first
+        assert after_add[(("'b'", "'b'"), "x")] == 1
+        assert sum(after_add.values()) == 3
+        graph.remove_edge(1, 2)
+        after_remove = graph.edge_signature_counts()
+        assert (("'a'", "'a'"), "x") not in after_remove
+        graph.add_vertex(2, "c")  # relabel: signatures through vertex 2 change
+        assert graph.edge_signature_counts()[(("'b'", "'c'"), "x")] == 1
+
+    def test_edge_signature_memo_is_not_shared_with_copies(self):
+        graph = LabeledGraph.from_edges({1: "a", 2: "b"}, [(1, 2, "x")])
+        signatures = graph.edge_signature_counts()
+        clone = graph.copy()
+        clone.add_vertex(3, "c")
+        clone.add_edge(2, 3, "y")
+        assert sum(clone.edge_signature_counts().values()) == 2
+        assert graph.edge_signature_counts() is signatures
+        assert sum(signatures.values()) == 1
+
     def test_contains_and_len(self):
         graph = LabeledGraph.from_edges({1: "a", 2: "b"}, [(1, 2, "x")])
         assert 1 in graph

@@ -44,6 +44,17 @@ class TestBasicRelaxation:
         forms = [canonical_form(r) for r in relaxed]
         assert len(forms) == len(set(forms))
 
+    def test_variants_are_ordered_by_canonical_form(self, square_query):
+        """The output order is the sorted canonical strings (relax_query
+        sorts the keys it already holds instead of recomputing them)."""
+        pentagon_tail = build(
+            {0: "a", 1: "b", 2: "a", 3: "c", 4: "b"},
+            [(0, 1, "x"), (1, 2, "y"), (2, 3, "x"), (3, 4, "x"), (0, 4, "y"), (1, 3, "x")],
+        )
+        for query, delta in ((square_query, 2), (pentagon_tail, 1), (pentagon_tail, 2)):
+            forms = [canonical_form(r) for r in relax_query(query, delta)]
+            assert forms == sorted(forms)
+
     def test_isolated_vertices_dropped_by_default(self):
         star = build({0: "a", 1: "b", 2: "c"}, [(0, 1, "x"), (0, 2, "x")])
         relaxed = relax_query(star, 1)
