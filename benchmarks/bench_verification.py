@@ -54,7 +54,7 @@ from repro.core import VerificationConfig, Verifier
 from repro.core.relaxation import relax_query
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.probability import batch_kernel
-from repro.probability.dnf import normalize_events
+from repro.probability.events import normalize_events
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.rng import VERIFY_STREAM, derive_rng
 from repro.utils.timer import Timer

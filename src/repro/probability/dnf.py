@@ -5,7 +5,8 @@ Theorem 2 of the paper reduces #DNF to subgraph-similarity-probability
 computation; conversely, the SSP of a query is exactly the probability of a
 DNF formula whose clauses are the embeddings of the relaxed queries
 (Lemma 1 + Equation 22).  Each clause (event) here is a set of edge keys that
-must all be present in the sampled world.
+must all be present in the sampled world; :mod:`repro.probability.events`
+holds their canonical order and normalization.
 
 * :func:`exact_union_probability` — inclusion-exclusion over the events
   (Equation 21); exponential in the number of events, guarded by a cap, used
@@ -30,6 +31,12 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from repro.exceptions import VerificationError
+from repro.probability.batch_kernel import clause_weights
+from repro.probability.events import (
+    Event,
+    _bisect,
+    normalize_events,
+)
 from repro.probability.sampling import (
     DEFAULT_TAU,
     DEFAULT_XI,
@@ -40,76 +47,10 @@ from repro.probability.sampling import (
 from repro.utils.rng import RandomLike, ensure_rng
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level import cycle
-    from repro.graphs.probabilistic_graph import EdgeKey, ProbabilisticGraph
-
-Event = frozenset  # frozenset[EdgeKey]
+    from repro.graphs.probabilistic_graph import ProbabilisticGraph
 
 DEFAULT_EXACT_EVENT_LIMIT = 20
-
-
-def _vertex_sort_key(vertex) -> tuple:
-    """Total order over vertex ids of mixed types (class name, then value).
-
-    Mirrors :func:`repro.graphs.labeled_graph.edge_key`: hashable-but-
-    unorderable vertex ids fall back to comparing their ``repr`` (the
-    discriminator slot keeps orderable and fallback keys from ever being
-    compared value-against-repr).
-    """
-    try:
-        vertex < vertex  # orderability probe  # noqa: B015
-        return (type(vertex).__name__, 0, vertex)
-    except TypeError:
-        return (type(vertex).__name__, 1, repr(vertex))
-
-
-def _edge_sort_key(edge) -> tuple:
-    """Canonical sort key of one edge key: its vertices' sort keys in order."""
-    return tuple(_vertex_sort_key(vertex) for vertex in edge)
-
-
-def canonical_event_key(event) -> tuple:
-    """Canonical sort key of one event: (size, sorted edge-key tuple).
-
-    Built from the edge keys' own values — never from ``repr`` strings, whose
-    formatting is not part of any contract — so the estimator's event order
-    (and therefore its draw sequence under a fixed seed) is pinned by graph
-    structure alone.
-    """
-    edges = sorted(event, key=_edge_sort_key)
-    return (len(edges), tuple(_edge_sort_key(edge) for edge in edges))
-
-
-def normalize_events(events: list[frozenset | set]) -> list[Event]:
-    """Deduplicate events and drop ones absorbed by a weaker event.
-
-    An event is the conjunction "all of these edges are present", so if
-    A ⊆ B (B requires a superset of A's edges) then B implies A and the
-    disjunction A ∨ B collapses to A.  Supersets are therefore dropped, which
-    keeps both the exact and the sampled estimators cheaper without changing
-    the union probability.  Empty events are dropped too (the caller treats
-    "no events" as probability zero).  The surviving events come back in
-    :func:`canonical_event_key` order, which both estimators (scalar and
-    batched) treat as the clause order of Algorithm 5.
-    """
-    unique = {Event(e) for e in events if e}
-    kept: list[Event] = []
-    for event in sorted(unique, key=canonical_event_key):
-        if any(existing <= event for existing in kept):
-            continue
-        kept.append(event)
-    return kept
-
-
 DEFAULT_EXACT_TOLERANCE = 1e-6
-
-
-def clause_weights(graph: ProbabilisticGraph, events) -> list[float]:
-    """``Pr(Bf)`` per event, from :func:`repro.probability.batch_kernel.
-    clause_weights` (imported on call: that module imports this one's event
-    helpers at module level)."""
-    from repro.probability import batch_kernel
-
-    return batch_kernel.clause_weights(graph, events)
 
 
 def exact_union_probability(
@@ -134,14 +75,17 @@ def exact_union_probability(
             f"inclusion-exclusion over {len(clean)} events (limit {max_events}); "
             "use estimate_union_probability instead"
         )
+
+    def subsets():
+        for size in range(1, len(clean) + 1):
+            yield from combinations(clean, size)
+
+    # one clause_weights call for all 2^m - 1 terms: one model lookup and, on
+    # overlapping factors, one elimination engine
+    weights = clause_weights(graph, (Event().union(*subset) for subset in subsets()))
     total = 0.0
-    for size in range(1, len(clean) + 1):
-        sign = 1.0 if size % 2 == 1 else -1.0
-        for subset in combinations(clean, size):
-            union_edges: set[EdgeKey] = set()
-            for event in subset:
-                union_edges.update(event)
-            total += sign * clause_weights(graph, [union_edges])[0]
+    for subset, weight in zip(subsets(), weights):
+        total += weight if len(subset) % 2 == 1 else -weight
     if total < -tolerance or total > 1.0 + tolerance:
         raise VerificationError(
             f"inclusion-exclusion total {total!r} leaves [0, 1] by more than "
@@ -202,15 +146,3 @@ def estimate_union_probability(
             count += 1
     estimate = total_weight * count / n
     return min(1.0, max(0.0, estimate))
-
-
-def _bisect(cumulative: list[float], value: float) -> int:
-    """Index of the first cumulative weight >= value."""
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if cumulative[mid] < value:
-            low = mid + 1
-        else:
-            high = mid
-    return low

@@ -17,7 +17,8 @@ dataset generators) each factor is its own component and ``Pr(Bf)`` is a
 simple product of per-factor marginals — which is how the production path
 computes it: :func:`repro.probability.batch_kernel.clause_weights` reads each
 single-factor component's masked sum straight off the compiled factor arrays
-and comes here only for multi-factor (overlapping) components, through
+and comes here only for multi-factor (overlapping) components (and a lone
+factor wider than its bit codes), through
 :meth:`VariableEliminationEngine.partition_function` with the component's
 ``Z`` cached.  This engine stays the reference oracle the tests compare
 those weights against.

@@ -216,6 +216,37 @@ class TestClauseWeights:
             graph, [{(0, 1), (0, 2)}, {(0, 3), (0, 5)}], rng=0
         ) == 0.0
 
+    def test_factor_wider_than_a_pattern_code_keeps_exact_weights(self):
+        """A sparse 33-edge JPT cannot be bit-coded: its weights come from
+        the engine, the scalar estimator and inclusion-exclusion still
+        accept it, and only the batch sampler refuses."""
+        width = 33
+        skeleton = LabeledGraph(name="wide")
+        skeleton.add_vertex(0, "hub")
+        for leaf in range(1, width + 1):
+            skeleton.add_vertex(leaf, "leaf")
+            skeleton.add_edge(0, leaf, "e")
+        edges = tuple((0, leaf) for leaf in range(1, width + 1))
+        table = {
+            (0,) * width: 0.2,
+            (1,) * width: 0.5,
+            (1,) * 16 + (0,) * (width - 16): 0.3,
+        }
+        factor = NeighborEdgeFactor(edges, JointProbabilityTable(edges, table))
+        graph = ProbabilisticGraph(skeleton, [factor], name="wide")
+        assert compile_world_model(graph).factor_group == ((0,),)
+        events = [{(0, 1)}, {(0, 20)}, {(0, 3), (0, 33)}]
+        assert_weights_match_oracle(graph, events)
+        assert exact_union_probability(graph, events) == pytest.approx(0.8)
+        scalar = estimate_union_probability(graph, events, num_samples=300, rng=1)
+        assert scalar == pytest.approx(0.8, abs=0.1)
+        replay = estimate_union_probability_batch(
+            graph, events, num_samples=300, rng=1, scalar_replay=True
+        )
+        assert replay == scalar
+        with pytest.raises(ConfigurationError, match="wider than the batch sampler"):
+            estimate_union_probability_batch(graph, events, num_samples=300, rng=1)
+
     def test_unknown_edge_is_a_typed_failure(self, triangle_graph_001):
         with pytest.raises(ProbabilityError, match="without probability factors"):
             clause_weights(triangle_graph_001, [{(9, 10)}])
@@ -248,6 +279,22 @@ class TestClauseWeights:
         clause_weights(overlap_graph_002, [{e1}])
         assert calls.count(False) == 1  # Z: once per model, not per event
         assert calls.count(True) == 4  # one conditioned mass per event
+
+
+    def test_inclusion_exclusion_builds_one_engine_for_all_terms(
+        self, overlap_graph_002, monkeypatch
+    ):
+        built = []
+
+        class Counting(VariableEliminationEngine):
+            def __init__(self, graph):
+                built.append(graph)
+                super().__init__(graph)
+
+        monkeypatch.setattr(batch_kernel, "VariableEliminationEngine", Counting)
+        e1, e2, e3, e4, _ = overlap_graph_002.edge_variables()
+        exact_union_probability(overlap_graph_002, [{e1, e3}, {e4}, {e2}])  # 7 terms
+        assert len(built) == 1
 
 
 class TestSampleCountValidation:
@@ -492,6 +539,34 @@ class TestCanonicalBatchEstimator:
         graph = make_simple_probabilistic_graph(edge_probability=0.0)
         events = two_event_list(graph)
         assert estimate_union_probability_batch(graph, events, rng=0) == 0.0
+
+    def test_zero_weight_event_beside_positive_ones(self):
+        """An impossible event is never picked, so it must not make the
+        world batch refuse the whole estimate (independent fast path)."""
+        skeleton = LabeledGraph(name="path")
+        for vertex in range(4):
+            skeleton.add_vertex(vertex, "a")
+        for u, v in ((0, 1), (1, 2), (2, 3)):
+            skeleton.add_edge(u, v, "x")
+        graph = ProbabilisticGraph.from_edge_probabilities(
+            skeleton, {(0, 1): 0.0, (1, 2): 0.5, (2, 3): 0.7}
+        )
+        assert compile_world_model(graph).is_independent
+        events = [{(0, 1)}, {(1, 2)}, {(2, 3)}]
+        assert clause_weights(graph, events)[0] == 0.0
+        exact = exact_union_probability(graph, events)
+        assert exact == pytest.approx(0.85)
+        estimate = estimate_union_probability_batch(graph, events, num_samples=4000, rng=5)
+        assert estimate == pytest.approx(exact, abs=0.03)
+
+    def test_zero_weight_event_beside_positive_ones_general_path(self):
+        # e1 never exists, e2 == e3: not a product table
+        graph = star_graph([((1, 2, 3), [0.4, 0.0, 0.0, 0.6, 0.0, 0.0, 0.0, 0.0])])
+        assert not compile_world_model(graph).is_independent
+        events = [{(0, 1)}, {(0, 2)}]
+        assert clause_weights(graph, events) == [0.0, pytest.approx(0.6)]
+        estimate = estimate_union_probability_batch(graph, events, num_samples=500, rng=5)
+        assert estimate == pytest.approx(0.6)
 
     def test_result_clamped_to_unit_interval(self):
         graph = make_simple_probabilistic_graph(edge_probability=0.95)

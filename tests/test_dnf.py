@@ -10,7 +10,7 @@ from repro.probability import (
     estimate_union_probability_batch,
     exact_union_probability,
 )
-from repro.probability.dnf import canonical_event_key, normalize_events
+from repro.probability.events import canonical_event_key, normalize_events
 
 from tests.conftest import make_simple_probabilistic_graph
 
@@ -136,7 +136,7 @@ class TestExactUnion:
 
         graph = make_simple_probabilistic_graph(edge_probability=1.0)
         monkeypatch.setattr(
-            dnf, "clause_weights", lambda graph, events: [1.0 + 4e-7] * len(events)
+            dnf, "clause_weights", lambda graph, events: [1.0 + 4e-7 for _ in events]
         )
         key = graph.edge_variables()[0]
         assert exact_union_probability(graph, [{key}]) == 1.0
@@ -148,7 +148,7 @@ class TestExactUnion:
 
         graph = make_simple_probabilistic_graph(edge_probability=0.5)
         monkeypatch.setattr(
-            dnf, "clause_weights", lambda graph, events: [1.7] * len(events)
+            dnf, "clause_weights", lambda graph, events: [1.7 for _ in events]
         )
         key = graph.edge_variables()[0]
         with pytest.raises(VerificationError, match="leaves \\[0, 1\\]"):
