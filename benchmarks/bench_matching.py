@@ -11,6 +11,12 @@ profile and runs it under both engines:
 * per query: the Grafil query profile, the pruner's feature-vs-relaxed-query
   containment relations, and the verifier's relaxed-embedding event lists.
 
+Beside the engine comparison it fills the PMI over the same features once
+(generic-join engine only): ``pmi_fill_ms_per_row`` and ``build_worlds_per_s``
+(rows x samples / fill seconds) go into the trajectory point, and the build
+must construct no scalar ``WorldSampler`` — every row's worlds come from one
+batched draw.
+
 Feature mining runs once, untimed — its cost is dominated by canonical-form
 hashing, which is engine-independent and would only dilute the comparison.
 
@@ -45,7 +51,9 @@ from repro.core.relaxation import relax_query
 from repro.core.verification import VerificationConfig, Verifier
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.isomorphism import match_block, using_engine
+from repro.pmi import BoundConfig, ProbabilisticMatrixIndex
 from repro.pmi.features import FeatureMiner, FeatureSelectionConfig
+from repro.probability import WorldSampler
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.timer import Timer
@@ -55,6 +63,7 @@ from benchmarks.conftest import BENCH_SEED, print_table
 DISTANCE_THRESHOLD = 1
 QUERY_SIZE = 5
 SPEEDUP_FLOOR = 3.0
+PMI_SAMPLES = 60  # worlds per PMI row, as in the end-to-end benchmark
 
 FULL = {
     "dataset": PPIDatasetConfig(
@@ -122,6 +131,32 @@ def matching_pass(graphs, skeletons, features, queries, relaxed_sets, verifier, 
     }
 
 
+def pmi_build_profile(graphs, features) -> dict:
+    """Fill every PMI row once and count scalar-sampler constructions."""
+    constructions = 0
+    original = WorldSampler.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal constructions
+        constructions += 1
+        original(self, *args, **kwargs)
+
+    WorldSampler.__init__ = counting
+    try:
+        timer = Timer()
+        with timer:
+            ProbabilisticMatrixIndex(
+                bound_config=BoundConfig(num_samples=PMI_SAMPLES)
+            ).build(graphs, features=features, rng=BENCH_SEED)
+    finally:
+        WorldSampler.__init__ = original
+    return {
+        "pmi_fill_ms_per_row": timer.elapsed / len(graphs) * 1e3,
+        "build_worlds_per_s": len(graphs) * PMI_SAMPLES / max(timer.elapsed, 1e-9),
+        "world_sampler_constructions": constructions,
+    }
+
+
 def run_comparison(profile: dict) -> dict:
     graphs, queries = build_workload(profile)
     skeletons = [graph.skeleton for graph in graphs]
@@ -171,6 +206,7 @@ def run_comparison(profile: dict) -> dict:
         "vf2_pairs_per_second": num_pairs / max(seconds["vf2"], 1e-9),
         "generic_join_pairs_per_second": num_pairs / max(seconds["generic_join"], 1e-9),
         "results_identical": identical,
+        **pmi_build_profile(graphs, features),
     }
 
 
@@ -225,6 +261,9 @@ def main() -> None:
     )
     print(f"speedup: {report['speedup']:.2f}x  "
           f"(results byte-identical: {report['results_identical']})")
+    print(f"PMI fill: {report['pmi_fill_ms_per_row']:.2f} ms/row, "
+          f"{report['build_worlds_per_s']:.0f} worlds/s "
+          f"({report['world_sampler_constructions']} scalar sampler constructions)")
 
     point = {
         "bench": "matching",
@@ -239,6 +278,11 @@ def main() -> None:
     assert report["results_identical"], (
         "generic-join and VF2 produced different counts/profiles/containment/"
         "events; the engines are not equivalent on this workload"
+    )
+    assert report["world_sampler_constructions"] == 0, (
+        "the PMI build constructed the scalar WorldSampler "
+        f"{report['world_sampler_constructions']} times; rows must draw one "
+        "batched world matrix each"
     )
     if not args.smoke:
         assert report["speedup"] >= SPEEDUP_FLOOR, (

@@ -280,10 +280,25 @@ class _ShardStore:
     def live_positions(self) -> np.ndarray:
         return np.flatnonzero(~self.tombstone)
 
-    def append(self, graph: ProbabilisticGraph, external_id: int, root: int) -> int:
-        """Index one new graph into the delta segment; returns its storage row."""
-        self.delta_pmi.append([graph], [external_id], rng=root)
-        self.delta_structural.append([graph.skeleton])
+    def install(
+        self,
+        graph: ProbabilisticGraph,
+        external_id: int,
+        pmi_row: ProbabilisticMatrixIndex,
+        structural_row: StructuralFeatureIndex,
+    ) -> int:
+        """Append one graph's already computed one-row segments to the delta;
+        returns its storage row.  Pure row movement: nothing here can refuse
+        the graph, so it is safe to run after the mutation has been logged."""
+        self.delta_pmi = ProbabilisticMatrixIndex.concat_rows([self.delta_pmi, pmi_row])
+        self.delta_structural = StructuralFeatureIndex.from_counts(
+            self.delta_structural.features,
+            np.vstack(
+                [self.delta_structural.counts_matrix(), structural_row.counts_matrix()]
+            ),
+            embedding_limit=self.delta_structural.embedding_limit,
+            copy=False,  # the stacked matrix is already a fresh int32 buffer
+        )
         self.graphs.append(graph)
         self.external_ids = np.append(self.external_ids, np.int64(external_id))
         self.tombstone = np.append(self.tombstone, False)
@@ -897,7 +912,10 @@ class GraphCatalog:
         defaults to the next unused id; passing an id that is currently live
         raises :class:`CatalogError` (use :meth:`update_graph`), while
         re-using the id of a *removed* graph is allowed and gives the new
-        graph that identity.
+        graph that identity.  The rows are computed before the mutation is
+        logged and installed after, so a graph the index refuses (a typed
+        :class:`ConfigurationError`) leaves neither a WAL record nor any
+        in-memory change behind.
         """
         if external_id is None:
             external_id = self._next_external_id
@@ -915,21 +933,50 @@ class GraphCatalog:
                 f"external id {external_id} is live; remove it first or use "
                 "update_graph()"
             )
+        rows = self._index_rows(graph, external_id)
+        self._log_graph_record("add", external_id, graph)
+        self._install(graph, external_id, rows)
+        return external_id
+
+    def _index_rows(
+        self, graph: ProbabilisticGraph, external_id: int
+    ) -> tuple[ProbabilisticMatrixIndex, StructuralFeatureIndex]:
+        """The graph's PMI and structural rows as one-row segments.
+
+        Everything that can refuse a graph happens here, *before* its record
+        reaches the write-ahead log: a record the index cannot apply would
+        otherwise fail every later :meth:`open` at the same place.  The rows
+        depend only on (build root, external id, graph), not on the shard
+        that will own them.
+        """
+        pmi_row = ProbabilisticMatrixIndex(
+            feature_config=self._feature_config, bound_config=self._bound_config
+        ).build([graph], features=self.features, rng=self._root, graph_ids=[external_id])
+        structural_row = StructuralFeatureIndex(
+            embedding_limit=self._feature_config.embedding_limit
+        ).build([graph.skeleton], self.features)
+        return pmi_row, structural_row
+
+    def _log_graph_record(
+        self, op: str, external_id: int, graph: ProbabilisticGraph
+    ) -> None:
         if self._wal_active():
             self._durability.wal.append(
                 {
-                    "op": "add",
+                    "op": op,
                     "external_id": int(external_id),
                     "graph": probabilistic_graph_to_dict(graph),
                 }
             )
+
+    def _install(self, graph: ProbabilisticGraph, external_id: int, rows) -> None:
+        """Hand computed rows to the shard with the fewest live graphs."""
         store_index = route_to_smallest(self.shard_live_counts())
-        position = self._stores[store_index].append(graph, external_id, self._root)
+        position = self._stores[store_index].install(graph, external_id, *rows)
         self._live[external_id] = (store_index, position)
         self._next_external_id = max(self._next_external_id, external_id + 1)
         self._mutation_generation += 1
         self._invalidate()
-        return external_id
 
     def remove_graph(self, external_id: int) -> None:
         """Tombstone the live row of ``external_id`` (storage reclaimed by
@@ -953,19 +1000,13 @@ class GraphCatalog:
         update answers exactly as if the graph had always been this version.
         """
         self._locate(external_id)  # raises if not live
-        if self._wal_active():
-            # one atomic record: a torn tail can drop the whole update but
-            # never leave the remove applied without the add
-            self._durability.wal.append(
-                {
-                    "op": "update",
-                    "external_id": int(external_id),
-                    "graph": probabilistic_graph_to_dict(graph),
-                }
-            )
+        rows = self._index_rows(graph, external_id)
+        # one atomic record: a torn tail can drop the whole update but never
+        # leave the remove applied without the add
+        self._log_graph_record("update", external_id, graph)
         with self._wal_suppression():
             self.remove_graph(external_id)
-            self.add_graph(graph, external_id=external_id)
+        self._install(graph, external_id, rows)
 
     def compact(self) -> "GraphCatalog":
         """Fold delta rows and reclaim tombstones into fresh base matrices.

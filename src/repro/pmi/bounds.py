@@ -13,9 +13,14 @@ of the paper derives:
 
 Both "tightest" variants pick their disjoint sets by solving a maximum-weight
 clique problem (:mod:`repro.pmi.embedding_graph`, :mod:`repro.pmi.cuts`).
-The conditional probabilities are estimated with the paper's Algorithm 3
-(shared-batch Monte Carlo) or computed exactly by possible-world enumeration
-for small graphs (used in tests and the exact baseline).
+The probabilities are measured over one shared world collection
+(:class:`~repro.probability.world_batch.WorldBatch`): Algorithm 3's
+Monte-Carlo batch, drawn array-at-a-time by the batch kernel, or every
+possible world with its weight for small graphs (tests and the exact
+baseline).  Either way it is an ``S x E`` presence matrix plus a weight
+vector, embeddings and cuts are boolean requirement matrices over the same
+columns, and every probability is a boolean matrix product and a weighted
+column sum — one arithmetic path for both methods.
 
 The product forms above are exact only under the conditional-independence
 argument the paper makes for its correlation model; under arbitrary
@@ -37,25 +42,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.possible_worlds import enumerate_possible_worlds
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.embeddings import Embedding, find_embeddings
-from repro.pmi.cuts import (
-    Cut,
-    best_disjoint_cuts,
-    cuts_are_disjoint,
-    enumerate_embedding_cuts,
-)
+from repro.pmi.cuts import best_disjoint_cuts, enumerate_embedding_cuts
 from repro.pmi.embedding_graph import best_disjoint_embeddings
-from repro.probability.sampling import WorldSampler, monte_carlo_sample_size
-from repro.utils.rng import RandomLike, ensure_rng
+from repro.probability.batch_kernel import compile_events
+from repro.probability.sampling import check_sample_count, monte_carlo_sample_size
+from repro.probability.world_batch import (
+    WorldBatch,
+    enumerate_world_batch,
+    sample_world_batch,
+)
+from repro.utils.rng import RandomLike
+
+BOUND_METHODS = ("sampling", "exact")
+MAX_EXACT_BOUND_EDGES = 20
 
 
 @dataclass(frozen=True)
 class BoundConfig:
-    """Tuning knobs for SIP bound computation.
+    """Tuning knobs for SIP bound computation, validated at construction.
 
     Attributes
     ----------
@@ -64,10 +75,10 @@ class BoundConfig:
     max_cuts, max_cut_size:
         Caps for minimal embedding-cut enumeration.
     num_samples:
-        Monte-Carlo sample count for Algorithm 3; ``None`` uses the paper's
-        ``(4 ln(2/ξ)) / τ²`` rule with ``xi``/``tau``.
+        Monte-Carlo sample count for Algorithm 3 (an integer >= 1); ``None``
+        uses the paper's ``(4 ln(2/ξ)) / τ²`` rule with ``xi``/``tau``.
     xi, tau:
-        Monte-Carlo confidence/accuracy parameters.
+        Monte-Carlo confidence/accuracy parameters, each in (0, 1].
     method:
         ``"sampling"`` (Algorithm 3) or ``"exact"`` (possible-world
         enumeration, small graphs only).
@@ -85,6 +96,18 @@ class BoundConfig:
     tau: float = 0.1
     method: str = "sampling"
     optimize: bool = True
+
+    def __post_init__(self) -> None:
+        check_sample_count(self.num_samples)
+        if self.method not in BOUND_METHODS:
+            raise ConfigurationError(
+                f"unknown bound method {self.method!r}; expected one of {BOUND_METHODS}"
+            )
+        if not (0.0 < self.xi <= 1.0 and 0.0 < self.tau <= 1.0):
+            raise ConfigurationError(
+                f"xi and tau must be in (0, 1], got {self.xi!r} and {self.tau!r}"
+            )
+        self.resolved_sample_count()  # the cycling-number rule checks itself
 
     def resolved_sample_count(self) -> int:
         if self.num_samples is not None:
@@ -111,47 +134,64 @@ class SipBounds:
         return (self.lower, self.upper)
 
 
+def draw_worlds(
+    graph: ProbabilisticGraph, config: BoundConfig, rng: RandomLike = None
+) -> WorldBatch:
+    """The graph's shared world collection under ``config.method``:
+    Algorithm 3's Monte-Carlo batch drawn from ``rng``, or every possible
+    world with its weight (consumes no randomness)."""
+    if config.method == "exact":
+        return enumerate_world_batch(graph, max_edges=MAX_EXACT_BOUND_EDGES)
+    return sample_world_batch(graph, config.resolved_sample_count(), rng)
+
+
 def compute_sip_bounds(
     feature: LabeledGraph,
     graph: ProbabilisticGraph,
     config: BoundConfig | None = None,
     rng: RandomLike = None,
     embeddings: list[Embedding] | None = None,
+    worlds: WorldBatch | None = None,
 ) -> SipBounds:
     """Compute ``(LowerB(f), UpperB(f))`` for feature ``f`` against ``g``.
 
-    ``embeddings`` optionally short-circuits enumeration with a precomputed
-    list (must be the canonical-order output of :func:`find_embeddings` for
-    this pair); block callers use it to batch the matching work per feature.
+    ``worlds`` is the graph's shared world collection (:func:`draw_worlds`);
+    a PMI row draws it once and passes it to every feature, which makes a
+    cell a pure function of (world batch, graph, feature) — independent of
+    which other features share the row.  Without it the call draws its own
+    batch from ``rng``.  ``embeddings`` optionally short-circuits enumeration
+    with a precomputed list (must be the canonical-order output of
+    :func:`find_embeddings` for this pair).
     """
     cfg = config or BoundConfig()
-    generator = ensure_rng(rng)
     if embeddings is None:
         embeddings = find_embeddings(feature, graph.skeleton, limit=cfg.embedding_limit)
     if not embeddings:
         return SipBounds(lower=0.0, upper=0.0, num_embeddings=0, num_cuts=0)
-
     cuts = enumerate_embedding_cuts(
         embeddings, max_cuts=cfg.max_cuts, max_cut_size=cfg.max_cut_size
     )
-
-    weighted_worlds = _weighted_worlds(graph, cfg, generator)
-    embedding_probs, cut_probs = _conditional_probabilities(
-        weighted_worlds, embeddings, cuts
-    )
-
+    if worlds is None:
+        worlds = draw_worlds(graph, cfg, rng)
+    # an embedding occurs where all its edges are present, a cut where all
+    # its edges are absent (it "materializes")
+    embedding_edges, present = _occurrences(worlds, [e.edges for e in embeddings], True)
+    cut_edges, materialized = _occurrences(worlds, cuts, False)
     if cfg.optimize:
-        chosen_embeddings, _ = best_disjoint_embeddings(embeddings, embedding_probs)
-        chosen_cuts, _ = best_disjoint_cuts(cuts, cut_probs)
+        chosen_embeddings, _ = best_disjoint_embeddings(
+            embeddings, _conditional_probabilities(present, embedding_edges, worlds.weights)
+        )
+        chosen_cuts, _ = best_disjoint_cuts(
+            cuts, _conditional_probabilities(materialized, cut_edges, worlds.weights)
+        )
     else:
-        # plain SIPBound: a single arbitrary embedding / cut
-        chosen_embeddings = _first_fit_disjoint_embeddings(embeddings)
-        chosen_cuts = _first_fit_disjoint_cuts(cuts)
-
+        # plain SIPBound: the first embedding / cut only, deliberately looser
+        # than the maximum-weight-clique choice
+        chosen_embeddings = [0]
+        chosen_cuts = [0] if cuts else []
     lower, upper = _witness_event_probabilities(
-        weighted_worlds, embeddings, chosen_embeddings, cuts, chosen_cuts
+        present[:, chosen_embeddings], materialized[:, chosen_cuts], worlds.weights
     )
-
     lower = min(1.0, max(0.0, lower))
     upper = min(1.0, max(lower, upper))  # keep the interval consistent
     return SipBounds(
@@ -165,97 +205,52 @@ def compute_sip_bounds(
 
 
 # ----------------------------------------------------------------------
-# world collection and conditional probability estimation
+# event occurrence, conditional and witness-event probabilities
 # ----------------------------------------------------------------------
-MAX_EXACT_BOUND_EDGES = 20
-
-
-def _weighted_worlds(
-    graph: ProbabilisticGraph, cfg: BoundConfig, rng
-) -> list[tuple[frozenset, float]]:
-    """The shared world collection: ``(present edges, weight)`` pairs.
-
-    ``"exact"`` enumerates every possible world with its probability;
-    ``"sampling"`` draws Algorithm 3's shared Monte-Carlo batch with unit
-    weights.  Both the conditional estimates and the final witness-event
-    probabilities are measured over this single collection.
-    """
-    if cfg.method == "exact":
-        if graph.num_edges > MAX_EXACT_BOUND_EDGES:
-            raise VerificationError(
-                f"exact bound computation limited to {MAX_EXACT_BOUND_EDGES} "
-                f"uncertain edges; graph has {graph.num_edges}"
-            )
-        return [(w.present_edges(), w.probability) for w in enumerate_possible_worlds(graph)]
-    if cfg.method == "sampling":
-        sampler = WorldSampler(graph, rng=rng)
-        num_samples = cfg.resolved_sample_count()
-        return [(sampler.sample_present_edges(), 1.0) for _ in range(num_samples)]
-    raise ConfigurationError(f"unknown bound method {cfg.method!r}")
+def _occurrences(
+    worlds: WorldBatch, events, edge_state: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-set events as an ``(n, E)`` requirement matrix, and the ``(S, n)``
+    matrix of the worlds in which each occurs — those where every one of its
+    edges has ``edge_state`` (one boolean matrix product: an event fails
+    where some edge it requires is in the contrary state)."""
+    required = compile_events(worlds.model, events)
+    contrary = ~worlds.presence if edge_state else worlds.presence
+    return required, ~(contrary @ required.T)
 
 
 def _conditional_probabilities(
-    weighted_worlds: list[tuple[frozenset, float]],
-    embeddings: list[Embedding],
-    cuts: list[Cut],
-) -> tuple[list[float], list[float]]:
-    """``Pr(Bfi | COR)`` and ``Pr(Bci | COM)`` over the world collection."""
-    overlapping = _overlapping_embeddings(embeddings)
-    embedding_probs: list[float] = []
-    for index, embedding in enumerate(embeddings):
-        others = overlapping[index]
-        joint = 0.0
-        conditioning = 0.0
-        for present, weight in weighted_worlds:
-            if all(not (embeddings[j].edges <= present) for j in others):
-                conditioning += weight
-                if embedding.edges <= present:
-                    joint += weight
-        embedding_probs.append(joint / conditioning if conditioning > 0 else 0.0)
+    occurs: np.ndarray, required: np.ndarray, weights: np.ndarray
+) -> list[float]:
+    """``Pr(event i | no event sharing an edge with i occurs)``, per event.
 
-    overlapping_cuts = _overlapping_cuts(cuts)
-    cut_probs: list[float] = []
-    for index, cut in enumerate(cuts):
-        others = overlapping_cuts[index]
-        joint = 0.0
-        conditioning = 0.0
-        for present, weight in weighted_worlds:
-            # a cut "materializes" when every one of its edges is absent
-            if all(cuts[j] & present for j in others):
-                conditioning += weight
-                if not (cut & present):
-                    joint += weight
-        cut_probs.append(joint / conditioning if conditioning > 0 else 0.0)
-    return embedding_probs, cut_probs
+    For embeddings that is ``Pr(Bfi | COR)``; for cuts ``Pr(Bci | COM)``
+    (every overlapping cut keeps an edge).  Zero conditioning mass yields 0.
+    """
+    overlapping = required @ required.T
+    np.fill_diagonal(overlapping, False)
+    unopposed = ~(occurs @ overlapping)
+    conditioning = (weights @ unopposed).tolist()
+    joint = (weights @ (unopposed & occurs)).tolist()
+    return [j / c if c > 0 else 0.0 for j, c in zip(joint, conditioning)]
 
 
 def _witness_event_probabilities(
-    weighted_worlds: list[tuple[frozenset, float]],
-    embeddings: list[Embedding],
-    chosen_embeddings: list[int],
-    cuts: list[Cut],
-    chosen_cuts: list[int],
+    chosen_present: np.ndarray, chosen_materialized: np.ndarray, weights: np.ndarray
 ) -> tuple[float, float]:
     """Measured probabilities of the two witness events over the worlds.
 
     The lower bound is the probability that at least one chosen embedding is
-    fully present; the upper bound is the probability that every chosen cut
-    keeps at least one edge present (no cut materializes).  With no cuts the
-    upper bound degenerates to 1.0.
+    fully present; the upper bound is the probability that no chosen cut
+    materializes.  With no cuts the upper bound degenerates to 1.0.
     """
-    total = sum(weight for _, weight in weighted_worlds)
+    total = float(weights.sum())
     if total <= 0.0:
         return 0.0, 1.0
-    lower_mass = 0.0
-    upper_mass = 0.0
-    for present, weight in weighted_worlds:
-        if any(embeddings[i].edges <= present for i in chosen_embeddings):
-            lower_mass += weight
-        if chosen_cuts and all(cuts[i] & present for i in chosen_cuts):
-            upper_mass += weight
-    lower = lower_mass / total
-    upper = upper_mass / total if chosen_cuts else 1.0
-    return lower, upper
+    lower = float(weights @ chosen_present.any(axis=1)) / total
+    if chosen_materialized.shape[1] == 0:
+        return lower, 1.0
+    return lower, float(weights @ ~chosen_materialized.any(axis=1)) / total
 
 
 def exact_sip(graph: ProbabilisticGraph, feature: LabeledGraph, max_edges: int = 20) -> float:
@@ -273,37 +268,3 @@ def exact_sip(graph: ProbabilisticGraph, feature: LabeledGraph, max_edges: int =
         if any(embedding.edges <= present for embedding in embeddings):
             total += world.probability
     return total
-
-
-# ----------------------------------------------------------------------
-# helpers
-# ----------------------------------------------------------------------
-def _overlapping_embeddings(embeddings: list[Embedding]) -> list[list[int]]:
-    """For each embedding, the indices of embeddings sharing an edge with it."""
-    result: list[list[int]] = []
-    for i, embedding in enumerate(embeddings):
-        result.append(
-            [j for j, other in enumerate(embeddings) if j != i and embedding.overlaps(other)]
-        )
-    return result
-
-
-def _overlapping_cuts(cuts: list[Cut]) -> list[list[int]]:
-    """For each cut, the indices of cuts sharing an edge with it."""
-    result: list[list[int]] = []
-    for i, cut in enumerate(cuts):
-        result.append(
-            [j for j, other in enumerate(cuts) if j != i and not cuts_are_disjoint(cut, other)]
-        )
-    return result
-
-
-def _first_fit_disjoint_embeddings(embeddings: list[Embedding]) -> list[int]:
-    """Non-optimized selection (plain SIPBound): keep only the first embedding,
-    which is deliberately looser than the maximum-weight-clique choice."""
-    return [0] if embeddings else []
-
-
-def _first_fit_disjoint_cuts(cuts: list[Cut]) -> list[int]:
-    """Non-optimized cut selection (plain SIPBound): first cut only."""
-    return [0] if cuts else []

@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import IndexError_
+from repro.exceptions import ConfigurationError, IndexError_
 from repro.graphs.io import labeled_graph_from_dict, labeled_graph_to_dict
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
-from repro.pmi.bounds import BoundConfig, SipBounds, compute_sip_bounds
+from repro.pmi.bounds import BoundConfig, SipBounds, compute_sip_bounds, draw_worlds
 from repro.pmi.features import Feature, FeatureMiner, FeatureSelectionConfig
 from repro.utils.atomic_io import atomic_write_text, atomic_writer
 from repro.utils.rng import BUILD_STREAM, RandomLike, derive_rng, rng_root
@@ -163,11 +163,21 @@ class ProbabilisticMatrixIndex:
         return self
 
     def _fill_row(self, row: int, graph: ProbabilisticGraph, root: int, stable_id: int) -> None:
-        """Compute one graph's cells with its private BUILD_STREAM generator."""
-        graph_rng = derive_rng(root, BUILD_STREAM, stable_id)
+        """Compute one graph's cells over one world batch, drawn from the
+        graph's private BUILD_STREAM generator and shared by every feature —
+        so a cell depends on (root, stable id, graph, feature) and on nothing
+        else, not even on which other features the row holds."""
+        try:
+            worlds = draw_worlds(
+                graph, self.bound_config, derive_rng(root, BUILD_STREAM, stable_id)
+            )
+        except ConfigurationError as error:
+            raise ConfigurationError(
+                f"graph {stable_id} cannot be indexed: {error}"
+            ) from error
         for column, feature in enumerate(self.features):
             bounds = compute_sip_bounds(
-                feature.graph, graph, config=self.bound_config, rng=graph_rng
+                feature.graph, graph, config=self.bound_config, worlds=worlds
             )
             if not bounds.is_empty():
                 self._store_cell(row, column, feature.feature_id, bounds)
@@ -197,37 +207,27 @@ class ProbabilisticMatrixIndex:
     ) -> "ProbabilisticMatrixIndex":
         """Append one row per graph, keeping the existing feature columns.
 
-        ``graph_ids[k]`` is the stable id of appended graph ``k``; its cells
-        are computed with ``derive_rng(rng, BUILD_STREAM, graph_ids[k])`` —
-        the exact generator :meth:`build` would use for that id — so an
-        append under the same root as the base build yields rows
-        byte-identical to a from-scratch build over the grown database.
-        Existing rows are never touched (append-only).
+        ``graph_ids[k]`` is the stable id of appended graph ``k``; its row is
+        the row :meth:`build` computes for that id (it *is* a build over the
+        new graphs with this index's features), so an append under the same
+        root as the base build yields rows byte-identical to a from-scratch
+        build over the grown database.  Existing rows are never touched
+        (append-only).
         """
         self._require_built()
-        stable_ids = [int(gid) for gid in graph_ids]
-        if len(stable_ids) != len(graphs):
-            raise IndexError_(
-                f"graph_ids has {len(stable_ids)} entries for {len(graphs)} graphs"
-            )
-        root = rng_root(rng)
-        old_rows = self._present.shape[0]
-        grow = len(graphs)
-        num_features = len(self.features)
-        self._lower = np.vstack([self._lower, np.zeros((grow, num_features))])
-        self._upper = np.vstack([self._upper, np.zeros((grow, num_features))])
-        self._present = np.vstack(
-            [self._present, np.zeros((grow, num_features), dtype=bool)]
+        # the new rows are built aside and stacked on afterwards, so a graph
+        # the index refuses leaves this index exactly as it was
+        tail = ProbabilisticMatrixIndex(self.feature_config, self.bound_config).build(
+            graphs, features=self.features, rng=rng, graph_ids=graph_ids
         )
-        self._num_embeddings = np.vstack(
-            [self._num_embeddings, np.zeros((grow, num_features), dtype=np.int32)]
-        )
-        self._num_cuts = np.vstack(
-            [self._num_cuts, np.zeros((grow, num_features), dtype=np.int32)]
-        )
-        for offset, graph in enumerate(graphs):
-            self._fill_row(old_rows + offset, graph, root, stable_ids[offset])
-        self.database_size = self._present.shape[0]
+        merged = self.concat_rows([self, tail])
+        self._lower = merged._lower
+        self._upper = merged._upper
+        self._present = merged._present
+        self._num_embeddings = merged._num_embeddings
+        self._num_cuts = merged._num_cuts
+        self._chosen = merged._chosen
+        self.database_size = merged.database_size
         return self
 
     @classmethod

@@ -59,8 +59,7 @@ class StructuralFeatureIndex:
         ``copy=False`` adopts the matrix as-is — the shared-memory attach
         path, where ``counts`` is a read-only ``int32`` view into a shard
         arena and copying it would defeat the zero-copy plane.  The caller
-        then guarantees the buffer outlives the index; :meth:`append` stays
-        safe either way because it replaces the matrix via ``vstack``.
+        then guarantees the buffer outlives the index.
         """
         if counts.shape[1] != len(features):
             raise ConfigurationError(
@@ -93,19 +92,6 @@ class StructuralFeatureIndex:
         }
         self._counts = self._count_matrix(skeletons)
         self._built = True
-        return self
-
-    def append(self, skeletons: list[LabeledGraph]) -> "StructuralFeatureIndex":
-        """Append one count row per skeleton, keeping the feature columns.
-
-        Counting is deterministic (no RNG), so an appended row always equals
-        the row a from-scratch :meth:`build` over the grown database would
-        produce.  This is the delta-segment growth path of the mutable
-        catalog; existing rows are never touched.
-        """
-        if not self._built:
-            raise StateError("the structural feature index must be built first")
-        self._counts = np.vstack([self._counts, self._count_matrix(skeletons)])
         return self
 
     def _count_matrix(self, skeletons: list[LabeledGraph]) -> np.ndarray:

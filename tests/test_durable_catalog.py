@@ -17,8 +17,9 @@ from repro.core import GraphCatalog, ProbabilisticGraphDatabase
 from repro.core.catalog import CURRENT_FILENAME
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.datasets import extract_query
-from repro.exceptions import CatalogError
+from repro.exceptions import CatalogError, ConfigurationError
 from repro.pmi import ProbabilisticMatrixIndex
+from repro.probability import WorldSampler
 from repro.structural.feature_index import StructuralFeatureIndex
 from tests.test_catalog_parity import (
     BOUND_CONFIG,
@@ -32,6 +33,7 @@ from tests.test_catalog_parity import (
     random_database,
     rebuild_from_scratch,
 )
+from tests.test_pmi_index import wide_factor_graph
 
 SEED = 20120901
 
@@ -346,4 +348,70 @@ class TestGenerations:
             handle.write(b'deadbeef {"op":"remove","external_')
         recovered = GraphCatalog.open(tmp_path / "catalog")
         assert recovered.num_live == len(graphs) + 1  # the torn remove is gone
+        recovered.close()
+
+
+class TestRefusedMutations:
+    """A graph the index refuses must fail *before* its record is logged:
+    a logged record that cannot be applied would fail every later open()."""
+
+    def snapshot_of(self, catalog):
+        return (
+            catalog.live_external_ids(),
+            catalog.mutation_generation,
+            catalog.delta_rows,
+            catalog.tombstone_count,
+            catalog.wal_records,
+        )
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_refused_add_and_update_leave_no_trace(self, tmp_path, num_shards):
+        catalog, graphs = durable_catalog(tmp_path, num_shards=num_shards)
+        catalog.add_graph(random_database(SEED + 1, num_graphs=1).graphs[0])
+        query = extract_query(graphs[0].skeleton, 3, rng=SEED)
+        wal_path = tmp_path / "catalog" / wal_filename(0)
+
+        def answers(target):
+            return answer_tuples(
+                target.query(
+                    query,
+                    PROBABILITY_THRESHOLD,
+                    DISTANCE_THRESHOLD,
+                    config=SEARCH_CONFIG,
+                    rng=SEED,
+                )
+            )
+
+        before = self.snapshot_of(catalog), wal_path.stat().st_size, answers(catalog)
+        with pytest.raises(ConfigurationError, match=r"graph 50 .*33 edges"):
+            catalog.add_graph(wide_factor_graph(33), external_id=50)
+        with pytest.raises(ConfigurationError, match=r"graph 2 .*33 edges"):
+            catalog.update_graph(2, wide_factor_graph(33))
+        assert (self.snapshot_of(catalog), wal_path.stat().st_size, answers(catalog)) == before
+        assert catalog.get_graph(2) is graphs[2]  # the update removed nothing
+        catalog.close()
+
+        recovered = GraphCatalog.open(tmp_path / "catalog")
+        assert recovered.live_external_ids() == before[0][0]
+        assert recovered.wal_records == before[0][4]
+        assert answers(recovered) == before[2]
+        # the refused id was never burnt, and the log still takes records
+        assert recovered.add_graph(graphs[0]) == len(graphs) + 1
+        recovered.close()
+
+    def test_mutation_and_replay_never_construct_a_world_sampler(
+        self, tmp_path, monkeypatch
+    ):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the scalar WorldSampler was constructed by the catalog")
+
+        monkeypatch.setattr(WorldSampler, "__init__", refuse)
+        catalog, graphs = durable_catalog(tmp_path)
+        pool = random_database(SEED + 1000, num_graphs=2).graphs
+        added = catalog.add_graph(pool[0])
+        catalog.update_graph(1, pool[1])
+        catalog.close()
+        recovered = GraphCatalog.open(tmp_path / "catalog")  # replays both records
+        assert recovered.delta_rows == 2
+        assert sorted(recovered.live_external_ids()) == [*range(len(graphs)), added]
         recovered.close()

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import IndexError_
+from repro.exceptions import ConfigurationError, IndexError_
+from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph
 from repro.isomorphism import is_subgraph_isomorphic
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
+from repro.probability import JointProbabilityTable, WorldSampler
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,100 @@ class TestBuild:
     def test_repr(self, built_index):
         index, _ = built_index
         assert "built" in repr(index)
+
+
+def wide_factor_graph(width: int = 33) -> ProbabilisticGraph:
+    """A star whose one sparse JPT spans ``width`` edges — more slots than a
+    batch-sampler conditioning pattern can code."""
+    skeleton = LabeledGraph(name="wide")
+    skeleton.add_vertex(0, "hub")
+    for leaf in range(1, width + 1):
+        skeleton.add_vertex(leaf, "leaf")
+        skeleton.add_edge(0, leaf, "e")
+    edges = tuple((0, leaf) for leaf in range(1, width + 1))
+    table = {(0,) * width: 0.4, (1,) * width: 0.6}
+    factor = NeighborEdgeFactor(edges, JointProbabilityTable(edges, table))
+    return ProbabilisticGraph(skeleton, [factor], name="wide")
+
+
+class TestCellPurity:
+    """One world batch per row makes a cell a function of (root, stable id,
+    graph, feature) alone."""
+
+    def cells(self, index, num_graphs):
+        return {
+            (graph_id, feature.canonical): index.bounds(graph_id, feature.feature_id)
+            for graph_id in range(num_graphs)
+            for feature in index.features
+        }
+
+    @pytest.mark.parametrize(
+        "reorder",
+        [lambda f: f[::-1], lambda f: f[::2], lambda f: f[3:4], lambda f: f[5:] + f[:5]],
+        ids=["reversed", "every-other", "single", "rotated"],
+    )
+    def test_cells_ignore_which_features_share_the_row(self, built_index, reorder):
+        index, database = built_index
+        expected = self.cells(index, len(database.graphs))
+        features = reorder(index.features)
+        other = ProbabilisticMatrixIndex(bound_config=index.bound_config).build(
+            database.graphs, features=features, rng=5
+        )
+        assert other.num_features == len(features) > 0
+        for key, bounds in self.cells(other, len(database.graphs)).items():
+            assert bounds == expected[key], key  # bit-equal, chosen sets included
+
+    def test_cells_follow_the_stable_id_not_the_row(self, built_index):
+        index, database = built_index
+        moved = ProbabilisticMatrixIndex(bound_config=index.bound_config).build(
+            database.graphs[::-1],
+            features=index.features,
+            rng=5,
+            graph_ids=range(len(database.graphs) - 1, -1, -1),
+        )
+        last = len(database.graphs) - 1
+        for graph_id in range(len(database.graphs)):
+            assert moved.bounds_for_graph(last - graph_id) == index.bounds_for_graph(graph_id)
+
+
+class TestScalarSamplerIsOutOfTheBuild:
+    def test_build_and_append_never_construct_a_world_sampler(
+        self, small_ppi_database, monkeypatch
+    ):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the scalar WorldSampler was constructed by an index build")
+
+        monkeypatch.setattr(WorldSampler, "__init__", refuse)
+        graphs = small_ppi_database.graphs
+        index = ProbabilisticMatrixIndex(
+            feature_config=FeatureSelectionConfig(max_vertices=3, max_features=8),
+            bound_config=BoundConfig(num_samples=30),
+        ).build(graphs[:6], rng=5, graph_ids=range(6))
+        index.append(graphs[6:], graph_ids=range(6, len(graphs)), rng=5)
+        assert index.num_graphs == len(graphs)
+        assert index.entries()
+
+
+class TestRefusedGraphs:
+    """A factor wider than the batch sampler's pattern code is a typed error
+    naming the graph and the width — and leaves the index as it was."""
+
+    def test_build_names_graph_id_and_factor_width(self, built_index):
+        index, database = built_index
+        graphs = [*database.graphs[:2], wide_factor_graph(33)]
+        with pytest.raises(ConfigurationError, match=r"graph 41 .*33 edges"):
+            ProbabilisticMatrixIndex(bound_config=BoundConfig(num_samples=10)).build(
+                graphs, features=index.features, rng=5, graph_ids=[40, 7, 41]
+            )
+
+    def test_failed_append_leaves_the_index_untouched(self, built_index):
+        index, database = built_index
+        grown = index.subset(range(index.num_graphs))
+        before = grown.entries()
+        with pytest.raises(ConfigurationError, match=r"graph 9 .*33 edges"):
+            grown.append([database.graphs[0], wide_factor_graph(33)], [8, 9], rng=5)
+        assert grown.num_graphs == index.num_graphs
+        assert grown.entries() == before
 
 
 class TestRowViews:

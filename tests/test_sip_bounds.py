@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import VerificationError
+from repro.exceptions import ConfigurationError, VerificationError
 from repro.graphs import LabeledGraph
 from repro.pmi import BoundConfig, compute_sip_bounds
 from repro.pmi.bounds import exact_sip
@@ -105,10 +105,39 @@ class TestSamplingMethod:
         assert sampled_bounds.lower == pytest.approx(exact_bounds.lower, abs=0.08)
         assert sampled_bounds.upper == pytest.approx(exact_bounds.upper, abs=0.08)
 
+    def test_standalone_call_draws_its_own_batch_from_rng(self):
+        graph = make_simple_probabilistic_graph(edge_probability=0.5, correlation="max")
+        config = BoundConfig(num_samples=50)
+        first = compute_sip_bounds(single_edge_feature(), graph, config, rng=4)
+        assert first == compute_sip_bounds(single_edge_feature(), graph, config, rng=4)
+        assert first != compute_sip_bounds(single_edge_feature(), graph, config, rng=5)
+
+
+class TestBoundConfigValidation:
+    """A bad knob fails where it is written down, not at the first non-empty
+    cell of a build (``num_samples=0`` used to yield ``[0, 1]`` cells)."""
+
+    @pytest.mark.parametrize("num_samples", [0, -3, True, 2.5, "60"])
+    def test_sample_count_must_be_a_positive_integer(self, num_samples):
+        with pytest.raises(ConfigurationError, match="num_samples"):
+            BoundConfig(num_samples=num_samples)
+
     def test_unknown_method_rejected(self):
-        graph = make_simple_probabilistic_graph()
-        with pytest.raises(ValueError):
-            compute_sip_bounds(single_edge_feature(), graph, BoundConfig(method="mystery"))
+        with pytest.raises(ConfigurationError, match="mystery"):
+            BoundConfig(method="mystery")
+        with pytest.raises(ConfigurationError):
+            BoundConfig(method="sampling_scalar")  # a verification method, not a bound one
+
+    @pytest.mark.parametrize("field", ["xi", "tau"])
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5])
+    def test_xi_and_tau_must_be_in_unit_interval(self, field, value):
+        with pytest.raises(ConfigurationError, match="xi and tau"):
+            BoundConfig(**{field: value})
+
+    def test_cycling_number_rule_is_checked_when_it_applies(self):
+        assert BoundConfig(num_samples=10, xi=1.0, tau=1.0).resolved_sample_count() == 10
+        with pytest.raises(ConfigurationError, match="xi"):
+            BoundConfig(num_samples=None, xi=1.0)  # ln(2/xi) needs xi < 1
 
 
 class TestOptVsPlainBounds:
