@@ -17,7 +17,8 @@ experiments.
 
 The feature-vs-relaxed-query containment relations depend only on the query,
 not on the candidate graph, so :meth:`ProbabilisticPruner.prepare` computes
-them once per query (one VF2 pass per feature) and every candidate reuses
+them once per query (one join per feature over the stacked relaxed queries,
+one per relaxed query over the stacked features) and every candidate reuses
 them.  On the hot path the pruner reads SIP intervals straight from the PMI's
 columnar row views (:meth:`compute_bounds_from_row`) and the final
 pruned/accepted decision over a whole candidate set is one vectorized array
@@ -34,8 +35,7 @@ import numpy as np
 from repro.core.quadratic_program import QPSet, solve_lsim_rounding
 from repro.core.set_cover import WeightedSet, greedy_weighted_set_cover
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.isomorphism.generic_join import match_block
-from repro.isomorphism.vf2 import is_subgraph_isomorphic
+from repro.isomorphism.generic_join import GraphBlock, match_block
 from repro.pmi.bounds import SipBounds
 from repro.pmi.features import Feature
 from repro.pmi.index import PMIRow
@@ -96,6 +96,12 @@ class ProbabilisticPruner:
         rng: RandomLike = None,
     ) -> None:
         self.features = {feature.feature_id: feature for feature in features}
+        self._feature_position = {fid: position for position, fid in enumerate(self.features)}
+        self._max_feature_edges = max((f.num_edges for f in features), default=0)
+        # stacked by the first relaxed query small enough to fit inside a
+        # feature (a shard worker, handed its containment relations with the
+        # plan, never needs it), then joined by every later one
+        self._feature_block: GraphBlock | None = None
         self.config = config or PruningConfig()
         self.rng = ensure_rng(rng)
 
@@ -209,36 +215,30 @@ class ProbabilisticPruner:
         relaxed_queries: list[LabeledGraph],
     ) -> dict[int, FeatureContainment]:
         """Relations for the given feature ids (iterated in their order)."""
+        relaxed_block = GraphBlock(relaxed_queries)
+        contained_in = [self._features_containing(relaxed) for relaxed in relaxed_queries]
         relations: dict[int, FeatureContainment] = {}
         for feature_id in feature_ids:
-            feature = self.features.get(feature_id)
-            if feature is None:
+            position = self._feature_position.get(feature_id)
+            if position is None:
                 continue
-            # f ⊆iso rq: one block per feature, the feature's plan is shared
-            # across every relaxed query that passes the edge-count filter
-            sub_indices = [
-                index
-                for index, relaxed in enumerate(relaxed_queries)
-                if feature.graph.num_edges <= relaxed.num_edges
-            ]
-            sub_matches = match_block(
-                feature.graph, [relaxed_queries[i] for i in sub_indices]
-            )
-            sub_of = {
-                index for index, match in zip(sub_indices, sub_matches) if match
-            }
-            # rq ⊆iso f: the relaxed query is the pattern here, so its
-            # compiled plan is shared across all features instead
-            super_of = {
-                index
-                for index, relaxed in enumerate(relaxed_queries)
-                if feature.graph.num_edges >= relaxed.num_edges
-                and is_subgraph_isomorphic(relaxed, feature.graph)
-            }
+            # f ⊆iso rq: the feature is one join over the stacked relaxed queries
+            contains = match_block(self.features[feature_id].graph, relaxed_block)
             relations[feature_id] = FeatureContainment(
-                sub_of=frozenset(sub_of), super_of=frozenset(super_of)
+                sub_of=frozenset(i for i, match in enumerate(contains) if match),
+                super_of=frozenset(
+                    i for i, matches in enumerate(contained_in) if matches[position]
+                ),
             )
         return relations
+
+    def _features_containing(self, relaxed: LabeledGraph) -> list[bool]:
+        """``rq ⊆iso f`` per feature position: one join over the stacked features."""
+        if relaxed.num_edges > self._max_feature_edges:
+            return [False] * len(self.features)
+        if self._feature_block is None:
+            self._feature_block = GraphBlock(f.graph for f in self.features.values())
+        return match_block(relaxed, self._feature_block)
 
     def _bounds_from_intervals(
         self,

@@ -35,6 +35,7 @@ from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.possible_worlds import enumerate_possible_worlds
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.embeddings import find_embeddings, find_embeddings_block
+from repro.isomorphism.generic_join import GraphBlock
 from repro.isomorphism.mcs import is_subgraph_similar
 from repro.probability.batch_kernel import estimate_union_probability_batch
 from repro.probability.dnf import estimate_union_probability, exact_union_probability
@@ -210,12 +211,12 @@ class Verifier:
         """Per-graph event lists for a block, one matching pass per relaxed query.
 
         Produces exactly what :meth:`_embedding_events` would per graph
-        (relaxed-query-major, embeddings in canonical order), but enumerates
-        each relaxed query against the whole block at once so its compiled
-        join plan is shared.
+        (relaxed-query-major, embeddings in canonical order), but stacks the
+        block's skeletons once and runs one join per relaxed query over all
+        of them.
         """
         events_per_graph: list[list[frozenset]] = [[] for _ in graphs]
-        skeletons = [graph.skeleton for graph in graphs]
+        skeletons = GraphBlock(graph.skeleton for graph in graphs)
         for relaxed in relaxed_queries:
             per_target = find_embeddings_block(
                 relaxed, skeletons, limit=self.config.embedding_limit

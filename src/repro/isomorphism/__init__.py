@@ -11,6 +11,7 @@ from repro.isomorphism.vf2 import (
 from repro.isomorphism.generic_join import (
     GenericJoinMatcher,
     GenericJoinOverflow,
+    GraphBlock,
     compile_edge_table,
     compile_join_plan,
     get_default_engine,
@@ -22,6 +23,7 @@ from repro.isomorphism.embeddings import (
     Embedding,
     EmbeddingEnumeration,
     enumerate_embeddings,
+    enumerate_embeddings_block,
     find_embeddings,
     find_embeddings_block,
     count_embeddings,
@@ -40,6 +42,7 @@ __all__ = [
     "find_isomorphism_mapping",
     "GenericJoinMatcher",
     "GenericJoinOverflow",
+    "GraphBlock",
     "compile_edge_table",
     "compile_join_plan",
     "get_default_engine",
@@ -49,6 +52,7 @@ __all__ = [
     "Embedding",
     "EmbeddingEnumeration",
     "enumerate_embeddings",
+    "enumerate_embeddings_block",
     "find_embeddings",
     "find_embeddings_block",
     "count_embeddings",

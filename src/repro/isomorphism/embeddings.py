@@ -3,40 +3,38 @@
 An *embedding* of feature ``f`` in graph ``gc`` is the subgraph of ``gc``
 that one subgraph-isomorphism mapping covers (Definition 5).  Distinct
 mappings that cover the same edge set (automorphisms of the feature) are the
-same embedding, so embeddings are deduplicated by their edge-key sets.
+same embedding, so embeddings are deduplicated by their edge-key sets.  They
+drive both bounds of the PMI index: the lower bound uses disjoint embeddings
+(Equation 17), the upper bound embedding cuts (Equation 20).
 
-Embeddings drive both bound computations of the PMI index: the lower bound
-uses disjoint embeddings (Equation 17), the upper bound uses embedding cuts
-derived from all embeddings (Equation 20).
-
-Enumeration dispatches on the active matching engine (see
-:mod:`repro.isomorphism.generic_join`); the returned list is always in the
-canonical order (sorted by repr of the sorted edge-key set), so both engines
-produce byte-identical results whenever enumeration is not truncated.
-Truncation is *surfaced*: mappings stream through the matcher callback and
-are deduplicated incrementally, so the cap applies to distinct embeddings
-(not raw mappings — the old ``4 * limit`` mapping cap silently dropped
-embeddings of features with many automorphisms), and a ``truncated`` flag
-plus a module-level counter record when the cap actually bit.
+Enumeration is by block (one pattern, many graphs, one join — see
+:mod:`repro.isomorphism.generic_join`) and dispatches on the active matching
+engine; every returned list is in the canonical order (sorted by repr of the
+sorted edge-key set), so both engines produce byte-identical results whenever
+enumeration is not truncated.  The cap applies to distinct embeddings per
+graph, and truncation is *surfaced*: a ``truncated`` flag per graph plus a
+module-level counter record when the cap actually bit.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.graphs.labeled_graph import LabeledGraph, VertexId, edge_key
-from repro.isomorphism.vf2 import VF2Matcher
+import numpy as np
 
-EdgeKey = tuple[VertexId, VertexId]
+from repro.graphs.labeled_graph import LabeledGraph, edge_key
+from repro.isomorphism import generic_join
+from repro.isomorphism.generic_join import GraphBlock
+from repro.isomorphism.vf2 import VF2Matcher
 
 DEFAULT_EMBEDDING_LIMIT = 200
 
 logger = logging.getLogger(__name__)
 
-# how many enumerate_embeddings calls hit their limit with matches left over;
-# read via truncation_count(), reset via reset_truncation_count()
+# how many (pattern, graph) enumerations hit their limit with matches left
+# over; read via truncation_count(), reset via reset_truncation_count()
 _truncation_count = 0
 
 
@@ -54,7 +52,7 @@ def reset_truncation_count() -> None:
 class Embedding:
     """One embedding: the covered target edges and vertices."""
 
-    edges: frozenset  # frozenset[EdgeKey]
+    edges: frozenset  # of edge keys
     vertices: frozenset
 
     def overlaps(self, other: "Embedding") -> bool:
@@ -79,10 +77,6 @@ class EmbeddingEnumeration:
 
     embeddings: list
     truncated: bool
-
-
-def _canonical_sort(embeddings: list) -> None:
-    embeddings.sort(key=lambda e: repr(sorted(e.edges, key=repr)))
 
 
 def _enumerate_vf2(
@@ -119,6 +113,68 @@ def _enumerate_vf2(
     return embeddings, truncated
 
 
+def enumerate_embeddings_block(
+    pattern: LabeledGraph,
+    targets: Iterable[LabeledGraph] | GraphBlock,
+    limit: int | None = DEFAULT_EMBEDDING_LIMIT,
+    label_sensitive: bool = True,
+    method: str | None = None,
+) -> list[EmbeddingEnumeration]:
+    """All distinct embeddings of ``pattern`` in every target of a block,
+    each list with its truncation flag, from one join over the whole block.
+
+    ``targets`` is an iterable of graphs (stacked on the fly from their
+    cached edge tables) or a :class:`GraphBlock`.  The rows of the one join
+    are deduplicated together and split by graph id; ``limit`` (a cap on
+    distinct embeddings, ``None`` for none), the ``truncated`` flag and the
+    canonical sort apply per graph, so entry ``k`` equals what the block of
+    ``targets[k]`` alone returns.  When the cap bites, each engine truncates
+    in its own deterministic discovery order.  ``method`` is
+    ``"generic_join"``, ``"vf2"`` or None for the session default; VF2 also
+    takes any graph that overflows the join's frontier cap alone.
+    """
+    block = GraphBlock.of(targets)
+    size = len(block.graphs)
+    results = [EmbeddingEnumeration(embeddings=[], truncated=False) for _ in range(size)]
+    if pattern.num_edges == 0 or size == 0:
+        return results
+    if generic_join.resolve_engine(method) == "vf2":
+        alone = range(size)
+    else:
+        plan, rows, counts, cut, alone = generic_join.distinct_embedding_rows(
+            pattern, block.table, limit, label_sensitive
+        )
+        ids = block.table.vertex_ids
+        found = [
+            Embedding(
+                edges=frozenset(edge_key(ids[row[i]], ids[row[j]]) for i, j in plan.pattern_edges),
+                vertices=frozenset(ids[image] for image in row),
+            )
+            for row in rows.tolist()
+        ]
+        if found:  # split by graph: the rows are graph-major
+            stop = 0
+            for position in np.flatnonzero(counts).tolist():
+                start, stop = stop, stop + int(counts[position])
+                results[position] = EmbeddingEnumeration(found[start:stop], bool(cut[position]))
+    for position in alone:
+        results[position] = EmbeddingEnumeration(
+            *_enumerate_vf2(pattern, block.graphs[position], limit, label_sensitive)
+        )
+    for result in results:
+        if len(result.embeddings) > 1:  # the canonical final order
+            result.embeddings.sort(key=lambda e: repr(sorted(e.edges, key=repr)))
+    _note_truncations(sum(result.truncated for result in results), limit, pattern)
+    return results
+
+
+def _note_truncations(cut: int, limit: int | None, pattern: LabeledGraph) -> None:
+    global _truncation_count
+    if cut:
+        _truncation_count += cut
+        logger.debug("enumeration of %r truncated at limit=%s in %d target(s)", pattern, limit, cut)
+
+
 def enumerate_embeddings(
     pattern: LabeledGraph,
     target: LabeledGraph,
@@ -126,47 +182,8 @@ def enumerate_embeddings(
     label_sensitive: bool = True,
     method: str | None = None,
 ) -> EmbeddingEnumeration:
-    """All distinct embeddings of ``pattern`` in ``target``, with truncation flag.
-
-    Parameters
-    ----------
-    limit:
-        Cap on the number of distinct *embeddings*; ``None`` removes the cap.
-        When the cap bites, each engine truncates in its own deterministic
-        discovery order and ``truncated`` is True.
-    method:
-        ``"generic_join"``, ``"vf2"``, or None for the session default.
-
-    Returns
-    -------
-    EmbeddingEnumeration
-        ``embeddings`` sorted canonically (by repr of the sorted edge set).
-    """
-    global _truncation_count
-    if pattern.num_edges == 0:
-        return EmbeddingEnumeration(embeddings=[], truncated=False)
-    from repro.isomorphism import generic_join
-
-    if generic_join.resolve_engine(method) == "generic_join":
-        try:
-            pairs, truncated = generic_join.enumerate_embedding_sets(
-                pattern, target, limit, label_sensitive=label_sensitive
-            )
-            embeddings = [Embedding(edges=e, vertices=v) for e, v in pairs]
-        except generic_join.GenericJoinOverflow:
-            embeddings, truncated = _enumerate_vf2(pattern, target, limit, label_sensitive)
-    else:
-        embeddings, truncated = _enumerate_vf2(pattern, target, limit, label_sensitive)
-    _canonical_sort(embeddings)
-    if truncated:
-        _truncation_count += 1
-        logger.debug(
-            "embedding enumeration truncated at limit=%s for pattern %r in target %r",
-            limit,
-            pattern,
-            target,
-        )
-    return EmbeddingEnumeration(embeddings=embeddings, truncated=truncated)
+    """:func:`enumerate_embeddings_block` for the block of one graph."""
+    return enumerate_embeddings_block(pattern, (target,), limit, label_sensitive, method)[0]
 
 
 def find_embeddings(
@@ -176,35 +193,49 @@ def find_embeddings(
     label_sensitive: bool = True,
     method: str | None = None,
 ) -> list[Embedding]:
-    """All distinct embeddings of ``pattern`` in ``target`` (canonical order).
-
-    Thin wrapper over :func:`enumerate_embeddings` for call sites that only
-    need the list; truncation is still counted and logged there.
-    """
-    return enumerate_embeddings(
-        pattern, target, limit=limit, label_sensitive=label_sensitive, method=method
-    ).embeddings
+    """All distinct embeddings of ``pattern`` in ``target`` (canonical order);
+    truncation is still counted and logged."""
+    return enumerate_embeddings(pattern, target, limit, label_sensitive, method).embeddings
 
 
 def find_embeddings_block(
     pattern: LabeledGraph,
-    targets: Iterable[LabeledGraph],
+    targets: Iterable[LabeledGraph] | GraphBlock,
     limit: int | None = DEFAULT_EMBEDDING_LIMIT,
     label_sensitive: bool = True,
     method: str | None = None,
 ) -> list[list[Embedding]]:
-    """Embeddings of one ``pattern`` in every target of a block.
+    """Embeddings of one ``pattern`` in every target of a block: one join
+    over the stacked block, split by graph id (see
+    :func:`enumerate_embeddings_block`); entry ``k`` is exactly
+    ``find_embeddings(pattern, targets[k])``."""
+    results = enumerate_embeddings_block(pattern, targets, limit, label_sensitive, method)
+    return [result.embeddings for result in results]
 
-    The pattern's compiled join plan is shared across the whole block (and
-    each target's edge table across future blocks), which is where the
-    generic-join engine earns its keep on index builds.
+
+def count_embeddings_block(
+    pattern: LabeledGraph,
+    targets: Iterable[LabeledGraph] | GraphBlock,
+    limit: int | None = DEFAULT_EMBEDDING_LIMIT,
+    label_sensitive: bool = True,
+    method: str | None = None,
+) -> list[int]:
+    """Embedding counts of one ``pattern`` across a block (capped at ``limit``).
+
+    Read off the join's per-graph distinct-row counts: no ``Embedding`` is
+    built unless a graph has to go through VF2.
     """
-    return [
-        enumerate_embeddings(
-            pattern, target, limit=limit, label_sensitive=label_sensitive, method=method
-        ).embeddings
-        for target in targets
-    ]
+    block = GraphBlock.of(targets)
+    if pattern.num_edges and block.graphs and generic_join.resolve_engine(method) != "vf2":
+        _, _, counts, truncated, alone = generic_join.distinct_embedding_rows(
+            pattern, block.table, limit, label_sensitive
+        )
+        if not alone:
+            _note_truncations(int(truncated.sum()), limit, pattern)
+            return counts.tolist()
+    # the reference engine, or a graph that overflowed alone: count the lists
+    found = find_embeddings_block(pattern, block, limit, label_sensitive, method)
+    return [len(embeddings) for embeddings in found]
 
 
 def count_embeddings(
@@ -215,27 +246,7 @@ def count_embeddings(
     method: str | None = None,
 ) -> int:
     """Number of distinct embeddings (capped at ``limit``)."""
-    return len(
-        find_embeddings(
-            pattern, target, limit=limit, label_sensitive=label_sensitive, method=method
-        )
-    )
-
-
-def count_embeddings_block(
-    pattern: LabeledGraph,
-    targets: Sequence[LabeledGraph],
-    limit: int | None = DEFAULT_EMBEDDING_LIMIT,
-    label_sensitive: bool = True,
-    method: str | None = None,
-) -> list[int]:
-    """Embedding counts of one ``pattern`` across a block of targets."""
-    return [
-        len(embeddings)
-        for embeddings in find_embeddings_block(
-            pattern, targets, limit=limit, label_sensitive=label_sensitive, method=method
-        )
-    ]
+    return count_embeddings_block(pattern, (target,), limit, label_sensitive, method)[0]
 
 
 def maximal_disjoint_embeddings(embeddings: list[Embedding]) -> list[Embedding]:

@@ -1,37 +1,28 @@
 """Vectorized generic-join subgraph matching (worst-case-optimal style).
 
-This is the default matching engine.  Instead of recursing per candidate
-vertex like :class:`~repro.isomorphism.vf2.VF2Matcher`, a pattern is compiled
-**once** into a :class:`JoinPlan` — a vertex elimination order plus, per
-level, the constraints that bind the new variable (vertex-label equality,
-adjacency to already-bound variables with the right edge label, degree
-feasibility, injectivity).  Each target graph is compiled **once** into a
-columnar :class:`EdgeTable` (both directions of every edge in sorted numpy
-arrays with CSR offsets and label codes), analogous to
-``batch_kernel.compile_world_model``.  Executing a plan then advances all
-open branches of the search one *level* at a time with whole-array gathers,
-``searchsorted`` membership tests and boolean masks — no Python-level work
-per candidate.
+This is the default matching engine.  A pattern is compiled **once** into a
+:class:`JoinPlan` — a vertex elimination order plus, per level, the
+constraints that bind the new variable (vertex-label equality, adjacency to
+already-bound variables with the right edge label, degree feasibility,
+injectivity).  The unit of matching is a **block** of target graphs: an
+:class:`EdgeTable` concatenates their vertex index spaces under one shared
+label dictionary, with a ``graph_of`` column and CSR offsets / edge codes over
+the stacked space.  A single graph is the block of one, compiled once and
+cached on the graph; larger blocks are stacked from those cached tables.
+Executing a plan advances every open branch of every graph of the block one
+*level* at a time with whole-array gathers, ``searchsorted`` membership tests
+and boolean masks: one join per (pattern, block), no Python-level work per
+graph or per candidate vertex (ARCHITECTURE.md, "The matching engine").
 
-Both compiled artifacts are cached on the graph object keyed by its
-``mutation_version``, so a feature matched against a block of graphs pays for
-plan compilation once, and a graph probed by many features pays for its edge
-table once.
+The engine is pure and deterministic — no randomness, no hashing of ids
+(vertices are indexed in sorted order, ``repr`` order for heterogeneous ids)
+— and a graph's rows in a block's result are exactly the rows, in the same
+discovery order, that the block of that one graph produces.
 
-Determinism contract
---------------------
-The engine is pure and deterministic: no randomness, no hashing of ids
-(vertices are indexed in sorted order, falling back to ``repr`` order for
-heterogeneous ids).  Embedding enumeration returns results in the engine's
-deterministic discovery order; :func:`repro.isomorphism.embeddings.
-enumerate_embeddings` applies the canonical final sort (by repr of the sorted
-edge-key set), so whenever enumeration is not truncated both engines produce
-byte-identical embedding lists, answers and PMI contents.
-
-Blow-up protection: a level whose open-branch frontier would exceed
-``_MAX_OPEN_BRANCHES`` raises :class:`GenericJoinOverflow`; public wrappers
-catch it and fall back to the recursive VF2 reference for that (pattern,
-graph) pair, keeping worst-case memory bounded.
+Blow-up protection: a level whose frontier, summed over the block, would pass
+``_MAX_OPEN_BRANCHES`` raises :class:`GenericJoinOverflow`; the wrappers halve
+the block by graph and retry, so only a graph that overflows *alone* falls
+back to the recursive VF2 reference, and memory stays bounded.
 """
 
 from __future__ import annotations
@@ -39,10 +30,11 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from repro.graphs.labeled_graph import LabeledGraph, VertexId, edge_key
+from repro.graphs.labeled_graph import LabeledGraph, VertexId
 from repro.isomorphism.vf2 import VF2Matcher, connectivity_order
 from repro.exceptions import ConfigurationError
 
@@ -50,11 +42,11 @@ __all__ = [
     "EdgeTable",
     "GenericJoinMatcher",
     "GenericJoinOverflow",
+    "GraphBlock",
     "JoinLevel",
     "JoinPlan",
     "compile_edge_table",
     "compile_join_plan",
-    "first_mapping",
     "get_default_engine",
     "match_block",
     "pattern_exists",
@@ -79,13 +71,15 @@ class GenericJoinOverflow(RuntimeError):
 # ----------------------------------------------------------------------
 # engine selection
 # ----------------------------------------------------------------------
-def _validate_engine(name: str) -> str:
+def resolve_engine(method: str | None) -> str:
+    """Map an explicit ``method`` argument (None: the default) to an engine name."""
+    name = _default_engine if method is None else method
     if name not in _ENGINES:
         raise ConfigurationError(f"unknown matching engine {name!r}; expected one of {_ENGINES}")
     return name
 
 
-_default_engine = _validate_engine(os.environ.get(_ENGINE_ENV_VAR, "generic_join"))
+_default_engine = resolve_engine(os.environ.get(_ENGINE_ENV_VAR, "generic_join"))
 
 
 def get_default_engine() -> str:
@@ -100,15 +94,8 @@ def set_default_engine(name: str) -> None:
     spawned afterwards (sharded planners) inherit it.
     """
     global _default_engine
-    _default_engine = _validate_engine(name)
+    _default_engine = resolve_engine(name)
     os.environ[_ENGINE_ENV_VAR] = name
-
-
-def resolve_engine(method: str | None) -> str:
-    """Map an explicit ``method`` argument (or None) to an engine name."""
-    if method is None:
-        return _default_engine
-    return _validate_engine(method)
 
 
 @contextmanager
@@ -127,16 +114,24 @@ def using_engine(name: str):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
-    """Columnar, both-directions edge table of one target graph.
+    """Columnar, both-directions edge table of a block of target graphs.
 
-    ``src``/``dst``/``elabels`` hold every edge twice (once per direction),
-    lexsorted by ``(src, dst)``; ``offsets`` is the CSR row index over
-    ``src`` and ``edge_codes = src * num_vertices + dst`` is strictly
-    ascending, so adjacency is a slice and edge membership is a
-    ``searchsorted``.
+    Graph ``g`` owns the stacked vertices ``vertex_offsets[g]:vertex_offsets[g
+    + 1]`` (in its own sorted-id order) and ``graph_of`` maps a stacked vertex
+    back to ``g``.  ``src``/``dst``/``elabels`` hold every edge twice (once
+    per direction), lexsorted by ``(src, dst)``; ``offsets`` is the CSR row
+    index over ``src`` and ``edge_codes = src * num_vertices + dst`` is
+    strictly ascending, so adjacency is a slice and edge membership is a
+    ``searchsorted``.  Label codes come from one dictionary per block.
+
+    ``max_vertices`` / ``max_edges`` and the two count dictionaries bound, per
+    key, what any one graph of the block holds: exact for a block of one, an
+    upper bound (so a necessary condition for a match) for a stacked block.
     """
 
     vertex_ids: tuple
+    vertex_offsets: np.ndarray
+    graph_of: np.ndarray
     vlabels: np.ndarray
     vlabel_codes: dict
     elabel_codes: dict
@@ -148,9 +143,12 @@ class EdgeTable:
     degrees: np.ndarray
     verts_by_vlabel: dict
     num_vertices: int
-    num_edges: int
+    num_graphs: int
+    max_vertices: int
+    max_edges: int
     vertex_label_counts: dict
     edge_signature_counts: dict
+    parts: tuple = ()  # of a stacked block: the per-graph tables it was stacked from
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,74 +171,72 @@ class JoinPlan:
     label_sensitive: bool
     # every pattern edge as a (level_i, level_j) pair, for embedding extraction
     pattern_edges: tuple
-    num_vertices: int
-    num_edges: int
     vertex_label_counts: dict
     edge_signature_counts: dict
 
 
-def _sorted_ids(graph: LabeledGraph) -> list:
-    ids = list(graph.vertices())
-    try:
-        ids.sort()
-    except TypeError:
-        ids.sort(key=repr)
-    return ids
+def _memoised(graph: LabeledGraph, slot: str, build):
+    """``build(graph)``, cached in the graph's ``__dict__`` (``LabeledGraph``
+    is unhashable by design) until its ``mutation_version`` moves."""
+    version = graph.mutation_version
+    cached = graph.__dict__.get(slot)
+    if cached is None or cached[0] != version:
+        cached = graph.__dict__[slot] = (version, build(graph))
+    return cached[1]
 
 
 def compile_edge_table(graph: LabeledGraph) -> EdgeTable:
-    """Compile (and cache) the columnar edge table of ``graph``.
-
-    The cache lives in the graph's ``__dict__`` keyed by ``mutation_version``
-    (``LabeledGraph`` is unhashable by design, so no WeakKeyDictionary here);
-    any mutation invalidates it lazily.
-    """
-    version = graph.mutation_version
-    cached = graph.__dict__.get("_generic_join_table")
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    table = _build_edge_table(graph)
-    graph.__dict__["_generic_join_table"] = (version, table)
-    return table
+    """Compile (and cache) the edge table of ``graph`` — the block of one."""
+    return _memoised(graph, "_generic_join_table", _build_edge_table)
 
 
 def _build_edge_table(graph: LabeledGraph) -> EdgeTable:
-    vertex_ids = tuple(_sorted_ids(graph))
+    vertex_ids = list(graph.vertices())
+    try:
+        vertex_ids.sort()
+    except TypeError:
+        vertex_ids.sort(key=repr)
     index = {vid: i for i, vid in enumerate(vertex_ids)}
-    n = len(vertex_ids)
-
     vlabel_codes: dict = {}
-    vlabels = np.empty(n, dtype=np.int64)
-    for i, vid in enumerate(vertex_ids):
-        label = graph.vertex_label(vid)
-        code = vlabel_codes.setdefault(label, len(vlabel_codes))
-        vlabels[i] = code
-
     elabel_codes: dict = {}
-    src_list: list[int] = []
-    dst_list: list[int] = []
-    elabel_list: list[int] = []
+    vlabels = [
+        vlabel_codes.setdefault(graph.vertex_label(vid), len(vlabel_codes)) for vid in vertex_ids
+    ]
+    rows = []  # both directions of every edge: (src, dst, edge-label code)
     for edge in graph.edges():
         iu, iv = index[edge.u], index[edge.v]
         code = elabel_codes.setdefault(edge.label, len(elabel_codes))
-        src_list.extend((iu, iv))
-        dst_list.extend((iv, iu))
-        elabel_list.extend((code, code))
+        rows += ((iu, iv, code), (iv, iu, code))
+    rows.sort()
+    src, dst, elabels = np.ascontiguousarray(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+    return _assemble(
+        tuple(vertex_ids),
+        np.array([0, len(vertex_ids)]),
+        np.array(vlabels, dtype=np.int64),
+        vlabel_codes,
+        elabel_codes,
+        src,
+        dst,
+        elabels,
+        max_edges=graph.num_edges,
+        vertex_label_counts=dict(graph.vertex_label_counts()),
+        edge_signature_counts=graph.edge_signature_counts(),  # the graph's memo, shared
+    )
 
-    src = np.asarray(src_list, dtype=np.int64)
-    dst = np.asarray(dst_list, dtype=np.int64)
-    elabels = np.asarray(elabel_list, dtype=np.int64)
-    order = np.lexsort((dst, src))
-    src, dst, elabels = src[order], dst[order], elabels[order]
+
+def _assemble(
+    vertex_ids, vertex_offsets, vlabels, vlabel_codes, elabel_codes, src, dst, elabels, **bounds
+) -> EdgeTable:
+    """Derive the CSR index, edge codes and label pools of a stacked space."""
+    n = len(vertex_ids)
+    sizes = np.diff(vertex_offsets)
     offsets = np.searchsorted(src, np.arange(n + 1))
-    edge_codes = src * n + dst
-    degrees = np.diff(offsets)
-
-    verts_by_vlabel = {
-        code: np.flatnonzero(vlabels == code) for code in vlabel_codes.values()
-    }
+    by_label = np.argsort(vlabels, kind="stable")  # ascending vertices within a label
+    pools = np.searchsorted(vlabels[by_label], np.arange(len(vlabel_codes) + 1))
     return EdgeTable(
         vertex_ids=vertex_ids,
+        vertex_offsets=vertex_offsets,
+        graph_of=np.repeat(np.arange(len(sizes)), sizes),
         vlabels=vlabels,
         vlabel_codes=vlabel_codes,
         elabel_codes=elabel_codes,
@@ -248,31 +244,90 @@ def _build_edge_table(graph: LabeledGraph) -> EdgeTable:
         dst=dst,
         elabels=elabels,
         offsets=offsets,
-        edge_codes=edge_codes,
-        degrees=degrees,
-        verts_by_vlabel=verts_by_vlabel,
+        edge_codes=src * n + dst,
+        degrees=np.diff(offsets),
+        verts_by_vlabel={
+            code: by_label[pools[code] : pools[code + 1]] for code in vlabel_codes.values()
+        },
         num_vertices=n,
-        num_edges=graph.num_edges,
-        vertex_label_counts=dict(graph.vertex_label_counts()),
-        edge_signature_counts=graph.edge_signature_counts(),  # the graph's memo, shared
+        num_graphs=len(sizes),
+        max_vertices=int(sizes.max()),
+        **bounds,
     )
 
 
-def compile_join_plan(pattern: LabeledGraph, label_sensitive: bool = True) -> JoinPlan:
-    """Compile (and cache) the join plan of ``pattern``.
+def _stack_edge_tables(tables: list[EdgeTable]) -> EdgeTable:
+    """One table over the concatenated vertex spaces of ``tables`` (in order)."""
+    if len(tables) == 1:
+        return tables[0]
+    vertex_offsets = np.concatenate(([0], np.cumsum([t.num_vertices for t in tables])))
+    shift = np.repeat(vertex_offsets[:-1], [len(t.src) for t in tables])
+    vlabel_codes, vlabels = _shared_codes([(t.vlabel_codes, t.vlabels) for t in tables])
+    elabel_codes, elabels = _shared_codes([(t.elabel_codes, t.elabels) for t in tables])
+    # bounds for the quick filter: a label or signature that occurs anywhere
+    # in the block occurs at most largest-graph many times in one graph
+    max_vertices = max(t.max_vertices for t in tables)
+    max_edges = max(t.max_edges for t in tables)
+    signatures = set().union(*(t.edge_signature_counts for t in tables))
+    return _assemble(
+        tuple(chain.from_iterable(t.vertex_ids for t in tables)),
+        vertex_offsets,
+        vlabels,
+        vlabel_codes,
+        elabel_codes,
+        np.concatenate([t.src for t in tables]) + shift,
+        np.concatenate([t.dst for t in tables]) + shift,
+        elabels,
+        max_edges=max_edges,
+        vertex_label_counts=dict.fromkeys(vlabel_codes, max_vertices),
+        edge_signature_counts=dict.fromkeys(signatures, max_edges),
+        parts=tuple(tables),
+    )
 
-    Plans are cached per ``label_sensitive`` flag, keyed by the pattern's
-    ``mutation_version``, so one feature matched against a block of graphs is
-    compiled exactly once.
+
+def _shared_codes(per_graph: list[tuple[dict, np.ndarray]]) -> tuple[dict, np.ndarray]:
+    """One label dictionary for a block, and the graphs' (dictionary, code
+    column) pairs as one concatenated column recoded under it."""
+    dictionaries, columns = zip(*per_graph)
+    shared: dict = {}
+    remap = np.array(
+        [shared.setdefault(label, len(shared)) for local in dictionaries for label in local],
+        dtype=np.int64,
+    )
+    # graph k's local code c sits at remap[first_slot[k] + c]
+    first_slot = np.cumsum([0] + [len(local) for local in dictionaries[:-1]])
+    slots = np.concatenate(columns) + np.repeat(first_slot, [len(c) for c in columns])
+    return shared, remap[slots]
+
+
+class GraphBlock:
+    """A list of target graphs and its stacked :class:`EdgeTable`.
+
+    Every block entry point takes a plain iterable of graphs (stacked on the
+    fly from the cached per-graph tables) or a ``GraphBlock``: a caller that
+    sweeps many patterns over one list — the miner's skeletons, an index
+    build, a verifier's candidates — stacks it once.  The graphs must not be
+    mutated while the block is in use.
     """
-    version = pattern.mutation_version
-    cache = pattern.__dict__.setdefault("_generic_join_plans", {})
-    entry = cache.get(label_sensitive)
-    if entry is not None and entry[0] == version:
-        return entry[1]
-    plan = _build_join_plan(pattern, label_sensitive)
-    cache[label_sensitive] = (version, plan)
-    return plan
+
+    __slots__ = ("graphs", "table")
+
+    def __init__(self, graphs) -> None:
+        self.graphs = list(graphs)
+        # an empty block has nothing to join against: entry points return []
+        tables = [compile_edge_table(graph) for graph in self.graphs]
+        self.table = _stack_edge_tables(tables) if tables else None
+
+    @classmethod
+    def of(cls, targets) -> "GraphBlock":
+        return targets if isinstance(targets, cls) else cls(targets)
+
+
+def compile_join_plan(pattern: LabeledGraph, label_sensitive: bool = True) -> JoinPlan:
+    """Compile (and cache, per ``label_sensitive`` flag) the join plan of
+    ``pattern``: a feature matched against many blocks is compiled once."""
+    slot = "_generic_join_plan" if label_sensitive else "_generic_join_plan_unlabeled"
+    return _memoised(pattern, slot, lambda graph: _build_join_plan(graph, label_sensitive))
 
 
 def _build_join_plan(pattern: LabeledGraph, label_sensitive: bool) -> JoinPlan:
@@ -286,20 +341,13 @@ def _build_join_plan(pattern: LabeledGraph, label_sensitive: bool) -> JoinPlan:
             if level_of[n] < i
         )
         levels.append(
-            JoinLevel(
-                vertex=vertex,
-                vlabel=pattern.vertex_label(vertex),
-                degree=pattern.degree(vertex),
-                back_edges=tuple(back),
-            )
+            JoinLevel(vertex, pattern.vertex_label(vertex), pattern.degree(vertex), tuple(back))
         )
     pattern_edges = tuple((level_of[u], level_of[v]) for u, v in pattern.edge_keys())
     return JoinPlan(
         levels=tuple(levels),
         label_sensitive=label_sensitive,
         pattern_edges=pattern_edges,
-        num_vertices=pattern.num_vertices,
-        num_edges=pattern.num_edges,
         vertex_label_counts=dict(pattern.vertex_label_counts()),
         edge_signature_counts=pattern.edge_signature_counts(),  # the pattern's memo, shared
     )
@@ -309,9 +357,8 @@ def _build_join_plan(pattern: LabeledGraph, label_sensitive: bool) -> JoinPlan:
 # plan execution
 # ----------------------------------------------------------------------
 def _quick_feasible(plan: JoinPlan, table: EdgeTable) -> bool:
-    if plan.num_vertices > table.num_vertices:
-        return False
-    if plan.num_edges > table.num_edges:
+    """False when the block's per-key bounds rule the pattern out of every graph."""
+    if len(plan.levels) > table.max_vertices or len(plan.pattern_edges) > table.max_edges:
         return False
     if not plan.label_sensitive:
         return True
@@ -328,267 +375,208 @@ def _empty(plan: JoinPlan) -> np.ndarray:
     return np.empty((0, len(plan.levels)), dtype=np.int64)
 
 
-def _seed_candidates(plan: JoinPlan, level: JoinLevel, table: EdgeTable) -> np.ndarray:
-    """All target vertices satisfying a level's unary constraints."""
-    if plan.label_sensitive:
-        code = table.vlabel_codes.get(level.vlabel)
-        if code is None:
-            return np.empty(0, dtype=np.int64)
-        verts = table.verts_by_vlabel[code]
-    else:
-        verts = np.arange(table.num_vertices, dtype=np.int64)
-    return verts[table.degrees[verts] >= level.degree]
+def execute_join_plan(
+    plan: JoinPlan, table: EdgeTable, first: int = 0, last: int | None = None
+) -> np.ndarray:
+    """All injective assignments of the plan's variables into every graph of
+    the block (into graphs ``first:last`` of it when given).
 
-
-def execute_join_plan(plan: JoinPlan, table: EdgeTable) -> np.ndarray:
-    """All injective assignments of the plan's variables into the table.
-
-    Returns an ``(num_mappings, num_levels)`` int array of target vertex
-    *indices* (column ``i`` is the image of ``plan.levels[i].vertex``), in
-    the engine's deterministic discovery order.  Raises
-    :class:`GenericJoinOverflow` when any level's frontier exceeds the cap.
+    Returns an ``(num_mappings, num_levels)`` int array of *stacked* target
+    vertex indices (column ``i`` is the image of ``plan.levels[i].vertex``),
+    graph-major and, within a graph, in the deterministic discovery order —
+    the rows and the order the block of that one graph produces.  Raises
+    :class:`GenericJoinOverflow` when a level's frontier exceeds the cap.
     """
+    # a pattern that passes the filter has a code for each of its labels
     if not _quick_feasible(plan, table):
         return _empty(plan)
     n = table.num_vertices
-    assign: np.ndarray | None = None
+    owned = table.vertex_offsets
     for li, level in enumerate(plan.levels):
-        if assign is None:
-            cands = _seed_candidates(plan, level, table)
-            if cands.size == 0:
-                return _empty(plan)
-            assign = cands[:, None]
-            continue
-        if not level.back_edges:
-            # component start (or isolated vertex): cross product + injectivity
-            cands = _seed_candidates(plan, level, table)
-            if cands.size == 0 or assign.shape[0] == 0:
-                return _empty(plan)
-            total = assign.shape[0] * cands.size
-            if total > _MAX_OPEN_BRANCHES:
-                raise GenericJoinOverflow(f"{total} open branches at level {li}")
-            branch_idx = np.repeat(np.arange(assign.shape[0]), cands.size)
-            cand = np.tile(cands, assign.shape[0])
-        else:
-            # seed from adjacency of the first bound neighbour, then filter
+        if level.back_edges:
+            # candidates: the neighbours of the first bound neighbour
             (b0, elabel0), *rest = level.back_edges
-            bound = assign[:, b0]
-            starts = table.offsets[bound]
-            counts = table.offsets[bound + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                return _empty(plan)
-            if total > _MAX_OPEN_BRANCHES:
-                raise GenericJoinOverflow(f"{total} open branches at level {li}")
-            branch_idx = np.repeat(np.arange(assign.shape[0]), counts)
-            row_start = np.concatenate(([0], np.cumsum(counts)))[:-1]
-            pos = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(row_start, counts)
-                + np.repeat(starts, counts)
-            )
-            cand = table.dst[pos]
-            mask = table.degrees[cand] >= level.degree
+            pool = table.dst
+            starts = table.offsets[assign[:, b0]]
+            counts = table.offsets[assign[:, b0] + 1] - starts
+        else:
+            # component start (or isolated vertex): the vertices meeting the
+            # unary constraints in the branch's own graph, never another's
             if plan.label_sensitive:
-                vcode = table.vlabel_codes.get(level.vlabel)
-                ecode0 = table.elabel_codes.get(elabel0)
-                if vcode is None or ecode0 is None:
-                    return _empty(plan)
-                mask &= table.vlabels[cand] == vcode
-                mask &= table.elabels[pos] == ecode0
-            # remaining back edges: membership via searchsorted on edge codes
-            for bj, elabelj in rest:
-                codes = assign[branch_idx, bj] * n + cand
-                idx = np.minimum(
-                    np.searchsorted(table.edge_codes, codes), len(table.edge_codes) - 1
-                )
-                hit = table.edge_codes[idx] == codes
+                pool = table.verts_by_vlabel[table.vlabel_codes[level.vlabel]]
+            else:
+                pool = np.arange(n)
+            pool = pool[table.degrees[pool] >= level.degree]
+            if li == 0:  # nothing bound yet: every seed of graphs first:last is a branch
+                if first or last not in (None, table.num_graphs):
+                    pool = pool[slice(*np.searchsorted(pool, owned[[first, last]]))]
+                assign = pool[:, None]
+                continue
+            graph = table.graph_of[assign[:, 0]]
+            starts = np.searchsorted(pool, owned[graph])
+            counts = np.searchsorted(pool, owned[graph + 1]) - starts
+        total = int(counts.sum())
+        if total == 0:
+            return _empty(plan)
+        if total > _MAX_OPEN_BRANCHES:
+            raise GenericJoinOverflow(f"{total} open branches at level {li}")
+        branch = np.repeat(np.arange(assign.shape[0]), counts)
+        pos = np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        cand = pool[pos]
+        # injectivity, then (for an adjacency level) the unary constraints,
+        # the seeding edge's label and every remaining back edge
+        keep = ~(assign[branch] == cand[:, None]).any(axis=1)
+        if level.back_edges:
+            keep &= table.degrees[cand] >= level.degree
+            if plan.label_sensitive:
+                keep &= table.vlabels[cand] == table.vlabel_codes[level.vlabel]
+                keep &= table.elabels[pos] == table.elabel_codes[elabel0]
+            for bj, elabelj in rest:  # membership via searchsorted on edge codes
+                codes = assign[branch, bj] * n + cand
+                at = np.minimum(np.searchsorted(table.edge_codes, codes), len(table.edge_codes) - 1)
+                keep &= table.edge_codes[at] == codes
                 if plan.label_sensitive:
-                    ecodej = table.elabel_codes.get(elabelj)
-                    if ecodej is None:
-                        return _empty(plan)
-                    hit &= table.elabels[idx] == ecodej
-                mask &= hit
-            branch_idx = branch_idx[mask]
-            cand = cand[mask]
-        if cand.size == 0:
-            return _empty(plan)
-        prev = assign[branch_idx]
-        keep = ~(prev == cand[:, None]).any(axis=1)  # injectivity
-        prev = prev[keep]
-        cand = cand[keep]
-        if cand.size == 0:
-            return _empty(plan)
-        assign = np.concatenate([prev, cand[:, None]], axis=1)
-    assert assign is not None
+                    keep &= table.elabels[at] == table.elabel_codes[elabelj]
+        assign = np.concatenate([assign[branch[keep]], cand[keep, None]], axis=1)
     return assign
+
+
+def _join(
+    plan: JoinPlan, table: EdgeTable, first: int = 0, last: int | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """:func:`execute_join_plan` with overflow handled: the block is halved by
+    graph and each half retried, down to a single graph judged on its own
+    table (under its exact quick filter, as a block of one).  Returns the
+    assignments (still graph-major) and the positions of the graphs that
+    overflow alone, which contribute no rows and are left to the caller's
+    VF2 fallback."""
+    last = table.num_graphs if last is None else last
+    try:
+        return execute_join_plan(plan, table, first, last), []
+    except GenericJoinOverflow:
+        if not table.parts:
+            return _empty(plan), [0]
+    if last - first == 1:
+        rows, alone = _join(plan, table.parts[first])
+        return rows + table.vertex_offsets[first], [first] * len(alone)
+    middle = (first + last) // 2
+    left, left_alone = _join(plan, table, first, middle)
+    right, right_alone = _join(plan, table, middle, last)
+    return np.concatenate([left, right]), left_alone + right_alone
 
 
 # ----------------------------------------------------------------------
 # public matching API
 # ----------------------------------------------------------------------
-def _run(
-    pattern: LabeledGraph, target: LabeledGraph, label_sensitive: bool
-) -> tuple[np.ndarray, JoinPlan, EdgeTable]:
-    plan = compile_join_plan(pattern, label_sensitive)
-    table = compile_edge_table(target)
-    return execute_join_plan(plan, table), plan, table
-
-
-def pattern_exists(
-    pattern: LabeledGraph, target: LabeledGraph, label_sensitive: bool = True
-) -> bool:
-    """``pattern ⊆iso target`` via the generic-join engine (VF2 on overflow)."""
-    if pattern.num_vertices == 0:
-        return True
-    try:
-        assignments, _, _ = _run(pattern, target, label_sensitive)
-    except GenericJoinOverflow:
-        return VF2Matcher(pattern, target, label_sensitive=label_sensitive).exists()
-    return assignments.shape[0] > 0
-
-
-def first_mapping(
-    pattern: LabeledGraph, target: LabeledGraph, label_sensitive: bool = True
-) -> dict[VertexId, VertexId] | None:
-    """One witnessing mapping, or None (VF2 fallback on overflow)."""
-    if pattern.num_vertices == 0:
-        return {}
-    try:
-        assignments, plan, table = _run(pattern, target, label_sensitive)
-    except GenericJoinOverflow:
-        return VF2Matcher(pattern, target, label_sensitive=label_sensitive).first_mapping()
-    if assignments.shape[0] == 0:
-        return None
-    row = assignments[0]
-    return {
-        level.vertex: table.vertex_ids[row[i]] for i, level in enumerate(plan.levels)
-    }
-
-
-def all_mappings(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-    limit: int | None = None,
-    label_sensitive: bool = True,
-) -> list[dict[VertexId, VertexId]]:
-    """All injective mappings (up to ``limit``), in discovery order."""
-    if pattern.num_vertices == 0:
-        return [{}]
-    try:
-        assignments, plan, table = _run(pattern, target, label_sensitive)
-    except GenericJoinOverflow:
-        return VF2Matcher(pattern, target, label_sensitive=label_sensitive).all_mappings(
-            limit=limit
-        )
-    if limit is not None:
-        assignments = assignments[:limit]
-    ids = table.vertex_ids
-    vertices = [level.vertex for level in plan.levels]
-    return [
-        {vertices[i]: ids[row[i]] for i in range(len(vertices))} for row in assignments
-    ]
-
-
 def match_block(
     pattern: LabeledGraph,
     graphs,
     label_sensitive: bool = True,
     method: str | None = None,
 ) -> list[bool]:
-    """``pattern ⊆iso g`` for every graph in the block.
+    """``pattern ⊆iso g`` for every graph of the block (an iterable of graphs
+    or a :class:`GraphBlock`): one join against the stacked table, the
+    surviving assignments counted per graph.  A graph that overflows the
+    frontier cap alone (every graph under ``method="vf2"``) is answered by
+    the recursive matcher instead."""
+    block = GraphBlock.of(graphs)
+    size = len(block.graphs)
+    if pattern.num_vertices == 0 or size == 0:
+        return [True] * size
+    found, alone = [False] * size, range(size)
+    if resolve_engine(method) != "vf2":
+        rows, alone = _join(compile_join_plan(pattern, label_sensitive), block.table)
+        if rows.shape[0]:
+            found = (np.bincount(block.table.graph_of[rows[:, 0]], minlength=size) > 0).tolist()
+    for position in alone:
+        matcher = VF2Matcher(pattern, block.graphs[position], label_sensitive=label_sensitive)
+        found[position] = matcher.exists()
+    return found
 
-    The pattern's join plan is compiled once and shared across the block;
-    per-graph edge tables come from (or populate) each graph's cache.
-    """
-    graphs = list(graphs)
-    if pattern.num_vertices == 0:
-        return [True] * len(graphs)
-    if resolve_engine(method) == "vf2":
-        return [
-            VF2Matcher(pattern, g, label_sensitive=label_sensitive).exists()
-            for g in graphs
-        ]
-    return [pattern_exists(pattern, g, label_sensitive=label_sensitive) for g in graphs]
+
+def pattern_exists(
+    pattern: LabeledGraph, target: LabeledGraph, label_sensitive: bool = True
+) -> bool:
+    """``pattern ⊆iso target`` via the generic-join engine (VF2 on overflow)."""
+    return match_block(pattern, (target,), label_sensitive, method="generic_join")[0]
 
 
+@dataclass(eq=False)
 class GenericJoinMatcher:
     """Drop-in sibling of :class:`VF2Matcher` backed by the join engine."""
 
-    def __init__(
-        self,
-        pattern: LabeledGraph,
-        target: LabeledGraph,
-        label_sensitive: bool = True,
-    ) -> None:
-        self.pattern = pattern
-        self.target = target
-        self.label_sensitive = label_sensitive
+    pattern: LabeledGraph
+    target: LabeledGraph
+    label_sensitive: bool = True
 
     def exists(self) -> bool:
-        if self.pattern.num_vertices == 0:
-            return True
         return pattern_exists(self.pattern, self.target, self.label_sensitive)
 
     def first_mapping(self) -> dict[VertexId, VertexId] | None:
-        if self.pattern.num_vertices == 0:
-            return {}
-        return first_mapping(self.pattern, self.target, self.label_sensitive)
+        """One witnessing mapping, or None."""
+        mappings = self.all_mappings(limit=1)
+        return mappings[0] if mappings else None
 
     def all_mappings(self, limit: int | None = None) -> list[dict[VertexId, VertexId]]:
+        """All injective mappings (up to ``limit``), in discovery order (VF2's
+        on overflow)."""
         if self.pattern.num_vertices == 0:
             return [{}]
-        return all_mappings(self.pattern, self.target, limit, self.label_sensitive)
+        plan = compile_join_plan(self.pattern, self.label_sensitive)
+        table = compile_edge_table(self.target)
+        rows, alone = _join(plan, table)
+        if alone:
+            matcher = VF2Matcher(self.pattern, self.target, label_sensitive=self.label_sensitive)
+            return matcher.all_mappings(limit=limit)
+        ids = table.vertex_ids
+        return [
+            {level.vertex: ids[image] for level, image in zip(plan.levels, row)}
+            for row in rows[:limit].tolist()
+        ]
 
 
 # ----------------------------------------------------------------------
 # embedding extraction (consumed by repro.isomorphism.embeddings)
 # ----------------------------------------------------------------------
-def enumerate_embedding_sets(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-    limit: int | None,
-    label_sensitive: bool = True,
-) -> tuple[list[tuple[frozenset, frozenset]], bool]:
-    """Distinct embeddings as ``(edge_keys, vertices)`` frozenset pairs.
+def distinct_embedding_rows(
+    pattern: LabeledGraph, table: EdgeTable, limit: int | None, label_sensitive: bool = True
+) -> tuple[JoinPlan, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """One assignment row per distinct embedding of ``pattern`` in the block.
 
-    Automorphic mappings that cover the same edge set are collapsed; results
-    come back in discovery order (first mapping that produced each edge set)
-    and are truncated at ``limit`` with a ``truncated`` flag.  Falls back to
-    the recursive matcher on frontier overflow (same fallback the boolean
-    wrappers use), signalled by raising :class:`GenericJoinOverflow` so the
-    caller can reuse its streaming VF2 path.
+    Mappings that cover the same edge set collapse to the first one
+    discovered, over all rows at once; the survivors are split by graph id
+    and each graph keeps its first ``limit`` — its rows are in its own
+    discovery order, so the cap picks what the block of that one graph picks.
+    Returns the plan, the kept rows (graph-major), how many each graph owns,
+    which graphs the cap cut, and the graphs that overflowed alone (no rows;
+    the caller streams those through VF2).
     """
-    assignments, plan, table = _run(pattern, target, label_sensitive)
-    if assignments.shape[0] == 0:
-        return [], False
-    n = table.num_vertices
-    columns = []
-    for i, j in plan.pattern_edges:
-        a = assignments[:, i]
-        b = assignments[:, j]
-        columns.append(np.minimum(a, b) * n + np.maximum(a, b))
-    codes = np.stack(columns, axis=1)
-    codes.sort(axis=1)  # edge-set signature: order within a mapping is irrelevant
-    # first occurrence of each distinct signature row, in discovery order
-    # (lexsort + reduceat is much cheaper than np.unique(axis=0))
-    order = np.lexsort(codes.T)
-    ranked = codes[order]
-    boundary = np.empty(order.size, dtype=bool)
-    boundary[0] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=boundary[1:])
-    first = np.minimum.reduceat(order, np.flatnonzero(boundary))
-    first.sort()
-    truncated = limit is not None and first.size > limit
-    if truncated:
-        first = first[:limit]
-    ids = table.vertex_ids
-    results = []
-    for row_index in first:
-        row = assignments[row_index]
-        edges = frozenset(
-            edge_key(ids[row[i]], ids[row[j]]) for i, j in plan.pattern_edges
-        )
-        vertices = frozenset(ids[v] for v in row)
-        results.append((edges, vertices))
-    return results, truncated
+    plan = compile_join_plan(pattern, label_sensitive)
+    rows, alone = _join(plan, table)
+    if rows.shape[0] == 0:
+        none = np.zeros(table.num_graphs, dtype=np.int64)
+        return plan, rows, none, none > 0, alone
+    if rows.shape[0] > 1:
+        ends = np.array(plan.pattern_edges).T
+        a, b = rows[:, ends[0]], rows[:, ends[1]]
+        # edge-set signature: a stacked vertex pair names one edge of one
+        # graph, and the order of the edges within a mapping is irrelevant
+        codes = np.minimum(a, b) * table.num_vertices + np.maximum(a, b)
+        codes.sort(axis=1)
+        # first occurrence of each distinct signature row, in discovery order
+        # (lexsort + reduceat is much cheaper than np.unique(axis=0))
+        order = np.lexsort(codes.T)
+        ranked = codes[order]
+        boundary = np.empty(order.size, dtype=bool)
+        boundary[0] = True
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=boundary[1:])
+        first = np.minimum.reduceat(order, np.flatnonzero(boundary))
+        first.sort()
+        rows = rows[first]
+    counts = np.bincount(table.graph_of[rows[:, 0]], minlength=table.num_graphs)
+    truncated = np.zeros_like(counts, dtype=bool) if limit is None else counts > limit
+    if truncated.any():
+        rank = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = rows[rank < limit]
+        counts = np.minimum(counts, limit)
+    return plan, rows, counts, truncated, alone

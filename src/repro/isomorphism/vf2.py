@@ -279,5 +279,5 @@ def find_isomorphism_mapping(
     from repro.isomorphism import generic_join
 
     if generic_join.resolve_engine(method) == "generic_join":
-        return generic_join.first_mapping(pattern, target, label_sensitive=label_sensitive)
+        return generic_join.GenericJoinMatcher(pattern, target, label_sensitive).first_mapping()
     return VF2Matcher(pattern, target, label_sensitive=label_sensitive).first_mapping()

@@ -27,9 +27,11 @@ from repro.graphs.canonical import canonical_form
 from repro.graphs.labeled_graph import LabeledGraph, edge_key
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.embeddings import (
+    Embedding,
     find_embeddings_block,
     maximal_disjoint_embeddings,
 )
+from repro.isomorphism.generic_join import GraphBlock, match_block
 
 
 @dataclass(frozen=True)
@@ -80,19 +82,20 @@ class FeatureMiner:
     # ------------------------------------------------------------------
     def mine(self, database: list[ProbabilisticGraph]) -> list[Feature]:
         """Run Algorithm 4 over the database's deterministic skeletons."""
-        skeletons = {index: graph.skeleton for index, graph in enumerate(database)}
+        skeletons = [graph.skeleton for graph in database]
         if not skeletons:
             return []
+        # stacked once: every candidate of every level is one join over it
+        block = GraphBlock(skeletons)
         selected: list[Feature] = []
         selected_supports: dict[str, frozenset] = {}
 
-        level_graphs = self._single_edge_seeds(skeletons)
-        next_feature_id = 0
-        current_vertices = 2
-        while level_graphs and current_vertices <= self.config.max_vertices:
+        # a level is a list of (canonical key, candidate) pairs in key order
+        level = self._single_edge_seeds(skeletons)
+        for num_vertices in range(2, self.config.max_vertices + 1):
             scored = []
-            for candidate in level_graphs:
-                support, qualified = self._support(candidate, skeletons)
+            for key, candidate in level:
+                support, qualified, embeddings = self._support(candidate, block)
                 if not support:
                     continue
                 frequency = len(qualified) / len(skeletons)
@@ -100,69 +103,70 @@ class FeatureMiner:
                     continue
                 if not self._is_discriminative(candidate, support, selected, selected_supports):
                     continue
-                scored.append((candidate, support, frequency))
+                order = (-frequency, candidate.num_edges, key)
+                scored.append((*order, candidate, support, embeddings))
             # prefer frequent candidates; small ones are generated first anyway
-            scored.sort(key=lambda item: (-item[2], item[0].num_edges, canonical_form(item[0])))
-            for candidate, support, _frequency in scored:
+            # (keys are distinct, so the comparison never reaches the graphs)
+            scored.sort()
+            for _, _, key, candidate, support, _ in scored:
                 if len(selected) >= self.config.max_features:
-                    break
-                feature = Feature(
-                    feature_id=next_feature_id,
-                    graph=candidate,
-                    support=support,
-                    canonical=canonical_form(candidate),
+                    return selected
+                selected.append(
+                    Feature(
+                        feature_id=len(selected), graph=candidate, support=support, canonical=key
+                    )
                 )
-                selected.append(feature)
-                selected_supports[feature.canonical] = support
-                next_feature_id += 1
-            if len(selected) >= self.config.max_features:
-                break
-            level_graphs = self._grow(
-                [item[0] for item in scored], skeletons
-            )
-            current_vertices += 1
+                selected_supports[key] = support
+            full = len(selected) >= self.config.max_features
+            if full or num_vertices == self.config.max_vertices:
+                break  # no further level will be scored: nothing to grow for
+            level = self._grow([embeddings for *_, embeddings in scored], skeletons)
         return selected
 
     # ------------------------------------------------------------------
     # candidate generation
     # ------------------------------------------------------------------
-    def _single_edge_seeds(self, skeletons: dict[int, LabeledGraph]) -> list[LabeledGraph]:
-        """All distinct single-edge features present in the database."""
-        seen: dict[str, LabeledGraph] = {}
-        for skeleton in skeletons.values():
+    @staticmethod
+    def _single_edge_seeds(skeletons: list[LabeledGraph]) -> list[tuple[str, LabeledGraph]]:
+        """All distinct single-edge features present in the database.
+
+        A seed is determined by its (endpoint label pair, edge label) triple,
+        so the colour refinement behind ``canonical_form`` runs once per
+        distinct triple (the first edge that shows it), not once per data
+        edge.
+        """
+        triples: dict[tuple, LabeledGraph] = {}
+        for skeleton in skeletons:
             for edge in skeleton.edges():
-                seed = LabeledGraph()
-                seed.add_vertex(0, skeleton.vertex_label(edge.u))
-                seed.add_vertex(1, skeleton.vertex_label(edge.v))
-                seed.add_edge(0, 1, edge.label)
-                key = canonical_form(seed)
-                if key not in seen:
-                    seen[key] = seed
-        return sorted(seen.values(), key=canonical_form)
+                labels = (skeleton.vertex_label(edge.u), skeleton.vertex_label(edge.v))
+                triple = (frozenset(map(repr, labels)), repr(edge.label))
+                if triple not in triples:
+                    triples[triple] = LabeledGraph.from_edges(
+                        dict(enumerate(labels)), [(0, 1, edge.label)]
+                    )
+        return sorted((canonical_form(seed), seed) for seed in triples.values())
 
     def _grow(
-        self, parents: list[LabeledGraph], skeletons: dict[int, LabeledGraph]
-    ) -> list[LabeledGraph]:
-        """Extend parent features by one edge along their data-graph embeddings."""
+        self, parents: list[list[list[Embedding]]], skeletons: list[LabeledGraph]
+    ) -> list[tuple[str, LabeledGraph]]:
+        """Extend parent features by one edge along their data-graph embeddings.
+
+        ``parents`` holds, per surviving parent in score order, the
+        per-skeleton embedding lists :meth:`_support` enumerated for it.
+        """
         candidates: dict[str, LabeledGraph] = {}
-        skeleton_list = list(skeletons.values())
-        for parent in parents:
-            embeddings_per_skeleton = find_embeddings_block(
-                parent, skeleton_list, limit=self.config.embedding_limit
-            )
-            for skeleton, embeddings in zip(skeleton_list, embeddings_per_skeleton):
+        for embeddings_per_skeleton in parents:
+            for skeleton, embeddings in zip(skeletons, embeddings_per_skeleton):
                 for embedding in embeddings:
                     extensions = self._extensions_of(embedding.edges, skeleton)
                     for extension_edges in extensions:
                         candidate = _rebuild_feature(skeleton, extension_edges)
                         if candidate.num_vertices > self.config.max_vertices:
                             continue
-                        key = canonical_form(candidate)
-                        if key not in candidates:
-                            candidates[key] = candidate
+                        candidates.setdefault(canonical_form(candidate), candidate)
                         if len(candidates) >= self.config.max_candidates_per_level:
-                            return sorted(candidates.values(), key=canonical_form)
-        return sorted(candidates.values(), key=canonical_form)
+                            return sorted(candidates.items())
+        return sorted(candidates.items())
 
     @staticmethod
     def _extensions_of(embedding_edges: frozenset, skeleton: LabeledGraph) -> list[frozenset]:
@@ -185,27 +189,29 @@ class FeatureMiner:
     # scoring
     # ------------------------------------------------------------------
     def _support(
-        self, candidate: LabeledGraph, skeletons: dict[int, LabeledGraph]
-    ) -> tuple[frozenset, frozenset]:
-        """(support, qualified-support) of a candidate feature.
+        self, candidate: LabeledGraph, block: GraphBlock
+    ) -> tuple[frozenset, frozenset, list[list[Embedding]]]:
+        """(support, qualified-support, per-skeleton embeddings) of a candidate.
 
         ``support`` is every graph containing the feature; ``qualified`` only
         counts graphs where the disjoint-embedding ratio reaches ``alpha``
-        (the frequency of Algorithm 4 uses the qualified set).
+        (the frequency of Algorithm 4 uses the qualified set).  The
+        embeddings are handed back so :meth:`_grow` extends them instead of
+        enumerating them again.
         """
         containing = set()
         qualified = set()
         embeddings_per_skeleton = find_embeddings_block(
-            candidate, skeletons.values(), limit=self.config.embedding_limit
+            candidate, block, limit=self.config.embedding_limit
         )
-        for (index, _skeleton), embeddings in zip(skeletons.items(), embeddings_per_skeleton):
+        for index, embeddings in enumerate(embeddings_per_skeleton):
             if not embeddings:
                 continue
             containing.add(index)
             disjoint = maximal_disjoint_embeddings(embeddings)
             if len(disjoint) / len(embeddings) >= self.config.alpha:
                 qualified.add(index)
-        return frozenset(containing), frozenset(qualified)
+        return frozenset(containing), frozenset(qualified), embeddings_per_skeleton
 
     def _is_discriminative(
         self,
@@ -221,7 +227,7 @@ class FeatureMiner:
             selected_supports[feature.canonical]
             for feature in selected
             if feature.num_edges < candidate.num_edges
-            and _is_subfeature(feature.graph, candidate)
+            and match_block(feature.graph, (candidate,))[0]
         ]
         if not subfeature_supports:
             return True
@@ -229,12 +235,6 @@ class FeatureMiner:
         for other in subfeature_supports[1:]:
             intersection &= other
         return (len(intersection) / len(support)) > self.config.gamma
-
-
-def _is_subfeature(small: LabeledGraph, large: LabeledGraph) -> bool:
-    from repro.isomorphism.vf2 import is_subgraph_isomorphic
-
-    return is_subgraph_isomorphic(small, large)
 
 
 def _rebuild_feature(skeleton: LabeledGraph, edges: frozenset) -> LabeledGraph:

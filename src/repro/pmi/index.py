@@ -29,6 +29,8 @@ import numpy as np
 from repro.exceptions import ConfigurationError, IndexError_
 from repro.graphs.io import labeled_graph_from_dict, labeled_graph_to_dict
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
+from repro.isomorphism.embeddings import find_embeddings_block
+from repro.isomorphism.generic_join import GraphBlock
 from repro.pmi.bounds import BoundConfig, SipBounds, compute_sip_bounds, draw_worlds
 from repro.pmi.features import Feature, FeatureMiner, FeatureSelectionConfig
 from repro.utils.atomic_io import atomic_write_text, atomic_writer
@@ -43,6 +45,9 @@ from repro.utils.timer import Timer
 # sequential full build under the same root.
 
 PERSIST_FORMAT_VERSION = 1
+# graphs whose embeddings are enumerated (and held) at once during a build;
+# bounds the enumeration's memory on large databases, changes no cell
+_BUILD_BLOCK_GRAPHS = 256
 ARRAYS_FILENAME = "pmi_arrays.npz"
 META_FILENAME = "pmi_meta.json"
 
@@ -154,33 +159,56 @@ class ProbabilisticMatrixIndex:
                     )
             num_features = len(self.features)
             self._allocate(num_graphs, num_features)
-            for graph_id, graph in enumerate(database):
-                self._fill_row(graph_id, graph, root, stable_ids[graph_id])
+            for start in range(0, num_graphs, _BUILD_BLOCK_GRAPHS):
+                self._fill_rows(
+                    start, database[start : start + _BUILD_BLOCK_GRAPHS], root, stable_ids
+                )
         self.build_seconds = timer.elapsed
         self.database_size = len(database)
         self._built = True
         self.build_root = root
         return self
 
-    def _fill_row(self, row: int, graph: ProbabilisticGraph, root: int, stable_id: int) -> None:
-        """Compute one graph's cells over one world batch, drawn from the
-        graph's private BUILD_STREAM generator and shared by every feature —
-        so a cell depends on (root, stable id, graph, feature) and on nothing
-        else, not even on which other features the row holds."""
-        try:
-            worlds = draw_worlds(
-                graph, self.bound_config, derive_rng(root, BUILD_STREAM, stable_id)
+    def _fill_rows(
+        self, start: int, graphs: list[ProbabilisticGraph], root: int, stable_ids: list[int]
+    ) -> None:
+        """Fill the rows ``start..`` of one block of graphs.
+
+        Embeddings are enumerated feature-major — the block's skeletons are
+        stacked once and every feature is one join over all of them — and
+        each row is then handed its slice.  A row's cells are computed over
+        one world batch, drawn from the graph's private BUILD_STREAM
+        generator and shared by every feature — so a cell depends on (root,
+        stable id, graph, feature) and on nothing else: not on which other
+        features the row holds, nor on which other graphs share the block.
+        """
+        block = GraphBlock(graph.skeleton for graph in graphs)
+        embeddings = [
+            find_embeddings_block(
+                feature.graph, block, limit=self.bound_config.embedding_limit
             )
-        except ConfigurationError as error:
-            raise ConfigurationError(
-                f"graph {stable_id} cannot be indexed: {error}"
-            ) from error
-        for column, feature in enumerate(self.features):
-            bounds = compute_sip_bounds(
-                feature.graph, graph, config=self.bound_config, worlds=worlds
-            )
-            if not bounds.is_empty():
-                self._store_cell(row, column, feature.feature_id, bounds)
+            for feature in self.features
+        ]
+        for offset, graph in enumerate(graphs):
+            row = start + offset
+            try:
+                worlds = draw_worlds(
+                    graph, self.bound_config, derive_rng(root, BUILD_STREAM, stable_ids[row])
+                )
+            except ConfigurationError as error:
+                raise ConfigurationError(
+                    f"graph {stable_ids[row]} cannot be indexed: {error}"
+                ) from error
+            for column, feature in enumerate(self.features):
+                bounds = compute_sip_bounds(
+                    feature.graph,
+                    graph,
+                    config=self.bound_config,
+                    embeddings=embeddings[column][offset],
+                    worlds=worlds,
+                )
+                if not bounds.is_empty():
+                    self._store_cell(row, column, feature.feature_id, bounds)
 
     @classmethod
     def empty(

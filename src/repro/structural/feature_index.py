@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.isomorphism.embeddings import count_embeddings_block, find_embeddings
+from repro.isomorphism.generic_join import GraphBlock
 from repro.pmi.features import Feature
 from repro.utils.rows import resolve_row_selector
 from repro.exceptions import ConfigurationError, StateError
@@ -97,14 +98,17 @@ class StructuralFeatureIndex:
     def _count_matrix(self, skeletons: list[LabeledGraph]) -> np.ndarray:
         """``counts[graph, feature]`` for a batch of skeletons.
 
-        Filled feature-major: each feature's compiled join plan is reused
-        across the whole skeleton block (counting is deterministic and
-        RNG-free, so the fill order does not affect results).
+        Filled feature-major: the skeletons are stacked once and each
+        feature is one join over the whole block, its column read off the
+        join's per-graph distinct-embedding counts (counting is
+        deterministic and RNG-free, so the fill order does not affect
+        results).
         """
         counts = np.zeros((len(skeletons), len(self.features)), dtype=np.int32)
+        block = GraphBlock(skeletons)
         for column, feature in enumerate(self.features):
             counts[:, column] = count_embeddings_block(
-                feature.graph, skeletons, limit=self.embedding_limit
+                feature.graph, block, limit=self.embedding_limit
             )
         return counts
 

@@ -1,14 +1,23 @@
 """Unit tests for the vectorized generic-join matching engine: the matcher
 API, block entry points, compiled-structure caching against the graph
-mutation counter, the overflow fallback to VF2, truncation reporting and
-the engine registry."""
+mutation counter, the overflow fallback to VF2, truncation reporting, the
+engine registry, and the block path held to the block-of-one path — on
+random blocks (hypothesis) and on corpora drawn with the end-to-end
+benchmark's generator settings (mined features, PMI cells, structural
+counts)."""
 
 from __future__ import annotations
 
 import os
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import GraphCatalog
+from repro.datasets import PPIDatasetConfig, generate_ppi_database
 from repro.graphs import LabeledGraph
 from repro.isomorphism import (
     GenericJoinMatcher,
@@ -16,6 +25,7 @@ from repro.isomorphism import (
     VF2Matcher,
     compile_edge_table,
     compile_join_plan,
+    count_embeddings,
     count_embeddings_block,
     enumerate_embeddings,
     find_embeddings,
@@ -25,8 +35,20 @@ from repro.isomorphism import (
     set_default_engine,
     using_engine,
 )
+from repro.isomorphism import embeddings as embeddings_module
 from repro.isomorphism import generic_join
-from repro.isomorphism.embeddings import reset_truncation_count, truncation_count
+from repro.isomorphism.embeddings import (
+    enumerate_embeddings_block,
+    reset_truncation_count,
+    truncation_count,
+)
+from repro.isomorphism.generic_join import GraphBlock, pattern_exists
+from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
+from repro.pmi import features as features_module
+from repro.pmi.bounds import compute_sip_bounds, draw_worlds
+from repro.pmi.features import FeatureMiner
+from repro.structural.feature_index import StructuralFeatureIndex
+from repro.utils.rng import BUILD_STREAM, derive_rng
 
 
 def build(vertex_labels, edges):
@@ -280,3 +302,254 @@ class TestEngineRegistry:
         with using_engine("generic_join"):
             vf2 = find_embeddings(pattern, triangle_target, method="vf2")
         assert gj == vf2
+
+
+# ----------------------------------------------------------------------
+# the block path against the block-of-one path
+# ----------------------------------------------------------------------
+BLOCK_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+VERTEX_LABELS = st.sampled_from(["a", "a", "b", "b", "c", "rare"])
+EDGE_LABELS = st.sampled_from(["x", "x", "y"])
+# ints and strs in one graph: indexed in repr order
+VERTEX_IDS = [0, 1, "2", 3, "4", 5, "6"]
+
+
+@st.composite
+def random_graphs(draw, min_vertices=0, max_vertices=6, mixed_ids=True):
+    """Random labeled graphs, not necessarily connected; may be empty."""
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    ids = VERTEX_IDS[:n] if mixed_ids and draw(st.booleans()) else list(range(n))
+    graph = LabeledGraph()
+    for vertex in ids:
+        graph.add_vertex(vertex, draw(VERTEX_LABELS))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(min_value=0, max_value=2)) == 0:
+                graph.add_edge(ids[i], ids[j], draw(EDGE_LABELS))
+    return graph
+
+
+@st.composite
+def blocks_and_patterns(draw):
+    """A block (with an empty graph now and then, and one graph object in it
+    twice) plus a pattern: either cut out of a block member, so that there
+    are matches, or independent — both may be disconnected."""
+    graphs = draw(st.lists(random_graphs(), min_size=1, max_size=5))
+    graphs.insert(draw(st.integers(0, len(graphs))), graphs[draw(st.integers(0, len(graphs) - 1))])
+    donor = draw(st.sampled_from(graphs))
+    keys = [key for key in donor.edge_keys() if draw(st.booleans())]
+    if keys:
+        pattern = donor.subgraph_by_edges(keys)
+    else:
+        pattern = draw(random_graphs(min_vertices=1, max_vertices=4, mixed_ids=False))
+    return graphs, pattern
+
+
+class TestBlockEqualsBlockOfOne:
+    @BLOCK_SETTINGS
+    @given(
+        blocks_and_patterns(),
+        st.sampled_from([None, 1, 2, 200]),
+        st.booleans(),
+    )
+    def test_embeddings_flags_counts_and_matches(self, case, limit, label_sensitive):
+        graphs, pattern = case
+        options = dict(limit=limit, label_sensitive=label_sensitive)
+        reset_truncation_count()
+        one_by_one = [enumerate_embeddings(pattern, graph, **options) for graph in graphs]
+        cut_one_by_one = truncation_count()
+        counts_one_by_one = [count_embeddings(pattern, graph, **options) for graph in graphs]
+        assert truncation_count() == 2 * cut_one_by_one
+
+        for targets in (graphs, GraphBlock(graphs)):
+            reset_truncation_count()
+            block = enumerate_embeddings_block(pattern, targets, **options)
+            assert [r.embeddings for r in block] == [r.embeddings for r in one_by_one]
+            assert [r.truncated for r in block] == [r.truncated for r in one_by_one]
+            assert truncation_count() == cut_one_by_one
+
+            reset_truncation_count()
+            counts = count_embeddings_block(pattern, targets, **options)
+            assert counts == counts_one_by_one == [len(r.embeddings) for r in one_by_one]
+            assert truncation_count() == cut_one_by_one
+
+            assert match_block(pattern, targets, label_sensitive) == [
+                pattern_exists(pattern, graph, label_sensitive) for graph in graphs
+            ]
+        reset_truncation_count()
+
+    @BLOCK_SETTINGS
+    @given(blocks_and_patterns(), st.booleans())
+    def test_untruncated_block_equals_vf2(self, case, label_sensitive):
+        graphs, pattern = case
+        options = dict(limit=None, label_sensitive=label_sensitive)
+        assert find_embeddings_block(pattern, graphs, **options) == find_embeddings_block(
+            pattern, graphs, method="vf2", **options
+        )
+        assert match_block(pattern, graphs, label_sensitive) == match_block(
+            pattern, graphs, label_sensitive, method="vf2"
+        )
+
+    @BLOCK_SETTINGS
+    @given(blocks_and_patterns(), st.integers(min_value=1, max_value=12))
+    def test_overflow_halves_the_block_and_reroutes_only_lone_overflowers(self, case, cap):
+        """With a low frontier cap the block splits; results stay equal, and
+        VF2 sees exactly the graphs whose block of one overflows."""
+        graphs, pattern = case
+        if pattern.num_edges == 0:
+            return
+        expected = find_embeddings_block(pattern, graphs, limit=None)
+        expected_matches = match_block(pattern, graphs)
+        plan = compile_join_plan(pattern)
+        rerouted: list[int] = []
+        reference = embeddings_module._enumerate_vf2
+
+        def recording(pattern_, target, *args):
+            rerouted.append(id(target))
+            return reference(pattern_, target, *args)
+
+        with mock.patch.object(generic_join, "_MAX_OPEN_BRANCHES", cap):
+            alone = []
+            for graph in graphs:
+                try:
+                    generic_join.execute_join_plan(plan, compile_edge_table(graph))
+                except GenericJoinOverflow:
+                    alone.append(id(graph))
+            with mock.patch.object(embeddings_module, "_enumerate_vf2", recording):
+                assert find_embeddings_block(pattern, graphs, limit=None) == expected
+            assert match_block(pattern, graphs) == expected_matches
+        assert rerouted == alone
+
+    def test_only_the_graph_that_overflows_alone_goes_to_vf2(self, monkeypatch):
+        pattern = build({0: "a", 1: "b"}, [(0, 1, "x")])
+        small = build({0: "a", 1: "b", 2: "b"}, [(0, 1, "x"), (0, 2, "x")])
+        star = build(
+            {0: "a", **{i: "b" for i in range(1, 10)}}, [(0, i, "x") for i in range(1, 10)]
+        )
+        graphs = [small, star, small.copy(), LabeledGraph()]
+        expected = find_embeddings_block(pattern, graphs, limit=None)
+        # two small graphs fit under the cap together; the star never does
+        monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 4)
+        rerouted = []
+        reference = embeddings_module._enumerate_vf2
+        monkeypatch.setattr(
+            embeddings_module,
+            "_enumerate_vf2",
+            lambda p, target, *args: rerouted.append(target) or reference(p, target, *args),
+        )
+        assert find_embeddings_block(pattern, graphs, limit=None) == expected
+        assert rerouted == [star]
+        assert count_embeddings_block(pattern, graphs, limit=None) == [2, 9, 2, 0]
+        assert match_block(pattern, graphs) == [True, True, True, False]
+
+    def test_component_start_never_pairs_across_graphs(self):
+        """A disconnected pattern whose halves live in different graphs."""
+        pattern = build({0: "a", 1: "a", 2: "b", 3: "b"}, [(0, 1, "x"), (2, 3, "y")])
+        left = build({0: "a", 1: "a"}, [(0, 1, "x")])
+        right = build({0: "b", 1: "b"}, [(0, 1, "y")])
+        both = build({0: "a", 1: "a", 2: "b", 3: "b"}, [(0, 1, "x"), (2, 3, "y")])
+        assert match_block(pattern, [left, right, both]) == [False, False, True]
+        assert count_embeddings_block(pattern, [left, right, both]) == [0, 0, 1]
+
+    def test_empty_block(self):
+        pattern = build({0: "a", 1: "b"}, [(0, 1, "x")])
+        assert find_embeddings_block(pattern, []) == []
+        assert count_embeddings_block(pattern, []) == []
+        assert match_block(pattern, []) == []
+
+
+# ----------------------------------------------------------------------
+# index contents on the end-to-end benchmark's corpora
+# ----------------------------------------------------------------------
+# benchmarks/e2e/corpus.py: (graphs, families, seed salt) per workload; the
+# per-graph shape, the mining and the bound configuration are shared
+E2E_PROFILES = {
+    "verify_heavy": (100, 4, 0),
+    "filter_heavy": (200, 8, 1),
+    "service_mixed": (100, 4, 2),
+    "catalog_churn": (100, 4, 3),
+}
+E2E_CORPUS_SEED = 20120827
+E2E_BUILD_SEED = 20120831
+E2E_FEATURES = FeatureSelectionConfig(max_vertices=3, max_features=16)
+E2E_BOUNDS = BoundConfig(num_samples=60)
+
+
+def one_graph_at_a_time(pattern, targets, **options):
+    """``find_embeddings_block`` as a loop over blocks of one."""
+    graphs = targets.graphs if isinstance(targets, GraphBlock) else targets
+    return [find_embeddings(pattern, graph, **options) for graph in graphs]
+
+
+def feature_fingerprint(feature):
+    graph = feature.graph
+    vertices = sorted(graph.vertices(), key=repr)
+    return (
+        feature.feature_id,
+        feature.canonical,
+        sorted(feature.support),
+        [(vertex, graph.vertex_label(vertex)) for vertex in vertices],
+        sorted((key, graph.edge_label(*key)) for key in graph.edge_keys()),
+    )
+
+
+@pytest.mark.parametrize("workload", list(E2E_PROFILES))
+def test_index_contents_equal_the_block_of_one_oracle(workload, monkeypatch):
+    num_graphs, families, salt = E2E_PROFILES[workload]
+    dataset = PPIDatasetConfig(
+        num_graphs=num_graphs,
+        num_families=families,
+        vertices_per_graph=30,
+        edges_per_graph=45,
+        motif_vertices=5,
+        motif_edges=6,
+        mean_edge_probability=0.55,
+        probability_spread=0.2,
+    )
+    graphs = generate_ppi_database(dataset, rng=E2E_CORPUS_SEED + salt).graphs
+
+    features = FeatureMiner(E2E_FEATURES).mine(graphs)
+    with monkeypatch.context() as patched:
+        patched.setattr(features_module, "find_embeddings_block", one_graph_at_a_time)
+        oracle_features = FeatureMiner(E2E_FEATURES).mine(graphs)
+    assert [feature_fingerprint(f) for f in features] == [
+        feature_fingerprint(f) for f in oracle_features
+    ]
+
+    # a cell is a pure function of (root, id, graph, feature): one oracle for
+    # every sharding
+    oracle_cells = []
+    oracle_counts = np.zeros((num_graphs, len(features)), dtype=np.int32)
+    for graph_id, graph in enumerate(graphs):
+        worlds = draw_worlds(graph, E2E_BOUNDS, derive_rng(E2E_BUILD_SEED, BUILD_STREAM, graph_id))
+        for column, feature in enumerate(features):
+            bounds = compute_sip_bounds(feature.graph, graph, config=E2E_BOUNDS, worlds=worlds)
+            oracle_cells.append(None if bounds.is_empty() else bounds)
+            oracle_counts[graph_id, column] = count_embeddings(
+                feature.graph, graph.skeleton, limit=E2E_FEATURES.embedding_limit
+            )
+
+    for num_shards in (1, 2):
+        with GraphCatalog.build(
+            graphs,
+            feature_config=E2E_FEATURES,
+            bound_config=E2E_BOUNDS,
+            rng=E2E_BUILD_SEED,
+            num_shards=num_shards,
+            max_workers=0,
+        ) as catalog:
+            assert [feature_fingerprint(f) for f in catalog.features] == [
+                feature_fingerprint(f) for f in features
+            ]
+            cells = []
+            counts = []
+            for store in catalog._stores:
+                pmi: ProbabilisticMatrixIndex = store.base_pmi
+                structural: StructuralFeatureIndex = store.base_structural
+                for row in range(pmi.num_graphs):
+                    cells.extend(pmi.bounds(row, f.feature_id) for f in features)
+                counts.append(structural.counts_matrix())
+            assert cells == oracle_cells
+            assert np.array_equal(np.vstack(counts), oracle_counts)
