@@ -6,8 +6,8 @@ substitute, prints the same series the paper plots, and exposes the heavy
 computation to ``pytest-benchmark`` so wall-clock numbers are tracked.
 
 The dataset and index here are intentionally much smaller than the paper's
-(5K graphs of ~385 vertices): EXPERIMENTS.md records the scaling and compares
-the *shapes* of the curves, not absolute seconds.
+(5K graphs of ~385 vertices): compare the *shapes* of the curves, not
+absolute seconds.
 """
 
 from __future__ import annotations

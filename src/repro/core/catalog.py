@@ -42,10 +42,18 @@ shard with the fewest live graphs (:func:`repro.core.sharding.route_to_smallest`
 ``compact()`` rebalances by collecting all live graphs (ordered by external
 id) and re-partitioning them contiguously with
 :func:`repro.core.sharding.partition_ranges` — the same balanced-split rule
-the initial build uses.  Queries fan out through the ordinary
-:class:`~repro.core.sharding.ShardedPlanner`; mutations invalidate the
-cached planner (and its worker pool), so read-heavy phases amortize the
-rebuild while writes stay cheap.
+the initial build uses.
+
+**The query path.**  The catalog is the front door of every query —
+:class:`~repro.core.search_engine.ProbabilisticGraphDatabase` holds one for
+every shard count and delegates to it.  Its four query methods validate and
+plan the whole batch (``planner.plan`` / ``plan_top_k``), then turn ``rng`` /
+``rngs`` into one 64-bit root per query, in query order, and hand plans and
+roots to ``planner.execute_plans`` — the entry a
+:class:`~repro.core.planner.QueryPlanner` (one shard) and a
+:class:`~repro.core.sharding.ShardedPlanner` (several) share.  Mutations
+invalidate the cached planner (and its worker pool), so read-heavy phases
+amortize the rebuild while writes stay cheap.
 
 That invalidation is also the shared-memory **hot-swap protocol**: a pooled
 planner publishes each shard once into a shared-memory
@@ -95,7 +103,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.planner import QueryPlanner, validate_query, validate_top_k_query
+from repro.core.planner import QueryPlanner
 from repro.core.results import QueryResult
 from repro.core.sharding import (
     DatabaseShard,
@@ -106,7 +114,7 @@ from repro.core.sharding import (
     route_to_smallest,
 )
 from repro.core.wal import WriteAheadLog, wal_filename
-from repro.exceptions import CatalogError, ConfigurationError, WalError
+from repro.exceptions import CatalogError, ConfigurationError, QueryError, WalError
 from repro.graphs.io import (
     load_database,
     probabilistic_graph_from_dict,
@@ -147,6 +155,24 @@ class _Durability:
     directory: Path
     generation: int
     wal: WriteAheadLog
+
+
+def _query_roots(
+    rng: RandomLike, rngs: list[RandomLike] | None, num_queries: int
+) -> list[int]:
+    """The 64-bit root of every query of a batch, in query order — the one
+    place ``rng`` / ``rngs`` become roots (semantics: :meth:`GraphCatalog.query_many`).
+    It runs after planning, so a batch that fails validation never draws
+    from a shared generator.
+    """
+    if rngs is None:
+        return [rng_root(rng) for _ in range(num_queries)]
+    if rng is not None:
+        raise QueryError("pass either rng or rngs, not both")
+    rngs = list(rngs)
+    if len(rngs) != num_queries:
+        raise QueryError(f"rngs has {len(rngs)} entries for {num_queries} queries")
+    return [rng_root(query_rng) for query_rng in rngs]
 
 
 # ----------------------------------------------------------------------
@@ -344,12 +370,12 @@ class _ShardStore:
 class GraphCatalog:
     """A mutable, queryable probabilistic graph database.
 
-    Construct with :meth:`build` (index from scratch) or via
+    Construct with :meth:`build` (index from scratch), :meth:`from_index` /
     :meth:`repro.core.search_engine.ProbabilisticGraphDatabase.to_catalog`
-    (adopt an already-built sequential index).  Query methods mirror the
-    engine (``query`` / ``query_many`` / ``query_top_k`` /
-    ``query_top_k_many``) and honour the same determinism contracts; see the
-    module docstring for the mutation/compaction lifecycle.
+    (adopt an already-built one-shard index) or :meth:`open` (recover a
+    durable one).  ``query`` / ``query_many`` / ``query_top_k`` /
+    ``query_top_k_many`` are the query path of the engine too; see the
+    module docstring for it and for the mutation/compaction lifecycle.
     """
 
     def __init__(
@@ -405,11 +431,11 @@ class GraphCatalog:
         """Mine features once, build the base indexes, seed external ids 0..N-1.
 
         With the same ``rng`` (an int seed, for reproducibility) this base
-        build is cell-for-cell identical to
-        ``ProbabilisticGraphDatabase.build_index(rng=...)`` over the same
-        graphs — the catalog only *adds* the mutation layer on top.  Passing
-        a ``directory`` makes the catalog durable from birth (see
-        :meth:`persist`).
+        build is cell-for-cell identical, for every ``num_shards``, to a
+        dense ``ProbabilisticMatrixIndex.build(graphs, rng=...)`` plus a
+        ``StructuralFeatureIndex`` counted over its features — the catalog
+        only *adds* the mutation layer on top.  Passing a ``directory``
+        makes the catalog durable from birth (see :meth:`persist`).
         """
         if not graphs:
             raise CatalogError("the catalog needs at least one probabilistic graph")
@@ -449,7 +475,7 @@ class GraphCatalog:
         max_workers: int | None = None,
         directory: str | Path | None = None,
     ) -> "GraphCatalog":
-        """Adopt an already-built (or loaded) sequential index as the base.
+        """Adopt an already-built (or loaded) whole-database index as the base.
 
         External ids are the index's row positions ``0..N-1`` — exactly the
         stable ids the static build salted its RNG streams with, so adopted
@@ -1069,7 +1095,7 @@ class GraphCatalog:
         return self
 
     # ------------------------------------------------------------------
-    # querying (engine-compatible surface)
+    # querying
     # ------------------------------------------------------------------
     def planner(self) -> QueryPlanner | ShardedPlanner:
         """The current planner view; rebuilt lazily after any mutation."""
@@ -1081,9 +1107,7 @@ class GraphCatalog:
             if len(shards) == 1:
                 self._planner_cache = shards[0].make_planner()
             else:
-                self._planner_cache = ShardedPlanner(
-                    shards, max_workers=self._max_workers
-                )
+                self._planner_cache = ShardedPlanner(shards, max_workers=self._max_workers)
         return self._planner_cache
 
     def query(
@@ -1095,10 +1119,9 @@ class GraphCatalog:
         rng: RandomLike = None,
     ) -> QueryResult:
         """One T-PS query over the live graphs; answers carry external ids."""
-        validate_query(query_graph, probability_threshold, distance_threshold)
-        return self.planner().execute(
-            query_graph, probability_threshold, distance_threshold, config, rng=rng
-        )
+        return self.query_many(
+            [query_graph], probability_threshold, distance_threshold, config, rng=rng
+        )[0]
 
     def query_many(
         self,
@@ -1111,20 +1134,27 @@ class GraphCatalog:
     ) -> list[QueryResult]:
         """A T-PS workload; identical answers to sequential :meth:`query` calls.
 
-        ``rngs`` (mutually exclusive with ``rng``) supplies one RNG per query,
-        so callers batching unrelated requests — the query service — keep each
-        request's answers independent of batch composition.
+        Every query is validated and planned before any executes, so a
+        malformed query anywhere in the batch raises :class:`QueryError` with
+        no work done and no ``rng`` consumed.  ``rng`` semantics match
+        repeated :meth:`query` calls: an int seed (or ``None``) is
+        re-normalized per query, so ``query_many(qs, ..., rng=7)`` returns
+        exactly ``[query(q, ..., rng=7) for q in qs]``; a shared
+        ``random.Random`` is consumed once per query, in query order.
+
+        ``rngs`` (mutually exclusive with ``rng``) supplies one RNG per query
+        instead — the micro-batching contract: ``query_many(qs, ...,
+        rngs=[s0, s1, ...])`` is byte-identical to ``[query(q, ..., rng=s)
+        for q, s in zip(...)]``, so the query service can coalesce requests
+        that each carry their own seed without the batch composition leaking
+        into any answer.
         """
-        for query_graph in query_graphs:
-            validate_query(query_graph, probability_threshold, distance_threshold)
-        return self.planner().execute_many(
-            query_graphs,
-            probability_threshold,
-            distance_threshold,
-            config,
-            rng=rng,
-            rngs=rngs,
-        )
+        planner = self.planner()
+        plans = [
+            planner.plan(query_graph, probability_threshold, distance_threshold, config)
+            for query_graph in query_graphs
+        ]
+        return planner.execute_plans(plans, _query_roots(rng, rngs, len(plans)))
 
     def query_top_k(
         self,
@@ -1135,10 +1165,7 @@ class GraphCatalog:
         rng: RandomLike = None,
     ) -> QueryResult:
         """The k most probable live graphs, best first (ties → smaller id)."""
-        validate_top_k_query(query_graph, k, distance_threshold)
-        return self.planner().execute_top_k(
-            query_graph, k, distance_threshold, config, rng=rng
-        )
+        return self.query_top_k_many([query_graph], k, distance_threshold, config, rng=rng)[0]
 
     def query_top_k_many(
         self,
@@ -1151,13 +1178,14 @@ class GraphCatalog:
     ) -> list[QueryResult]:
         """A top-k workload; one result per query, in input order.
 
-        ``rngs`` has the same per-query contract as :meth:`query_many`.
+        Validation, ``rng`` and ``rngs`` follow :meth:`query_many`.
         """
-        for query_graph in query_graphs:
-            validate_top_k_query(query_graph, k, distance_threshold)
-        return self.planner().execute_top_k_many(
-            query_graphs, k, distance_threshold, config, rng=rng, rngs=rngs
-        )
+        planner = self.planner()
+        plans = [
+            planner.plan_top_k(query_graph, k, distance_threshold, config)
+            for query_graph in query_graphs
+        ]
+        return planner.execute_plans(plans, _query_roots(rng, rngs, len(plans)))
 
     # ------------------------------------------------------------------
     # lifecycle

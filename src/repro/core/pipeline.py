@@ -255,14 +255,10 @@ class PipelineStage:
     ``run`` narrows (never widens) the candidate set, may append answers to
     ``ctx.result``, and records its pruned/accepted/passed counts on the
     provided :class:`StageStatistics` (``examined`` and ``seconds`` are
-    filled in by the driving :class:`QueryPipeline`).  ``legacy_field``
-    names the pre-pipeline ``QueryStatistics`` wall-time field this stage
-    reports into, keeping the paper's three-phase accounting alive for
-    existing consumers.
+    filled in by the driving :class:`QueryPipeline`).
     """
 
     name = "stage"
-    legacy_field: str | None = None
 
     def run(
         self, candidates: CandidateSet, ctx: PipelineContext, stage_stats: StageStatistics
@@ -274,7 +270,6 @@ class StructuralFilterStage(PipelineStage):
     """Stage 1 (Theorem 1): discard graphs whose skeleton cannot match."""
 
     name = "structural_filter"
-    legacy_field = "structural_seconds"
 
     def __init__(self, planner: "QueryPlanner") -> None:
         self.planner = planner
@@ -305,7 +300,6 @@ class PmiPruningStage(PipelineStage):
     """
 
     name = "pmi_pruning"
-    legacy_field = "probabilistic_seconds"
 
     def __init__(self, planner: "QueryPlanner") -> None:
         self.planner = planner
@@ -407,7 +401,6 @@ class VerificationStage(PipelineStage):
     """
 
     name = "verification"
-    legacy_field = "verification_seconds"
 
     def __init__(self, planner: "QueryPlanner") -> None:
         self.planner = planner
@@ -545,8 +538,6 @@ class QueryPipeline:
                 with timer:
                     stage.run(candidates, ctx, stage_stats)
                 stage_stats.seconds = timer.elapsed
-                if stage.legacy_field is not None:
-                    setattr(stats, stage.legacy_field, timer.elapsed)
                 stats.stages.append(stage_stats)
             if ctx.state.is_top_k and not ctx.gather_partial:
                 result.answers.extend(ctx.state.ranked())

@@ -15,9 +15,12 @@ graph*.  :class:`QueryPlanner` splits that work by lifetime:
 * **per candidate** (:meth:`execute_plan`): the pipeline stages — columnar
   PMI row reads, vectorized pruning decisions, verification.
 
-``ProbabilisticGraphDatabase.build_index()`` constructs the planner once;
-``query()``/``query_top_k()`` are thin plan executions and ``query_many()``
-batches a workload (identical answers to sequential queries).
+A planner answers finished plans: :meth:`QueryPlanner.execute_plans` takes a
+plan list and one 64-bit root per plan.  :class:`~repro.core.catalog.GraphCatalog`
+(which ``ProbabilisticGraphDatabase.build_index()`` holds) is the caller that
+validates, plans and turns ``rng`` / ``rngs`` into those roots; the
+single-query ``execute`` / ``execute_top_k`` below plan and run in one call
+and are what the parity suites build their from-scratch reference from.
 """
 
 from __future__ import annotations
@@ -104,30 +107,6 @@ def validate_top_k_query(
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k!r}")
     return k
-
-
-def _resolve_rngs(
-    rng: RandomLike, rngs: list[RandomLike] | None, num_queries: int
-) -> list[RandomLike]:
-    """Normalize the two workload RNG forms into one per-query list.
-
-    ``rngs`` (one entry per query, mutually exclusive with ``rng``) is the
-    micro-batching form: each query's streams derive from its own entry, so
-    the batch answers cannot depend on which other queries happened to share
-    the batch.  Without it, every query gets the shared ``rng`` — the
-    historical semantics (an int seed re-normalizes per query; a
-    ``random.Random`` is consumed sequentially across the batch).
-    """
-    if rngs is None:
-        return [rng] * num_queries
-    if rng is not None:
-        raise QueryError("pass either rng or rngs, not both")
-    rngs = list(rngs)
-    if len(rngs) != num_queries:
-        raise QueryError(
-            f"rngs has {len(rngs)} entries for {num_queries} queries"
-        )
-    return rngs
 
 
 @dataclass
@@ -310,38 +289,6 @@ class QueryPlanner:
             self.plan(query, probability_threshold, distance_threshold, config), rng=rng
         )
 
-    def execute_many(
-        self,
-        queries: list[LabeledGraph],
-        probability_threshold: float,
-        distance_threshold: int,
-        config: "SearchConfig | None" = None,
-        rng: RandomLike = None,
-        rngs: list[RandomLike] | None = None,
-    ) -> list[QueryResult]:
-        """Execute a workload against the shared plan machinery.
-
-        The per-database stage objects (structural filter, pruner, verifier)
-        are reused across the whole batch.  ``rng`` semantics match repeated
-        ``query()`` calls: an int seed (or ``None``) is re-normalized per
-        query, so ``query_many(qs, ..., rng=7)`` returns exactly the answers
-        of ``[query(q, ..., rng=7) for q in qs]``; a shared ``random.Random``
-        instance is consumed sequentially across the batch.
-
-        ``rngs`` supplies one independent ``rng`` per query instead — the
-        micro-batching contract: ``query_many(qs, ..., rngs=[s0, s1, ...])``
-        is byte-identical to ``[query(q, ..., rng=s) for q, s in zip(...)]``,
-        so a service can coalesce requests that each carry their own seed
-        without the batch composition leaking into any answer.
-        """
-        rngs = _resolve_rngs(rng, rngs, len(queries))
-        return [
-            self.execute(
-                query, probability_threshold, distance_threshold, config, rng=query_rng
-            )
-            for query, query_rng in zip(queries, rngs)
-        ]
-
     def execute_top_k(
         self,
         query: LabeledGraph,
@@ -363,21 +310,15 @@ class QueryPlanner:
         """
         return self.execute_plan(self.plan_top_k(query, k, distance_threshold, config), rng=rng)
 
-    def execute_top_k_many(
-        self,
-        queries: list[LabeledGraph],
-        k: int,
-        distance_threshold: int,
-        config: "SearchConfig | None" = None,
-        rng: RandomLike = None,
-        rngs: list[RandomLike] | None = None,
-    ) -> list[QueryResult]:
-        """A top-k workload; ``rng``/``rngs`` semantics match :meth:`execute_many`."""
-        rngs = _resolve_rngs(rng, rngs, len(queries))
-        return [
-            self.execute_top_k(query, k, distance_threshold, config, rng=query_rng)
-            for query, query_rng in zip(queries, rngs)
-        ]
+    def execute_plans(self, plans: list[QueryPlan], roots: list[int]) -> list[QueryResult]:
+        """Run finished plans — threshold and top-k may mix — one root each.
+
+        The entry :class:`~repro.core.catalog.GraphCatalog` calls, and the
+        one :class:`~repro.core.sharding.ShardedPlanner` shares: results come
+        back in plan order, and plan ``i`` answers exactly as
+        ``execute_plan(plans[i], rng=roots[i])`` would alone.
+        """
+        return [self.execute_plan(plan, rng=root) for plan, root in zip(plans, roots)]
 
     def execute_plan(self, plan: QueryPlan, rng: RandomLike = None) -> QueryResult:
         """Run the staged candidate pipeline for one plan.
@@ -437,9 +378,7 @@ class QueryPlanner:
 
     # `query*()` aliases for symmetry with the engine-level API
     query = execute
-    query_many = execute_many
     query_top_k = execute_top_k
-    query_top_k_many = execute_top_k_many
 
     # ------------------------------------------------------------------
     # stage-object lifecycle

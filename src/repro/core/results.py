@@ -79,10 +79,11 @@ class StageStatistics:
 class QueryStatistics:
     """Per-phase counters and timings for one query run.
 
-    The legacy top-level fields mirror the paper's three-phase accounting;
+    The top-level counters mirror the paper's three-phase accounting;
     ``stages`` carries one :class:`StageStatistics` per pipeline stage in
-    execution order, so custom pipelines report per-stage work without new
-    top-level fields.
+    execution order — its ``seconds`` is the only per-stage wall time, and
+    ``total_seconds`` covers the whole run — so custom pipelines report
+    per-stage work without new top-level fields.
     """
 
     database_size: int = 0
@@ -92,9 +93,6 @@ class QueryStatistics:
     pruned_by_upper_bound: int = 0
     verified: int = 0
     answers: int = 0
-    structural_seconds: float = 0.0
-    probabilistic_seconds: float = 0.0
-    verification_seconds: float = 0.0
     total_seconds: float = 0.0
     relaxed_query_count: int = 0
     stages: list[StageStatistics] = field(default_factory=list)
@@ -106,7 +104,7 @@ class QueryStatistics:
         Each shard runs the full pipeline over a disjoint slice of the
         database, so candidate/pruned/accepted/verified/answer counters (and
         the per-shard database sizes) sum to exactly the sequential planner's
-        counters — both the legacy top-level fields and the per-stage
+        counters — both the top-level fields and the per-stage
         ``stages`` entries, which are matched positionally and must name the
         same stage sequence in every part (a :class:`ValueError` otherwise:
         summing counters across *different* pipelines would silently produce
@@ -127,13 +125,6 @@ class QueryStatistics:
             merged.pruned_by_upper_bound += stats.pruned_by_upper_bound
             merged.verified += stats.verified
             merged.answers += stats.answers
-            merged.structural_seconds = max(merged.structural_seconds, stats.structural_seconds)
-            merged.probabilistic_seconds = max(
-                merged.probabilistic_seconds, stats.probabilistic_seconds
-            )
-            merged.verification_seconds = max(
-                merged.verification_seconds, stats.verification_seconds
-            )
             merged.total_seconds = max(merged.total_seconds, stats.total_seconds)
             merged.relaxed_query_count = max(
                 merged.relaxed_query_count, stats.relaxed_query_count
@@ -170,9 +161,6 @@ class QueryStatistics:
             "pruned_by_upper_bound": self.pruned_by_upper_bound,
             "verified": self.verified,
             "answers": self.answers,
-            "structural_seconds": round(self.structural_seconds, 6),
-            "probabilistic_seconds": round(self.probabilistic_seconds, 6),
-            "verification_seconds": round(self.verification_seconds, 6),
             "total_seconds": round(self.total_seconds, 6),
             "relaxed_query_count": self.relaxed_query_count,
             "stage_counters": [stage.counters_dict() for stage in self.stages],
@@ -197,9 +185,6 @@ class QueryStatistics:
             pruned_by_upper_bound=int(data.get("pruned_by_upper_bound", 0)),
             verified=int(data.get("verified", 0)),
             answers=int(data.get("answers", 0)),
-            structural_seconds=float(data.get("structural_seconds", 0.0)),
-            probabilistic_seconds=float(data.get("probabilistic_seconds", 0.0)),
-            verification_seconds=float(data.get("verification_seconds", 0.0)),
             total_seconds=float(data.get("total_seconds", 0.0)),
             relaxed_query_count=int(data.get("relaxed_query_count", 0)),
         )
@@ -276,9 +261,6 @@ def aggregate_statistics(results: Iterable[QueryResult]) -> dict:
         totals.pruned_by_upper_bound += stats.pruned_by_upper_bound
         totals.verified += stats.verified
         totals.answers += stats.answers
-        totals.structural_seconds += stats.structural_seconds
-        totals.probabilistic_seconds += stats.probabilistic_seconds
-        totals.verification_seconds += stats.verification_seconds
         totals.total_seconds += stats.total_seconds
         totals.relaxed_query_count += stats.relaxed_query_count
         for stage in stats.stages:

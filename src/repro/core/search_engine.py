@@ -1,15 +1,18 @@
 """The end-to-end probabilistic subgraph similarity search engine.
 
-:class:`ProbabilisticGraphDatabase` glues the three stages of Section 1.2
-together:
+:class:`ProbabilisticGraphDatabase` is the front door to the three stages of
+Section 1.2:
 
 1. **structural pruning** over the deterministic skeletons (Theorem 1),
 2. **probabilistic pruning** with PMI-derived SSP bounds (Theorems 3 & 4),
 3. **verification** of the remaining candidates (Algorithm 5 or exact).
 
-``build_index()`` constructs a reusable :class:`~repro.core.planner.QueryPlanner`
-once; ``query()`` is a thin plan execution and ``query_many()`` runs a whole
-workload against the shared planner.
+``build_index()`` builds a :class:`~repro.core.catalog.GraphCatalog` over the
+graphs — for one shard or many — and never mutates it; ``query*()`` and
+``close()`` delegate to it, and ``planner`` / ``pmi`` / ``structural_index``
+are read-only views of what it holds.  A database that must change after the
+build is a catalog: :meth:`ProbabilisticGraphDatabase.to_catalog` or
+:meth:`GraphCatalog.build`.
 
 Typical usage::
 
@@ -43,12 +46,13 @@ Typical usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.core.planner import QueryPlanner, validate_query, validate_top_k_query
+from repro.core.catalog import GraphCatalog
+from repro.core.planner import QueryPlanner
 from repro.core.pruning import PruningConfig
 from repro.core.relaxation import RelaxationConfig
 from repro.core.results import QueryResult
+from repro.core.sharding import ShardedPlanner
 from repro.core.verification import VerificationConfig
 from repro.exceptions import ConfigurationError, IndexError_
 from repro.graphs.labeled_graph import LabeledGraph
@@ -58,9 +62,6 @@ from repro.pmi.features import FeatureSelectionConfig
 from repro.pmi.index import ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.rng import RandomLike
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.catalog import GraphCatalog
 
 
 @dataclass
@@ -81,10 +82,7 @@ class ProbabilisticGraphDatabase:
         if not graphs:
             raise ConfigurationError("the database needs at least one probabilistic graph")
         self.graphs = list(graphs)
-        self.pmi: ProbabilisticMatrixIndex | None = None
-        self.structural_index: StructuralFeatureIndex | None = None
-        self.planner: QueryPlanner | None = None
-        # the catalog behind a sharded (num_shards > 1) index
+        # everything build_index() builds; never mutated through this class
         self._catalog: GraphCatalog | None = None
 
     # ------------------------------------------------------------------
@@ -99,23 +97,24 @@ class ProbabilisticGraphDatabase:
         num_shards: int = 1,
         max_workers: int | None = None,
     ) -> "ProbabilisticGraphDatabase":
-        """Mine features, build both indexes, and construct the query planner.
+        """Mine features and build both indexes, as a catalog of ``num_shards``.
 
-        Pass a prebuilt (for example :meth:`ProbabilisticMatrixIndex.load`-ed)
-        ``pmi`` to skip the expensive SIP-bound computation; it must have been
-        built over the same graphs in the same order.
+        The engine holds a :class:`~repro.core.catalog.GraphCatalog` over
+        contiguous shards: :meth:`GraphCatalog.build`, or — pass a prebuilt
+        (for example :meth:`ProbabilisticMatrixIndex.load`-ed) ``pmi`` to
+        skip the expensive SIP-bound computation — :meth:`GraphCatalog.from_index`
+        over a structural index counted from the ``pmi``'s features.  A
+        prebuilt ``pmi`` must have been built over the same graphs in the
+        same order and must carry its ``build_root`` (every index built or
+        saved since the catalog layer does); one without is refused with a
+        :class:`~repro.exceptions.CatalogError`, for one shard as for many.
 
-        With ``num_shards > 1`` the engine holds a
-        :class:`~repro.core.catalog.GraphCatalog` over contiguous shards
-        (:meth:`GraphCatalog.build`, or :meth:`GraphCatalog.from_index` for
-        a prebuilt ``pmi``, which must carry its ``build_root``) and queries
-        fan out over ``max_workers`` processes (``None`` → cpu count)
-        through its :class:`~repro.core.sharding.ShardedPlanner`, with
-        answers identical to the sequential path.  ``num_shards=1`` is
-        exactly the sequential single-planner path — ``max_workers`` only
-        takes effect with ``num_shards > 1``.  To persist an index use
-        ``database.pmi.save()`` (sequential) or
-        ``GraphCatalog.build(directory=...)`` (sharded).
+        With ``num_shards > 1`` queries fan out over ``max_workers``
+        processes (``None`` → cpu count) through the catalog's
+        :class:`~repro.core.sharding.ShardedPlanner`, with answers identical
+        to one shard's; ``max_workers`` has no effect on one shard.  To
+        persist an index use ``database.pmi.save()`` (one shard) or
+        ``GraphCatalog.build(directory=...)``.
         """
         if num_shards < 1:
             raise ConfigurationError(f"num_shards must be >= 1, got {num_shards!r}")
@@ -129,76 +128,72 @@ class ProbabilisticGraphDatabase:
                 f"prebuilt PMI covers {pmi.database_size} graphs, "
                 f"database has {len(self.graphs)}"
             )
-        # a rebuild replaces the planner; shut down any worker pool the old
+        # a rebuild replaces the catalog; shut down any worker pool the old
         # one may own before dropping the reference
         self.close()
         self._catalog = None
-        if num_shards > 1:
-            from repro.core.catalog import GraphCatalog
-
-            if pmi is None:
-                self._catalog = GraphCatalog.build(
-                    self.graphs,
-                    feature_config=feature_config,
-                    bound_config=bound_config,
-                    rng=rng,
-                    num_shards=num_shards,
-                    max_workers=max_workers,
-                )
-            else:
-                structural = StructuralFeatureIndex(
-                    embedding_limit=pmi.feature_config.embedding_limit
-                )
-                structural.build([graph.skeleton for graph in self.graphs], pmi.features)
-                self._catalog = GraphCatalog.from_index(
-                    self.graphs,
-                    pmi,
-                    structural,
-                    num_shards=num_shards,
-                    max_workers=max_workers,
-                )
-            # never mutated, so the catalog's cached planner stays the live one
-            self.planner = self._catalog.planner()
-            # the full matrices live sliced inside the shards; the engine-level
-            # handles stay unset so nothing mistakes a shard view for the whole
-            self.pmi = None
-            self.structural_index = None
-            return self
-        if pmi is not None:
-            self.pmi = pmi
-        else:
-            self.pmi = ProbabilisticMatrixIndex(
-                feature_config=feature_config, bound_config=bound_config
+        if pmi is None:
+            self._catalog = GraphCatalog.build(
+                self.graphs,
+                feature_config=feature_config,
+                bound_config=bound_config,
+                rng=rng,
+                num_shards=num_shards,
+                max_workers=max_workers,
             )
-            # rng passes through unwrapped: an int seed must yield the same
-            # 64-bit root here as in the sharded build path
-            self.pmi.build(self.graphs, rng=rng)
-        self.structural_index = StructuralFeatureIndex(
-            embedding_limit=self.pmi.feature_config.embedding_limit
-        )
-        self.structural_index.build(
-            [graph.skeleton for graph in self.graphs], self.pmi.features
-        )
-        self.planner = QueryPlanner(self.graphs, self.pmi, self.structural_index)
+        else:
+            structural = StructuralFeatureIndex(
+                embedding_limit=pmi.feature_config.embedding_limit
+            )
+            structural.build([graph.skeleton for graph in self.graphs], pmi.features)
+            self._catalog = GraphCatalog.from_index(
+                self.graphs,
+                pmi,
+                structural,
+                num_shards=num_shards,
+                max_workers=max_workers,
+            )
         return self
 
     @property
     def is_indexed(self) -> bool:
-        return self.planner is not None
+        return self._catalog is not None
+
+    @property
+    def planner(self) -> QueryPlanner | ShardedPlanner | None:
+        """The catalog's current planner (``None`` before :meth:`build_index`)."""
+        return None if self._catalog is None else self._catalog.planner()
+
+    @property
+    def pmi(self) -> ProbabilisticMatrixIndex | None:
+        """The whole PMI — the one shard's base segment.  ``None`` before
+        :meth:`build_index` and for a sharded engine, whose matrices live
+        sliced inside the shards (nothing should mistake a slice for the
+        whole)."""
+        # one shard: the catalog's planner is a QueryPlanner over segmented
+        # views, and with no mutation ever applied the base segment is all of it
+        planner = self.planner
+        return planner.pmi.base if isinstance(planner, QueryPlanner) else None
+
+    @property
+    def structural_index(self) -> StructuralFeatureIndex | None:
+        """The whole structural index; ``None`` exactly when :attr:`pmi` is."""
+        planner = self.planner
+        return planner.structural_index.base if isinstance(planner, QueryPlanner) else None
 
     def to_catalog(
         self,
         num_shards: int = 1,
         max_workers: int | None = None,
         directory=None,
-    ) -> "GraphCatalog":
+    ) -> GraphCatalog:
         """Adopt this engine's built index as a mutable :class:`GraphCatalog`.
 
         The catalog reuses the already-computed PMI cells and structural
         counts (no SIP bounds are recomputed) and assigns external ids
         ``0..N-1`` — the row positions the static build already salted its
         RNG streams with — so the catalog's answers are byte-identical to
-        this engine's until the first mutation.  Only a sequential
+        this engine's until the first mutation.  Only a one-shard
         (``num_shards=1``) build can be adopted: a sharded engine holds its
         matrices sliced inside the shards; build the catalog directly with
         :meth:`GraphCatalog.build` in that case.  Passing a ``directory``
@@ -206,34 +201,31 @@ class ProbabilisticGraphDatabase:
         :meth:`GraphCatalog.persist`), recoverable with
         :meth:`GraphCatalog.open`.
         """
-        from repro.core.catalog import GraphCatalog
-
-        if self.planner is None:
+        if self._catalog is None:
             raise IndexError_("call build_index() before to_catalog()")
-        if self.pmi is None or self.structural_index is None:
+        pmi, structural_index = self.pmi, self.structural_index
+        if pmi is None or structural_index is None:
             raise IndexError_(
                 "a sharded engine holds sliced indexes; build a mutable catalog "
                 "directly with GraphCatalog.build(graphs, num_shards=...)"
             )
         return GraphCatalog.from_index(
             self.graphs,
-            self.pmi,
-            self.structural_index,
+            pmi,
+            structural_index,
             num_shards=num_shards,
             max_workers=max_workers,
             directory=directory,
         )
 
     def close(self) -> None:
-        """Release planner-held resources (the sharded worker pool).
+        """Release catalog-held resources (the planner and its worker pool).
 
-        Idempotent, and a no-op for the sequential planner; the database
-        stays queryable — a sharded planner lazily re-creates its pool on
-        the next query.
+        Idempotent; the database stays queryable — the next query builds a
+        fresh planner (and, when sharded, a fresh pool).
         """
-        closer = getattr(self.planner, "close", None)
-        if closer is not None:
-            closer()
+        if self._catalog is not None:
+            self._catalog.close()
 
     def __enter__(self) -> "ProbabilisticGraphDatabase":
         return self
@@ -247,6 +239,11 @@ class ProbabilisticGraphDatabase:
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
+    def _indexed(self) -> GraphCatalog:
+        if self._catalog is None:
+            raise IndexError_("call build_index() before querying")
+        return self._catalog
+
     def query(
         self,
         query_graph: LabeledGraph,
@@ -256,10 +253,7 @@ class ProbabilisticGraphDatabase:
         rng: RandomLike = None,
     ) -> QueryResult:
         """Run a threshold-based probabilistic subgraph similarity (T-PS) query."""
-        self._validate_query(query_graph, probability_threshold, distance_threshold)
-        if self.planner is None:
-            raise IndexError_("call build_index() before querying")
-        return self.planner.execute(
+        return self._indexed().query(
             query_graph, probability_threshold, distance_threshold, config, rng=rng
         )
 
@@ -275,14 +269,11 @@ class ProbabilisticGraphDatabase:
 
         Returns one :class:`QueryResult` per query, in input order, with
         answers identical to issuing the same ``query()`` calls sequentially
-        (an int or ``None`` ``rng`` is re-normalized per query; see
-        :meth:`QueryPlanner.execute_many`).
+        (an int or ``None`` ``rng`` is re-normalized per query); a malformed
+        query anywhere in the batch is rejected before any query executes
+        (see :meth:`GraphCatalog.query_many`).
         """
-        if self.planner is None:
-            raise IndexError_("call build_index() before querying")
-        for query_graph in query_graphs:
-            self._validate_query(query_graph, probability_threshold, distance_threshold)
-        return self.planner.execute_many(
+        return self._indexed().query_many(
             query_graphs, probability_threshold, distance_threshold, config, rng=rng
         )
 
@@ -302,15 +293,10 @@ class ProbabilisticGraphDatabase:
         upper-bound order).  Ties rank the smaller graph id first; graphs
         with zero SSP are never answers, so fewer than ``k`` answers may
         return.  Sharded engines merge per-shard partials into an answer
-        list byte-identical to the sequential one for any shard and worker
+        list byte-identical to the one-shard one for any shard and worker
         count.
         """
-        self._validate_top_k(query_graph, k, distance_threshold)
-        if self.planner is None:
-            raise IndexError_("call build_index() before querying")
-        return self.planner.execute_top_k(
-            query_graph, k, distance_threshold, config, rng=rng
-        )
+        return self._indexed().query_top_k(query_graph, k, distance_threshold, config, rng=rng)
 
     def query_top_k_many(
         self,
@@ -321,18 +307,6 @@ class ProbabilisticGraphDatabase:
         rng: RandomLike = None,
     ) -> list[QueryResult]:
         """Run a top-k workload; one :class:`QueryResult` per query, in order."""
-        if self.planner is None:
-            raise IndexError_("call build_index() before querying")
-        for query_graph in query_graphs:
-            self._validate_top_k(query_graph, k, distance_threshold)
-        return self.planner.execute_top_k_many(
+        return self._indexed().query_top_k_many(
             query_graphs, k, distance_threshold, config, rng=rng
         )
-
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
-    # the planner validates again inside plan(); this up-front pass exists so
-    # query_many rejects a malformed batch before any query executes
-    _validate_query = staticmethod(validate_query)
-    _validate_top_k = staticmethod(validate_top_k_query)

@@ -4,10 +4,10 @@ The T-PS pipeline is embarrassingly partitionable: every candidate graph is
 filtered, pruned, and verified independently of every other graph, so a
 database of N probabilistic graphs can be split into K disjoint *shards*,
 each owning a PMI row slice, a structural-index row slice, and its own
-:class:`~repro.core.planner.QueryPlanner`.  :class:`ShardedPlanner` fans
-``query()`` / ``query_many()`` out over a ``concurrent.futures`` process
-pool (one task per shard) and merges the per-shard :class:`QueryResult`s
-deterministically.
+:class:`~repro.core.planner.QueryPlanner`.  :class:`ShardedPlanner` fans a
+list of finished plans out over a ``concurrent.futures`` process pool
+(:meth:`ShardedPlanner.execute_plans`: one task per shard, each running
+every plan) and merges the per-shard parts of each plan deterministically.
 
 Determinism is the load-bearing property.  Two ingredients make a sharded
 run reproduce the sequential planner *exactly*, regardless of K, worker
@@ -17,16 +17,19 @@ count, or OS scheduling:
    generator from ``(root, stage, global graph id)``
    (:func:`repro.utils.rng.derive_rng`), so the random draws a graph
    consumes never depend on which process handles it or how many other
-   candidates ran first.  The per-query roots themselves are derived in the
-   parent, in query order, before any fan-out.
-2. **Deterministic merge.**  Per-shard answers are concatenated and sorted
-   by ``(-probability, graph_id)`` — the sequential planner's order — and
-   per-shard statistics combine via :meth:`QueryStatistics.merge` (counters
-   sum across the disjoint slices; wall-clock fields take the critical-path
-   max).
+   candidates ran first.  The per-query roots arrive with the plans — the
+   catalog derives them once, in query order — so every shard agrees on
+   each query's streams.
+2. **Deterministic merge.**  A threshold plan's per-shard answers are
+   concatenated and sorted by ``(-probability, graph_id)`` — the sequential
+   planner's order (:func:`merge_query_results`); a top-k plan runs
+   shard-partial and :func:`~repro.core.pipeline.merge_top_k_partials`
+   replays the sequential loop over the union.  Per-shard statistics
+   combine via :meth:`QueryStatistics.merge` (counters sum across the
+   disjoint slices; wall-clock fields take the critical-path max).
 
 Shards are built and owned by :class:`~repro.core.catalog.GraphCatalog`
-(``ProbabilisticGraphDatabase.build_index(num_shards=K)`` holds one): every
+(``ProbabilisticGraphDatabase.build_index()`` holds one): every
 shard carries the stable external id of each storage row plus a tombstone
 mask, and its indexes are the catalog's segmented base+delta views.
 
@@ -63,15 +66,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.pipeline import TopKPartial, merge_top_k_partials
-from repro.core.planner import QueryPlanner, _resolve_rngs
+from repro.core.pipeline import TOP_K_MODE, TopKPartial, merge_top_k_partials
+from repro.core.planner import QueryPlan, QueryPlanner
 from repro.core.results import QueryResult, QueryStatistics
 from repro.exceptions import ConfigurationError, IndexError_
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.pmi.index import ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
-from repro.utils.rng import RandomLike, rng_root
 from repro.utils.shm import (
     ArenaDescriptor,
     AttachedArena,
@@ -393,9 +395,27 @@ def _init_shm_query_worker(descriptors: tuple[ShardDescriptor, ...]) -> None:
         _WORKER_DESCRIPTORS[descriptor.shard_id] = descriptor
 
 
+def _execute_on_shard(
+    planner: QueryPlanner, plans: list[QueryPlan], roots: list[int]
+) -> list[QueryResult | TopKPartial]:
+    """One shard's part of every plan, for the pool worker and the
+    in-process path alike.
+
+    The plan's ``mode`` picks the execution: a top-k plan runs shard-partial
+    (the shard cannot see the global floor; see ``core.pipeline``), a
+    threshold plan runs whole.
+    """
+    return [
+        planner.execute_top_k_partial(plan, rng=root)
+        if plan.mode == TOP_K_MODE
+        else planner.execute_plan(plan, rng=root)
+        for plan, root in zip(plans, roots)
+    ]
+
+
 def _run_shard_workload(
-    shard_id: int, plans, roots: list[int], partial: bool = False
-) -> list[QueryResult] | list[TopKPartial]:
+    shard_id: int, plans: list[QueryPlan], roots: list[int]
+) -> list[QueryResult | TopKPartial]:
     planner = _WORKER_PLANNERS.get(shard_id)
     if planner is None:
         shard = _WORKER_SHARDS.get(shard_id)
@@ -406,23 +426,20 @@ def _run_shard_workload(
             _WORKER_SHARDS[shard_id] = shard
         planner = shard.make_planner()
         _WORKER_PLANNERS[shard_id] = planner
-    if partial:
-        return [
-            planner.execute_top_k_partial(plan, rng=root)
-            for plan, root in zip(plans, roots)
-        ]
-    return [planner.execute_plan(plan, rng=root) for plan, root in zip(plans, roots)]
+    return _execute_on_shard(planner, plans, roots)
 
 
 # ----------------------------------------------------------------------
 # the sharded planner
 # ----------------------------------------------------------------------
 class ShardedPlanner:
-    """Fans T-PS queries out over K database shards and merges the answers.
+    """Fans finished plans out over K database shards and merges the answers.
 
-    Drop-in for :class:`QueryPlanner` at the engine level: ``execute`` /
-    ``execute_many`` take the same arguments and return results identical to
-    the sequential planner's, independent of shard count and worker count.
+    The query surface is :meth:`plan`, :meth:`plan_top_k` and
+    :meth:`execute_plans` — the three methods a
+    :class:`~repro.core.catalog.GraphCatalog` calls on a
+    :class:`QueryPlanner` too — and results are identical to the sequential
+    planner's, independent of shard count and worker count.
     ``max_workers`` picks the process-pool width for query fan-out
     (``None`` → ``min(num_shards, cpu_count)``); at width <= 1 shards run
     in-process, which is also the zero-dependency fallback path.  Shards
@@ -432,7 +449,7 @@ class ShardedPlanner:
     Shards carry explicit stable ids plus a tombstone mask (see
     :class:`DatabaseShard`) and are validated for live-id disjointness.
     The determinism contract: answers and counters are byte-identical to a
-    sequential run over the same live graphs under the same ``rng``.
+    sequential run over the same live graphs under the same roots.
     """
 
     def __init__(
@@ -475,120 +492,59 @@ class ShardedPlanner:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    @property
-    def database_size(self) -> int:
-        """Live graphs across all shards (each spec size is the shard's
-        live, non-tombstoned row count)."""
-        return sum(shard.spec.size for shard in self.shards)
-
     # ------------------------------------------------------------------
-    # execution
+    # planning and execution
     # ------------------------------------------------------------------
-    def execute(
+    def plan(
         self,
         query: LabeledGraph,
         probability_threshold: float,
         distance_threshold: int,
         config=None,
-        rng: RandomLike = None,
-    ) -> QueryResult:
-        """One T-PS query, fanned out over the shards and merged.
+    ) -> QueryPlan:
+        """Validate and plan one threshold query, once for every shard.
 
-        Byte-identical (answers and counters) to the sequential
-        :meth:`QueryPlanner.execute` over the same live graphs with the same
-        ``rng`` — for any shard count, worker count, or OS scheduling.
+        A :class:`QueryPlan` depends only on the query, thresholds, config
+        and the globally shared feature set, so the first shard's planner
+        builds it (Lemma-1 relaxation and the one-join-per-feature
+        containment pass) and every shard receives the finished plan instead
+        of re-deriving the same one K times.
         """
-        return self.execute_many(
-            [query], probability_threshold, distance_threshold, config, rng=rng
-        )[0]
+        return self._planner_for(self.shards[0]).plan(
+            query, probability_threshold, distance_threshold, config
+        )
 
-    def execute_many(
-        self,
-        queries: list[LabeledGraph],
-        probability_threshold: float,
-        distance_threshold: int,
-        config=None,
-        rng: RandomLike = None,
-        rngs: list[RandomLike] | None = None,
-    ) -> list[QueryResult]:
-        """A whole workload: one pool task per shard, each running all queries.
+    def plan_top_k(
+        self, query: LabeledGraph, k: int, distance_threshold: int, config=None
+    ) -> QueryPlan:
+        """Validate and plan one top-k query, once for every shard."""
+        return self._planner_for(self.shards[0]).plan_top_k(query, k, distance_threshold, config)
 
-        The per-query RNG roots are derived here, in the parent, in query
-        order — exactly the draws :meth:`QueryPlanner.execute_many` would
-        make — then shipped to every shard so all of them agree on each
-        query's streams.  ``rngs`` (one entry per query, exclusive with
-        ``rng``) instead derives each root from that query's own entry: the
-        micro-batching form, byte-identical to executing every query alone
-        with its own seed regardless of batch composition.  Planning
-        (validation, Lemma-1 relaxation, and the one-VF2-round-per-feature
-        containment pass) also happens once here: a :class:`QueryPlan`
-        depends only on the query, thresholds, config, and the globally
-        shared feature set, so shards receive finished plans instead of each
-        re-deriving the same one K times.
+    def execute_plans(self, plans: list[QueryPlan], roots: list[int]) -> list[QueryResult]:
+        """Run finished plans over every shard and merge, one result per plan.
+
+        One pool task per shard, each running the whole plan list with the
+        same per-plan roots.  A threshold plan's parts merge by
+        :func:`merge_query_results`.  A top-k plan runs *partial* on each
+        shard — the floor stays at the shard-local lsim seed and the shard
+        ships its examined candidate/bound table plus every verified
+        estimate — and :func:`repro.core.pipeline.merge_top_k_partials`
+        replays the sequential verification loop over the union.  Because
+        every estimate derives from ``(root, VERIFY_STREAM, global graph
+        id)``, answers (and, for threshold plans, counters) are
+        byte-identical to :meth:`QueryPlanner.execute_plans` over the same
+        live graphs with the same roots — for any shard count, worker count
+        or OS scheduling.
         """
-        if not queries:
+        if not plans:
             return []
-        roots = [rng_root(r) for r in _resolve_rngs(rng, rngs, len(queries))]
-        lead = self._planner_for(self.shards[0])
-        plans = [
-            lead.plan(query, probability_threshold, distance_threshold, config)
-            for query in queries
-        ]
-        per_shard = self._fan_out(plans, roots, partial=False)
+        per_shard = self._fan_out(plans, roots)
         return [
-            merge_query_results([results[index] for results in per_shard])
-            for index in range(len(queries))
+            merge_top_k_partials(list(parts), plan.k)
+            if plan.mode == TOP_K_MODE
+            else merge_query_results(list(parts))
+            for plan, parts in zip(plans, zip(*per_shard))
         ]
-
-    def execute_top_k(
-        self,
-        query: LabeledGraph,
-        k: int,
-        distance_threshold: int,
-        config=None,
-        rng: RandomLike = None,
-    ) -> QueryResult:
-        """One top-k query, fanned out over the shards and replay-merged."""
-        return self.execute_top_k_many([query], k, distance_threshold, config, rng=rng)[0]
-
-    def execute_top_k_many(
-        self,
-        queries: list[LabeledGraph],
-        k: int,
-        distance_threshold: int,
-        config=None,
-        rng: RandomLike = None,
-        rngs: list[RandomLike] | None = None,
-    ) -> list[QueryResult]:
-        """A top-k workload with the cross-shard merge invariant.
-
-        Every shard runs its pipeline in *partial* mode — the probability
-        floor stays at the shard-local lsim seed, and the shard ships its
-        examined candidate/bound table plus all verified estimates — and
-        :func:`repro.core.pipeline.merge_top_k_partials` replays the
-        sequential verification loop over the union.  Because each graph's
-        estimate derives from ``(root, VERIFY_STREAM, global graph id)``,
-        the merged answers are byte-identical to
-        :meth:`QueryPlanner.execute_top_k` on the unsharded database, for
-        any shard count and any worker count (see ``core.pipeline``).
-        """
-        if not queries:
-            return []
-        roots = [rng_root(r) for r in _resolve_rngs(rng, rngs, len(queries))]
-        lead = self._planner_for(self.shards[0])
-        plans = [lead.plan_top_k(query, k, distance_threshold, config) for query in queries]
-        per_shard = self._fan_out(plans, roots, partial=True)
-        return [
-            # plans[0].k is the validated, int-coerced k
-            merge_top_k_partials([partials[index] for partials in per_shard], plans[0].k)
-            for index in range(len(queries))
-        ]
-
-    # `query*()` aliases for symmetry with the engine-level API
-    query = execute
-    query_many = execute_many
-    query_top_k = execute_top_k
-    query_top_k_many = execute_top_k_many
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -606,7 +562,7 @@ class ShardedPlanner:
         Safe under concurrency (the drain-on-shutdown contract): idempotent
         — a second ``close()``, including one racing the first from another
         thread, is a no-op — and a ``close()`` racing an in-flight
-        ``execute*`` drains it rather than tearing it down: the pool
+        :meth:`execute_plans` drains it rather than tearing it down: the pool
         shutdown waits for every submitted task, so the in-flight query
         still returns its (byte-identical) answers and no worker ever
         outlives the segments it has attached.
@@ -617,21 +573,14 @@ class ShardedPlanner:
                 self._plane.close()
                 self._plane = None
 
-    def __enter__(self) -> "ShardedPlanner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _fan_out(self, plans, roots: list[int], partial: bool) -> list[list]:
+    def _fan_out(self, plans: list[QueryPlan], roots: list[int]) -> list[list]:
         """One pool task per shard, each running the whole plan list.
 
-        Returns per-shard result lists, query-index aligned.  ``partial``
-        selects shard-partial top-k execution over plain plan execution.
-        Executor acquisition and task submission happen atomically under the
+        Returns per-shard result lists, plan-index aligned.  Executor
+        acquisition and task submission happen atomically under the
         lifecycle lock, so a concurrent ``close()`` either runs before this
         batch (which then builds a fresh pool) or drains it (pool shutdown
         waits for submitted tasks); waiting on the futures happens outside
@@ -639,15 +588,13 @@ class ShardedPlanner:
         deadlock on each other.
         """
         workers = _resolve_workers(self.max_workers, len(self.shards))
-        if workers <= 1 or len(self.shards) == 1:
-            return self._execute_serial(plans, roots, partial)
+        if workers <= 1:  # also the width of a single shard
+            return self._execute_serial(plans, roots)
         try:
             with self._lock:
                 pool = self._ensure_executor(workers)
                 futures = [
-                    pool.submit(
-                        _run_shard_workload, shard.spec.shard_id, plans, roots, partial
-                    )
+                    pool.submit(_run_shard_workload, shard.spec.shard_id, plans, roots)
                     for shard in self.shards
                 ]
             return [future.result() for future in futures]
@@ -656,28 +603,14 @@ class ShardedPlanner:
             # deterministic either way, so finish this call in-process
             # and let the next call build a fresh pool
             self.close()
-            return self._execute_serial(plans, roots, partial)
+            return self._execute_serial(plans, roots)
 
-    def _execute_serial(self, plans, roots: list[int], partial: bool = False) -> list[list]:
+    def _execute_serial(self, plans: list[QueryPlan], roots: list[int]) -> list[list]:
         """All shards in-process: the pool-less (and pool-failure) path."""
-        per_shard = []
-        for shard in self.shards:
-            planner = self._planner_for(shard)
-            if partial:
-                per_shard.append(
-                    [
-                        planner.execute_top_k_partial(plan, rng=root)
-                        for plan, root in zip(plans, roots)
-                    ]
-                )
-            else:
-                per_shard.append(
-                    [
-                        planner.execute_plan(plan, rng=root)
-                        for plan, root in zip(plans, roots)
-                    ]
-                )
-        return per_shard
+        return [
+            _execute_on_shard(self._planner_for(shard), plans, roots)
+            for shard in self.shards
+        ]
 
     def _planner_for(self, shard: DatabaseShard) -> QueryPlanner:
         with self._lock:

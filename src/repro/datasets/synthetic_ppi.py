@@ -18,7 +18,7 @@ a synthetic equivalent that exercises the same code paths:
   correlated model, or independent products for the IND baseline.
 
 Sizes are scaled down from the paper's (385 vertices / 612 edges per graph)
-so the whole evaluation fits a laptop; EXPERIMENTS.md records the scaling.
+so the whole evaluation fits a laptop.
 """
 
 from __future__ import annotations

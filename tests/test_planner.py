@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    GraphCatalog,
     ProbabilisticGraphDatabase,
     ProbabilisticPruner,
     PruningDecision,
@@ -38,17 +39,27 @@ def planner_database():
     return generate_ppi_database(config, rng=31)
 
 
+FEATURES = FeatureSelectionConfig(
+    alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=12
+)
+
+
+BUILD = dict(
+    feature_config=FEATURES, bound_config=BoundConfig(method="exact"), rng=17, max_workers=0
+)
+
+
+def _engine(graphs, num_shards):
+    return ProbabilisticGraphDatabase(graphs).build_index(num_shards=num_shards, **BUILD)
+
+
+def _catalog(graphs, num_shards):
+    return GraphCatalog.build(graphs, num_shards=num_shards, **BUILD)
+
+
 @pytest.fixture(scope="module")
 def indexed(planner_database):
-    database = ProbabilisticGraphDatabase(planner_database.graphs)
-    database.build_index(
-        feature_config=FeatureSelectionConfig(
-            alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=12
-        ),
-        bound_config=BoundConfig(method="exact"),
-        rng=17,
-    )
-    return database
+    return _engine(planner_database.graphs, num_shards=1)
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +107,95 @@ class TestQueryMany:
         assert totals["mean_seconds_per_query"] >= 0.0
 
 
+class TestMalformedBatchDoesNoWork:
+    """A malformed query anywhere in a batch is refused before any query of
+    the batch executes and before a shared ``random.Random`` is drawn from."""
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "build,num_shards",
+        [(_engine, 1), (_engine, 3), (_catalog, 1), (_catalog, 3)],
+    )
+    def test_batch_is_refused_whole(
+        self, planner_database, workload, monkeypatch, build, num_shards, position
+    ):
+        from repro.graphs import LabeledGraph
+
+        disconnected = LabeledGraph.from_edges(
+            {0: "a", 1: "b", 2: "c", 3: "d"}, [(0, 1, "x"), (2, 3, "x")]
+        )
+        batch = list(workload)
+        batch.insert(position, disconnected)
+        target = build(planner_database.graphs, num_shards)
+
+        executed = []
+        for name in ("execute_plan", "execute_top_k_partial"):
+            original = getattr(QueryPlanner, name)
+
+            def spy(self, plan, rng=None, _original=original):
+                executed.append(plan)
+                return _original(self, plan, rng=rng)
+
+            monkeypatch.setattr(QueryPlanner, name, spy)
+
+        shared, twin = random.Random(99), random.Random(99)
+        with pytest.raises(QueryError):
+            target.query_many(batch, 0.3, 1, rng=shared)
+        with pytest.raises(QueryError):
+            target.query_top_k_many(batch, 2, 1, rng=shared)
+        assert executed == []
+        assert shared.getstate() == twin.getstate()
+
+        # the well-formed rest of the batch runs, one draw per query in order
+        results = target.query_many(workload, 0.3, 1, rng=shared)
+        assert len(results) == len(workload) and len(executed) >= len(workload)
+        for _ in workload:
+            twin.getrandbits(64)
+        assert shared.getstate() == twin.getstate()
+        target.close()
+
+
 class TestPlanner:
+    def test_k1_build_equals_the_dense_build_cell_for_cell(self, planner_database):
+        """``build_index(rng=s)`` on one shard holds exactly the arrays of a
+        dense ``ProbabilisticMatrixIndex.build(graphs, rng=s)`` and of the
+        structural index counted over its features (sampled bounds, so the
+        per-graph build streams are in play)."""
+        from repro.structural.feature_index import StructuralFeatureIndex
+
+        bounds = BoundConfig(num_samples=40)
+        engine = ProbabilisticGraphDatabase(planner_database.graphs).build_index(
+            feature_config=FEATURES, bound_config=bounds, rng=23
+        )
+        dense = ProbabilisticMatrixIndex(
+            feature_config=FEATURES, bound_config=bounds
+        ).build(planner_database.graphs, rng=23)
+        structural = StructuralFeatureIndex(embedding_limit=FEATURES.embedding_limit).build(
+            [graph.skeleton for graph in planner_database.graphs], dense.features
+        )
+        assert [f.canonical for f in engine.pmi.features] == [
+            f.canonical for f in dense.features
+        ]
+        assert engine.pmi.build_root == dense.build_root == 23
+        for name in ("_lower", "_upper", "_present"):
+            assert np.array_equal(getattr(engine.pmi, name), getattr(dense, name)), name
+        assert np.count_nonzero(dense._present) > 0
+        assert np.array_equal(
+            engine.structural_index.counts_matrix(), structural.counts_matrix()
+        )
+
     def test_build_index_constructs_planner(self, indexed):
-        assert isinstance(indexed.planner, QueryPlanner)
-        assert indexed.planner.pmi is indexed.pmi
-        assert indexed.planner.structural_index is indexed.structural_index
+        """The engine's planner reads the very arrays ``engine.pmi`` and
+        ``engine.structural_index`` expose (no copy between them)."""
+        planner = indexed.planner
+        assert isinstance(planner, QueryPlanner)
+        assert isinstance(indexed.pmi, ProbabilisticMatrixIndex)
+        row = planner.pmi.row(0)
+        assert np.shares_memory(row.lower, indexed.pmi._lower)
+        assert np.shares_memory(row.upper, indexed.pmi._upper)
+        assert np.shares_memory(row.present, indexed.pmi._present)
+        assert planner.structural_index.base is indexed.structural_index
+        assert planner.structural_index.num_graphs == len(indexed.graphs)
 
     def test_plan_is_reusable(self, indexed, workload):
         config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))

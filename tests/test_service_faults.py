@@ -367,7 +367,7 @@ class TestShardedPlannerCloseRegression:
             catalog.close()
 
     def test_close_during_inflight_query_drains_not_tears(self):
-        """close() racing execute_many: the in-flight workload still returns
+        """close() racing execute_plans: the in-flight workload still returns
         byte-identical answers (pool shutdown waits for submitted tasks)."""
         database, catalog = build_catalog(seed=7009, num_shards=2, max_workers=2)
         reference = GraphCatalog.build(
@@ -384,13 +384,13 @@ class TestShardedPlannerCloseRegression:
             results: dict[str, object] = {}
 
             def run_workload():
-                results["got"] = planner.execute_many(
-                    queries,
-                    PROBABILITY_THRESHOLD,
-                    DISTANCE_THRESHOLD,
-                    SEARCH_CONFIG,
-                    rng=81,
-                )
+                plans = [
+                    planner.plan(
+                        query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG
+                    )
+                    for query in queries
+                ]
+                results["got"] = planner.execute_plans(plans, [81] * len(plans))
 
             worker = threading.Thread(target=run_workload)
             worker.start()
@@ -425,13 +425,10 @@ class TestShardedPlannerCloseRegression:
             outcomes: list = [None] * 3
 
             def submitter(slot: int):
-                outcomes[slot] = planner.execute(
-                    query,
-                    PROBABILITY_THRESHOLD,
-                    DISTANCE_THRESHOLD,
-                    SEARCH_CONFIG,
-                    rng=91 + slot,
+                plan = planner.plan(
+                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG
                 )
+                (outcomes[slot],) = planner.execute_plans([plan], [91 + slot])
 
             threads = [threading.Thread(target=submitter, args=(slot,)) for slot in range(3)]
             for thread in threads:

@@ -25,6 +25,7 @@ from repro.core import (
     QueryStatistics,
     SearchConfig,
     ShardSpec,
+    StageStatistics,
     VerificationConfig,
     partition_ranges,
 )
@@ -234,9 +235,11 @@ class TestRandomizedCrossShardParity:
             assert answer_tuples(expected) == answer_tuples(actual)
             assert expected.statistics.answers == actual.statistics.answers
 
-    def test_loaded_pmi_without_build_root_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_loaded_pmi_without_build_root_is_refused(self, tmp_path, num_shards):
         """Delta appends must reuse the build root, so a payload that predates
-        its recording cannot back a catalog — a typed error, not a mismatch."""
+        its recording cannot back a catalog — a typed error, not a mismatch,
+        and the same one for every shard count."""
         database = random_database(515, 4)
         ProbabilisticGraphDatabase(database.graphs).build_index(
             feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=6
@@ -245,7 +248,7 @@ class TestRandomizedCrossShardParity:
         loaded.build_root = None
         with pytest.raises(CatalogError, match="build root"):
             ProbabilisticGraphDatabase(database.graphs).build_index(
-                pmi=loaded, num_shards=3
+                pmi=loaded, num_shards=num_shards
             )
 
 
@@ -339,11 +342,13 @@ class TestStatisticsMerge:
             pruned_by_upper_bound=1,
             verified=1,
             answers=2,
-            structural_seconds=0.5,
-            probabilistic_seconds=0.25,
-            verification_seconds=1.0,
             total_seconds=2.0,
             relaxed_query_count=3,
+            stages=[
+                StageStatistics(stage="structural_filter", seconds=0.5),
+                StageStatistics(stage="pmi_pruning", seconds=0.25),
+                StageStatistics(stage="verification", seconds=1.0),
+            ],
         )
         right = QueryStatistics(
             database_size=3,
@@ -353,11 +358,13 @@ class TestStatisticsMerge:
             pruned_by_upper_bound=1,
             verified=2,
             answers=1,
-            structural_seconds=0.75,
-            probabilistic_seconds=0.1,
-            verification_seconds=0.5,
             total_seconds=1.5,
             relaxed_query_count=3,
+            stages=[
+                StageStatistics(stage="structural_filter", seconds=0.75),
+                StageStatistics(stage="pmi_pruning", seconds=0.1),
+                StageStatistics(stage="verification", seconds=0.5),
+            ],
         )
         merged = QueryStatistics.merge([left, right])
         assert merged.database_size == 7
@@ -367,9 +374,11 @@ class TestStatisticsMerge:
         assert merged.pruned_by_upper_bound == 2
         assert merged.verified == 3
         assert merged.answers == 3
-        assert merged.structural_seconds == 0.75
-        assert merged.probabilistic_seconds == 0.25
-        assert merged.verification_seconds == 1.0
+        assert [(stage.stage, stage.seconds) for stage in merged.stages] == [
+            ("structural_filter", 0.75),
+            ("pmi_pruning", 0.25),
+            ("verification", 1.0),
+        ]
         assert merged.total_seconds == 2.0
         assert merged.relaxed_query_count == 3
 

@@ -123,6 +123,70 @@ class TestPoolShmParity:
         assert answer_tuples(actual) == answer_tuples(expected)
 
 
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_mixed_plan_batch_matches_dense_reference(self, num_shards, max_workers):
+        """One ``execute_plans`` batch mixing threshold and top-k plans, each
+        under its own root, equals the from-scratch dense planner answering
+        the same queries one by one."""
+        database = random_database(8301, 8)
+        queries = random_workload(database, seed=8303)
+        catalog = GraphCatalog.build(
+            database.graphs,
+            feature_config=FEATURE_CONFIG,
+            bound_config=BoundConfig(num_samples=40),
+            rng=8301,
+            num_shards=num_shards,
+            max_workers=max_workers,
+        )
+        reference = rebuild_from_scratch(catalog)
+        # (query, k or None for a threshold plan, root)
+        batch = [
+            (queries[0], None, 21),
+            (queries[1], 3, 22),
+            (queries[2], None, 23),
+            (queries[0], 2, 24),
+            (queries[1], None, 21),
+        ]
+        try:
+            planner = catalog.planner()
+            plans = [
+                planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+                if k is None
+                else planner.plan_top_k(query, k, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+                for query, k, _ in batch
+            ]
+            results = planner.execute_plans(plans, [root for _, _, root in batch])
+            assert (catalog.active_shm_segments() != []) == (
+                num_shards > 1 and max_workers > 1
+            )
+        finally:
+            catalog.close()
+        assert len(results) == len(batch)
+        for position, ((query, k, root), actual) in enumerate(zip(batch, results)):
+            context = f"K={num_shards} workers={max_workers} plan {position}"
+            if k is None:
+                expected = reference.execute(
+                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
+                )
+                assert_result_parity(actual, expected, context)
+                continue
+            expected = reference.execute_top_k(
+                query, k, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
+            )
+            assert answer_tuples(actual) == answer_tuples(expected), context
+            got, want = counter_dict(actual.statistics), counter_dict(expected.statistics)
+            if num_shards > 1:
+                # a shard verifies against its local floor, so the pruning and
+                # verification counters legitimately exceed the dense run's
+                # (test_topk_parity::test_merged_statistics_report_shard_work)
+                kept = ("database_size", "structural_candidates", "answers",
+                        "relaxed_query_count")
+                got = {key: got[key] for key in kept}
+                want = {key: want[key] for key in kept}
+            assert got == want, context
+
+
 class TestGenerationHotSwap:
     """Catalog mutations retire the old generation and republish a new one."""
 
@@ -276,26 +340,19 @@ class TestExecutorResizeAndPayload:
             max_workers=2,
         )
         planner = engine.planner
+        plans = [
+            planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+            for query in workload
+        ]
+        roots = [13] * len(plans)
         try:
-            first = planner.execute_many(
-                workload,
-                PROBABILITY_THRESHOLD,
-                DISTANCE_THRESHOLD,
-                config=SEARCH_CONFIG,
-                rng=13,
-            )
+            first = planner.execute_plans(plans, roots)
             plane = planner.shard_plane
             names = set(plane.segment_names())
             # widen the pool: only the executor is recycled — the same plane
             # object (and the same segments) serves the new workers
             planner.max_workers = 4
-            second = planner.execute_many(
-                workload,
-                PROBABILITY_THRESHOLD,
-                DISTANCE_THRESHOLD,
-                config=SEARCH_CONFIG,
-                rng=13,
-            )
+            second = planner.execute_plans(plans, roots)
             assert planner.shard_plane is plane
             assert set(plane.segment_names()) == names
             assert not plane.closed
