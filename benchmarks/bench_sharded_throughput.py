@@ -115,10 +115,10 @@ def _worker_probe(delay: float) -> dict:
     materialized_bytes = 0
     materialized_graphs = 0
     for shard in sharding._WORKER_SHARDS.values():
-        graphs = shard.graphs
-        if hasattr(graphs, "materialized_bytes"):
-            materialized_bytes += graphs.materialized_bytes()
-            materialized_graphs += graphs.materialized_count()
+        # a worker's graph view is base + delta (SegmentedGraphList); its
+        # counters sum both halves, and a view without them should fail here
+        materialized_bytes += shard.graphs.materialized_bytes()
+        materialized_graphs += shard.graphs.materialized_count()
     private_dirty_kb = None
     try:
         with open("/proc/self/smaps_rollup") as rollup:

@@ -69,7 +69,17 @@ class AnalysisConfig:
             "ShardedPlanner": LockContract(
                 lock_attribute="_lock",
                 guarded_attributes=frozenset(
-                    {"_executor", "_executor_width", "_local_planners", "_plane"}
+                    {
+                        "_executor",
+                        "_executor_width",
+                        "_local_planners",
+                        "_plane",
+                        # a mutation swaps shard views under a live pool; the
+                        # plane (reached only through _plane) counts the
+                        # fan-outs in flight against each delta segment
+                        "shards",
+                        "_stale_deltas",
+                    }
                 ),
             ),
             "AnswerCache": LockContract(

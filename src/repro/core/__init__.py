@@ -50,7 +50,8 @@ from repro.core.sharding import (
     materialize_shard,
     merge_query_results,
     partition_ranges,
-    publish_shard,
+    publish_base,
+    publish_delta,
     route_to_smallest,
 )
 from repro.core.catalog import (
@@ -103,7 +104,8 @@ __all__ = [
     "ShardSpec",
     "ShardedPlanner",
     "materialize_shard",
-    "publish_shard",
+    "publish_base",
+    "publish_delta",
     "merge_query_results",
     "partition_ranges",
     "route_to_smallest",

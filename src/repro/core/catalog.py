@@ -51,22 +51,29 @@ plan the whole batch (``planner.plan`` / ``plan_top_k``), then turn ``rng`` /
 ``rngs`` into one 64-bit root per query, in query order, and hand plans and
 roots to ``planner.execute_plans`` — the entry a
 :class:`~repro.core.planner.QueryPlanner` (one shard) and a
-:class:`~repro.core.sharding.ShardedPlanner` (several) share.  Mutations
-invalidate the cached planner (and its worker pool), so read-heavy phases
-amortize the rebuild while writes stay cheap.
+:class:`~repro.core.sharding.ShardedPlanner` (several) share.
 
-That invalidation is also the shared-memory **hot-swap protocol**: a pooled
-planner publishes each shard once into a shared-memory
-:class:`~repro.core.sharding.ShardPlane` generation that workers attach
-read-only.  Any mutation (and :meth:`compact`) closes the cached planner —
-the pool shutdown inside :meth:`ShardedPlanner.close` joins every worker
-*before* the segments unlink, so no attachment is ever torn down under a
-running query — and the next query publishes a fresh generation from the
-new store state and spins up workers that re-attach to it.  Old and new
-generations never coexist for a reader, the swap is one atomic planner
-replacement, and answers stay byte-identical throughout because workers map
-the exact arrays the catalog computed (``active_shm_segments()`` exposes
-the live generation for leak checks).
+**Mutations and the read path.**  The storage split above is also what the
+planner publishes: a pooled planner puts each shard's immutable base into a
+shared-memory :class:`~repro.core.sharding.ShardPlane` once, for workers to
+attach and keep, and each shard's delta and tombstones into a small side
+segment.  ``add_graph`` / ``remove_graph`` / ``update_graph`` therefore leave
+the read path standing: they hand the cached ``ShardedPlanner`` fresh views
+of the shards they touched (both halves of an update in one step), it drops
+those shards' in-process planners, and the next query's fan-out republishes
+those shards' delta segments — once, however many mutations came first.
+The worker pool, the base segments, the other shards, and in every worker
+the graphs it has deserialized with their caches, all survive; a replaced
+delta segment is unlinked when the last fan-out that named it has drained.
+(The one-shard planner is a single view of the single store and is simply
+rebuilt by the next query.)  Only :meth:`compact`, which writes new bases,
+and :meth:`close` take the planner down — the pool shutdown inside
+:meth:`ShardedPlanner.close` joins every worker *before* the segments
+unlink, so no attachment is ever torn down under a running query — and the
+next query publishes a fresh generation under new names.  Answers stay
+byte-identical throughout because workers read the exact arrays the catalog
+computed (``active_shm_segments()`` lists what is published, for leak
+checks).
 
 The feature set is **pinned** at catalog construction: delta rows are
 indexed against the base features, and ``compact()`` deliberately does not
@@ -325,7 +332,9 @@ class _ShardStore:
             embedding_limit=self.delta_structural.embedding_limit,
             copy=False,  # the stacked matrix is already a fresh int32 buffer
         )
-        self.graphs.append(graph)
+        # every column is replaced, never grown in place: a DatabaseShard
+        # handed out by make_shard() stays the snapshot it was
+        self.graphs = [*self.graphs, graph]
         self.external_ids = np.append(self.external_ids, np.int64(external_id))
         self.tombstone = np.append(self.tombstone, False)
         return len(self.graphs) - 1
@@ -754,8 +763,7 @@ class GraphCatalog:
 
     @contextlib.contextmanager
     def _wal_suppression(self):
-        """Context that applies mutations without logging them (replay, and
-        the remove+add pair inside an already-logged ``update_graph``)."""
+        """Context that applies mutations without logging them (replay)."""
         previous = self._wal_suppressed
         self._wal_suppressed = True
         try:
@@ -881,10 +889,12 @@ class GraphCatalog:
         )
 
     def active_shm_segments(self) -> list[str]:
-        """Shared-memory segment names of the cached planner's published
-        generation — empty before the first pooled query and right after any
-        mutation or :meth:`compact`, because each generation lives exactly
-        as long as the planner that published it (the hot-swap protocol)."""
+        """Names of the shared-memory segments the cached planner has
+        published: one base and one delta per shard (plus, briefly, a
+        replaced delta a running query still reads).  Empty before the first
+        pooled query and right after :meth:`compact` or :meth:`close`; a
+        mutation leaves the list alone until the next query replaces the
+        touched shards' delta names."""
         plane = getattr(self._planner_cache, "shard_plane", None)
         return [] if plane is None else plane.segment_names()
 
@@ -961,7 +971,7 @@ class GraphCatalog:
             )
         rows = self._index_rows(graph, external_id)
         self._log_graph_record("add", external_id, graph)
-        self._install(graph, external_id, rows)
+        self._refresh_planner({self._install(graph, external_id, rows)})
         return external_id
 
     def _index_rows(
@@ -995,27 +1005,32 @@ class GraphCatalog:
                 }
             )
 
-    def _install(self, graph: ProbabilisticGraph, external_id: int, rows) -> None:
-        """Hand computed rows to the shard with the fewest live graphs."""
+    def _install(self, graph: ProbabilisticGraph, external_id: int, rows) -> int:
+        """Hand computed rows to the shard with the fewest live graphs;
+        returns that shard's index."""
         store_index = route_to_smallest(self.shard_live_counts())
         position = self._stores[store_index].install(graph, external_id, *rows)
         self._live[external_id] = (store_index, position)
         self._next_external_id = max(self._next_external_id, external_id + 1)
         self._mutation_generation += 1
-        self._invalidate()
+        return store_index
 
     def remove_graph(self, external_id: int) -> None:
         """Tombstone the live row of ``external_id`` (storage reclaimed by
         :meth:`compact`); raises :class:`CatalogError` if the id is not live."""
-        store_index, position = self._locate(external_id)
+        self._locate(external_id)  # raises if not live
         if self._wal_active():
             self._durability.wal.append(
                 {"op": "remove", "external_id": int(external_id)}
             )
+        self._refresh_planner({self._tombstone(external_id)})
+
+    def _tombstone(self, external_id: int) -> int:
+        """Switch the live row of ``external_id`` off; returns its shard's index."""
+        store_index, position = self._live.pop(external_id)
         self._stores[store_index].tombstone[position] = True
-        del self._live[external_id]
         self._mutation_generation += 1
-        self._invalidate()
+        return store_index
 
     def update_graph(self, external_id: int, graph: ProbabilisticGraph) -> None:
         """Replace the graph stored under a live ``external_id``.
@@ -1024,15 +1039,17 @@ class GraphCatalog:
         dies, the new row lands in the (currently) smallest shard, and every
         RNG stream keyed by the id re-derives over the new content — so the
         update answers exactly as if the graph had always been this version.
+        The planner sees both halves at once: no query runs over a state in
+        which the id is missing.
         """
         self._locate(external_id)  # raises if not live
         rows = self._index_rows(graph, external_id)
         # one atomic record: a torn tail can drop the whole update but never
         # leave the remove applied without the add
         self._log_graph_record("update", external_id, graph)
-        with self._wal_suppression():
-            self.remove_graph(external_id)
-        self._install(graph, external_id, rows)
+        touched = {self._tombstone(external_id)}
+        touched.add(self._install(graph, external_id, rows))
+        self._refresh_planner(touched)
 
     def compact(self) -> "GraphCatalog":
         """Fold delta rows and reclaim tombstones into fresh base matrices.
@@ -1098,7 +1115,9 @@ class GraphCatalog:
     # querying
     # ------------------------------------------------------------------
     def planner(self) -> QueryPlanner | ShardedPlanner:
-        """The current planner view; rebuilt lazily after any mutation."""
+        """The current planner view, built lazily: a sharded one follows
+        mutations in place (see :meth:`_refresh_planner`) and is rebuilt only
+        after :meth:`compact` or :meth:`close`."""
         if self._planner_cache is None:
             shards = [
                 store.make_shard(store_index)
@@ -1212,7 +1231,25 @@ class GraphCatalog:
             raise CatalogError(f"external id {external_id!r} is not live")
         return location
 
+    def _refresh_planner(self, store_indexes: set[int]) -> None:
+        """Show the cached planner the stores a mutation just changed.
+
+        A :class:`ShardedPlanner` swaps in fresh views of exactly those
+        shards and keeps its worker pool, its published base arenas and the
+        other shards' planners; the one-shard planner is one view of the one
+        store, so it is dropped and rebuilt by the next query.
+        """
+        planner = self._planner_cache
+        if isinstance(planner, ShardedPlanner):
+            planner.replace_shards(
+                [self._stores[index].make_shard(index) for index in sorted(store_indexes)]
+            )
+        else:
+            self._invalidate()
+
     def _invalidate(self) -> None:
+        """The full swap: drop the cached planner, closing a sharded one's
+        pool and unlinking everything it published."""
         closer = getattr(self._planner_cache, "close", None)
         if closer is not None:
             closer()

@@ -36,23 +36,40 @@ mask, and its indexes are the catalog's segmented base+delta views.
 **The zero-copy shard plane.**  Shipping every :class:`DatabaseShard` into
 the pool initializer would cost O(shard-bytes) per worker — resident memory
 scaling with worker count and every pool (re)build paying a full copy of all
-PMI and structural matrices.  The planner instead *publishes*
-each shard exactly once into ``multiprocessing.shared_memory``
-(:func:`publish_shard` packs the dense arrays plus per-graph pickle blobs
-into one :class:`~repro.utils.shm.ShardArena` segment), and workers receive
-only O(1) :class:`ShardDescriptor`\\ s — segment name, dtypes, shapes,
-offsets — attaching read-only on first use (:func:`materialize_shard`).
-Graphs deserialize lazily per candidate, so a worker's private memory holds
-only the graphs its queries actually verified.  Lifecycle: the
-:class:`ShardPlane` (one generation of published segments) is created
-lazily with the first pool, survives pool resizes (a width change recycles
-workers but re-ships only descriptors), and is retired by
-:meth:`ShardedPlanner.close` — the pool shutdown inside it joins every
-worker first, so no attachment outlives its segments.  A catalog mutation
-or :meth:`~repro.core.catalog.GraphCatalog.compact` closes the cached
-planner and the next query publishes a fresh generation: the hot-swap is
-one atomic planner replacement, and answers stay byte-identical throughout
-because the arrays workers map are bit-for-bit the parent's.
+PMI and structural matrices.  The planner instead *publishes* each shard
+into ``multiprocessing.shared_memory``, split by the two lifetimes a catalog
+shard has:
+
+* the **base** — base PMI matrices, base structural counts, base ids, the
+  base graphs as per-graph pickle blobs, features and configs — goes once
+  into one :class:`~repro.utils.shm.ShardArena` segment
+  (:func:`publish_base`) and stays until the catalog compacts.  Workers
+  receive only O(1) :class:`ShardDescriptor`\\ s — segment name, dtypes,
+  shapes, offsets — in the pool initializer, attach read-only on first use
+  and keep the mapping.  Base graphs deserialize lazily per candidate, so a
+  worker's private memory holds only the graphs its queries actually reached;
+* the **delta** — delta PMI rows and counts, delta ids and graphs, the
+  tombstoned rows — goes into a small self-describing segment
+  (:func:`publish_delta`) that is republished whenever that shard mutates.
+  A pool task names the delta segment it must run against; a worker that has
+  not seen that name copies the delta out, detaches at once, and rebuilds
+  the shard's planner over the base mapping, the base graph list and the
+  delta graphs it already holds (:func:`materialize_shard`) — so
+  deserialized graphs and every cache hung on them survive a mutation.
+
+Lifecycle: the :class:`ShardPlane` (the bases plus each shard's current
+delta) is created lazily with the first pool and survives pool resizes (a
+width change recycles workers but re-ships only descriptors).  A catalog
+mutation hands the planner new views of the shards it touched
+(:meth:`ShardedPlanner.replace_shards`); the next fan-out republishes those
+shards' deltas, and a replaced delta segment is unlinked once no fan-out that
+named it is still running.  The pool, the bases and the untouched shards are
+not involved.  :meth:`ShardedPlanner.close` is the one full swap — the pool
+shutdown inside it joins every worker first, so no attachment outlives its
+segments — and :meth:`~repro.core.catalog.GraphCatalog.compact` goes through
+it: the next query publishes a fresh generation under new names.  Answers
+stay byte-identical throughout because the arrays workers read are
+bit-for-bit the parent's.
 """
 
 from __future__ import annotations
@@ -60,7 +77,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -78,8 +95,12 @@ from repro.utils.shm import (
     ArenaDescriptor,
     AttachedArena,
     LazyGraphList,
+    SegmentedGraphList,
     ShardArena,
     finalize_unlink,
+    publish_blob,
+    read_blob,
+    unlink_segment,
 )
 
 
@@ -143,7 +164,7 @@ class DatabaseShard:
     graph_ids: np.ndarray
     active_mask: np.ndarray
     # set only on worker-side shards materialized from a shared-memory
-    # descriptor: keeps the attached segment mapped for the shard's lifetime
+    # descriptor: keeps the attached base arena mapped for the shard's lifetime
     arena: AttachedArena | None = field(default=None, repr=False, compare=False)
 
     def make_planner(self) -> QueryPlanner:
@@ -196,11 +217,11 @@ def merge_query_results(parts: list[QueryResult]) -> QueryResult:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardDescriptor:
-    """The O(1) handle a worker needs to attach one published shard.
+    """The O(1) handle a worker needs to attach one shard's published base.
 
     Pickling this costs bytes proportional to the number of arena *fields*
-    (a dozen name/dtype/shape/offset tuples), never to the shard's data —
-    the regression tests assert exactly that.
+    (ten name/dtype/shape/offset tuples), never to the shard's data — the
+    regression tests assert exactly that.
     """
 
     shard_id: int
@@ -210,147 +231,256 @@ class ShardDescriptor:
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
-def publish_shard(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
-    """Pack one shard into a shared-memory arena; return it with its handle.
-
-    Dense arrays — the five PMI matrices and the structural count matrix
-    (base and delta segments separately) and the external-id / tombstone
-    columns — are copied bit-for-bit into the segment, so a worker's
-    attached view reads the exact cells the parent computed and answers
-    cannot drift.  Graphs go in as back-to-back per-graph pickles with an
-    offset table (lazy deserialization on the worker); everything non-array
-    (spec, features, configs, sparse chosen-set dicts) rides in one pickled
-    ``meta`` blob.
-    """
+def _segmented_views(shard: DatabaseShard):
+    """The shard's base + delta PMI and structural views, type-checked."""
     from repro.core.catalog import SegmentedPmiView, SegmentedStructuralView
 
-    pmi = shard.pmi
-    structural = shard.structural_index
-    if not isinstance(pmi, SegmentedPmiView) or not isinstance(
-        structural, SegmentedStructuralView
+    if not isinstance(shard.pmi, SegmentedPmiView) or not isinstance(
+        shard.structural_index, SegmentedStructuralView
     ):
         raise IndexError_(
             "a shard publishes segmented (base + delta) PMI and structural views"
         )
-    arrays: dict[str, np.ndarray] = {}
-    meta: dict = {
-        "spec": shard.spec,
-        "features": pmi.base.features,
-        "feature_config": pmi.base.feature_config,
-        "bound_config": pmi.base.bound_config,
-        "embedding_limit": structural.base.embedding_limit,
-    }
-    for prefix, segment_pmi in (("base", pmi.base), ("delta", pmi.delta)):
-        for key, array in segment_pmi.arena_arrays().items():
-            arrays[f"{prefix}_pmi_{key}"] = array
-        meta[f"{prefix}_pmi"] = segment_pmi.arena_meta()
-    arrays["base_counts"] = np.asarray(structural.base.counts_matrix())
-    arrays["delta_counts"] = np.asarray(structural.delta.counts_matrix())
-    arrays["graph_ids"] = np.asarray(shard.graph_ids, dtype=np.int64)
-    arrays["active_mask"] = np.asarray(shard.active_mask, dtype=bool)
-    payloads = [
-        pickle.dumps(graph, protocol=_PICKLE_PROTOCOL) for graph in shard.graphs
-    ]
+    return shard.pmi, shard.structural_index
+
+
+def _pack_graphs(graphs) -> tuple[np.ndarray, bytes]:
+    """Back-to-back per-graph pickles and their ``n + 1`` offset table — the
+    form a :class:`~repro.utils.shm.LazyGraphList` deserializes from."""
+    payloads = [pickle.dumps(graph, protocol=_PICKLE_PROTOCOL) for graph in graphs]
     offsets = np.zeros(len(payloads) + 1, dtype=np.int64)
     if payloads:
         np.cumsum(
             np.asarray([len(p) for p in payloads], dtype=np.int64), out=offsets[1:]
         )
-    arrays["graph_offsets"] = offsets
-    blobs = {
-        "graphs": b"".join(payloads),
-        "meta": pickle.dumps(meta, protocol=_PICKLE_PROTOCOL),
+    return offsets, b"".join(payloads)
+
+
+def publish_base(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
+    """Pack a shard's immutable base into a shared-memory arena.
+
+    Everything here stays put until the catalog compacts: the five base PMI
+    matrices, the base structural counts and the base rows' external ids are
+    copied bit-for-bit into the segment, so a worker's attached view reads
+    the exact cells the parent computed and answers cannot drift.  The base
+    graphs go in as back-to-back per-graph pickles with an offset table (lazy
+    deserialization on the worker); everything non-array (features, configs,
+    the sparse chosen-set dict) rides in one pickled ``meta`` blob.
+    """
+    pmi, structural = _segmented_views(shard)
+    base_rows = pmi.base.num_graphs
+    arrays = {f"pmi_{key}": array for key, array in pmi.base.arena_arrays().items()}
+    arrays["counts"] = np.asarray(structural.base.counts_matrix())
+    arrays["graph_ids"] = np.asarray(shard.graph_ids[:base_rows], dtype=np.int64)
+    arrays["graph_offsets"], graphs = _pack_graphs(shard.graphs[:base_rows])
+    meta = {
+        "features": pmi.base.features,
+        "feature_config": pmi.base.feature_config,
+        "bound_config": pmi.base.bound_config,
+        "embedding_limit": structural.base.embedding_limit,
+        "pmi": pmi.base.arena_meta(),
     }
-    arena = ShardArena.pack(arrays, blobs)
+    arena = ShardArena.pack(
+        arrays, {"graphs": graphs, "meta": pickle.dumps(meta, protocol=_PICKLE_PROTOCOL)}
+    )
     return arena, ShardDescriptor(shard_id=shard.spec.shard_id, arena=arena.descriptor)
 
 
-def materialize_shard(
-    descriptor: ShardDescriptor, arena: AttachedArena | None = None
-) -> DatabaseShard:
-    """Rebuild a queryable :class:`DatabaseShard` from a published arena.
+def publish_delta(shard: DatabaseShard) -> tuple[str, int]:
+    """Publish what mutations change; returns the segment's name and bytes.
 
-    All matrices come back as read-only zero-copy views into the shared
-    mapping (no bytes move), and the graph list is a
-    :class:`~repro.utils.shm.LazyGraphList` that deserializes per graph on
-    first access.  The returned shard keeps the arena attached for its own
-    lifetime via its ``arena`` field.
+    The delta PMI rows and structural counts, the delta rows' external ids
+    and graphs, the storage rows that are tombstoned and the live-row spec go
+    into one self-describing blob segment (:func:`repro.utils.shm.publish_blob`).
+    Its size follows the delta and the tombstones, never the base: the base
+    id column is in the base arena and the tombstone mask travels as the
+    positions of its dead rows.
     """
-    from repro.core.catalog import SegmentedPmiView, SegmentedStructuralView
+    pmi, structural = _segmented_views(shard)
+    base_rows = pmi.base.num_graphs
+    graph_offsets, graphs = _pack_graphs(shard.graphs[base_rows:])
+    payload = pickle.dumps(
+        {
+            "spec": shard.spec,
+            "pmi": pmi.delta.arena_arrays(),
+            "pmi_meta": pmi.delta.arena_meta(),
+            "counts": np.asarray(structural.delta.counts_matrix()),
+            "graph_ids": np.asarray(shard.graph_ids[base_rows:], dtype=np.int64),
+            "dead_rows": np.flatnonzero(~np.asarray(shard.active_mask, dtype=bool)),
+            "graph_offsets": graph_offsets,
+            "graphs": graphs,
+        },
+        protocol=_PICKLE_PROTOCOL,
+    )
+    return publish_blob(payload), len(payload)
 
-    if arena is None:
-        arena = AttachedArena(descriptor.arena)
+
+def _attach_base(descriptor: ShardDescriptor):
+    """Map a published base: zero-copy index views and a lazy graph list."""
+    arena = AttachedArena(descriptor.arena)
     meta = pickle.loads(arena.blob("meta"))
+    features = meta["features"]
+    pmi = ProbabilisticMatrixIndex.from_arrays(
+        {
+            key: arena.array(f"pmi_{key}")
+            for key in ProbabilisticMatrixIndex.ARENA_ARRAY_KEYS
+        },
+        features,
+        meta["feature_config"],
+        meta["bound_config"],
+        meta["pmi"],
+    )
+    structural = StructuralFeatureIndex.from_counts(
+        features,
+        arena.array("counts"),
+        embedding_limit=meta["embedding_limit"],
+        copy=False,
+    )
     graphs = LazyGraphList(
         arena.blob("graphs"), arena.array("graph_offsets"), owner=arena
     )
-    features = meta["features"]
-    feature_config = meta["feature_config"]
-    bound_config = meta["bound_config"]
-    embedding_limit = meta["embedding_limit"]
+    return arena, pmi, structural, graphs
 
-    def pmi_from(prefix: str, segment_meta: dict) -> ProbabilisticMatrixIndex:
-        return ProbabilisticMatrixIndex.from_arrays(
-            {
-                key: arena.array(f"{prefix}{key}")
-                for key in ProbabilisticMatrixIndex.ARENA_ARRAY_KEYS
-            },
-            features,
-            feature_config,
-            bound_config,
-            segment_meta,
-        )
 
-    pmi = SegmentedPmiView(
-        pmi_from("base_pmi_", meta["base_pmi"]),
-        pmi_from("delta_pmi_", meta["delta_pmi"]),
-    )
-    structural = SegmentedStructuralView(
-        StructuralFeatureIndex.from_counts(
-            features,
-            arena.array("base_counts"),
-            embedding_limit=embedding_limit,
-            copy=False,
-        ),
-        StructuralFeatureIndex.from_counts(
-            features,
-            arena.array("delta_counts"),
-            embedding_limit=embedding_limit,
-            copy=False,
-        ),
-    )
+def materialize_shard(
+    descriptor: ShardDescriptor,
+    delta_segment: str,
+    previous: DatabaseShard | None = None,
+) -> DatabaseShard:
+    """A queryable :class:`DatabaseShard` over a published base and delta.
+
+    The base matrices come back as read-only zero-copy views into the shared
+    mapping (no bytes move) and the base graphs as a
+    :class:`~repro.utils.shm.LazyGraphList` that deserializes per graph on
+    first access; the returned shard keeps the base attached for its own
+    lifetime via its ``arena`` field.  The delta is small and short-lived, so
+    it is copied out and its segment detached before this returns — a process
+    never holds a delta mapping.
+
+    ``previous`` is this process's shard over the *same base* and an earlier
+    (or later) delta: its base mapping, base indexes and base graph list are
+    kept as they are, and the delta graphs it had deserialized carry over
+    (delta rows are append-only between compactions), so only the delta is
+    read again.
+    """
+    from repro.core.catalog import SegmentedPmiView, SegmentedStructuralView
+
+    if previous is None:
+        arena, base_pmi, base_structural, base_graphs = _attach_base(descriptor)
+    else:
+        arena = previous.arena
+        base_pmi = previous.pmi.base
+        base_structural = previous.structural_index.base
+        base_graphs = previous.graphs.base
+    delta = pickle.loads(read_blob(delta_segment))
+    delta_graphs = LazyGraphList(memoryview(delta["graphs"]), delta["graph_offsets"])
+    if previous is not None:
+        delta_graphs.carry_from(previous.graphs.delta)
+    features = base_pmi.features
+    graph_ids = np.concatenate([arena.array("graph_ids"), delta["graph_ids"]])
+    active_mask = np.ones(graph_ids.size, dtype=bool)
+    active_mask[delta["dead_rows"]] = False
     return DatabaseShard(
-        spec=meta["spec"],
-        graphs=graphs,
-        pmi=pmi,
-        structural_index=structural,
-        graph_ids=arena.array("graph_ids"),
-        active_mask=arena.array("active_mask"),
+        spec=delta["spec"],
+        graphs=SegmentedGraphList(base_graphs, delta_graphs),
+        pmi=SegmentedPmiView(
+            base_pmi,
+            ProbabilisticMatrixIndex.from_arrays(
+                delta["pmi"],
+                features,
+                base_pmi.feature_config,
+                base_pmi.bound_config,
+                delta["pmi_meta"],
+            ),
+        ),
+        structural_index=SegmentedStructuralView(
+            base_structural,
+            StructuralFeatureIndex.from_counts(
+                features,
+                delta["counts"],
+                embedding_limit=base_structural.embedding_limit,
+                copy=False,
+            ),
+        ),
+        graph_ids=graph_ids,
+        active_mask=active_mask,
         arena=arena,
     )
 
 
 class ShardPlane:
-    """One published generation of a planner's shards.
+    """A planner's published shards: one base generation, current deltas.
 
-    Owns one shared-memory segment per shard.  Cleanup is belt and braces:
-    :meth:`close` unlinks explicitly, a ``weakref.finalize`` fires on GC or
-    interpreter exit if nobody called it, the :mod:`repro.utils.shm` atexit
-    sweep catches anything else, and every path is idempotent and pid-
-    guarded (a forked worker can never unlink its parent's segments).
+    Owns, per shard, one base arena — published here, once, and kept until
+    :meth:`close` — and one delta segment, replaced by :meth:`republish_delta`
+    whenever that shard mutates.  A fan-out brackets its tasks with
+    :meth:`acquire` / :meth:`release`; a replaced delta is unlinked at once
+    when no fan-out is running against it and otherwise by the ``release`` of
+    the last one that is — the drain barrier: a task never finds the segment
+    it was told to read gone.  The plane does no locking of its own; its
+    planner calls it under the planner's lock.
+
+    Cleanup is belt and braces: :meth:`close` unlinks explicitly, a
+    ``weakref.finalize`` fires on GC or interpreter exit if nobody called it,
+    the :mod:`repro.utils.shm` atexit sweep catches anything else, and every
+    path is idempotent and pid-guarded (a forked worker can never unlink its
+    parent's segments).
     """
 
     def __init__(self, shards: list[DatabaseShard]) -> None:
-        self._arenas: list[ShardArena] = []
+        # every segment published and not yet unlinked; the finalizer holds
+        # this very list, so it covers a construction that fails halfway too
+        self._names: list[str] = []
+        self._finalizer = finalize_unlink(self, self._names)
+        self._bases: list[ShardArena] = []
         self.descriptors: list[ShardDescriptor] = []
+        # shard id -> (segment name, bytes) of the delta tasks are sent to
+        self._deltas: dict[int, tuple[str, int]] = {}
+        # delta segment name -> fan-outs running against it
+        self._in_flight: dict[str, int] = {}
         for shard in shards:
-            arena, descriptor = publish_shard(shard)
-            self._arenas.append(arena)
+            arena, descriptor = publish_base(shard)
+            self._names.append(arena.name)
+            self._bases.append(arena)
             self.descriptors.append(descriptor)
-        self._finalizer = finalize_unlink(self, [a.name for a in self._arenas])
+            self.republish_delta(shard)
+
+    def republish_delta(self, shard: DatabaseShard) -> None:
+        """Publish ``shard``'s current delta and retire the one it replaces."""
+        shard_id = shard.spec.shard_id
+        replaced = self._deltas.get(shard_id)
+        name, nbytes = publish_delta(shard)
+        self._names.append(name)
+        self._deltas[shard_id] = (name, nbytes)
+        if replaced is not None and replaced[0] not in self._in_flight:
+            self._unlink(replaced[0])
+
+    def acquire(self) -> tuple[str, ...]:
+        """The delta segment of every shard, in descriptor order, each marked
+        as read by one more fan-out until :meth:`release` gets the tuple back."""
+        names = tuple(self._deltas[d.shard_id][0] for d in self.descriptors)
+        for name in names:
+            self._in_flight[name] = self._in_flight.get(name, 0) + 1
+        return names
+
+    def release(self, names: tuple[str, ...]) -> None:
+        """The fan-out that acquired ``names`` has drained; unlink every delta
+        among them that was replaced meanwhile and has no reader left."""
+        current = {name for name, _ in self._deltas.values()}
+        for name in names:
+            self._in_flight[name] -= 1
+            if not self._in_flight[name]:
+                del self._in_flight[name]
+                if name not in current:
+                    self._unlink(name)
+
+    def _unlink(self, name: str) -> None:
+        unlink_segment(name)
+        if name in self._names:  # not after close(), which drained the list
+            self._names.remove(name)
 
     def payload(self) -> tuple[ShardDescriptor, ...]:
-        """What the pool initializer ships: descriptors only, O(1) bytes."""
+        """What the pool initializer ships: base descriptors only, O(1) bytes."""
         return tuple(self.descriptors)
 
     def payload_bytes(self) -> int:
@@ -358,11 +488,24 @@ class ShardPlane:
         return len(pickle.dumps(self.payload(), protocol=_PICKLE_PROTOCOL))
 
     def segment_names(self) -> list[str]:
-        return [arena.name for arena in self._arenas]
+        """Every segment this plane still has published: the bases, the
+        current deltas, and any replaced delta a running fan-out still reads."""
+        return list(self._names)
+
+    def base_segment_names(self) -> list[str]:
+        return [arena.name for arena in self._bases]
+
+    def delta_segment_names(self) -> list[str]:
+        """The current delta segment of every shard, in descriptor order."""
+        return [self._deltas[d.shard_id][0] for d in self.descriptors]
 
     def shard_bytes(self) -> int:
-        """Total bytes published across this generation's segments."""
-        return sum(arena.descriptor.nbytes for arena in self._arenas)
+        """Total bytes published: every base arena plus every current delta."""
+        return sum(arena.descriptor.nbytes for arena in self._bases) + self.delta_bytes()
+
+    def delta_bytes(self) -> int:
+        """Bytes of the current deltas — what mutations republish."""
+        return sum(nbytes for _, nbytes in self._deltas.values())
 
     @property
     def closed(self) -> bool:
@@ -376,14 +519,14 @@ class ShardPlane:
 # ----------------------------------------------------------------------
 # query execution (runs in worker processes)
 # ----------------------------------------------------------------------
-# One pool worker caches the shards it has seen and lazily builds a
-# QueryPlanner per shard on first use, so steady-state tasks ship only
-# (shard_id, queries, thresholds, roots).  The initializer records
-# descriptors and defers the attach itself to the first task that needs the
-# shard — a worker that never serves a shard never maps it.
-_WORKER_SHARDS: dict[int, DatabaseShard] = {}
-_WORKER_PLANNERS: dict[int, QueryPlanner] = {}
+# The initializer records the base descriptors and defers every attach to the
+# first task that needs the shard — a worker that never serves a shard never
+# maps it.  A task names the delta segment it must run against; the worker
+# keeps, per shard, the view and the planner it built for the last one named,
+# so steady-state tasks ship only (shard_id, delta segment name, plan batch).
 _WORKER_DESCRIPTORS: dict[int, ShardDescriptor] = {}
+_WORKER_SHARDS: dict[int, DatabaseShard] = {}
+_WORKER_PLANNERS: dict[int, tuple[str, QueryPlanner]] = {}  # (delta segment, planner)
 
 
 def _init_shm_query_worker(descriptors: tuple[ShardDescriptor, ...]) -> None:
@@ -414,19 +557,26 @@ def _execute_on_shard(
 
 
 def _run_shard_workload(
-    shard_id: int, plans: list[QueryPlan], roots: list[int]
+    shard_id: int, delta_segment: str, batch: bytes
 ) -> list[QueryResult | TopKPartial]:
-    planner = _WORKER_PLANNERS.get(shard_id)
-    if planner is None:
-        shard = _WORKER_SHARDS.get(shard_id)
-        if shard is None:
-            # first touch of this shard in this worker: attach the shared
-            # segment read-only (zero-copy; graphs stay lazy)
-            shard = materialize_shard(_WORKER_DESCRIPTORS[shard_id])
-            _WORKER_SHARDS[shard_id] = shard
-        planner = shard.make_planner()
-        _WORKER_PLANNERS[shard_id] = planner
-    return _execute_on_shard(planner, plans, roots)
+    """One pool task: ``batch`` is the pickled ``(plans, roots)`` of a fan-out.
+
+    A delta segment this worker has not built the shard against means the
+    shard mutated (or this is the first touch): read that delta, keep the
+    mapped base, the base graph list and every graph already deserialized,
+    and rebuild only the planner.
+    """
+    built = _WORKER_PLANNERS.get(shard_id)
+    if built is None or built[0] != delta_segment:
+        shard = materialize_shard(
+            _WORKER_DESCRIPTORS[shard_id],
+            delta_segment,
+            previous=_WORKER_SHARDS.get(shard_id),
+        )
+        _WORKER_SHARDS[shard_id] = shard
+        built = _WORKER_PLANNERS[shard_id] = (delta_segment, shard.make_planner())
+    plans, roots = pickle.loads(batch)
+    return _execute_on_shard(built[1], plans, roots)
 
 
 # ----------------------------------------------------------------------
@@ -442,14 +592,19 @@ class ShardedPlanner:
     planner's, independent of shard count and worker count.
     ``max_workers`` picks the process-pool width for query fan-out
     (``None`` → ``min(num_shards, cpu_count)``); at width <= 1 shards run
-    in-process, which is also the zero-dependency fallback path.  Shards
-    are published once into a shared-memory :class:`ShardPlane` and workers
-    attach read-only via O(1) descriptors.
+    in-process, which is also the zero-dependency fallback path.  Shard
+    bases are published once into a shared-memory :class:`ShardPlane` and
+    workers attach read-only via O(1) descriptors.
 
     Shards carry explicit stable ids plus a tombstone mask (see
     :class:`DatabaseShard`) and are validated for live-id disjointness.
     The determinism contract: answers and counters are byte-identical to a
     sequential run over the same live graphs under the same roots.
+
+    A catalog mutation reaches the planner as :meth:`replace_shards` — new
+    views of the shards it touched.  The pool, the published bases and the
+    other shards' in-process planners stay; the touched shards' deltas are
+    republished by the next fan-out, once however many mutations came first.
     """
 
     def __init__(
@@ -478,9 +633,13 @@ class ShardedPlanner:
         self._executor_width = 0
         self._local_planners: dict[int, QueryPlanner] = {}
         self._plane: ShardPlane | None = None
-        # Guards the pool/plane lifecycle against concurrent submission: the
-        # query service fans requests in from worker threads, so executor
-        # creation, task submission, resize, and close must serialize.
+        # ids of shards replaced since their delta was last published
+        self._stale_deltas: set[int] = set()
+        # Guards the shard views and the pool/plane lifecycle against
+        # concurrent submission: the query service fans requests in from
+        # worker threads while mutations swap shard views, so view
+        # replacement, executor creation, delta republication, task
+        # submission, resize, and close must serialize.
         # Reentrant because the BrokenProcessPool fallback inside _fan_out
         # calls close() from a frame that may re-enter locked helpers.
         self._lock = threading.RLock()
@@ -490,7 +649,34 @@ class ShardedPlanner:
     # ------------------------------------------------------------------
     @property
     def num_shards(self) -> int:
-        return len(self.shards)
+        with self._lock:
+            return len(self.shards)
+
+    # ------------------------------------------------------------------
+    # mutation
+    # ------------------------------------------------------------------
+    def replace_shards(self, shards: list[DatabaseShard]) -> None:
+        """Swap in new views of mutated shards, in one step.
+
+        Each view replaces the current shard of the same id (the caller —
+        the catalog, whose live-id map is the authority — keeps live ids
+        disjoint); that shard's in-process planner is dropped and its
+        published delta marked stale.  Everything else is kept: the worker
+        pool, the base arenas, the other shards and their planners.  Nothing
+        is published here — the next fan-out republishes each stale delta
+        once — so a burst of mutations costs one publication per touched
+        shard, and a fan-out sees either all of ``shards`` or none of them.
+        """
+        with self._lock:
+            by_id = {shard.spec.shard_id: shard for shard in shards}
+            unknown = by_id.keys() - {shard.spec.shard_id for shard in self.shards}
+            if unknown:
+                raise ConfigurationError(f"no shard with id {sorted(unknown)!r} to replace")
+            # a new list: a fan-out that already read the old one keeps it
+            self.shards = [by_id.get(shard.spec.shard_id, shard) for shard in self.shards]
+            for shard_id in by_id:
+                self._local_planners.pop(shard_id, None)
+            self._stale_deltas.update(by_id)
 
     # ------------------------------------------------------------------
     # planning and execution
@@ -510,7 +696,7 @@ class ShardedPlanner:
         containment pass) and every shard receives the finished plan instead
         of re-deriving the same one K times.
         """
-        return self._planner_for(self.shards[0]).plan(
+        return self._planning_planner().plan(
             query, probability_threshold, distance_threshold, config
         )
 
@@ -518,7 +704,7 @@ class ShardedPlanner:
         self, query: LabeledGraph, k: int, distance_threshold: int, config=None
     ) -> QueryPlan:
         """Validate and plan one top-k query, once for every shard."""
-        return self._planner_for(self.shards[0]).plan_top_k(query, k, distance_threshold, config)
+        return self._planning_planner().plan_top_k(query, k, distance_threshold, config)
 
     def execute_plans(self, plans: list[QueryPlan], roots: list[int]) -> list[QueryResult]:
         """Run finished plans over every shard and merge, one result per plan.
@@ -550,14 +736,16 @@ class ShardedPlanner:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pool down and retire the published segments.
+        """Shut the pool down and retire every published segment.
 
-        Order matters: the pool shutdown joins every worker first — that is
-        the re-attach barrier of the hot-swap protocol, after which no
-        process can hold a mapping — and only then does the plane unlink.
-        A new query re-creates both, publishing a fresh generation; this is
-        exactly how a catalog mutation or ``compact()`` swaps generations
-        (``GraphCatalog._invalidate`` closes the cached planner).
+        Order matters: the pool shutdown joins every worker first — the
+        barrier after which no process holds a mapping or has a task left to
+        open one — and only then does the plane unlink, bases and deltas
+        alike.  A new query re-creates both, publishing a fresh generation
+        under new names; this is the one full swap, and it is how
+        ``compact()`` changes base generations (``GraphCatalog._invalidate``
+        closes the cached planner).  A mutation does not come here: see
+        :meth:`replace_shards`.
 
         Safe under concurrency (the drain-on-shutdown contract): idempotent
         — a second ``close()``, including one racing the first from another
@@ -579,24 +767,33 @@ class ShardedPlanner:
     def _fan_out(self, plans: list[QueryPlan], roots: list[int]) -> list[list]:
         """One pool task per shard, each running the whole plan list.
 
-        Returns per-shard result lists, plan-index aligned.  Executor
-        acquisition and task submission happen atomically under the
-        lifecycle lock, so a concurrent ``close()`` either runs before this
-        batch (which then builds a fresh pool) or drains it (pool shutdown
-        waits for submitted tasks); waiting on the futures happens outside
-        the lock so concurrent submitters and a draining ``close()`` never
-        deadlock on each other.
+        Returns per-shard result lists, plan-index aligned.  Under the
+        lifecycle lock, atomically: the executor is acquired, stale deltas
+        are republished, every shard's delta segment is marked in flight and
+        the tasks naming them are submitted — so a concurrent ``close()``
+        either runs before this batch (which then builds a fresh pool) or
+        drains it (pool shutdown waits for submitted tasks), and a concurrent
+        mutation lands wholly before or wholly after it.  The plan batch is
+        pickled once and every task carries the same bytes.  Waiting on the
+        futures happens outside the lock so concurrent submitters and a
+        draining ``close()`` never deadlock on each other; once every task
+        has finished the segments are released, which unlinks a delta that
+        was replaced while this batch ran against it.
         """
-        workers = _resolve_workers(self.max_workers, len(self.shards))
+        workers = _resolve_workers(self.max_workers, self.num_shards)
         if workers <= 1:  # also the width of a single shard
             return self._execute_serial(plans, roots)
+        batch = pickle.dumps((plans, roots), protocol=_PICKLE_PROTOCOL)
+        plane, deltas, futures = None, (), []
         try:
             with self._lock:
                 pool = self._ensure_executor(workers)
-                futures = [
-                    pool.submit(_run_shard_workload, shard.spec.shard_id, plans, roots)
-                    for shard in self.shards
-                ]
+                plane = self._ensure_plane()
+                deltas = plane.acquire()
+                for descriptor, delta in zip(plane.descriptors, deltas):
+                    futures.append(
+                        pool.submit(_run_shard_workload, descriptor.shard_id, delta, batch)
+                    )
             return [future.result() for future in futures]
         except BrokenProcessPool:
             # a killed worker poisons the whole pool; answers are
@@ -604,13 +801,22 @@ class ShardedPlanner:
             # and let the next call build a fresh pool
             self.close()
             return self._execute_serial(plans, roots)
+        finally:
+            if deltas:
+                # a failed shard must not release what its siblings still read
+                wait(futures)
+                with self._lock:
+                    plane.release(deltas)
 
     def _execute_serial(self, plans: list[QueryPlan], roots: list[int]) -> list[list]:
         """All shards in-process: the pool-less (and pool-failure) path."""
-        return [
-            _execute_on_shard(self._planner_for(shard), plans, roots)
-            for shard in self.shards
-        ]
+        with self._lock:
+            planners = [self._planner_for(shard) for shard in self.shards]
+        return [_execute_on_shard(planner, plans, roots) for planner in planners]
+
+    def _planning_planner(self) -> QueryPlanner:
+        with self._lock:
+            return self._planner_for(self.shards[0])
 
     def _planner_for(self, shard: DatabaseShard) -> QueryPlanner:
         with self._lock:
@@ -622,15 +828,23 @@ class ShardedPlanner:
 
     @property
     def shard_plane(self) -> ShardPlane | None:
-        """The currently published generation, or None before the first pool
-        (and after :meth:`close`)."""
+        """The published plane, or None before the first pool (and after
+        :meth:`close`).  Between a mutation and the next fan-out its delta
+        of a touched shard is the one from before the mutation."""
         with self._lock:
             return self._plane
 
     def _ensure_plane(self) -> ShardPlane:
+        """The plane with every delta current: published whole if there is
+        none, else with the deltas of the shards replaced since republished."""
         with self._lock:
             if self._plane is None:
                 self._plane = ShardPlane(self.shards)
+            else:
+                for shard in self.shards:
+                    if shard.spec.shard_id in self._stale_deltas:
+                        self._plane.republish_delta(shard)
+            self._stale_deltas.clear()
             return self._plane
 
     def _shutdown_pool(self) -> None:

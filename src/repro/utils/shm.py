@@ -1,18 +1,25 @@
 """Shared-memory segments and the flat shard-arena layout.
 
 This module is the storage half of the zero-copy shard plane
-(:mod:`repro.core.sharding`): the parent process packs each shard's dense
-arrays — PMI lower/upper/presence matrices, structural counts, catalog
-id/tombstone columns — plus a few pickled blobs into **one**
-``multiprocessing.shared_memory`` segment per shard, and worker processes
-attach read-only.  What crosses the process boundary is an
-:class:`ArenaDescriptor`: segment name, dtypes, shapes, and byte offsets —
-O(1) in the shard's size — instead of an O(shard-bytes) pickle.
+(:mod:`repro.core.sharding`).  It knows two kinds of
+``multiprocessing.shared_memory`` segment:
 
-Layout of one segment (offsets 64-byte aligned, recorded in the descriptor;
-the segment itself carries no header)::
+* an **arena** (:class:`ShardArena` / :class:`AttachedArena`): the parent
+  packs a shard's immutable base — PMI lower/upper/presence matrices,
+  structural counts, the base id column — plus a few pickled blobs into one
+  segment, and worker processes attach read-only and keep it mapped.  What
+  crosses the process boundary is an :class:`ArenaDescriptor`: segment name,
+  dtypes, shapes, and byte offsets — O(1) in the shard's size — instead of
+  an O(shard-bytes) pickle.  Layout (offsets 64-byte aligned, recorded in
+  the descriptor; the segment itself carries no header)::
 
-    [ array 0 | pad | array 1 | pad | ... | blob 0 | pad | blob 1 | ... ]
+      [ array 0 | pad | array 1 | pad | ... | blob 0 | pad | blob 1 | ... ]
+
+* a **blob segment** (:func:`publish_blob` / :func:`read_blob`): an 8-byte
+  length and then that many payload bytes, so the name alone is enough to
+  read it.  A reader copies the payload out and detaches before it returns —
+  nothing stays mapped — which is what lets a small, short-lived segment (a
+  shard's delta) be replaced without any reader holding the old one.
 
 Lifecycle rules, enforced here so callers cannot leak:
 
@@ -57,9 +64,12 @@ __all__ = [
     "AttachedArena",
     "LazyGraphList",
     "ShardArena",
+    "SegmentedGraphList",
     "attach_segment",
     "create_segment",
     "owned_segment_names",
+    "publish_blob",
+    "read_blob",
     "resident_segment_names",
     "unlink_segment",
 ]
@@ -217,6 +227,44 @@ def _sweep_owned_segments() -> None:
     for segment in attached:
         with contextlib.suppress(OSError, BufferError):
             segment.close()
+
+
+# ----------------------------------------------------------------------
+# blob segments
+# ----------------------------------------------------------------------
+_BLOB_HEADER = 8  # little-endian payload length
+
+
+def publish_blob(payload: bytes) -> str:
+    """Copy ``payload`` into a fresh owned segment; return the segment's name.
+
+    The segment describes itself (length, then bytes), so a reader needs the
+    name and nothing else.  Retire it with :func:`unlink_segment`.
+    """
+    segment = create_segment(_BLOB_HEADER + len(payload))
+    segment.buf[:_BLOB_HEADER] = len(payload).to_bytes(_BLOB_HEADER, "little")
+    segment.buf[_BLOB_HEADER : _BLOB_HEADER + len(payload)] = payload
+    return segment.name
+
+
+def read_blob(name: str) -> bytes:
+    """A private copy of a published blob; the mapping is gone on return.
+
+    Copying out is the point: the caller holds no view into the segment, so
+    the detach below always succeeds and the owner may unlink the segment as
+    soon as no reader still has to *open* it.
+    """
+    segment = attach_segment(name)
+    try:
+        size = int.from_bytes(segment.buf[:_BLOB_HEADER], "little")
+        if _BLOB_HEADER + size > segment.size:
+            raise ShmError(
+                f"blob segment {name!r} declares {size} bytes but holds "
+                f"{segment.size - _BLOB_HEADER}"
+            )
+        return bytes(segment.buf[_BLOB_HEADER : _BLOB_HEADER + size])
+    finally:
+        release_segment(segment)
 
 
 # ----------------------------------------------------------------------
@@ -430,6 +478,18 @@ class LazyGraphList(Sequence):
             self._cache[index] = graph
         return graph
 
+    def carry_from(self, previous: "LazyGraphList") -> None:
+        """Adopt the graphs ``previous`` has already deserialized.
+
+        For a list that extends ``previous`` row for row (a catalog delta is
+        append-only between compactions): the graph objects, and every cache
+        hung on them, survive the swap to the longer list.
+        """
+        size = len(self)
+        self._cache.update(
+            (index, graph) for index, graph in previous._cache.items() if index < size
+        )
+
     def materialized_count(self) -> int:
         """How many graphs this process has actually deserialized."""
         return len(self._cache)
@@ -441,6 +501,43 @@ class LazyGraphList(Sequence):
             int(self._offsets[index + 1] - self._offsets[index])
             for index in self._cache
         )
+
+
+class SegmentedGraphList(Sequence):
+    """A shard's storage rows on a worker: base graphs, then delta graphs.
+
+    Both halves are :class:`LazyGraphList`\\ s — the base over the mapped
+    arena, the delta over a private copy — and row ``r`` resolves like a
+    :class:`~repro.core.catalog.SegmentedPmiView` row does.  The counters sum
+    the halves; ``base`` and ``delta`` stay readable on their own.
+    """
+
+    def __init__(self, base: LazyGraphList, delta: LazyGraphList) -> None:
+        self.base = base
+        self.delta = delta
+
+    def __len__(self) -> int:
+        return len(self.base) + len(self.delta)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = int(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            # repro: allow[EXC001] -- the sequence protocol requires IndexError
+            raise IndexError(f"graph index {index} out of range")
+        base_rows = len(self.base)
+        if index < base_rows:
+            return self.base[index]
+        return self.delta[index - base_rows]
+
+    def materialized_count(self) -> int:
+        return self.base.materialized_count() + self.delta.materialized_count()
+
+    def materialized_bytes(self) -> int:
+        return self.base.materialized_bytes() + self.delta.materialized_bytes()
 
 
 class SkeletonSequence(Sequence):
@@ -466,13 +563,15 @@ class SkeletonSequence(Sequence):
 def finalize_unlink(owner, names: list[str]):
     """A ``weakref.finalize`` that unlinks ``names`` when ``owner`` dies.
 
-    The callback runs at most once (GC, explicit call, or interpreter exit
-    — whichever comes first), and :func:`unlink_segment`'s pid guard makes
-    it inert in forked children.
+    ``names`` is held, not copied: the owner appends and removes names as it
+    publishes and retires segments, and the callback unlinks whatever the
+    list holds when it fires.  It runs at most once (GC, explicit call, or
+    interpreter exit — whichever comes first), and :func:`unlink_segment`'s
+    pid guard makes it inert in forked children.
     """
-    return weakref.finalize(owner, _unlink_all, list(names))
+    return weakref.finalize(owner, _unlink_all, names)
 
 
 def _unlink_all(names: list[str]) -> None:
-    for name in names:
-        unlink_segment(name)
+    while names:
+        unlink_segment(names.pop())

@@ -119,6 +119,30 @@ class TestGuardedAttributes:
         assert rule_ids(report) == ["LOCK001"]
         assert "_local_planners" in report.findings[0].message
 
+    def test_shard_views_and_stale_deltas_are_guarded(self, analyze):
+        """What a mutation swaps under a live pool is part of the contract:
+        the shard list and the stale-delta set, read or written."""
+        report = analyze(
+            """
+            class ShardedPlanner:
+                def replace_shards(self, shards):
+                    with self._lock:
+                        self._stale_deltas.update(s.spec.shard_id for s in shards)
+                    self.shards = shards
+
+                def pending(self):
+                    return len(self._stale_deltas)
+
+                def width(self):
+                    with self._lock:
+                        return len(self.shards)
+            """
+        )
+        assert rule_ids(report) == ["LOCK001", "LOCK001"]
+        messages = " ".join(finding.message for finding in report.findings)
+        assert "self.shards" in messages and "replace_shards" in messages
+        assert "self._stale_deltas" in messages and "pending" in messages
+
 
 class TestBuiltinRaise:
     def test_bare_valueerror_flagged_in_scope(self, analyze):

@@ -12,7 +12,11 @@ fixture below) never an orphaned shared-memory segment:
 * graceful shutdown mid-batch — queued work completes, new work gets
   ``shutting_down``;
 * ``ShardedPlanner.close()`` double-close and close-during-inflight —
-  idempotent and drain-on-close under concurrent submission.
+  idempotent and drain-on-close under concurrent submission;
+* mutations racing pooled queries — every answer is that of a whole state,
+  no segment is unlinked under a task that still has to read it;
+* a worker SIGKILL'd between a mutation and the next query — in-process
+  fallback over the mutated state, then a fresh pool and plane.
 """
 
 from __future__ import annotations
@@ -21,9 +25,14 @@ import asyncio
 import gc
 import os
 import signal
+import sys
 import threading
+import time
 
 import pytest
+
+import test_catalog_parity
+from test_catalog_parity import rebuild_from_scratch
 
 from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
@@ -81,6 +90,21 @@ def answer_tuples(result):
         (a.graph_id, a.graph_name, a.probability, a.decided_by)
         for a in result.answers
     ]
+
+
+def twin_answer(catalog: GraphCatalog, query, rng: int):
+    """The answer of a dense planner built from scratch over the catalog's
+    live graphs (the parity suite's reference; it rebuilds with its own
+    index configs, which must be the ones ``build_catalog`` uses)."""
+    assert (FEATURE_CONFIG, BOUND_CONFIG) == (
+        test_catalog_parity.FEATURE_CONFIG,
+        test_catalog_parity.BOUND_CONFIG,
+    )
+    return answer_tuples(
+        rebuild_from_scratch(catalog).execute(
+            query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=rng
+        )
+    )
 
 
 def test_client_disconnect_mid_request_does_not_kill_the_service():
@@ -449,3 +473,168 @@ class TestShardedPlannerCloseRegression:
         finally:
             catalog.close()
             reference.close()
+
+
+class TestMutationsKeepTheReadPath:
+    """A mutation swaps shard views under a live pool; nothing tears."""
+
+    @staticmethod
+    def mutations(database, spare):
+        """20 ops over both shards.  Ids 0, 2, 4 and 6 answer the query below
+        in every whole state: each round copies one of them to an arrival id,
+        swaps it for another answering graph and back (an answer list without
+        that id can only come from between the halves of an update), turns
+        the arrival into a graph that does not answer, and drops it."""
+        ops = []
+        for round_, victim in enumerate((0, 2, 4, 6)):
+            arrival = 100 + round_
+            ops.append(("add", arrival, database.graphs[victim]))
+            ops.append(("update", victim, database.graphs[(victim + 2) % 8]))
+            ops.append(("update", arrival, spare[round_]))
+            ops.append(("update", victim, database.graphs[victim]))
+            ops.append(("remove", arrival, None))
+        return ops
+
+    @staticmethod
+    def apply(catalog, op):
+        kind, external_id, graph = op
+        if kind == "add":
+            catalog.add_graph(graph, external_id=external_id)
+        elif kind == "update":
+            catalog.update_graph(external_id, graph)
+        else:
+            catalog.remove_graph(external_id)
+
+    def test_queries_racing_mutations_answer_from_whole_states(self):
+        """Threads querying the pooled catalog in a loop while this thread
+        applies 20 mutations: every answer is the from-scratch twin's for the
+        state before or after some mutation (an update is one step, never
+        the missing-id state between its halves) — no ``ShmError`` from a
+        delta unlinked under a queued task, no broken pool, no hang.  Three
+        readers over two workers, so one fan-out republishes a delta while
+        another's tasks naming the old one are still queued."""
+        database, catalog = build_catalog(seed=7011, num_graphs=8, num_shards=2, max_workers=2)
+        spare = build_catalog(seed=8011, num_graphs=8)[0].graphs
+        query = extract_query(database.graphs[0].skeleton, 3, rng=102)
+        ops = self.mutations(database, spare)
+        assert len(ops) == 20
+
+        # the 21 states' answers, from a sequential replay on a second catalog
+        replay = build_catalog(seed=7011, num_graphs=8)[1]
+        allowed = [twin_answer(replay, query, rng=101)]
+        for op in ops:
+            self.apply(replay, op)
+            allowed.append(twin_answer(replay, query, rng=101))
+        replay.close()
+        assert len({tuple(answer) for answer in allowed}) > 8, "the states must differ"
+        assert all({0, 2, 4, 6} <= {row[0] for row in answer} for answer in allowed)
+
+        answers, errors = [], []
+        stop = threading.Event()
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    answers.append(
+                        answer_tuples(
+                            catalog.query(
+                                query,
+                                PROBABILITY_THRESHOLD,
+                                DISTANCE_THRESHOLD,
+                                config=SEARCH_CONFIG,
+                                rng=101,
+                            )
+                        )
+                    )
+            except Exception as exc:  # the failure under test
+                errors.append(exc)
+
+        def wait_for_answers(count: int) -> None:
+            deadline = time.monotonic() + 60
+            while len(answers) < count and not errors and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        try:
+            catalog.query(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=101
+            )
+            planner = catalog.planner()
+            pids = set(planner._executor._processes)
+            for thread in threads:
+                thread.start()
+            for op in ops:
+                # land each mutation while a query is in flight, and let at
+                # least one whole query start after it
+                wait_for_answers(len(answers) + 1)
+                self.apply(catalog, op)
+            wait_for_answers(len(answers) + 2)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a reader hung"
+            assert not errors, f"a racing query failed: {errors!r}"
+            assert len(answers) >= 21
+            strays = [answer for answer in answers if answer not in allowed]
+            assert not strays, f"{len(strays)} answers match no whole state: {strays[:1]}"
+            settled = catalog.query(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=101
+            )
+            assert answer_tuples(settled) == allowed[-1] == twin_answer(catalog, query, rng=101)
+            # the read path was never torn down
+            assert catalog.planner() is planner
+            assert set(planner._executor._processes) == pids
+            plane = planner.shard_plane
+            assert sorted(plane.segment_names()) == sorted(
+                plane.base_segment_names() + plane.delta_segment_names()
+            ), "a replaced delta outlived its readers"
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+            catalog.close()
+
+    def test_sigkilled_worker_between_mutation_and_query_falls_back_then_rebuilds(self):
+        """SIGKILL a worker after a mutation and before the query that would
+        republish it: the query answers in-process, byte-identical to the
+        twin of the *mutated* state, and the next one rebuilds pool and plane
+        from that state; nothing leaks (the autouse fixture)."""
+        database, catalog = build_catalog(seed=7012, num_graphs=8, num_shards=2, max_workers=2)
+        spare = build_catalog(seed=8012, num_graphs=2)[0].graphs
+        query = extract_query(database.graphs[0].skeleton, 3, rng=110)
+
+        def ask(rng):
+            return answer_tuples(
+                catalog.query(
+                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=rng
+                )
+            )
+
+        try:
+            ask(111)
+            planner = catalog.planner()
+            first_names = set(planner.shard_plane.segment_names())
+            first_pids = set(planner._executor._processes)
+            catalog.update_graph(0, spare[0])
+            catalog.add_graph(spare[1])
+            os.kill(next(iter(first_pids)), signal.SIGKILL)
+
+            assert ask(112) == twin_answer(catalog, query, rng=112)
+            assert catalog.planner() is planner
+            assert planner.shard_plane is None and planner._executor is None
+            assert not first_names & set(resident_segment_names())
+
+            assert ask(113) == twin_answer(catalog, query, rng=113)
+            plane = planner.shard_plane
+            assert plane is not None and not first_names & set(plane.segment_names())
+            assert not first_pids & set(planner._executor._processes)
+            assert plane.delta_bytes() > 0 and len(plane.segment_names()) == 4
+            # the rebuilt pool follows later mutations like the first one did
+            catalog.remove_graph(1)
+            assert ask(114) == twin_answer(catalog, query, rng=114)
+            assert planner.shard_plane is plane
+        finally:
+            catalog.close()

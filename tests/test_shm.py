@@ -19,8 +19,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
-from repro.core.sharding import ShardPlane, materialize_shard, publish_shard
+from repro.core import (
+    GraphCatalog,
+    ProbabilisticGraphDatabase,
+    SearchConfig,
+    VerificationConfig,
+)
+from repro.core.sharding import ShardPlane, materialize_shard, publish_base, publish_delta
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.exceptions import ShmError
 from repro.utils import shm
@@ -273,26 +278,37 @@ class TestShardPlaneCleanup:
         return engine, ShardPlane(engine.planner.shards)
 
     def test_publish_materialize_round_trip_in_process(self):
-        database = small_database()
-        engine = ProbabilisticGraphDatabase(database.graphs)
-        engine.build_index(rng=11, num_shards=2, max_workers=0)
-        shard = engine.planner.shards[0]
-        arena, descriptor = publish_shard(shard)
-        try:
-            clone = materialize_shard(descriptor)
+        """Base arena + delta segment round-trip a shard that has both a
+        delta row and a tombstoned base row, and republishing the delta
+        alone follows a further mutation over the kept base mapping."""
+        database = small_database(num_graphs=7)
+        catalog = GraphCatalog.build(
+            database.graphs[:6], rng=11, num_shards=2, max_workers=0
+        )
+        catalog.add_graph(database.graphs[6])  # ties route to shard 0
+        catalog.remove_graph(0)  # a base row of shard 0
+        shard = catalog.planner().shards[0]
+        assert shard.pmi.delta.num_graphs == 1 and not shard.active_mask.all()
+        query = extract_query(database.graphs[6].skeleton, 3, rng=3)
+
+        def assert_same_shard(clone, shard):
             assert clone.spec == shard.spec
-            np.testing.assert_array_equal(
-                clone.pmi.base.arena_arrays()["lower"],
-                shard.pmi.base.arena_arrays()["lower"],
-            )
-            np.testing.assert_array_equal(
-                np.asarray(clone.structural_index.base.counts_matrix()),
-                np.asarray(shard.structural_index.base.counts_matrix()),
-            )
+            for segment in ("base", "delta"):
+                got = getattr(clone.pmi, segment).arena_arrays()
+                want = getattr(shard.pmi, segment).arena_arrays()
+                for key in want:
+                    np.testing.assert_array_equal(got[key], want[key])
+                np.testing.assert_array_equal(
+                    np.asarray(getattr(clone.structural_index, segment).counts_matrix()),
+                    np.asarray(getattr(shard.structural_index, segment).counts_matrix()),
+                )
+            np.testing.assert_array_equal(clone.graph_ids, shard.graph_ids)
+            np.testing.assert_array_equal(clone.active_mask, shard.active_mask)
             assert len(clone.graphs) == len(shard.graphs)
-            assert clone.graphs[0].name == shard.graphs[0].name
+            assert [graph.name for graph in clone.graphs] == [
+                graph.name for graph in shard.graphs
+            ]
             # the clone answers a query identically to the original shard
-            query = extract_query(database.graphs[0].skeleton, 3, rng=3)
             expected = shard.make_planner().execute(
                 query, 0.3, 1, config=SEARCH_CONFIG, rng=5
             )
@@ -302,8 +318,30 @@ class TestShardPlaneCleanup:
             assert [(a.graph_id, a.probability) for a in actual.answers] == [
                 (a.graph_id, a.probability) for a in expected.answers
             ]
+
+        arena, descriptor = publish_base(shard)
+        delta_name, delta_bytes = publish_delta(shard)
+        try:
+            assert delta_name in resident_segment_names() and delta_bytes > 0
+            clone = materialize_shard(descriptor, delta_name)
+            assert_same_shard(clone, shard)
+            # the delta was copied out: its segment can go while the clone lives
+            unlink_segment(delta_name)
+            assert_same_shard(clone, shard)
+
+            catalog.update_graph(1, database.graphs[0])  # shard 0 again: row 1 dies
+            mutated = catalog.planner().shards[0]
+            delta_name, _ = publish_delta(mutated)
+            follower = materialize_shard(descriptor, delta_name, previous=clone)
+            assert follower.arena is clone.arena
+            assert follower.graphs.base is clone.graphs.base
+            # the delta graph the first clone deserialized was carried over
+            assert follower.graphs[len(shard.graphs) - 1] is clone.graphs[len(shard.graphs) - 1]
+            assert_same_shard(follower, mutated)
         finally:
+            unlink_segment(delta_name)
             arena.unlink()
+            catalog.close()
 
     def test_close_unlinks_all_segments(self):
         _engine, plane = self._plane()

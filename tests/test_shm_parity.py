@@ -9,16 +9,20 @@ helpers from ``test_sharding_parity`` / ``test_catalog_parity`` so the shm
 plane is held to exactly the same bar as the original fan-out.
 
 Also locked in here: the O(1) initializer-payload regression (descriptors
-must not grow with shard bytes), the cheap executor-resize path (the
-published plane survives a pool-width change), and generation retirement
-(mutations unlink the old segments; the next query publishes a disjoint
-set of names).
+must not grow with shard bytes) and its O(delta) twin (what a mutation
+republishes must not grow with the base), the cheap executor-resize path
+(the published plane survives a pool-width change), and what a mutation may
+touch: the worker pool, the base segments and the graphs workers have
+deserialized survive it, only the touched shard's delta segment is replaced,
+and ``compact()`` is the one swap that retires every name.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import pickle
+import random
 
 import pytest
 
@@ -36,7 +40,8 @@ from test_sharding_parity import (
     random_workload,
 )
 
-from repro.core import GraphCatalog, ProbabilisticGraphDatabase, ShardPlane
+from repro.core import GraphCatalog, ProbabilisticGraphDatabase, ShardPlane, sharding
+from repro.datasets import extract_query
 from repro.pmi import BoundConfig
 from repro.utils.shm import resident_segment_names
 
@@ -86,7 +91,12 @@ class TestPoolShmParity:
                 # the pool really ran on attached segments
                 plane = sharded.planner.shard_plane
                 assert plane is not None and not plane.closed
-                assert len(plane.segment_names()) == num_shards
+                # one base arena and one delta segment per shard
+                assert len(plane.base_segment_names()) == num_shards
+                assert len(plane.delta_segment_names()) == num_shards
+                assert sorted(plane.segment_names()) == sorted(
+                    plane.base_segment_names() + plane.delta_segment_names()
+                )
         finally:
             sharded.close()
         for expected_result, actual_result in zip(expected, actual):
@@ -187,44 +197,63 @@ class TestPoolShmParity:
             assert got == want, context
 
 
+def pooled_catalog(database, seed: int) -> GraphCatalog:
+    """Two shards behind a two-worker pool."""
+    return GraphCatalog.build(
+        database.graphs,
+        feature_config=FEATURE_CONFIG,
+        bound_config=BoundConfig(num_samples=40),
+        rng=seed,
+        num_shards=2,
+        max_workers=2,
+    )
+
+
+def worker_pids(catalog) -> set[int]:
+    return set(catalog.planner()._executor._processes)
+
+
+def shard_of(catalog, external_id: int) -> int:
+    """The id of the shard holding the live row of ``external_id``."""
+    (shard_id,) = [
+        shard.spec.shard_id
+        for shard in catalog.planner().shards
+        if external_id in shard.live_global_ids()
+    ]
+    return shard_id
+
+
+def _probe_materialized_base_graphs(delay: float) -> tuple[int, dict[int, int]]:
+    """Runs in a pool worker: base graphs deserialized so far, per shard."""
+    import os
+    import time
+
+    time.sleep(delay)  # long enough that every worker takes one probe
+    return os.getpid(), {
+        shard_id: shard.graphs.base.materialized_count()
+        for shard_id, shard in sharding._WORKER_SHARDS.items()
+    }
+
+
+def materialized_base_graphs(catalog) -> dict[int, dict[int, int]]:
+    """pid -> shard id -> base graphs that worker holds deserialized."""
+    executor = catalog.planner()._executor
+    futures = [executor.submit(_probe_materialized_base_graphs, 0.2) for _ in range(2)]
+    return dict(future.result() for future in futures)
+
+
 class TestGenerationHotSwap:
-    """Catalog mutations retire the old generation and republish a new one."""
+    """A mutation republishes one shard's delta; compact() swaps everything."""
 
     @pytest.mark.parametrize("seed", [8401, 8402])
     def test_catalog_fuzz_with_mid_stream_hot_swap(self, seed):
         database = random_database(seed, num_graphs=7)
         pool = random_database(seed + 1000, num_graphs=8).graphs
-        from repro.datasets import extract_query
 
         query = extract_query(database.graphs[0].skeleton, 3, rng=seed)
-        catalog = GraphCatalog.build(
-            database.graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(num_samples=40),
-            rng=seed,
-            num_shards=2,
-            max_workers=2,
-        )
-        try:
-            # generation 1 goes live on the first pooled query
-            catalog.query(
-                query,
-                PROBABILITY_THRESHOLD,
-                DISTANCE_THRESHOLD,
-                config=SEARCH_CONFIG,
-                rng=seed,
-            )
-            generation_one = set(catalog.active_shm_segments())
-            assert len(generation_one) == 2
+        catalog = pooled_catalog(database, seed)
 
-            # mutations (including compacts) invalidate the cached planner,
-            # which unlinks generation 1 — the hot-swap's retire step
-            ops = apply_random_mutations(catalog, pool, seed, num_ops=6)
-            assert catalog.active_shm_segments() == []
-            assert not (generation_one & set(resident_segment_names()))
-
-            # generation 2: fresh disjoint segments, byte-identical answers
-            context = f"seed={seed} ops={ops}"
+        def assert_parity(context):
             reference = rebuild_from_scratch(catalog)
             actual = catalog.query(
                 query,
@@ -233,8 +262,6 @@ class TestGenerationHotSwap:
                 config=SEARCH_CONFIG,
                 rng=seed,
             )
-            generation_two = set(catalog.active_shm_segments())
-            assert generation_two and not (generation_one & generation_two)
             expected = reference.execute(
                 query,
                 PROBABILITY_THRESHOLD,
@@ -253,9 +280,213 @@ class TestGenerationHotSwap:
                 assert answer_tuples(actual_top) == answer_tuples(expected_top), (
                     f"{context} k={k}"
                 )
+
+        try:
+            # generation 1 goes live on the first pooled query
+            assert_parity(f"seed={seed} before any mutation")
+            plane = catalog.planner().shard_plane
+            pids = worker_pids(catalog)
+            bases = plane.base_segment_names()
+            deltas = plane.delta_segment_names()
+            generation_one = set(catalog.active_shm_segments())
+            assert generation_one == set(bases) | set(deltas)
+            assert len(bases) == len(deltas) == 2
+
+            # add / remove / update keep the read path: same workers, same
+            # base segments, and only a touched shard's delta is replaced
+            decider = random.Random(seed)
+            spare = list(pool)
+            for step, op in enumerate(["add", "remove", "update", "add", "update", "remove"]):
+                live = catalog.live_external_ids()
+                if op == "add":
+                    touched = {shard_of(catalog, catalog.add_graph(spare.pop()))}
+                elif op == "remove":
+                    victim = decider.choice(live)
+                    touched = {shard_of(catalog, victim)}
+                    catalog.remove_graph(victim)
+                else:
+                    target = decider.choice(live)
+                    touched = {shard_of(catalog, target)}
+                    catalog.update_graph(target, spare.pop())
+                    touched.add(shard_of(catalog, target))
+                context = f"seed={seed} step {step}: {op} touching shards {sorted(touched)}"
+                # nothing is published inside the mutation
+                assert plane.delta_segment_names() == deltas, context
+                assert_parity(context)
+                assert catalog.planner().shard_plane is plane, context
+                assert worker_pids(catalog) == pids, context
+                assert plane.base_segment_names() == bases, context
+                republished = plane.delta_segment_names()
+                for shard_id, (before, after) in enumerate(zip(deltas, republished)):
+                    if shard_id in touched:
+                        assert after != before, context
+                        assert before not in resident_segment_names(), context
+                    else:
+                        assert after == before, context
+                assert set(catalog.active_shm_segments()) == set(bases) | set(republished)
+                assert set(bases) | set(republished) <= set(resident_segment_names())
+                deltas = republished
+
+            # compact() is the one full swap: every name of generation 1 —
+            # bases and deltas — is retired, and the pool goes with them
+            generation_one = set(bases) | set(deltas)
+            catalog.compact()
+            assert catalog.active_shm_segments() == []
+            assert plane.closed
+            assert not (generation_one & set(resident_segment_names()))
+
+            # generation 2: fresh disjoint segments, byte-identical answers
+            assert_parity(f"seed={seed} after compact")
+            generation_two = set(catalog.active_shm_segments())
+            assert generation_two and not (generation_one & generation_two)
+            assert not (worker_pids(catalog) & pids)
+
+            # the seeded op stream of the catalog parity suite, compacts
+            # included, interleaved with pooled queries
+            ops = apply_random_mutations(catalog, spare, seed, num_ops=6)
+            assert_parity(f"seed={seed} ops={ops}")
         finally:
             catalog.close()
         assert catalog.active_shm_segments() == []
+
+    def test_burst_of_mutations_republishes_each_touched_shard_once(self, monkeypatch):
+        """N mutations between two queries cost one delta publication per
+        touched shard, made by the fan-out that needs it — update_graph
+        (remove + install) does not publish twice."""
+        seed = 8451
+        database = random_database(seed, num_graphs=8)
+        spare = random_database(seed + 1000, num_graphs=4).graphs
+        query = extract_query(database.graphs[0].skeleton, 3, rng=seed)
+        catalog = pooled_catalog(database, seed)
+        published = []
+        original = sharding.publish_delta
+
+        def counting_publish_delta(shard):
+            published.append(shard.spec.shard_id)
+            return original(shard)
+
+        try:
+            catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1)
+            monkeypatch.setattr(sharding, "publish_delta", counting_publish_delta)
+            catalog.update_graph(0, spare[0])  # both halves in shard 0
+            catalog.update_graph(1, spare[1])
+            catalog.remove_graph(2)
+            assert published == []
+            catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1)
+            assert published == [0]
+            catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1)
+            assert published == [0]  # a read republishes nothing
+            catalog.add_graph(spare[2])  # shard 0 is the smaller one
+            catalog.add_graph(spare[3])  # now a tie: shard 0 again
+            catalog.remove_graph(7)  # shard 1
+            catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1)
+            assert published == [0, 0, 1]
+        finally:
+            catalog.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/maps")
+    def test_worker_mappings_and_dev_shm_stay_bounded_over_many_mutations(self):
+        """50 mixed mutations, a query after each: a worker maps a bounded,
+        and soon constant, number of segments — what it inherited from the
+        parent at fork (among it the parent's own mappings of the bases and
+        of the *first* deltas; only those can turn into deleted mappings)
+        plus the base arenas it attached — because a republished delta is
+        copied out and detached at once.  /dev/shm holds exactly one base and
+        one delta per shard throughout, and nothing after close()."""
+        seed = 8471
+        database = random_database(seed, num_graphs=8)
+        spare = random_database(seed + 1000, num_graphs=6).graphs
+        query = extract_query(database.graphs[0].skeleton, 3, rng=seed)
+        resident_before = set(resident_segment_names())
+        catalog = pooled_catalog(database, seed)
+
+        def mapped_segments(pid: int) -> list[str]:
+            """One entry per tpsshm mapping: its name, or "(deleted)"."""
+            with open(f"/proc/{pid}/maps") as maps:
+                names = [line.split("/")[-1].strip() for line in maps if "tpsshm_" in line]
+            return sorted("(deleted)" if name.endswith("(deleted)") else name for name in names)
+
+        def ask():
+            return catalog.query(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
+            )
+
+        try:
+            ask()
+            plane = catalog.planner().shard_plane
+            bases = plane.base_segment_names()
+            first_deltas = plane.delta_segment_names()
+            pids = worker_pids(catalog)
+            first = {pid: mapped_segments(pid) for pid in pids}
+            counts = {pid: [] for pid in pids}
+            for step in range(50):
+                if step % 3 == 0:
+                    catalog.add_graph(spare[step % len(spare)], external_id=1000)
+                elif step % 3 == 1:  # a base id of either shard in turn
+                    catalog.update_graph(step // 3 % 8, spare[step % len(spare)])
+                else:
+                    catalog.remove_graph(1000)
+                ask()
+                assert worker_pids(catalog) == pids
+                for pid in pids:
+                    mapped = mapped_segments(pid)
+                    counts[pid].append(len(mapped))
+                    # all a worker ever adds is a base arena it had not met yet
+                    assert len(mapped) < len(first[pid]) + len(bases), (step, pid, mapped)
+                    assert set(mapped) <= {*first[pid], *bases, "(deleted)"}, (step, pid, mapped)
+                    # and all that can go stale under it is what it was forked with
+                    assert mapped.count("(deleted)") <= first[pid].count("(deleted)") + len(
+                        first_deltas
+                    ), (step, pid, mapped)
+                published = set(resident_segment_names()) - resident_before
+                assert published == set(plane.segment_names())
+                assert published == set(bases) | set(plane.delta_segment_names())
+                assert len(published) == 2 * len(bases)
+            # tasks are not pinned, so every worker met every shard early on:
+            # the number of mappings has long stopped moving
+            assert all(len(set(counts[pid][25:])) == 1 for pid in pids), counts
+            final = ask()
+            assert_result_parity(
+                final,
+                rebuild_from_scratch(catalog).execute(
+                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
+                ),
+                "after 50 mutations",
+            )
+        finally:
+            catalog.close()
+        assert set(resident_segment_names()) == resident_before
+
+    def test_workers_keep_their_deserialized_base_graphs_across_a_mutation(self):
+        """The base mapping and the LazyGraphList over it outlive a mutation:
+        no worker's count of deserialized base graphs falls, for any shard."""
+        seed = 8461
+        database = random_database(seed, num_graphs=8)
+        spare = random_database(seed + 1000, num_graphs=2).graphs
+        queries = [extract_query(database.graphs[i].skeleton, 3, rng=seed + i) for i in (0, 5)]
+        catalog = pooled_catalog(database, seed)
+
+        def warm():
+            for _ in range(4):  # tasks are not pinned: let each worker meet each shard
+                catalog.query_many(
+                    queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=3
+                )
+
+        try:
+            warm()
+            before = materialized_base_graphs(catalog)
+            assert any(count for counts in before.values() for count in counts.values())
+            catalog.add_graph(spare[0])
+            catalog.remove_graph(1)
+            catalog.update_graph(6, spare[1])
+            warm()
+            after = materialized_base_graphs(catalog)
+            assert after.keys() == before.keys()  # the same worker processes
+            for pid, counts in before.items():
+                for shard_id, count in counts.items():
+                    assert after[pid][shard_id] >= count, (pid, shard_id)
+        finally:
+            catalog.close()
 
     def test_compact_hot_swap_is_invisible(self):
         seed = 8501
@@ -327,6 +558,43 @@ class TestExecutorResizeAndPayload:
         assert large[0] < small[0] * 1.5
         # and the descriptors are a small fraction of shipping the shards
         assert large[0] < large[2] / 10
+
+    def test_republished_bytes_stay_o_delta_in_base_size(self):
+        """The O(delta) twin of the test above: what a mutation republishes
+        follows the delta and the tombstones, never the base.  The same
+        arrival and the same removal against the same features cost the same
+        bytes — to the byte — behind 8 base graphs and behind 64."""
+        database = random_database(8651, 64)
+        arrival = random_database(8652, 1).graphs[0]
+        engine = ProbabilisticGraphDatabase(database.graphs)
+        engine.build_index(feature_config=FEATURE_CONFIG, bound_config=BoundConfig(num_samples=20), rng=11)
+        sizes = {}
+        for num_graphs in (8, 64):
+            catalog = GraphCatalog.from_index(
+                database.graphs[:num_graphs],
+                engine.pmi.subset(range(num_graphs)),
+                engine.structural_index.subset(range(num_graphs)),
+                num_shards=2,
+                max_workers=0,
+            )
+            planner = catalog.planner()
+            plane = ShardPlane(planner.shards)
+            try:
+                base_bytes = plane.shard_bytes() - plane.delta_bytes()
+                empty_delta_bytes = plane.delta_bytes()
+                catalog.add_graph(arrival, external_id=1000)  # one delta row in shard 0
+                catalog.remove_graph(0)  # one tombstone on a base row of shard 0
+                plane.republish_delta(planner.shards[0])
+                sizes[num_graphs] = (base_bytes, empty_delta_bytes, plane.delta_bytes())
+            finally:
+                plane.close()
+                catalog.close()
+        engine.close()
+        small, large = sizes[8], sizes[64]
+        assert large[0] > small[0] * 4  # 8x the graphs: the base arenas grow
+        assert large[1] == small[1]  # an empty delta is the same few bytes
+        assert large[2] == small[2]  # and so is the mutated one
+        assert large[2] > large[1]  # which really carries the new row
 
     def test_resize_reuses_published_plane(self):
         database = random_database(8702, 8)
