@@ -254,8 +254,11 @@ class SegmentedStructuralView:
     def num_graphs(self) -> int:
         return self.base.num_graphs + self.delta.num_graphs
 
+    # both depend only on the (shared) feature set, so the base answers them
+    def query_embeddings(self, query: LabeledGraph):
+        return self.base.query_embeddings(query)
+
     def query_profile(self, query: LabeledGraph) -> dict[int, dict]:
-        # depends only on the (shared) feature set, so the base answers it
         return self.base.query_profile(query)
 
     def deficit_prunable_mask(

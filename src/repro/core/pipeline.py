@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.pruning import VACUOUS_BOUNDS
 from repro.core.results import (
     QueryAnswer,
     QueryResult,
@@ -281,7 +282,10 @@ class StructuralFilterStage(PipelineStage):
             stage_stats.passed = candidates.active_count
             return
         keep = self.planner.structural_filter.filter_mask(
-            ctx.plan.query, ctx.plan.distance_threshold, active=candidates.mask
+            ctx.plan.query,
+            ctx.plan.distance_threshold,
+            active=candidates.mask,
+            profile=ctx.plan.profile,
         )
         candidates.mask &= keep
         passed = candidates.active_count
@@ -315,17 +319,21 @@ class PmiPruningStage(PipelineStage):
             return
         planner = self.planner
         pruner = planner._pruner_for(plan)
-        bounds_list = [
-            pruner.compute_bounds_from_row(
-                plan.relaxed_queries,
-                row,
-                plan.containment,
-                rng=derive_rng(
-                    ctx.root, PRUNE_STREAM, int(planner.global_ids[row.graph_id])
-                ),
-            )
-            for row in planner.pmi.rows(active)
-        ]
+        if plan.containment:
+            bounds_list = [
+                pruner.compute_bounds_from_row(
+                    plan.relaxed_queries,
+                    row,
+                    plan.containment,
+                    rng=derive_rng(
+                        ctx.root, PRUNE_STREAM, int(planner.global_ids[row.graph_id])
+                    ),
+                )
+                for row in planner.pmi.rows(active)
+            ]
+        else:
+            # no feature bounds anything: what the loop returns, without a draw
+            bounds_list = [VACUOUS_BOUNDS] * len(active)
         candidates.record_bounds(
             active,
             np.array([bounds.usim for bounds in bounds_list], dtype=np.float64),

@@ -11,7 +11,9 @@ graph*.  :class:`QueryPlanner` splits that work by lifetime:
   the staged candidate pipeline itself
   (:func:`repro.core.pipeline.build_default_pipeline`);
 * **per query** (:meth:`plan` / :meth:`plan_top_k`): query relaxation
-  (Lemma 1) and one shared containment pass (one VF2 round per feature);
+  (Lemma 1) and one join of each feature into the query, from whose
+  embeddings both the structural count profile and the containment relations
+  are read (a relaxed query is the query minus some edges);
 * **per candidate** (:meth:`execute_plan`): the pipeline stages — columnar
   PMI row reads, vectorized pruning decisions, verification.
 
@@ -129,6 +131,13 @@ class QueryPlan:
     containment: dict[int, FeatureContainment] = field(default_factory=dict)
     mode: str = THRESHOLD_MODE
     k: int | None = None
+    # the query's Grafil count profile; None makes the structural stage derive it
+    profile: dict[int, dict] | None = None
+
+    def __getstate__(self) -> dict:
+        # a shard reads the profile and the containment relations, never the
+        # query's edge table: a fan-out ships the query without its memos
+        return {**self.__dict__, "query": self.query.copy()}
 
 
 class QueryPlanner:
@@ -215,7 +224,7 @@ class QueryPlanner:
         distance_threshold: int,
         config: "SearchConfig | None" = None,
     ) -> QueryPlan:
-        """Relax the query and precompute the shared containment relations.
+        """Relax the query; precompute its count profile and containment relations.
 
         Planning is fully deterministic (no RNG is consumed): the same
         query, thresholds, and config always yield the same plan, so plans
@@ -256,9 +265,11 @@ class QueryPlanner:
 
         cfg = config or SearchConfig()
         relaxed = relax_query(query, distance_threshold, cfg.relaxation)
-        containment = (
-            self.pruner.prepare(relaxed) if cfg.use_probabilistic_pruning else {}
-        )
+        # one enumeration of each feature in q serves the profile and the f ⊆iso rq relations
+        embeddings = self.structural_index.query_embeddings(query)
+        containment = {}
+        if cfg.use_probabilistic_pruning:
+            containment = self.pruner.prepare(relaxed, query, embeddings)
         return QueryPlan(
             query=query,
             probability_threshold=probability_threshold,
@@ -266,6 +277,7 @@ class QueryPlanner:
             config=cfg,
             relaxed_queries=relaxed,
             containment=containment,
+            profile=StructuralFeatureIndex.count_profile(embeddings),
         )
 
     # ------------------------------------------------------------------

@@ -17,12 +17,14 @@ experiments.
 
 The feature-vs-relaxed-query containment relations depend only on the query,
 not on the candidate graph, so :meth:`ProbabilisticPruner.prepare` computes
-them once per query (one join per feature over the stacked relaxed queries,
-one per relaxed query over the stacked features) and every candidate reuses
-them.  On the hot path the pruner reads SIP intervals straight from the PMI's
-columnar row views (:meth:`compute_bounds_from_row`) and the final
-pruned/accepted decision over a whole candidate set is one vectorized array
-pass (:meth:`decide_batch`).
+them once per query and every candidate reuses them: ``f ⊆iso rq`` is read off
+``f``'s embeddings in the query itself (a relaxed query is the query minus
+some edges; the planner enumerates them once, for the structural count
+profile too), ``rq ⊆iso f`` is one join per small-enough relaxed query over
+the stacked features.  On the hot path the pruner reads SIP intervals straight
+from the PMI's columnar row views (:meth:`compute_bounds_from_row`) and the
+final pruned/accepted decision over a whole candidate set is one vectorized
+array pass (:meth:`decide_batch`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from repro.core.quadratic_program import QPSet, solve_lsim_rounding
 from repro.core.set_cover import WeightedSet, greedy_weighted_set_cover
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.isomorphism.embeddings import EmbeddingEnumeration
 from repro.isomorphism.generic_join import GraphBlock, match_block
 from repro.pmi.bounds import SipBounds
 from repro.pmi.features import Feature
@@ -58,6 +61,10 @@ class SspBounds:
     lsim: float
     usim_covered: bool
     lsim_covered: bool
+
+
+# what no usable feature leaves: Usim = 1 and Lsim = 0, neither covered
+VACUOUS_BOUNDS = SspBounds(usim=1.0, lsim=0.0, usim_covered=False, lsim_covered=False)
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,13 @@ class ProbabilisticPruner:
         self.features = {feature.feature_id: feature for feature in features}
         self._feature_position = {fid: position for position, fid in enumerate(self.features)}
         self._max_feature_edges = max((f.num_edges for f in features), default=0)
+        self._max_feature_vertices = max((f.num_vertices for f in features), default=0)
+        # every vertex on an edge: an embedding's edge set then names all of it
+        self._edge_covered = {
+            f.feature_id
+            for f in features
+            if f.num_edges and all(map(f.graph.degree, f.graph.vertices()))
+        }
         # stacked by the first relaxed query small enough to fit inside a
         # feature (a shard worker, handed its containment relations with the
         # plan, never needs it), then joined by every later one
@@ -109,17 +123,22 @@ class ProbabilisticPruner:
     # public API
     # ------------------------------------------------------------------
     def prepare(
-        self, relaxed_queries: list[LabeledGraph]
+        self,
+        relaxed_queries: list[LabeledGraph],
+        query: LabeledGraph | None = None,
+        embeddings: dict[int, EmbeddingEnumeration] | None = None,
     ) -> dict[int, FeatureContainment]:
         """Containment relations of *every* feature against the relaxed set.
 
         These relations are independent of the candidate graph, so a query
-        computes them exactly once and shares them across all candidates
-        (the seed recomputed this VF2 work per candidate graph).  Features
-        related to no relaxed query can never contribute a bound candidate,
-        so they are dropped here and the per-candidate loop skips them.
+        computes them exactly once and shares them across all candidates.
+        Given the ``query`` the set was relaxed from and the features'
+        ``embeddings`` in it (``StructuralFeatureIndex.query_embeddings``),
+        ``f ⊆iso rq`` costs no join (:meth:`_containment_for`), same result.
+        Features related to no relaxed query can never contribute a bound
+        candidate, so they are dropped here and the per-candidate loop skips them.
         """
-        relations = self._containment_for(self.features, relaxed_queries)
+        relations = self._containment_for(self.features, relaxed_queries, query, embeddings)
         return {
             feature_id: containment
             for feature_id, containment in relations.items()
@@ -213,17 +232,41 @@ class ProbabilisticPruner:
         self,
         feature_ids,
         relaxed_queries: list[LabeledGraph],
+        query: LabeledGraph | None = None,
+        embeddings: dict[int, EmbeddingEnumeration] | None = None,
     ) -> dict[int, FeatureContainment]:
-        """Relations for the given feature ids (iterated in their order)."""
-        relaxed_block = GraphBlock(relaxed_queries)
+        """Relations for the given feature ids (iterated in their order).
+
+        A relaxed query that is ``query`` minus some edges (same vertex ids)
+        contains ``f`` iff one of ``f``'s ``embeddings`` in ``query`` uses only
+        edges it kept: a set test, no edge table of the variant.  The join of
+        ``f`` over the stacked relaxed queries is the exact fallback: for any
+        other variant (a relabeling), and for a feature whose enumeration is
+        missing or truncated or that has a vertex off every edge.
+        """
+        embeddings = embeddings or {}
+        kept = [  # the edges of a deletion variant; None: decided by the join
+            frozenset(rq.edge_keys()) if query is not None and rq.is_subgraph_of(query) else None
+            for rq in relaxed_queries
+        ]
+        relaxed_block = joined = None
         contained_in = [self._features_containing(relaxed) for relaxed in relaxed_queries]
         relations: dict[int, FeatureContainment] = {}
         for feature_id in feature_ids:
             position = self._feature_position.get(feature_id)
             if position is None:
                 continue
-            # f ⊆iso rq: the feature is one join over the stacked relaxed queries
-            contains = match_block(self.features[feature_id].graph, relaxed_block)
+            found = embeddings.get(feature_id) if feature_id in self._edge_covered else None
+            complete = found is not None and not found.truncated
+            edge_sets = [e.edges for e in found.embeddings] if complete else None
+            if edge_sets is None or None in kept:
+                if relaxed_block is None:
+                    relaxed_block = GraphBlock(relaxed_queries)
+                joined = match_block(self.features[feature_id].graph, relaxed_block)
+            contains = [
+                joined[i] if None in (edge_sets, edges) else any(map(edges.issuperset, edge_sets))
+                for i, edges in enumerate(kept)
+            ]
             relations[feature_id] = FeatureContainment(
                 sub_of=frozenset(i for i, match in enumerate(contains) if match),
                 super_of=frozenset(
@@ -234,7 +277,10 @@ class ProbabilisticPruner:
 
     def _features_containing(self, relaxed: LabeledGraph) -> list[bool]:
         """``rq ⊆iso f`` per feature position: one join over the stacked features."""
-        if relaxed.num_edges > self._max_feature_edges:
+        if (
+            relaxed.num_edges > self._max_feature_edges
+            or relaxed.num_vertices > self._max_feature_vertices
+        ):
             return [False] * len(self.features)
         if self._feature_block is None:
             self._feature_block = GraphBlock(f.graph for f in self.features.values())

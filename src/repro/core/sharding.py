@@ -692,9 +692,10 @@ class ShardedPlanner:
 
         A :class:`QueryPlan` depends only on the query, thresholds, config
         and the globally shared feature set, so the first shard's planner
-        builds it (Lemma-1 relaxation and the one-join-per-feature
-        containment pass) and every shard receives the finished plan instead
-        of re-deriving the same one K times.
+        builds it (Lemma-1 relaxation, then the count profile and the
+        containment relations from one join of each feature into the query)
+        and every shard receives the finished plan instead of re-deriving the
+        same one K times.
         """
         return self._planning_planner().plan(
             query, probability_threshold, distance_threshold, config

@@ -220,6 +220,14 @@ class LabeledGraph:
         except GraphError:
             return False
 
+    def is_subgraph_of(self, other: "LabeledGraph") -> bool:
+        """True when ``other`` holds every vertex and edge of this graph under
+        the same id and label (identity on ids, not isomorphism)."""
+        return (
+            self._vertex_labels.items() <= other._vertex_labels.items()
+            and self._edge_labels.items() <= other._edge_labels.items()
+        )
+
     def vertex_label(self, vertex: VertexId) -> Label:
         try:
             return self._vertex_labels[vertex]

@@ -24,12 +24,16 @@ database (:meth:`deficit_prunable_mask`) instead of a per-graph dict walk.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 
 import numpy as np
 
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.isomorphism.embeddings import count_embeddings_block, find_embeddings
+from repro.isomorphism.embeddings import (
+    EmbeddingEnumeration,
+    count_embeddings_block,
+    enumerate_embeddings_block,
+)
 from repro.isomorphism.generic_join import GraphBlock
 from repro.pmi.features import Feature
 from repro.utils.rows import resolve_row_selector
@@ -162,25 +166,38 @@ class StructuralFeatureIndex:
             for column in np.flatnonzero(row)
         }
 
+    def query_embeddings(self, query: LabeledGraph) -> dict[int, EmbeddingEnumeration]:
+        """Every feature's embeddings in the query (capped at ``embedding_limit``)
+        by feature id, one join each into the query's cached edge table: what a
+        plan reads both the count profile and the ``f ⊆iso rq`` relations from."""
+        block = GraphBlock([query])
+        return {
+            feature.feature_id: enumerate_embeddings_block(
+                feature.graph, block, limit=self.embedding_limit
+            )[0]
+            for feature in self.features
+        }
+
     def query_profile(self, query: LabeledGraph) -> dict[int, dict]:
-        """Feature occurrence statistics of the query.
+        """:meth:`count_profile` of the query's :meth:`query_embeddings`."""
+        return self.count_profile(self.query_embeddings(query))
+
+    @staticmethod
+    def count_profile(embeddings: dict[int, EmbeddingEnumeration]) -> dict[int, dict]:
+        """Feature occurrence statistics of a query, from its :meth:`query_embeddings`.
 
         For each feature occurring in the query: its embedding count and the
         maximum number of embeddings that share a single query edge (how many
         occurrences one edge deletion can destroy at most).
         """
         profile: dict[int, dict] = {}
-        for feature in self.features:
-            embeddings = find_embeddings(feature.graph, query, limit=self.embedding_limit)
-            if not embeddings:
+        for feature_id, found in embeddings.items():
+            if not found.embeddings:
                 continue
-            per_edge: dict = defaultdict(int)
-            for embedding in embeddings:
-                for key in embedding.edges:
-                    per_edge[key] += 1
-            profile[feature.feature_id] = {
-                "count": len(embeddings),
-                "max_hits_per_edge": max(per_edge.values()) if per_edge else 0,
+            per_edge = Counter(key for embedding in found.embeddings for key in embedding.edges)
+            profile[feature_id] = {
+                "count": len(found.embeddings),
+                "max_hits_per_edge": max(per_edge.values(), default=0),
             }
         return profile
 

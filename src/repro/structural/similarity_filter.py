@@ -71,6 +71,7 @@ class StructuralFilter:
         query: LabeledGraph,
         distance_threshold: int,
         active: np.ndarray | None = None,
+        profile: dict[int, dict] | None = None,
     ) -> np.ndarray:
         """Boolean keep-mask over the database, honoring an incoming mask.
 
@@ -79,9 +80,12 @@ class StructuralFilter:
         entry point, where an upstream stage may already have narrowed the
         candidate set.  The Grafil feature-count deficit (filter 2) is one
         vectorized pass over the whole index either way; the per-skeleton
-        signature/exact checks only run for active survivors.
+        signature/exact checks only run for active survivors.  ``profile``
+        is the query's count profile when the caller holds it: a plan does, so
+        that every shard reads the planner's instead of re-deriving its own.
         """
-        profile = self.index.query_profile(query)
+        if profile is None:
+            profile = self.index.query_profile(query)
         feature_pruned = self.index.deficit_prunable_mask(profile, distance_threshold)
         keep = np.asarray(~feature_pruned, dtype=bool)
         if active is not None:

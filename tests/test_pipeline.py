@@ -5,11 +5,14 @@ the mask-honoring structural filter entry point."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import (
     CandidateSet,
+    GraphCatalog,
     PipelineStage,
     ProbabilisticGraphDatabase,
     QueryAnswer,
@@ -22,6 +25,7 @@ from repro.core import (
     VerificationConfig,
     validate_top_k_query,
 )
+from repro.core.pruning import FeatureContainment, ProbabilisticPruner
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.exceptions import QueryError, StateError
 from repro.graphs import LabeledGraph
@@ -249,6 +253,58 @@ class TestPipelineComposability:
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ValueError):
             QueryPipeline([])
+
+
+class TestVacuousPmiStage:
+    """A plan with no containment relation skips the per-candidate bound
+    loop; answers and statistics are the loop's."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("top_k", [False, True])
+    def test_skip_equals_loop(self, pipeline_database, monkeypatch, num_shards, top_k):
+        catalog = GraphCatalog.build(
+            pipeline_database.graphs,
+            num_shards=num_shards,
+            feature_config=FeatureSelectionConfig(
+                alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=3
+            ),
+            bound_config=BoundConfig(method="exact"),
+            rng=17,
+            max_workers=0,
+        )
+        planner = catalog.planner()
+        bounded = []
+        original = ProbabilisticPruner.compute_bounds_from_row
+
+        def spy(self, relaxed_queries, row, containment, rng=None):
+            bounded.append(row.graph_id)
+            return original(self, relaxed_queries, row, containment, rng=rng)
+
+        monkeypatch.setattr(ProbabilisticPruner, "compute_bounds_from_row", spy)
+        for graph_index in (1, 3, 5):
+            query = extract_query(pipeline_database.graphs[graph_index].skeleton, 3, rng=7)
+            if top_k:
+                plan = planner.plan_top_k(query, 2, 1, EXACT_CONFIG)
+            else:
+                plan = planner.plan(query, 0.1, 1, EXACT_CONFIG)
+            assert plan.containment == {}
+            skipped = planner.execute_plans([plan], [3])[0]
+            assert bounded == [] and skipped.statistics.structural_candidates == 3
+            # a feature related to no relaxed query: the loop runs and finds
+            # nothing to bound with
+            unrelated = {0: FeatureContainment(sub_of=frozenset(), super_of=frozenset())}
+            looped = planner.execute_plans([replace(plan, containment=unrelated)], [3])[0]
+            assert len(bounded) == 3
+            del bounded[:]
+            assert skipped.answers == looped.answers and skipped.answers
+            assert _counters(skipped.statistics) == _counters(looped.statistics)
+        catalog.close()
+
+
+def _counters(statistics: QueryStatistics) -> dict:
+    counters = {k: v for k, v in statistics.as_dict().items() if not k.endswith("_seconds")}
+    assert counters["stage_counters"] and "probabilistic_candidates" in counters
+    return counters
 
 
 class TestTopKValidation:

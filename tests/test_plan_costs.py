@@ -1,0 +1,126 @@
+"""What planning a query costs, in counts (CI cannot assert timings): edge
+tables built, joins issued, bytes a fan-out ships per plan, and feature
+enumerations per query on a sharded catalog."""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from repro.core import GraphCatalog, SearchConfig, VerificationConfig
+from repro.datasets import (
+    PPIDatasetConfig,
+    extract_query,
+    generate_ppi_database,
+    generate_query_workload,
+)
+from repro.isomorphism import generic_join
+from repro.pmi import BoundConfig, FeatureSelectionConfig
+from repro.structural.feature_index import StructuralFeatureIndex
+
+CONFIG = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=40))
+NUM_FEATURES = 16
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    config = PPIDatasetConfig(
+        num_graphs=12,
+        num_families=2,
+        vertices_per_graph=10,
+        edges_per_graph=13,
+        motif_vertices=4,
+        motif_edges=4,
+        mean_edge_probability=0.55,
+        probability_spread=0.2,
+    )
+    return generate_ppi_database(config, rng=31).graphs
+
+
+@pytest.fixture(scope="module")
+def catalog(graphs):
+    built = GraphCatalog.build(
+        graphs,
+        num_shards=2,
+        feature_config=FeatureSelectionConfig(max_vertices=3, max_features=NUM_FEATURES),
+        bound_config=BoundConfig(num_samples=20),
+        rng=17,
+        max_workers=0,
+    )
+    assert len(built.features) == NUM_FEATURES
+    yield built
+    built.close()
+
+
+@pytest.fixture
+def six_edge_queries(graphs):
+    """Fresh objects every test: nothing is memoised on them yet."""
+    return generate_query_workload(graphs, query_size=6, num_queries=3, rng=5).queries()
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestPlanCosts:
+    def test_plan_builds_one_edge_table(self, catalog, six_edge_queries, monkeypatch):
+        planner = catalog.planner()
+        planner.plan(six_edge_queries[0], 0.5, 1, CONFIG)  # features and their plans warm
+        built = _count_calls(monkeypatch, generic_join, "_build_edge_table")
+        for query in six_edge_queries[1:]:
+            del built[:]
+            plan = planner.plan(query, 0.5, 1, CONFIG)
+            assert [args[0] for args in built] == [query]
+            assert "_generic_join_table" in query.__dict__
+            for relaxed in plan.relaxed_queries:
+                assert "_generic_join_table" not in relaxed.__dict__
+
+    def test_plan_joins_each_feature_once(self, catalog, graphs, six_edge_queries, monkeypatch):
+        planner = catalog.planner()
+        joins = _count_calls(monkeypatch, generic_join, "_join")
+        for query in six_edge_queries:
+            del joins[:]
+            plan = planner.plan(query, 0.5, 1, CONFIG)
+            # five-edge variants: too large for any feature to contain
+            assert len(plan.relaxed_queries) > 1 and len(joins) == NUM_FEATURES
+        # single-edge variants fit a feature: one more join each, over the
+        # stacked features
+        small = extract_query(graphs[0].skeleton, 2, rng=3)
+        del joins[:]
+        plan = planner.plan_top_k(small, 2, 1, CONFIG)
+        assert 1 <= len(plan.relaxed_queries) <= 2
+        assert len(joins) == NUM_FEATURES + len(plan.relaxed_queries)
+
+    def test_pickled_plan_batch_is_small(self, catalog, six_edge_queries):
+        planner = catalog.planner()
+        for query in six_edge_queries:
+            plan = planner.plan(query, 0.5, 1, CONFIG)
+            assert plan.query.num_edges == 6 and plan.distance_threshold == 1
+            batch = pickle.dumps(([plan], [12345]), protocol=pickle.HIGHEST_PROTOCOL)
+            assert len(batch) <= 4096
+            shipped = pickle.loads(batch)[0][0]
+            # the query travels without the edge table planning hung on it
+            assert shipped.query == plan.query
+            assert "_generic_join_table" not in shipped.query.__dict__
+            assert (shipped.profile, shipped.containment) == (plan.profile, plan.containment)
+
+    def test_sharded_catalog_enumerates_once_per_query(
+        self, catalog, six_edge_queries, monkeypatch
+    ):
+        assert catalog.num_shards == 2
+        enumerations = _count_calls(monkeypatch, StructuralFeatureIndex, "query_embeddings")
+        results = catalog.query_many(six_edge_queries, 0.3, 1, CONFIG, rng=7)
+        assert len(enumerations) == len(six_edge_queries)
+        assert [result.statistics.database_size for result in results] == [12] * 3
+        del enumerations[:]
+        catalog.query_top_k(six_edge_queries[0], 2, 1, CONFIG, rng=7)
+        assert len(enumerations) == 1
