@@ -9,7 +9,11 @@ profile and runs it under both engines:
 * structural feature-count index build (``cnt_g(f)`` for every pair),
 * a feature-presence sweep (``f ⊆iso gc`` for every pair, `match_block`),
 * per query: the Grafil query profile, the pruner's feature-vs-relaxed-query
-  containment relations, and the verifier's relaxed-embedding event lists.
+  containment relations, and the verifier's relaxed-embedding event lists —
+  per variant (one join per relaxed query, the reference) and through the
+  variant family (one shared pass per query), which must agree per graph
+  after ``normalize_events`` under both engines; ``family_ms`` /
+  ``per_variant_ms`` time the two over the same blocks.
 
 Beside the engine comparison it fills the PMI over the same features once
 (generic-join engine only): ``pmi_fill_ms_per_row`` and ``build_worlds_per_s``
@@ -56,10 +60,12 @@ from repro.core.relaxation import relax_query
 from repro.core.verification import VerificationConfig, Verifier
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.isomorphism import find_embeddings, find_embeddings_block, match_block, using_engine
-from repro.isomorphism.generic_join import GraphBlock
+from repro.isomorphism.embeddings import family_reroute_count, reset_family_reroute_count
+from repro.isomorphism.generic_join import GraphBlock, compile_variant_family
 from repro.pmi import BoundConfig, ProbabilisticMatrixIndex
 from repro.pmi.features import FeatureMiner, FeatureSelectionConfig
 from repro.probability import WorldSampler
+from repro.probability.events import normalize_events
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.timer import Timer
@@ -116,7 +122,7 @@ def build_workload(profile: dict):
     return dataset.graphs, workload.queries()
 
 
-def matching_pass(graphs, skeletons, features, queries, relaxed_sets, verifier, pruner):
+def matching_pass(graphs, skeletons, features, queries, relaxed_sets, families, verifier, pruner):
     """One full matching-bound pass; returns every matching-derived result."""
     index = StructuralFeatureIndex().build(skeletons, features)
     return {
@@ -134,7 +140,28 @@ def matching_pass(graphs, skeletons, features, queries, relaxed_sets, verifier, 
             verifier._embedding_events_block(relaxed, graphs)
             for relaxed in relaxed_sets
         ],
+        # the shared pass: event order is no contract, so compared normalised
+        "family_events": [
+            [
+                normalize_events(events)
+                for events in verifier._embedding_events_block(relaxed, graphs, family)
+            ]
+            for relaxed, family in zip(relaxed_sets, families)
+        ],
     }
+
+
+def family_vs_per_variant(verifier, graphs, relaxed_sets, families, repeats: int) -> dict:
+    """The verifier's events step both ways over the same candidate block."""
+    seconds = {}
+    for name, chosen in (("family_ms", families), ("per_variant_ms", [None] * len(families))):
+        timer = Timer()
+        with timer:
+            for _ in range(repeats):
+                for relaxed, family in zip(relaxed_sets, chosen):
+                    verifier._embedding_events_block(relaxed, graphs, family)
+        seconds[name] = timer.elapsed / repeats / len(families) * 1e3
+    return seconds
 
 
 def pmi_build_profile(graphs, features) -> dict:
@@ -211,10 +238,12 @@ def run_comparison(profile: dict) -> dict:
     relaxed_sets = [
         relax_query(query, DISTANCE_THRESHOLD, verifier.relaxation) for query in queries
     ]
+    # compiled once per query, as plan() does
+    families = [compile_variant_family(q, relaxed) for q, relaxed in zip(queries, relaxed_sets)]
 
     def one_pass():
         return matching_pass(
-            graphs, skeletons, features, queries, relaxed_sets, verifier, pruner
+            graphs, skeletons, features, queries, relaxed_sets, families, verifier, pruner
         )
 
     results: dict[str, dict] = {}
@@ -231,6 +260,16 @@ def run_comparison(profile: dict) -> dict:
     # the whole point of the canonical result order: both engines must
     # produce byte-identical counts, profiles, containment sets and events
     identical = results["generic_join"] == results["vf2"]
+    family_identical = all(
+        result["family_events"]
+        == [[normalize_events(events) for events in block] for block in result["events"]]
+        for result in results.values()
+    )
+    with using_engine("generic_join"):
+        reset_family_reroute_count()
+        family_timing = family_vs_per_variant(
+            verifier, graphs, relaxed_sets, families, profile["repeats"]
+        )
     num_pairs = len(features) * len(graphs)
     return {
         "num_graphs": len(graphs),
@@ -244,6 +283,9 @@ def run_comparison(profile: dict) -> dict:
         "vf2_pairs_per_second": num_pairs / max(seconds["vf2"], 1e-9),
         "generic_join_pairs_per_second": num_pairs / max(seconds["generic_join"], 1e-9),
         "results_identical": identical,
+        "family_identical": family_identical,
+        **family_timing,
+        "family_block_reruns": family_reroute_count()[0],
         "mine_s": mine_timer.elapsed,
         **blocks,
         **pmi_build_profile(graphs, features),
@@ -301,6 +343,10 @@ def main() -> None:
     )
     print(f"speedup: {report['speedup']:.2f}x  "
           f"(results byte-identical: {report['results_identical']})")
+    print(f"events per query block: family_ms {report['family_ms']:.2f} / "
+          f"per_variant_ms {report['per_variant_ms']:.2f} "
+          f"(identical after normalize_events: {report['family_identical']}, "
+          f"block reruns: {report['family_block_reruns']})")
     print(f"feature mining: {report['mine_s']:.3f} s; block vs loop enumeration: "
           f"{report['block_speedup']:.2f}x "
           f"({report['loop_enumeration_seconds'] * 1e3:.1f} -> "
@@ -323,6 +369,11 @@ def main() -> None:
     assert report["results_identical"], (
         "generic-join and VF2 produced different counts/profiles/containment/"
         "events; the engines are not equivalent on this workload"
+    )
+    assert report["family_identical"], (
+        "the variant-family pass and the per-variant loop produced different "
+        "events for some graph (compared per graph after normalize_events, "
+        "under both engines)"
     )
     assert report["block_identical"], (
         "find_embeddings_block over the stacked skeletons and the loop over "

@@ -22,6 +22,7 @@ from repro.core.verification import VerificationConfig, Verifier
 from repro.exceptions import VerificationError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
+from repro.isomorphism.generic_join import VariantFamily, compile_variant_family
 from repro.utils.rng import RandomLike, derive_rng, ensure_rng, rng_root
 from repro.utils.timer import Timer
 
@@ -60,6 +61,7 @@ class ExactScanBaseline:
             rng=generator,
         )
         relaxed = relax_query(query_graph, distance_threshold, self.config.relaxation)
+        family = compile_variant_family(query_graph, relaxed)  # once per query, not per graph
         result = QueryResult()
         result.statistics.database_size = len(self.graphs)
         result.statistics.relaxed_query_count = len(relaxed)
@@ -68,7 +70,7 @@ class ExactScanBaseline:
             for graph_id, graph in enumerate(self.graphs):
                 result.statistics.verified += 1
                 probability = self._verify(
-                    verifier, query_graph, graph, distance_threshold, relaxed
+                    verifier, query_graph, graph, distance_threshold, relaxed, family
                 )
                 if probability >= probability_threshold:
                     result.answers.append(
@@ -106,6 +108,7 @@ class ExactScanBaseline:
             config=self.config.verification, relaxation=self.config.relaxation
         )
         relaxed = relax_query(query_graph, distance_threshold, self.config.relaxation)
+        family = compile_variant_family(query_graph, relaxed)  # once per query, not per graph
         result = QueryResult()
         result.statistics.database_size = len(self.graphs)
         result.statistics.relaxed_query_count = len(relaxed)
@@ -116,7 +119,7 @@ class ExactScanBaseline:
                 result.statistics.verified += 1
                 verifier.rng = derive_rng(root, VERIFY_STREAM, graph_id)
                 probability = self._verify(
-                    verifier, query_graph, graph, distance_threshold, relaxed
+                    verifier, query_graph, graph, distance_threshold, relaxed, family
                 )
                 if probability > 0.0:
                     ranked.append((probability, graph_id, graph.name))
@@ -141,22 +144,16 @@ class ExactScanBaseline:
         graph: ProbabilisticGraph,
         distance_threshold: int,
         relaxed: list[LabeledGraph],
+        family: VariantFamily,
     ) -> float:
-        try:
+        def probability(method: str) -> float:
             return verifier.subgraph_similarity_probability(
-                query_graph,
-                graph,
-                distance_threshold,
-                relaxed_queries=relaxed,
-                method=self.config.method,
+                query_graph, graph, distance_threshold, relaxed, method, family=family
             )
+
+        try:
+            return probability(self.config.method)
         except VerificationError:
             if not self.config.fallback_to_sampling:
                 raise
-            return verifier.subgraph_similarity_probability(
-                query_graph,
-                graph,
-                distance_threshold,
-                relaxed_queries=relaxed,
-                method="sampling",
-            )
+            return probability("sampling")

@@ -443,6 +443,7 @@ class VerificationStage(PipelineStage):
                     derive_rng(ctx.root, VERIFY_STREAM, global_id)
                     for global_id in global_ids
                 ],
+                family=plan.family,
             )
             for local_id, global_id, probability in zip(
                 block, global_ids, probabilities
@@ -494,6 +495,7 @@ class VerificationStage(PipelineStage):
                 plan.distance_threshold,
                 relaxed_queries=plan.relaxed_queries,
                 rng=derive_rng(ctx.root, VERIFY_STREAM, global_id),
+                family=plan.family,
             )
             if ctx.gather_partial:
                 ctx.partial.estimates[global_id] = probability

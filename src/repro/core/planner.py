@@ -51,6 +51,7 @@ from repro.core.verification import Verifier
 from repro.exceptions import ConfigurationError, QueryError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
+from repro.isomorphism.generic_join import VariantFamily, compile_variant_family
 from repro.pmi.index import ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.structural.similarity_filter import StructuralFilter
@@ -133,6 +134,8 @@ class QueryPlan:
     k: int | None = None
     # the query's Grafil count profile; None makes the structural stage derive it
     profile: dict[int, dict] | None = None
+    # the relaxed set compiled for one shared matching pass; None makes the verifier derive it
+    family: VariantFamily | None = None
 
     def __getstate__(self) -> dict:
         # a shard reads the profile and the containment relations, never the
@@ -278,6 +281,7 @@ class QueryPlanner:
             relaxed_queries=relaxed,
             containment=containment,
             profile=StructuralFeatureIndex.count_profile(embeddings),
+            family=compile_variant_family(query, relaxed),
         )
 
     # ------------------------------------------------------------------

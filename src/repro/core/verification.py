@@ -3,7 +3,10 @@
 
 Three strategies are provided, all built on Lemma 1 / Equation 22, which
 identify ``Pr(q ⊆sim g)`` with the probability that at least one embedding of
-one relaxed query is fully present in the sampled world:
+one relaxed query is fully present in the sampled world.  Those events come
+from one matching pass per candidate block for the whole relaxed set (a
+:class:`~repro.isomorphism.generic_join.VariantFamily`, compiled once per
+plan); their order is no contract, every estimator normalises its events.
 
 * ``"sampling"`` — the paper's Algorithm 5 (Karp-Luby coverage sampler, SMP
   in the experiments), executed by the vectorized batch kernel
@@ -22,7 +25,8 @@ one relaxed query is fully present in the sampled world:
 :meth:`Verifier.verify_block` is the block entry point the pipeline's
 verification stage uses: one call verifies a whole candidate block, with an
 explicit per-graph rng list so every estimate stays keyed on the graph's own
-``VERIFY_STREAM`` stream regardless of block composition.
+``VERIFY_STREAM`` stream regardless of block composition.  A single candidate
+(:meth:`Verifier.subgraph_similarity_probability`) is the block of one.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from repro.exceptions import VerificationError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.possible_worlds import enumerate_possible_worlds
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
-from repro.isomorphism.embeddings import find_embeddings, find_embeddings_block
-from repro.isomorphism.generic_join import GraphBlock
+from repro.isomorphism.embeddings import find_family_events_block
+from repro.isomorphism.generic_join import GraphBlock, VariantFamily, compile_variant_family
 from repro.isomorphism.mcs import is_subgraph_similar
 from repro.probability.batch_kernel import estimate_union_probability_batch
 from repro.probability.dnf import estimate_union_probability, exact_union_probability
@@ -87,50 +91,17 @@ class Verifier:
         relaxed_queries: list[LabeledGraph] | None = None,
         method: str | None = None,
         rng: RandomLike = None,
-        events: list[frozenset] | None = None,
+        family: VariantFamily | None = None,
     ) -> float:
-        """``Pr(q ⊆sim g)`` with the configured (or overridden) method.
-
-        ``rng`` overrides the verifier-level generator for this one call —
-        the hook :meth:`verify_block` uses to key each candidate's draws on
-        its own per-graph stream.  ``events`` short-circuits embedding
-        enumeration with a precomputed event list (same order as
-        :meth:`_embedding_events`); :meth:`verify_block` uses it to share the
-        relaxed queries' compiled matching work across a whole block.
-        """
-        strategy = method or self.config.method
-        generator = self.rng if rng is None else ensure_rng(rng)
-        if strategy == "enumeration":
+        """``Pr(q ⊆sim g)`` with the configured (or overridden) method: the
+        graph goes through :meth:`verify_block` as the block of one, ``rng``
+        (None: the verifier-level generator) as its one stream."""
+        if (method or self.config.method) == "enumeration":
             return self._by_enumeration(query, graph, distance_threshold)
-        if events is None:
-            if relaxed_queries is None:
-                relaxed_queries = relax_query(query, distance_threshold, self.relaxation)
-            events = self._embedding_events(relaxed_queries, graph)
-        if not events:
-            return 0.0
-        if strategy == "sampling":
-            return estimate_union_probability_batch(
-                graph,
-                events,
-                xi=self.config.xi,
-                tau=self.config.tau,
-                num_samples=self.config.num_samples,
-                rng=generator,
-            )
-        if strategy == "sampling_scalar":
-            return estimate_union_probability(
-                graph,
-                events,
-                xi=self.config.xi,
-                tau=self.config.tau,
-                num_samples=self.config.num_samples,
-                rng=generator,
-            )
-        if strategy == "inclusion_exclusion":
-            return exact_union_probability(
-                graph, events, max_events=self.config.max_exact_events
-            )
-        raise VerificationError(f"unknown verification method {strategy!r}")
+        (probability,) = self.verify_block(
+            query, [graph], distance_threshold, relaxed_queries, method, [rng], family
+        )
+        return probability
 
     def verify_block(
         self,
@@ -140,10 +111,13 @@ class Verifier:
         relaxed_queries: list[LabeledGraph] | None = None,
         method: str | None = None,
         rngs: list | None = None,
+        family: VariantFamily | None = None,
     ) -> list[float]:
         """SSP estimates for a whole candidate block.
 
-        Query relaxation happens once for the block; each candidate then
+        Query relaxation happens once for the block, and so does matching:
+        the relaxed set's ``family`` (the pipeline passes the plan's; compiled
+        here when None) joins the stacked block in one pass.  Each candidate then
         runs the configured method with its own entry of ``rngs`` (the
         pipeline passes ``derive_rng(root, VERIFY_STREAM, global id)`` per
         graph), so estimates are independent of block composition and block
@@ -157,21 +131,13 @@ class Verifier:
         if rngs is None:
             rngs = [None] * len(graphs)
         strategy = method or self.config.method
-        events_per_graph: list[list[frozenset] | None]
         if strategy == "enumeration":
-            events_per_graph = [None] * len(graphs)
-        else:
-            events_per_graph = self._embedding_events_block(relaxed_queries, graphs)
+            return [self._by_enumeration(query, graph, distance_threshold) for graph in graphs]
+        if family is None:
+            family = compile_variant_family(query, relaxed_queries)
+        events_per_graph = self._embedding_events_block(relaxed_queries, graphs, family)
         return [
-            self.subgraph_similarity_probability(
-                query,
-                graph,
-                distance_threshold,
-                relaxed_queries=relaxed_queries,
-                method=method,
-                rng=rng,
-                events=events,
-            )
+            self._estimate(graph, events, strategy, self.rng if rng is None else ensure_rng(rng))
             for graph, rng, events in zip(graphs, rngs, events_per_graph, strict=True)
         ]
 
@@ -193,37 +159,48 @@ class Verifier:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _embedding_events(
-        self, relaxed_queries: list[LabeledGraph], graph: ProbabilisticGraph
-    ) -> list[frozenset]:
-        """The events of Equation 22: edge sets of every relaxed-query embedding."""
-        events: list[frozenset] = []
-        for relaxed in relaxed_queries:
-            for embedding in find_embeddings(
-                relaxed, graph.skeleton, limit=self.config.embedding_limit
-            ):
-                events.append(embedding.edges)
-        return events
+    def _estimate(self, graph: ProbabilisticGraph, events: list, strategy: str, generator) -> float:
+        """The union probability of ``events`` (any order: every estimator normalises)."""
+        if not events:
+            return 0.0
+        if strategy == "sampling":
+            return estimate_union_probability_batch(
+                graph,
+                events,
+                xi=self.config.xi,
+                tau=self.config.tau,
+                num_samples=self.config.num_samples,
+                rng=generator,
+            )
+        if strategy == "sampling_scalar":
+            return estimate_union_probability(
+                graph,
+                events,
+                xi=self.config.xi,
+                tau=self.config.tau,
+                num_samples=self.config.num_samples,
+                rng=generator,
+            )
+        if strategy == "inclusion_exclusion":
+            return exact_union_probability(graph, events, max_events=self.config.max_exact_events)
+        raise VerificationError(f"unknown verification method {strategy!r}")
 
     def _embedding_events_block(
-        self, relaxed_queries: list[LabeledGraph], graphs: list[ProbabilisticGraph]
+        self,
+        relaxed_queries: list[LabeledGraph],
+        graphs: list[ProbabilisticGraph],
+        family: VariantFamily | None = None,
     ) -> list[list[frozenset]]:
-        """Per-graph event lists for a block, one matching pass per relaxed query.
-
-        Produces exactly what :meth:`_embedding_events` would per graph
-        (relaxed-query-major, embeddings in canonical order), but stacks the
-        block's skeletons once and runs one join per relaxed query over all
-        of them.
-        """
-        events_per_graph: list[list[frozenset]] = [[] for _ in graphs]
+        """Per-graph event lists (Equation 22: the edge sets of every
+        relaxed-query embedding) for a block whose skeletons are stacked once:
+        one shared matching pass under the relaxed set's ``family``, without
+        one the per-variant reference (one join per relaxed query).  The two
+        agree per graph as sets, and exactly whenever something is truncated
+        (:func:`~repro.isomorphism.embeddings.find_family_events_block`)."""
         skeletons = GraphBlock(graph.skeleton for graph in graphs)
-        for relaxed in relaxed_queries:
-            per_target = find_embeddings_block(
-                relaxed, skeletons, limit=self.config.embedding_limit
-            )
-            for events, embeddings in zip(events_per_graph, per_target):
-                events.extend(embedding.edges for embedding in embeddings)
-        return events_per_graph
+        return find_family_events_block(
+            family, relaxed_queries, skeletons, self.config.embedding_limit
+        )
 
     def _by_enumeration(
         self, query: LabeledGraph, graph: ProbabilisticGraph, distance_threshold: int

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.graphs.labeled_graph import LabeledGraph, edge_key
 from repro.isomorphism import generic_join
-from repro.isomorphism.generic_join import GraphBlock
+from repro.isomorphism.generic_join import GraphBlock, VariantFamily
 from repro.isomorphism.vf2 import VF2Matcher
 
 DEFAULT_EMBEDDING_LIMIT = 200
@@ -46,6 +46,20 @@ def truncation_count() -> int:
 def reset_truncation_count() -> None:
     global _truncation_count
     _truncation_count = 0
+
+
+# what left the shared pass of find_family_events_block: blocks rerun per variant
+# (limit, cap) and, once per block, variants joined on their own (relabelings)
+_family_reroutes = [0, 0]
+
+
+def family_reroute_count() -> tuple[int, int]:
+    """``(blocks rerun per variant, variants joined on their own)`` since the last reset."""
+    return tuple(_family_reroutes)
+
+
+def reset_family_reroute_count() -> None:
+    _family_reroutes[:] = 0, 0
 
 
 @dataclass(frozen=True)
@@ -211,6 +225,68 @@ def find_embeddings_block(
     ``find_embeddings(pattern, targets[k])``."""
     results = enumerate_embeddings_block(pattern, targets, limit, label_sensitive, method)
     return [result.embeddings for result in results]
+
+
+def find_family_events_block(
+    family: VariantFamily | None,
+    variants: list[LabeledGraph],
+    targets: Iterable[LabeledGraph] | GraphBlock,
+    limit: int | None = DEFAULT_EMBEDDING_LIMIT,
+) -> list[list[frozenset]]:
+    """Per target, the edge-key sets of the embeddings of every variant: the
+    events of Equation 22, in no contractual order (estimators normalise).
+
+    The members of ``family`` (``compile_variant_family(query, variants)``)
+    share one pass, each event listed once; its loners are joined on their own.
+    Without a family, under ``vf2``, past the branch cap, or when a (variant,
+    target) holds more than ``limit`` distinct embeddings (truncation stays the
+    per-variant one), every variant runs :func:`find_embeddings_block`."""
+    block = GraphBlock.of(targets)
+    events: list[list[frozenset]] = [[] for _ in block.graphs]
+    alone = range(len(variants))
+    if family is not None and block.graphs and generic_join.resolve_engine(None) != "vf2":
+        try:
+            events = _shared_pass_events(family, block.table, limit)
+            alone = family.loners
+            _family_reroutes[1] += len(alone)
+        except (generic_join.GenericJoinOverflow, _OverLimit) as reason:
+            _family_reroutes[0] += 1
+            logger.debug("family pass rerun per variant: %s", reason)
+    for index in alone:
+        for listed, found in zip(events, find_embeddings_block(variants[index], block, limit)):
+            listed.extend(embedding.edges for embedding in found)
+    return events
+
+
+class _OverLimit(Exception):
+    """Some (member, graph) of a family pass holds more embeddings than the limit."""
+
+
+def _shared_pass_events(
+    family: VariantFamily, table: generic_join.EdgeTable, limit: int | None
+) -> list[list[frozenset]]:
+    """The members' events per graph of the block, off the rows of one pass."""
+    assign, variant = generic_join.execute_variant_family(family, table)
+    n = table.num_vertices
+    # the edges a row's member requires; equal edge sets adjacent, ordered by member
+    order, codes, new_set = generic_join.edge_set_runs(
+        assign, family.edge_ends, table, family.required[variant], ties=(variant,)
+    )
+    variant = variant[order]
+    graph = table.graph_of[codes.max(axis=1, initial=-1) // n]  # any edge names the row's graph
+    if limit is not None:
+        # distinct embeddings per (graph, member): what the per-variant cap counts
+        new_pair = new_set.copy()
+        new_pair[1:] |= variant[1:] != variant[:-1]
+        pair = graph[new_pair] * family.required.shape[0] + variant[new_pair]
+        if np.bincount(pair, minlength=1).max() > limit:
+            raise _OverLimit(f"more than limit={limit} embeddings of one variant in one graph")
+    codes, graph, ids = codes[new_set], graph[new_set], table.vertex_ids
+    keys = {c: edge_key(ids[c // n], ids[c % n]) for c in np.unique(codes).tolist() if c >= 0}
+    events: list[list[frozenset]] = [[] for _ in range(table.num_graphs)]
+    for row, position in zip(codes.tolist(), graph.tolist()):
+        events[position].append(frozenset(keys[c] for c in row if c >= 0))
+    return events
 
 
 def count_embeddings_block(

@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.graphs.labeled_graph import LabeledGraph, VertexId
+from repro.graphs.labeled_graph import LabeledGraph, VertexId, edge_key
 from repro.isomorphism.vf2 import VF2Matcher, connectivity_order
 from repro.exceptions import ConfigurationError
 
@@ -45,8 +45,10 @@ __all__ = [
     "GraphBlock",
     "JoinLevel",
     "JoinPlan",
+    "VariantFamily",
     "compile_edge_table",
     "compile_join_plan",
+    "compile_variant_family",
     "get_default_engine",
     "match_block",
     "pattern_exists",
@@ -375,6 +377,28 @@ def _empty(plan: JoinPlan) -> np.ndarray:
     return np.empty((0, len(plan.levels)), dtype=np.int64)
 
 
+def _expand(starts: np.ndarray, counts: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Open ``counts[r]`` branches from frontier row ``r``: per branch its row and
+    its pool position ``starts[r] + 0 .. counts[r] - 1``.  Enforces the branch cap."""
+    total = int(counts.sum())
+    if total > _MAX_OPEN_BRANCHES:
+        raise GenericJoinOverflow(f"{total} open branches at level {level}")
+    branch = np.repeat(np.arange(counts.size), counts)
+    pos = np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return branch, pos
+
+
+def _has_edge(table: EdgeTable, u: np.ndarray, v: np.ndarray, elabel: int | None) -> np.ndarray:
+    """Is ``u[r] - v[r]`` an edge of the block (labelled ``elabel`` unless None)?
+    ``searchsorted`` on the ascending edge codes; an unbound ``u`` (-1) never is."""
+    codes = u * table.num_vertices + v
+    at = np.minimum(np.searchsorted(table.edge_codes, codes), len(table.edge_codes) - 1)
+    found = table.edge_codes[at] == codes
+    if elabel is not None:
+        found &= table.elabels[at] == elabel
+    return found
+
+
 def execute_join_plan(
     plan: JoinPlan, table: EdgeTable, first: int = 0, last: int | None = None
 ) -> np.ndarray:
@@ -390,7 +414,6 @@ def execute_join_plan(
     # a pattern that passes the filter has a code for each of its labels
     if not _quick_feasible(plan, table):
         return _empty(plan)
-    n = table.num_vertices
     owned = table.vertex_offsets
     for li, level in enumerate(plan.levels):
         if level.back_edges:
@@ -405,7 +428,7 @@ def execute_join_plan(
             if plan.label_sensitive:
                 pool = table.verts_by_vlabel[table.vlabel_codes[level.vlabel]]
             else:
-                pool = np.arange(n)
+                pool = np.arange(table.num_vertices)
             pool = pool[table.degrees[pool] >= level.degree]
             if li == 0:  # nothing bound yet: every seed of graphs first:last is a branch
                 if first or last not in (None, table.num_graphs):
@@ -415,13 +438,9 @@ def execute_join_plan(
             graph = table.graph_of[assign[:, 0]]
             starts = np.searchsorted(pool, owned[graph])
             counts = np.searchsorted(pool, owned[graph + 1]) - starts
-        total = int(counts.sum())
-        if total == 0:
+        branch, pos = _expand(starts, counts, li)
+        if branch.size == 0:
             return _empty(plan)
-        if total > _MAX_OPEN_BRANCHES:
-            raise GenericJoinOverflow(f"{total} open branches at level {li}")
-        branch = np.repeat(np.arange(assign.shape[0]), counts)
-        pos = np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
         cand = pool[pos]
         # injectivity, then (for an adjacency level) the unary constraints,
         # the seeding edge's label and every remaining back edge
@@ -431,12 +450,9 @@ def execute_join_plan(
             if plan.label_sensitive:
                 keep &= table.vlabels[cand] == table.vlabel_codes[level.vlabel]
                 keep &= table.elabels[pos] == table.elabel_codes[elabel0]
-            for bj, elabelj in rest:  # membership via searchsorted on edge codes
-                codes = assign[branch, bj] * n + cand
-                at = np.minimum(np.searchsorted(table.edge_codes, codes), len(table.edge_codes) - 1)
-                keep &= table.edge_codes[at] == codes
-                if plan.label_sensitive:
-                    keep &= table.elabels[at] == table.elabel_codes[elabelj]
+            for bj, elabelj in rest:
+                code = table.elabel_codes[elabelj] if plan.label_sensitive else None
+                keep &= _has_edge(table, assign[branch, bj], cand, code)
         assign = np.concatenate([assign[branch[keep]], cand[keep, None]], axis=1)
     return assign
 
@@ -463,6 +479,121 @@ def _join(
     left, left_alone = _join(plan, table, first, middle)
     right, right_alone = _join(plan, table, middle, last)
     return np.concatenate([left, right]), left_alone + right_alone
+
+
+# ----------------------------------------------------------------------
+# the variant family: every relaxed variant of a query in one pass
+# ----------------------------------------------------------------------
+_POOL, _ABSENT = -1, -2  # VariantFamily.seed: component start / vertex dropped
+
+
+@dataclass(frozen=True, eq=False)
+class VariantFamily:
+    """The deletion variants of one query, compiled for one shared join.
+
+    A member is the query minus edges on the query's own vertex ids, so all
+    share ``levels`` — per vertex of the query's :func:`connectivity_order`,
+    ``(vertex label, back edges as (earlier level, edge label, edge e))`` —
+    and differ in ``required[k, e]`` (member ``k`` kept query edge ``e``, whose
+    levels are ``edge_ends[:, e]``), ``degree[k, l]`` and ``seed[k, l]``: the
+    position of the first back edge of level ``l`` it kept, ``_POOL`` at a
+    component start, ``_ABSENT`` for a dropped vertex.  ``loners`` indexes the
+    variants that are no such deletion (relabelings), joined on their own.
+    """
+
+    levels: tuple
+    edge_ends: np.ndarray
+    required: np.ndarray
+    degree: np.ndarray
+    seed: np.ndarray
+    loners: tuple
+
+
+def compile_variant_family(query: LabeledGraph, variants: list[LabeledGraph]) -> VariantFamily:
+    """Compile ``variants`` (relaxations of ``query``) into a :class:`VariantFamily`."""
+    order = connectivity_order(query)
+    level_of = {vertex: i for i, vertex in enumerate(order)}
+    back, keys = [], []  # per level as in a JoinLevel; the query's edge keys, level-major
+    for li, vertex in enumerate(order):
+        prev = sorted((level_of[n], n) for n in query.neighbors(vertex) if level_of[n] < li)
+        back.append(
+            tuple((lo, query.edge_label(vertex, n), e) for e, (lo, n) in enumerate(prev, len(keys)))
+        )
+        keys += [edge_key(vertex, n) for _, n in prev]
+    required, degree, seed, loners = [], [], [], []
+    for index, variant in enumerate(variants):
+        if not (variant.num_edges and variant.is_subgraph_of(query)):
+            loners.append(index)
+            continue
+        kept = list(map(set(variant.edge_keys()).__contains__, keys))
+        seeds, degrees = [_ABSENT] * len(order), [0] * len(order)
+        for vertex in variant.vertices():
+            li = level_of[vertex]
+            seeds[li] = next((j for j, (_, _, e) in enumerate(back[li]) if kept[e]), _POOL)
+            degrees[li] = variant.degree(vertex)
+        required.append(kept)
+        seed.append(seeds)
+        degree.append(degrees)
+    ends = [(lo, li) for li, level in enumerate(back) for lo, _, _ in level]
+    per_level = (len(required), len(order))  # explicit: a family may have no member
+    return VariantFamily(
+        levels=tuple((query.vertex_label(vertex), level) for vertex, level in zip(order, back)),
+        edge_ends=np.array(ends, dtype=np.int16).reshape(len(keys), 2).T,
+        required=np.array(required, dtype=bool).reshape(len(required), len(keys)),
+        degree=np.array(degree, dtype=np.int16).reshape(per_level),
+        seed=np.array(seed, dtype=np.int16).reshape(per_level),
+        loners=tuple(loners),
+    )
+
+
+def execute_variant_family(
+    family: VariantFamily, table: EdgeTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """All injective assignments of every member of ``family`` into every
+    graph of the block, from one level-at-a-time pass over one frontier.
+
+    Returns ``(assign, variant)``: row ``r`` maps member ``variant[r]``, column
+    ``l`` is the stacked image of level ``l``, -1 where the member dropped the
+    vertex (such a row passes the level unbound; ARCHITECTURE.md, "The matching
+    engine").  Raises :class:`GenericJoinOverflow` past the branch cap.
+    """
+    members, graphs = family.required.shape[0], table.num_graphs
+    variant, graph = np.divmod(np.arange(members * graphs), graphs)  # a row per pair, unbound
+    assign = np.empty((variant.size, 0), dtype=np.int64)
+    owned = table.vertex_offsets
+    for li, (vlabel, back) in enumerate(family.levels):
+        vcode = table.vlabel_codes.get(vlabel, -1)
+        ecodes = [table.elabel_codes.get(elabel, -1) for _, elabel, _ in back]
+        seeded_by = family.seed[variant, li]
+        absent = (seeded_by == _ABSENT).nonzero()[0]
+        kept_rows, images = [absent], [np.full(absent.size, -1)]
+        for seed in range(_POOL, len(back)):
+            rows = (seeded_by == seed).nonzero()[0]
+            if not rows.size:
+                continue
+            if seed == _POOL:  # no kept back edge: the label pool slice of the row's own graph
+                pool, own = table.verts_by_vlabel.get(vcode, owned[:0]), graph[rows]
+                starts, stops = np.searchsorted(pool, (owned[own], owned[own + 1]))
+            else:  # the neighbours of the vertex at the other end of the first kept back edge
+                pool, bound = table.dst, assign[rows, back[seed][0]]
+                starts, stops = table.offsets[bound], table.offsets[bound + 1]
+            branch, pos = _expand(starts, stops - starts, li)
+            cand, branch = pool[pos], rows[branch]
+            member = variant[branch]
+            keep = table.degrees[cand] >= family.degree[member, li]
+            keep &= ~(assign[branch] == cand[:, None]).any(axis=1)  # -1 equals no vertex
+            if seed != _POOL:
+                keep &= table.vlabels[cand] == vcode
+                keep &= table.elabels[pos] == ecodes[seed]
+                for (lo, _, e), ecode in zip(back[seed + 1 :], ecodes[seed + 1 :]):
+                    found = _has_edge(table, assign[branch, lo], cand, ecode)
+                    keep &= found | ~family.required[member, e]
+            kept_rows.append(branch[keep])
+            images.append(cand[keep])
+        rows = np.concatenate(kept_rows)
+        assign = np.concatenate([assign[rows], np.concatenate(images)[:, None]], axis=1)
+        variant, graph = variant[rows], graph[rows]
+    return assign, variant
 
 
 # ----------------------------------------------------------------------
@@ -538,6 +669,27 @@ class GenericJoinMatcher:
 # ----------------------------------------------------------------------
 # embedding extraction (consumed by repro.isomorphism.embeddings)
 # ----------------------------------------------------------------------
+def edge_set_runs(
+    rows: np.ndarray, ends: np.ndarray, table: EdgeTable, required=None, ties: tuple = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort assignment ``rows`` by the edge set they cover: pattern edge ``e``
+    joins columns ``ends[:, e]`` and a stacked vertex pair names one edge of one
+    graph, so a row's signature is its ascending edge codes (-1 where not
+    ``required[r, e]``).  Returns the order that makes equal signatures adjacent
+    (``ties``: less significant keys), the signatures in that order and a mask of
+    the rows that open a distinct one (much cheaper than ``np.unique(axis=0)``)."""
+    a, b = rows[:, ends[0]], rows[:, ends[1]]
+    codes = np.minimum(a, b) * table.num_vertices + np.maximum(a, b)
+    if required is not None:
+        codes[~required] = -1
+    codes.sort(axis=1)
+    order = np.lexsort((*ties, *codes.T))
+    codes = codes[order]
+    boundary = np.ones(order.size, dtype=bool)
+    np.any(codes[1:] != codes[:-1], axis=1, out=boundary[1:])
+    return order, codes, boundary
+
+
 def distinct_embedding_rows(
     pattern: LabeledGraph, table: EdgeTable, limit: int | None, label_sensitive: bool = True
 ) -> tuple[JoinPlan, np.ndarray, np.ndarray, np.ndarray, list[int]]:
@@ -557,19 +709,8 @@ def distinct_embedding_rows(
         none = np.zeros(table.num_graphs, dtype=np.int64)
         return plan, rows, none, none > 0, alone
     if rows.shape[0] > 1:
-        ends = np.array(plan.pattern_edges).T
-        a, b = rows[:, ends[0]], rows[:, ends[1]]
-        # edge-set signature: a stacked vertex pair names one edge of one
-        # graph, and the order of the edges within a mapping is irrelevant
-        codes = np.minimum(a, b) * table.num_vertices + np.maximum(a, b)
-        codes.sort(axis=1)
-        # first occurrence of each distinct signature row, in discovery order
-        # (lexsort + reduceat is much cheaper than np.unique(axis=0))
-        order = np.lexsort(codes.T)
-        ranked = codes[order]
-        boundary = np.empty(order.size, dtype=bool)
-        boundary[0] = True
-        np.any(ranked[1:] != ranked[:-1], axis=1, out=boundary[1:])
+        # first occurrence of each distinct edge set, in discovery order
+        order, _, boundary = edge_set_runs(rows, np.array(plan.pattern_edges).T, table)
         first = np.minimum.reduceat(order, np.flatnonzero(boundary))
         first.sort()
         rows = rows[first]

@@ -666,7 +666,7 @@ class TestVerifierIntegration:
             VerificationConfig(method="sampling_scalar", num_samples=200), rng=31
         )
         relaxed = relax_query(query, 0, scalar.relaxation)
-        events = scalar._embedding_events(relaxed, graph)
+        (events,) = scalar._embedding_events_block(relaxed, [graph])
         expected = estimate_union_probability(
             graph, events, num_samples=200, rng=31
         )

@@ -1,0 +1,296 @@
+"""The variant-family pass (all relaxed variants of a query joined against a
+block in one level-at-a-time pass) held to the per-variant loop it replaces:
+equal events per graph on random queries, relaxation configs and blocks;
+block entry k equal to the block of one; and the four reroutes — embedding
+limit, branch cap, the vf2 engine, relabelings joined on their own — exact."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.relaxation import RelaxationConfig, relax_query
+from repro.graphs import LabeledGraph
+from repro.isomorphism import generic_join, using_engine
+from repro.isomorphism.embeddings import (
+    family_reroute_count,
+    find_family_events_block,
+    reset_family_reroute_count,
+    reset_truncation_count,
+    truncation_count,
+)
+from repro.isomorphism.generic_join import GraphBlock, compile_variant_family
+from repro.probability.events import normalize_events
+
+FAMILY_SETTINGS = settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+VERTEX_LABELS = st.sampled_from(["a", "b"])
+EDGE_LABELS = ["x", "y"]
+CONFIGS = [
+    RelaxationConfig(),
+    RelaxationConfig(require_connected=True),
+    RelaxationConfig(drop_isolated_vertices=False),
+    RelaxationConfig(include_relabelings=True),
+]
+
+
+def build(vertex_labels, edges):
+    return LabeledGraph.from_edges(vertex_labels, edges)
+
+
+@st.composite
+def labelled_graphs(draw, min_vertices, max_vertices, connected):
+    """Two vertex x two edge labels; a random spanning tree first when
+    ``connected``, then every other pair with probability 1/3."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    graph = LabeledGraph()
+    for vertex in range(n):
+        graph.add_vertex(vertex, draw(VERTEX_LABELS))
+    for vertex in range(1, n if connected else 1):
+        graph.add_edge(draw(st.integers(0, vertex - 1)), vertex, draw(st.sampled_from(EDGE_LABELS)))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not graph.has_edge(u, v) and draw(st.integers(0, 2)) == 0:
+                graph.add_edge(u, v, draw(st.sampled_from(EDGE_LABELS)))
+    return graph
+
+
+@st.composite
+def targets_holding(draw, query, delta):
+    """A random graph or, two times in three, one with the query planted in
+    it: under shuffled ids, minus up to ``delta`` edges, plus random ones."""
+    target = draw(labelled_graphs(2, 8, connected=False))
+    if draw(st.integers(0, 2)) == 0:
+        return target
+    ids = draw(st.permutations(range(8)))
+    for vertex in query.vertices():
+        target.add_vertex(ids[vertex], query.vertex_label(vertex))  # relabels one it holds
+    dropped = draw(st.sets(st.sampled_from(sorted(query.edge_keys())), max_size=delta))
+    for edge in query.edges():
+        u, v = ids[edge.u], ids[edge.v]
+        if target.has_edge(u, v):
+            target.remove_edge(u, v)
+        if edge.key() not in dropped:
+            target.add_edge(u, v, edge.label)
+    return target
+
+
+@st.composite
+def families_and_blocks(draw):
+    """(query, variants, family, targets): a connected query relaxed under one
+    of the four configs, against 1-5 targets — random ones and ones that hold
+    a relaxed copy of the query, one that matches nothing now and then, and
+    one graph object in the block twice."""
+    query = draw(labelled_graphs(3, 6, connected=True))
+    delta = draw(st.integers(0, min(2, query.num_edges - 1)))
+    variants = relax_query(
+        query, delta, draw(st.sampled_from(CONFIGS)), edge_label_alphabet=EDGE_LABELS
+    )
+    targets = draw(st.lists(targets_holding(query, delta), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        targets.insert(draw(st.integers(0, len(targets))), build({0: "z", 1: "z"}, [(0, 1, "x")]))
+    if draw(st.booleans()):
+        targets.append(targets[draw(st.integers(0, len(targets) - 1))])
+    return query, variants, compile_variant_family(query, variants), targets
+
+
+def per_variant(variants, targets, limit=None):
+    return find_family_events_block(None, variants, targets, limit)
+
+
+def assert_same_events(shared, reference, family):
+    assert len(shared) == len(reference)
+    for mine, theirs in zip(shared, reference):
+        if not family.loners:  # the pass lists an event once
+            assert len(mine) == len(set(mine))
+        assert set(mine) == set(theirs)
+        assert normalize_events(mine) == normalize_events(theirs)
+
+
+class TestFamilyEqualsPerVariant:
+    @FAMILY_SETTINGS
+    @given(families_and_blocks())
+    def test_events_per_graph_and_block_of_one(self, case):
+        _, variants, family, targets = case
+        reset_family_reroute_count()
+        shared = find_family_events_block(family, variants, targets, None)
+        # nothing to truncate and no cap in reach: the pass itself answered
+        assert family_reroute_count() == (0, len(family.loners))
+        assert_same_events(shared, per_variant(variants, targets), family)
+        for position, target in enumerate(targets):
+            (alone,) = find_family_events_block(family, variants, [target], None)
+            assert alone == shared[position]
+
+    @FAMILY_SETTINGS
+    @given(families_and_blocks(), st.sampled_from([1, 2]))
+    def test_limit_reruns_the_block_per_variant(self, case, limit):
+        _, variants, family, targets = case
+        reset_truncation_count()
+        reference = per_variant(variants, targets, limit)
+        cut = truncation_count()
+        reset_truncation_count()
+        reset_family_reroute_count()
+        shared = find_family_events_block(family, variants, targets, limit)
+        assert truncation_count() == cut
+        if family_reroute_count()[0]:  # a member over the limit somewhere: the per-variant lists
+            assert shared == reference
+        else:  # only a loner can have been cut, and it was cut by the same call
+            assert cut == 0 or family.loners
+            assert_same_events(shared, reference, family)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(families_and_blocks(), st.sampled_from([2, 12]))
+    def test_branch_cap_reruns_the_block_per_variant(self, case, cap):
+        _, variants, family, targets = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generic_join, "_MAX_OPEN_BRANCHES", cap)
+            reset_family_reroute_count()
+            shared = find_family_events_block(family, variants, targets, None)
+            if family_reroute_count()[0]:
+                assert shared == per_variant(variants, targets)
+        assert_same_events(shared, per_variant(variants, targets), family)
+
+
+# a triangle with a tail, shared order 0, 1, 2, 3: the variant that keeps
+# (0, 2) and (1, 2) but not (0, 1) meets vertex 1 in mid-component
+QUERY = build(
+    {0: "a", 1: "a", 2: "b", 3: "b"}, [(0, 1, "x"), (0, 2, "x"), (1, 2, "y"), (0, 3, "y")]
+)
+TARGETS = [
+    build(
+        {0: "a", 1: "a", 2: "b", 3: "b", 4: "b"},
+        [(0, 1, "x"), (0, 2, "x"), (1, 2, "y"), (0, 3, "y"), (1, 4, "y"), (0, 4, "x")],
+    ),
+    build({0: "a", 1: "b", 2: "b"}, [(0, 1, "x"), (0, 2, "y")]),
+]
+
+
+class TestReroutes:
+    def test_only_relabelings_are_joined_alone(self, monkeypatch):
+        variants = relax_query(QUERY, 2, RelaxationConfig(drop_isolated_vertices=False))
+        relabeled = QUERY.copy()
+        relabeled.remove_edge(0, 3)
+        relabeled.add_edge(0, 3, "x")
+        variants.append(relabeled)
+        family = compile_variant_family(QUERY, variants)
+        assert family.loners == (len(variants) - 1,)
+        assert family.required.shape == (len(variants) - 1, QUERY.num_edges)
+        passes, joins = [], []
+        family_pass, join = generic_join.execute_variant_family, generic_join._join
+        monkeypatch.setattr(
+            generic_join,
+            "execute_variant_family",
+            lambda *args: passes.append(args) or family_pass(*args),
+        )
+        monkeypatch.setattr(generic_join, "_join", lambda *args: joins.append(args) or join(*args))
+        reset_family_reroute_count()
+        shared = find_family_events_block(family, variants, TARGETS)
+        assert (len(passes), len(joins)) == (1, 1)
+        assert family_reroute_count() == (0, 1)
+        assert_same_events(shared, per_variant(variants, TARGETS, 200), family)
+
+    def test_mid_component_start_is_seeded_inside_the_pass(self):
+        for config in (RelaxationConfig(), RelaxationConfig(drop_isolated_vertices=False)):
+            (mid,) = (
+                variant
+                for variant in relax_query(QUERY, 2, config)
+                if set(variant.edge_keys()) == {(0, 2), (1, 2)}
+            )
+            family = compile_variant_family(QUERY, [mid])
+            assert not family.loners and family.seed[0, 1] == generic_join._POOL
+            shared = find_family_events_block(family, [mid], TARGETS, None)
+            assert shared[0] and not shared[1]
+            assert_same_events(shared, per_variant([mid], TARGETS), family)
+
+    def test_family_of_loners_only(self):
+        relabeled = QUERY.copy()
+        relabeled.remove_edge(0, 3)
+        relabeled.add_edge(0, 3, "x")
+        family = compile_variant_family(QUERY, [relabeled])
+        assert family.required.shape == (0, QUERY.num_edges) and family.loners == (0,)
+        shared = find_family_events_block(family, [relabeled], TARGETS, None)
+        assert shared == per_variant([relabeled], TARGETS) and shared[0]
+
+    def test_vf2_engine_never_enters_the_family_executor(self, monkeypatch):
+        variants = relax_query(QUERY, 1)
+        family = compile_variant_family(QUERY, variants)
+        reference = per_variant(variants, TARGETS)
+        monkeypatch.setattr(generic_join, "execute_variant_family", None)  # calling it raises
+        reset_family_reroute_count()
+        with using_engine("vf2"):
+            assert find_family_events_block(family, variants, TARGETS, None) == reference
+        assert family_reroute_count() == (0, 0)
+
+    def test_label_absent_from_the_block_matches_nothing(self):
+        query = build({0: "a", 1: "a", 2: "nowhere"}, [(0, 1, "x"), (0, 2, "y"), (1, 2, "never")])
+        variants = relax_query(query, 1)
+        family = compile_variant_family(query, variants)
+        assert len(variants) == 3 and family.required.shape[0] >= 2
+        reset_family_reroute_count()
+        shared = find_family_events_block(family, variants, TARGETS, None)
+        assert shared == per_variant(variants, TARGETS) == [[], []]
+        assert family_reroute_count() == (0, len(family.loners))
+        reset_family_reroute_count()
+        # a label only some variants need: the others still match
+        query = build({0: "a", 1: "a", 2: "b"}, [(0, 1, "x"), (0, 2, "x"), (1, 2, "never")])
+        variants = relax_query(query, 1)
+        family = compile_variant_family(query, variants)
+        shared = find_family_events_block(family, variants, TARGETS, None)
+        assert set(shared[0]) == {frozenset({(0, 1), (0, 2)}), frozenset({(0, 1), (0, 4)})}
+        assert shared[1] == []
+        assert_same_events(shared, per_variant(variants, TARGETS), family)
+        assert family_reroute_count() == (0, len(family.loners))
+
+    def test_cap_and_limit_reroutes_are_counted(self, monkeypatch):
+        variants = relax_query(QUERY, 1)
+        family = compile_variant_family(QUERY, variants)
+        reset_family_reroute_count()
+        reset_truncation_count()
+        assert find_family_events_block(family, variants, TARGETS, 1) == per_variant(
+            variants, TARGETS, 1
+        )
+        assert family_reroute_count() == (1, 0) and truncation_count() > 0
+        monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 3)
+        assert find_family_events_block(family, variants, TARGETS, None) == per_variant(
+            variants, TARGETS
+        )
+        assert family_reroute_count() == (2, 0)
+
+    def test_degree_feasibility_prunes_the_frontier(self, monkeypatch):
+        """A member's degree is a filter — no event depends on it — so it is
+        held by the branches it saves over a family compiled without degrees."""
+        query = build({0: "a", 1: "b", 2: "b", 3: "b"}, [(0, 1, "x"), (1, 2, "x"), (1, 3, "x")])
+        target = build(
+            {0: "a", 1: "b", 2: "b", 3: "b", 4: "b", 5: "b"},
+            [(0, 1, "x"), (1, 2, "x"), (1, 3, "x"), (3, 4, "x"), (4, 5, "x")],
+        )
+        family = compile_variant_family(query, relax_query(query, 1))
+        blind = dataclasses.replace(family, degree=np.zeros_like(family.degree))
+        opened, expand = [], generic_join._expand
+        monkeypatch.setattr(
+            generic_join,
+            "_expand",
+            lambda starts, counts, level: opened.append(int(counts.sum()))
+            or expand(starts, counts, level),
+        )
+        table = GraphBlock([target]).table
+        rows, branches = [], []
+        for compiled in (family, blind):
+            del opened[:]
+            assign, variant = generic_join.execute_variant_family(compiled, table)
+            rows.append(sorted(zip(variant.tolist(), map(tuple, assign.tolist()))))
+            branches.append(sum(opened))
+        assert rows[0] == rows[1] and rows[0]
+        assert branches[0] < branches[1]
+
+    def test_empty_block_and_edgeless_targets(self):
+        variants = relax_query(QUERY, 1)
+        family = compile_variant_family(QUERY, variants)
+        assert find_family_events_block(family, variants, [], None) == []
+        lonely = build({0: "a", 1: "b"}, [])
+        assert find_family_events_block(family, variants, [lonely, lonely], None) == [[], []]

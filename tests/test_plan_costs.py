@@ -1,14 +1,17 @@
-"""What planning a query costs, in counts (CI cannot assert timings): edge
-tables built, joins issued, bytes a fan-out ships per plan, and feature
-enumerations per query on a sharded catalog."""
+"""What planning and verifying a query costs, in counts (CI cannot assert
+timings): edge tables built, joins issued, bytes a fan-out ships per plan,
+feature enumerations per query on a sharded catalog, and matching passes per
+candidate block — one for the whole relaxed set, the plan's variant family."""
 
 from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core import GraphCatalog, SearchConfig, VerificationConfig
+from repro.core.verification import Verifier
 from repro.datasets import (
     PPIDatasetConfig,
     extract_query,
@@ -16,6 +19,12 @@ from repro.datasets import (
     generate_query_workload,
 )
 from repro.isomorphism import generic_join
+from repro.isomorphism.embeddings import (
+    family_reroute_count,
+    reset_family_reroute_count,
+    reset_truncation_count,
+    truncation_count,
+)
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.structural.feature_index import StructuralFeatureIndex
 
@@ -112,6 +121,13 @@ class TestPlanCosts:
             assert shipped.query == plan.query
             assert "_generic_join_table" not in shipped.query.__dict__
             assert (shipped.profile, shipped.containment) == (plan.profile, plan.containment)
+            # ... and with the compiled relaxed set, so that no shard derives it
+            assert (shipped.family.levels, shipped.family.loners) == (
+                plan.family.levels,
+                plan.family.loners,
+            )
+            for name in ("edge_ends", "required", "degree", "seed"):
+                assert np.array_equal(getattr(shipped.family, name), getattr(plan.family, name))
 
     def test_sharded_catalog_enumerates_once_per_query(
         self, catalog, six_edge_queries, monkeypatch
@@ -124,3 +140,92 @@ class TestPlanCosts:
         del enumerations[:]
         catalog.query_top_k(six_edge_queries[0], 2, 1, CONFIG, rng=7)
         assert len(enumerations) == 1
+
+
+class TestVerificationCosts:
+    """One family pass per candidate block; the CI gate for that gain."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        names = ("execute_variant_family", "compile_variant_family", "_build_join_plan", "_join")
+        spies = {name: _count_calls(monkeypatch, generic_join, name) for name in names}
+        # the planner and the verifier imported the compiler by name
+        for module in ("repro.core.planner", "repro.core.verification"):
+            monkeypatch.setattr(
+                f"{module}.compile_variant_family", generic_join.compile_variant_family
+            )
+        spies["verify_block"] = _count_calls(monkeypatch, Verifier, "verify_block")
+        return spies
+
+    def test_threshold_query_runs_one_pass_per_candidate_block(
+        self, catalog, six_edge_queries, spies
+    ):
+        planner = catalog.planner()
+        for query in six_edge_queries:
+            plan = planner.plan(query, 0.3, 1, CONFIG)
+            assert len(spies["compile_variant_family"]) == 1  # once per plan()
+            assert not plan.family.loners  # plan() relaxes without an alphabet: no relabeling
+            for calls in spies.values():
+                del calls[:]
+            (result,) = planner.execute_plans([plan], [7])
+            blocks = len(spies["verify_block"])
+            assert result.statistics.verified >= blocks >= 1
+            assert len(spies["execute_variant_family"]) == blocks
+            assert not spies["compile_variant_family"]  # and not at all in execute_plan
+            # no relaxed variant is compiled or joined on its own
+            assert not spies["_join"] and not spies["_build_join_plan"]
+
+    def test_top_k_query_runs_one_pass_per_verified_candidate(
+        self, catalog, six_edge_queries, spies
+    ):
+        planner = catalog.planner()
+        verified = 0
+        for query in six_edge_queries:
+            plan = planner.plan_top_k(query, 2, 2, CONFIG)
+            for calls in spies.values():
+                del calls[:]
+            (result,) = planner.execute_plans([plan], [7])
+            verified += result.statistics.verified
+            assert len(spies["execute_variant_family"]) == result.statistics.verified
+            assert all(len(args[2]) == 1 for args in spies["verify_block"])  # blocks of one
+            assert not spies["compile_variant_family"]
+        assert verified > len(six_edge_queries)
+
+    def test_hand_made_plan_derives_its_family(self, catalog, six_edge_queries, spies):
+        planner = catalog.planner()
+        plan = planner.plan(six_edge_queries[0], 0.3, 1, CONFIG)
+        (expected,) = planner.execute_plans([plan], [7])
+        plan.family = None
+        for calls in spies.values():
+            del calls[:]
+        (derived,) = planner.execute_plans([plan], [7])
+        assert derived.answers == expected.answers
+        assert len(spies["compile_variant_family"]) == len(spies["verify_block"]) >= 1
+
+
+@pytest.mark.parametrize(
+    "workload", ["verify_heavy", "filter_heavy", "service_mixed", "catalog_churn"]
+)
+def test_no_block_rerun_on_the_e2e_smoke_corpora(workload):
+    # the e2e request stream itself (importable under the tier-1 command, run from the root)
+    from benchmarks.e2e import corpus as e2e
+    from benchmarks.e2e.workloads import call
+
+    corpus = e2e.build_corpus(workload, smoke=True)
+    profile = corpus.profile
+    with GraphCatalog.build(
+        corpus.graphs,
+        num_shards=2,
+        feature_config=e2e.FEATURE_CONFIG,
+        bound_config=e2e.BOUND_CONFIG,
+        rng=e2e.BUILD_SEED,
+        max_workers=0,
+    ) as built:
+        reset_family_reroute_count()
+        reset_truncation_count()
+        verified = 0
+        for request in e2e.build_requests(corpus, seed=7):
+            result = call(built, request, profile.delta, profile.search_config)
+            verified += result.statistics.verified
+    assert verified > 0
+    assert family_reroute_count() == (0, 0) and truncation_count() == 0
