@@ -414,10 +414,13 @@ class VerificationStage(PipelineStage):
         self.planner = planner
 
     def run(self, candidates, ctx, stage_stats):
+        verifier = self.planner._verifier_for(ctx.plan)
+        sampled_before = verifier.sampled
         if ctx.state.is_top_k:
             self._run_top_k(candidates, ctx, stage_stats)
         else:
             self._run_threshold_blocks(candidates, ctx, stage_stats)
+        ctx.result.statistics.sampled += verifier.sampled - sampled_before
 
     # ------------------------------------------------------------------
     # threshold mode: block-at-a-time through the batch kernel

@@ -92,6 +92,7 @@ class QueryStatistics:
     accepted_by_lower_bound: int = 0
     pruned_by_upper_bound: int = 0
     verified: int = 0
+    sampled: int = 0  # verified candidates whose estimate drew worlds
     answers: int = 0
     total_seconds: float = 0.0
     relaxed_query_count: int = 0
@@ -124,6 +125,7 @@ class QueryStatistics:
             merged.accepted_by_lower_bound += stats.accepted_by_lower_bound
             merged.pruned_by_upper_bound += stats.pruned_by_upper_bound
             merged.verified += stats.verified
+            merged.sampled += stats.sampled
             merged.answers += stats.answers
             merged.total_seconds = max(merged.total_seconds, stats.total_seconds)
             merged.relaxed_query_count = max(
@@ -160,6 +162,7 @@ class QueryStatistics:
             "accepted_by_lower_bound": self.accepted_by_lower_bound,
             "pruned_by_upper_bound": self.pruned_by_upper_bound,
             "verified": self.verified,
+            "sampled": self.sampled,
             "answers": self.answers,
             "total_seconds": round(self.total_seconds, 6),
             "relaxed_query_count": self.relaxed_query_count,
@@ -184,6 +187,7 @@ class QueryStatistics:
             accepted_by_lower_bound=int(data.get("accepted_by_lower_bound", 0)),
             pruned_by_upper_bound=int(data.get("pruned_by_upper_bound", 0)),
             verified=int(data.get("verified", 0)),
+            sampled=int(data.get("sampled", 0)),
             answers=int(data.get("answers", 0)),
             total_seconds=float(data.get("total_seconds", 0.0)),
             relaxed_query_count=int(data.get("relaxed_query_count", 0)),
@@ -260,6 +264,7 @@ def aggregate_statistics(results: Iterable[QueryResult]) -> dict:
         totals.accepted_by_lower_bound += stats.accepted_by_lower_bound
         totals.pruned_by_upper_bound += stats.pruned_by_upper_bound
         totals.verified += stats.verified
+        totals.sampled += stats.sampled
         totals.answers += stats.answers
         totals.total_seconds += stats.total_seconds
         totals.relaxed_query_count += stats.relaxed_query_count

@@ -1,18 +1,21 @@
 """Verification: computing the subgraph similarity probability of a candidate
 (Section 5).
 
-Three strategies are provided, all built on Lemma 1 / Equation 22, which
+Four strategies are provided, all built on Lemma 1 / Equation 22, which
 identify ``Pr(q ⊆sim g)`` with the probability that at least one embedding of
 one relaxed query is fully present in the sampled world.  Those events come
 from one matching pass per candidate block for the whole relaxed set (a
 :class:`~repro.isomorphism.generic_join.VariantFamily`, compiled once per
 plan); their order is no contract, every estimator normalises its events.
 
-* ``"sampling"`` — the paper's Algorithm 5 (Karp-Luby coverage sampler, SMP
-  in the experiments), executed by the vectorized batch kernel
-  (:mod:`repro.probability.batch_kernel`): events compile to edge-index
-  arrays once per candidate and all samples are drawn and evaluated as
-  numpy matrices under the kernel's canonical draw order;
+* ``"sampling"`` — chosen per candidate from its normalised events, both by
+  the batch kernel (:mod:`repro.probability.batch_kernel`): exact over the
+  events' support when it is narrow (one weighted enumeration of the few edges
+  they mention; no randomness, the same float under every root), the paper's
+  Algorithm 5 otherwise (Karp-Luby coverage sampler, SMP in the experiments:
+  all samples drawn and evaluated as numpy matrices under the kernel's
+  canonical draw order).  ``num_samples`` / ``xi`` / ``tau`` are read by the
+  sampled route only; ``Verifier.sampled`` counts the estimates that took it;
 * ``"sampling_scalar"`` — the same estimator evaluated one world at a time
   (the pre-kernel reference implementation; different draws, same
   distribution — kept for A/B tests and benchmarks);
@@ -41,8 +44,12 @@ from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.embeddings import find_family_events_block
 from repro.isomorphism.generic_join import GraphBlock, VariantFamily, compile_variant_family
 from repro.isomorphism.mcs import is_subgraph_similar
-from repro.probability.batch_kernel import estimate_union_probability_batch
+from repro.probability.batch_kernel import (
+    estimate_union_probability_batch,
+    support_union_probability,
+)
 from repro.probability.dnf import estimate_union_probability, exact_union_probability
+from repro.probability.events import normalize_events
 from repro.probability.sampling import check_sample_count
 from repro.utils.rng import RandomLike, ensure_rng
 
@@ -79,6 +86,7 @@ class Verifier:
         self.config = config or VerificationConfig()
         self.relaxation = relaxation or RelaxationConfig()
         self.rng = ensure_rng(rng)
+        self.sampled = 0  # estimates so far that drew worlds (QueryStatistics.sampled)
 
     # ------------------------------------------------------------------
     # public API
@@ -122,9 +130,9 @@ class Verifier:
         pipeline passes ``derive_rng(root, VERIFY_STREAM, global id)`` per
         graph), so estimates are independent of block composition and block
         size — a sharded or re-chunked execution reproduces them exactly.
-        Under ``method="sampling"`` each candidate's events are compiled to
-        index arrays and all its samples are drawn and evaluated as one
-        matrix batch by the kernel.
+        Under ``method="sampling"`` a candidate whose events read few edges
+        gets the exact value and consumes nothing of its stream; any other
+        has all its samples drawn and evaluated as one matrix batch.
         """
         if relaxed_queries is None:
             relaxed_queries = relax_query(query, distance_threshold, self.relaxation)
@@ -164,6 +172,11 @@ class Verifier:
         if not events:
             return 0.0
         if strategy == "sampling":
+            events = normalize_events(events)
+            exact = support_union_probability(graph, events)
+            if exact is not None:
+                return exact
+            self.sampled += 1
             return estimate_union_probability_batch(
                 graph,
                 events,

@@ -45,7 +45,11 @@ def canonical_event_key(event) -> tuple:
     return (len(edges), tuple(_edge_sort_key(edge) for edge in edges))
 
 
-def normalize_events(events: list[frozenset | set]) -> list[Event]:
+class NormalizedEvents(list):
+    """What :func:`normalize_events` returns; normalising it again is free."""
+
+
+def normalize_events(events: list[frozenset | set]) -> NormalizedEvents:
     """Deduplicate events and drop ones absorbed by a weaker event.
 
     An event is the conjunction "all of these edges are present", so if
@@ -55,10 +59,13 @@ def normalize_events(events: list[frozenset | set]) -> list[Event]:
     the union probability.  Empty events are dropped too (the caller treats
     "no events" as probability zero).  The surviving events come back in
     :func:`canonical_event_key` order, which both estimators (scalar and
-    batched) treat as the clause order of Algorithm 5.
+    batched) treat as the clause order of Algorithm 5.  A list this function
+    returned comes back as it is: the verifier normalises, then picks an estimator.
     """
+    if isinstance(events, NormalizedEvents):
+        return events
     unique = {Event(e) for e in events if e}
-    kept: list[Event] = []
+    kept = NormalizedEvents()
     for event in sorted(unique, key=canonical_event_key):
         if any(existing <= event for existing in kept):
             continue

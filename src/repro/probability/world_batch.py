@@ -22,8 +22,8 @@ from repro.probability.batch_kernel import (
     _MODEL_CACHE,
     BatchWorldSampler,
     CompiledWorldModel,
-    _slot_bits,
     compile_world_model,
+    enumerate_factor_product,
 )
 from repro.utils.rng import RandomLike, numpy_generator
 
@@ -82,11 +82,7 @@ def enumerate_world_batch(graph: "ProbabilisticGraph", max_edges: int) -> WorldB
             f"refusing to enumerate 2**{model.num_edges} possible worlds; "
             f"limit is 2**{max_edges}"
         )
-    codes = np.arange(1 << model.num_edges)[:, None]
-    presence = (codes >> np.arange(model.num_edges) & 1).astype(bool)
-    weights = np.ones(presence.shape[0])
-    for factor in model.factors:
-        table = np.zeros(1 << factor.width)
-        table[factor.codes()] = factor.values
-        weights *= table[presence[:, factor.positions] @ _slot_bits(factor.width)]
+    presence, weights = enumerate_factor_product(
+        model.factors, list(range(model.num_edges))
+    )
     return WorldBatch(model, presence, weights)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.datasets import PPIDatasetConfig, generate_ppi_database
+from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph
 from repro.probability import JointProbabilityTable
 
@@ -113,6 +113,32 @@ def small_ppi_database():
         probability_spread=0.2,
     )
     return generate_ppi_database(config, rng=99)
+
+
+# the distance threshold that goes with ``wide_support_corpus``
+WIDE_SUPPORT_DISTANCE = 2
+
+
+@pytest.fixture(scope="session")
+def wide_support_corpus():
+    """``(graphs, queries)`` on which one request takes both verification
+    routes.  Two vertex labels give a 6-edge query many embeddings per graph,
+    so at ``WIDE_SUPPORT_DISTANCE`` a candidate's events read 6 to 26 distinct
+    edges: some supports fit the kernel's exact enumeration, the others draw
+    worlds.  Nothing forces a route — the corpus does it; callers assert
+    ``0 < statistics.sampled < statistics.verified``."""
+    config = PPIDatasetConfig(
+        num_graphs=8,
+        num_families=2,
+        vertices_per_graph=16,
+        edges_per_graph=32,
+        num_vertex_labels=2,
+        motif_vertices=4,
+        motif_edges=4,
+    )
+    graphs = generate_ppi_database(config, rng=1).graphs
+    queries = generate_query_workload(graphs, query_size=6, num_queries=2, rng=1).queries()
+    return graphs, queries
 
 
 def make_simple_probabilistic_graph(

@@ -19,7 +19,11 @@ scalar reference (``probability.dnf.estimate_union_probability``):
   graphs, zero-mass events included;
 * **calibration** — over hundreds of independent roots the batched estimate
   misses the exact value by more than ``τ·p`` no more often than ``ξ``
-  allows, and its mean sits on the exact value (unbiasedness).
+  allows, and its mean sits on the exact value (unbiasedness);
+* **the exact route** — ``support_union_probability`` against three
+  independent oracles (inclusion-exclusion, possible-world enumeration end to
+  end, the sampler's mean), its purity (roots, input order, cache state) and
+  the support limit that hands a candidate to the sampler.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import extract_query
 from repro.exceptions import ConfigurationError, ProbabilityError
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph
+from repro.graphs.io import probabilistic_graph_from_dict, probabilistic_graph_to_dict
 from repro.probability import (
     BatchWorldSampler,
     JointProbabilityTable,
@@ -46,7 +52,11 @@ from repro.probability import (
     monte_carlo_sample_size,
 )
 from repro.probability import batch_kernel
-from repro.probability.batch_kernel import clause_weights, compile_events
+from repro.probability.batch_kernel import (
+    clause_weights,
+    compile_events,
+    support_union_probability,
+)
 from repro.utils.rng import numpy_generator
 
 from tests.conftest import make_simple_probabilistic_graph
@@ -127,6 +137,34 @@ def assert_weights_match_oracle(graph, events):
 table_values = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=1.0))
 
 
+def wheel_graph(probabilities, correlation, max_factor_size):
+    """A 5-vertex, 7-edge wheel as an edge partition; returns it with its
+    sorted edge keys (bit ``b`` of an event mask names ``keys[b]``)."""
+    skeleton = LabeledGraph(name="wheel")
+    for vertex in range(5):
+        skeleton.add_vertex(vertex, "ab"[vertex % 2])
+    for u, v in ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)):
+        skeleton.add_edge(u, v, "x")
+    keys = sorted(skeleton.edge_keys())
+    graph = ProbabilisticGraph.from_edge_probabilities(
+        skeleton,
+        dict(zip(keys, probabilities)),
+        correlation=correlation,
+        max_factor_size=max_factor_size,
+    )
+    assert set(compile_world_model(graph).factor_group) == {None}
+    return graph, keys
+
+
+def events_of(masks, keys):
+    return [{key for bit, key in enumerate(keys) if mask >> bit & 1} for mask in masks]
+
+
+# a three-factor chain (sharing leaves 3 and 5) beside a single-factor component
+def chain_tables(first, second, third, apart):
+    return [((1, 2, 3), first), ((3, 4, 5), second), ((5, 6), third), ((7, 8), apart)]
+
+
 class TestClauseWeights:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -142,24 +180,8 @@ class TestClauseWeights:
     ):
         """Generated edge partitions, both correlation models; marginals of
         exactly 0 make some events impossible (weight 0)."""
-        skeleton = LabeledGraph(name="wheel")
-        for vertex in range(5):
-            skeleton.add_vertex(vertex, "ab"[vertex % 2])
-        for u, v in ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)):
-            skeleton.add_edge(u, v, "x")
-        keys = sorted(skeleton.edge_keys())
-        graph = ProbabilisticGraph.from_edge_probabilities(
-            skeleton,
-            dict(zip(keys, probabilities)),
-            correlation=correlation,
-            max_factor_size=max_factor_size,
-        )
-        assert set(compile_world_model(graph).factor_group) == {None}
-        events = [
-            {key for bit, key in enumerate(keys) if mask >> bit & 1}
-            for mask in event_masks
-        ]
-        assert_weights_match_oracle(graph, events)
+        graph, keys = wheel_graph(probabilities, correlation, max_factor_size)
+        assert_weights_match_oracle(graph, events_of(event_masks, keys))
 
     def test_paper_overlap_graph_every_edge_subset(self, overlap_graph_002):
         """Graph 002: two JPTs sharing e3 are one two-factor component."""
@@ -186,17 +208,13 @@ class TestClauseWeights:
     ):
         """A three-factor chain (sharing edges 3 and 5) beside a
         single-factor component; zeros in the tables give zero-mass events."""
-        tables = [((1, 2, 3), first), ((3, 4, 5), second), ((5, 6), third), ((7, 8), apart)]
+        tables = chain_tables(first, second, third, apart)
         for _, values in tables:
             assume(sum(values) > 0.0)
         graph = star_graph(tables)
         assert compile_world_model(graph).factor_group == ((0, 1, 2),) * 3 + (None,)
-        leaves = range(1, 9)
-        events = [
-            {(0, leaf) for bit, leaf in enumerate(leaves) if mask >> bit & 1}
-            for mask in event_masks
-        ]
-        assert_weights_match_oracle(graph, events)
+        keys = [(0, leaf) for leaf in range(1, 9)]
+        assert_weights_match_oracle(graph, events_of(event_masks, keys))
 
     def test_zero_mass_event_weighs_zero_on_both_paths(self):
         """P(e1 ∧ e2) = 0 in the single factor; P(e3 ∧ e5) = 0 only through
@@ -246,6 +264,9 @@ class TestClauseWeights:
         assert replay == scalar
         with pytest.raises(ConfigurationError, match="wider than the batch sampler"):
             estimate_union_probability_batch(graph, events, num_samples=300, rng=1)
+        # ... and the exact route leaves it to that sampler: 33 columns is a
+        # support wider than any limit
+        assert support_union_probability(graph, events) is None
 
     def test_unknown_edge_is_a_typed_failure(self, triangle_graph_001):
         with pytest.raises(ProbabilityError, match="without probability factors"):
@@ -601,6 +622,171 @@ class TestCanonicalBatchEstimator:
         )
 
 
+class TestExactSupportRoute:
+    """``support_union_probability``: the union summed exactly over the
+    assignments of the few edges the events mention — what
+    ``Verifier(method="sampling")`` returns whenever the support fits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        probabilities=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=7, max_size=7
+        ),
+        correlation=st.sampled_from(["independent", "max"]),
+        max_factor_size=st.integers(min_value=1, max_value=4),
+        event_masks=st.lists(st.integers(min_value=1, max_value=127), min_size=1, max_size=6),
+    )
+    def test_partition_graphs_equal_inclusion_exclusion(
+        self, probabilities, correlation, max_factor_size, event_masks
+    ):
+        graph, keys = wheel_graph(probabilities, correlation, max_factor_size)
+        events = events_of(event_masks, keys)
+        assert support_union_probability(graph, events) == pytest.approx(
+            exact_union_probability(graph, events), abs=1e-12
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        first=st.lists(table_values, min_size=8, max_size=8),
+        second=st.lists(table_values, min_size=8, max_size=8),
+        third=st.lists(table_values, min_size=4, max_size=4),
+        apart=st.lists(table_values, min_size=4, max_size=4),
+        event_masks=st.lists(st.integers(min_value=1, max_value=255), min_size=1, max_size=6),
+    )
+    def test_overlapping_factors_equal_inclusion_exclusion(
+        self, first, second, third, apart, event_masks
+    ):
+        """A multi-factor component enters with all its columns, normalised
+        by its own Z, beside a single-factor one."""
+        tables = chain_tables(first, second, third, apart)
+        for _, values in tables:
+            assume(sum(values) > 0.0)
+        graph = star_graph(tables)
+        assume(VariableEliminationEngine(graph).partition_function((0, 1, 2)) > 0.0)
+        events = events_of(event_masks, [(0, leaf) for leaf in range(1, 9)])
+        assert support_union_probability(graph, events) == pytest.approx(
+            exact_union_probability(graph, events), abs=1e-12
+        )
+
+    def test_paper_overlap_graph_every_event_pair(self, overlap_graph_002):
+        edges = overlap_graph_002.edge_variables()
+        singles = [
+            set(subset) for size in (1, 2, 3) for subset in combinations(edges, size)
+        ]
+        for events in combinations(singles, 2):
+            assert support_union_probability(overlap_graph_002, list(events)) == pytest.approx(
+                exact_union_probability(overlap_graph_002, list(events)), abs=1e-12
+            )
+
+    def test_degenerate_component_is_a_typed_failure(self):
+        """Z = 0 (the two tables force the shared edge both ways): the
+        failure ``clause_weights`` reports, not a division by zero."""
+        graph = star_graph([((1, 2), [0.0, 0.0, 0.5, 0.5]), ((1, 3), [0.5, 0.5, 0.0, 0.0])])
+        with pytest.raises(ProbabilityError, match="zero partition function"):
+            clause_weights(graph, [{(0, 2)}])
+        with pytest.raises(ProbabilityError, match="zero partition function"):
+            support_union_probability(graph, [{(0, 2)}])
+
+    def test_verifier_equals_world_enumeration_end_to_end(
+        self, triangle_graph_001, overlap_graph_002, path_query
+    ):
+        from repro.core import VerificationConfig, Verifier
+
+        routed = Verifier(VerificationConfig(method="sampling", num_samples=50))
+        brute = Verifier(VerificationConfig(method="enumeration"))
+        a_b_c = LabeledGraph(name="q")  # the two-edge path of graph 001
+        for vertex, label in enumerate("abc"):
+            a_b_c.add_vertex(vertex, label)
+        a_b_c.add_edge(0, 1, "e")
+        a_b_c.add_edge(1, 2, "e")
+        a_b_a = LabeledGraph(name="q")  # ... and of the simple 4-cycle
+        for vertex, label in enumerate("aba"):
+            a_b_a.add_vertex(vertex, label)
+        a_b_a.add_edge(0, 1, "x")
+        a_b_a.add_edge(1, 2, "x")
+        cases = [(a_b_c, triangle_graph_001), (path_query, overlap_graph_002)] + [
+            (a_b_a, make_simple_probabilistic_graph(0.6, correlation=correlation))
+            for correlation in ("independent", "max")
+        ]
+        for query, graph in cases:
+            for delta in (0, 1):
+                expected = brute.subgraph_similarity_probability(query, graph, delta)
+                assert 0.0 < expected < 1.0
+                assert routed.subgraph_similarity_probability(
+                    query, graph, delta
+                ) == pytest.approx(expected, abs=1e-12)
+        assert routed.sampled == 0
+
+    def test_zero_mass_event_beside_positive_ones(self):
+        graph = star_graph([((1, 2, 3), [0.4, 0.0, 0.0, 0.6, 0.0, 0.0, 0.0, 0.0])])
+        assert support_union_probability(graph, [{(0, 1)}, {(0, 2)}]) == pytest.approx(
+            0.6, abs=1e-15
+        )
+        assert support_union_probability(graph, [{(0, 1)}]) == 0.0
+
+    def test_all_edges_certain_is_exactly_one(self):
+        """Several events too: nothing is binomial on this route."""
+        graph = make_simple_probabilistic_graph(edge_probability=1.0)
+        assert support_union_probability(graph, two_event_list(graph)) == 1.0
+
+    def test_input_order_and_duplicates_change_nothing(self, overlap_graph_002):
+        e1, e2, e3, e4, e5 = overlap_graph_002.edge_variables()
+        events = [{e1, e3}, {e4}, {e2, e5}, {e5, e3}]
+        expected = support_union_probability(overlap_graph_002, events)
+        shuffled = events + [set(events[2]), {e4, e1}]  # a duplicate, an absorbed superset
+        random.Random(5).shuffle(shuffled)
+        assert support_union_probability(overlap_graph_002, shuffled) == expected
+
+    def test_no_events_is_zero(self):
+        assert support_union_probability(make_simple_probabilistic_graph(), []) == 0.0
+
+    def test_unknown_edge_is_a_typed_failure(self, triangle_graph_001):
+        with pytest.raises(ProbabilityError, match="without probability factors"):
+            support_union_probability(triangle_graph_001, [{(1, 2)}, {(9, 10)}])
+
+    def test_roots_and_cache_state_change_no_byte(self, small_ppi_database):
+        """The route reads nothing but (graph, events): two roots, and a warm
+        graph against a cold copy of it, give identical floats."""
+        from repro.core import VerificationConfig, Verifier
+
+        graphs = small_ppi_database.graphs
+        query = extract_query(graphs[0].skeleton, 3, rng=1)
+        config = VerificationConfig(method="sampling", num_samples=30)
+        first, second = Verifier(config, rng=1), Verifier(config, rng=2)
+        warm = first.verify_block(query, graphs, 1, rngs=[11] * len(graphs))
+        assert any(0.0 < probability < 1.0 for probability in warm)
+        assert warm == second.verify_block(query, graphs, 1, rngs=[12] * len(graphs))
+        cold = [
+            probabilistic_graph_from_dict(probabilistic_graph_to_dict(graph)) for graph in graphs
+        ]
+        assert warm == second.verify_block(query, cold, 1)
+        assert first.sampled == second.sampled == 0
+
+    def test_support_over_the_limit_goes_to_the_sampler(self, overlap_graph_002, monkeypatch):
+        """The limit counts the columns the events mention, plus every other
+        column of a multi-factor component they touch."""
+        from repro.core import VerificationConfig, Verifier
+
+        graph, keys = wheel_graph([0.5] * 7, "max", 2)
+        events = events_of([0b0000011, 0b0001100, 0b0010001], keys)  # five columns
+        e1, e2, e3, e4, e5 = overlap_graph_002.edge_variables()
+        verifier = Verifier(VerificationConfig(method="sampling", num_samples=60))
+        monkeypatch.setattr(batch_kernel, "EXACT_SUPPORT_LIMIT", 5)
+        exact = support_union_probability(graph, events)
+        assert exact == pytest.approx(exact_union_probability(graph, events), abs=1e-12)
+        assert verifier._estimate(graph, events, "sampling", random.Random(3)) == exact
+        assert support_union_probability(overlap_graph_002, [{e4}]) is not None
+        assert verifier.sampled == 0
+        monkeypatch.setattr(batch_kernel, "EXACT_SUPPORT_LIMIT", 4)
+        assert support_union_probability(graph, events) is None
+        assert support_union_probability(overlap_graph_002, [{e4}]) is None  # one of five
+        # the sampled estimate is the kernel's, on the caller's stream
+        assert verifier._estimate(
+            graph, events, "sampling", random.Random(3)
+        ) == estimate_union_probability_batch(graph, events, num_samples=60, rng=random.Random(3))
+        assert verifier.sampled == 1
+
+
 class TestCalibration:
     """Do the sampled numbers meet their (ξ, τ) promise against exact
     inference?  First slice of ROADMAP's statistical harness: the batched
@@ -629,6 +815,9 @@ class TestCalibration:
         # estimate carry different evidence patterns into the same factor
         events = [set(keys[i : i + 2]) for i in range(0, 6)] + [{keys[0], keys[4], keys[7]}]
         exact = exact_union_probability(graph, events)
+        # the value production reports for this candidate: the sampler is
+        # calibrated against the exact route, not only against Equation 21
+        assert support_union_probability(graph, events) == pytest.approx(exact, abs=1e-12)
         num_samples = monte_carlo_sample_size(self.XI, self.TAU)
         estimates = np.array(
             [

@@ -31,6 +31,8 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
 
+from tests.conftest import WIDE_SUPPORT_DISTANCE
+
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
 FEATURE_CONFIG = FeatureSelectionConfig(
@@ -233,6 +235,41 @@ def test_mutated_sharded_catalog_matches_sequential(seed, num_shards):
             f"{context} k={k}"
         )
     sharded.close()
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_wide_support_request_after_mutations_matches_rebuild(wide_support_corpus, num_shards):
+    """Rebuild parity where one request takes both verification routes: the
+    candidates that sample do so on their stable external id's stream, the
+    others are summed exactly, before and after the catalog moved rows."""
+    graphs, queries = wide_support_corpus
+    catalog = GraphCatalog.build(
+        graphs[:6],
+        feature_config=FEATURE_CONFIG,
+        bound_config=BOUND_CONFIG,
+        rng=1501,
+        num_shards=num_shards,
+        max_workers=0,
+    )
+    catalog.add_graph(graphs[6])
+    catalog.remove_graph(1)
+    catalog.update_graph(3, graphs[7])
+    reference = rebuild_from_scratch(catalog)
+    for query in queries:
+        actual = catalog.query(
+            query, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=15
+        )
+        expected = reference.execute(
+            query, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=15
+        )
+        assert 0 < actual.statistics.sampled < actual.statistics.verified
+        assert_result_parity(actual, expected, f"K={num_shards}")
+        assert answer_tuples(
+            catalog.query_top_k(query, 2, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=15)
+        ) == answer_tuples(
+            reference.execute_top_k(query, 2, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=15)
+        )
+    catalog.close()
 
 
 def test_compaction_is_invisible_to_queries():

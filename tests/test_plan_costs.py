@@ -1,7 +1,8 @@
 """What planning and verifying a query costs, in counts (CI cannot assert
 timings): edge tables built, joins issued, bytes a fan-out ships per plan,
-feature enumerations per query on a sharded catalog, and matching passes per
-candidate block — one for the whole relaxed set, the plan's variant family."""
+feature enumerations per query on a sharded catalog, matching passes per
+candidate block — one for the whole relaxed set, the plan's variant family —
+and worlds drawn: none where every candidate's support is narrow."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import GraphCatalog, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, QueryStatistics, SearchConfig, VerificationConfig
 from repro.core.verification import Verifier
 from repro.datasets import (
     PPIDatasetConfig,
@@ -26,7 +27,10 @@ from repro.isomorphism.embeddings import (
     truncation_count,
 )
 from repro.pmi import BoundConfig, FeatureSelectionConfig
+from repro.probability import batch_kernel
 from repro.structural.feature_index import StructuralFeatureIndex
+
+from tests.conftest import WIDE_SUPPORT_DISTANCE
 
 CONFIG = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=40))
 NUM_FEATURES = 16
@@ -206,7 +210,7 @@ class TestVerificationCosts:
 @pytest.mark.parametrize(
     "workload", ["verify_heavy", "filter_heavy", "service_mixed", "catalog_churn"]
 )
-def test_no_block_rerun_on_the_e2e_smoke_corpora(workload):
+def test_no_block_rerun_on_the_e2e_smoke_corpora(workload, monkeypatch):
     # the e2e request stream itself (importable under the tier-1 command, run from the root)
     from benchmarks.e2e import corpus as e2e
     from benchmarks.e2e.workloads import call
@@ -223,9 +227,45 @@ def test_no_block_rerun_on_the_e2e_smoke_corpora(workload):
     ) as built:
         reset_family_reroute_count()
         reset_truncation_count()
-        verified = 0
+        draws = _count_calls(monkeypatch, batch_kernel, "_draw_worlds")  # the build is over
+        verified = sampled = 0
         for request in e2e.build_requests(corpus, seed=7):
             result = call(built, request, profile.delta, profile.search_config)
             verified += result.statistics.verified
+            sampled += result.statistics.sampled
     assert verified > 0
     assert family_reroute_count() == (0, 0) and truncation_count() == 0
+    # every support of these corpora fits the kernel's exact enumeration
+    assert sampled == 0 and not draws
+
+
+def test_sampled_sums_across_shards_to_the_dense_count(wide_support_corpus):
+    """Threshold mode verifies the same candidates however they are sharded,
+    so the route counter merges like ``verified`` (a top-k shard partial may
+    legitimately verify, and sample, more than the sequential loop)."""
+    graphs, queries = wide_support_corpus
+    build = dict(
+        feature_config=FeatureSelectionConfig(max_vertices=3, max_features=NUM_FEATURES),
+        bound_config=BoundConfig(num_samples=20),
+        rng=17,
+        max_workers=0,
+    )
+    with GraphCatalog.build(graphs, **build) as dense, GraphCatalog.build(
+        graphs, num_shards=2, **build
+    ) as sharded:
+        for query in queries:
+            expected, actual = (
+                catalog.query(query, 0.3, WIDE_SUPPORT_DISTANCE, CONFIG, rng=7).statistics
+                for catalog in (dense, sharded)
+            )
+            assert 0 < expected.sampled < expected.verified
+            assert (actual.sampled, actual.verified) == (expected.sampled, expected.verified)
+
+
+def test_statistics_without_the_sampled_key_still_parse():
+    """A peer that predates the counter sends no ``sampled``: it reads 0."""
+    payload = QueryStatistics(verified=3, sampled=2).as_dict()
+    assert QueryStatistics.from_dict(payload).sampled == 2
+    del payload["sampled"]
+    parsed = QueryStatistics.from_dict(payload)
+    assert (parsed.verified, parsed.sampled) == (3, 0)

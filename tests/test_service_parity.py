@@ -22,6 +22,8 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig, TcpServiceClient
 
+from tests.conftest import WIDE_SUPPORT_DISTANCE
+
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
 FEATURE_CONFIG = FeatureSelectionConfig(
@@ -315,6 +317,50 @@ def test_tcp_transport_byte_parity():
                     )
                 finally:
                     await tcp.close()
+        finally:
+            served.close()
+            twin.close()
+
+    asyncio.run(scenario())
+
+
+def test_wide_support_requests_over_tcp_take_both_routes(wide_support_corpus):
+    """Requests that verify some candidates exactly and sample the others,
+    batched and shipped over the wire: answers and counters — ``sampled``
+    among them — equal the sequential twin's."""
+
+    async def scenario():
+        graphs, queries = wide_support_corpus
+        kwargs = dict(feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=9008)
+        served = GraphCatalog.build(graphs, num_shards=2, max_workers=0, **kwargs)
+        twin = GraphCatalog.build(graphs, **kwargs)
+        config = ServiceConfig(batch_window=0.005, search_config=SEARCH_CONFIG)
+        try:
+            async with QueryService(served, config) as service:
+                host, port = await service.serve_tcp()
+                tcp = await TcpServiceClient().connect(host, port)
+                try:
+                    threshold = await asyncio.gather(
+                        *[
+                            tcp.query(query, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, rng=81)
+                            for query in queries
+                        ]
+                    )
+                    top = await tcp.query_top_k(queries[0], 3, WIDE_SUPPORT_DISTANCE, rng=82)
+                finally:
+                    await tcp.close()
+            for query, actual in zip(queries, threshold):
+                expected = twin.query(
+                    query, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=81
+                )
+                assert 0 < actual.statistics.sampled < actual.statistics.verified
+                assert_result_parity(actual, expected, "wide support over tcp")
+            assert 0 < top.statistics.sampled < top.statistics.verified
+            assert answer_tuples(top) == answer_tuples(
+                twin.query_top_k(
+                    queries[0], 3, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=82
+                )
+            )
         finally:
             served.close()
             twin.close()

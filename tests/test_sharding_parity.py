@@ -33,6 +33,8 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.exceptions import CatalogError
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 
+from tests.conftest import WIDE_SUPPORT_DISTANCE
+
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
 
@@ -161,6 +163,36 @@ class TestRandomizedCrossShardParity:
                 query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=4
             )
             assert answer_tuples(before) == answer_tuples(after)
+
+    def test_wide_support_request_takes_both_routes_identically(self, wide_support_corpus):
+        """The estimator is chosen per candidate: a narrow support is summed
+        exactly, a wide one draws worlds on the candidate's own stream.  One
+        request holds both, and every shard layout reproduces both to the
+        byte — the sampled estimates are what makes that a contract."""
+        graphs, queries = wide_support_corpus
+        engines = [
+            ProbabilisticGraphDatabase(graphs).build_index(
+                feature_config=FEATURE_CONFIG,
+                bound_config=BoundConfig(num_samples=40),
+                rng=9,
+                num_shards=num_shards,
+                max_workers=0,
+            )
+            for num_shards in (1, 2, 4)
+        ]
+        sequential, *sharded = [
+            engine.query_many(
+                queries, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=4
+            )
+            for engine in engines
+        ]
+        for position, expected in enumerate(sequential):
+            assert 0 < expected.statistics.sampled < expected.statistics.verified
+            for results in sharded:
+                assert answer_tuples(results[position]) == answer_tuples(expected)
+                assert counter_dict(results[position].statistics) == counter_dict(
+                    expected.statistics
+                )
 
     def test_single_query_parity_through_process_pool(self):
         """One end-to-end case through a real process pool (the others run

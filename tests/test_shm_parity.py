@@ -45,6 +45,8 @@ from repro.datasets import extract_query
 from repro.pmi import BoundConfig
 from repro.utils.shm import resident_segment_names
 
+from tests.conftest import WIDE_SUPPORT_DISTANCE
+
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
 
@@ -132,6 +134,40 @@ class TestPoolShmParity:
             sharded.close()
         assert answer_tuples(actual) == answer_tuples(expected)
 
+
+    def test_wide_support_request_through_shm_pool(self, wide_support_corpus):
+        """Pool workers pick the estimator per candidate exactly as the
+        sequential engine does: the exact values and the sampled ones of one
+        request come back byte-identical, threshold and top-k."""
+        graphs, queries = wide_support_corpus
+        build = dict(feature_config=FEATURE_CONFIG, bound_config=BoundConfig(num_samples=40), rng=3)
+        sequential = ProbabilisticGraphDatabase(graphs).build_index(**build)
+        sharded = ProbabilisticGraphDatabase(graphs).build_index(
+            **build, num_shards=2, max_workers=2
+        )
+        try:
+            for query in queries:
+                expected = sequential.query(
+                    query, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
+                )
+                actual = sharded.query(
+                    query, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
+                )
+                assert 0 < actual.statistics.sampled < actual.statistics.verified
+                assert answer_tuples(actual) == answer_tuples(expected)
+                assert counter_dict(actual.statistics) == counter_dict(expected.statistics)
+                top = sharded.query_top_k(
+                    query, 3, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
+                )
+                assert 0 < top.statistics.sampled < top.statistics.verified
+                assert answer_tuples(top) == answer_tuples(
+                    sequential.query_top_k(
+                        query, 3, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
+                    )
+                )
+            assert sharded.planner.shard_plane is not None  # the pool really ran
+        finally:
+            sharded.close()
 
     @pytest.mark.parametrize("max_workers", [0, 2])
     @pytest.mark.parametrize("num_shards", [1, 2, 4])

@@ -30,6 +30,8 @@ from repro.core import (
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
+from tests.conftest import WIDE_SUPPORT_DISTANCE
+
 DISTANCE_THRESHOLD = 1
 
 FEATURE_CONFIG = FeatureSelectionConfig(
@@ -176,6 +178,40 @@ class TestCrossShardMergeInvariant:
                 assert [
                     pickle.dumps(answer_tuples(result)) for result in results
                 ] == expected, (k, num_shards)
+
+    def test_wide_support_replay_over_both_routes(self, wide_support_corpus):
+        """The replay merges estimates of both kinds — exact sums over narrow
+        supports, sampled ones over wide supports — and ranks them as the
+        sequential loop does; a shard partial may sample more candidates than
+        that loop verifies, never other values."""
+        graphs, queries = wide_support_corpus
+        engines = {}
+        for num_shards in (1, 2, 4):
+            engines[num_shards] = ProbabilisticGraphDatabase(graphs).build_index(
+                feature_config=FEATURE_CONFIG,
+                bound_config=BoundConfig(num_samples=40),
+                rng=5,
+                num_shards=num_shards,
+                max_workers=0,
+            )
+        for query in queries:
+            for k in (1, 3):
+                expected, *sharded = [
+                    engine.query_top_k(
+                        query, k, WIDE_SUPPORT_DISTANCE, config=SAMPLING_SEARCH_CONFIG, rng=5
+                    )
+                    for engine in engines.values()
+                ]
+                assert 0 < expected.statistics.sampled < expected.statistics.verified
+                for result in sharded:
+                    assert pickle.dumps(answer_tuples(result)) == pickle.dumps(
+                        answer_tuples(expected)
+                    ), k
+                    assert (
+                        expected.statistics.sampled
+                        <= result.statistics.sampled
+                        < result.statistics.verified
+                    )
 
     def test_worker_count_does_not_change_answers(self):
         database = random_database(777, 6)
