@@ -12,6 +12,7 @@ dominant exponential cost on the graphs that fit).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import VERIFY_STREAM
@@ -143,7 +144,7 @@ class ExactScanBaseline:
         query_graph: LabeledGraph,
         graph: ProbabilisticGraph,
         distance_threshold: int,
-        relaxed: list[LabeledGraph],
+        relaxed: Sequence[LabeledGraph],
         family: VariantFamily,
     ) -> float:
         def probability(method: str) -> float:

@@ -10,10 +10,13 @@ graph*.  :class:`QueryPlanner` splits that work by lifetime:
   skeletons, the pruner over the PMI's features, the default verifier, and
   the staged candidate pipeline itself
   (:func:`repro.core.pipeline.build_default_pipeline`);
-* **per query** (:meth:`plan` / :meth:`plan_top_k`): query relaxation
-  (Lemma 1) and one join of each feature into the query, from whose
-  embeddings both the structural count profile and the containment relations
-  are read (a relaxed query is the query minus some edges);
+* **per query** (:meth:`plan` / :meth:`plan_top_k`): array work over one edge
+  order of the query — relaxation (Lemma 1) as rows of a mask matrix over it
+  (no graph per variant), each feature's embeddings in the query (read off
+  the edge list for a single edge, one join for a larger feature), from which
+  the structural count profile and the containment relations are read (an
+  embedding lies in a relaxed query iff it uses no deleted edge), and the
+  rows compiled into the verifier's variant family;
 * **per candidate** (:meth:`execute_plan`): the pipeline stages — columnar
   PMI row reads, vectorized pruning decisions, verification.
 
@@ -28,6 +31,7 @@ and are what the parity suites build their from-scratch reference from.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +54,7 @@ from repro.core.results import QueryResult, QueryStatistics
 from repro.core.verification import Verifier
 from repro.exceptions import ConfigurationError, QueryError
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.variant_rows import VariantRows
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.generic_join import VariantFamily, compile_variant_family
 from repro.pmi.index import ProbabilisticMatrixIndex
@@ -122,13 +127,18 @@ class QueryPlan:
     :class:`~repro.core.pipeline.ThresholdState` behaves: ``"threshold"``
     (fixed floor ``probability_threshold``) or ``"top_k"`` (floor tightens
     toward the running ``k``-th best verified probability).
+
+    ``relaxed_queries`` is the set as :func:`relax_query` returns it: masks over
+    the query's edges in discovery order (the member indices in ``containment``
+    and the rows of ``family`` follow it); indexing it builds a variant's graph,
+    which the common path never does.
     """
 
     query: LabeledGraph
     probability_threshold: float
     distance_threshold: int
     config: "SearchConfig"
-    relaxed_queries: list[LabeledGraph] = field(default_factory=list)
+    relaxed_queries: Sequence[LabeledGraph] = field(default_factory=list)
     containment: dict[int, FeatureContainment] = field(default_factory=dict)
     mode: str = THRESHOLD_MODE
     k: int | None = None
@@ -139,8 +149,13 @@ class QueryPlan:
 
     def __getstate__(self) -> dict:
         # a shard reads the profile and the containment relations, never the
-        # query's edge table: a fan-out ships the query without its memos
-        return {**self.__dict__, "query": self.query.copy()}
+        # query's edge table: a fan-out ships the query without its memos, once
+        # (the relaxed set's rows go over the same copy)
+        query = self.query.copy()
+        relaxed = self.relaxed_queries
+        if isinstance(relaxed, VariantRows):
+            relaxed = relaxed.over(query)
+        return {**self.__dict__, "query": query, "relaxed_queries": relaxed}
 
 
 class QueryPlanner:

@@ -19,24 +19,30 @@ The feature-vs-relaxed-query containment relations depend only on the query,
 not on the candidate graph, so :meth:`ProbabilisticPruner.prepare` computes
 them once per query and every candidate reuses them: ``f ⊆iso rq`` is read off
 ``f``'s embeddings in the query itself (a relaxed query is the query minus
-some edges; the planner enumerates them once, for the structural count
-profile too), ``rq ⊆iso f`` is one join per small-enough relaxed query over
-the stacked features.  On the hot path the pruner reads SIP intervals straight
-from the PMI's columnar row views (:meth:`compute_bounds_from_row`) and the
-final pruned/accepted decision over a whole candidate set is one vectorized
-array pass (:meth:`decide_batch`).
+some edges — a row of the relaxed set's ``kept`` matrix — and contains ``f``
+iff one of those embeddings uses no edge the row deleted; the planner
+enumerates them once, for the structural count profile too), ``rq ⊆iso f`` is
+one join per small-enough relaxed query over the stacked features, its size
+read off the row before any graph is built.  On the hot path the pruner reads
+SIP intervals straight from the PMI's columnar row views
+(:meth:`compute_bounds_from_row`) and the final pruned/accepted decision over a
+whole candidate set is one vectorized array pass (:meth:`decide_batch`).
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
 from repro.core.quadratic_program import QPSet, solve_lsim_rounding
 from repro.core.set_cover import WeightedSet, greedy_weighted_set_cover
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.variant_rows import VariantRows
 from repro.isomorphism.embeddings import EmbeddingEnumeration
 from repro.isomorphism.generic_join import GraphBlock, match_block
 from repro.pmi.bounds import SipBounds
@@ -124,7 +130,7 @@ class ProbabilisticPruner:
     # ------------------------------------------------------------------
     def prepare(
         self,
-        relaxed_queries: list[LabeledGraph],
+        relaxed_queries: Sequence[LabeledGraph],
         query: LabeledGraph | None = None,
         embeddings: dict[int, EmbeddingEnumeration] | None = None,
     ) -> dict[int, FeatureContainment]:
@@ -147,7 +153,7 @@ class ProbabilisticPruner:
 
     def compute_bounds(
         self,
-        relaxed_queries: list[LabeledGraph],
+        relaxed_queries: Sequence[LabeledGraph],
         graph_bounds: dict[int, SipBounds],
         containment: dict[int, FeatureContainment] | None = None,
         rng: RandomLike = None,
@@ -176,7 +182,7 @@ class ProbabilisticPruner:
 
     def compute_bounds_from_row(
         self,
-        relaxed_queries: list[LabeledGraph],
+        relaxed_queries: Sequence[LabeledGraph],
         row: PMIRow,
         containment: dict[int, FeatureContainment],
         rng: RandomLike = None,
@@ -231,47 +237,55 @@ class ProbabilisticPruner:
     def _containment_for(
         self,
         feature_ids,
-        relaxed_queries: list[LabeledGraph],
+        relaxed_queries: Sequence[LabeledGraph],
         query: LabeledGraph | None = None,
         embeddings: dict[int, EmbeddingEnumeration] | None = None,
     ) -> dict[int, FeatureContainment]:
         """Relations for the given feature ids (iterated in their order).
 
-        A relaxed query that is ``query`` minus some edges (same vertex ids)
-        contains ``f`` iff one of ``f``'s ``embeddings`` in ``query`` uses only
-        edges it kept: a set test, no edge table of the variant.  The join of
-        ``f`` over the stacked relaxed queries is the exact fallback: for any
-        other variant (a relabeling), and for a feature whose enumeration is
-        missing or truncated or that has a vertex off every edge.
+        A relaxed query that is ``query`` minus some edges (same vertex ids) is
+        a row of ``VariantRows.kept``, and it contains ``f`` iff one of ``f``'s
+        ``embeddings`` in ``query`` uses no edge the row deleted: one array
+        pass for every feature and row, no graph of a variant.  The join of
+        ``f`` over the stacked relaxed queries is the exact fallback: without
+        a ``query``, for a set that holds any other variant (a relabeling), and
+        for a feature whose enumeration is missing or truncated or that has a
+        vertex off every edge.  ``rq ⊆iso f`` is answered from a variant's
+        edge and vertex counts unless some feature is large enough to hold it.
         """
-        embeddings = embeddings or {}
-        kept = [  # the edges of a deletion variant; None: decided by the join
-            frozenset(rq.edge_keys()) if query is not None and rq.is_subgraph_of(query) else None
-            for rq in relaxed_queries
-        ]
-        relaxed_block = joined = None
-        contained_in = [self._features_containing(relaxed) for relaxed in relaxed_queries]
+        rows = None if query is None else VariantRows.of(query, relaxed_queries)
+        small = range(len(relaxed_queries))  # the variants a feature may be large enough to hold
+        usable = {}  # the features the rows decide: feature id -> its embeddings' edge sets
+        if rows is not None:
+            small = np.flatnonzero(
+                (rows.kept.sum(axis=1) <= self._max_feature_edges)
+                & (rows.present.sum(axis=1) <= self._max_feature_vertices)
+            ).tolist()
+            if not rows.loners:
+                usable = {
+                    feature_id: [embedding.edges for embedding in found.embeddings]
+                    for feature_id, found in (embeddings or {}).items()
+                    if feature_id in self._edge_covered and not found.truncated
+                }
+        contained_in = {i: self._features_containing(relaxed_queries[i]) for i in small}
+        # holds[s][i]: row i kept every edge of the s-th of the usable features' stacked embeddings
+        holds = rows.holding(list(chain.from_iterable(usable.values()))).tolist() if usable else []
+        spans = dict(zip(usable, pairwise(accumulate(map(len, usable.values()), initial=0))))
+        relaxed_block = None
         relations: dict[int, FeatureContainment] = {}
         for feature_id in feature_ids:
             position = self._feature_position.get(feature_id)
             if position is None:
                 continue
-            found = embeddings.get(feature_id) if feature_id in self._edge_covered else None
-            complete = found is not None and not found.truncated
-            edge_sets = [e.edges for e in found.embeddings] if complete else None
-            if edge_sets is None or None in kept:
+            if feature_id in spans:
+                matched = holds[slice(*spans[feature_id])]
+            else:
                 if relaxed_block is None:
                     relaxed_block = GraphBlock(relaxed_queries)
-                joined = match_block(self.features[feature_id].graph, relaxed_block)
-            contains = [
-                joined[i] if None in (edge_sets, edges) else any(map(edges.issuperset, edge_sets))
-                for i, edges in enumerate(kept)
-            ]
+                matched = [match_block(self.features[feature_id].graph, relaxed_block)]
             relations[feature_id] = FeatureContainment(
-                sub_of=frozenset(i for i, match in enumerate(contains) if match),
-                super_of=frozenset(
-                    i for i, matches in enumerate(contained_in) if matches[position]
-                ),
+                sub_of=frozenset(i for held in matched for i, match in enumerate(held) if match),
+                super_of=frozenset(i for i, matches in contained_in.items() if matches[position]),
             )
         return relations
 
@@ -288,7 +302,7 @@ class ProbabilisticPruner:
 
     def _bounds_from_intervals(
         self,
-        relaxed_queries: list[LabeledGraph],
+        relaxed_queries: Sequence[LabeledGraph],
         intervals: dict[int, tuple[float, float]],
         containment: dict[int, FeatureContainment],
         rng: RandomLike = None,
@@ -304,7 +318,7 @@ class ProbabilisticPruner:
 
     def _upper_bound(
         self,
-        relaxed_queries: list[LabeledGraph],
+        relaxed_queries: Sequence[LabeledGraph],
         intervals: dict[int, tuple[float, float]],
         containment: dict[int, FeatureContainment],
     ) -> tuple[float, bool]:
@@ -325,18 +339,19 @@ class ProbabilisticPruner:
             if not solution.covered:
                 return 1.0, False
             return min(1.0, solution.total_weight), True
-        # plain SSPBound: one arbitrary feature per relaxed query
-        total = 0.0
-        for index in universe:
+        # plain SSPBound: one arbitrary feature per relaxed query (an exactly
+        # rounded sum: the bound does not depend on how the set is numbered)
+        weights = []
+        for index in sorted(universe):
             matching = [c for c in candidates if index in c.members]
             if not matching:
                 return 1.0, False
-            total += matching[0].weight
-        return min(1.0, total), True
+            weights.append(matching[0].weight)
+        return min(1.0, math.fsum(weights)), True
 
     def _lower_bound(
         self,
-        relaxed_queries: list[LabeledGraph],
+        relaxed_queries: Sequence[LabeledGraph],
         intervals: dict[int, tuple[float, float]],
         containment: dict[int, FeatureContainment],
         rng,
@@ -359,14 +374,15 @@ class ProbabilisticPruner:
             if not result.covered:
                 return 0.0, False
             return max(0.0, min(1.0, result.lower_bound)), True
-        # plain SSPBound: one arbitrary covering feature per relaxed query
-        chosen: list[QPSet] = []
+        # plain SSPBound: one arbitrary covering feature per relaxed query,
+        # summed in feature order whatever the numbering of the set
+        picked = set()
         for index in sorted(universe):
-            matching = [c for c in candidates if index in c.members]
+            matching = [c.set_id for c in candidates if index in c.members]
             if not matching:
                 return 0.0, False
-            if matching[0] not in chosen:
-                chosen.append(matching[0])
+            picked.add(matching[0])
+        chosen = [c for c in candidates if c.set_id in picked]
         lower_sum = sum(c.lower_weight for c in chosen)
         upper_sum = sum(c.upper_weight for c in chosen)
         return max(0.0, min(1.0, lower_sum - upper_sum * upper_sum)), True

@@ -64,12 +64,12 @@ def solve_relaxed_qp(sets: list[QPSet], universe: frozenset) -> np.ndarray:
         return np.zeros(0)
     wl = np.array([s.lower_weight for s in sets], dtype=float)
     wu = np.array([s.upper_weight for s in sets], dtype=float)
-    membership = np.zeros((len(universe), n))
-    universe_list = sorted(universe, key=repr)
-    for row, element in enumerate(universe_list):
-        for col, candidate in enumerate(sets):
-            if element in candidate.members:
-                membership[row, col] = 1.0
+    # one coverage constraint per distinct membership pattern, in sorted order:
+    # the program does not depend on how the universe's elements are numbered
+    membership = np.unique(
+        [[float(element in s.members) for s in sets] for element in sorted(universe, key=repr)],
+        axis=0,
+    )
 
     def negative_objective(x: np.ndarray) -> float:
         return -_objective(x, wl, wu)
@@ -79,7 +79,7 @@ def solve_relaxed_qp(sets: list[QPSet], universe: frozenset) -> np.ndarray:
 
     constraints = [
         {"type": "ineq", "fun": lambda x, row=row: float(membership[row] @ x) - 1.0}
-        for row in range(len(universe_list))
+        for row in range(len(membership))
     ]
     x0 = np.full(n, 0.5)
     if minimize is not None:

@@ -3,19 +3,37 @@
 Lemma 1 rewrites the subgraph similarity probability as the probability that
 at least one graph obtained from ``q`` by relaxing exactly ``δ`` edges is a
 subgraph of the possible world.  Relaxation operations are edge deletions and
-edge relabelings (insertions never help a subgraph query).  The relaxed set
-is deduplicated by canonical form and capped to keep downstream work bounded,
-mirroring the role of [38] in the paper.
+edge relabelings (insertions never help a subgraph query).  A deletion variant
+is ``q`` minus ``δ`` edges on ``q``'s own vertex ids, so the set is generated
+as rows of a mask matrix over ``q``'s edge list
+(:class:`~repro.graphs.variant_rows.VariantRows`): no graph per ``δ``-subset.
+
+The set holds one member per isomorphism class, exactly.  Two subsets can only
+be isomorphic when they agree on a cheap *invariant* — the multiset of deleted
+edge signatures (endpoint labels, edge label) and the multiset of (vertex
+label, remaining degree) over the vertices kept — so
+:func:`~repro.graphs.canonical.canonical_form` is computed only for the members
+of a group whose invariants collide.
+
+**Order.**  Discovery order: ``δ``-subsets in ``itertools.combinations`` order
+over ``sorted(query.edge_keys(), key=repr)``, the first member of each
+isomorphism class kept (a subset's relabelings follow its deletion variant);
+a binding ``max_variants`` keeps the first ``max_variants`` of that order,
+mirroring the role of [38] in the paper.  Nothing downstream reads a position
+in ``U``, and the order does not depend on the matching engine's.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, product
+from numbers import Integral
 
-from repro.exceptions import QueryError
+from repro.exceptions import ConfigurationError, QueryError
 from repro.graphs.canonical import canonical_form
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.variant_rows import VariantRows
 
 
 @dataclass(frozen=True)
@@ -38,7 +56,8 @@ class RelaxationConfig:
     drop_isolated_vertices:
         Remove vertices left with no incident edge after deletion.
     max_variants:
-        Hard cap on the size of ``U``.
+        Hard cap on the size of ``U`` (an integer >= 1: an empty ``U`` would
+        answer every query with nothing, silently).
     """
 
     include_relabelings: bool = False
@@ -46,13 +65,18 @@ class RelaxationConfig:
     drop_isolated_vertices: bool = True
     max_variants: int = 64
 
+    def __post_init__(self) -> None:
+        cap = self.max_variants
+        if isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1:
+            raise ConfigurationError(f"max_variants must be an integer >= 1, got {cap!r}")
+
 
 def relax_query(
     query: LabeledGraph,
     distance_threshold: int,
     config: RelaxationConfig | None = None,
     edge_label_alphabet: list | None = None,
-) -> list[LabeledGraph]:
+) -> VariantRows:
     """Generate the relaxed query set ``U`` for ``distance_threshold`` edges.
 
     Parameters
@@ -68,8 +92,10 @@ def relax_query(
 
     Returns
     -------
-    list[LabeledGraph]
-        Deduplicated relaxed queries; the original query when ``δ == 0``.
+    VariantRows
+        The deduplicated relaxed queries in the module's stated order, a
+        sequence of :class:`LabeledGraph` items (built when indexed); the
+        original query alone when ``δ == 0``.
     """
     cfg = config or RelaxationConfig()
     if distance_threshold < 0:
@@ -81,59 +107,64 @@ def relax_query(
             f"distance threshold {distance_threshold} must be smaller than the "
             f"query size ({query.num_edges} edges); every graph would match trivially"
         )
-    if distance_threshold == 0:
-        return [query.copy()]
+    alphabet = edge_label_alphabet if cfg.include_relabelings else None
+    variants = _distinct_variants(VariantRows(query), distance_threshold, cfg, alphabet)
+    distinct = list(islice(variants, cfg.max_variants))
+    loners = {k: graph for k, (_, graph) in enumerate(distinct) if graph is not None}
+    return VariantRows(query, [row for row, _ in distinct], loners)
 
-    edge_keys = sorted(query.edge_keys(), key=repr)
-    variants: dict[str, LabeledGraph] = {}
-    for deletion in combinations(edge_keys, distance_threshold):
-        relaxed = query.copy()
-        for u, v in deletion:
-            relaxed.remove_edge(u, v)
-        if cfg.drop_isolated_vertices:
-            relaxed.remove_isolated_vertices()
-        if relaxed.num_edges == 0:
+
+def _distinct_variants(
+    frame: VariantRows, delta: int, cfg: RelaxationConfig, alphabet: list | None
+) -> Iterator[tuple[list[bool], LabeledGraph | None]]:
+    """``(row, None)`` per isomorphism class of ``δ``-deletions of ``frame.base``,
+    ``(blank row, graph)`` per class of relabelings, in discovery order."""
+    query, edges = frame.base, frame.edges
+    column = {vertex: i for i, vertex in enumerate(frame.vertices)}
+    ends = [(column[u], column[v]) for u, v in edges]
+    # labels by repr, as canonical_form compares them (and strings sort, labels need not)
+    vlabel = [repr(query.vertex_label(vertex)) for vertex in frame.vertices]
+    signature = [repr(query.edge_signature(key)) for key in edges]
+    degree = [query.degree(vertex) for vertex in frame.vertices]
+    first: dict[tuple, list[bool]] = {}  # invariant -> the first row that has it
+    forms: dict[tuple, set[str]] = {}  # ... -> canonical forms, once a second row has it
+    relabeled_forms: set[str] = set()
+    for deleted in combinations(range(len(edges)), delta):
+        kept, left = [True] * len(edges), list(degree)
+        for e in deleted:
+            kept[e] = False
+            left[ends[e][0]] -= 1
+            left[ends[e][1]] -= 1
+        present = [not cfg.drop_isolated_vertices or remaining > 0 for remaining in left]
+        row = kept + present
+        if cfg.require_connected and not frame.graph_of(row).is_connected():
             continue
-        if cfg.require_connected and not relaxed.is_connected():
-            continue
-        key = canonical_form(relaxed)
-        if key not in variants:
-            variants[key] = relaxed
-        if cfg.include_relabelings and edge_label_alphabet:
-            for relabeled in _relabel_variants(query, deletion, edge_label_alphabet, cfg):
-                relabel_key = canonical_form(relabeled)
-                if relabel_key not in variants:
-                    variants[relabel_key] = relabeled
-                if len(variants) >= cfg.max_variants:
-                    break
-        if len(variants) >= cfg.max_variants:
-            break
-    ordered = [variants[key] for key in sorted(variants)]
-    return ordered[: cfg.max_variants]
-
-
-def _relabel_variants(
-    query: LabeledGraph,
-    deletion: tuple,
-    edge_label_alphabet: list,
-    cfg: RelaxationConfig,
-) -> list[LabeledGraph]:
-    """Variants that relabel (rather than delete) the relaxed edges."""
-    variants = []
-    for u, v in deletion:
-        original_label = query.edge_label(u, v)
-        for label in edge_label_alphabet:
-            if label == original_label:
+        invariant = (
+            tuple(sorted(signature[e] for e in deleted)),
+            tuple(sorted(pair for pair, held in zip(zip(vlabel, left), present) if held)),
+        )
+        if invariant not in first:
+            first[invariant] = row
+            yield row, None
+        else:  # a collision: only the canonical form tells isomorphic from merely alike
+            known = forms.get(invariant)
+            if known is None:
+                known = forms[invariant] = {canonical_form(frame.graph_of(first[invariant]))}
+            form = canonical_form(frame.graph_of(row))
+            if form not in known:
+                known.add(form)
+                yield row, None
+        # relabelings: an alphabet label in the place of one deleted edge, the rest deleted
+        for e, label in product(deleted, alphabet or ()):
+            if label == query.edge_label(*edges[e]):
                 continue
-            relabeled = query.copy()
-            for du, dv in deletion:
-                relabeled.remove_edge(du, dv)
-            relabeled.add_edge(u, v, label)
+            relabeled = frame.graph_of(kept + [True] * len(present))
+            relabeled.add_edge(*edges[e], label)
             if cfg.drop_isolated_vertices:
                 relabeled.remove_isolated_vertices()
-            if relabeled.num_edges == 0:
-                continue
             if cfg.require_connected and not relabeled.is_connected():
                 continue
-            variants.append(relabeled)
-    return variants
+            form = canonical_form(relabeled)
+            if form not in relabeled_forms:  # one edge more than a deletion: never one of those
+                relabeled_forms.add(form)
+                yield [False] * len(row), relabeled

@@ -34,6 +34,7 @@ explicit per-graph rng list so every estimate stays keyed on the graph's own
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.relaxation import RelaxationConfig, relax_query
@@ -96,7 +97,7 @@ class Verifier:
         query: LabeledGraph,
         graph: ProbabilisticGraph,
         distance_threshold: int,
-        relaxed_queries: list[LabeledGraph] | None = None,
+        relaxed_queries: Sequence[LabeledGraph] | None = None,
         method: str | None = None,
         rng: RandomLike = None,
         family: VariantFamily | None = None,
@@ -116,7 +117,7 @@ class Verifier:
         query: LabeledGraph,
         graphs: list[ProbabilisticGraph],
         distance_threshold: int,
-        relaxed_queries: list[LabeledGraph] | None = None,
+        relaxed_queries: Sequence[LabeledGraph] | None = None,
         method: str | None = None,
         rngs: list | None = None,
         family: VariantFamily | None = None,
@@ -155,7 +156,7 @@ class Verifier:
         graph: ProbabilisticGraph,
         probability_threshold: float,
         distance_threshold: int,
-        relaxed_queries: list[LabeledGraph] | None = None,
+        relaxed_queries: Sequence[LabeledGraph] | None = None,
         method: str | None = None,
     ) -> tuple[bool, float]:
         """(is answer, SSP estimate) for one candidate graph."""
@@ -200,7 +201,7 @@ class Verifier:
 
     def _embedding_events_block(
         self,
-        relaxed_queries: list[LabeledGraph],
+        relaxed_queries: Sequence[LabeledGraph],
         graphs: list[ProbabilisticGraph],
         family: VariantFamily | None = None,
     ) -> list[list[frozenset]]:

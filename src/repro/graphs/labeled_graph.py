@@ -282,15 +282,18 @@ class LabeledGraph:
         cached = self.__dict__.get("_edge_signature_counts")
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        signatures: Counter = Counter()
-        for (u, v), label in self._edge_labels.items():
-            lu, lv = self._vertex_labels[u], self._vertex_labels[v]
-            # interned: the memo outlives the call, and label reprs repeat
-            # across every graph of a database
-            pair = tuple(sorted((sys.intern(repr(lu)), sys.intern(repr(lv)))))
-            signatures[(pair, label)] += 1
+        signatures = Counter(map(self.edge_signature, self._edge_labels))
         self.__dict__["_edge_signature_counts"] = (self._version, signatures)
         return signatures
+
+    def edge_signature(self, key: tuple[VertexId, VertexId]) -> tuple:
+        """The (sorted endpoint labels, edge label) signature of the edge with
+        canonical key ``key``: what :meth:`edge_signature_counts` counts."""
+        u, v = key
+        # interned: the counts memo outlives the call, and label reprs repeat
+        # across every graph of a database
+        lu, lv = sys.intern(repr(self._vertex_labels[u])), sys.intern(repr(self._vertex_labels[v]))
+        return ((lu, lv) if lu <= lv else (lv, lu)), self._edge_labels[key]
 
     # ------------------------------------------------------------------
     # structure queries

@@ -19,7 +19,7 @@ module-level counter record when the cap actually bit.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,7 +229,7 @@ def find_embeddings_block(
 
 def find_family_events_block(
     family: VariantFamily | None,
-    variants: list[LabeledGraph],
+    variants: Sequence[LabeledGraph],
     targets: Iterable[LabeledGraph] | GraphBlock,
     limit: int | None = DEFAULT_EMBEDDING_LIMIT,
 ) -> list[list[frozenset]]:

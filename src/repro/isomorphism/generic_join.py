@@ -35,6 +35,7 @@ from itertools import chain
 import numpy as np
 
 from repro.graphs.labeled_graph import LabeledGraph, VertexId, edge_key
+from repro.graphs.variant_rows import VariantRows
 from repro.isomorphism.vf2 import VF2Matcher, connectivity_order
 from repro.exceptions import ConfigurationError
 
@@ -509,40 +510,43 @@ class VariantFamily:
     loners: tuple
 
 
-def compile_variant_family(query: LabeledGraph, variants: list[LabeledGraph]) -> VariantFamily:
-    """Compile ``variants`` (relaxations of ``query``) into a :class:`VariantFamily`."""
+def compile_variant_family(query: LabeledGraph, variants) -> VariantFamily:
+    """Compile ``variants`` — the relaxed set of ``query`` (its
+    :class:`~repro.graphs.variant_rows.VariantRows`, read as they are) or any
+    list of graphs (classified into rows and loners first) — into a
+    :class:`VariantFamily`: the rows' columns permuted to the level-major edge
+    order, degrees and seeds as array passes over them."""
+    rows = VariantRows.of(query, variants)
     order = connectivity_order(query)
     level_of = {vertex: i for i, vertex in enumerate(order)}
-    back, keys = [], []  # per level as in a JoinLevel; the query's edge keys, level-major
+    # per level as in a JoinLevel; per query edge, level-major: its key, its
+    # (earlier, later) levels and its rank among the back edges of its level
+    back, keys, ends, rank = [], [], [], []
     for li, vertex in enumerate(order):
         prev = sorted((level_of[n], n) for n in query.neighbors(vertex) if level_of[n] < li)
         back.append(
             tuple((lo, query.edge_label(vertex, n), e) for e, (lo, n) in enumerate(prev, len(keys)))
         )
         keys += [edge_key(vertex, n) for _, n in prev]
-    required, degree, seed, loners = [], [], [], []
-    for index, variant in enumerate(variants):
-        if not (variant.num_edges and variant.is_subgraph_of(query)):
-            loners.append(index)
-            continue
-        kept = list(map(set(variant.edge_keys()).__contains__, keys))
-        seeds, degrees = [_ABSENT] * len(order), [0] * len(order)
-        for vertex in variant.vertices():
-            li = level_of[vertex]
-            seeds[li] = next((j for j, (_, _, e) in enumerate(back[li]) if kept[e]), _POOL)
-            degrees[li] = variant.degree(vertex)
-        required.append(kept)
-        seed.append(seeds)
-        degree.append(degrees)
-    ends = [(lo, li) for li, level in enumerate(back) for lo, _, _ in level]
-    per_level = (len(required), len(order))  # explicit: a family may have no member
+        ends += [(lo, li) for lo, _ in prev]
+        rank += range(len(prev))
+    members, column = rows.members, {key: e for e, key in enumerate(rows.edges)}
+    required = rows.kept[np.ix_(members, [column[key] for key in keys])]
+    held = rows.present[np.ix_(members, [rows.vertices.index(vertex) for vertex in order])]
+    edge_ends = np.array(ends, dtype=np.int16).reshape(len(keys), 2).T
+    incidence = np.zeros((len(keys), len(order)), dtype=np.int16)
+    incidence[np.arange(len(keys)), edge_ends] = 1
+    # the first back edge a member kept at each level; len(keys): it kept none
+    first = np.full(held.shape, len(keys), dtype=np.int16)
+    member, edge = required.nonzero()
+    np.minimum.at(first, (member, edge_ends[1, edge]), np.array(rank, dtype=np.int16)[edge])
     return VariantFamily(
         levels=tuple((query.vertex_label(vertex), level) for vertex, level in zip(order, back)),
-        edge_ends=np.array(ends, dtype=np.int16).reshape(len(keys), 2).T,
-        required=np.array(required, dtype=bool).reshape(len(required), len(keys)),
-        degree=np.array(degree, dtype=np.int16).reshape(per_level),
-        seed=np.array(seed, dtype=np.int16).reshape(per_level),
-        loners=tuple(loners),
+        edge_ends=edge_ends,
+        required=required,
+        degree=required @ incidence,
+        seed=np.where(first < len(keys), first, np.where(held, _POOL, _ABSENT)).astype(np.int16),
+        loners=tuple(sorted(rows.loners)),
     )
 
 

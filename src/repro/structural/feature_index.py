@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.isomorphism.embeddings import (
+    Embedding,
     EmbeddingEnumeration,
     count_embeddings_block,
     enumerate_embeddings_block,
@@ -168,15 +169,30 @@ class StructuralFeatureIndex:
 
     def query_embeddings(self, query: LabeledGraph) -> dict[int, EmbeddingEnumeration]:
         """Every feature's embeddings in the query (capped at ``embedding_limit``)
-        by feature id, one join each into the query's cached edge table: what a
-        plan reads both the count profile and the ``f ⊆iso rq`` relations from."""
-        block = GraphBlock([query])
-        return {
-            feature.feature_id: enumerate_embeddings_block(
-                feature.graph, block, limit=self.embedding_limit
-            )[0]
-            for feature in self.features
-        }
+        by feature id: what a plan reads both the count profile and the
+        ``f ⊆iso rq`` relations from.  A single-edge feature's are the query's
+        edges of its signature, read off the edge list; a larger one (or one
+        the cap would cut: the cap picks in the join's discovery order) is one
+        join into the query's cached edge table."""
+        by_signature: dict = {}  # each list in the enumeration's canonical order
+        for key in sorted(query.edge_keys(), key=lambda key: repr([key])):
+            by_signature.setdefault(query.edge_signature(key), []).append(key)
+        block, limit, found = None, self.embedding_limit, {}
+        for feature in self.features:
+            keys = None
+            if feature.num_edges == 1 and feature.num_vertices == 2:
+                (signature,) = feature.graph.edge_signature_counts()
+                keys = by_signature.get(signature, ())
+            if keys is None or (limit is not None and len(keys) > limit):
+                block = block or GraphBlock([query])
+                found[feature.feature_id] = enumerate_embeddings_block(
+                    feature.graph, block, limit=limit
+                )[0]
+            else:
+                found[feature.feature_id] = EmbeddingEnumeration(
+                    [Embedding(frozenset((key,)), frozenset(key)) for key in keys], False
+                )
+        return found
 
     def query_profile(self, query: LabeledGraph) -> dict[int, dict]:
         """:meth:`count_profile` of the query's :meth:`query_embeddings`."""

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
-from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph
+from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph, VariantRows
 from repro.probability import JointProbabilityTable
 
 
@@ -156,3 +156,10 @@ def make_simple_probabilistic_graph(
     return ProbabilisticGraph.from_edge_probabilities(
         skeleton, probabilities, correlation=correlation
     )
+
+
+def reordered_rows(rows: VariantRows, order: list[int]) -> VariantRows:
+    """The same relaxed set in another order: position ``k`` holds what
+    position ``order[k]`` held (what reads ``U`` must not notice)."""
+    loners = {k: rows.loners[old] for k, old in enumerate(order) if old in rows.loners}
+    return VariantRows(rows.base, rows.held[order].tolist(), loners)

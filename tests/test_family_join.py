@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.relaxation import RelaxationConfig, relax_query
-from repro.graphs import LabeledGraph
+from repro.core.verification import VerificationConfig, Verifier
+from repro.graphs import LabeledGraph, ProbabilisticGraph
 from repro.isomorphism import generic_join, using_engine
 from repro.isomorphism.embeddings import (
     family_reroute_count,
@@ -25,6 +26,8 @@ from repro.isomorphism.embeddings import (
 )
 from repro.isomorphism.generic_join import GraphBlock, compile_variant_family
 from repro.probability.events import normalize_events
+
+from tests.conftest import reordered_rows
 
 FAMILY_SETTINGS = settings(
     max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -154,6 +157,41 @@ class TestFamilyEqualsPerVariant:
             if family_reroute_count()[0]:
                 assert shared == per_variant(variants, targets)
         assert_same_events(shared, per_variant(variants, targets), family)
+
+
+class TestOrderFreedom:
+    @FAMILY_SETTINGS
+    @given(families_and_blocks(), st.randoms(use_true_random=False))
+    def test_events_and_estimates_do_not_depend_on_the_order_of_the_relaxed_set(
+        self, case, shuffler
+    ):
+        """The rows of the family in another order: per graph the same set of
+        events, and — every estimator normalises them — the same floats."""
+        query, variants, family, targets = case
+        order = list(range(len(variants)))
+        shuffler.shuffle(order)
+        moved = reordered_rows(variants, order)
+        moved_family = compile_variant_family(query, moved)
+        assert moved_family.loners == tuple(sorted(order.index(k) for k in family.loners))
+        members = [k for k in order if k not in family.loners]
+        moved_from = np.searchsorted(variants.members, members)  # rows of the old family
+        assert np.array_equal(moved_family.required, family.required[moved_from])
+        events = find_family_events_block(family, variants, targets, None)
+        moved_events = find_family_events_block(moved_family, moved, targets, None)
+        assert [set(listed) for listed in moved_events] == [set(listed) for listed in events]
+        graphs = [
+            ProbabilisticGraph.from_edge_probabilities(
+                target, {key: 0.3 + 0.05 * (i % 9) for i, key in enumerate(target.edge_keys())}
+            )
+            for target in targets
+        ]
+        # exact where the events mention few edges, else sampled on the graph's own stream
+        verifier = Verifier(VerificationConfig(method="sampling", num_samples=2))
+        estimates = [
+            verifier.verify_block(query, graphs, 0, rows, rngs=[11] * len(graphs), family=compiled)
+            for rows, compiled in ((variants, family), (moved, moved_family), (moved, None))
+        ]
+        assert estimates[0] == estimates[1] == estimates[2]
 
 
 # a triangle with a tail, shared order 0, 1, 2, 3: the variant that keeps

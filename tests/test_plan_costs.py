@@ -1,17 +1,27 @@
 """What planning and verifying a query costs, in counts (CI cannot assert
-timings): edge tables built, joins issued, bytes a fan-out ships per plan,
-feature enumerations per query on a sharded catalog, matching passes per
-candidate block — one for the whole relaxed set, the plan's variant family —
-and worlds drawn: none where every candidate's support is narrow."""
+timings): edge tables built, joins issued, canonical forms computed and graphs
+copied or built per plan, bytes a fan-out ships per plan, feature enumerations
+per query on a sharded catalog, matching passes per candidate block — one for
+the whole relaxed set, the plan's variant family — and worlds drawn: none where
+every candidate's support is narrow."""
 
 from __future__ import annotations
 
 import pickle
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from repro.core import GraphCatalog, QueryStatistics, SearchConfig, VerificationConfig
+from repro.core import (
+    GraphCatalog,
+    QueryPlanner,
+    QueryStatistics,
+    SearchConfig,
+    VerificationConfig,
+    relaxation,
+)
 from repro.core.verification import Verifier
 from repro.datasets import (
     PPIDatasetConfig,
@@ -19,14 +29,17 @@ from repro.datasets import (
     generate_ppi_database,
     generate_query_workload,
 )
+from repro.graphs import LabeledGraph, VariantRows
 from repro.isomorphism import generic_join
 from repro.isomorphism.embeddings import (
+    enumerate_embeddings,
     family_reroute_count,
     reset_family_reroute_count,
     reset_truncation_count,
     truncation_count,
 )
-from repro.pmi import BoundConfig, FeatureSelectionConfig
+from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
+from repro.pmi.features import Feature
 from repro.probability import batch_kernel
 from repro.structural.feature_index import StructuralFeatureIndex
 
@@ -72,6 +85,27 @@ def six_edge_queries(graphs):
     return generate_query_workload(graphs, query_size=6, num_queries=3, rng=5).queries()
 
 
+@pytest.fixture(scope="module")
+def larger_features(graphs, catalog):
+    """Two- and three-edge features (cut out of the database, so they occur in
+    its queries) beside the catalog's sixteen single edges."""
+    first = len(catalog.features)
+    return [
+        Feature(first + offset, extract_query(graphs[offset].skeleton, size, rng=offset))
+        for offset, size in enumerate((2, 2, 3, 3))
+    ]
+
+
+@pytest.fixture
+def mixed_planner(catalog, larger_features):
+    """A planner over no graphs: planning reads the features only."""
+    features = [*catalog.features, *larger_features]
+    structural = StructuralFeatureIndex.from_counts(
+        features, np.zeros((0, len(features)), dtype=np.int32)
+    )
+    return QueryPlanner([], ProbabilisticMatrixIndex.empty(features), structural)
+
+
 def _count_calls(monkeypatch, owner, name) -> list:
     calls = []
     original = getattr(owner, name)
@@ -85,33 +119,74 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 class TestPlanCosts:
-    def test_plan_builds_one_edge_table(self, catalog, six_edge_queries, monkeypatch):
+    def test_plan_builds_one_edge_table(
+        self, catalog, mixed_planner, six_edge_queries, monkeypatch
+    ):
+        """At most one, the query's: none while every feature is a single edge
+        (its embeddings are read off the query's edge list), and no variant is
+        built into a graph, let alone compiled."""
         planner = catalog.planner()
         planner.plan(six_edge_queries[0], 0.5, 1, CONFIG)  # features and their plans warm
         built = _count_calls(monkeypatch, generic_join, "_build_edge_table")
         for query in six_edge_queries[1:]:
-            del built[:]
             plan = planner.plan(query, 0.5, 1, CONFIG)
+            assert not built and "_generic_join_table" not in query.__dict__
+            assert plan.relaxed_queries.materialized_count() == 0
+        for query in six_edge_queries[1:]:  # a feature with more edges is joined into the query
+            del built[:]
+            mixed_planner.plan(query, 0.5, 1, CONFIG)
             assert [args[0] for args in built] == [query]
             assert "_generic_join_table" in query.__dict__
-            for relaxed in plan.relaxed_queries:
-                assert "_generic_join_table" not in relaxed.__dict__
 
-    def test_plan_joins_each_feature_once(self, catalog, graphs, six_edge_queries, monkeypatch):
+    def test_plan_joins_each_feature_once(
+        self, catalog, mixed_planner, larger_features, graphs, six_edge_queries, monkeypatch
+    ):
+        """... if it has more than one edge; a single-edge feature never."""
         planner = catalog.planner()
         joins = _count_calls(monkeypatch, generic_join, "_join")
         for query in six_edge_queries:
-            del joins[:]
             plan = planner.plan(query, 0.5, 1, CONFIG)
             # five-edge variants: too large for any feature to contain
-            assert len(plan.relaxed_queries) > 1 and len(joins) == NUM_FEATURES
-        # single-edge variants fit a feature: one more join each, over the
-        # stacked features
+            assert len(plan.relaxed_queries) > 1 and not joins
+        # single-edge variants fit a feature: one join each, over the stacked
+        # features, of a variant built for it
         small = extract_query(graphs[0].skeleton, 2, rng=3)
-        del joins[:]
         plan = planner.plan_top_k(small, 2, 1, CONFIG)
         assert 1 <= len(plan.relaxed_queries) <= 2
-        assert len(joins) == NUM_FEATURES + len(plan.relaxed_queries)
+        assert len(joins) == plan.relaxed_queries.materialized_count() == len(plan.relaxed_queries)
+        for query in six_edge_queries:
+            del joins[:]
+            mixed_planner.plan(query, 0.5, 1, CONFIG)
+            assert [args[0] for args in joins] == [
+                generic_join.compile_join_plan(feature.graph) for feature in larger_features
+            ]
+
+    def test_single_edge_embeddings_equal_the_join(
+        self, catalog, larger_features, six_edge_queries
+    ):
+        """Read off the edge list or joined: the same enumeration (ids, edge
+        sets, order, ``truncated``), a binding ``embedding_limit`` included."""
+        features = [*catalog.features, *larger_features]
+        empty = np.zeros((0, len(features)), dtype=np.int32)
+        star = LabeledGraph.from_edges(  # five equal edges: a limit of 2 or 4 cuts them
+            dict(enumerate("abbbbb")), [(0, leaf, "x") for leaf in range(1, 6)]
+        )
+        hub = Feature(len(features), LabeledGraph.from_edges({0: "a", 1: "b"}, [(0, 1, "x")]))
+        for limit in (2, 4, 64, None):
+            index = StructuralFeatureIndex.from_counts(features, empty, embedding_limit=limit)
+            for query in six_edge_queries:
+                found = index.query_embeddings(query)
+                assert list(found) == [feature.feature_id for feature in features]
+                for feature in features:
+                    assert found[feature.feature_id] == enumerate_embeddings(
+                        feature.graph, query, limit=limit
+                    )
+            index = StructuralFeatureIndex.from_counts(
+                [hub], empty[:, :1], embedding_limit=limit
+            )
+            (found,) = index.query_embeddings(star).values()
+            assert found == enumerate_embeddings(hub.graph, star, limit=limit)
+            assert found.truncated == (limit in (2, 4))
 
     def test_pickled_plan_batch_is_small(self, catalog, six_edge_queries):
         planner = catalog.planner()
@@ -119,12 +194,17 @@ class TestPlanCosts:
             plan = planner.plan(query, 0.5, 1, CONFIG)
             assert plan.query.num_edges == 6 and plan.distance_threshold == 1
             batch = pickle.dumps(([plan], [12345]), protocol=pickle.HIGHEST_PROTOCOL)
-            assert len(batch) <= 4096
+            assert len(batch) <= 2560  # the relaxed set travels as masks (was <= 4096 as graphs)
             shipped = pickle.loads(batch)[0][0]
             # the query travels without the edge table planning hung on it
             assert shipped.query == plan.query
             assert "_generic_join_table" not in shipped.query.__dict__
             assert (shipped.profile, shipped.containment) == (plan.profile, plan.containment)
+            # the relaxed set's rows go over the one shipped copy of the query; no graph of
+            # a variant travels, and each is still there when a shard indexes it
+            assert shipped.relaxed_queries.base is shipped.query
+            assert shipped.relaxed_queries.materialized_count() == 0
+            assert list(shipped.relaxed_queries) == list(plan.relaxed_queries)
             # ... and with the compiled relaxed set, so that no shard derives it
             assert (shipped.family.levels, shipped.family.loners) == (
                 plan.family.levels,
@@ -207,36 +287,90 @@ class TestVerificationCosts:
         assert len(spies["compile_variant_family"]) == len(spies["verify_block"]) >= 1
 
 
-@pytest.mark.parametrize(
-    "workload", ["verify_heavy", "filter_heavy", "service_mixed", "catalog_churn"]
-)
-def test_no_block_rerun_on_the_e2e_smoke_corpora(workload, monkeypatch):
-    # the e2e request stream itself (importable under the tier-1 command, run from the root)
+E2E_WORKLOADS = ["verify_heavy", "filter_heavy", "service_mixed", "catalog_churn"]
+
+
+def _e2e_smoke_catalog(workload):
+    """The e2e corpus and request stream themselves (importable under the tier-1
+    command, run from the root), on a 2-shard in-process catalog."""
     from benchmarks.e2e import corpus as e2e
-    from benchmarks.e2e.workloads import call
 
     corpus = e2e.build_corpus(workload, smoke=True)
-    profile = corpus.profile
-    with GraphCatalog.build(
+    catalog = GraphCatalog.build(
         corpus.graphs,
         num_shards=2,
         feature_config=e2e.FEATURE_CONFIG,
         bound_config=e2e.BOUND_CONFIG,
         rng=e2e.BUILD_SEED,
         max_workers=0,
-    ) as built:
+    )
+    return corpus, catalog, e2e.build_requests(corpus, seed=7)
+
+
+@pytest.mark.parametrize("workload", E2E_WORKLOADS)
+def test_no_block_rerun_on_the_e2e_smoke_corpora(workload, monkeypatch):
+    from benchmarks.e2e.workloads import call
+
+    corpus, catalog, requests = _e2e_smoke_catalog(workload)
+    profile = corpus.profile
+    with catalog as built:
         reset_family_reroute_count()
         reset_truncation_count()
         draws = _count_calls(monkeypatch, batch_kernel, "_draw_worlds")  # the build is over
+        variants = _count_calls(monkeypatch, VariantRows, "__getitem__")
         verified = sampled = 0
-        for request in e2e.build_requests(corpus, seed=7):
+        for request in requests:
             result = call(built, request, profile.delta, profile.search_config)
             verified += result.statistics.verified
             sampled += result.statistics.sampled
     assert verified > 0
     assert family_reroute_count() == (0, 0) and truncation_count() == 0
+    # ... so nothing indexes the relaxed set: a pass builds no graph of a variant
+    assert not variants
     # every support of these corpora fits the kernel's exact enumeration
     assert sampled == 0 and not draws
+
+
+def _colliding_subsets(query: LabeledGraph, delta: int) -> int:
+    """How many δ-deletions of ``query`` share their invariant — the deleted
+    edge signatures and the (label, degree) pairs of the vertices left with an
+    edge — with another one: the members ``relax_query`` must canonicalise."""
+    edges = list(query.edge_keys())
+    groups = Counter()
+    for deleted in combinations(edges, delta):
+        degrees = Counter(vertex for key in edges if key not in deleted for vertex in key)
+        groups[
+            frozenset(Counter(map(query.edge_signature, deleted)).items()),
+            frozenset(Counter((query.vertex_label(v), d) for v, d in degrees.items()).items()),
+        ] += 1
+    return sum(size for size in groups.values() if size > 1)
+
+
+@pytest.mark.parametrize("workload", E2E_WORKLOADS)
+def test_plan_canonicalises_only_colliding_variants(workload, monkeypatch):
+    """``canonical_form`` runs inside invariant collisions only — never for a
+    query whose edge signatures are all distinct — and no δ-subset copies a graph."""
+    corpus, catalog, requests = _e2e_smoke_catalog(workload)
+    delta, config = corpus.profile.delta, corpus.profile.search_config
+    with catalog as built:
+        planner = built.planner()
+        forms = _count_calls(monkeypatch, relaxation, "canonical_form")
+        copies = _count_calls(monkeypatch, LabeledGraph, "copy")
+        per_template = {}
+        for request in requests:
+            del forms[:]
+            if request.kind == "query":
+                plan = planner.plan(request.query, request.param, delta, config)
+            else:
+                plan = planner.plan_top_k(request.query, int(request.param), delta, config)
+            assert len(forms) == _colliding_subsets(request.query, delta)
+            assert plan.relaxed_queries.materialized_count() == 0 and not plan.family.loners
+            per_template[request.query.name] = len(forms)
+    assert not copies
+    if workload == "verify_heavy":  # four edges, four signatures: nothing to tell apart
+        query = next(q for _, q, _ in corpus.templates if q.name == "q4-001")
+        assert len(set(map(query.edge_signature, query.edge_keys()))) == query.num_edges == 4
+        assert per_template["q4-001"] == 0 and max(per_template.values()) > 0
 
 
 def test_sampled_sums_across_shards_to_the_dense_count(wide_support_corpus):

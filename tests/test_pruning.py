@@ -2,15 +2,28 @@
 
 from __future__ import annotations
 
+import math
+import random
+from itertools import permutations, product
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import PruningConfig, relax_query
-from repro.core.pruning import ProbabilisticPruner, PruningDecision, SspBounds
+from repro.core.pruning import (
+    FeatureContainment,
+    ProbabilisticPruner,
+    PruningDecision,
+    SspBounds,
+)
 from repro.graphs import LabeledGraph
 from repro.pmi import BoundConfig, compute_sip_bounds
+from repro.pmi.bounds import SipBounds
 from repro.pmi.features import Feature
 
-from tests.conftest import make_simple_probabilistic_graph
+from tests.conftest import make_simple_probabilistic_graph, reordered_rows
+from tests.test_containment_parity import FEATURES, queries
 
 
 def feature_from(graph, feature_id):
@@ -121,3 +134,62 @@ class TestDecisions:
         pruner = ProbabilisticPruner([], rng=rng)
         bounds = SspBounds(usim=0.0, lsim=1.0, usim_covered=False, lsim_covered=False)
         assert pruner.decide(bounds, 0.5) is PruningDecision.CANDIDATE
+
+
+class TestOrderFreedom:
+    """Nothing that reads ``U`` reads a position in it: the relaxed set in
+    another order, its containment relations re-indexed to match, yields the
+    same bounds to the last bit — what let the order of ``relax_query`` change."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        query=queries(),
+        delta=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        weights=st.lists(
+            st.floats(0.01, 0.6), min_size=2 * len(FEATURES), max_size=2 * len(FEATURES)
+        ),
+    )
+    def test_bounds_do_not_depend_on_the_order_of_the_relaxed_set(
+        self, query, delta, seed, weights
+    ):
+        relaxed = relax_query(query, min(delta, query.num_edges - 1))
+        order = list(range(len(relaxed)))
+        random.Random(seed).shuffle(order)
+        moved = reordered_rows(relaxed, order)
+        position = {old: new for new, old in enumerate(order)}
+        graph_bounds = {
+            feature.feature_id: SipBounds(min(low, high), max(low, high), 1, 1)
+            for feature, low, high in zip(FEATURES, weights[::2], weights[1::2])
+        }
+        for optimal_usim, optimal_lsim in product((True, False), repeat=2):
+            pruner = ProbabilisticPruner(FEATURES, PruningConfig(optimal_usim, optimal_lsim))
+            containment = pruner.prepare(relaxed)
+            reindexed = {
+                feature_id: FeatureContainment(
+                    sub_of=frozenset(position[i] for i in relations.sub_of),
+                    super_of=frozenset(position[i] for i in relations.super_of),
+                )
+                for feature_id, relations in containment.items()
+            }
+            assert reindexed == pruner.prepare(moved)
+            expected = pruner.compute_bounds(relaxed, graph_bounds, containment, rng=seed)
+            actual = pruner.compute_bounds(moved, graph_bounds, reindexed, rng=seed)
+            assert actual == expected  # floats compare exactly
+
+    def test_plain_bounds_sum_in_an_order_of_their_own(self):
+        """0.1 + 0.2 + 0.3 is not 0.3 + 0.2 + 0.1 in floats: the plain bounds
+        summed in the order of the relaxed set before."""
+        query = LabeledGraph.from_edges(
+            {0: "a", 1: "a", 2: "b", 3: "b"}, [(0, 1, "x"), (1, 2, "x"), (2, 3, "y")]
+        )
+        relaxed = relax_query(query, 2)  # three single edges: features 0, 1 and 2 each hold one
+        weight = dict(zip(range(3), (0.1, 0.2, 0.3)))
+        graph_bounds = {fid: SipBounds(w, w, 1, 1) for fid, w in weight.items()}
+        pruner = ProbabilisticPruner(FEATURES[:3], PruningConfig(False, False))
+        results = set()
+        for order in permutations(range(3)):
+            moved = reordered_rows(relaxed, list(order))
+            results.add(pruner.compute_bounds(moved, graph_bounds, pruner.prepare(moved)))
+        (only,) = results
+        assert only.usim_covered and only.lsim_covered and only.usim == math.fsum(weight.values())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.quadratic_program import (
@@ -35,6 +37,34 @@ class TestRelaxedQP:
         ]
         x = solve_relaxed_qp(sets, frozenset({"a", "b", "c"}))
         assert all(-1e-9 <= value <= 1 + 1e-9 for value in x)
+
+    def test_solution_does_not_depend_on_how_the_universe_is_numbered(self):
+        """One constraint per distinct membership pattern, in sorted order:
+        SLSQP read the rows in element order before, and its ``x*`` moved in
+        the last bits for half of all renumberings."""
+        stream = random.Random(5)
+        for _ in range(60):
+            size = stream.randint(2, 6)
+            sets = [
+                qp_set(
+                    set_id,
+                    {e for e in range(size) if stream.random() < 0.5} or {stream.randrange(size)},
+                    low := stream.uniform(0.01, 0.5),
+                    low + stream.uniform(0.0, 0.3),
+                )
+                for set_id in range(stream.randint(2, 5))
+            ]
+            renumbered = list(range(size))
+            stream.shuffle(renumbered)
+            moved = [
+                qp_set(s.set_id, {renumbered[e] for e in s.members}, s.lower_weight, s.upper_weight)
+                for s in sets
+            ]
+            universe = frozenset(range(size))
+            assert (
+                solve_relaxed_qp(sets, universe).tobytes()
+                == solve_relaxed_qp(moved, universe).tobytes()
+            )
 
 
 class TestRounding:

@@ -1,12 +1,20 @@
-"""Tests for relaxed query set generation (Lemma 1's U set)."""
+"""Tests for relaxed query set generation (Lemma 1's U set): the row-based
+``relax_query`` held to the copy-and-canonicalise algorithm it replaced
+(``reference_relax``, the oracle), its stated order, and its sequence surface."""
 
 from __future__ import annotations
 
+import pickle
+from collections import Counter
+from itertools import combinations
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import RelaxationConfig, relax_query
-from repro.exceptions import QueryError
-from repro.graphs import LabeledGraph
+from repro.exceptions import ConfigurationError, QueryError
+from repro.graphs import LabeledGraph, VariantRows
 from repro.graphs.canonical import canonical_form
 
 
@@ -44,16 +52,29 @@ class TestBasicRelaxation:
         forms = [canonical_form(r) for r in relaxed]
         assert len(forms) == len(set(forms))
 
-    def test_variants_are_ordered_by_canonical_form(self, square_query):
-        """The output order is the sorted canonical strings (relax_query
-        sorts the keys it already holds instead of recomputing them)."""
+    def test_variants_are_in_discovery_order(self, square_query):
+        """δ-subsets in ``combinations`` order over the repr-sorted edge keys,
+        the first member of each isomorphism class kept."""
         pentagon_tail = build(
             {0: "a", 1: "b", 2: "a", 3: "c", 4: "b"},
             [(0, 1, "x"), (1, 2, "y"), (2, 3, "x"), (3, 4, "x"), (0, 4, "y"), (1, 3, "x")],
         )
+        tail_edges = [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)]
+        expected = {
+            # the square's six pairs fall into three classes, met at its first three pairs
+            (id(square_query), 2): [((0, 1), (0, 3)), ((0, 1), (1, 2)), ((0, 1), (2, 3))],
+            # no two deletions of the pentagon with a tail are isomorphic
+            (id(pentagon_tail), 1): list(combinations(tail_edges, 1)),
+            (id(pentagon_tail), 2): list(combinations(tail_edges, 2)),
+        }
         for query, delta in ((square_query, 2), (pentagon_tail, 1), (pentagon_tail, 2)):
-            forms = [canonical_form(r) for r in relax_query(query, delta)]
-            assert forms == sorted(forms)
+            relaxed = relax_query(query, delta)
+            assert relaxed.edges == tuple(sorted(query.edge_keys(), key=repr))
+            deleted = [
+                tuple(key for key in relaxed.edges if not variant.has_edge(*key))
+                for variant in relaxed
+            ]
+            assert deleted == expected[id(query), delta]
 
     def test_isolated_vertices_dropped_by_default(self):
         star = build({0: "a", 1: "b", 2: "c"}, [(0, 1, "x"), (0, 2, "x")])
@@ -81,6 +102,11 @@ class TestBasicRelaxation:
         relaxed = relax_query(square_query, 2, RelaxationConfig(max_variants=2))
         assert len(relaxed) <= 2
 
+    def test_binding_cap_keeps_the_first_variants_in_order(self, square_query):
+        whole = relax_query(square_query, 2)
+        capped = relax_query(square_query, 2, RelaxationConfig(max_variants=2))
+        assert len(whole) == 3 and list(capped) == whole[:2]
+
 
 class TestRelabelings:
     def test_relabel_variants_added(self):
@@ -93,6 +119,14 @@ class TestRelabelings:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("cap", [0, -1, 1.5, True, None])
+    def test_a_cap_that_would_empty_the_set_is_rejected(self, cap):
+        """``max_variants=0`` used to plan every query to an empty ``U``:
+        nothing verified, nothing answered, no error."""
+        with pytest.raises(ConfigurationError, match="max_variants"):
+            RelaxationConfig(max_variants=cap)
+        assert RelaxationConfig(max_variants=1).max_variants == 1
+
     def test_negative_distance_rejected(self, square_query):
         with pytest.raises(QueryError):
             relax_query(square_query, -1)
@@ -104,3 +138,188 @@ class TestValidation:
     def test_empty_query_rejected(self):
         with pytest.raises(QueryError):
             relax_query(LabeledGraph.from_edges({0: "a"}, []), 0)
+
+
+# ----------------------------------------------------------------------
+# the oracle: the algorithm relax_query replaced, kept verbatim
+# ----------------------------------------------------------------------
+def reference_relax(query, distance_threshold, config=None, edge_label_alphabet=None):
+    """One copy of the query per δ-subset, each canonicalised; the result
+    sorted by canonical string (the order production no longer keeps)."""
+    cfg = config or RelaxationConfig()
+    if distance_threshold == 0:
+        return [query.copy()]
+    edge_keys = sorted(query.edge_keys(), key=repr)
+    variants: dict[str, LabeledGraph] = {}
+    for deletion in combinations(edge_keys, distance_threshold):
+        relaxed = query.copy()
+        for u, v in deletion:
+            relaxed.remove_edge(u, v)
+        if cfg.drop_isolated_vertices:
+            relaxed.remove_isolated_vertices()
+        if relaxed.num_edges == 0:
+            continue
+        if cfg.require_connected and not relaxed.is_connected():
+            continue
+        key = canonical_form(relaxed)
+        if key not in variants:
+            variants[key] = relaxed
+        if cfg.include_relabelings and edge_label_alphabet:
+            for relabeled in _reference_relabelings(query, deletion, edge_label_alphabet, cfg):
+                relabel_key = canonical_form(relabeled)
+                if relabel_key not in variants:
+                    variants[relabel_key] = relabeled
+                if len(variants) >= cfg.max_variants:
+                    break
+        if len(variants) >= cfg.max_variants:
+            break
+    ordered = [variants[key] for key in sorted(variants)]
+    return ordered[: cfg.max_variants]
+
+
+def _reference_relabelings(query, deletion, edge_label_alphabet, cfg):
+    variants = []
+    for u, v in deletion:
+        original_label = query.edge_label(u, v)
+        for label in edge_label_alphabet:
+            if label == original_label:
+                continue
+            relabeled = query.copy()
+            for du, dv in deletion:
+                relabeled.remove_edge(du, dv)
+            relabeled.add_edge(u, v, label)
+            if cfg.drop_isolated_vertices:
+                relabeled.remove_isolated_vertices()
+            if relabeled.num_edges == 0:
+                continue
+            if cfg.require_connected and not relabeled.is_connected():
+                continue
+            variants.append(relabeled)
+    return variants
+
+
+ALPHABET = ["x", "y"]
+UNCAPPED = 10_000
+CONFIGS = {
+    "default": {},
+    "connected": {"require_connected": True},
+    "isolated_kept": {"drop_isolated_vertices": False},
+    "connected_isolated_kept": {"require_connected": True, "drop_isolated_vertices": False},
+    "relabelings": {"include_relabelings": True},
+}
+
+
+@st.composite
+def relaxation_cases(draw):
+    """A connected query of 3-7 edges over few labels — 1-3 vertex labels, 1-2
+    edge labels, so invariants collide and isomorphic duplicates exist — and a δ."""
+    vertex_labels = "abc"[: draw(st.integers(1, 3))]
+    edge_labels = ALPHABET[: draw(st.integers(1, 2))]
+    num_edges = draw(st.integers(3, 7))
+    graph = LabeledGraph()
+    graph.add_vertex(0, draw(st.sampled_from(vertex_labels)))
+    while graph.num_edges < num_edges:
+        n = graph.num_vertices
+        missing = [(u, v) for u in range(n) for v in range(u + 1, n) if not graph.has_edge(u, v)]
+        if missing and draw(st.booleans()):  # close a cycle
+            u, v = draw(st.sampled_from(missing))
+        else:  # grow the tree
+            u, v = draw(st.integers(0, n - 1)), n
+            graph.add_vertex(v, draw(st.sampled_from(vertex_labels)))
+        graph.add_edge(u, v, draw(st.sampled_from(edge_labels)))
+    return graph, draw(st.integers(1, min(3, num_edges - 1)))
+
+
+def forms_of(variants) -> Counter:
+    return Counter(canonical_form(variant) for variant in variants)
+
+
+class TestAgainstTheReference:
+    SETTINGS = settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+
+    @pytest.mark.parametrize("flags", CONFIGS.values(), ids=CONFIGS)
+    @SETTINGS
+    @given(case=relaxation_cases())
+    def test_same_isomorphism_classes(self, flags, case):
+        query, delta = case
+        config = RelaxationConfig(max_variants=UNCAPPED, **flags)
+        relaxed = relax_query(query, delta, config, edge_label_alphabet=ALPHABET)
+        reference = reference_relax(query, delta, config, edge_label_alphabet=ALPHABET)
+        assert forms_of(relaxed) == forms_of(reference)
+        assert set(forms_of(relaxed).values()) <= {1}  # no class twice
+        for position, variant in enumerate(relaxed):
+            assert variant.is_subgraph_of(query) != (position in relaxed.loners)
+            assert variant.num_edges == query.num_edges - delta + (position in relaxed.loners)
+
+    @pytest.mark.parametrize("flags", CONFIGS.values(), ids=CONFIGS)
+    @SETTINGS
+    @given(case=relaxation_cases(), cap=st.integers(1, 4))
+    def test_a_binding_cap_keeps_distinct_members_of_the_whole_set(self, flags, case, cap):
+        query, delta = case
+        whole = reference_relax(
+            query, delta, RelaxationConfig(max_variants=UNCAPPED, **flags), ALPHABET
+        )
+        capped = relax_query(query, delta, RelaxationConfig(max_variants=cap, **flags), ALPHABET)
+        assert len(capped) == min(cap, len(whole))
+        assert set(forms_of(capped).values()) <= {1}
+        assert forms_of(capped).keys() <= forms_of(whole).keys()
+        # ... and they are the first ones of the uncapped order
+        uncapped = relax_query(
+            query, delta, RelaxationConfig(max_variants=UNCAPPED, **flags), ALPHABET
+        )
+        assert list(capped) == uncapped[: len(capped)]
+
+    @SETTINGS
+    @given(case=relaxation_cases(), flags=st.sampled_from(list(CONFIGS.values())))
+    def test_the_result_is_a_sequence_of_graphs(self, case, flags):
+        query, delta = case
+        relaxed = relax_query(query, delta, RelaxationConfig(**flags), ALPHABET)
+        assert isinstance(relaxed, VariantRows) and relaxed.materialized_count() == 0
+        items = list(relaxed)
+        assert len(items) == len(relaxed) == relaxed.materialized_count() + len(relaxed.loners)
+        assert all(isinstance(item, LabeledGraph) and item.name == query.name for item in items)
+        assert all(relaxed[k] is items[k] for k in range(len(items)))  # built once
+        assert relaxed[1:] == items[1:] and relaxed[:-1] == items[:-1]
+        if items:  # require_connected can leave nothing
+            assert relaxed[-1] is items[-1] and items[0] in relaxed
+        with pytest.raises(IndexError):
+            relaxed[len(items)]
+        shipped = pickle.loads(pickle.dumps(relaxed, protocol=pickle.HIGHEST_PROTOCOL))
+        assert shipped.materialized_count() == 0  # masks travel, graphs do not
+        assert list(shipped) == items and shipped.base == query
+        assert (shipped.held == relaxed.held).all() and shipped.loners == relaxed.loners
+        # each row is its graph: edges and vertices kept
+        for k in relaxed.members.tolist():
+            kept = {key for key, held in zip(relaxed.edges, relaxed.kept[k]) if held}
+            present = {v for v, held in zip(relaxed.vertices, relaxed.present[k]) if held}
+            assert (set(items[k].edge_keys()), set(items[k].vertices())) == (kept, present)
+
+
+class TestVariantRows:
+    def test_any_graph_list_classifies_into_rows_and_loners(self, square_query):
+        path = square_query.copy()
+        path.remove_edge(0, 3)
+        relabeled = square_query.copy()
+        relabeled.add_edge(0, 3, "y")
+        elsewhere = build({7: "a", 8: "b"}, [(7, 8, "x")])
+        edgeless = build({0: "a"}, [])
+        rows = VariantRows.of(square_query, [path, relabeled, elsewhere, edgeless])
+        assert rows.members.tolist() == [0] and sorted(rows.loners) == [1, 2, 3]
+        assert list(rows) == [path, relabeled, elsewhere, edgeless] and rows[0] is path
+        assert rows.kept.tolist()[0] == [True, False, True, True]
+        assert rows.present.all(axis=1).tolist() == [True, False, False, False]
+        assert VariantRows.of(square_query, rows) is rows
+
+    def test_holding_is_an_edge_subset_test(self, square_query):
+        rows = relax_query(square_query, 1)  # one class: three of the four edges
+        (kept,) = (set(variant.edge_keys()) for variant in rows)
+        (gone,) = set(square_query.edge_keys()) - kept
+        inside = sorted(kept)[:2]
+        assert rows.holding([inside, [gone], [gone, inside[0]], []]).tolist() == [
+            [True],
+            [False],
+            [False],
+            [True],
+        ]
