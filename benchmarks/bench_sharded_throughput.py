@@ -114,7 +114,9 @@ def _worker_probe(delay: float) -> dict:
 
     materialized_bytes = 0
     materialized_graphs = 0
+    live_graphs = 0  # of the shards this worker has served
     for shard in sharding._WORKER_SHARDS.values():
+        live_graphs += shard.spec.size
         # a worker's graph view is base + delta (SegmentedGraphList); its
         # counters sum both halves, and a view without them should fail here
         materialized_bytes += shard.graphs.materialized_bytes()
@@ -131,6 +133,7 @@ def _worker_probe(delay: float) -> dict:
         "pid": os.getpid(),
         "materialized_graph_bytes": materialized_bytes,
         "materialized_graphs": materialized_graphs,
+        "live_graphs": live_graphs,
         "private_dirty_kb": private_dirty_kb,
     }
 
@@ -265,6 +268,10 @@ def run_benchmark(profile: dict) -> dict:
         "spinup_worker_private_dirty_kb": [
             probe["private_dirty_kb"] for probe in shm_spinup["probes"]
         ],
+        "post_query_materialized_of_live_graphs": [
+            (probe["materialized_graphs"], probe["live_graphs"])
+            for probe in throughput["post_query_probes"]
+        ],
         "post_query_materialized_graph_bytes": max(
             (
                 probe["materialized_graph_bytes"]
@@ -355,6 +362,13 @@ def main() -> None:
         f"per-worker spin-up payload {report['initializer_payload_bytes']} B "
         f"exceeds {SPINUP_BYTES_CEILING_FRACTION:.0%} of the published shard "
         f"plane ({report['shard_plane_bytes']} B)"
+    )
+    # and the read path opens candidates only: a worker holding every live
+    # graph of the shards it served read graphs the filters had discarded
+    served = [pair for pair in report["post_query_materialized_of_live_graphs"] if pair[1]]
+    assert served and all(materialized < live for materialized, live in served), (
+        f"(deserialized, live) graphs per worker {served}: something on the read "
+        "path opens graphs that are not candidates"
     )
     under_xdist = "PYTEST_XDIST_WORKER" in os.environ
     if (

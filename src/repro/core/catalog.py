@@ -17,10 +17,10 @@ Lifecycle of one shard's storage::
                                                  the same external id
 
 At query time the planner stages evaluate base *and* delta columns — the
-structural deficit test runs one vectorized pass per segment, the PMI stage
-reads zero-copy rows from whichever segment owns the candidate — and the
-tombstone mask is applied before any stage runs, so dead rows cost nothing
-beyond their (reclaimable-by-compaction) storage.
+structural deficit test and the signature bound each run one vectorized pass
+per segment, the PMI stage reads zero-copy rows from whichever segment owns
+the candidate — and the tombstone mask is applied before any stage runs, so
+dead rows cost nothing beyond their (reclaimable-by-compaction) storage.
 
 **Determinism contract.**  Every graph carries a *stable external id*,
 assigned at :meth:`add_graph` time and preserved across
@@ -85,8 +85,9 @@ explicit, offline decision.
 (:meth:`persist`, or ``directory=`` on :meth:`build` / :meth:`from_index`):
 the current state is snapshotted — per shard, the graphs (JSON database),
 the base PMI (npz + JSON), and the structural count matrix, all written
-atomically — and from then on every ``add_graph`` / ``remove_graph`` /
-``update_graph`` appends one checksummed, fsync'd record to the generation's
+atomically (the index's signature postings are derived: re-read off the graphs
+by :meth:`open`, never written) — and from then on every ``add_graph`` /
+``remove_graph`` / ``update_graph`` appends one checksummed, fsync'd record to the generation's
 write-ahead log (:mod:`repro.core.wal`) *before* the in-memory mutation
 applies.  :meth:`open` reverses the recipe: load the snapshot named by the
 atomically swapped ``CURRENT`` pointer, truncate a torn final WAL record if
@@ -134,7 +135,7 @@ from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.pmi.bounds import BoundConfig
 from repro.pmi.features import FeatureMiner, FeatureSelectionConfig
 from repro.pmi.index import PMIRow, ProbabilisticMatrixIndex
-from repro.structural.feature_index import StructuralFeatureIndex
+from repro.structural.feature_index import SignaturePostings, StructuralFeatureIndex
 from repro.utils.atomic_io import (
     atomic_write_text,
     atomic_writer,
@@ -231,10 +232,11 @@ class SegmentedPmiView:
 class SegmentedStructuralView:
     """Structural-index protocol over a base segment and a delta segment.
 
-    ``deficit_prunable_mask`` evaluates the vectorized Grafil test once per
-    segment and concatenates — base columns and delta columns, exactly as the
-    catalog stores them — leaving the caller (the pipeline's structural
-    stage) to apply the tombstone mask via its ``active`` argument.
+    ``deficit_prunable_mask`` and ``signature_missing`` evaluate their
+    vectorized test once per segment and concatenate — base rows and delta
+    rows, exactly as the catalog stores them — leaving the caller (the
+    pipeline's structural stage) to apply the tombstone mask via its
+    ``active`` argument.
     """
 
     def __init__(
@@ -271,6 +273,18 @@ class SegmentedStructuralView:
                 self.delta.deficit_prunable_mask(query_profile, distance_threshold),
             ]
         )
+
+    def signature_missing(self, query: LabeledGraph) -> np.ndarray:
+        return np.concatenate(
+            [self.base.signature_missing(query), self.delta.signature_missing(query)]
+        )
+
+
+def _signatures_of(graphs) -> SignaturePostings:
+    """The structural index's derived segment for ``graphs`` as its rows: read
+    off the graphs wherever a store takes rows in (open, append, compact),
+    because it is never written to a snapshot or a WAL record."""
+    return SignaturePostings.build(graph.skeleton for graph in graphs)
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +339,13 @@ class _ShardStore:
         structural_row: StructuralFeatureIndex,
     ) -> int:
         """Append one graph's already computed one-row segments to the delta;
-        returns its storage row.  Pure row movement: nothing here can refuse
-        the graph, so it is safe to run after the mutation has been logged."""
+        returns its storage row.  Pure row movement (the delta's signature
+        postings are re-read off its graphs' memoised counts): nothing here
+        can refuse the graph, so it is safe to run after the mutation has been
+        logged."""
+        # every column is replaced, never grown in place: a DatabaseShard
+        # handed out by make_shard() stays the snapshot it was
+        graphs = [*self.graphs, graph]
         self.delta_pmi = ProbabilisticMatrixIndex.concat_rows([self.delta_pmi, pmi_row])
         self.delta_structural = StructuralFeatureIndex.from_counts(
             self.delta_structural.features,
@@ -335,10 +354,9 @@ class _ShardStore:
             ),
             embedding_limit=self.delta_structural.embedding_limit,
             copy=False,  # the stacked matrix is already a fresh int32 buffer
+            signatures=_signatures_of(graphs[self.base_pmi.num_graphs :]),
         )
-        # every column is replaced, never grown in place: a DatabaseShard
-        # handed out by make_shard() stays the snapshot it was
-        self.graphs = [*self.graphs, graph]
+        self.graphs = graphs
         self.external_ids = np.append(self.external_ids, np.int64(external_id))
         self.tombstone = np.append(self.tombstone, False)
         return len(self.graphs) - 1
@@ -754,6 +772,7 @@ class GraphCatalog:
                 pmi.features,
                 counts,
                 embedding_limit=pmi.feature_config.embedding_limit,
+                signatures=_signatures_of(graphs),
             )
             stores.append(_ShardStore(graphs, external_ids, pmi, structural))
         catalog = cls(
@@ -1108,6 +1127,7 @@ class GraphCatalog:
                             self.features,
                             counts[spec.start : spec.stop],
                             embedding_limit=self._feature_config.embedding_limit,
+                            signatures=_signatures_of(graphs[spec.start : spec.stop]),
                         ),
                     )
                 )

@@ -209,8 +209,8 @@ class QueryPlanner:
         self.active_mask = active_mask
         # a lazy view, not a list: planners over shared-memory shards hold a
         # LazyGraphList, and enumerating skeletons here would deserialize
-        # every graph up front — the structural filter only touches the
-        # skeletons of deficit-test survivors
+        # every graph up front — the structural filter reads the index and
+        # opens a skeleton only under exact_check
         self.skeletons = SkeletonSequence(graphs)
         self.structural_filter = StructuralFilter(structural_index, self.skeletons)
         self.pruner = ProbabilisticPruner(pmi.features)

@@ -40,16 +40,17 @@ PMI and structural matrices.  The planner instead *publishes* each shard
 into ``multiprocessing.shared_memory``, split by the two lifetimes a catalog
 shard has:
 
-* the **base** — base PMI matrices, base structural counts, base ids, the
-  base graphs as per-graph pickle blobs, features and configs — goes once
+* the **base** — base PMI matrices, base structural counts and signature
+  postings, base ids, the base graphs as per-graph pickle blobs, features and
+  configs — goes once
   into one :class:`~repro.utils.shm.ShardArena` segment
   (:func:`publish_base`) and stays until the catalog compacts.  Workers
   receive only O(1) :class:`ShardDescriptor`\\ s — segment name, dtypes,
   shapes, offsets — in the pool initializer, attach read-only on first use
   and keep the mapping.  Base graphs deserialize lazily per candidate, so a
-  worker's private memory holds only the graphs its queries actually reached;
-* the **delta** — delta PMI rows and counts, delta ids and graphs, the
-  tombstoned rows — goes into a small self-describing segment
+  worker's private memory holds only the graphs its queries verified;
+* the **delta** — delta PMI rows, counts and postings, delta ids and graphs,
+  the tombstoned rows — goes into a small self-describing segment
   (:func:`publish_delta`) that is republished whenever that shard mutates.
   A pool task names the delta segment it must run against; a worker that has
   not seen that name copies the delta out, detaches at once, and rebuilds
@@ -90,7 +91,7 @@ from repro.exceptions import ConfigurationError, IndexError_
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.pmi.index import ProbabilisticMatrixIndex
-from repro.structural.feature_index import StructuralFeatureIndex
+from repro.structural.feature_index import SignaturePostings, StructuralFeatureIndex
 from repro.utils.shm import (
     ArenaDescriptor,
     AttachedArena,
@@ -220,7 +221,7 @@ class ShardDescriptor:
     """The O(1) handle a worker needs to attach one shard's published base.
 
     Pickling this costs bytes proportional to the number of arena *fields*
-    (ten name/dtype/shape/offset tuples), never to the shard's data — the
+    (thirteen name/dtype/shape/offset tuples), never to the shard's data — the
     regression tests assert exactly that.
     """
 
@@ -260,17 +261,22 @@ def publish_base(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
     """Pack a shard's immutable base into a shared-memory arena.
 
     Everything here stays put until the catalog compacts: the five base PMI
-    matrices, the base structural counts and the base rows' external ids are
-    copied bit-for-bit into the segment, so a worker's attached view reads
-    the exact cells the parent computed and answers cannot drift.  The base
-    graphs go in as back-to-back per-graph pickles with an offset table (lazy
-    deserialization on the worker); everything non-array (features, configs,
-    the sparse chosen-set dict) rides in one pickled ``meta`` blob.
+    matrices, the base structural counts, the base signature postings and the
+    base rows' external ids are copied bit-for-bit into the segment, so a
+    worker's attached view reads the exact cells the parent computed and
+    answers cannot drift.  The base graphs go in as back-to-back per-graph
+    pickles with an offset table (lazy deserialization on the worker);
+    everything non-array (features, configs, the sparse chosen-set dict, the
+    signature dictionary) rides in one pickled ``meta`` blob.
     """
     pmi, structural = _segmented_views(shard)
     base_rows = pmi.base.num_graphs
+    signatures = structural.base.signatures
     arrays = {f"pmi_{key}": array for key, array in pmi.base.arena_arrays().items()}
     arrays["counts"] = np.asarray(structural.base.counts_matrix())
+    arrays["signature_offsets"] = signatures.code_offsets
+    arrays["signature_rows"] = signatures.rows
+    arrays["signature_counts"] = signatures.counts
     arrays["graph_ids"] = np.asarray(shard.graph_ids[:base_rows], dtype=np.int64)
     arrays["graph_offsets"], graphs = _pack_graphs(shard.graphs[:base_rows])
     meta = {
@@ -278,6 +284,7 @@ def publish_base(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
         "feature_config": pmi.base.feature_config,
         "bound_config": pmi.base.bound_config,
         "embedding_limit": structural.base.embedding_limit,
+        "signatures": list(signatures.codes),  # position = code
         "pmi": pmi.base.arena_meta(),
     }
     arena = ShardArena.pack(
@@ -289,8 +296,8 @@ def publish_base(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
 def publish_delta(shard: DatabaseShard) -> tuple[str, int]:
     """Publish what mutations change; returns the segment's name and bytes.
 
-    The delta PMI rows and structural counts, the delta rows' external ids
-    and graphs, the storage rows that are tombstoned and the live-row spec go
+    The delta PMI rows, structural counts and signature postings, the delta
+    rows' external ids and graphs, the tombstoned storage rows and the spec go
     into one self-describing blob segment (:func:`repro.utils.shm.publish_blob`).
     Its size follows the delta and the tombstones, never the base: the base
     id column is in the base arena and the tombstone mask travels as the
@@ -305,6 +312,7 @@ def publish_delta(shard: DatabaseShard) -> tuple[str, int]:
             "pmi": pmi.delta.arena_arrays(),
             "pmi_meta": pmi.delta.arena_meta(),
             "counts": np.asarray(structural.delta.counts_matrix()),
+            "signatures": structural.delta.signatures,
             "graph_ids": np.asarray(shard.graph_ids[base_rows:], dtype=np.int64),
             "dead_rows": np.flatnonzero(~np.asarray(shard.active_mask, dtype=bool)),
             "graph_offsets": graph_offsets,
@@ -335,6 +343,13 @@ def _attach_base(descriptor: ShardDescriptor):
         arena.array("counts"),
         embedding_limit=meta["embedding_limit"],
         copy=False,
+        signatures=SignaturePostings(
+            {signature: code for code, signature in enumerate(meta["signatures"])},
+            arena.array("signature_offsets"),
+            arena.array("signature_rows"),
+            arena.array("signature_counts"),
+            len(arena.array("graph_ids")),
+        ),
     )
     graphs = LazyGraphList(
         arena.blob("graphs"), arena.array("graph_offsets"), owner=arena
@@ -400,6 +415,7 @@ def materialize_shard(
                 delta["counts"],
                 embedding_limit=base_structural.embedding_limit,
                 copy=False,
+                signatures=delta["signatures"],
             ),
         ),
         graph_ids=graph_ids,

@@ -275,14 +275,21 @@ class LabeledGraph:
 
         Memoised against :attr:`mutation_version` (the way
         ``generic_join.compile_edge_table`` memoises its table): the
-        structural filter asks for it per (query, candidate) pair.  Treat the
-        returned ``Counter`` as read-only; any mutation of the graph makes
-        the next call build a fresh one.
+        structural index reads it when a graph is indexed, matching when it is
+        a candidate.  Treat the returned ``Counter`` as read-only; any mutation
+        of the graph makes the next call build a fresh one.
         """
         cached = self.__dict__.get("_edge_signature_counts")
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        signatures = Counter(map(self.edge_signature, self._edge_labels))
+        # each label's repr once per graph, not once per edge endpoint
+        reprs = {v: sys.intern(repr(label)) for v, label in self._vertex_labels.items()}
+        signatures = Counter(
+            [
+                ((reprs[u], reprs[v]) if reprs[u] <= reprs[v] else (reprs[v], reprs[u]), label)
+                for (u, v), label in self._edge_labels.items()
+            ]
+        )
         self.__dict__["_edge_signature_counts"] = (self._version, signatures)
         return signatures
 

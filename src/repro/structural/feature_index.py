@@ -20,6 +20,9 @@ reproduce its core counting filter:
 Counts are stored as a dense ``int32`` matrix ``counts[graph, feature]`` so
 the per-query deficit test runs as one vectorized pass over the whole
 database (:meth:`deficit_prunable_mask`) instead of a per-graph dict walk.
+Beside it sits a second segment, :class:`SignaturePostings`: every graph's
+edge-signature counts, inverted, from which :meth:`signature_missing` reads the
+edge-signature distance bound of the whole database without opening a graph.
 """
 
 from __future__ import annotations
@@ -41,13 +44,88 @@ from repro.utils.rows import resolve_row_selector
 from repro.exceptions import ConfigurationError, StateError
 
 
+class SignaturePostings:
+    """Per-graph edge-signature counts as an inverted index.
+
+    ``codes`` numbers the distinct signatures (:meth:`LabeledGraph.edge_signature`)
+    in first-seen order; signature ``c`` occurs ``counts[k]`` times in graph
+    ``rows[k]`` for ``k`` in ``code_offsets[c]:code_offsets[c + 1]``, each graph
+    at most once.  Bytes follow the edges, not the label alphabet.  Derived from
+    the graphs wherever they are loaded, never persisted.
+    """
+
+    def __init__(self, codes: dict, code_offsets, rows, counts, num_graphs: int) -> None:
+        self.codes = codes
+        self.code_offsets = code_offsets
+        self.rows = rows
+        self.counts = counts
+        self.num_graphs = num_graphs
+
+    @classmethod
+    def from_entries(cls, codes: dict, entry_codes, rows, counts, num_graphs: int):
+        """Group ``(signature code, graph, count)`` entries by code."""
+        order = np.argsort(entry_codes, kind="stable")
+        offsets = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(entry_codes, minlength=len(codes)), out=offsets[1:])
+        return cls(
+            codes, offsets, rows[order].astype(np.int32), counts[order].astype(np.int32), num_graphs
+        )
+
+    @classmethod
+    def build(cls, skeletons) -> "SignaturePostings":
+        """Index ``edge_signature_counts()`` of every skeleton, in order."""
+        counters = [skeleton.edge_signature_counts() for skeleton in skeletons]
+        codes: dict = {}
+        entry_codes = [codes.setdefault(s, len(codes)) for counter in counters for s in counter]
+        counts = [count for counter in counters for count in counter.values()]
+        rows = np.repeat(np.arange(len(counters)), [len(counter) for counter in counters])
+        return cls.from_entries(
+            codes,
+            np.array(entry_codes, dtype=np.int64),
+            rows,
+            np.array(counts, dtype=np.int64),
+            len(counters),
+        )
+
+    def take(self, graph_ids) -> "SignaturePostings":
+        """Row ``k`` of the result is old row ``graph_ids[k]`` (any order, repeats kept)."""
+        ids = np.arange(self.num_graphs)[graph_ids]
+        by_row = np.argsort(self.rows, kind="stable")
+        starts = np.searchsorted(self.rows[by_row], np.arange(self.num_graphs + 1))
+        lengths = starts[ids + 1] - starts[ids]
+        first = np.cumsum(lengths) - lengths  # where each picked row's entries land
+        picked = by_row[np.repeat(starts[ids] - first, lengths) + np.arange(lengths.sum())]
+        entry_codes = np.repeat(np.arange(len(self.codes)), np.diff(self.code_offsets))
+        return self.from_entries(
+            self.codes,
+            entry_codes[picked],
+            np.repeat(np.arange(ids.size), lengths),
+            self.counts[picked],
+            ids.size,
+        )
+
+    def missing(self, query: LabeledGraph) -> np.ndarray:
+        """``|E(q)| − Σ_sig min(cnt_q, cnt_g)`` for every graph ``g``: the query
+        edges no edge of ``g`` can absorb (a signature outside the dictionary
+        is missing from every graph)."""
+        matched = np.zeros(self.num_graphs, dtype=np.int64)
+        for signature, count in query.edge_signature_counts().items():
+            code = self.codes.get(signature)
+            if code is not None:
+                span = slice(self.code_offsets[code], self.code_offsets[code + 1])
+                matched[self.rows[span]] += np.minimum(self.counts[span], count)
+        return query.num_edges - matched
+
+
 class StructuralFeatureIndex:
-    """Columnar per-graph feature occurrence counts for the structural filter."""
+    """Columnar per-graph feature occurrence counts — and edge-signature
+    postings — for the structural filter."""
 
     def __init__(self, embedding_limit: int = 64) -> None:
         self.embedding_limit = embedding_limit
         self.features: list[Feature] = []
         self._counts: np.ndarray = np.empty((0, 0), dtype=np.int32)
+        self.signatures = SignaturePostings.build(())
         self._feature_pos: dict[int, int] = {}
         self._built = False
 
@@ -58,9 +136,12 @@ class StructuralFeatureIndex:
         counts: np.ndarray,
         embedding_limit: int = 64,
         copy: bool = True,
+        signatures: SignaturePostings | None = None,
     ) -> "StructuralFeatureIndex":
         """Reconstruct an index from a persisted ``counts[graph, feature]``
         matrix (the snapshot-open path), skipping embedding enumeration.
+        ``signatures`` is the same rows' second segment; an index over any
+        rows without it can count deficits but not :meth:`signature_missing`.
 
         ``copy=False`` adopts the matrix as-is — the shared-memory attach
         path, where ``counts`` is a read-only ``int32`` view into a shard
@@ -85,6 +166,8 @@ class StructuralFeatureIndex:
                     f"copy=False requires an int32 counts matrix, got {counts.dtype}"
                 )
             index._counts = counts
+        if signatures is not None:
+            index.signatures = signatures
         index._built = True
         return index
 
@@ -97,6 +180,7 @@ class StructuralFeatureIndex:
             feature.feature_id: column for column, feature in enumerate(self.features)
         }
         self._counts = self._count_matrix(skeletons)
+        self.signatures = SignaturePostings.build(skeletons)
         self._built = True
         return self
 
@@ -132,6 +216,8 @@ class StructuralFeatureIndex:
         sub.features = list(self.features)
         sub._feature_pos = dict(self._feature_pos)
         sub._counts = self._counts[selector]
+        if self.signatures.num_graphs == self.num_graphs:  # else: restored without them
+            sub.signatures = self.signatures.take(selector)
         sub._built = True
         return sub
 
@@ -236,6 +322,13 @@ class StructuralFeatureIndex:
             deficit = stats["count"] - self._counts[:, column]
             mask |= deficit > allowance
         return mask
+
+    def signature_missing(self, query: LabeledGraph) -> np.ndarray:
+        """Per graph, ``signature_distance_lower_bound(query, skeleton)`` — a
+        lower bound on ``dis(query, g)`` — in one pass over the postings."""
+        if self.signatures.num_graphs != self.num_graphs:
+            raise StateError("this structural index was restored without its signature segment")
+        return self.signatures.missing(query)
 
     def graph_ids(self) -> list[int]:
         return list(range(self._counts.shape[0]))

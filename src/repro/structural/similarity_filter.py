@@ -4,11 +4,14 @@ If the query is not subgraph-similar to the deterministic skeleton ``gc``
 (all uncertainty removed) its subgraph similarity probability is zero, so the
 graph can be discarded before any probabilistic work.  The filter combines:
 
-1. a label-multiset quick check (a query edge signature the skeleton lacks
-   must be relaxed away, so more than ``δ`` missing signatures ⇒ prune);
-2. the feature-count filter of :class:`StructuralFeatureIndex` (Grafil [38]);
+1. the feature-count deficit test of :class:`StructuralFeatureIndex` (Grafil [38]);
+2. the edge-signature bound (a query edge whose signature the skeleton cannot
+   absorb must be relaxed away, so more than ``δ`` of them ⇒ prune), read off
+   the index's signature postings;
 3. optionally, an exact subgraph-similarity check (VF2 over relaxations) for
    callers that want the candidate set to be exactly ``SCq``.
+
+1 and 2 are array passes over the index; only 3 opens a graph.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.isomorphism.mcs import is_subgraph_similar, signature_distance_lower_bound
+from repro.isomorphism.mcs import is_subgraph_similar
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.timer import Timer
 from repro.exceptions import StateError
@@ -50,8 +53,8 @@ class StructuralFilter:
             raise StateError("the structural feature index must be built first")
         self.index = index
         # kept as the sequence given, NOT listed: the planner passes a lazy
-        # per-graph view over shared-memory shards, and only the skeletons
-        # of deficit-test survivors are ever indexed below
+        # per-graph view over shared-memory shards, and only the exact check
+        # ever indexes it
         self.skeletons = skeletons
         self.exact_check = exact_check
 
@@ -78,24 +81,20 @@ class StructuralFilter:
         ``active`` restricts the work to a candidate subset (graphs outside
         it come back False without being examined) — this is the pipeline
         entry point, where an upstream stage may already have narrowed the
-        candidate set.  The Grafil feature-count deficit (filter 2) is one
-        vectorized pass over the whole index either way; the per-skeleton
-        signature/exact checks only run for active survivors.  ``profile``
-        is the query's count profile when the caller holds it: a plan does, so
-        that every shard reads the planner's instead of re-deriving its own.
+        candidate set.  The Grafil feature-count deficit and the signature
+        bound are each one vectorized pass over the whole index either way;
+        the exact check only runs for active survivors.  ``profile`` is the
+        query's count profile when the caller holds it: a plan does, so that
+        every shard reads the planner's instead of re-deriving its own.
         """
         if profile is None:
             profile = self.index.query_profile(query)
-        feature_pruned = self.index.deficit_prunable_mask(profile, distance_threshold)
-        keep = np.asarray(~feature_pruned, dtype=bool)
+        keep = ~self.index.deficit_prunable_mask(profile, distance_threshold)
+        keep &= self.index.signature_missing(query) <= distance_threshold
         if active is not None:
             keep &= np.asarray(active, dtype=bool)
-        for graph_id in np.flatnonzero(keep):
-            skeleton = self.skeletons[int(graph_id)]
-            if signature_distance_lower_bound(query, skeleton) > distance_threshold:
-                keep[graph_id] = False
-            elif self.exact_check and not is_subgraph_similar(
-                query, skeleton, distance_threshold
-            ):
-                keep[graph_id] = False
+        if self.exact_check:
+            for graph_id in np.flatnonzero(keep):
+                skeleton = self.skeletons[int(graph_id)]
+                keep[graph_id] = is_subgraph_similar(query, skeleton, distance_threshold)
         return keep

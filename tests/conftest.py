@@ -163,3 +163,44 @@ def reordered_rows(rows: VariantRows, order: list[int]) -> VariantRows:
     position ``order[k]`` held (what reads ``U`` must not notice)."""
     loners = {k: rows.loners[old] for k, old in enumerate(order) if old in rows.loners}
     return VariantRows(rows.base, rows.held[order].tolist(), loners)
+
+
+def assert_same_postings(got, want) -> None:
+    """Two ``SignaturePostings`` equal field for field (dictionary order too)."""
+    assert list(got.codes.items()) == list(want.codes.items())
+    assert got.num_graphs == want.num_graphs
+    for name in ("code_offsets", "rows", "counts"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+
+
+def assert_signature_segment_matches_live_graphs(catalog, fresh: bool = False) -> None:
+    """The structural index's derived segment says of every live graph what
+    the graph says of itself: recover ≡ rebuild for a segment no snapshot or
+    WAL record holds.  ``fresh`` (right after ``compact()``): every store's
+    base postings are, array for array, one built over its graphs, and no
+    delta row is left."""
+    from repro.structural.feature_index import SignaturePostings
+
+    held = {}
+    for store in catalog._stores:
+        rows: list[dict] = []
+        for postings in (store.base_structural.signatures, store.delta_structural.signatures):
+            segment = [{} for _ in range(postings.num_graphs)]
+            for signature, code in postings.codes.items():
+                span = slice(postings.code_offsets[code], postings.code_offsets[code + 1])
+                for row, count in zip(postings.rows[span].tolist(), postings.counts[span].tolist()):
+                    assert signature not in segment[row]
+                    segment[row][signature] = count
+            rows += segment
+        assert len(rows) == store.storage_rows
+        held.update(
+            (int(store.external_ids[row]), rows[row]) for row in store.live_positions()
+        )
+        if fresh:
+            built = SignaturePostings.build(graph.skeleton for graph in store.graphs)
+            assert_same_postings(store.base_structural.signatures, built)
+            assert store.delta_structural.signatures.num_graphs == 0
+    assert held == {
+        external_id: dict(graph.skeleton.edge_signature_counts())
+        for external_id, graph in catalog.live_items()
+    }

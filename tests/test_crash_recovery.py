@@ -34,6 +34,7 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.exceptions import CatalogError
 from repro.graphs.io import probabilistic_graph_to_dict
 from repro.pmi import BoundConfig, FeatureSelectionConfig
+from tests.conftest import assert_signature_segment_matches_live_graphs
 from tests.test_catalog_parity import (
     DISTANCE_THRESHOLD,
     PROBABILITY_THRESHOLD,
@@ -198,6 +199,7 @@ def _assert_recovers(directory, prefix_states, num_shards, check_answers):
         assert live in prefix_states, (
             f"recovered database matches no op-sequence prefix; ids={sorted(live)}"
         )
+        assert_signature_segment_matches_live_graphs(recovered)
         if not check_answers:
             return
         query = extract_query(recovered.live_items()[0][1].skeleton, 3, rng=SEED)

@@ -21,6 +21,7 @@ from repro.exceptions import CatalogError, ConfigurationError
 from repro.pmi import ProbabilisticMatrixIndex
 from repro.probability import WorldSampler
 from repro.structural.feature_index import StructuralFeatureIndex
+from tests.conftest import assert_signature_segment_matches_live_graphs
 from tests.test_catalog_parity import (
     BOUND_CONFIG,
     DISTANCE_THRESHOLD,
@@ -183,6 +184,7 @@ class TestRecoveryInvariant:
 
         recovered = GraphCatalog.open(tmp_path / "catalog")
         assert recovered.is_durable
+        assert_signature_segment_matches_live_graphs(recovered)
         reference = rebuild_from_scratch(recovered)
         context = f"ops={ops}"
         assert_result_parity(
@@ -228,6 +230,7 @@ class TestRecoveryInvariant:
             eid: recovered._live[eid] for eid in recovered.live_external_ids()
         }
         assert recovered_placement == placement, f"ops={ops}"
+        assert_signature_segment_matches_live_graphs(recovered)
         reference = rebuild_from_scratch(recovered)
         assert_result_parity(
             recovered.query(
@@ -258,6 +261,8 @@ class TestRecoveryInvariant:
                 query, 3, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=SEED
             )
         ), f"ops={ops}"
+        recovered.compact()
+        assert_signature_segment_matches_live_graphs(recovered, fresh=True)
         recovered.close()
 
     def test_update_survives_as_one_atomic_record(self, tmp_path):

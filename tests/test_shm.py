@@ -40,6 +40,7 @@ from repro.utils.shm import (
     resident_segment_names,
     unlink_segment,
 )
+from tests.conftest import assert_same_postings
 
 SEARCH_CONFIG = SearchConfig(
     verification=VerificationConfig(method="sampling", num_samples=60)
@@ -302,6 +303,10 @@ class TestShardPlaneCleanup:
                     np.asarray(getattr(clone.structural_index, segment).counts_matrix()),
                     np.asarray(getattr(shard.structural_index, segment).counts_matrix()),
                 )
+                assert_same_postings(
+                    getattr(clone.structural_index, segment).signatures,
+                    getattr(shard.structural_index, segment).signatures,
+                )
             np.testing.assert_array_equal(clone.graph_ids, shard.graph_ids)
             np.testing.assert_array_equal(clone.active_mask, shard.active_mask)
             assert len(clone.graphs) == len(shard.graphs)
@@ -325,6 +330,9 @@ class TestShardPlaneCleanup:
             assert delta_name in resident_segment_names() and delta_bytes > 0
             clone = materialize_shard(descriptor, delta_name)
             assert_same_shard(clone, shard)
+            # the base postings are views into the mapping, like the counts
+            assert not clone.structural_index.base.signatures.rows.flags.owndata
+            assert not clone.structural_index.base.signatures.rows.flags.writeable
             # the delta was copied out: its segment can go while the clone lives
             unlink_segment(delta_name)
             assert_same_shard(clone, shard)
@@ -342,6 +350,18 @@ class TestShardPlaneCleanup:
             unlink_segment(delta_name)
             arena.unlink()
             catalog.close()
+
+    def test_descriptor_payload_is_a_sliver_of_the_plane(self):
+        """With the signature postings among the arena fields, what a worker
+        is sent still is at most a fifth of what the plane publishes."""
+        _engine, plane = self._plane()
+        try:
+            assert {"signature_offsets", "signature_rows", "signature_counts"} <= {
+                field.key for field in plane.descriptors[0].arena.fields
+            }
+            assert plane.payload_bytes() <= 0.2 * plane.shard_bytes()
+        finally:
+            plane.close()
 
     def test_close_unlinks_all_segments(self):
         _engine, plane = self._plane()

@@ -524,6 +524,32 @@ class TestGenerationHotSwap:
         finally:
             catalog.close()
 
+    def test_a_cold_worker_deserializes_the_candidates_not_the_shard(self):
+        """The structural stage reads the published index: after the first
+        query on a fresh pool each (worker, shard) holds deserialized exactly
+        the rows that shard's pipeline handed on past the filters."""
+        seed = 8471
+        database = random_database(seed, num_graphs=16)
+        query = extract_query(database.graphs[3].skeleton, 4, rng=seed)
+        catalog = pooled_catalog(database, seed)
+        try:
+            planner = catalog.planner()
+            plan = planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+            opened = {}
+            for shard in planner.shards:
+                part = shard.make_planner().execute_plan(plan, rng=seed)
+                named = sum(answer.decided_by != "verification" for answer in part.answers)
+                opened[shard.spec.shard_id] = part.statistics.verified + named
+            assert 0 < sum(opened.values()) < len(database.graphs) // 2
+            catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed)
+            held = materialized_base_graphs(catalog)
+            assert {shard_id for counts in held.values() for shard_id in counts} == set(opened)
+            for pid, counts in held.items():
+                for shard_id, count in counts.items():
+                    assert count == opened[shard_id], (pid, shard_id)
+        finally:
+            catalog.close()
+
     def test_compact_hot_swap_is_invisible(self):
         seed = 8501
         database = random_database(seed, num_graphs=6)

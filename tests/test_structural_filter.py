@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+from itertools import combinations
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.catalog import GraphCatalog, SegmentedStructuralView
 from repro.datasets import extract_query
 from repro.exceptions import StateError
+from repro.graphs.labeled_graph import LabeledGraph
 from repro.isomorphism import is_subgraph_similar
-from repro.pmi import FeatureMiner, FeatureSelectionConfig
+from repro.isomorphism.mcs import signature_distance_lower_bound
+from repro.pmi import BoundConfig, FeatureMiner, FeatureSelectionConfig
 from repro.structural import StructuralFeatureIndex, StructuralFilter
 
 
@@ -104,3 +112,125 @@ class TestFilterSoundness:
         # exactness: every exact candidate really is subgraph-similar
         for graph_id in exact.candidate_ids:
             assert is_subgraph_similar(query, skeletons[graph_id], 1)
+
+
+# ----------------------------------------------------------------------
+# the signature segment against the scalar oracle
+# ----------------------------------------------------------------------
+# few labels, of types that neither order nor compare with one another: equal
+# signatures repeat inside a graph (multiplicity > 1) and only ``repr`` sorts them
+VERTEX_LABELS = ["a", "b", 1, (1, "a"), None, 1.5]
+EDGE_LABELS = ["x", 0, None]
+
+
+@st.composite
+def labeled_graphs(draw, min_edges=0, vertex_labels=VERTEX_LABELS):
+    vertices = draw(st.integers(min_value=2 if min_edges else 0, max_value=6))
+    graph = LabeledGraph()
+    for vertex in range(vertices):
+        graph.add_vertex(vertex, draw(st.sampled_from(vertex_labels)))
+    pairs = list(combinations(range(vertices), 2))
+    edges = st.lists(st.sampled_from(pairs), min_size=min_edges, unique=True)
+    for u, v in draw(edges) if pairs else []:
+        graph.add_edge(u, v, draw(st.sampled_from(EDGE_LABELS)))
+    return graph
+
+
+def oracle_missing(query, skeletons) -> list[int]:
+    return [signature_distance_lower_bound(query, skeleton) for skeleton in skeletons]
+
+
+def loop_filter_mask(index, skeletons, query, delta, active, exact_check) -> np.ndarray:
+    """``filter_mask`` as it ran before the signature segment: the deficit
+    mask, then the scalar bound (and the exact check) per survivor."""
+    keep = ~index.deficit_prunable_mask(index.query_profile(query), delta) & active
+    for graph_id in np.flatnonzero(keep):
+        if signature_distance_lower_bound(query, skeletons[graph_id]) > delta:
+            keep[graph_id] = False
+        elif exact_check and not is_subgraph_similar(query, skeletons[graph_id], delta):
+            keep[graph_id] = False
+    return keep
+
+
+class TestSignatureSegment:
+    @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_signature_missing_equals_the_scalar_bound(self, data):
+        """Over a whole index, a ``subset`` of it and a base ⧺ delta view; the
+        query may carry a signature no graph has (label ``"only in q"``)."""
+        skeletons = data.draw(st.lists(labeled_graphs(), min_size=0, max_size=7))
+        query = data.draw(labeled_graphs(min_edges=1, vertex_labels=[*VERTEX_LABELS, "only in q"]))
+        index = StructuralFeatureIndex().build(skeletons, [])
+        assert index.signature_missing(query).tolist() == oracle_missing(query, skeletons)
+
+        some_rows = st.lists(st.sampled_from(range(len(skeletons))), max_size=8)
+        rows = data.draw(some_rows) if skeletons else []
+        picked = [skeletons[row] for row in rows]
+        assert index.subset(rows).signature_missing(query).tolist() == oracle_missing(query, picked)
+
+        split = data.draw(st.integers(min_value=0, max_value=len(skeletons)))
+        view = SegmentedStructuralView(
+            StructuralFeatureIndex().build(skeletons[:split], []),
+            StructuralFeatureIndex().build(skeletons[split:], []),
+        )
+        assert view.signature_missing(query).tolist() == oracle_missing(query, skeletons)
+
+        # tombstoned rows stay indexed; ``active`` masks them out of the answer
+        flags = st.lists(st.booleans(), min_size=len(skeletons), max_size=len(skeletons))
+        active = np.array(data.draw(flags), dtype=bool)
+        for delta in (0, 1, 2):
+            for exact_check in (False, True):
+                got = StructuralFilter(view, skeletons, exact_check=exact_check).filter_mask(
+                    query, delta, active=active
+                )
+                want = loop_filter_mask(view, skeletons, query, delta, active, exact_check)
+                assert got.tolist() == want.tolist(), (delta, exact_check)
+
+    def test_filter_mask_equals_the_loop_over_mined_features(self, structural_setup):
+        index, skeletons, _ = structural_setup
+        everyone = np.ones(len(skeletons), dtype=bool)
+        for source in range(4):
+            query = extract_query(skeletons[source], 5, rng=source)
+            for delta in (0, 1, 2):
+                for exact_check in (False, True):
+                    got = StructuralFilter(index, skeletons, exact_check=exact_check).filter_mask(
+                        query, delta
+                    )
+                    want = loop_filter_mask(index, skeletons, query, delta, everyone, exact_check)
+                    assert got.tolist() == want.tolist(), (source, delta, exact_check)
+
+    def test_catalog_rows_stay_indexed_through_mutations(self, small_ppi_database):
+        """Delta rows are appended to the segment, tombstoned rows stay in it,
+        and ``compact()`` leaves one equal to a fresh build over the live graphs."""
+        graphs = small_ppi_database.graphs
+        catalog = GraphCatalog.build(
+            graphs[:6],
+            feature_config=FeatureSelectionConfig(max_vertices=3, max_features=8),
+            bound_config=BoundConfig(num_samples=20),
+            rng=5,
+            num_shards=2,
+            max_workers=0,
+        )
+        catalog.add_graph(graphs[6])
+        catalog.update_graph(2, graphs[7])
+        catalog.remove_graph(5)
+        queries = [extract_query(graphs[source].skeleton, 4, rng=source) for source in (2, 6, 7)]
+        for compacted in (False, True):
+            shards = catalog.planner().shards
+            assert compacted or any(not shard.active_mask.all() for shard in shards)
+            assert compacted or any(shard.structural_index.delta.num_graphs for shard in shards)
+            for shard in shards:
+                skeletons = [graph.skeleton for graph in shard.graphs]
+                for query in queries:
+                    assert shard.structural_index.signature_missing(
+                        query
+                    ).tolist() == oracle_missing(query, skeletons)
+            catalog.compact()
+        catalog.close()
+
+    def test_index_without_the_segment_refuses_the_bound(self, structural_setup):
+        index, skeletons, _ = structural_setup
+        bare = StructuralFeatureIndex.from_counts(index.features, index.counts_matrix())
+        for index in (bare, bare.subset([0, 2])):  # rows still slice; the bound has nothing to read
+            with pytest.raises(StateError):
+                index.signature_missing(skeletons[0])
