@@ -1,25 +1,23 @@
 """Matching throughput: the vectorized generic-join engine vs recursive VF2.
 
-After PR 5 vectorized verification, embedding enumeration became the dominant
-hot path: every ``rq ⊆iso f`` / ``f ⊆iso gc`` test and every ``Ef``
-enumeration (Section 4.1) ran the recursive Python backtracker once per
-(pattern, graph) pair.  This benchmark isolates an index-build + match-bound
-profile and runs it under both engines:
+The paper runs VF2 for every ``rq ⊆iso f`` / ``f ⊆iso gc`` test and every
+``Ef`` enumeration (Section 4.1), a recursive backtracker per (pattern, graph)
+pair.  This benchmark isolates the matching-bound work of an index build and
+a query batch and computes it twice — with the join, and with the VF2
+oracles of :mod:`repro.reference` one (pattern, graph) pair at a time:
 
-* structural feature-count index build (``cnt_g(f)`` for every pair),
+* structural feature counts (``cnt_g(f)`` for every pair),
 * a feature-presence sweep (``f ⊆iso gc`` for every pair, `match_block`),
-* per query: the Grafil query profile, the pruner's feature-vs-relaxed-query
-  containment relations, and the verifier's relaxed-embedding event lists —
-  per variant (one join per relaxed query, the reference) and through the
-  variant family (one shared pass per query), which must agree per graph
-  after ``normalize_events`` under both engines; ``family_ms`` /
-  ``per_variant_ms`` time the two over the same blocks.
+* per query, the verifier's relaxed-embedding event lists, per variant.
 
-Beside the engine comparison it fills the PMI over the same features once
-(generic-join engine only): ``pmi_fill_ms_per_row`` and ``build_worlds_per_s``
-(rows x samples / fill seconds) go into the trajectory point, and the build
-must construct no scalar ``WorldSampler`` — every row's worlds come from one
-batched draw.
+The event lists through the variant family (one shared pass per query) must
+agree per graph with the per-variant lists after ``normalize_events``;
+``family_ms`` / ``per_variant_ms`` time the two over the same blocks.
+
+Beside the comparison it fills the PMI over the same features once:
+``pmi_fill_ms_per_row`` and ``build_worlds_per_s`` (rows x samples / fill
+seconds) go into the trajectory point, and the build must construct no
+scalar ``WorldSampler`` — every row's worlds come from one batched draw.
 
 Feature mining runs once, outside the engine comparison, and is timed on its
 own (``mine_s``): every candidate of every level is one block join over the
@@ -29,9 +27,9 @@ block-vs-loop enumeration over the same (feature, skeleton) pairs —
 ``find_embeddings`` over blocks of one, results asserted identical — gives
 ``block_speedup``, what stacking buys over the per-graph call.
 
-The engines must agree *byte for byte*: counts, profiles, containment sets
-and embedding events are compared exactly (the canonical embedding order
-makes this possible), so the speedup is measured on provably identical work.
+The two must agree *byte for byte*: counts, presence and embedding events are
+compared exactly (the canonical embedding order makes this possible), so the
+speedup is measured on provably identical work.
 
 Run as a script::
 
@@ -55,17 +53,16 @@ from pathlib import Path
 # well as pytest collection, where the repo root is already importable
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.core.pruning import ProbabilisticPruner
 from repro.core.relaxation import relax_query
 from repro.core.verification import VerificationConfig, Verifier
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
-from repro.isomorphism import find_embeddings, find_embeddings_block, match_block, using_engine
+from repro.isomorphism import find_embeddings, find_embeddings_block, match_block
 from repro.isomorphism.embeddings import family_reroute_count, reset_family_reroute_count
 from repro.isomorphism.generic_join import GraphBlock, compile_variant_family
 from repro.pmi import BoundConfig, ProbabilisticMatrixIndex
 from repro.pmi.features import FeatureMiner, FeatureSelectionConfig
-from repro.probability import WorldSampler
 from repro.probability.events import normalize_events
+from repro.reference import WorldSampler, vf2_embeddings, vf2_exists
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.timer import Timer
@@ -122,31 +119,36 @@ def build_workload(profile: dict):
     return dataset.graphs, workload.queries()
 
 
-def matching_pass(graphs, skeletons, features, queries, relaxed_sets, families, verifier, pruner):
-    """One full matching-bound pass; returns every matching-derived result."""
+def join_pass(graphs, skeletons, features, relaxed_sets, verifier):
+    """Counts, presence and per-variant events, each from one join per block."""
     index = StructuralFeatureIndex().build(skeletons, features)
     return {
         "counts": index.counts_matrix().tolist(),
         "presence": [match_block(feature.graph, skeletons) for feature in features],
-        "profiles": [index.query_profile(query) for query in queries],
-        "containment": [
-            {
-                feature_id: (sorted(c.sub_of), sorted(c.super_of))
-                for feature_id, c in pruner.prepare(relaxed).items()
-            }
-            for relaxed in relaxed_sets
+        "events": [verifier._embedding_events_block(relaxed, graphs) for relaxed in relaxed_sets],
+    }
+
+
+def vf2_pass(skeletons, features, relaxed_sets, verifier):
+    """The same three results from the VF2 oracles, one (pattern, graph) at a time."""
+    count_limit = StructuralFeatureIndex().embedding_limit
+    event_limit = verifier.config.embedding_limit
+    return {
+        "counts": [
+            [len(vf2_embeddings(f.graph, skeleton, count_limit).embeddings) for f in features]
+            for skeleton in skeletons
         ],
+        "presence": [[vf2_exists(f.graph, skeleton) for skeleton in skeletons] for f in features],
         "events": [
-            verifier._embedding_events_block(relaxed, graphs)
-            for relaxed in relaxed_sets
-        ],
-        # the shared pass: event order is no contract, so compared normalised
-        "family_events": [
             [
-                normalize_events(events)
-                for events in verifier._embedding_events_block(relaxed, graphs, family)
+                [
+                    embedding.edges
+                    for variant in relaxed
+                    for embedding in vf2_embeddings(variant, skeleton, event_limit).embeddings
+                ]
+                for skeleton in skeletons
             ]
-            for relaxed, family in zip(relaxed_sets, families)
+            for relaxed in relaxed_sets
         ],
     }
 
@@ -223,53 +225,51 @@ def run_comparison(profile: dict) -> dict:
     graphs, queries = build_workload(profile)
     skeletons = [graph.skeleton for graph in graphs]
 
-    # mine once, outside the engine comparison (the reference engine would
-    # take minutes here), timed on its own
-    with using_engine("generic_join"):
-        mine_timer = Timer()
-        with mine_timer:
-            features = FeatureMiner(
-                FeatureSelectionConfig(max_features=profile["max_features"])
-            ).mine(graphs)
-        blocks = block_vs_loop(features, skeletons, profile["repeats"])
+    # mine once, outside the comparison (the reference would take minutes
+    # here), timed on its own
+    mine_timer = Timer()
+    with mine_timer:
+        features = FeatureMiner(
+            FeatureSelectionConfig(max_features=profile["max_features"])
+        ).mine(graphs)
+    blocks = block_vs_loop(features, skeletons, profile["repeats"])
 
     verifier = Verifier(VerificationConfig())
-    pruner = ProbabilisticPruner(features)
     relaxed_sets = [
         relax_query(query, DISTANCE_THRESHOLD, verifier.relaxation) for query in queries
     ]
     # compiled once per query, as plan() does
     families = [compile_variant_family(q, relaxed) for q, relaxed in zip(queries, relaxed_sets)]
 
-    def one_pass():
-        return matching_pass(
-            graphs, skeletons, features, queries, relaxed_sets, families, verifier, pruner
-        )
-
+    passes = {
+        "generic_join": lambda: join_pass(graphs, skeletons, features, relaxed_sets, verifier),
+        "vf2": lambda: vf2_pass(skeletons, features, relaxed_sets, verifier),
+    }
     results: dict[str, dict] = {}
     seconds: dict[str, float] = {}
-    for engine in ("generic_join", "vf2"):
-        with using_engine(engine):
-            one_pass()  # warm engine-side caches (edge tables, join plans)
-            timer = Timer()
-            with timer:
-                for _ in range(profile["repeats"]):
-                    results[engine] = one_pass()
-            seconds[engine] = timer.elapsed / profile["repeats"]
+    for name, one_pass in passes.items():
+        one_pass()  # warm the caches (edge tables, join plans)
+        timer = Timer()
+        with timer:
+            for _ in range(profile["repeats"]):
+                results[name] = one_pass()
+        seconds[name] = timer.elapsed / profile["repeats"]
 
-    # the whole point of the canonical result order: both engines must
-    # produce byte-identical counts, profiles, containment sets and events
+    # the whole point of the canonical result order: the join and the
+    # reference must produce byte-identical counts, presence and events
     identical = results["generic_join"] == results["vf2"]
+    # the shared pass: event order is no contract, so compared normalised
     family_identical = all(
-        result["family_events"]
-        == [[normalize_events(events) for events in block] for block in result["events"]]
-        for result in results.values()
-    )
-    with using_engine("generic_join"):
-        reset_family_reroute_count()
-        family_timing = family_vs_per_variant(
-            verifier, graphs, relaxed_sets, families, profile["repeats"]
+        [normalize_events(e) for e in verifier._embedding_events_block(relaxed, graphs, family)]
+        == [normalize_events(e) for e in per_variant]
+        for relaxed, family, per_variant in zip(
+            relaxed_sets, families, results["generic_join"]["events"]
         )
+    )
+    reset_family_reroute_count()
+    family_timing = family_vs_per_variant(
+        verifier, graphs, relaxed_sets, families, profile["repeats"]
+    )
     num_pairs = len(features) * len(graphs)
     return {
         "num_graphs": len(graphs),
@@ -367,13 +367,12 @@ def main() -> None:
     print(f"trajectory point appended to {args.out}")
 
     assert report["results_identical"], (
-        "generic-join and VF2 produced different counts/profiles/containment/"
-        "events; the engines are not equivalent on this workload"
+        "the generic join and the VF2 reference produced different counts/"
+        "presence/events; they are not equivalent on this workload"
     )
     assert report["family_identical"], (
         "the variant-family pass and the per-variant loop produced different "
-        "events for some graph (compared per graph after normalize_events, "
-        "under both engines)"
+        "events for some graph (compared per graph after normalize_events)"
     )
     assert report["block_identical"], (
         "find_embeddings_block over the stacked skeletons and the loop over "

@@ -6,16 +6,18 @@ graph as a candidate (what a verification-bound query looks like after the
 cheap stages pass everything), identical per-graph rng streams, and the two
 Karp-Luby implementations head to head:
 
-* ``method="sampling_scalar"`` — the pre-kernel reference: one world at a
-  time, Python dicts and ``Factor.condition`` per sample;
+* ``repro.reference.estimate_union_probability`` — the pre-kernel
+  reference: one world at a time, Python dicts and ``Factor.condition`` per
+  sample;
 * the batch kernel — ``estimate_union_probability_batch`` on the verifier's
   events: events compiled to edge-index arrays, the whole ``S x E`` sample
   matrix drawn per candidate in one shot, coverage tested with one boolean
   matrix product.  It is called directly because ``method="sampling"`` answers
   supports as narrow as these exactly, without drawing a world.
 
-Because both sides consume ``derive_rng(root, VERIFY_STREAM, graph_id)``
-streams, the comparison is apples-to-apples work-wise; the estimates differ
+Both sides estimate from the verifier's events for the block (one matching
+pass) and consume ``derive_rng(root, VERIFY_STREAM, graph_id)`` streams, so
+the comparison is apples-to-apples work-wise; the estimates differ
 (different canonical draw orders, same distribution) and the benchmark
 cross-checks them statistically.  Determinism is asserted exactly: a second
 batch pass must reproduce the first byte-for-byte.
@@ -58,6 +60,7 @@ from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_que
 from repro.isomorphism.generic_join import compile_variant_family
 from repro.probability import batch_kernel
 from repro.probability.events import normalize_events
+from repro.reference import estimate_union_probability
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.rng import VERIFY_STREAM, derive_rng
 from repro.utils.timer import Timer
@@ -113,30 +116,26 @@ def build_workload(profile: dict):
 
 
 def verify_all(verifier: Verifier, method: str, query, graphs, relaxed) -> list[float]:
-    """One verification-stage pass over every candidate, per-graph streams.
-    ``"sampling"`` means Algorithm 5 here: the block's one matching pass, then
-    the kernel's estimator on every candidate's events."""
-    rngs = [
-        derive_rng(ROOT, VERIFY_STREAM, graph_id) for graph_id in range(len(graphs))
+    """One verification-stage pass over every candidate, per-graph streams:
+    the block's one matching pass, then Algorithm 5 on every candidate's
+    events — the kernel's estimator (``"sampling"``) or the scalar reference
+    (``"scalar"``)."""
+    estimate = {
+        "sampling": batch_kernel.estimate_union_probability_batch,
+        "scalar": estimate_union_probability,
+    }[method]
+    family = compile_variant_family(query, relaxed)
+    return [
+        estimate(
+            graph,
+            events,
+            num_samples=verifier.config.num_samples,
+            rng=derive_rng(ROOT, VERIFY_STREAM, graph_id),
+        )
+        for graph_id, (graph, events) in enumerate(
+            zip(graphs, verifier._embedding_events_block(relaxed, graphs, family))
+        )
     ]
-    if method == "sampling":
-        family = compile_variant_family(query, relaxed)
-        return [
-            batch_kernel.estimate_union_probability_batch(
-                graph, events, num_samples=verifier.config.num_samples, rng=rng
-            )
-            for graph, events, rng in zip(
-                graphs, verifier._embedding_events_block(relaxed, graphs, family), rngs
-            )
-        ]
-    return verifier.verify_block(
-        query,
-        graphs,
-        DISTANCE_THRESHOLD,
-        relaxed_queries=relaxed,
-        method=method,
-        rngs=rngs,
-    )
 
 
 def kernel_rates(verifier: Verifier, graphs, relaxed, num_samples: int, repeats: int) -> dict:
@@ -206,15 +205,13 @@ def run_comparison(profile: dict) -> dict:
     # compiles each graph's factors once — include that cost in the timed
     # batch pass below by warming on a separate Verifier-free call ordering:
     # scalar first, then batch, then timed repeats of each)
-    scalar_estimates = verify_all(verifier, "sampling_scalar", query, graphs, relaxed)
+    scalar_estimates = verify_all(verifier, "scalar", query, graphs, relaxed)
     batch_estimates = verify_all(verifier, "sampling", query, graphs, relaxed)
 
     scalar_timer = Timer()
     with scalar_timer:
         for _ in range(profile["repeats"]):
-            scalar_repeat = verify_all(
-                verifier, "sampling_scalar", query, graphs, relaxed
-            )
+            scalar_repeat = verify_all(verifier, "scalar", query, graphs, relaxed)
     batch_timer = Timer()
     with batch_timer:
         for _ in range(profile["repeats"]):
@@ -287,7 +284,7 @@ def main() -> None:
         ["method", "seconds/pass", "candidates/s"],
         [
             [
-                "sampling_scalar (reference)",
+                "scalar (reference)",
                 f"{report['scalar_seconds']:.3f}",
                 f"{report['scalar_candidates_per_second']:.1f}",
             ],

@@ -36,9 +36,6 @@ from repro.isomorphism import (
     find_embeddings,
     find_embeddings_block,
     match_block,
-    get_default_engine,
-    set_default_engine,
-    using_engine,
     subgraph_distance,
     is_subgraph_similar,
 )
@@ -85,9 +82,6 @@ __all__ = [
     "find_embeddings",
     "find_embeddings_block",
     "match_block",
-    "get_default_engine",
-    "set_default_engine",
-    "using_engine",
     "subgraph_distance",
     "is_subgraph_similar",
     "ProbabilisticMatrixIndex",

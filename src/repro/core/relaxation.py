@@ -13,7 +13,9 @@ be isomorphic when they agree on a cheap *invariant* — the multiset of deleted
 edge signatures (endpoint labels, edge label) and the multiset of (vertex
 label, remaining degree) over the vertices kept — so
 :func:`~repro.graphs.canonical.canonical_form` is computed only for the members
-of a group whose invariants collide.
+of a group whose invariants collide.  Above ``MAX_EXACT_VERTICES`` that form is
+a refinement hash, which non-isomorphic graphs can share: equal hashes are
+confirmed with the join.
 
 **Order.**  Discovery order: ``δ``-subsets in ``itertools.combinations`` order
 over ``sorted(query.edge_keys(), key=repr)``, the first member of each
@@ -34,6 +36,7 @@ from repro.exceptions import ConfigurationError, QueryError
 from repro.graphs.canonical import canonical_form
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.variant_rows import VariantRows
+from repro.isomorphism.generic_join import is_subgraph_isomorphic
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,8 @@ def _distinct_variants(
     signature = [repr(query.edge_signature(key)) for key in edges]
     degree = [query.degree(vertex) for vertex in frame.vertices]
     first: dict[tuple, list[bool]] = {}  # invariant -> the first row that has it
-    forms: dict[tuple, set[str]] = {}  # ... -> canonical forms, once a second row has it
-    relabeled_forms: set[str] = set()
+    classes: dict[tuple, dict] = {}  # ... -> its classes by form, once a second row has it
+    relabeled_classes: dict[str, list[LabeledGraph]] = {}
     for deleted in combinations(range(len(edges)), delta):
         kept, left = [True] * len(edges), list(degree)
         for e in deleted:
@@ -147,12 +150,11 @@ def _distinct_variants(
             first[invariant] = row
             yield row, None
         else:  # a collision: only the canonical form tells isomorphic from merely alike
-            known = forms.get(invariant)
+            known = classes.get(invariant)
             if known is None:
-                known = forms[invariant] = {canonical_form(frame.graph_of(first[invariant]))}
-            form = canonical_form(frame.graph_of(row))
-            if form not in known:
-                known.add(form)
+                known = classes[invariant] = {}
+                _is_new_class(frame.graph_of(first[invariant]), known)
+            if _is_new_class(frame.graph_of(row), known):
                 yield row, None
         # relabelings: an alphabet label in the place of one deleted edge, the rest deleted
         for e, label in product(deleted, alphabet or ()):
@@ -164,7 +166,22 @@ def _distinct_variants(
                 relabeled.remove_isolated_vertices()
             if cfg.require_connected and not relabeled.is_connected():
                 continue
-            form = canonical_form(relabeled)
-            if form not in relabeled_forms:  # one edge more than a deletion: never one of those
-                relabeled_forms.add(form)
+            # one edge more than a deletion: never one of those
+            if _is_new_class(relabeled, relabeled_classes):
                 yield [False] * len(row), relabeled
+
+
+def _is_new_class(graph: LabeledGraph, classes: dict[str, list[LabeledGraph]]) -> bool:
+    """Record ``graph`` in ``classes`` (canonical form -> members) unless a
+    member is isomorphic to it.  An exact form decides alone; a refinement hash
+    (``"wl:"``) is confirmed against the members that share it, with the
+    join — equal vertex and edge counts make ``⊆iso`` an isomorphism test."""
+    form = canonical_form(graph)
+    members = classes.get(form)
+    if members is None:
+        classes[form] = [graph]
+        return True
+    if form.startswith("wl:") and not any(is_subgraph_isomorphic(graph, m) for m in members):
+        members.append(graph)
+        return True
+    return False

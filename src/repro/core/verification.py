@@ -1,7 +1,7 @@
 """Verification: computing the subgraph similarity probability of a candidate
 (Section 5).
 
-Four strategies are provided, all built on Lemma 1 / Equation 22, which
+Three strategies are provided, all built on Lemma 1 / Equation 22, which
 identify ``Pr(q ⊆sim g)`` with the probability that at least one embedding of
 one relaxed query is fully present in the sampled world.  Those events come
 from one matching pass per candidate block for the whole relaxed set (a
@@ -16,9 +16,6 @@ plan); their order is no contract, every estimator normalises its events.
   all samples drawn and evaluated as numpy matrices under the kernel's
   canonical draw order).  ``num_samples`` / ``xi`` / ``tau`` are read by the
   sampled route only; ``Verifier.sampled`` counts the estimates that took it;
-* ``"sampling_scalar"`` — the same estimator evaluated one world at a time
-  (the pre-kernel reference implementation; different draws, same
-  distribution — kept for A/B tests and benchmarks);
 * ``"inclusion_exclusion"`` — exact Equation 21 over the embedding events
   (the paper's Exact method; exponential in the number of events);
 * ``"enumeration"`` — brute-force possible-world enumeration with a direct
@@ -38,7 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.relaxation import RelaxationConfig, relax_query
-from repro.exceptions import VerificationError
+from repro.exceptions import ConfigurationError, VerificationError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.possible_worlds import enumerate_possible_worlds
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
@@ -49,10 +46,12 @@ from repro.probability.batch_kernel import (
     estimate_union_probability_batch,
     support_union_probability,
 )
-from repro.probability.dnf import estimate_union_probability, exact_union_probability
+from repro.probability.dnf import exact_union_probability
 from repro.probability.events import normalize_events
 from repro.probability.sampling import check_sample_count
 from repro.utils.rng import RandomLike, ensure_rng
+
+VERIFICATION_METHODS = ("sampling", "inclusion_exclusion", "enumeration")
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,11 @@ class VerificationConfig:
 
     def __post_init__(self) -> None:
         check_sample_count(self.num_samples)
+        if self.method not in VERIFICATION_METHODS:
+            raise ConfigurationError(
+                f"unknown verification method {self.method!r}; "
+                f"expected one of {VERIFICATION_METHODS}"
+            )
 
 
 class Verifier:
@@ -179,15 +183,6 @@ class Verifier:
                 return exact
             self.sampled += 1
             return estimate_union_probability_batch(
-                graph,
-                events,
-                xi=self.config.xi,
-                tau=self.config.tau,
-                num_samples=self.config.num_samples,
-                rng=generator,
-            )
-        if strategy == "sampling_scalar":
-            return estimate_union_probability(
                 graph,
                 events,
                 xi=self.config.xi,

@@ -10,9 +10,11 @@ The canonical form is a string; two labeled graphs receive the same string
 if and only if they are isomorphic (respecting vertex and edge labels), up to
 the permutation cap.  When a graph exceeds ``max_exact_vertices`` the fallback
 is a refinement-only certificate, which is still a valid *hash* (isomorphic
-graphs always agree) but may rarely collide for non-isomorphic graphs; the
-mining code treats it purely as a bucketing key and re-checks with VF2 when
-exactness matters.
+graphs always agree) but may rarely collide for non-isomorphic graphs; a
+caller that needs exactness treats it as a bucketing key and confirms equal
+hashes with the generic join
+(:func:`repro.isomorphism.generic_join.is_subgraph_isomorphic`), as
+``relax_query`` does.
 """
 
 from __future__ import annotations
@@ -94,11 +96,15 @@ def canonical_form(graph: LabeledGraph, max_exact_vertices: int = MAX_EXACT_VERT
 def are_isomorphic_small(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     """Exact isomorphism test for small graphs via canonical forms.
 
-    Both graphs must fit the exact canonical-form regime; larger graphs should
-    use :mod:`repro.isomorphism.vf2` directly.
+    Both graphs must fit the exact canonical-form regime; for larger graphs
+    with equal vertex and edge counts use
+    :func:`repro.isomorphism.generic_join.is_subgraph_isomorphic`.
     """
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
         return False
     if g1.num_vertices > MAX_EXACT_VERTICES or g2.num_vertices > MAX_EXACT_VERTICES:
-        raise ConfigurationError("are_isomorphic_small only supports small graphs; use VF2 instead")
+        raise ConfigurationError(
+            "are_isomorphic_small only supports small graphs; use the generic join's "
+            "is_subgraph_isomorphic instead"
+        )
     return canonical_form(g1) == canonical_form(g2)

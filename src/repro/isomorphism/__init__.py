@@ -1,23 +1,16 @@
-"""Subgraph isomorphism machinery: the vectorized generic-join engine, the
-VF2-style reference matcher, embedding enumeration, maximum common subgraph
-and subgraph distance."""
+"""Subgraph isomorphism machinery: the vectorized generic-join engine,
+embedding enumeration, maximum common subgraph and subgraph distance."""
 
-from repro.isomorphism.vf2 import (
-    VF2Matcher,
-    connectivity_order,
-    is_subgraph_isomorphic,
-    find_isomorphism_mapping,
-)
 from repro.isomorphism.generic_join import (
     GenericJoinMatcher,
     GenericJoinOverflow,
     GraphBlock,
     compile_edge_table,
     compile_join_plan,
-    get_default_engine,
+    connectivity_order,
+    find_isomorphism_mapping,
+    is_subgraph_isomorphic,
     match_block,
-    set_default_engine,
-    using_engine,
 )
 from repro.isomorphism.embeddings import (
     Embedding,
@@ -36,7 +29,6 @@ from repro.isomorphism.mcs import (
 )
 
 __all__ = [
-    "VF2Matcher",
     "connectivity_order",
     "is_subgraph_isomorphic",
     "find_isomorphism_mapping",
@@ -45,10 +37,7 @@ __all__ = [
     "GraphBlock",
     "compile_edge_table",
     "compile_join_plan",
-    "get_default_engine",
     "match_block",
-    "set_default_engine",
-    "using_engine",
     "Embedding",
     "EmbeddingEnumeration",
     "enumerate_embeddings",

@@ -8,12 +8,12 @@ drive both bounds of the PMI index: the lower bound uses disjoint embeddings
 (Equation 17), the upper bound embedding cuts (Equation 20).
 
 Enumeration is by block (one pattern, many graphs, one join — see
-:mod:`repro.isomorphism.generic_join`) and dispatches on the active matching
-engine; every returned list is in the canonical order (sorted by repr of the
-sorted edge-key set), so both engines produce byte-identical results whenever
-enumeration is not truncated.  The cap applies to distinct embeddings per
-graph, and truncation is *surfaced*: a ``truncated`` flag per graph plus a
-module-level counter record when the cap actually bit.
+:mod:`repro.isomorphism.generic_join`); every returned list is in the
+canonical order (sorted by repr of the sorted edge-key set), so an
+untruncated list does not depend on the order the join discovered it in.
+The cap applies to distinct embeddings per graph, and truncation is
+*surfaced*: a ``truncated`` flag per graph plus a module-level counter
+record when the cap actually bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from repro.graphs.labeled_graph import LabeledGraph, edge_key
 from repro.isomorphism import generic_join
 from repro.isomorphism.generic_join import GraphBlock, VariantFamily
-from repro.isomorphism.vf2 import VF2Matcher
 
 DEFAULT_EMBEDDING_LIMIT = 200
 
@@ -93,46 +92,11 @@ class EmbeddingEnumeration:
     truncated: bool
 
 
-def _enumerate_vf2(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-    limit: int | None,
-    label_sensitive: bool,
-) -> tuple[list[Embedding], bool]:
-    """Stream VF2 mappings, deduplicating into embeddings incrementally."""
-    matcher = VF2Matcher(pattern, target, label_sensitive=label_sensitive)
-    pattern_edges = list(pattern.edge_keys())
-    seen: set[frozenset] = set()
-    embeddings: list[Embedding] = []
-    truncated = False
-
-    def visit(mapping: dict) -> bool:
-        nonlocal truncated
-        edge_set = frozenset(
-            edge_key(mapping[u], mapping[v]) for u, v in pattern_edges
-        )
-        if edge_set in seen:
-            return True
-        if limit is not None and len(embeddings) >= limit:
-            # a new distinct embedding exists beyond the cap: we really truncated
-            truncated = True
-            return False
-        seen.add(edge_set)
-        embeddings.append(
-            Embedding(edges=edge_set, vertices=frozenset(mapping.values()))
-        )
-        return True
-
-    matcher.for_each_mapping(visit)
-    return embeddings, truncated
-
-
 def enumerate_embeddings_block(
     pattern: LabeledGraph,
     targets: Iterable[LabeledGraph] | GraphBlock,
     limit: int | None = DEFAULT_EMBEDDING_LIMIT,
     label_sensitive: bool = True,
-    method: str | None = None,
 ) -> list[EmbeddingEnumeration]:
     """All distinct embeddings of ``pattern`` in every target of a block,
     each list with its truncation flag, from one join over the whole block.
@@ -142,42 +106,32 @@ def enumerate_embeddings_block(
     are deduplicated together and split by graph id; ``limit`` (a cap on
     distinct embeddings, ``None`` for none), the ``truncated`` flag and the
     canonical sort apply per graph, so entry ``k`` equals what the block of
-    ``targets[k]`` alone returns.  When the cap bites, each engine truncates
-    in its own deterministic discovery order.  ``method`` is
-    ``"generic_join"``, ``"vf2"`` or None for the session default; VF2 also
-    takes any graph that overflows the join's frontier cap alone.
+    ``targets[k]`` alone returns.  When the cap bites, a graph keeps the first
+    ``limit`` embeddings of the join's discovery order.
     """
     block = GraphBlock.of(targets)
     size = len(block.graphs)
     results = [EmbeddingEnumeration(embeddings=[], truncated=False) for _ in range(size)]
     if pattern.num_edges == 0 or size == 0:
         return results
-    if generic_join.resolve_engine(method) == "vf2":
-        alone = range(size)
-    else:
-        plan, rows, counts, cut, alone = generic_join.distinct_embedding_rows(
-            pattern, block.table, limit, label_sensitive
+    plan, rows, counts, cut = generic_join.distinct_embedding_rows(
+        pattern, block.table, limit, label_sensitive
+    )
+    ids = block.table.vertex_ids
+    found = [
+        Embedding(
+            edges=frozenset(edge_key(ids[row[i]], ids[row[j]]) for i, j in plan.pattern_edges),
+            vertices=frozenset(ids[image] for image in row),
         )
-        ids = block.table.vertex_ids
-        found = [
-            Embedding(
-                edges=frozenset(edge_key(ids[row[i]], ids[row[j]]) for i, j in plan.pattern_edges),
-                vertices=frozenset(ids[image] for image in row),
-            )
-            for row in rows.tolist()
-        ]
-        if found:  # split by graph: the rows are graph-major
-            stop = 0
-            for position in np.flatnonzero(counts).tolist():
-                start, stop = stop, stop + int(counts[position])
-                results[position] = EmbeddingEnumeration(found[start:stop], bool(cut[position]))
-    for position in alone:
-        results[position] = EmbeddingEnumeration(
-            *_enumerate_vf2(pattern, block.graphs[position], limit, label_sensitive)
-        )
-    for result in results:
-        if len(result.embeddings) > 1:  # the canonical final order
-            result.embeddings.sort(key=lambda e: repr(sorted(e.edges, key=repr)))
+        for row in rows.tolist()
+    ]
+    stop = 0  # split by graph: the rows are graph-major
+    for position in np.flatnonzero(counts).tolist():
+        start, stop = stop, stop + int(counts[position])
+        embeddings = found[start:stop]
+        if len(embeddings) > 1:  # the canonical final order
+            embeddings.sort(key=lambda e: repr(sorted(e.edges, key=repr)))
+        results[position] = EmbeddingEnumeration(embeddings, bool(cut[position]))
     _note_truncations(sum(result.truncated for result in results), limit, pattern)
     return results
 
@@ -194,10 +148,9 @@ def enumerate_embeddings(
     target: LabeledGraph,
     limit: int | None = DEFAULT_EMBEDDING_LIMIT,
     label_sensitive: bool = True,
-    method: str | None = None,
 ) -> EmbeddingEnumeration:
     """:func:`enumerate_embeddings_block` for the block of one graph."""
-    return enumerate_embeddings_block(pattern, (target,), limit, label_sensitive, method)[0]
+    return enumerate_embeddings_block(pattern, (target,), limit, label_sensitive)[0]
 
 
 def find_embeddings(
@@ -205,11 +158,10 @@ def find_embeddings(
     target: LabeledGraph,
     limit: int | None = DEFAULT_EMBEDDING_LIMIT,
     label_sensitive: bool = True,
-    method: str | None = None,
 ) -> list[Embedding]:
     """All distinct embeddings of ``pattern`` in ``target`` (canonical order);
     truncation is still counted and logged."""
-    return enumerate_embeddings(pattern, target, limit, label_sensitive, method).embeddings
+    return enumerate_embeddings(pattern, target, limit, label_sensitive).embeddings
 
 
 def find_embeddings_block(
@@ -217,13 +169,12 @@ def find_embeddings_block(
     targets: Iterable[LabeledGraph] | GraphBlock,
     limit: int | None = DEFAULT_EMBEDDING_LIMIT,
     label_sensitive: bool = True,
-    method: str | None = None,
 ) -> list[list[Embedding]]:
     """Embeddings of one ``pattern`` in every target of a block: one join
     over the stacked block, split by graph id (see
     :func:`enumerate_embeddings_block`); entry ``k`` is exactly
     ``find_embeddings(pattern, targets[k])``."""
-    results = enumerate_embeddings_block(pattern, targets, limit, label_sensitive, method)
+    results = enumerate_embeddings_block(pattern, targets, limit, label_sensitive)
     return [result.embeddings for result in results]
 
 
@@ -238,13 +189,13 @@ def find_family_events_block(
 
     The members of ``family`` (``compile_variant_family(query, variants)``)
     share one pass, each event listed once; its loners are joined on their own.
-    Without a family, under ``vf2``, past the branch cap, or when a (variant,
-    target) holds more than ``limit`` distinct embeddings (truncation stays the
-    per-variant one), every variant runs :func:`find_embeddings_block`."""
+    Without a family, past the branch cap, or when a (variant, target) holds
+    more than ``limit`` distinct embeddings (truncation stays the per-variant
+    one), every variant runs :func:`find_embeddings_block`."""
     block = GraphBlock.of(targets)
     events: list[list[frozenset]] = [[] for _ in block.graphs]
     alone = range(len(variants))
-    if family is not None and block.graphs and generic_join.resolve_engine(None) != "vf2":
+    if family is not None and block.graphs:
         try:
             events = _shared_pass_events(family, block.table, limit)
             alone = family.loners
@@ -294,24 +245,17 @@ def count_embeddings_block(
     targets: Iterable[LabeledGraph] | GraphBlock,
     limit: int | None = DEFAULT_EMBEDDING_LIMIT,
     label_sensitive: bool = True,
-    method: str | None = None,
 ) -> list[int]:
-    """Embedding counts of one ``pattern`` across a block (capped at ``limit``).
-
-    Read off the join's per-graph distinct-row counts: no ``Embedding`` is
-    built unless a graph has to go through VF2.
-    """
+    """Embedding counts of one ``pattern`` across a block (capped at ``limit``),
+    read off the join's per-graph distinct-row counts: no ``Embedding`` is built."""
     block = GraphBlock.of(targets)
-    if pattern.num_edges and block.graphs and generic_join.resolve_engine(method) != "vf2":
-        _, _, counts, truncated, alone = generic_join.distinct_embedding_rows(
-            pattern, block.table, limit, label_sensitive
-        )
-        if not alone:
-            _note_truncations(int(truncated.sum()), limit, pattern)
-            return counts.tolist()
-    # the reference engine, or a graph that overflowed alone: count the lists
-    found = find_embeddings_block(pattern, block, limit, label_sensitive, method)
-    return [len(embeddings) for embeddings in found]
+    if not (pattern.num_edges and block.graphs):
+        return [0] * len(block.graphs)
+    _, _, counts, truncated = generic_join.distinct_embedding_rows(
+        pattern, block.table, limit, label_sensitive
+    )
+    _note_truncations(int(truncated.sum()), limit, pattern)
+    return counts.tolist()
 
 
 def count_embeddings(
@@ -319,10 +263,9 @@ def count_embeddings(
     target: LabeledGraph,
     limit: int | None = DEFAULT_EMBEDDING_LIMIT,
     label_sensitive: bool = True,
-    method: str | None = None,
 ) -> int:
     """Number of distinct embeddings (capped at ``limit``)."""
-    return count_embeddings_block(pattern, (target,), limit, label_sensitive, method)[0]
+    return count_embeddings_block(pattern, (target,), limit, label_sensitive)[0]
 
 
 def maximal_disjoint_embeddings(embeddings: list[Embedding]) -> list[Embedding]:

@@ -1,6 +1,7 @@
 """Vectorized generic-join subgraph matching (worst-case-optimal style).
 
-This is the default matching engine.  A pattern is compiled **once** into a
+This is the matching engine: every ``rq ⊆iso f`` / ``f ⊆iso gc`` test and
+every embedding enumeration goes through it.  A pattern is compiled **once** into a
 :class:`JoinPlan` — a vertex elimination order plus, per level, the
 constraints that bind the new variable (vertex-label equality, adjacency to
 already-bound variables with the right edge label, degree feasibility,
@@ -19,16 +20,16 @@ The engine is pure and deterministic — no randomness, no hashing of ids
 — and a graph's rows in a block's result are exactly the rows, in the same
 discovery order, that the block of that one graph produces.
 
-Blow-up protection: a level whose frontier, summed over the block, would pass
-``_MAX_OPEN_BRANCHES`` raises :class:`GenericJoinOverflow`; the wrappers halve
-the block by graph and retry, so only a graph that overflows *alone* falls
-back to the recursive VF2 reference, and memory stays bounded.
+Memory stays bounded: a level whose frontier (two rows or more), summed over
+the block, would open more than ``_MAX_OPEN_BRANCHES`` branches raises
+:class:`GenericJoinOverflow` from the one pass, and the entry points then run
+the join depth first (:func:`_join`): an overflowing frontier is split in
+halves, each carried through the remaining levels before the next, so the
+same rows come out in the same order.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -36,8 +37,6 @@ import numpy as np
 
 from repro.graphs.labeled_graph import LabeledGraph, VertexId, edge_key
 from repro.graphs.variant_rows import VariantRows
-from repro.isomorphism.vf2 import VF2Matcher, connectivity_order
-from repro.exceptions import ConfigurationError
 
 __all__ = [
     "EdgeTable",
@@ -50,20 +49,16 @@ __all__ = [
     "compile_edge_table",
     "compile_join_plan",
     "compile_variant_family",
-    "get_default_engine",
+    "connectivity_order",
+    "find_isomorphism_mapping",
+    "is_subgraph_isomorphic",
     "match_block",
-    "pattern_exists",
-    "resolve_engine",
-    "set_default_engine",
-    "using_engine",
 ]
 
-_ENGINES = ("generic_join", "vf2")
-_ENGINE_ENV_VAR = "REPRO_MATCH_ENGINE"
-
 # Hard cap on the number of simultaneously open branches at any join level.
-# Beyond this the vectorized frontier would start costing real memory; the
-# recursive VF2 path (constant memory, early termination) takes over instead.
+# Beyond this the vectorized frontier would start costing real memory, so the
+# frontier is split instead (one row's own expansion, bounded by the vertices
+# of one graph, is never split).
 _MAX_OPEN_BRANCHES = 1 << 18
 
 
@@ -71,45 +66,43 @@ class GenericJoinOverflow(RuntimeError):
     """Raised when a join level would open more branches than the cap allows."""
 
 
-# ----------------------------------------------------------------------
-# engine selection
-# ----------------------------------------------------------------------
-def resolve_engine(method: str | None) -> str:
-    """Map an explicit ``method`` argument (None: the default) to an engine name."""
-    name = _default_engine if method is None else method
-    if name not in _ENGINES:
-        raise ConfigurationError(f"unknown matching engine {name!r}; expected one of {_ENGINES}")
-    return name
+def connectivity_order(pattern: LabeledGraph) -> list[VertexId]:
+    """Connectivity-aware vertex elimination order of a join plan.
 
-
-_default_engine = resolve_engine(os.environ.get(_ENGINE_ENV_VAR, "generic_join"))
-
-
-def get_default_engine() -> str:
-    """The engine used when a call site passes ``method=None``."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default engine (``"generic_join"`` or ``"vf2"``).
-
-    The choice is mirrored into ``REPRO_MATCH_ENGINE`` so worker processes
-    spawned afterwards (sharded planners) inherit it.
+    BFS from the highest-degree vertex of each component, always taking the
+    frontier vertex with the most already-placed neighbours (ties broken by
+    degree, then repr).  Placed-neighbour counts are maintained incrementally
+    so the whole ordering is O(V + E) selections over the frontier instead of
+    re-sorting the frontier on every pop.
     """
-    global _default_engine
-    _default_engine = resolve_engine(name)
-    os.environ[_ENGINE_ENV_VAR] = name
-
-
-@contextmanager
-def using_engine(name: str):
-    """Temporarily switch the default engine (restores the prior one)."""
-    previous = _default_engine
-    set_default_engine(name)
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
+    degree = {v: pattern.degree(v) for v in pattern.vertices()}
+    neighbors = {v: tuple(pattern.neighbors(v)) for v in degree}
+    placed_count = dict.fromkeys(degree, 0)
+    order: list[VertexId] = []
+    placed: set[VertexId] = set()
+    remaining = set(degree)
+    while remaining:
+        start = max(remaining, key=lambda v: (degree[v], repr(v)))
+        frontier = [start]
+        in_frontier = {start}
+        while frontier:
+            current = min(
+                frontier,
+                key=lambda v: (-placed_count[v], -degree[v], repr(v)),
+            )
+            frontier.remove(current)
+            in_frontier.discard(current)
+            order.append(current)
+            placed.add(current)
+            remaining.discard(current)
+            for neighbor in neighbors[current]:
+                if neighbor in placed:
+                    continue
+                placed_count[neighbor] += 1
+                if neighbor not in in_frontier:
+                    frontier.append(neighbor)
+                    in_frontier.add(neighbor)
+    return order
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +144,6 @@ class EdgeTable:
     max_edges: int
     vertex_label_counts: dict
     edge_signature_counts: dict
-    parts: tuple = ()  # of a stacked block: the per-graph tables it was stacked from
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +276,6 @@ def _stack_edge_tables(tables: list[EdgeTable]) -> EdgeTable:
         max_edges=max_edges,
         vertex_label_counts=dict.fromkeys(vlabel_codes, max_vertices),
         edge_signature_counts=dict.fromkeys(signatures, max_edges),
-        parts=tuple(tables),
     )
 
 
@@ -380,9 +371,10 @@ def _empty(plan: JoinPlan) -> np.ndarray:
 
 def _expand(starts: np.ndarray, counts: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Open ``counts[r]`` branches from frontier row ``r``: per branch its row and
-    its pool position ``starts[r] + 0 .. counts[r] - 1``.  Enforces the branch cap."""
+    its pool position ``starts[r] + 0 .. counts[r] - 1``.  Enforces the branch cap
+    on a frontier of two rows or more (one row's expansion cannot be split)."""
     total = int(counts.sum())
-    if total > _MAX_OPEN_BRANCHES:
+    if total > _MAX_OPEN_BRANCHES and counts.size > 1:
         raise GenericJoinOverflow(f"{total} open branches at level {level}")
     branch = np.repeat(np.arange(counts.size), counts)
     pos = np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
@@ -400,11 +392,52 @@ def _has_edge(table: EdgeTable, u: np.ndarray, v: np.ndarray, elabel: int | None
     return found
 
 
-def execute_join_plan(
-    plan: JoinPlan, table: EdgeTable, first: int = 0, last: int | None = None
-) -> np.ndarray:
+def _seed_pool(plan: JoinPlan, table: EdgeTable, level: JoinLevel) -> np.ndarray:
+    """The block's vertices meeting a level's unary constraints, ascending."""
+    if plan.label_sensitive:
+        pool = table.verts_by_vlabel[table.vlabel_codes[level.vlabel]]
+    else:
+        pool = np.arange(table.num_vertices)
+    return pool[table.degrees[pool] >= level.degree]
+
+
+def _bind_level(plan: JoinPlan, table: EdgeTable, assign: np.ndarray, li: int) -> np.ndarray:
+    """The frontier ``assign`` (levels ``0 .. li - 1`` bound) extended by every
+    feasible image of level ``li``: a row's extensions stay together, in pool
+    order.  Raises :class:`GenericJoinOverflow` past the branch cap."""
+    level = plan.levels[li]
+    if level.back_edges:
+        # candidates: the neighbours of the first bound neighbour
+        (b0, elabel0), *rest = level.back_edges
+        pool = table.dst
+        starts = table.offsets[assign[:, b0]]
+        counts = table.offsets[assign[:, b0] + 1] - starts
+    else:
+        # component start (or isolated vertex): the seed pool of the branch's
+        # own graph, never another's
+        pool = _seed_pool(plan, table, level)
+        graph = table.graph_of[assign[:, 0]]
+        starts = np.searchsorted(pool, table.vertex_offsets[graph])
+        counts = np.searchsorted(pool, table.vertex_offsets[graph + 1]) - starts
+    branch, pos = _expand(starts, counts, li)
+    cand = pool[pos]
+    # injectivity, then (for an adjacency level) the unary constraints,
+    # the seeding edge's label and every remaining back edge
+    keep = ~(assign[branch] == cand[:, None]).any(axis=1)
+    if level.back_edges:
+        keep &= table.degrees[cand] >= level.degree
+        if plan.label_sensitive:
+            keep &= table.vlabels[cand] == table.vlabel_codes[level.vlabel]
+            keep &= table.elabels[pos] == table.elabel_codes[elabel0]
+        for bj, elabelj in rest:
+            code = table.elabel_codes[elabelj] if plan.label_sensitive else None
+            keep &= _has_edge(table, assign[branch, bj], cand, code)
+    return np.concatenate([assign[branch[keep]], cand[keep, None]], axis=1)
+
+
+def execute_join_plan(plan: JoinPlan, table: EdgeTable) -> np.ndarray:
     """All injective assignments of the plan's variables into every graph of
-    the block (into graphs ``first:last`` of it when given).
+    the block, in one level-at-a-time pass.
 
     Returns an ``(num_mappings, num_levels)`` int array of *stacked* target
     vertex indices (column ``i`` is the image of ``plan.levels[i].vertex``),
@@ -415,71 +448,57 @@ def execute_join_plan(
     # a pattern that passes the filter has a code for each of its labels
     if not _quick_feasible(plan, table):
         return _empty(plan)
-    owned = table.vertex_offsets
-    for li, level in enumerate(plan.levels):
-        if level.back_edges:
-            # candidates: the neighbours of the first bound neighbour
-            (b0, elabel0), *rest = level.back_edges
-            pool = table.dst
-            starts = table.offsets[assign[:, b0]]
-            counts = table.offsets[assign[:, b0] + 1] - starts
-        else:
-            # component start (or isolated vertex): the vertices meeting the
-            # unary constraints in the branch's own graph, never another's
-            if plan.label_sensitive:
-                pool = table.verts_by_vlabel[table.vlabel_codes[level.vlabel]]
-            else:
-                pool = np.arange(table.num_vertices)
-            pool = pool[table.degrees[pool] >= level.degree]
-            if li == 0:  # nothing bound yet: every seed of graphs first:last is a branch
-                if first or last not in (None, table.num_graphs):
-                    pool = pool[slice(*np.searchsorted(pool, owned[[first, last]]))]
-                assign = pool[:, None]
-                continue
-            graph = table.graph_of[assign[:, 0]]
-            starts = np.searchsorted(pool, owned[graph])
-            counts = np.searchsorted(pool, owned[graph + 1]) - starts
-        branch, pos = _expand(starts, counts, li)
-        if branch.size == 0:
+    assign = _seed_pool(plan, table, plan.levels[0])[:, None]
+    for li in range(1, len(plan.levels)):
+        assign = _bind_level(plan, table, assign, li)
+        if not assign.shape[0]:
             return _empty(plan)
-        cand = pool[pos]
-        # injectivity, then (for an adjacency level) the unary constraints,
-        # the seeding edge's label and every remaining back edge
-        keep = ~(assign[branch] == cand[:, None]).any(axis=1)
-        if level.back_edges:
-            keep &= table.degrees[cand] >= level.degree
-            if plan.label_sensitive:
-                keep &= table.vlabels[cand] == table.vlabel_codes[level.vlabel]
-                keep &= table.elabels[pos] == table.elabel_codes[elabel0]
-            for bj, elabelj in rest:
-                code = table.elabel_codes[elabelj] if plan.label_sensitive else None
-                keep &= _has_edge(table, assign[branch, bj], cand, code)
-        assign = np.concatenate([assign[branch[keep]], cand[keep, None]], axis=1)
     return assign
 
 
-def _join(
-    plan: JoinPlan, table: EdgeTable, first: int = 0, last: int | None = None
-) -> tuple[np.ndarray, list[int]]:
-    """:func:`execute_join_plan` with overflow handled: the block is halved by
-    graph and each half retried, down to a single graph judged on its own
-    table (under its exact quick filter, as a block of one).  Returns the
-    assignments (still graph-major) and the positions of the graphs that
-    overflow alone, which contribute no rows and are left to the caller's
-    VF2 fallback."""
-    last = table.num_graphs if last is None else last
+def _join(plan: JoinPlan, table: EdgeTable, settle_at: int | None = None) -> np.ndarray:
+    """:func:`execute_join_plan`, carried on depth first when it overflows.
+
+    The depth-first pass keeps a stack of frontiers: one that would overflow
+    is split in halves and each half goes through the remaining levels
+    before the next, so the complete rows, concatenated, are the one pass's
+    rows in its order.  With ``settle_at``, a graph whose rows have covered
+    that many distinct edge sets is settled and its pending frontier dropped:
+    its rows are then a prefix of the one pass's — an existence test needs
+    one edge set, a capped enumeration ``limit + 1``.
+    """
     try:
-        return execute_join_plan(plan, table, first, last), []
+        return execute_join_plan(plan, table)
     except GenericJoinOverflow:
-        if not table.parts:
-            return _empty(plan), [0]
-    if last - first == 1:
-        rows, alone = _join(plan, table.parts[first])
-        return rows + table.vertex_offsets[first], [first] * len(alone)
-    middle = (first + last) // 2
-    left, left_alone = _join(plan, table, first, middle)
-    right, right_alone = _join(plan, table, middle, last)
-    return np.concatenate([left, right]), left_alone + right_alone
+        pass  # the one pass's frontiers are released before the split pass
+    ends = np.array(plan.pattern_edges, dtype=np.int64).reshape(-1, 2).T
+    done = seen = None  # settle state: built with the first complete rows
+    chunks = []
+    stack = [(1, _seed_pool(plan, table, plan.levels[0])[:, None])]
+    while stack:
+        li, assign = stack.pop()
+        if done is not None:
+            assign = assign[~done[table.graph_of[assign[:, 0]]]]
+        if not assign.shape[0]:
+            continue
+        if li < len(plan.levels):
+            try:
+                stack.append((li + 1, _bind_level(plan, table, assign, li)))
+            except GenericJoinOverflow:
+                half = assign.shape[0] // 2
+                stack += [(li, assign[half:]), (li, assign[:half])]
+            continue
+        chunks.append(assign)
+        if settle_at is not None:
+            codes = _edge_codes(assign, ends, table)
+            codes.sort(axis=1)
+            keys = np.column_stack([table.graph_of[assign[:, 0]], codes])
+            if done is None:
+                done, seen = np.zeros(table.num_graphs, dtype=bool), keys[:0]
+            seen = np.unique(np.concatenate([seen, keys]), axis=0)
+            done |= np.bincount(seen[:, 0], minlength=table.num_graphs) >= settle_at
+            seen = seen[~done[seen[:, 0]]]
+    return np.concatenate(chunks) if chunks else _empty(plan)
 
 
 # ----------------------------------------------------------------------
@@ -603,49 +622,43 @@ def execute_variant_family(
 # ----------------------------------------------------------------------
 # public matching API
 # ----------------------------------------------------------------------
-def match_block(
-    pattern: LabeledGraph,
-    graphs,
-    label_sensitive: bool = True,
-    method: str | None = None,
-) -> list[bool]:
+def match_block(pattern: LabeledGraph, graphs, label_sensitive: bool = True) -> list[bool]:
     """``pattern ⊆iso g`` for every graph of the block (an iterable of graphs
     or a :class:`GraphBlock`): one join against the stacked table, the
-    surviving assignments counted per graph.  A graph that overflows the
-    frontier cap alone (every graph under ``method="vf2"``) is answered by
-    the recursive matcher instead."""
+    surviving assignments counted per graph (past the cap, each graph's join
+    stops at its first row)."""
     block = GraphBlock.of(graphs)
     size = len(block.graphs)
     if pattern.num_vertices == 0 or size == 0:
         return [True] * size
-    found, alone = [False] * size, range(size)
-    if resolve_engine(method) != "vf2":
-        rows, alone = _join(compile_join_plan(pattern, label_sensitive), block.table)
-        if rows.shape[0]:
-            found = (np.bincount(block.table.graph_of[rows[:, 0]], minlength=size) > 0).tolist()
-    for position in alone:
-        matcher = VF2Matcher(pattern, block.graphs[position], label_sensitive=label_sensitive)
-        found[position] = matcher.exists()
-    return found
+    rows = _join(compile_join_plan(pattern, label_sensitive), block.table, settle_at=1)
+    return (np.bincount(block.table.graph_of[rows[:, 0]], minlength=size) > 0).tolist()
 
 
-def pattern_exists(
+def is_subgraph_isomorphic(
     pattern: LabeledGraph, target: LabeledGraph, label_sensitive: bool = True
 ) -> bool:
-    """``pattern ⊆iso target`` via the generic-join engine (VF2 on overflow)."""
-    return match_block(pattern, (target,), label_sensitive, method="generic_join")[0]
+    """``pattern ⊆iso target`` (Definition 5): :func:`match_block` on the block of one."""
+    return match_block(pattern, (target,), label_sensitive)[0]
+
+
+def find_isomorphism_mapping(
+    pattern: LabeledGraph, target: LabeledGraph, label_sensitive: bool = True
+) -> dict[VertexId, VertexId] | None:
+    """One witnessing mapping for ``pattern ⊆iso target``, or None."""
+    return GenericJoinMatcher(pattern, target, label_sensitive).first_mapping()
 
 
 @dataclass(eq=False)
 class GenericJoinMatcher:
-    """Drop-in sibling of :class:`VF2Matcher` backed by the join engine."""
+    """The join engine for one (pattern, target) pair."""
 
     pattern: LabeledGraph
     target: LabeledGraph
     label_sensitive: bool = True
 
     def exists(self) -> bool:
-        return pattern_exists(self.pattern, self.target, self.label_sensitive)
+        return is_subgraph_isomorphic(self.pattern, self.target, self.label_sensitive)
 
     def first_mapping(self) -> dict[VertexId, VertexId] | None:
         """One witnessing mapping, or None."""
@@ -653,37 +666,38 @@ class GenericJoinMatcher:
         return mappings[0] if mappings else None
 
     def all_mappings(self, limit: int | None = None) -> list[dict[VertexId, VertexId]]:
-        """All injective mappings (up to ``limit``), in discovery order (VF2's
-        on overflow)."""
+        """All injective mappings (the first ``limit``), in discovery order."""
         if self.pattern.num_vertices == 0:
             return [{}]
         plan = compile_join_plan(self.pattern, self.label_sensitive)
         table = compile_edge_table(self.target)
-        rows, alone = _join(plan, table)
-        if alone:
-            matcher = VF2Matcher(self.pattern, self.target, label_sensitive=self.label_sensitive)
-            return matcher.all_mappings(limit=limit)
         ids = table.vertex_ids
         return [
             {level.vertex: ids[image] for level, image in zip(plan.levels, row)}
-            for row in rows[:limit].tolist()
+            for row in _join(plan, table, settle_at=limit)[:limit].tolist()
         ]
 
 
 # ----------------------------------------------------------------------
 # embedding extraction (consumed by repro.isomorphism.embeddings)
 # ----------------------------------------------------------------------
+def _edge_codes(rows: np.ndarray, ends: np.ndarray, table: EdgeTable) -> np.ndarray:
+    """Per row, the code of the block edge that pattern edge ``e`` (joining
+    columns ``ends[:, e]``) lands on: a stacked vertex pair names one edge of
+    one graph."""
+    a, b = rows[:, ends[0]], rows[:, ends[1]]
+    return np.minimum(a, b) * table.num_vertices + np.maximum(a, b)
+
+
 def edge_set_runs(
     rows: np.ndarray, ends: np.ndarray, table: EdgeTable, required=None, ties: tuple = ()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort assignment ``rows`` by the edge set they cover: pattern edge ``e``
-    joins columns ``ends[:, e]`` and a stacked vertex pair names one edge of one
-    graph, so a row's signature is its ascending edge codes (-1 where not
+    """Sort assignment ``rows`` by the edge set they cover: a row's signature
+    is its ascending edge codes (:func:`_edge_codes`; -1 where not
     ``required[r, e]``).  Returns the order that makes equal signatures adjacent
     (``ties``: less significant keys), the signatures in that order and a mask of
     the rows that open a distinct one (much cheaper than ``np.unique(axis=0)``)."""
-    a, b = rows[:, ends[0]], rows[:, ends[1]]
-    codes = np.minimum(a, b) * table.num_vertices + np.maximum(a, b)
+    codes = _edge_codes(rows, ends, table)
     if required is not None:
         codes[~required] = -1
     codes.sort(axis=1)
@@ -696,22 +710,21 @@ def edge_set_runs(
 
 def distinct_embedding_rows(
     pattern: LabeledGraph, table: EdgeTable, limit: int | None, label_sensitive: bool = True
-) -> tuple[JoinPlan, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+) -> tuple[JoinPlan, np.ndarray, np.ndarray, np.ndarray]:
     """One assignment row per distinct embedding of ``pattern`` in the block.
 
     Mappings that cover the same edge set collapse to the first one
     discovered, over all rows at once; the survivors are split by graph id
     and each graph keeps its first ``limit`` — its rows are in its own
     discovery order, so the cap picks what the block of that one graph picks.
-    Returns the plan, the kept rows (graph-major), how many each graph owns,
-    which graphs the cap cut, and the graphs that overflowed alone (no rows;
-    the caller streams those through VF2).
+    Returns the plan, the kept rows (graph-major), how many each graph owns
+    and which graphs the cap cut.
     """
     plan = compile_join_plan(pattern, label_sensitive)
-    rows, alone = _join(plan, table)
+    rows = _join(plan, table, settle_at=None if limit is None else limit + 1)
     if rows.shape[0] == 0:
         none = np.zeros(table.num_graphs, dtype=np.int64)
-        return plan, rows, none, none > 0, alone
+        return plan, rows, none, none > 0
     if rows.shape[0] > 1:
         # first occurrence of each distinct edge set, in discovery order
         order, _, boundary = edge_set_runs(rows, np.array(plan.pattern_edges).T, table)
@@ -724,4 +737,4 @@ def distinct_embedding_rows(
         rank = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
         rows = rows[rank < limit]
         counts = np.minimum(counts, limit)
-    return plan, rows, counts, truncated, alone
+    return plan, rows, counts, truncated

@@ -9,7 +9,7 @@ depth*: it checks whether any deletion of ``d`` query edges yields a
 subgraph-isomorphic remainder, for ``d = 0, 1, ..``.  This is exact, and fast
 for the query sizes and distance thresholds the evaluation uses, because the
 search stops at the first feasible depth and each candidate is tested with
-the label-pruned VF2 matcher.  A quick lower bound based on missing edge
+the generic join.  A quick lower bound based on missing edge
 signatures skips depths that cannot possibly succeed.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.isomorphism.vf2 import is_subgraph_isomorphic
+from repro.isomorphism.generic_join import is_subgraph_isomorphic
 from repro.exceptions import ConfigurationError
 
 DEFAULT_MAX_COMBINATIONS = 200_000

@@ -1,11 +1,11 @@
 """Probability engine: joint probability tables, factor algebra, variable
-elimination, possible-world sampling and Karp-Luby DNF estimation."""
+elimination, batched possible-world sampling and Karp-Luby DNF estimation."""
 
 from repro.probability.factors import Factor
 from repro.probability.jpt import JointProbabilityTable
 from repro.probability.junction_tree import VariableEliminationEngine
-from repro.probability.sampling import monte_carlo_sample_size, WorldSampler
-from repro.probability.dnf import estimate_union_probability, exact_union_probability
+from repro.probability.sampling import monte_carlo_sample_size
+from repro.probability.dnf import exact_union_probability
 from repro.probability.batch_kernel import (
     BatchWorldSampler,
     compile_world_model,
@@ -16,11 +16,9 @@ __all__ = [
     "Factor",
     "JointProbabilityTable",
     "VariableEliminationEngine",
-    "WorldSampler",
     "BatchWorldSampler",
     "compile_world_model",
     "monte_carlo_sample_size",
-    "estimate_union_probability",
     "estimate_union_probability_batch",
     "exact_union_probability",
 ]

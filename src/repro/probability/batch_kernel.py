@@ -3,11 +3,10 @@ verification arithmetic: clause weights, the exact union over a narrow
 support, array-at-a-time possible-world sampling and the batched Karp-Luby
 coverage estimator.
 
-The scalar pipeline (``probability.sampling.WorldSampler`` driving
-``probability.dnf.estimate_union_probability``) evaluates one world at a
-time: every sample builds a Python dict, conditions joint probability tables
-through ``Factor.condition``, and tests events with frozenset containment.
-This module restructures that inner loop into numpy kernels:
+Instead of one world at a time — a Python dict per sample, joint probability
+tables conditioned through ``Factor.condition``, events tested by frozenset
+containment (the scalar sampler of :mod:`repro.reference`, which the tests
+hold this module to) — the inner loop is numpy kernels:
 
 * :func:`compile_world_model` compiles a graph once into integer edge-index
   arrays, per-factor probability tables and the connected components of its
@@ -17,8 +16,8 @@ This module restructures that inner loop into numpy kernels:
   components the event touches, one cached masked sum per single-factor
   component (every edge-partitioned graph) and variable elimination with a
   cached ``Z`` per multi-factor (overlapping) component.  It is the one
-  source of weights for the batched estimator, the scalar estimator and
-  exact inclusion-exclusion;
+  source of weights for the Karp-Luby estimator and exact
+  inclusion-exclusion;
 * :func:`support_union_probability` sums ``Pr(∪ events)`` exactly over the
   assignments of the few columns the events mention — the verifier's route
   whenever that support is at most :data:`EXACT_SUPPORT_LIMIT` wide;
@@ -47,13 +46,6 @@ frozenset iteration order, shard layout, block composition, or how many
 candidates ran before — so a graph's estimate is byte-identical across
 sequential, sharded, top-k-replay, catalog and service executions.  The exact
 route consumes no randomness at all: it is a pure function of (graph, events).
-
-The canonical order is *not* the scalar sampler's interleaved order, so
-batched estimates differ (both unbiased) from ``method="sampling_scalar"``.
-For testing, ``scalar_replay=True`` generates the uniforms in the scalar
-sampler's exact interleaved order (and conditions through the same
-``Factor.condition`` code path) before evaluating vectorized, reproducing
-``estimate_union_probability`` bit-for-bit.
 """
 
 from __future__ import annotations
@@ -65,7 +57,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ProbabilityError
-from repro.probability.events import _bisect, normalize_events
+from repro.probability.events import normalize_events
 from repro.probability.junction_tree import VariableEliminationEngine
 from repro.probability.sampling import (
     DEFAULT_TAU,
@@ -123,8 +115,7 @@ class CompiledFactor:
     ``positions`` maps the factor's edges (in ``factor.edges`` order) to
     columns of the model's presence matrix; ``assignments``/``values`` list
     the JPT's non-zero entries in table insertion order, which is also the
-    order the scalar ``Factor.sample`` walks — keeping the two samplers
-    interchangeable for the replay mode.
+    order the scalar ``Factor.sample`` walks.
     """
 
     positions: np.ndarray  # (w,) int64 — model column of each factor edge
@@ -395,9 +386,8 @@ def clause_weights(graph: "ProbabilisticGraph", events) -> list[float]:
     impossible event weighs 0.
 
     Callers treat the returned list as the clause weights of *one*
-    estimator run: the batched, scalar-replay and scalar estimators and
-    exact inclusion-exclusion all take their weights from here, which is
-    what keeps ``scalar_replay`` bit-exact against the scalar reference.
+    estimator run: the Karp-Luby estimator and exact inclusion-exclusion
+    take their weights from here.
     """
     model = compile_world_model(graph)
     engine: VariableEliminationEngine | None = None
@@ -496,10 +486,9 @@ def support_union_probability(graph: "ProbabilisticGraph", events) -> float | No
 class BatchWorldSampler:
     """Draws many possible worlds of one graph as an ``S x E`` boolean matrix.
 
-    The vectorized counterpart of :class:`~repro.probability.sampling.
-    WorldSampler`: independent-product graphs take one uniform-matrix
-    compare; correlated graphs walk factors in graph order, condition each
-    JPT on the already-assigned overlap/evidence columns, and draw each
+    Independent-product graphs take one uniform-matrix compare; correlated
+    graphs walk factors in graph order, condition each JPT on the
+    already-assigned overlap/evidence columns, and draw each
     conditioning-pattern group with one categorical batch.  The draw order
     is canonical (see the module docstring), so equal generators yield equal
     matrices in every process.
@@ -593,7 +582,7 @@ def _draw_worlds(
         if width > _MAX_FACTOR_WIDTH:
             raise ConfigurationError(
                 f"factor over {width} edges is wider than the batch sampler "
-                f"supports ({_MAX_FACTOR_WIDTH}); use the scalar sampler"
+                f"supports ({_MAX_FACTOR_WIDTH})"
             )
         overlap = model.overlap_masks[position]
         # conditioning pattern per row: the known-slot mask and the known
@@ -645,18 +634,14 @@ def estimate_union_probability_batch(
     tau: float = DEFAULT_TAU,
     num_samples: int | None = None,
     rng: RandomLike = None,
-    scalar_replay: bool = False,
 ) -> float:
-    """Batched Karp-Luby coverage estimate of the union probability.
+    """Batched Karp-Luby coverage estimate of the union probability (Algorithm 5).
 
-    The drop-in vectorized counterpart of :func:`repro.probability.dnf.
-    estimate_union_probability`: same inputs, same clause weights
-    (:func:`clause_weights`), same unbiased ``V * Cnt / N`` estimator, same
-    [0, 1] clamp — but every per-sample step is an array operation and the
-    draw order is the kernel's canonical one (module docstring).  With
-    ``scalar_replay=True`` the uniforms are generated in the scalar
-    sampler's interleaved order instead, reproducing its output bit-for-bit
-    (testing hook; slower, still vectorized evaluation).
+    The paper's pseudo-code returns ``Cnt/N``; the unbiased coverage
+    estimator is ``V * Cnt / N`` with ``V = Σ Pr(Bfi)`` (:func:`clause_weights`),
+    which is what this returns, clamped to [0, 1].  Every per-sample step is
+    an array operation and the draw order is the kernel's canonical one
+    (module docstring).  The sample count defaults to ``(4 ln(2/ξ)) / τ²``.
     """
     check_sample_count(num_samples)
     clean = normalize_events(events)
@@ -670,13 +655,7 @@ def estimate_union_probability_batch(
     n = num_samples if num_samples is not None else monte_carlo_sample_size(xi, tau)
     model = compile_world_model(graph)
     required = compile_events(model, clean)
-
-    if scalar_replay:
-        count = _count_scalar_replay(
-            graph, model, clean, required, weights, total_weight, n, generator
-        )
-    else:
-        count = _count_canonical(model, required, weights, total_weight, n, generator)
+    count = _count_canonical(model, required, weights, total_weight, n, generator)
     estimate = total_weight * count / n
     return min(1.0, max(0.0, estimate))
 
@@ -711,106 +690,3 @@ def _count_canonical(model, required, weights, total_weight, n, generator):
     read = np.flatnonzero(required.any(axis=0))
     worlds = _draw_worlds(model, np_generator, required, required, chosen, read)
     return _canonical_clause_count(worlds[:, read], required[:, read], chosen)
-
-
-def _count_scalar_replay(
-    graph, model, clean, required, weights, total_weight, n, generator
-):
-    """Generate uniforms in the scalar sampler's exact interleaved order.
-
-    Per sample the scalar path draws one event pick, then one uniform per
-    factor that still has unassigned edges given the chosen event's evidence
-    — a consumption pattern that depends only on the event.  Replaying it
-    means one cheap Python pass to collect the uniforms, after which worlds
-    are evaluated with the same vectorized machinery as the canonical mode,
-    conditioning through the original ``Factor.condition`` objects so every
-    float matches the scalar estimator bit-for-bit.
-    """
-    cumulative: list[float] = []
-    running = 0.0
-    for weight in weights:
-        running += weight
-        cumulative.append(running)
-    consuming_factors = [_consuming_factors(graph, event) for event in clean]
-    chosen = np.empty(n, dtype=np.int64)
-    factor_uniforms = np.full((len(graph.factors), n), np.nan)
-    for sample in range(n):
-        pick = generator.random() * total_weight
-        event_index = _bisect(cumulative, pick)
-        chosen[sample] = event_index
-        for factor_position in consuming_factors[event_index]:
-            factor_uniforms[factor_position, sample] = generator.random()
-    worlds = np.empty((n, model.num_edges), dtype=bool)
-    for event_index in np.unique(chosen).tolist():
-        rows = np.flatnonzero(chosen == event_index)
-        worlds[rows] = _replay_worlds(
-            graph, model, clean[event_index], factor_uniforms[:, rows]
-        )
-    return _canonical_clause_count(worlds, required, chosen)
-
-
-def _consuming_factors(graph, event) -> list[int]:
-    """Factor positions that draw one uniform per sample for this event."""
-    assigned = set(event)
-    consuming = []
-    for position, factor in enumerate(graph.factors):
-        if any(key not in assigned for key in factor.edges):
-            consuming.append(position)
-            assigned.update(factor.edges)
-    return consuming
-
-
-def _replay_worlds(graph, model, event, uniforms) -> np.ndarray:
-    """Worlds for one event group from pre-collected scalar-order uniforms.
-
-    ``uniforms[f, s]`` is the uniform the scalar sampler would feed
-    ``Factor.sample`` for factor ``f`` of (local) sample ``s``; conditional
-    tables are built by the very ``Factor.condition`` call the scalar path
-    uses, so entry order, partial sums, and tie behaviour are identical.
-    """
-    group = uniforms.shape[1]
-    worlds = np.zeros((group, model.num_edges), dtype=np.uint8)
-    worlds[:, model.columns(event)] = 1
-    assigned = set(event)
-    for position, factor in enumerate(graph.factors):
-        fixed_keys = [key for key in factor.edges if key in assigned]
-        pending = [key for key in factor.edges if key not in assigned]
-        if not pending:
-            continue
-        group_uniforms = uniforms[position]
-        if fixed_keys:
-            fixed_cols = np.array([model.index[key] for key in fixed_keys])
-            patterns = worlds[:, fixed_cols].astype(np.int64)
-            codes = patterns @ (1 << np.arange(len(fixed_keys), dtype=np.int64))
-            for code in np.unique(codes):
-                rows = np.flatnonzero(codes == code)
-                fixed = {
-                    key: int((int(code) >> slot) & 1)
-                    for slot, key in enumerate(fixed_keys)
-                }
-                conditional = factor.jpt.condition(fixed)
-                if conditional.total() <= 0:
-                    raise ProbabilityError(
-                        f"evidence {fixed!r} has zero probability under factor "
-                        f"{factor.edges!r}"
-                    )
-                _scatter_factor_draws(
-                    worlds, model, conditional, rows, group_uniforms[rows]
-                )
-        else:
-            rows = np.arange(group)
-            _scatter_factor_draws(worlds, model, factor.jpt, rows, group_uniforms)
-        assigned.update(factor.edges)
-    return worlds.astype(bool)
-
-
-def _scatter_factor_draws(worlds, model, conditional, rows, uniforms) -> None:
-    """Vectorized ``Factor.sample`` over one (factor, pattern) sample group."""
-    entries = list(conditional.table.items())
-    values = np.array([value for _, value in entries], dtype=np.float64)
-    cumulative = np.cumsum(values)
-    picks = uniforms * conditional.total()
-    entry = _categorical(cumulative, picks)
-    assignment_rows = np.array([a for a, _ in entries], dtype=np.uint8)
-    columns = np.array([model.index[v] for v in conditional.variables], dtype=np.int64)
-    worlds[np.ix_(rows, columns)] = assignment_rows[entry]

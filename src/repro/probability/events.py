@@ -1,11 +1,10 @@
-"""Events (DNF clauses) shared by the estimators: their canonical order,
-normalization, and the weighted clause pick.
+"""Events (DNF clauses) shared by the estimators: their canonical order and
+normalization.
 
 An event is a set of edge keys that must all be present in a sampled world.
-This is a leaf module: :mod:`repro.probability.dnf` (the scalar reference
-and exact inclusion-exclusion) and :mod:`repro.probability.batch_kernel`
-(the production kernel, which ``dnf`` takes its clause weights from) both
-import it.
+This is a leaf module: :mod:`repro.probability.dnf` (exact
+inclusion-exclusion) and :mod:`repro.probability.batch_kernel` (the kernel,
+which ``dnf`` takes its clause weights from) both import it.
 """
 
 from __future__ import annotations
@@ -71,15 +70,3 @@ def normalize_events(events: list[frozenset | set]) -> NormalizedEvents:
             continue
         kept.append(event)
     return kept
-
-
-def _bisect(cumulative: list[float], value: float) -> int:
-    """Index of the first cumulative weight >= value."""
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if cumulative[mid] < value:
-            low = mid + 1
-        else:
-            high = mid
-    return low

@@ -1,70 +1,31 @@
-"""Labeled subgraph isomorphism in the style of VF2 (Definition 5, [10]).
+"""Labeled subgraph isomorphism in the style of VF2 (Definition 5, [10]): the
+reference the join engine is tested against.
 
 The paper uses VF2 for every ``rq ⊆iso f`` / ``f ⊆iso gc`` test during
-pruning and index construction.  This module implements a backtracking
-matcher for *subgraph monomorphism*: an injective mapping of the pattern's
-vertices into the target such that every pattern edge maps onto a target edge
-with matching vertex and edge labels.  The target may contain additional
-edges among the mapped vertices (this is the paper's Definition 5, which does
-not require an induced match).
+pruning and index construction; here the generic join
+(:mod:`repro.isomorphism.generic_join`) answers all of them, and this
+backtracking matcher is the oracle it must agree with.  It matches *subgraph
+monomorphism*: an injective mapping of the pattern's vertices into the target
+such that every pattern edge maps onto a target edge with matching vertex and
+edge labels.  The target may contain additional edges among the mapped
+vertices (the paper's Definition 5 does not require an induced match).
 
 Pruning rules:
 
 * vertex label equality and degree feasibility,
 * consistency of already-mapped neighbours (the core VF2 feasibility rule),
 * a global quick reject on vertex/edge label multisets.
-
-The recursive matcher survives as the ``method="vf2"`` reference engine; the
-default engine lives in :mod:`repro.isomorphism.generic_join` and the module
-functions below dispatch on the active engine.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.graphs.labeled_graph import LabeledGraph, VertexId
+from repro.graphs.labeled_graph import LabeledGraph, VertexId, edge_key
+from repro.isomorphism.embeddings import Embedding, EmbeddingEnumeration
+from repro.isomorphism.generic_join import connectivity_order
 
 MatchCallback = Callable[[dict[VertexId, VertexId]], bool]
-
-
-def connectivity_order(pattern: LabeledGraph) -> list[VertexId]:
-    """Connectivity-aware vertex elimination order, shared by both engines.
-
-    BFS from the highest-degree vertex of each component, always taking the
-    frontier vertex with the most already-placed neighbours (ties broken by
-    degree, then repr).  Placed-neighbour counts are maintained incrementally
-    so the whole ordering is O(V + E) selections over the frontier instead of
-    re-sorting the frontier on every pop.
-    """
-    degree = {v: pattern.degree(v) for v in pattern.vertices()}
-    neighbors = {v: tuple(pattern.neighbors(v)) for v in degree}
-    placed_count = dict.fromkeys(degree, 0)
-    order: list[VertexId] = []
-    placed: set[VertexId] = set()
-    remaining = set(degree)
-    while remaining:
-        start = max(remaining, key=lambda v: (degree[v], repr(v)))
-        frontier = [start]
-        in_frontier = {start}
-        while frontier:
-            current = min(
-                frontier,
-                key=lambda v: (-placed_count[v], -degree[v], repr(v)),
-            )
-            frontier.remove(current)
-            in_frontier.discard(current)
-            order.append(current)
-            placed.add(current)
-            remaining.discard(current)
-            for neighbor in neighbors[current]:
-                if neighbor in placed:
-                    continue
-                placed_count[neighbor] += 1
-                if neighbor not in in_frontier:
-                    frontier.append(neighbor)
-                    in_frontier.add(neighbor)
-    return order
 
 
 class VF2Matcher:
@@ -247,37 +208,40 @@ class VF2Matcher:
         return True
 
 
-def is_subgraph_isomorphic(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-    label_sensitive: bool = True,
-    method: str | None = None,
-) -> bool:
-    """``pattern ⊆iso target`` (Definition 5).
-
-    ``method`` picks the engine (``"generic_join"`` or ``"vf2"``); None uses
-    the session default (see :mod:`repro.isomorphism.generic_join`).
-    """
-    if pattern.num_vertices == 0:
-        return True
-    from repro.isomorphism import generic_join
-
-    if generic_join.resolve_engine(method) == "generic_join":
-        return generic_join.pattern_exists(pattern, target, label_sensitive=label_sensitive)
+def vf2_exists(pattern: LabeledGraph, target: LabeledGraph, label_sensitive: bool = True) -> bool:
+    """``pattern ⊆iso target`` by VF2."""
     return VF2Matcher(pattern, target, label_sensitive=label_sensitive).exists()
 
 
-def find_isomorphism_mapping(
+def vf2_embeddings(
     pattern: LabeledGraph,
     target: LabeledGraph,
+    limit: int | None = None,
     label_sensitive: bool = True,
-    method: str | None = None,
-) -> dict[VertexId, VertexId] | None:
-    """One witnessing mapping for ``pattern ⊆iso target``, or None."""
-    if pattern.num_vertices == 0:
-        return {}
-    from repro.isomorphism import generic_join
+) -> EmbeddingEnumeration:
+    """The distinct embeddings of ``pattern`` in ``target`` by VF2, streamed and
+    deduplicated by edge set, in the canonical order of
+    :func:`repro.isomorphism.embeddings.enumerate_embeddings`; ``truncated``
+    when a distinct embedding beyond the first ``limit`` exists."""
+    if pattern.num_edges == 0:
+        return EmbeddingEnumeration(embeddings=[], truncated=False)
+    pattern_edges = list(pattern.edge_keys())
+    seen: set[frozenset] = set()
+    embeddings: list[Embedding] = []
+    truncated = False
 
-    if generic_join.resolve_engine(method) == "generic_join":
-        return generic_join.GenericJoinMatcher(pattern, target, label_sensitive).first_mapping()
-    return VF2Matcher(pattern, target, label_sensitive=label_sensitive).first_mapping()
+    def visit(mapping: dict) -> bool:
+        nonlocal truncated
+        edge_set = frozenset(edge_key(mapping[u], mapping[v]) for u, v in pattern_edges)
+        if edge_set in seen:
+            return True
+        if limit is not None and len(embeddings) >= limit:
+            truncated = True  # a new distinct embedding beyond the cap
+            return False
+        seen.add(edge_set)
+        embeddings.append(Embedding(edges=edge_set, vertices=frozenset(mapping.values())))
+        return True
+
+    VF2Matcher(pattern, target, label_sensitive=label_sensitive).for_each_mapping(visit)
+    embeddings.sort(key=lambda e: repr(sorted(e.edges, key=repr)))
+    return EmbeddingEnumeration(embeddings=embeddings, truncated=truncated)

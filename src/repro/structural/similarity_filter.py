@@ -8,7 +8,7 @@ graph can be discarded before any probabilistic work.  The filter combines:
 2. the edge-signature bound (a query edge whose signature the skeleton cannot
    absorb must be relaxed away, so more than ``δ`` of them ⇒ prune), read off
    the index's signature postings;
-3. optionally, an exact subgraph-similarity check (VF2 over relaxations) for
+3. optionally, an exact subgraph-similarity check (the join over relaxations) for
    callers that want the candidate set to be exactly ``SCq``.
 
 1 and 2 are array passes over the index; only 3 opens a graph.

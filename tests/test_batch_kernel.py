@@ -1,12 +1,12 @@
 """Tests for the vectorized batch verification kernel.
 
 Three layers of evidence that the kernel computes the same estimator as the
-scalar reference (``probability.dnf.estimate_union_probability``):
+scalar reference (``repro.reference.estimate_union_probability``):
 
-* **bit-exact replay** — with ``scalar_replay=True`` the kernel generates
-  its uniforms in the scalar sampler's interleaved order and must reproduce
-  the scalar estimate *exactly*, seed for seed (property-tested over random
-  edge probabilities and event sets);
+* **bit-exact replay** — ``repro.reference.replay_union_probability`` feeds
+  the kernel's evaluation the uniforms in the scalar sampler's interleaved
+  order and must reproduce the scalar estimate *exactly*, seed for seed
+  (property-tested over random edge probabilities and event sets);
 * **statistical agreement** — in canonical mode the draws differ, so the
   batched estimate must agree with the exact inclusion-exclusion value (and
   with the scalar estimate) within the Monte-Carlo tolerance implied by the
@@ -46,7 +46,6 @@ from repro.probability import (
     JointProbabilityTable,
     VariableEliminationEngine,
     compile_world_model,
-    estimate_union_probability,
     estimate_union_probability_batch,
     exact_union_probability,
     monte_carlo_sample_size,
@@ -57,6 +56,7 @@ from repro.probability.batch_kernel import (
     compile_events,
     support_union_probability,
 )
+from repro.reference import estimate_union_probability, replay_union_probability
 from repro.utils.rng import numpy_generator
 
 from tests.conftest import make_simple_probabilistic_graph
@@ -258,9 +258,7 @@ class TestClauseWeights:
         assert exact_union_probability(graph, events) == pytest.approx(0.8)
         scalar = estimate_union_probability(graph, events, num_samples=300, rng=1)
         assert scalar == pytest.approx(0.8, abs=0.1)
-        replay = estimate_union_probability_batch(
-            graph, events, num_samples=300, rng=1, scalar_replay=True
-        )
+        replay = replay_union_probability(graph, events, num_samples=300, rng=1)
         assert replay == scalar
         with pytest.raises(ConfigurationError, match="wider than the batch sampler"):
             estimate_union_probability_batch(graph, events, num_samples=300, rng=1)
@@ -330,9 +328,7 @@ class TestSampleCountValidation:
         with pytest.raises(ConfigurationError, match="num_samples"):
             estimate_union_probability_batch(graph, events, num_samples=bad, rng=0)
         with pytest.raises(ConfigurationError, match="num_samples"):
-            estimate_union_probability_batch(
-                graph, events, num_samples=bad, rng=0, scalar_replay=True
-            )
+            replay_union_probability(graph, events, num_samples=bad, rng=0)
         with pytest.raises(ConfigurationError, match="num_samples"):
             estimate_union_probability(graph, events, num_samples=bad, rng=0)
 
@@ -418,16 +414,14 @@ class TestBatchWorldSampler:
 
 
 class TestScalarReplayBitExactness:
-    """``scalar_replay=True`` reproduces the scalar estimator exactly."""
+    """``replay_union_probability`` reproduces the scalar estimator exactly."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_independent_graph(self, seed):
         graph = make_simple_probabilistic_graph(edge_probability=0.5)
         events = two_event_list(graph)
         scalar = estimate_union_probability(graph, events, num_samples=150, rng=seed)
-        replay = estimate_union_probability_batch(
-            graph, events, num_samples=150, rng=seed, scalar_replay=True
-        )
+        replay = replay_union_probability(graph, events, num_samples=150, rng=seed)
         assert scalar == replay
 
     @pytest.mark.parametrize("seed", range(6))
@@ -437,9 +431,7 @@ class TestScalarReplayBitExactness:
         scalar = estimate_union_probability(
             triangle_graph_001, events, num_samples=150, rng=seed
         )
-        replay = estimate_union_probability_batch(
-            triangle_graph_001, events, num_samples=150, rng=seed, scalar_replay=True
-        )
+        replay = replay_union_probability(triangle_graph_001, events, num_samples=150, rng=seed)
         assert scalar == replay
 
     @pytest.mark.parametrize("seed", range(6))
@@ -450,9 +442,7 @@ class TestScalarReplayBitExactness:
         scalar = estimate_union_probability(
             overlap_graph_002, events, num_samples=150, rng=seed
         )
-        replay = estimate_union_probability_batch(
-            overlap_graph_002, events, num_samples=150, rng=seed, scalar_replay=True
-        )
+        replay = replay_union_probability(overlap_graph_002, events, num_samples=150, rng=seed)
         assert scalar == replay
 
     @settings(
@@ -490,9 +480,7 @@ class TestScalarReplayBitExactness:
             {keys[i], keys[(i + 1) % 4]} for i in range(4) if event_mask & (1 << i)
         ]
         scalar = estimate_union_probability(graph, events, num_samples=40, rng=seed)
-        replay = estimate_union_probability_batch(
-            graph, events, num_samples=40, rng=seed, scalar_replay=True
-        )
+        replay = replay_union_probability(graph, events, num_samples=40, rng=seed)
         assert scalar == replay
 
 
@@ -536,10 +524,7 @@ class TestCanonicalBatchEstimator:
         graph = make_simple_probabilistic_graph(edge_probability=1.0)
         events = [set(graph.edge_variables()[:2])]
         assert estimate_union_probability_batch(graph, events, rng=0) == 1.0
-        assert (
-            estimate_union_probability_batch(graph, events, rng=0, scalar_replay=True)
-            == 1.0
-        )
+        assert replay_union_probability(graph, events, rng=0) == 1.0
         assert estimate_union_probability(graph, events, rng=0) == 1.0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -547,9 +532,7 @@ class TestCanonicalBatchEstimator:
         graph = make_simple_probabilistic_graph(edge_probability=1.0)
         events = two_event_list(graph)
         scalar = estimate_union_probability(graph, events, num_samples=200, rng=seed)
-        replay = estimate_union_probability_batch(
-            graph, events, num_samples=200, rng=seed, scalar_replay=True
-        )
+        replay = replay_union_probability(graph, events, num_samples=200, rng=seed)
         assert scalar == replay
 
     def test_no_events_is_zero(self):
@@ -842,27 +825,6 @@ class TestCalibration:
 
 
 class TestVerifierIntegration:
-    def test_sampling_scalar_method_is_the_reference(self, rng):
-        from repro.core import VerificationConfig, Verifier
-        from repro.core.relaxation import relax_query
-
-        graph = make_simple_probabilistic_graph(edge_probability=0.6)
-        query = LabeledGraph(name="q")
-        query.add_vertex(0, "a")
-        query.add_vertex(1, "b")
-        query.add_edge(0, 1, "x")
-        scalar = Verifier(
-            VerificationConfig(method="sampling_scalar", num_samples=200), rng=31
-        )
-        relaxed = relax_query(query, 0, scalar.relaxation)
-        (events,) = scalar._embedding_events_block(relaxed, [graph])
-        expected = estimate_union_probability(
-            graph, events, num_samples=200, rng=31
-        )
-        assert (
-            scalar.subgraph_similarity_probability(query, graph, 0) == expected
-        )
-
     def test_verify_block_matches_single_calls(self, small_ppi_database):
         """Block verification returns exactly the per-candidate estimates."""
         from repro.core import VerificationConfig, Verifier

@@ -5,12 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import VerificationError
-from repro.probability import (
-    estimate_union_probability,
-    estimate_union_probability_batch,
-    exact_union_probability,
-)
+from repro.probability import estimate_union_probability_batch, exact_union_probability
 from repro.probability.events import canonical_event_key, normalize_events
+from repro.reference import estimate_union_probability
 
 from tests.conftest import make_simple_probabilistic_graph
 

@@ -19,7 +19,7 @@ from repro.core.wal import WriteAheadLog, wal_filename
 from repro.datasets import extract_query
 from repro.exceptions import CatalogError, ConfigurationError
 from repro.pmi import ProbabilisticMatrixIndex
-from repro.probability import WorldSampler
+from repro.reference import WorldSampler
 from repro.structural.feature_index import StructuralFeatureIndex
 from tests.conftest import assert_signature_segment_matches_live_graphs
 from tests.test_catalog_parity import (

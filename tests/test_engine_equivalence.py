@@ -1,9 +1,13 @@
 """Engine equivalence: the vectorized generic-join engine must agree with
-the recursive VF2 reference — on random labeled graphs (hypothesis) and,
-byte for byte, on full query answers and per-stage counters through the
-sequential, sharded and top-k paths."""
+the recursive VF2 reference on random labeled graphs (hypothesis), and its
+depth-first split past the branch cap must leave full query answers and
+per-stage counters byte-identical through the sequential, sharded and top-k
+paths."""
 
 from __future__ import annotations
+
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,10 +23,11 @@ from repro.graphs import LabeledGraph
 from repro.isomorphism import (
     find_embeddings,
     find_isomorphism_mapping,
+    generic_join,
     is_subgraph_isomorphic,
-    using_engine,
 )
 from repro.pmi import BoundConfig, FeatureSelectionConfig
+from repro.reference import VF2Matcher, vf2_embeddings, vf2_exists
 
 SETTINGS = settings(
     max_examples=30,
@@ -84,35 +89,21 @@ class TestRandomizedEquivalence:
     @given(pattern_target_pairs(), st.booleans())
     def test_exists_agrees_on_induced_patterns(self, pair, label_sensitive):
         pattern, target = pair
-        gj = is_subgraph_isomorphic(
-            pattern, target, label_sensitive=label_sensitive, method="generic_join"
-        )
-        vf2 = is_subgraph_isomorphic(
-            pattern, target, label_sensitive=label_sensitive, method="vf2"
-        )
-        assert gj == vf2
+        gj = is_subgraph_isomorphic(pattern, target, label_sensitive=label_sensitive)
+        assert gj == vf2_exists(pattern, target, label_sensitive)
         assert gj  # an induced subgraph always embeds via the identity
 
     @SETTINGS
     @given(small_labeled_graphs(max_vertices=4), small_labeled_graphs(), st.booleans())
     def test_exists_agrees_on_independent_graphs(self, pattern, target, label_sensitive):
-        gj = is_subgraph_isomorphic(
-            pattern, target, label_sensitive=label_sensitive, method="generic_join"
-        )
-        vf2 = is_subgraph_isomorphic(
-            pattern, target, label_sensitive=label_sensitive, method="vf2"
-        )
-        assert gj == vf2
+        gj = is_subgraph_isomorphic(pattern, target, label_sensitive=label_sensitive)
+        assert gj == vf2_exists(pattern, target, label_sensitive)
 
     @SETTINGS
     @given(small_labeled_graphs(max_vertices=4), small_labeled_graphs(), st.booleans())
     def test_first_mapping_foundness_and_validity(self, pattern, target, label_sensitive):
-        gj = find_isomorphism_mapping(
-            pattern, target, label_sensitive=label_sensitive, method="generic_join"
-        )
-        vf2 = find_isomorphism_mapping(
-            pattern, target, label_sensitive=label_sensitive, method="vf2"
-        )
+        gj = find_isomorphism_mapping(pattern, target, label_sensitive=label_sensitive)
+        vf2 = VF2Matcher(pattern, target, label_sensitive=label_sensitive).first_mapping()
         assert (gj is None) == (vf2 is None)
         if gj is not None:
             assert_valid_mapping(pattern, target, gj, label_sensitive)
@@ -121,14 +112,9 @@ class TestRandomizedEquivalence:
     @SETTINGS
     @given(small_labeled_graphs(max_vertices=4), small_labeled_graphs(), st.booleans())
     def test_embeddings_are_byte_identical(self, pattern, target, label_sensitive):
-        gj = find_embeddings(
-            pattern, target, limit=None, label_sensitive=label_sensitive,
-            method="generic_join",
-        )
-        vf2 = find_embeddings(
-            pattern, target, limit=None, label_sensitive=label_sensitive, method="vf2"
-        )
-        assert gj == vf2  # same embeddings, same canonical order
+        gj = find_embeddings(pattern, target, limit=None, label_sensitive=label_sensitive)
+        vf2 = vf2_embeddings(pattern, target, limit=None, label_sensitive=label_sensitive)
+        assert gj == vf2.embeddings  # same embeddings, same canonical order
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +157,20 @@ def parity_workload(parity_dataset):
     ]
 
 
-def build_database(dataset, engine, num_shards=None):
-    with using_engine(engine):
+# a branch cap this small makes the joins of the index build and of every
+# query split their frontiers (and the family pass rerun per variant)
+SPLIT_CAP = 4
+
+
+def capped(cap):
+    """A context in which the join's branch cap is ``cap`` (None: the default)."""
+    if cap is None:
+        return nullcontext()
+    return mock.patch.object(generic_join, "_MAX_OPEN_BRANCHES", cap)
+
+
+def build_database(dataset, cap, num_shards=None):
+    with capped(cap):
         database = ProbabilisticGraphDatabase(dataset.graphs)
         kwargs = {} if num_shards is None else {"num_shards": num_shards, "max_workers": 0}
         database.build_index(
@@ -193,9 +191,9 @@ def counter_dict(result) -> dict:
     return {key: value for key, value in full.items() if not key.endswith("_seconds")}
 
 
-def run_queries(database, engine, workload, config):
-    """(answers, counters) per query, executed under the given engine."""
-    with using_engine(engine):
+def run_queries(database, cap, workload, config):
+    """(answers, counters) per query, executed under the given branch cap."""
+    with capped(cap):
         results = database.query_many(
             workload,
             PROBABILITY_THRESHOLD,
@@ -206,8 +204,8 @@ def run_queries(database, engine, workload, config):
     return [(answer_tuples(r), counter_dict(r)) for r in results]
 
 
-def run_top_k(database, engine, workload, config):
-    with using_engine(engine):
+def run_top_k(database, cap, workload, config):
+    with capped(cap):
         results = [
             database.query_top_k(
                 query, 3, DISTANCE_THRESHOLD, config=config, rng=17
@@ -219,26 +217,26 @@ def run_top_k(database, engine, workload, config):
 
 class TestPipelineByteParity:
     """Every answer, SSP estimate and per-stage counter must be identical
-    whichever engine did the matching — index build included."""
+    whether or not the joins split their frontiers — index build included."""
 
     @pytest.mark.parametrize("config", [SAMPLING_CONFIG, EXACT_CONFIG], ids=["smp", "exact"])
     def test_threshold_queries(self, parity_dataset, parity_workload, config):
-        gj = build_database(parity_dataset, "generic_join")
-        vf2 = build_database(parity_dataset, "vf2")
-        assert run_queries(gj, "generic_join", parity_workload, config) == run_queries(
-            vf2, "vf2", parity_workload, config
+        default = build_database(parity_dataset, None)
+        split = build_database(parity_dataset, SPLIT_CAP)
+        assert run_queries(default, None, parity_workload, config) == run_queries(
+            split, SPLIT_CAP, parity_workload, config
         )
 
     def test_top_k_queries(self, parity_dataset, parity_workload):
-        gj = build_database(parity_dataset, "generic_join")
-        vf2 = build_database(parity_dataset, "vf2")
-        assert run_top_k(gj, "generic_join", parity_workload, SAMPLING_CONFIG) == run_top_k(
-            vf2, "vf2", parity_workload, SAMPLING_CONFIG
+        default = build_database(parity_dataset, None)
+        split = build_database(parity_dataset, SPLIT_CAP)
+        assert run_top_k(default, None, parity_workload, SAMPLING_CONFIG) == run_top_k(
+            split, SPLIT_CAP, parity_workload, SAMPLING_CONFIG
         )
 
     def test_sharded_queries(self, parity_dataset, parity_workload):
-        gj = build_database(parity_dataset, "generic_join", num_shards=2)
-        vf2 = build_database(parity_dataset, "vf2", num_shards=2)
+        default = build_database(parity_dataset, None, num_shards=2)
+        split = build_database(parity_dataset, SPLIT_CAP, num_shards=2)
         assert run_queries(
-            gj, "generic_join", parity_workload, SAMPLING_CONFIG
-        ) == run_queries(vf2, "vf2", parity_workload, SAMPLING_CONFIG)
+            default, None, parity_workload, SAMPLING_CONFIG
+        ) == run_queries(split, SPLIT_CAP, parity_workload, SAMPLING_CONFIG)

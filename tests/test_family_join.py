@@ -1,8 +1,8 @@
 """The variant-family pass (all relaxed variants of a query joined against a
 block in one level-at-a-time pass) held to the per-variant loop it replaces:
 equal events per graph on random queries, relaxation configs and blocks;
-block entry k equal to the block of one; and the four reroutes — embedding
-limit, branch cap, the vf2 engine, relabelings joined on their own — exact."""
+block entry k equal to the block of one; and the three reroutes — embedding
+limit, branch cap, relabelings joined on their own — exact."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core.relaxation import RelaxationConfig, relax_query
 from repro.core.verification import VerificationConfig, Verifier
 from repro.graphs import LabeledGraph, ProbabilisticGraph
-from repro.isomorphism import generic_join, using_engine
+from repro.isomorphism import generic_join
 from repro.isomorphism.embeddings import (
     family_reroute_count,
     find_family_events_block,
@@ -225,7 +225,9 @@ class TestReroutes:
             "execute_variant_family",
             lambda *args: passes.append(args) or family_pass(*args),
         )
-        monkeypatch.setattr(generic_join, "_join", lambda *args: joins.append(args) or join(*args))
+        monkeypatch.setattr(
+            generic_join, "_join", lambda *args, **kw: joins.append(args) or join(*args, **kw)
+        )
         reset_family_reroute_count()
         shared = find_family_events_block(family, variants, TARGETS)
         assert (len(passes), len(joins)) == (1, 1)
@@ -253,16 +255,6 @@ class TestReroutes:
         assert family.required.shape == (0, QUERY.num_edges) and family.loners == (0,)
         shared = find_family_events_block(family, [relabeled], TARGETS, None)
         assert shared == per_variant([relabeled], TARGETS) and shared[0]
-
-    def test_vf2_engine_never_enters_the_family_executor(self, monkeypatch):
-        variants = relax_query(QUERY, 1)
-        family = compile_variant_family(QUERY, variants)
-        reference = per_variant(variants, TARGETS)
-        monkeypatch.setattr(generic_join, "execute_variant_family", None)  # calling it raises
-        reset_family_reroute_count()
-        with using_engine("vf2"):
-            assert find_family_events_block(family, variants, TARGETS, None) == reference
-        assert family_reroute_count() == (0, 0)
 
     def test_label_absent_from_the_block_matches_nothing(self):
         query = build({0: "a", 1: "a", 2: "nowhere"}, [(0, 1, "x"), (0, 2, "y"), (1, 2, "never")])

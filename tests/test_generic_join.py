@@ -1,14 +1,14 @@
 """Unit tests for the vectorized generic-join matching engine: the matcher
 API, block entry points, compiled-structure caching against the graph
-mutation counter, the overflow fallback to VF2, truncation reporting, the
-engine registry, and the block path held to the block-of-one path — on
-random blocks (hypothesis) and on corpora drawn with the end-to-end
-benchmark's generator settings (mined features, PMI cells, structural
-counts)."""
+mutation counter, the depth-first split past the branch cap (results
+independent of the cap, early exit), truncation reporting, and the block path
+held to the block-of-one path and to the VF2 reference — on random blocks
+(hypothesis) and on corpora drawn with the end-to-end benchmark's generator
+settings (mined features, PMI cells, structural counts)."""
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.graphs import LabeledGraph
 from repro.isomorphism import (
     GenericJoinMatcher,
     GenericJoinOverflow,
-    VF2Matcher,
     compile_edge_table,
     compile_join_plan,
     count_embeddings,
@@ -30,23 +29,22 @@ from repro.isomorphism import (
     enumerate_embeddings,
     find_embeddings,
     find_embeddings_block,
-    get_default_engine,
+    is_subgraph_isomorphic,
     match_block,
-    set_default_engine,
-    using_engine,
 )
-from repro.isomorphism import embeddings as embeddings_module
 from repro.isomorphism import generic_join
 from repro.isomorphism.embeddings import (
     enumerate_embeddings_block,
+    find_family_events_block,
     reset_truncation_count,
     truncation_count,
 )
-from repro.isomorphism.generic_join import GraphBlock, pattern_exists
+from repro.isomorphism.generic_join import GraphBlock, compile_variant_family
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.pmi import features as features_module
 from repro.pmi.bounds import compute_sip_bounds, draw_worlds
 from repro.pmi.features import FeatureMiner
+from repro.reference import VF2Matcher, vf2_embeddings, vf2_exists
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.rng import BUILD_STREAM, derive_rng
 
@@ -141,7 +139,7 @@ class TestBlockAPIs:
         path_only = build({0: "a", 1: "a", 2: "b"}, [(0, 1, "x"), (0, 2, "x")])
         targets = [triangle_target, path_only, build({0: "c"}, [])]
         assert match_block(pattern, targets) == [True, False, False]
-        assert match_block(pattern, targets, method="vf2") == [True, False, False]
+        assert [vf2_exists(pattern, target) for target in targets] == [True, False, False]
 
     def test_match_block_empty_pattern(self, triangle_target):
         assert match_block(LabeledGraph(), [triangle_target, LabeledGraph()]) == [True, True]
@@ -168,24 +166,24 @@ class TestTruncation:
 
     @pytest.mark.parametrize("engine", ["generic_join", "vf2"])
     def test_truncated_flag_and_counter(self, star, engine):
+        """The flag means the same for the join and for the VF2 reference: a
+        distinct embedding beyond the limit exists.  The join's cuts are counted."""
         pattern = build({0: "a", 1: "b"}, [(0, 1, "x")])
-        with using_engine(engine):
-            reset_truncation_count()
-            full = enumerate_embeddings(pattern, star, limit=None)
-            assert len(full.embeddings) == 5
-            assert not full.truncated
-            assert truncation_count() == 0
+        enumerate_ = {"generic_join": enumerate_embeddings, "vf2": vf2_embeddings}[engine]
+        reset_truncation_count()
+        full = enumerate_(pattern, star, limit=None)
+        assert len(full.embeddings) == 5
+        assert not full.truncated
 
-            capped = enumerate_embeddings(pattern, star, limit=3)
-            assert len(capped.embeddings) == 3
-            assert capped.truncated
-            assert truncation_count() == 1
+        capped = enumerate_(pattern, star, limit=3)
+        assert len(capped.embeddings) == 3
+        assert capped.truncated
 
-            # a limit exactly at the number of distinct embeddings is not truncation
-            exact = enumerate_embeddings(pattern, star, limit=5)
-            assert len(exact.embeddings) == 5
-            assert not exact.truncated
-            assert truncation_count() == 1
+        # a limit exactly at the number of distinct embeddings is not truncation
+        exact = enumerate_(pattern, star, limit=5)
+        assert len(exact.embeddings) == 5
+        assert not exact.truncated
+        assert truncation_count() == (engine == "generic_join")
         reset_truncation_count()
 
     def test_edgeless_pattern_has_no_embeddings(self, star):
@@ -243,65 +241,20 @@ class TestCompiledStructureCaching:
 
 
 class TestOverflowFallback:
-    def test_overflow_falls_back_to_vf2(self, monkeypatch, triangle_target):
+    def test_overflow_splits_the_frontier(self, monkeypatch, triangle_target):
         pattern = build({0: "a", 1: "a", 2: "b"}, [(0, 1, "x"), (0, 2, "x"), (1, 2, "x")])
-        expected_exists = GenericJoinMatcher(pattern, triangle_target).exists()
-        expected = find_embeddings(pattern, triangle_target, limit=None, method="vf2")
+        matcher = GenericJoinMatcher(pattern, triangle_target)
+        uncapped = (matcher.exists(), matcher.all_mappings(), matcher.first_mapping())
+        expected = find_embeddings(pattern, triangle_target, limit=None)
         monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 1)
         with pytest.raises(GenericJoinOverflow):
             generic_join.execute_join_plan(
                 compile_join_plan(pattern), compile_edge_table(triangle_target)
             )
-        # the public APIs silently reroute the overflowing pair through VF2
-        assert GenericJoinMatcher(pattern, triangle_target).exists() == expected_exists
-        mapping = GenericJoinMatcher(pattern, triangle_target).first_mapping()
-        assert_valid_mapping(pattern, triangle_target, mapping)
-        with using_engine("generic_join"):
-            assert find_embeddings(pattern, triangle_target, limit=None) == expected
-
-
-class TestEngineRegistry:
-    def test_default_engine_is_generic_join(self):
-        assert get_default_engine() == "generic_join"
-
-    def test_resolve(self):
-        assert generic_join.resolve_engine(None) == get_default_engine()
-        assert generic_join.resolve_engine("vf2") == "vf2"
-        assert generic_join.resolve_engine("generic_join") == "generic_join"
-        with pytest.raises(ValueError):
-            generic_join.resolve_engine("simd")
-
-    def test_set_default_engine_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_default_engine("nope")
-
-    def test_using_engine_restores_previous(self):
-        before = get_default_engine()
-        with using_engine("vf2"):
-            assert get_default_engine() == "vf2"
-            with using_engine("generic_join"):
-                assert get_default_engine() == "generic_join"
-            assert get_default_engine() == "vf2"
-        assert get_default_engine() == before
-
-    def test_env_var_mirrors_engine(self):
-        """Pool workers inherit the engine through the environment."""
-        before = get_default_engine()
-        try:
-            set_default_engine("vf2")
-            assert os.environ.get("REPRO_MATCH_ENGINE") == "vf2"
-            set_default_engine("generic_join")
-            assert os.environ.get("REPRO_MATCH_ENGINE") == "generic_join"
-        finally:
-            set_default_engine(before)
-
-    def test_method_override_beats_default(self, triangle_target):
-        pattern = build({0: "a", 1: "b"}, [(0, 1, "x")])
-        with using_engine("vf2"):
-            gj = find_embeddings(pattern, triangle_target, method="generic_join")
-        with using_engine("generic_join"):
-            vf2 = find_embeddings(pattern, triangle_target, method="vf2")
-        assert gj == vf2
+        # the public APIs carry on through the split: the same answers
+        assert (matcher.exists(), matcher.all_mappings(), matcher.first_mapping()) == uncapped
+        assert_valid_mapping(pattern, triangle_target, uncapped[2])
+        assert find_embeddings(pattern, triangle_target, limit=None) == expected
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +329,7 @@ class TestBlockEqualsBlockOfOne:
             assert truncation_count() == cut_one_by_one
 
             assert match_block(pattern, targets, label_sensitive) == [
-                pattern_exists(pattern, graph, label_sensitive) for graph in graphs
+                is_subgraph_isomorphic(pattern, graph, label_sensitive) for graph in graphs
             ]
         reset_truncation_count()
 
@@ -384,65 +337,13 @@ class TestBlockEqualsBlockOfOne:
     @given(blocks_and_patterns(), st.booleans())
     def test_untruncated_block_equals_vf2(self, case, label_sensitive):
         graphs, pattern = case
-        options = dict(limit=None, label_sensitive=label_sensitive)
-        assert find_embeddings_block(pattern, graphs, **options) == find_embeddings_block(
-            pattern, graphs, method="vf2", **options
-        )
-        assert match_block(pattern, graphs, label_sensitive) == match_block(
-            pattern, graphs, label_sensitive, method="vf2"
-        )
-
-    @BLOCK_SETTINGS
-    @given(blocks_and_patterns(), st.integers(min_value=1, max_value=12))
-    def test_overflow_halves_the_block_and_reroutes_only_lone_overflowers(self, case, cap):
-        """With a low frontier cap the block splits; results stay equal, and
-        VF2 sees exactly the graphs whose block of one overflows."""
-        graphs, pattern = case
-        if pattern.num_edges == 0:
-            return
-        expected = find_embeddings_block(pattern, graphs, limit=None)
-        expected_matches = match_block(pattern, graphs)
-        plan = compile_join_plan(pattern)
-        rerouted: list[int] = []
-        reference = embeddings_module._enumerate_vf2
-
-        def recording(pattern_, target, *args):
-            rerouted.append(id(target))
-            return reference(pattern_, target, *args)
-
-        with mock.patch.object(generic_join, "_MAX_OPEN_BRANCHES", cap):
-            alone = []
-            for graph in graphs:
-                try:
-                    generic_join.execute_join_plan(plan, compile_edge_table(graph))
-                except GenericJoinOverflow:
-                    alone.append(id(graph))
-            with mock.patch.object(embeddings_module, "_enumerate_vf2", recording):
-                assert find_embeddings_block(pattern, graphs, limit=None) == expected
-            assert match_block(pattern, graphs) == expected_matches
-        assert rerouted == alone
-
-    def test_only_the_graph_that_overflows_alone_goes_to_vf2(self, monkeypatch):
-        pattern = build({0: "a", 1: "b"}, [(0, 1, "x")])
-        small = build({0: "a", 1: "b", 2: "b"}, [(0, 1, "x"), (0, 2, "x")])
-        star = build(
-            {0: "a", **{i: "b" for i in range(1, 10)}}, [(0, i, "x") for i in range(1, 10)]
-        )
-        graphs = [small, star, small.copy(), LabeledGraph()]
-        expected = find_embeddings_block(pattern, graphs, limit=None)
-        # two small graphs fit under the cap together; the star never does
-        monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 4)
-        rerouted = []
-        reference = embeddings_module._enumerate_vf2
-        monkeypatch.setattr(
-            embeddings_module,
-            "_enumerate_vf2",
-            lambda p, target, *args: rerouted.append(target) or reference(p, target, *args),
-        )
-        assert find_embeddings_block(pattern, graphs, limit=None) == expected
-        assert rerouted == [star]
-        assert count_embeddings_block(pattern, graphs, limit=None) == [2, 9, 2, 0]
-        assert match_block(pattern, graphs) == [True, True, True, False]
+        found = find_embeddings_block(pattern, graphs, None, label_sensitive)
+        assert found == [
+            vf2_embeddings(pattern, graph, None, label_sensitive).embeddings for graph in graphs
+        ]
+        assert match_block(pattern, graphs, label_sensitive) == [
+            vf2_exists(pattern, graph, label_sensitive) for graph in graphs
+        ]
 
     def test_component_start_never_pairs_across_graphs(self):
         """A disconnected pattern whose halves live in different graphs."""
@@ -458,6 +359,89 @@ class TestBlockEqualsBlockOfOne:
         assert find_embeddings_block(pattern, []) == []
         assert count_embeddings_block(pattern, []) == []
         assert match_block(pattern, []) == []
+
+
+def cap_bound_results(pattern, graphs, limit, label_sensitive):
+    """What the five entry points that run :func:`generic_join._join` return."""
+    enumerations = enumerate_embeddings_block(pattern, graphs, limit, label_sensitive)
+    events = []
+    if pattern.num_edges:  # a family of one member, the pattern itself
+        family = compile_variant_family(pattern, [pattern])
+        # event order is no contract: a pass past the cap reruns per variant
+        found = find_family_events_block(family, [pattern], graphs, limit)
+        events = [Counter(listed) for listed in found]
+    return (
+        match_block(pattern, graphs, label_sensitive),
+        [(result.embeddings, result.truncated) for result in enumerations],
+        count_embeddings_block(pattern, graphs, limit, label_sensitive),
+        events,
+        [GenericJoinMatcher(pattern, g, label_sensitive).all_mappings(limit) for g in graphs],
+    )
+
+
+def complete_graph(n):
+    edges = [(u, v, "x") for u in range(n) for v in range(u + 1, n)]
+    return build(dict.fromkeys(range(n), "a"), edges)
+
+
+class TestCapIndependence:
+    """Past the branch cap the join splits its own frontier: every entry point
+    returns exactly what the uncapped one pass returns, for every cap."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        blocks_and_patterns(),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([None, 1, 2, 3]),
+        st.booleans(),
+    )
+    def test_results_do_not_depend_on_the_cap(self, case, cap, limit, label_sensitive):
+        graphs, pattern = case
+        uncapped = cap_bound_results(pattern, graphs, limit, label_sensitive)
+        with mock.patch.object(generic_join, "_MAX_OPEN_BRANCHES", cap):
+            assert cap_bound_results(pattern, graphs, limit, label_sensitive) == uncapped
+
+    def test_a_lone_overflowing_graph_splits_its_frontier(self, monkeypatch):
+        pattern = build({0: "a", 1: "b"}, [(0, 1, "x")])
+        small = build({0: "a", 1: "b", 2: "b"}, [(0, 1, "x"), (0, 2, "x")])
+        star = build(
+            {0: "a", **{i: "b" for i in range(1, 10)}}, [(0, i, "x") for i in range(1, 10)]
+        )
+        graphs = [small, star, small.copy(), LabeledGraph()]
+        expected = find_embeddings_block(pattern, graphs, limit=None)
+        monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 4)
+        with pytest.raises(GenericJoinOverflow):  # the star overflows on its own too
+            generic_join.execute_join_plan(compile_join_plan(pattern), compile_edge_table(star))
+        assert find_embeddings_block(pattern, graphs, limit=None) == expected
+        assert count_embeddings_block(pattern, graphs, limit=None) == [2, 9, 2, 0]
+        assert match_block(pattern, graphs) == [True, True, True, False]
+
+    def test_a_settled_graph_stops_expanding(self, monkeypatch):
+        """K4 into K14 at a cap of 64: no step opens more than the cap, and an
+        existence test or a binding limit opens far fewer branches than the
+        one pass (which opens 30,940)."""
+        k4, k14 = complete_graph(4), complete_graph(14)
+        opened, expand = [], generic_join._expand
+
+        def spy(starts, counts, level):
+            branches = expand(starts, counts, level)  # a refused expansion opens nothing
+            opened.append(int(counts.sum()))
+            return branches
+
+        monkeypatch.setattr(generic_join, "_expand", spy)
+        generic_join.execute_join_plan(compile_join_plan(k4), compile_edge_table(k14))
+        one_pass = sum(opened)
+        runs = {
+            "exists": lambda: match_block(k4, [k14]),
+            "limit": lambda: enumerate_embeddings(k4, k14, limit=5),
+        }
+        expected = {name: run() for name, run in runs.items()}
+        monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 64)
+        for name, run in runs.items():
+            del opened[:]
+            assert run() == expected[name]
+            assert max(opened) <= 64
+            assert sum(opened) < one_pass / 10
 
 
 # ----------------------------------------------------------------------

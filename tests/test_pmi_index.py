@@ -8,7 +8,8 @@ from repro.exceptions import ConfigurationError, IndexError_
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph
 from repro.isomorphism import is_subgraph_isomorphic
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
-from repro.probability import JointProbabilityTable, WorldSampler
+from repro.probability import JointProbabilityTable
+from repro.reference import WorldSampler
 
 
 @pytest.fixture(scope="module")

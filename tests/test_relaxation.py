@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import RelaxationConfig, relax_query
+from repro.core import RelaxationConfig, VerificationConfig, Verifier, relax_query
 from repro.exceptions import ConfigurationError, QueryError
-from repro.graphs import LabeledGraph, VariantRows
-from repro.graphs.canonical import canonical_form
+from repro.graphs import LabeledGraph, ProbabilisticGraph, VariantRows
+from repro.graphs.canonical import MAX_EXACT_VERTICES, canonical_form
+from repro.reference import vf2_exists
 
 
 def build(vertex_labels, edges):
@@ -323,3 +325,103 @@ class TestVariantRows:
             [False],
             [True],
         ]
+
+
+# ----------------------------------------------------------------------
+# above MAX_EXACT_VERTICES the canonical form is a refinement hash
+# ----------------------------------------------------------------------
+def isomorphic(a, b) -> bool:
+    """Equal counts make ``⊆iso`` an isomorphism test (VF2, the reference)."""
+    return (a.num_vertices, a.num_edges) == (b.num_vertices, b.num_edges) and vf2_exists(a, b)
+
+
+def exact_classes(query, delta) -> dict[tuple, list]:
+    """The δ-deletion variants of ``query`` (isolated vertices dropped), one per
+    isomorphism class: bucketed by a degree invariant, told apart within a
+    bucket by VF2."""
+    buckets: dict[tuple, list] = {}
+    for deleted in combinations(sorted(query.edge_keys(), key=repr), delta):
+        variant = query.copy()
+        for u, v in deleted:
+            variant.remove_edge(u, v)
+        variant.remove_isolated_vertices()
+        class_of(variant, buckets, add=True)
+    return buckets
+
+
+def class_of(graph, buckets, add=False) -> tuple[tuple, int] | None:
+    """(invariant, position) of the class of ``graph`` in ``buckets``; the
+    invariant is each vertex's degree with its neighbours' degrees."""
+    degree = graph.degree
+    invariant = tuple(
+        sorted((degree(v), *sorted(map(degree, graph.neighbors(v)))) for v in graph.vertices())
+    )
+    bucket = buckets.setdefault(invariant, [])
+    for position, member in enumerate(bucket):
+        if isomorphic(graph, member):
+            return invariant, position
+    if add:
+        bucket.append(graph)
+    return None
+
+
+def single_label_query(seed: int) -> LabeledGraph:
+    """A connected query on 9-11 vertices, one vertex and one edge label: a
+    random spanning tree plus 2-4 chords."""
+    rng = random.Random(seed)
+    n = rng.randint(MAX_EXACT_VERTICES + 1, MAX_EXACT_VERTICES + 3)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + rng.randint(2, 4):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return build(dict.fromkeys(range(n), "a"), [(u, v, "x") for u, v in edges])
+
+
+def assert_one_member_per_class(relaxed, buckets):
+    classes = [class_of(variant, buckets) for variant in relaxed]
+    assert None not in classes and len(set(classes)) == len(classes)
+    assert len(classes) == sum(map(len, buckets.values()))
+
+
+# two of its δ = 2 variants share a refinement hash and are not isomorphic
+HASH_COLLISION_QUERY = build(
+    dict.fromkeys(range(9), "a"),
+    [(u, v, "x") for u, v in [(0, 5), (0, 6), (0, 8), (1, 4), (1, 6), (1, 8), (2, 6),
+                              (3, 5), (3, 6), (4, 8), (7, 8)]],
+)
+
+
+class TestRefinementHashCollisions:
+    def test_variants_that_share_a_hash_are_both_kept(self):
+        relaxed = relax_query(HASH_COLLISION_QUERY, 2)
+        assert_one_member_per_class(relaxed, exact_classes(HASH_COLLISION_QUERY, 2))
+        assert len(relaxed) == 50
+        dropped = HASH_COLLISION_QUERY.copy()
+        dropped.remove_edge(0, 8)
+        dropped.remove_edge(1, 6)
+        assert canonical_form(dropped).startswith("wl:")
+        assert any(isomorphic(dropped, variant) for variant in relaxed)
+
+    def test_no_false_dismissal_of_the_merged_variant(self):
+        """A graph equal to the variant the hash merged away: Pr = 0.9^9."""
+        skeleton = HASH_COLLISION_QUERY.copy()
+        skeleton.remove_edge(0, 8)
+        skeleton.remove_edge(1, 6)
+        graph = ProbabilisticGraph.from_edge_probabilities(
+            skeleton, dict.fromkeys(skeleton.edge_keys(), 0.9)
+        )
+        for method in ("sampling", "inclusion_exclusion"):
+            verifier = Verifier(VerificationConfig(method=method))
+            probability = verifier.subgraph_similarity_probability(
+                HASH_COLLISION_QUERY, graph, 2, rng=1
+            )
+            assert probability == pytest.approx(0.9**9)
+
+    def test_classes_are_exact_on_larger_single_label_queries(self):
+        # the queries of seeds 84 and 94 have non-isomorphic δ = 2 variants
+        # that share a refinement hash (2 of the first 150 seeds do)
+        for seed in (*range(10), 84, 94):
+            query = single_label_query(seed)
+            for delta in (1, 2):
+                relaxed = relax_query(query, delta, RelaxationConfig(max_variants=UNCAPPED))
+                assert_one_member_per_class(relaxed, exact_classes(query, delta))

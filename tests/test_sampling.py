@@ -7,7 +7,8 @@ import math
 import pytest
 
 from repro.exceptions import ProbabilityError
-from repro.probability import WorldSampler, monte_carlo_sample_size
+from repro.probability import monte_carlo_sample_size
+from repro.reference import WorldSampler
 
 from tests.conftest import make_simple_probabilistic_graph
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import VerificationConfig, Verifier
-from repro.exceptions import VerificationError
+from repro.exceptions import ConfigurationError, VerificationError
 from repro.graphs import LabeledGraph
 
 from tests.conftest import make_simple_probabilistic_graph
@@ -111,7 +111,21 @@ class TestSamplingVerifier:
         assert not is_answer_high
 
     def test_unknown_method_rejected(self):
+        """The per-call override is checked when it is used."""
         graph = make_simple_probabilistic_graph()
-        verifier = Verifier(VerificationConfig(method="bogus"))
+        verifier = Verifier(VerificationConfig())
         with pytest.raises(VerificationError):
-            verifier.subgraph_similarity_probability(path_query(), graph, 1)
+            verifier.subgraph_similarity_probability(path_query(), graph, 1, method="bogus")
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("method", ["sampling_scaler", "sampling_scalar", "exact", ""])
+    def test_unknown_method_is_refused_at_construction(self, method):
+        """Not when the first candidate reaches verification — a query with no
+        candidate would never get there and answer silently."""
+        with pytest.raises(ConfigurationError, match="'sampling', 'inclusion_exclusion', 'enum"):
+            VerificationConfig(method=method)
+
+    @pytest.mark.parametrize("method", ["sampling", "inclusion_exclusion", "enumeration"])
+    def test_the_three_methods_are_accepted(self, method):
+        assert VerificationConfig(method=method).method == method

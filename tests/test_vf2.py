@@ -1,9 +1,11 @@
-"""Tests for the VF2-style labeled subgraph isomorphism matcher."""
+"""Tests for labeled subgraph isomorphism: the join-backed predicates and the
+VF2-style reference matcher."""
 
 from __future__ import annotations
 
 from repro.graphs import LabeledGraph
-from repro.isomorphism import VF2Matcher, find_isomorphism_mapping, is_subgraph_isomorphic
+from repro.isomorphism import find_isomorphism_mapping, is_subgraph_isomorphic
+from repro.reference import VF2Matcher
 
 
 def build(vertex_labels, edges):
