@@ -57,7 +57,7 @@ def run_verification_sweep(database) -> list[dict]:
                     )
                 with smp_time:  # compiling and matching included, as on the other two sides
                     family = compile_variant_family(record.query, relaxed)
-                    (events,) = routed_verifier._embedding_events_block(relaxed, [graph], family)
+                    (events,) = routed_verifier.events_block(relaxed, [graph], family)
                     smp_p = estimate_union_probability_batch(
                         graph, events, num_samples=SMP_SAMPLES, rng=routed_verifier.rng
                     )

@@ -8,11 +8,12 @@ oracles of :mod:`repro.reference` one (pattern, graph) pair at a time:
 
 * structural feature counts (``cnt_g(f)`` for every pair),
 * a feature-presence sweep (``f ⊆iso gc`` for every pair, `match_block`),
-* per query, the verifier's relaxed-embedding event lists, per variant.
+* per query, the verifier's relaxed-embedding events, per variant.
 
-The event lists through the variant family (one shared pass per query) must
-agree per graph with the per-variant lists after ``normalize_events``;
-``family_ms`` / ``per_variant_ms`` time the two over the same blocks.
+The events through the variant family (one shared pass per query) must equal
+the per-variant ones per graph as mask matrices (``family_identical``: both
+are normalised, so the comparison is exact); ``family_ms`` /
+``per_variant_ms`` time the two over the same blocks.
 
 Beside the comparison it fills the PMI over the same features once:
 ``pmi_fill_ms_per_row`` and ``build_worlds_per_s`` (rows x samples / fill
@@ -27,9 +28,10 @@ block-vs-loop enumeration over the same (feature, skeleton) pairs —
 ``find_embeddings`` over blocks of one, results asserted identical — gives
 ``block_speedup``, what stacking buys over the per-graph call.
 
-The two must agree *byte for byte*: counts, presence and embedding events are
-compared exactly (the canonical embedding order makes this possible), so the
-speedup is measured on provably identical work.
+The two must agree *byte for byte*: counts and presence are compared exactly
+(the canonical embedding order makes this possible), and so are the events —
+the join's masks decoded against VF2's edge-key sets normalised by the
+frozenset oracle — so the speedup is measured on provably identical work.
 
 Run as a script::
 
@@ -49,6 +51,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 # allow `python benchmarks/bench_matching.py` from the repo root (CI) as
 # well as pytest collection, where the repo root is already importable
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -61,8 +65,13 @@ from repro.isomorphism.embeddings import family_reroute_count, reset_family_rero
 from repro.isomorphism.generic_join import GraphBlock, compile_variant_family
 from repro.pmi import BoundConfig, ProbabilisticMatrixIndex
 from repro.pmi.features import FeatureMiner, FeatureSelectionConfig
-from repro.probability.events import normalize_events
-from repro.reference import WorldSampler, vf2_embeddings, vf2_exists
+from repro.reference import (
+    WorldSampler,
+    mask_events,
+    normalize_events,
+    vf2_embeddings,
+    vf2_exists,
+)
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.timer import Timer
@@ -125,7 +134,7 @@ def join_pass(graphs, skeletons, features, relaxed_sets, verifier):
     return {
         "counts": index.counts_matrix().tolist(),
         "presence": [match_block(feature.graph, skeletons) for feature in features],
-        "events": [verifier._embedding_events_block(relaxed, graphs) for relaxed in relaxed_sets],
+        "events": [verifier.events_block(relaxed, graphs) for relaxed in relaxed_sets],
     }
 
 
@@ -141,11 +150,13 @@ def vf2_pass(skeletons, features, relaxed_sets, verifier):
         "presence": [[vf2_exists(f.graph, skeleton) for skeleton in skeletons] for f in features],
         "events": [
             [
-                [
-                    embedding.edges
-                    for variant in relaxed
-                    for embedding in vf2_embeddings(variant, skeleton, event_limit).embeddings
-                ]
+                normalize_events(
+                    [
+                        embedding.edges
+                        for variant in relaxed
+                        for embedding in vf2_embeddings(variant, skeleton, event_limit).embeddings
+                    ]
+                )
                 for skeleton in skeletons
             ]
             for relaxed in relaxed_sets
@@ -161,7 +172,7 @@ def family_vs_per_variant(verifier, graphs, relaxed_sets, families, repeats: int
         with timer:
             for _ in range(repeats):
                 for relaxed, family in zip(relaxed_sets, chosen):
-                    verifier._embedding_events_block(relaxed, graphs, family)
+                    verifier.events_block(relaxed, graphs, family)
         seconds[name] = timer.elapsed / repeats / len(families) * 1e3
     return seconds
 
@@ -257,13 +268,18 @@ def run_comparison(profile: dict) -> dict:
 
     # the whole point of the canonical result order: the join and the
     # reference must produce byte-identical counts, presence and events
-    identical = results["generic_join"] == results["vf2"]
-    # the shared pass: event order is no contract, so compared normalised
+    joined, oracle = results["generic_join"], results["vf2"]
+    identical = (joined["counts"], joined["presence"]) == (oracle["counts"], oracle["presence"])
+    identical &= [
+        [mask_events(skeleton, masks) for skeleton, masks in zip(skeletons, per_graph)]
+        for per_graph in joined["events"]
+    ] == oracle["events"]
+    # the shared pass against the per-variant joins: both normalised masks
     family_identical = all(
-        [normalize_events(e) for e in verifier._embedding_events_block(relaxed, graphs, family)]
-        == [normalize_events(e) for e in per_variant]
-        for relaxed, family, per_variant in zip(
-            relaxed_sets, families, results["generic_join"]["events"]
+        len(shared) == len(per_variant) and all(map(np.array_equal, shared, per_variant))
+        for shared, per_variant in (
+            (verifier.events_block(relaxed, graphs, family), per_variant)
+            for relaxed, family, per_variant in zip(relaxed_sets, families, joined["events"])
         )
     )
     reset_family_reroute_count()
@@ -345,7 +361,7 @@ def main() -> None:
           f"(results byte-identical: {report['results_identical']})")
     print(f"events per query block: family_ms {report['family_ms']:.2f} / "
           f"per_variant_ms {report['per_variant_ms']:.2f} "
-          f"(identical after normalize_events: {report['family_identical']}, "
+          f"(identical masks: {report['family_identical']}, "
           f"block reruns: {report['family_block_reruns']})")
     print(f"feature mining: {report['mine_s']:.3f} s; block vs loop enumeration: "
           f"{report['block_speedup']:.2f}x "
@@ -372,7 +388,7 @@ def main() -> None:
     )
     assert report["family_identical"], (
         "the variant-family pass and the per-variant loop produced different "
-        "events for some graph (compared per graph after normalize_events)"
+        "events for some graph (compared per graph as mask matrices)"
     )
     assert report["block_identical"], (
         "find_embeddings_block over the stacked skeletons and the loop over "

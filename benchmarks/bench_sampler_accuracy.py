@@ -29,7 +29,7 @@ def run_accuracy_sweep(database) -> list[dict]:
     exact = Verifier(VerificationConfig(method="inclusion_exclusion"))
     truth = exact.subgraph_similarity_probability(query, graph, DISTANCE_THRESHOLD)
     relaxed = relax_query(query, DISTANCE_THRESHOLD, exact.relaxation)
-    (events,) = exact._embedding_events_block(relaxed, [graph])
+    (events,) = exact.events_block(relaxed, [graph])
     rows = []
     for count in SAMPLE_COUNTS:
         errors = []

@@ -16,7 +16,9 @@ Karp-Luby implementations head to head:
   supports as narrow as these exactly, without drawing a world.
 
 Both sides estimate from the verifier's events for the block (one matching
-pass) and consume ``derive_rng(root, VERIFY_STREAM, graph_id)`` streams, so
+pass, ``Verifier.events_block``: each candidate's mask matrix, decoded into
+edge-key sets for the scalar side) and consume
+``derive_rng(root, VERIFY_STREAM, graph_id)`` streams, so
 the comparison is apples-to-apples work-wise; the estimates differ
 (different canonical draw orders, same distribution) and the benchmark
 cross-checks them statistically.  Determinism is asserted exactly: a second
@@ -31,6 +33,12 @@ Two kernel-internal rates ride along in the trajectory point, measured on the
 same candidates: ``clause_weight_ms_per_event`` (``clause_weights`` — Pr(Bf)
 off the compiled world model) and ``worlds_per_s`` (conditioned worlds drawn
 and coverage-tested per second inside ``estimate_union_probability_batch``).
+So do the steps from the join to the exact answer, in ms per candidate
+(``steps_ms_per_candidate``): ``join`` (the family pass over the block, its
+rows sorted into distinct edge sets), ``codes_to_masks`` (edge codes to
+mask rows), ``order_absorb`` (``normalize_masks``: canonical order,
+duplicates, absorption) and ``support_union`` (``support_union_probability``);
+``mask_share`` is the middle two over all four.
 Every run (``--smoke`` included, which is what CI runs) also asserts that no
 ``VariableEliminationEngine`` is constructed while estimating these
 (edge-partitioned) graphs: variable elimination is the fallback for
@@ -56,11 +64,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core import VerificationConfig, Verifier
 from repro.core.relaxation import relax_query
+from repro.isomorphism import embeddings
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
-from repro.isomorphism.generic_join import compile_variant_family
+from repro.isomorphism.generic_join import GraphBlock, compile_variant_family
 from repro.probability import batch_kernel
-from repro.probability.events import normalize_events
-from repro.reference import estimate_union_probability
+from repro.probability.events import normalize_masks
+from repro.reference import estimate_union_probability, mask_events
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.rng import VERIFY_STREAM, derive_rng
 from repro.utils.timer import Timer
@@ -118,24 +127,26 @@ def build_workload(profile: dict):
 def verify_all(verifier: Verifier, method: str, query, graphs, relaxed) -> list[float]:
     """One verification-stage pass over every candidate, per-graph streams:
     the block's one matching pass, then Algorithm 5 on every candidate's
-    events — the kernel's estimator (``"sampling"``) or the scalar reference
-    (``"scalar"``)."""
-    estimate = {
-        "sampling": batch_kernel.estimate_union_probability_batch,
-        "scalar": estimate_union_probability,
-    }[method]
+    events — the kernel's estimator on the masks (``"sampling"``) or the
+    scalar reference on them decoded (``"scalar"``)."""
     family = compile_variant_family(query, relaxed)
-    return [
-        estimate(
-            graph,
-            events,
-            num_samples=verifier.config.num_samples,
-            rng=derive_rng(ROOT, VERIFY_STREAM, graph_id),
+    estimates = []
+    for graph_id, (graph, masks) in enumerate(
+        zip(graphs, verifier.events_block(relaxed, graphs, family))
+    ):
+        if method == "scalar":
+            estimate, events = estimate_union_probability, mask_events(graph.skeleton, masks)
+        else:
+            estimate, events = batch_kernel.estimate_union_probability_batch, masks
+        estimates.append(
+            estimate(
+                graph,
+                events,
+                num_samples=verifier.config.num_samples,
+                rng=derive_rng(ROOT, VERIFY_STREAM, graph_id),
+            )
         )
-        for graph_id, (graph, events) in enumerate(
-            zip(graphs, verifier._embedding_events_block(relaxed, graphs, family))
-        )
-    ]
+    return estimates
 
 
 def kernel_rates(verifier: Verifier, graphs, relaxed, num_samples: int, repeats: int) -> dict:
@@ -145,11 +156,11 @@ def kernel_rates(verifier: Verifier, graphs, relaxed, num_samples: int, repeats:
     are ``clause_weights`` alone and the whole batched estimate (weights,
     event picks, the conditioned world batch, the coverage product).
     """
-    candidates = []
-    for graph, events in zip(graphs, verifier._embedding_events_block(relaxed, graphs)):
-        clean = normalize_events(events)
-        if clean:
-            candidates.append((graph, clean))
+    candidates = [
+        (graph, clean)
+        for graph, clean in zip(graphs, verifier.events_block(relaxed, graphs))
+        if len(clean)
+    ]
     num_events = sum(len(clean) for _, clean in candidates)
     weight_timer = Timer()
     with weight_timer:
@@ -174,6 +185,40 @@ def kernel_rates(verifier: Verifier, graphs, relaxed, num_samples: int, repeats:
         "worlds_per_s": (
             repeats * len(candidates) * num_samples / max(estimate_timer.elapsed, 1e-9)
         ),
+    }
+
+
+def step_breakdown(verifier: Verifier, query, graphs, relaxed, repeats: int) -> dict:
+    """ms per candidate in each step from the join to the exact answer, and
+    the share of the two mask steps (what the events pass and normalising
+    them cost before events were masks)."""
+    family = compile_variant_family(query, relaxed)
+    block = GraphBlock(graph.skeleton for graph in graphs)
+    limit = verifier.config.embedding_limit
+    events = verifier.events_block(relaxed, graphs, family)
+    timers = {step: Timer() for step in ("join", "codes_to_masks", "order_absorb", "support_union")}
+    for _ in range(repeats):
+        with timers["join"]:
+            found = [embeddings._shared_pass_codes(family, block.table, limit)]
+            found += [
+                embeddings._variant_codes(relaxed[k], block.table, limit) for k in family.loners
+            ]
+        with timers["codes_to_masks"]:
+            masks, owner = embeddings._code_masks(block, found)
+        with timers["order_absorb"]:
+            normalize_masks(masks, owner)
+        with timers["support_union"]:
+            for graph, masks in zip(graphs, events):
+                if len(masks):
+                    batch_kernel.support_union_probability(graph, masks)
+    per_candidate = {
+        step: 1e3 * timer.elapsed / (repeats * len(graphs)) for step, timer in timers.items()
+    }
+    total = sum(per_candidate.values())
+    return {
+        "steps_ms_per_candidate": per_candidate,
+        "mask_share": (per_candidate["codes_to_masks"] + per_candidate["order_absorb"])
+        / max(total, 1e-12),
     }
 
 
@@ -240,6 +285,7 @@ def run_comparison(profile: dict) -> dict:
         **kernel_rates(
             verifier, graphs, relaxed, profile["num_samples"], profile["repeats"]
         ),
+        **step_breakdown(verifier, query, graphs, relaxed, 20 * profile["repeats"]),
         "partition_graphs": all(graph.is_edge_partition() for graph in graphs),
         "elimination_engines_built": count_elimination_engines(
             verifier, query, graphs, relaxed
@@ -299,6 +345,8 @@ def main() -> None:
           f"(worst scalar-vs-batch estimate gap {report['worst_estimate_gap']:.3f})")
     print(f"kernel: {report['clause_weight_ms_per_event']:.4f} ms/event clause weights "
           f"over {report['num_events']} events, {report['worlds_per_s']:,.0f} worlds/s")
+    steps = ", ".join(f"{step} {ms:.4f}" for step, ms in report["steps_ms_per_candidate"].items())
+    print(f"per candidate, ms: {steps} (mask steps {report['mask_share']:.1%} of the four)")
 
     point = {
         "bench": "verification",

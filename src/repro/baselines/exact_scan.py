@@ -24,7 +24,7 @@ from repro.exceptions import VerificationError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.generic_join import VariantFamily, compile_variant_family
-from repro.utils.rng import RandomLike, derive_rng, ensure_rng, rng_root
+from repro.utils.rng import RandomLike, derive_seed, ensure_rng, rng_root
 from repro.utils.timer import Timer
 
 
@@ -118,7 +118,7 @@ class ExactScanBaseline:
         with timer:
             for graph_id, graph in enumerate(self.graphs):
                 result.statistics.verified += 1
-                verifier.rng = derive_rng(root, VERIFY_STREAM, graph_id)
+                verifier.rng = derive_seed(root, VERIFY_STREAM, graph_id)
                 probability = self._verify(
                     verifier, query_graph, graph, distance_threshold, relaxed, family
                 )

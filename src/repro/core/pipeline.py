@@ -36,8 +36,8 @@ verification loop over the concatenated tables: same global seed (the lsim
 multiset is the same), same ``(-usim, graph_id)`` visit order, same
 tightening, pulling each offered estimate from the shipped values.  Because
 every estimate derives from ``(root, VERIFY_STREAM, global graph id)``
-(:func:`repro.utils.rng.derive_rng` — the PR 2 scheme), a graph's estimate
-is identical no matter which process verified it, and the shard-local seed
+(:func:`repro.utils.rng.derive_seed`), a graph's estimate is identical no
+matter which process verified it, and the shard-local seed
 is never above the global seed (a k-th largest over a subset cannot exceed
 the superset's), so every estimate the replay asks for was shipped.  The
 replay therefore *is* the sequential loop: merged answers are byte-identical
@@ -60,7 +60,7 @@ from repro.core.results import (
     QueryStatistics,
     StageStatistics,
 )
-from repro.utils.rng import PRUNE_STREAM, VERIFY_STREAM, derive_rng
+from repro.utils.rng import PRUNE_STREAM, VERIFY_STREAM, derive_seed
 from repro.utils.timer import Timer
 from repro.exceptions import ConfigurationError, StateError
 
@@ -68,14 +68,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.planner import QueryPlan, QueryPlanner
 
 # PRUNE_STREAM / VERIFY_STREAM (re-exported from repro.utils.rng): every
-# stochastic sub-task derives its generator as derive_rng(root, STAGE,
-# stable_graph_id), where the stable id is the planner's global id for the
-# graph (its row position in a static database, its external id in a mutable
-# catalog).  The streams a graph consumes therefore depend only on (root,
-# stage, stable id) — never on how many other candidates ran before it, which
-# shard owns it, or how the database was mutated around it.  That is what
-# lets sharded executors and mutated catalogs reproduce a from-scratch
-# sequential run bit-for-bit.
+# stochastic sub-task draws from derive_seed(root, STAGE, stable_graph_id),
+# passed as the seed and made a generator only where something draws, where
+# the stable id is the planner's global id for the graph (its row position in
+# a static database, its external id in a mutable catalog).  The streams a
+# graph consumes therefore depend only on (root, stage, stable id) — never on
+# how many other candidates ran before it, which shard owns it, or how the
+# database was mutated around it.  That is what lets sharded executors and
+# mutated catalogs reproduce a from-scratch sequential run bit-for-bit.
 
 THRESHOLD_MODE = "threshold"
 TOP_K_MODE = "top_k"
@@ -325,7 +325,7 @@ class PmiPruningStage(PipelineStage):
                     plan.relaxed_queries,
                     row,
                     plan.containment,
-                    rng=derive_rng(
+                    rng=derive_seed(
                         ctx.root, PRUNE_STREAM, int(planner.global_ids[row.graph_id])
                     ),
                 )
@@ -398,7 +398,7 @@ class VerificationStage(PipelineStage):
     Verifier.verify_block` call, where the batch kernel draws and evaluates
     every candidate's whole sample matrix at once.  Block composition never
     changes an estimate — each candidate's draws come from its own
-    ``derive_rng(root, VERIFY_STREAM, global id)`` stream — so a sharded run
+    ``derive_seed(root, VERIFY_STREAM, global id)`` stream — so a sharded run
     (different blocks) reproduces the sequential answers byte-for-byte.
 
     Top-k mode stays a per-candidate loop in descending ``usim`` order,
@@ -443,7 +443,7 @@ class VerificationStage(PipelineStage):
                 plan.distance_threshold,
                 relaxed_queries=plan.relaxed_queries,
                 rngs=[
-                    derive_rng(ctx.root, VERIFY_STREAM, global_id)
+                    derive_seed(ctx.root, VERIFY_STREAM, global_id)
                     for global_id in global_ids
                 ],
                 family=plan.family,
@@ -497,7 +497,7 @@ class VerificationStage(PipelineStage):
                 planner.graphs[local_id],
                 plan.distance_threshold,
                 relaxed_queries=plan.relaxed_queries,
-                rng=derive_rng(ctx.root, VERIFY_STREAM, global_id),
+                rng=derive_seed(ctx.root, VERIFY_STREAM, global_id),
                 family=plan.family,
             )
             if ctx.gather_partial:

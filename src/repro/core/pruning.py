@@ -307,10 +307,10 @@ class ProbabilisticPruner:
         containment: dict[int, FeatureContainment],
         rng: RandomLike = None,
     ) -> SspBounds:
-        generator = self.rng if rng is None else ensure_rng(rng)
         usim, usim_covered = self._upper_bound(relaxed_queries, intervals, containment)
+        # the stream (a seed from the pipeline) is drawn from only by the QP rounding
         lsim, lsim_covered = self._lower_bound(
-            relaxed_queries, intervals, containment, generator
+            relaxed_queries, intervals, containment, self.rng if rng is None else rng
         )
         return SspBounds(
             usim=usim, lsim=lsim, usim_covered=usim_covered, lsim_covered=lsim_covered

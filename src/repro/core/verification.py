@@ -6,9 +6,11 @@ identify ``Pr(q ⊆sim g)`` with the probability that at least one embedding of
 one relaxed query is fully present in the sampled world.  Those events come
 from one matching pass per candidate block for the whole relaxed set (a
 :class:`~repro.isomorphism.generic_join.VariantFamily`, compiled once per
-plan); their order is no contract, every estimator normalises its events.
+plan) as each candidate's mask matrix (:mod:`repro.probability.events`),
+normalised and in canonical order before any estimator reads it
+(:meth:`Verifier.events_block`).
 
-* ``"sampling"`` — chosen per candidate from its normalised events, both by
+* ``"sampling"`` — chosen per candidate from its events, both by
   the batch kernel (:mod:`repro.probability.batch_kernel`): exact over the
   events' support when it is narrow (one weighted enumeration of the few edges
   they mention; no randomness, the same float under every root), the paper's
@@ -26,13 +28,18 @@ plan); their order is no contract, every estimator normalises its events.
 verification stage uses: one call verifies a whole candidate block, with an
 explicit per-graph rng list so every estimate stays keyed on the graph's own
 ``VERIFY_STREAM`` stream regardless of block composition.  A single candidate
-(:meth:`Verifier.subgraph_similarity_probability`) is the block of one.
+(:meth:`Verifier.subgraph_similarity_probability`) is the block of one.  A
+stream is passed as its seed and becomes a generator only on the sampled
+route, the one that draws.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.relaxation import RelaxationConfig, relax_query
 from repro.exceptions import ConfigurationError, VerificationError
@@ -44,10 +51,10 @@ from repro.isomorphism.generic_join import GraphBlock, VariantFamily, compile_va
 from repro.isomorphism.mcs import is_subgraph_similar
 from repro.probability.batch_kernel import (
     estimate_union_probability_batch,
+    event_masks,
     support_union_probability,
 )
 from repro.probability.dnf import exact_union_probability
-from repro.probability.events import normalize_events
 from repro.probability.sampling import check_sample_count
 from repro.utils.rng import RandomLike, ensure_rng
 
@@ -90,8 +97,20 @@ class Verifier:
     ) -> None:
         self.config = config or VerificationConfig()
         self.relaxation = relaxation or RelaxationConfig()
-        self.rng = ensure_rng(rng)
+        self._rng = rng
         self.sampled = 0  # estimates so far that drew worlds (QueryStatistics.sampled)
+
+    @property
+    def rng(self):
+        """The verifier-level generator (streams not given per candidate draw
+        from it), built on first use."""
+        if not isinstance(self._rng, random.Random):
+            self._rng = ensure_rng(self._rng)
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng: RandomLike) -> None:
+        self._rng = rng
 
     # ------------------------------------------------------------------
     # public API
@@ -132,7 +151,7 @@ class Verifier:
         the relaxed set's ``family`` (the pipeline passes the plan's; compiled
         here when None) joins the stacked block in one pass.  Each candidate then
         runs the configured method with its own entry of ``rngs`` (the
-        pipeline passes ``derive_rng(root, VERIFY_STREAM, global id)`` per
+        pipeline passes ``derive_seed(root, VERIFY_STREAM, global id)`` per
         graph), so estimates are independent of block composition and block
         size — a sharded or re-chunked execution reproduces them exactly.
         Under ``method="sampling"`` a candidate whose events read few edges
@@ -148,11 +167,28 @@ class Verifier:
             return [self._by_enumeration(query, graph, distance_threshold) for graph in graphs]
         if family is None:
             family = compile_variant_family(query, relaxed_queries)
-        events_per_graph = self._embedding_events_block(relaxed_queries, graphs, family)
+        events_per_graph = self.events_block(relaxed_queries, graphs, family)
         return [
-            self._estimate(graph, events, strategy, self.rng if rng is None else ensure_rng(rng))
+            self._estimate(graph, events, strategy, rng)
             for graph, rng, events in zip(graphs, rngs, events_per_graph, strict=True)
         ]
+
+    def events_block(
+        self,
+        relaxed_queries: Sequence[LabeledGraph],
+        graphs: list[ProbabilisticGraph],
+        family: VariantFamily | None = None,
+    ) -> list[np.ndarray]:
+        """Per graph, its events (Equation 22: the edge sets of every
+        relaxed-query embedding) as the normalised mask matrix the estimators
+        read, for a block whose skeletons are stacked once: one shared matching
+        pass under the relaxed set's ``family``, without one a join per relaxed
+        query.  The two give equal matrices whenever nothing is truncated
+        (:func:`~repro.isomorphism.embeddings.find_family_events_block`)."""
+        skeletons = GraphBlock(graph.skeleton for graph in graphs)
+        return find_family_events_block(
+            family, relaxed_queries, skeletons, self.config.embedding_limit
+        )
 
     def matches(
         self,
@@ -172,12 +208,16 @@ class Verifier:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _estimate(self, graph: ProbabilisticGraph, events: list, strategy: str, generator) -> float:
-        """The union probability of ``events`` (any order: every estimator normalises)."""
-        if not events:
+    def _estimate(
+        self, graph: ProbabilisticGraph, events, strategy: str, rng: RandomLike = None
+    ) -> float:
+        """The union probability of ``events`` (a mask matrix, or edge-key sets
+        normalised here); ``rng`` (None: the verifier's generator) is read only
+        if the estimate draws."""
+        events = event_masks(graph, events)
+        if not len(events):
             return 0.0
         if strategy == "sampling":
-            events = normalize_events(events)
             exact = support_union_probability(graph, events)
             if exact is not None:
                 return exact
@@ -188,28 +228,11 @@ class Verifier:
                 xi=self.config.xi,
                 tau=self.config.tau,
                 num_samples=self.config.num_samples,
-                rng=generator,
+                rng=self.rng if rng is None else ensure_rng(rng),
             )
         if strategy == "inclusion_exclusion":
             return exact_union_probability(graph, events, max_events=self.config.max_exact_events)
         raise VerificationError(f"unknown verification method {strategy!r}")
-
-    def _embedding_events_block(
-        self,
-        relaxed_queries: Sequence[LabeledGraph],
-        graphs: list[ProbabilisticGraph],
-        family: VariantFamily | None = None,
-    ) -> list[list[frozenset]]:
-        """Per-graph event lists (Equation 22: the edge sets of every
-        relaxed-query embedding) for a block whose skeletons are stacked once:
-        one shared matching pass under the relaxed set's ``family``, without
-        one the per-variant reference (one join per relaxed query).  The two
-        agree per graph as sets, and exactly whenever something is truncated
-        (:func:`~repro.isomorphism.embeddings.find_family_events_block`)."""
-        skeletons = GraphBlock(graph.skeleton for graph in graphs)
-        return find_family_events_block(
-            family, relaxed_queries, skeletons, self.config.embedding_limit
-        )
 
     def _by_enumeration(
         self, query: LabeledGraph, graph: ProbabilisticGraph, distance_threshold: int

@@ -14,6 +14,12 @@ untruncated list does not depend on the order the join discovered it in.
 The cap applies to distinct embeddings per graph, and truncation is
 *surfaced*: a ``truncated`` flag per graph plus a module-level counter
 record when the cap actually bit.
+
+Verification's events (:func:`find_family_events_block`) skip the
+``Embedding`` objects: the edge codes of the join's rows become each
+candidate's event masks (:mod:`repro.probability.events`) through a per-graph
+table of the mask bit of every row of its edge table, built on the graph's
+first verification and kept until its ``mutation_version`` moves.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 from repro.graphs.labeled_graph import LabeledGraph, edge_key
 from repro.isomorphism import generic_join
 from repro.isomorphism.generic_join import GraphBlock, VariantFamily
+from repro.probability.events import edge_ranks, mask_words, normalize_masks, pack_bits, plain_order
 
 DEFAULT_EMBEDDING_LIMIT = 200
 
@@ -183,48 +190,56 @@ def find_family_events_block(
     variants: Sequence[LabeledGraph],
     targets: Iterable[LabeledGraph] | GraphBlock,
     limit: int | None = DEFAULT_EMBEDDING_LIMIT,
-) -> list[list[frozenset]]:
-    """Per target, the edge-key sets of the embeddings of every variant: the
-    events of Equation 22, in no contractual order (estimators normalise).
+) -> list[np.ndarray]:
+    """Per target, the events of Equation 22 — the edge sets of the embeddings
+    of every variant — as its normalised mask matrix (``(m, W)`` ``uint64``,
+    canonical order: :func:`repro.probability.events.normalize_masks`).
 
     The members of ``family`` (``compile_variant_family(query, variants)``)
-    share one pass, each event listed once; its loners are joined on their own.
-    Without a family, past the branch cap, or when a (variant, target) holds
-    more than ``limit`` distinct embeddings (truncation stays the per-variant
-    one), every variant runs :func:`find_embeddings_block`."""
+    share one pass; its loners are joined on their own.  Without a family, past
+    the branch cap, or when a (variant, target) holds more than ``limit``
+    distinct embeddings (truncation stays the per-variant one), every variant
+    is joined on its own.  Either way the rows' edge codes become masks in one
+    conversion and the whole block is normalised by one ``lexsort``."""
     block = GraphBlock.of(targets)
-    events: list[list[frozenset]] = [[] for _ in block.graphs]
+    if not block.graphs:
+        return []
+    found = []  # (edge codes, -1 where none, and owning graph) per source of rows
     alone = range(len(variants))
-    if family is not None and block.graphs:
+    if family is not None:
         try:
-            events = _shared_pass_events(family, block.table, limit)
+            found.append(_shared_pass_codes(family, block.table, limit))
             alone = family.loners
             _family_reroutes[1] += len(alone)
         except (generic_join.GenericJoinOverflow, _OverLimit) as reason:
             _family_reroutes[0] += 1
             logger.debug("family pass rerun per variant: %s", reason)
-    for index in alone:
-        for listed, found in zip(events, find_embeddings_block(variants[index], block, limit)):
-            listed.extend(embedding.edges for embedding in found)
-    return events
+    found += [_variant_codes(variants[index], block.table, limit) for index in alone]
+    masks, owner = normalize_masks(*_code_masks(block, found))
+    bounds = np.searchsorted(owner, np.arange(len(block.graphs) + 1)).tolist()
+    return [
+        masks[bounds[g] : bounds[g + 1], : mask_words(graph.num_edges)]
+        for g, graph in enumerate(block.graphs)
+    ]
 
 
 class _OverLimit(Exception):
     """Some (member, graph) of a family pass holds more embeddings than the limit."""
 
 
-def _shared_pass_events(
+def _shared_pass_codes(
     family: VariantFamily, table: generic_join.EdgeTable, limit: int | None
-) -> list[list[frozenset]]:
-    """The members' events per graph of the block, off the rows of one pass."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The members' distinct edge sets off the rows of one pass: their codes
+    and the graph of the block each belongs to."""
     assign, variant = generic_join.execute_variant_family(family, table)
-    n = table.num_vertices
     # the edges a row's member requires; equal edge sets adjacent, ordered by member
     order, codes, new_set = generic_join.edge_set_runs(
         assign, family.edge_ends, table, family.required[variant], ties=(variant,)
     )
     variant = variant[order]
-    graph = table.graph_of[codes.max(axis=1, initial=-1) // n]  # any edge names the row's graph
+    # any edge names the row's graph (a row without one is an empty event, dropped)
+    graph = table.graph_of[codes.max(axis=1, initial=-1) // table.num_vertices]
     if limit is not None:
         # distinct embeddings per (graph, member): what the per-variant cap counts
         new_pair = new_set.copy()
@@ -232,12 +247,62 @@ def _shared_pass_events(
         pair = graph[new_pair] * family.required.shape[0] + variant[new_pair]
         if np.bincount(pair, minlength=1).max() > limit:
             raise _OverLimit(f"more than limit={limit} embeddings of one variant in one graph")
-    codes, graph, ids = codes[new_set], graph[new_set], table.vertex_ids
-    keys = {c: edge_key(ids[c // n], ids[c % n]) for c in np.unique(codes).tolist() if c >= 0}
-    events: list[list[frozenset]] = [[] for _ in range(table.num_graphs)]
-    for row, position in zip(codes.tolist(), graph.tolist()):
-        events[position].append(frozenset(keys[c] for c in row if c >= 0))
-    return events
+    return codes[new_set], graph[new_set]
+
+
+def _variant_codes(
+    pattern: LabeledGraph, table: generic_join.EdgeTable, limit: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One variant's distinct embeddings in the block, capped and counted as
+    :func:`find_embeddings_block` caps and counts them: their edge codes and graphs."""
+    if not pattern.num_edges:
+        return np.empty((0, 0), dtype=np.int64), np.empty(0, dtype=np.int64)
+    plan, rows, _, cut = generic_join.distinct_embedding_rows(pattern, table, limit)
+    _note_truncations(int(cut.sum()), limit, pattern)
+    codes = generic_join._edge_codes(rows, np.array(plan.pattern_edges).T, table)
+    return codes, table.graph_of[rows[:, 0]]
+
+
+def _code_masks(block: GraphBlock, found: list) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``found`` as mask rows of the block's widest graph, and the
+    graph of each.  A code is the position of its edge in the stacked table,
+    where each graph's rows sit in its own table's order, so one lookup in the
+    concatenation of the graphs' bit tables (:func:`_edge_bits`) is its bit."""
+    table, graphs = block.table, block.graphs
+    words = max(mask_words(graph.num_edges) for graph in graphs)
+    if not found:
+        return np.zeros((0, words), dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    bit_of_row = np.concatenate([_edge_bits(graph) for graph in graphs])
+    masks = []
+    for codes, _ in found:
+        bits = np.full(codes.shape, -1, dtype=np.int64)
+        present = codes >= 0
+        bits[present] = bit_of_row[np.searchsorted(table.edge_codes, codes[present])]
+        masks.append(pack_bits(bits, words))
+    return np.concatenate(masks), np.concatenate([graph for _, graph in found])
+
+
+def _edge_bits(graph: LabeledGraph) -> np.ndarray:
+    """Per row of the graph's edge table, the mask bit of its edge: ``E - 1 -``
+    the edge's rank under the canonical edge order.  Built on the graph's first
+    verification — never by a mutation or a recovery, which compile no events
+    — and kept until its ``mutation_version`` moves."""
+    return generic_join._memoised(graph, "_event_bits", _build_edge_bits)
+
+
+def _build_edge_bits(graph: LabeledGraph) -> np.ndarray:
+    table = generic_join.compile_edge_table(graph)
+    src, dst, n = table.src, table.dst, table.num_vertices
+    up = src < dst  # one row per edge, in (src, dst) order
+    if plain_order(table.vertex_ids):  # that order is the canonical one
+        ranks = np.arange(int(up.sum()))
+    else:
+        ids = table.vertex_ids
+        ranks = edge_ranks(
+            edge_key(ids[u], ids[v]) for u, v in zip(src[up].tolist(), dst[up].tolist())
+        )
+    twin = np.searchsorted(table.edge_codes[up], np.minimum(src, dst) * n + np.maximum(src, dst))
+    return (ranks.size - 1 - ranks)[twin]
 
 
 def count_embeddings_block(

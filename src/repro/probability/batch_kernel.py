@@ -11,6 +11,10 @@ hold this module to) — the inner loop is numpy kernels:
 * :func:`compile_world_model` compiles a graph once into integer edge-index
   arrays, per-factor probability tables and the connected components of its
   factors (:class:`CompiledWorldModel` / :class:`CompiledFactor`);
+* events are mask matrices in rank space (:mod:`repro.probability.events`),
+  read here through a per-model table of each column's bit (built on the
+  first read, never by :func:`compile_world_model`); :func:`event_masks` is
+  how an edge-key-set argument of the public entry points becomes one;
 * :func:`clause_weights` reads ``Pr(Bf)`` — the probability that every edge
   of an event exists — off the compiled model: a product over the factor
   components the event touches, one cached masked sum per single-factor
@@ -31,9 +35,13 @@ hold this module to) — the inner loop is numpy kernels:
   which row ``s`` is conditioned on its own chosen event, and one boolean
   matrix product for the canonical-clause coverage test.
 
+Column ``c`` of the model is not bit ``c`` of a mask: the columns stay in
+``repr`` order (the independent fast path draws its uniforms in column
+order), the bits are in rank order, and every reader goes through the table.
+
 **Determinism contract.**  The kernel defines one *canonical draw order*
 anchored on the caller's ``random.Random`` stream (in the query pipeline:
-``derive_rng(root, VERIFY_STREAM, global graph id)``): the stream is
+the generator of ``derive_seed(root, VERIFY_STREAM, global graph id)``): the stream is
 collapsed into a numpy ``Generator`` via :func:`repro.utils.rng.numpy_generator`,
 event picks are drawn first as one array; then the world batch walks the
 factors once, in graph order, and within a factor draws one uniform vector
@@ -42,7 +50,7 @@ from an earlier overlapping factor — and their values) in ascending pattern
 code order, rows in ascending order within a pattern.  On the independent
 fast path the batch is a single ``n x E`` uniform matrix.  Every step is a
 pure function of the generator and the (graph, events) pair — never of
-frozenset iteration order, shard layout, block composition, or how many
+event discovery order, shard layout, block composition, or how many
 candidates ran before — so a graph's estimate is byte-identical across
 sequential, sharded, top-k-replay, catalog and service executions.  The exact
 route consumes no randomness at all: it is a pure function of (graph, events).
@@ -57,7 +65,13 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ProbabilityError
-from repro.probability.events import normalize_events
+from repro.probability.events import (
+    edge_ranks,
+    mask_bits,
+    mask_words,
+    normalize_masks,
+    pack_bits,
+)
 from repro.probability.junction_tree import VariableEliminationEngine
 from repro.probability.sampling import (
     DEFAULT_TAU,
@@ -79,6 +93,7 @@ __all__ = [
     "compile_world_model",
     "enumerate_factor_product",
     "estimate_union_probability_batch",
+    "event_masks",
     "support_union_probability",
 ]
 
@@ -209,6 +224,8 @@ class CompiledWorldModel:
     # Z of each component with a factor_group, by first factor position;
     # filled on first use by clause_weights
     _component_z: dict = field(default_factory=dict, repr=False, compare=False)
+    # the rank-space bit of each column, filled on the first mask read
+    _bits: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -354,6 +371,47 @@ def _independent_marginals(
 
 
 # ----------------------------------------------------------------------
+# events: rank-space masks against the model's columns
+# ----------------------------------------------------------------------
+def _column_bits(model: CompiledWorldModel) -> np.ndarray:
+    """The mask bit of each column: ``E - 1 -`` its edge's rank, cached on the
+    model (derived from ``model.edges``, it cannot disagree with the model)."""
+    if not model._bits:
+        model._bits.append(model.num_edges - 1 - edge_ranks(model.edges))
+    return model._bits[0]
+
+
+def _event_columns(model: CompiledWorldModel, masks: np.ndarray) -> np.ndarray:
+    """Events as an ``(m, E)`` boolean requirement matrix over model columns."""
+    return mask_bits(masks, _column_bits(model))
+
+
+def _key_masks(model: CompiledWorldModel, events) -> np.ndarray:
+    """Edge-key sets as mask rows, in the order given and not normalised; an
+    unknown key is a :class:`ProbabilityError`."""
+    columns = [model.columns(event) for event in events]
+    bits = np.full((len(columns), max(map(len, columns), default=0)), -1, dtype=np.int64)
+    for row, listed in enumerate(columns):
+        bits[row, : len(listed)] = listed
+    bits[bits >= 0] = _column_bits(model)[bits[bits >= 0]]
+    return pack_bits(bits, mask_words(model.num_edges))
+
+
+def event_masks(graph: "ProbabilisticGraph", events) -> np.ndarray:
+    """One graph's events as its normalised mask matrix
+    (:func:`repro.probability.events.normalize_masks`).
+
+    ``events`` is an iterable of edge-key sets, encoded through the model, or a
+    mask matrix already normalised — what
+    :func:`~repro.isomorphism.embeddings.find_family_events_block` and this
+    function return — which comes back as it is.
+    """
+    if isinstance(events, np.ndarray):
+        return events
+    return normalize_masks(_key_masks(compile_world_model(graph), events))[0]
+
+
+# ----------------------------------------------------------------------
 # clause weights: Pr(Bf) from the compiled model
 # ----------------------------------------------------------------------
 def _touched_components(model: CompiledWorldModel, columns) -> dict:
@@ -372,7 +430,8 @@ def _touched_components(model: CompiledWorldModel, columns) -> dict:
 
 
 def clause_weights(graph: "ProbabilisticGraph", events) -> list[float]:
-    """``Pr(all edges of the event present)`` for every event, in order.
+    """``Pr(all edges of the event present)`` for every event, in order:
+    every row of a mask matrix, or every edge-key set (none normalised).
 
     The ``Pr(Bf)`` of Algorithm 5.  Factors outside the components an event
     touches cancel, so the weight is a product over touched components of
@@ -390,10 +449,12 @@ def clause_weights(graph: "ProbabilisticGraph", events) -> list[float]:
     take their weights from here.
     """
     model = compile_world_model(graph)
+    if not isinstance(events, np.ndarray):
+        events = _key_masks(model, list(events))
     engine: VariableEliminationEngine | None = None
     weights = []
-    for event in events:
-        touched = _touched_components(model, model.columns(event))
+    for required in _event_columns(model, events):
+        touched = _touched_components(model, np.flatnonzero(required).tolist())
         weight = 1.0
         for first, hit in touched.items():
             group = model.factor_group[first]
@@ -439,19 +500,21 @@ def support_union_probability(graph: "ProbabilisticGraph", events) -> float | No
     """``Pr(∪ events)`` exactly, by one weighted enumeration of the events'
     support — None when that is wider than :data:`EXACT_SUPPORT_LIMIT`.
 
-    Factor components are independent, so the joint over the columns the
+    ``events``: what :func:`event_masks` takes.  Factor components are
+    independent, so the joint over the columns the
     (normalised) events mention is an outer product of one table per touched
     component, in ascending first-factor order: a single-factor component's
     :meth:`CompiledFactor.marginal`; a multi-factor component's factor
     product over *all* its columns — they all count towards the width —
     divided by its sum and summed down to the mentioned ones.  An event is a
-    bit mask over that joint and the answer is the mass of the states that
-    contain any mask.  A pure function of (graph, events): nothing is drawn.
+    state of that joint (one matrix product maps every row to its state) and
+    the answer is the mass of the states that contain any event's.  A pure
+    function of (graph, events): nothing is drawn.
     """
-    events = normalize_events(events)
+    masks = event_masks(graph, events)
     model = compile_world_model(graph)
-    event_columns = [model.columns(event) for event in events]
-    touched = _touched_components(model, sorted(set().union(*event_columns)))
+    required = _event_columns(model, masks)
+    touched = _touched_components(model, np.flatnonzero(required.any(axis=0)).tolist())
     width, whole = 0, {}  # whole: every column of a touched multi-factor component
     for first, hit in touched.items():
         group = model.factor_group[first]
@@ -460,7 +523,7 @@ def support_union_probability(graph: "ProbabilisticGraph", events) -> float | No
         width += hit.bit_count() if group is None else len(whole[first])
     if width > EXACT_SUPPORT_LIMIT:
         return None
-    bit_of: dict[int, int] = {}
+    joint_columns: list[int] = []  # the column of each bit of a joint state
     joint = np.ones(1)
     for first in sorted(touched):
         mentioned = touched[first]
@@ -472,12 +535,12 @@ def support_union_probability(graph: "ProbabilisticGraph", events) -> float | No
             table = _marginal_table(states, weights, [own.index(c) for c in mentioned])
         else:
             mentioned, table = model.factors[first].marginal(mentioned)
-        for column in mentioned:
-            bit_of[column] = len(bit_of)
+        joint_columns += mentioned
         joint = np.multiply.outer(table, joint).ravel()
     satisfied = np.zeros(joint.size, dtype=bool)
-    satisfied[[sum(1 << bit_of[c] for c in columns) for columns in event_columns]] = True
-    for bit in range(len(bit_of)):  # upward closure: a state holds an event iff it has its mask
+    satisfied[required[:, joint_columns] @ _slot_bits(len(joint_columns))] = True
+    # upward closure: a state holds an event iff it holds the event's state
+    for bit in range(len(joint_columns)):
         halves = satisfied.reshape(-1, 2, 1 << bit)
         halves[:, 1] |= halves[:, 0]
     return min(1.0, max(0.0, float(joint[satisfied].sum())))
@@ -619,7 +682,9 @@ def _categorical(cumulative: np.ndarray, picks: np.ndarray) -> np.ndarray:
 # the batched Karp-Luby coverage estimator (Algorithm 5)
 # ----------------------------------------------------------------------
 def compile_events(model: CompiledWorldModel, events) -> np.ndarray:
-    """Events as an ``(m, E)`` boolean requirement matrix over model columns."""
+    """Edge-key sets as an ``(m, E)`` boolean requirement matrix over model
+    columns: the PMI's witness events, which the index build compiles without
+    touching a mask table (the estimator reads its masks instead)."""
     required = np.zeros((len(events), model.num_edges), dtype=bool)
     for row, event in enumerate(events):
         for key in event:
@@ -641,20 +706,21 @@ def estimate_union_probability_batch(
     estimator is ``V * Cnt / N`` with ``V = Σ Pr(Bfi)`` (:func:`clause_weights`),
     which is what this returns, clamped to [0, 1].  Every per-sample step is
     an array operation and the draw order is the kernel's canonical one
-    (module docstring).  The sample count defaults to ``(4 ln(2/ξ)) / τ²``.
+    (module docstring).  The sample count defaults to ``(4 ln(2/ξ)) / τ²``;
+    ``events``: what :func:`event_masks` takes.
     """
     check_sample_count(num_samples)
-    clean = normalize_events(events)
-    if not clean:
+    masks = event_masks(graph, events)
+    if not len(masks):
         return 0.0
     generator = ensure_rng(rng)
-    weights = clause_weights(graph, clean)
+    weights = clause_weights(graph, masks)
     total_weight = sum(weights)
     if total_weight <= 0.0:
         return 0.0
     n = num_samples if num_samples is not None else monte_carlo_sample_size(xi, tau)
     model = compile_world_model(graph)
-    required = compile_events(model, clean)
+    required = _event_columns(model, masks)
     count = _count_canonical(model, required, weights, total_weight, n, generator)
     estimate = total_weight * count / n
     return min(1.0, max(0.0, estimate))

@@ -32,13 +32,13 @@ from repro.probability.batch_kernel import (
     compile_events,
     compile_world_model,
 )
-from repro.probability.events import normalize_events
 from repro.probability.sampling import (
     DEFAULT_TAU,
     DEFAULT_XI,
     check_sample_count,
     monte_carlo_sample_size,
 )
+from repro.reference.events import normalize_events
 from repro.utils.rng import RandomLike, ensure_rng
 
 if TYPE_CHECKING:

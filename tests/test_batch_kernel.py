@@ -56,7 +56,11 @@ from repro.probability.batch_kernel import (
     compile_events,
     support_union_probability,
 )
-from repro.reference import estimate_union_probability, replay_union_probability
+from repro.reference import (
+    estimate_union_probability,
+    normalize_events,
+    replay_union_probability,
+)
 from repro.utils.rng import numpy_generator
 
 from tests.conftest import make_simple_probabilistic_graph
@@ -817,7 +821,7 @@ class TestCalibration:
         assert failures <= self.ROOTS * self.XI + 3.0 * binomial_sd
 
         # unbiasedness: V * Cnt / N has mean p and variance p (V - p) / N
-        total_weight = sum(clause_weights(graph, batch_kernel.normalize_events(events)))
+        total_weight = sum(clause_weights(graph, normalize_events(events)))
         standard_error = math.sqrt(
             exact * (total_weight - exact) / num_samples / self.ROOTS
         )

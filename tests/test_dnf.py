@@ -6,8 +6,7 @@ import pytest
 
 from repro.exceptions import VerificationError
 from repro.probability import estimate_union_probability_batch, exact_union_probability
-from repro.probability.events import canonical_event_key, normalize_events
-from repro.reference import estimate_union_probability
+from repro.reference import canonical_event_key, estimate_union_probability, normalize_events
 
 from tests.conftest import make_simple_probabilistic_graph
 

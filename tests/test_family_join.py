@@ -1,8 +1,9 @@
 """The variant-family pass (all relaxed variants of a query joined against a
 block in one level-at-a-time pass) held to the per-variant loop it replaces:
-equal events per graph on random queries, relaxation configs and blocks;
-block entry k equal to the block of one; and the three reroutes — embedding
-limit, branch cap, relabelings joined on their own — exact."""
+equal event masks per graph on random queries, relaxation configs and blocks,
+and both equal to the frozenset oracle (every variant's embeddings, normalised
+as sets); block entry k equal to the block of one; and the three reroutes —
+embedding limit, branch cap, relabelings joined on their own — exact."""
 
 from __future__ import annotations
 
@@ -19,13 +20,15 @@ from repro.graphs import LabeledGraph, ProbabilisticGraph
 from repro.isomorphism import generic_join
 from repro.isomorphism.embeddings import (
     family_reroute_count,
+    find_embeddings_block,
     find_family_events_block,
     reset_family_reroute_count,
     reset_truncation_count,
     truncation_count,
 )
 from repro.isomorphism.generic_join import GraphBlock, compile_variant_family
-from repro.probability.events import normalize_events
+from repro.probability.events import mask_words
+from repro.reference import mask_events, normalize_events
 
 from tests.conftest import reordered_rows
 
@@ -106,13 +109,26 @@ def per_variant(variants, targets, limit=None):
     return find_family_events_block(None, variants, targets, limit)
 
 
-def assert_same_events(shared, reference, family):
-    assert len(shared) == len(reference)
-    for mine, theirs in zip(shared, reference):
-        if not family.loners:  # the pass lists an event once
-            assert len(mine) == len(set(mine))
-        assert set(mine) == set(theirs)
-        assert normalize_events(mine) == normalize_events(theirs)
+def frozenset_events(variants, targets, limit=None):
+    """The oracle: per target, every variant's embeddings as edge-key sets, normalised."""
+    found = [find_embeddings_block(variant, targets, limit) for variant in variants]
+    return [
+        normalize_events([e.edges for per_graph in found for e in per_graph[position]])
+        for position in range(len(targets))
+    ]
+
+
+def same_masks(mine, theirs):
+    return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
+
+
+def assert_same_events(shared, reference, targets, oracle=None):
+    """Equal mask matrices, and — decoded — the oracle's members in its order."""
+    assert same_masks(shared, reference)
+    for mine, target in zip(shared, targets):
+        assert mine.dtype == np.uint64 and mine.shape[1] == mask_words(target.num_edges)
+    if oracle is not None:
+        assert [mask_events(t, mine) for t, mine in zip(targets, shared)] == oracle
 
 
 class TestFamilyEqualsPerVariant:
@@ -124,10 +140,11 @@ class TestFamilyEqualsPerVariant:
         shared = find_family_events_block(family, variants, targets, None)
         # nothing to truncate and no cap in reach: the pass itself answered
         assert family_reroute_count() == (0, len(family.loners))
-        assert_same_events(shared, per_variant(variants, targets), family)
+        oracle = frozenset_events(variants, targets)
+        assert_same_events(shared, per_variant(variants, targets), targets, oracle)
         for position, target in enumerate(targets):
             (alone,) = find_family_events_block(family, variants, [target], None)
-            assert alone == shared[position]
+            assert np.array_equal(alone, shared[position])
 
     @FAMILY_SETTINGS
     @given(families_and_blocks(), st.sampled_from([1, 2]))
@@ -141,10 +158,11 @@ class TestFamilyEqualsPerVariant:
         shared = find_family_events_block(family, variants, targets, limit)
         assert truncation_count() == cut
         if family_reroute_count()[0]:  # a member over the limit somewhere: the per-variant lists
-            assert shared == reference
+            oracle = frozenset_events(variants, targets, limit)
+            assert_same_events(shared, reference, targets, oracle)
         else:  # only a loner can have been cut, and it was cut by the same call
             assert cut == 0 or family.loners
-            assert_same_events(shared, reference, family)
+            assert_same_events(shared, reference, targets)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
     @given(families_and_blocks(), st.sampled_from([2, 12]))
@@ -155,8 +173,8 @@ class TestFamilyEqualsPerVariant:
             reset_family_reroute_count()
             shared = find_family_events_block(family, variants, targets, None)
             if family_reroute_count()[0]:
-                assert shared == per_variant(variants, targets)
-        assert_same_events(shared, per_variant(variants, targets), family)
+                assert same_masks(shared, per_variant(variants, targets))
+        assert_same_events(shared, per_variant(variants, targets), targets)
 
 
 class TestOrderFreedom:
@@ -165,8 +183,8 @@ class TestOrderFreedom:
     def test_events_and_estimates_do_not_depend_on_the_order_of_the_relaxed_set(
         self, case, shuffler
     ):
-        """The rows of the family in another order: per graph the same set of
-        events, and — every estimator normalises them — the same floats."""
+        """The rows of the family in another order: per graph the same
+        normalised events, and the same floats."""
         query, variants, family, targets = case
         order = list(range(len(variants)))
         shuffler.shuffle(order)
@@ -178,7 +196,7 @@ class TestOrderFreedom:
         assert np.array_equal(moved_family.required, family.required[moved_from])
         events = find_family_events_block(family, variants, targets, None)
         moved_events = find_family_events_block(moved_family, moved, targets, None)
-        assert [set(listed) for listed in moved_events] == [set(listed) for listed in events]
+        assert same_masks(moved_events, events)
         graphs = [
             ProbabilisticGraph.from_edge_probabilities(
                 target, {key: 0.3 + 0.05 * (i % 9) for i, key in enumerate(target.edge_keys())}
@@ -232,7 +250,12 @@ class TestReroutes:
         shared = find_family_events_block(family, variants, TARGETS)
         assert (len(passes), len(joins)) == (1, 1)
         assert family_reroute_count() == (0, 1)
-        assert_same_events(shared, per_variant(variants, TARGETS, 200), family)
+        assert_same_events(
+            shared,
+            per_variant(variants, TARGETS, 200),
+            TARGETS,
+            frozenset_events(variants, TARGETS),
+        )
 
     def test_mid_component_start_is_seeded_inside_the_pass(self):
         for config in (RelaxationConfig(), RelaxationConfig(drop_isolated_vertices=False)):
@@ -244,8 +267,10 @@ class TestReroutes:
             family = compile_variant_family(QUERY, [mid])
             assert not family.loners and family.seed[0, 1] == generic_join._POOL
             shared = find_family_events_block(family, [mid], TARGETS, None)
-            assert shared[0] and not shared[1]
-            assert_same_events(shared, per_variant([mid], TARGETS), family)
+            assert len(shared[0]) and not len(shared[1])
+            assert_same_events(
+                shared, per_variant([mid], TARGETS), TARGETS, frozenset_events([mid], TARGETS)
+            )
 
     def test_family_of_loners_only(self):
         relabeled = QUERY.copy()
@@ -254,7 +279,7 @@ class TestReroutes:
         family = compile_variant_family(QUERY, [relabeled])
         assert family.required.shape == (0, QUERY.num_edges) and family.loners == (0,)
         shared = find_family_events_block(family, [relabeled], TARGETS, None)
-        assert shared == per_variant([relabeled], TARGETS) and shared[0]
+        assert same_masks(shared, per_variant([relabeled], TARGETS)) and len(shared[0])
 
     def test_label_absent_from_the_block_matches_nothing(self):
         query = build({0: "a", 1: "a", 2: "nowhere"}, [(0, 1, "x"), (0, 2, "y"), (1, 2, "never")])
@@ -263,7 +288,8 @@ class TestReroutes:
         assert len(variants) == 3 and family.required.shape[0] >= 2
         reset_family_reroute_count()
         shared = find_family_events_block(family, variants, TARGETS, None)
-        assert shared == per_variant(variants, TARGETS) == [[], []]
+        assert same_masks(shared, per_variant(variants, TARGETS))
+        assert [len(masks) for masks in shared] == [0, 0]
         assert family_reroute_count() == (0, len(family.loners))
         reset_family_reroute_count()
         # a label only some variants need: the others still match
@@ -271,9 +297,14 @@ class TestReroutes:
         variants = relax_query(query, 1)
         family = compile_variant_family(query, variants)
         shared = find_family_events_block(family, variants, TARGETS, None)
-        assert set(shared[0]) == {frozenset({(0, 1), (0, 2)}), frozenset({(0, 1), (0, 4)})}
-        assert shared[1] == []
-        assert_same_events(shared, per_variant(variants, TARGETS), family)
+        assert mask_events(TARGETS[0], shared[0]) == [
+            frozenset({(0, 1), (0, 2)}),
+            frozenset({(0, 1), (0, 4)}),
+        ]
+        assert not len(shared[1])
+        assert_same_events(
+            shared, per_variant(variants, TARGETS), TARGETS, frozenset_events(variants, TARGETS)
+        )
         assert family_reroute_count() == (0, len(family.loners))
 
     def test_cap_and_limit_reroutes_are_counted(self, monkeypatch):
@@ -281,14 +312,12 @@ class TestReroutes:
         family = compile_variant_family(QUERY, variants)
         reset_family_reroute_count()
         reset_truncation_count()
-        assert find_family_events_block(family, variants, TARGETS, 1) == per_variant(
-            variants, TARGETS, 1
-        )
+        shared = find_family_events_block(family, variants, TARGETS, 1)
+        assert same_masks(shared, per_variant(variants, TARGETS, 1))
         assert family_reroute_count() == (1, 0) and truncation_count() > 0
         monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 3)
-        assert find_family_events_block(family, variants, TARGETS, None) == per_variant(
-            variants, TARGETS
-        )
+        shared = find_family_events_block(family, variants, TARGETS, None)
+        assert same_masks(shared, per_variant(variants, TARGETS))
         assert family_reroute_count() == (2, 0)
 
     def test_degree_feasibility_prunes_the_frontier(self, monkeypatch):
@@ -323,4 +352,5 @@ class TestReroutes:
         family = compile_variant_family(QUERY, variants)
         assert find_family_events_block(family, variants, [], None) == []
         lonely = build({0: "a", 1: "b"}, [])
-        assert find_family_events_block(family, variants, [lonely, lonely], None) == [[], []]
+        found = find_family_events_block(family, variants, [lonely, lonely], None)
+        assert [masks.shape for masks in found] == [(0, 0), (0, 0)]

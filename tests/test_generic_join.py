@@ -8,7 +8,6 @@ settings (mined features, PMI cells, structural counts)."""
 
 from __future__ import annotations
 
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -367,9 +366,9 @@ def cap_bound_results(pattern, graphs, limit, label_sensitive):
     events = []
     if pattern.num_edges:  # a family of one member, the pattern itself
         family = compile_variant_family(pattern, [pattern])
-        # event order is no contract: a pass past the cap reruns per variant
+        # normalised masks: the same whether or not the pass reruns per variant
         found = find_family_events_block(family, [pattern], graphs, limit)
-        events = [Counter(listed) for listed in found]
+        events = [masks.tolist() for masks in found]
     return (
         match_block(pattern, graphs, label_sensitive),
         [(result.embeddings, result.truncated) for result in enumerations],

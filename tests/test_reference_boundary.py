@@ -1,5 +1,6 @@
-"""``repro.reference`` (the VF2 matcher, the scalar sampler) is for tests and
-benchmarks to compare against: no library module outside it imports it."""
+"""``repro.reference`` (the VF2 matcher, the scalar sampler, the frozenset
+event normaliser) is for tests and benchmarks to compare against: no library
+module outside it imports it, and what moved there is defined nowhere else."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import ast
 from pathlib import Path
 
 import repro
+from repro import reference
 
 PACKAGE = Path(repro.__file__).parent
 
@@ -58,3 +60,17 @@ def test_no_library_module_imports_the_reference_package():
             if name == "repro.reference" or name.startswith("repro.reference.")
         ]
     assert offenders == []
+
+
+MOVED = {"normalize_events", "NormalizedEvents", "canonical_event_key"}
+
+
+def test_the_frozenset_event_oracle_is_defined_only_in_the_reference_package():
+    """Events are masks in production; their frozenset normaliser is the oracle."""
+    defined = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef | ast.ClassDef) and node.name in MOVED:
+                defined.setdefault(node.name, []).append(path.relative_to(PACKAGE).as_posix())
+    assert defined == {name: ["reference/events.py"] for name in MOVED}
+    assert MOVED <= set(reference.__all__)
