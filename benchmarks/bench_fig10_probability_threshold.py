@@ -26,9 +26,7 @@ DISTANCE_THRESHOLD = 1
 
 
 def run_threshold_sweep(engine, workload) -> list[dict]:
-    structural_filter = StructuralFilter(
-        engine.structural_index, [graph.skeleton for graph in engine.graphs]
-    )
+    structural_filter = StructuralFilter(engine.structural_index)
     rows = []
     for epsilon in PROBABILITY_THRESHOLDS:
         structure_candidates = 0

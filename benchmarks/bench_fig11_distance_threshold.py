@@ -42,9 +42,7 @@ def build_plain_index(engine) -> ProbabilisticMatrixIndex:
 
 
 def run_distance_sweep(engine, workload) -> list[dict]:
-    structural_filter = StructuralFilter(
-        engine.structural_index, [graph.skeleton for graph in engine.graphs]
-    )
+    structural_filter = StructuralFilter(engine.structural_index)
     plain_index = build_plain_index(engine)
     indexes = {"SIPBound": plain_index, "OPT-SIPBound": engine.pmi}
     rows = []

@@ -37,7 +37,7 @@ BOUNDS = BoundConfig(num_samples=80)
 def _candidate_count(database, index, workload) -> float:
     skeletons = [graph.skeleton for graph in database.graphs]
     structural = StructuralFeatureIndex().build(skeletons, index.features)
-    structural_filter = StructuralFilter(structural, skeletons)
+    structural_filter = StructuralFilter(structural)
     pruner = ProbabilisticPruner(index.features, config=PruningConfig(True, True), rng=BENCH_SEED)
     total = 0
     for record in workload:

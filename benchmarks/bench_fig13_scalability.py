@@ -55,7 +55,6 @@ def run_scalability_sweep() -> list[dict]:
         scan = ExactScanBaseline(
             dataset.graphs,
             ExactScanConfig(
-                method="inclusion_exclusion",
                 verification=VerificationConfig(method="inclusion_exclusion", num_samples=400),
             ),
         )

@@ -120,10 +120,7 @@ def run_topk_comparison() -> dict:
 
     reference = ExactScanBaseline(
         graphs,
-        ExactScanConfig(
-            method="inclusion_exclusion",
-            verification=TOPK_SEARCH_CONFIG.verification,
-        ),
+        ExactScanConfig(verification=TOPK_SEARCH_CONFIG.verification),
     )
     reference_results = [
         reference.top_k(query, K, DISTANCE_THRESHOLD, rng=BENCH_SEED)

@@ -62,13 +62,7 @@ def main() -> None:
         num_shards=4,
         max_workers=0,  # in-process: the merge invariant does not need a pool
     )
-    reference = ExactScanBaseline(
-        dataset.graphs,
-        ExactScanConfig(
-            method="inclusion_exclusion",
-            verification=VerificationConfig(method="inclusion_exclusion"),
-        ),
-    )
+    reference = ExactScanBaseline(dataset.graphs, ExactScanConfig())
 
     for index, query in enumerate(queries):
         top = sequential.query_top_k(

@@ -15,6 +15,10 @@ The public API mirrors the paper's pipeline:
   generators plus query workloads;
 * :mod:`repro.baselines` — the Exact scan and independent-edge (IND) models.
 
+The definitions themselves — possible-world enumeration, subgraph distance,
+the exact SIP — are oracles in :mod:`repro.reference`, which tests and
+benchmarks import and the library does not.
+
 Quickstart::
 
     from repro import ProbabilisticGraphDatabase, generate_ppi_database
@@ -29,15 +33,12 @@ Quickstart::
 """
 
 from repro.graphs import LabeledGraph, ProbabilisticGraph, NeighborEdgeFactor
-from repro.graphs.possible_worlds import enumerate_possible_worlds
 from repro.probability import JointProbabilityTable, Factor
 from repro.isomorphism import (
     is_subgraph_isomorphic,
     find_embeddings,
     find_embeddings_block,
     match_block,
-    subgraph_distance,
-    is_subgraph_similar,
 )
 from repro.pmi import (
     ProbabilisticMatrixIndex,
@@ -75,15 +76,12 @@ __all__ = [
     "LabeledGraph",
     "ProbabilisticGraph",
     "NeighborEdgeFactor",
-    "enumerate_possible_worlds",
     "JointProbabilityTable",
     "Factor",
     "is_subgraph_isomorphic",
     "find_embeddings",
     "find_embeddings_block",
     "match_block",
-    "subgraph_distance",
-    "is_subgraph_similar",
     "ProbabilisticMatrixIndex",
     "PMIRow",
     "BoundConfig",

@@ -2,39 +2,49 @@
 without any index (Section 6).
 
 The paper's Exact baseline evaluates Equation 21 (inclusion–exclusion over
-the relaxed-query embeddings) per graph; for very small graphs a literal
-possible-world enumeration is also available.  Both are exponential — that is
-the point of the comparison in Figure 13 — so the scan accepts per-graph caps
-and falls back to sampling when a graph exceeds them (the fallback keeps the
-benchmark harness runnable at every database size while preserving the
-dominant exponential cost on the graphs that fit).
+the relaxed-query embeddings) per graph, which is the default here: the scan
+runs ``verification.method``.  Inclusion–exclusion is exponential in the
+events — that is the point of the comparison in Figure 13 — so a graph whose
+events exceed ``max_exact_events`` falls back to the same config with
+``method="sampling"`` (the fallback keeps the benchmark harness runnable at
+every database size while preserving the dominant exponential cost on the
+graphs that fit).
+
+Both query modes run one scan loop, and every graph is verified on its own
+stream ``(root, VERIFY_STREAM, graph_id)`` — the planner's scheme — so a
+graph's probability depends neither on the graphs scanned before it nor on
+the mode, and equals the pipeline's under the same verification config.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from repro.core.pipeline import VERIFY_STREAM
-from repro.core.planner import validate_top_k_query
+from repro.core.planner import validate_query, validate_top_k_query
 from repro.core.relaxation import RelaxationConfig, relax_query
 from repro.core.results import QueryAnswer, QueryResult
 from repro.core.verification import VerificationConfig, Verifier
 from repro.exceptions import VerificationError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
-from repro.isomorphism.generic_join import VariantFamily, compile_variant_family
-from repro.utils.rng import RandomLike, derive_seed, ensure_rng, rng_root
+from repro.isomorphism.generic_join import compile_variant_family
+from repro.utils.rng import RandomLike, derive_seed, rng_root
 from repro.utils.timer import Timer
+
+# (graph id, probability) of every graph, in id order -> the answers, ranked
+Selection = Callable[[list[tuple[int, float]]], list[tuple[int, float]]]
 
 
 @dataclass
 class ExactScanConfig:
-    """Caps and strategy for the exact scan."""
+    """Relaxation, verification and fallback policy of the exact scan."""
 
-    method: str = "inclusion_exclusion"  # or "enumeration"
     relaxation: RelaxationConfig = field(default_factory=RelaxationConfig)
-    verification: VerificationConfig = field(default_factory=VerificationConfig)
+    verification: VerificationConfig = field(
+        default_factory=lambda: VerificationConfig(method="inclusion_exclusion")
+    )
     fallback_to_sampling: bool = True
 
 
@@ -54,37 +64,15 @@ class ExactScanBaseline:
         distance_threshold: int,
         rng: RandomLike = None,
     ) -> QueryResult:
-        """Scan the whole database, verifying each graph exactly."""
-        generator = ensure_rng(rng)
-        verifier = Verifier(
-            config=self.config.verification,
-            relaxation=self.config.relaxation,
-            rng=generator,
+        """Every graph whose probability reaches ``probability_threshold``,
+        in graph-id order."""
+        validate_query(query_graph, probability_threshold, distance_threshold)
+        return self._scan(
+            query_graph,
+            distance_threshold,
+            rng,
+            lambda scored: [entry for entry in scored if entry[1] >= probability_threshold],
         )
-        relaxed = relax_query(query_graph, distance_threshold, self.config.relaxation)
-        family = compile_variant_family(query_graph, relaxed)  # once per query, not per graph
-        result = QueryResult()
-        result.statistics.database_size = len(self.graphs)
-        result.statistics.relaxed_query_count = len(relaxed)
-        timer = Timer()
-        with timer:
-            for graph_id, graph in enumerate(self.graphs):
-                result.statistics.verified += 1
-                probability = self._verify(
-                    verifier, query_graph, graph, distance_threshold, relaxed, family
-                )
-                if probability >= probability_threshold:
-                    result.answers.append(
-                        QueryAnswer(
-                            graph_id=graph_id,
-                            graph_name=graph.name,
-                            probability=probability,
-                            decided_by="verification",
-                        )
-                    )
-        result.statistics.total_seconds = timer.elapsed
-        result.statistics.answers = len(result.answers)
-        return result
 
     def top_k(
         self,
@@ -96,65 +84,70 @@ class ExactScanBaseline:
         """Reference top-k: verify *every* graph, rank by ``(-p, graph_id)``.
 
         The index-free ground truth the pipeline's ``query_top_k`` is tested
-        against.  Each graph's verifier draws from the per-graph stream
-        ``(root, VERIFY_STREAM, graph_id)`` — the planner's scheme — so under
-        any verification method both sides compute the *same* per-graph
-        probability and the comparison is exact, not approximate.  Graphs
-        with zero probability are never answers, so fewer than ``k`` answers
-        may return.
+        against: under any verification method both sides compute the *same*
+        per-graph probability, so the comparison is exact, not approximate.
+        Graphs with zero probability are never answers, so fewer than ``k``
+        answers may return.
         """
-        validate_top_k_query(query_graph, k, distance_threshold)
-        root = rng_root(rng)
-        verifier = Verifier(
-            config=self.config.verification, relaxation=self.config.relaxation
+        k = validate_top_k_query(query_graph, k, distance_threshold)
+        return self._scan(
+            query_graph,
+            distance_threshold,
+            rng,
+            lambda scored: sorted(
+                (entry for entry in scored if entry[1] > 0.0),
+                key=lambda entry: (-entry[1], entry[0]),
+            )[:k],
         )
-        relaxed = relax_query(query_graph, distance_threshold, self.config.relaxation)
+
+    def _scan(
+        self,
+        query_graph: LabeledGraph,
+        distance_threshold: int,
+        rng: RandomLike,
+        select: Selection,
+    ) -> QueryResult:
+        """Verify every graph on its own ``VERIFY_STREAM`` seed; ``select``
+        turns the scored database into the answers."""
+        root = rng_root(rng)
+        config = self.config
+        verifier = Verifier(config=config.verification, relaxation=config.relaxation)
+        fallback = Verifier(
+            config=replace(config.verification, method="sampling"),
+            relaxation=config.relaxation,
+        )
+        relaxed = relax_query(query_graph, distance_threshold, config.relaxation)
         family = compile_variant_family(query_graph, relaxed)  # once per query, not per graph
         result = QueryResult()
-        result.statistics.database_size = len(self.graphs)
-        result.statistics.relaxed_query_count = len(relaxed)
-        ranked: list[tuple[float, int, str | None]] = []
+        statistics = result.statistics
+        statistics.database_size = len(self.graphs)
+        statistics.relaxed_query_count = len(relaxed)
         timer = Timer()
         with timer:
+            scored = []
             for graph_id, graph in enumerate(self.graphs):
-                result.statistics.verified += 1
-                verifier.rng = derive_seed(root, VERIFY_STREAM, graph_id)
-                probability = self._verify(
-                    verifier, query_graph, graph, distance_threshold, relaxed, family
-                )
-                if probability > 0.0:
-                    ranked.append((probability, graph_id, graph.name))
-            ranked.sort(key=lambda entry: (-entry[0], entry[1]))
-            for probability, graph_id, name in ranked[:k]:
-                result.answers.append(
-                    QueryAnswer(
-                        graph_id=graph_id,
-                        graph_name=name,
-                        probability=probability,
-                        decided_by="verification",
+                statistics.verified += 1
+                seed = derive_seed(root, VERIFY_STREAM, graph_id)
+                try:
+                    probability = verifier.subgraph_similarity_probability(
+                        query_graph, graph, distance_threshold, relaxed, seed, family
                     )
+                except VerificationError:
+                    if not config.fallback_to_sampling:
+                        raise
+                    probability = fallback.subgraph_similarity_probability(
+                        query_graph, graph, distance_threshold, relaxed, seed, family
+                    )
+                scored.append((graph_id, probability))
+            result.answers = [
+                QueryAnswer(
+                    graph_id=graph_id,
+                    graph_name=self.graphs[graph_id].name,
+                    probability=probability,
+                    decided_by="verification",
                 )
-        result.statistics.total_seconds = timer.elapsed
-        result.statistics.answers = len(result.answers)
+                for graph_id, probability in select(scored)
+            ]
+        statistics.total_seconds = timer.elapsed
+        statistics.answers = len(result.answers)
         return result
-
-    def _verify(
-        self,
-        verifier: Verifier,
-        query_graph: LabeledGraph,
-        graph: ProbabilisticGraph,
-        distance_threshold: int,
-        relaxed: Sequence[LabeledGraph],
-        family: VariantFamily,
-    ) -> float:
-        def probability(method: str) -> float:
-            return verifier.subgraph_similarity_probability(
-                query_graph, graph, distance_threshold, relaxed, method, family=family
-            )
-
-        try:
-            return probability(self.config.method)
-        except VerificationError:
-            if not self.config.fallback_to_sampling:
-                raise
-            return probability("sampling")

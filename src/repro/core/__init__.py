@@ -3,7 +3,7 @@ conditions, verification, the reusable query planner, and the end-to-end
 search engine."""
 
 from repro.core.relaxation import relax_query, RelaxationConfig
-from repro.core.set_cover import greedy_weighted_set_cover, exhaustive_weighted_set_cover
+from repro.core.set_cover import greedy_weighted_set_cover
 from repro.core.quadratic_program import solve_lsim_rounding, QPResult
 from repro.core.pruning import (
     FeatureContainment,
@@ -66,7 +66,6 @@ __all__ = [
     "relax_query",
     "RelaxationConfig",
     "greedy_weighted_set_cover",
-    "exhaustive_weighted_set_cover",
     "solve_lsim_rounding",
     "QPResult",
     "FeatureContainment",

@@ -80,6 +80,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 THRESHOLD_MODE = "threshold"
 TOP_K_MODE = "top_k"
 
+# candidates per verify_block() call in threshold mode; block composition
+# never changes an estimate (each graph keeps its own stream), only how the
+# work is chunked
+VERIFY_BLOCK_SIZE = 64
+
 
 class CandidateSet:
     """The explicit candidate state threaded through the pipeline stages.
@@ -431,10 +436,9 @@ class VerificationStage(PipelineStage):
         planner = self.planner
         verifier = planner._verifier_for(plan)
         active = candidates.active_ids()
-        block_size = max(1, verifier.config.block_size)
         answers = 0
-        for start in range(0, len(active), block_size):
-            block = [int(local_id) for local_id in active[start : start + block_size]]
+        for start in range(0, len(active), VERIFY_BLOCK_SIZE):
+            block = [int(local_id) for local_id in active[start : start + VERIFY_BLOCK_SIZE]]
             global_ids = [int(planner.global_ids[local_id]) for local_id in block]
             stats.verified += len(block)
             probabilities = verifier.verify_block(

@@ -7,7 +7,7 @@ the feature-vs-relaxed-query containment relations once *per candidate
 graph*.  :class:`QueryPlanner` splits that work by lifetime:
 
 * **per database** (planner construction): the structural filter over the
-  skeletons, the pruner over the PMI's features, the default verifier, and
+  index, the pruner over the PMI's features, the default verifier, and
   the staged candidate pipeline itself
   (:func:`repro.core.pipeline.build_default_pipeline`);
 * **per query** (:meth:`plan` / :meth:`plan_top_k`): array work over one edge
@@ -61,7 +61,6 @@ from repro.pmi.index import ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.structural.similarity_filter import StructuralFilter
 from repro.utils.rng import RandomLike, rng_root
-from repro.utils.shm import SkeletonSequence
 
 __all__ = [
     "QueryPlan",
@@ -207,12 +206,9 @@ class QueryPlanner:
                     f"{len(graphs)} graphs"
                 )
         self.active_mask = active_mask
-        # a lazy view, not a list: planners over shared-memory shards hold a
-        # LazyGraphList, and enumerating skeletons here would deserialize
-        # every graph up front — the structural filter reads the index and
-        # opens a skeleton only under exact_check
-        self.skeletons = SkeletonSequence(graphs)
-        self.structural_filter = StructuralFilter(structural_index, self.skeletons)
+        # the filter reads the index, never `graphs`: a planner over a
+        # shared-memory shard's LazyGraphList deserializes only what it verifies
+        self.structural_filter = StructuralFilter(structural_index)
         self.pruner = ProbabilisticPruner(pmi.features)
         self._default_verifier: Verifier | None = None
         self.pipeline: QueryPipeline = build_default_pipeline(self)

@@ -4,16 +4,13 @@ Each feature ``fj`` that is a *sub*graph of some relaxed queries defines the
 set ``sj = {rqi : rqi ⊇iso fj}`` with weight ``UpperB(fj)``; any cover of
 ``U = {rq1..rqa}`` yields a valid upper bound equal to the sum of the chosen
 weights (Theorem 3), and the minimum-weight cover is the tightest such bound.
-Algorithm 1 of the paper is the classical greedy ``H_n``-approximation;
-:func:`exhaustive_weighted_set_cover` finds the true optimum on small
-instances and is used by tests and the OPT variants' sanity checks.
+Algorithm 1 of the paper is the classical greedy ``H_n``-approximation; the
+optimum it approximates is :func:`repro.reference.exhaustive_weighted_set_cover`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from repro.exceptions import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -67,41 +64,3 @@ def greedy_weighted_set_cover(
         uncovered -= best.members
         available = [c for c in available if c.set_id != best.set_id]
     return SetCoverSolution(tuple(chosen), total, covered=True)
-
-
-def exhaustive_weighted_set_cover(
-    universe: frozenset | set,
-    candidate_sets: list[WeightedSet],
-    max_sets: int = 16,
-) -> SetCoverSolution:
-    """Optimal cover by exhaustive search (small instances only).
-
-    Raises ``ValueError`` beyond ``max_sets`` candidates — this helper exists
-    to validate the greedy approximation, not to replace it.
-    """
-    if len(candidate_sets) > max_sets:
-        raise ConfigurationError(
-            f"exhaustive set cover limited to {max_sets} candidate sets, "
-            f"got {len(candidate_sets)}"
-        )
-    universe = frozenset(universe)
-    best: SetCoverSolution | None = None
-    for size in range(1, len(candidate_sets) + 1):
-        for subset in combinations(candidate_sets, size):
-            covered = frozenset().union(*(c.members for c in subset))
-            if not universe <= covered:
-                continue
-            weight = sum(c.weight for c in subset)
-            if best is None or weight < best.total_weight:
-                best = SetCoverSolution(
-                    tuple(sorted(c.set_id for c in subset)), weight, covered=True
-                )
-        if best is not None:
-            # a cover with `size` sets exists; smaller total weight may still
-            # be achievable with more sets only if weights can be negative,
-            # which they cannot — but a larger subset could still weigh less
-            # than the best found if this level's best is poor, so keep going
-            pass
-    if best is None:
-        return SetCoverSolution((), 0.0, covered=False)
-    return best

@@ -1,7 +1,7 @@
 """Verification: computing the subgraph similarity probability of a candidate
 (Section 5).
 
-Three strategies are provided, all built on Lemma 1 / Equation 22, which
+Two strategies are provided, both built on Lemma 1 / Equation 22, which
 identify ``Pr(q ⊆sim g)`` with the probability that at least one embedding of
 one relaxed query is fully present in the sampled world.  Those events come
 from one matching pass per candidate block for the whole relaxed set (a
@@ -19,10 +19,11 @@ normalised and in canonical order before any estimator reads it
   canonical draw order).  ``num_samples`` / ``xi`` / ``tau`` are read by the
   sampled route only; ``Verifier.sampled`` counts the estimates that took it;
 * ``"inclusion_exclusion"`` — exact Equation 21 over the embedding events
-  (the paper's Exact method; exponential in the number of events);
-* ``"enumeration"`` — brute-force possible-world enumeration with a direct
-  subgraph-distance test per world; the slowest but most literal ground
-  truth, used by tests and available for tiny graphs.
+  (the paper's Exact method; exponential in the number of events).
+
+The definition itself — every possible world, a subgraph-distance test in
+each — is the oracle both are tested against
+(``repro.reference.similarity_probability_by_enumeration``).
 
 :meth:`Verifier.verify_block` is the block entry point the pipeline's
 verification stage uses: one call verifies a whole candidate block, with an
@@ -42,13 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.relaxation import RelaxationConfig, relax_query
-from repro.exceptions import ConfigurationError, VerificationError
+from repro.exceptions import ConfigurationError
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.graphs.possible_worlds import enumerate_possible_worlds
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.embeddings import find_family_events_block
 from repro.isomorphism.generic_join import GraphBlock, VariantFamily, compile_variant_family
-from repro.isomorphism.mcs import is_subgraph_similar
 from repro.probability.batch_kernel import (
     estimate_union_probability_batch,
     event_masks,
@@ -58,7 +57,7 @@ from repro.probability.dnf import exact_union_probability
 from repro.probability.sampling import check_sample_count
 from repro.utils.rng import RandomLike, ensure_rng
 
-VERIFICATION_METHODS = ("sampling", "inclusion_exclusion", "enumeration")
+VERIFICATION_METHODS = ("sampling", "inclusion_exclusion")
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,6 @@ class VerificationConfig:
     num_samples: int | None = 400
     embedding_limit: int = 64
     max_exact_events: int = 18
-    max_enumeration_edges: int = 18
-    # candidates per verify_block() call in the pipeline's verification
-    # stage; block composition never affects estimates (each graph keeps its
-    # own rng stream), only how work is chunked
-    block_size: int = 64
 
     def __post_init__(self) -> None:
         check_sample_count(self.num_samples)
@@ -108,10 +102,6 @@ class Verifier:
             self._rng = ensure_rng(self._rng)
         return self._rng
 
-    @rng.setter
-    def rng(self, rng: RandomLike) -> None:
-        self._rng = rng
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -121,17 +111,14 @@ class Verifier:
         graph: ProbabilisticGraph,
         distance_threshold: int,
         relaxed_queries: Sequence[LabeledGraph] | None = None,
-        method: str | None = None,
         rng: RandomLike = None,
         family: VariantFamily | None = None,
     ) -> float:
-        """``Pr(q ⊆sim g)`` with the configured (or overridden) method: the
-        graph goes through :meth:`verify_block` as the block of one, ``rng``
-        (None: the verifier-level generator) as its one stream."""
-        if (method or self.config.method) == "enumeration":
-            return self._by_enumeration(query, graph, distance_threshold)
+        """``Pr(q ⊆sim g)`` with the configured method: the graph goes through
+        :meth:`verify_block` as the block of one, ``rng`` (None: the
+        verifier-level generator) as its one stream."""
         (probability,) = self.verify_block(
-            query, [graph], distance_threshold, relaxed_queries, method, [rng], family
+            query, [graph], distance_threshold, relaxed_queries, [rng], family
         )
         return probability
 
@@ -141,7 +128,6 @@ class Verifier:
         graphs: list[ProbabilisticGraph],
         distance_threshold: int,
         relaxed_queries: Sequence[LabeledGraph] | None = None,
-        method: str | None = None,
         rngs: list | None = None,
         family: VariantFamily | None = None,
     ) -> list[float]:
@@ -162,14 +148,11 @@ class Verifier:
             relaxed_queries = relax_query(query, distance_threshold, self.relaxation)
         if rngs is None:
             rngs = [None] * len(graphs)
-        strategy = method or self.config.method
-        if strategy == "enumeration":
-            return [self._by_enumeration(query, graph, distance_threshold) for graph in graphs]
         if family is None:
             family = compile_variant_family(query, relaxed_queries)
         events_per_graph = self.events_block(relaxed_queries, graphs, family)
         return [
-            self._estimate(graph, events, strategy, rng)
+            self._estimate(graph, events, rng)
             for graph, rng, events in zip(graphs, rngs, events_per_graph, strict=True)
         ]
 
@@ -190,61 +173,27 @@ class Verifier:
             family, relaxed_queries, skeletons, self.config.embedding_limit
         )
 
-    def matches(
-        self,
-        query: LabeledGraph,
-        graph: ProbabilisticGraph,
-        probability_threshold: float,
-        distance_threshold: int,
-        relaxed_queries: Sequence[LabeledGraph] | None = None,
-        method: str | None = None,
-    ) -> tuple[bool, float]:
-        """(is answer, SSP estimate) for one candidate graph."""
-        probability = self.subgraph_similarity_probability(
-            query, graph, distance_threshold, relaxed_queries=relaxed_queries, method=method
-        )
-        return probability >= probability_threshold, probability
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _estimate(
-        self, graph: ProbabilisticGraph, events, strategy: str, rng: RandomLike = None
-    ) -> float:
+    def _estimate(self, graph: ProbabilisticGraph, events, rng: RandomLike = None) -> float:
         """The union probability of ``events`` (a mask matrix, or edge-key sets
         normalised here); ``rng`` (None: the verifier's generator) is read only
         if the estimate draws."""
         events = event_masks(graph, events)
         if not len(events):
             return 0.0
-        if strategy == "sampling":
-            exact = support_union_probability(graph, events)
-            if exact is not None:
-                return exact
-            self.sampled += 1
-            return estimate_union_probability_batch(
-                graph,
-                events,
-                xi=self.config.xi,
-                tau=self.config.tau,
-                num_samples=self.config.num_samples,
-                rng=self.rng if rng is None else ensure_rng(rng),
-            )
-        if strategy == "inclusion_exclusion":
+        if self.config.method == "inclusion_exclusion":
             return exact_union_probability(graph, events, max_events=self.config.max_exact_events)
-        raise VerificationError(f"unknown verification method {strategy!r}")
-
-    def _by_enumeration(
-        self, query: LabeledGraph, graph: ProbabilisticGraph, distance_threshold: int
-    ) -> float:
-        if graph.num_edges > self.config.max_enumeration_edges:
-            raise VerificationError(
-                "possible-world enumeration limited to "
-                f"{self.config.max_enumeration_edges} uncertain edges; "
-                f"graph has {graph.num_edges}"
-            )
-        total = 0.0
-        for world in enumerate_possible_worlds(graph):
-            if is_subgraph_similar(query, world.graph, distance_threshold):
-                total += world.probability
-        return min(1.0, total)
+        exact = support_union_probability(graph, events)
+        if exact is not None:
+            return exact
+        self.sampled += 1
+        return estimate_union_probability_batch(
+            graph,
+            events,
+            xi=self.config.xi,
+            tau=self.config.tau,
+            num_samples=self.config.num_samples,
+            rng=self.rng if rng is None else ensure_rng(rng),
+        )

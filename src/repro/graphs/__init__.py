@@ -1,10 +1,9 @@
 """Graph substrate: labeled deterministic graphs, probabilistic graphs with
-correlated edges, possible-world semantics, generators and serialization."""
+correlated edges, generators and serialization."""
 
 from repro.graphs.labeled_graph import Edge, LabeledGraph
 from repro.graphs.neighbor_edges import neighbor_edge_sets, partition_into_neighbor_sets
 from repro.graphs.probabilistic_graph import NeighborEdgeFactor, ProbabilisticGraph
-from repro.graphs.possible_worlds import PossibleWorld, enumerate_possible_worlds
 from repro.graphs.variant_rows import VariantRows
 from repro.graphs.canonical import canonical_form
 from repro.graphs.generators import (
@@ -19,9 +18,7 @@ __all__ = [
     "LabeledGraph",
     "NeighborEdgeFactor",
     "ProbabilisticGraph",
-    "PossibleWorld",
     "VariantRows",
-    "enumerate_possible_worlds",
     "canonical_form",
     "neighbor_edge_sets",
     "partition_into_neighbor_sets",

@@ -24,7 +24,6 @@ from repro.exceptions import ConfigurationError, GraphError, ProbabilityError
 from repro.graphs.labeled_graph import LabeledGraph, VertexId, edge_key
 from repro.graphs.neighbor_edges import partition_into_neighbor_sets
 from repro.probability.jpt import JointProbabilityTable
-from repro.utils.rng import RandomLike, ensure_rng
 
 EdgeKey = tuple[VertexId, VertexId]
 EdgeAssignment = Mapping[EdgeKey, int]
@@ -181,61 +180,6 @@ class ProbabilisticGraph:
         if not keys:
             return 0.0
         return sum(self.edge_marginal(k) for k in keys) / len(keys)
-
-    # ------------------------------------------------------------------
-    # possible-world measure
-    # ------------------------------------------------------------------
-    def world_weight(self, assignment: EdgeAssignment) -> float:
-        """Unnormalized product weight of a full edge assignment (Equation 1)."""
-        weight = 1.0
-        for factor in self.factors:
-            weight *= factor.probability_of(assignment)
-            if weight == 0.0:
-                return 0.0
-        return weight
-
-    def world_graph(self, assignment: EdgeAssignment, name: str | None = None) -> LabeledGraph:
-        """Materialize the possible world graph for ``assignment``.
-
-        Possible worlds keep all vertices (Definition 3) and the subset of
-        edges whose variable is 1.
-        """
-        world = LabeledGraph(name=name)
-        for vertex in self.skeleton.vertices():
-            world.add_vertex(vertex, self.skeleton.vertex_label(vertex))
-        for key in self.skeleton.edge_keys():
-            if assignment.get(key, 0) == 1:
-                world.add_edge(key[0], key[1], self.skeleton.edge_label(*key))
-        return world
-
-    def sample_world_assignment(self, rng: RandomLike = None) -> dict[EdgeKey, int]:
-        """Draw one edge assignment.
-
-        Factors are visited in order; each JPT is conditioned on edges already
-        assigned by earlier (overlapping) factors and the remaining edges are
-        sampled from the conditional.  For partitioned graphs this is exact
-        sampling from the product measure; for overlapping factors it is
-        exact under the conditional-independence assumption of Definition 4.
-        """
-        generator = ensure_rng(rng)
-        assignment: dict[EdgeKey, int] = {}
-        for factor in self.factors:
-            already = {e: assignment[e] for e in factor.edges if e in assignment}
-            pending = [e for e in factor.edges if e not in assignment]
-            if not pending:
-                continue
-            if already:
-                conditional = factor.jpt.conditional(already)
-            else:
-                conditional = factor.jpt
-            draw = conditional.sample(generator)
-            for key in pending:
-                assignment[key] = draw[key]
-        return assignment
-
-    def sample_world(self, rng: RandomLike = None) -> LabeledGraph:
-        """Draw one possible world graph."""
-        return self.world_graph(self.sample_world_assignment(rng))
 
     # ------------------------------------------------------------------
     # dunder protocol

@@ -1,5 +1,5 @@
-"""Subgraph isomorphism machinery: the vectorized generic-join engine,
-embedding enumeration, maximum common subgraph and subgraph distance."""
+"""Subgraph isomorphism machinery: the vectorized generic-join engine and
+embedding enumeration."""
 
 from repro.isomorphism.generic_join import (
     GenericJoinMatcher,
@@ -22,11 +22,6 @@ from repro.isomorphism.embeddings import (
     count_embeddings,
     count_embeddings_block,
 )
-from repro.isomorphism.mcs import (
-    subgraph_distance,
-    is_subgraph_similar,
-    maximum_common_subgraph_size,
-)
 
 __all__ = [
     "connectivity_order",
@@ -46,7 +41,4 @@ __all__ = [
     "find_embeddings_block",
     "count_embeddings",
     "count_embeddings_block",
-    "subgraph_distance",
-    "is_subgraph_similar",
-    "maximum_common_subgraph_size",
 ]

@@ -44,9 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, VerificationError
+from repro.exceptions import ConfigurationError
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.graphs.possible_worlds import enumerate_possible_worlds
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.embeddings import Embedding, find_embeddings
 from repro.pmi.cuts import best_disjoint_cuts, enumerate_embedding_cuts
@@ -251,20 +250,3 @@ def _witness_event_probabilities(
     if chosen_materialized.shape[1] == 0:
         return lower, 1.0
     return lower, float(weights @ ~chosen_materialized.any(axis=1)) / total
-
-
-def exact_sip(graph: ProbabilisticGraph, feature: LabeledGraph, max_edges: int = 20) -> float:
-    """Exact ``Pr(f ⊆iso g)`` by possible-world enumeration (tests/baselines)."""
-    if graph.num_edges > max_edges:
-        raise VerificationError(
-            f"exact SIP limited to {max_edges} uncertain edges; graph has {graph.num_edges}"
-        )
-    embeddings = find_embeddings(feature, graph.skeleton, limit=None)
-    if not embeddings:
-        return 0.0
-    total = 0.0
-    for world in enumerate_possible_worlds(graph):
-        present = world.present_edges()
-        if any(embedding.edges <= present for embedding in embeddings):
-            total += world.probability
-    return total

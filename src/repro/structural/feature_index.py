@@ -324,8 +324,9 @@ class StructuralFeatureIndex:
         return mask
 
     def signature_missing(self, query: LabeledGraph) -> np.ndarray:
-        """Per graph, ``signature_distance_lower_bound(query, skeleton)`` — a
-        lower bound on ``dis(query, g)`` — in one pass over the postings."""
+        """Per graph, a lower bound on ``dis(query, g)`` — the scalar
+        ``repro.reference.signature_distance_lower_bound(query, skeleton)`` —
+        in one pass over the postings."""
         if self.signatures.num_graphs != self.num_graphs:
             raise StateError("this structural index was restored without its signature segment")
         return self.signatures.missing(query)

@@ -7,11 +7,11 @@ graph can be discarded before any probabilistic work.  The filter combines:
 1. the feature-count deficit test of :class:`StructuralFeatureIndex` (Grafil [38]);
 2. the edge-signature bound (a query edge whose signature the skeleton cannot
    absorb must be relaxed away, so more than ``δ`` of them ⇒ prune), read off
-   the index's signature postings;
-3. optionally, an exact subgraph-similarity check (the join over relaxations) for
-   callers that want the candidate set to be exactly ``SCq``.
+   the index's signature postings.
 
-1 and 2 are array passes over the index; only 3 opens a graph.
+Both are array passes over the index; the filter opens no graph.  The
+candidate set is a superset of ``SCq``: verification gives a graph that is
+not subgraph-similar probability 0.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.isomorphism.mcs import is_subgraph_similar
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.timer import Timer
 from repro.exceptions import StateError
@@ -43,20 +42,10 @@ class StructuralFilterResult:
 class StructuralFilter:
     """Runs the deterministic filters against all indexed skeletons."""
 
-    def __init__(
-        self,
-        index: StructuralFeatureIndex,
-        skeletons: list[LabeledGraph],
-        exact_check: bool = False,
-    ) -> None:
+    def __init__(self, index: StructuralFeatureIndex) -> None:
         if not index.is_built:
             raise StateError("the structural feature index must be built first")
         self.index = index
-        # kept as the sequence given, NOT listed: the planner passes a lazy
-        # per-graph view over shared-memory shards, and only the exact check
-        # ever indexes it
-        self.skeletons = skeletons
-        self.exact_check = exact_check
 
     def filter(self, query: LabeledGraph, distance_threshold: int) -> StructuralFilterResult:
         """Return the candidate set ``SCq`` (ids into the database order)."""
@@ -78,14 +67,13 @@ class StructuralFilter:
     ) -> np.ndarray:
         """Boolean keep-mask over the database, honoring an incoming mask.
 
-        ``active`` restricts the work to a candidate subset (graphs outside
-        it come back False without being examined) — this is the pipeline
-        entry point, where an upstream stage may already have narrowed the
-        candidate set.  The Grafil feature-count deficit and the signature
-        bound are each one vectorized pass over the whole index either way;
-        the exact check only runs for active survivors.  ``profile`` is the
-        query's count profile when the caller holds it: a plan does, so that
-        every shard reads the planner's instead of re-deriving its own.
+        ``active`` restricts the answer to a candidate subset (graphs outside
+        it come back False) — this is the pipeline entry point, where an
+        upstream stage may already have narrowed the candidate set.  The
+        Grafil feature-count deficit and the signature bound are each one
+        vectorized pass over the whole index.  ``profile`` is the query's
+        count profile when the caller holds it: a plan does, so that every
+        shard reads the planner's instead of re-deriving its own.
         """
         if profile is None:
             profile = self.index.query_profile(query)
@@ -93,8 +81,4 @@ class StructuralFilter:
         keep &= self.index.signature_missing(query) <= distance_threshold
         if active is not None:
             keep &= np.asarray(active, dtype=bool)
-        if self.exact_check:
-            for graph_id in np.flatnonzero(keep):
-                skeleton = self.skeletons[int(graph_id)]
-                keep[graph_id] = is_subgraph_similar(query, skeleton, distance_threshold)
         return keep

@@ -540,26 +540,6 @@ class SegmentedGraphList(Sequence):
         return self.base.materialized_bytes() + self.delta.materialized_bytes()
 
 
-class SkeletonSequence(Sequence):
-    """``graphs[i].skeleton`` without materializing the graph list.
-
-    A planner over a :class:`LazyGraphList` must not enumerate skeletons
-    eagerly — that would deserialize every graph and defeat the zero-copy
-    plane — so the structural filter indexes through this view instead.
-    """
-
-    def __init__(self, graphs: Sequence) -> None:
-        self._graphs = graphs
-
-    def __len__(self) -> int:
-        return len(self._graphs)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [graph.skeleton for graph in self._graphs[index]]
-        return self._graphs[index].skeleton
-
-
 def finalize_unlink(owner, names: list[str]):
     """A ``weakref.finalize`` that unlinks ``names`` when ``owner`` dies.
 

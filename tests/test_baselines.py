@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import ExactScanBaseline, database_to_independent, to_independent_model
 from repro.baselines.exact_scan import ExactScanConfig
-from repro.core import VerificationConfig
+from repro.core import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
-from repro.graphs import enumerate_possible_worlds
+from repro.exceptions import QueryError
+from repro.reference import enumerate_possible_worlds
 
-from tests.conftest import make_simple_probabilistic_graph
+from tests.conftest import WIDE_SUPPORT_DISTANCE, make_simple_probabilistic_graph
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +44,10 @@ class TestExactScan:
         result = scan.query(query, probability_threshold=0.3, distance_threshold=1, rng=2)
         assert all(answer.probability >= 0.3 for answer in result.answers)
 
-    def test_enumeration_method_with_sampling_fallback(self, tiny_db):
+    def test_exact_method_with_sampling_fallback(self, tiny_db):
         config = ExactScanConfig(
-            method="enumeration",
             verification=VerificationConfig(
-                method="sampling", num_samples=300, max_enumeration_edges=6
+                method="inclusion_exclusion", num_samples=300, max_exact_events=1
             ),
             fallback_to_sampling=True,
         )
@@ -58,14 +60,63 @@ class TestExactScan:
         from repro.exceptions import VerificationError
 
         config = ExactScanConfig(
-            method="enumeration",
-            verification=VerificationConfig(max_enumeration_edges=3),
+            verification=VerificationConfig(method="inclusion_exclusion", max_exact_events=1),
             fallback_to_sampling=False,
         )
         query = extract_query(tiny_db.graphs[0].skeleton, 3, rng=6)
         scan = ExactScanBaseline(tiny_db.graphs, config)
         with pytest.raises(VerificationError):
             scan.query(query, probability_threshold=0.2, distance_threshold=1, rng=2)
+
+    @pytest.mark.parametrize("epsilon, delta", [(0.0, 1), (1.5, 1), (0.2, 3), (0.2, -1)])
+    def test_malformed_queries_are_refused(self, tiny_db, epsilon, delta):
+        query = extract_query(tiny_db.graphs[0].skeleton, 3, rng=1)
+        with pytest.raises(QueryError):
+            ExactScanBaseline(tiny_db.graphs).query(query, epsilon, delta, rng=2)
+
+
+class TestScanStreams:
+    """Every graph verifies on its own ``(root, VERIFY_STREAM, graph id)``
+    stream, sampling fallbacks included."""
+
+    CONFIG = VerificationConfig(method="inclusion_exclusion", num_samples=50, max_exact_events=1)
+
+    def test_probabilities_do_not_depend_on_the_graphs_scanned_before(
+        self, wide_support_corpus
+    ):
+        """Graph ``i`` stays at id ``i`` while every other graph moves: its
+        probability is the same, and in both query modes it is the pipeline's
+        under the config the fallback runs."""
+        graphs, (query, _) = wide_support_corpus
+        scan = ExactScanBaseline(graphs, ExactScanConfig(verification=self.CONFIG))
+        probabilities = answered(scan.query(query, 1e-9, WIDE_SUPPORT_DISTANCE, rng=5))
+        assert answered(scan.top_k(query, len(graphs), WIDE_SUPPORT_DISTANCE, rng=5)) == (
+            probabilities
+        )
+        engine = ProbabilisticGraphDatabase(graphs).build_index(rng=5)
+        pipeline = engine.query(
+            query,
+            1e-9,
+            WIDE_SUPPORT_DISTANCE,
+            config=SearchConfig(
+                verification=replace(self.CONFIG, method="sampling"),
+                use_probabilistic_pruning=False,
+            ),
+            rng=5,
+        )
+        assert pipeline.statistics.sampled > 0
+        assert answered(pipeline) == probabilities
+        for position in range(len(graphs)):
+            others = (graphs[:position] + graphs[position + 1 :])[::-1]
+            moved = [*others[:position], graphs[position], *others[position:]]
+            rescanned = ExactScanBaseline(moved, scan.config).query(
+                query, 1e-9, WIDE_SUPPORT_DISTANCE, rng=5
+            )
+            assert answered(rescanned).get(position) == probabilities.get(position)
+
+
+def answered(result) -> dict[int, float]:
+    return {answer.graph_id: answer.probability for answer in result.answers}
 
 
 class TestIndependentModel:

@@ -678,9 +678,9 @@ class TestExactSupportRoute:
         self, triangle_graph_001, overlap_graph_002, path_query
     ):
         from repro.core import VerificationConfig, Verifier
+        from repro.reference import similarity_probability_by_enumeration
 
         routed = Verifier(VerificationConfig(method="sampling", num_samples=50))
-        brute = Verifier(VerificationConfig(method="enumeration"))
         a_b_c = LabeledGraph(name="q")  # the two-edge path of graph 001
         for vertex, label in enumerate("abc"):
             a_b_c.add_vertex(vertex, label)
@@ -697,7 +697,7 @@ class TestExactSupportRoute:
         ]
         for query, graph in cases:
             for delta in (0, 1):
-                expected = brute.subgraph_similarity_probability(query, graph, delta)
+                expected = similarity_probability_by_enumeration(query, graph, delta)
                 assert 0.0 < expected < 1.0
                 assert routed.subgraph_similarity_probability(
                     query, graph, delta
@@ -761,7 +761,7 @@ class TestExactSupportRoute:
         monkeypatch.setattr(batch_kernel, "EXACT_SUPPORT_LIMIT", 5)
         exact = support_union_probability(graph, events)
         assert exact == pytest.approx(exact_union_probability(graph, events), abs=1e-12)
-        assert verifier._estimate(graph, events, "sampling", random.Random(3)) == exact
+        assert verifier._estimate(graph, events, random.Random(3)) == exact
         assert support_union_probability(overlap_graph_002, [{e4}]) is not None
         assert verifier.sampled == 0
         monkeypatch.setattr(batch_kernel, "EXACT_SUPPORT_LIMIT", 4)
@@ -769,7 +769,7 @@ class TestExactSupportRoute:
         assert support_union_probability(overlap_graph_002, [{e4}]) is None  # one of five
         # the sampled estimate is the kernel's, on the caller's stream
         assert verifier._estimate(
-            graph, events, "sampling", random.Random(3)
+            graph, events, random.Random(3)
         ) == estimate_union_probability_batch(graph, events, num_samples=60, rng=random.Random(3))
         assert verifier.sampled == 1
 

@@ -109,7 +109,7 @@ class TestExactUnion:
         assert exact_union_probability(graph, []) == 0.0
 
     def test_correlated_graph_against_enumeration(self, triangle_graph_001):
-        from repro.graphs import enumerate_possible_worlds
+        from repro.reference import enumerate_possible_worlds
 
         edges = triangle_graph_001.edge_variables()
         events = [{edges[0], edges[1]}, {edges[2]}]

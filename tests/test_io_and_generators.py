@@ -14,7 +14,7 @@ from repro.graphs import (
     random_connected_labeled_graph,
     random_labeled_graph,
 )
-from repro.graphs.possible_worlds import enumerate_possible_worlds
+from repro.reference import enumerate_possible_worlds
 
 
 class TestLabeledGraphIO:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import LabeledGraph
-from repro.isomorphism import (
+from repro.reference import (
     is_subgraph_similar,
     maximum_common_subgraph_size,
+    signature_distance_lower_bound,
     subgraph_distance,
 )
-from repro.isomorphism.mcs import signature_distance_lower_bound
 
 
 def build(vertex_labels, edges):

@@ -30,7 +30,7 @@ from repro.datasets import (
     generate_query_workload,
 )
 from repro.graphs import LabeledGraph, VariantRows
-from repro.isomorphism import generic_join, mcs
+from repro.isomorphism import generic_join
 from repro.isomorphism.embeddings import (
     enumerate_embeddings,
     family_reroute_count,
@@ -318,7 +318,6 @@ def test_no_block_rerun_on_the_e2e_smoke_corpora(workload, monkeypatch):
         reset_truncation_count()
         draws = _count_calls(monkeypatch, batch_kernel, "_draw_worlds")  # the build is over
         variants = _count_calls(monkeypatch, VariantRows, "__getitem__")
-        bounds = _count_calls(monkeypatch, mcs, "signature_distance_lower_bound")
         counted = _count_calls(monkeypatch, LabeledGraph, "edge_signature_counts")
         stored = {id(graph.skeleton) for _, graph in built.live_items()}
         verified = sampled = 0
@@ -327,9 +326,10 @@ def test_no_block_rerun_on_the_e2e_smoke_corpora(workload, monkeypatch):
             verified += result.statistics.verified
             sampled += result.statistics.sampled
     assert verified > 0
-    # the signature bound is read off the index: no scalar bound, and no stored
-    # graph asked for its signature counts (queries are)
-    assert not bounds and counted
+    # the signature bound is read off the index: no stored graph asked for its
+    # signature counts (queries are); the scalar bound lives in repro.reference,
+    # which no production module imports (test_reference_boundary)
+    assert counted
     assert not [graph for (graph,) in counted if id(graph) in stored]
     assert family_reroute_count() == (0, 0) and truncation_count() == 0
     # ... so nothing indexes the relaxed set: a pass builds no graph of a variant

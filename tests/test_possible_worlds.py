@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import VerificationError
-from repro.graphs import enumerate_possible_worlds
-from repro.graphs.possible_worlds import total_world_mass
+from repro.reference import enumerate_possible_worlds, total_world_mass, world_weight
 
 from tests.conftest import make_simple_probabilistic_graph
 
@@ -51,7 +50,7 @@ class TestEnumeration:
         raw_mass = total_world_mass(overlap_graph_002)
         worlds = enumerate_possible_worlds(overlap_graph_002, normalize=False, skip_zero=False)
         all_present = {key: 1 for key in overlap_graph_002.edge_variables()}
-        expected = overlap_graph_002.world_weight(all_present)
+        expected = world_weight(overlap_graph_002, all_present)
         by_edges = {w.present_edges(): w.probability for w in worlds}
         assert by_edges[frozenset(overlap_graph_002.edge_variables())] == pytest.approx(expected)
         assert raw_mass > 0

@@ -7,6 +7,7 @@ import pytest
 from repro.exceptions import GraphError, ProbabilityError
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph
 from repro.probability import JointProbabilityTable
+from repro.reference import WorldSampler, world_graph, world_weight
 
 from tests.conftest import make_simple_probabilistic_graph
 
@@ -61,20 +62,20 @@ class TestFromEdgeProbabilities:
 class TestWorldMeasure:
     def test_world_weight_is_product_of_factors(self, triangle_graph_001):
         all_present = {key: 1 for key in triangle_graph_001.edge_variables()}
-        assert triangle_graph_001.world_weight(all_present) == pytest.approx(0.2)
+        assert world_weight(triangle_graph_001, all_present) == pytest.approx(0.2)
         none_present = {key: 0 for key in triangle_graph_001.edge_variables()}
-        assert triangle_graph_001.world_weight(none_present) == pytest.approx(0.1)
+        assert world_weight(triangle_graph_001, none_present) == pytest.approx(0.1)
 
     def test_world_graph_keeps_all_vertices(self, triangle_graph_001):
         none_present = {key: 0 for key in triangle_graph_001.edge_variables()}
-        world = triangle_graph_001.world_graph(none_present)
+        world = world_graph(triangle_graph_001, none_present)
         assert world.num_vertices == 3
         assert world.num_edges == 0
 
     def test_world_graph_contains_selected_edges(self, triangle_graph_001):
         assignment = {key: 0 for key in triangle_graph_001.edge_variables()}
         assignment[(1, 2)] = 1
-        world = triangle_graph_001.world_graph(assignment)
+        world = world_graph(triangle_graph_001, assignment)
         assert world.num_edges == 1
         assert world.has_edge(1, 2)
 
@@ -84,7 +85,7 @@ class TestWorldMeasure:
         expected = 1.0
         for factor in overlap_graph_002.factors:
             expected *= factor.probability_of(assignment)
-        assert overlap_graph_002.world_weight(assignment) == pytest.approx(expected)
+        assert world_weight(overlap_graph_002, assignment) == pytest.approx(expected)
 
     def test_factors_containing(self, overlap_graph_002):
         sharing = overlap_graph_002.factors_containing((2, 3))
@@ -94,19 +95,23 @@ class TestWorldMeasure:
 
 
 class TestSampling:
+    """One world at a time, through the reference's scalar sampler."""
+
     def test_sampled_assignment_covers_all_edges(self, overlap_graph_002, rng):
-        assignment = overlap_graph_002.sample_world_assignment(rng)
+        assignment = WorldSampler(overlap_graph_002, rng).sample_assignment()
         assert set(assignment) == set(overlap_graph_002.edge_variables())
         assert all(value in (0, 1) for value in assignment.values())
 
     def test_sampling_respects_marginals_for_partitioned_graph(self, rng):
         graph = make_simple_probabilistic_graph(edge_probability=0.8)
         key = graph.edge_variables()[0]
-        hits = sum(graph.sample_world_assignment(rng)[key] for _ in range(1500))
+        sampler = WorldSampler(graph, rng)
+        hits = sum(sampler.sample_assignment()[key] for _ in range(1500))
         assert 0.74 < hits / 1500 < 0.86
 
     def test_sample_world_returns_labeled_graph(self, triangle_graph_001, rng):
-        world = triangle_graph_001.sample_world(rng)
+        assignment = WorldSampler(triangle_graph_001, rng).sample_assignment()
+        world = world_graph(triangle_graph_001, assignment)
         assert world.num_vertices == 3
         assert world.num_edges <= 3
 

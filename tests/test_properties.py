@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 
 from repro.graphs import LabeledGraph, ProbabilisticGraph
 from repro.graphs.canonical import canonical_form
-from repro.graphs.possible_worlds import enumerate_possible_worlds, total_world_mass
-from repro.isomorphism import is_subgraph_isomorphic, subgraph_distance
+from repro.isomorphism import is_subgraph_isomorphic
 from repro.pmi import BoundConfig, compute_sip_bounds
-from repro.pmi.bounds import exact_sip
 from repro.probability import Factor, JointProbabilityTable
+from repro.reference import (
+    enumerate_possible_worlds,
+    exact_sip,
+    subgraph_distance,
+    total_world_mass,
+)
 
 SETTINGS = settings(
     max_examples=30,

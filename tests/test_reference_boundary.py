@@ -1,10 +1,15 @@
 """``repro.reference`` (the VF2 matcher, the scalar sampler, the frozenset
-event normaliser) is for tests and benchmarks to compare against: no library
-module outside it imports it, and what moved there is defined nowhere else."""
+event normaliser, possible-world enumeration, subgraph distance, the exact
+SIP, the optimal set cover) is for tests and benchmarks to compare against: no
+library module outside it imports it, what moved there is defined nowhere
+else, and no production knob selects it."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import repro
@@ -62,15 +67,84 @@ def test_no_library_module_imports_the_reference_package():
     assert offenders == []
 
 
+def definitions(names: set[str]) -> dict[str, list[str]]:
+    """Where under ``src/repro`` each of ``names`` is defined (a function, a
+    method or a class), as paths relative to the package."""
+    defined = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef | ast.ClassDef) and node.name in names:
+                defined.setdefault(node.name, []).append(path.relative_to(PACKAGE).as_posix())
+    return defined
+
+
 MOVED = {"normalize_events", "NormalizedEvents", "canonical_event_key"}
 
 
 def test_the_frozenset_event_oracle_is_defined_only_in_the_reference_package():
     """Events are masks in production; their frozenset normaliser is the oracle."""
-    defined = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef | ast.ClassDef) and node.name in MOVED:
-                defined.setdefault(node.name, []).append(path.relative_to(PACKAGE).as_posix())
-    assert defined == {name: ["reference/events.py"] for name in MOVED}
+    assert definitions(MOVED) == {name: ["reference/events.py"] for name in MOVED}
     assert MOVED <= set(reference.__all__)
+
+
+# the definitions themselves: possible worlds, subgraph distance, exact SIP,
+# the optimal cover — by the module that now holds each
+DEFINITION_ORACLES = {
+    "reference/worlds.py": {
+        "PossibleWorld",
+        "enumerate_possible_worlds",
+        "total_world_mass",
+        "world_weight",
+        "world_graph",
+        "exact_sip",
+        "similarity_probability_by_enumeration",
+    },
+    "reference/mcs.py": {
+        "signature_distance_lower_bound",
+        "subgraph_distance",
+        "is_subgraph_similar",
+        "maximum_common_subgraph_size",
+    },
+    "reference/set_cover.py": {"exhaustive_weighted_set_cover"},
+}
+
+
+def test_the_definition_oracles_are_defined_only_in_the_reference_package():
+    """One production path per job: the possible-world and subgraph-distance
+    definitions are what production is tested against, not a method of it."""
+    moved = set().union(*DEFINITION_ORACLES.values())
+    assert definitions(moved) == {
+        name: [module] for module, names in DEFINITION_ORACLES.items() for name in names
+    }
+    assert moved <= set(reference.__all__)
+
+
+def test_no_production_package_exports_a_definition_oracle():
+    moved = set().union(*DEFINITION_ORACLES.values())
+    for package in ("repro", "repro.graphs", "repro.isomorphism", "repro.core"):
+        module = importlib.import_module(package)
+        assert not moved & set(module.__all__), package
+        assert not [name for name in moved if hasattr(module, name)], package
+
+
+def test_the_knobs_that_selected_them_are_gone():
+    """No verification method, filter mode, scan method or per-call override
+    reaches an oracle, and the scalar world sampler is the reference's alone."""
+    from repro.baselines.exact_scan import ExactScanConfig
+    from repro.core import VerificationConfig, Verifier
+    from repro.graphs import ProbabilisticGraph
+    from repro.structural import StructuralFilter
+
+    assert [f.name for f in fields(VerificationConfig)] == [
+        "method", "xi", "tau", "num_samples", "embedding_limit", "max_exact_events"
+    ]
+    assert [f.name for f in fields(ExactScanConfig)] == [
+        "relaxation", "verification", "fallback_to_sampling"
+    ]
+    assert list(inspect.signature(StructuralFilter).parameters) == ["index"]
+    for entry in (Verifier.subgraph_similarity_probability, Verifier.verify_block):
+        assert "method" not in inspect.signature(entry).parameters
+    assert not hasattr(Verifier, "matches")
+    for gone in ("world_weight", "world_graph", "sample_world", "sample_world_assignment"):
+        assert not hasattr(ProbabilisticGraph, gone), gone
+    assert not definitions({"SkeletonSequence"})

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.set_cover import (
-    SetCoverSolution,
-    WeightedSet,
-    exhaustive_weighted_set_cover,
-    greedy_weighted_set_cover,
-)
+from repro.core.set_cover import SetCoverSolution, WeightedSet, greedy_weighted_set_cover
+from repro.reference import exhaustive_weighted_set_cover
 
 
 def ws(set_id, members, weight):

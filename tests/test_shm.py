@@ -22,6 +22,7 @@ import pytest
 from repro.core import (
     GraphCatalog,
     ProbabilisticGraphDatabase,
+    QueryPlanner,
     SearchConfig,
     VerificationConfig,
 )
@@ -33,7 +34,6 @@ from repro.utils.shm import (
     AttachedArena,
     LazyGraphList,
     ShardArena,
-    SkeletonSequence,
     attach_segment,
     create_segment,
     owned_segment_names,
@@ -255,17 +255,20 @@ class TestLazyGraphs:
         assert len(lazy) == 0
         assert list(lazy) == []
 
-    def test_skeleton_sequence_stays_lazy(self):
+    def test_planner_over_a_lazy_list_stays_lazy(self):
+        """Building a planner and running its structural filter read the
+        index, never a graph."""
         database = small_database(num_graphs=4)
+        engine = ProbabilisticGraphDatabase(database.graphs).build_index(rng=11)
         payloads = [pickle.dumps(graph) for graph in database.graphs]
         offsets = np.concatenate(
             [[0], np.cumsum([len(p) for p in payloads])]
         ).astype(np.int64)
         lazy = LazyGraphList(memoryview(b"".join(payloads)), offsets)
-        skeletons = SkeletonSequence(lazy)
-        assert len(skeletons) == 4
-        _ = skeletons[2]
-        assert lazy.materialized_count() == 1  # only the touched graph
+        planner = QueryPlanner(lazy, engine.pmi, engine.structural_index)
+        query = extract_query(database.graphs[2].skeleton, 3, rng=1)
+        assert planner.structural_filter.filter(query, 1).candidate_count > 0
+        assert lazy.materialized_count() == 0
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.graphs import LabeledGraph
 from repro.pmi import BoundConfig, compute_sip_bounds
-from repro.pmi.bounds import exact_sip
+from repro.reference import exact_sip
 
 from tests.conftest import make_simple_probabilistic_graph
 

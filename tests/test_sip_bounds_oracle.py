@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import LabeledGraph, ProbabilisticGraph
-from repro.graphs.possible_worlds import enumerate_possible_worlds
 from repro.isomorphism.embeddings import Embedding
 from repro.pmi import BoundConfig, compute_sip_bounds
 from repro.pmi.bounds import (
@@ -25,10 +24,10 @@ from repro.pmi.bounds import (
     _occurrences,
     _witness_event_probabilities,
     draw_worlds,
-    exact_sip,
 )
 from repro.pmi.cuts import cuts_are_disjoint
 from repro.probability.world_batch import WorldBatch
+from repro.reference import enumerate_possible_worlds, exact_sip
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ FEATURE_CONFIG = FeatureSelectionConfig(
 )
 # the production route: exact wherever the support fits, which is everywhere here
 SEARCH_CONFIG = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=50))
-EXACT_SCAN_CONFIG = ExactScanConfig(method="inclusion_exclusion", fallback_to_sampling=False)
+EXACT_SCAN_CONFIG = ExactScanConfig(fallback_to_sampling=False)
 
 
 @pytest.fixture(scope="module", params=["max", "independent"])

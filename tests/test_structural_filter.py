@@ -13,9 +13,8 @@ from repro.core.catalog import GraphCatalog, SegmentedStructuralView
 from repro.datasets import extract_query
 from repro.exceptions import StateError
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.isomorphism import is_subgraph_similar
-from repro.isomorphism.mcs import signature_distance_lower_bound
 from repro.pmi import BoundConfig, FeatureMiner, FeatureSelectionConfig
+from repro.reference import is_subgraph_similar, signature_distance_lower_bound
 from repro.structural import StructuralFeatureIndex, StructuralFilter
 
 
@@ -44,10 +43,9 @@ class TestFeatureIndex:
             assert stats["count"] >= 1
             assert stats["max_hits_per_edge"] >= 1
 
-    def test_unbuilt_filter_rejected(self, structural_setup):
-        _, skeletons, _ = structural_setup
+    def test_unbuilt_filter_rejected(self):
         with pytest.raises(StateError):
-            StructuralFilter(StructuralFeatureIndex(), skeletons)
+            StructuralFilter(StructuralFeatureIndex())
 
     def test_subset_counts_match_source_rows(self, structural_setup):
         index, _, _ = structural_setup
@@ -69,7 +67,7 @@ class TestFilterSoundness:
     def test_source_graph_survives(self, structural_setup):
         """A query extracted from graph i must keep graph i as a candidate."""
         index, skeletons, _ = structural_setup
-        structural_filter = StructuralFilter(index, skeletons)
+        structural_filter = StructuralFilter(index)
         for source in range(3):
             query = extract_query(skeletons[source], 4, rng=source + 10)
             result = structural_filter.filter(query, distance_threshold=1)
@@ -78,7 +76,7 @@ class TestFilterSoundness:
     def test_no_false_dismissals(self, structural_setup):
         """Any graph that is truly subgraph-similar must never be pruned."""
         index, skeletons, _ = structural_setup
-        structural_filter = StructuralFilter(index, skeletons)
+        structural_filter = StructuralFilter(index)
         query = extract_query(skeletons[1], 4, rng=21)
         result = structural_filter.filter(query, distance_threshold=2)
         pruned = set(result.pruned_ids)
@@ -88,7 +86,7 @@ class TestFilterSoundness:
 
     def test_candidates_and_pruned_partition_database(self, structural_setup):
         index, skeletons, _ = structural_setup
-        structural_filter = StructuralFilter(index, skeletons)
+        structural_filter = StructuralFilter(index)
         query = extract_query(skeletons[2], 5, rng=4)
         result = structural_filter.filter(query, distance_threshold=1)
         assert sorted(result.candidate_ids + result.pruned_ids) == list(range(len(skeletons)))
@@ -97,21 +95,12 @@ class TestFilterSoundness:
 
     def test_larger_threshold_prunes_no_more(self, structural_setup):
         index, skeletons, _ = structural_setup
-        structural_filter = StructuralFilter(index, skeletons)
+        structural_filter = StructuralFilter(index)
         query = extract_query(skeletons[0], 5, rng=17)
         tight = structural_filter.filter(query, distance_threshold=1)
         loose = structural_filter.filter(query, distance_threshold=3)
         assert set(tight.candidate_ids) <= set(loose.candidate_ids)
 
-    def test_exact_check_mode_is_a_subset(self, structural_setup):
-        index, skeletons, _ = structural_setup
-        query = extract_query(skeletons[0], 4, rng=8)
-        plain = StructuralFilter(index, skeletons).filter(query, 1)
-        exact = StructuralFilter(index, skeletons, exact_check=True).filter(query, 1)
-        assert set(exact.candidate_ids) <= set(plain.candidate_ids)
-        # exactness: every exact candidate really is subgraph-similar
-        for graph_id in exact.candidate_ids:
-            assert is_subgraph_similar(query, skeletons[graph_id], 1)
 
 
 # ----------------------------------------------------------------------
@@ -140,14 +129,12 @@ def oracle_missing(query, skeletons) -> list[int]:
     return [signature_distance_lower_bound(query, skeleton) for skeleton in skeletons]
 
 
-def loop_filter_mask(index, skeletons, query, delta, active, exact_check) -> np.ndarray:
+def loop_filter_mask(index, skeletons, query, delta, active) -> np.ndarray:
     """``filter_mask`` as it ran before the signature segment: the deficit
-    mask, then the scalar bound (and the exact check) per survivor."""
+    mask, then the scalar bound per survivor."""
     keep = ~index.deficit_prunable_mask(index.query_profile(query), delta) & active
     for graph_id in np.flatnonzero(keep):
         if signature_distance_lower_bound(query, skeletons[graph_id]) > delta:
-            keep[graph_id] = False
-        elif exact_check and not is_subgraph_similar(query, skeletons[graph_id], delta):
             keep[graph_id] = False
     return keep
 
@@ -179,12 +166,9 @@ class TestSignatureSegment:
         flags = st.lists(st.booleans(), min_size=len(skeletons), max_size=len(skeletons))
         active = np.array(data.draw(flags), dtype=bool)
         for delta in (0, 1, 2):
-            for exact_check in (False, True):
-                got = StructuralFilter(view, skeletons, exact_check=exact_check).filter_mask(
-                    query, delta, active=active
-                )
-                want = loop_filter_mask(view, skeletons, query, delta, active, exact_check)
-                assert got.tolist() == want.tolist(), (delta, exact_check)
+            got = StructuralFilter(view).filter_mask(query, delta, active=active)
+            want = loop_filter_mask(view, skeletons, query, delta, active)
+            assert got.tolist() == want.tolist(), delta
 
     def test_filter_mask_equals_the_loop_over_mined_features(self, structural_setup):
         index, skeletons, _ = structural_setup
@@ -192,12 +176,9 @@ class TestSignatureSegment:
         for source in range(4):
             query = extract_query(skeletons[source], 5, rng=source)
             for delta in (0, 1, 2):
-                for exact_check in (False, True):
-                    got = StructuralFilter(index, skeletons, exact_check=exact_check).filter_mask(
-                        query, delta
-                    )
-                    want = loop_filter_mask(index, skeletons, query, delta, everyone, exact_check)
-                    assert got.tolist() == want.tolist(), (source, delta, exact_check)
+                got = StructuralFilter(index).filter_mask(query, delta)
+                want = loop_filter_mask(index, skeletons, query, delta, everyone)
+                assert got.tolist() == want.tolist(), (source, delta)
 
     def test_catalog_rows_stay_indexed_through_mutations(self, small_ppi_database):
         """Delta rows are appended to the segment, tombstoned rows stay in it,

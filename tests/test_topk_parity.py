@@ -40,10 +40,7 @@ FEATURE_CONFIG = FeatureSelectionConfig(
 EXACT_SEARCH_CONFIG = SearchConfig(
     verification=VerificationConfig(method="inclusion_exclusion")
 )
-EXACT_SCAN_CONFIG = ExactScanConfig(
-    method="inclusion_exclusion",
-    verification=VerificationConfig(method="inclusion_exclusion"),
-)
+EXACT_SCAN_CONFIG = ExactScanConfig()  # inclusion-exclusion
 # stochastic verification on purpose: the merge invariant must hold for the
 # sampled pipeline too, not just the exact one
 SAMPLING_SEARCH_CONFIG = SearchConfig(

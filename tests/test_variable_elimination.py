@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ProbabilityError
-from repro.graphs import enumerate_possible_worlds
 from repro.probability import VariableEliminationEngine
+from repro.reference import enumerate_possible_worlds
 
 from tests.conftest import make_simple_probabilistic_graph
 

@@ -1,4 +1,5 @@
-"""Tests for SSP verification (exact, enumeration and the SMP sampler)."""
+"""Tests for SSP verification (exact inclusion-exclusion and the SMP sampler),
+against the possible-world definition in ``repro.reference``."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 from repro.core import VerificationConfig, Verifier
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.graphs import LabeledGraph
+from repro.reference import similarity_probability_by_enumeration
 
 from tests.conftest import make_simple_probabilistic_graph
 
@@ -30,15 +32,13 @@ class TestEnumerationGroundTruth:
         query.add_vertex(0, "a")
         query.add_vertex(1, "b")
         query.add_edge(0, 1, "x")
-        verifier = Verifier(VerificationConfig(method="enumeration"))
-        ssp = verifier.subgraph_similarity_probability(query, graph, 0)
+        ssp = similarity_probability_by_enumeration(query, graph, 0)
         assert ssp == pytest.approx(1 - 0.5**4)
 
     def test_enumeration_size_guard(self, small_ppi_database):
-        verifier = Verifier(VerificationConfig(method="enumeration", max_enumeration_edges=4))
         with pytest.raises(VerificationError):
-            verifier.subgraph_similarity_probability(
-                path_query(), small_ppi_database.graphs[0], 1
+            similarity_probability_by_enumeration(
+                path_query(), small_ppi_database.graphs[0], 1, max_edges=4
             )
 
 
@@ -48,9 +48,8 @@ class TestExactInclusionExclusion:
         graph = make_simple_probabilistic_graph(edge_probability=0.6)
         query = path_query()
         exact = Verifier(VerificationConfig(method="inclusion_exclusion"))
-        brute = Verifier(VerificationConfig(method="enumeration"))
         assert exact.subgraph_similarity_probability(query, graph, delta) == pytest.approx(
-            brute.subgraph_similarity_probability(query, graph, delta), abs=1e-9
+            similarity_probability_by_enumeration(query, graph, delta), abs=1e-9
         )
 
     def test_matches_enumeration_on_correlated_graph(self, triangle_graph_001):
@@ -61,12 +60,11 @@ class TestExactInclusionExclusion:
         query.add_edge(0, 1, "e")
         query.add_edge(1, 2, "e")
         exact = Verifier(VerificationConfig(method="inclusion_exclusion"))
-        brute = Verifier(VerificationConfig(method="enumeration"))
         for delta in (0, 1):
             assert exact.subgraph_similarity_probability(
                 query, triangle_graph_001, delta
             ) == pytest.approx(
-                brute.subgraph_similarity_probability(query, triangle_graph_001, delta),
+                similarity_probability_by_enumeration(query, triangle_graph_001, delta),
                 abs=1e-9,
             )
 
@@ -101,21 +99,12 @@ class TestSamplingVerifier:
         estimate = sampler.subgraph_similarity_probability(query, triangle_graph_001, 0)
         assert estimate == pytest.approx(truth, abs=0.05)
 
-    def test_matches_predicate(self, rng):
-        graph = make_simple_probabilistic_graph(edge_probability=0.6)
-        verifier = Verifier(VerificationConfig(method="inclusion_exclusion"), rng=rng)
-        is_answer, probability = verifier.matches(path_query(), graph, 0.05, 1)
-        assert is_answer
-        assert probability > 0.05
-        is_answer_high, _ = verifier.matches(path_query(), graph, 0.999, 1)
-        assert not is_answer_high
-
     def test_unknown_method_rejected(self):
-        """The per-call override is checked when it is used."""
-        graph = make_simple_probabilistic_graph()
-        verifier = Verifier(VerificationConfig())
-        with pytest.raises(VerificationError):
-            verifier.subgraph_similarity_probability(path_query(), graph, 1, method="bogus")
+        """The possible-world definition is an oracle, not a method: refused,
+        and the refusal names the two methods there are."""
+        with pytest.raises(ConfigurationError) as refused:
+            VerificationConfig(method="enumeration")
+        assert str(refused.value).endswith("('sampling', 'inclusion_exclusion')")
 
 
 class TestConfigValidation:
@@ -123,9 +112,9 @@ class TestConfigValidation:
     def test_unknown_method_is_refused_at_construction(self, method):
         """Not when the first candidate reaches verification — a query with no
         candidate would never get there and answer silently."""
-        with pytest.raises(ConfigurationError, match="'sampling', 'inclusion_exclusion', 'enum"):
+        with pytest.raises(ConfigurationError, match="'sampling', 'inclusion_exclusion'"):
             VerificationConfig(method=method)
 
-    @pytest.mark.parametrize("method", ["sampling", "inclusion_exclusion", "enumeration"])
-    def test_the_three_methods_are_accepted(self, method):
+    @pytest.mark.parametrize("method", ["sampling", "inclusion_exclusion"])
+    def test_the_two_methods_are_accepted(self, method):
         assert VerificationConfig(method=method).method == method
