@@ -6,13 +6,14 @@ this benchmark measures what that costs and what it buys:
 * **throughput** — ``query_many`` through K shards x W workers against the
   sequential planner, with answer-for-answer parity checked along the way
   (the sharded executor must be a pure speedup, never a different answer);
-* **initializer payload** — what the pool initializer ships to each worker:
-  O(1) :class:`ShardDescriptor` handles, held against the bytes the
-  shared-memory plane publishes once for everyone;
-* **pool spin-up** — wall-clock from no pool to every worker answering a
-  probe;
+* **descriptor payload** — the bytes one base generation ships to the
+  busiest slot: the O(1) :class:`ShardDescriptor` of each shard it serves,
+  sent once with its first task, held against the bytes the shared-memory
+  plane publishes once for everyone;
+* **pool spin-up** — wall-clock from no pool to every slot's worker
+  answering a probe;
 * **per-worker memory** — each worker's shard-attributable private bytes at
-  spin-up (descriptors only; the dense arrays stay in the parent's shared
+  spin-up (nothing yet; the dense arrays stay in the parent's shared
   segments) and the lazily materialized graph bytes after the workload.
 
 The speedup assertion (>= 1.5x at 4 workers) only fires on a full run when
@@ -42,12 +43,7 @@ from pathlib import Path
 # (CI) as well as pytest collection, where the root is already importable
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.core import (
-    ProbabilisticGraphDatabase,
-    SearchConfig,
-    ShardedPlanner,
-    VerificationConfig,
-)
+from repro.core import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.timer import Timer
@@ -65,10 +61,10 @@ DISTANCE_THRESHOLD = 1
 QUERY_SIZE = 4
 NUM_SHARDS = 4
 SPEEDUP_FLOOR = 1.5
-# at spin-up a worker's shard-attributable private bytes are the pickled
-# descriptors it received — they must stay a sliver of the shard bytes the
-# plane publishes (what a copy-per-worker transport would ship)
-SPINUP_BYTES_CEILING_FRACTION = 0.2
+# per generation a slot is sent the pickled descriptors of the shards it
+# serves — they must stay a sliver of the shard bytes the plane publishes
+# (what a copy-per-worker transport would ship)
+SLOT_BYTES_CEILING_FRACTION = 0.2
 
 SHARDED_SEARCH_CONFIG = SearchConfig(
     verification=VerificationConfig(method="sampling", num_samples=400)
@@ -103,13 +99,8 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_probe(delay: float) -> dict:
-    """Runs inside a pool worker: memory and lazy-materialization counters.
-
-    ``delay`` keeps each probe busy long enough that one lands on every
-    worker instead of a single fast worker draining the whole batch.
-    """
-    time.sleep(delay)
+def _worker_probe() -> dict:
+    """Runs inside a slot's worker: memory and lazy-materialization counters."""
     from repro.core import sharding
 
     materialized_bytes = 0
@@ -138,16 +129,9 @@ def _worker_probe(delay: float) -> dict:
     }
 
 
-def probe_workers(planner: ShardedPlanner, workers: int, delay: float = 0.25) -> list[dict]:
-    """One probe result per live worker (deduplicated by pid)."""
-    pool = planner._ensure_executor(workers)
-    futures = [pool.submit(_worker_probe, delay) for _ in range(workers)]
-    by_pid = {probe["pid"]: probe for probe in (f.result() for f in futures)}
-    return list(by_pid.values())
-
-
-def measure_spinup(database, workers: int) -> dict:
-    """Pool spin-up cost and the per-worker descriptor payload."""
+def measure_spinup(database, queries, workers: int) -> dict:
+    """Pool spin-up cost and the descriptor bytes a slot is sent per
+    generation (read off the plane the first query publishes)."""
     engine = ProbabilisticGraphDatabase(database.graphs)
     engine.build_index(
         feature_config=BENCH_FEATURE_CONFIG,
@@ -159,14 +143,21 @@ def measure_spinup(database, workers: int) -> dict:
     try:
         spinup_timer = Timer()
         with spinup_timer:
-            probes = probe_workers(engine.planner, workers)
+            probes = engine.planner.map_slots(_worker_probe)
+        engine.query_many(
+            queries[:1],
+            PROBABILITY_THRESHOLD,
+            DISTANCE_THRESHOLD,
+            config=SHARDED_SEARCH_CONFIG,
+            rng=BENCH_SEED,
+        )
         plane = engine.planner.shard_plane
-        payload_bytes = plane.payload_bytes()
+        slot_bytes = plane.payload_bytes(engine.planner.width)
         shard_bytes = plane.shard_bytes()
     finally:
         engine.close()
     return {
-        "payload_bytes": payload_bytes,
+        "slot_bytes": slot_bytes,
         "spinup_seconds": spinup_timer.elapsed,
         "workers_probed": len(probes),
         "shard_bytes": shard_bytes,
@@ -220,7 +211,7 @@ def run_sharded_comparison(database, queries, workers: int) -> dict:
         )
     # after the workload: how much private graph memory did lazy
     # materialization actually cost each worker?
-    post_query_probes = probe_workers(sharded_engine.planner, workers)
+    post_query_probes = sharded_engine.planner.map_slots(_worker_probe)
     sharded_engine.close()
 
     # parity first: a sharded run that answers differently is wrong, not fast
@@ -252,7 +243,7 @@ def run_benchmark(profile: dict) -> dict:
     queries = [record.query for record in workload]
     workers = profile["num_workers"]
 
-    shm_spinup = measure_spinup(database, workers)
+    shm_spinup = measure_spinup(database, queries, workers)
     throughput = run_sharded_comparison(database, queries, workers)
 
     return {
@@ -261,7 +252,7 @@ def run_benchmark(profile: dict) -> dict:
         "num_workers": workers,
         "usable_cores": usable_cores(),
         **{k: v for k, v in throughput.items() if k != "post_query_probes"},
-        "initializer_payload_bytes": shm_spinup["payload_bytes"],
+        "descriptor_bytes_per_slot": shm_spinup["slot_bytes"],
         "shard_plane_bytes": shm_spinup["shard_bytes"],
         "shm_spinup_seconds": shm_spinup["spinup_seconds"],
         "workers_probed": shm_spinup["workers_probed"],
@@ -338,7 +329,8 @@ def main() -> None:
     print(f"speedup: {report['speedup']:.2f}x")
     print(
         f"pool spin-up: {report['shm_spinup_seconds']:.3f} s, "
-        f"{report['initializer_payload_bytes']} B of descriptors per worker; "
+        f"{report['descriptor_bytes_per_slot']} B of descriptors per slot per "
+        "generation; "
         f"shard plane {report['shard_plane_bytes']} B shared, worst worker "
         f"materialized {report['post_query_materialized_graph_bytes']} B of "
         "graphs lazily"
@@ -355,12 +347,12 @@ def main() -> None:
     print(f"trajectory point appended to {args.out}")
 
     # the zero-copy contract holds at any scale, so it is asserted in smoke
-    # runs too: an added worker must cost descriptors — not a copy of the
-    # shard bytes the plane publishes once for everyone
-    spinup_ceiling = SPINUP_BYTES_CEILING_FRACTION * report["shard_plane_bytes"]
-    assert report["initializer_payload_bytes"] <= spinup_ceiling, (
-        f"per-worker spin-up payload {report['initializer_payload_bytes']} B "
-        f"exceeds {SPINUP_BYTES_CEILING_FRACTION:.0%} of the published shard "
+    # runs too: a slot must cost descriptors — not a copy of the shard bytes
+    # the plane publishes once for everyone
+    slot_ceiling = SLOT_BYTES_CEILING_FRACTION * report["shard_plane_bytes"]
+    assert report["descriptor_bytes_per_slot"] <= slot_ceiling, (
+        f"per-slot descriptor payload {report['descriptor_bytes_per_slot']} B "
+        f"exceeds {SLOT_BYTES_CEILING_FRACTION:.0%} of the published shard "
         f"plane ({report['shard_plane_bytes']} B)"
     )
     # and the read path opens candidates only: a worker holding every live

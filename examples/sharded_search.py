@@ -71,14 +71,16 @@ def main() -> None:
             queries, 0.3, 1, config=search_config, rng=SEED
         )
     # Memory footprint: the dense shard arrays live ONCE in shared-memory
-    # segments; each pool worker attaches read-only and was initialized
-    # with a few KB of descriptors, so adding workers costs descriptors,
-    # not database copies.  close() below unlinks every segment.
+    # segments; each pool worker serves a fixed set of shards, attaches
+    # them read-only and is sent a KB of descriptors per shard once per
+    # base generation, so adding workers costs descriptors, not database
+    # copies.  close() below unlinks every segment.
     plane = sharded.planner.shard_plane
     if plane is not None:
+        slot_bytes = plane.payload_bytes(sharded.planner.width)
         print(
             f"shard plane: {plane.shard_bytes()} B shared across all "
-            f"workers, {plane.payload_bytes()} B shipped per worker"
+            f"workers, {slot_bytes} B shipped per slot per generation"
         )
     sharded.close()
     print(f"sharded:    {len(queries)} queries in {timer.elapsed:.3f}s")

@@ -70,13 +70,15 @@ class AnalysisConfig:
                 lock_attribute="_lock",
                 guarded_attributes=frozenset(
                     {
-                        "_executor",
-                        "_executor_width",
+                        # one executor per slot, and the base segments whose
+                        # descriptor each slot has been sent
+                        "_slots",
+                        "_shipped",
                         "_local_planners",
                         "_plane",
-                        # a mutation swaps shard views under a live pool; the
-                        # plane (reached only through _plane) counts the
-                        # fan-outs in flight against each delta segment
+                        # a mutation or a rebase swaps shard views under a
+                        # live pool; the plane (reached only through _plane)
+                        # counts the fan-outs in flight against each delta
                         "shards",
                         "_stale_deltas",
                     }

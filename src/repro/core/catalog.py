@@ -66,14 +66,19 @@ The worker pool, the base segments, the other shards, and in every worker
 the graphs it has deserialized with their caches, all survive; a replaced
 delta segment is unlinked when the last fan-out that named it has drained.
 (The one-shard planner is a single view of the single store and is simply
-rebuilt by the next query.)  Only :meth:`compact`, which writes new bases,
-and :meth:`close` take the planner down — the pool shutdown inside
-:meth:`ShardedPlanner.close` joins every worker *before* the segments
-unlink, so no attachment is ever torn down under a running query — and the
-next query publishes a fresh generation under new names.  Answers stay
-byte-identical throughout because workers read the exact arrays the catalog
-computed (``active_shm_segments()`` lists what is published, for leak
-checks).
+rebuilt by the next query.)  :meth:`compact` writes new bases and hands the
+planner views of every shard over them (:meth:`ShardedPlanner.rebase`):
+under a live pool the new generation is published inside ``compact()``, the
+old one is unlinked once no fan-out reads it, and the pool stays — each
+worker swaps its shards over at its next task, keeping every graph it holds
+whose pickle the new generation stores again.  Only :meth:`close`, a broken
+pool and a compaction that changes the shard count take the planner down —
+the pool shutdown inside :meth:`ShardedPlanner.close` joins every worker
+*before* the segments unlink, so no attachment is ever torn down under a
+running query — and the next query publishes a fresh generation under new
+names.  Answers stay byte-identical throughout because workers read the
+exact arrays the catalog computed (``active_shm_segments()`` lists what is
+published, for leak checks).
 
 The feature set is **pinned** at catalog construction: delta rows are
 indexed against the base features, and ``compact()`` deliberately does not
@@ -923,9 +928,10 @@ class GraphCatalog:
         """Names of the shared-memory segments the cached planner has
         published: one base and one delta per shard (plus, briefly, a
         replaced delta a running query still reads).  Empty before the first
-        pooled query and right after :meth:`compact` or :meth:`close`; a
-        mutation leaves the list alone until the next query replaces the
-        touched shards' delta names."""
+        pooled query and right after :meth:`close`; right after
+        :meth:`compact` the new generation's names.  A mutation leaves the
+        list alone until the next query replaces the touched shards' delta
+        names."""
         plane = getattr(self._planner_cache, "shard_plane", None)
         return [] if plane is None else plane.segment_names()
 
@@ -1092,6 +1098,12 @@ class GraphCatalog:
         stable-id contract query answers are unchanged.  With every graph
         removed, the catalog compacts to one empty shard and keeps answering
         (with zero answers) until graphs are added again.
+
+        A sharded planner keeps its read path (:meth:`ShardedPlanner.rebase`):
+        under a live pool the new generation is published here and the old
+        one retires as soon as no query reads it.  A compaction that changes
+        the shard count (fewer live graphs than shards, or back up from
+        there) drops the planner instead, like :meth:`close`.
         """
         slices = [store.live_slice() for store in self._stores]
         graphs = [graph for part in slices for graph in part[0]]
@@ -1132,13 +1144,18 @@ class GraphCatalog:
                     )
                 )
         self._mutation_generation += 1
-        self._invalidate()
         self._stores = stores
         self._live = {
             int(store.external_ids[position]): (store_index, int(position))
             for store_index, store in enumerate(stores)
             for position in store.live_positions()
         }
+        planner = self._planner_cache
+        if isinstance(planner, ShardedPlanner) and planner.num_shards == len(stores):
+            # the read path stays: a live pool is handed the new generation
+            planner.rebase([store.make_shard(index) for index, store in enumerate(stores)])
+        else:
+            self._invalidate()
         if self._durability is not None:
             self._roll_generation()
         return self
@@ -1148,8 +1165,9 @@ class GraphCatalog:
     # ------------------------------------------------------------------
     def planner(self) -> QueryPlanner | ShardedPlanner:
         """The current planner view, built lazily: a sharded one follows
-        mutations in place (see :meth:`_refresh_planner`) and is rebuilt only
-        after :meth:`compact` or :meth:`close`."""
+        mutations and compactions in place (see :meth:`_refresh_planner` and
+        :meth:`compact`) and is rebuilt only after :meth:`close` or a
+        compaction that changes the shard count."""
         if self._planner_cache is None:
             shards = [
                 store.make_shard(store_index)

@@ -48,6 +48,7 @@ stochastic and exact verification alike.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -566,12 +567,19 @@ class QueryPipeline:
 
 
 def build_default_pipeline(planner: "QueryPlanner") -> QueryPipeline:
-    """The paper's three-stage cascade over one planner's graph slice."""
+    """The paper's three-stage cascade over one planner's graph slice.
+
+    The stages reach the planner that owns them through a weak proxy: no
+    reference cycle, so a dropped planner frees its graphs and index views
+    at once — a pool worker can unmap a retired shard-plane generation
+    without waiting for the cyclic collector.
+    """
+    owner = weakref.proxy(planner)
     return QueryPipeline(
         [
-            StructuralFilterStage(planner),
-            PmiPruningStage(planner),
-            VerificationStage(planner),
+            StructuralFilterStage(owner),
+            PmiPruningStage(owner),
+            VerificationStage(owner),
         ]
     )
 

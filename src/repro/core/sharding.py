@@ -33,30 +33,35 @@ Shards are built and owned by :class:`~repro.core.catalog.GraphCatalog`
 shard carries the stable external id of each storage row plus a tombstone
 mask, and its indexes are the catalog's segmented base+delta views.
 
-**The zero-copy shard plane.**  Shipping every :class:`DatabaseShard` into
-the pool initializer would cost O(shard-bytes) per worker — resident memory
-scaling with worker count and every pool (re)build paying a full copy of all
-PMI and structural matrices.  The planner instead *publishes* each shard
-into ``multiprocessing.shared_memory``, split by the two lifetimes a catalog
+**The zero-copy shard plane.**  Shipping every :class:`DatabaseShard` to
+the workers would cost O(shard-bytes) per worker — resident memory scaling
+with worker count and every pool (re)build paying a full copy of all PMI and
+structural matrices.  The planner instead *publishes* each shard into
+``multiprocessing.shared_memory``, split by the two lifetimes a catalog
 shard has:
 
 * the **base** — base PMI matrices, base structural counts and signature
-  postings, base ids, the base graphs as per-graph pickle blobs, features and
-  configs — goes once
-  into one :class:`~repro.utils.shm.ShardArena` segment
-  (:func:`publish_base`) and stays until the catalog compacts.  Workers
-  receive only O(1) :class:`ShardDescriptor`\\ s — segment name, dtypes,
-  shapes, offsets — in the pool initializer, attach read-only on first use
-  and keep the mapping.  Base graphs deserialize lazily per candidate, so a
-  worker's private memory holds only the graphs its queries verified;
-* the **delta** — delta PMI rows, counts and postings, delta ids and graphs,
-  the tombstoned rows — goes into a small self-describing segment
-  (:func:`publish_delta`) that is republished whenever that shard mutates.
-  A pool task names the delta segment it must run against; a worker that has
-  not seen that name copies the delta out, detaches at once, and rebuilds
-  the shard's planner over the base mapping, the base graph list and the
-  delta graphs it already holds (:func:`materialize_shard`) — so
-  deserialized graphs and every cache hung on them survive a mutation.
+  postings, base ids, the base graphs as per-graph pickle blobs with a
+  digest each, features and configs — goes once into one
+  :class:`~repro.utils.shm.ShardArena` segment (:func:`publish_base`) and
+  stays until the catalog compacts.  A worker receives only the O(1)
+  :class:`ShardDescriptor` — segment name, dtypes, shapes, offsets — of each
+  shard it serves, once per generation, with its first task; it attaches
+  read-only on that task and keeps the mapping.  Base graphs deserialize
+  lazily per candidate, so a worker's private memory holds only the graphs
+  its queries verified;
+* the **delta** — delta PMI rows, counts and postings, delta ids, graphs
+  and digests, the tombstoned rows — goes into a small self-describing
+  segment (:func:`publish_delta`) that is republished whenever that shard
+  mutates.  A pool task names the base and the delta segment it must run
+  against; a worker that has not seen that delta copies it out, detaches at
+  once, and rebuilds the shard's planner over the base mapping, the base
+  graph list and the delta graphs it already holds (:func:`materialize_shard`)
+  — so deserialized graphs and every cache hung on them survive a mutation.
+
+The pool is one single-process executor per slot, and shard ``i`` is served
+by slot ``i mod W`` only: each shard is mapped and its graphs deserialized
+in exactly one worker.
 
 Lifecycle: the :class:`ShardPlane` (the bases plus each shard's current
 delta) is created lazily with the first pool and survives pool resizes (a
@@ -64,17 +69,22 @@ width change recycles workers but re-ships only descriptors).  A catalog
 mutation hands the planner new views of the shards it touched
 (:meth:`ShardedPlanner.replace_shards`); the next fan-out republishes those
 shards' deltas, and a replaced delta segment is unlinked once no fan-out that
-named it is still running.  The pool, the bases and the untouched shards are
-not involved.  :meth:`ShardedPlanner.close` is the one full swap — the pool
-shutdown inside it joins every worker first, so no attachment outlives its
-segments — and :meth:`~repro.core.catalog.GraphCatalog.compact` goes through
-it: the next query publishes a fresh generation under new names.  Answers
-stay byte-identical throughout because the arrays workers read are
-bit-for-bit the parent's.
+named it is still running.  A compaction hands it views of every shard over
+new bases (:meth:`ShardedPlanner.rebase`): under a live pool the new
+generation is published at once and the old plane retires through the same
+drain barrier.  The pool stays; a worker meeting a new base drops its old
+view, detaches the old base and keeps each graph whose digest the new
+generation stores again.  :meth:`ShardedPlanner.close` is the full swap — the
+pool shutdown inside it joins every worker first, so no attachment outlives
+its segments — taken by the catalog's ``close()``, a broken pool and a
+compaction that changes the shard count.  Answers stay byte-identical
+throughout because the arrays workers read are bit-for-bit the parent's.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import os
 import pickle
 import threading
@@ -87,7 +97,7 @@ import numpy as np
 from repro.core.pipeline import TOP_K_MODE, TopKPartial, merge_top_k_partials
 from repro.core.planner import QueryPlan, QueryPlanner
 from repro.core.results import QueryResult, QueryStatistics
-from repro.exceptions import ConfigurationError, IndexError_
+from repro.exceptions import ConfigurationError, IndexError_, ShmError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.pmi.index import ProbabilisticMatrixIndex
@@ -221,7 +231,7 @@ class ShardDescriptor:
     """The O(1) handle a worker needs to attach one shard's published base.
 
     Pickling this costs bytes proportional to the number of arena *fields*
-    (thirteen name/dtype/shape/offset tuples), never to the shard's data — the
+    (fourteen name/dtype/shape/offset tuples), never to the shard's data — the
     regression tests assert exactly that.
     """
 
@@ -230,6 +240,7 @@ class ShardDescriptor:
 
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
+_DIGEST_BYTES = 16  # blake2b digest of one graph's pickle
 
 
 def _segmented_views(shard: DatabaseShard):
@@ -245,16 +256,22 @@ def _segmented_views(shard: DatabaseShard):
     return shard.pmi, shard.structural_index
 
 
-def _pack_graphs(graphs) -> tuple[np.ndarray, bytes]:
-    """Back-to-back per-graph pickles and their ``n + 1`` offset table — the
-    form a :class:`~repro.utils.shm.LazyGraphList` deserializes from."""
+def _pack_graphs(graphs) -> tuple[np.ndarray, bytes, np.ndarray]:
+    """Back-to-back per-graph pickles, their ``n + 1`` offset table and one
+    16-byte blake2b digest per pickle — the form a
+    :class:`~repro.utils.shm.LazyGraphList` deserializes from.  A worker
+    keeps a graph it already holds wherever its digest appears again."""
     payloads = [pickle.dumps(graph, protocol=_PICKLE_PROTOCOL) for graph in graphs]
     offsets = np.zeros(len(payloads) + 1, dtype=np.int64)
     if payloads:
         np.cumsum(
             np.asarray([len(p) for p in payloads], dtype=np.int64), out=offsets[1:]
         )
-    return offsets, b"".join(payloads)
+    digests = np.frombuffer(
+        b"".join(hashlib.blake2b(p, digest_size=_DIGEST_BYTES).digest() for p in payloads),
+        dtype=np.uint8,
+    ).reshape(len(payloads), _DIGEST_BYTES)
+    return offsets, b"".join(payloads), digests
 
 
 def publish_base(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
@@ -265,7 +282,8 @@ def publish_base(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
     base rows' external ids are copied bit-for-bit into the segment, so a
     worker's attached view reads the exact cells the parent computed and
     answers cannot drift.  The base graphs go in as back-to-back per-graph
-    pickles with an offset table (lazy deserialization on the worker);
+    pickles with an offset table (lazy deserialization on the worker) and a
+    digest per pickle (what a worker carries across generations by);
     everything non-array (features, configs, the sparse chosen-set dict, the
     signature dictionary) rides in one pickled ``meta`` blob.
     """
@@ -278,7 +296,9 @@ def publish_base(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
     arrays["signature_rows"] = signatures.rows
     arrays["signature_counts"] = signatures.counts
     arrays["graph_ids"] = np.asarray(shard.graph_ids[:base_rows], dtype=np.int64)
-    arrays["graph_offsets"], graphs = _pack_graphs(shard.graphs[:base_rows])
+    arrays["graph_offsets"], graphs, arrays["graph_digests"] = _pack_graphs(
+        shard.graphs[:base_rows]
+    )
     meta = {
         "features": pmi.base.features,
         "feature_config": pmi.base.feature_config,
@@ -297,15 +317,15 @@ def publish_delta(shard: DatabaseShard) -> tuple[str, int]:
     """Publish what mutations change; returns the segment's name and bytes.
 
     The delta PMI rows, structural counts and signature postings, the delta
-    rows' external ids and graphs, the tombstoned storage rows and the spec go
-    into one self-describing blob segment (:func:`repro.utils.shm.publish_blob`).
+    rows' external ids, graphs and graph digests, the tombstoned storage rows
+    and the spec go into one self-describing blob segment (:func:`repro.utils.shm.publish_blob`).
     Its size follows the delta and the tombstones, never the base: the base
     id column is in the base arena and the tombstone mask travels as the
     positions of its dead rows.
     """
     pmi, structural = _segmented_views(shard)
     base_rows = pmi.base.num_graphs
-    graph_offsets, graphs = _pack_graphs(shard.graphs[base_rows:])
+    graph_offsets, graphs, digests = _pack_graphs(shard.graphs[base_rows:])
     payload = pickle.dumps(
         {
             "spec": shard.spec,
@@ -317,6 +337,7 @@ def publish_delta(shard: DatabaseShard) -> tuple[str, int]:
             "dead_rows": np.flatnonzero(~np.asarray(shard.active_mask, dtype=bool)),
             "graph_offsets": graph_offsets,
             "graphs": graphs,
+            "digests": digests,
         },
         protocol=_PICKLE_PROTOCOL,
     )
@@ -352,7 +373,10 @@ def _attach_base(descriptor: ShardDescriptor):
         ),
     )
     graphs = LazyGraphList(
-        arena.blob("graphs"), arena.array("graph_offsets"), owner=arena
+        arena.blob("graphs"),
+        arena.array("graph_offsets"),
+        owner=arena,
+        digests=arena.array("graph_digests"),
     )
     return arena, pmi, structural, graphs
 
@@ -372,25 +396,34 @@ def materialize_shard(
     it is copied out and its segment detached before this returns — a process
     never holds a delta mapping.
 
-    ``previous`` is this process's shard over the *same base* and an earlier
-    (or later) delta: its base mapping, base indexes and base graph list are
-    kept as they are, and the delta graphs it had deserialized carry over
-    (delta rows are append-only between compactions), so only the delta is
-    read again.
+    ``previous`` is this process's last shard of the same id.  Over the
+    *same base* its base mapping, base indexes and base graph list are kept
+    as they are and only the delta is read again; over an older base (the
+    catalog compacted) the new base is attached instead, and the caller
+    detaches the old one.  Either way every graph ``previous`` had
+    deserialized is carried into each new row whose graph digest equals its
+    own, so a graph that survives a mutation or a compaction is not
+    unpickled again and keeps its caches; an updated graph has a new pickle,
+    hence a new digest, and is read afresh.
     """
     from repro.core.catalog import SegmentedPmiView, SegmentedStructuralView
 
-    if previous is None:
-        arena, base_pmi, base_structural, base_graphs = _attach_base(descriptor)
-    else:
+    held = {} if previous is None else previous.graphs.delta.by_digest()
+    if previous is not None and previous.arena.descriptor.segment == descriptor.arena.segment:
         arena = previous.arena
         base_pmi = previous.pmi.base
         base_structural = previous.structural_index.base
         base_graphs = previous.graphs.base
+    else:
+        arena, base_pmi, base_structural, base_graphs = _attach_base(descriptor)
+        if previous is not None:
+            held.update(previous.graphs.base.by_digest())
+            base_graphs.adopt(held)
     delta = pickle.loads(read_blob(delta_segment))
-    delta_graphs = LazyGraphList(memoryview(delta["graphs"]), delta["graph_offsets"])
-    if previous is not None:
-        delta_graphs.carry_from(previous.graphs.delta)
+    delta_graphs = LazyGraphList(
+        memoryview(delta["graphs"]), delta["graph_offsets"], digests=delta["digests"]
+    )
+    delta_graphs.adopt(held)
     features = base_pmi.features
     graph_ids = np.concatenate([arena.array("graph_ids"), delta["graph_ids"]])
     active_mask = np.ones(graph_ids.size, dtype=bool)
@@ -428,13 +461,14 @@ class ShardPlane:
     """A planner's published shards: one base generation, current deltas.
 
     Owns, per shard, one base arena — published here, once, and kept until
-    :meth:`close` — and one delta segment, replaced by :meth:`republish_delta`
-    whenever that shard mutates.  A fan-out brackets its tasks with
-    :meth:`acquire` / :meth:`release`; a replaced delta is unlinked at once
-    when no fan-out is running against it and otherwise by the ``release`` of
-    the last one that is — the drain barrier: a task never finds the segment
-    it was told to read gone.  The plane does no locking of its own; its
-    planner calls it under the planner's lock.
+    the plane closes — and one delta segment, replaced by
+    :meth:`republish_delta` whenever that shard mutates.  A fan-out brackets
+    its tasks with :meth:`acquire` / :meth:`release`; a replaced delta is
+    unlinked at once when no fan-out is running against it and otherwise by
+    the ``release`` of the last one that is — the drain barrier: a task never
+    finds the segment it was told to read gone.  A compaction retires the
+    whole plane through the same barrier (:meth:`retire`).  The plane does no
+    locking of its own; its planner calls it under the planner's lock.
 
     Cleanup is belt and braces: :meth:`close` unlinks explicitly, a
     ``weakref.finalize`` fires on GC or interpreter exit if nobody called it,
@@ -454,6 +488,7 @@ class ShardPlane:
         self._deltas: dict[int, tuple[str, int]] = {}
         # delta segment name -> fan-outs running against it
         self._in_flight: dict[str, int] = {}
+        self._retired = False
         for shard in shards:
             arena, descriptor = publish_base(shard)
             self._names.append(arena.name)
@@ -481,7 +516,8 @@ class ShardPlane:
 
     def release(self, names: tuple[str, ...]) -> None:
         """The fan-out that acquired ``names`` has drained; unlink every delta
-        among them that was replaced meanwhile and has no reader left."""
+        among them that was replaced meanwhile and has no reader left — and
+        the whole plane once it is retired and nothing reads it any more."""
         current = {name for name, _ in self._deltas.values()}
         for name in names:
             self._in_flight[name] -= 1
@@ -489,19 +525,30 @@ class ShardPlane:
                 del self._in_flight[name]
                 if name not in current:
                     self._unlink(name)
+        if self._retired and not self._in_flight:
+            self.close()
+
+    def retire(self) -> None:
+        """A newer base generation replaces this plane: close it now if no
+        fan-out runs against it, else when the last one releases."""
+        self._retired = True
+        if not self._in_flight:
+            self.close()
 
     def _unlink(self, name: str) -> None:
         unlink_segment(name)
         if name in self._names:  # not after close(), which drained the list
             self._names.remove(name)
 
-    def payload(self) -> tuple[ShardDescriptor, ...]:
-        """What the pool initializer ships: base descriptors only, O(1) bytes."""
-        return tuple(self.descriptors)
-
-    def payload_bytes(self) -> int:
-        """Pickled size of the initializer payload (the bench's metric)."""
-        return len(pickle.dumps(self.payload(), protocol=_PICKLE_PROTOCOL))
+    def payload_bytes(self, width: int = 1) -> int:
+        """Descriptor bytes one generation ships to the busiest of ``width``
+        slots: shard ``i`` goes to slot ``i mod width``, each descriptor once,
+        pickled on its own as the first task carries it (``width`` 1: all)."""
+        sizes = [
+            len(pickle.dumps(descriptor, protocol=_PICKLE_PROTOCOL))
+            for descriptor in self.descriptors
+        ]
+        return max(sum(sizes[slot::width]) for slot in range(width))
 
     def segment_names(self) -> list[str]:
         """Every segment this plane still has published: the bases, the
@@ -535,23 +582,16 @@ class ShardPlane:
 # ----------------------------------------------------------------------
 # query execution (runs in worker processes)
 # ----------------------------------------------------------------------
-# The initializer records the base descriptors and defers every attach to the
-# first task that needs the shard — a worker that never serves a shard never
-# maps it.  A task names the delta segment it must run against; the worker
-# keeps, per shard, the view and the planner it built for the last one named,
-# so steady-state tasks ship only (shard_id, delta segment name, plan batch).
+# Each worker is the one process of its slot and serves a fixed set of
+# shards.  A task names the base segment and the delta segment it must run
+# against; the first task of a base generation on a slot carries the shard's
+# descriptor in place of the name.  The worker keeps, per shard, the last
+# descriptor it was sent and the view and the planner it built for the last
+# delta named, so steady-state tasks ship only (shard_id, base segment name,
+# delta segment name, plan batch).
 _WORKER_DESCRIPTORS: dict[int, ShardDescriptor] = {}
 _WORKER_SHARDS: dict[int, DatabaseShard] = {}
 _WORKER_PLANNERS: dict[int, tuple[str, QueryPlanner]] = {}  # (delta segment, planner)
-
-
-def _init_shm_query_worker(descriptors: tuple[ShardDescriptor, ...]) -> None:
-    """Shared-memory initializer: ships O(1) descriptors per shard."""
-    _WORKER_SHARDS.clear()
-    _WORKER_PLANNERS.clear()
-    _WORKER_DESCRIPTORS.clear()
-    for descriptor in descriptors:
-        _WORKER_DESCRIPTORS[descriptor.shard_id] = descriptor
 
 
 def _execute_on_shard(
@@ -573,26 +613,51 @@ def _execute_on_shard(
 
 
 def _run_shard_workload(
-    shard_id: int, delta_segment: str, batch: bytes
+    shard_id: int, base: ShardDescriptor | str, delta_segment: str, batch: bytes
 ) -> list[QueryResult | TopKPartial]:
     """One pool task: ``batch`` is the pickled ``(plans, roots)`` of a fan-out.
 
-    A delta segment this worker has not built the shard against means the
-    shard mutated (or this is the first touch): read that delta, keep the
-    mapped base, the base graph list and every graph already deserialized,
-    and rebuild only the planner.
+    ``base`` is the shard's descriptor on the first task of a generation and
+    the base segment's name after that.
     """
-    built = _WORKER_PLANNERS.get(shard_id)
-    if built is None or built[0] != delta_segment:
-        shard = materialize_shard(
-            _WORKER_DESCRIPTORS[shard_id],
-            delta_segment,
-            previous=_WORKER_SHARDS.get(shard_id),
-        )
-        _WORKER_SHARDS[shard_id] = shard
-        built = _WORKER_PLANNERS[shard_id] = (delta_segment, shard.make_planner())
+    if isinstance(base, ShardDescriptor):
+        _WORKER_DESCRIPTORS[shard_id] = base
+        base = base.arena.segment
+    descriptor = _WORKER_DESCRIPTORS.get(shard_id)
+    if descriptor is None or descriptor.arena.segment != base:
+        raise ShmError(f"shard {shard_id}: this worker was never sent base {base!r}")
     plans, roots = pickle.loads(batch)
-    return _execute_on_shard(built[1], plans, roots)
+    return _execute_on_shard(_worker_planner(descriptor, delta_segment), plans, roots)
+
+
+def _worker_planner(descriptor: ShardDescriptor, delta_segment: str) -> QueryPlanner:
+    """The worker's planner for one shard at one delta.
+
+    A delta segment this worker has not built the shard against means the
+    shard mutated, the catalog compacted, or this is the first touch: read
+    that delta, keep everything of the shard's previous view that is still
+    valid (:func:`materialize_shard`), and rebuild only the planner.  A new
+    base generation unmaps the old one here and now, not at process exit.
+    """
+    shard_id = descriptor.shard_id
+    built = _WORKER_PLANNERS.get(shard_id)
+    if built is not None and built[0] == delta_segment:
+        return built[1]
+    # every reference to the old view, planner included, goes before the
+    # detach below: a live view into an old base keeps it mapped
+    del built
+    _WORKER_PLANNERS.pop(shard_id, None)
+    previous = _WORKER_SHARDS.pop(shard_id, None)
+    shard = materialize_shard(descriptor, delta_segment, previous=previous)
+    stale = None if previous is None or previous.arena is shard.arena else previous.arena
+    del previous
+    if stale is not None and not stale.detach():
+        gc.collect()  # a reference cycle still holds a view into the old base
+        stale.detach()
+    planner = shard.make_planner()
+    _WORKER_SHARDS[shard_id] = shard
+    _WORKER_PLANNERS[shard_id] = (delta_segment, planner)
+    return planner
 
 
 # ----------------------------------------------------------------------
@@ -608,9 +673,12 @@ class ShardedPlanner:
     planner's, independent of shard count and worker count.
     ``max_workers`` picks the process-pool width for query fan-out
     (``None`` → ``min(num_shards, cpu_count)``); at width <= 1 shards run
-    in-process, which is also the zero-dependency fallback path.  Shard
-    bases are published once into a shared-memory :class:`ShardPlane` and
-    workers attach read-only via O(1) descriptors.
+    in-process, which is also the zero-dependency fallback path.  The pool
+    is one single-process executor per *slot*, and shard ``i`` is always
+    served by slot ``i mod width``, so each shard is attached and its graphs
+    deserialized in exactly one worker.  Shard bases are published once per
+    generation into a shared-memory :class:`ShardPlane` and each slot is
+    sent the O(1) descriptors of its shards once per generation.
 
     Shards carry explicit stable ids plus a tombstone mask (see
     :class:`DatabaseShard`) and are validated for live-id disjointness.
@@ -621,6 +689,8 @@ class ShardedPlanner:
     views of the shards it touched.  The pool, the published bases and the
     other shards' in-process planners stay; the touched shards' deltas are
     republished by the next fan-out, once however many mutations came first.
+    A compaction reaches it as :meth:`rebase` — every shard over a new base
+    generation — and the pool stays too.
     """
 
     def __init__(
@@ -628,25 +698,13 @@ class ShardedPlanner:
         shards: list[DatabaseShard],
         max_workers: int | None = None,
     ) -> None:
-        if not shards:
-            raise ConfigurationError("a sharded planner needs at least one shard")
         _resolve_workers(max_workers, len(shards))  # rejects a negative width
-        # shards own arbitrary stable-id sets: the merge invariants need the
-        # live ids disjoint
-        ordered = sorted(shards, key=lambda shard: shard.spec.shard_id)
-        all_ids = np.concatenate([shard.live_global_ids() for shard in ordered])
-        if len(np.unique(all_ids)) != len(all_ids):
-            raise ConfigurationError("catalog shards must cover disjoint live graph ids")
-        seen_ids: set[int] = set()
-        for shard in ordered:
-            # planner caches and pool tasks are keyed by shard_id
-            if shard.spec.shard_id in seen_ids:
-                raise ConfigurationError(f"duplicate shard id {shard.spec.shard_id!r}")
-            seen_ids.add(shard.spec.shard_id)
-        self.shards = ordered
+        self.shards = _validated(shards)
         self.max_workers = max_workers
-        self._executor: ProcessPoolExecutor | None = None
-        self._executor_width = 0
+        # slot i: the executor of the one worker that serves shards i, i + W, ...
+        self._slots: list[ProcessPoolExecutor] = []
+        # base segments whose descriptor a slot has been sent
+        self._shipped: set[str] = set()
         self._local_planners: dict[int, QueryPlanner] = {}
         self._plane: ShardPlane | None = None
         # ids of shards replaced since their delta was last published
@@ -654,7 +712,7 @@ class ShardedPlanner:
         # Guards the shard views and the pool/plane lifecycle against
         # concurrent submission: the query service fans requests in from
         # worker threads while mutations swap shard views, so view
-        # replacement, executor creation, delta republication, task
+        # replacement, rebase, slot creation, delta republication, task
         # submission, resize, and close must serialize.
         # Reentrant because the BrokenProcessPool fallback inside _fan_out
         # calls close() from a frame that may re-enter locked helpers.
@@ -667,6 +725,11 @@ class ShardedPlanner:
     def num_shards(self) -> int:
         with self._lock:
             return len(self.shards)
+
+    @property
+    def width(self) -> int:
+        """The slots a fan-out uses; 1 means the shards run in-process."""
+        return _resolve_workers(self.max_workers, self.num_shards)
 
     # ------------------------------------------------------------------
     # mutation
@@ -693,6 +756,34 @@ class ShardedPlanner:
             for shard_id in by_id:
                 self._local_planners.pop(shard_id, None)
             self._stale_deltas.update(by_id)
+
+    def rebase(self, shards: list[DatabaseShard]) -> None:
+        """Swap every shard for its view over a new base generation.
+
+        This is how a compaction reaches a live planner: the shard ids must
+        be the current ones (a compaction that changes the shard count takes
+        the full swap, :meth:`close`).  With a pool running, the new
+        generation's plane is published here, under the lock, and the old
+        plane retires through the drain barrier — unlinked at once, or by the
+        release of the last fan-out still running against it.  The pool
+        stays: each slot is sent its shards' new descriptors with its next
+        task, and each worker swaps its views over, keeping every graph it
+        holds that the new generation still stores.  Without a pool nothing
+        is published.
+        """
+        ordered = _validated(shards)
+        with self._lock:
+            if [s.spec.shard_id for s in ordered] != [s.spec.shard_id for s in self.shards]:
+                raise ConfigurationError("a rebase keeps the planner's shard ids")
+            self.shards = ordered
+            self._local_planners.clear()
+            self._stale_deltas.clear()
+            self._shipped.clear()
+            retired, self._plane = self._plane, None
+            if retired is not None:
+                retired.retire()
+            if self._slots:
+                self._plane = ShardPlane(self.shards)
 
     # ------------------------------------------------------------------
     # planning and execution
@@ -759,10 +850,11 @@ class ShardedPlanner:
         barrier after which no process holds a mapping or has a task left to
         open one — and only then does the plane unlink, bases and deltas
         alike.  A new query re-creates both, publishing a fresh generation
-        under new names; this is the one full swap, and it is how
-        ``compact()`` changes base generations (``GraphCatalog._invalidate``
-        closes the cached planner).  A mutation does not come here: see
-        :meth:`replace_shards`.
+        under new names.  This is the full swap: the catalog's ``close()``,
+        the ``BrokenProcessPool`` fallback and a compaction that changes the
+        shard count come here.  A mutation does not (:meth:`replace_shards`),
+        and neither does a compaction that keeps the shard count
+        (:meth:`rebase`).
 
         Safe under concurrency (the drain-on-shutdown contract): idempotent
         — a second ``close()``, including one racing the first from another
@@ -785,37 +877,46 @@ class ShardedPlanner:
         """One pool task per shard, each running the whole plan list.
 
         Returns per-shard result lists, plan-index aligned.  Under the
-        lifecycle lock, atomically: the executor is acquired, stale deltas
+        lifecycle lock, atomically: the slots are acquired, stale deltas
         are republished, every shard's delta segment is marked in flight and
-        the tasks naming them are submitted — so a concurrent ``close()``
-        either runs before this batch (which then builds a fresh pool) or
-        drains it (pool shutdown waits for submitted tasks), and a concurrent
-        mutation lands wholly before or wholly after it.  The plan batch is
-        pickled once and every task carries the same bytes.  Waiting on the
-        futures happens outside the lock so concurrent submitters and a
-        draining ``close()`` never deadlock on each other; once every task
-        has finished the segments are released, which unlinks a delta that
-        was replaced while this batch ran against it.
+        the tasks naming them are submitted, shard ``i`` to slot ``i mod W``
+        — so a concurrent ``close()`` either runs before this batch (which
+        then builds a fresh pool) or drains it (pool shutdown waits for
+        submitted tasks), and a concurrent mutation or rebase lands wholly
+        before or wholly after it.  A slot runs its tasks in submission
+        order, so the task that carries a descriptor precedes every task
+        that names its base.  The plan batch is pickled once and every task
+        carries the same bytes.  Waiting on the futures happens outside the
+        lock so concurrent submitters and a draining ``close()`` never
+        deadlock on each other; once every task has finished the segments
+        are released, which unlinks a delta that was replaced — or a plane
+        that was retired — while this batch ran against it.
         """
-        workers = _resolve_workers(self.max_workers, self.num_shards)
+        workers = self.width
         if workers <= 1:  # also the width of a single shard
             return self._execute_serial(plans, roots)
         batch = pickle.dumps((plans, roots), protocol=_PICKLE_PROTOCOL)
         plane, deltas, futures = None, (), []
         try:
             with self._lock:
-                pool = self._ensure_executor(workers)
+                slots = self._ensure_slots(workers)
                 plane = self._ensure_plane()
                 deltas = plane.acquire()
-                for descriptor, delta in zip(plane.descriptors, deltas):
+                for position, (descriptor, delta) in enumerate(zip(plane.descriptors, deltas)):
+                    base = descriptor.arena.segment
+                    if base not in self._shipped:
+                        self._shipped.add(base)
+                        base = descriptor
                     futures.append(
-                        pool.submit(_run_shard_workload, descriptor.shard_id, delta, batch)
+                        slots[position % workers].submit(
+                            _run_shard_workload, descriptor.shard_id, base, delta, batch
+                        )
                     )
             return [future.result() for future in futures]
         except BrokenProcessPool:
-            # a killed worker poisons the whole pool; answers are
-            # deterministic either way, so finish this call in-process
-            # and let the next call build a fresh pool
+            # a killed worker poisons its slot; answers are deterministic
+            # either way, so finish this call in-process and let the next
+            # call build a fresh pool
             self.close()
             return self._execute_serial(plans, roots)
         finally:
@@ -847,7 +948,8 @@ class ShardedPlanner:
     def shard_plane(self) -> ShardPlane | None:
         """The published plane, or None before the first pool (and after
         :meth:`close`).  Between a mutation and the next fan-out its delta
-        of a touched shard is the one from before the mutation."""
+        of a touched shard is the one from before the mutation; right after
+        a :meth:`rebase` under a live pool it is the new generation's."""
         with self._lock:
             return self._plane
 
@@ -864,33 +966,59 @@ class ShardedPlanner:
             self._stale_deltas.clear()
             return self._plane
 
+    def map_slots(self, fn, *args) -> list:
+        """``fn(*args)`` run once in the worker of every slot, in slot order
+        (starting the pool if there is none; ``[]`` without one).  Slot ``s``
+        serves shards ``s, s + W, ...``: how tests and benchmarks reach the
+        worker of a given shard to inspect or kill it."""
+        workers = self.width
+        if workers <= 1:
+            return []
+        with self._lock:
+            futures = [slot.submit(fn, *args) for slot in self._ensure_slots(workers)]
+        return [future.result() for future in futures]
+
     def _shutdown_pool(self) -> None:
-        """Join and drop the executor, leaving the plane published.
+        """Join and drop every slot, leaving the plane published.
 
         ``shutdown()`` waits for every already-submitted task, so a close
-        racing an in-flight query drains it instead of cancelling it.
+        racing an in-flight query drains it instead of cancelling it.  A new
+        worker has been sent no descriptor, so none counts as shipped.
         """
         with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown()
-                self._executor = None
-                self._executor_width = 0
+            for slot in self._slots:
+                slot.shutdown()
+            self._slots = []
+            self._shipped.clear()
 
-    def _ensure_executor(self, workers: int) -> ProcessPoolExecutor:
+    def _ensure_slots(self, workers: int) -> list[ProcessPoolExecutor]:
         with self._lock:
-            if self._executor is not None and self._executor_width != workers:
-                # resize: recycle only the pool — the published plane
-                # survives, so the new workers re-attach via O(1)
-                # descriptors instead of paying a fresh copy of every shard
+            if self._slots and len(self._slots) != workers:
+                # resize: recycle only the workers — the published plane
+                # survives, so the new ones attach via O(1) descriptors
+                # instead of paying a fresh copy of every shard
                 self._shutdown_pool()
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_shm_query_worker,
-                    initargs=(self._ensure_plane().payload(),),
-                )
-                self._executor_width = workers
-            return self._executor
+            if not self._slots:
+                self._slots = [ProcessPoolExecutor(max_workers=1) for _ in range(workers)]
+            return self._slots
+
+
+def _validated(shards: list[DatabaseShard]) -> list[DatabaseShard]:
+    """``shards`` in shard-id order, checked: at least one, distinct ids
+    (planner caches, slots and pool tasks are keyed by them) and disjoint live
+    ids (the merge invariants need them)."""
+    if not shards:
+        raise ConfigurationError("a sharded planner needs at least one shard")
+    ordered = sorted(shards, key=lambda shard: shard.spec.shard_id)
+    all_ids = np.concatenate([shard.live_global_ids() for shard in ordered])
+    if len(np.unique(all_ids)) != len(all_ids):
+        raise ConfigurationError("catalog shards must cover disjoint live graph ids")
+    seen_ids: set[int] = set()
+    for shard in ordered:
+        if shard.spec.shard_id in seen_ids:
+            raise ConfigurationError(f"duplicate shard id {shard.spec.shard_id!r}")
+        seen_ids.add(shard.spec.shard_id)
+    return ordered
 
 
 def _resolve_workers(max_workers: int | None, num_tasks: int) -> int:

@@ -143,20 +143,23 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
     return segment
 
 
-def release_segment(segment: shared_memory.SharedMemory) -> None:
-    """Close an attached segment's mapping (idempotent, GC-safe).
+def release_segment(segment: shared_memory.SharedMemory) -> bool:
+    """Close an attached segment's mapping (idempotent, GC-safe); False
+    when the mapping had to stay.
 
     If numpy views into the buffer are still alive the close would raise
     ``BufferError``; in that case the segment stays in the keep-alive
-    registry and the mapping is released at interpreter exit instead of
-    letting the stdlib finalizer raise mid-session.
+    registry and the mapping is released at interpreter exit (or by a later
+    call, once the views are gone) instead of letting the stdlib finalizer
+    raise mid-session.
     """
     try:
         segment.close()
     except BufferError:
-        return
+        return False
     with _REGISTRY_LOCK:
         _ATTACHED.pop(id(segment), None)
+    return True
 
 
 @contextlib.contextmanager
@@ -430,10 +433,11 @@ class AttachedArena:
             raise ShmError(f"field {key!r} is a {field.kind}, not a blob")
         return self._segment.buf[field.offset : field.offset + field.nbytes].toreadonly()
 
-    def detach(self) -> None:
-        """Close this process's mapping.  Safe with live views: the release
-        is deferred to interpreter exit if the buffer still has exports."""
-        release_segment(self._segment)
+    def detach(self) -> bool:
+        """Close this process's mapping; False if it had to stay.  Safe with
+        live views: the release is deferred to interpreter exit (or a later
+        ``detach``) if the buffer still has exports."""
+        return release_segment(self._segment)
 
 
 # ----------------------------------------------------------------------
@@ -446,14 +450,19 @@ class LazyGraphList(Sequence):
     ``int64`` offset table of ``n + 1`` entries.  A worker therefore pays
     deserialization (and private memory) only for the graphs its queries
     actually touch — pruned candidates stay as shared bytes.  Materialized
-    graphs are cached, so repeated access is a dict hit.
+    graphs are cached, so repeated access is a dict hit.  ``digests`` (one
+    row of bytes per graph, a hash of its pickle) name the graphs across
+    lists: :meth:`adopt` takes over graphs another list had deserialized.
     """
 
-    def __init__(self, buffer, offsets: np.ndarray, owner=None) -> None:
+    def __init__(self, buffer, offsets: np.ndarray, owner=None, digests=None) -> None:
         self._buffer = buffer
         self._offsets = np.asarray(offsets, dtype=np.int64)
         if self._offsets.ndim != 1 or self._offsets.size < 1:
             raise ShmError("graph offset table must be a 1-D array of n + 1 entries")
+        if digests is not None and len(digests) != len(self):
+            raise ShmError(f"{len(digests)} graph digests for {len(self)} graphs")
+        self._digests = digests
         self._cache: dict[int, object] = {}
         # keeps the backing arena alive for as long as any graph may load
         self._owner = owner
@@ -478,17 +487,26 @@ class LazyGraphList(Sequence):
             self._cache[index] = graph
         return graph
 
-    def carry_from(self, previous: "LazyGraphList") -> None:
-        """Adopt the graphs ``previous`` has already deserialized.
+    def by_digest(self) -> dict[bytes, object]:
+        """The graphs deserialized so far, keyed by their digest."""
+        if self._digests is None:
+            return {}
+        return {self._digests[index].tobytes(): graph for index, graph in self._cache.items()}
 
-        For a list that extends ``previous`` row for row (a catalog delta is
-        append-only between compactions): the graph objects, and every cache
-        hung on them, survive the swap to the longer list.
+    def adopt(self, held: dict[bytes, object]) -> None:
+        """Take over every graph of ``held`` (digest → graph, as
+        :meth:`by_digest` returns it) whose digest names a row of this list.
+
+        Equal digests mean equal pickles, so the adopted object is the graph
+        this row would deserialize to — and the caches hung on it (compiled
+        edge tables, world models) survive the swap to the new list.
         """
-        size = len(self)
-        self._cache.update(
-            (index, graph) for index, graph in previous._cache.items() if index < size
-        )
+        if not held or self._digests is None:
+            return
+        for index, digest in enumerate(self._digests):
+            graph = held.get(digest.tobytes())
+            if graph is not None:
+                self._cache[index] = graph
 
     def materialized_count(self) -> int:
         """How many graphs this process has actually deserialized."""

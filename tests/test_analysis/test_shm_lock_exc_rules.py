@@ -112,7 +112,7 @@ class TestGuardedAttributes:
             class ShardedPlanner:
                 def size(self):
                     with self._lock:
-                        width = self._executor_width
+                        width = len(self._slots)
                     return width + len(self._local_planners)
             """
         )

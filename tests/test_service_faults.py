@@ -216,6 +216,12 @@ def test_default_deadline_applies_to_requests_without_one():
     asyncio.run(scenario())
 
 
+def shard_zero_worker(planner) -> int:
+    """The pid of the one worker that serves shard 0 (slot 0's): killing it
+    breaks the very next fan-out, which always sends shard 0 a task."""
+    return planner.map_slots(os.getpid)[0]
+
+
 def test_sigkilled_pool_worker_recovers_with_identical_answers():
     """SIGKILL a pool worker: the poisoned pool falls back in-process and the
     answers stay byte-identical (determinism is execution-strategy-free)."""
@@ -233,16 +239,18 @@ def test_sigkilled_pool_worker_recovers_with_identical_answers():
         try:
             async with QueryService(catalog, config) as service:
                 client = ServiceClient(service)
-                # Warm the pool, then murder one of its workers.
+                # Warm the pool, then murder the worker of shard 0.
                 await client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=9)
                 planner = catalog.planner()
-                assert planner._executor is not None, "pool should be warm"
-                victim = next(iter(planner._executor._processes.values()))
-                os.kill(victim.pid, signal.SIGKILL)
+                plane = planner.shard_plane
+                assert plane is not None, "pool should be warm"
+                os.kill(shard_zero_worker(planner), signal.SIGKILL)
 
                 result = await client.query(
                     query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=10
                 )
+                # the fan-out met the dead worker: the pool and plane were dropped
+                assert plane.closed and planner.shard_plane is None
                 expected = reference.query(
                     query,
                     PROBABILITY_THRESHOLD,
@@ -480,11 +488,12 @@ class TestMutationsKeepTheReadPath:
 
     @staticmethod
     def mutations(database, spare):
-        """20 ops over both shards.  Ids 0, 2, 4 and 6 answer the query below
-        in every whole state: each round copies one of them to an arrival id,
-        swaps it for another answering graph and back (an answer list without
-        that id can only come from between the halves of an update), turns
-        the arrival into a graph that does not answer, and drops it."""
+        """20 mutations over both shards, each round closed by a compaction.
+        Ids 0, 2, 4 and 6 answer the query below in every whole state: each
+        round copies one of them to an arrival id, swaps it for another
+        answering graph and back (an answer list without that id can only
+        come from between the halves of an update), turns the arrival into a
+        graph that does not answer, drops it, and compacts."""
         ops = []
         for round_, victim in enumerate((0, 2, 4, 6)):
             arrival = 100 + round_
@@ -493,6 +502,7 @@ class TestMutationsKeepTheReadPath:
             ops.append(("update", arrival, spare[round_]))
             ops.append(("update", victim, database.graphs[victim]))
             ops.append(("remove", arrival, None))
+            ops.append(("compact", None, None))
         return ops
 
     @staticmethod
@@ -502,22 +512,27 @@ class TestMutationsKeepTheReadPath:
             catalog.add_graph(graph, external_id=external_id)
         elif kind == "update":
             catalog.update_graph(external_id, graph)
+        elif kind == "compact":
+            catalog.compact()
         else:
             catalog.remove_graph(external_id)
 
     def test_queries_racing_mutations_answer_from_whole_states(self):
         """Threads querying the pooled catalog in a loop while this thread
-        applies 20 mutations: every answer is the from-scratch twin's for the
-        state before or after some mutation (an update is one step, never
-        the missing-id state between its halves) — no ``ShmError`` from a
-        delta unlinked under a queued task, no broken pool, no hang.  Three
-        readers over two workers, so one fan-out republishes a delta while
+        applies 20 mutations and a compaction after every fifth: every
+        answer is the from-scratch twin's for the state before or after some
+        mutation (an update is one step, never the missing-id state between
+        its halves) — no ``ShmError`` from a delta or a base unlinked under a
+        queued task, no broken pool, no hang, and no retired generation left
+        published.  Three readers over two workers, so one fan-out
+        republishes a delta, or a compaction publishes a generation, while
         another's tasks naming the old one are still queued."""
         database, catalog = build_catalog(seed=7011, num_graphs=8, num_shards=2, max_workers=2)
         spare = build_catalog(seed=8011, num_graphs=8)[0].graphs
         query = extract_query(database.graphs[0].skeleton, 3, rng=102)
         ops = self.mutations(database, spare)
-        assert len(ops) == 20
+        assert len(ops) == 24
+        resident_before = set(resident_segment_names())
 
         # the 21 states' answers, from a sequential replay on a second catalog
         replay = build_catalog(seed=7011, num_graphs=8)[1]
@@ -562,7 +577,7 @@ class TestMutationsKeepTheReadPath:
                 query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=101
             )
             planner = catalog.planner()
-            pids = set(planner._executor._processes)
+            pids = planner.map_slots(os.getpid)
             for thread in threads:
                 thread.start()
             for op in ops:
@@ -585,11 +600,14 @@ class TestMutationsKeepTheReadPath:
             assert answer_tuples(settled) == allowed[-1] == twin_answer(catalog, query, rng=101)
             # the read path was never torn down
             assert catalog.planner() is planner
-            assert set(planner._executor._processes) == pids
+            assert planner.map_slots(os.getpid) == pids
             plane = planner.shard_plane
             assert sorted(plane.segment_names()) == sorted(
                 plane.base_segment_names() + plane.delta_segment_names()
             ), "a replaced delta outlived its readers"
+            assert set(resident_segment_names()) - resident_before == set(
+                plane.segment_names()
+            ), "a retired generation outlived its readers"
         finally:
             stop.set()
             for thread in threads:
@@ -617,20 +635,20 @@ class TestMutationsKeepTheReadPath:
             ask(111)
             planner = catalog.planner()
             first_names = set(planner.shard_plane.segment_names())
-            first_pids = set(planner._executor._processes)
+            first_pids = set(planner.map_slots(os.getpid))
             catalog.update_graph(0, spare[0])
             catalog.add_graph(spare[1])
-            os.kill(next(iter(first_pids)), signal.SIGKILL)
+            os.kill(shard_zero_worker(planner), signal.SIGKILL)
 
             assert ask(112) == twin_answer(catalog, query, rng=112)
             assert catalog.planner() is planner
-            assert planner.shard_plane is None and planner._executor is None
+            assert planner.shard_plane is None and planner._slots == []
             assert not first_names & set(resident_segment_names())
 
             assert ask(113) == twin_answer(catalog, query, rng=113)
             plane = planner.shard_plane
             assert plane is not None and not first_names & set(plane.segment_names())
-            assert not first_pids & set(planner._executor._processes)
+            assert not first_pids & set(planner.map_slots(os.getpid))
             assert plane.delta_bytes() > 0 and len(plane.segment_names()) == 4
             # the rebuilt pool follows later mutations like the first one did
             catalog.remove_graph(1)

@@ -327,6 +327,9 @@ class TestShardPlaneCleanup:
                 (a.graph_id, a.probability) for a in expected.answers
             ]
 
+        # the parent answers once before it publishes: a memo a query hangs
+        # on a graph rides in its pickle, and graphs carry over by the pickle
+        shard.make_planner().execute(query, 0.3, 1, config=SEARCH_CONFIG, rng=5)
         arena, descriptor = publish_base(shard)
         delta_name, delta_bytes = publish_delta(shard)
         try:
@@ -375,6 +378,24 @@ class TestShardPlaneCleanup:
         assert not any(name in resident_segment_names() for name in names)
         plane.close()  # idempotent
 
+    def test_retired_plane_closes_when_its_last_fan_out_releases(self):
+        """A compaction retires a plane through the drain barrier: while a
+        fan-out still reads it every segment stays, and the release of the
+        last one unlinks them all."""
+        _engine, plane = self._plane()
+        names = plane.segment_names()
+        first, second = plane.acquire(), plane.acquire()
+        plane.retire()
+        assert not plane.closed and set(names) <= set(resident_segment_names())
+        plane.release(first)
+        assert not plane.closed and set(names) <= set(resident_segment_names())
+        plane.release(second)
+        assert plane.closed
+        assert not set(names) & set(resident_segment_names())
+        idle = self._plane()[1]
+        idle.retire()  # nothing in flight: closed at once
+        assert idle.closed
+
     def test_gc_unlinks_unclosed_plane(self):
         _engine, plane = self._plane()
         names = plane.segment_names()
@@ -397,20 +418,21 @@ class TestShardPlaneCleanup:
         assert not any(name in resident_segment_names() for name in names)
 
     def test_sigkilled_worker_leaves_no_orphans(self):
-        """SIGKILL one pool worker mid-life: the broken pool falls back to
-        in-process execution, answers stay correct, and close() still
-        retires every segment — nothing leaks even though the worker died
-        without running any cleanup."""
+        """SIGKILL the worker that serves shard 0: the next fan-out meets the
+        broken slot and falls back to in-process execution, answers stay
+        correct, and every segment is retired — nothing leaks even though
+        the worker died without running any cleanup."""
         database = small_database()
         engine = ProbabilisticGraphDatabase(database.graphs)
         engine.build_index(rng=11, num_shards=2, max_workers=2)
         query = extract_query(database.graphs[0].skeleton, 3, rng=3)
         expected = engine.query(query, 0.3, 1, config=SEARCH_CONFIG, rng=5)
-        executor = engine.planner._executor
-        assert executor is not None
-        victim_pid = next(iter(executor._processes))
+        names = engine.planner.shard_plane.segment_names()
+        victim_pid = engine.planner.map_slots(os.getpid)[0]  # slot 0 serves shard 0
         os.kill(victim_pid, signal.SIGKILL)
         survived = engine.query(query, 0.3, 1, config=SEARCH_CONFIG, rng=5)
+        assert engine.planner.shard_plane is None  # the fallback's full swap
+        assert not any(name in resident_segment_names() for name in names)
         assert [(a.graph_id, a.probability) for a in survived.answers] == [
             (a.graph_id, a.probability) for a in expected.answers
         ]

@@ -8,13 +8,14 @@ mid-stream generation hot-swaps.  The assertions reuse the byte-parity
 helpers from ``test_sharding_parity`` / ``test_catalog_parity`` so the shm
 plane is held to exactly the same bar as the original fan-out.
 
-Also locked in here: the O(1) initializer-payload regression (descriptors
+Also locked in here: the O(1) descriptor-payload regression (descriptors
 must not grow with shard bytes) and its O(delta) twin (what a mutation
-republishes must not grow with the base), the cheap executor-resize path
-(the published plane survives a pool-width change), and what a mutation may
-touch: the worker pool, the base segments and the graphs workers have
-deserialized survive it, only the touched shard's delta segment is replaced,
-and ``compact()`` is the one swap that retires every name.
+republishes must not grow with the base), the cheap pool-resize path (the
+published plane survives a pool-width change), and what a mutation or a
+compaction may touch: the worker pool, and in each worker the graphs it has
+deserialized, survive both; a mutation replaces only the touched shard's
+delta segment, ``compact()`` republishes every segment under the live pool,
+and each shard lives in exactly one worker throughout.
 """
 
 from __future__ import annotations
@@ -174,8 +175,10 @@ class TestPoolShmParity:
     def test_mixed_plan_batch_matches_dense_reference(self, num_shards, max_workers):
         """One ``execute_plans`` batch mixing threshold and top-k plans, each
         under its own root, equals the from-scratch dense planner answering
-        the same queries one by one."""
+        the same queries one by one — and again after mutations and a
+        compaction, which a pooled planner takes under its live pool."""
         database = random_database(8301, 8)
+        spare = random_database(8302, 2).graphs
         queries = random_workload(database, seed=8303)
         catalog = GraphCatalog.build(
             database.graphs,
@@ -185,7 +188,6 @@ class TestPoolShmParity:
             num_shards=num_shards,
             max_workers=max_workers,
         )
-        reference = rebuild_from_scratch(catalog)
         # (query, k or None for a threshold plan, root)
         batch = [
             (queries[0], None, 21),
@@ -194,43 +196,52 @@ class TestPoolShmParity:
             (queries[0], 2, 24),
             (queries[1], None, 21),
         ]
+        outcomes = []
         try:
-            planner = catalog.planner()
-            plans = [
-                planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
-                if k is None
-                else planner.plan_top_k(query, k, DISTANCE_THRESHOLD, SEARCH_CONFIG)
-                for query, k, _ in batch
-            ]
-            results = planner.execute_plans(plans, [root for _, _, root in batch])
-            assert (catalog.active_shm_segments() != []) == (
-                num_shards > 1 and max_workers > 1
-            )
+            for phase in ("before compact", "after compact"):
+                if phase == "after compact":
+                    catalog.remove_graph(1)
+                    catalog.update_graph(5, spare[0])
+                    catalog.add_graph(spare[1])
+                    catalog.compact()
+                planner = catalog.planner()
+                plans = [
+                    planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+                    if k is None
+                    else planner.plan_top_k(query, k, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+                    for query, k, _ in batch
+                ]
+                results = planner.execute_plans(plans, [root for _, _, root in batch])
+                assert (catalog.active_shm_segments() != []) == (
+                    num_shards > 1 and max_workers > 1
+                )
+                outcomes.append((phase, rebuild_from_scratch(catalog), results))
         finally:
             catalog.close()
-        assert len(results) == len(batch)
-        for position, ((query, k, root), actual) in enumerate(zip(batch, results)):
-            context = f"K={num_shards} workers={max_workers} plan {position}"
-            if k is None:
-                expected = reference.execute(
-                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
+        for phase, reference, results in outcomes:
+            assert len(results) == len(batch)
+            for position, ((query, k, root), actual) in enumerate(zip(batch, results)):
+                context = f"K={num_shards} workers={max_workers} {phase} plan {position}"
+                if k is None:
+                    expected = reference.execute(
+                        query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
+                    )
+                    assert_result_parity(actual, expected, context)
+                    continue
+                expected = reference.execute_top_k(
+                    query, k, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
                 )
-                assert_result_parity(actual, expected, context)
-                continue
-            expected = reference.execute_top_k(
-                query, k, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
-            )
-            assert answer_tuples(actual) == answer_tuples(expected), context
-            got, want = counter_dict(actual.statistics), counter_dict(expected.statistics)
-            if num_shards > 1:
-                # a shard verifies against its local floor, so the pruning and
-                # verification counters legitimately exceed the dense run's
-                # (test_topk_parity::test_merged_statistics_report_shard_work)
-                kept = ("database_size", "structural_candidates", "answers",
-                        "relaxed_query_count")
-                got = {key: got[key] for key in kept}
-                want = {key: want[key] for key in kept}
-            assert got == want, context
+                assert answer_tuples(actual) == answer_tuples(expected), context
+                got, want = counter_dict(actual.statistics), counter_dict(expected.statistics)
+                if num_shards > 1:
+                    # a shard verifies against its local floor, so the pruning
+                    # and verification counters legitimately exceed the dense
+                    # run's (test_topk_parity::test_merged_statistics_report_shard_work)
+                    kept = ("database_size", "structural_candidates", "answers",
+                            "relaxed_query_count")
+                    got = {key: got[key] for key in kept}
+                    want = {key: want[key] for key in kept}
+                assert got == want, context
 
 
 def pooled_catalog(database, seed: int) -> GraphCatalog:
@@ -245,8 +256,9 @@ def pooled_catalog(database, seed: int) -> GraphCatalog:
     )
 
 
-def worker_pids(catalog) -> set[int]:
-    return set(catalog.planner()._executor._processes)
+def worker_pids(catalog) -> list[int]:
+    """The pid of every slot's worker, in slot order."""
+    return catalog.planner().map_slots(os.getpid)
 
 
 def shard_of(catalog, external_id: int) -> int:
@@ -259,12 +271,8 @@ def shard_of(catalog, external_id: int) -> int:
     return shard_id
 
 
-def _probe_materialized_base_graphs(delay: float) -> tuple[int, dict[int, int]]:
+def _probe_materialized_base_graphs() -> tuple[int, dict[int, int]]:
     """Runs in a pool worker: base graphs deserialized so far, per shard."""
-    import os
-    import time
-
-    time.sleep(delay)  # long enough that every worker takes one probe
     return os.getpid(), {
         shard_id: shard.graphs.base.materialized_count()
         for shard_id, shard in sharding._WORKER_SHARDS.items()
@@ -273,13 +281,47 @@ def _probe_materialized_base_graphs(delay: float) -> tuple[int, dict[int, int]]:
 
 def materialized_base_graphs(catalog) -> dict[int, dict[int, int]]:
     """pid -> shard id -> base graphs that worker holds deserialized."""
-    executor = catalog.planner()._executor
-    futures = [executor.submit(_probe_materialized_base_graphs, 0.2) for _ in range(2)]
-    return dict(future.result() for future in futures)
+    return dict(catalog.planner().map_slots(_probe_materialized_base_graphs))
+
+
+def _mark_held_graphs() -> int:
+    """Runs in a pool worker: tag every graph object it holds deserialized
+    (a tag no pickle carries); returns how many it tagged."""
+    held = [
+        graph
+        for shard in sharding._WORKER_SHARDS.values()
+        for part in (shard.graphs.base, shard.graphs.delta)
+        for graph in part.by_digest().values()
+    ]
+    for graph in held:
+        graph.__dict__["_held_before"] = True
+    return len(held)
+
+
+def _read_marks() -> dict[int, bool]:
+    """Runs in a pool worker: live external id -> whether the graph object
+    the worker answers with carries :func:`_mark_held_graphs`' tag.  Every
+    live row is read, so a graph nobody carried over is deserialized afresh."""
+    return {
+        int(graph_id): "_held_before" in shard.graphs[row].__dict__
+        for shard in sharding._WORKER_SHARDS.values()
+        for row, graph_id in enumerate(shard.graph_ids)
+        if shard.active_mask[row]
+    }
+
+
+def merged(parts: list[dict]) -> dict:
+    return {key: value for part in parts for key, value in part.items()}
+
+
+def _served_shards() -> tuple[int, list[int]]:
+    """Runs in a pool worker: the shards it has materialized."""
+    return os.getpid(), sorted(sharding._WORKER_SHARDS)
 
 
 class TestGenerationHotSwap:
-    """A mutation republishes one shard's delta; compact() swaps everything."""
+    """A mutation republishes one shard's delta; compact() republishes every
+    segment under the live pool."""
 
     @pytest.mark.parametrize("seed", [8401, 8402])
     def test_catalog_fuzz_with_mid_stream_hot_swap(self, seed):
@@ -363,24 +405,29 @@ class TestGenerationHotSwap:
                 assert set(bases) | set(republished) <= set(resident_segment_names())
                 deltas = republished
 
-            # compact() is the one full swap: every name of generation 1 —
-            # bases and deltas — is retired, and the pool goes with them
+            # compact() swaps the generation under the live pool: every name
+            # of generation 1 — bases and deltas — is retired, generation 2
+            # is already published, and the workers are the same processes
             generation_one = set(bases) | set(deltas)
             catalog.compact()
-            assert catalog.active_shm_segments() == []
             assert plane.closed
             assert not (generation_one & set(resident_segment_names()))
-
-            # generation 2: fresh disjoint segments, byte-identical answers
-            assert_parity(f"seed={seed} after compact")
             generation_two = set(catalog.active_shm_segments())
-            assert generation_two and not (generation_one & generation_two)
-            assert not (worker_pids(catalog) & pids)
+            assert len(generation_two) == 4 and not (generation_one & generation_two)
+            assert generation_two <= set(resident_segment_names())
+            assert catalog.planner().shard_plane is not plane
+            assert worker_pids(catalog) == pids
+
+            # generation 2 answers byte-identically, from the same segments
+            assert_parity(f"seed={seed} after compact")
+            assert set(catalog.active_shm_segments()) == generation_two
+            assert worker_pids(catalog) == pids
 
             # the seeded op stream of the catalog parity suite, compacts
             # included, interleaved with pooled queries
             ops = apply_random_mutations(catalog, spare, seed, num_ops=6)
             assert_parity(f"seed={seed} ops={ops}")
+            assert worker_pids(catalog) == pids
         finally:
             catalog.close()
         assert catalog.active_shm_segments() == []
@@ -422,13 +469,16 @@ class TestGenerationHotSwap:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/maps")
     def test_worker_mappings_and_dev_shm_stay_bounded_over_many_mutations(self):
-        """50 mixed mutations, a query after each: a worker maps a bounded,
-        and soon constant, number of segments — what it inherited from the
-        parent at fork (among it the parent's own mappings of the bases and
-        of the *first* deltas; only those can turn into deleted mappings)
-        plus the base arenas it attached — because a republished delta is
-        copied out and detached at once.  /dev/shm holds exactly one base and
-        one delta per shard throughout, and nothing after close()."""
+        """50 mixed mutations and six compactions, a query after each: a
+        worker maps a constant number of segments — what it inherited from
+        the parent at fork (the parent's own mappings of the first
+        generation; only those can turn into deleted mappings) plus the
+        current base arena of the one shard its slot serves — because a
+        republished delta is copied out and detached at once, and a retired
+        base is detached the moment the worker meets the next one (a view
+        into it left alive would defer the unmap to process exit).
+        /dev/shm holds exactly one base and one delta per shard throughout,
+        and nothing after close()."""
         seed = 8471
         database = random_database(seed, num_graphs=8)
         spare = random_database(seed + 1000, num_graphs=6).graphs
@@ -449,12 +499,9 @@ class TestGenerationHotSwap:
 
         try:
             ask()
-            plane = catalog.planner().shard_plane
-            bases = plane.base_segment_names()
-            first_deltas = plane.delta_segment_names()
             pids = worker_pids(catalog)
             first = {pid: mapped_segments(pid) for pid in pids}
-            counts = {pid: [] for pid in pids}
+            compactions = 0
             for step in range(50):
                 if step % 3 == 0:
                     catalog.add_graph(spare[step % len(spare)], external_id=1000)
@@ -462,32 +509,32 @@ class TestGenerationHotSwap:
                     catalog.update_graph(step // 3 % 8, spare[step % len(spare)])
                 else:
                     catalog.remove_graph(1000)
+                if step % 8 == 7:
+                    catalog.compact()
+                    compactions += 1
                 ask()
                 assert worker_pids(catalog) == pids
-                for pid in pids:
+                plane = catalog.planner().shard_plane
+                bases = plane.base_segment_names()
+                for slot, pid in enumerate(pids):
                     mapped = mapped_segments(pid)
-                    counts[pid].append(len(mapped))
-                    # all a worker ever adds is a base arena it had not met yet
-                    assert len(mapped) < len(first[pid]) + len(bases), (step, pid, mapped)
+                    # what it was forked with, and the base of its own shard
+                    assert len(mapped) == len(first[pid]), (step, pid, mapped)
+                    assert bases[slot] in mapped, (step, pid, mapped)
                     assert set(mapped) <= {*first[pid], *bases, "(deleted)"}, (step, pid, mapped)
-                    # and all that can go stale under it is what it was forked with
-                    assert mapped.count("(deleted)") <= first[pid].count("(deleted)") + len(
-                        first_deltas
-                    ), (step, pid, mapped)
+                    assert mapped.count("(deleted)") < len(first[pid]), (step, pid, mapped)
                 published = set(resident_segment_names()) - resident_before
                 assert published == set(plane.segment_names())
                 assert published == set(bases) | set(plane.delta_segment_names())
                 assert len(published) == 2 * len(bases)
-            # tasks are not pinned, so every worker met every shard early on:
-            # the number of mappings has long stopped moving
-            assert all(len(set(counts[pid][25:])) == 1 for pid in pids), counts
+            assert compactions == 6
             final = ask()
             assert_result_parity(
                 final,
                 rebuild_from_scratch(catalog).execute(
                     query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
                 ),
-                "after 50 mutations",
+                "after 50 mutations and 6 compactions",
             )
         finally:
             catalog.close()
@@ -503,10 +550,9 @@ class TestGenerationHotSwap:
         catalog = pooled_catalog(database, seed)
 
         def warm():
-            for _ in range(4):  # tasks are not pinned: let each worker meet each shard
-                catalog.query_many(
-                    queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=3
-                )
+            catalog.query_many(
+                queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=3
+            )
 
         try:
             warm()
@@ -550,6 +596,133 @@ class TestGenerationHotSwap:
         finally:
             catalog.close()
 
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_each_shard_is_materialized_in_exactly_one_worker(self, num_shards):
+        """Shard i is served by slot i mod W only, before and after a
+        compaction: no shard is attached — or its graphs deserialized — in a
+        second process, however many queries pass."""
+        seed = 8481
+        database = random_database(seed, num_graphs=12)
+        queries = random_workload(database, seed=seed + 1, num_queries=3)
+        catalog = GraphCatalog.build(
+            database.graphs,
+            feature_config=FEATURE_CONFIG,
+            bound_config=BoundConfig(num_samples=40),
+            rng=seed,
+            num_shards=num_shards,
+            max_workers=2,
+        )
+        expected = [list(range(slot, num_shards, 2)) for slot in range(2)]
+        try:
+            for _ in range(2):
+                for query in queries:
+                    catalog.query(
+                        query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=3
+                    )
+                served = catalog.planner().map_slots(_served_shards)
+                assert [shards for _, shards in served] == expected
+                catalog.compact()
+        finally:
+            catalog.close()
+
+    def test_a_graph_that_survives_compaction_is_the_same_object_in_its_worker(self):
+        """Across compact() a worker keeps every graph it had deserialized
+        whose pickle the new generation stores again — the object itself,
+        caches included — and reads an updated graph afresh."""
+        seed = 8491
+        database = random_database(seed, num_graphs=8)
+        replacement = random_database(seed + 1000, num_graphs=1).graphs[0]
+        query = extract_query(database.graphs[0].skeleton, 3, rng=seed)
+        catalog = pooled_catalog(database, seed)
+
+        def ask(context):
+            assert_result_parity(
+                catalog.query(
+                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
+                ),
+                rebuild_from_scratch(catalog).execute(
+                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
+                ),
+                context,
+            )
+
+        try:
+            ask("generation one")
+            planner = catalog.planner()
+            assert sum(planner.map_slots(_mark_held_graphs)) > 0
+            # the query's candidates were tagged; every other live row is read now
+            held = merged(planner.map_slots(_read_marks))
+            assert any(held.values()) and not all(held.values())
+            assert sorted(held) == catalog.live_external_ids()
+            updated = next(graph_id for graph_id, tagged in held.items() if tagged)
+            catalog.update_graph(updated, replacement)
+            catalog.compact()
+            ask("generation two")
+            carried = merged(planner.map_slots(_read_marks))
+            assert carried.keys() == held.keys()
+            assert carried.pop(updated) is False  # a new pickle: read afresh
+            assert all(carried[graph_id] for graph_id in carried if held[graph_id])
+        finally:
+            catalog.close()
+
+    def test_a_compaction_that_changes_the_shard_count_takes_the_full_swap(self):
+        """A pooled two-shard catalog compacted down to one live graph, then
+        to none, drops its sharded planner (one store is one planner) and
+        answers byte-identically to a rebuild — or, with nothing live, to the
+        in-process twin that took the same steps; grown back and compacted to
+        two shards again, it pools again."""
+        seed = 8511
+        database = random_database(seed, num_graphs=6)
+        query = extract_query(database.graphs[2].skeleton, 3, rng=seed)
+        pooled, twin = (
+            GraphCatalog.build(
+                database.graphs,
+                feature_config=FEATURE_CONFIG,
+                bound_config=BoundConfig(num_samples=40),
+                rng=seed,
+                num_shards=2,
+                max_workers=workers,
+            )
+            for workers in (2, 0)
+        )
+
+        def ask(catalog):
+            return catalog.query(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
+            )
+
+        def expected():
+            return rebuild_from_scratch(pooled).execute(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
+            )
+
+        try:
+            assert_result_parity(ask(pooled), expected(), "two shards")
+            generation_one = set(pooled.active_shm_segments())
+            for catalog in (pooled, twin):
+                for graph_id in range(1, 6):
+                    catalog.remove_graph(graph_id)
+                catalog.compact()
+            assert pooled.num_shards == 1 and pooled.active_shm_segments() == []
+            assert not generation_one & set(resident_segment_names())
+            assert_result_parity(ask(pooled), expected(), "one live graph")
+
+            for catalog in (pooled, twin):
+                catalog.remove_graph(0)
+                catalog.compact()
+            assert_result_parity(ask(pooled), ask(twin), "no live graph")
+
+            for catalog in (pooled, twin):
+                for graph in database.graphs[:4]:
+                    catalog.add_graph(graph)
+                catalog.compact()
+            assert pooled.num_shards == 2
+            assert_result_parity(ask(pooled), expected(), "two shards again")
+            assert len(pooled.active_shm_segments()) == 4
+        finally:
+            pooled.close()
+            twin.close()
+
     def test_compact_hot_swap_is_invisible(self):
         seed = 8501
         database = random_database(seed, num_graphs=6)
@@ -590,7 +763,7 @@ class TestGenerationHotSwap:
 
 
 class TestExecutorResizeAndPayload:
-    """The O(1) initializer contract and the cheap pool-resize path."""
+    """The O(1) descriptor contract and the cheap pool-resize path."""
 
     def test_initializer_payload_stays_o1_in_shard_bytes(self):
         """Descriptor payload must not grow with the database; pickling the
