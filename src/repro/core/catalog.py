@@ -49,9 +49,9 @@ the initial build uses.
 every shard count and delegates to it.  Its four query methods validate and
 plan the whole batch (``planner.plan`` / ``plan_top_k``), then turn ``rng`` /
 ``rngs`` into one 64-bit root per query, in query order, and hand plans and
-roots to ``planner.execute_plans`` — the entry a
-:class:`~repro.core.planner.QueryPlanner` (one shard) and a
-:class:`~repro.core.sharding.ShardedPlanner` (several) share.
+roots to ``planner.execute_plans``.  The planner is a
+:class:`~repro.core.sharding.ShardedPlanner` for every shard count: one
+shard runs in-process and whole, several fan out and merge.
 
 **Mutations and the read path.**  The storage split above is also what the
 planner publishes: a pooled planner puts each shard's immutable base into a
@@ -65,9 +65,8 @@ those shards' delta segments — once, however many mutations came first.
 The worker pool, the base segments, the other shards, and in every worker
 the graphs it has deserialized with their caches, all survive; a replaced
 delta segment is unlinked when the last fan-out that named it has drained.
-(The one-shard planner is a single view of the single store and is simply
-rebuilt by the next query.)  :meth:`compact` writes new bases and hands the
-planner views of every shard over them (:meth:`ShardedPlanner.rebase`):
+:meth:`compact` writes new bases and hands the planner views of every shard
+over them (:meth:`ShardedPlanner.rebase`):
 under a live pool the new generation is published inside ``compact()``, the
 old one is unlinked once no fan-out reads it, and the pool stays — each
 worker swaps its shards over at its next task, keeping every graph it holds
@@ -117,7 +116,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.planner import QueryPlanner
 from repro.core.results import QueryResult
 from repro.core.sharding import (
     DatabaseShard,
@@ -434,7 +432,7 @@ class GraphCatalog:
         self._max_workers = max_workers
         self._durability: _Durability | None = None
         self._wal_suppressed = False
-        self._planner_cache: QueryPlanner | ShardedPlanner | None = None
+        self._planner_cache: ShardedPlanner | None = None
         self._mutation_generation = 0
         # external id -> (store index, storage row); covers live rows only
         self._live: dict[int, tuple[int, int]] = {}
@@ -932,7 +930,8 @@ class GraphCatalog:
         :meth:`compact` the new generation's names.  A mutation leaves the
         list alone until the next query replaces the touched shards' delta
         names."""
-        plane = getattr(self._planner_cache, "shard_plane", None)
+        planner = self._planner_cache
+        plane = None if planner is None else planner.shard_plane
         return [] if plane is None else plane.segment_names()
 
     def shard_live_counts(self) -> list[int]:
@@ -993,6 +992,8 @@ class GraphCatalog:
         if external_id is None:
             external_id = self._next_external_id
         else:
+            if isinstance(external_id, bool):  # operator.index(True) is 1
+                raise CatalogError(f"external_id must be an integer, got {external_id!r}")
             try:
                 external_id = operator.index(external_id)
             except TypeError:
@@ -1099,7 +1100,7 @@ class GraphCatalog:
         removed, the catalog compacts to one empty shard and keeps answering
         (with zero answers) until graphs are added again.
 
-        A sharded planner keeps its read path (:meth:`ShardedPlanner.rebase`):
+        The planner keeps its read path (:meth:`ShardedPlanner.rebase`):
         under a live pool the new generation is published here and the old
         one retires as soon as no query reads it.  A compaction that changes
         the shard count (fewer live graphs than shards, or back up from
@@ -1151,7 +1152,7 @@ class GraphCatalog:
             for position in store.live_positions()
         }
         planner = self._planner_cache
-        if isinstance(planner, ShardedPlanner) and planner.num_shards == len(stores):
+        if planner is not None and planner.num_shards == len(stores):
             # the read path stays: a live pool is handed the new generation
             planner.rebase([store.make_shard(index) for index, store in enumerate(stores)])
         else:
@@ -1163,20 +1164,16 @@ class GraphCatalog:
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def planner(self) -> QueryPlanner | ShardedPlanner:
-        """The current planner view, built lazily: a sharded one follows
+    def planner(self) -> ShardedPlanner:
+        """The current planner, built lazily over every shard: it follows
         mutations and compactions in place (see :meth:`_refresh_planner` and
         :meth:`compact`) and is rebuilt only after :meth:`close` or a
         compaction that changes the shard count."""
         if self._planner_cache is None:
-            shards = [
-                store.make_shard(store_index)
-                for store_index, store in enumerate(self._stores)
-            ]
-            if len(shards) == 1:
-                self._planner_cache = shards[0].make_planner()
-            else:
-                self._planner_cache = ShardedPlanner(shards, max_workers=self._max_workers)
+            self._planner_cache = ShardedPlanner(
+                [store.make_shard(index) for index, store in enumerate(self._stores)],
+                max_workers=self._max_workers,
+            )
         return self._planner_cache
 
     def query(
@@ -1282,25 +1279,17 @@ class GraphCatalog:
         return location
 
     def _refresh_planner(self, store_indexes: set[int]) -> None:
-        """Show the cached planner the stores a mutation just changed.
-
-        A :class:`ShardedPlanner` swaps in fresh views of exactly those
-        shards and keeps its worker pool, its published base arenas and the
-        other shards' planners; the one-shard planner is one view of the one
-        store, so it is dropped and rebuilt by the next query.
-        """
-        planner = self._planner_cache
-        if isinstance(planner, ShardedPlanner):
-            planner.replace_shards(
+        """Show the cached planner the stores a mutation just changed: it
+        swaps in fresh views of exactly those shards and keeps its worker
+        pool, its published base arenas and the other shards' planners."""
+        if self._planner_cache is not None:
+            self._planner_cache.replace_shards(
                 [self._stores[index].make_shard(index) for index in sorted(store_indexes)]
             )
-        else:
-            self._invalidate()
 
     def _invalidate(self) -> None:
-        """The full swap: drop the cached planner, closing a sharded one's
-        pool and unlinking everything it published."""
-        closer = getattr(self._planner_cache, "close", None)
-        if closer is not None:
-            closer()
+        """The full swap: drop the cached planner, closing its pool and
+        unlinking everything it published."""
+        if self._planner_cache is not None:
+            self._planner_cache.close()
         self._planner_cache = None

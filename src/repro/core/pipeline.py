@@ -16,39 +16,44 @@ inside ``QueryPlanner.query()``.  This module turns the cascade into data:
 * a :class:`QueryPipeline` built once per planner, with all per-query state
   in a :class:`PipelineContext`.
 
-Two query modes share the stages through a mutable :class:`ThresholdState`:
+Two query modes share the stages through a :class:`ThresholdState`:
 
 * **threshold (T-PS)** — the probability floor is the fixed query ``ε``;
   stage behaviour (and answers) are identical to the pre-pipeline planner.
 * **top_k** — the floor starts at the k-th largest PMI lower bound among
   the surviving candidates (at least k graphs have SSP above it, so nothing
   provably below can rank) and *tightens* as verified answers fill a
-  k-sized heap; verification visits candidates in descending ``usim`` order
-  so later candidates prune against the running k-th-best probability.
+  k-sized heap; candidates are visited in descending ``usim`` order so later
+  candidates prune against the running k-th-best probability.
 
-**Cross-shard top-k merge.**  A shard cannot see the global floor, so shard
-executions run in *partial* mode: the floor stays at the shard-local seed
-(never tightened by estimates), and the shard ships a :class:`TopKPartial` —
-the ``(graph id, usim, lsim)`` table of every candidate its PMI stage
-examined plus the verified estimate of every candidate above its local
-seed.  :func:`merge_top_k_partials` then **replays** the sequential
-verification loop over the concatenated tables: same global seed (the lsim
-multiset is the same), same ``(-usim, graph_id)`` visit order, same
-tightening, pulling each offered estimate from the shipped values.  Because
-every estimate derives from ``(root, VERIFY_STREAM, global graph id)``
-(:func:`repro.utils.rng.derive_seed`), a graph's estimate is identical no
-matter which process verified it, and the shard-local seed
-is never above the global seed (a k-th largest over a subset cannot exceed
-the superset's), so every estimate the replay asks for was shipped.  The
-replay therefore *is* the sequential loop: merged answers are byte-identical
-to the sequential planner's for any shard count and any worker count, for
-stochastic and exact verification alike.
+**One top-k loop, two estimate sources.**  :func:`replay_top_k` is the only
+walk of the top-k visit order — ``(-usim, graph_id)`` under the seeded,
+tightening floor — and it asks an *estimator* for each candidate it reaches
+above the floor.  A top-k query over the whole database (one shard) runs it
+inside the verification stage, over the PMI stage's ``(graph id, usim,
+lsim)`` table, with an estimator that verifies the candidate there and then:
+the floor skips exactly the candidates it can.  A shard of several cannot see
+the global floor, so it runs *partial*: its verification stage verifies every
+candidate above its shard-local seed in blocks, like a threshold query, and
+ships a :class:`TopKPartial` — its examined ``(graph id, usim, lsim)`` table
+and those estimates.  :func:`merge_top_k_partials` runs the same loop over
+the concatenated tables with the shipped estimates as its estimator: same
+global seed (the lsim multiset is the same), same visit order, same
+tightening.  Because every estimate derives from ``(root, VERIFY_STREAM,
+global graph id)`` (:func:`repro.utils.rng.derive_seed`), a graph's estimate
+is identical no matter which process verified it or in which block, and the
+shard-local seed is never above the global seed (a k-th largest over a subset
+cannot exceed the superset's), so every estimate the merge asks for was
+shipped.  Merged answers are therefore byte-identical to one shard's for any
+shard count and any worker count, for stochastic and exact verification
+alike.
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -113,12 +118,6 @@ class CandidateSet:
         """Active local graph ids, ascending."""
         return np.flatnonzero(self.mask)
 
-    def keep_only(self, ids) -> None:
-        """Narrow the active set to (a subset of) ``ids``."""
-        keep = np.zeros(self.size, dtype=bool)
-        keep[ids] = True
-        self.mask &= keep
-
     def deactivate(self, ids) -> None:
         self.mask[ids] = False
 
@@ -134,17 +133,15 @@ class ThresholdState:
 
     In threshold mode the floor is the query's fixed ``ε``.  In top-k mode
     it starts at 0, is seeded with the k-th largest PMI lower bound
-    (:meth:`seed_floor`), and — when ``tighten`` is set — rises to the
-    running k-th best verified probability as :meth:`offer` fills the heap.
-    Shard-local (partial) executions keep ``tighten`` off: their floor must
-    stay at the seed so the cross-shard replay can reconstruct the
-    sequential skip pattern (see the module docstring).
+    (:meth:`seed_floor`), and rises to the running k-th best verified
+    probability as :meth:`offer` fills the heap.  Only :func:`replay_top_k`
+    offers; a pipeline's own top-k state is seeded and never offered to, so a
+    shard part's floor stays at its local seed (see the module docstring).
     """
 
     mode: str = THRESHOLD_MODE
     floor: float = 0.0
     k: int | None = None
-    tighten: bool = False
     _heap: list = field(default_factory=list, repr=False)
 
     @classmethod
@@ -153,8 +150,8 @@ class ThresholdState:
         return cls(mode=THRESHOLD_MODE, floor=probability_threshold)
 
     @classmethod
-    def for_top_k(cls, k: int, tighten: bool = True) -> "ThresholdState":
-        return cls(mode=TOP_K_MODE, floor=0.0, k=k, tighten=tighten)
+    def for_top_k(cls, k: int) -> "ThresholdState":
+        return cls(mode=TOP_K_MODE, floor=0.0, k=k)
 
     @property
     def is_top_k(self) -> bool:
@@ -206,13 +203,8 @@ class ThresholdState:
         return True
 
     def _tighten_to_kth_best(self) -> None:
-        if self.tighten and self._heap[0][0] > self.floor:
+        if self._heap[0][0] > self.floor:
             self.floor = self._heap[0][0]
-
-    @property
-    def retained(self) -> int:
-        """How many answers currently rank top-k (the heap's fill level)."""
-        return len(self._heap)
 
     def ranked(self) -> list[QueryAnswer]:
         """Heap contents in final answer order: ``(-probability, graph_id)``."""
@@ -229,8 +221,8 @@ class TopKPartial:
     ``candidate_ids``/``usim``/``lsim`` cover every candidate the shard's
     PMI stage examined (global ids); ``estimates`` holds the verified SSP of
     every candidate at or above the shard-local seed floor — a superset of
-    what the sequential loop verifies, which is what lets
-    :func:`merge_top_k_partials` replay that loop exactly.
+    what the one-shard loop verifies, which is what lets
+    :func:`merge_top_k_partials` run that loop exactly.
     """
 
     candidate_ids: np.ndarray
@@ -397,21 +389,21 @@ class PmiPruningStage(PipelineStage):
 
 
 class VerificationStage(PipelineStage):
-    """Stage 3 (Section 5): compute the SSP of every surviving candidate.
+    """Stage 3 (Section 5): compute the SSP of the surviving candidates.
 
-    Threshold mode verifies candidate *blocks*: survivors are chunked in id
+    A threshold query, and a top-k shard part (which ships an estimate for
+    every survivor), verifies candidate *blocks*: survivors are chunked in id
     order and each block goes through one :meth:`~repro.core.verification.
     Verifier.verify_block` call, where the batch kernel draws and evaluates
     every candidate's whole sample matrix at once.  Block composition never
     changes an estimate — each candidate's draws come from its own
     ``derive_seed(root, VERIFY_STREAM, global id)`` stream — so a sharded run
-    (different blocks) reproduces the sequential answers byte-for-byte.
+    (different blocks) reproduces the one-shard answers byte-for-byte.
 
-    Top-k mode stays a per-candidate loop in descending ``usim`` order,
-    because each verified answer tightens the floor against which later —
-    lower upper bound — candidates are skipped; the per-candidate calls
-    still run the vectorized kernel internally, and produce the same
-    estimates the threshold blocks would (same per-graph streams).
+    A whole top-k query hands the survivors to :func:`replay_top_k`, which
+    verifies a candidate (the block of one) only when its descending-``usim``
+    walk reaches it above the tightening floor; the candidates it passes over
+    are the stage's ``pruned``.
     """
 
     name = "verification"
@@ -422,20 +414,16 @@ class VerificationStage(PipelineStage):
     def run(self, candidates, ctx, stage_stats):
         verifier = self.planner._verifier_for(ctx.plan)
         sampled_before = verifier.sampled
-        if ctx.state.is_top_k:
-            self._run_top_k(candidates, ctx, stage_stats)
+        if ctx.state.is_top_k and not ctx.gather_partial:
+            self._rank(candidates, ctx, verifier, stage_stats)
         else:
-            self._run_threshold_blocks(candidates, ctx, stage_stats)
+            self._verify_blocks(candidates, ctx, verifier, stage_stats)
         ctx.result.statistics.sampled += verifier.sampled - sampled_before
 
-    # ------------------------------------------------------------------
-    # threshold mode: block-at-a-time through the batch kernel
-    # ------------------------------------------------------------------
-    def _run_threshold_blocks(self, candidates, ctx, stage_stats):
+    def _verify_blocks(self, candidates, ctx, verifier, stage_stats):
         plan = ctx.plan
         stats = ctx.result.statistics
         planner = self.planner
-        verifier = planner._verifier_for(plan)
         active = candidates.active_ids()
         answers = 0
         for start in range(0, len(active), VERIFY_BLOCK_SIZE):
@@ -473,55 +461,33 @@ class VerificationStage(PipelineStage):
         stage_stats.accepted = answers
         stage_stats.passed = answers
 
-    # ------------------------------------------------------------------
-    # top-k mode: floor-adaptive per-candidate loop
-    # ------------------------------------------------------------------
-    def _run_top_k(self, candidates, ctx, stage_stats):
+    def _rank(self, candidates, ctx, verifier, stage_stats):
         plan = ctx.plan
-        stats = ctx.result.statistics
         planner = self.planner
-        verifier = planner._verifier_for(plan)
         active = candidates.active_ids()
-        # descending usim, ascending *global* id — the same total order
-        # replay_top_k uses, so the floor trajectory (and thus the skip
-        # pattern) is identical whether this loop runs sequentially, per
-        # shard, or over a mutated catalog's stable external ids
-        order = active[
-            np.lexsort((planner.global_ids[active], -candidates.usim[active]))
-        ]
-        answers = 0
-        for local_id in order:
-            local_id = int(local_id)
-            global_id = int(planner.global_ids[local_id])
-            if not ctx.state.admits(float(candidates.usim[local_id])):
-                stage_stats.pruned += 1
-                continue
-            stats.verified += 1
+        global_ids = planner.global_ids[active]
+        local_of = dict(zip(global_ids.tolist(), active.tolist()))
+
+        def verify(graph_id: int) -> QueryAnswer:
+            graph = planner.graphs[local_of[graph_id]]
             probability = verifier.subgraph_similarity_probability(
                 plan.query,
-                planner.graphs[local_id],
+                graph,
                 plan.distance_threshold,
                 relaxed_queries=plan.relaxed_queries,
-                rng=derive_seed(ctx.root, VERIFY_STREAM, global_id),
+                rng=derive_seed(ctx.root, VERIFY_STREAM, graph_id),
                 family=plan.family,
             )
-            if ctx.gather_partial:
-                ctx.partial.estimates[global_id] = probability
-                ctx.partial.names[global_id] = planner.graphs[local_id].name
-                continue
-            answer = QueryAnswer(
-                graph_id=global_id,
-                graph_name=planner.graphs[local_id].name,
-                probability=probability,
-                decided_by="verification",
-            )
-            ctx.state.offer(answer)
-        if not ctx.gather_partial:
-            # offers retained mid-loop may be displaced later; the heap's
-            # final fill level is the stage's true emitted-answer count
-            answers = ctx.state.retained
-        stage_stats.accepted = answers
-        stage_stats.passed = answers
+            return QueryAnswer(graph_id, graph.name, probability, "verification")
+
+        answers, verified = replay_top_k(
+            global_ids, candidates.usim[active], candidates.lsim[active], verify, plan.k
+        )
+        ctx.result.answers.extend(answers)
+        ctx.result.statistics.verified += verified
+        stage_stats.pruned = len(active) - verified
+        stage_stats.accepted = len(answers)
+        stage_stats.passed = len(answers)
 
 
 class QueryPipeline:
@@ -557,10 +523,7 @@ class QueryPipeline:
                     stage.run(candidates, ctx, stage_stats)
                 stage_stats.seconds = timer.elapsed
                 stats.stages.append(stage_stats)
-            if ctx.state.is_top_k and not ctx.gather_partial:
-                result.answers.extend(ctx.state.ranked())
-            else:
-                result.answers.sort(key=lambda a: (-a.probability, a.graph_id))
+            result.answers.sort(key=lambda a: (-a.probability, a.graph_id))
         stats.total_seconds = total_timer.elapsed
         stats.answers = len(result.answers)
         return result
@@ -585,64 +548,47 @@ def build_default_pipeline(planner: "QueryPlanner") -> QueryPipeline:
 
 
 # ----------------------------------------------------------------------
-# cross-shard top-k merge
+# the top-k loop and the cross-shard merge
 # ----------------------------------------------------------------------
 def replay_top_k(
     candidate_ids: np.ndarray,
     usim: np.ndarray,
     lsim: np.ndarray,
-    estimates: dict[int, float],
-    names: dict[int, str | None],
+    estimate: Callable[[int], QueryAnswer],
     k: int,
 ) -> tuple[list[QueryAnswer], int]:
-    """Replay the sequential top-k verification loop over known estimates.
+    """The top-k loop: walk the candidates by ``(-usim, graph_id)`` under the
+    floor seeded from ``lsim`` and tightened by every answer the heap keeps,
+    asking ``estimate(graph_id)`` for each candidate reached above the floor.
 
-    Returns ``(answers, replayed_verified)`` where ``replayed_verified`` is
-    the number of candidates the *sequential* planner would have verified —
-    the shards' actual (larger) verification counts live in their own
-    statistics.
+    Returns ``(answers, verified)``: the ranked answers and how many
+    candidates the loop asked for.  ``estimate`` verifies there and then (a
+    whole query's verification stage) or reads a shipped value (the
+    cross-shard merge, whose shards verified more).
     """
     state = ThresholdState.for_top_k(k)
     state.seed_floor(lsim)
     above_seed = usim >= state.floor
     ids = candidate_ids[above_seed]
     upper = usim[above_seed]
-    order = np.lexsort((ids, -upper))
-    replayed = 0
-    for index in order:
-        graph_id = int(ids[index])
+    verified = 0
+    for index in np.lexsort((ids, -upper)):
         if not state.admits(float(upper[index])):
             continue
-        replayed += 1
-        try:
-            probability = estimates[graph_id]
-        except KeyError:  # pragma: no cover - violates the shipped-superset invariant
-            raise ConfigurationError(
-                f"top-k merge is missing the verified estimate of graph {graph_id}; "
-                "shard partials must cover every candidate at or above their "
-                "local seed floor"
-            ) from None
-        if probability > 0.0:
-            state.offer(
-                QueryAnswer(
-                    graph_id=graph_id,
-                    graph_name=names.get(graph_id),
-                    probability=probability,
-                    decided_by="verification",
-                )
-            )
-    return state.ranked(), replayed
+        verified += 1
+        state.offer(estimate(int(ids[index])))
+    return state.ranked(), verified
 
 
 def merge_top_k_partials(parts: list[TopKPartial], k: int) -> QueryResult:
     """Combine per-shard partials of one top-k query into the final result.
 
     Answers come from :func:`replay_top_k` over the concatenated candidate
-    tables — provably the sequential planner's answer list (module
-    docstring) — while the statistics merge the shards' *actual* work via
-    :meth:`QueryStatistics.merge` (shard floors are laxer than the global
-    one, so the summed ``verified`` counter legitimately exceeds the
-    sequential planner's).
+    tables and the shipped estimates — provably one shard's answer list
+    (module docstring) — while the statistics merge the shards' *actual*
+    work via :meth:`QueryStatistics.merge` (shard floors are laxer than the
+    global one, so the summed ``verified`` counter legitimately exceeds one
+    shard's).
     """
     if not parts:
         raise ConfigurationError("cannot merge an empty list of top-k partials")
@@ -654,7 +600,19 @@ def merge_top_k_partials(parts: list[TopKPartial], k: int) -> QueryResult:
     for part in parts:
         estimates.update(part.estimates)
         names.update(part.names)
-    answers, _ = replay_top_k(candidate_ids, usim, lsim, estimates, names, k)
+
+    def shipped(graph_id: int) -> QueryAnswer:
+        try:
+            probability = estimates[graph_id]
+        except KeyError:  # pragma: no cover - violates the shipped-superset invariant
+            raise ConfigurationError(
+                f"top-k merge is missing the verified estimate of graph {graph_id}; "
+                "shard partials must cover every candidate at or above their "
+                "local seed floor"
+            ) from None
+        return QueryAnswer(graph_id, names.get(graph_id), probability, "verification")
+
+    answers, _ = replay_top_k(candidate_ids, usim, lsim, shipped, k)
     result = QueryResult(answers=answers)
     result.statistics = QueryStatistics.merge(part.statistics for part in parts)
     result.statistics.answers = len(answers)

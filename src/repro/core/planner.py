@@ -20,10 +20,11 @@ graph*.  :class:`QueryPlanner` splits that work by lifetime:
 * **per candidate** (:meth:`execute_plan`): the pipeline stages — columnar
   PMI row reads, vectorized pruning decisions, verification.
 
-A planner answers finished plans: :meth:`QueryPlanner.execute_plans` takes a
-plan list and one 64-bit root per plan.  :class:`~repro.core.catalog.GraphCatalog`
-(which ``ProbabilisticGraphDatabase.build_index()`` holds) is the caller that
-validates, plans and turns ``rng`` / ``rngs`` into those roots; the
+A :class:`QueryPlanner` runs one slice of the database: each shard of a
+:class:`~repro.core.sharding.ShardedPlanner` owns one, and the sharded planner
+— the one a :class:`~repro.core.catalog.GraphCatalog` holds for every shard
+count — decides whether a top-k plan runs whole (:meth:`execute_plan`, one
+shard) or partial (:meth:`execute_top_k_partial`, several).  The
 single-query ``execute`` / ``execute_top_k`` below plan and run in one call
 and are what the parity suites build their from-scratch reference from.
 """
@@ -330,22 +331,13 @@ class QueryPlanner:
         are never answers, so fewer than ``k`` answers may return.  The
         probability floor tightens as verified answers fill the k-sized
         heap, so candidates are verified in descending PMI upper-bound order
-        and late candidates prune against the running k-th best.  Under the
-        same seed the ranked list is byte-identical to the cross-shard
-        partial/replay merge (:func:`repro.core.pipeline.merge_top_k_partials`)
-        over any partition of the same live graphs.
+        and late candidates prune against the running k-th best
+        (:func:`repro.core.pipeline.replay_top_k`).  Under the same seed the
+        ranked list is byte-identical to the cross-shard merge
+        (:func:`repro.core.pipeline.merge_top_k_partials`) over any partition
+        of the same live graphs.
         """
         return self.execute_plan(self.plan_top_k(query, k, distance_threshold, config), rng=rng)
-
-    def execute_plans(self, plans: list[QueryPlan], roots: list[int]) -> list[QueryResult]:
-        """Run finished plans — threshold and top-k may mix — one root each.
-
-        The entry :class:`~repro.core.catalog.GraphCatalog` calls, and the
-        one :class:`~repro.core.sharding.ShardedPlanner` shares: results come
-        back in plan order, and plan ``i`` answers exactly as
-        ``execute_plan(plans[i], rng=roots[i])`` would alone.
-        """
-        return [self.execute_plan(plan, rng=root) for plan, root in zip(plans, roots)]
 
     def execute_plan(self, plan: QueryPlan, rng: RandomLike = None) -> QueryResult:
         """Run the staged candidate pipeline for one plan.
@@ -367,13 +359,13 @@ class QueryPlanner:
         return self.pipeline.run(self._new_candidates(), ctx)
 
     def execute_top_k_partial(self, plan: QueryPlan, rng: RandomLike = None) -> TopKPartial:
-        """Run a top-k plan in shard-partial mode (see ``core.pipeline``).
+        """Run a top-k plan as one shard's part (see ``core.pipeline``).
 
-        The floor stays at the shard-local lsim seed (no estimate-driven
-        tightening), and the returned :class:`TopKPartial` carries the
-        examined candidate/bound table plus every verified estimate —
+        The floor stays at the shard-local lsim seed, every candidate above
+        it is verified in blocks, and the returned :class:`TopKPartial`
+        carries the examined candidate/bound table plus those estimates —
         everything :func:`repro.core.pipeline.merge_top_k_partials` needs to
-        replay the sequential loop exactly.
+        run the one-shard loop exactly.
         """
         if plan.mode != TOP_K_MODE or plan.k is None:
             raise QueryError("execute_top_k_partial() requires a top-k plan")
@@ -388,7 +380,7 @@ class QueryPlanner:
         ctx = PipelineContext(
             plan=plan,
             root=rng_root(rng),
-            state=ThresholdState.for_top_k(plan.k, tighten=False),
+            state=ThresholdState.for_top_k(plan.k),
             result=QueryResult(),
             partial=partial,
         )

@@ -48,11 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.catalog import GraphCatalog
-from repro.core.planner import QueryPlanner
 from repro.core.pruning import PruningConfig
 from repro.core.relaxation import RelaxationConfig
 from repro.core.results import QueryResult
-from repro.core.sharding import ShardedPlanner
+from repro.core.sharding import DatabaseShard, ShardedPlanner
 from repro.core.verification import VerificationConfig
 from repro.exceptions import ConfigurationError, IndexError_
 from repro.graphs.labeled_graph import LabeledGraph
@@ -156,13 +155,14 @@ class ProbabilisticGraphDatabase:
         return self
 
     @property
-    def is_indexed(self) -> bool:
-        return self._catalog is not None
-
-    @property
-    def planner(self) -> QueryPlanner | ShardedPlanner | None:
+    def planner(self) -> ShardedPlanner | None:
         """The catalog's current planner (``None`` before :meth:`build_index`)."""
         return None if self._catalog is None else self._catalog.planner()
+
+    def _whole_shard(self) -> DatabaseShard | None:
+        # with no mutation ever applied, the one shard's base segment is all of it
+        planner = self.planner
+        return planner.shards[0] if planner is not None and planner.num_shards == 1 else None
 
     @property
     def pmi(self) -> ProbabilisticMatrixIndex | None:
@@ -170,16 +170,14 @@ class ProbabilisticGraphDatabase:
         :meth:`build_index` and for a sharded engine, whose matrices live
         sliced inside the shards (nothing should mistake a slice for the
         whole)."""
-        # one shard: the catalog's planner is a QueryPlanner over segmented
-        # views, and with no mutation ever applied the base segment is all of it
-        planner = self.planner
-        return planner.pmi.base if isinstance(planner, QueryPlanner) else None
+        shard = self._whole_shard()
+        return None if shard is None else shard.pmi.base
 
     @property
     def structural_index(self) -> StructuralFeatureIndex | None:
         """The whole structural index; ``None`` exactly when :attr:`pmi` is."""
-        planner = self.planner
-        return planner.structural_index.base if isinstance(planner, QueryPlanner) else None
+        shard = self._whole_shard()
+        return None if shard is None else shard.structural_index.base
 
     def to_catalog(
         self,

@@ -4,14 +4,18 @@ The T-PS pipeline is embarrassingly partitionable: every candidate graph is
 filtered, pruned, and verified independently of every other graph, so a
 database of N probabilistic graphs can be split into K disjoint *shards*,
 each owning a PMI row slice, a structural-index row slice, and its own
-:class:`~repro.core.planner.QueryPlanner`.  :class:`ShardedPlanner` fans a
-list of finished plans out over a ``concurrent.futures`` process pool
-(:meth:`ShardedPlanner.execute_plans`: one task per shard, each running
-every plan) and merges the per-shard parts of each plan deterministically.
+:class:`~repro.core.planner.QueryPlanner`.  :class:`ShardedPlanner` is the
+one planner a :class:`~repro.core.catalog.GraphCatalog` holds, for every K:
+one round of parallel work — a local step per shard, then one merge — of
+which a single shard is the degenerate case.  With K = 1 it runs every plan
+whole, in-process; with K > 1 it fans a list of finished plans out over a
+``concurrent.futures`` process pool (:meth:`ShardedPlanner.execute_plans`:
+one task per shard, each running every plan) and merges the per-shard parts
+of each plan deterministically.
 
 Determinism is the load-bearing property.  Two ingredients make a sharded
-run reproduce the sequential planner *exactly*, regardless of K, worker
-count, or OS scheduling:
+run reproduce the one-shard run *exactly*, regardless of K, worker count,
+or OS scheduling:
 
 1. **Per-graph RNG streams.**  Every stochastic sub-task derives its
    generator from ``(root, stage, global graph id)``
@@ -21,10 +25,10 @@ count, or OS scheduling:
    catalog derives them once, in query order — so every shard agrees on
    each query's streams.
 2. **Deterministic merge.**  A threshold plan's per-shard answers are
-   concatenated and sorted by ``(-probability, graph_id)`` — the sequential
-   planner's order (:func:`merge_query_results`); a top-k plan runs
-   shard-partial and :func:`~repro.core.pipeline.merge_top_k_partials`
-   replays the sequential loop over the union.  Per-shard statistics
+   concatenated and sorted by ``(-probability, graph_id)`` — one shard's
+   order (:func:`merge_query_results`); a top-k plan runs shard-partial and
+   :func:`~repro.core.pipeline.merge_top_k_partials` runs the top-k loop
+   over the union with the shipped estimates.  Per-shard statistics
    combine via :meth:`QueryStatistics.merge` (counters sum across the
    disjoint slices; wall-clock fields take the critical-path max).
 
@@ -597,8 +601,8 @@ _WORKER_PLANNERS: dict[int, tuple[str, QueryPlanner]] = {}  # (delta segment, pl
 def _execute_on_shard(
     planner: QueryPlanner, plans: list[QueryPlan], roots: list[int]
 ) -> list[QueryResult | TopKPartial]:
-    """One shard's part of every plan, for the pool worker and the
-    in-process path alike.
+    """One shard's part of every plan when there are several shards, for the
+    pool worker and the in-process path alike.
 
     The plan's ``mode`` picks the execution: a top-k plan runs shard-partial
     (the shard cannot see the global floor; see ``core.pipeline``), a
@@ -668,9 +672,9 @@ class ShardedPlanner:
 
     The query surface is :meth:`plan`, :meth:`plan_top_k` and
     :meth:`execute_plans` — the three methods a
-    :class:`~repro.core.catalog.GraphCatalog` calls on a
-    :class:`QueryPlanner` too — and results are identical to the sequential
-    planner's, independent of shard count and worker count.
+    :class:`~repro.core.catalog.GraphCatalog` calls — and results are
+    identical for every shard count and worker count.  One shard is the
+    whole database: its plans, top-k included, run whole and in-process.
     ``max_workers`` picks the process-pool width for query fan-out
     (``None`` → ``min(num_shards, cpu_count)``); at width <= 1 shards run
     in-process, which is also the zero-dependency fallback path.  The pool
@@ -817,21 +821,25 @@ class ShardedPlanner:
     def execute_plans(self, plans: list[QueryPlan], roots: list[int]) -> list[QueryResult]:
         """Run finished plans over every shard and merge, one result per plan.
 
-        One pool task per shard, each running the whole plan list with the
-        same per-plan roots.  A threshold plan's parts merge by
-        :func:`merge_query_results`.  A top-k plan runs *partial* on each
-        shard — the floor stays at the shard-local lsim seed and the shard
-        ships its examined candidate/bound table plus every verified
-        estimate — and :func:`repro.core.pipeline.merge_top_k_partials`
-        replays the sequential verification loop over the union.  Because
-        every estimate derives from ``(root, VERIFY_STREAM, global graph
-        id)``, answers (and, for threshold plans, counters) are
-        byte-identical to :meth:`QueryPlanner.execute_plans` over the same
-        live graphs with the same roots — for any shard count, worker count
-        or OS scheduling.
+        With one shard, plan ``i`` is that shard's
+        ``execute_plan(plans[i], rng=roots[i])``.  With several, one pool
+        task per shard runs the whole plan list with the same per-plan roots.
+        A threshold plan's parts merge by :func:`merge_query_results`.  A
+        top-k plan runs *partial* on each shard — the floor stays at the
+        shard-local lsim seed and the shard ships its examined
+        candidate/bound table plus the estimate of every candidate above it —
+        and :func:`repro.core.pipeline.merge_top_k_partials` runs the top-k
+        loop over the union.  Because every estimate derives from ``(root,
+        VERIFY_STREAM, global graph id)``, answers (and, for threshold plans,
+        counters) are byte-identical to one shard's over the same live graphs
+        with the same roots — for any shard count, worker count or OS
+        scheduling.
         """
         if not plans:
             return []
+        if self.num_shards == 1:
+            planner = self._planning_planner()
+            return [planner.execute_plan(plan, rng=root) for plan, root in zip(plans, roots)]
         per_shard = self._fan_out(plans, roots)
         return [
             merge_top_k_partials(list(parts), plan.k)
@@ -893,7 +901,7 @@ class ShardedPlanner:
         that was retired — while this batch ran against it.
         """
         workers = self.width
-        if workers <= 1:  # also the width of a single shard
+        if workers <= 1:
             return self._execute_serial(plans, roots)
         batch = pickle.dumps((plans, roots), protocol=_PICKLE_PROTOCOL)
         plane, deltas, futures = None, (), []

@@ -219,9 +219,9 @@ class ProbabilisticMatrixIndex:
     ) -> "ProbabilisticMatrixIndex":
         """A built, zero-row index over a pinned feature set.
 
-        This is the seed of a catalog delta segment: rows arrive later via
-        :meth:`append`, one per mutation, against the same feature columns as
-        the immutable base matrix.
+        This is the seed of a catalog delta segment: each mutation builds its
+        graph's row against the same feature columns (:meth:`build` with the
+        graph's stable id) and stacks it on with :meth:`concat_rows`.
         """
         index = cls(feature_config=feature_config, bound_config=bound_config)
         index.features = list(features)
@@ -230,44 +230,17 @@ class ProbabilisticMatrixIndex:
         index._built = True
         return index
 
-    def append(
-        self, graphs: list[ProbabilisticGraph], graph_ids, rng: RandomLike = None
-    ) -> "ProbabilisticMatrixIndex":
-        """Append one row per graph, keeping the existing feature columns.
-
-        ``graph_ids[k]`` is the stable id of appended graph ``k``; its row is
-        the row :meth:`build` computes for that id (it *is* a build over the
-        new graphs with this index's features), so an append under the same
-        root as the base build yields rows byte-identical to a from-scratch
-        build over the grown database.  Existing rows are never touched
-        (append-only).
-        """
-        self._require_built()
-        # the new rows are built aside and stacked on afterwards, so a graph
-        # the index refuses leaves this index exactly as it was
-        tail = ProbabilisticMatrixIndex(self.feature_config, self.bound_config).build(
-            graphs, features=self.features, rng=rng, graph_ids=graph_ids
-        )
-        merged = self.concat_rows([self, tail])
-        self._lower = merged._lower
-        self._upper = merged._upper
-        self._present = merged._present
-        self._num_embeddings = merged._num_embeddings
-        self._num_cuts = merged._num_cuts
-        self._chosen = merged._chosen
-        self.database_size = merged.database_size
-        return self
-
     @classmethod
     def concat_rows(
         cls, parts: list["ProbabilisticMatrixIndex"]
     ) -> "ProbabilisticMatrixIndex":
         """Row-stack built indexes sharing one feature set into a fresh index.
 
-        This is :meth:`~repro.core.catalog.GraphCatalog.compact`'s merge
-        step: base and delta segments (already :meth:`subset` down to their
-        live rows) become one new dense base matrix.  All parts must carry
-        identical feature lists and build configurations.
+        This is how a catalog delta grows (one built row per mutation) and
+        :meth:`~repro.core.catalog.GraphCatalog.compact`'s merge step: base
+        and delta segments (already :meth:`subset` down to their live rows)
+        become one new dense base matrix.  All parts must carry identical
+        feature lists and build configurations.
         """
         if not parts:
             raise IndexError_("concat_rows() needs at least one part")
@@ -351,8 +324,8 @@ class ProbabilisticMatrixIndex:
         shared-memory-backed) matrices of identical ``(rows, features)``
         shape; ``meta`` is :meth:`arena_meta`'s dict.  The resulting index is
         read-only by convention: every query path only ever reads rows, and
-        mutation paths (:meth:`append`) replace the arrays wholesale via
-        ``vstack`` rather than writing in place, so even they stay safe.
+        mutation paths (:meth:`concat_rows`) build fresh arrays via ``vstack``
+        rather than writing in place, so even they stay safe.
         """
         index = cls(feature_config=feature_config, bound_config=bound_config)
         index.features = list(features)
@@ -505,14 +478,6 @@ class ProbabilisticMatrixIndex:
                 )
             )
         return result
-
-    def graphs_containing_feature(self, feature_id: int) -> list[int]:
-        """Graph ids whose skeleton contains the feature (non-empty cell)."""
-        self._require_built()
-        column = self._feature_pos.get(feature_id)
-        if column is None:
-            return []
-        return [int(graph_id) for graph_id in np.flatnonzero(self._present[:, column])]
 
     # ------------------------------------------------------------------
     # slicing

@@ -516,10 +516,8 @@ class QueryService:
         try:
             if request.op == "add_graph":
                 graph = self._mutation_graph(payload)
-                external_id = payload.get("external_id")
-                if external_id is not None and not isinstance(external_id, int):
-                    raise ServiceError(BAD_REQUEST, "'external_id' must be an integer")
-                assigned = self._catalog.add_graph(graph, external_id=external_id)
+                # the catalog validates the id: a CatalogError is a BAD_REQUEST frame
+                assigned = self._catalog.add_graph(graph, external_id=payload.get("external_id"))
                 result = {"op": "add_graph", "external_id": assigned}
             elif request.op == "remove_graph":
                 external_id = self._mutation_id(payload)

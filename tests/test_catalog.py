@@ -106,6 +106,16 @@ class TestMutationApi:
         with pytest.raises(CatalogError, match=">= 0"):
             catalog.add_graph(extra_graphs[0], external_id=-1)
 
+    def test_add_bool_id_rejected(self, catalog, extra_graphs):
+        """A bool is not an id, though ``operator.index(True)`` is 1: with ids
+        0 and 1 free, neither flag may claim one."""
+        catalog.remove_graph(0)
+        catalog.remove_graph(1)
+        for flag in (True, False):
+            with pytest.raises(CatalogError, match="integer"):
+                catalog.add_graph(extra_graphs[0], external_id=flag)
+        assert catalog.live_external_ids() == list(range(2, 8))
+
     def test_remove_tombstones_without_reclaiming(self, catalog):
         catalog.remove_graph(3)
         assert catalog.num_live == 7
@@ -349,13 +359,22 @@ class TestEngineAdoption:
 # ----------------------------------------------------------------------
 class TestBuildingBlocks:
     def test_pmi_append_matches_scratch_build(self, base_graphs):
+        """Rows built apart under their stable ids and stacked with
+        ``concat_rows`` — how a delta grows — equal one build's rows."""
         full = ProbabilisticMatrixIndex(
             feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
         ).build(base_graphs, rng=7)
-        grown = ProbabilisticMatrixIndex(
-            feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
-        ).build(base_graphs[:5], features=full.features, rng=7)
-        grown.append(base_graphs[5:], graph_ids=range(5, len(base_graphs)), rng=7)
+        grown = ProbabilisticMatrixIndex.concat_rows(
+            [
+                ProbabilisticMatrixIndex(
+                    feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
+                ).build(part, features=full.features, rng=7, graph_ids=ids)
+                for part, ids in (
+                    (base_graphs[:5], range(5)),
+                    (base_graphs[5:], range(5, len(base_graphs))),
+                )
+            ]
+        )
         assert grown.database_size == full.database_size
         for graph_id in range(len(base_graphs)):
             full_row, grown_row = full.row(graph_id), grown.row(graph_id)
@@ -368,7 +387,9 @@ class TestBuildingBlocks:
             feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
         ).build(base_graphs[:3], rng=7)
         with pytest.raises(IndexError_, match="entries"):
-            pmi.append(base_graphs[3:5], graph_ids=[9], rng=7)
+            ProbabilisticMatrixIndex(
+                feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
+            ).build(base_graphs[3:5], features=pmi.features, rng=7, graph_ids=[9])
 
     def test_concat_rows_reassembles_subsets(self, base_graphs):
         full = ProbabilisticMatrixIndex(

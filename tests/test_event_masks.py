@@ -259,7 +259,8 @@ class TestLazyBitTable:
         catalog.close()
         reopened = GraphCatalog.open(tmp_path / "catalog", max_workers=0)
         try:
-            live = [added.skeleton, *(g.skeleton for g in reopened.planner().graphs)]
+            (shard,) = reopened.planner().shards
+            live = [added.skeleton, *(g.skeleton for g in shard.graphs)]
             assert not any("_event_bits" in skeleton.__dict__ for skeleton in live)
             model = batch_kernel._MODEL_CACHE.get(added)
             assert model is None or not model._bits

@@ -30,6 +30,7 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.exceptions import QueryError, StateError
 from repro.graphs import LabeledGraph
 from repro.pmi import BoundConfig, FeatureSelectionConfig
+from repro.structural.similarity_filter import StructuralFilter
 
 EXACT_CONFIG = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
 
@@ -69,15 +70,6 @@ class TestCandidateSet:
         assert list(candidates.active_ids()) == [0, 1, 2, 3, 4]
         assert np.all(candidates.usim == 1.0)
         assert np.all(candidates.lsim == 0.0)
-
-    def test_keep_only_narrows_never_widens(self):
-        candidates = CandidateSet(5)
-        candidates.keep_only([1, 3])
-        assert list(candidates.active_ids()) == [1, 3]
-        # re-asking for a deactivated id must not resurrect it
-        candidates.deactivate([3])
-        candidates.keep_only([0, 1, 3])
-        assert list(candidates.active_ids()) == [1]
 
     def test_record_bounds(self):
         candidates = CandidateSet(4)
@@ -126,10 +118,19 @@ class TestThresholdState:
         state.seed_floor(np.array([0.05]))  # fewer than k values: no-op
         assert state.floor == 0.4
 
-    def test_partial_mode_floor_stays_at_seed(self):
-        state = ThresholdState.for_top_k(1, tighten=False)
-        state.offer(QueryAnswer(0, None, 0.9, "verification"))
-        assert state.floor == 0.0
+    def test_partial_mode_floor_stays_at_seed(self, indexed, pipeline_database):
+        """A shard part never tightens: it ships an estimate for every
+        candidate at or above its lsim seed, and skips none of them."""
+        planner = QueryPlanner(indexed.graphs, indexed.pmi, indexed.structural_index)
+        query = extract_query(pipeline_database.graphs[0].skeleton, 3, rng=5)
+        plan = planner.plan_top_k(query, 1, 1, EXACT_CONFIG)
+        partial = planner.execute_top_k_partial(plan, rng=3)
+        seed = ThresholdState.for_top_k(1)
+        seed.seed_floor(partial.lsim)
+        above = {int(g) for g, u in zip(partial.candidate_ids, partial.usim) if u >= seed.floor}
+        assert above and set(partial.estimates) == above
+        assert partial.statistics.verified == len(above)
+        assert partial.statistics.stages[-1].pruned == 0
 
     def test_offer_requires_top_k_mode(self):
         with pytest.raises(StateError):
@@ -214,7 +215,7 @@ class TestStatisticsMergeStages:
 
 class TestPipelineComposability:
     def test_planner_owns_a_default_pipeline(self, indexed):
-        planner = indexed.planner
+        planner = QueryPlanner(indexed.graphs, indexed.pmi, indexed.structural_index)
         assert isinstance(planner.pipeline, QueryPipeline)
         assert [stage.name for stage in planner.pipeline.stages] == [
             "structural_filter",
@@ -333,7 +334,7 @@ class TestTopKValidation:
 class TestFilterMask:
     def test_mask_honors_incoming_active_set(self, indexed, pipeline_database):
         query = extract_query(pipeline_database.graphs[0].skeleton, 3, rng=5)
-        structural_filter = indexed.planner.structural_filter
+        structural_filter = StructuralFilter(indexed.structural_index)
         full = structural_filter.filter_mask(query, 1)
         assert full.dtype == bool and full.shape == (len(indexed.graphs),)
         active = np.zeros(len(indexed.graphs), dtype=bool)
@@ -344,7 +345,7 @@ class TestFilterMask:
 
     def test_filter_still_returns_id_lists(self, indexed, pipeline_database):
         query = extract_query(pipeline_database.graphs[0].skeleton, 3, rng=5)
-        structural_filter = indexed.planner.structural_filter
+        structural_filter = StructuralFilter(indexed.structural_index)
         outcome = structural_filter.filter(query, 1)
         mask = structural_filter.filter_mask(query, 1)
         assert outcome.candidate_ids == [int(g) for g in np.flatnonzero(mask)]

@@ -20,6 +20,7 @@ from repro.core import (
     QueryStatistics,
     SearchConfig,
     VerificationConfig,
+    pipeline,
     relaxation,
 )
 from repro.core.verification import Verifier
@@ -64,16 +65,20 @@ def graphs():
     return generate_ppi_database(config, rng=31).graphs
 
 
-@pytest.fixture(scope="module")
-def catalog(graphs):
-    built = GraphCatalog.build(
+def _build(graphs, num_shards):
+    return GraphCatalog.build(
         graphs,
-        num_shards=2,
+        num_shards=num_shards,
         feature_config=FeatureSelectionConfig(max_vertices=3, max_features=NUM_FEATURES),
         bound_config=BoundConfig(num_samples=20),
         rng=17,
         max_workers=0,
     )
+
+
+@pytest.fixture(scope="module")
+def catalog(graphs):
+    built = _build(graphs, num_shards=2)
     assert len(built.features) == NUM_FEATURES
     yield built
     built.close()
@@ -260,20 +265,40 @@ class TestVerificationCosts:
             assert not spies["_join"] and not spies["_build_join_plan"]
 
     def test_top_k_query_runs_one_pass_per_verified_candidate(
-        self, catalog, six_edge_queries, spies
+        self, graphs, six_edge_queries, spies
     ):
-        planner = catalog.planner()
-        verified = 0
-        for query in six_edge_queries:
-            plan = planner.plan_top_k(query, 2, 2, CONFIG)
-            for calls in spies.values():
-                del calls[:]
-            (result,) = planner.execute_plans([plan], [7])
-            verified += result.statistics.verified
-            assert len(spies["execute_variant_family"]) == result.statistics.verified
-            assert all(len(args[2]) == 1 for args in spies["verify_block"])  # blocks of one
-            assert not spies["compile_variant_family"]
+        """One shard: the top-k loop verifies a candidate when it reaches it."""
+        with _build(graphs, num_shards=1) as catalog:
+            planner = catalog.planner()
+            verified = 0
+            for query in six_edge_queries:
+                plan = planner.plan_top_k(query, 2, 2, CONFIG)
+                for calls in spies.values():
+                    del calls[:]
+                (result,) = planner.execute_plans([plan], [7])
+                verified += result.statistics.verified
+                assert len(spies["execute_variant_family"]) == result.statistics.verified
+                assert all(len(args[2]) == 1 for args in spies["verify_block"])  # blocks of one
+                assert not spies["compile_variant_family"]
         assert verified > len(six_edge_queries)
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_top_k_runs_the_one_loop_once_per_plan(
+        self, graphs, six_edge_queries, spies, monkeypatch, num_shards
+    ):
+        """``replay_top_k`` walks each top-k plan once, whole or merged; a
+        shard part verifies everything above its seed in blocks instead."""
+        loops = _count_calls(monkeypatch, pipeline, "replay_top_k")
+        with _build(graphs, num_shards) as catalog:
+            planner = catalog.planner()
+            plans = [planner.plan_top_k(query, 2, 2, CONFIG) for query in six_edge_queries]
+            threshold = planner.plan(six_edge_queries[0], 0.3, 2, CONFIG)
+            planner.execute_plans([threshold, *plans], [7] * (len(plans) + 1))
+            assert len(loops) == len(plans)
+            del spies["verify_block"][:]
+            planner.execute_plans(plans, [7] * len(plans))
+        widest = max(len(args[2]) for args in spies["verify_block"])
+        assert widest == 1 if num_shards == 1 else widest > 1
 
     def test_hand_made_plan_derives_its_family(self, catalog, six_edge_queries, spies):
         planner = catalog.planner()

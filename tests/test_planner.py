@@ -15,6 +15,7 @@ from repro.core import (
     PruningDecision,
     QueryPlanner,
     SearchConfig,
+    ShardedPlanner,
     VerificationConfig,
     aggregate_statistics,
     relax_query,
@@ -185,23 +186,24 @@ class TestPlanner:
         )
 
     def test_build_index_constructs_planner(self, indexed):
-        """The engine's planner reads the very arrays ``engine.pmi`` and
-        ``engine.structural_index`` expose (no copy between them)."""
+        """The engine's planner — a sharded planner over one shard — reads
+        the very arrays ``engine.pmi`` and ``engine.structural_index`` expose
+        (no copy between them)."""
         planner = indexed.planner
-        assert isinstance(planner, QueryPlanner)
+        assert isinstance(planner, ShardedPlanner) and planner.num_shards == 1
         assert isinstance(indexed.pmi, ProbabilisticMatrixIndex)
-        row = planner.pmi.row(0)
+        (shard,) = planner.shards
+        row = shard.pmi.row(0)
         assert np.shares_memory(row.lower, indexed.pmi._lower)
         assert np.shares_memory(row.upper, indexed.pmi._upper)
         assert np.shares_memory(row.present, indexed.pmi._present)
-        assert planner.structural_index.base is indexed.structural_index
-        assert planner.structural_index.num_graphs == len(indexed.graphs)
+        assert shard.structural_index.base is indexed.structural_index
+        assert shard.structural_index.num_graphs == len(indexed.graphs)
 
     def test_plan_is_reusable(self, indexed, workload):
         config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
         plan = indexed.planner.plan(workload[0], 0.3, 1, config)
-        first = indexed.planner.execute_plan(plan, rng=3)
-        second = indexed.planner.execute_plan(plan, rng=3)
+        first, second = indexed.planner.execute_plans([plan, plan], [3, 3])
         assert answers_as_tuples(first) == answers_as_tuples(second)
 
     def test_row_views_share_index_memory(self, indexed):

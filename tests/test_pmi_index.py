@@ -58,13 +58,6 @@ class TestBuild:
             index.feature_by_id(9999)
         assert index.bounds(0, 9999) is None
 
-    def test_graphs_containing_feature_consistent_with_rows(self, built_index):
-        index, _ = built_index
-        feature_id = index.features[0].feature_id
-        containing = index.graphs_containing_feature(feature_id)
-        for graph_id in containing:
-            assert feature_id in index.bounds_for_graph(graph_id)
-
     def test_summary_and_size(self, built_index):
         index, database = built_index
         summary = index.summary()
@@ -147,18 +140,22 @@ class TestScalarSamplerIsOutOfTheBuild:
 
         monkeypatch.setattr(WorldSampler, "__init__", refuse)
         graphs = small_ppi_database.graphs
-        index = ProbabilisticMatrixIndex(
+        base = ProbabilisticMatrixIndex(
             feature_config=FeatureSelectionConfig(max_vertices=3, max_features=8),
             bound_config=BoundConfig(num_samples=30),
         ).build(graphs[:6], rng=5, graph_ids=range(6))
-        index.append(graphs[6:], graph_ids=range(6, len(graphs)), rng=5)
+        # a grown index: the new rows built against the base's features, stacked on
+        tail = ProbabilisticMatrixIndex(base.feature_config, base.bound_config).build(
+            graphs[6:], features=base.features, rng=5, graph_ids=range(6, len(graphs))
+        )
+        index = ProbabilisticMatrixIndex.concat_rows([base, tail])
         assert index.num_graphs == len(graphs)
         assert index.entries()
 
 
 class TestRefusedGraphs:
     """A factor wider than the batch sampler's pattern code is a typed error
-    naming the graph and the width — and leaves the index as it was."""
+    naming the graph and the width."""
 
     def test_build_names_graph_id_and_factor_width(self, built_index):
         index, database = built_index
@@ -167,15 +164,6 @@ class TestRefusedGraphs:
             ProbabilisticMatrixIndex(bound_config=BoundConfig(num_samples=10)).build(
                 graphs, features=index.features, rng=5, graph_ids=[40, 7, 41]
             )
-
-    def test_failed_append_leaves_the_index_untouched(self, built_index):
-        index, database = built_index
-        grown = index.subset(range(index.num_graphs))
-        before = grown.entries()
-        with pytest.raises(ConfigurationError, match=r"graph 9 .*33 edges"):
-            grown.append([database.graphs[0], wide_factor_graph(33)], [8, 9], rng=5)
-        assert grown.num_graphs == index.num_graphs
-        assert grown.entries() == before
 
 
 class TestRowViews:

@@ -9,6 +9,7 @@ fixture below) never an orphaned shared-memory segment:
 * a SIGKILL'd pool worker — the broken pool falls back in-process with
   byte-identical answers, then rebuilds;
 * a full admission queue — immediate ``overloaded``;
+* a bool where a mutation expects an external id — ``bad_request``;
 * graceful shutdown mid-batch — queued work completes, new work gets
   ``shutting_down``;
 * ``ShardedPlanner.close()`` double-close and close-during-inflight —
@@ -39,7 +40,7 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.exceptions import ServiceError
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig
-from repro.service.protocol import DEADLINE_EXCEEDED, OVERLOADED, SHUTTING_DOWN
+from repro.service.protocol import BAD_REQUEST, DEADLINE_EXCEEDED, OVERLOADED, SHUTTING_DOWN
 from repro.utils.shm import resident_segment_names
 
 PROBABILITY_THRESHOLD = 0.3
@@ -304,6 +305,26 @@ def test_full_admission_queue_is_typed_and_never_hangs():
                 assert all(result is not None for result in results)
                 stats = await client.stats()
                 assert stats["counters"]["rejected_overloaded"] == 1
+        finally:
+            catalog.close()
+
+    asyncio.run(scenario())
+
+
+def test_bool_external_id_is_a_bad_request():
+    """``"external_id": true`` is no id: a ``bad_request`` frame, as for a
+    bool anywhere else on the wire, and the free id 1 stays free."""
+
+    async def scenario():
+        database, catalog = build_catalog(seed=7011)
+        try:
+            async with QueryService(catalog, ServiceConfig(search_config=SEARCH_CONFIG)) as service:
+                client = ServiceClient(service)
+                await client.remove_graph(1)
+                with pytest.raises(ServiceError) as excinfo:
+                    await client.add_graph(database.graphs[1], external_id=True)
+                assert excinfo.value.code == BAD_REQUEST
+                assert catalog.live_external_ids() == [0, 2, 3, 4, 5]
         finally:
             catalog.close()
 

@@ -285,3 +285,46 @@ class TestTopKPruningEffectiveness:
             verification_stage.pruned
             == verification_stage.examined - top.statistics.verified
         )
+
+    def test_one_shard_floor_skips_on_a_two_tier_database(self):
+        """A high-probability tier the answers come from beside a low one, as
+        in ``benchmarks/bench_topk_throughput.py``.  The pinned counts are
+        what one shard's floor must skip: a floor that stops skipping
+        verifies every survivor (12 per query here).  Answers stay the exact
+        scan's."""
+        high, low = (
+            generate_ppi_database(
+                PPIDatasetConfig(
+                    num_graphs=num_graphs,
+                    num_families=3,
+                    vertices_per_graph=8,
+                    edges_per_graph=9,
+                    motif_vertices=4,
+                    motif_edges=4,
+                    mean_edge_probability=probability,
+                    probability_spread=0.08,
+                ),
+                rng=7,
+            )
+            for num_graphs, probability in ((12, 0.9), (24, 0.15))
+        )
+        graphs = high.graphs + low.graphs
+        engine = ProbabilisticGraphDatabase(graphs).build_index(
+            feature_config=FeatureSelectionConfig(
+                alpha=0.1, beta=0.15, gamma=0.1, max_vertices=3, max_features=16
+            ),
+            bound_config=BoundConfig(method="exact"),
+            rng=7,
+        )
+        queries = list(high.family_motifs)
+        results = engine.query_top_k_many(
+            queries, 2, DISTANCE_THRESHOLD, config=EXACT_SEARCH_CONFIG, rng=7
+        )
+        assert [result.statistics.verified for result in results] == [4, 12, 11]
+        assert [result.statistics.stages[-1].pruned for result in results] == [8, 0, 1]
+        reference = ExactScanBaseline(graphs, EXACT_SCAN_CONFIG)
+        for query, result in zip(queries, results):
+            expected = reference.top_k(query, 2, DISTANCE_THRESHOLD, rng=7)
+            assert [(a.graph_id, a.probability) for a in result.answers] == [
+                (a.graph_id, a.probability) for a in expected.answers
+            ]
