@@ -11,7 +11,10 @@ this benchmark measures what that costs and what it buys:
   sent once with its first task, held against the bytes the shared-memory
   plane publishes once for everyone;
 * **pool spin-up** — wall-clock from no pool to every slot's worker
-  answering a probe;
+  answering a probe (parked pools are shut down first, so this is fork +
+  attach);
+* **reopen** — wall-clock of ``GraphCatalog.open`` plus the first query
+  after a ``close()``, on the workers that close parked;
 * **per-worker memory** — each worker's shard-attributable private bytes at
   spin-up (nothing yet; the dense arrays stay in the parent's shared
   segments) and the lazily materialized graph bytes after the workload.
@@ -36,6 +39,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,7 +47,8 @@ from pathlib import Path
 # (CI) as well as pytest collection, where the root is already importable
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.core import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro.core.sharding import shutdown_parked_pools
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.timer import Timer
@@ -165,6 +170,43 @@ def measure_spinup(database, queries, workers: int) -> dict:
     }
 
 
+def measure_reopen(database, queries, workers: int) -> dict:
+    """Seconds from a closed durable catalog to its first answer again —
+    ``GraphCatalog.open`` plus one query — on the workers the close parked
+    (the catalog was opened once before, so its graphs are the snapshot's)."""
+
+    def ask(catalog):
+        catalog.query_many(
+            queries[:1],
+            PROBABILITY_THRESHOLD,
+            DISTANCE_THRESHOLD,
+            config=SHARDED_SEARCH_CONFIG,
+            rng=BENCH_SEED,
+        )
+
+    with tempfile.TemporaryDirectory() as directory:
+        GraphCatalog.build(
+            database.graphs,
+            feature_config=BENCH_FEATURE_CONFIG,
+            bound_config=BENCH_BOUND_CONFIG,
+            rng=BENCH_SEED,
+            num_shards=NUM_SHARDS,
+            max_workers=workers,
+            directory=directory,
+        ).close()
+        catalog = GraphCatalog.open(directory, max_workers=workers)
+        ask(catalog)
+        pids = catalog.planner().map_slots(os.getpid)
+        catalog.close()
+        reopen_timer = Timer()
+        with reopen_timer:
+            catalog = GraphCatalog.open(directory, max_workers=workers)
+            ask(catalog)
+        kept = catalog.planner().map_slots(os.getpid) == pids
+        catalog.close()
+    return {"reopen_seconds": reopen_timer.elapsed, "workers_kept": kept}
+
+
 def run_sharded_comparison(database, queries, workers: int) -> dict:
     sequential_engine = ProbabilisticGraphDatabase(database.graphs)
     sequential_engine.build_index(
@@ -243,8 +285,11 @@ def run_benchmark(profile: dict) -> dict:
     queries = [record.query for record in workload]
     workers = profile["num_workers"]
 
+    # a pool parked by an earlier close would make spin-up a no-op
+    shutdown_parked_pools()
     shm_spinup = measure_spinup(database, queries, workers)
     throughput = run_sharded_comparison(database, queries, workers)
+    reopen = measure_reopen(database, queries, workers)
 
     return {
         "num_graphs": len(database.graphs),
@@ -256,6 +301,8 @@ def run_benchmark(profile: dict) -> dict:
         "shard_plane_bytes": shm_spinup["shard_bytes"],
         "shm_spinup_seconds": shm_spinup["spinup_seconds"],
         "workers_probed": shm_spinup["workers_probed"],
+        "reopen_first_query_seconds": reopen["reopen_seconds"],
+        "reopen_kept_workers": reopen["workers_kept"],
         "spinup_worker_private_dirty_kb": [
             probe["private_dirty_kb"] for probe in shm_spinup["probes"]
         ],
@@ -328,7 +375,8 @@ def main() -> None:
     )
     print(f"speedup: {report['speedup']:.2f}x")
     print(
-        f"pool spin-up: {report['shm_spinup_seconds']:.3f} s, "
+        f"pool spin-up: {report['shm_spinup_seconds']:.3f} s, reopen to first "
+        f"answer on the parked pool: {report['reopen_first_query_seconds']:.3f} s, "
         f"{report['descriptor_bytes_per_slot']} B of descriptors per slot per "
         "generation; "
         f"shard plane {report['shard_plane_bytes']} B shared, worst worker "
@@ -362,6 +410,8 @@ def main() -> None:
         f"(deserialized, live) graphs per worker {served}: something on the read "
         "path opens graphs that are not candidates"
     )
+    # a reopened catalog of the same width runs on the workers close() parked
+    assert report["reopen_kept_workers"], "the reopened catalog forked new workers"
     under_xdist = "PYTEST_XDIST_WORKER" in os.environ
     if (
         not args.smoke

@@ -71,13 +71,17 @@ under a live pool the new generation is published inside ``compact()``, the
 old one is unlinked once no fan-out reads it, and the pool stays — each
 worker swaps its shards over at its next task, keeping every graph it holds
 whose pickle the new generation stores again.  Only :meth:`close`, a broken
-pool and a compaction that changes the shard count take the planner down —
-the pool shutdown inside :meth:`ShardedPlanner.close` joins every worker
-*before* the segments unlink, so no attachment is ever torn down under a
-running query — and the next query publishes a fresh generation under new
-names.  Answers stay byte-identical throughout because workers read the
-exact arrays the catalog computed (``active_shm_segments()`` lists what is
-published, for leak checks).
+pool and a compaction that changes the shard count take the planner down,
+the full swap, and the next query publishes a fresh generation under new
+names.  :meth:`ShardedPlanner.close` parks the workers rather than joining
+them: a release task queued behind every running task makes each worker
+drop its views and mappings *before* the segments unlink, so no attachment
+is ever torn down under a running query, and the next planner of the same
+width — this catalog reopened, say — takes those workers, with the graphs
+they had deserialized, instead of forking new ones (a broken pool is shut
+down instead).  Answers stay byte-identical throughout because workers read
+the exact arrays the catalog computed (``active_shm_segments()`` lists what
+is published, for leak checks).
 
 The feature set is **pinned** at catalog construction: delta rows are
 indexed against the base features, and ``compact()`` deliberately does not
@@ -1257,8 +1261,14 @@ class GraphCatalog:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the cached planner, any sharded worker pool, and the WAL
-        append handle (idempotent; the catalog stays usable and durable)."""
+        """Release the cached planner and the WAL append handle — the full
+        swap (idempotent; the catalog stays usable and durable).
+
+        Every published segment is unlinked.  A worker pool is parked, not
+        shut down (:meth:`ShardedPlanner.close`): its released workers,
+        holding no mapping, serve the next catalog of the same pool width,
+        so a catalog reopened on the same directory forks nothing and finds
+        the graphs its workers had deserialized already there."""
         self._invalidate()
         if self._durability is not None:
             self._durability.wal.close()
@@ -1288,7 +1298,7 @@ class GraphCatalog:
             )
 
     def _invalidate(self) -> None:
-        """The full swap: drop the cached planner, closing its pool and
+        """The full swap: drop the cached planner, parking its pool and
         unlinking everything it published."""
         if self._planner_cache is not None:
             self._planner_cache.close()

@@ -78,15 +78,26 @@ new bases (:meth:`ShardedPlanner.rebase`): under a live pool the new
 generation is published at once and the old plane retires through the same
 drain barrier.  The pool stays; a worker meeting a new base drops its old
 view, detaches the old base and keeps each graph whose digest the new
-generation stores again.  :meth:`ShardedPlanner.close` is the full swap — the
-pool shutdown inside it joins every worker first, so no attachment outlives
-its segments — taken by the catalog's ``close()``, a broken pool and a
-compaction that changes the shard count.  Answers stay byte-identical
-throughout because the arrays workers read are bit-for-bit the parent's.
+generation stores again.  :meth:`ShardedPlanner.close` is the full swap of
+the plane, taken by the catalog's ``close()`` and a compaction that changes
+the shard count, and it *parks* the workers: one release task per slot —
+queued behind every task already submitted, so it is also the drain barrier
+— makes each worker drop every view, planner and descriptor, unmap every
+segment and keep only the graphs it had deserialized, keyed by pickle
+digest; only then does the plane unlink.  The slot list waits in a
+process-wide registry, at most one list per width, and the next planner of
+that width takes it instead of forking (:func:`materialize_shard` adopts the
+kept graphs, caches included, wherever their digests reappear).  A worker
+therefore holds at most one closed planner's graphs, dropped at its next
+release.  A broken pool is shut down, never parked; parked pools are shut
+down at interpreter exit or by :func:`shutdown_parked_pools`.  Answers stay
+byte-identical throughout because the arrays workers read are bit-for-bit
+the parent's.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 import hashlib
 import os
@@ -115,6 +126,7 @@ from repro.utils.shm import (
     finalize_unlink,
     publish_blob,
     read_blob,
+    release_foreign_mappings,
     unlink_segment,
 )
 
@@ -389,6 +401,7 @@ def materialize_shard(
     descriptor: ShardDescriptor,
     delta_segment: str,
     previous: DatabaseShard | None = None,
+    held: dict[bytes, ProbabilisticGraph] | None = None,
 ) -> DatabaseShard:
     """A queryable :class:`DatabaseShard` over a published base and delta.
 
@@ -408,11 +421,19 @@ def materialize_shard(
     deserialized is carried into each new row whose graph digest equals its
     own, so a graph that survives a mutation or a compaction is not
     unpickled again and keeps its caches; an updated graph has a new pickle,
-    hence a new digest, and is read afresh.
+    hence a new digest, and is read afresh.  ``held`` (digest → graph) offers
+    more graphs the same way: those a parked worker kept from the planner it
+    served before.
+
+    The delta is read before anything is attached, so a delta that cannot be
+    read raises with no new mapping left behind.
     """
     from repro.core.catalog import SegmentedPmiView, SegmentedStructuralView
 
-    held = {} if previous is None else previous.graphs.delta.by_digest()
+    delta = pickle.loads(read_blob(delta_segment))
+    carried = dict(held or {})
+    if previous is not None:
+        carried.update(previous.graphs.delta.by_digest())
     if previous is not None and previous.arena.descriptor.segment == descriptor.arena.segment:
         arena = previous.arena
         base_pmi = previous.pmi.base
@@ -421,13 +442,12 @@ def materialize_shard(
     else:
         arena, base_pmi, base_structural, base_graphs = _attach_base(descriptor)
         if previous is not None:
-            held.update(previous.graphs.base.by_digest())
-            base_graphs.adopt(held)
-    delta = pickle.loads(read_blob(delta_segment))
+            carried.update(previous.graphs.base.by_digest())
+        base_graphs.adopt(carried)
     delta_graphs = LazyGraphList(
         memoryview(delta["graphs"]), delta["graph_offsets"], digests=delta["digests"]
     )
-    delta_graphs.adopt(held)
+    delta_graphs.adopt(carried)
     features = base_pmi.features
     graph_ids = np.concatenate([arena.array("graph_ids"), delta["graph_ids"]])
     active_mask = np.ones(graph_ids.size, dtype=bool)
@@ -592,10 +612,12 @@ class ShardPlane:
 # descriptor in place of the name.  The worker keeps, per shard, the last
 # descriptor it was sent and the view and the planner it built for the last
 # delta named, so steady-state tasks ship only (shard_id, base segment name,
-# delta segment name, plan batch).
+# delta segment name, plan batch).  A parked worker holds none of that, only
+# the graphs it kept at its release (digest -> graph).
 _WORKER_DESCRIPTORS: dict[int, ShardDescriptor] = {}
 _WORKER_SHARDS: dict[int, DatabaseShard] = {}
 _WORKER_PLANNERS: dict[int, tuple[str, QueryPlanner]] = {}  # (delta segment, planner)
+_WORKER_PARKED: dict[bytes, ProbabilisticGraph] = {}
 
 
 def _execute_on_shard(
@@ -640,28 +662,57 @@ def _worker_planner(descriptor: ShardDescriptor, delta_segment: str) -> QueryPla
     A delta segment this worker has not built the shard against means the
     shard mutated, the catalog compacted, or this is the first touch: read
     that delta, keep everything of the shard's previous view that is still
-    valid (:func:`materialize_shard`), and rebuild only the planner.  A new
+    valid (:func:`materialize_shard`, which also adopts the graphs this
+    worker kept when it was parked), and rebuild only the planner.  A new
     base generation unmaps the old one here and now, not at process exit.
+    A task that fails to materialize leaves the previous view in place.
     """
     shard_id = descriptor.shard_id
     built = _WORKER_PLANNERS.get(shard_id)
     if built is not None and built[0] == delta_segment:
         return built[1]
-    # every reference to the old view, planner included, goes before the
-    # detach below: a live view into an old base keeps it mapped
-    del built
-    _WORKER_PLANNERS.pop(shard_id, None)
-    previous = _WORKER_SHARDS.pop(shard_id, None)
-    shard = materialize_shard(descriptor, delta_segment, previous=previous)
-    stale = None if previous is None or previous.arena is shard.arena else previous.arena
-    del previous
-    if stale is not None and not stale.detach():
-        gc.collect()  # a reference cycle still holds a view into the old base
-        stale.detach()
+    previous = _WORKER_SHARDS.get(shard_id)
+    shard = materialize_shard(
+        descriptor, delta_segment, previous=previous, held=_WORKER_PARKED
+    )
     planner = shard.make_planner()
     _WORKER_SHARDS[shard_id] = shard
     _WORKER_PLANNERS[shard_id] = (delta_segment, planner)
+    # every reference to the old view, planner included, goes before the
+    # detach below: a live view into an old base keeps it mapped
+    stale = None if previous is None or previous.arena is shard.arena else previous.arena
+    del built, previous
+    if stale is not None and not stale.detach():
+        gc.collect()  # a reference cycle still holds a view into the old base
+        stale.detach()
     return planner
+
+
+def _release_worker() -> int:
+    """The task a closing planner runs in every slot it parks.
+
+    The worker forgets every shard — view, planner, descriptor — and closes
+    every mapping it holds, its attaches and those it inherited at fork, so
+    a parked worker maps no segment.  It keeps the graphs it had
+    deserialized, keyed by pickle digest, for the next planner of its width
+    to adopt, and drops the ones it kept at its previous release.  Returns
+    how many graphs it keeps.
+    """
+    kept = {
+        digest: graph
+        for shard in _WORKER_SHARDS.values()
+        for part in (shard.graphs.base, shard.graphs.delta)
+        for digest, graph in part.by_digest().items()
+    }
+    _WORKER_PARKED.clear()
+    _WORKER_PARKED.update(kept)
+    _WORKER_PLANNERS.clear()
+    _WORKER_SHARDS.clear()
+    _WORKER_DESCRIPTORS.clear()
+    if release_foreign_mappings():
+        gc.collect()  # a reference cycle still holds a view into a base
+        release_foreign_mappings()
+    return len(kept)
 
 
 # ----------------------------------------------------------------------
@@ -852,31 +903,46 @@ class ShardedPlanner:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pool down and retire every published segment.
+        """Park the pool and retire every published segment.
 
-        Order matters: the pool shutdown joins every worker first — the
-        barrier after which no process holds a mapping or has a task left to
-        open one — and only then does the plane unlink, bases and deltas
-        alike.  A new query re-creates both, publishing a fresh generation
-        under new names.  This is the full swap: the catalog's ``close()``,
-        the ``BrokenProcessPool`` fallback and a compaction that changes the
-        shard count come here.  A mutation does not (:meth:`replace_shards`),
+        Order matters: each slot first runs one release task, queued behind
+        every task already submitted to it — the barrier after which no
+        worker holds a mapping or has a task left to open one — and only
+        then does the plane unlink, bases and deltas alike.  The released
+        workers keep only the graphs they had deserialized, keyed by pickle
+        digest, and the slot list is parked for the next planner of the same
+        width, which takes it instead of forking (this one included).  A
+        slot whose worker died cannot release: then every slot is shut down
+        and nothing is parked.  A new query publishes a fresh generation
+        under new names.  This is the full swap: the catalog's ``close()``
+        and a compaction that changes the shard count come here; the
+        ``BrokenProcessPool`` fallback takes it too, shutting the slots down
+        instead of parking them.  A mutation does not (:meth:`replace_shards`),
         and neither does a compaction that keeps the shard count
         (:meth:`rebase`).
 
-        Safe under concurrency (the drain-on-shutdown contract): idempotent
+        Safe under concurrency (the drain-on-close contract): idempotent
         — a second ``close()``, including one racing the first from another
         thread, is a no-op — and a ``close()`` racing an in-flight
-        :meth:`execute_plans` drains it rather than tearing it down: the pool
-        shutdown waits for every submitted task, so the in-flight query
-        still returns its (byte-identical) answers and no worker ever
-        outlives the segments it has attached.
+        :meth:`execute_plans` drains it rather than tearing it down: the
+        release task runs after every submitted task, so the in-flight query
+        still returns its (byte-identical) answers and no worker keeps a
+        mapping of the segments that unlink.
         """
+        self._close(park=True)
+
+    def _close(self, park: bool) -> None:
         with self._lock:
-            self._shutdown_pool()
-            if self._plane is not None:
-                self._plane.close()
-                self._plane = None
+            slots = self._take_slots()
+            try:
+                if park:
+                    _park(slots)
+                else:
+                    _shutdown(slots)
+            finally:
+                if self._plane is not None:
+                    self._plane.close()
+                    self._plane = None
 
     # ------------------------------------------------------------------
     # internals
@@ -889,11 +955,11 @@ class ShardedPlanner:
         are republished, every shard's delta segment is marked in flight and
         the tasks naming them are submitted, shard ``i`` to slot ``i mod W``
         — so a concurrent ``close()`` either runs before this batch (which
-        then builds a fresh pool) or drains it (pool shutdown waits for
-        submitted tasks), and a concurrent mutation or rebase lands wholly
-        before or wholly after it.  A slot runs its tasks in submission
-        order, so the task that carries a descriptor precedes every task
-        that names its base.  The plan batch is pickled once and every task
+        then takes a parked pool or builds one) or drains it (its release
+        tasks queue behind the batch's), and a concurrent mutation or rebase
+        lands wholly before or wholly after it.  A slot runs its tasks in
+        submission order, so the task that carries a descriptor precedes
+        every task that names its base.  The plan batch is pickled once and every task
         carries the same bytes.  Waiting on the futures happens outside the
         lock so concurrent submitters and a draining ``close()`` never
         deadlock on each other; once every task has finished the segments
@@ -924,8 +990,8 @@ class ShardedPlanner:
         except BrokenProcessPool:
             # a killed worker poisons its slot; answers are deterministic
             # either way, so finish this call in-process and let the next
-            # call build a fresh pool
-            self.close()
+            # call build a fresh pool (a broken pool is never parked)
+            self._close(park=False)
             return self._execute_serial(plans, roots)
         finally:
             if deltas:
@@ -986,29 +1052,83 @@ class ShardedPlanner:
             futures = [slot.submit(fn, *args) for slot in self._ensure_slots(workers)]
         return [future.result() for future in futures]
 
-    def _shutdown_pool(self) -> None:
-        """Join and drop every slot, leaving the plane published.
-
-        ``shutdown()`` waits for every already-submitted task, so a close
-        racing an in-flight query drains it instead of cancelling it.  A new
-        worker has been sent no descriptor, so none counts as shipped.
-        """
+    def _take_slots(self) -> list[ProcessPoolExecutor]:
+        """Hand every slot over, to be parked or shut down.  Whatever
+        worker serves this planner next, released or new, has been sent no
+        descriptor, so none counts as shipped."""
         with self._lock:
-            for slot in self._slots:
-                slot.shutdown()
-            self._slots = []
+            slots, self._slots = self._slots, []
             self._shipped.clear()
+            return slots
 
     def _ensure_slots(self, workers: int) -> list[ProcessPoolExecutor]:
+        """The planner's slots: its own, else the parked list of this width,
+        else ``workers`` new single-process executors."""
         with self._lock:
             if self._slots and len(self._slots) != workers:
-                # resize: recycle only the workers — the published plane
+                # resize: park only the workers — the published plane
                 # survives, so the new ones attach via O(1) descriptors
                 # instead of paying a fresh copy of every shard
-                self._shutdown_pool()
+                _park(self._take_slots())
             if not self._slots:
-                self._slots = [ProcessPoolExecutor(max_workers=1) for _ in range(workers)]
+                self._slots = _take_parked(workers) or [
+                    ProcessPoolExecutor(max_workers=1) for _ in range(workers)
+                ]
             return self._slots
+
+
+# ----------------------------------------------------------------------
+# parked pools
+# ----------------------------------------------------------------------
+# (pid, width) -> the released slots of a closed planner, waiting for the
+# next one; keyed by pid like the shm registry, so a forked child never
+# takes or shuts down its parent's executors
+_PARKED: dict[tuple[int, int], list[ProcessPoolExecutor]] = {}
+_PARKED_LOCK = threading.Lock()
+
+
+def _park(slots: list[ProcessPoolExecutor]) -> None:
+    """Release every slot's worker (:func:`_release_worker`) and park the
+    list for the next planner of its width; the list parked there before is
+    shut down.  A slot that cannot release — its worker died — takes every
+    slot of the list down with it."""
+    if not slots:
+        return
+    try:
+        for future in [slot.submit(_release_worker) for slot in slots]:
+            future.result()
+    except BrokenProcessPool:
+        _shutdown(slots)
+        return
+    with _PARKED_LOCK:
+        replaced = _PARKED.get((os.getpid(), len(slots)), [])
+        _PARKED[os.getpid(), len(slots)] = slots
+    _shutdown(replaced)
+
+
+def _take_parked(width: int) -> list[ProcessPoolExecutor] | None:
+    """The parked slot list of ``width``, now the caller's alone."""
+    with _PARKED_LOCK:
+        return _PARKED.pop((os.getpid(), width), None)
+
+
+def _shutdown(slots: list[ProcessPoolExecutor]) -> None:
+    """Join every slot's worker; ``shutdown()`` waits for every task already
+    submitted, so a close racing an in-flight query drains it."""
+    for slot in slots:
+        slot.shutdown()
+
+
+@atexit.register
+def shutdown_parked_pools() -> None:
+    """Shut every parked pool down (also run at interpreter exit).  The next
+    planner forks fresh workers: what a test that patches worker-side code,
+    or a benchmark that times a cold pool, needs first."""
+    with _PARKED_LOCK:
+        mine = [key for key in _PARKED if key[0] == os.getpid()]
+        parked = [_PARKED.pop(key) for key in mine]
+    for slots in parked:
+        _shutdown(slots)
 
 
 def _validated(shards: list[DatabaseShard]) -> list[DatabaseShard]:

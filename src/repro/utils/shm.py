@@ -70,6 +70,7 @@ __all__ = [
     "owned_segment_names",
     "publish_blob",
     "read_blob",
+    "release_foreign_mappings",
     "resident_segment_names",
     "unlink_segment",
 ]
@@ -160,6 +161,32 @@ def release_segment(segment: shared_memory.SharedMemory) -> bool:
     with _REGISTRY_LOCK:
         _ATTACHED.pop(id(segment), None)
     return True
+
+
+def release_foreign_mappings() -> int:
+    """Close every mapping this process holds of a segment it did not
+    create; returns how many had to stay (a live view still exports them).
+
+    Those are its attaches and, in a forked child, the segments its parent
+    had created before the fork: the child inherits the registry entries
+    together with the mappings, and the pid guard keeps it from unlinking
+    them, not from closing its own copy.  A pool worker that outlives the
+    planner it served calls this, so it maps nothing while it waits.
+    """
+    pid = os.getpid()
+    with _REGISTRY_LOCK:
+        inherited = {name: entry for name, entry in _OWNED.items() if entry[1] != pid}
+        attached = list(_ATTACHED.values())
+    stayed = 0
+    for name, (segment, _) in inherited.items():
+        try:
+            segment.close()
+        except BufferError:
+            stayed += 1
+            continue
+        with _REGISTRY_LOCK:
+            _OWNED.pop(name, None)
+    return stayed + sum(not release_segment(segment) for segment in attached)
 
 
 @contextlib.contextmanager

@@ -7,9 +7,19 @@ import random
 
 import pytest
 
+from repro.core.sharding import shutdown_parked_pools
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph, VariantRows
 from repro.probability import JointProbabilityTable
+
+
+@pytest.fixture(autouse=True)
+def no_parked_pools():
+    """A closed planner parks its workers for the next one of its width;
+    shut them down after every test, so no worker outlives its test and a
+    test that patches worker-side code reaches freshly forked workers."""
+    yield
+    shutdown_parked_pools()
 
 
 @pytest.fixture

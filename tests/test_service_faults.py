@@ -269,6 +269,44 @@ def test_sigkilled_pool_worker_recovers_with_identical_answers():
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("then", ["close", "query"])
+def test_a_sigkilled_slot_is_never_parked(then):
+    """A closed planner parks its workers for the next one of its width, but
+    not a pool with a dead worker: whether ``close()`` finds it dead (its
+    release task fails) or a query does first (the in-process fallback), the
+    next catalog forks fresh workers, all of them."""
+    database, catalog = build_catalog(seed=7013, num_shards=2, max_workers=2)
+    query = extract_query(database.graphs[0].skeleton, 3, rng=120)
+
+    def ask(target, rng):
+        return answer_tuples(
+            target.query(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=rng
+            )
+        )
+
+    successor = None
+    try:
+        ask(catalog, 121)
+        planner = catalog.planner()
+        pids = planner.map_slots(os.getpid)
+        os.kill(shard_zero_worker(planner), signal.SIGKILL)
+        if then == "query":
+            assert ask(catalog, 122) == twin_answer(catalog, query, rng=122)
+        catalog.close()
+        assert not os.path.isdir(f"/proc/{pids[1]}"), "the live sibling was parked"
+        successor = build_catalog(seed=7014, num_shards=2, max_workers=2)[1]
+        assert not set(pids) & set(successor.planner().map_slots(os.getpid))
+        # and a healthy close parks as before
+        fresh = successor.planner().map_slots(os.getpid)
+        successor.close()
+        assert catalog.planner().map_slots(os.getpid) == fresh
+    finally:
+        catalog.close()
+        if successor is not None:
+            successor.close()
+
+
 def test_full_admission_queue_is_typed_and_never_hangs():
     """Submissions beyond ``max_queue_depth`` fail fast with ``overloaded``."""
 
