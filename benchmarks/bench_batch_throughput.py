@@ -28,11 +28,11 @@ BATCH_SEARCH_CONFIG = SearchConfig(
 )
 
 
-def run_throughput_comparison(engine, queries) -> dict:
+def run_throughput_comparison(catalog, queries) -> dict:
     sequential_timer = Timer()
     with sequential_timer:
         sequential_results = [
-            engine.query(
+            catalog.query(
                 query,
                 PROBABILITY_THRESHOLD,
                 DISTANCE_THRESHOLD,
@@ -43,7 +43,7 @@ def run_throughput_comparison(engine, queries) -> dict:
         ]
     batch_timer = Timer()
     with batch_timer:
-        batch_results = engine.query_many(
+        batch_results = catalog.query_many(
             queries,
             PROBABILITY_THRESHOLD,
             DISTANCE_THRESHOLD,
@@ -61,7 +61,7 @@ def run_throughput_comparison(engine, queries) -> dict:
     }
 
 
-def test_batch_throughput(benchmark, bench_engine, bench_database):
+def test_batch_throughput(benchmark, bench_index, bench_database):
     workload = generate_query_workload(
         bench_database.graphs,
         query_size=QUERY_SIZE,
@@ -71,7 +71,7 @@ def test_batch_throughput(benchmark, bench_engine, bench_database):
     )
     queries = [record.query for record in workload]
     report = benchmark.pedantic(
-        run_throughput_comparison, args=(bench_engine, queries), rounds=1, iterations=1
+        run_throughput_comparison, args=(bench_index.catalog, queries), rounds=1, iterations=1
     )
     totals = aggregate_statistics(report["batch_results"])
     print_table(

@@ -25,8 +25,8 @@ PROBABILITY_THRESHOLDS = [0.3, 0.4, 0.5, 0.6, 0.7]
 DISTANCE_THRESHOLD = 1
 
 
-def run_threshold_sweep(engine, workload) -> list[dict]:
-    structural_filter = StructuralFilter(engine.structural_index)
+def run_threshold_sweep(index, workload) -> list[dict]:
+    structural_filter = StructuralFilter(index.structural_index)
     rows = []
     for epsilon in PROBABILITY_THRESHOLDS:
         structure_candidates = 0
@@ -42,12 +42,12 @@ def run_threshold_sweep(engine, workload) -> list[dict]:
             structure_candidates += structural.candidate_count
             for _name, entry in results.items():
                 pruner = ProbabilisticPruner(
-                    engine.pmi.features, config=entry["config"], rng=BENCH_SEED
+                    index.pmi.features, config=entry["config"], rng=BENCH_SEED
                 )
                 with entry["timer"]:
                     for graph_id in structural.candidate_ids:
                         bounds = pruner.compute_bounds(
-                            relaxed, engine.pmi.bounds_for_graph(graph_id)
+                            relaxed, index.pmi.bounds_for_graph(graph_id)
                         )
                         if pruner.decide(bounds, epsilon) is not PruningDecision.PRUNED:
                             entry["candidates"] += 1
@@ -66,9 +66,9 @@ def run_threshold_sweep(engine, workload) -> list[dict]:
     return rows
 
 
-def test_fig10_candidate_size_and_pruning_time(benchmark, bench_engine, bench_workload):
+def test_fig10_candidate_size_and_pruning_time(benchmark, bench_index, bench_workload):
     rows = benchmark.pedantic(
-        run_threshold_sweep, args=(bench_engine, bench_workload), rounds=1, iterations=1
+        run_threshold_sweep, args=(bench_index, bench_workload), rounds=1, iterations=1
     )
     print_table(
         "Figure 10(a): average candidate size vs probability threshold",

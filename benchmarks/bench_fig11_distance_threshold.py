@@ -27,24 +27,24 @@ DISTANCE_THRESHOLDS = [1, 2, 3]
 PROBABILITY_THRESHOLD = 0.5
 
 
-def build_plain_index(engine) -> ProbabilisticMatrixIndex:
+def build_plain_index(index) -> ProbabilisticMatrixIndex:
     """A second PMI whose cells hold the non-optimized SIP bounds."""
     plain = ProbabilisticMatrixIndex(
-        feature_config=engine.pmi.feature_config,
+        feature_config=index.pmi.feature_config,
         bound_config=BoundConfig(
             num_samples=BENCH_BOUND_CONFIG.num_samples,
             embedding_limit=BENCH_BOUND_CONFIG.embedding_limit,
             optimize=False,
         ),
     )
-    plain.build(engine.graphs, features=engine.pmi.features, rng=BENCH_SEED)
+    plain.build(index.graphs, features=index.pmi.features, rng=BENCH_SEED)
     return plain
 
 
-def run_distance_sweep(engine, workload) -> list[dict]:
-    structural_filter = StructuralFilter(engine.structural_index)
-    plain_index = build_plain_index(engine)
-    indexes = {"SIPBound": plain_index, "OPT-SIPBound": engine.pmi}
+def run_distance_sweep(index, workload) -> list[dict]:
+    structural_filter = StructuralFilter(index.structural_index)
+    plain_index = build_plain_index(index)
+    indexes = {"SIPBound": plain_index, "OPT-SIPBound": index.pmi}
     rows = []
     for delta in DISTANCE_THRESHOLDS:
         structure_candidates = 0
@@ -82,9 +82,9 @@ def run_distance_sweep(engine, workload) -> list[dict]:
     return rows
 
 
-def test_fig11_candidate_size_and_time_vs_distance(benchmark, bench_engine, bench_workload):
+def test_fig11_candidate_size_and_time_vs_distance(benchmark, bench_index, bench_workload):
     rows = benchmark.pedantic(
-        run_distance_sweep, args=(bench_engine, bench_workload), rounds=1, iterations=1
+        run_distance_sweep, args=(bench_index, bench_workload), rounds=1, iterations=1
     )
     print_table(
         "Figure 11(a): average candidate size vs subgraph distance threshold",

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from repro.baselines import ExactScanBaseline
 from repro.baselines.exact_scan import ExactScanConfig
-from repro.core import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import generate_ppi_database, generate_query_workload
 from repro.utils.timer import Timer
 
@@ -48,9 +48,11 @@ def run_scalability_sweep() -> list[dict]:
         workload = generate_query_workload(
             dataset.graphs, query_size=QUERY_SIZE, num_queries=NUM_QUERIES, rng=BENCH_SEED
         )
-        engine = ProbabilisticGraphDatabase(dataset.graphs)
-        engine.build_index(
-            feature_config=BENCH_FEATURE_CONFIG, bound_config=BENCH_BOUND_CONFIG, rng=BENCH_SEED
+        catalog = GraphCatalog.build(
+            dataset.graphs,
+            feature_config=BENCH_FEATURE_CONFIG,
+            bound_config=BENCH_BOUND_CONFIG,
+            rng=BENCH_SEED,
         )
         scan = ExactScanBaseline(
             dataset.graphs,
@@ -67,7 +69,7 @@ def run_scalability_sweep() -> list[dict]:
         )
         for record in workload:
             with pmi_time:
-                pmi_result = engine.query(
+                pmi_result = catalog.query(
                     record.query,
                     PROBABILITY_THRESHOLD,
                     DISTANCE_THRESHOLD,
@@ -87,7 +89,7 @@ def run_scalability_sweep() -> list[dict]:
                 "exact_seconds": exact_time.elapsed / NUM_QUERIES,
                 "pmi_verified": pmi_verified / NUM_QUERIES,
                 "exact_verified": exact_verified / NUM_QUERIES,
-                "index_build_seconds": engine.pmi.build_seconds,
+                "index_build_seconds": catalog.planner().shards[0].pmi.base.build_seconds,
             }
         )
     return rows

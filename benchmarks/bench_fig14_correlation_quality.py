@@ -16,7 +16,7 @@ labels here.
 from __future__ import annotations
 
 from repro.baselines import database_to_independent
-from repro.core import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import generate_query_workload
 
 from benchmarks.conftest import (
@@ -32,7 +32,7 @@ QUERY_SIZE = 4
 NUM_QUERIES = 6
 
 
-def _evaluate(engine, workload, organisms, epsilon) -> tuple[float, float]:
+def _evaluate(catalog, workload, organisms, epsilon) -> tuple[float, float]:
     """(precision, recall) of organism recovery at threshold ``epsilon``."""
     config = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=300))
     true_positive = 0
@@ -42,7 +42,7 @@ def _evaluate(engine, workload, organisms, epsilon) -> tuple[float, float]:
         family = record.organism
         family_members = {i for i, value in enumerate(organisms) if value == family}
         relevant += len(family_members)
-        result = engine.query(
+        result = catalog.query(
             record.query, epsilon, DISTANCE_THRESHOLD, config=config, rng=BENCH_SEED
         )
         answered = result.answer_ids()
@@ -61,21 +61,18 @@ def run_quality_comparison(database) -> list[dict]:
         organisms=database.organisms,
         rng=BENCH_SEED,
     )
-    correlated_engine = ProbabilisticGraphDatabase(database.graphs)
-    correlated_engine.build_index(
+    build = dict(
         feature_config=BENCH_FEATURE_CONFIG, bound_config=BENCH_BOUND_CONFIG, rng=BENCH_SEED
     )
-    independent_engine = ProbabilisticGraphDatabase(database_to_independent(database.graphs))
-    independent_engine.build_index(
-        feature_config=BENCH_FEATURE_CONFIG, bound_config=BENCH_BOUND_CONFIG, rng=BENCH_SEED
-    )
+    correlated = GraphCatalog.build(database.graphs, **build)
+    independent = GraphCatalog.build(database_to_independent(database.graphs), **build)
     rows = []
     for epsilon in PROBABILITY_THRESHOLDS:
         cor_precision, cor_recall = _evaluate(
-            correlated_engine, workload, database.organisms, epsilon
+            correlated, workload, database.organisms, epsilon
         )
         ind_precision, ind_recall = _evaluate(
-            independent_engine, workload, database.organisms, epsilon
+            independent, workload, database.organisms, epsilon
         )
         rows.append(
             {

@@ -47,7 +47,7 @@ from pathlib import Path
 # (CI) as well as pytest collection, where the root is already importable
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.core import GraphCatalog, ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.core.sharding import shutdown_parked_pools
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.utils.atomic_io import atomic_write_text
@@ -137,8 +137,8 @@ def _worker_probe() -> dict:
 def measure_spinup(database, queries, workers: int) -> dict:
     """Pool spin-up cost and the descriptor bytes a slot is sent per
     generation (read off the plane the first query publishes)."""
-    engine = ProbabilisticGraphDatabase(database.graphs)
-    engine.build_index(
+    catalog = GraphCatalog.build(
+        database.graphs,
         feature_config=BENCH_FEATURE_CONFIG,
         bound_config=BENCH_BOUND_CONFIG,
         rng=BENCH_SEED,
@@ -148,19 +148,19 @@ def measure_spinup(database, queries, workers: int) -> dict:
     try:
         spinup_timer = Timer()
         with spinup_timer:
-            probes = engine.planner.map_slots(_worker_probe)
-        engine.query_many(
+            probes = catalog.planner().map_slots(_worker_probe)
+        catalog.query_many(
             queries[:1],
             PROBABILITY_THRESHOLD,
             DISTANCE_THRESHOLD,
             config=SHARDED_SEARCH_CONFIG,
             rng=BENCH_SEED,
         )
-        plane = engine.planner.shard_plane
-        slot_bytes = plane.payload_bytes(engine.planner.width)
+        plane = catalog.planner().shard_plane
+        slot_bytes = plane.payload_bytes(catalog.planner().width)
         shard_bytes = plane.shard_bytes()
     finally:
-        engine.close()
+        catalog.close()
     return {
         "slot_bytes": slot_bytes,
         "spinup_seconds": spinup_timer.elapsed,
@@ -208,14 +208,14 @@ def measure_reopen(database, queries, workers: int) -> dict:
 
 
 def run_sharded_comparison(database, queries, workers: int) -> dict:
-    sequential_engine = ProbabilisticGraphDatabase(database.graphs)
-    sequential_engine.build_index(
+    sequential_catalog = GraphCatalog.build(
+        database.graphs,
         feature_config=BENCH_FEATURE_CONFIG,
         bound_config=BENCH_BOUND_CONFIG,
         rng=BENCH_SEED,
     )
-    sharded_engine = ProbabilisticGraphDatabase(database.graphs)
-    sharded_engine.build_index(
+    sharded_catalog = GraphCatalog.build(
+        database.graphs,
         feature_config=BENCH_FEATURE_CONFIG,
         bound_config=BENCH_BOUND_CONFIG,
         rng=BENCH_SEED,
@@ -225,7 +225,7 @@ def run_sharded_comparison(database, queries, workers: int) -> dict:
 
     sequential_timer = Timer()
     with sequential_timer:
-        sequential_results = sequential_engine.query_many(
+        sequential_results = sequential_catalog.query_many(
             queries,
             PROBABILITY_THRESHOLD,
             DISTANCE_THRESHOLD,
@@ -235,7 +235,7 @@ def run_sharded_comparison(database, queries, workers: int) -> dict:
 
     # warm the pool (worker spawn + segment attach) outside the timed region,
     # the way a serving deployment would run with long-lived workers
-    sharded_engine.query_many(
+    sharded_catalog.query_many(
         queries[:1],
         PROBABILITY_THRESHOLD,
         DISTANCE_THRESHOLD,
@@ -244,7 +244,7 @@ def run_sharded_comparison(database, queries, workers: int) -> dict:
     )
     sharded_timer = Timer()
     with sharded_timer:
-        sharded_results = sharded_engine.query_many(
+        sharded_results = sharded_catalog.query_many(
             queries,
             PROBABILITY_THRESHOLD,
             DISTANCE_THRESHOLD,
@@ -253,8 +253,8 @@ def run_sharded_comparison(database, queries, workers: int) -> dict:
         )
     # after the workload: how much private graph memory did lazy
     # materialization actually cost each worker?
-    post_query_probes = sharded_engine.planner.map_slots(_worker_probe)
-    sharded_engine.close()
+    post_query_probes = sharded_catalog.planner().map_slots(_worker_probe)
+    sharded_catalog.close()
 
     # parity first: a sharded run that answers differently is wrong, not fast
     for sequential, sharded in zip(sequential_results, sharded_results):

@@ -13,6 +13,7 @@ absolute seconds.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 
 import pytest
 
@@ -23,9 +24,11 @@ import pytest
 # next to the SIP-bound computations being measured).
 sys.dont_write_bytecode = True
 
-from repro.core import ProbabilisticGraphDatabase
+from repro.core import GraphCatalog
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
-from repro.pmi import BoundConfig, FeatureSelectionConfig
+from repro.graphs import ProbabilisticGraph
+from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
+from repro.structural import StructuralFeatureIndex
 
 BENCH_SEED = 20120901
 
@@ -62,16 +65,29 @@ def bench_database():
     return generate_ppi_database(BENCH_DATASET_CONFIG, rng=BENCH_SEED)
 
 
+@dataclass(frozen=True)
+class BenchIndex:
+    """The benchmark database's PMI and structural index, built directly,
+    and the catalog that queries them."""
+
+    graphs: list[ProbabilisticGraph]
+    pmi: ProbabilisticMatrixIndex
+    structural_index: StructuralFeatureIndex
+    catalog: GraphCatalog
+
+
 @pytest.fixture(scope="session")
-def bench_engine(bench_database):
-    """A fully indexed search engine over the benchmark database."""
-    engine = ProbabilisticGraphDatabase(bench_database.graphs)
-    engine.build_index(
-        feature_config=BENCH_FEATURE_CONFIG,
-        bound_config=BENCH_BOUND_CONFIG,
-        rng=BENCH_SEED,
-    )
-    return engine
+def bench_index(bench_database):
+    """Both indexes over the benchmark database (``GraphCatalog.build``'s
+    one shard, cell for cell) and a catalog over them."""
+    graphs = bench_database.graphs
+    pmi = ProbabilisticMatrixIndex(
+        feature_config=BENCH_FEATURE_CONFIG, bound_config=BENCH_BOUND_CONFIG
+    ).build(graphs, rng=BENCH_SEED)
+    structural = StructuralFeatureIndex(
+        embedding_limit=BENCH_FEATURE_CONFIG.embedding_limit
+    ).build([graph.skeleton for graph in graphs], pmi.features)
+    return BenchIndex(graphs, pmi, structural, GraphCatalog.from_index(graphs, pmi, structural))
 
 
 @pytest.fixture(scope="session")

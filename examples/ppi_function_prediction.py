@@ -13,7 +13,7 @@ Run with:  python examples/ppi_function_prediction.py
 
 from __future__ import annotations
 
-from repro import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro import GraphCatalog, SearchConfig, VerificationConfig
 from repro.baselines import database_to_independent
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig
@@ -22,14 +22,13 @@ PROBABILITY_THRESHOLD = 0.35
 DISTANCE_THRESHOLD = 1
 
 
-def build_engine(graphs, seed):
-    engine = ProbabilisticGraphDatabase(graphs)
-    engine.build_index(
+def build_catalog(graphs, seed):
+    return GraphCatalog.build(
+        graphs,
         feature_config=FeatureSelectionConfig(max_vertices=3, max_features=14),
         bound_config=BoundConfig(num_samples=100),
         rng=seed,
     )
-    return engine
 
 
 def main() -> None:
@@ -55,12 +54,12 @@ def main() -> None:
 
     config = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=600))
 
-    correlated = build_engine(dataset.graphs, seed=11)
+    correlated = build_catalog(dataset.graphs, seed=11)
     cor_result = correlated.query(
         module, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=config, rng=11
     )
 
-    independent = build_engine(database_to_independent(dataset.graphs), seed=11)
+    independent = build_catalog(database_to_independent(dataset.graphs), seed=11)
     ind_result = independent.query(
         module, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=config, rng=11
     )

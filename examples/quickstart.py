@@ -1,5 +1,5 @@
-"""Quickstart: index a small probabilistic graph database, run a threshold
-query, a top-k query, and a mutation through the catalog layer.
+"""Quickstart: index a small probabilistic graph database as a GraphCatalog,
+run a threshold query, a top-k query, and a mutation.
 
 Run with:  python examples/quickstart.py
 
@@ -11,7 +11,7 @@ value ever drifts.
 
 from __future__ import annotations
 
-from repro import GraphCatalog, ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
@@ -29,17 +29,18 @@ def main() -> None:
     print(f"average edge probability: {average:.3f}")
     assert len(dataset.graphs) == 12 and round(average, 3) == 0.469
 
-    # 2. Build the index: frequent/discriminative features + the PMI matrix of
-    #    subgraph-isomorphism-probability bounds.
+    # 2. Build the catalog: frequent/discriminative features + the PMI matrix
+    #    of subgraph-isomorphism-probability bounds, in one shard.  The
+    #    summary is that shard's base PMI.
     #    Expected summary: database_size=12, num_features=16,
     #    non_empty_cells=62 (build_seconds/index_bytes vary by machine).
-    engine = ProbabilisticGraphDatabase(dataset.graphs)
-    engine.build_index(
+    catalog = GraphCatalog.build(
+        dataset.graphs,
         feature_config=FeatureSelectionConfig(max_vertices=3, max_features=16),
         bound_config=BoundConfig(num_samples=120),
         rng=7,
     )
-    summary = engine.pmi.summary()
+    summary = catalog.planner().shards[0].pmi.base.summary()
     print("index summary:", summary)
     assert summary["database_size"] == 12 and summary["num_features"] == 16
     assert summary["non_empty_cells"] == 62
@@ -59,7 +60,7 @@ def main() -> None:
     print(f"\nquery: {query.num_vertices} vertices, {query.num_edges} edges")
 
     config = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=500))
-    result = engine.query(
+    result = catalog.query(
         query, probability_threshold=0.3, distance_threshold=1, config=config, rng=7
     )
 
@@ -74,21 +75,19 @@ def main() -> None:
     assert result.statistics.stages[0].pruned == 11  # structural filter, 12 examined
     assert result.statistics.sampled == 0
 
-    # 4. The same engine answers top-k queries: the k most probable matches,
+    # 4. The same catalog answers top-k queries: the k most probable matches,
     #    best first (no threshold to guess).
     #    Expected: top-2 answers led by graph 5 with SSP = 0.542.
-    top = engine.query_top_k(query, k=2, distance_threshold=1, config=config, rng=7)
+    top = catalog.query_top_k(query, k=2, distance_threshold=1, config=config, rng=7)
     print(f"\ntop-2 answers: {[(a.graph_id, round(a.probability, 3)) for a in top.answers]}")
     assert top.answers and top.answers[0].graph_id == 5
     assert round(top.answers[0].probability, 3) == 0.542
 
-    # 5. Need mutations?  Adopt the built index as a mutable GraphCatalog:
-    #    add/remove/update graphs without rebuilding, compact when convenient.
-    #    Answers stay byte-identical to a from-scratch rebuild (see
-    #    ARCHITECTURE.md, "The mutable catalog").
+    # 5. The catalog is mutable: add/remove/update graphs without rebuilding,
+    #    compact when convenient.  Answers stay byte-identical to a
+    #    from-scratch rebuild (see ARCHITECTURE.md, "The mutable catalog").
     #    Expected: live counts 12 -> 11 after the removal, and the removed
     #    graph id 5 disappears from the re-run answers.
-    catalog = engine.to_catalog()
     catalog.remove_graph(5)
     print(f"\ncatalog after remove_graph(5): {catalog.num_live} live graphs")
     rerun = catalog.query(

@@ -14,7 +14,7 @@ Run with:  python examples/road_network_reliability.py
 
 from __future__ import annotations
 
-from repro import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import extract_query, generate_road_network
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
@@ -40,8 +40,8 @@ def main() -> None:
     print(f"database: {len(districts)} districts, "
           f"{districts[0].num_vertices} junctions each")
 
-    engine = ProbabilisticGraphDatabase(districts)
-    engine.build_index(
+    catalog = GraphCatalog.build(
+        districts,
         feature_config=FeatureSelectionConfig(max_vertices=3, max_features=12),
         bound_config=BoundConfig(num_samples=100),
         rng=5,
@@ -53,7 +53,7 @@ def main() -> None:
     print(f"routing pattern: {pattern.num_edges} segments, "
           f"{pattern.num_vertices} junctions\n")
 
-    result = engine.query(
+    result = catalog.query(
         pattern,
         probability_threshold=PROBABILITY_THRESHOLD,
         distance_threshold=DISTANCE_THRESHOLD,

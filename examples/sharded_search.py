@@ -14,12 +14,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro import (
-    GraphCatalog,
-    ProbabilisticGraphDatabase,
-    SearchConfig,
-    VerificationConfig,
-)
+from repro import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.utils.timer import Timer
@@ -41,9 +36,8 @@ def main() -> None:
     )
 
     # 1. Sequential baseline: one planner, one core.
-    sequential = ProbabilisticGraphDatabase(dataset.graphs)
-    sequential.build_index(
-        feature_config=feature_config, bound_config=bound_config, rng=SEED
+    sequential = GraphCatalog.build(
+        dataset.graphs, feature_config=feature_config, bound_config=bound_config, rng=SEED
     )
     timer = Timer()
     with timer:
@@ -56,8 +50,8 @@ def main() -> None:
     #    structural slice and planner; queries fan out over a process pool.
     build_timer = Timer()
     with build_timer:
-        sharded = ProbabilisticGraphDatabase(dataset.graphs)
-        sharded.build_index(
+        sharded = GraphCatalog.build(
+            dataset.graphs,
             feature_config=feature_config,
             bound_config=bound_config,
             rng=SEED,
@@ -75,9 +69,9 @@ def main() -> None:
     # them read-only and is sent a KB of descriptors per shard once per
     # base generation, so adding workers costs descriptors, not database
     # copies.  close() below unlinks every segment.
-    plane = sharded.planner.shard_plane
+    plane = sharded.planner().shard_plane
     if plane is not None:
-        slot_bytes = plane.payload_bytes(sharded.planner.width)
+        slot_bytes = plane.payload_bytes(sharded.planner().width)
         print(
             f"shard plane: {plane.shard_bytes()} B shared across all "
             f"workers, {slot_bytes} B shipped per slot per generation"

@@ -13,7 +13,7 @@ Run with:  python examples/social_influence_patterns.py
 
 from __future__ import annotations
 
-from repro import LabeledGraph, ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro import GraphCatalog, LabeledGraph, SearchConfig, VerificationConfig
 from repro.datasets import generate_social_network
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
@@ -49,8 +49,8 @@ def main() -> None:
         )
     print(f"database: {len(snapshots)} community snapshots")
 
-    engine = ProbabilisticGraphDatabase(snapshots)
-    engine.build_index(
+    catalog = GraphCatalog.build(
+        snapshots,
         feature_config=FeatureSelectionConfig(max_vertices=3, max_features=12),
         bound_config=BoundConfig(num_samples=100),
         rng=9,
@@ -59,7 +59,7 @@ def main() -> None:
     pattern = influence_pattern()
     print(f"influence pattern: {pattern.num_vertices} users, {pattern.num_edges} ties\n")
 
-    result = engine.query(
+    result = catalog.query(
         pattern,
         probability_threshold=PROBABILITY_THRESHOLD,
         distance_threshold=DISTANCE_THRESHOLD,

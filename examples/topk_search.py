@@ -10,7 +10,7 @@ bounded candidates are skipped without ever computing their SSP.
 The script runs the same top-k workload three ways and shows all agree:
 
 1. the sequential pipeline (`num_shards=1`),
-2. a 4-shard engine (cross-shard replay merge — byte-identical answers),
+2. a 4-shard catalog (cross-shard replay merge — byte-identical answers),
 3. the index-free exact-scan reference (verify everything, rank).
 
 Run with:  python examples/topk_search.py
@@ -18,7 +18,7 @@ Run with:  python examples/topk_search.py
 
 from __future__ import annotations
 
-from repro import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro import GraphCatalog, SearchConfig, VerificationConfig
 from repro.baselines.exact_scan import ExactScanBaseline, ExactScanConfig
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.pmi import BoundConfig, FeatureSelectionConfig
@@ -50,12 +50,11 @@ def main() -> None:
         verification=VerificationConfig(method="inclusion_exclusion")
     )
 
-    sequential = ProbabilisticGraphDatabase(dataset.graphs)
-    sequential.build_index(
-        feature_config=feature_config, bound_config=bound_config, rng=SEED
+    sequential = GraphCatalog.build(
+        dataset.graphs, feature_config=feature_config, bound_config=bound_config, rng=SEED
     )
-    sharded = ProbabilisticGraphDatabase(dataset.graphs)
-    sharded.build_index(
+    sharded = GraphCatalog.build(
+        dataset.graphs,
         feature_config=feature_config,
         bound_config=bound_config,
         rng=SEED,

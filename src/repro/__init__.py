@@ -7,8 +7,9 @@ The public API mirrors the paper's pipeline:
 
 * :class:`~repro.graphs.LabeledGraph` / :class:`~repro.graphs.ProbabilisticGraph`
   — the data model (Definitions 1–3);
-* :class:`~repro.core.ProbabilisticGraphDatabase` — the filter-and-verify
-  engine (structural pruning → PMI probabilistic pruning → verification);
+* :class:`~repro.core.GraphCatalog` — the front door of every query: the
+  filter-and-verify engine (structural pruning → PMI probabilistic pruning →
+  verification) over a mutable, optionally sharded and durable database;
 * :class:`~repro.pmi.ProbabilisticMatrixIndex` — the PMI index with SIP
   bounds per (feature, graph) cell;
 * :mod:`repro.datasets` — synthetic STRING/PPI, road and social network
@@ -19,17 +20,32 @@ The definitions themselves — possible-world enumeration, subgraph distance,
 the exact SIP — are oracles in :mod:`repro.reference`, which tests and
 benchmarks import and the library does not.
 
-Quickstart::
+Quickstart (a doctest, run in CI)::
 
-    from repro import ProbabilisticGraphDatabase, generate_ppi_database
-    from repro.datasets import generate_query_workload
-
-    data = generate_ppi_database(rng=7)
-    db = ProbabilisticGraphDatabase(data.graphs).build_index(rng=7)
-    workload = generate_query_workload(data.graphs, query_size=4,
-                                        num_queries=5, rng=7)
-    result = db.query(workload.queries()[0], probability_threshold=0.5,
-                      distance_threshold=1)
+    >>> from repro import GraphCatalog, generate_ppi_database, generate_query_workload
+    >>> from repro.datasets import PPIDatasetConfig
+    >>> from repro.pmi import BoundConfig, FeatureSelectionConfig
+    >>> data = generate_ppi_database(
+    ...     PPIDatasetConfig(num_graphs=8, vertices_per_graph=10, edges_per_graph=13), rng=7
+    ... )
+    >>> catalog = GraphCatalog.build(
+    ...     data.graphs,
+    ...     feature_config=FeatureSelectionConfig(max_vertices=3, max_features=8),
+    ...     bound_config=BoundConfig(num_samples=40),
+    ...     rng=7,
+    ... )
+    >>> workload = generate_query_workload(data.graphs, query_size=3, num_queries=1, rng=7)
+    >>> query = workload.queries()[0]
+    >>> result = catalog.query(query, probability_threshold=0.3, distance_threshold=1, rng=7)
+    >>> [(a.graph_id, round(a.probability, 3), a.decided_by) for a in result.answers]
+    [(5, 0.429, 'verification')]
+    >>> top = catalog.query_top_k(query, k=2, distance_threshold=1, rng=7)
+    >>> [a.graph_id for a in top.answers]
+    [5]
+    >>> catalog.remove_graph(5)
+    >>> catalog.query(query, probability_threshold=0.3, distance_threshold=1, rng=7).answers
+    []
+    >>> catalog.close()
 """
 
 from repro.graphs import LabeledGraph, ProbabilisticGraph, NeighborEdgeFactor
@@ -49,7 +65,6 @@ from repro.pmi import (
 )
 from repro.core import (
     GraphCatalog,
-    ProbabilisticGraphDatabase,
     QueryPlanner,
     ShardedPlanner,
     SearchConfig,
@@ -88,7 +103,6 @@ __all__ = [
     "FeatureSelectionConfig",
     "compute_sip_bounds",
     "GraphCatalog",
-    "ProbabilisticGraphDatabase",
     "QueryPlanner",
     "ShardedPlanner",
     "SearchConfig",

@@ -66,7 +66,9 @@ class ExactScanBaseline:
     ) -> QueryResult:
         """Every graph whose probability reaches ``probability_threshold``,
         in graph-id order."""
-        validate_query(query_graph, probability_threshold, distance_threshold)
+        distance_threshold = validate_query(
+            query_graph, probability_threshold, distance_threshold
+        )
         return self._scan(
             query_graph,
             distance_threshold,
@@ -89,7 +91,7 @@ class ExactScanBaseline:
         Graphs with zero probability are never answers, so fewer than ``k``
         answers may return.
         """
-        k = validate_top_k_query(query_graph, k, distance_threshold)
+        k, distance_threshold = validate_top_k_query(query_graph, k, distance_threshold)
         return self._scan(
             query_graph,
             distance_threshold,

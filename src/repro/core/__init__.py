@@ -1,6 +1,9 @@
 """Query-processing core: relaxation, tightest SSP bounds, pruning
-conditions, verification, the reusable query planner, and the end-to-end
-search engine."""
+conditions, verification, the reusable query planner, and the catalog that
+is the front door of every query (:class:`GraphCatalog`).
+
+``ProbabilisticGraphDatabase`` is importable from here for the one benchmark
+workload that still builds through it; it is not part of ``repro.__all__``."""
 
 from repro.core.relaxation import relax_query, RelaxationConfig
 from repro.core.set_cover import greedy_weighted_set_cover
@@ -37,10 +40,10 @@ from repro.core.pipeline import (
 from repro.core.planner import (
     QueryPlan,
     QueryPlanner,
+    SearchConfig,
     validate_query,
     validate_top_k_query,
 )
-from repro.core.search_engine import ProbabilisticGraphDatabase, SearchConfig
 from repro.core.sharding import (
     DatabaseShard,
     ShardDescriptor,
@@ -60,6 +63,7 @@ from repro.core.catalog import (
     SegmentedStructuralView,
 )
 from repro.core.wal import WriteAheadLog, wal_filename
+from repro.core.search_engine import ProbabilisticGraphDatabase
 
 __all__ = [
     "QueryResult",
@@ -95,7 +99,6 @@ __all__ = [
     "QueryPlanner",
     "validate_query",
     "validate_top_k_query",
-    "ProbabilisticGraphDatabase",
     "SearchConfig",
     "DatabaseShard",
     "ShardDescriptor",
@@ -113,4 +116,5 @@ __all__ = [
     "SegmentedStructuralView",
     "WriteAheadLog",
     "wal_filename",
+    "ProbabilisticGraphDatabase",
 ]

@@ -44,12 +44,11 @@ id) and re-partitioning them contiguously with
 :func:`repro.core.sharding.partition_ranges` — the same balanced-split rule
 the initial build uses.
 
-**The query path.**  The catalog is the front door of every query —
-:class:`~repro.core.search_engine.ProbabilisticGraphDatabase` holds one for
-every shard count and delegates to it.  Its four query methods validate and
-plan the whole batch (``planner.plan`` / ``plan_top_k``), then turn ``rng`` /
-``rngs`` into one 64-bit root per query, in query order, and hand plans and
-roots to ``planner.execute_plans``.  The planner is a
+**The query path.**  The catalog is the front door of every query, for every
+shard count.  Its four query methods validate and plan the whole batch
+(``planner.plan`` / ``plan_top_k``), then turn ``rng`` / ``rngs`` into one
+64-bit root per query, in query order, and hand plans and roots to
+``planner.execute_plans``.  The planner is a
 :class:`~repro.core.sharding.ShardedPlanner` for every shard count: one
 shard runs in-process and whole, several fan out and merge.
 
@@ -171,6 +170,21 @@ class _Durability:
     directory: Path
     generation: int
     wal: WriteAheadLog
+
+
+def _external_id(value) -> int:
+    """The one check on an external id handed to the catalog: a non-negative
+    int, or anything ``operator.index`` takes — never a bool, which it would
+    read as 0 or 1."""
+    if isinstance(value, bool):
+        raise CatalogError(f"external_id must be an integer, got {value!r}")
+    try:
+        external_id = operator.index(value)
+    except TypeError:
+        raise CatalogError(f"external_id must be an integer, got {value!r}") from None
+    if external_id < 0:
+        raise CatalogError(f"external_id must be >= 0, got {value!r}")
+    return external_id
 
 
 def _query_roots(
@@ -408,12 +422,11 @@ class _ShardStore:
 class GraphCatalog:
     """A mutable, queryable probabilistic graph database.
 
-    Construct with :meth:`build` (index from scratch), :meth:`from_index` /
-    :meth:`repro.core.search_engine.ProbabilisticGraphDatabase.to_catalog`
-    (adopt an already-built one-shard index) or :meth:`open` (recover a
-    durable one).  ``query`` / ``query_many`` / ``query_top_k`` /
-    ``query_top_k_many`` are the query path of the engine too; see the
-    module docstring for it and for the mutation/compaction lifecycle.
+    Construct with :meth:`build` (index from scratch), :meth:`from_index`
+    (adopt an already-built or loaded whole-database index) or :meth:`open`
+    (recover a durable one).  ``query`` / ``query_many`` / ``query_top_k`` /
+    ``query_top_k_many`` are the query path; see the module docstring for it
+    and for the mutation/compaction lifecycle.
     """
 
     def __init__(
@@ -516,9 +529,9 @@ class GraphCatalog:
         """Adopt an already-built (or loaded) whole-database index as the base.
 
         External ids are the index's row positions ``0..N-1`` — exactly the
-        stable ids the static build salted its RNG streams with, so adopted
-        catalogs answer identically to the engine they came from.  The index
-        must carry its ``build_root`` (recorded by every build since the
+        stable ids the static build salted its RNG streams with, so an adopted
+        index answers identically to :meth:`build` under the same root.  The
+        index must carry its ``build_root`` (recorded by every build since the
         catalog layer; older persisted payloads lack it) because delta
         appends must derive their streams from the same root.
         """
@@ -605,7 +618,11 @@ class GraphCatalog:
         byte-identical to a from-scratch build over the surviving
         ``(id → graph)`` database — the crash-recovery invariant the test
         suite kills processes to check.  Debris of uncommitted generations
-        and interrupted atomic writes is swept out afterwards.
+        and interrupted atomic writes is swept out afterwards.  A replayed
+        record goes through the same id check as a live call: the catalog
+        logs plain ints only, so a record whose ``external_id`` is ``true``
+        (or any non-integer) was not written by it, and ``open`` refuses it
+        with :class:`CatalogError` rather than read it as id 1.
         """
         directory = Path(directory)
         current_path = directory / CURRENT_FILENAME
@@ -961,7 +978,7 @@ class GraphCatalog:
 
     def get_graph(self, external_id: int) -> ProbabilisticGraph:
         """The live graph stored under ``external_id``."""
-        store_index, position = self._locate(external_id)
+        store_index, position = self._locate(_external_id(external_id))
         return self._stores[store_index].graphs[position]
 
     def __len__(self) -> int:
@@ -996,16 +1013,7 @@ class GraphCatalog:
         if external_id is None:
             external_id = self._next_external_id
         else:
-            if isinstance(external_id, bool):  # operator.index(True) is 1
-                raise CatalogError(f"external_id must be an integer, got {external_id!r}")
-            try:
-                external_id = operator.index(external_id)
-            except TypeError:
-                raise CatalogError(
-                    f"external_id must be an integer, got {external_id!r}"
-                ) from None
-            if external_id < 0:
-                raise CatalogError(f"external_id must be >= 0, got {external_id!r}")
+            external_id = _external_id(external_id)
         if external_id in self._live:
             raise CatalogError(
                 f"external id {external_id} is live; remove it first or use "
@@ -1042,7 +1050,7 @@ class GraphCatalog:
             self._durability.wal.append(
                 {
                     "op": op,
-                    "external_id": int(external_id),
+                    "external_id": external_id,
                     "graph": probabilistic_graph_to_dict(graph),
                 }
             )
@@ -1060,10 +1068,11 @@ class GraphCatalog:
     def remove_graph(self, external_id: int) -> None:
         """Tombstone the live row of ``external_id`` (storage reclaimed by
         :meth:`compact`); raises :class:`CatalogError` if the id is not live."""
+        external_id = _external_id(external_id)
         self._locate(external_id)  # raises if not live
         if self._wal_active():
             self._durability.wal.append(
-                {"op": "remove", "external_id": int(external_id)}
+                {"op": "remove", "external_id": external_id}
             )
         self._refresh_planner({self._tombstone(external_id)})
 
@@ -1084,6 +1093,7 @@ class GraphCatalog:
         The planner sees both halves at once: no query runs over a state in
         which the id is missing.
         """
+        external_id = _external_id(external_id)
         self._locate(external_id)  # raises if not live
         rows = self._index_rows(graph, external_id)
         # one atomic record: a torn tail can drop the whole update but never

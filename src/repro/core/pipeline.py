@@ -274,11 +274,6 @@ class StructuralFilterStage(PipelineStage):
         self.planner = planner
 
     def run(self, candidates, ctx, stage_stats):
-        stats = ctx.result.statistics
-        if not ctx.plan.config.use_structural_pruning:
-            stats.structural_candidates = candidates.active_count
-            stage_stats.passed = candidates.active_count
-            return
         keep = self.planner.structural_filter.filter_mask(
             ctx.plan.query,
             ctx.plan.distance_threshold,
@@ -287,7 +282,7 @@ class StructuralFilterStage(PipelineStage):
         )
         candidates.mask &= keep
         passed = candidates.active_count
-        stats.structural_candidates = passed
+        ctx.result.statistics.structural_candidates = passed
         stage_stats.pruned = stage_stats.examined - passed
         stage_stats.passed = passed
 
@@ -308,13 +303,7 @@ class PmiPruningStage(PipelineStage):
 
     def run(self, candidates, ctx, stage_stats):
         plan = ctx.plan
-        stats = ctx.result.statistics
         active = candidates.active_ids()
-        if not plan.config.use_probabilistic_pruning:
-            stats.probabilistic_candidates = len(active)
-            stage_stats.passed = len(active)
-            self._record_partial(candidates, ctx, active)
-            return
         planner = self.planner
         pruner = planner._pruner_for(plan)
         if plan.containment:

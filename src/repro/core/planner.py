@@ -49,10 +49,10 @@ from repro.core.pipeline import (
     TopKPartial,
     build_default_pipeline,
 )
-from repro.core.pruning import FeatureContainment, ProbabilisticPruner
-from repro.core.relaxation import relax_query
+from repro.core.pruning import FeatureContainment, ProbabilisticPruner, PruningConfig
+from repro.core.relaxation import RelaxationConfig, relax_query
 from repro.core.results import QueryResult, QueryStatistics
-from repro.core.verification import Verifier
+from repro.core.verification import VerificationConfig, Verifier
 from repro.exceptions import ConfigurationError, QueryError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.variant_rows import VariantRows
@@ -66,6 +66,7 @@ from repro.utils.rng import RandomLike, rng_root
 __all__ = [
     "QueryPlan",
     "QueryPlanner",
+    "SearchConfig",
     "validate_query",
     "validate_top_k_query",
     "PRUNE_STREAM",
@@ -73,7 +74,27 @@ __all__ = [
 ]
 
 
-def _validate_query_structure(query_graph: LabeledGraph, distance_threshold: int) -> None:
+@dataclass
+class SearchConfig:
+    """Per-query configuration of the pipeline stages."""
+
+    relaxation: RelaxationConfig = field(default_factory=RelaxationConfig)
+    pruning: PruningConfig = field(default_factory=PruningConfig)
+    verification: VerificationConfig = field(default_factory=VerificationConfig)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int: anything ``operator.index`` takes, never a bool."""
+    if isinstance(value, bool):  # operator.index(True) is 1
+        raise QueryError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise QueryError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _validate_query_structure(query_graph: LabeledGraph, distance_threshold: int) -> int:
+    distance_threshold = _integer(distance_threshold, "distance threshold")
     if query_graph.num_edges == 0:
         raise QueryError("query graph must contain at least one edge")
     if not query_graph.is_connected():
@@ -84,37 +105,33 @@ def _validate_query_structure(query_graph: LabeledGraph, distance_threshold: int
         raise QueryError(
             "distance threshold must be smaller than the number of query edges"
         )
+    return distance_threshold
 
 
 def validate_query(
     query_graph: LabeledGraph, probability_threshold: float, distance_threshold: int
-) -> None:
-    """Reject malformed T-PS queries before any pipeline work starts."""
-    _validate_query_structure(query_graph, distance_threshold)
+) -> int:
+    """Reject malformed T-PS queries before any pipeline work starts; return
+    the distance threshold as a plain int (integer-like values are accepted
+    via ``operator.index``, bools and non-integers are rejected)."""
+    distance_threshold = _validate_query_structure(query_graph, distance_threshold)
     if not 0.0 < probability_threshold <= 1.0:
         raise QueryError(
             f"probability threshold must be in (0, 1], got {probability_threshold!r}"
         )
+    return distance_threshold
 
 
 def validate_top_k_query(
     query_graph: LabeledGraph, k: int, distance_threshold: int
-) -> int:
-    """Reject malformed top-k queries; return ``k`` coerced to a plain int.
-
-    Any integer-like ``k`` (``int``, ``numpy.int64``, …) is accepted via
-    ``operator.index``; bools and non-integers are rejected.
-    """
-    _validate_query_structure(query_graph, distance_threshold)
-    if isinstance(k, bool):
-        raise QueryError(f"k must be an integer, got {k!r}")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise QueryError(f"k must be an integer, got {k!r}") from None
+) -> tuple[int, int]:
+    """Reject malformed top-k queries; return ``(k, distance_threshold)`` as
+    plain ints, each normalised like :func:`validate_query`'s threshold."""
+    distance_threshold = _validate_query_structure(query_graph, distance_threshold)
+    k = _integer(k, "k")
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k!r}")
-    return k
+    return k, distance_threshold
 
 
 @dataclass
@@ -137,7 +154,7 @@ class QueryPlan:
     query: LabeledGraph
     probability_threshold: float
     distance_threshold: int
-    config: "SearchConfig"
+    config: SearchConfig
     relaxed_queries: Sequence[LabeledGraph] = field(default_factory=list)
     containment: dict[int, FeatureContainment] = field(default_factory=dict)
     mode: str = THRESHOLD_MODE
@@ -237,7 +254,7 @@ class QueryPlanner:
         query: LabeledGraph,
         probability_threshold: float,
         distance_threshold: int,
-        config: "SearchConfig | None" = None,
+        config: SearchConfig | None = None,
     ) -> QueryPlan:
         """Relax the query; precompute its count profile and containment relations.
 
@@ -245,7 +262,7 @@ class QueryPlanner:
         query, thresholds, and config always yield the same plan, so plans
         can be built once in a parent process and shipped to every shard.
         """
-        validate_query(query, probability_threshold, distance_threshold)
+        distance_threshold = validate_query(query, probability_threshold, distance_threshold)
         return self._prepare_plan(
             query, probability_threshold, distance_threshold, config
         )
@@ -255,7 +272,7 @@ class QueryPlanner:
         query: LabeledGraph,
         k: int,
         distance_threshold: int,
-        config: "SearchConfig | None" = None,
+        config: SearchConfig | None = None,
     ) -> QueryPlan:
         """A reusable plan for a top-k subgraph similarity query.
 
@@ -263,7 +280,7 @@ class QueryPlanner:
         :class:`~repro.core.pipeline.ThresholdState` supplies the dynamic
         floor at execution time.
         """
-        k = validate_top_k_query(query, k, distance_threshold)
+        k, distance_threshold = validate_top_k_query(query, k, distance_threshold)
         plan = self._prepare_plan(query, 0.0, distance_threshold, config)
         plan.mode = TOP_K_MODE
         plan.k = k
@@ -274,24 +291,19 @@ class QueryPlanner:
         query: LabeledGraph,
         probability_threshold: float,
         distance_threshold: int,
-        config: "SearchConfig | None",
+        config: SearchConfig | None,
     ) -> QueryPlan:
-        from repro.core.search_engine import SearchConfig
-
         cfg = config or SearchConfig()
         relaxed = relax_query(query, distance_threshold, cfg.relaxation)
         # one enumeration of each feature in q serves the profile and the f ⊆iso rq relations
         embeddings = self.structural_index.query_embeddings(query)
-        containment = {}
-        if cfg.use_probabilistic_pruning:
-            containment = self.pruner.prepare(relaxed, query, embeddings)
         return QueryPlan(
             query=query,
             probability_threshold=probability_threshold,
             distance_threshold=distance_threshold,
             config=cfg,
             relaxed_queries=relaxed,
-            containment=containment,
+            containment=self.pruner.prepare(relaxed, query, embeddings),
             profile=StructuralFeatureIndex.count_profile(embeddings),
             family=compile_variant_family(query, relaxed),
         )
@@ -304,7 +316,7 @@ class QueryPlanner:
         query: LabeledGraph,
         probability_threshold: float,
         distance_threshold: int,
-        config: "SearchConfig | None" = None,
+        config: SearchConfig | None = None,
         rng: RandomLike = None,
     ) -> QueryResult:
         """Plan and execute one threshold (T-PS) query.
@@ -322,7 +334,7 @@ class QueryPlanner:
         query: LabeledGraph,
         k: int,
         distance_threshold: int,
-        config: "SearchConfig | None" = None,
+        config: SearchConfig | None = None,
         rng: RandomLike = None,
     ) -> QueryResult:
         """The k most probable subgraph-similar graphs, best first.
@@ -395,7 +407,7 @@ class QueryPlanner:
             return ThresholdState.for_top_k(plan.k)
         return ThresholdState.fixed(plan.probability_threshold)
 
-    # `query*()` aliases for symmetry with the engine-level API
+    # `query*()` aliases for symmetry with the catalog's API
     query = execute
     query_top_k = execute_top_k
 

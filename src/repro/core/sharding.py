@@ -32,10 +32,10 @@ or OS scheduling:
    combine via :meth:`QueryStatistics.merge` (counters sum across the
    disjoint slices; wall-clock fields take the critical-path max).
 
-Shards are built and owned by :class:`~repro.core.catalog.GraphCatalog`
-(``ProbabilisticGraphDatabase.build_index()`` holds one): every
-shard carries the stable external id of each storage row plus a tombstone
-mask, and its indexes are the catalog's segmented base+delta views.
+Shards are built and owned by :class:`~repro.core.catalog.GraphCatalog`, the
+front door of every query: every shard carries the stable external id of each
+storage row plus a tombstone mask, and its indexes are the catalog's segmented
+base+delta views.
 
 **The zero-copy shard plane.**  Shipping every :class:`DatabaseShard` to
 the workers would cost O(shard-bytes) per worker — resident memory scaling

@@ -47,10 +47,6 @@ class NeighborEdgeFactor:
                 f"{self.edges!r} vs {self.jpt.variables!r}"
             )
 
-    def probability_of(self, assignment: EdgeAssignment) -> float:
-        """Probability of the assignment restricted to this factor's edges."""
-        return self.jpt.value({e: assignment[e] for e in self.edges})
-
 
 class ProbabilisticGraph:
     """A labeled graph whose edges exist according to correlated JPTs."""

@@ -104,21 +104,6 @@ class JointProbabilityTable(Factor):
         """Marginal existence probability of one edge variable."""
         return self.marginal_probability(variable, 1)
 
-    def conditional(
-        self, evidence: Mapping[Variable, int]
-    ) -> "JointProbabilityTable":
-        """Distribution of the remaining variables given ``evidence``.
-
-        Raises :class:`ProbabilityError` when the evidence has probability
-        zero under this table.
-        """
-        sliced = self.condition(evidence)
-        if sliced.total() <= 0:
-            raise ProbabilityError(f"evidence {dict(evidence)!r} has zero probability")
-        if not sliced.variables:
-            return JointProbabilityTable((), {(): 1.0})
-        return JointProbabilityTable(sliced.variables, dict(sliced.table), normalize=True)
-
     def entropy(self) -> float:
         """Shannon entropy in bits; useful for dataset diagnostics."""
         import math

@@ -12,7 +12,8 @@
   kernel's arrays, held equal (bit for bit) or close (in distribution) to
   :mod:`repro.probability.batch_kernel`;
 * :mod:`repro.reference.worlds` — possible-world semantics by enumeration:
-  :func:`world_weight`, :func:`world_graph`, :func:`enumerate_possible_worlds`,
+  :func:`factor_probability`, :func:`world_weight`, :func:`world_graph`,
+  :func:`enumerate_possible_worlds`,
   the exact SIP and ``Pr(q ⊆sim g)`` read off the worlds;
 * :mod:`repro.reference.mcs` — subgraph distance by search (Definitions 7
   and 8) and the scalar signature bound the structural index's postings are
@@ -47,6 +48,7 @@ from repro.reference.worlds import (
     PossibleWorld,
     enumerate_possible_worlds,
     exact_sip,
+    factor_probability,
     similarity_probability_by_enumeration,
     total_world_mass,
     world_graph,
@@ -63,6 +65,7 @@ __all__ = [
     "estimate_union_probability",
     "exact_sip",
     "exhaustive_weighted_set_cover",
+    "factor_probability",
     "is_subgraph_similar",
     "mask_events",
     "maximum_common_subgraph_size",

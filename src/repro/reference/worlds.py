@@ -1,6 +1,8 @@
 """Possible-world semantics, literally (Definition 3, Equation 1): the oracle
 every exact computation is held against.
 
+:func:`world_weight` multiplies each factor's JPT entry
+(:func:`factor_probability`) into a world's weight;
 :func:`enumerate_possible_worlds` lists every world of a probabilistic graph
 with its probability; :func:`exact_sip` and
 :func:`similarity_probability_by_enumeration` read ``Pr(f ⊆iso g)`` and
@@ -19,7 +21,12 @@ from itertools import product as iter_product
 
 from repro.exceptions import VerificationError
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.graphs.probabilistic_graph import EdgeAssignment, EdgeKey, ProbabilisticGraph
+from repro.graphs.probabilistic_graph import (
+    EdgeAssignment,
+    EdgeKey,
+    NeighborEdgeFactor,
+    ProbabilisticGraph,
+)
 from repro.isomorphism.embeddings import find_embeddings
 from repro.reference.mcs import is_subgraph_similar
 
@@ -28,11 +35,16 @@ MAX_ENUMERATION_EDGES = 18
 MAX_EXACT_SIP_EDGES = 20
 
 
+def factor_probability(factor: NeighborEdgeFactor, assignment: EdgeAssignment) -> float:
+    """The factor's JPT entry for ``assignment`` restricted to its edges."""
+    return factor.jpt.value({e: assignment[e] for e in factor.edges})
+
+
 def world_weight(graph: ProbabilisticGraph, assignment: EdgeAssignment) -> float:
     """Unnormalized product weight of a full edge assignment (Equation 1)."""
     weight = 1.0
     for factor in graph.factors:
-        weight *= factor.probability_of(assignment)
+        weight *= factor_probability(factor, assignment)
         if weight == 0.0:
             return 0.0
     return weight

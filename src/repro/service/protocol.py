@@ -78,6 +78,16 @@ def _number(frame: dict, field: str) -> float:
     return value
 
 
+def _integer(frame: dict, field: str) -> int:
+    """An integral number: ``2`` or ``2.0``, never ``2.5``, ``Infinity`` or ``NaN``."""
+    value = _number(frame, field)
+    _require(
+        isinstance(value, int) or value.is_integer(),
+        f"{field!r} must be an integer, got {value!r}",
+    )
+    return int(value)
+
+
 @dataclass
 class Request:
     """A parsed, validated request frame.
@@ -154,11 +164,11 @@ def parse_request(frame: object) -> Request:
             request.query = labeled_graph_from_dict(query_payload)
         except Exception as exc:
             raise ServiceError(BAD_REQUEST, f"malformed query graph: {exc}") from exc
-        request.distance_threshold = int(_number(frame, "distance_threshold"))
+        request.distance_threshold = _integer(frame, "distance_threshold")
         if op == "query":
             request.probability_threshold = float(_number(frame, "probability_threshold"))
         else:
-            request.k = int(_number(frame, "k"))
+            request.k = _integer(frame, "k")
     elif op in MUTATION_OPS:
         request.payload = dict(frame)
     return request

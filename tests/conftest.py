@@ -4,13 +4,17 @@ and reusable query graphs."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
+from repro.core import GraphCatalog, QueryPlanner
 from repro.core.sharding import shutdown_parked_pools
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph, VariantRows
+from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.probability import JointProbabilityTable
+from repro.structural import StructuralFeatureIndex
 
 
 @pytest.fixture(autouse=True)
@@ -149,6 +153,37 @@ def wide_support_corpus():
     graphs = generate_ppi_database(config, rng=1).graphs
     queries = generate_query_workload(graphs, query_size=6, num_queries=2, rng=1).queries()
     return graphs, queries
+
+
+@dataclass(frozen=True)
+class BuiltIndex:
+    """A database's PMI and structural index, built the way
+    ``GraphCatalog.build`` builds its one shard, and a catalog over them."""
+
+    graphs: list[ProbabilisticGraph]
+    pmi: ProbabilisticMatrixIndex
+    structural_index: StructuralFeatureIndex
+    catalog: GraphCatalog
+
+    def planner(self) -> QueryPlanner:
+        """A dense from-scratch planner over the same indexes."""
+        return QueryPlanner(self.graphs, self.pmi, self.structural_index)
+
+
+def build_index(
+    graphs: list[ProbabilisticGraph],
+    feature_config: FeatureSelectionConfig | None = None,
+    bound_config: BoundConfig | None = None,
+    rng=None,
+) -> BuiltIndex:
+    """Mine features and build both indexes over ``graphs`` directly; the
+    catalog answers exactly as ``GraphCatalog.build`` with these arguments."""
+    pmi = ProbabilisticMatrixIndex(feature_config=feature_config, bound_config=bound_config)
+    pmi.build(graphs, rng=rng)
+    structural = StructuralFeatureIndex(embedding_limit=pmi.feature_config.embedding_limit)
+    structural.build([graph.skeleton for graph in graphs], pmi.features)
+    catalog = GraphCatalog.from_index(graphs, pmi, structural)
+    return BuiltIndex(list(graphs), pmi, structural, catalog)
 
 
 def make_simple_probabilistic_graph(

@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines import ExactScanBaseline, database_to_independent, to_independent_model
 from repro.baselines.exact_scan import ExactScanConfig
-from repro.core import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.exceptions import QueryError
 from repro.reference import enumerate_possible_worlds
@@ -93,15 +93,12 @@ class TestScanStreams:
         assert answered(scan.top_k(query, len(graphs), WIDE_SUPPORT_DISTANCE, rng=5)) == (
             probabilities
         )
-        engine = ProbabilisticGraphDatabase(graphs).build_index(rng=5)
-        pipeline = engine.query(
+        # a top-k of the whole database verifies every structural candidate
+        pipeline = GraphCatalog.build(graphs, rng=5).query_top_k(
             query,
-            1e-9,
+            len(graphs),
             WIDE_SUPPORT_DISTANCE,
-            config=SearchConfig(
-                verification=replace(self.CONFIG, method="sampling"),
-                use_probabilistic_pruning=False,
-            ),
+            config=SearchConfig(verification=replace(self.CONFIG, method="sampling")),
             rng=5,
         )
         assert pipeline.statistics.sampled > 0

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import (
     GraphCatalog,
-    ProbabilisticGraphDatabase,
     SearchConfig,
     SegmentedPmiView,
     SegmentedStructuralView,
@@ -24,6 +23,7 @@ from repro.core import (
     route_to_smallest,
 )
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
+from repro.core.wal import WriteAheadLog, wal_filename
 from repro.exceptions import CatalogError, ConfigurationError, IndexError_
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
@@ -115,6 +115,58 @@ class TestMutationApi:
             with pytest.raises(CatalogError, match="integer"):
                 catalog.add_graph(extra_graphs[0], external_id=flag)
         assert catalog.live_external_ids() == list(range(2, 8))
+
+    @pytest.mark.parametrize("bad_id", [True, False, 1.5, "1"])
+    def test_every_id_taking_entry_point_refuses_a_non_integer(
+        self, catalog, extra_graphs, bad_id
+    ):
+        """``get_graph`` / ``remove_graph`` / ``update_graph`` run the check
+        ``add_graph`` runs: ``True`` is not id 1, nor ``False`` id 0."""
+        for entry in (
+            lambda: catalog.get_graph(bad_id),
+            lambda: catalog.remove_graph(bad_id),
+            lambda: catalog.update_graph(bad_id, extra_graphs[0]),
+        ):
+            with pytest.raises(CatalogError, match="integer"):
+                entry()
+        assert catalog.live_external_ids() == list(range(8))
+        assert catalog.tombstone_count == 0
+
+    def test_integer_like_ids_still_name_their_graph(self, catalog, extra_graphs):
+        catalog.update_graph(np.int64(2), extra_graphs[0])
+        assert catalog.get_graph(np.int32(2)) is extra_graphs[0]
+        catalog.remove_graph(np.int64(2))
+        assert 2 not in catalog.live_external_ids()
+
+    def test_a_refused_bool_id_is_never_logged(self, base_graphs, tmp_path):
+        durable = GraphCatalog.build(
+            base_graphs,
+            feature_config=FEATURE_CONFIG,
+            bound_config=BOUND_CONFIG,
+            rng=7,
+            directory=tmp_path,
+        )
+        with pytest.raises(CatalogError, match="integer"):
+            durable.remove_graph(True)
+        assert durable.wal_records == 0
+        durable.close()
+        assert GraphCatalog.open(tmp_path).live_external_ids() == list(range(8))
+
+    def test_open_refuses_a_logged_bool_id(self, base_graphs, tmp_path):
+        """The catalog logs plain ints, so a record naming ``true`` was not
+        written by it: ``open`` refuses it rather than remove id 1."""
+        GraphCatalog.build(
+            base_graphs,
+            feature_config=FEATURE_CONFIG,
+            bound_config=BOUND_CONFIG,
+            rng=7,
+            directory=tmp_path,
+        ).close()
+        wal, _ = WriteAheadLog.open(tmp_path / wal_filename(0), generation=0)
+        wal.append({"op": "remove", "external_id": True})
+        wal.close()
+        with pytest.raises(CatalogError, match="integer"):
+            GraphCatalog.open(tmp_path)
 
     def test_remove_tombstones_without_reclaiming(self, catalog):
         catalog.remove_graph(3)
@@ -308,31 +360,25 @@ class TestShardedCatalog:
 
 
 # ----------------------------------------------------------------------
-# engine adoption
+# index adoption
 # ----------------------------------------------------------------------
 class TestEngineAdoption:
     def test_to_catalog_answers_match_engine(self, base_graphs, query):
-        engine = ProbabilisticGraphDatabase(base_graphs).build_index(
-            feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=7
+        """Indexes built directly and adopted into a catalog
+        (``GraphCatalog.from_index``) answer as ``GraphCatalog.build`` does."""
+        built = GraphCatalog.build(
+            base_graphs, feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=7
         )
-        catalog = engine.to_catalog()
-        expected = engine.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
-        result = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
+        pmi = ProbabilisticMatrixIndex(
+            feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
+        ).build(base_graphs, rng=7)
+        structural = StructuralFeatureIndex(
+            embedding_limit=FEATURE_CONFIG.embedding_limit
+        ).build([g.skeleton for g in base_graphs], pmi.features)
+        adopted = GraphCatalog.from_index(base_graphs, pmi, structural)
+        expected = built.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
+        result = adopted.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
         assert answers(result) == answers(expected)
-
-    def test_to_catalog_requires_built_sequential_index(self, base_graphs):
-        engine = ProbabilisticGraphDatabase(base_graphs)
-        with pytest.raises(IndexError_, match="build_index"):
-            engine.to_catalog()
-        engine.build_index(
-            feature_config=FEATURE_CONFIG,
-            bound_config=BOUND_CONFIG,
-            rng=7,
-            num_shards=2,
-        )
-        with pytest.raises(IndexError_, match="sharded"):
-            engine.to_catalog()
-        engine.close()
 
     def test_from_index_requires_build_root(self, base_graphs):
         pmi = ProbabilisticMatrixIndex(

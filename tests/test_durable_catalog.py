@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import GraphCatalog, ProbabilisticGraphDatabase
+from repro.core import GraphCatalog
 from repro.core.catalog import CURRENT_FILENAME
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.datasets import extract_query
@@ -21,7 +21,7 @@ from repro.exceptions import CatalogError, ConfigurationError
 from repro.pmi import ProbabilisticMatrixIndex
 from repro.reference import WorldSampler
 from repro.structural.feature_index import StructuralFeatureIndex
-from tests.conftest import assert_signature_segment_matches_live_graphs
+from tests.conftest import assert_signature_segment_matches_live_graphs, build_index
 from tests.test_catalog_parity import (
     BOUND_CONFIG,
     DISTANCE_THRESHOLD,
@@ -121,11 +121,15 @@ class TestPersistAndOpen:
             GraphCatalog.open(tmp_path / "catalog")
 
     def test_to_catalog_with_directory(self, tmp_path):
+        """An index adopted into a catalog (``GraphCatalog.from_index``) with a
+        directory is durable from birth."""
         graphs = random_database(SEED, num_graphs=6).graphs
-        engine = ProbabilisticGraphDatabase(graphs).build_index(
-            feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=SEED
+        built = build_index(
+            graphs, feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=SEED
         )
-        catalog = engine.to_catalog(directory=tmp_path / "adopted")
+        catalog = GraphCatalog.from_index(
+            graphs, built.pmi, built.structural_index, directory=tmp_path / "adopted"
+        )
         assert catalog.is_durable
         catalog.add_graph(random_database(SEED + 1, num_graphs=1).graphs[0])
         catalog.close()

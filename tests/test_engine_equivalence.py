@@ -13,11 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    ProbabilisticGraphDatabase,
-    SearchConfig,
-    VerificationConfig,
-)
+from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.graphs import LabeledGraph
 from repro.isomorphism import (
@@ -171,9 +167,9 @@ def capped(cap):
 
 def build_database(dataset, cap, num_shards=None):
     with capped(cap):
-        database = ProbabilisticGraphDatabase(dataset.graphs)
         kwargs = {} if num_shards is None else {"num_shards": num_shards, "max_workers": 0}
-        database.build_index(
+        database = GraphCatalog.build(
+            dataset.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=17,

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro.core import SearchConfig, VerificationConfig
 from repro.core import pruning
 from repro.core.catalog import GraphCatalog
 from repro.core.relaxation import RelaxationConfig, relax_query
@@ -292,7 +292,8 @@ def test_an_exact_route_query_builds_no_generator(small_ppi_database, monkeypatc
     """Verification passes seeds and the exact route never draws; pruning
     builds a generator only for the QP rounding, the one step that draws."""
     graphs = small_ppi_database.graphs
-    db = ProbabilisticGraphDatabase(graphs).build_index(
+    db = GraphCatalog.build(
+        graphs,
         feature_config=TestLazyBitTable.FEATURES, bound_config=BoundConfig(num_samples=20), rng=3
     )
     config = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=50))

@@ -74,24 +74,7 @@ class TestMaxDominanceConstruction:
             JointProbabilityTable.from_max_dominance({})
 
 
-class TestConditional:
-    def test_conditioning_renormalizes(self):
-        jpt = JointProbabilityTable.from_independent_marginals({"a": 0.5, "b": 0.25})
-        conditional = jpt.conditional({"a": 1})
-        assert conditional.is_normalized()
-        assert conditional.edge_marginal("b") == pytest.approx(0.25)
-
-    def test_conditioning_on_everything_gives_unit(self):
-        jpt = JointProbabilityTable.from_independent_marginals({"a": 0.5})
-        conditional = jpt.conditional({"a": 1})
-        assert conditional.variables == ()
-        assert conditional.total() == pytest.approx(1.0)
-
-    def test_zero_probability_evidence_raises(self):
-        jpt = JointProbabilityTable(("a",), {(1,): 1.0})
-        with pytest.raises(ProbabilityError):
-            jpt.conditional({"a": 0})
-
+class TestEntropy:
     def test_entropy_bounds(self):
         uniform = JointProbabilityTable.from_independent_marginals({"a": 0.5, "b": 0.5})
         skewed = JointProbabilityTable.from_independent_marginals({"a": 0.99, "b": 0.99})

@@ -14,10 +14,8 @@ from repro.core import (
     CandidateSet,
     GraphCatalog,
     PipelineStage,
-    ProbabilisticGraphDatabase,
     QueryAnswer,
     QueryPipeline,
-    QueryPlanner,
     QueryStatistics,
     SearchConfig,
     StageStatistics,
@@ -31,6 +29,7 @@ from repro.exceptions import QueryError, StateError
 from repro.graphs import LabeledGraph
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.structural.similarity_filter import StructuralFilter
+from tests.conftest import build_index
 
 EXACT_CONFIG = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
 
@@ -52,15 +51,14 @@ def pipeline_database():
 
 @pytest.fixture(scope="module")
 def indexed(pipeline_database):
-    database = ProbabilisticGraphDatabase(pipeline_database.graphs)
-    database.build_index(
+    return build_index(
+        pipeline_database.graphs,
         feature_config=FeatureSelectionConfig(
             alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=12
         ),
         bound_config=BoundConfig(method="exact"),
         rng=17,
     )
-    return database
 
 
 class TestCandidateSet:
@@ -121,7 +119,7 @@ class TestThresholdState:
     def test_partial_mode_floor_stays_at_seed(self, indexed, pipeline_database):
         """A shard part never tightens: it ships an estimate for every
         candidate at or above its lsim seed, and skips none of them."""
-        planner = QueryPlanner(indexed.graphs, indexed.pmi, indexed.structural_index)
+        planner = indexed.planner()
         query = extract_query(pipeline_database.graphs[0].skeleton, 3, rng=5)
         plan = planner.plan_top_k(query, 1, 1, EXACT_CONFIG)
         partial = planner.execute_top_k_partial(plan, rng=3)
@@ -140,7 +138,7 @@ class TestThresholdState:
 class TestStageStatistics:
     def test_threshold_query_records_three_stages(self, indexed, pipeline_database):
         query = extract_query(pipeline_database.graphs[0].skeleton, 3, rng=5)
-        result = indexed.query(query, 0.3, 1, config=EXACT_CONFIG, rng=3)
+        result = indexed.catalog.query(query, 0.3, 1, config=EXACT_CONFIG, rng=3)
         stats = result.statistics
         assert [s.stage for s in stats.stages] == [
             "structural_filter",
@@ -161,7 +159,7 @@ class TestStageStatistics:
 
     def test_stage_accounting_is_conserved(self, indexed, pipeline_database):
         query = extract_query(pipeline_database.graphs[1].skeleton, 3, rng=9)
-        result = indexed.query(query, 0.3, 1, config=EXACT_CONFIG, rng=3)
+        result = indexed.catalog.query(query, 0.3, 1, config=EXACT_CONFIG, rng=3)
         for stage in result.statistics.stages[:-1]:  # filters: examined splits up
             assert stage.examined == stage.pruned + stage.accepted + stage.passed
 
@@ -215,7 +213,7 @@ class TestStatisticsMergeStages:
 
 class TestPipelineComposability:
     def test_planner_owns_a_default_pipeline(self, indexed):
-        planner = QueryPlanner(indexed.graphs, indexed.pmi, indexed.structural_index)
+        planner = indexed.planner()
         assert isinstance(planner.pipeline, QueryPipeline)
         assert [stage.name for stage in planner.pipeline.stages] == [
             "structural_filter",
@@ -236,9 +234,7 @@ class TestPipelineComposability:
                 stage_stats.pruned = len(odd)
                 stage_stats.passed = candidates.active_count
 
-        planner = QueryPlanner(
-            indexed.graphs, indexed.pmi, indexed.structural_index
-        )
+        planner = indexed.planner()
         planner.pipeline = QueryPipeline(
             [EvenIdOnlyStage(), *planner.pipeline.stages]
         )
@@ -246,7 +242,7 @@ class TestPipelineComposability:
         result = planner.execute(query, 0.1, 1, config=EXACT_CONFIG, rng=3)
         assert all(answer.graph_id % 2 == 0 for answer in result.answers)
         assert result.statistics.stages[0].stage == "even_ids_only"
-        baseline = indexed.query(query, 0.1, 1, config=EXACT_CONFIG, rng=3)
+        baseline = indexed.catalog.query(query, 0.1, 1, config=EXACT_CONFIG, rng=3)
         assert result.answer_ids() == {
             gid for gid in baseline.answer_ids() if gid % 2 == 0
         }
@@ -313,7 +309,7 @@ class TestTopKValidation:
         query = extract_query(pipeline_database.graphs[0].skeleton, 3, rng=5)
         for bad_k in (0, -2, True, 1.5, "3"):
             with pytest.raises(QueryError):
-                indexed.query_top_k(query, bad_k, 1)
+                indexed.catalog.query_top_k(query, bad_k, 1)
 
     def test_structure_checks_still_apply(self, indexed):
         disconnected = LabeledGraph.from_edges(
@@ -321,14 +317,6 @@ class TestTopKValidation:
         )
         with pytest.raises(QueryError):
             validate_top_k_query(disconnected, 2, 1)
-
-    def test_top_k_before_index_rejected(self, pipeline_database):
-        from repro.exceptions import IndexError_
-
-        database = ProbabilisticGraphDatabase(pipeline_database.graphs)
-        query = extract_query(pipeline_database.graphs[0].skeleton, 3, rng=5)
-        with pytest.raises(IndexError_):
-            database.query_top_k(query, 2, 1)
 
 
 class TestFilterMask:

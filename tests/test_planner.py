@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import (
     GraphCatalog,
-    ProbabilisticGraphDatabase,
     ProbabilisticPruner,
     PruningDecision,
     QueryPlanner,
@@ -21,8 +20,10 @@ from repro.core import (
     relax_query,
 )
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
-from repro.exceptions import IndexError_, QueryError
+from repro.exceptions import CatalogError, IndexError_, QueryError
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
+from repro.structural.feature_index import StructuralFeatureIndex
+from tests.conftest import build_index
 
 
 @pytest.fixture(scope="module")
@@ -45,22 +46,25 @@ FEATURES = FeatureSelectionConfig(
 )
 
 
-BUILD = dict(
-    feature_config=FEATURES, bound_config=BoundConfig(method="exact"), rng=17, max_workers=0
-)
+BUILD = dict(feature_config=FEATURES, bound_config=BoundConfig(method="exact"), rng=17)
 
 
 def _engine(graphs, num_shards):
-    return ProbabilisticGraphDatabase(graphs).build_index(num_shards=num_shards, **BUILD)
+    """The adopted-index route: both indexes built directly, then handed to
+    ``GraphCatalog.from_index``."""
+    built = build_index(graphs, **BUILD)
+    return GraphCatalog.from_index(
+        graphs, built.pmi, built.structural_index, num_shards=num_shards, max_workers=0
+    )
 
 
 def _catalog(graphs, num_shards):
-    return GraphCatalog.build(graphs, num_shards=num_shards, **BUILD)
+    return GraphCatalog.build(graphs, num_shards=num_shards, max_workers=0, **BUILD)
 
 
 @pytest.fixture(scope="module")
 def indexed(planner_database):
-    return _engine(planner_database.graphs, num_shards=1)
+    return build_index(planner_database.graphs, **BUILD)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +82,8 @@ def answers_as_tuples(result):
 class TestQueryMany:
     def test_batch_matches_sequential_queries(self, indexed, workload):
         config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
-        batch = indexed.query_many(workload, 0.3, 1, config=config, rng=3)
-        sequential = [indexed.query(q, 0.3, 1, config=config, rng=3) for q in workload]
+        batch = indexed.catalog.query_many(workload, 0.3, 1, config=config, rng=3)
+        sequential = [indexed.catalog.query(q, 0.3, 1, config=config, rng=3) for q in workload]
         assert len(batch) == len(sequential) == len(workload)
         for batch_result, sequential_result in zip(batch, sequential):
             assert answers_as_tuples(batch_result) == answers_as_tuples(sequential_result)
@@ -91,16 +95,11 @@ class TestQueryMany:
             {0: "a", 1: "b", 2: "c", 3: "d"}, [(0, 1, "x"), (2, 3, "x")]
         )
         with pytest.raises(QueryError):
-            indexed.query_many([*workload, disconnected], 0.3, 1)
-
-    def test_batch_requires_index(self, planner_database, workload):
-        database = ProbabilisticGraphDatabase(planner_database.graphs)
-        with pytest.raises(IndexError_):
-            database.query_many(workload, 0.3, 1)
+            indexed.catalog.query_many([*workload, disconnected], 0.3, 1)
 
     def test_aggregate_statistics(self, indexed, workload):
         config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
-        batch = indexed.query_many(workload, 0.3, 1, config=config, rng=3)
+        batch = indexed.catalog.query_many(workload, 0.3, 1, config=config, rng=3)
         totals = aggregate_statistics(batch)
         assert totals["num_queries"] == len(workload)
         assert totals["answers"] == sum(len(r.answers) for r in batch)
@@ -158,52 +157,48 @@ class TestMalformedBatchDoesNoWork:
 
 class TestPlanner:
     def test_k1_build_equals_the_dense_build_cell_for_cell(self, planner_database):
-        """``build_index(rng=s)`` on one shard holds exactly the arrays of a
-        dense ``ProbabilisticMatrixIndex.build(graphs, rng=s)`` and of the
+        """``GraphCatalog.build(rng=s)`` on one shard holds exactly the arrays
+        of a dense ``ProbabilisticMatrixIndex.build(graphs, rng=s)`` and of the
         structural index counted over its features (sampled bounds, so the
         per-graph build streams are in play)."""
-        from repro.structural.feature_index import StructuralFeatureIndex
-
         bounds = BoundConfig(num_samples=40)
-        engine = ProbabilisticGraphDatabase(planner_database.graphs).build_index(
-            feature_config=FEATURES, bound_config=bounds, rng=23
-        )
+        (shard,) = GraphCatalog.build(
+            planner_database.graphs, feature_config=FEATURES, bound_config=bounds, rng=23
+        ).planner().shards
+        pmi, structural_index = shard.pmi.base, shard.structural_index.base
         dense = ProbabilisticMatrixIndex(
             feature_config=FEATURES, bound_config=bounds
         ).build(planner_database.graphs, rng=23)
         structural = StructuralFeatureIndex(embedding_limit=FEATURES.embedding_limit).build(
             [graph.skeleton for graph in planner_database.graphs], dense.features
         )
-        assert [f.canonical for f in engine.pmi.features] == [
-            f.canonical for f in dense.features
-        ]
-        assert engine.pmi.build_root == dense.build_root == 23
+        assert [f.canonical for f in pmi.features] == [f.canonical for f in dense.features]
+        assert pmi.build_root == dense.build_root == 23
         for name in ("_lower", "_upper", "_present"):
-            assert np.array_equal(getattr(engine.pmi, name), getattr(dense, name)), name
+            assert np.array_equal(getattr(pmi, name), getattr(dense, name)), name
         assert np.count_nonzero(dense._present) > 0
-        assert np.array_equal(
-            engine.structural_index.counts_matrix(), structural.counts_matrix()
-        )
+        assert np.array_equal(structural_index.counts_matrix(), structural.counts_matrix())
 
     def test_build_index_constructs_planner(self, indexed):
-        """The engine's planner — a sharded planner over one shard — reads
-        the very arrays ``engine.pmi`` and ``engine.structural_index`` expose
-        (no copy between them)."""
-        planner = indexed.planner
+        """A catalog's planner — a sharded planner over one shard — reads the
+        very arrays of the base PMI its shard holds (no copy between them)."""
+        planner = indexed.catalog.planner()
         assert isinstance(planner, ShardedPlanner) and planner.num_shards == 1
-        assert isinstance(indexed.pmi, ProbabilisticMatrixIndex)
         (shard,) = planner.shards
+        base = shard.pmi.base
+        assert isinstance(base, ProbabilisticMatrixIndex)
         row = shard.pmi.row(0)
-        assert np.shares_memory(row.lower, indexed.pmi._lower)
-        assert np.shares_memory(row.upper, indexed.pmi._upper)
-        assert np.shares_memory(row.present, indexed.pmi._present)
-        assert shard.structural_index.base is indexed.structural_index
+        assert np.shares_memory(row.lower, base._lower)
+        assert np.shares_memory(row.upper, base._upper)
+        assert np.shares_memory(row.present, base._present)
+        assert isinstance(shard.structural_index.base, StructuralFeatureIndex)
         assert shard.structural_index.num_graphs == len(indexed.graphs)
 
     def test_plan_is_reusable(self, indexed, workload):
         config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
-        plan = indexed.planner.plan(workload[0], 0.3, 1, config)
-        first, second = indexed.planner.execute_plans([plan, plan], [3, 3])
+        planner = indexed.catalog.planner()
+        plan = planner.plan(workload[0], 0.3, 1, config)
+        first, second = planner.execute_plans([plan, plan], [3, 3])
         assert answers_as_tuples(first) == answers_as_tuples(second)
 
     def test_row_views_share_index_memory(self, indexed):
@@ -269,22 +264,43 @@ class TestPmiPersistenceRoundTrip:
             f.canonical for f in indexed.pmi.features
         ]
 
-        reloaded_db = ProbabilisticGraphDatabase(indexed.graphs)
-        reloaded_db.build_index(pmi=loaded)
+        reloaded = GraphCatalog.from_index(indexed.graphs, loaded, indexed.structural_index)
         config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
         for query in workload:
-            before = indexed.query(query, 0.3, 1, config=config, rng=3)
-            after = reloaded_db.query(query, 0.3, 1, config=config, rng=3)
+            before = indexed.catalog.query(query, 0.3, 1, config=config, rng=3)
+            after = reloaded.query(query, 0.3, 1, config=config, rng=3)
             assert answers_as_tuples(before) == answers_as_tuples(after)
 
     def test_prebuilt_pmi_size_mismatch_rejected(self, indexed, planner_database, tmp_path):
         target = tmp_path / "pmi"
         indexed.pmi.save(target)
         loaded = ProbabilisticMatrixIndex.load(target)
-        smaller = ProbabilisticGraphDatabase(planner_database.graphs[:3])
-        with pytest.raises(IndexError_):
-            smaller.build_index(pmi=loaded)
+        smaller = planner_database.graphs[:3]
+        with pytest.raises(CatalogError, match="covers"):
+            GraphCatalog.from_index(smaller, loaded, indexed.structural_index.subset([0, 1, 2]))
 
     def test_load_missing_path_rejected(self, tmp_path):
         with pytest.raises(IndexError_):
             ProbabilisticMatrixIndex.load(tmp_path / "nowhere")
+
+
+class TestDistanceThreshold:
+    """δ is normalised the way k is: ``operator.index``, bools refused."""
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None])
+    def test_a_non_integer_delta_is_a_query_error(self, indexed, workload, bad):
+        with pytest.raises(QueryError, match="integer"):
+            indexed.catalog.query(workload[0], 0.3, bad)
+        with pytest.raises(QueryError, match="integer"):
+            indexed.catalog.query_top_k(workload[0], 2, bad)
+        with pytest.raises(QueryError, match="integer"):
+            indexed.planner().plan(workload[0], 0.3, bad)
+
+    def test_an_integer_like_delta_answers_as_its_int(self, indexed, workload):
+        planner = indexed.planner()
+        plan = planner.plan(workload[0], 0.3, np.int64(1))
+        assert type(plan.distance_threshold) is int
+        assert type(planner.plan_top_k(workload[0], np.int32(2), np.int64(1)).k) is int
+        assert answers_as_tuples(
+            indexed.catalog.query(workload[0], 0.3, np.int64(1), rng=3)
+        ) == answers_as_tuples(indexed.catalog.query(workload[0], 0.3, 1, rng=3))

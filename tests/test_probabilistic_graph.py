@@ -84,7 +84,7 @@ class TestWorldMeasure:
         assignment = {key: 1 for key in overlap_graph_002.edge_variables()}
         expected = 1.0
         for factor in overlap_graph_002.factors:
-            expected *= factor.probability_of(assignment)
+            expected *= factor.jpt.value({key: assignment[key] for key in factor.edges})
         assert world_weight(overlap_graph_002, assignment) == pytest.approx(expected)
 
     def test_factors_containing(self, overlap_graph_002):

@@ -2,7 +2,10 @@
 event normaliser, possible-world enumeration, subgraph distance, the exact
 SIP, the optimal set cover) is for tests and benchmarks to compare against: no
 library module outside it imports it, what moved there is defined nowhere
-else, and no production knob selects it."""
+else, and no production knob selects it.  The same sweeps pinned what only
+forwarded to the one query path or only served tests: ``GraphCatalog`` is the
+front door, and the pruning switches, ``JointProbabilityTable.conditional``
+and the factor's ``probability_of`` are gone."""
 
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import repro
 from repro import reference
 
 PACKAGE = Path(repro.__file__).parent
+REPOSITORY = PACKAGE.parent.parent
 
 
 def imported_names(source: str, module: str) -> set[str]:
@@ -91,6 +95,7 @@ def test_the_frozenset_event_oracle_is_defined_only_in_the_reference_package():
 # the optimal cover — by the module that now holds each
 DEFINITION_ORACLES = {
     "reference/worlds.py": {
+        "factor_probability",
         "PossibleWorld",
         "enumerate_possible_worlds",
         "total_world_mass",
@@ -148,3 +153,44 @@ def test_the_knobs_that_selected_them_are_gone():
     for gone in ("world_weight", "world_graph", "sample_world", "sample_world_assignment"):
         assert not hasattr(ProbabilisticGraph, gone), gone
     assert not definitions({"SkeletonSequence"})
+
+
+def test_the_third_sweep_is_gone():
+    """The pruning ablation switches, the JPT's conditional and the factor's
+    own world weight left production; ``factor_probability`` is the oracle's."""
+    from repro.core import SearchConfig
+    from repro.graphs import NeighborEdgeFactor
+    from repro.probability import JointProbabilityTable
+
+    assert [f.name for f in fields(SearchConfig)] == ["relaxation", "pruning", "verification"]
+    assert not hasattr(JointProbabilityTable, "conditional")
+    assert not hasattr(NeighborEdgeFactor, "probability_of")
+    assert "factor_probability" in reference.__all__
+
+
+ADAPTER = "ProbabilisticGraphDatabase"
+
+
+def test_the_catalog_is_the_only_front_door():
+    """The one-shard adapter is out of the package's public names, and only
+    its module, the ``repro.core`` re-export, the end-to-end benchmark that
+    still builds through it and its parity test name it."""
+    assert ADAPTER not in repro.__all__
+    assert not hasattr(repro, ADAPTER)
+    sources = [
+        path
+        for root in ("src", "tests", "benchmarks", "examples", "scripts")
+        for path in (REPOSITORY / root).rglob("*.py")
+    ]
+    naming = {
+        path.relative_to(REPOSITORY).as_posix()
+        for path in [*sources, REPOSITORY / "README.md"]
+        if ADAPTER in path.read_text(encoding="utf-8")
+        and path.resolve() != Path(__file__).resolve()
+    }
+    outside_e2e = {name for name in naming if not name.startswith("benchmarks/e2e/")}
+    assert outside_e2e == {
+        "src/repro/core/search_engine.py",
+        "src/repro/core/__init__.py",
+        "tests/test_search_engine.py",
+    }

@@ -1,18 +1,26 @@
-"""Integration tests: the full filter-and-verify pipeline against ground truth."""
+"""Integration tests: the full filter-and-verify pipeline behind
+``GraphCatalog`` against ground truth, and the one-shard adapter the
+``verify_heavy`` benchmark workload still builds through held equal to it."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import (
+    GraphCatalog,
     ProbabilisticGraphDatabase,
     SearchConfig,
     VerificationConfig,
 )
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
-from repro.exceptions import IndexError_, QueryError
+from repro.exceptions import CatalogError, IndexError_, QueryError
 from repro.graphs import LabeledGraph
 from repro.pmi import BoundConfig, FeatureSelectionConfig
+from tests.conftest import build_index
+
+FEATURE_CONFIG = FeatureSelectionConfig(
+    alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=12
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,26 +41,23 @@ def tiny_database():
 
 @pytest.fixture(scope="module")
 def indexed_database(tiny_database):
-    database = ProbabilisticGraphDatabase(tiny_database.graphs)
-    database.build_index(
-        feature_config=FeatureSelectionConfig(
-            alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=12
-        ),
+    return GraphCatalog.build(
+        tiny_database.graphs,
+        feature_config=FEATURE_CONFIG,
         # exact SIP bounds keep the pruning deterministic and provably sound,
         # so the end-to-end result must coincide with the exact ground truth
         bound_config=BoundConfig(method="exact"),
         rng=17,
     )
-    return database
 
 
-def exact_answers(database, query, epsilon, delta):
+def exact_answers(graphs, query, epsilon, delta):
     """Ground-truth answer set by exact verification of every graph."""
     from repro.core.verification import Verifier
 
     verifier = Verifier(VerificationConfig(method="inclusion_exclusion", embedding_limit=None))
     answers = {}
-    for graph_id, graph in enumerate(database.graphs):
+    for graph_id, graph in enumerate(graphs):
         probability = verifier.subgraph_similarity_probability(query, graph, delta)
         if probability >= epsilon:
             answers[graph_id] = probability
@@ -61,13 +66,14 @@ def exact_answers(database, query, epsilon, delta):
 
 class TestValidation:
     def test_query_before_index(self, tiny_database, path_query):
+        """The adapter's one state without a catalog refuses every query."""
         database = ProbabilisticGraphDatabase(tiny_database.graphs)
         with pytest.raises(IndexError_):
             database.query(path_query, 0.5, 1)
 
     def test_empty_database_rejected(self):
-        with pytest.raises(ValueError):
-            ProbabilisticGraphDatabase([])
+        with pytest.raises(CatalogError):
+            GraphCatalog.build([])
 
     def test_bad_thresholds_rejected(self, indexed_database, path_query):
         with pytest.raises(QueryError):
@@ -98,7 +104,7 @@ class TestEndToEndCorrectness:
             verification=VerificationConfig(method="inclusion_exclusion")
         )
         result = indexed_database.query(query, epsilon, 1, config=config, rng=3)
-        truth = exact_answers(indexed_database, query, epsilon, 1)
+        truth = exact_answers(tiny_database.graphs, query, epsilon, 1)
         assert result.answer_ids() == set(truth)
 
     def test_answers_sorted_by_probability(self, indexed_database, tiny_database):
@@ -121,18 +127,6 @@ class TestEndToEndCorrectness:
         assert stats.relaxed_query_count >= 1
         assert stats.total_seconds >= 0.0
 
-    def test_disabling_pruning_still_matches_ground_truth(self, indexed_database, tiny_database):
-        query = extract_query(tiny_database.graphs[3].skeleton, 3, rng=13)
-        config = SearchConfig(
-            verification=VerificationConfig(method="inclusion_exclusion"),
-            use_structural_pruning=False,
-            use_probabilistic_pruning=False,
-        )
-        result = indexed_database.query(query, 0.3, 1, config=config, rng=3)
-        truth = exact_answers(indexed_database, query, 0.3, 1)
-        assert result.answer_ids() == set(truth)
-        assert result.statistics.verified == len(tiny_database.graphs)
-
     def test_sampling_verification_agrees_on_clear_cases(self, indexed_database, tiny_database):
         """With a low threshold the sampling pipeline should agree with the
         exact one on graphs whose SSP is far from the threshold."""
@@ -143,6 +137,47 @@ class TestEndToEndCorrectness:
         )
         exact_result = indexed_database.query(query, 0.15, 1, config=exact_cfg, rng=3)
         sampled_result = indexed_database.query(query, 0.15, 1, config=sample_cfg, rng=3)
-        truth = exact_answers(indexed_database, query, 0.15, 1)
+        truth = exact_answers(tiny_database.graphs, query, 0.15, 1)
         clear = {gid for gid, p in truth.items() if abs(p - 0.15) > 0.08}
         assert clear & exact_result.answer_ids() == clear & sampled_result.answer_ids()
+
+
+def counters(result):
+    stats = result.statistics.as_dict()
+    return {key: value for key, value in stats.items() if not key.endswith("_seconds")}
+
+
+def outcome(result):
+    answers = [(a.graph_id, a.graph_name, a.probability, a.decided_by) for a in result.answers]
+    return answers, counters(result)
+
+
+class TestAdapter:
+    def test_answers_and_counters_equal_the_catalog(self, tiny_database, tmp_path):
+        """``ProbabilisticGraphDatabase`` is ``GraphCatalog.build`` behind the
+        surface ``benchmarks/e2e``'s ``verify_heavy`` calls, and ``to_catalog``
+        is ``GraphCatalog.from_index``: equal answers and counters, so moving
+        that workload onto the catalog moves no number."""
+        graphs = tiny_database.graphs
+        arguments = dict(
+            feature_config=FEATURE_CONFIG, bound_config=BoundConfig(num_samples=40), rng=29
+        )
+        adapter = ProbabilisticGraphDatabase(graphs).build_index(**arguments)
+        built = GraphCatalog.build(graphs, **arguments)
+        direct = build_index(graphs, **arguments)
+        adopted = adapter.to_catalog(directory=tmp_path)
+        assert adopted.is_durable
+        config = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=200))
+        queries = [extract_query(graph.skeleton, 4, rng=seed) for seed, graph in enumerate(graphs)]
+        for index, query in enumerate(queries):
+            for call in (
+                lambda target: target.query(query, 0.3, 1, config=config, rng=index),
+                lambda target: target.query(query, 0.1, 2, config=config, rng=index),
+                lambda target: target.query_top_k(query, 2, 1, config=config, rng=index),
+            ):
+                expected = outcome(call(built))
+                assert outcome(call(adapter)) == expected
+                assert outcome(call(adopted)) == outcome(call(direct.catalog)) == expected
+        adopted.close()
+        adapter.close()
+        built.close()

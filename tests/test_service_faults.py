@@ -10,6 +10,7 @@ fixture below) never an orphaned shared-memory segment:
   byte-identical answers, then rebuilds;
 * a full admission queue — immediate ``overloaded``;
 * a bool where a mutation expects an external id — ``bad_request``;
+* a non-integral, bool or non-finite δ or k — ``bad_request``, over TCP too;
 * graceful shutdown mid-batch — queued work completes, new work gets
   ``shutting_down``;
 * ``ShardedPlanner.close()`` double-close and close-during-inflight —
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import json
 import os
 import signal
 import sys
@@ -35,12 +37,19 @@ import pytest
 import test_catalog_parity
 from test_catalog_parity import rebuild_from_scratch
 
-from repro.core import GraphCatalog, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, QueryResult, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.exceptions import ServiceError
+from repro.graphs.io import labeled_graph_to_dict
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig
-from repro.service.protocol import BAD_REQUEST, DEADLINE_EXCEEDED, OVERLOADED, SHUTTING_DOWN
+from repro.service.protocol import (
+    BAD_REQUEST,
+    DEADLINE_EXCEEDED,
+    OVERLOADED,
+    SHUTTING_DOWN,
+    encode_frame,
+)
 from repro.utils.shm import resident_segment_names
 
 PROBABILITY_THRESHOLD = 0.3
@@ -363,6 +372,72 @@ def test_bool_external_id_is_a_bad_request():
                     await client.add_graph(database.graphs[1], external_id=True)
                 assert excinfo.value.code == BAD_REQUEST
                 assert catalog.live_external_ids() == [0, 2, 3, 4, 5]
+        finally:
+            catalog.close()
+
+    asyncio.run(scenario())
+
+
+NOT_AN_INTEGER = (1.5, True, float("inf"), float("nan"))
+
+
+def test_non_integral_and_non_finite_delta_and_k_are_bad_requests():
+    """δ = 1.5 is not δ = 1 and k = 2.5 is not k = 2: each, like a bool,
+    ``Infinity`` or ``NaN``, gets a ``bad_request`` frame (``submit`` never
+    raises), while an integral float still answers as its int."""
+
+    async def scenario():
+        database, catalog = build_catalog(seed=7012)
+        query = extract_query(database.graphs[0].skeleton, 3, rng=1)
+        base = {"query": labeled_graph_to_dict(query), "rng": 5}
+        threshold = {**base, "op": "query", "probability_threshold": PROBABILITY_THRESHOLD}
+        top_k = {**base, "op": "query_top_k", "distance_threshold": DISTANCE_THRESHOLD}
+        try:
+            async with QueryService(catalog, ServiceConfig(search_config=SEARCH_CONFIG)) as service:
+                for value in NOT_AN_INTEGER:
+                    frames = ({**threshold, "distance_threshold": value}, {**top_k, "k": value})
+                    for frame in frames:
+                        response = await service.submit(frame)
+                        assert response["error"]["code"] == BAD_REQUEST, frame
+                response = await service.submit(
+                    {**threshold, "distance_threshold": float(DISTANCE_THRESHOLD)}
+                )
+                expected = catalog.query(
+                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=5
+                )
+                assert QueryResult.from_dict(response["result"]).answers == expected.answers
+        finally:
+            catalog.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_non_finite_threshold_over_tcp_still_gets_a_response_frame():
+    """``json.loads`` reads ``Infinity``: the line's task must answer it, not die."""
+
+    async def scenario():
+        database, catalog = build_catalog(seed=7013)
+        query = extract_query(database.graphs[0].skeleton, 3, rng=1)
+        try:
+            async with QueryService(catalog, ServiceConfig(search_config=SEARCH_CONFIG)) as service:
+                host, port = await service.serve_tcp()
+                reader, writer = await asyncio.open_connection(host, port)
+                frame = encode_frame(
+                    {
+                        "id": 9,
+                        "op": "query_top_k",
+                        "query": labeled_graph_to_dict(query),
+                        "k": 2,
+                        "distance_threshold": 1,
+                    }
+                ).replace(b'"distance_threshold":1', b'"distance_threshold":Infinity')
+                writer.write(frame)
+                await writer.drain()
+                response = json.loads(await asyncio.wait_for(reader.readline(), timeout=10))
+                writer.close()
+                await writer.wait_closed()
+                assert response["id"] == 9
+                assert response["error"]["code"] == BAD_REQUEST
         finally:
             catalog.close()
 

@@ -21,7 +21,7 @@ import pickle
 import pytest
 
 from repro.core import (
-    ProbabilisticGraphDatabase,
+    GraphCatalog,
     QueryStatistics,
     SearchConfig,
     ShardSpec,
@@ -33,7 +33,7 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.exceptions import CatalogError
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 
-from tests.conftest import WIDE_SUPPORT_DISTANCE
+from tests.conftest import WIDE_SUPPORT_DISTANCE, build_index
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -101,8 +101,8 @@ class TestRandomizedCrossShardParity:
         database = random_database(seed, num_graphs)
         workload = random_workload(database, seed=seed * 3 + 1)
 
-        sequential = ProbabilisticGraphDatabase(database.graphs)
-        sequential.build_index(
+        sequential = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=seed
         )
         sequential_results = sequential.query_many(
@@ -110,8 +110,8 @@ class TestRandomizedCrossShardParity:
         )
 
         for num_shards in (1, 2, 4):
-            sharded = ProbabilisticGraphDatabase(database.graphs)
-            sharded.build_index(
+            sharded = GraphCatalog.build(
+                database.graphs,
                 feature_config=FEATURE_CONFIG,
                 bound_config=BoundConfig(method="exact"),
                 rng=seed,
@@ -143,12 +143,12 @@ class TestRandomizedCrossShardParity:
         workload = random_workload(database, seed=500)
         sampled_bounds = BoundConfig(num_samples=40)
 
-        sequential = ProbabilisticGraphDatabase(database.graphs)
-        sequential.build_index(
+        sequential = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG, bound_config=sampled_bounds, rng=9
         )
-        sharded = ProbabilisticGraphDatabase(database.graphs)
-        sharded.build_index(
+        sharded = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=sampled_bounds,
             rng=9,
@@ -171,7 +171,8 @@ class TestRandomizedCrossShardParity:
         byte — the sampled estimates are what makes that a contract."""
         graphs, queries = wide_support_corpus
         engines = [
-            ProbabilisticGraphDatabase(graphs).build_index(
+            GraphCatalog.build(
+                graphs,
                 feature_config=FEATURE_CONFIG,
                 bound_config=BoundConfig(num_samples=40),
                 rng=9,
@@ -200,12 +201,12 @@ class TestRandomizedCrossShardParity:
         database = random_database(303, 6)
         query = random_workload(database, seed=900, num_queries=1)[0]
 
-        sequential = ProbabilisticGraphDatabase(database.graphs)
-        sequential.build_index(
+        sequential = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=1
         )
-        sharded = ProbabilisticGraphDatabase(database.graphs)
-        sharded.build_index(
+        sharded = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=1,
@@ -228,21 +229,28 @@ class TestRandomizedCrossShardParity:
     def test_loaded_pmi_sharded_matches_sequential(self, tmp_path):
         """A persisted PMI row-sliced into shards answers byte-identically
         (threshold answers and counters, top-k ranked answers) to the
-        sequential engine built from the same loaded PMI."""
+        one-shard catalog adopted from the same loaded PMI."""
         database = random_database(414, 7)
         workload = random_workload(database, seed=41)
-        built = ProbabilisticGraphDatabase(database.graphs).build_index(
-            feature_config=FEATURE_CONFIG, bound_config=BoundConfig(num_samples=40), rng=6
+        built = build_index(
+            database.graphs,
+            feature_config=FEATURE_CONFIG,
+            bound_config=BoundConfig(num_samples=40),
+            rng=6,
         )
         built.pmi.save(tmp_path)
 
-        sequential = ProbabilisticGraphDatabase(database.graphs).build_index(
-            pmi=ProbabilisticMatrixIndex.load(tmp_path)
+        sequential = GraphCatalog.from_index(
+            database.graphs, ProbabilisticMatrixIndex.load(tmp_path), built.structural_index
         )
-        sharded = ProbabilisticGraphDatabase(database.graphs).build_index(
-            pmi=ProbabilisticMatrixIndex.load(tmp_path), num_shards=3, max_workers=0
+        sharded = GraphCatalog.from_index(
+            database.graphs,
+            ProbabilisticMatrixIndex.load(tmp_path),
+            built.structural_index,
+            num_shards=3,
+            max_workers=0,
         )
-        assert sharded.planner.num_shards == 3
+        assert sharded.planner().num_shards == 3
         for expected, actual in zip(
             sequential.query_many(
                 workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=6
@@ -273,14 +281,18 @@ class TestRandomizedCrossShardParity:
         its recording cannot back a catalog — a typed error, not a mismatch,
         and the same one for every shard count."""
         database = random_database(515, 4)
-        ProbabilisticGraphDatabase(database.graphs).build_index(
-            feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=6
-        ).pmi.save(tmp_path)
+        built = build_index(
+            database.graphs,
+            feature_config=FEATURE_CONFIG,
+            bound_config=BoundConfig(method="exact"),
+            rng=6,
+        )
+        built.pmi.save(tmp_path)
         loaded = ProbabilisticMatrixIndex.load(tmp_path)
         loaded.build_root = None
         with pytest.raises(CatalogError, match="build root"):
-            ProbabilisticGraphDatabase(database.graphs).build_index(
-                pmi=loaded, num_shards=num_shards
+            GraphCatalog.from_index(
+                database.graphs, loaded, built.structural_index, num_shards=num_shards
             )
 
 
@@ -293,8 +305,8 @@ class TestDeterminismRegression:
 
         fingerprints = []
         for max_workers in (0, 1, 2):
-            engine = ProbabilisticGraphDatabase(database.graphs)
-            engine.build_index(
+            engine = GraphCatalog.build(
+                database.graphs,
                 feature_config=FEATURE_CONFIG,
                 bound_config=BoundConfig(method="exact"),
                 rng=21,
@@ -326,8 +338,8 @@ class TestDeterminismRegression:
     def test_two_runs_same_seed_identical(self):
         database = random_database(505, 6)
         workload = random_workload(database, seed=50, num_queries=2)
-        engine = ProbabilisticGraphDatabase(database.graphs)
-        engine.build_index(
+        engine = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=33,
@@ -422,12 +434,12 @@ class TestStatisticsMerge:
         """End-to-end: merged shard counters equal the sequential counters."""
         database = random_database(707, 6)
         query = random_workload(database, seed=70, num_queries=1)[0]
-        sequential = ProbabilisticGraphDatabase(database.graphs)
-        sequential.build_index(
+        sequential = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=8
         )
-        sharded = ProbabilisticGraphDatabase(database.graphs)
-        sharded.build_index(
+        sharded = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=8,

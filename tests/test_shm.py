@@ -21,7 +21,6 @@ import pytest
 
 from repro.core import (
     GraphCatalog,
-    ProbabilisticGraphDatabase,
     QueryPlanner,
     SearchConfig,
     VerificationConfig,
@@ -40,7 +39,7 @@ from repro.utils.shm import (
     resident_segment_names,
     unlink_segment,
 )
-from tests.conftest import assert_same_postings
+from tests.conftest import assert_same_postings, build_index
 
 SEARCH_CONFIG = SearchConfig(
     verification=VerificationConfig(method="sampling", num_samples=60)
@@ -259,13 +258,13 @@ class TestLazyGraphs:
         """Building a planner and running its structural filter read the
         index, never a graph."""
         database = small_database(num_graphs=4)
-        engine = ProbabilisticGraphDatabase(database.graphs).build_index(rng=11)
+        built = build_index(database.graphs, rng=11)
         payloads = [pickle.dumps(graph) for graph in database.graphs]
         offsets = np.concatenate(
             [[0], np.cumsum([len(p) for p in payloads])]
         ).astype(np.int64)
         lazy = LazyGraphList(memoryview(b"".join(payloads)), offsets)
-        planner = QueryPlanner(lazy, engine.pmi, engine.structural_index)
+        planner = QueryPlanner(lazy, built.pmi, built.structural_index)
         query = extract_query(database.graphs[2].skeleton, 3, rng=1)
         assert planner.structural_filter.filter(query, 1).candidate_count > 0
         assert lazy.materialized_count() == 0
@@ -277,9 +276,10 @@ class TestLazyGraphs:
 class TestShardPlaneCleanup:
     def _plane(self, max_workers=0):
         database = small_database()
-        engine = ProbabilisticGraphDatabase(database.graphs)
-        engine.build_index(rng=11, num_shards=2, max_workers=max_workers)
-        return engine, ShardPlane(engine.planner.shards)
+        catalog = GraphCatalog.build(
+            database.graphs, rng=11, num_shards=2, max_workers=max_workers
+        )
+        return catalog, ShardPlane(catalog.planner().shards)
 
     def test_publish_materialize_round_trip_in_process(self):
         """Base arena + delta segment round-trip a shard that has both a
@@ -360,7 +360,7 @@ class TestShardPlaneCleanup:
     def test_descriptor_payload_is_a_sliver_of_the_plane(self):
         """With the signature postings among the arena fields, what a worker
         is sent still is at most a fifth of what the plane publishes."""
-        _engine, plane = self._plane()
+        _catalog, plane = self._plane()
         try:
             assert {"signature_offsets", "signature_rows", "signature_counts"} <= {
                 field.key for field in plane.descriptors[0].arena.fields
@@ -370,7 +370,7 @@ class TestShardPlaneCleanup:
             plane.close()
 
     def test_close_unlinks_all_segments(self):
-        _engine, plane = self._plane()
+        _catalog, plane = self._plane()
         names = plane.segment_names()
         assert all(name in resident_segment_names() for name in names)
         plane.close()
@@ -382,7 +382,7 @@ class TestShardPlaneCleanup:
         """A compaction retires a plane through the drain barrier: while a
         fan-out still reads it every segment stays, and the release of the
         last one unlinks them all."""
-        _engine, plane = self._plane()
+        _catalog, plane = self._plane()
         names = plane.segment_names()
         first, second = plane.acquire(), plane.acquire()
         plane.retire()
@@ -397,7 +397,7 @@ class TestShardPlaneCleanup:
         assert idle.closed
 
     def test_gc_unlinks_unclosed_plane(self):
-        _engine, plane = self._plane()
+        _catalog, plane = self._plane()
         names = plane.segment_names()
         del plane
         gc.collect()
@@ -405,16 +405,15 @@ class TestShardPlaneCleanup:
 
     def test_planner_close_retires_plane(self):
         database = small_database()
-        engine = ProbabilisticGraphDatabase(database.graphs)
-        engine.build_index(rng=11, num_shards=2, max_workers=2)
+        catalog = GraphCatalog.build(database.graphs, rng=11, num_shards=2, max_workers=2)
         query = extract_query(database.graphs[0].skeleton, 3, rng=3)
-        engine.query(query, 0.3, 1, config=SEARCH_CONFIG, rng=5)
-        plane = engine.planner.shard_plane
+        catalog.query(query, 0.3, 1, config=SEARCH_CONFIG, rng=5)
+        plane = catalog.planner().shard_plane
         assert plane is not None
         names = plane.segment_names()
         assert names
-        engine.close()
-        assert engine.planner.shard_plane is None
+        catalog.close()
+        assert catalog.planner().shard_plane is None
         assert not any(name in resident_segment_names() for name in names)
 
     def test_sigkilled_worker_leaves_no_orphans(self):
@@ -423,18 +422,17 @@ class TestShardPlaneCleanup:
         correct, and every segment is retired — nothing leaks even though
         the worker died without running any cleanup."""
         database = small_database()
-        engine = ProbabilisticGraphDatabase(database.graphs)
-        engine.build_index(rng=11, num_shards=2, max_workers=2)
+        catalog = GraphCatalog.build(database.graphs, rng=11, num_shards=2, max_workers=2)
         query = extract_query(database.graphs[0].skeleton, 3, rng=3)
-        expected = engine.query(query, 0.3, 1, config=SEARCH_CONFIG, rng=5)
-        names = engine.planner.shard_plane.segment_names()
-        victim_pid = engine.planner.map_slots(os.getpid)[0]  # slot 0 serves shard 0
+        expected = catalog.query(query, 0.3, 1, config=SEARCH_CONFIG, rng=5)
+        names = catalog.planner().shard_plane.segment_names()
+        victim_pid = catalog.planner().map_slots(os.getpid)[0]  # slot 0 serves shard 0
         os.kill(victim_pid, signal.SIGKILL)
-        survived = engine.query(query, 0.3, 1, config=SEARCH_CONFIG, rng=5)
-        assert engine.planner.shard_plane is None  # the fallback's full swap
+        survived = catalog.query(query, 0.3, 1, config=SEARCH_CONFIG, rng=5)
+        assert catalog.planner().shard_plane is None  # the fallback's full swap
         assert not any(name in resident_segment_names() for name in names)
         assert [(a.graph_id, a.probability) for a in survived.answers] == [
             (a.graph_id, a.probability) for a in expected.answers
         ]
-        engine.close()
-        assert engine.planner.shard_plane is None
+        catalog.close()
+        assert catalog.planner().shard_plane is None

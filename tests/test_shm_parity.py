@@ -41,12 +41,12 @@ from test_sharding_parity import (
     random_workload,
 )
 
-from repro.core import GraphCatalog, ProbabilisticGraphDatabase, ShardPlane, sharding
+from repro.core import GraphCatalog, ShardPlane, sharding
 from repro.datasets import extract_query
 from repro.pmi import BoundConfig
 from repro.utils.shm import resident_segment_names
 
-from tests.conftest import WIDE_SUPPORT_DISTANCE
+from tests.conftest import WIDE_SUPPORT_DISTANCE, build_index
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -70,16 +70,16 @@ class TestPoolShmParity:
         database = random_database(8101, 8)
         workload = random_workload(database, seed=8103)
 
-        sequential = ProbabilisticGraphDatabase(database.graphs)
-        sequential.build_index(
+        sequential = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=3
         )
         expected = sequential.query_many(
             workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=3
         )
 
-        sharded = ProbabilisticGraphDatabase(database.graphs)
-        sharded.build_index(
+        sharded = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=3,
@@ -92,7 +92,7 @@ class TestPoolShmParity:
             )
             if num_shards > 1:
                 # the pool really ran on attached segments
-                plane = sharded.planner.shard_plane
+                plane = sharded.planner().shard_plane
                 assert plane is not None and not plane.closed
                 # one base arena and one delta segment per shard
                 assert len(plane.base_segment_names()) == num_shards
@@ -112,12 +112,12 @@ class TestPoolShmParity:
     def test_top_k_parity_through_shm_pool(self, k):
         database = random_database(8202, 7)
         query = random_workload(database, seed=8205, num_queries=1)[0]
-        sequential = ProbabilisticGraphDatabase(database.graphs)
-        sequential.build_index(
+        sequential = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=5
         )
-        sharded = ProbabilisticGraphDatabase(database.graphs)
-        sharded.build_index(
+        sharded = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=5,
@@ -142,10 +142,8 @@ class TestPoolShmParity:
         request come back byte-identical, threshold and top-k."""
         graphs, queries = wide_support_corpus
         build = dict(feature_config=FEATURE_CONFIG, bound_config=BoundConfig(num_samples=40), rng=3)
-        sequential = ProbabilisticGraphDatabase(graphs).build_index(**build)
-        sharded = ProbabilisticGraphDatabase(graphs).build_index(
-            **build, num_shards=2, max_workers=2
-        )
+        sequential = GraphCatalog.build(graphs, **build)
+        sharded = GraphCatalog.build(graphs, **build, num_shards=2, max_workers=2)
         try:
             for query in queries:
                 expected = sequential.query(
@@ -166,7 +164,7 @@ class TestPoolShmParity:
                         query, 3, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
                     )
                 )
-            assert sharded.planner.shard_plane is not None  # the pool really ran
+            assert sharded.planner().shard_plane is not None  # the pool really ran
         finally:
             sharded.close()
 
@@ -770,19 +768,19 @@ class TestExecutorResizeAndPayload:
         shards themselves does — that asymmetry IS the feature."""
         payloads = {}
         for label, num_graphs in (("small", 6), ("large", 24)):
-            engine = ProbabilisticGraphDatabase(random_database(8601, num_graphs).graphs)
-            engine.build_index(
+            catalog = GraphCatalog.build(
+                random_database(8601, num_graphs).graphs,
                 feature_config=FEATURE_CONFIG,
                 bound_config=BoundConfig(method="exact"),
                 rng=11,
                 num_shards=2,
                 max_workers=0,
             )
-            plane = ShardPlane(engine.planner.shards)
+            plane = ShardPlane(catalog.planner().shards)
             try:
                 descriptor_bytes = plane.payload_bytes()
                 shard_bytes = plane.shard_bytes()
-                pickled_bytes = len(pickle.dumps(engine.planner.shards))
+                pickled_bytes = len(pickle.dumps(catalog.planner().shards))
             finally:
                 plane.close()
             payloads[label] = (descriptor_bytes, shard_bytes, pickled_bytes)
@@ -801,14 +799,18 @@ class TestExecutorResizeAndPayload:
         bytes — to the byte — behind 8 base graphs and behind 64."""
         database = random_database(8651, 64)
         arrival = random_database(8652, 1).graphs[0]
-        engine = ProbabilisticGraphDatabase(database.graphs)
-        engine.build_index(feature_config=FEATURE_CONFIG, bound_config=BoundConfig(num_samples=20), rng=11)
+        built = build_index(
+            database.graphs,
+            feature_config=FEATURE_CONFIG,
+            bound_config=BoundConfig(num_samples=20),
+            rng=11,
+        )
         sizes = {}
         for num_graphs in (8, 64):
             catalog = GraphCatalog.from_index(
                 database.graphs[:num_graphs],
-                engine.pmi.subset(range(num_graphs)),
-                engine.structural_index.subset(range(num_graphs)),
+                built.pmi.subset(range(num_graphs)),
+                built.structural_index.subset(range(num_graphs)),
                 num_shards=2,
                 max_workers=0,
             )
@@ -824,7 +826,6 @@ class TestExecutorResizeAndPayload:
             finally:
                 plane.close()
                 catalog.close()
-        engine.close()
         small, large = sizes[8], sizes[64]
         assert large[0] > small[0] * 4  # 8x the graphs: the base arenas grow
         assert large[1] == small[1]  # an empty delta is the same few bytes
@@ -834,15 +835,15 @@ class TestExecutorResizeAndPayload:
     def test_resize_reuses_published_plane(self):
         database = random_database(8702, 8)
         workload = random_workload(database, seed=8703, num_queries=1)
-        engine = ProbabilisticGraphDatabase(database.graphs)
-        engine.build_index(
+        catalog = GraphCatalog.build(
+            database.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=13,
             num_shards=4,
             max_workers=2,
         )
-        planner = engine.planner
+        planner = catalog.planner()
         plans = [
             planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
             for query in workload

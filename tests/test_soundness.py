@@ -18,7 +18,7 @@ from functools import partial
 import pytest
 
 from repro.baselines.exact_scan import ExactScanBaseline, ExactScanConfig
-from repro.core import ProbabilisticGraphDatabase, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
@@ -51,7 +51,8 @@ def case(request):
     graphs = generate_ppi_database(config, rng=321).graphs
     queries = [extract_query(graphs[index].skeleton, 3, rng=40 + index) for index in range(4)]
     engines = {
-        num_shards: ProbabilisticGraphDatabase(graphs).build_index(
+        num_shards: GraphCatalog.build(
+            graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=321,

@@ -22,11 +22,7 @@ import pickle
 import pytest
 
 from repro.baselines.exact_scan import ExactScanBaseline, ExactScanConfig
-from repro.core import (
-    ProbabilisticGraphDatabase,
-    SearchConfig,
-    VerificationConfig,
-)
+from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
@@ -80,15 +76,14 @@ def answer_tuples(result):
 
 
 def build_engine(graphs, seed, num_shards=1, max_workers=0):
-    engine = ProbabilisticGraphDatabase(graphs)
-    engine.build_index(
+    return GraphCatalog.build(
+        graphs,
         feature_config=FEATURE_CONFIG,
         bound_config=BoundConfig(method="exact"),
         rng=seed,
         num_shards=num_shards,
         max_workers=max_workers,
     )
-    return engine
 
 
 class TestReferenceParity:
@@ -184,7 +179,8 @@ class TestCrossShardMergeInvariant:
         graphs, queries = wide_support_corpus
         engines = {}
         for num_shards in (1, 2, 4):
-            engines[num_shards] = ProbabilisticGraphDatabase(graphs).build_index(
+            engines[num_shards] = GraphCatalog.build(
+                graphs,
                 feature_config=FEATURE_CONFIG,
                 bound_config=BoundConfig(num_samples=40),
                 rng=5,
@@ -309,7 +305,8 @@ class TestTopKPruningEffectiveness:
             for num_graphs, probability in ((12, 0.9), (24, 0.15))
         )
         graphs = high.graphs + low.graphs
-        engine = ProbabilisticGraphDatabase(graphs).build_index(
+        engine = GraphCatalog.build(
+            graphs,
             feature_config=FeatureSelectionConfig(
                 alpha=0.1, beta=0.15, gamma=0.1, max_vertices=3, max_features=16
             ),
