@@ -13,6 +13,9 @@ this benchmark measures what that costs and what it buys:
 * **pool spin-up** — wall-clock from no pool to every slot's worker
   answering a probe (parked pools are shut down first, so this is fork +
   attach);
+* **fan-out round trip** (``fanout_roundtrip_ms``) — the median of 200
+  no-op ``map_slots`` calls at width 2: what one fan-out costs the transport
+  alone, with no shard work in it;
 * **reopen** — wall-clock of ``GraphCatalog.open`` plus the first query
   after a ``close()``, on the workers that close parked;
 * **per-worker memory** — each worker's shard-attributable private bytes at
@@ -38,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -66,6 +70,8 @@ DISTANCE_THRESHOLD = 1
 QUERY_SIZE = 4
 NUM_SHARDS = 4
 SPEEDUP_FLOOR = 1.5
+FANOUT_CALLS = 200
+FANOUT_WIDTH = 2
 # per generation a slot is sent the pickled descriptors of the shards it
 # serves — they must stay a sliver of the shard bytes the plane publishes
 # (what a copy-per-worker transport would ship)
@@ -132,6 +138,35 @@ def _worker_probe() -> dict:
         "live_graphs": live_graphs,
         "private_dirty_kb": private_dirty_kb,
     }
+
+
+def _noop() -> None:
+    """A slot task that does nothing: a fan-out of it costs the transport only."""
+
+
+def measure_fanout_roundtrip(database) -> float:
+    """Median milliseconds of one no-op ``map_slots`` call at width 2 — a
+    round trip to every slot's worker and back — over ``FANOUT_CALLS``
+    calls on warm workers."""
+    catalog = GraphCatalog.build(
+        database.graphs,
+        feature_config=BENCH_FEATURE_CONFIG,
+        bound_config=BENCH_BOUND_CONFIG,
+        rng=BENCH_SEED,
+        num_shards=NUM_SHARDS,
+        max_workers=FANOUT_WIDTH,
+    )
+    try:
+        planner = catalog.planner()
+        planner.map_slots(_noop)  # fork or adopt the workers outside the timing
+        samples = []
+        for _ in range(FANOUT_CALLS):
+            started = time.perf_counter()
+            planner.map_slots(_noop)
+            samples.append(time.perf_counter() - started)
+    finally:
+        catalog.close()
+    return statistics.median(samples) * 1e3
 
 
 def measure_spinup(database, queries, workers: int) -> dict:
@@ -290,6 +325,7 @@ def run_benchmark(profile: dict) -> dict:
     shm_spinup = measure_spinup(database, queries, workers)
     throughput = run_sharded_comparison(database, queries, workers)
     reopen = measure_reopen(database, queries, workers)
+    fanout_roundtrip_ms = measure_fanout_roundtrip(database)
 
     return {
         "num_graphs": len(database.graphs),
@@ -303,6 +339,7 @@ def run_benchmark(profile: dict) -> dict:
         "workers_probed": shm_spinup["workers_probed"],
         "reopen_first_query_seconds": reopen["reopen_seconds"],
         "reopen_kept_workers": reopen["workers_kept"],
+        "fanout_roundtrip_ms": fanout_roundtrip_ms,
         "spinup_worker_private_dirty_kb": [
             probe["private_dirty_kb"] for probe in shm_spinup["probes"]
         ],
@@ -374,6 +411,10 @@ def main() -> None:
         ],
     )
     print(f"speedup: {report['speedup']:.2f}x")
+    print(
+        f"fan-out round trip: {report['fanout_roundtrip_ms']:.3f} ms "
+        f"(median of {FANOUT_CALLS} no-op map_slots calls at width {FANOUT_WIDTH})"
+    )
     print(
         f"pool spin-up: {report['shm_spinup_seconds']:.3f} s, reopen to first "
         f"answer on the parked pool: {report['reopen_first_query_seconds']:.3f} s, "

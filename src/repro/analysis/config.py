@@ -70,8 +70,10 @@ class AnalysisConfig:
                 lock_attribute="_lock",
                 guarded_attributes=frozenset(
                     {
-                        # one executor per slot, and the base segments whose
-                        # descriptor each slot has been sent
+                        # one forked worker per slot, and the base segments
+                        # whose descriptor each slot has been sent; each
+                        # slot orders its own pipe traffic with locks of
+                        # its own, so replies are awaited outside _lock
                         "_slots",
                         "_shipped",
                         "_local_planners",

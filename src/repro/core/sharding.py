@@ -9,9 +9,9 @@ one planner a :class:`~repro.core.catalog.GraphCatalog` holds, for every K:
 one round of parallel work — a local step per shard, then one merge — of
 which a single shard is the degenerate case.  With K = 1 it runs every plan
 whole, in-process; with K > 1 it fans a list of finished plans out over a
-``concurrent.futures`` process pool (:meth:`ShardedPlanner.execute_plans`:
-one task per shard, each running every plan) and merges the per-shard parts
-of each plan deterministically.
+pool of forked worker processes (:meth:`ShardedPlanner.execute_plans`: one
+task per worker, running every plan on each shard it serves) and merges the
+per-shard parts of each plan deterministically.
 
 Determinism is the load-bearing property.  Two ingredients make a sharded
 run reproduce the one-shard run *exactly*, regardless of K, worker count,
@@ -63,9 +63,12 @@ shard has:
   graph list and the delta graphs it already holds (:func:`materialize_shard`)
   — so deserialized graphs and every cache hung on them survive a mutation.
 
-The pool is one single-process executor per slot, and shard ``i`` is served
-by slot ``i mod W`` only: each shard is mapped and its graphs deserialized
-in exactly one worker.
+The pool is one forked worker per slot, driven over a duplex pipe: the
+worker receives a task frame, runs it and sends the reply frame, in order,
+and the parent resolves each slot's pending replies oldest first.  Shard
+``i`` is served by slot ``i mod W`` only: each shard is mapped and its graphs
+deserialized in exactly one worker, and one fan-out sends each slot one
+frame carrying the pickled plan batch and the shards it runs them on.
 
 Lifecycle: the :class:`ShardPlane` (the bases plus each shard's current
 delta) is created lazily with the first pool and survives pool resizes (a
@@ -89,10 +92,10 @@ process-wide registry, at most one list per width, and the next planner of
 that width takes it instead of forking (:func:`materialize_shard` adopts the
 kept graphs, caches included, wherever their digests reappear).  A worker
 therefore holds at most one closed planner's graphs, dropped at its next
-release.  A broken pool is shut down, never parked; parked pools are shut
-down at interpreter exit or by :func:`shutdown_parked_pools`.  Answers stay
-byte-identical throughout because the arrays workers read are bit-for-bit
-the parent's.
+release.  A slot list with a dead worker, or one that fails to release, is
+shut down, never parked; parked pools are shut down at interpreter exit or
+by :func:`shutdown_parked_pools`.  Answers stay byte-identical throughout
+because the arrays workers read are bit-for-bit the parent's.
 """
 
 from __future__ import annotations
@@ -100,19 +103,22 @@ from __future__ import annotations
 import atexit
 import gc
 import hashlib
+import multiprocessing
 import os
 import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
+from multiprocessing.util import register_after_fork
 
 import numpy as np
 
 from repro.core.pipeline import TOP_K_MODE, TopKPartial, merge_top_k_partials
 from repro.core.planner import QueryPlan, QueryPlanner
 from repro.core.results import QueryResult, QueryStatistics
-from repro.exceptions import ConfigurationError, IndexError_, ShmError
+from repro.exceptions import BrokenSlotError, ConfigurationError, IndexError_, ShmError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.pmi.index import ProbabilisticMatrixIndex
@@ -607,13 +613,13 @@ class ShardPlane:
 # query execution (runs in worker processes)
 # ----------------------------------------------------------------------
 # Each worker is the one process of its slot and serves a fixed set of
-# shards.  A task names the base segment and the delta segment it must run
-# against; the first task of a base generation on a slot carries the shard's
-# descriptor in place of the name.  The worker keeps, per shard, the last
-# descriptor it was sent and the view and the planner it built for the last
-# delta named, so steady-state tasks ship only (shard_id, base segment name,
-# delta segment name, plan batch).  A parked worker holds none of that, only
-# the graphs it kept at its release (digest -> graph).
+# shards.  A task names, per shard, the base segment and the delta segment it
+# must run against; the first task of a base generation on a slot carries the
+# shard's descriptor in place of the name.  The worker keeps, per shard, the
+# last descriptor it was sent and the view and the planner it built for the
+# last delta named, so steady-state tasks ship only (shard_id, base segment
+# name, delta segment name) per shard plus the plan batch.  A parked worker
+# holds none of that, only the graphs it kept at its release (digest -> graph).
 _WORKER_DESCRIPTORS: dict[int, ShardDescriptor] = {}
 _WORKER_SHARDS: dict[int, DatabaseShard] = {}
 _WORKER_PLANNERS: dict[int, tuple[str, QueryPlanner]] = {}  # (delta segment, planner)
@@ -638,22 +644,31 @@ def _execute_on_shard(
     ]
 
 
-def _run_shard_workload(
-    shard_id: int, base: ShardDescriptor | str, delta_segment: str, batch: bytes
-) -> list[QueryResult | TopKPartial]:
-    """One pool task: ``batch`` is the pickled ``(plans, roots)`` of a fan-out.
+def _run_slot_workload(
+    tasks: list[tuple[int, ShardDescriptor | str, str]], batch: bytes
+) -> list[list[QueryResult | TopKPartial]]:
+    """One slot's part of a fan-out: every plan on every shard it serves.
 
-    ``base`` is the shard's descriptor on the first task of a generation and
-    the base segment's name after that.
+    ``tasks`` holds ``(shard_id, base, delta segment)`` per shard, in shard
+    order; ``base`` is the shard's descriptor on the first task of a
+    generation and the base segment's name after that.  ``batch`` is the
+    pickled ``(plans, roots)``, unpickled once for all the slot's shards, as
+    the in-process path shares one plan list between shards.  Every
+    descriptor carried is recorded before any shard runs, so a shard that
+    fails does not cost a sibling the descriptor its next task relies on.
     """
-    if isinstance(base, ShardDescriptor):
-        _WORKER_DESCRIPTORS[shard_id] = base
-        base = base.arena.segment
-    descriptor = _WORKER_DESCRIPTORS.get(shard_id)
-    if descriptor is None or descriptor.arena.segment != base:
-        raise ShmError(f"shard {shard_id}: this worker was never sent base {base!r}")
+    for shard_id, base, _ in tasks:
+        if isinstance(base, ShardDescriptor):
+            _WORKER_DESCRIPTORS[shard_id] = base
     plans, roots = pickle.loads(batch)
-    return _execute_on_shard(_worker_planner(descriptor, delta_segment), plans, roots)
+    parts = []
+    for shard_id, base, delta_segment in tasks:
+        segment = base.arena.segment if isinstance(base, ShardDescriptor) else base
+        descriptor = _WORKER_DESCRIPTORS.get(shard_id)
+        if descriptor is None or descriptor.arena.segment != segment:
+            raise ShmError(f"shard {shard_id}: this worker was never sent base {segment!r}")
+        parts.append(_execute_on_shard(_worker_planner(descriptor, delta_segment), plans, roots))
+    return parts
 
 
 def _worker_planner(descriptor: ShardDescriptor, delta_segment: str) -> QueryPlanner:
@@ -729,11 +744,12 @@ class ShardedPlanner:
     ``max_workers`` picks the process-pool width for query fan-out
     (``None`` → ``min(num_shards, cpu_count)``); at width <= 1 shards run
     in-process, which is also the zero-dependency fallback path.  The pool
-    is one single-process executor per *slot*, and shard ``i`` is always
-    served by slot ``i mod width``, so each shard is attached and its graphs
-    deserialized in exactly one worker.  Shard bases are published once per
-    generation into a shared-memory :class:`ShardPlane` and each slot is
-    sent the O(1) descriptors of its shards once per generation.
+    is one forked worker per *slot*, each driven over a duplex pipe, and
+    shard ``i`` is always served by slot ``i mod width``, so each shard is
+    attached and its graphs deserialized in exactly one worker.  Shard bases
+    are published once per generation into a shared-memory
+    :class:`ShardPlane` and each slot is sent the O(1) descriptors of its
+    shards once per generation.
 
     Shards carry explicit stable ids plus a tombstone mask (see
     :class:`DatabaseShard`) and are validated for live-id disjointness.
@@ -756,8 +772,8 @@ class ShardedPlanner:
         _resolve_workers(max_workers, len(shards))  # rejects a negative width
         self.shards = _validated(shards)
         self.max_workers = max_workers
-        # slot i: the executor of the one worker that serves shards i, i + W, ...
-        self._slots: list[ProcessPoolExecutor] = []
+        # slot i: the one worker that serves shards i, i + W, ...
+        self._slots: list[_Slot] = []
         # base segments whose descriptor a slot has been sent
         self._shipped: set[str] = set()
         self._local_planners: dict[int, QueryPlanner] = {}
@@ -768,9 +784,11 @@ class ShardedPlanner:
         # concurrent submission: the query service fans requests in from
         # worker threads while mutations swap shard views, so view
         # replacement, rebase, slot creation, delta republication, task
-        # submission, resize, and close must serialize.
-        # Reentrant because the BrokenProcessPool fallback inside _fan_out
-        # calls close() from a frame that may re-enter locked helpers.
+        # submission, resize, and close must serialize.  Waiting for the
+        # workers' replies happens outside it: each slot orders its own
+        # sends and receives.
+        # Reentrant because the dead-worker fallback inside _fan_out calls
+        # _close() from a frame that may re-enter locked helpers.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -912,14 +930,15 @@ class ShardedPlanner:
         workers keep only the graphs they had deserialized, keyed by pickle
         digest, and the slot list is parked for the next planner of the same
         width, which takes it instead of forking (this one included).  A
-        slot whose worker died cannot release: then every slot is shut down
-        and nothing is parked.  A new query publishes a fresh generation
+        slot that cannot release — its worker died, or the release raised —
+        takes every slot down with it and nothing is parked; a release that
+        raised still raises here.  A new query publishes a fresh generation
         under new names.  This is the full swap: the catalog's ``close()``
         and a compaction that changes the shard count come here; the
-        ``BrokenProcessPool`` fallback takes it too, shutting the slots down
-        instead of parking them.  A mutation does not (:meth:`replace_shards`),
-        and neither does a compaction that keeps the shard count
-        (:meth:`rebase`).
+        dead-worker fallback (:class:`~repro.exceptions.BrokenSlotError`)
+        takes it too, shutting the slots down instead of parking them.  A
+        mutation does not (:meth:`replace_shards`), and neither does a
+        compaction that keeps the shard count (:meth:`rebase`).
 
         Safe under concurrency (the drain-on-close contract): idempotent
         — a second ``close()``, including one racing the first from another
@@ -948,57 +967,61 @@ class ShardedPlanner:
     # internals
     # ------------------------------------------------------------------
     def _fan_out(self, plans: list[QueryPlan], roots: list[int]) -> list[list]:
-        """One pool task per shard, each running the whole plan list.
+        """One task per slot, each running the whole plan list on every shard
+        the slot serves.
 
         Returns per-shard result lists, plan-index aligned.  Under the
         lifecycle lock, atomically: the slots are acquired, stale deltas
         are republished, every shard's delta segment is marked in flight and
-        the tasks naming them are submitted, shard ``i`` to slot ``i mod W``
-        — so a concurrent ``close()`` either runs before this batch (which
-        then takes a parked pool or builds one) or drains it (its release
+        the tasks naming them are sent, shard ``i`` to slot ``i mod W`` —
+        so a concurrent ``close()`` either runs before this batch (which
+        then takes a parked pool or forks one) or drains it (its release
         tasks queue behind the batch's), and a concurrent mutation or rebase
         lands wholly before or wholly after it.  A slot runs its tasks in
-        submission order, so the task that carries a descriptor precedes
-        every task that names its base.  The plan batch is pickled once and every task
-        carries the same bytes.  Waiting on the futures happens outside the
-        lock so concurrent submitters and a draining ``close()`` never
-        deadlock on each other; once every task has finished the segments
-        are released, which unlinks a delta that was replaced — or a plane
-        that was retired — while this batch ran against it.
+        the order they were sent, so the task that carries a descriptor
+        precedes every task that names its base.  The plan batch is pickled
+        once and every slot's frame carries the same bytes.  Waiting for the
+        replies happens outside the lock so concurrent submitters and a
+        draining ``close()`` never deadlock on each other; once every reply
+        has arrived the segments are released, which unlinks a delta that
+        was replaced — or a plane that was retired — while this batch ran
+        against it.
         """
         workers = self.width
         if workers <= 1:
             return self._execute_serial(plans, roots)
         batch = pickle.dumps((plans, roots), protocol=_PICKLE_PROTOCOL)
-        plane, deltas, futures = None, (), []
+        plane, deltas, submitted = None, (), []
         try:
             with self._lock:
                 slots = self._ensure_slots(workers)
                 plane = self._ensure_plane()
                 deltas = plane.acquire()
+                tasks = [[] for _ in slots]
                 for position, (descriptor, delta) in enumerate(zip(plane.descriptors, deltas)):
                     base = descriptor.arena.segment
                     if base not in self._shipped:
                         self._shipped.add(base)
                         base = descriptor
-                    futures.append(
-                        slots[position % workers].submit(
-                            _run_shard_workload, descriptor.shard_id, base, delta, batch
-                        )
-                    )
-            return [future.result() for future in futures]
-        except BrokenProcessPool:
-            # a killed worker poisons its slot; answers are deterministic
+                    tasks[position % workers].append((descriptor.shard_id, base, delta))
+                for slot, slot_tasks in zip(slots, tasks):
+                    submitted.append((slot, slot.submit(_run_slot_workload, slot_tasks, batch)))
+            per_slot = _gather(submitted)
+        except BrokenSlotError:
+            # a dead worker poisons its slot; answers are deterministic
             # either way, so finish this call in-process and let the next
-            # call build a fresh pool (a broken pool is never parked)
+            # call fork fresh slots (a broken slot list is never parked)
             self._close(park=False)
             return self._execute_serial(plans, roots)
         finally:
             if deltas:
                 # a failed shard must not release what its siblings still read
-                wait(futures)
+                for slot, reply in submitted:
+                    slot.wait(reply)
                 with self._lock:
                     plane.release(deltas)
+        # slot s ran shards s, s + W, ...: shard i's part is slot i mod W's (i div W)-th
+        return [per_slot[i % workers][i // workers] for i in range(len(deltas))]
 
     def _execute_serial(self, plans: list[QueryPlan], roots: list[int]) -> list[list]:
         """All shards in-process: the pool-less (and pool-failure) path."""
@@ -1044,15 +1067,22 @@ class ShardedPlanner:
         """``fn(*args)`` run once in the worker of every slot, in slot order
         (starting the pool if there is none; ``[]`` without one).  Slot ``s``
         serves shards ``s, s + W, ...``: how tests and benchmarks reach the
-        worker of a given shard to inspect or kill it."""
+        worker of a given shard to inspect or kill it.  A dead worker takes
+        the fan-out's path — every slot shut down, none parked — and raises
+        :class:`~repro.exceptions.BrokenSlotError`; the next call forks
+        fresh workers."""
         workers = self.width
         if workers <= 1:
             return []
         with self._lock:
-            futures = [slot.submit(fn, *args) for slot in self._ensure_slots(workers)]
-        return [future.result() for future in futures]
+            submitted = [(slot, slot.submit(fn, *args)) for slot in self._ensure_slots(workers)]
+        try:
+            return _gather(submitted)
+        except BrokenSlotError:
+            self._close(park=False)
+            raise
 
-    def _take_slots(self) -> list[ProcessPoolExecutor]:
+    def _take_slots(self) -> list[_Slot]:
         """Hand every slot over, to be parked or shut down.  Whatever
         worker serves this planner next, released or new, has been sent no
         descriptor, so none counts as shipped."""
@@ -1061,9 +1091,9 @@ class ShardedPlanner:
             self._shipped.clear()
             return slots
 
-    def _ensure_slots(self, workers: int) -> list[ProcessPoolExecutor]:
+    def _ensure_slots(self, workers: int) -> list[_Slot]:
         """The planner's slots: its own, else the parked list of this width,
-        else ``workers`` new single-process executors."""
+        else ``workers`` newly forked ones."""
         with self._lock:
             if self._slots and len(self._slots) != workers:
                 # resize: park only the workers — the published plane
@@ -1071,10 +1101,167 @@ class ShardedPlanner:
                 # instead of paying a fresh copy of every shard
                 _park(self._take_slots())
             if not self._slots:
-                self._slots = _take_parked(workers) or [
-                    ProcessPoolExecutor(max_workers=1) for _ in range(workers)
-                ]
+                self._slots = _take_parked(workers) or [_Slot() for _ in range(workers)]
             return self._slots
+
+
+# ----------------------------------------------------------------------
+# slots: one forked worker on a duplex pipe
+# ----------------------------------------------------------------------
+# Slots are forked one at a time, process-wide: a worker forked while another
+# slot's pipe is half set up would inherit that pipe's child end and hide
+# the other worker's death from this process.
+_FORK_LOCK = threading.Lock()
+
+
+class _Slot:
+    """One forked worker (:func:`_serve_slot`) and this process's end of
+    the duplex pipe to it.
+
+    Every :meth:`submit` sends one task frame and queues one pending reply;
+    the worker answers the frames in the order they arrived, and whichever
+    caller waits reads replies off the pipe into the pending ones, oldest
+    first, until its own has arrived.  Sends are serialised by one lock and
+    receives by another, so a caller blocked sending a large frame to a
+    worker that is itself blocked sending a reply never keeps the reply's
+    owner from reading it.  A dead worker shows as ``EOFError`` /
+    ``OSError`` on the pipe: every pending reply, and every later
+    submission, then fails with :class:`~repro.exceptions.BrokenSlotError`.
+    """
+
+    def __init__(self) -> None:
+        with _FORK_LOCK:
+            self._conn, child = multiprocessing.Pipe()
+            # each worker forked from now on closes its copy of this end, so
+            # this slot's worker reads EOF once this process is gone
+            register_after_fork(self._conn, Connection.close)
+            self._process = multiprocessing.Process(
+                target=_serve_slot, args=(child,), daemon=True
+            )
+            self._process.start()
+            child.close()
+        self._pending: deque[list] = deque()  # one list per task sent, filled with its reply
+        self._send_lock = threading.Lock()
+        self._recv_lock = threading.Lock()
+        self._lost: str | None = None  # why the slot broke
+        self._stop = weakref.finalize(
+            self, _stop_worker, os.getpid(), self._conn, self._process
+        )
+
+    def submit(self, fn, *args) -> list:
+        """Send ``fn(*args)`` to the worker; the returned list receives the
+        reply (read it with :meth:`result`)."""
+        frame = pickle.dumps((fn, args), protocol=_PICKLE_PROTOCOL)
+        reply: list = []
+        with self._send_lock:
+            if self._lost is not None:
+                return [None]
+            self._pending.append(reply)
+            try:
+                self._conn.send_bytes(frame)
+            except OSError as exc:  # the worker is gone
+                self._lose(exc)
+        return reply
+
+    def wait(self, reply: list) -> None:
+        """Read replies off the pipe, oldest first, until ``reply`` has one."""
+        self._receive(lambda: reply)
+
+    def result(self, reply: list):
+        """The value ``reply`` carries, or its exception raised."""
+        self.wait(reply)
+        (frame,) = reply
+        if frame is None:
+            raise BrokenSlotError(self._lost)
+        try:
+            ok, value = pickle.loads(frame)
+        except Exception as exc:
+            raise ShmError(f"a slot worker's reply does not unpickle: {exc!r}") from exc
+        if ok:
+            return value
+        raise value
+
+    def shutdown(self) -> None:
+        """Wait for every pending reply, then stop the worker and join it."""
+        self._receive(lambda: not self._pending)
+        self._stop()
+
+    def _receive(self, done) -> None:
+        with self._recv_lock:
+            while not done():
+                try:
+                    frame = self._conn.recv_bytes()
+                except (EOFError, OSError) as exc:
+                    self._lose(exc)
+                else:
+                    self._pending.popleft().append(frame)
+
+    def _lose(self, exc: BaseException) -> None:
+        """The worker is gone: fail every pending reply, now and from now on."""
+        self._lost = (
+            f"slot worker {self._process.pid} is gone "
+            f"(exit code {self._process.exitcode}): {exc!r}"
+        )
+        while self._pending:
+            try:
+                self._pending.popleft().append(None)
+            except IndexError:  # another caller failed it first
+                break
+
+
+def _gather(submitted: list[tuple[_Slot, list]]) -> list:
+    """The value of every ``(slot, reply)``, in order, once all of them have
+    arrived: a failed slot never leaves a sibling's reply unread on its pipe."""
+    for slot, reply in submitted:
+        slot.wait(reply)
+    return [slot.result(reply) for slot, reply in submitted]
+
+
+def _stop_worker(owner: int, conn: Connection, process) -> None:
+    """Send the stop frame — queued behind every task already sent — then
+    close the pipe and join the worker.  A forked copy of a slot stops
+    nothing: the worker is not its child."""
+    if os.getpid() != owner:
+        return
+    try:
+        conn.send_bytes(b"")
+    except OSError:
+        pass  # the worker is gone already
+    conn.close()
+    process.join()
+
+
+def _serve_slot(conn: Connection) -> None:
+    """A slot worker's life: receive a task frame, run it, send the reply
+    frame, in order, until the stop frame (empty) or the parent's end closes."""
+    while True:
+        try:
+            frame = conn.recv_bytes()
+        except EOFError:
+            return
+        if not frame:
+            return
+        try:
+            conn.send_bytes(_run_task(frame))
+        except OSError:
+            return  # the parent is gone
+
+
+def _run_task(frame: bytes) -> bytes:
+    """Run one task frame; the reply frame is ``(True, value)`` or ``(False,
+    exception)``.  A value or an exception that does not pickle becomes a
+    :class:`~repro.exceptions.ShmError`, so a reply is always a whole frame."""
+    try:
+        fn, args = pickle.loads(frame)
+        outcome = (True, fn(*args))
+    except Exception as exc:
+        outcome = (False, exc)
+    try:
+        return pickle.dumps(outcome, protocol=_PICKLE_PROTOCOL)
+    except Exception as exc:
+        what = "result" if outcome[0] else "exception"
+        error = ShmError(f"a {type(outcome[1]).__name__} {what} does not pickle: {exc!r}")
+        return pickle.dumps((False, error), protocol=_PICKLE_PROTOCOL)
 
 
 # ----------------------------------------------------------------------
@@ -1082,39 +1269,42 @@ class ShardedPlanner:
 # ----------------------------------------------------------------------
 # (pid, width) -> the released slots of a closed planner, waiting for the
 # next one; keyed by pid like the shm registry, so a forked child never
-# takes or shuts down its parent's executors
-_PARKED: dict[tuple[int, int], list[ProcessPoolExecutor]] = {}
+# takes or shuts down its parent's workers
+_PARKED: dict[tuple[int, int], list[_Slot]] = {}
 _PARKED_LOCK = threading.Lock()
 
 
-def _park(slots: list[ProcessPoolExecutor]) -> None:
+def _park(slots: list[_Slot]) -> None:
     """Release every slot's worker (:func:`_release_worker`) and park the
     list for the next planner of its width; the list parked there before is
-    shut down.  A slot that cannot release — its worker died — takes every
-    slot of the list down with it."""
+    shut down.  A slot that cannot release takes every slot of the list down
+    with it: a dead worker is why the list is not parked, and any other
+    failure is raised once the workers are gone."""
     if not slots:
         return
     try:
-        for future in [slot.submit(_release_worker) for slot in slots]:
-            future.result()
-    except BrokenProcessPool:
+        _gather([(slot, slot.submit(_release_worker)) for slot in slots])
+    except BrokenSlotError:
         _shutdown(slots)
         return
+    except BaseException:
+        _shutdown(slots)
+        raise
     with _PARKED_LOCK:
         replaced = _PARKED.get((os.getpid(), len(slots)), [])
         _PARKED[os.getpid(), len(slots)] = slots
     _shutdown(replaced)
 
 
-def _take_parked(width: int) -> list[ProcessPoolExecutor] | None:
+def _take_parked(width: int) -> list[_Slot] | None:
     """The parked slot list of ``width``, now the caller's alone."""
     with _PARKED_LOCK:
         return _PARKED.pop((os.getpid(), width), None)
 
 
-def _shutdown(slots: list[ProcessPoolExecutor]) -> None:
-    """Join every slot's worker; ``shutdown()`` waits for every task already
-    submitted, so a close racing an in-flight query drains it."""
+def _shutdown(slots: list[_Slot]) -> None:
+    """Join every slot's worker once it has answered every task already
+    sent, so a close racing an in-flight query drains it."""
     for slot in slots:
         slot.shutdown()
 

@@ -93,7 +93,16 @@ class WalError(CatalogError):
 class ShmError(ReproError):
     """Raised for shared-memory shard-plane failures: attaching a segment
     that no longer exists, reading an arena field the descriptor does not
-    record, or packing inconsistent array metadata."""
+    record, or packing inconsistent array metadata.  Also the type of a
+    shard slot's reply that cannot cross the pipe: a worker's result or
+    exception that does not pickle, or a reply that does not unpickle."""
+
+
+class BrokenSlotError(ShmError):
+    """Raised when a shard slot's worker process is gone (killed, or exited):
+    every reply still pending on that slot fails with it.  The planner then
+    shuts its slots down instead of parking them, and its next fan-out forks
+    fresh workers; a query fan-out answers in-process instead of raising."""
 
 
 class ServiceError(ReproError):

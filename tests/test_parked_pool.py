@@ -7,8 +7,9 @@ unlinks the plane and parks the slot list for the next planner of the same
 width.  Under test: a reopened catalog keeps its worker pids and finds its
 graphs already deserialized; answers and counters equal a fresh pool's; a
 parked worker maps nothing and ``/dev/shm`` is empty; two live planners
-never share a worker; at most one list per width waits; and a failed
-materialization leaves neither a mapping nor a lost view behind.
+never share a worker; at most one list per width waits; a failed
+materialization leaves neither a mapping nor a lost view behind; and a
+release that raises shuts every worker of the list down.
 """
 
 from __future__ import annotations
@@ -263,4 +264,39 @@ def test_a_failed_materialization_keeps_the_previous_view_and_maps_nothing():
         sharding._WORKER_PARKED.clear()
         first.close()
         second.close()
+        catalog.close()
+
+
+def _refuse_release() -> int:
+    """Stands in for ``sharding._release_worker`` in a worker: a release
+    that fails for a reason other than a dead worker."""
+    raise ShmError("release refused")
+
+
+def test_a_release_that_raises_shuts_every_slot_down(monkeypatch):
+    """``close()`` raises the release's error, and no worker is left behind:
+    the slots were taken from the planner before the release ran, so a list
+    that is neither parked nor shut down would be reaped only at exit."""
+    database = random_database(9701, 10)
+    queries = random_workload(database, seed=9702, num_queries=2)
+    catalog = GraphCatalog.build(
+        database.graphs,
+        feature_config=FEATURE_CONFIG,
+        bound_config=BoundConfig(num_samples=40),
+        rng=5,
+        num_shards=2,
+        max_workers=2,
+    )
+    sharding.shutdown_parked_pools()  # the patch must reach freshly forked workers
+    monkeypatch.setattr(sharding, "_release_worker", _refuse_release)
+    try:
+        run(catalog, queries)
+        planner = catalog.planner()
+        pids = planner.map_slots(os.getpid)
+        with pytest.raises(ShmError, match="release refused"):
+            catalog.close()
+        assert planner._slots == []
+        assert (os.getpid(), 2) not in sharding._PARKED
+        assert not any(os.path.isdir(f"/proc/{pid}") for pid in pids), "orphaned slot workers"
+    finally:
         catalog.close()

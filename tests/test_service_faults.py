@@ -7,7 +7,8 @@ fixture below) never an orphaned shared-memory segment:
 * client disconnect mid-request — the work is dropped, the service lives;
 * per-request deadline expiry — ``deadline_exceeded``, work skipped;
 * a SIGKILL'd pool worker — the broken pool falls back in-process with
-  byte-identical answers, then rebuilds;
+  byte-identical answers, then rebuilds; ``map_slots`` meeting one raises
+  ``BrokenSlotError`` once and forks fresh workers on the next call;
 * a full admission queue — immediate ``overloaded``;
 * a bool where a mutation expects an external id — ``bad_request``;
 * a non-integral, bool or non-finite δ or k — ``bad_request``, over TCP too;
@@ -39,7 +40,7 @@ from test_catalog_parity import rebuild_from_scratch
 
 from repro.core import GraphCatalog, QueryResult, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
-from repro.exceptions import ServiceError
+from repro.exceptions import BrokenSlotError, ServiceError
 from repro.graphs.io import labeled_graph_to_dict
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig
@@ -314,6 +315,38 @@ def test_a_sigkilled_slot_is_never_parked(then):
         catalog.close()
         if successor is not None:
             successor.close()
+
+
+def test_map_slots_after_a_sigkilled_worker_raises_once_then_forks_fresh():
+    """``map_slots`` meets a dead worker the way a query fan-out does: every
+    slot is shut down (the live sibling too, never parked) and the plane
+    retired — but it raises a typed error instead of answering in-process.
+    The next call forks fresh workers, and queries answer as before."""
+    database, catalog = build_catalog(seed=7015, num_shards=2, max_workers=2)
+    query = extract_query(database.graphs[1].skeleton, 3, rng=130)
+
+    def ask(rng):
+        return answer_tuples(
+            catalog.query(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=rng
+            )
+        )
+
+    try:
+        ask(131)
+        planner = catalog.planner()
+        pids = planner.map_slots(os.getpid)
+        os.kill(pids[0], signal.SIGKILL)
+        with pytest.raises(BrokenSlotError):
+            planner.map_slots(os.getpid)
+        assert planner._slots == [] and planner.shard_plane is None
+        assert not any(os.path.isdir(f"/proc/{pid}") for pid in pids), "a slot outlived the list"
+        fresh = planner.map_slots(os.getpid)
+        assert len(fresh) == 2 and not set(fresh) & set(pids)
+        assert ask(132) == twin_answer(catalog, query, rng=132)
+        assert planner.map_slots(os.getpid) == fresh
+    finally:
+        catalog.close()
 
 
 def test_full_admission_queue_is_typed_and_never_hangs():
