@@ -48,6 +48,7 @@ import sys
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core import GraphCatalog, SearchConfig, VerificationConfig
+from repro.core.sharding import usable_cores
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig
@@ -107,13 +108,6 @@ SMOKE = {
 }
 
 SEED = 20120902
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def answer_tuples(result):

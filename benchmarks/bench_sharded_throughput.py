@@ -1,7 +1,8 @@
 """Sharded fan-out: throughput, pool spin-up, and the zero-copy shard plane.
 
-The sharding layer fans the three pipeline stages out over a process pool;
-this benchmark measures what that costs and what it buys:
+The sharding layer filters in the parent and sends the verification of
+threshold survivors to a process pool; this benchmark measures what that
+costs and what it buys:
 
 * **throughput** — ``query_many`` through K shards x W workers against the
   sequential planner, with answer-for-answer parity checked along the way
@@ -11,16 +12,21 @@ this benchmark measures what that costs and what it buys:
   sent once with its first task, held against the bytes the shared-memory
   plane publishes once for everyone;
 * **pool spin-up** — wall-clock from no pool to every slot's worker
-  answering a probe (parked pools are shut down first, so this is fork +
-  attach);
+  answering a no-op (parked pools are shut down first, so this is the fork;
+  a worker attaches its shards with its first frame);
 * **fan-out round trip** (``fanout_roundtrip_ms``) — the median of 200
   no-op ``map_slots`` calls at width 2: what one fan-out costs the transport
   alone, with no shard work in it;
 * **reopen** — wall-clock of ``GraphCatalog.open`` plus the first query
   after a ``close()``, on the workers that close parked;
 * **per-worker memory** — each worker's shard-attributable private bytes at
-  spin-up (nothing yet; the dense arrays stay in the parent's shared
-  segments) and the lazily materialized graph bytes after the workload.
+  spin-up (nothing yet; the graphs stay in the parent's shared segments) and
+  the lazily materialized graph bytes after the workload;
+* **what a worker holds** — a gc scan in every worker after a threshold and
+  a top-k query must find no index or planner object it did not inherit at
+  fork (``worker_index_objects``: a verifier holds graphs and ids only), and
+  the plane's bytes (``shard_plane_bytes``) and its delta bytes after one
+  mutation (``delta_bytes_after_mutation``) are recorded.
 
 The speedup assertion (>= 1.5x at 4 workers) only fires on a full run when
 the hardware can express it: with fewer than 4 usable cores (or under
@@ -38,6 +44,7 @@ to relocate), so the perf history accumulates across commits.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -51,9 +58,11 @@ from pathlib import Path
 # (CI) as well as pytest collection, where the root is already importable
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.core import GraphCatalog, SearchConfig, VerificationConfig
-from repro.core.sharding import shutdown_parked_pools
+from repro.core import GraphCatalog, QueryPlanner, SearchConfig, VerificationConfig
+from repro.core.sharding import shutdown_parked_pools, usable_cores
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
+from repro.pmi import ProbabilisticMatrixIndex
+from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.atomic_io import atomic_write_text
 from repro.utils.timer import Timer
 
@@ -103,13 +112,6 @@ SMOKE = {
 }
 
 
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
 def _worker_probe() -> dict:
     """Runs inside a slot's worker: memory and lazy-materialization counters."""
     from repro.core import sharding
@@ -118,7 +120,7 @@ def _worker_probe() -> dict:
     materialized_graphs = 0
     live_graphs = 0  # of the shards this worker has served
     for shard in sharding._WORKER_SHARDS.values():
-        live_graphs += shard.spec.size
+        live_graphs += int(shard.active_mask.sum())
         # a worker's graph view is base + delta (SegmentedGraphList); its
         # counters sum both halves, and a view without them should fail here
         materialized_bytes += shard.graphs.materialized_bytes()
@@ -131,8 +133,13 @@ def _worker_probe() -> dict:
                     private_dirty_kb = int(line.split()[1])
     except OSError:
         pass
+    gc.collect()
+    kinds = (ProbabilisticMatrixIndex, StructuralFeatureIndex, QueryPlanner)
     return {
         "pid": os.getpid(),
+        # ids of the index and planner objects alive here; those inherited at
+        # fork keep their ids, so a new id is one this worker built
+        "index_object_ids": [id(obj) for obj in gc.get_objects() if isinstance(obj, kinds)],
         "materialized_graph_bytes": materialized_bytes,
         "materialized_graphs": materialized_graphs,
         "live_graphs": live_graphs,
@@ -181,23 +188,40 @@ def measure_spinup(database, queries, workers: int) -> dict:
         max_workers=workers,
     )
     try:
+        planner = catalog.planner()
         spinup_timer = Timer()
         with spinup_timer:
-            probes = catalog.planner().map_slots(_worker_probe)
+            planner.map_slots(_noop)
+        # outside the timing: the probe's gc scan is not spin-up
+        probes = planner.map_slots(_worker_probe)
         catalog.query_many(
-            queries[:1],
-            PROBABILITY_THRESHOLD,
-            DISTANCE_THRESHOLD,
-            config=SHARDED_SEARCH_CONFIG,
+            queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SHARDED_SEARCH_CONFIG,
             rng=BENCH_SEED,
         )
-        plane = catalog.planner().shard_plane
-        slot_bytes = plane.payload_bytes(catalog.planner().width)
+        catalog.query_top_k_many(
+            queries, 2, DISTANCE_THRESHOLD, config=SHARDED_SEARCH_CONFIG, rng=BENCH_SEED
+        )
+        inherited = {probe["pid"]: set(probe["index_object_ids"]) for probe in probes}
+        built = [
+            len(set(probe["index_object_ids"]) - inherited[probe["pid"]])
+            for probe in planner.map_slots(_worker_probe)
+        ]
+        plane = planner.shard_plane
+        slot_bytes = plane.payload_bytes(planner.width)
         shard_bytes = plane.shard_bytes()
+        # one mutation, then the query whose fan-out republishes its delta
+        catalog.update_graph(0, database.graphs[-1])
+        catalog.query_many(
+            queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SHARDED_SEARCH_CONFIG,
+            rng=BENCH_SEED,
+        )
+        delta_bytes = planner.shard_plane.delta_bytes()
     finally:
         catalog.close()
     return {
         "slot_bytes": slot_bytes,
+        "worker_index_objects": built,
+        "delta_bytes": delta_bytes,
         "spinup_seconds": spinup_timer.elapsed,
         "workers_probed": len(probes),
         "shard_bytes": shard_bytes,
@@ -335,6 +359,8 @@ def run_benchmark(profile: dict) -> dict:
         **{k: v for k, v in throughput.items() if k != "post_query_probes"},
         "descriptor_bytes_per_slot": shm_spinup["slot_bytes"],
         "shard_plane_bytes": shm_spinup["shard_bytes"],
+        "delta_bytes_after_mutation": shm_spinup["delta_bytes"],
+        "worker_index_objects": shm_spinup["worker_index_objects"],
         "shm_spinup_seconds": shm_spinup["spinup_seconds"],
         "workers_probed": shm_spinup["workers_probed"],
         "reopen_first_query_seconds": reopen["reopen_seconds"],
@@ -450,6 +476,10 @@ def main() -> None:
     assert served and all(materialized < live for materialized, live in served), (
         f"(deserialized, live) graphs per worker {served}: something on the read "
         "path opens graphs that are not candidates"
+    )
+    # a worker verifies graphs: it builds no index and no planner
+    assert report["worker_index_objects"] and not any(report["worker_index_objects"]), (
+        f"index or planner objects built per worker: {report['worker_index_objects']}"
     )
     # a reopened catalog of the same width runs on the workers close() parked
     assert report["reopen_kept_workers"], "the reopened catalog forked new workers"

@@ -31,10 +31,8 @@ from repro.core.pipeline import (
     QueryPipeline,
     StructuralFilterStage,
     ThresholdState,
-    TopKPartial,
     VerificationStage,
     build_default_pipeline,
-    merge_top_k_partials,
     replay_top_k,
 )
 from repro.core.planner import (
@@ -90,10 +88,8 @@ __all__ = [
     "QueryPipeline",
     "StructuralFilterStage",
     "ThresholdState",
-    "TopKPartial",
     "VerificationStage",
     "build_default_pipeline",
-    "merge_top_k_partials",
     "replay_top_k",
     "QueryPlan",
     "QueryPlanner",

@@ -49,14 +49,15 @@ shard count.  Its four query methods validate and plan the whole batch
 (``planner.plan`` / ``plan_top_k``), then turn ``rng`` / ``rngs`` into one
 64-bit root per query, in query order, and hand plans and roots to
 ``planner.execute_plans``.  The planner is a
-:class:`~repro.core.sharding.ShardedPlanner` for every shard count: one
-shard runs in-process and whole, several fan out and merge.
+:class:`~repro.core.sharding.ShardedPlanner` for every shard count: it
+filters every plan on every shard in-process and sends only the verification
+of threshold survivors to its pool, if it has one.
 
 **Mutations and the read path.**  The storage split above is also what the
-planner publishes: a pooled planner puts each shard's immutable base into a
+planner publishes: a pooled planner puts each shard's base graphs into a
 shared-memory :class:`~repro.core.sharding.ShardPlane` once, for workers to
-attach and keep, and each shard's delta and tombstones into a small side
-segment.  ``add_graph`` / ``remove_graph`` / ``update_graph`` therefore leave
+attach and keep, and each shard's delta graphs and tombstones into a small
+side segment.  ``add_graph`` / ``remove_graph`` / ``update_graph`` therefore leave
 the read path standing: they hand the cached ``ShardedPlanner`` fresh views
 of the shards they touched (both halves of an update in one step), it drops
 those shards' in-process planners, and the next query's fan-out republishes

@@ -26,27 +26,26 @@ Two query modes share the stages through a :class:`ThresholdState`:
   k-sized heap; candidates are visited in descending ``usim`` order so later
   candidates prune against the running k-th-best probability.
 
-**One top-k loop, two estimate sources.**  :func:`replay_top_k` is the only
-walk of the top-k visit order — ``(-usim, graph_id)`` under the seeded,
-tightening floor — and it asks an *estimator* for each candidate it reaches
-above the floor.  A top-k query over the whole database (one shard) runs it
-inside the verification stage, over the PMI stage's ``(graph id, usim,
-lsim)`` table, with an estimator that verifies the candidate there and then:
-the floor skips exactly the candidates it can.  A shard of several cannot see
-the global floor, so it runs *partial*: its verification stage verifies every
-candidate above its shard-local seed in blocks, like a threshold query, and
-ships a :class:`TopKPartial` — its examined ``(graph id, usim, lsim)`` table
-and those estimates.  :func:`merge_top_k_partials` runs the same loop over
-the concatenated tables with the shipped estimates as its estimator: same
-global seed (the lsim multiset is the same), same visit order, same
-tightening.  Because every estimate derives from ``(root, VERIFY_STREAM,
-global graph id)`` (:func:`repro.utils.rng.derive_seed`), a graph's estimate
-is identical no matter which process verified it or in which block, and the
-shard-local seed is never above the global seed (a k-th largest over a subset
-cannot exceed the superset's), so every estimate the merge asks for was
-shipped.  Merged answers are therefore byte-identical to one shard's for any
-shard count and any worker count, for stochastic and exact verification
+**One top-k loop.**  :func:`replay_top_k` is the only walk of the top-k
+visit order — ``(-usim, graph_id)`` under a floor seeded once from the
+candidates' ``lsim`` and tightened by every answer the heap keeps — and it
+asks an *estimator* for each candidate it reaches above the floor.  The PMI
+stage of a top-k plan records the bound columns and decides nothing, so the
+walk sees every structural candidate of the database: :func:`rank_top_k` runs
+it over the ``(graph id, usim, lsim)`` tables of every planner the plan ran
+on — one for a whole database, one per shard for a
+:class:`~repro.core.sharding.ShardedPlanner` — with an estimator that verifies
+the candidate there and then, through the planner that owns it.  Because
+every estimate derives from ``(root, VERIFY_STREAM, global graph id)``
+(:func:`repro.utils.rng.derive_seed`), answers and counters are the same for
+any shard count and any worker count, for stochastic and exact verification
 alike.
+
+**Verification is the only work that moves.**  :meth:`QueryPipeline.filter`
+runs every stage before verification; a threshold plan's survivors are then
+the storage rows :func:`verify_rows` estimates, in blocks, wherever they are
+placed, and :func:`finish_threshold` records the estimates as the
+verification stage would have.
 """
 
 from __future__ import annotations
@@ -135,8 +134,7 @@ class ThresholdState:
     it starts at 0, is seeded with the k-th largest PMI lower bound
     (:meth:`seed_floor`), and rises to the running k-th best verified
     probability as :meth:`offer` fills the heap.  Only :func:`replay_top_k`
-    offers; a pipeline's own top-k state is seeded and never offered to, so a
-    shard part's floor stays at its local seed (see the module docstring).
+    seeds and offers; a pipeline's own top-k state only says the plan ranks.
     """
 
     mode: str = THRESHOLD_MODE
@@ -215,25 +213,6 @@ class ThresholdState:
 
 
 @dataclass
-class TopKPartial:
-    """One shard's contribution to a cross-shard top-k merge.
-
-    ``candidate_ids``/``usim``/``lsim`` cover every candidate the shard's
-    PMI stage examined (global ids); ``estimates`` holds the verified SSP of
-    every candidate at or above the shard-local seed floor — a superset of
-    what the one-shard loop verifies, which is what lets
-    :func:`merge_top_k_partials` run that loop exactly.
-    """
-
-    candidate_ids: np.ndarray
-    usim: np.ndarray
-    lsim: np.ndarray
-    estimates: dict[int, float]
-    names: dict[int, str | None]
-    statistics: QueryStatistics
-
-
-@dataclass
 class PipelineContext:
     """Everything one query execution threads through the stages."""
 
@@ -241,11 +220,6 @@ class PipelineContext:
     root: int
     state: ThresholdState
     result: QueryResult
-    partial: TopKPartial | None = None
-
-    @property
-    def gather_partial(self) -> bool:
-        return self.partial is not None
 
 
 class PipelineStage:
@@ -292,8 +266,9 @@ class PmiPruningStage(PipelineStage):
 
     Threshold mode applies Pruning 1 (``usim < ε`` ⇒ discard) and Pruning 2
     (``lsim ≥ ε`` ⇒ answer without verification).  Top-k mode records the
-    bound columns, seeds the floor with the k-th largest ``lsim``, and
-    discards candidates whose ``usim`` falls below that seed.
+    bound columns and decides nothing: the floor is seeded once, over every
+    shard's candidates, by :func:`rank_top_k`, which also books the
+    candidates below that seed as this stage's ``pruned``.
     """
 
     name = "pmi_pruning"
@@ -326,18 +301,11 @@ class PmiPruningStage(PipelineStage):
             np.array([bounds.usim for bounds in bounds_list], dtype=np.float64),
             np.array([bounds.lsim for bounds in bounds_list], dtype=np.float64),
         )
-        self._record_partial(candidates, ctx, active)
-        if ctx.state.is_top_k:
-            self._run_top_k(candidates, ctx, active, stage_stats)
-        else:
-            self._run_threshold(candidates, ctx, active, bounds_list, pruner, stage_stats)
-
-    # ------------------------------------------------------------------
-    # mode-specific decisions
-    # ------------------------------------------------------------------
-    def _run_threshold(self, candidates, ctx, active, bounds_list, pruner, stage_stats):
         stats = ctx.result.statistics
-        planner = self.planner
+        if ctx.state.is_top_k:
+            stats.probabilistic_candidates = len(active)
+            stage_stats.passed = len(active)
+            return
         pruned_mask, accepted_mask = pruner.decide_batch(bounds_list, ctx.state.floor)
         for index in np.flatnonzero(accepted_mask):
             graph_id = int(active[index])
@@ -357,42 +325,23 @@ class PmiPruningStage(PipelineStage):
         stage_stats.accepted = stats.accepted_by_lower_bound
         stage_stats.passed = candidates.active_count
 
-    def _run_top_k(self, candidates, ctx, active, stage_stats):
-        stats = ctx.result.statistics
-        ctx.state.seed_floor(candidates.lsim[active])
-        below_seed = candidates.usim[active] < ctx.state.floor
-        candidates.deactivate(active[below_seed])
-        stats.pruned_by_upper_bound = int(below_seed.sum())
-        stats.probabilistic_candidates = len(active) - stats.pruned_by_upper_bound
-        stage_stats.pruned = stats.pruned_by_upper_bound
-        stage_stats.passed = candidates.active_count
-
-    def _record_partial(self, candidates, ctx, active) -> None:
-        """Ship the examined (id, usim, lsim) table for the cross-shard replay."""
-        if not ctx.gather_partial:
-            return
-        partial = ctx.partial
-        partial.candidate_ids = self.planner.global_ids[active]
-        partial.usim = candidates.usim[active].copy()
-        partial.lsim = candidates.lsim[active].copy()
-
 
 class VerificationStage(PipelineStage):
     """Stage 3 (Section 5): compute the SSP of the surviving candidates.
 
-    A threshold query, and a top-k shard part (which ships an estimate for
-    every survivor), verifies candidate *blocks*: survivors are chunked in id
-    order and each block goes through one :meth:`~repro.core.verification.
-    Verifier.verify_block` call, where the batch kernel draws and evaluates
-    every candidate's whole sample matrix at once.  Block composition never
-    changes an estimate — each candidate's draws come from its own
-    ``derive_seed(root, VERIFY_STREAM, global id)`` stream — so a sharded run
-    (different blocks) reproduces the one-shard answers byte-for-byte.
+    A threshold query verifies candidate *blocks* (:func:`verify_rows`):
+    survivors are chunked in row order and each block goes through one
+    :meth:`~repro.core.verification.Verifier.verify_block` call, where the
+    batch kernel draws and evaluates every candidate's whole sample matrix at
+    once.  Block composition never changes an estimate — each candidate's
+    draws come from its own ``derive_seed(root, VERIFY_STREAM, global id)``
+    stream — so verifying a shard's survivors in a pool worker reproduces the
+    one-shard answers byte-for-byte.
 
-    A whole top-k query hands the survivors to :func:`replay_top_k`, which
-    verifies a candidate (the block of one) only when its descending-``usim``
-    walk reaches it above the tightening floor; the candidates it passes over
-    are the stage's ``pruned``.
+    A top-k query hands the candidates to :func:`rank_top_k`, which verifies
+    a candidate (the block of one) only when its descending-``usim`` walk
+    reaches it above the tightening floor; the candidates it passes over are
+    the stage's ``pruned``.
     """
 
     name = "verification"
@@ -401,91 +350,23 @@ class VerificationStage(PipelineStage):
         self.planner = planner
 
     def run(self, candidates, ctx, stage_stats):
-        verifier = self.planner._verifier_for(ctx.plan)
-        sampled_before = verifier.sampled
-        if ctx.state.is_top_k and not ctx.gather_partial:
-            self._rank(candidates, ctx, verifier, stage_stats)
+        part = FilteredPlan.of(self.planner, ctx, candidates)
+        if ctx.state.is_top_k:
+            ctx.result.answers.extend(rank_top_k([part], ctx.result.statistics, stage_stats))
         else:
-            self._verify_blocks(candidates, ctx, verifier, stage_stats)
-        ctx.result.statistics.sampled += verifier.sampled - sampled_before
-
-    def _verify_blocks(self, candidates, ctx, verifier, stage_stats):
-        plan = ctx.plan
-        stats = ctx.result.statistics
-        planner = self.planner
-        active = candidates.active_ids()
-        answers = 0
-        for start in range(0, len(active), VERIFY_BLOCK_SIZE):
-            block = [int(local_id) for local_id in active[start : start + VERIFY_BLOCK_SIZE]]
-            global_ids = [int(planner.global_ids[local_id]) for local_id in block]
-            stats.verified += len(block)
-            probabilities = verifier.verify_block(
-                plan.query,
-                [planner.graphs[local_id] for local_id in block],
-                plan.distance_threshold,
-                relaxed_queries=plan.relaxed_queries,
-                rngs=[
-                    derive_seed(ctx.root, VERIFY_STREAM, global_id)
-                    for global_id in global_ids
-                ],
-                family=plan.family,
-            )
-            for local_id, global_id, probability in zip(
-                block, global_ids, probabilities
-            ):
-                if ctx.gather_partial:
-                    ctx.partial.estimates[global_id] = probability
-                    ctx.partial.names[global_id] = planner.graphs[local_id].name
-                    continue
-                if probability >= ctx.state.floor:
-                    ctx.result.answers.append(
-                        QueryAnswer(
-                            graph_id=global_id,
-                            graph_name=planner.graphs[local_id].name,
-                            probability=probability,
-                            decided_by="verification",
-                        )
-                    )
-                    answers += 1
-        stage_stats.accepted = answers
-        stage_stats.passed = answers
-
-    def _rank(self, candidates, ctx, verifier, stage_stats):
-        plan = ctx.plan
-        planner = self.planner
-        active = candidates.active_ids()
-        global_ids = planner.global_ids[active]
-        local_of = dict(zip(global_ids.tolist(), active.tolist()))
-
-        def verify(graph_id: int) -> QueryAnswer:
-            graph = planner.graphs[local_of[graph_id]]
-            probability = verifier.subgraph_similarity_probability(
-                plan.query,
-                graph,
-                plan.distance_threshold,
-                relaxed_queries=plan.relaxed_queries,
-                rng=derive_seed(ctx.root, VERIFY_STREAM, graph_id),
-                family=plan.family,
-            )
-            return QueryAnswer(graph_id, graph.name, probability, "verification")
-
-        answers, verified = replay_top_k(
-            global_ids, candidates.usim[active], candidates.lsim[active], verify, plan.k
-        )
-        ctx.result.answers.extend(answers)
-        ctx.result.statistics.verified += verified
-        stage_stats.pruned = len(active) - verified
-        stage_stats.accepted = len(answers)
-        stage_stats.passed = len(answers)
+            probabilities, sampled, _ = part.verify()  # the stage loop times it
+            record_verified(part, probabilities, sampled, stage_stats)
 
 
 class QueryPipeline:
     """Drives an ordered stage list over one query's candidate set.
 
-    ``run`` is deterministic given ``(ctx.root, ctx.plan, the live graphs)``:
-    wall-clock fields aside, two executions produce byte-identical answers
-    and counters, independent of process, shard layout, or storage row
-    placement (all per-graph work keys on stable global ids).
+    The last stage is the verification stage: :meth:`filter` runs every
+    stage before it, and :meth:`run` all of them.  ``run`` is deterministic
+    given ``(ctx.root, ctx.plan, the live graphs)``: wall-clock fields aside,
+    two executions produce byte-identical answers and counters, independent
+    of process, shard layout, or storage row placement (all per-graph work
+    keys on stable global ids).
     """
 
     def __init__(self, stages: list[PipelineStage]) -> None:
@@ -493,29 +374,39 @@ class QueryPipeline:
             raise ConfigurationError("a query pipeline needs at least one stage")
         self.stages = list(stages)
 
-    def run(self, candidates: CandidateSet, ctx: PipelineContext) -> QueryResult:
-        result = ctx.result
-        stats = result.statistics
+    def filter(self, candidates: CandidateSet, ctx: PipelineContext) -> None:
+        """Every stage before verification, in order."""
+        stats = ctx.result.statistics
         # the *live* candidate universe: equals candidates.size for a static
         # planner (mask starts all-True), and the non-tombstoned count for a
         # catalog planner — which is what a from-scratch rebuild would report
         stats.database_size = candidates.active_count
         stats.relaxed_query_count = len(ctx.plan.relaxed_queries)
-        total_timer = Timer()
-        with total_timer:
-            for stage in self.stages:
-                stage_stats = StageStatistics(
-                    stage=stage.name, examined=candidates.active_count
-                )
-                timer = Timer()
-                with timer:
-                    stage.run(candidates, ctx, stage_stats)
-                stage_stats.seconds = timer.elapsed
-                stats.stages.append(stage_stats)
-            result.answers.sort(key=lambda a: (-a.probability, a.graph_id))
-        stats.total_seconds = total_timer.elapsed
-        stats.answers = len(result.answers)
-        return result
+        for stage in self.stages[:-1]:
+            self._run_stage(stage, candidates, ctx)
+
+    def run(self, candidates: CandidateSet, ctx: PipelineContext) -> QueryResult:
+        self.filter(candidates, ctx)
+        self._run_stage(self.stages[-1], candidates, ctx)
+        return close_result(ctx.result)
+
+    @staticmethod
+    def _run_stage(stage: PipelineStage, candidates: CandidateSet, ctx: PipelineContext) -> None:
+        stage_stats = StageStatistics(stage=stage.name, examined=candidates.active_count)
+        timer = Timer()
+        with timer:
+            stage.run(candidates, ctx, stage_stats)
+        stage_stats.seconds = timer.elapsed
+        ctx.result.statistics.stages.append(stage_stats)
+
+
+def close_result(result: QueryResult) -> QueryResult:
+    """Answers in final order, ``answers`` counted, the stage times totalled."""
+    result.answers.sort(key=lambda a: (-a.probability, a.graph_id))
+    stats = result.statistics
+    stats.answers = len(result.answers)
+    stats.total_seconds = sum(stage.seconds for stage in stats.stages)
+    return result
 
 
 def build_default_pipeline(planner: "QueryPlanner") -> QueryPipeline:
@@ -523,8 +414,7 @@ def build_default_pipeline(planner: "QueryPlanner") -> QueryPipeline:
 
     The stages reach the planner that owns them through a weak proxy: no
     reference cycle, so a dropped planner frees its graphs and index views
-    at once — a pool worker can unmap a retired shard-plane generation
-    without waiting for the cyclic collector.
+    at once.
     """
     owner = weakref.proxy(planner)
     return QueryPipeline(
@@ -537,23 +427,184 @@ def build_default_pipeline(planner: "QueryPlanner") -> QueryPipeline:
 
 
 # ----------------------------------------------------------------------
-# the top-k loop and the cross-shard merge
+# verification: the block loop, the threshold record, the top-k loop
 # ----------------------------------------------------------------------
+def verify_rows(
+    verifier, graphs, global_ids, plan: "QueryPlan", rows, root: int
+) -> tuple[list[float], int]:
+    """The SSP estimate of every storage row in ``rows``, and how many of
+    them sampled.
+
+    Rows go through :meth:`~repro.core.verification.Verifier.verify_block`
+    ``VERIFY_BLOCK_SIZE`` at a time, each on its own ``(root, VERIFY_STREAM,
+    global id)`` stream: a planner in the parent and a pool worker holding
+    only the shard's graphs and ids (:mod:`repro.core.sharding`) run this
+    same loop.
+    """
+    sampled_before = verifier.sampled
+    probabilities: list[float] = []
+    for start in range(0, len(rows), VERIFY_BLOCK_SIZE):
+        block = [int(row) for row in rows[start : start + VERIFY_BLOCK_SIZE]]
+        probabilities.extend(
+            verifier.verify_block(
+                plan.query,
+                [graphs[row] for row in block],
+                plan.distance_threshold,
+                relaxed_queries=plan.relaxed_queries,
+                rngs=[derive_seed(root, VERIFY_STREAM, int(global_ids[row])) for row in block],
+                family=plan.family,
+            )
+        )
+    return probabilities, verifier.sampled - sampled_before
+
+
+@dataclass
+class FilteredPlan:
+    """One plan after every stage before verification, over one planner's
+    rows: the result so far and the storage rows left to verify, with their
+    PMI bounds (ascending rows; ``usim`` / ``lsim`` aligned with them)."""
+
+    planner: "QueryPlanner"
+    ctx: PipelineContext
+    rows: np.ndarray
+    usim: np.ndarray
+    lsim: np.ndarray
+
+    @classmethod
+    def of(cls, planner, ctx: PipelineContext, candidates: CandidateSet) -> "FilteredPlan":
+        rows = candidates.active_ids()
+        return cls(planner, ctx, rows, candidates.usim[rows], candidates.lsim[rows])
+
+    def verify(self) -> tuple[list[float], int, float]:
+        """:func:`verify_rows` over the survivors, in this process, plus its
+        seconds."""
+        timer = Timer()
+        with timer:
+            plan = self.ctx.plan
+            probabilities, sampled = verify_rows(
+                self.planner._verifier_for(plan),
+                self.planner.graphs,
+                self.planner.global_ids,
+                plan,
+                self.rows,
+                self.ctx.root,
+            )
+        return probabilities, sampled, timer.elapsed
+
+
+def record_verified(
+    part: FilteredPlan, probabilities, sampled: int, stage_stats: StageStatistics
+) -> None:
+    """Book a threshold plan's verified survivors: every estimate at or above
+    the floor is an answer."""
+    stats = part.ctx.result.statistics
+    stats.verified += len(part.rows)
+    stats.sampled += sampled
+    floor = part.ctx.state.floor
+    answers = [
+        QueryAnswer(
+            graph_id=int(part.planner.global_ids[row]),
+            graph_name=part.planner.graphs[row].name,
+            probability=probability,
+            decided_by="verification",
+        )
+        for row, probability in zip(part.rows.tolist(), probabilities, strict=True)
+        if probability >= floor
+    ]
+    part.ctx.result.answers.extend(answers)
+    stage_stats.accepted = len(answers)
+    stage_stats.passed = len(answers)
+
+
+def finish_threshold(
+    part: FilteredPlan, probabilities, sampled: int, seconds: float
+) -> QueryResult:
+    """A filtered threshold plan's result, once its survivors' estimates
+    are in (from a pool worker or :meth:`FilteredPlan.verify`)."""
+    stage_stats = StageStatistics(
+        stage=VerificationStage.name, examined=len(part.rows), seconds=seconds
+    )
+    record_verified(part, probabilities, sampled, stage_stats)
+    part.ctx.result.statistics.stages.append(stage_stats)
+    return close_result(part.ctx.result)
+
+
+def finish_top_k(parts: list[FilteredPlan]) -> QueryResult:
+    """One top-k plan's result over every planner it was filtered on: the
+    parts' statistics merged, then :func:`rank_top_k` once."""
+    result = QueryResult(
+        statistics=QueryStatistics.merge(part.ctx.result.statistics for part in parts)
+    )
+    stage_stats = StageStatistics(stage=VerificationStage.name)
+    timer = Timer()
+    with timer:
+        result.answers = rank_top_k(parts, result.statistics, stage_stats)
+    stage_stats.seconds = timer.elapsed
+    result.statistics.stages.append(stage_stats)
+    return close_result(result)
+
+
+def rank_top_k(
+    parts: list[FilteredPlan], statistics: QueryStatistics, stage_stats: StageStatistics
+) -> list[QueryAnswer]:
+    """The top-k answers of one plan over the candidates of every part.
+
+    The parts' ``(graph id, usim, lsim)`` tables are concatenated and walked
+    once by :func:`replay_top_k`, whose estimator verifies a candidate
+    through the planner that owns it.  The candidates below the seeded floor
+    are booked as the PMI stage's ``pruned``, those the walk passes over as
+    the verification stage's.
+    """
+    owner = {}
+    for part in parts:
+        for graph_id, row in zip(part.planner.global_ids[part.rows].tolist(), part.rows.tolist()):
+            owner[graph_id] = (part, row)
+    plan = parts[0].ctx.plan
+
+    def verify(graph_id: int) -> QueryAnswer:
+        part, row = owner[graph_id]
+        planner = part.planner
+        (probability,), sampled = verify_rows(
+            planner._verifier_for(plan), planner.graphs, planner.global_ids, plan, [row], part.ctx.root
+        )
+        statistics.sampled += sampled
+        return QueryAnswer(graph_id, planner.graphs[row].name, probability, "verification")
+
+    answers, examined, verified = replay_top_k(
+        np.concatenate([part.planner.global_ids[part.rows] for part in parts]),
+        np.concatenate([part.usim for part in parts]),
+        np.concatenate([part.lsim for part in parts]),
+        verify,
+        plan.k,
+    )
+    below_seed = len(owner) - examined
+    pmi = next(stage for stage in statistics.stages if stage.stage == PmiPruningStage.name)
+    pmi.pruned += below_seed
+    pmi.passed -= below_seed
+    statistics.pruned_by_upper_bound += below_seed
+    statistics.probabilistic_candidates -= below_seed
+    statistics.verified += verified
+    stage_stats.examined = examined
+    stage_stats.pruned = examined - verified
+    stage_stats.accepted = len(answers)
+    stage_stats.passed = len(answers)
+    return answers
+
+
 def replay_top_k(
     candidate_ids: np.ndarray,
     usim: np.ndarray,
     lsim: np.ndarray,
     estimate: Callable[[int], QueryAnswer],
     k: int,
-) -> tuple[list[QueryAnswer], int]:
+) -> tuple[list[QueryAnswer], int, int]:
     """The top-k loop: walk the candidates by ``(-usim, graph_id)`` under the
     floor seeded from ``lsim`` and tightened by every answer the heap keeps,
     asking ``estimate(graph_id)`` for each candidate reached above the floor.
 
-    Returns ``(answers, verified)``: the ranked answers and how many
-    candidates the loop asked for.  ``estimate`` verifies there and then (a
-    whole query's verification stage) or reads a shipped value (the
-    cross-shard merge, whose shards verified more).
+    Returns ``(answers, examined, verified)``: the ranked answers, how many
+    candidates are at or above the seeded floor, and how many the loop asked
+    for.
     """
     state = ThresholdState.for_top_k(k)
     state.seed_floor(lsim)
@@ -566,43 +617,4 @@ def replay_top_k(
             continue
         verified += 1
         state.offer(estimate(int(ids[index])))
-    return state.ranked(), verified
-
-
-def merge_top_k_partials(parts: list[TopKPartial], k: int) -> QueryResult:
-    """Combine per-shard partials of one top-k query into the final result.
-
-    Answers come from :func:`replay_top_k` over the concatenated candidate
-    tables and the shipped estimates — provably one shard's answer list
-    (module docstring) — while the statistics merge the shards' *actual*
-    work via :meth:`QueryStatistics.merge` (shard floors are laxer than the
-    global one, so the summed ``verified`` counter legitimately exceeds one
-    shard's).
-    """
-    if not parts:
-        raise ConfigurationError("cannot merge an empty list of top-k partials")
-    candidate_ids = np.concatenate([part.candidate_ids for part in parts])
-    usim = np.concatenate([part.usim for part in parts])
-    lsim = np.concatenate([part.lsim for part in parts])
-    estimates: dict[int, float] = {}
-    names: dict[int, str | None] = {}
-    for part in parts:
-        estimates.update(part.estimates)
-        names.update(part.names)
-
-    def shipped(graph_id: int) -> QueryAnswer:
-        try:
-            probability = estimates[graph_id]
-        except KeyError:  # pragma: no cover - violates the shipped-superset invariant
-            raise ConfigurationError(
-                f"top-k merge is missing the verified estimate of graph {graph_id}; "
-                "shard partials must cover every candidate at or above their "
-                "local seed floor"
-            ) from None
-        return QueryAnswer(graph_id, names.get(graph_id), probability, "verification")
-
-    answers, _ = replay_top_k(candidate_ids, usim, lsim, shipped, k)
-    result = QueryResult(answers=answers)
-    result.statistics = QueryStatistics.merge(part.statistics for part in parts)
-    result.statistics.answers = len(answers)
-    return result
+    return state.ranked(), len(ids), verified

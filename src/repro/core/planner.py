@@ -21,12 +21,13 @@ graph*.  :class:`QueryPlanner` splits that work by lifetime:
   PMI row reads, vectorized pruning decisions, verification.
 
 A :class:`QueryPlanner` runs one slice of the database: each shard of a
-:class:`~repro.core.sharding.ShardedPlanner` owns one, and the sharded planner
-— the one a :class:`~repro.core.catalog.GraphCatalog` holds for every shard
-count — decides whether a top-k plan runs whole (:meth:`execute_plan`, one
-shard) or partial (:meth:`execute_top_k_partial`, several).  The
-single-query ``execute`` / ``execute_top_k`` below plan and run in one call
-and are what the parity suites build their from-scratch reference from.
+:class:`~repro.core.sharding.ShardedPlanner` — the planner a
+:class:`~repro.core.catalog.GraphCatalog` holds for every shard count — owns
+one, runs every stage before verification on it (:meth:`filter_plan`) and
+then places the verification.  :meth:`execute_plan` runs all three stages at
+once; the single-query ``execute`` / ``execute_top_k`` below plan and run in
+one call and are what the parity suites build their from-scratch reference
+from.
 """
 
 from __future__ import annotations
@@ -41,17 +42,17 @@ from repro.core.pipeline import (
     PRUNE_STREAM,
     VERIFY_STREAM,
     CandidateSet,
+    FilteredPlan,
     PipelineContext,
     QueryPipeline,
     THRESHOLD_MODE,
     TOP_K_MODE,
     ThresholdState,
-    TopKPartial,
     build_default_pipeline,
 )
 from repro.core.pruning import FeatureContainment, ProbabilisticPruner, PruningConfig
 from repro.core.relaxation import RelaxationConfig, relax_query
-from repro.core.results import QueryResult, QueryStatistics
+from repro.core.results import QueryResult
 from repro.core.verification import VerificationConfig, Verifier
 from repro.exceptions import ConfigurationError, QueryError
 from repro.graphs.labeled_graph import LabeledGraph
@@ -345,9 +346,8 @@ class QueryPlanner:
         heap, so candidates are verified in descending PMI upper-bound order
         and late candidates prune against the running k-th best
         (:func:`repro.core.pipeline.replay_top_k`).  Under the same seed the
-        ranked list is byte-identical to the cross-shard merge
-        (:func:`repro.core.pipeline.merge_top_k_partials`) over any partition
-        of the same live graphs.
+        ranked list and the counters are byte-identical to a sharded planner's
+        over any partition of the same live graphs.
         """
         return self.execute_plan(self.plan_top_k(query, k, distance_threshold, config), rng=rng)
 
@@ -362,50 +362,26 @@ class QueryPlanner:
         partitioning — a sharded executor passing the same root reproduces
         this method's answers exactly.
         """
-        ctx = PipelineContext(
-            plan=plan,
-            root=rng_root(rng),
-            state=self._state_for(plan),
-            result=QueryResult(),
-        )
-        return self.pipeline.run(self._new_candidates(), ctx)
+        return self.pipeline.run(self._new_candidates(), self._context(plan, rng))
 
-    def execute_top_k_partial(self, plan: QueryPlan, rng: RandomLike = None) -> TopKPartial:
-        """Run a top-k plan as one shard's part (see ``core.pipeline``).
+    def filter_plan(self, plan: QueryPlan, rng: RandomLike = None) -> FilteredPlan:
+        """Every stage of ``plan`` before verification: the structural filter
+        and the PMI bounds, array passes over this planner's index rows.  The
+        returned part holds the rows left to verify; a sharded planner places
+        their verification (:mod:`repro.core.sharding`)."""
+        candidates = self._new_candidates()
+        ctx = self._context(plan, rng)
+        self.pipeline.filter(candidates, ctx)
+        return FilteredPlan.of(self, ctx, candidates)
 
-        The floor stays at the shard-local lsim seed, every candidate above
-        it is verified in blocks, and the returned :class:`TopKPartial`
-        carries the examined candidate/bound table plus those estimates —
-        everything :func:`repro.core.pipeline.merge_top_k_partials` needs to
-        run the one-shard loop exactly.
-        """
-        if plan.mode != TOP_K_MODE or plan.k is None:
-            raise QueryError("execute_top_k_partial() requires a top-k plan")
-        partial = TopKPartial(
-            candidate_ids=np.zeros(0, dtype=np.int64),
-            usim=np.zeros(0, dtype=np.float64),
-            lsim=np.zeros(0, dtype=np.float64),
-            estimates={},
-            names={},
-            statistics=QueryStatistics(),
-        )
-        ctx = PipelineContext(
-            plan=plan,
-            root=rng_root(rng),
-            state=ThresholdState.for_top_k(plan.k),
-            result=QueryResult(),
-            partial=partial,
-        )
-        self.pipeline.run(self._new_candidates(), ctx)
-        partial.statistics = ctx.result.statistics
-        return partial
-
-    def _state_for(self, plan: QueryPlan) -> ThresholdState:
+    def _context(self, plan: QueryPlan, rng: RandomLike) -> PipelineContext:
         if plan.mode == TOP_K_MODE:
             if plan.k is None:
                 raise QueryError("a top-k plan needs k")
-            return ThresholdState.for_top_k(plan.k)
-        return ThresholdState.fixed(plan.probability_threshold)
+            state = ThresholdState.for_top_k(plan.k)
+        else:
+            state = ThresholdState.fixed(plan.probability_threshold)
+        return PipelineContext(plan=plan, root=rng_root(rng), state=state, result=QueryResult())
 
     # `query*()` aliases for symmetry with the catalog's API
     query = execute

@@ -1,77 +1,75 @@
-"""Sharded multiprocess query execution over database partitions.
+"""Sharded query execution over database partitions.
 
 The T-PS pipeline is embarrassingly partitionable: every candidate graph is
 filtered, pruned, and verified independently of every other graph, so a
 database of N probabilistic graphs can be split into K disjoint *shards*,
 each owning a PMI row slice, a structural-index row slice, and its own
 :class:`~repro.core.planner.QueryPlanner`.  :class:`ShardedPlanner` is the
-one planner a :class:`~repro.core.catalog.GraphCatalog` holds, for every K:
-one round of parallel work — a local step per shard, then one merge — of
-which a single shard is the degenerate case.  With K = 1 it runs every plan
-whole, in-process; with K > 1 it fans a list of finished plans out over a
-pool of forked worker processes (:meth:`ShardedPlanner.execute_plans`: one
-task per worker, running every plan on each shard it serves) and merges the
-per-shard parts of each plan deterministically.
+one planner a :class:`~repro.core.catalog.GraphCatalog` holds, for every K,
+and it runs one flow of which a single shard is the degenerate case
+(:meth:`ShardedPlanner.execute_plans`):
 
-Determinism is the load-bearing property.  Two ingredients make a sharded
-run reproduce the one-shard run *exactly*, regardless of K, worker count,
-or OS scheduling:
+1. **The parent decides.**  The structural filter (Theorem 1) and the PMI
+   bounds (Theorems 3 and 4) are cheap array passes over indexes the parent
+   already holds, so it runs them for every plan on every shard's in-process
+   planner.
+2. **Verification is the only work that moves.**  A threshold plan's
+   survivors go, as storage rows, to the pool slot that owns their shard —
+   one frame per slot that has any, none to a slot that has none — and are
+   verified there in blocks; at width <= 1 they are verified in-process
+   through the same block loop (:func:`~repro.core.pipeline.verify_rows`).
+   A top-k plan's candidates of every shard are concatenated and ranked once,
+   in the parent (:func:`~repro.core.pipeline.rank_top_k`): the floor is
+   seeded once and each candidate the walk reaches is verified through the
+   shard planner that owns it.
 
-1. **Per-graph RNG streams.**  Every stochastic sub-task derives its
-   generator from ``(root, stage, global graph id)``
-   (:func:`repro.utils.rng.derive_rng`), so the random draws a graph
-   consumes never depend on which process handles it or how many other
-   candidates ran first.  The per-query roots arrive with the plans — the
-   catalog derives them once, in query order — so every shard agrees on
-   each query's streams.
-2. **Deterministic merge.**  A threshold plan's per-shard answers are
-   concatenated and sorted by ``(-probability, graph_id)`` — one shard's
-   order (:func:`merge_query_results`); a top-k plan runs shard-partial and
-   :func:`~repro.core.pipeline.merge_top_k_partials` runs the top-k loop
-   over the union with the shipped estimates.  Per-shard statistics
-   combine via :meth:`QueryStatistics.merge` (counters sum across the
-   disjoint slices; wall-clock fields take the critical-path max).
+Determinism is the load-bearing property: a sharded run reproduces the
+one-shard run *exactly*, answers and counters, regardless of K, worker count,
+or OS scheduling.  Every stochastic sub-task derives its generator from
+``(root, stage, global graph id)`` (:func:`repro.utils.rng.derive_rng`), so
+the draws a graph consumes never depend on which process handles it or how
+many other candidates ran first; the per-query roots arrive with the plans.
+A threshold plan's per-shard answers are concatenated and sorted by
+``(-probability, graph_id)`` — one shard's order (:func:`merge_query_results`)
+— and per-shard statistics combine via :meth:`QueryStatistics.merge`
+(counters sum across the disjoint slices; wall-clock fields take the max).
 
 Shards are built and owned by :class:`~repro.core.catalog.GraphCatalog`, the
 front door of every query: every shard carries the stable external id of each
 storage row plus a tombstone mask, and its indexes are the catalog's segmented
 base+delta views.
 
-**The zero-copy shard plane.**  Shipping every :class:`DatabaseShard` to
-the workers would cost O(shard-bytes) per worker — resident memory scaling
-with worker count and every pool (re)build paying a full copy of all PMI and
-structural matrices.  The planner instead *publishes* each shard into
-``multiprocessing.shared_memory``, split by the two lifetimes a catalog
+**The zero-copy graph plane.**  A worker verifies graphs and reads nothing
+else, so what the planner *publishes* into ``multiprocessing.shared_memory``
+is each shard's graphs and their ids, split by the two lifetimes a catalog
 shard has:
 
-* the **base** — base PMI matrices, base structural counts and signature
-  postings, base ids, the base graphs as per-graph pickle blobs with a
-  digest each, features and configs — goes once into one
+* the **base** — the base rows' external ids and graphs, as per-graph pickle
+  blobs with a digest each — goes once into one
   :class:`~repro.utils.shm.ShardArena` segment (:func:`publish_base`) and
   stays until the catalog compacts.  A worker receives only the O(1)
   :class:`ShardDescriptor` — segment name, dtypes, shapes, offsets — of each
   shard it serves, once per generation, with its first task; it attaches
   read-only on that task and keeps the mapping.  Base graphs deserialize
   lazily per candidate, so a worker's private memory holds only the graphs
-  its queries verified;
-* the **delta** — delta PMI rows, counts and postings, delta ids, graphs
-  and digests, the tombstoned rows — goes into a small self-describing
-  segment (:func:`publish_delta`) that is republished whenever that shard
-  mutates.  A pool task names the base and the delta segment it must run
-  against; a worker that has not seen that delta copies it out, detaches at
-  once, and rebuilds the shard's planner over the base mapping, the base
-  graph list and the delta graphs it already holds (:func:`materialize_shard`)
-  — so deserialized graphs and every cache hung on them survive a mutation.
+  it verified;
+* the **delta** — the delta rows' ids, graphs and digests, the tombstoned
+  rows — goes into a small self-describing segment (:func:`publish_delta`)
+  that is republished whenever that shard mutates.  A pool task names the
+  base and the delta segment it must run against; a worker that has not seen
+  that delta copies it out, detaches at once, and rebuilds the shard's
+  :class:`ShardGraphs` over the base mapping, the base graph list and the
+  delta graphs it already holds (:func:`materialize_shard`) — so
+  deserialized graphs and every cache hung on them survive a mutation.
 
 The pool is one forked worker per slot, driven over a duplex pipe: the
 worker receives a task frame, runs it and sends the reply frame, in order,
 and the parent resolves each slot's pending replies oldest first.  Shard
 ``i`` is served by slot ``i mod W`` only: each shard is mapped and its graphs
-deserialized in exactly one worker, and one fan-out sends each slot one
-frame carrying the pickled plan batch and the shards it runs them on.
+deserialized in exactly one worker.
 
 Lifecycle: the :class:`ShardPlane` (the bases plus each shard's current
-delta) is created lazily with the first pool and survives pool resizes (a
+delta) is created lazily with the first fan-out and survives pool resizes (a
 width change recycles workers but re-ships only descriptors).  A catalog
 mutation hands the planner new views of the shards it touched
 (:meth:`ShardedPlanner.replace_shards`); the next fan-out republishes those
@@ -85,17 +83,17 @@ generation stores again.  :meth:`ShardedPlanner.close` is the full swap of
 the plane, taken by the catalog's ``close()`` and a compaction that changes
 the shard count, and it *parks* the workers: one release task per slot —
 queued behind every task already submitted, so it is also the drain barrier
-— makes each worker drop every view, planner and descriptor, unmap every
-segment and keep only the graphs it had deserialized, keyed by pickle
-digest; only then does the plane unlink.  The slot list waits in a
-process-wide registry, at most one list per width, and the next planner of
-that width takes it instead of forking (:func:`materialize_shard` adopts the
-kept graphs, caches included, wherever their digests reappear).  A worker
-therefore holds at most one closed planner's graphs, dropped at its next
-release.  A slot list with a dead worker, or one that fails to release, is
-shut down, never parked; parked pools are shut down at interpreter exit or
-by :func:`shutdown_parked_pools`.  Answers stay byte-identical throughout
-because the arrays workers read are bit-for-bit the parent's.
+— makes each worker drop every view and descriptor, unmap every segment and
+keep only the graphs it had deserialized, keyed by pickle digest; only then
+does the plane unlink.  The slot list waits in a process-wide registry, at
+most one list per width, and the next planner of that width takes it instead
+of forking (:func:`materialize_shard` adopts the kept graphs, caches
+included, wherever their digests reappear).  A worker therefore holds at most
+one closed planner's graphs, dropped at its next release.  A slot list with a
+dead worker, or one that fails to release, is shut down, never parked; parked
+pools are shut down at interpreter exit or by :func:`shutdown_parked_pools`.
+Answers stay byte-identical throughout because the graphs workers read are
+bit-for-bit the parent's.
 """
 
 from __future__ import annotations
@@ -109,20 +107,28 @@ import pickle
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.util import register_after_fork
 
 import numpy as np
 
-from repro.core.pipeline import TOP_K_MODE, TopKPartial, merge_top_k_partials
+from repro.core.pipeline import (
+    TOP_K_MODE,
+    FilteredPlan,
+    finish_threshold,
+    finish_top_k,
+    verify_rows,
+)
 from repro.core.planner import QueryPlan, QueryPlanner
 from repro.core.results import QueryResult, QueryStatistics
+from repro.core.verification import Verifier
 from repro.exceptions import BrokenSlotError, ConfigurationError, IndexError_, ShmError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.pmi.index import ProbabilisticMatrixIndex
-from repro.structural.feature_index import SignaturePostings, StructuralFeatureIndex
+from repro.structural.feature_index import StructuralFeatureIndex
+from repro.utils.timer import Timer
 from repro.utils.shm import (
     ArenaDescriptor,
     AttachedArena,
@@ -196,9 +202,6 @@ class DatabaseShard:
     structural_index: StructuralFeatureIndex
     graph_ids: np.ndarray
     active_mask: np.ndarray
-    # set only on worker-side shards materialized from a shared-memory
-    # descriptor: keeps the attached base arena mapped for the shard's lifetime
-    arena: AttachedArena | None = field(default=None, repr=False, compare=False)
 
     def make_planner(self) -> QueryPlanner:
         """A planner whose answers and RNG salts use *global* graph ids."""
@@ -253,8 +256,9 @@ class ShardDescriptor:
     """The O(1) handle a worker needs to attach one shard's published base.
 
     Pickling this costs bytes proportional to the number of arena *fields*
-    (fourteen name/dtype/shape/offset tuples), never to the shard's data — the
-    regression tests assert exactly that.
+    (four name/dtype/shape/offset tuples: the base rows' ids, the graph
+    pickles, their offset table and their digests), never to the shard's data
+    — the regression tests assert exactly that.
     """
 
     shard_id: int
@@ -265,17 +269,13 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _DIGEST_BYTES = 16  # blake2b digest of one graph's pickle
 
 
-def _segmented_views(shard: DatabaseShard):
-    """The shard's base + delta PMI and structural views, type-checked."""
-    from repro.core.catalog import SegmentedPmiView, SegmentedStructuralView
+def _base_rows(shard: DatabaseShard) -> int:
+    """How many of the shard's storage rows its base holds."""
+    from repro.core.catalog import SegmentedPmiView
 
-    if not isinstance(shard.pmi, SegmentedPmiView) or not isinstance(
-        shard.structural_index, SegmentedStructuralView
-    ):
-        raise IndexError_(
-            "a shard publishes segmented (base + delta) PMI and structural views"
-        )
-    return shard.pmi, shard.structural_index
+    if not isinstance(shard.pmi, SegmentedPmiView):
+        raise IndexError_("a shard publishes over a segmented (base + delta) PMI view")
+    return shard.pmi.base.num_graphs
 
 
 def _pack_graphs(graphs) -> tuple[np.ndarray, bytes, np.ndarray]:
@@ -299,62 +299,34 @@ def _pack_graphs(graphs) -> tuple[np.ndarray, bytes, np.ndarray]:
 def publish_base(shard: DatabaseShard) -> tuple[ShardArena, ShardDescriptor]:
     """Pack a shard's immutable base into a shared-memory arena.
 
-    Everything here stays put until the catalog compacts: the five base PMI
-    matrices, the base structural counts, the base signature postings and the
-    base rows' external ids are copied bit-for-bit into the segment, so a
-    worker's attached view reads the exact cells the parent computed and
-    answers cannot drift.  The base graphs go in as back-to-back per-graph
-    pickles with an offset table (lazy deserialization on the worker) and a
-    digest per pickle (what a worker carries across generations by);
-    everything non-array (features, configs, the sparse chosen-set dict, the
-    signature dictionary) rides in one pickled ``meta`` blob.
+    Everything here stays put until the catalog compacts: the base rows'
+    external ids, and the base graphs as back-to-back per-graph pickles with
+    an offset table (lazy deserialization on the worker) and a digest per
+    pickle (what a worker carries graphs across generations by).  That is all
+    a verifier reads: the indexes stay in the parent, which decides.
     """
-    pmi, structural = _segmented_views(shard)
-    base_rows = pmi.base.num_graphs
-    signatures = structural.base.signatures
-    arrays = {f"pmi_{key}": array for key, array in pmi.base.arena_arrays().items()}
-    arrays["counts"] = np.asarray(structural.base.counts_matrix())
-    arrays["signature_offsets"] = signatures.code_offsets
-    arrays["signature_rows"] = signatures.rows
-    arrays["signature_counts"] = signatures.counts
-    arrays["graph_ids"] = np.asarray(shard.graph_ids[:base_rows], dtype=np.int64)
+    base_rows = _base_rows(shard)
+    arrays = {"graph_ids": np.asarray(shard.graph_ids[:base_rows], dtype=np.int64)}
     arrays["graph_offsets"], graphs, arrays["graph_digests"] = _pack_graphs(
         shard.graphs[:base_rows]
     )
-    meta = {
-        "features": pmi.base.features,
-        "feature_config": pmi.base.feature_config,
-        "bound_config": pmi.base.bound_config,
-        "embedding_limit": structural.base.embedding_limit,
-        "signatures": list(signatures.codes),  # position = code
-        "pmi": pmi.base.arena_meta(),
-    }
-    arena = ShardArena.pack(
-        arrays, {"graphs": graphs, "meta": pickle.dumps(meta, protocol=_PICKLE_PROTOCOL)}
-    )
+    arena = ShardArena.pack(arrays, {"graphs": graphs})
     return arena, ShardDescriptor(shard_id=shard.spec.shard_id, arena=arena.descriptor)
 
 
 def publish_delta(shard: DatabaseShard) -> tuple[str, int]:
     """Publish what mutations change; returns the segment's name and bytes.
 
-    The delta PMI rows, structural counts and signature postings, the delta
-    rows' external ids, graphs and graph digests, the tombstoned storage rows
-    and the spec go into one self-describing blob segment (:func:`repro.utils.shm.publish_blob`).
-    Its size follows the delta and the tombstones, never the base: the base
-    id column is in the base arena and the tombstone mask travels as the
-    positions of its dead rows.
+    The delta rows' external ids, graphs and graph digests and the tombstoned
+    storage rows go into one self-describing blob segment
+    (:func:`repro.utils.shm.publish_blob`).  Its size follows the delta and
+    the tombstones, never the base: the base id column is in the base arena
+    and the tombstone mask travels as the positions of its dead rows.
     """
-    pmi, structural = _segmented_views(shard)
-    base_rows = pmi.base.num_graphs
+    base_rows = _base_rows(shard)
     graph_offsets, graphs, digests = _pack_graphs(shard.graphs[base_rows:])
     payload = pickle.dumps(
         {
-            "spec": shard.spec,
-            "pmi": pmi.delta.arena_arrays(),
-            "pmi_meta": pmi.delta.arena_meta(),
-            "counts": np.asarray(structural.delta.counts_matrix()),
-            "signatures": structural.delta.signatures,
             "graph_ids": np.asarray(shard.graph_ids[base_rows:], dtype=np.int64),
             "dead_rows": np.flatnonzero(~np.asarray(shard.active_mask, dtype=bool)),
             "graph_offsets": graph_offsets,
@@ -366,87 +338,76 @@ def publish_delta(shard: DatabaseShard) -> tuple[str, int]:
     return publish_blob(payload), len(payload)
 
 
-def _attach_base(descriptor: ShardDescriptor):
-    """Map a published base: zero-copy index views and a lazy graph list."""
+@dataclass
+class ShardGraphs:
+    """A pool worker's view of one published shard: everything a verifier
+    reads.  ``graphs`` holds base then delta rows; ``graph_ids`` is each
+    storage row's external id and ``active_mask`` switches tombstoned rows
+    off.  ``arena`` keeps the base mapped for the view's lifetime, and
+    ``delta_segment`` names the delta it was built against."""
+
+    graphs: SegmentedGraphList
+    graph_ids: np.ndarray
+    active_mask: np.ndarray
+    arena: AttachedArena
+    delta_segment: str
+
+
+def _attach_base(descriptor: ShardDescriptor) -> tuple[AttachedArena, LazyGraphList]:
+    """Map a published base: its arena and a lazy list of its graphs.  A
+    descriptor the segment does not back raises with nothing left mapped."""
     arena = AttachedArena(descriptor.arena)
-    meta = pickle.loads(arena.blob("meta"))
-    features = meta["features"]
-    pmi = ProbabilisticMatrixIndex.from_arrays(
-        {
-            key: arena.array(f"pmi_{key}")
-            for key in ProbabilisticMatrixIndex.ARENA_ARRAY_KEYS
-        },
-        features,
-        meta["feature_config"],
-        meta["bound_config"],
-        meta["pmi"],
-    )
-    structural = StructuralFeatureIndex.from_counts(
-        features,
-        arena.array("counts"),
-        embedding_limit=meta["embedding_limit"],
-        copy=False,
-        signatures=SignaturePostings(
-            {signature: code for code, signature in enumerate(meta["signatures"])},
-            arena.array("signature_offsets"),
-            arena.array("signature_rows"),
-            arena.array("signature_counts"),
-            len(arena.array("graph_ids")),
-        ),
-    )
-    graphs = LazyGraphList(
-        arena.blob("graphs"),
-        arena.array("graph_offsets"),
-        owner=arena,
-        digests=arena.array("graph_digests"),
-    )
-    return arena, pmi, structural, graphs
+    try:
+        arena.array("graph_ids")
+        graphs = LazyGraphList(
+            arena.blob("graphs"),
+            arena.array("graph_offsets"),
+            owner=arena,
+            digests=arena.array("graph_digests"),
+        )
+    except BaseException:
+        arena.detach()
+        raise
+    return arena, graphs
 
 
 def materialize_shard(
     descriptor: ShardDescriptor,
     delta_segment: str,
-    previous: DatabaseShard | None = None,
+    previous: ShardGraphs | None = None,
     held: dict[bytes, ProbabilisticGraph] | None = None,
-) -> DatabaseShard:
-    """A queryable :class:`DatabaseShard` over a published base and delta.
+) -> ShardGraphs:
+    """A worker's :class:`ShardGraphs` over a published base and delta.
 
-    The base matrices come back as read-only zero-copy views into the shared
-    mapping (no bytes move) and the base graphs as a
-    :class:`~repro.utils.shm.LazyGraphList` that deserializes per graph on
-    first access; the returned shard keeps the base attached for its own
-    lifetime via its ``arena`` field.  The delta is small and short-lived, so
-    it is copied out and its segment detached before this returns — a process
-    never holds a delta mapping.
+    The base ids come back as a read-only zero-copy view into the shared
+    mapping and the base graphs as a :class:`~repro.utils.shm.LazyGraphList`
+    that deserializes per graph on first access; the returned view keeps the
+    base attached for its own lifetime via its ``arena`` field.  The delta is
+    small and short-lived, so it is copied out and its segment detached
+    before this returns — a process never holds a delta mapping.
 
-    ``previous`` is this process's last shard of the same id.  Over the
-    *same base* its base mapping, base indexes and base graph list are kept
-    as they are and only the delta is read again; over an older base (the
-    catalog compacted) the new base is attached instead, and the caller
-    detaches the old one.  Either way every graph ``previous`` had
-    deserialized is carried into each new row whose graph digest equals its
-    own, so a graph that survives a mutation or a compaction is not
-    unpickled again and keeps its caches; an updated graph has a new pickle,
-    hence a new digest, and is read afresh.  ``held`` (digest → graph) offers
-    more graphs the same way: those a parked worker kept from the planner it
-    served before.
+    ``previous`` is this process's last view of the same shard.  Over the
+    *same base* its mapping and base graph list are kept as they are and only
+    the delta is read again; over an older base (the catalog compacted) the
+    new base is attached instead, and the caller detaches the old one.
+    Either way every graph ``previous`` had deserialized is carried into each
+    new row whose graph digest equals its own, so a graph that survives a
+    mutation or a compaction is not unpickled again and keeps its caches; an
+    updated graph has a new pickle, hence a new digest, and is read afresh.
+    ``held`` (digest → graph) offers more graphs the same way: those a parked
+    worker kept from the planner it served before.
 
     The delta is read before anything is attached, so a delta that cannot be
     read raises with no new mapping left behind.
     """
-    from repro.core.catalog import SegmentedPmiView, SegmentedStructuralView
-
     delta = pickle.loads(read_blob(delta_segment))
     carried = dict(held or {})
     if previous is not None:
         carried.update(previous.graphs.delta.by_digest())
     if previous is not None and previous.arena.descriptor.segment == descriptor.arena.segment:
-        arena = previous.arena
-        base_pmi = previous.pmi.base
-        base_structural = previous.structural_index.base
-        base_graphs = previous.graphs.base
+        arena, base_graphs = previous.arena, previous.graphs.base
     else:
-        arena, base_pmi, base_structural, base_graphs = _attach_base(descriptor)
+        arena, base_graphs = _attach_base(descriptor)
         if previous is not None:
             carried.update(previous.graphs.base.by_digest())
         base_graphs.adopt(carried)
@@ -454,36 +415,15 @@ def materialize_shard(
         memoryview(delta["graphs"]), delta["graph_offsets"], digests=delta["digests"]
     )
     delta_graphs.adopt(carried)
-    features = base_pmi.features
     graph_ids = np.concatenate([arena.array("graph_ids"), delta["graph_ids"]])
     active_mask = np.ones(graph_ids.size, dtype=bool)
     active_mask[delta["dead_rows"]] = False
-    return DatabaseShard(
-        spec=delta["spec"],
+    return ShardGraphs(
         graphs=SegmentedGraphList(base_graphs, delta_graphs),
-        pmi=SegmentedPmiView(
-            base_pmi,
-            ProbabilisticMatrixIndex.from_arrays(
-                delta["pmi"],
-                features,
-                base_pmi.feature_config,
-                base_pmi.bound_config,
-                delta["pmi_meta"],
-            ),
-        ),
-        structural_index=SegmentedStructuralView(
-            base_structural,
-            StructuralFeatureIndex.from_counts(
-                features,
-                delta["counts"],
-                embedding_limit=base_structural.embedding_limit,
-                copy=False,
-                signatures=delta["signatures"],
-            ),
-        ),
         graph_ids=graph_ids,
         active_mask=active_mask,
         arena=arena,
+        delta_segment=delta_segment,
     )
 
 
@@ -613,100 +553,93 @@ class ShardPlane:
 # query execution (runs in worker processes)
 # ----------------------------------------------------------------------
 # Each worker is the one process of its slot and serves a fixed set of
-# shards.  A task names, per shard, the base segment and the delta segment it
-# must run against; the first task of a base generation on a slot carries the
-# shard's descriptor in place of the name.  The worker keeps, per shard, the
-# last descriptor it was sent and the view and the planner it built for the
+# shards.  A task names, per shard it verifies on, the base segment and the
+# delta segment it must run against; the first task of a base generation on a
+# slot carries the shard's descriptor in place of the name.  The worker keeps,
+# per shard, the last descriptor it was sent and the view it built for the
 # last delta named, so steady-state tasks ship only (shard_id, base segment
-# name, delta segment name) per shard plus the plan batch.  A parked worker
-# holds none of that, only the graphs it kept at its release (digest -> graph).
+# name, delta segment name) per shard plus the rows to verify and their plans.
+# A parked worker holds none of that, only the graphs it kept at its release
+# (digest -> graph).
 _WORKER_DESCRIPTORS: dict[int, ShardDescriptor] = {}
-_WORKER_SHARDS: dict[int, DatabaseShard] = {}
-_WORKER_PLANNERS: dict[int, tuple[str, QueryPlanner]] = {}  # (delta segment, planner)
+_WORKER_SHARDS: dict[int, ShardGraphs] = {}
 _WORKER_PARKED: dict[bytes, ProbabilisticGraph] = {}
 
 
-def _execute_on_shard(
-    planner: QueryPlanner, plans: list[QueryPlan], roots: list[int]
-) -> list[QueryResult | TopKPartial]:
-    """One shard's part of every plan when there are several shards, for the
-    pool worker and the in-process path alike.
+def _verify_slot(
+    tasks: list[tuple[int, ShardDescriptor | str, str]],
+    work: list[tuple[bytes, list[tuple[int, np.ndarray]]]],
+) -> list[tuple[list[float], int, float]]:
+    """One slot's part of a fan-out: verify the rows each plan left on the
+    shards the slot serves.
 
-    The plan's ``mode`` picks the execution: a top-k plan runs shard-partial
-    (the shard cannot see the global floor; see ``core.pipeline``), a
-    threshold plan runs whole.
-    """
-    return [
-        planner.execute_top_k_partial(plan, rng=root)
-        if plan.mode == TOP_K_MODE
-        else planner.execute_plan(plan, rng=root)
-        for plan, root in zip(plans, roots)
-    ]
-
-
-def _run_slot_workload(
-    tasks: list[tuple[int, ShardDescriptor | str, str]], batch: bytes
-) -> list[list[QueryResult | TopKPartial]]:
-    """One slot's part of a fan-out: every plan on every shard it serves.
-
-    ``tasks`` holds ``(shard_id, base, delta segment)`` per shard, in shard
-    order; ``base`` is the shard's descriptor on the first task of a
-    generation and the base segment's name after that.  ``batch`` is the
-    pickled ``(plans, roots)``, unpickled once for all the slot's shards, as
-    the in-process path shares one plan list between shards.  Every
-    descriptor carried is recorded before any shard runs, so a shard that
+    ``tasks`` holds ``(shard_id, base, delta segment)`` per shard ``work``
+    names, in shard order; ``base`` is the shard's descriptor on the first
+    task of a generation and the base segment's name after that.  ``work``
+    holds, per plan, the pickled ``(plan, root)`` — pickled once in the parent
+    for every slot that verifies it — and its ``(shard_id, rows)`` pairs.
+    Returns ``(estimates, sampled, seconds)`` per pair, in order.  Every
+    descriptor carried is recorded before any shard is read, so a shard that
     fails does not cost a sibling the descriptor its next task relies on.
     """
     for shard_id, base, _ in tasks:
         if isinstance(base, ShardDescriptor):
             _WORKER_DESCRIPTORS[shard_id] = base
-    plans, roots = pickle.loads(batch)
-    parts = []
+    shards = {}
     for shard_id, base, delta_segment in tasks:
         segment = base.arena.segment if isinstance(base, ShardDescriptor) else base
         descriptor = _WORKER_DESCRIPTORS.get(shard_id)
         if descriptor is None or descriptor.arena.segment != segment:
             raise ShmError(f"shard {shard_id}: this worker was never sent base {segment!r}")
-        parts.append(_execute_on_shard(_worker_planner(descriptor, delta_segment), plans, roots))
-    return parts
+        shards[shard_id] = _worker_shard(descriptor, delta_segment)
+    verdicts = []
+    for payload, pairs in work:
+        plan, root = pickle.loads(payload)
+        verifier = Verifier(config=plan.config.verification, relaxation=plan.config.relaxation)
+        for shard_id, rows in pairs:
+            shard = shards[shard_id]
+            if not shard.active_mask[rows].all():
+                raise ShmError(f"shard {shard_id}: asked to verify a row it does not hold live")
+            timer = Timer()
+            with timer:
+                probabilities, sampled = verify_rows(
+                    verifier, shard.graphs, shard.graph_ids, plan, rows, root
+                )
+            verdicts.append((probabilities, sampled, timer.elapsed))
+    return verdicts
 
 
-def _worker_planner(descriptor: ShardDescriptor, delta_segment: str) -> QueryPlanner:
-    """The worker's planner for one shard at one delta.
+def _worker_shard(descriptor: ShardDescriptor, delta_segment: str) -> ShardGraphs:
+    """The worker's view of one shard at one delta.
 
-    A delta segment this worker has not built the shard against means the
+    A delta segment this worker has not built the view against means the
     shard mutated, the catalog compacted, or this is the first touch: read
-    that delta, keep everything of the shard's previous view that is still
-    valid (:func:`materialize_shard`, which also adopts the graphs this
-    worker kept when it was parked), and rebuild only the planner.  A new
-    base generation unmaps the old one here and now, not at process exit.
-    A task that fails to materialize leaves the previous view in place.
+    that delta and keep everything of the shard's previous view that is
+    still valid (:func:`materialize_shard`, which also adopts the graphs this
+    worker kept when it was parked).  A new base generation unmaps the old
+    one here and now, not at process exit.  A task that fails to materialize
+    leaves the previous view in place.
     """
     shard_id = descriptor.shard_id
-    built = _WORKER_PLANNERS.get(shard_id)
-    if built is not None and built[0] == delta_segment:
-        return built[1]
     previous = _WORKER_SHARDS.get(shard_id)
-    shard = materialize_shard(
-        descriptor, delta_segment, previous=previous, held=_WORKER_PARKED
-    )
-    planner = shard.make_planner()
+    if previous is not None and previous.delta_segment == delta_segment:
+        return previous
+    shard = materialize_shard(descriptor, delta_segment, previous=previous, held=_WORKER_PARKED)
     _WORKER_SHARDS[shard_id] = shard
-    _WORKER_PLANNERS[shard_id] = (delta_segment, planner)
-    # every reference to the old view, planner included, goes before the
-    # detach below: a live view into an old base keeps it mapped
+    # every reference to the old view goes before the detach below: a live
+    # view into an old base keeps it mapped
     stale = None if previous is None or previous.arena is shard.arena else previous.arena
-    del built, previous
+    del previous
     if stale is not None and not stale.detach():
         gc.collect()  # a reference cycle still holds a view into the old base
         stale.detach()
-    return planner
+    return shard
 
 
 def _release_worker() -> int:
     """The task a closing planner runs in every slot it parks.
 
-    The worker forgets every shard — view, planner, descriptor — and closes
+    The worker forgets every shard — view and descriptor — and closes
     every mapping it holds, its attaches and those it inherited at fork, so
     a parked worker maps no segment.  It keeps the graphs it had
     deserialized, keyed by pickle digest, for the next planner of its width
@@ -721,7 +654,6 @@ def _release_worker() -> int:
     }
     _WORKER_PARKED.clear()
     _WORKER_PARKED.update(kept)
-    _WORKER_PLANNERS.clear()
     _WORKER_SHARDS.clear()
     _WORKER_DESCRIPTORS.clear()
     if release_foreign_mappings():
@@ -734,22 +666,22 @@ def _release_worker() -> int:
 # the sharded planner
 # ----------------------------------------------------------------------
 class ShardedPlanner:
-    """Fans finished plans out over K database shards and merges the answers.
+    """Runs finished plans over K database shards and merges the answers.
 
     The query surface is :meth:`plan`, :meth:`plan_top_k` and
     :meth:`execute_plans` — the three methods a
     :class:`~repro.core.catalog.GraphCatalog` calls — and results are
-    identical for every shard count and worker count.  One shard is the
-    whole database: its plans, top-k included, run whole and in-process.
-    ``max_workers`` picks the process-pool width for query fan-out
-    (``None`` → ``min(num_shards, cpu_count)``); at width <= 1 shards run
-    in-process, which is also the zero-dependency fallback path.  The pool
-    is one forked worker per *slot*, each driven over a duplex pipe, and
-    shard ``i`` is always served by slot ``i mod width``, so each shard is
-    attached and its graphs deserialized in exactly one worker.  Shard bases
-    are published once per generation into a shared-memory
+    identical for every shard count and worker count.  The parent filters
+    every plan on every shard; only the verification of threshold survivors
+    goes to the pool.  ``max_workers`` picks the pool width (``None`` →
+    ``min(num_shards, usable_cores())``); at width <= 1 survivors are
+    verified in-process, which is also the zero-dependency fallback path.
+    The pool is one forked worker per *slot*, each driven over a duplex
+    pipe, and shard ``i`` is always served by slot ``i mod width``, so each
+    shard is attached and its graphs deserialized in exactly one worker.
+    Shard graphs are published once per generation into a shared-memory
     :class:`ShardPlane` and each slot is sent the O(1) descriptors of its
-    shards once per generation.
+    shards once per generation, with its first frame.
 
     Shards carry explicit stable ids plus a tombstone mask (see
     :class:`DatabaseShard`) and are validated for live-id disjointness.
@@ -787,8 +719,8 @@ class ShardedPlanner:
         # submission, resize, and close must serialize.  Waiting for the
         # workers' replies happens outside it: each slot orders its own
         # sends and receives.
-        # Reentrant because the dead-worker fallback inside _fan_out calls
-        # _close() from a frame that may re-enter locked helpers.
+        # Reentrant because locked helpers call one another (execute_plans
+        # -> _send -> _ensure_slots -> _take_slots).
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -801,7 +733,7 @@ class ShardedPlanner:
 
     @property
     def width(self) -> int:
-        """The slots a fan-out uses; 1 means the shards run in-process."""
+        """The slots a fan-out uses; 1 means survivors are verified in-process."""
         return _resolve_workers(self.max_workers, self.num_shards)
 
     # ------------------------------------------------------------------
@@ -888,33 +820,52 @@ class ShardedPlanner:
         return self._planning_planner().plan_top_k(query, k, distance_threshold, config)
 
     def execute_plans(self, plans: list[QueryPlan], roots: list[int]) -> list[QueryResult]:
-        """Run finished plans over every shard and merge, one result per plan.
+        """Run finished plans over every shard, one result per plan.
 
-        With one shard, plan ``i`` is that shard's
-        ``execute_plan(plans[i], rng=roots[i])``.  With several, one pool
-        task per shard runs the whole plan list with the same per-plan roots.
-        A threshold plan's parts merge by :func:`merge_query_results`.  A
-        top-k plan runs *partial* on each shard — the floor stays at the
-        shard-local lsim seed and the shard ships its examined
-        candidate/bound table plus the estimate of every candidate above it —
-        and :func:`repro.core.pipeline.merge_top_k_partials` runs the top-k
-        loop over the union.  Because every estimate derives from ``(root,
-        VERIFY_STREAM, global graph id)``, answers (and, for threshold plans,
-        counters) are byte-identical to one shard's over the same live graphs
+        Plan ``i`` runs under root ``roots[i]``.  The parent runs every stage
+        before verification of every plan on every shard's in-process planner
+        (:meth:`~repro.core.planner.QueryPlanner.filter_plan`), then places
+        verification.  A threshold plan's survivors are verified by the slot
+        that owns their shard, or in-process at width <= 1, and its shard
+        parts merge by :func:`merge_query_results`.  A top-k plan is ranked
+        once over every shard's candidates, in the parent
+        (:func:`~repro.core.pipeline.finish_top_k`).  Because every estimate
+        derives from ``(root, VERIFY_STREAM, global graph id)``, answers and
+        counters are byte-identical to one shard's over the same live graphs
         with the same roots — for any shard count, worker count or OS
         scheduling.
+
+        Filtering and sending happen under the lifecycle lock, so the rows a
+        slot is sent are rows of the very views its delta segments publish.
         """
         if not plans:
             return []
-        if self.num_shards == 1:
-            planner = self._planning_planner()
-            return [planner.execute_plan(plan, rng=root) for plan, root in zip(plans, roots)]
-        per_shard = self._fan_out(plans, roots)
+        with self._lock:
+            planners = [self._planner_for(shard) for shard in self.shards]
+            parts = [
+                [planner.filter_plan(plan, root) for planner in planners]
+                for plan, root in zip(plans, roots)
+            ]
+            # (plan index, shard position) -> a threshold part with rows to verify
+            survivors = {
+                (i, j): part
+                for i, plan_parts in enumerate(parts)
+                if plans[i].mode != TOP_K_MODE
+                for j, part in enumerate(plan_parts)
+                if len(part.rows)
+            }
+            sent = self._send(survivors)
+        verdicts = self._receive(sent, survivors)
         return [
-            merge_top_k_partials(list(parts), plan.k)
+            finish_top_k(plan_parts)
             if plan.mode == TOP_K_MODE
-            else merge_query_results(list(parts))
-            for plan, parts in zip(plans, zip(*per_shard))
+            else merge_query_results(
+                [
+                    finish_threshold(part, *verdicts.get((i, j), ([], 0, 0.0)))
+                    for j, part in enumerate(plan_parts)
+                ]
+            )
+            for i, (plan, plan_parts) in enumerate(zip(plans, parts))
         ]
 
     # ------------------------------------------------------------------
@@ -966,68 +917,93 @@ class ShardedPlanner:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _fan_out(self, plans: list[QueryPlan], roots: list[int]) -> list[list]:
-        """One task per slot, each running the whole plan list on every shard
-        the slot serves.
+    def _send(self, survivors: dict[tuple[int, int], FilteredPlan]):
+        """Send every slot that owns a survivor one frame; None when nothing
+        goes to a pool (width <= 1, or no survivor at all).
 
-        Returns per-shard result lists, plan-index aligned.  Under the
-        lifecycle lock, atomically: the slots are acquired, stale deltas
-        are republished, every shard's delta segment is marked in flight and
-        the tasks naming them are sent, shard ``i`` to slot ``i mod W`` —
-        so a concurrent ``close()`` either runs before this batch (which
-        then takes a parked pool or forks one) or drains it (its release
-        tasks queue behind the batch's), and a concurrent mutation or rebase
-        lands wholly before or wholly after it.  A slot runs its tasks in
-        the order they were sent, so the task that carries a descriptor
-        precedes every task that names its base.  The plan batch is pickled
-        once and every slot's frame carries the same bytes.  Waiting for the
-        replies happens outside the lock so concurrent submitters and a
-        draining ``close()`` never deadlock on each other; once every reply
-        has arrived the segments are released, which unlinks a delta that
-        was replaced — or a plane that was retired — while this batch ran
-        against it.
+        Called under the lifecycle lock, atomically: the slots are acquired,
+        stale deltas are republished, every shard's delta segment is marked
+        in flight and the frames naming them are sent, shard ``j``'s rows to
+        slot ``j mod W`` — so a concurrent ``close()`` either runs before this
+        batch (which then takes a parked pool or forks one) or drains it (its
+        release tasks queue behind the batch's), and a concurrent mutation or
+        rebase lands wholly before or wholly after it.  A slot runs its tasks
+        in the order they were sent, so the task that carries a descriptor
+        precedes every task that names its base.  Each plan is pickled once,
+        however many slots verify it.
         """
         workers = self.width
-        if workers <= 1:
-            return self._execute_serial(plans, roots)
-        batch = pickle.dumps((plans, roots), protocol=_PICKLE_PROTOCOL)
-        plane, deltas, submitted = None, (), []
+        if workers <= 1 or not survivors:
+            return None
+        with self._lock:
+            slots = self._ensure_slots(workers)
+            plane = self._ensure_plane()
+            deltas = plane.acquire()
+            submitted = []
+            try:
+                payloads: dict[int, bytes] = {}
+                for slot_index, slot in enumerate(slots):
+                    keys = [key for key in survivors if key[1] % workers == slot_index]
+                    if not keys:
+                        continue
+                    tasks, work = {}, {}
+                    for i, j in keys:
+                        descriptor = plane.descriptors[j]
+                        if descriptor.shard_id not in tasks:
+                            base = descriptor.arena.segment
+                            if base not in self._shipped:
+                                self._shipped.add(base)
+                                base = descriptor
+                            tasks[descriptor.shard_id] = (descriptor.shard_id, base, deltas[j])
+                        if i not in payloads:
+                            part = survivors[i, j]
+                            payloads[i] = pickle.dumps(
+                                (part.ctx.plan, part.ctx.root), protocol=_PICKLE_PROTOCOL
+                            )
+                        work.setdefault(i, []).append((descriptor.shard_id, survivors[i, j].rows))
+                    frame = [(payloads[i], pairs) for i, pairs in work.items()]
+                    tasks = list(tasks.values())
+                    submitted.append((slot, slot.submit(_verify_slot, tasks, frame), keys))
+            except BaseException:
+                self._release(plane, deltas, submitted)
+                raise
+            return plane, deltas, submitted
+
+    def _receive(self, sent, survivors: dict[tuple[int, int], FilteredPlan]) -> dict:
+        """Every survivor's ``(estimates, sampled, seconds)``, keyed like
+        ``survivors``: the slots' replies, or — without a pool, or after a
+        dead worker — :meth:`~repro.core.pipeline.FilteredPlan.verify` in this
+        process.  Waiting for the replies happens outside the lock so
+        concurrent submitters and a draining ``close()`` never deadlock on
+        each other; once every reply has arrived the segments are released,
+        which unlinks a delta that was replaced — or a plane that was retired
+        — while this batch ran against it."""
+        if sent is None:
+            return {key: part.verify() for key, part in survivors.items()}
+        plane, deltas, submitted = sent
         try:
-            with self._lock:
-                slots = self._ensure_slots(workers)
-                plane = self._ensure_plane()
-                deltas = plane.acquire()
-                tasks = [[] for _ in slots]
-                for position, (descriptor, delta) in enumerate(zip(plane.descriptors, deltas)):
-                    base = descriptor.arena.segment
-                    if base not in self._shipped:
-                        self._shipped.add(base)
-                        base = descriptor
-                    tasks[position % workers].append((descriptor.shard_id, base, delta))
-                for slot, slot_tasks in zip(slots, tasks):
-                    submitted.append((slot, slot.submit(_run_slot_workload, slot_tasks, batch)))
-            per_slot = _gather(submitted)
+            replies = _gather([(slot, reply) for slot, reply, _ in submitted])
         except BrokenSlotError:
             # a dead worker poisons its slot; answers are deterministic
             # either way, so finish this call in-process and let the next
             # call fork fresh slots (a broken slot list is never parked)
             self._close(park=False)
-            return self._execute_serial(plans, roots)
+            return {key: part.verify() for key, part in survivors.items()}
         finally:
-            if deltas:
-                # a failed shard must not release what its siblings still read
-                for slot, reply in submitted:
-                    slot.wait(reply)
-                with self._lock:
-                    plane.release(deltas)
-        # slot s ran shards s, s + W, ...: shard i's part is slot i mod W's (i div W)-th
-        return [per_slot[i % workers][i // workers] for i in range(len(deltas))]
+            self._release(plane, deltas, submitted)
+        return {
+            key: verdict
+            for (_, _, keys), values in zip(submitted, replies)
+            for key, verdict in zip(keys, values, strict=True)
+        }
 
-    def _execute_serial(self, plans: list[QueryPlan], roots: list[int]) -> list[list]:
-        """All shards in-process: the pool-less (and pool-failure) path."""
+    def _release(self, plane: ShardPlane, deltas: tuple[str, ...], submitted) -> None:
+        """Wait until every sent frame is answered — a failed shard must not
+        release what its siblings still read — then release the deltas."""
+        for slot, reply, _ in submitted:
+            slot.wait(reply)
         with self._lock:
-            planners = [self._planner_for(shard) for shard in self.shards]
-        return [_execute_on_shard(planner, plans, roots) for planner in planners]
+            plane.release(deltas)
 
     def _planning_planner(self) -> QueryPlanner:
         with self._lock:
@@ -1339,12 +1315,22 @@ def _validated(shards: list[DatabaseShard]) -> list[DatabaseShard]:
     return ordered
 
 
+def usable_cores() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _resolve_workers(max_workers: int | None, num_tasks: int) -> int:
-    """The effective pool width: never more than tasks, ``None`` → cpu count."""
+    """The effective pool width: never more than tasks, ``None`` → the usable
+    CPUs (:func:`usable_cores`)."""
     if max_workers is not None and max_workers < 0:
         raise ConfigurationError(f"max_workers must be >= 0, got {max_workers!r}")
     if num_tasks <= 1:
         return 1
     if max_workers is None:
-        return min(num_tasks, os.cpu_count() or 1)
+        return min(num_tasks, usable_cores())
     return min(max_workers, num_tasks)

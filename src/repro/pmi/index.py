@@ -278,82 +278,6 @@ class ProbabilisticMatrixIndex:
         merged._built = True
         return merged
 
-    # ------------------------------------------------------------------
-    # shared-memory arena interchange
-    # ------------------------------------------------------------------
-    ARENA_ARRAY_KEYS = ("lower", "upper", "present", "num_embeddings", "num_cuts")
-
-    def arena_arrays(self) -> dict[str, np.ndarray]:
-        """The five dense matrices, keyed for a shard-arena pack.
-
-        Together with :meth:`arena_meta` this is everything
-        :meth:`from_arrays` needs to reassemble an equivalent index without
-        copying a single cell (the arena stores the arrays; the meta blob
-        carries the rest).
-        """
-        self._require_built()
-        return {
-            "lower": self._lower,
-            "upper": self._upper,
-            "present": self._present,
-            "num_embeddings": self._num_embeddings,
-            "num_cuts": self._num_cuts,
-        }
-
-    def arena_meta(self) -> dict:
-        """The non-array state of a built index (goes into the meta blob)."""
-        self._require_built()
-        return {
-            "chosen": dict(self._chosen),
-            "database_size": self.database_size,
-            "build_root": self.build_root,
-        }
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays,
-        features: list[Feature],
-        feature_config: FeatureSelectionConfig,
-        bound_config: BoundConfig,
-        meta: dict,
-    ) -> "ProbabilisticMatrixIndex":
-        """Adopt dense matrices *without copying* — the worker attach path.
-
-        ``arrays`` maps the :data:`ARENA_ARRAY_KEYS` to (typically read-only,
-        shared-memory-backed) matrices of identical ``(rows, features)``
-        shape; ``meta`` is :meth:`arena_meta`'s dict.  The resulting index is
-        read-only by convention: every query path only ever reads rows, and
-        mutation paths (:meth:`concat_rows`) build fresh arrays via ``vstack``
-        rather than writing in place, so even they stay safe.
-        """
-        index = cls(feature_config=feature_config, bound_config=bound_config)
-        index.features = list(features)
-        index._index_features()
-        rows = int(meta["database_size"])
-        expected = (rows, len(index.features))
-        for key in cls.ARENA_ARRAY_KEYS:
-            if key not in arrays:
-                raise IndexError_(f"from_arrays() is missing the {key!r} matrix")
-            if arrays[key].shape != expected:
-                raise IndexError_(
-                    f"from_arrays() got {key!r} with shape {arrays[key].shape}, "
-                    f"expected {expected}"
-                )
-        index._lower = arrays["lower"]
-        index._upper = arrays["upper"]
-        index._present = arrays["present"]
-        index._num_embeddings = arrays["num_embeddings"]
-        index._num_cuts = arrays["num_cuts"]
-        index._chosen = {
-            (int(graph_id), int(feature_id)): (tuple(embeddings), tuple(cuts))
-            for (graph_id, feature_id), (embeddings, cuts) in meta["chosen"].items()
-        }
-        index.database_size = rows
-        index.build_root = meta.get("build_root")
-        index._built = True
-        return index
-
     def _index_features(self) -> None:
         self._feature_ids = np.array(
             [feature.feature_id for feature in self.features], dtype=np.int64

@@ -143,10 +143,8 @@ class StructuralFeatureIndex:
         ``signatures`` is the same rows' second segment; an index over any
         rows without it can count deficits but not :meth:`signature_missing`.
 
-        ``copy=False`` adopts the matrix as-is — the shared-memory attach
-        path, where ``counts`` is a read-only ``int32`` view into a shard
-        arena and copying it would defeat the zero-copy plane.  The caller
-        then guarantees the buffer outlives the index.
+        ``copy=False`` adopts the matrix as-is, for a caller that already
+        holds a fresh ``int32`` buffer (the catalog's stacked delta rows).
         """
         if counts.shape[1] != len(features):
             raise ConfigurationError(

@@ -5,9 +5,9 @@ This module is the storage half of the zero-copy shard plane
 ``multiprocessing.shared_memory`` segment:
 
 * an **arena** (:class:`ShardArena` / :class:`AttachedArena`): the parent
-  packs a shard's immutable base — PMI lower/upper/presence matrices,
-  structural counts, the base id column — plus a few pickled blobs into one
-  segment, and worker processes attach read-only and keep it mapped.  What
+  packs a shard's immutable base — its id column, its graphs' pickles with
+  their offset table and digests — into one segment, and worker processes
+  attach read-only and keep it mapped.  What
   crosses the process boundary is an :class:`ArenaDescriptor`: segment name,
   dtypes, shapes, and byte offsets — O(1) in the shard's size — instead of
   an O(shard-bytes) pickle.  Layout (offsets 64-byte aligned, recorded in
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import math
 import os
 import pickle
 import secrets
@@ -438,26 +439,45 @@ class AttachedArena:
     def nbytes(self) -> int:
         return self.descriptor.nbytes
 
-    def array(self, key: str) -> np.ndarray:
+    def _field(self, key: str, kind: str) -> ArenaField:
+        """``key``'s field, checked against the mapping: a forged or stale
+        descriptor raises :class:`ShmError`, never reads past the segment."""
         field = self.descriptor.field(key)
-        if field.kind != "array":
-            raise ShmError(f"field {key!r} is a {field.kind}, not an array")
-        if field.nbytes == 0:
-            view = np.empty(field.shape, dtype=np.dtype(field.dtype))
-        else:
-            view = np.ndarray(
-                field.shape,
-                dtype=np.dtype(field.dtype),
-                buffer=self._segment.buf,
-                offset=field.offset,
+        if field.kind != kind:
+            article = "an" if kind == "array" else "a"
+            raise ShmError(f"field {key!r} is a {field.kind}, not {article} {kind}")
+        if min(field.offset, field.nbytes) < 0 or field.offset + field.nbytes > self._segment.size:
+            raise ShmError(
+                f"field {key!r} ({field.nbytes} B at offset {field.offset}) lies outside "
+                f"segment {self.descriptor.segment!r} ({self._segment.size} B)"
             )
+        return field
+
+    def array(self, key: str) -> np.ndarray:
+        field = self._field(key, "array")
+        try:
+            dtype = np.dtype(field.dtype)
+            fits = (
+                not dtype.hasobject
+                and min(field.shape, default=0) >= 0
+                and dtype.itemsize * math.prod(field.shape) == field.nbytes
+            )
+        except TypeError:
+            fits = False
+        if not fits:
+            raise ShmError(
+                f"field {key!r}: dtype {field.dtype!r} x shape {field.shape!r} "
+                f"is not its {field.nbytes} B"
+            )
+        if field.nbytes == 0:
+            view = np.empty(field.shape, dtype=dtype)
+        else:
+            view = np.ndarray(field.shape, dtype=dtype, buffer=self._segment.buf, offset=field.offset)
         view.flags.writeable = False
         return view
 
     def blob(self, key: str) -> memoryview:
-        field = self.descriptor.field(key)
-        if field.kind != "blob":
-            raise ShmError(f"field {key!r} is a {field.kind}, not a blob")
+        field = self._field(key, "blob")
         return self._segment.buf[field.offset : field.offset + field.nbytes].toreadonly()
 
     def detach(self) -> bool:

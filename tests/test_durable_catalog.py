@@ -165,10 +165,10 @@ class TestPersistAndOpen:
 
         assert reopened.num_shards == built.num_shards == num_shards
         for built_store, reopened_store in zip(built._stores, reopened._stores):
-            built_arrays = built_store.base_pmi.arena_arrays()
-            reopened_arrays = reopened_store.base_pmi.arena_arrays()
-            for key in ("lower", "upper", "present"):
-                assert np.array_equal(built_arrays[key], reopened_arrays[key]), key
+            for name in ("_lower", "_upper", "_present"):
+                assert np.array_equal(
+                    getattr(built_store.base_pmi, name), getattr(reopened_store.base_pmi, name)
+                ), name
             assert np.array_equal(
                 built_store.base_structural.counts_matrix(),
                 reopened_store.base_structural.counts_matrix(),

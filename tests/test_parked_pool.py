@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import os
 
+import numpy as np
 import pytest
 
 from test_shm_parity import _mark_held_graphs
@@ -29,7 +30,8 @@ from test_sharding_parity import (
     random_workload,
 )
 
-from repro.core import GraphCatalog, ShardPlane, sharding
+from repro.core import GraphCatalog, ShardPlane, Verifier, sharding
+from repro.core.pipeline import verify_rows
 from repro.exceptions import ShmError
 from repro.pmi import BoundConfig
 from repro.utils import shm
@@ -154,13 +156,14 @@ def test_answers_on_a_parked_pool_equal_a_fresh_pool(tmp_path, num_shards):
 
 def test_a_parked_worker_maps_nothing_and_dev_shm_is_empty(tmp_path):
     database = random_database(9301, 10)
-    queries = random_workload(database, seed=9302)
+    # a query from every graph: each shard has survivors, so each worker is
+    # sent a frame and maps its shard's base
+    queries = random_workload(database, seed=9302, num_queries=len(database.graphs))
     before = set(resident_segment_names())
     catalog = durable_catalog(database, tmp_path)
     try:
         run(catalog, queries)
         pids = catalog.planner().map_slots(os.getpid)
-        # forked after the first publication: the parent's mappings came along
         assert all(mapped_segments(pid) for pid in pids)
     finally:
         catalog.close()
@@ -231,12 +234,13 @@ def test_a_failed_materialization_keeps_the_previous_view_and_maps_nothing():
     first, second = ShardPlane(planner.shards), ShardPlane(planner.shards)
     try:
         descriptor, delta = first.descriptors[0], first.delta_segment_names()[0]
-        worker = sharding._worker_planner(descriptor, delta)
-        plans = [
-            planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
-            for query in queries
-        ]
-        sharding._execute_on_shard(worker, plans, [1] * len(plans))
+        worker = sharding._worker_shard(descriptor, delta)
+        rows = np.flatnonzero(worker.active_mask)
+        for query in queries:
+            plan = planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+            verify_rows(
+                Verifier(plan.config.verification), worker.graphs, worker.graph_ids, plan, rows, 1
+            )
         previous = sharding._WORKER_SHARDS[0]
         held = previous.graphs.base.by_digest()
         assert held
@@ -246,13 +250,12 @@ def test_a_failed_materialization_keeps_the_previous_view_and_maps_nothing():
             with pytest.raises(ShmError):
                 sharding.materialize_shard(target, "tpsshm_0_missing", previous=previous)
             with pytest.raises(ShmError):
-                sharding._worker_planner(target, "tpsshm_0_missing")
+                sharding._worker_shard(target, "tpsshm_0_missing")
             assert (len(shm._ATTACHED), mapped_segments(os.getpid())) == (attached, maps)
-            assert sharding._WORKER_SHARDS[0] is previous
-            assert sharding._WORKER_PLANNERS[0][1] is worker
+            assert sharding._WORKER_SHARDS[0] is previous is worker
 
         del previous, worker  # a live view would keep the old base mapped
-        sharding._worker_planner(second.descriptors[0], second.delta_segment_names()[0])
+        sharding._worker_shard(second.descriptors[0], second.delta_segment_names()[0])
         swapped = sharding._WORKER_SHARDS[0]
         assert swapped.arena.descriptor.segment == second.base_segment_names()[0]
         adopted = swapped.graphs.base.by_digest()

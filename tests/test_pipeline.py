@@ -116,20 +116,6 @@ class TestThresholdState:
         state.seed_floor(np.array([0.05]))  # fewer than k values: no-op
         assert state.floor == 0.4
 
-    def test_partial_mode_floor_stays_at_seed(self, indexed, pipeline_database):
-        """A shard part never tightens: it ships an estimate for every
-        candidate at or above its lsim seed, and skips none of them."""
-        planner = indexed.planner()
-        query = extract_query(pipeline_database.graphs[0].skeleton, 3, rng=5)
-        plan = planner.plan_top_k(query, 1, 1, EXACT_CONFIG)
-        partial = planner.execute_top_k_partial(plan, rng=3)
-        seed = ThresholdState.for_top_k(1)
-        seed.seed_floor(partial.lsim)
-        above = {int(g) for g, u in zip(partial.candidate_ids, partial.usim) if u >= seed.floor}
-        assert above and set(partial.estimates) == above
-        assert partial.statistics.verified == len(above)
-        assert partial.statistics.stages[-1].pruned == 0
-
     def test_offer_requires_top_k_mode(self):
         with pytest.raises(StateError):
             ThresholdState.fixed(0.5).offer(QueryAnswer(0, None, 0.5, "verification"))

@@ -286,8 +286,9 @@ class TestVerificationCosts:
     def test_top_k_runs_the_one_loop_once_per_plan(
         self, graphs, six_edge_queries, spies, monkeypatch, num_shards
     ):
-        """``replay_top_k`` walks each top-k plan once, whole or merged; a
-        shard part verifies everything above its seed in blocks instead."""
+        """``replay_top_k`` walks each top-k plan once over every shard's
+        candidates, and verifies each candidate it reaches as a block of one
+        whatever the shard count."""
         loops = _count_calls(monkeypatch, pipeline, "replay_top_k")
         with _build(graphs, num_shards) as catalog:
             planner = catalog.planner()
@@ -298,7 +299,7 @@ class TestVerificationCosts:
             del spies["verify_block"][:]
             planner.execute_plans(plans, [7] * len(plans))
         widest = max(len(args[2]) for args in spies["verify_block"])
-        assert widest == 1 if num_shards == 1 else widest > 1
+        assert widest == 1
 
     def test_hand_made_plan_derives_its_family(self, catalog, six_edge_queries, spies):
         planner = catalog.planner()

@@ -129,7 +129,7 @@ class TestMalformedBatchDoesNoWork:
         target = build(planner_database.graphs, num_shards)
 
         executed = []
-        for name in ("execute_plan", "execute_top_k_partial"):
+        for name in ("execute_plan", "filter_plan"):
             original = getattr(QueryPlanner, name)
 
             def spy(self, plan, rng=None, _original=original):

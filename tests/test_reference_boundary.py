@@ -5,7 +5,8 @@ library module outside it imports it, what moved there is defined nowhere
 else, and no production knob selects it.  The same sweeps pinned what only
 forwarded to the one query path or only served tests: ``GraphCatalog`` is the
 front door, and the pruning switches, ``JointProbabilityTable.conditional``
-and the factor's ``probability_of`` are gone."""
+and the factor's ``probability_of`` are gone; so are top-k's shard-partial
+mode and the PMI's shared-memory arena interchange."""
 
 from __future__ import annotations
 
@@ -194,3 +195,20 @@ def test_the_catalog_is_the_only_front_door():
         "src/repro/core/__init__.py",
         "tests/test_search_engine.py",
     }
+
+
+def test_top_k_has_no_partial_mode_and_the_arena_no_index():
+    """The parent ranks top-k once over every shard and a worker verifies
+    graphs: no shard-partial top-k and no PMI arena interchange is left."""
+    from repro import core
+    from repro.core import pipeline, planner, sharding
+    from repro.pmi import ProbabilisticMatrixIndex
+
+    for gone in ("TopKPartial", "merge_top_k_partials"):
+        assert gone not in core.__all__ and not hasattr(core, gone), gone
+        assert not hasattr(pipeline, gone), gone
+    assert not hasattr(planner.QueryPlanner, "execute_top_k_partial")
+    assert not hasattr(pipeline.PipelineContext, "gather_partial")
+    for gone in ("arena_arrays", "arena_meta", "from_arrays", "ARENA_ARRAY_KEYS"):
+        assert not hasattr(ProbabilisticMatrixIndex, gone), gone
+    assert "partial" not in (sharding.__doc__ + pipeline.__doc__ + planner.__doc__).lower()

@@ -786,10 +786,12 @@ class TestMutationsKeepTheReadPath:
         """SIGKILL a worker after a mutation and before the query that would
         republish it: the query answers in-process, byte-identical to the
         twin of the *mutated* state, and the next one rebuilds pool and plane
-        from that state; nothing leaks (the autouse fixture)."""
+        from that state; nothing leaks (the autouse fixture).  The query comes
+        from a graph of shard 0 that no mutation touches, so it has survivors
+        to send to the killed worker."""
         database, catalog = build_catalog(seed=7012, num_graphs=8, num_shards=2, max_workers=2)
         spare = build_catalog(seed=8012, num_graphs=2)[0].graphs
-        query = extract_query(database.graphs[0].skeleton, 3, rng=110)
+        query = extract_query(database.graphs[1].skeleton, 3, rng=110)
 
         def ask(rng):
             return answer_tuples(

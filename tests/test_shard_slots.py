@@ -220,3 +220,28 @@ def test_no_slot_worker_outlives_its_process():
     assert all(os.path.isdir(f"/proc/{pid}") for pid in pids), "close() parks its workers"
     sharding.shutdown_parked_pools()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_default_width_counts_usable_cpus_not_the_machine(monkeypatch):
+    """``max_workers=None`` sizes the pool by the CPUs this process may run
+    on: pinned to one CPU, a two-shard catalog runs width 1 and forks
+    nothing, whatever ``os.cpu_count()`` says."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert sharding.usable_cores() == 1
+    database = random_database(9941, 8)
+    catalog = build(database, None)
+    try:
+        planner = catalog.planner()
+        assert planner.width == 1
+        results = catalog.query_many(
+            random_workload(database, seed=9942), PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
+            SEARCH_CONFIG, rng=3,
+        )
+        assert any(result.statistics.verified for result in results)
+        assert planner.map_slots(os.getpid) == []
+        assert planner._slots == [] and planner.shard_plane is None
+        assert multiprocessing.active_children() == []
+    finally:
+        catalog.close()

@@ -15,6 +15,7 @@ import os
 import pickle
 import signal
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from repro.core import (
     QueryPlanner,
     SearchConfig,
     VerificationConfig,
+    Verifier,
 )
+from repro.core.pipeline import verify_rows
 from repro.core.sharding import ShardPlane, materialize_shard, publish_base, publish_delta
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.exceptions import ShmError
@@ -39,7 +42,7 @@ from repro.utils.shm import (
     resident_segment_names,
     unlink_segment,
 )
-from tests.conftest import assert_same_postings, build_index
+from tests.conftest import build_index
 
 SEARCH_CONFIG = SearchConfig(
     verification=VerificationConfig(method="sampling", num_samples=60)
@@ -210,6 +213,38 @@ class TestArenaRoundTrip:
         finally:
             arena.unlink()
 
+    def test_a_field_past_the_segment_end_is_a_typed_error(self):
+        """A forged or stale descriptor never reads past the mapping."""
+        arena = ShardArena.pack({"a": np.ones(4)}, {"b": b"payload"})
+        try:
+            descriptor = arena.descriptor
+            for key in ("a", "b"):
+                field = descriptor.field(key)
+                moved = replace(field, offset=field.offset + (1 << 20))
+                forged = replace(
+                    descriptor,
+                    fields=tuple(moved if f.key == key else f for f in descriptor.fields),
+                )
+                attached = AttachedArena(forged)
+                with pytest.raises(ShmError, match="lies outside"):
+                    attached.array(key) if key == "a" else attached.blob(key)
+                attached.detach()
+        finally:
+            arena.unlink()
+
+    def test_a_field_whose_dtype_and_shape_disagree_with_its_bytes_is_a_typed_error(self):
+        arena = ShardArena.pack({"a": np.ones(4)}, {})
+        try:
+            field = arena.descriptor.field("a")
+            for bad in ({"shape": (5,)}, {"dtype": "<i4"}, {"dtype": "|O"}, {"shape": (-2, -2)}):
+                forged = replace(arena.descriptor, fields=(replace(field, **bad),))
+                attached = AttachedArena(forged)
+                with pytest.raises(ShmError):
+                    attached.array("a")
+                attached.detach()
+        finally:
+            arena.unlink()
+
     def test_descriptor_contains(self):
         arena = ShardArena.pack({"a": np.ones(2)}, {"b": b"x"})
         try:
@@ -296,36 +331,22 @@ class TestShardPlaneCleanup:
         query = extract_query(database.graphs[6].skeleton, 3, rng=3)
 
         def assert_same_shard(clone, shard):
-            assert clone.spec == shard.spec
-            for segment in ("base", "delta"):
-                got = getattr(clone.pmi, segment).arena_arrays()
-                want = getattr(shard.pmi, segment).arena_arrays()
-                for key in want:
-                    np.testing.assert_array_equal(got[key], want[key])
-                np.testing.assert_array_equal(
-                    np.asarray(getattr(clone.structural_index, segment).counts_matrix()),
-                    np.asarray(getattr(shard.structural_index, segment).counts_matrix()),
-                )
-                assert_same_postings(
-                    getattr(clone.structural_index, segment).signatures,
-                    getattr(shard.structural_index, segment).signatures,
-                )
             np.testing.assert_array_equal(clone.graph_ids, shard.graph_ids)
             np.testing.assert_array_equal(clone.active_mask, shard.active_mask)
             assert len(clone.graphs) == len(shard.graphs)
             assert [graph.name for graph in clone.graphs] == [
                 graph.name for graph in shard.graphs
             ]
-            # the clone answers a query identically to the original shard
-            expected = shard.make_planner().execute(
-                query, 0.3, 1, config=SEARCH_CONFIG, rng=5
+            # the clone's graphs verify the shard's live rows to the same floats
+            plan = shard.make_planner().plan(query, 0.3, 1, SEARCH_CONFIG)
+            rows = np.flatnonzero(shard.active_mask)
+            expected = verify_rows(
+                Verifier(SEARCH_CONFIG.verification), shard.graphs, shard.graph_ids, plan, rows, 5
             )
-            actual = clone.make_planner().execute(
-                query, 0.3, 1, config=SEARCH_CONFIG, rng=5
+            actual = verify_rows(
+                Verifier(SEARCH_CONFIG.verification), clone.graphs, clone.graph_ids, plan, rows, 5
             )
-            assert [(a.graph_id, a.probability) for a in actual.answers] == [
-                (a.graph_id, a.probability) for a in expected.answers
-            ]
+            assert actual == expected and expected[0]
 
         # the parent answers once before it publishes: a memo a query hangs
         # on a graph rides in its pickle, and graphs carry over by the pickle
@@ -336,9 +357,9 @@ class TestShardPlaneCleanup:
             assert delta_name in resident_segment_names() and delta_bytes > 0
             clone = materialize_shard(descriptor, delta_name)
             assert_same_shard(clone, shard)
-            # the base postings are views into the mapping, like the counts
-            assert not clone.structural_index.base.signatures.rows.flags.owndata
-            assert not clone.structural_index.base.signatures.rows.flags.writeable
+            # the base ids are views into the mapping
+            base_ids = clone.arena.array("graph_ids")
+            assert not base_ids.flags.owndata and not base_ids.flags.writeable
             # the delta was copied out: its segment can go while the clone lives
             unlink_segment(delta_name)
             assert_same_shard(clone, shard)
@@ -357,13 +378,41 @@ class TestShardPlaneCleanup:
             arena.unlink()
             catalog.close()
 
+    @pytest.mark.parametrize("forgery", ["offset past the end", "missing field"])
+    def test_a_forged_base_descriptor_is_a_typed_error_and_maps_nothing(self, forgery):
+        """materialize_shard over a base descriptor the segment does not
+        back raises ShmError and leaves no mapping behind."""
+        catalog, plane = self._plane()
+        try:
+            descriptor = plane.descriptors[0]
+            fields = descriptor.arena.fields
+            if forgery == "missing field":
+                fields = tuple(f for f in fields if f.key != "graph_digests")
+            else:
+                fields = tuple(
+                    replace(f, offset=descriptor.arena.nbytes) if f.key == "graphs" else f
+                    for f in fields
+                )
+            forged = replace(descriptor, arena=replace(descriptor.arena, fields=fields))
+            attached = len(shm._ATTACHED)
+            with pytest.raises(ShmError):
+                materialize_shard(forged, plane.delta_segment_names()[0])
+            assert len(shm._ATTACHED) == attached
+        finally:
+            plane.close()
+            catalog.close()
+
     def test_descriptor_payload_is_a_sliver_of_the_plane(self):
-        """With the signature postings among the arena fields, what a worker
-        is sent still is at most a fifth of what the plane publishes."""
+        """The arena carries the graphs and their ids, nothing of the
+        indexes, and what a worker is sent still is at most a fifth of what
+        the plane publishes."""
         _catalog, plane = self._plane()
         try:
-            assert {"signature_offsets", "signature_rows", "signature_counts"} <= {
-                field.key for field in plane.descriptors[0].arena.fields
+            assert {field.key for field in plane.descriptors[0].arena.fields} == {
+                "graph_ids",
+                "graph_offsets",
+                "graph_digests",
+                "graphs",
             }
             assert plane.payload_bytes() <= 0.2 * plane.shard_bytes()
         finally:

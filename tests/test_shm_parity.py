@@ -41,9 +41,11 @@ from test_sharding_parity import (
     random_workload,
 )
 
-from repro.core import GraphCatalog, ShardPlane, sharding
+from repro.core import GraphCatalog, QueryPlanner, ShardPlane, sharding
 from repro.datasets import extract_query
-from repro.pmi import BoundConfig
+from repro.graphs import LabeledGraph
+from repro.pmi import BoundConfig, ProbabilisticMatrixIndex
+from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.shm import resident_segment_names
 
 from tests.conftest import WIDE_SUPPORT_DISTANCE, build_index
@@ -317,6 +319,68 @@ def _served_shards() -> tuple[int, list[int]]:
     return os.getpid(), sorted(sharding._WORKER_SHARDS)
 
 
+def _index_objects() -> tuple[int, set[int]]:
+    """Runs in a pool worker: the ids of every index and planner object
+    alive in it (a gc scan).  Those it inherited at fork keep their ids."""
+    gc.collect()
+    kinds = (ProbabilisticMatrixIndex, StructuralFeatureIndex, QueryPlanner)
+    return os.getpid(), {id(obj) for obj in gc.get_objects() if isinstance(obj, kinds)}
+
+
+class TestWorkersOnlyVerify:
+    """The parent filters and ranks; a worker holds graphs and ids."""
+
+    def test_a_worker_builds_no_index_or_planner(self):
+        seed = 8461
+        database = random_database(seed, num_graphs=10)
+        queries = random_workload(database, seed=seed + 1, num_queries=3)
+        catalog = pooled_catalog(database, seed)
+        try:
+            planner = catalog.planner()
+            inherited = dict(planner.map_slots(_index_objects))
+            plans = [
+                planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+                for query in queries
+            ] + [planner.plan_top_k(query, 2, DISTANCE_THRESHOLD, SEARCH_CONFIG) for query in queries]
+            results = planner.execute_plans(plans, list(range(len(plans))))
+            assert sum(result.statistics.verified for result in results[: len(queries)])
+            served = dict(planner.map_slots(_served_shards))
+            assert any(served.values())  # the threshold survivors went to the workers
+            for pid, ids in planner.map_slots(_index_objects):
+                assert ids <= inherited[pid], "a worker built an index or a planner"
+        finally:
+            catalog.close()
+
+    def test_a_batch_decided_in_the_parent_sends_no_frame(self, monkeypatch):
+        """Top-k ranks in the parent, and a threshold query with no
+        structural candidate leaves nothing to verify: no slot is sent a
+        frame, and a fresh pool is not even forked."""
+        seed = 8462
+        database = random_database(seed, num_graphs=10)
+        queries = random_workload(database, seed=seed + 1, num_queries=3)
+        unmatched = LabeledGraph.from_edges({0: "none", 1: "such"}, [(0, 1, "label")])
+        catalog = pooled_catalog(database, seed)
+        frames = []
+        original = sharding._Slot.submit
+
+        def counting_submit(self, fn, *args):
+            frames.append(fn)
+            return original(self, fn, *args)
+
+        monkeypatch.setattr(sharding._Slot, "submit", counting_submit)
+        try:
+            planner = catalog.planner()
+            top_k = catalog.query_top_k_many(queries, 2, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=5)
+            assert sum(result.statistics.verified for result in top_k)
+            nothing = catalog.query(unmatched, PROBABILITY_THRESHOLD, 0, SEARCH_CONFIG, rng=5)
+            assert nothing.statistics.structural_candidates == 0
+            assert frames == [] and planner._slots == [] and planner.shard_plane is None
+            catalog.query_many(queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+            assert frames and set(frames) == {sharding._verify_slot}
+        finally:
+            catalog.close()
+
+
 class TestGenerationHotSwap:
     """A mutation republishes one shard's delta; compact() republishes every
     segment under the live pool."""
@@ -433,11 +497,12 @@ class TestGenerationHotSwap:
     def test_burst_of_mutations_republishes_each_touched_shard_once(self, monkeypatch):
         """N mutations between two queries cost one delta publication per
         touched shard, made by the fan-out that needs it — update_graph
-        (remove + install) does not publish twice."""
+        (remove + install) does not publish twice.  The query comes from a
+        graph no mutation touches, so every query has survivors to send."""
         seed = 8451
         database = random_database(seed, num_graphs=8)
         spare = random_database(seed + 1000, num_graphs=4).graphs
-        query = extract_query(database.graphs[0].skeleton, 3, rng=seed)
+        query = extract_query(database.graphs[3].skeleton, 3, rng=seed)
         catalog = pooled_catalog(database, seed)
         published = []
         original = sharding.publish_delta
@@ -446,21 +511,27 @@ class TestGenerationHotSwap:
             published.append(shard.spec.shard_id)
             return original(shard)
 
+        def ask():
+            result = catalog.query(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1
+            )
+            assert result.statistics.verified  # survivors: the query fans out
+
         try:
-            catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1)
+            ask()
             monkeypatch.setattr(sharding, "publish_delta", counting_publish_delta)
             catalog.update_graph(0, spare[0])  # both halves in shard 0
             catalog.update_graph(1, spare[1])
             catalog.remove_graph(2)
             assert published == []
-            catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1)
+            ask()
             assert published == [0]
-            catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1)
+            ask()
             assert published == [0]  # a read republishes nothing
             catalog.add_graph(spare[2])  # shard 0 is the smaller one
             catalog.add_graph(spare[3])  # now a tie: shard 0 again
             catalog.remove_graph(7)  # shard 1
-            catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1)
+            ask()
             assert published == [0, 0, 1]
         finally:
             catalog.close()
@@ -569,9 +640,10 @@ class TestGenerationHotSwap:
             catalog.close()
 
     def test_a_cold_worker_deserializes_the_candidates_not_the_shard(self):
-        """The structural stage reads the published index: after the first
-        query on a fresh pool each (worker, shard) holds deserialized exactly
-        the rows that shard's pipeline handed on past the filters."""
+        """The parent filters; after the first query on a fresh pool each
+        (worker, shard) holds deserialized exactly the rows that shard's
+        pipeline handed on to verification, and a shard with none of them
+        was sent no frame, so no worker attached it."""
         seed = 8471
         database = random_database(seed, num_graphs=16)
         query = extract_query(database.graphs[3].skeleton, 4, rng=seed)
@@ -582,12 +654,13 @@ class TestGenerationHotSwap:
             opened = {}
             for shard in planner.shards:
                 part = shard.make_planner().execute_plan(plan, rng=seed)
-                named = sum(answer.decided_by != "verification" for answer in part.answers)
-                opened[shard.spec.shard_id] = part.statistics.verified + named
+                opened[shard.spec.shard_id] = part.statistics.verified
             assert 0 < sum(opened.values()) < len(database.graphs) // 2
             catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed)
             held = materialized_base_graphs(catalog)
-            assert {shard_id for counts in held.values() for shard_id in counts} == set(opened)
+            assert {shard_id for counts in held.values() for shard_id in counts} == {
+                shard_id for shard_id, count in opened.items() if count
+            }
             for pid, counts in held.items():
                 for shard_id, count in counts.items():
                     assert count == opened[shard_id], (pid, shard_id)
@@ -626,23 +699,31 @@ class TestGenerationHotSwap:
     def test_a_graph_that_survives_compaction_is_the_same_object_in_its_worker(self):
         """Across compact() a worker keeps every graph it had deserialized
         whose pickle the new generation stores again — the object itself,
-        caches included — and reads an updated graph afresh."""
+        caches included — and reads an updated graph afresh.  One query
+        comes from each shard, so each worker has survivors to verify; the
+        in-process reference runs first, as its memos ride in the pickles."""
         seed = 8491
         database = random_database(seed, num_graphs=8)
         replacement = random_database(seed + 1000, num_graphs=1).graphs[0]
-        query = extract_query(database.graphs[0].skeleton, 3, rng=seed)
+        queries = [extract_query(database.graphs[i].skeleton, 3, rng=seed) for i in (0, 4)]
         catalog = pooled_catalog(database, seed)
 
         def ask(context):
-            assert_result_parity(
-                catalog.query(
+            reference = rebuild_from_scratch(catalog)
+            expected = [
+                reference.execute(
                     query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
-                ),
-                rebuild_from_scratch(catalog).execute(
-                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
-                ),
-                context,
-            )
+                )
+                for query in queries
+            ]
+            for query, want in zip(queries, expected):
+                assert_result_parity(
+                    catalog.query(
+                        query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed
+                    ),
+                    want,
+                    context,
+                )
 
         try:
             ask("generation one")
