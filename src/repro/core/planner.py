@@ -56,7 +56,6 @@ from repro.core.results import QueryResult
 from repro.core.verification import VerificationConfig, Verifier
 from repro.exceptions import ConfigurationError, QueryError
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.graphs.variant_rows import VariantRows
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.generic_join import VariantFamily, compile_variant_family
 from repro.pmi.index import ProbabilisticMatrixIndex
@@ -164,16 +163,6 @@ class QueryPlan:
     profile: dict[int, dict] | None = None
     # the relaxed set compiled for one shared matching pass; None makes the verifier derive it
     family: VariantFamily | None = None
-
-    def __getstate__(self) -> dict:
-        # a shard reads the profile and the containment relations, never the
-        # query's edge table: a fan-out ships the query without its memos, once
-        # (the relaxed set's rows go over the same copy)
-        query = self.query.copy()
-        relaxed = self.relaxed_queries
-        if isinstance(relaxed, VariantRows):
-            relaxed = relaxed.over(query)
-        return {**self.__dict__, "query": query, "relaxed_queries": relaxed}
 
 
 class QueryPlanner:

@@ -22,6 +22,9 @@ from repro.exceptions import EdgeNotFoundError, GraphError, VertexNotFoundError
 VertexId = Hashable
 Label = Hashable
 
+# what a pickle of a LabeledGraph carries, in construction order
+_PICKLED_STATE = ("name", "_vertex_labels", "_adjacency", "_edge_labels")
+
 
 def edge_key(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
     """Return the canonical (sorted) key for an undirected edge.
@@ -425,6 +428,15 @@ class LabeledGraph:
 
     def __hash__(self) -> int:  # pragma: no cover - graphs are mutable
         raise TypeError("LabeledGraph is mutable and therefore unhashable")
+
+    def __getstate__(self) -> dict:
+        # the graph and nothing else: the memo slots (edge tables, join plans,
+        # event bits, signature counts) and the mutation counter they key on
+        # stay behind, so a pickle depends only on the graph's contents
+        return {key: self.__dict__[key] for key in _PICKLED_STATE}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _version=0)
 
     def __repr__(self) -> str:
         label = self.name if self.name is not None else "unnamed"

@@ -80,12 +80,6 @@ class VariantRows(Sequence):
             uses[s, [column[key] for key in edges]] = True
         return ~(uses @ ~self.kept.T)
 
-    def over(self, base: LabeledGraph) -> "VariantRows":
-        """The same rows over an equal copy of ``base`` (a pickled plan ships one graph)."""
-        clone = object.__new__(VariantRows)
-        clone.__dict__.update(self.__dict__, base=base, _built={})
-        return clone
-
     def materialized_count(self) -> int:
         """How many members have been built into graphs so far."""
         return len(self._built)

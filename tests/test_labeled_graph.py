@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.exceptions import EdgeNotFoundError, GraphError, VertexNotFoundError
@@ -234,3 +236,39 @@ class TestStructure:
         graph = LabeledGraph.from_edges({1: "a", 2: "b"}, [(1, 2, "x")])
         with pytest.raises(GraphError):
             graph.relabel_vertices({1: "u", 2: "u"})
+
+
+class TestPickle:
+    """A graph's pickle is its contents: no memo a caller computed rides along."""
+
+    def test_memos_do_not_change_the_pickle(self):
+        from repro.isomorphism.embeddings import _edge_bits
+        from repro.isomorphism.generic_join import compile_edge_table, compile_join_plan
+
+        graph = LabeledGraph.from_edges(
+            {1: "a", 2: "b", 3: "a"}, [(1, 2, "x"), (2, 3, "y"), (1, 3, "x")], name="g"
+        )
+        before = pickle.dumps(graph)
+        compile_edge_table(graph)
+        compile_join_plan(graph)
+        _edge_bits(graph)
+        graph.edge_signature_counts()
+        assert pickle.dumps(graph) == before
+
+    def test_the_pickle_does_not_depend_on_how_the_graph_was_built(self):
+        graph = LabeledGraph.from_edges({1: "a", 2: "b"}, [(1, 2, "x")])
+        detour = LabeledGraph.from_edges({1: "a", 2: "b", 3: "c"}, [(1, 2, "x"), (2, 3, "y")])
+        detour.remove_vertex(3)
+        assert detour.mutation_version != graph.mutation_version
+        assert pickle.dumps(detour) == pickle.dumps(graph)
+
+    def test_a_round_trip_equals_the_graph_and_starts_a_fresh_version(self):
+        graph = LabeledGraph.from_edges({1: "a", 2: "b"}, [(1, 2, "x")], name="g")
+        graph.edge_signature_counts()
+        copy = pickle.loads(pickle.dumps(graph))
+        assert copy == graph and copy.name == "g"
+        assert copy.mutation_version == 0
+        assert "_edge_signature_counts" not in copy.__dict__
+        copy.add_vertex(3, "c")
+        copy.add_edge(1, 3, "z")
+        assert copy.mutation_version == 2 and copy.has_edge(3, 1)

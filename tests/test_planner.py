@@ -3,6 +3,7 @@ vectorized pruner parity with the per-graph loop, and PMI persistence."""
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -200,6 +201,21 @@ class TestPlanner:
         plan = planner.plan(workload[0], 0.3, 1, config)
         first, second = planner.execute_plans([plan, plan], [3, 3])
         assert answers_as_tuples(first) == answers_as_tuples(second)
+
+    def test_a_plan_pickles_the_same_after_its_query_was_matched(self, indexed, workload):
+        """A plan ships to a pool worker as its pickle: executing it in this
+        process (edge tables, event bits and signature counts memoised on the
+        query, relaxed members built) leaves those bytes as they were."""
+        config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
+        planner = indexed.catalog.planner()
+        plan = planner.plan(workload[0], 0.3, 1, config)
+        before = pickle.dumps(plan)
+        planner.execute_plans([plan], [3])
+        list(plan.relaxed_queries)
+        assert plan.relaxed_queries.materialized_count()
+        assert pickle.dumps(plan) == before
+        shipped = pickle.loads(before)
+        assert shipped.relaxed_queries.base is shipped.query  # the query goes over once
 
     def test_row_views_share_index_memory(self, indexed):
         row = indexed.pmi.row(0)
