@@ -1,4 +1,4 @@
-"""Sharded fan-out: throughput, pool spin-up, and the zero-copy shard plane.
+"""Sharded fan-out: throughput, pool spin-up, and the graphs frames ship.
 
 The sharding layer filters in the parent and sends the verification of
 threshold survivors to a process pool; this benchmark measures what that
@@ -7,26 +7,24 @@ costs and what it buys:
 * **throughput** — ``query_many`` through K shards x W workers against the
   sequential planner, with answer-for-answer parity checked along the way
   (the sharded executor must be a pure speedup, never a different answer);
-* **descriptor payload** — the bytes one base generation ships to the
-  busiest slot: the O(1) :class:`ShardDescriptor` of each shard it serves,
-  sent once with its first task, held against the bytes the shared-memory
-  plane publishes once for everyone;
+* **graph bytes shipped** — the graph pickles each slot's frames carry on
+  the first pass of the request list (``graph_bytes_shipped_per_slot``: each
+  survivor graph once per worker) and on a second pass of the same list
+  (``second_pass_graph_bytes``, which must be 0: the workers hold them);
 * **pool spin-up** — wall-clock from no pool to every slot's worker
   answering a no-op (parked pools are shut down first, so this is the fork;
-  a worker attaches its shards with its first frame);
+  a worker receives its graphs with the frames that verify them);
 * **fan-out round trip** (``fanout_roundtrip_ms``) — the median of 200
   no-op ``map_slots`` calls at width 2: what one fan-out costs the transport
   alone, with no shard work in it;
 * **reopen** — wall-clock of ``GraphCatalog.open`` plus the first query
   after a ``close()``, on the workers that close parked;
-* **per-worker memory** — each worker's shard-attributable private bytes at
-  spin-up (nothing yet; the graphs stay in the parent's shared segments) and
-  the lazily materialized graph bytes after the workload;
+* **per-worker memory** — each worker's private bytes at spin-up (no graph
+  yet) and the graphs it holds after the workload, against the live graphs
+  of the shards it serves;
 * **what a worker holds** — a gc scan in every worker after a threshold and
   a top-k query must find no index or planner object it did not inherit at
-  fork (``worker_index_objects``: a verifier holds graphs and ids only), and
-  the plane's bytes (``shard_plane_bytes``) and its delta bytes after one
-  mutation (``delta_bytes_after_mutation``) are recorded.
+  fork (``worker_index_objects``: a verifier holds graphs only).
 
 The speedup assertion (>= 1.5x at 4 workers) only fires on a full run when
 the hardware can express it: with fewer than 4 usable cores (or under
@@ -47,6 +45,7 @@ import argparse
 import gc
 import json
 import os
+import pickle
 import platform
 import statistics
 import sys
@@ -81,10 +80,6 @@ NUM_SHARDS = 4
 SPEEDUP_FLOOR = 1.5
 FANOUT_CALLS = 200
 FANOUT_WIDTH = 2
-# per generation a slot is sent the pickled descriptors of the shards it
-# serves — they must stay a sliver of the shard bytes the plane publishes
-# (what a copy-per-worker transport would ship)
-SLOT_BYTES_CEILING_FRACTION = 0.2
 
 SHARDED_SEARCH_CONFIG = SearchConfig(
     verification=VerificationConfig(method="sampling", num_samples=400)
@@ -113,18 +108,10 @@ SMOKE = {
 
 
 def _worker_probe() -> dict:
-    """Runs inside a slot's worker: memory and lazy-materialization counters."""
+    """Runs inside a slot's worker: memory and the graphs it holds."""
     from repro.core import sharding
 
-    materialized_bytes = 0
-    materialized_graphs = 0
-    live_graphs = 0  # of the shards this worker has served
-    for shard in sharding._WORKER_SHARDS.values():
-        live_graphs += int(shard.active_mask.sum())
-        # a worker's graph view is base + delta (SegmentedGraphList); its
-        # counters sum both halves, and a view without them should fail here
-        materialized_bytes += shard.graphs.materialized_bytes()
-        materialized_graphs += shard.graphs.materialized_count()
+    held = list(sharding._WORKER_GRAPHS.values())
     private_dirty_kb = None
     try:
         with open("/proc/self/smaps_rollup") as rollup:
@@ -140,9 +127,8 @@ def _worker_probe() -> dict:
         # ids of the index and planner objects alive here; those inherited at
         # fork keep their ids, so a new id is one this worker built
         "index_object_ids": [id(obj) for obj in gc.get_objects() if isinstance(obj, kinds)],
-        "materialized_graph_bytes": materialized_bytes,
-        "materialized_graphs": materialized_graphs,
-        "live_graphs": live_graphs,
+        "held_graph_bytes": sum(len(pickle.dumps(graph)) for graph in held),
+        "held_graphs": len(held),
         "private_dirty_kb": private_dirty_kb,
     }
 
@@ -177,8 +163,8 @@ def measure_fanout_roundtrip(database) -> float:
 
 
 def measure_spinup(database, queries, workers: int) -> dict:
-    """Pool spin-up cost and the descriptor bytes a slot is sent per
-    generation (read off the plane the first query publishes)."""
+    """Pool spin-up cost, what a worker builds, and the graph bytes each
+    slot is shipped on two passes of the request list."""
     catalog = GraphCatalog.build(
         database.graphs,
         feature_config=BENCH_FEATURE_CONFIG,
@@ -194,10 +180,15 @@ def measure_spinup(database, queries, workers: int) -> dict:
             planner.map_slots(_noop)
         # outside the timing: the probe's gc scan is not spin-up
         probes = planner.map_slots(_worker_probe)
-        catalog.query_many(
-            queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SHARDED_SEARCH_CONFIG,
-            rng=BENCH_SEED,
-        )
+
+        def threshold_pass():
+            catalog.query_many(
+                queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
+                config=SHARDED_SEARCH_CONFIG, rng=BENCH_SEED,
+            )
+            return [slot.graph_bytes for slot in planner._slots]
+
+        first_pass = threshold_pass()
         catalog.query_top_k_many(
             queries, 2, DISTANCE_THRESHOLD, config=SHARDED_SEARCH_CONFIG, rng=BENCH_SEED
         )
@@ -206,25 +197,15 @@ def measure_spinup(database, queries, workers: int) -> dict:
             len(set(probe["index_object_ids"]) - inherited[probe["pid"]])
             for probe in planner.map_slots(_worker_probe)
         ]
-        plane = planner.shard_plane
-        slot_bytes = plane.payload_bytes(planner.width)
-        shard_bytes = plane.shard_bytes()
-        # one mutation, then the query whose fan-out republishes its delta
-        catalog.update_graph(0, database.graphs[-1])
-        catalog.query_many(
-            queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SHARDED_SEARCH_CONFIG,
-            rng=BENCH_SEED,
-        )
-        delta_bytes = planner.shard_plane.delta_bytes()
+        second_pass = sum(threshold_pass()) - sum(first_pass)
     finally:
         catalog.close()
     return {
-        "slot_bytes": slot_bytes,
+        "graph_bytes_shipped_per_slot": first_pass,
+        "second_pass_graph_bytes": second_pass,
         "worker_index_objects": built,
-        "delta_bytes": delta_bytes,
         "spinup_seconds": spinup_timer.elapsed,
         "workers_probed": len(probes),
-        "shard_bytes": shard_bytes,
         "probes": probes,
     }
 
@@ -292,8 +273,8 @@ def run_sharded_comparison(database, queries, workers: int) -> dict:
             rng=BENCH_SEED,
         )
 
-    # warm the pool (worker spawn + segment attach) outside the timed region,
-    # the way a serving deployment would run with long-lived workers
+    # warm the pool (worker spawn, the first graphs shipped) outside the timed
+    # region, the way a serving deployment would run with long-lived workers
     sharded_catalog.query_many(
         queries[:1],
         PROBABILITY_THRESHOLD,
@@ -310,9 +291,14 @@ def run_sharded_comparison(database, queries, workers: int) -> dict:
             config=SHARDED_SEARCH_CONFIG,
             rng=BENCH_SEED,
         )
-    # after the workload: how much private graph memory did lazy
-    # materialization actually cost each worker?
-    post_query_probes = sharded_catalog.planner().map_slots(_worker_probe)
+    # after the workload: which graphs does each worker hold, against the
+    # live graphs of the shards its slot serves?
+    planner = sharded_catalog.planner()
+    post_query_probes = planner.map_slots(_worker_probe)
+    for slot, probe in enumerate(post_query_probes):
+        probe["live_graphs"] = sum(
+            int(shard.active_mask.sum()) for shard in planner.shards[slot :: planner.width]
+        )
     sharded_catalog.close()
 
     # parity first: a sharded run that answers differently is wrong, not fast
@@ -346,7 +332,7 @@ def run_benchmark(profile: dict) -> dict:
 
     # a pool parked by an earlier close would make spin-up a no-op
     shutdown_parked_pools()
-    shm_spinup = measure_spinup(database, queries, workers)
+    spinup = measure_spinup(database, queries, workers)
     throughput = run_sharded_comparison(database, queries, workers)
     reopen = measure_reopen(database, queries, workers)
     fanout_roundtrip_ms = measure_fanout_roundtrip(database)
@@ -357,27 +343,23 @@ def run_benchmark(profile: dict) -> dict:
         "num_workers": workers,
         "usable_cores": usable_cores(),
         **{k: v for k, v in throughput.items() if k != "post_query_probes"},
-        "descriptor_bytes_per_slot": shm_spinup["slot_bytes"],
-        "shard_plane_bytes": shm_spinup["shard_bytes"],
-        "delta_bytes_after_mutation": shm_spinup["delta_bytes"],
-        "worker_index_objects": shm_spinup["worker_index_objects"],
-        "shm_spinup_seconds": shm_spinup["spinup_seconds"],
-        "workers_probed": shm_spinup["workers_probed"],
+        "graph_bytes_shipped_per_slot": spinup["graph_bytes_shipped_per_slot"],
+        "second_pass_graph_bytes": spinup["second_pass_graph_bytes"],
+        "worker_index_objects": spinup["worker_index_objects"],
+        "shm_spinup_seconds": spinup["spinup_seconds"],
+        "workers_probed": spinup["workers_probed"],
         "reopen_first_query_seconds": reopen["reopen_seconds"],
         "reopen_kept_workers": reopen["workers_kept"],
         "fanout_roundtrip_ms": fanout_roundtrip_ms,
         "spinup_worker_private_dirty_kb": [
-            probe["private_dirty_kb"] for probe in shm_spinup["probes"]
+            probe["private_dirty_kb"] for probe in spinup["probes"]
         ],
-        "post_query_materialized_of_live_graphs": [
-            (probe["materialized_graphs"], probe["live_graphs"])
+        "post_query_held_of_live_graphs": [
+            (probe["held_graphs"], probe["live_graphs"])
             for probe in throughput["post_query_probes"]
         ],
-        "post_query_materialized_graph_bytes": max(
-            (
-                probe["materialized_graph_bytes"]
-                for probe in throughput["post_query_probes"]
-            ),
+        "post_query_held_graph_bytes": max(
+            (probe["held_graph_bytes"] for probe in throughput["post_query_probes"]),
             default=0,
         ),
         "post_query_worker_private_dirty_kb": [
@@ -443,12 +425,10 @@ def main() -> None:
     )
     print(
         f"pool spin-up: {report['shm_spinup_seconds']:.3f} s, reopen to first "
-        f"answer on the parked pool: {report['reopen_first_query_seconds']:.3f} s, "
-        f"{report['descriptor_bytes_per_slot']} B of descriptors per slot per "
-        "generation; "
-        f"shard plane {report['shard_plane_bytes']} B shared, worst worker "
-        f"materialized {report['post_query_materialized_graph_bytes']} B of "
-        "graphs lazily"
+        f"answer on the parked pool: {report['reopen_first_query_seconds']:.3f} s; "
+        f"graph bytes shipped per slot {report['graph_bytes_shipped_per_slot']} on "
+        f"the first pass, {report['second_pass_graph_bytes']} B on the second; "
+        f"worst worker holds {report['post_query_held_graph_bytes']} B of graphs"
     )
 
     point = {
@@ -461,21 +441,19 @@ def main() -> None:
     append_trajectory_point(args.out, point)
     print(f"trajectory point appended to {args.out}")
 
-    # the zero-copy contract holds at any scale, so it is asserted in smoke
-    # runs too: a slot must cost descriptors — not a copy of the shard bytes
-    # the plane publishes once for everyone
-    slot_ceiling = SLOT_BYTES_CEILING_FRACTION * report["shard_plane_bytes"]
-    assert report["descriptor_bytes_per_slot"] <= slot_ceiling, (
-        f"per-slot descriptor payload {report['descriptor_bytes_per_slot']} B "
-        f"exceeds {SLOT_BYTES_CEILING_FRACTION:.0%} of the published shard "
-        f"plane ({report['shard_plane_bytes']} B)"
+    # a graph goes to a worker once: the contract holds at any scale, so it
+    # is asserted in smoke runs too — a repeated request list ships nothing
+    assert any(report["graph_bytes_shipped_per_slot"]), "no graph was shipped"
+    assert report["second_pass_graph_bytes"] == 0, (
+        f"the second pass of the request list shipped "
+        f"{report['second_pass_graph_bytes']} B of graphs its workers held"
     )
-    # and the read path opens candidates only: a worker holding every live
-    # graph of the shards it served read graphs the filters had discarded
-    served = [pair for pair in report["post_query_materialized_of_live_graphs"] if pair[1]]
-    assert served and all(materialized < live for materialized, live in served), (
-        f"(deserialized, live) graphs per worker {served}: something on the read "
-        "path opens graphs that are not candidates"
+    # and frames carry survivors only: a worker holding every live graph of
+    # the shards it serves was sent graphs the filters had discarded
+    served = [pair for pair in report["post_query_held_of_live_graphs"] if pair[1]]
+    assert served and all(held < live for held, live in served), (
+        f"(held, live) graphs per worker {served}: a frame ships graphs that "
+        "are not survivors"
     )
     # a worker verifies graphs: it builds no index and no planner
     assert report["worker_index_objects"] and not any(report["worker_index_objects"]), (

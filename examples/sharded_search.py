@@ -64,18 +64,15 @@ def main() -> None:
         sharded_results = sharded.query_many(
             queries, 0.3, 1, config=search_config, rng=SEED
         )
-    # Memory footprint: the dense shard arrays live ONCE in shared-memory
-    # segments; each pool worker serves a fixed set of shards, attaches
-    # them read-only and is sent a KB of descriptors per shard once per
-    # base generation, so adding workers costs descriptors, not database
-    # copies.  close() below unlinks every segment.
-    plane = sharded.planner().shard_plane
-    if plane is not None:
-        slot_bytes = plane.payload_bytes(sharded.planner().width)
-        print(
-            f"shard plane: {plane.shard_bytes()} B shared across all "
-            f"workers, {slot_bytes} B shipped per slot per generation"
-        )
+    # Memory footprint: the parent filters, so a pool worker holds only the
+    # graphs it verifies — each one shipped in the frame that first names it
+    # and kept for the next query.  close() below parks the workers.
+    verified = sum(result.statistics.verified for result in sharded_results)
+    print(
+        f"pool workers verified {verified} candidates over {len(queries)} queries "
+        f"and were shipped each of those graphs once, none of the others "
+        f"({len(dataset.graphs)} graphs in the database)"
+    )
     sharded.close()
     print(f"sharded:    {len(queries)} queries in {timer.elapsed:.3f}s")
 

@@ -44,15 +44,10 @@ from repro.core.planner import (
 )
 from repro.core.sharding import (
     DatabaseShard,
-    ShardDescriptor,
-    ShardPlane,
     ShardSpec,
     ShardedPlanner,
-    materialize_shard,
     merge_query_results,
     partition_ranges,
-    publish_base,
-    publish_delta,
     route_to_smallest,
 )
 from repro.core.catalog import (
@@ -97,13 +92,8 @@ __all__ = [
     "validate_top_k_query",
     "SearchConfig",
     "DatabaseShard",
-    "ShardDescriptor",
-    "ShardPlane",
     "ShardSpec",
     "ShardedPlanner",
-    "materialize_shard",
-    "publish_base",
-    "publish_delta",
     "merge_query_results",
     "partition_ranges",
     "route_to_smallest",

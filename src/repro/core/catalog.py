@@ -53,35 +53,24 @@ shard count.  Its four query methods validate and plan the whole batch
 filters every plan on every shard in-process and sends only the verification
 of threshold survivors to its pool, if it has one.
 
-**Mutations and the read path.**  The storage split above is also what the
-planner publishes: a pooled planner puts each shard's base graphs into a
-shared-memory :class:`~repro.core.sharding.ShardPlane` once, for workers to
-attach and keep, and each shard's delta graphs and tombstones into a small
-side segment.  ``add_graph`` / ``remove_graph`` / ``update_graph`` therefore leave
-the read path standing: they hand the cached ``ShardedPlanner`` fresh views
-of the shards they touched (both halves of an update in one step), it drops
-those shards' in-process planners, and the next query's fan-out republishes
-those shards' delta segments — once, however many mutations came first.
-The worker pool, the base segments, the other shards, and in every worker
-the graphs it has deserialized with their caches, all survive; a replaced
-delta segment is unlinked when the last fan-out that named it has drained.
+**Mutations and the read path.**  ``add_graph`` / ``remove_graph`` /
+``update_graph`` leave the read path standing: they hand the cached
+``ShardedPlanner`` fresh views of the shards they touched (both halves of an
+update in one step), and it drops those shards' in-process planners.
 :meth:`compact` writes new bases and hands the planner views of every shard
-over them (:meth:`ShardedPlanner.rebase`):
-under a live pool the new generation is published inside ``compact()``, the
-old one is unlinked once no fan-out reads it, and the pool stays — each
-worker swaps its shards over at its next task, keeping every graph it holds
-whose pickle the new generation stores again.  Only :meth:`close`, a broken
+over them (:meth:`ShardedPlanner.rebase`).  Neither publishes anything: a
+pooled planner ships each survivor's graph in the frame that verifies it,
+once per worker, so the worker pool, the other shards, and in every worker
+the graphs it holds with their caches all survive both, and an updated graph
+reaches a worker only once it survives to one.  Only :meth:`close`, a broken
 pool and a compaction that changes the shard count take the planner down,
-the full swap, and the next query publishes a fresh generation under new
-names.  :meth:`ShardedPlanner.close` parks the workers rather than joining
-them: a release task queued behind every running task makes each worker
-drop its views and mappings *before* the segments unlink, so no attachment
-is ever torn down under a running query, and the next planner of the same
-width — this catalog reopened, say — takes those workers, with the graphs
-they had deserialized, instead of forking new ones (a broken pool is shut
-down instead).  Answers stay byte-identical throughout because workers read
-the exact arrays the catalog computed (``active_shm_segments()`` lists what
-is published, for leak checks).
+the full swap.  :meth:`ShardedPlanner.close` parks the workers rather than
+joining them: a release task queued behind every running task makes each
+worker keep only the graphs it verified since its previous park, and the
+next planner of the same width — this catalog reopened, say — takes those
+workers, with those graphs, instead of forking new ones (a broken pool is
+shut down instead).  Answers stay byte-identical throughout because workers
+verify graphs unpickled from the catalog's own.
 
 The feature set is **pinned** at catalog construction: delta rows are
 indexed against the base features, and ``compact()`` deliberately does not
@@ -945,16 +934,11 @@ class GraphCatalog:
         )
 
     def active_shm_segments(self) -> list[str]:
-        """Names of the shared-memory segments the cached planner has
-        published: one base and one delta per shard (plus, briefly, a
-        replaced delta a running query still reads).  Empty before the first
-        pooled query and right after :meth:`close`; right after
-        :meth:`compact` the new generation's names.  A mutation leaves the
-        list alone until the next query replaces the touched shards' delta
-        names."""
-        planner = self._planner_cache
-        plane = None if planner is None else planner.shard_plane
-        return [] if plane is None else plane.segment_names()
+        """Always ``[]``: the catalog publishes no shared-memory segment
+        (pool workers receive their graphs in the frames that verify them).
+        Kept because the end-to-end benchmark's sharding probe
+        (``benchmarks/e2e/layers.py``) still sums the sizes of what it lists."""
+        return []
 
     def shard_live_counts(self) -> list[int]:
         """Per-shard live graph counts (the routing rule's input)."""
@@ -1302,15 +1286,14 @@ class GraphCatalog:
     def _refresh_planner(self, store_indexes: set[int]) -> None:
         """Show the cached planner the stores a mutation just changed: it
         swaps in fresh views of exactly those shards and keeps its worker
-        pool, its published base arenas and the other shards' planners."""
+        pool and the other shards' planners."""
         if self._planner_cache is not None:
             self._planner_cache.replace_shards(
                 [self._stores[index].make_shard(index) for index in sorted(store_indexes)]
             )
 
     def _invalidate(self) -> None:
-        """The full swap: drop the cached planner, parking its pool and
-        unlinking everything it published."""
+        """The full swap: drop the cached planner, parking its pool."""
         if self._planner_cache is not None:
             self._planner_cache.close()
         self._planner_cache = None

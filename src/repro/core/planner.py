@@ -214,8 +214,7 @@ class QueryPlanner:
                     f"{len(graphs)} graphs"
                 )
         self.active_mask = active_mask
-        # the filter reads the index, never `graphs`: a planner over a
-        # shared-memory shard's LazyGraphList deserializes only what it verifies
+        # the filter reads the index, never `graphs`
         self.structural_filter = StructuralFilter(structural_index)
         self.pruner = ProbabilisticPruner(pmi.features)
         self._default_verifier: Verifier | None = None

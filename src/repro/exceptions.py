@@ -91,11 +91,10 @@ class WalError(CatalogError):
 
 
 class ShmError(ReproError):
-    """Raised for shared-memory shard-plane failures: attaching a segment
-    that no longer exists, reading an arena field the descriptor does not
-    record, or packing inconsistent array metadata.  Also the type of a
-    shard slot's reply that cannot cross the pipe: a worker's result or
-    exception that does not pickle, or a reply that does not unpickle."""
+    """Raised for shard-slot transport failures: a verify frame naming a
+    graph digest the slot's worker does not hold, a worker's result or
+    exception that does not pickle, or a reply that does not unpickle.  The
+    slot stays usable after each of them."""
 
 
 class BrokenSlotError(ShmError):

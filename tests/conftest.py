@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,13 @@ def no_parked_pools():
     test that patches worker-side code reaches freshly forked workers."""
     yield
     shutdown_parked_pools()
+
+
+def resident_segment_names() -> list[str]:
+    """Every ``tpsshm_*`` shared-memory segment resident on the system, for
+    leak checks: the library publishes none, and a pool must not either."""
+    shm_dir = Path("/dev/shm")
+    return sorted(path.name for path in shm_dir.glob("tpsshm_*")) if shm_dir.is_dir() else []
 
 
 @pytest.fixture

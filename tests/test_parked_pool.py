@@ -1,15 +1,15 @@
 """Parked worker pools: a closed planner's workers serve the next planner.
 
 ``ShardedPlanner.close()`` runs one release task per slot — each worker
-drops every shard view, planner and descriptor, unmaps every segment and
-keeps only the graphs it had deserialized, keyed by pickle digest — then
-unlinks the plane and parks the slot list for the next planner of the same
-width.  Under test: a reopened catalog keeps its worker pids and finds its
-graphs already deserialized; answers and counters equal a fresh pool's; a
-parked worker maps nothing and ``/dev/shm`` is empty; two live planners
-never share a worker; at most one list per width waits; a failed
-materialization leaves neither a mapping nor a lost view behind; and a
-release that raises shuts every worker of the list down.
+keeps only the graphs it verified since its previous park, keyed by pickle
+digest, and that list of digests becomes its slot's record — then parks the
+slot list for the next planner of the same width.  Under test: a reopened
+catalog keeps its worker pids and finds its graphs already held, so its
+first query ships none of them; answers and counters equal a fresh pool's;
+no worker ever maps a shared-memory segment and a whole pooled lifecycle
+leaves ``/dev/shm`` as it was; two live planners never share a worker; at
+most one list per width waits; and a release that raises shuts every worker
+of the list down.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import gc
 import os
 
-import numpy as np
 import pytest
 
 from test_shm_parity import _mark_held_graphs
@@ -30,12 +29,11 @@ from test_sharding_parity import (
     random_workload,
 )
 
-from repro.core import GraphCatalog, ShardPlane, Verifier, sharding
-from repro.core.pipeline import verify_rows
+from repro.core import GraphCatalog, sharding
 from repro.exceptions import ShmError
 from repro.pmi import BoundConfig
-from repro.utils import shm
-from repro.utils.shm import resident_segment_names
+
+from tests.conftest import resident_segment_names
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -53,10 +51,8 @@ def no_segment_leaks():
 
 
 def durable_catalog(database, directory, num_shards: int = 2) -> GraphCatalog:
-    """A durable catalog behind a two-worker pool, closed and reopened once:
-    a graph built in this process carries build-time memos in its pickle, a
-    graph read off the snapshot does not, so only from the first reopen on
-    does a closed catalog's graph have the digest its successor publishes."""
+    """A durable catalog behind a two-worker pool, closed and reopened once,
+    so that it and every successor hold graphs read off the same snapshot."""
     GraphCatalog.build(
         database.graphs,
         feature_config=FEATURE_CONFIG,
@@ -89,14 +85,9 @@ def mapped_segments(pid: int) -> list[str]:
 
 
 def _held_graphs() -> tuple[int, int]:
-    """Runs in a pool worker: (graphs it holds deserialized, how many of them
-    carry :func:`test_shm_parity._mark_held_graphs`' tag)."""
-    held = [
-        graph
-        for shard in sharding._WORKER_SHARDS.values()
-        for part in (shard.graphs.base, shard.graphs.delta)
-        for graph in part.by_digest().values()
-    ]
+    """Runs in a pool worker: (graphs it holds, how many of them carry
+    :func:`test_shm_parity._mark_held_graphs`' tag)."""
+    held = list(sharding._WORKER_GRAPHS.values())
     return len(held), sum("_held_before" in graph.__dict__ for graph in held)
 
 
@@ -109,12 +100,17 @@ def test_a_reopened_catalog_keeps_its_workers_and_their_graphs(tmp_path):
         pids = catalog.planner().map_slots(os.getpid)
         held = catalog.planner().map_slots(_mark_held_graphs)
         assert all(held)
+        shipped = [slot.graph_bytes for slot in catalog.planner()._slots]
         catalog.close()
         catalog = GraphCatalog.open(tmp_path, max_workers=2)
+        slots = catalog.planner()._slots or sharding._PARKED[os.getpid(), 2]
+        assert [len(slot.held) for slot in slots] == held  # the record came along
         run(catalog, queries)
         assert catalog.planner().map_slots(os.getpid) == pids
-        # the same queries: every graph a slot holds is one it held before
+        # the same queries: every graph a slot holds is one it held before,
+        # and not one graph byte went out again
         assert catalog.planner().map_slots(_held_graphs) == [(count, count) for count in held]
+        assert [slot.graph_bytes for slot in catalog.planner()._slots] == shipped
     finally:
         catalog.close()
 
@@ -157,14 +153,15 @@ def test_answers_on_a_parked_pool_equal_a_fresh_pool(tmp_path, num_shards):
 def test_a_parked_worker_maps_nothing_and_dev_shm_is_empty(tmp_path):
     database = random_database(9301, 10)
     # a query from every graph: each shard has survivors, so each worker is
-    # sent a frame and maps its shard's base
+    # sent a frame with graphs in it
     queries = random_workload(database, seed=9302, num_queries=len(database.graphs))
     before = set(resident_segment_names())
     catalog = durable_catalog(database, tmp_path)
     try:
         run(catalog, queries)
         pids = catalog.planner().map_slots(os.getpid)
-        assert all(mapped_segments(pid) for pid in pids)
+        assert all(count for count, _ in catalog.planner().map_slots(_held_graphs))
+        assert not any(mapped_segments(pid) for pid in pids)
     finally:
         catalog.close()
     assert set(resident_segment_names()) == before
@@ -216,58 +213,44 @@ def test_at_most_one_parked_list_per_width(tmp_path):
     assert not any(os.path.isdir(f"/proc/{pid}") for pid in second_pids)
 
 
-def test_a_failed_materialization_keeps_the_previous_view_and_maps_nothing():
-    """A task naming a delta that cannot be read raises before anything is
-    attached, and the worker's previous view of the shard stays; the next
-    good task over a new generation adopts that view's graphs."""
-    database = random_database(9601, 8)
-    queries = random_workload(database, seed=9602, num_queries=2)
+def test_a_pooled_catalog_lifecycle_leaves_dev_shm_unchanged(tmp_path):
+    """build -> query -> mutate -> query -> compact -> query -> close ->
+    open -> query on a pooled durable catalog: nothing ever appears in
+    /dev/shm, and the reopened catalog answers as an in-process one."""
+    database = random_database(9651, 10)
+    spare = random_database(9652, 2).graphs
+    queries = random_workload(database, seed=9653, num_queries=3)
+    shm_dir = "/dev/shm"
+    before = sorted(os.listdir(shm_dir))
     catalog = GraphCatalog.build(
         database.graphs,
         feature_config=FEATURE_CONFIG,
         bound_config=BoundConfig(num_samples=40),
         rng=5,
         num_shards=2,
-        max_workers=0,
+        max_workers=2,
+        directory=tmp_path,
     )
-    planner = catalog.planner()
-    first, second = ShardPlane(planner.shards), ShardPlane(planner.shards)
     try:
-        descriptor, delta = first.descriptors[0], first.delta_segment_names()[0]
-        worker = sharding._worker_shard(descriptor, delta)
-        rows = np.flatnonzero(worker.active_mask)
-        for query in queries:
-            plan = planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
-            verify_rows(
-                Verifier(plan.config.verification), worker.graphs, worker.graph_ids, plan, rows, 1
-            )
-        previous = sharding._WORKER_SHARDS[0]
-        held = previous.graphs.base.by_digest()
-        assert held
-        attached, maps = len(shm._ATTACHED), mapped_segments(os.getpid())
-
-        for target in (first.descriptors[0], second.descriptors[0]):  # same base, new base
-            with pytest.raises(ShmError):
-                sharding.materialize_shard(target, "tpsshm_0_missing", previous=previous)
-            with pytest.raises(ShmError):
-                sharding._worker_shard(target, "tpsshm_0_missing")
-            assert (len(shm._ATTACHED), mapped_segments(os.getpid())) == (attached, maps)
-            assert sharding._WORKER_SHARDS[0] is previous is worker
-
-        del previous, worker  # a live view would keep the old base mapped
-        sharding._worker_shard(second.descriptors[0], second.delta_segment_names()[0])
-        swapped = sharding._WORKER_SHARDS[0]
-        assert swapped.arena.descriptor.segment == second.base_segment_names()[0]
-        adopted = swapped.graphs.base.by_digest()
-        assert adopted.keys() == held.keys()
-        assert all(adopted[digest] is graph for digest, graph in held.items())
-        assert len(shm._ATTACHED) == attached  # the old base was detached
-    finally:
-        sharding._release_worker()
-        sharding._WORKER_PARKED.clear()
-        first.close()
-        second.close()
+        run(catalog, queries)
+        assert catalog.planner()._slots  # the pool ran
+        catalog.update_graph(3, spare[0])
+        catalog.add_graph(spare[1])
+        catalog.remove_graph(4)
+        run(catalog, queries)
+        assert sorted(os.listdir(shm_dir)) == before
+        catalog.compact()
+        run(catalog, queries)
         catalog.close()
+        assert sorted(os.listdir(shm_dir)) == before
+        catalog = GraphCatalog.open(tmp_path, max_workers=2)
+        reopened = outcome(run(catalog, queries))
+        catalog.close()
+        catalog = GraphCatalog.open(tmp_path, max_workers=0)
+        assert reopened == outcome(run(catalog, queries))
+    finally:
+        catalog.close()
+    assert sorted(os.listdir(shm_dir)) == before
 
 
 def _refuse_release() -> int:

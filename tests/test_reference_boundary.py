@@ -212,3 +212,19 @@ def test_top_k_has_no_partial_mode_and_the_arena_no_index():
     for gone in ("arena_arrays", "arena_meta", "from_arrays", "ARENA_ARRAY_KEYS"):
         assert not hasattr(ProbabilisticMatrixIndex, gone), gone
     assert "partial" not in (sharding.__doc__ + pipeline.__doc__ + planner.__doc__).lower()
+
+
+def test_the_shared_memory_plane_is_gone():
+    """A pool worker receives its graphs in the frames that verify them: no
+    shared-memory plane, publication or descriptor is left to import."""
+    import importlib.util
+
+    from repro import core
+    from repro.core import sharding
+
+    for gone in ("ShardDescriptor", "ShardPlane", "materialize_shard", "publish_base",
+                 "publish_delta"):
+        assert gone not in core.__all__ and not hasattr(core, gone), gone
+        assert not hasattr(sharding, gone), gone
+    assert importlib.util.find_spec("repro.utils.shm") is None
+    assert not hasattr(sharding.ShardedPlanner, "shard_plane")

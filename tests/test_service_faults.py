@@ -17,9 +17,9 @@ fixture below) never an orphaned shared-memory segment:
 * ``ShardedPlanner.close()`` double-close and close-during-inflight —
   idempotent and drain-on-close under concurrent submission;
 * mutations racing pooled queries — every answer is that of a whole state,
-  no segment is unlinked under a task that still has to read it;
+  and every frame names only graphs its worker holds;
 * a worker SIGKILL'd between a mutation and the next query — in-process
-  fallback over the mutated state, then a fresh pool and plane.
+  fallback over the mutated state, then a fresh pool.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import pytest
 import test_catalog_parity
 from test_catalog_parity import rebuild_from_scratch
 
-from repro.core import GraphCatalog, QueryResult, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, QueryResult, SearchConfig, VerificationConfig, sharding
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.exceptions import BrokenSlotError, ServiceError
 from repro.graphs.io import labeled_graph_to_dict
@@ -51,7 +51,8 @@ from repro.service.protocol import (
     SHUTTING_DOWN,
     encode_frame,
 )
-from repro.utils.shm import resident_segment_names
+
+from tests.conftest import resident_segment_names
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -66,7 +67,7 @@ SEARCH_CONFIG = SearchConfig(
 
 @pytest.fixture(autouse=True)
 def no_segment_leaks():
-    """Same bar as test_shm_parity: faults must not orphan shm segments."""
+    """Same bar as test_shm_parity: faults must not leave shm segments."""
     before = set(resident_segment_names())
     yield
     gc.collect()
@@ -227,6 +228,11 @@ def test_default_deadline_applies_to_requests_without_one():
     asyncio.run(scenario())
 
 
+def _stored_digests() -> set[bytes]:
+    """Runs in a pool worker: the digests of the graphs it holds."""
+    return set(sharding._WORKER_GRAPHS)
+
+
 def shard_zero_worker(planner) -> int:
     """The pid of the one worker that serves shard 0 (slot 0's): killing it
     breaks the very next fan-out, which always sends shard 0 a task."""
@@ -253,15 +259,14 @@ def test_sigkilled_pool_worker_recovers_with_identical_answers():
                 # Warm the pool, then murder the worker of shard 0.
                 await client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=9)
                 planner = catalog.planner()
-                plane = planner.shard_plane
-                assert plane is not None, "pool should be warm"
+                assert planner._slots, "pool should be warm"
                 os.kill(shard_zero_worker(planner), signal.SIGKILL)
 
                 result = await client.query(
                     query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=10
                 )
-                # the fan-out met the dead worker: the pool and plane were dropped
-                assert plane.closed and planner.shard_plane is None
+                # the fan-out met the dead worker: the pool was dropped
+                assert planner._slots == []
                 expected = reference.query(
                     query,
                     PROBABILITY_THRESHOLD,
@@ -319,9 +324,9 @@ def test_a_sigkilled_slot_is_never_parked(then):
 
 def test_map_slots_after_a_sigkilled_worker_raises_once_then_forks_fresh():
     """``map_slots`` meets a dead worker the way a query fan-out does: every
-    slot is shut down (the live sibling too, never parked) and the plane
-    retired — but it raises a typed error instead of answering in-process.
-    The next call forks fresh workers, and queries answer as before."""
+    slot is shut down (the live sibling too, never parked) — but it raises a
+    typed error instead of answering in-process.  The next call forks fresh
+    workers, and queries answer as before."""
     database, catalog = build_catalog(seed=7015, num_shards=2, max_workers=2)
     query = extract_query(database.graphs[1].skeleton, 3, rng=130)
 
@@ -339,7 +344,7 @@ def test_map_slots_after_a_sigkilled_worker_raises_once_then_forks_fresh():
         os.kill(pids[0], signal.SIGKILL)
         with pytest.raises(BrokenSlotError):
             planner.map_slots(os.getpid)
-        assert planner._slots == [] and planner.shard_plane is None
+        assert planner._slots == []
         assert not any(os.path.isdir(f"/proc/{pid}") for pid in pids), "a slot outlived the list"
         fresh = planner.map_slots(os.getpid)
         assert len(fresh) == 2 and not set(fresh) & set(pids)
@@ -530,8 +535,8 @@ class TestShardedPlannerCloseRegression:
             planner = catalog.planner()
             planner.close()
             planner.close()  # regression: second close must not raise
-            assert planner.shard_plane is None
-            # the planner keeps working after close (fresh pool + plane)
+            assert planner._slots == []
+            # the planner keeps working after close (a parked or fresh pool)
             catalog.query(
                 query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
                 config=SEARCH_CONFIG, rng=72,
@@ -610,7 +615,7 @@ class TestShardedPlannerCloseRegression:
 
     def test_concurrent_submissions_with_close_never_deadlock(self):
         """Submitting threads racing close(): everything completes with the
-        right answers and no segment leaks (checked by the autouse fixture)."""
+        right answers and no segment in /dev/shm (the autouse fixture)."""
         database, catalog = build_catalog(seed=7010, num_shards=2, max_workers=2)
         reference = GraphCatalog.build(
             database.graphs,
@@ -689,11 +694,11 @@ class TestMutationsKeepTheReadPath:
         applies 20 mutations and a compaction after every fifth: every
         answer is the from-scratch twin's for the state before or after some
         mutation (an update is one step, never the missing-id state between
-        its halves) — no ``ShmError`` from a delta or a base unlinked under a
-        queued task, no broken pool, no hang, and no retired generation left
-        published.  Three readers over two workers, so one fan-out
-        republishes a delta, or a compaction publishes a generation, while
-        another's tasks naming the old one are still queued."""
+        its halves) — no ``ShmError`` from a frame naming a graph its worker
+        does not hold, no broken pool, no hang, and each slot's record equal
+        to its worker's store once the readers stop.  Three readers over two
+        workers, so one fan-out ships or drops graphs while another's frames
+        are still queued."""
         database, catalog = build_catalog(seed=7011, num_graphs=8, num_shards=2, max_workers=2)
         spare = build_catalog(seed=8011, num_graphs=8)[0].graphs
         query = extract_query(database.graphs[0].skeleton, 3, rng=102)
@@ -768,13 +773,10 @@ class TestMutationsKeepTheReadPath:
             # the read path was never torn down
             assert catalog.planner() is planner
             assert planner.map_slots(os.getpid) == pids
-            plane = planner.shard_plane
-            assert sorted(plane.segment_names()) == sorted(
-                plane.base_segment_names() + plane.delta_segment_names()
-            ), "a replaced delta outlived its readers"
-            assert set(resident_segment_names()) - resident_before == set(
-                plane.segment_names()
-            ), "a retired generation outlived its readers"
+            assert planner.map_slots(_stored_digests) == [
+                set(slot.held) for slot in planner._slots
+            ], "a slot's record drifted from its worker's store"
+            assert set(resident_segment_names()) == resident_before
         finally:
             stop.set()
             for thread in threads:
@@ -785,8 +787,8 @@ class TestMutationsKeepTheReadPath:
     def test_sigkilled_worker_between_mutation_and_query_falls_back_then_rebuilds(self):
         """SIGKILL a worker after a mutation and before the query that would
         republish it: the query answers in-process, byte-identical to the
-        twin of the *mutated* state, and the next one rebuilds pool and plane
-        from that state; nothing leaks (the autouse fixture).  The query comes
+        twin of the *mutated* state, and the next one forks a fresh pool and
+        ships it that state's graphs; nothing leaks (the autouse fixture).  The query comes
         from a graph of shard 0 that no mutation touches, so it has survivors
         to send to the killed worker."""
         database, catalog = build_catalog(seed=7012, num_graphs=8, num_shards=2, max_workers=2)
@@ -803,7 +805,6 @@ class TestMutationsKeepTheReadPath:
         try:
             ask(111)
             planner = catalog.planner()
-            first_names = set(planner.shard_plane.segment_names())
             first_pids = set(planner.map_slots(os.getpid))
             catalog.update_graph(0, spare[0])
             catalog.add_graph(spare[1])
@@ -811,17 +812,16 @@ class TestMutationsKeepTheReadPath:
 
             assert ask(112) == twin_answer(catalog, query, rng=112)
             assert catalog.planner() is planner
-            assert planner.shard_plane is None and planner._slots == []
-            assert not first_names & set(resident_segment_names())
+            assert planner._slots == []
 
             assert ask(113) == twin_answer(catalog, query, rng=113)
-            plane = planner.shard_plane
-            assert plane is not None and not first_names & set(plane.segment_names())
-            assert not first_pids & set(planner.map_slots(os.getpid))
-            assert plane.delta_bytes() > 0 and len(plane.segment_names()) == 4
+            slots = planner._slots
+            assert slots and any(slot.graph_bytes for slot in slots)
+            fresh = planner.map_slots(os.getpid)
+            assert not first_pids & set(fresh)
             # the rebuilt pool follows later mutations like the first one did
             catalog.remove_graph(1)
             assert ask(114) == twin_answer(catalog, query, rng=114)
-            assert planner.shard_plane is plane
+            assert planner._slots is slots and planner.map_slots(os.getpid) == fresh
         finally:
             catalog.close()

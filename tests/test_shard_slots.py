@@ -20,6 +20,7 @@ import textwrap
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from test_sharding_parity import (
@@ -181,6 +182,45 @@ def test_a_worker_error_crosses_back_typed_and_the_slot_lives(fn, error, message
         in_process.close()
 
 
+def _store_digests() -> list[bytes]:
+    """Runs in a pool worker: the digests of the graphs it holds."""
+    return sorted(sharding._WORKER_GRAPHS)
+
+
+def test_a_frame_naming_an_unknown_digest_is_a_typed_error_and_the_slot_lives():
+    """A verify frame that names a graph its worker does not hold raises a
+    ``ShmError`` before anything is verified; the worker keeps its store as
+    it was and the next query answers as the in-process one."""
+    database = random_database(9951, 10)
+    queries = random_workload(database, seed=9952, num_queries=2)
+    pooled, in_process = build(database, 2), build(database, 0)
+
+    def ask(catalog):
+        return outcome_bytes(
+            catalog.query_many(
+                queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rngs=[3, 4]
+            )
+        )
+
+    try:
+        ask(pooled)
+        planner = pooled.planner()
+        pids = planner.map_slots(os.getpid)
+        held = planner.map_slots(_store_digests)
+        assert any(held)
+        plan = planner.plan(queries[0], PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+        unknown = bytes(16)
+        frame = [(pickle.dumps((plan, 3)), [(np.array([0]), [unknown])])]
+        with pytest.raises(ShmError, match=f"holds no graph with digest {unknown.hex()}"):
+            planner.map_slots(sharding._verify_slot, [], {}, frame)
+        assert planner.map_slots(os.getpid) == pids
+        assert planner.map_slots(_store_digests) == held
+        assert ask(pooled) == ask(in_process)
+    finally:
+        pooled.close()
+        in_process.close()
+
+
 ORPHAN_SCRIPT = textwrap.dedent(
     """
     import json, os, sys
@@ -241,7 +281,7 @@ def test_default_width_counts_usable_cpus_not_the_machine(monkeypatch):
         )
         assert any(result.statistics.verified for result in results)
         assert planner.map_slots(os.getpid) == []
-        assert planner._slots == [] and planner.shard_plane is None
+        assert planner._slots == []
         assert multiprocessing.active_children() == []
     finally:
         catalog.close()

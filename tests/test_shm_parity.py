@@ -1,26 +1,25 @@
-"""Shared-memory shard-plane parity harness.
+"""Pool parity harness: workers that hold only the graphs they verify.
 
-The contract under test: attaching shards through ``multiprocessing``
-shared memory is *invisible* — answers, probabilities, ranks, and every
-per-stage counter are byte-identical to the sequential in-process planner
-for any shard count K, any worker count, and across catalog mutations with
-mid-stream generation hot-swaps.  The assertions reuse the byte-parity
-helpers from ``test_sharding_parity`` / ``test_catalog_parity`` so the shm
-plane is held to exactly the same bar as the original fan-out.
+The contract under test: sending threshold survivors to pool workers is
+*invisible* — answers, probabilities, ranks, and every per-stage counter are
+byte-identical to the sequential in-process planner for any shard count K,
+any worker count, and across catalog mutations and compactions under a live
+pool.  The assertions reuse the byte-parity helpers from
+``test_sharding_parity`` / ``test_catalog_parity`` so the pool is held to
+exactly the same bar as the original fan-out.
 
-Also locked in here: the O(1) descriptor-payload regression (descriptors
-must not grow with shard bytes) and its O(delta) twin (what a mutation
-republishes must not grow with the base), the cheap pool-resize path (the
-published plane survives a pool-width change), and what a mutation or a
-compaction may touch: the worker pool, and in each worker the graphs it has
-deserialized, survive both; a mutation replaces only the touched shard's
-delta segment, ``compact()`` republishes every segment under the live pool,
-and each shard lives in exactly one worker throughout.
+Also locked in here: what a worker holds — a ``digest → graph`` store of
+exactly the survivors its slot was sent, each shard's graphs in one worker
+only, the same objects across a mutation and a compaction, bounded over many
+of both — and what a frame ships: each graph once per worker, nothing on a
+repeated request, and after a mutation only the updated graph, once it
+survives.  Nothing is ever published to ``/dev/shm``.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import pickle
 import random
@@ -41,14 +40,13 @@ from test_sharding_parity import (
     random_workload,
 )
 
-from repro.core import GraphCatalog, QueryPlanner, ShardPlane, sharding
+from repro.core import GraphCatalog, QueryPlanner, sharding
 from repro.datasets import extract_query
 from repro.graphs import LabeledGraph
 from repro.pmi import BoundConfig, ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
-from repro.utils.shm import resident_segment_names
 
-from tests.conftest import WIDE_SUPPORT_DISTANCE, build_index
+from tests.conftest import WIDE_SUPPORT_DISTANCE, resident_segment_names
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -65,7 +63,7 @@ def no_segment_leaks():
 
 
 class TestPoolShmParity:
-    """shm-attached pool answers == sequential answers, byte for byte."""
+    """Pool answers == sequential answers, byte for byte."""
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_shm_pool_matches_sequential(self, num_shards):
@@ -93,15 +91,8 @@ class TestPoolShmParity:
                 workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=3
             )
             if num_shards > 1:
-                # the pool really ran on attached segments
-                plane = sharded.planner().shard_plane
-                assert plane is not None and not plane.closed
-                # one base arena and one delta segment per shard
-                assert len(plane.base_segment_names()) == num_shards
-                assert len(plane.delta_segment_names()) == num_shards
-                assert sorted(plane.segment_names()) == sorted(
-                    plane.base_segment_names() + plane.delta_segment_names()
-                )
+                # the pool really ran: every slot was shipped graphs
+                assert any(slot.graph_bytes for slot in sharded.planner()._slots)
         finally:
             sharded.close()
         for expected_result, actual_result in zip(expected, actual):
@@ -166,7 +157,7 @@ class TestPoolShmParity:
                         query, 3, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
                     )
                 )
-            assert sharded.planner().shard_plane is not None  # the pool really ran
+            assert sharded.planner()._slots  # the pool really ran
         finally:
             sharded.close()
 
@@ -212,9 +203,7 @@ class TestPoolShmParity:
                     for query, k, _ in batch
                 ]
                 results = planner.execute_plans(plans, [root for _, _, root in batch])
-                assert (catalog.active_shm_segments() != []) == (
-                    num_shards > 1 and max_workers > 1
-                )
+                assert bool(planner._slots) == (num_shards > 1 and max_workers > 1)
                 outcomes.append((phase, rebuild_from_scratch(catalog), results))
         finally:
             catalog.close()
@@ -261,62 +250,50 @@ def worker_pids(catalog) -> list[int]:
     return catalog.planner().map_slots(os.getpid)
 
 
-def shard_of(catalog, external_id: int) -> int:
-    """The id of the shard holding the live row of ``external_id``."""
-    (shard_id,) = [
-        shard.spec.shard_id
-        for shard in catalog.planner().shards
-        if external_id in shard.live_global_ids()
-    ]
-    return shard_id
+def digest_of(graph) -> bytes:
+    """What a frame names ``graph`` by: the 16-byte blake2b of its pickle."""
+    payload = pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.blake2b(payload, digest_size=16).digest()
 
 
-def _probe_materialized_base_graphs() -> tuple[int, dict[int, int]]:
-    """Runs in a pool worker: base graphs deserialized so far, per shard."""
-    return os.getpid(), {
-        shard_id: shard.graphs.base.materialized_count()
-        for shard_id, shard in sharding._WORKER_SHARDS.items()
-    }
+def survivor_digests(catalog, query, root) -> list[set[bytes]]:
+    """Per slot, the digests of the graphs a threshold query under ``root``
+    leaves to verify on the shards that slot serves, filtered in this
+    process the way the planner filters before it sends anything."""
+    planner = catalog.planner()
+    plan = planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
+    per_slot = [set() for _ in range(planner.width)]
+    for position, shard in enumerate(planner.shards):
+        part = shard.make_planner().filter_plan(plan, root)
+        per_slot[position % planner.width] |= {digest_of(shard.graphs[row]) for row in part.rows}
+    return per_slot
 
 
-def materialized_base_graphs(catalog) -> dict[int, dict[int, int]]:
-    """pid -> shard id -> base graphs that worker holds deserialized."""
-    return dict(catalog.planner().map_slots(_probe_materialized_base_graphs))
+def _stored_digests() -> tuple[int, set[bytes]]:
+    """Runs in a pool worker: the digests of every graph it holds."""
+    return os.getpid(), set(sharding._WORKER_GRAPHS)
+
+
+def stored_digests(catalog) -> list[set[bytes]]:
+    """Per slot, in slot order, the digests its worker holds."""
+    return [digests for _, digests in catalog.planner().map_slots(_stored_digests)]
 
 
 def _mark_held_graphs() -> int:
-    """Runs in a pool worker: tag every graph object it holds deserialized
-    (a tag no pickle carries); returns how many it tagged."""
-    held = [
-        graph
-        for shard in sharding._WORKER_SHARDS.values()
-        for part in (shard.graphs.base, shard.graphs.delta)
-        for graph in part.by_digest().values()
-    ]
-    for graph in held:
+    """Runs in a pool worker: tag every graph object it holds (a tag no
+    pickle carries); returns how many it tagged."""
+    for graph in sharding._WORKER_GRAPHS.values():
         graph.__dict__["_held_before"] = True
-    return len(held)
+    return len(sharding._WORKER_GRAPHS)
 
 
-def _read_marks() -> dict[int, bool]:
-    """Runs in a pool worker: live external id -> whether the graph object
-    the worker answers with carries :func:`_mark_held_graphs`' tag.  Every
-    live row is read, so a graph nobody carried over is deserialized afresh."""
+def _read_marks() -> dict[bytes, bool]:
+    """Runs in a pool worker: digest -> whether the graph object it holds
+    under that digest carries :func:`_mark_held_graphs`' tag."""
     return {
-        int(graph_id): "_held_before" in shard.graphs[row].__dict__
-        for shard in sharding._WORKER_SHARDS.values()
-        for row, graph_id in enumerate(shard.graph_ids)
-        if shard.active_mask[row]
+        digest: "_held_before" in graph.__dict__
+        for digest, graph in sharding._WORKER_GRAPHS.items()
     }
-
-
-def merged(parts: list[dict]) -> dict:
-    return {key: value for part in parts for key, value in part.items()}
-
-
-def _served_shards() -> tuple[int, list[int]]:
-    """Runs in a pool worker: the shards it has materialized."""
-    return os.getpid(), sorted(sharding._WORKER_SHARDS)
 
 
 def _index_objects() -> tuple[int, set[int]]:
@@ -327,8 +304,23 @@ def _index_objects() -> tuple[int, set[int]]:
     return os.getpid(), {id(obj) for obj in gc.get_objects() if isinstance(obj, kinds)}
 
 
+def count_shipped(monkeypatch) -> list[list[bytes]]:
+    """Patch the slots so every verify frame's shipped digests are recorded,
+    one list per frame, in the order the frames are sent."""
+    shipped: list[list[bytes]] = []
+    original = sharding._Slot.submit
+
+    def recording_submit(self, fn, *args):
+        if fn is sharding._verify_slot:
+            shipped.append(list(args[1]))
+        return original(self, fn, *args)
+
+    monkeypatch.setattr(sharding._Slot, "submit", recording_submit)
+    return shipped
+
+
 class TestWorkersOnlyVerify:
-    """The parent filters and ranks; a worker holds graphs and ids."""
+    """The parent filters and ranks; a worker holds the graphs it verifies."""
 
     def test_a_worker_builds_no_index_or_planner(self):
         seed = 8461
@@ -344,8 +336,7 @@ class TestWorkersOnlyVerify:
             ] + [planner.plan_top_k(query, 2, DISTANCE_THRESHOLD, SEARCH_CONFIG) for query in queries]
             results = planner.execute_plans(plans, list(range(len(plans))))
             assert sum(result.statistics.verified for result in results[: len(queries)])
-            served = dict(planner.map_slots(_served_shards))
-            assert any(served.values())  # the threshold survivors went to the workers
+            assert any(stored_digests(catalog))  # the threshold survivors went to the workers
             for pid, ids in planner.map_slots(_index_objects):
                 assert ids <= inherited[pid], "a worker built an index or a planner"
         finally:
@@ -374,16 +365,56 @@ class TestWorkersOnlyVerify:
             assert sum(result.statistics.verified for result in top_k)
             nothing = catalog.query(unmatched, PROBABILITY_THRESHOLD, 0, SEARCH_CONFIG, rng=5)
             assert nothing.statistics.structural_candidates == 0
-            assert frames == [] and planner._slots == [] and planner.shard_plane is None
+            assert frames == [] and planner._slots == []
             catalog.query_many(queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
             assert frames and set(frames) == {sharding._verify_slot}
         finally:
             catalog.close()
 
+    def test_a_repeated_request_list_ships_no_graph_bytes(self, monkeypatch):
+        """The first pass of a request list ships each slot the pickle of
+        every distinct graph it verifies, once; the second pass of the same
+        list ships nothing."""
+        seed = 8463
+        database = random_database(seed, num_graphs=12)
+        queries = random_workload(database, seed=seed + 1, num_queries=4)
+        catalog = pooled_catalog(database, seed)
+        shipped = count_shipped(monkeypatch)
+        sizes = {
+            digest_of(graph): len(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
+            for graph in database.graphs
+        }
+        try:
+            planner = catalog.planner()
+            expected = [set(), set()]
+            for position, query in enumerate(queries):
+                for slot, digests in enumerate(survivor_digests(catalog, query, position)):
+                    expected[slot] |= digests
+            catalog.query_many(
+                queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG,
+                rngs=list(range(len(queries))),
+            )
+            first = [slot.graph_bytes for slot in planner._slots]
+            assert first == [sum(sizes[digest] for digest in digests) for digests in expected]
+            assert all(first)
+            every = [digest for frame in shipped for digest in frame]
+            assert len(every) == len(set(every)) == sum(map(len, expected))
+            assert stored_digests(catalog) == expected
+
+            shipped.clear()
+            catalog.query_many(
+                queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG,
+                rngs=list(range(len(queries))),
+            )
+            assert shipped and not any(shipped)  # frames went out, graphs did not
+            assert [slot.graph_bytes for slot in planner._slots] == first
+        finally:
+            catalog.close()
+
 
 class TestGenerationHotSwap:
-    """A mutation republishes one shard's delta; compact() republishes every
-    segment under the live pool."""
+    """Mutations and compactions under a live pool: a swap of views, never
+    a republication."""
 
     @pytest.mark.parametrize("seed", [8401, 8402])
     def test_catalog_fuzz_with_mid_stream_hot_swap(self, seed):
@@ -392,6 +423,7 @@ class TestGenerationHotSwap:
 
         query = extract_query(database.graphs[0].skeleton, 3, rng=seed)
         catalog = pooled_catalog(database, seed)
+        resident_before = resident_segment_names()
 
         def assert_parity(context):
             reference = rebuild_from_scratch(catalog)
@@ -420,69 +452,35 @@ class TestGenerationHotSwap:
                 assert answer_tuples(actual_top) == answer_tuples(expected_top), (
                     f"{context} k={k}"
                 )
+            # the slot's record of its worker is the worker's store
+            records = [set(slot.held) for slot in catalog.planner()._slots]
+            assert stored_digests(catalog) == records, context
+            assert resident_segment_names() == resident_before, context
+            assert catalog.active_shm_segments() == [], context
 
         try:
-            # generation 1 goes live on the first pooled query
             assert_parity(f"seed={seed} before any mutation")
-            plane = catalog.planner().shard_plane
             pids = worker_pids(catalog)
-            bases = plane.base_segment_names()
-            deltas = plane.delta_segment_names()
-            generation_one = set(catalog.active_shm_segments())
-            assert generation_one == set(bases) | set(deltas)
-            assert len(bases) == len(deltas) == 2
 
-            # add / remove / update keep the read path: same workers, same
-            # base segments, and only a touched shard's delta is replaced
+            # add / remove / update keep the read path: the same workers
             decider = random.Random(seed)
             spare = list(pool)
             for step, op in enumerate(["add", "remove", "update", "add", "update", "remove"]):
                 live = catalog.live_external_ids()
                 if op == "add":
-                    touched = {shard_of(catalog, catalog.add_graph(spare.pop()))}
+                    catalog.add_graph(spare.pop())
                 elif op == "remove":
-                    victim = decider.choice(live)
-                    touched = {shard_of(catalog, victim)}
-                    catalog.remove_graph(victim)
+                    catalog.remove_graph(decider.choice(live))
                 else:
-                    target = decider.choice(live)
-                    touched = {shard_of(catalog, target)}
-                    catalog.update_graph(target, spare.pop())
-                    touched.add(shard_of(catalog, target))
-                context = f"seed={seed} step {step}: {op} touching shards {sorted(touched)}"
-                # nothing is published inside the mutation
-                assert plane.delta_segment_names() == deltas, context
+                    catalog.update_graph(decider.choice(live), spare.pop())
+                context = f"seed={seed} step {step}: {op}"
                 assert_parity(context)
-                assert catalog.planner().shard_plane is plane, context
                 assert worker_pids(catalog) == pids, context
-                assert plane.base_segment_names() == bases, context
-                republished = plane.delta_segment_names()
-                for shard_id, (before, after) in enumerate(zip(deltas, republished)):
-                    if shard_id in touched:
-                        assert after != before, context
-                        assert before not in resident_segment_names(), context
-                    else:
-                        assert after == before, context
-                assert set(catalog.active_shm_segments()) == set(bases) | set(republished)
-                assert set(bases) | set(republished) <= set(resident_segment_names())
-                deltas = republished
 
-            # compact() swaps the generation under the live pool: every name
-            # of generation 1 — bases and deltas — is retired, generation 2
-            # is already published, and the workers are the same processes
-            generation_one = set(bases) | set(deltas)
+            # compact() swaps the generation under the live pool
             catalog.compact()
-            assert plane.closed
-            assert not (generation_one & set(resident_segment_names()))
-            generation_two = set(catalog.active_shm_segments())
-            assert len(generation_two) == 4 and not (generation_one & generation_two)
-            assert generation_two <= set(resident_segment_names())
-            assert catalog.planner().shard_plane is not plane
             assert worker_pids(catalog) == pids
-
-            # generation 2 answers byte-identically, from the same segments
             assert_parity(f"seed={seed} after compact")
-            assert set(catalog.active_shm_segments()) == generation_two
             assert worker_pids(catalog) == pids
 
             # the seeded op stream of the catalog parity suite, compacts
@@ -494,72 +492,69 @@ class TestGenerationHotSwap:
             catalog.close()
         assert catalog.active_shm_segments() == []
 
-    def test_burst_of_mutations_republishes_each_touched_shard_once(self, monkeypatch):
-        """N mutations between two queries cost one delta publication per
-        touched shard, made by the fan-out that needs it — update_graph
-        (remove + install) does not publish twice.  The query comes from a
-        graph no mutation touches, so every query has survivors to send."""
+    def test_mutations_ship_only_updated_graphs_that_survive(self, monkeypatch):
+        """Mutations send nothing.  The next frames ship only an updated
+        graph, and only once it survives to a slot: a query it does not
+        survive ships no graph, the first one it survives ships it alone, and
+        a repeat ships nothing.  The first query comes from a graph no
+        mutation touches, so every query has survivors to send."""
         seed = 8451
         database = random_database(seed, num_graphs=8)
         spare = random_database(seed + 1000, num_graphs=4).graphs
         query = extract_query(database.graphs[3].skeleton, 3, rng=seed)
         catalog = pooled_catalog(database, seed)
-        published = []
-        original = sharding.publish_delta
+        shipped = count_shipped(monkeypatch)
 
-        def counting_publish_delta(shard):
-            published.append(shard.spec.shard_id)
-            return original(shard)
-
-        def ask():
+        def ask(target):
+            shipped.clear()
             result = catalog.query(
-                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1
+                target, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=1
             )
             assert result.statistics.verified  # survivors: the query fans out
+            return {digest for frame in shipped for digest in frame}
 
         try:
-            ask()
-            monkeypatch.setattr(sharding, "publish_delta", counting_publish_delta)
+            before = survivor_digests(catalog, query, 1)
+            assert ask(query) == set().union(*before)
+            shipped.clear()
             catalog.update_graph(0, spare[0])  # both halves in shard 0
             catalog.update_graph(1, spare[1])
             catalog.remove_graph(2)
-            assert published == []
-            ask()
-            assert published == [0]
-            ask()
-            assert published == [0]  # a read republishes nothing
-            catalog.add_graph(spare[2])  # shard 0 is the smaller one
-            catalog.add_graph(spare[3])  # now a tie: shard 0 again
-            catalog.remove_graph(7)  # shard 1
-            ask()
-            assert published == [0, 0, 1]
+            assert shipped == []  # no frame
+            after = survivor_digests(catalog, query, 1)
+            updated = {digest_of(spare[0]), digest_of(spare[1])}
+            new = set().union(*after) - set().union(*before)
+            assert new <= updated
+            assert ask(query) == new
+            assert ask(query) == set()
+
+            # a query the first replacement survives ships it, once
+            follow = extract_query(spare[0].skeleton, 3, rng=seed)
+            survivors = set().union(*survivor_digests(catalog, follow, 1))
+            assert digest_of(spare[0]) in survivors
+            assert ask(follow) == survivors - set().union(*after)
+            assert ask(follow) == set()
         finally:
             catalog.close()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/maps")
     def test_worker_mappings_and_dev_shm_stay_bounded_over_many_mutations(self):
-        """50 mixed mutations and six compactions, a query after each: a
-        worker maps a constant number of segments — what it inherited from
-        the parent at fork (the parent's own mappings of the first
-        generation; only those can turn into deleted mappings) plus the
-        current base arena of the one shard its slot serves — because a
-        republished delta is copied out and detached at once, and a retired
-        base is detached the moment the worker meets the next one (a view
-        into it left alive would defer the unmap to process exit).
-        /dev/shm holds exactly one base and one delta per shard throughout,
-        and nothing after close()."""
+        """50 mixed mutations and six compactions, a query after each: the
+        same workers throughout, none of them maps a shared-memory segment,
+        /dev/shm never changes, and each worker's store is its slot's record
+        — every graph in it one the parent still holds, so it can never
+        outgrow the graphs this test created."""
         seed = 8471
         database = random_database(seed, num_graphs=8)
         spare = random_database(seed + 1000, num_graphs=6).graphs
         query = extract_query(database.graphs[0].skeleton, 3, rng=seed)
         resident_before = set(resident_segment_names())
         catalog = pooled_catalog(database, seed)
+        known = {digest_of(graph) for graph in [*database.graphs, *spare]}
 
         def mapped_segments(pid: int) -> list[str]:
-            """One entry per tpsshm mapping: its name, or "(deleted)"."""
             with open(f"/proc/{pid}/maps") as maps:
-                names = [line.split("/")[-1].strip() for line in maps if "tpsshm_" in line]
-            return sorted("(deleted)" if name.endswith("(deleted)") else name for name in names)
+                return [line.split()[-1] for line in maps if "tpsshm_" in line]
 
         def ask():
             return catalog.query(
@@ -569,7 +564,6 @@ class TestGenerationHotSwap:
         try:
             ask()
             pids = worker_pids(catalog)
-            first = {pid: mapped_segments(pid) for pid in pids}
             compactions = 0
             for step in range(50):
                 if step % 3 == 0:
@@ -583,19 +577,12 @@ class TestGenerationHotSwap:
                     compactions += 1
                 ask()
                 assert worker_pids(catalog) == pids
-                plane = catalog.planner().shard_plane
-                bases = plane.base_segment_names()
-                for slot, pid in enumerate(pids):
-                    mapped = mapped_segments(pid)
-                    # what it was forked with, and the base of its own shard
-                    assert len(mapped) == len(first[pid]), (step, pid, mapped)
-                    assert bases[slot] in mapped, (step, pid, mapped)
-                    assert set(mapped) <= {*first[pid], *bases, "(deleted)"}, (step, pid, mapped)
-                    assert mapped.count("(deleted)") < len(first[pid]), (step, pid, mapped)
-                published = set(resident_segment_names()) - resident_before
-                assert published == set(plane.segment_names())
-                assert published == set(bases) | set(plane.delta_segment_names())
-                assert len(published) == 2 * len(bases)
+                stores = stored_digests(catalog)
+                assert stores == [set(slot.held) for slot in catalog.planner()._slots], step
+                for pid, store in zip(pids, stores):
+                    assert mapped_segments(pid) == [], (step, pid)
+                    assert store <= known, (step, pid)
+                assert set(resident_segment_names()) == resident_before
             assert compactions == 6
             final = ask()
             assert_result_parity(
@@ -610,8 +597,8 @@ class TestGenerationHotSwap:
         assert set(resident_segment_names()) == resident_before
 
     def test_workers_keep_their_deserialized_base_graphs_across_a_mutation(self):
-        """The base mapping and the LazyGraphList over it outlive a mutation:
-        no worker's count of deserialized base graphs falls, for any shard."""
+        """The graphs a worker holds outlive a mutation as the same objects:
+        every graph tagged before the mutation is still held, still tagged."""
         seed = 8461
         database = random_database(seed, num_graphs=8)
         spare = random_database(seed + 1000, num_graphs=2).graphs
@@ -625,53 +612,41 @@ class TestGenerationHotSwap:
 
         try:
             warm()
-            before = materialized_base_graphs(catalog)
-            assert any(count for counts in before.values() for count in counts.values())
+            planner = catalog.planner()
+            assert sum(planner.map_slots(_mark_held_graphs)) > 0
+            before = stored_digests(catalog)
+            pids = worker_pids(catalog)
             catalog.add_graph(spare[0])
             catalog.remove_graph(1)
             catalog.update_graph(6, spare[1])
             warm()
-            after = materialized_base_graphs(catalog)
-            assert after.keys() == before.keys()  # the same worker processes
-            for pid, counts in before.items():
-                for shard_id, count in counts.items():
-                    assert after[pid][shard_id] >= count, (pid, shard_id)
+            assert worker_pids(catalog) == pids  # the same worker processes
+            for held, marks in zip(before, planner.map_slots(_read_marks)):
+                assert all(marks.get(digest) for digest in held)
         finally:
             catalog.close()
 
     def test_a_cold_worker_deserializes_the_candidates_not_the_shard(self):
         """The parent filters; after the first query on a fresh pool each
-        (worker, shard) holds deserialized exactly the rows that shard's
-        pipeline handed on to verification, and a shard with none of them
-        was sent no frame, so no worker attached it."""
+        worker holds exactly the graphs the pipeline of the shards it serves
+        handed on to verification — a fraction of the database."""
         seed = 8471
         database = random_database(seed, num_graphs=16)
         query = extract_query(database.graphs[3].skeleton, 4, rng=seed)
         catalog = pooled_catalog(database, seed)
         try:
-            planner = catalog.planner()
-            plan = planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
-            opened = {}
-            for shard in planner.shards:
-                part = shard.make_planner().execute_plan(plan, rng=seed)
-                opened[shard.spec.shard_id] = part.statistics.verified
-            assert 0 < sum(opened.values()) < len(database.graphs) // 2
+            expected = survivor_digests(catalog, query, seed)
+            assert 0 < sum(map(len, expected)) < len(database.graphs) // 2
             catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed)
-            held = materialized_base_graphs(catalog)
-            assert {shard_id for counts in held.values() for shard_id in counts} == {
-                shard_id for shard_id, count in opened.items() if count
-            }
-            for pid, counts in held.items():
-                for shard_id, count in counts.items():
-                    assert count == opened[shard_id], (pid, shard_id)
+            assert stored_digests(catalog) == expected
         finally:
             catalog.close()
 
     @pytest.mark.parametrize("num_shards", [2, 4])
     def test_each_shard_is_materialized_in_exactly_one_worker(self, num_shards):
         """Shard i is served by slot i mod W only, before and after a
-        compaction: no shard is attached — or its graphs deserialized — in a
-        second process, however many queries pass."""
+        compaction: no graph of a shard is held in a second process, however
+        many queries pass."""
         seed = 8481
         database = random_database(seed, num_graphs=12)
         queries = random_workload(database, seed=seed + 1, num_queries=3)
@@ -683,25 +658,30 @@ class TestGenerationHotSwap:
             num_shards=num_shards,
             max_workers=2,
         )
-        expected = [list(range(slot, num_shards, 2)) for slot in range(2)]
         try:
             for _ in range(2):
                 for query in queries:
                     catalog.query(
                         query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=3
                     )
-                served = catalog.planner().map_slots(_served_shards)
-                assert [shards for _, shards in served] == expected
+                served = [set(), set()]
+                for position, shard in enumerate(catalog.planner().shards):
+                    served[position % 2] |= {digest_of(graph) for graph in shard.graphs}
+                stores = stored_digests(catalog)
+                assert all(stores)
+                for store, own in zip(stores, served):
+                    assert store <= own
+                assert not stores[0] & stores[1]
                 catalog.compact()
         finally:
             catalog.close()
 
     def test_a_graph_that_survives_compaction_is_the_same_object_in_its_worker(self):
-        """Across compact() a worker keeps every graph it had deserialized
-        whose pickle the new generation stores again — the object itself,
-        caches included — and reads an updated graph afresh.  One query
-        comes from each shard, so each worker has survivors to verify; the
-        in-process reference runs first, as its memos ride in the pickles."""
+        """Across compact() a worker keeps every graph it holds that the new
+        generation stores again — the object itself, caches included — and
+        drops the one an update replaced once this process lets go of it.
+        One query comes from each shard, so each worker has survivors to
+        verify."""
         seed = 8491
         database = random_database(seed, num_graphs=8)
         replacement = random_database(seed + 1000, num_graphs=1).graphs[0]
@@ -729,18 +709,26 @@ class TestGenerationHotSwap:
             ask("generation one")
             planner = catalog.planner()
             assert sum(planner.map_slots(_mark_held_graphs)) > 0
-            # the query's candidates were tagged; every other live row is read now
-            held = merged(planner.map_slots(_read_marks))
-            assert any(held.values()) and not all(held.values())
-            assert sorted(held) == catalog.live_external_ids()
-            updated = next(graph_id for graph_id, tagged in held.items() if tagged)
+            held = stored_digests(catalog)
+            assert all(held)
+            updated = next(
+                graph_id
+                for graph_id, graph in enumerate(database.graphs)
+                if digest_of(graph) in held[0] | held[1]
+            )
+            old_digest = digest_of(database.graphs[updated])
             catalog.update_graph(updated, replacement)
             catalog.compact()
+            # a worker keeps a graph while this process holds it: let it go
+            database.graphs[updated] = None
+            gc.collect()
             ask("generation two")
-            carried = merged(planner.map_slots(_read_marks))
-            assert carried.keys() == held.keys()
-            assert carried.pop(updated) is False  # a new pickle: read afresh
-            assert all(carried[graph_id] for graph_id in carried if held[graph_id])
+            carried = planner.map_slots(_read_marks)
+            for before, marks in zip(held, carried):
+                assert old_digest not in marks  # the replaced graph was dropped
+                assert any(marks.values())
+                for digest, tagged in marks.items():
+                    assert tagged == (digest in before), digest.hex()
         finally:
             catalog.close()
 
@@ -777,13 +765,14 @@ class TestGenerationHotSwap:
 
         try:
             assert_result_parity(ask(pooled), expected(), "two shards")
-            generation_one = set(pooled.active_shm_segments())
+            first = pooled.planner()
+            assert first._slots
             for catalog in (pooled, twin):
                 for graph_id in range(1, 6):
                     catalog.remove_graph(graph_id)
                 catalog.compact()
-            assert pooled.num_shards == 1 and pooled.active_shm_segments() == []
-            assert not generation_one & set(resident_segment_names())
+            assert pooled.num_shards == 1 and first._slots == []
+            assert pooled.planner() is not first and pooled.planner().width == 1
             assert_result_parity(ask(pooled), expected(), "one live graph")
 
             for catalog in (pooled, twin):
@@ -797,7 +786,7 @@ class TestGenerationHotSwap:
                 catalog.compact()
             assert pooled.num_shards == 2
             assert_result_parity(ask(pooled), expected(), "two shards again")
-            assert len(pooled.active_shm_segments()) == 4
+            assert pooled.planner()._slots
         finally:
             pooled.close()
             twin.close()
@@ -805,17 +794,8 @@ class TestGenerationHotSwap:
     def test_compact_hot_swap_is_invisible(self):
         seed = 8501
         database = random_database(seed, num_graphs=6)
-        from repro.datasets import extract_query
-
         query = extract_query(database.graphs[1].skeleton, 3, rng=seed)
-        catalog = GraphCatalog.build(
-            database.graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(num_samples=40),
-            rng=seed,
-            num_shards=2,
-            max_workers=2,
-        )
+        catalog = pooled_catalog(database, seed)
         try:
             before = catalog.query(
                 query,
@@ -824,7 +804,8 @@ class TestGenerationHotSwap:
                 config=SEARCH_CONFIG,
                 rng=seed,
             )
-            generation_one = set(catalog.active_shm_segments())
+            pids = worker_pids(catalog)
+            stores = stored_digests(catalog)
             catalog.compact()
             after = catalog.query(
                 query,
@@ -833,117 +814,8 @@ class TestGenerationHotSwap:
                 config=SEARCH_CONFIG,
                 rng=seed,
             )
-            generation_two = set(catalog.active_shm_segments())
+            assert worker_pids(catalog) == pids
+            assert stored_digests(catalog) == stores  # nothing shipped or dropped
         finally:
             catalog.close()
         assert_result_parity(after, before, "threshold across compact hot-swap")
-        assert generation_one and generation_two
-        assert not generation_one & generation_two
-
-
-class TestExecutorResizeAndPayload:
-    """The O(1) descriptor contract and the cheap pool-resize path."""
-
-    def test_initializer_payload_stays_o1_in_shard_bytes(self):
-        """Descriptor payload must not grow with the database; pickling the
-        shards themselves does — that asymmetry IS the feature."""
-        payloads = {}
-        for label, num_graphs in (("small", 6), ("large", 24)):
-            catalog = GraphCatalog.build(
-                random_database(8601, num_graphs).graphs,
-                feature_config=FEATURE_CONFIG,
-                bound_config=BoundConfig(method="exact"),
-                rng=11,
-                num_shards=2,
-                max_workers=0,
-            )
-            plane = ShardPlane(catalog.planner().shards)
-            try:
-                descriptor_bytes = plane.payload_bytes()
-                shard_bytes = plane.shard_bytes()
-                pickled_bytes = len(pickle.dumps(catalog.planner().shards))
-            finally:
-                plane.close()
-            payloads[label] = (descriptor_bytes, shard_bytes, pickled_bytes)
-
-        small, large = payloads["small"], payloads["large"]
-        # 4x the graphs: shard bytes grow, descriptors stay ~flat
-        assert large[1] > small[1] * 2
-        assert large[0] < small[0] * 1.5
-        # and the descriptors are a small fraction of shipping the shards
-        assert large[0] < large[2] / 10
-
-    def test_republished_bytes_stay_o_delta_in_base_size(self):
-        """The O(delta) twin of the test above: what a mutation republishes
-        follows the delta and the tombstones, never the base.  The same
-        arrival and the same removal against the same features cost the same
-        bytes — to the byte — behind 8 base graphs and behind 64."""
-        database = random_database(8651, 64)
-        arrival = random_database(8652, 1).graphs[0]
-        built = build_index(
-            database.graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(num_samples=20),
-            rng=11,
-        )
-        sizes = {}
-        for num_graphs in (8, 64):
-            catalog = GraphCatalog.from_index(
-                database.graphs[:num_graphs],
-                built.pmi.subset(range(num_graphs)),
-                built.structural_index.subset(range(num_graphs)),
-                num_shards=2,
-                max_workers=0,
-            )
-            planner = catalog.planner()
-            plane = ShardPlane(planner.shards)
-            try:
-                base_bytes = plane.shard_bytes() - plane.delta_bytes()
-                empty_delta_bytes = plane.delta_bytes()
-                catalog.add_graph(arrival, external_id=1000)  # one delta row in shard 0
-                catalog.remove_graph(0)  # one tombstone on a base row of shard 0
-                plane.republish_delta(planner.shards[0])
-                sizes[num_graphs] = (base_bytes, empty_delta_bytes, plane.delta_bytes())
-            finally:
-                plane.close()
-                catalog.close()
-        small, large = sizes[8], sizes[64]
-        assert large[0] > small[0] * 4  # 8x the graphs: the base arenas grow
-        assert large[1] == small[1]  # an empty delta is the same few bytes
-        assert large[2] == small[2]  # and so is the mutated one
-        assert large[2] > large[1]  # which really carries the new row
-
-    def test_resize_reuses_published_plane(self):
-        database = random_database(8702, 8)
-        workload = random_workload(database, seed=8703, num_queries=1)
-        catalog = GraphCatalog.build(
-            database.graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(method="exact"),
-            rng=13,
-            num_shards=4,
-            max_workers=2,
-        )
-        planner = catalog.planner()
-        plans = [
-            planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
-            for query in workload
-        ]
-        roots = [13] * len(plans)
-        try:
-            first = planner.execute_plans(plans, roots)
-            plane = planner.shard_plane
-            names = set(plane.segment_names())
-            # widen the pool: only the executor is recycled — the same plane
-            # object (and the same segments) serves the new workers
-            planner.max_workers = 4
-            second = planner.execute_plans(plans, roots)
-            assert planner.shard_plane is plane
-            assert set(plane.segment_names()) == names
-            assert not plane.closed
-        finally:
-            planner.close()
-        assert planner.shard_plane is None
-        for before, after in zip(first, second):
-            assert answer_tuples(before) == answer_tuples(after)
-            assert counter_dict(before.statistics) == counter_dict(after.statistics)
