@@ -1,12 +1,13 @@
-"""Sharded fan-out: throughput, pool spin-up, and the graphs frames ship.
+"""Pooled fan-out: throughput, pool spin-up, and the graphs frames ship.
 
-The sharding layer filters in the parent and sends the verification of
+The catalog's planner filters in the parent and deals the verification of
 threshold survivors to a process pool; this benchmark measures what that
 costs and what it buys:
 
-* **throughput** — ``query_many`` through K shards x W workers against the
-  sequential planner, with answer-for-answer parity checked along the way
-  (the sharded executor must be a pure speedup, never a different answer);
+* **throughput** — ``query_many`` through W workers (``num_shards`` caps
+  the pool) against the sequential planner, with answer-for-answer parity
+  checked along the way (the pool must be a pure speedup, never a
+  different answer);
 * **graph bytes shipped** — the graph pickles each slot's frames carry on
   the first pass of the request list (``graph_bytes_shipped_per_slot``: each
   survivor graph once per worker) and on a second pass of the same list
@@ -16,12 +17,12 @@ costs and what it buys:
   a worker receives its graphs with the frames that verify them);
 * **fan-out round trip** (``fanout_roundtrip_ms``) — the median of 200
   no-op ``map_slots`` calls at width 2: what one fan-out costs the transport
-  alone, with no shard work in it;
+  alone, with no verification in it;
 * **reopen** — wall-clock of ``GraphCatalog.open`` plus the first query
   after a ``close()``, on the workers that close parked;
 * **per-worker memory** — each worker's private bytes at spin-up (no graph
-  yet) and the graphs it holds after the workload, against the live graphs
-  of the shards it serves;
+  yet) and the graphs each slot's worker holds after the workload
+  (``post_query_held_graphs_per_slot``), against the catalog's live graphs;
 * **what a worker holds** — a gc scan in every worker after a threshold and
   a top-k query must find no index or planner object it did not inherit at
   fork (``worker_index_objects``: a verifier holds graphs only).
@@ -291,17 +292,12 @@ def run_sharded_comparison(database, queries, workers: int) -> dict:
             config=SHARDED_SEARCH_CONFIG,
             rng=BENCH_SEED,
         )
-    # after the workload: which graphs does each worker hold, against the
-    # live graphs of the shards its slot serves?
-    planner = sharded_catalog.planner()
-    post_query_probes = planner.map_slots(_worker_probe)
-    for slot, probe in enumerate(post_query_probes):
-        probe["live_graphs"] = sum(
-            int(shard.active_mask.sum()) for shard in planner.shards[slot :: planner.width]
-        )
+    # after the workload: how many graphs does each slot's worker hold?
+    post_query_probes = sharded_catalog.planner().map_slots(_worker_probe)
+    live_graphs = sharded_catalog.num_live
     sharded_catalog.close()
 
-    # parity first: a sharded run that answers differently is wrong, not fast
+    # parity first: a pooled run that answers differently is wrong, not fast
     for sequential, sharded in zip(sequential_results, sharded_results):
         assert [
             (a.graph_id, a.probability, a.decided_by) for a in sequential.answers
@@ -315,6 +311,7 @@ def run_sharded_comparison(database, queries, workers: int) -> dict:
         "sharded_qps": len(queries) / max(sharded_timer.elapsed, 1e-9),
         "speedup": sequential_timer.elapsed / max(sharded_timer.elapsed, 1e-9),
         "post_query_probes": post_query_probes,
+        "live_graphs": live_graphs,
     }
 
 
@@ -354,9 +351,8 @@ def run_benchmark(profile: dict) -> dict:
         "spinup_worker_private_dirty_kb": [
             probe["private_dirty_kb"] for probe in spinup["probes"]
         ],
-        "post_query_held_of_live_graphs": [
-            (probe["held_graphs"], probe["live_graphs"])
-            for probe in throughput["post_query_probes"]
+        "post_query_held_graphs_per_slot": [
+            probe["held_graphs"] for probe in throughput["post_query_probes"]
         ],
         "post_query_held_graph_bytes": max(
             (probe["held_graph_bytes"] for probe in throughput["post_query_probes"]),
@@ -400,8 +396,8 @@ def main() -> None:
 
     report = run_benchmark(profile)
     print_table(
-        f"Sharded throughput: sequential vs {NUM_SHARDS} shards x "
-        f"{report['num_workers']} workers ({report['usable_cores']} usable cores)",
+        f"Pooled throughput: sequential vs {report['num_workers']} workers, capped at "
+        f"{NUM_SHARDS} ({report['usable_cores']} usable cores)",
         ["executor", "queries", "seconds", "queries/s"],
         [
             [
@@ -411,7 +407,7 @@ def main() -> None:
                 f"{report['sequential_qps']:.2f}",
             ],
             [
-                f"sharded (K={NUM_SHARDS}, W={report['num_workers']})",
+                f"pooled (W={report['num_workers']})",
                 report["num_queries"],
                 f"{report['sharded_seconds']:.3f}",
                 f"{report['sharded_qps']:.2f}",
@@ -448,12 +444,12 @@ def main() -> None:
         f"the second pass of the request list shipped "
         f"{report['second_pass_graph_bytes']} B of graphs its workers held"
     )
-    # and frames carry survivors only: a worker holding every live graph of
-    # the shards it serves was sent graphs the filters had discarded
-    served = [pair for pair in report["post_query_held_of_live_graphs"] if pair[1]]
-    assert served and all(held < live for held, live in served), (
-        f"(held, live) graphs per worker {served}: a frame ships graphs that "
-        "are not survivors"
+    # and frames carry survivors only, each to one worker: workers holding
+    # every live graph between them were sent graphs the filters discarded
+    held = report["post_query_held_graphs_per_slot"]
+    assert 0 < sum(held) < report["live_graphs"], (
+        f"graphs held per slot {held} of {report['live_graphs']} live: a frame "
+        "ships graphs that are not survivors"
     )
     # a worker verifies graphs: it builds no index and no planner
     assert report["worker_index_objects"] and not any(report["worker_index_objects"]), (

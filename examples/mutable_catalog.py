@@ -4,12 +4,12 @@ Run with:  python examples/mutable_catalog.py
 
 Demonstrates the full delta/tombstone/compaction lifecycle:
 
-1. build a `GraphCatalog` over an initial database (2 shards),
-2. add new graphs (routed to the smallest shard), remove and update others,
+1. build a `GraphCatalog` over an initial database,
+2. add new graphs (appended to the delta segment), remove and update others,
 3. show that answers are byte-identical to a from-scratch rebuild of the
    equivalent database — the catalog's core guarantee,
-4. compact: deltas fold into fresh base matrices, shards rebalance, and the
-   answers (provably) do not move.
+4. compact: deltas fold into fresh base matrices, tombstones are reclaimed,
+   and the answers (provably) do not move.
 """
 
 from __future__ import annotations
@@ -43,24 +43,23 @@ def main() -> None:
         dataset.graphs, query_size=3, num_queries=1, rng=3
     ).queries()[0]
 
-    # 1. Build: external ids 0..9, two shards of five graphs each.
+    # 1. Build: external ids 0..9, all in the base segment.
     catalog = GraphCatalog.build(
         dataset.graphs,
         feature_config=FEATURE_CONFIG,
         bound_config=BOUND_CONFIG,
         rng=11,
-        num_shards=2,
     )
-    print(f"built: {catalog!r}, shard sizes {catalog.shard_live_counts()}")
+    print(f"built: {catalog!r}")
     show("initial answers", catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=5))
 
-    # 2. Mutate: arrivals route to the smallest shard; removals tombstone;
+    # 2. Mutate: arrivals land in the delta segment; removals tombstone;
     #    updates keep their stable external id.
     added = [catalog.add_graph(graph) for graph in arrivals.graphs[:3]]
     catalog.remove_graph(1)
     catalog.update_graph(4, arrivals.graphs[3])
     print(f"\nafter mutations: {catalog!r}")
-    print(f"  new external ids {added}, shard sizes {catalog.shard_live_counts()}")
+    print(f"  new external ids {added}")
     mutated = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=5)
     show("mutated answers", mutated)
 
@@ -85,10 +84,10 @@ def main() -> None:
     print(f"byte-identical to from-scratch rebuild: {identical}")
     assert identical
 
-    # 4. Compact: deltas fold into fresh base matrices and shards rebalance;
-    #    by the stable-id contract the answers cannot move.
+    # 4. Compact: deltas fold into fresh base matrices and tombstones are
+    #    reclaimed; by the stable-id contract the answers cannot move.
     catalog.compact()
-    print(f"\nafter compact: {catalog!r}, shard sizes {catalog.shard_live_counts()}")
+    print(f"\nafter compact: {catalog!r}")
     compacted = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=5)
     show("compacted answers", compacted)
     assert [(a.graph_id, a.probability) for a in compacted.answers] == [

@@ -30,8 +30,8 @@ def main() -> None:
     assert len(dataset.graphs) == 12 and round(average, 3) == 0.469
 
     # 2. Build the catalog: frequent/discriminative features + the PMI matrix
-    #    of subgraph-isomorphism-probability bounds, in one shard.  The
-    #    summary is that shard's base PMI.
+    #    of subgraph-isomorphism-probability bounds.  The summary is the
+    #    catalog's base PMI.
     #    Expected summary: database_size=12, num_features=16,
     #    non_empty_cells=62 (build_seconds/index_bytes vary by machine).
     catalog = GraphCatalog.build(
@@ -40,7 +40,7 @@ def main() -> None:
         bound_config=BoundConfig(num_samples=120),
         rng=7,
     )
-    summary = catalog.planner().shards[0].pmi.base.summary()
+    summary = catalog.planner().query_planner.pmi.base.summary()
     print("index summary:", summary)
     assert summary["database_size"] == 12 and summary["num_features"] == 16
     assert summary["non_empty_cells"] == 62

@@ -9,8 +9,9 @@ bounded candidates are skipped without ever computing their SSP.
 
 The script runs the same top-k workload three ways and shows all agree:
 
-1. the sequential pipeline (`num_shards=1`),
-2. a 4-shard catalog (cross-shard replay merge — byte-identical answers),
+1. the in-process pipeline,
+2. a catalog behind a two-slot pool (top-k is ranked in the parent, so the
+   answers are byte-identical and no frame goes to the pool),
 3. the index-free exact-scan reference (verify everything, rank).
 
 Run with:  python examples/topk_search.py
@@ -53,13 +54,13 @@ def main() -> None:
     sequential = GraphCatalog.build(
         dataset.graphs, feature_config=feature_config, bound_config=bound_config, rng=SEED
     )
-    sharded = GraphCatalog.build(
+    pooled = GraphCatalog.build(
         dataset.graphs,
         feature_config=feature_config,
         bound_config=bound_config,
         rng=SEED,
-        num_shards=4,
-        max_workers=0,  # in-process: the merge invariant does not need a pool
+        num_shards=2,
+        max_workers=2,
     )
     reference = ExactScanBaseline(dataset.graphs, ExactScanConfig())
 
@@ -67,7 +68,7 @@ def main() -> None:
         top = sequential.query_top_k(
             query, K, DISTANCE_THRESHOLD, config=search_config, rng=SEED
         )
-        merged = sharded.query_top_k(
+        merged = pooled.query_top_k(
             query, K, DISTANCE_THRESHOLD, config=search_config, rng=SEED
         )
         truth = reference.top_k(query, K, DISTANCE_THRESHOLD, rng=SEED)
@@ -80,7 +81,7 @@ def main() -> None:
             )
         assert [(a.graph_id, a.probability) for a in top.answers] == [
             (a.graph_id, a.probability) for a in merged.answers
-        ], "sharded top-k diverged from sequential"
+        ], "pooled top-k diverged from in-process"
         assert [(a.graph_id, a.probability) for a in top.answers] == [
             (a.graph_id, a.probability) for a in truth.answers
         ], "pipeline top-k diverged from the exact-scan reference"
@@ -90,7 +91,8 @@ def main() -> None:
             f"(filters pruned the rest; tightening floor skipped {floor_skipped})"
         )
 
-    print("\nsequential == sharded == exact-scan reference for every query.")
+    pooled.close()
+    print("\nin-process == pooled == exact-scan reference for every query.")
 
 
 if __name__ == "__main__":

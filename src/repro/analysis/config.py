@@ -70,19 +70,14 @@ class AnalysisConfig:
                 lock_attribute="_lock",
                 guarded_attributes=frozenset(
                     {
-                        # one forked worker per slot, and the base segments
-                        # whose descriptor each slot has been sent; each
-                        # slot orders its own pipe traffic with locks of
-                        # its own, so replies are awaited outside _lock
+                        # one forked worker per slot, each with the parent's
+                        # record of the graphs it holds; each slot orders its
+                        # own pipe traffic with locks of its own, so replies
+                        # are awaited outside _lock
                         "_slots",
-                        "_shipped",
-                        "_local_planners",
-                        "_plane",
-                        # a mutation or a rebase swaps shard views under a
-                        # live pool; the plane (reached only through _plane)
-                        # counts the fan-outs in flight against each delta
-                        "shards",
-                        "_stale_deltas",
+                        # a mutation or a compaction swaps the query planner
+                        # under a live pool
+                        "query_planner",
                     }
                 ),
             ),

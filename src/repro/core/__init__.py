@@ -42,14 +42,7 @@ from repro.core.planner import (
     validate_query,
     validate_top_k_query,
 )
-from repro.core.sharding import (
-    DatabaseShard,
-    ShardSpec,
-    ShardedPlanner,
-    merge_query_results,
-    partition_ranges,
-    route_to_smallest,
-)
+from repro.core.sharding import ShardedPlanner
 from repro.core.catalog import (
     GraphCatalog,
     SegmentedPmiView,
@@ -91,12 +84,7 @@ __all__ = [
     "validate_query",
     "validate_top_k_query",
     "SearchConfig",
-    "DatabaseShard",
-    "ShardSpec",
     "ShardedPlanner",
-    "merge_query_results",
-    "partition_ranges",
-    "route_to_smallest",
     "GraphCatalog",
     "SegmentedPmiView",
     "SegmentedStructuralView",

@@ -8,7 +8,7 @@ stay **immutable**, mutations land in a small **append-only delta segment**,
 deletions become entries in a **tombstone mask**, and :meth:`compact`
 periodically folds everything back into fresh dense base matrices.
 
-Lifecycle of one shard's storage::
+Lifecycle of the storage::
 
     rows:       [ base segment (immutable) | delta segment (append-only) ]
     tombstone:  [ F F T F ...              | F T ...                     ]
@@ -32,45 +32,36 @@ consequence, threshold and top-k answers over a mutated catalog are
 from-scratch build over the *equivalent database*: the same
 ``(external id → graph)`` mapping, the catalog's pinned feature set, and
 the catalog's 64-bit build root, in **any** row order.  The same holds for
-every shard count: sharded answers equal sequential answers (PR 2/3
-invariants), so mutation, compaction, and resharding are all invisible in
+every pool width, so mutation, compaction and the pool are all invisible in
 query output.
 
-**Sharding and placement.**  With ``num_shards > 1`` each shard owns its own
-base/delta/tombstone triple.  ``add_graph`` routes the new graph to the
-shard with the fewest live graphs (:func:`repro.core.sharding.route_to_smallest`);
-``compact()`` rebalances by collecting all live graphs (ordered by external
-id) and re-partitioning them contiguously with
-:func:`repro.core.sharding.partition_ranges` — the same balanced-split rule
-the initial build uses.
-
-**The query path.**  The catalog is the front door of every query, for every
-shard count.  Its four query methods validate and plan the whole batch
-(``planner.plan`` / ``plan_top_k``), then turn ``rng`` / ``rngs`` into one
-64-bit root per query, in query order, and hand plans and roots to
+**The query path.**  The catalog is the front door of every query.  Its four
+query methods validate and plan the whole batch (``planner.plan`` /
+``plan_top_k``), then turn ``rng`` / ``rngs`` into one 64-bit root per
+query, in query order, and hand plans and roots to
 ``planner.execute_plans``.  The planner is a
-:class:`~repro.core.sharding.ShardedPlanner` for every shard count: it
-filters every plan on every shard in-process and sends only the verification
-of threshold survivors to its pool, if it has one.
+:class:`~repro.core.sharding.ShardedPlanner` over the catalog's one
+:class:`~repro.core.planner.QueryPlanner`: it filters every plan in-process
+and deals only the verification of threshold survivors to its pool, if it
+has one.  ``num_shards`` only caps the pool's width
+(``max_workers``); it lays out no storage.
 
 **Mutations and the read path.**  ``add_graph`` / ``remove_graph`` /
-``update_graph`` leave the read path standing: they hand the cached
-``ShardedPlanner`` fresh views of the shards they touched (both halves of an
-update in one step), and it drops those shards' in-process planners.
-:meth:`compact` writes new bases and hands the planner views of every shard
-over them (:meth:`ShardedPlanner.rebase`).  Neither publishes anything: a
-pooled planner ships each survivor's graph in the frame that verifies it,
-once per worker, so the worker pool, the other shards, and in every worker
-the graphs it holds with their caches all survive both, and an updated graph
-reaches a worker only once it survives to one.  Only :meth:`close`, a broken
-pool and a compaction that changes the shard count take the planner down,
-the full swap.  :meth:`ShardedPlanner.close` parks the workers rather than
-joining them: a release task queued behind every running task makes each
-worker keep only the graphs it verified since its previous park, and the
-next planner of the same width — this catalog reopened, say — takes those
-workers, with those graphs, instead of forking new ones (a broken pool is
-shut down instead).  Answers stay byte-identical throughout because workers
-verify graphs unpickled from the catalog's own.
+``update_graph`` and :meth:`compact` leave the read path standing: each
+hands the cached ``ShardedPlanner`` a query planner over the new view (both
+halves of an update in one step, :meth:`ShardedPlanner.swap`).  None of them
+publishes anything: a pooled planner ships each survivor's graph in the
+frame that verifies it, once per worker, so the worker pool and, in every
+worker, the graphs it holds with their caches survive all of them, and an
+updated graph reaches a worker only once it survives to one.  Only
+:meth:`close` and a broken pool take the planner down, the full swap.
+:meth:`ShardedPlanner.close` parks the workers rather than joining them: a
+release task queued behind every running task makes each worker keep only
+the graphs it verified since its previous park, and the next planner of the
+same width — this catalog reopened, say — takes those workers, with those
+graphs, instead of forking new ones (a broken pool is shut down instead).
+Answers stay byte-identical throughout because workers verify graphs
+unpickled from the catalog's own.
 
 The feature set is **pinned** at catalog construction: delta rows are
 indexed against the base features, and ``compact()`` deliberately does not
@@ -80,8 +71,8 @@ explicit, offline decision.
 
 **Durability.**  A catalog becomes *durable* by attaching a directory
 (:meth:`persist`, or ``directory=`` on :meth:`build` / :meth:`from_index`):
-the current state is snapshotted — per shard, the graphs (JSON database),
-the base PMI (npz + JSON), and the structural count matrix, all written
+the current state is snapshotted — the graphs (JSON database), the base
+PMI (npz + JSON), and the structural count matrix, all written
 atomically (the index's signature postings are derived: re-read off the graphs
 by :meth:`open`, never written) — and from then on every ``add_graph`` /
 ``remove_graph`` / ``update_graph`` appends one checksummed, fsync'd record to the generation's
@@ -109,17 +100,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.planner import QueryPlanner
 from repro.core.results import QueryResult
-from repro.core.sharding import (
-    DatabaseShard,
-    ShardSpec,
-    ShardedPlanner,
-    _resolve_workers,
-    partition_ranges,
-    route_to_smallest,
-)
+from repro.core.sharding import ShardedPlanner, pool_arguments
 from repro.core.wal import WriteAheadLog, wal_filename
-from repro.exceptions import CatalogError, ConfigurationError, QueryError, WalError
+from repro.exceptions import CatalogError, QueryError, WalError
 from repro.graphs.io import (
     load_database,
     probabilistic_graph_from_dict,
@@ -142,11 +127,11 @@ from repro.utils.rng import RandomLike, rng_root
 
 __all__ = ["GraphCatalog", "SegmentedPmiView", "SegmentedStructuralView"]
 
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 CURRENT_FILENAME = "CURRENT"
 _SNAPSHOT_META_FILENAME = "catalog.json"
-_SHARD_GRAPHS_FILENAME = "graphs.json"
-_SHARD_COUNTS_FILENAME = "structural_counts.npy"
+_GRAPHS_FILENAME = "graphs.json"
+_COUNTS_FILENAME = "structural_counts.npy"
 
 
 def _generation_dirname(generation: int) -> str:
@@ -299,10 +284,10 @@ def _signatures_of(graphs) -> SignaturePostings:
 
 
 # ----------------------------------------------------------------------
-# one shard's storage
+# the storage
 # ----------------------------------------------------------------------
-class _ShardStore:
-    """Base segment + delta segment + tombstone mask for one shard."""
+class _Store:
+    """Base segment + delta segment + tombstone mask."""
 
     def __init__(
         self,
@@ -328,16 +313,8 @@ class _ShardStore:
         )
 
     @property
-    def storage_rows(self) -> int:
-        return len(self.graphs)
-
-    @property
     def delta_rows(self) -> int:
         return self.delta_pmi.num_graphs
-
-    @property
-    def live_count(self) -> int:
-        return int(np.count_nonzero(~self.tombstone))
 
     def live_positions(self) -> np.ndarray:
         return np.flatnonzero(~self.tombstone)
@@ -354,8 +331,8 @@ class _ShardStore:
         postings are re-read off its graphs' memoised counts): nothing here
         can refuse the graph, so it is safe to run after the mutation has been
         logged."""
-        # every column is replaced, never grown in place: a DatabaseShard
-        # handed out by make_shard() stays the snapshot it was
+        # every column is replaced, never grown in place: a QueryPlanner
+        # handed out by make_planner() stays the snapshot it was
         graphs = [*self.graphs, graph]
         self.delta_pmi = ProbabilisticMatrixIndex.concat_rows([self.delta_pmi, pmi_row])
         self.delta_structural = StructuralFeatureIndex.from_counts(
@@ -372,22 +349,20 @@ class _ShardStore:
         self.tombstone = np.append(self.tombstone, False)
         return len(self.graphs) - 1
 
-    def make_shard(self, shard_id: int) -> DatabaseShard:
-        """A :class:`DatabaseShard` over this store's segmented live view."""
-        return DatabaseShard(
-            spec=ShardSpec(shard_id=shard_id, start=0, stop=self.live_count),
-            graphs=self.graphs,
-            pmi=SegmentedPmiView(self.base_pmi, self.delta_pmi),
-            structural_index=SegmentedStructuralView(
-                self.base_structural, self.delta_structural
-            ),
+    def make_planner(self) -> QueryPlanner:
+        """A :class:`QueryPlanner` over this store's segmented live view,
+        whose answers and RNG salts use external ids."""
+        return QueryPlanner(
+            self.graphs,
+            SegmentedPmiView(self.base_pmi, self.delta_pmi),
+            SegmentedStructuralView(self.base_structural, self.delta_structural),
             graph_ids=self.external_ids,
             active_mask=~self.tombstone,
         )
 
     def live_slice(self):
         """``(graphs, external_ids, pmi, counts)`` of the live rows, in
-        storage order — the raw material of compaction and rebalancing."""
+        storage order — the raw material of compaction."""
         positions = self.live_positions()
         base_rows = self.base_pmi.num_graphs
         base_pos = [int(p) for p in positions if p < base_rows]
@@ -421,39 +396,30 @@ class GraphCatalog:
 
     def __init__(
         self,
-        stores: list[_ShardStore],
+        store: _Store,
         feature_config: FeatureSelectionConfig,
         bound_config: BoundConfig,
         root: int,
         num_shards: int,
         max_workers: int | None,
     ) -> None:
-        if not stores:
-            raise CatalogError("a catalog needs at least one shard store")
-        _resolve_workers(max_workers, len(stores))  # rejects a negative width
-        self._stores = stores
+        self._max_workers, self._num_shards = pool_arguments(max_workers, num_shards)
+        self._store = store
         self._feature_config = feature_config
         self._bound_config = bound_config
         self._root = root
-        self._num_shards = num_shards
-        self._max_workers = max_workers
         self._durability: _Durability | None = None
         self._wal_suppressed = False
         self._planner_cache: ShardedPlanner | None = None
         self._mutation_generation = 0
-        # external id -> (store index, storage row); covers live rows only
-        self._live: dict[int, tuple[int, int]] = {}
-        next_id = 0
-        for store_index, store in enumerate(stores):
-            for position in store.live_positions():
-                external_id = int(store.external_ids[position])
-                if external_id in self._live:
-                    raise CatalogError(
-                        f"external id {external_id} is live in two shards"
-                    )
-                self._live[external_id] = (store_index, int(position))
-                next_id = max(next_id, external_id + 1)
-        self._next_external_id = next_id
+        # external id -> storage row; covers live rows only
+        self._live: dict[int, int] = {}
+        for position in store.live_positions():
+            external_id = int(store.external_ids[position])
+            if external_id in self._live:
+                raise CatalogError(f"external id {external_id} is live in two rows")
+            self._live[external_id] = int(position)
+        self._next_external_id = max(self._live, default=-1) + 1
 
     # ------------------------------------------------------------------
     # construction
@@ -472,36 +438,30 @@ class GraphCatalog:
         """Mine features once, build the base indexes, seed external ids 0..N-1.
 
         With the same ``rng`` (an int seed, for reproducibility) this base
-        build is cell-for-cell identical, for every ``num_shards``, to a
-        dense ``ProbabilisticMatrixIndex.build(graphs, rng=...)`` plus a
+        build is cell-for-cell identical to a dense
+        ``ProbabilisticMatrixIndex.build(graphs, rng=...)`` plus a
         ``StructuralFeatureIndex`` counted over its features — the catalog
-        only *adds* the mutation layer on top.  Passing a ``directory``
-        makes the catalog durable from birth (see :meth:`persist`).
+        only *adds* the mutation layer on top.  ``num_shards`` and
+        ``max_workers`` set the pool (:class:`ShardedPlanner`).  Passing a
+        ``directory`` makes the catalog durable from birth (see
+        :meth:`persist`).
         """
         if not graphs:
             raise CatalogError("the catalog needs at least one probabilistic graph")
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards!r}")
+        pool_arguments(max_workers, num_shards)  # before the costly part
         feature_cfg = feature_config or FeatureSelectionConfig()
         bound_cfg = bound_config or BoundConfig()
         root = rng_root(rng)
         features = FeatureMiner(feature_cfg).mine(graphs)
         external_ids = np.arange(len(graphs), dtype=np.int64)
-        specs = partition_ranges(len(graphs), num_shards)
-        stores = []
-        for spec in specs:
-            slice_graphs = graphs[spec.start : spec.stop]
-            slice_ids = external_ids[spec.start : spec.stop]
-            base_pmi = ProbabilisticMatrixIndex(
-                feature_config=feature_cfg, bound_config=bound_cfg
-            ).build(slice_graphs, features=features, rng=root, graph_ids=slice_ids)
-            base_structural = StructuralFeatureIndex(
-                embedding_limit=feature_cfg.embedding_limit
-            ).build([graph.skeleton for graph in slice_graphs], features)
-            stores.append(
-                _ShardStore(slice_graphs, slice_ids, base_pmi, base_structural)
-            )
-        catalog = cls(stores, feature_cfg, bound_cfg, root, num_shards, max_workers)
+        base_pmi = ProbabilisticMatrixIndex(
+            feature_config=feature_cfg, bound_config=bound_cfg
+        ).build(graphs, features=features, rng=root, graph_ids=external_ids)
+        base_structural = StructuralFeatureIndex(
+            embedding_limit=feature_cfg.embedding_limit
+        ).build([graph.skeleton for graph in graphs], features)
+        store = _Store(graphs, external_ids, base_pmi, base_structural)
+        catalog = cls(store, feature_cfg, bound_cfg, root, num_shards, max_workers)
         if directory is not None:
             catalog.persist(directory)
         return catalog
@@ -525,8 +485,7 @@ class GraphCatalog:
         catalog layer; older persisted payloads lack it) because delta
         appends must derive their streams from the same root.
         """
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards!r}")
+        pool_arguments(max_workers, num_shards)
         if pmi.database_size != len(graphs):
             raise CatalogError(
                 f"base PMI covers {pmi.database_size} graphs, got {len(graphs)}"
@@ -536,19 +495,10 @@ class GraphCatalog:
                 "the base index has no recorded build root (written by builds "
                 "since the catalog layer); rebuild it or use GraphCatalog.build()"
             )
-        external_ids = np.arange(len(graphs), dtype=np.int64)
-        specs = partition_ranges(len(graphs), num_shards)
-        stores = [
-            _ShardStore(
-                graphs[spec.start : spec.stop],
-                external_ids[spec.start : spec.stop],
-                pmi.subset(spec.global_ids()),
-                structural_index.subset(spec.global_ids()),
-            )
-            for spec in specs
-        ]
+        rows = range(len(graphs))
+        store = _Store(graphs, rows, pmi.subset(rows), structural_index.subset(rows))
         catalog = cls(
-            stores,
+            store,
             pmi.feature_config,
             pmi.bound_config,
             pmi.build_root,
@@ -690,29 +640,19 @@ class GraphCatalog:
         gen_dir = directory / _generation_dirname(generation)
         if gen_dir.exists():
             shutil.rmtree(gen_dir)
-        for store_index, store in enumerate(self._stores):
-            shard_dir = gen_dir / f"shard_{store_index:03d}"
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            save_database(store.graphs, shard_dir / _SHARD_GRAPHS_FILENAME)
-            store.base_pmi.save(shard_dir)
-            with atomic_writer(shard_dir / _SHARD_COUNTS_FILENAME) as handle:
-                np.save(
-                    handle,
-                    np.asarray(
-                        store.base_structural.counts_matrix(), dtype=np.int32
-                    ),
-                )
-            fsync_directory(shard_dir)
+        gen_dir.mkdir(parents=True, exist_ok=True)
+        store = self._store
+        save_database(store.graphs, gen_dir / _GRAPHS_FILENAME)
+        store.base_pmi.save(gen_dir)
+        with atomic_writer(gen_dir / _COUNTS_FILENAME) as handle:
+            np.save(handle, np.asarray(store.base_structural.counts_matrix(), dtype=np.int32))
         meta = {
             "type": "graph_catalog_snapshot",
             "version": SNAPSHOT_FORMAT_VERSION,
             "build_root": int(self._root),
             "num_shards": int(self._num_shards),
             "next_external_id": int(self._next_external_id),
-            "shards": [
-                {"external_ids": [int(eid) for eid in store.external_ids]}
-                for store in self._stores
-            ],
+            "external_ids": [int(eid) for eid in store.external_ids],
         }
         atomic_write_text(gen_dir / _SNAPSHOT_META_FILENAME, json.dumps(meta))
         fsync_directory(gen_dir)
@@ -759,40 +699,34 @@ class GraphCatalog:
                 f"unsupported catalog snapshot version {meta.get('version')!r}; "
                 f"this build reads version {SNAPSHOT_FORMAT_VERSION}"
             )
-        stores = []
-        for store_index, shard_meta in enumerate(meta["shards"]):
-            shard_dir = gen_dir / f"shard_{store_index:03d}"
-            graphs = load_database(shard_dir / _SHARD_GRAPHS_FILENAME)
-            pmi = ProbabilisticMatrixIndex.load(shard_dir)
-            try:
-                counts = np.load(shard_dir / _SHARD_COUNTS_FILENAME)
-            except (OSError, ValueError, EOFError) as error:
-                raise CatalogError(
-                    "corrupt structural counts at "
-                    f"{str(shard_dir / _SHARD_COUNTS_FILENAME)!r}: {error}"
-                ) from error
-            external_ids = [int(eid) for eid in shard_meta["external_ids"]]
-            if (
-                len(graphs) != len(external_ids)
-                or pmi.num_graphs != len(graphs)
-                or counts.shape[0] != len(graphs)
-            ):
-                raise CatalogError(
-                    f"snapshot shard {store_index} at {str(shard_dir)!r} is "
-                    "inconsistent: graphs, external ids, PMI rows and count "
-                    "rows disagree"
-                )
-            structural = StructuralFeatureIndex.from_counts(
-                pmi.features,
-                counts,
-                embedding_limit=pmi.feature_config.embedding_limit,
-                signatures=_signatures_of(graphs),
+        graphs = load_database(gen_dir / _GRAPHS_FILENAME)
+        pmi = ProbabilisticMatrixIndex.load(gen_dir)
+        try:
+            counts = np.load(gen_dir / _COUNTS_FILENAME)
+        except (OSError, ValueError, EOFError) as error:
+            raise CatalogError(
+                f"corrupt structural counts at {str(gen_dir / _COUNTS_FILENAME)!r}: {error}"
+            ) from error
+        external_ids = [int(eid) for eid in meta["external_ids"]]
+        if (
+            len(graphs) != len(external_ids)
+            or pmi.num_graphs != len(graphs)
+            or counts.shape[0] != len(graphs)
+        ):
+            raise CatalogError(
+                f"snapshot at {str(gen_dir)!r} is inconsistent: graphs, external "
+                "ids, PMI rows and count rows disagree"
             )
-            stores.append(_ShardStore(graphs, external_ids, pmi, structural))
+        structural = StructuralFeatureIndex.from_counts(
+            pmi.features,
+            counts,
+            embedding_limit=pmi.feature_config.embedding_limit,
+            signatures=_signatures_of(graphs),
+        )
         catalog = cls(
-            stores,
-            stores[0].base_pmi.feature_config,
-            stores[0].base_pmi.bound_config,
+            _Store(graphs, external_ids, pmi, structural),
+            pmi.feature_config,
+            pmi.bound_config,
             int(meta["build_root"]),
             int(meta["num_shards"]),
             max_workers,
@@ -890,7 +824,7 @@ class GraphCatalog:
     @property
     def features(self):
         """The pinned feature set every segment indexes against."""
-        return self._stores[0].base_pmi.features
+        return self._store.base_pmi.features
 
     @property
     def build_root(self) -> int:
@@ -906,43 +840,33 @@ class GraphCatalog:
         """A monotonic token naming the current live ``(id → graph)`` state.
 
         Bumped by every ``add_graph`` / ``remove_graph`` / ``update_graph``
-        and by ``compact()`` (the shared-memory hot-swap included), never by
-        queries or :meth:`close`.  Answers are pure functions of
-        ``(mutation_generation, query, params, rng root)``, which is exactly
-        what makes them cacheable: the query service keys its answer cache
-        on this token, so a stale-generation answer can never be served
-        after a mutation or hot-swap.  Compaction bumps it too even though
-        answers are unchanged — a deliberately conservative choice (a spare
-        cache miss is free; a stale hit would be a contract violation).
+        and by ``compact()``, never by queries or :meth:`close`.  Answers
+        are pure functions of ``(mutation_generation, query, params, rng
+        root)``, which is exactly what makes them cacheable: the query
+        service keys its answer cache on this token, so a stale-generation
+        answer can never be served after a mutation or a compaction.
+        Compaction bumps it too even though answers are unchanged — a
+        deliberately conservative choice (a spare cache miss is free; a
+        stale hit would be a contract violation).
         """
         return self._mutation_generation
 
     @property
-    def num_shards(self) -> int:
-        return len(self._stores)
-
-    @property
     def delta_rows(self) -> int:
-        """Rows currently in delta segments (reset to 0 by :meth:`compact`)."""
-        return sum(store.delta_rows for store in self._stores)
+        """Rows currently in the delta segment (reset to 0 by :meth:`compact`)."""
+        return self._store.delta_rows
 
     @property
     def tombstone_count(self) -> int:
         """Dead rows awaiting reclamation by :meth:`compact`."""
-        return sum(
-            int(np.count_nonzero(store.tombstone)) for store in self._stores
-        )
+        return int(np.count_nonzero(self._store.tombstone))
 
     def active_shm_segments(self) -> list[str]:
         """Always ``[]``: the catalog publishes no shared-memory segment
         (pool workers receive their graphs in the frames that verify them).
-        Kept because the end-to-end benchmark's sharding probe
+        Kept because the end-to-end benchmark's pool probe
         (``benchmarks/e2e/layers.py``) still sums the sizes of what it lists."""
         return []
-
-    def shard_live_counts(self) -> list[int]:
-        """Per-shard live graph counts (the routing rule's input)."""
-        return [store.live_count for store in self._stores]
 
     def live_external_ids(self) -> list[int]:
         """Every live external id, ascending."""
@@ -956,23 +880,20 @@ class GraphCatalog:
         as ``graph_ids``) answers every query byte-identically to the
         catalog.
         """
-        return [
-            (external_id, self._stores[store].graphs[position])
-            for external_id, (store, position) in sorted(self._live.items())
-        ]
+        graphs = self._store.graphs
+        return [(external_id, graphs[row]) for external_id, row in sorted(self._live.items())]
 
     def get_graph(self, external_id: int) -> ProbabilisticGraph:
         """The live graph stored under ``external_id``."""
-        store_index, position = self._locate(_external_id(external_id))
-        return self._stores[store_index].graphs[position]
+        return self._store.graphs[self._locate(_external_id(external_id))]
 
     def __len__(self) -> int:
         return self.num_live
 
     def __repr__(self) -> str:
         return (
-            f"GraphCatalog(live={self.num_live}, shards={self.num_shards}, "
-            f"delta_rows={self.delta_rows}, tombstones={self.tombstone_count})"
+            f"GraphCatalog(live={self.num_live}, delta_rows={self.delta_rows}, "
+            f"tombstones={self.tombstone_count})"
         )
 
     # ------------------------------------------------------------------
@@ -986,7 +907,7 @@ class GraphCatalog:
         The graph's PMI row is computed with
         ``derive_rng(build_root, BUILD_STREAM, external_id)`` — the stream a
         from-scratch build would use for that id — and appended to the delta
-        segment of the shard with the fewest live graphs.  ``external_id``
+        segment.  ``external_id``
         defaults to the next unused id; passing an id that is currently live
         raises :class:`CatalogError` (use :meth:`update_graph`), while
         re-using the id of a *removed* graph is allowed and gives the new
@@ -1006,7 +927,8 @@ class GraphCatalog:
             )
         rows = self._index_rows(graph, external_id)
         self._log_graph_record("add", external_id, graph)
-        self._refresh_planner({self._install(graph, external_id, rows)})
+        self._install(graph, external_id, rows)
+        self._refresh_planner()
         return external_id
 
     def _index_rows(
@@ -1017,8 +939,8 @@ class GraphCatalog:
         Everything that can refuse a graph happens here, *before* its record
         reaches the write-ahead log: a record the index cannot apply would
         otherwise fail every later :meth:`open` at the same place.  The rows
-        depend only on (build root, external id, graph), not on the shard
-        that will own them.
+        depend only on (build root, external id, graph), not on the storage
+        row they will take.
         """
         pmi_row = ProbabilisticMatrixIndex(
             feature_config=self._feature_config, bound_config=self._bound_config
@@ -1040,15 +962,11 @@ class GraphCatalog:
                 }
             )
 
-    def _install(self, graph: ProbabilisticGraph, external_id: int, rows) -> int:
-        """Hand computed rows to the shard with the fewest live graphs;
-        returns that shard's index."""
-        store_index = route_to_smallest(self.shard_live_counts())
-        position = self._stores[store_index].install(graph, external_id, *rows)
-        self._live[external_id] = (store_index, position)
+    def _install(self, graph: ProbabilisticGraph, external_id: int, rows) -> None:
+        """Append computed rows to the delta segment."""
+        self._live[external_id] = self._store.install(graph, external_id, *rows)
         self._next_external_id = max(self._next_external_id, external_id + 1)
         self._mutation_generation += 1
-        return store_index
 
     def remove_graph(self, external_id: int) -> None:
         """Tombstone the live row of ``external_id`` (storage reclaimed by
@@ -1059,20 +977,19 @@ class GraphCatalog:
             self._durability.wal.append(
                 {"op": "remove", "external_id": external_id}
             )
-        self._refresh_planner({self._tombstone(external_id)})
+        self._tombstone(external_id)
+        self._refresh_planner()
 
-    def _tombstone(self, external_id: int) -> int:
-        """Switch the live row of ``external_id`` off; returns its shard's index."""
-        store_index, position = self._live.pop(external_id)
-        self._stores[store_index].tombstone[position] = True
+    def _tombstone(self, external_id: int) -> None:
+        """Switch the live row of ``external_id`` off."""
+        self._store.tombstone[self._live.pop(external_id)] = True
         self._mutation_generation += 1
-        return store_index
 
     def update_graph(self, external_id: int, graph: ProbabilisticGraph) -> None:
         """Replace the graph stored under a live ``external_id``.
 
         Implemented as tombstone + re-add under the same id: the old row
-        dies, the new row lands in the (currently) smallest shard, and every
+        dies, the new row lands in the delta segment, and every
         RNG stream keyed by the id re-derives over the new content — so the
         update answers exactly as if the graph had always been this version.
         The planner sees both halves at once: no query runs over a state in
@@ -1084,78 +1001,38 @@ class GraphCatalog:
         # one atomic record: a torn tail can drop the whole update but never
         # leave the remove applied without the add
         self._log_graph_record("update", external_id, graph)
-        touched = {self._tombstone(external_id)}
-        touched.add(self._install(graph, external_id, rows))
-        self._refresh_planner(touched)
+        self._tombstone(external_id)
+        self._install(graph, external_id, rows)
+        self._refresh_planner()
 
     def compact(self) -> "GraphCatalog":
         """Fold delta rows and reclaim tombstones into fresh base matrices.
 
-        Live rows (ordered by external id) are re-partitioned into
-        ``num_shards`` balanced contiguous shards — the rebalance step — with
-        empty deltas and clear tombstone masks.  No SIP bound or embedding
+        Live rows, ordered by external id, become the new base, with an
+        empty delta and a clear tombstone mask.  No SIP bound or embedding
         count is recomputed: compaction is pure row movement, so by the
         stable-id contract query answers are unchanged.  With every graph
-        removed, the catalog compacts to one empty shard and keeps answering
-        (with zero answers) until graphs are added again.
-
-        The planner keeps its read path (:meth:`ShardedPlanner.rebase`):
-        under a live pool the new generation is published here and the old
-        one retires as soon as no query reads it.  A compaction that changes
-        the shard count (fewer live graphs than shards, or back up from
-        there) drops the planner instead, like :meth:`close`.
+        removed, the catalog compacts to an empty store and keeps answering
+        (with zero answers) until graphs are added again.  The planner keeps
+        its read path and its pool (:meth:`ShardedPlanner.swap`).
         """
-        slices = [store.live_slice() for store in self._stores]
-        graphs = [graph for part in slices for graph in part[0]]
-        ids = np.concatenate([part[1] for part in slices])
-        if len(graphs) == 0:
-            empty_pmi = ProbabilisticMatrixIndex.empty(
+        graphs, ids, pmi, counts = self._store.live_slice()
+        order = np.argsort(ids, kind="stable")
+        graphs = [graphs[int(row)] for row in order]
+        self._store = _Store(
+            graphs,
+            ids[order],
+            pmi.subset([int(row) for row in order]),
+            StructuralFeatureIndex.from_counts(
                 self.features,
-                feature_config=self._feature_config,
-                bound_config=self._bound_config,
-            )
-            empty_structural = StructuralFeatureIndex.from_counts(
-                self.features,
-                np.zeros((0, len(self.features)), dtype=np.int32),
+                counts[order],
                 embedding_limit=self._feature_config.embedding_limit,
-            )
-            stores = [_ShardStore([], [], empty_pmi, empty_structural)]
-        else:
-            pmi = ProbabilisticMatrixIndex.concat_rows([part[2] for part in slices])
-            counts = np.vstack([part[3] for part in slices])
-            order = np.argsort(ids, kind="stable")
-            pmi = pmi.subset([int(row) for row in order])
-            counts = counts[order]
-            ids = ids[order]
-            graphs = [graphs[int(row)] for row in order]
-            stores = []
-            for spec in partition_ranges(len(graphs), self._num_shards):
-                stores.append(
-                    _ShardStore(
-                        graphs[spec.start : spec.stop],
-                        ids[spec.start : spec.stop],
-                        pmi.subset(spec.global_ids()),
-                        StructuralFeatureIndex.from_counts(
-                            self.features,
-                            counts[spec.start : spec.stop],
-                            embedding_limit=self._feature_config.embedding_limit,
-                            signatures=_signatures_of(graphs[spec.start : spec.stop]),
-                        ),
-                    )
-                )
+                signatures=_signatures_of(graphs),
+            ),
+        )
         self._mutation_generation += 1
-        self._stores = stores
-        self._live = {
-            int(store.external_ids[position]): (store_index, int(position))
-            for store_index, store in enumerate(stores)
-            for position in store.live_positions()
-        }
-        planner = self._planner_cache
-        if planner is not None and planner.num_shards == len(stores):
-            # the read path stays: a live pool is handed the new generation
-            planner.rebase([store.make_shard(index) for index, store in enumerate(stores)])
-        else:
-            self._invalidate()
+        self._live = {int(external_id): row for row, external_id in enumerate(ids[order])}
+        self._refresh_planner()
         if self._durability is not None:
             self._roll_generation()
         return self
@@ -1164,14 +1041,12 @@ class GraphCatalog:
     # querying
     # ------------------------------------------------------------------
     def planner(self) -> ShardedPlanner:
-        """The current planner, built lazily over every shard: it follows
-        mutations and compactions in place (see :meth:`_refresh_planner` and
-        :meth:`compact`) and is rebuilt only after :meth:`close` or a
-        compaction that changes the shard count."""
+        """The current planner, built lazily: it follows mutations and
+        compactions in place (:meth:`_refresh_planner`) and is rebuilt only
+        after :meth:`close`."""
         if self._planner_cache is None:
             self._planner_cache = ShardedPlanner(
-                [store.make_shard(index) for index, store in enumerate(self._stores)],
-                max_workers=self._max_workers,
+                self._store.make_planner(), self._max_workers, self._num_shards
             )
         return self._planner_cache
 
@@ -1259,9 +1134,8 @@ class GraphCatalog:
         """Release the cached planner and the WAL append handle — the full
         swap (idempotent; the catalog stays usable and durable).
 
-        Every published segment is unlinked.  A worker pool is parked, not
-        shut down (:meth:`ShardedPlanner.close`): its released workers,
-        holding no mapping, serve the next catalog of the same pool width,
+        A worker pool is parked, not shut down (:meth:`ShardedPlanner.close`):
+        its released workers serve the next catalog of the same pool width,
         so a catalog reopened on the same directory forks nothing and finds
         the graphs its workers had deserialized already there."""
         self._invalidate()
@@ -1277,20 +1151,17 @@ class GraphCatalog:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _locate(self, external_id: int) -> tuple[int, int]:
+    def _locate(self, external_id: int) -> int:
         location = self._live.get(external_id)
         if location is None:
             raise CatalogError(f"external id {external_id!r} is not live")
         return location
 
-    def _refresh_planner(self, store_indexes: set[int]) -> None:
-        """Show the cached planner the stores a mutation just changed: it
-        swaps in fresh views of exactly those shards and keeps its worker
-        pool and the other shards' planners."""
+    def _refresh_planner(self) -> None:
+        """Hand the cached planner a query planner over the current view: it
+        keeps its worker pool."""
         if self._planner_cache is not None:
-            self._planner_cache.replace_shards(
-                [self._stores[index].make_shard(index) for index in sorted(store_indexes)]
-            )
+            self._planner_cache.swap(self._store.make_planner())
 
     def _invalidate(self) -> None:
         """The full swap: drop the cached planner, parking its pool."""

@@ -32,19 +32,17 @@ candidates' ``lsim`` and tightened by every answer the heap keeps — and it
 asks an *estimator* for each candidate it reaches above the floor.  The PMI
 stage of a top-k plan records the bound columns and decides nothing, so the
 walk sees every structural candidate of the database: :func:`rank_top_k` runs
-it over the ``(graph id, usim, lsim)`` tables of every planner the plan ran
-on — one for a whole database, one per shard for a
-:class:`~repro.core.sharding.ShardedPlanner` — with an estimator that verifies
-the candidate there and then, through the planner that owns it.  Because
-every estimate derives from ``(root, VERIFY_STREAM, global graph id)``
+it over the planner's ``(graph id, usim, lsim)`` table with an estimator
+that verifies the candidate there and then, in the parent.  Because every
+estimate derives from ``(root, VERIFY_STREAM, global graph id)``
 (:func:`repro.utils.rng.derive_seed`), answers and counters are the same for
-any shard count and any worker count, for stochastic and exact verification
-alike.
+any worker count, for stochastic and exact verification alike.
 
 **Verification is the only work that moves.**  :meth:`QueryPipeline.filter`
 runs every stage before verification; a threshold plan's survivors are then
 the storage rows :func:`verify_rows` estimates, in blocks, wherever they are
-placed, and :func:`finish_threshold` records the estimates as the
+placed (:class:`~repro.core.sharding.ShardedPlanner` deals them to pool
+slots), and :func:`finish_threshold` records the estimates as the
 verification stage would have.
 """
 
@@ -78,9 +76,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # the stable id is the planner's global id for the graph (its row position in
 # a static database, its external id in a mutable catalog).  The streams a
 # graph consumes therefore depend only on (root, stage, stable id) — never on
-# how many other candidates ran before it, which shard owns it, or how the
-# database was mutated around it.  That is what lets sharded executors and
-# mutated catalogs reproduce a from-scratch sequential run bit-for-bit.
+# how many other candidates ran before it, which process verifies it, or how
+# the database was mutated around it.  That is what lets a pool and a
+# mutated catalog reproduce a from-scratch sequential run bit-for-bit.
 
 THRESHOLD_MODE = "threshold"
 TOP_K_MODE = "top_k"
@@ -267,8 +265,8 @@ class PmiPruningStage(PipelineStage):
     Threshold mode applies Pruning 1 (``usim < ε`` ⇒ discard) and Pruning 2
     (``lsim ≥ ε`` ⇒ answer without verification).  Top-k mode records the
     bound columns and decides nothing: the floor is seeded once, over every
-    shard's candidates, by :func:`rank_top_k`, which also books the
-    candidates below that seed as this stage's ``pruned``.
+    candidate, by :func:`rank_top_k`, which also books the candidates below
+    that seed as this stage's ``pruned``.
     """
 
     name = "pmi_pruning"
@@ -335,8 +333,8 @@ class VerificationStage(PipelineStage):
     batch kernel draws and evaluates every candidate's whole sample matrix at
     once.  Block composition never changes an estimate — each candidate's
     draws come from its own ``derive_seed(root, VERIFY_STREAM, global id)``
-    stream — so verifying a shard's survivors in a pool worker reproduces the
-    one-shard answers byte-for-byte.
+    stream — so verifying a block of survivors in a pool worker reproduces the
+    in-process answers byte-for-byte.
 
     A top-k query hands the candidates to :func:`rank_top_k`, which verifies
     a candidate (the block of one) only when its descending-``usim`` walk
@@ -352,7 +350,7 @@ class VerificationStage(PipelineStage):
     def run(self, candidates, ctx, stage_stats):
         part = FilteredPlan.of(self.planner, ctx, candidates)
         if ctx.state.is_top_k:
-            ctx.result.answers.extend(rank_top_k([part], ctx.result.statistics, stage_stats))
+            ctx.result.answers.extend(rank_top_k(part, ctx.result.statistics, stage_stats))
         else:
             probabilities, sampled, _ = part.verify()  # the stage loop times it
             record_verified(part, probabilities, sampled, stage_stats)
@@ -365,8 +363,8 @@ class QueryPipeline:
     stage before it, and :meth:`run` all of them.  ``run`` is deterministic
     given ``(ctx.root, ctx.plan, the live graphs)``: wall-clock fields aside,
     two executions produce byte-identical answers and counters, independent
-    of process, shard layout, or storage row placement (all per-graph work
-    keys on stable global ids).
+    of process or storage row placement (all per-graph work keys on stable
+    global ids).
     """
 
     def __init__(self, stages: list[PipelineStage]) -> None:
@@ -438,8 +436,8 @@ def verify_rows(
     Rows go through :meth:`~repro.core.verification.Verifier.verify_block`
     ``VERIFY_BLOCK_SIZE`` at a time, each on its own ``(root, VERIFY_STREAM,
     global id)`` stream: a planner in the parent and a pool worker holding
-    only the shard's graphs and ids (:mod:`repro.core.sharding`) run this
-    same loop.
+    only the graphs it was dealt and their ids (:mod:`repro.core.sharding`)
+    run this same loop.
     """
     sampled_before = verifier.sampled
     probabilities: list[float] = []
@@ -529,55 +527,44 @@ def finish_threshold(
     return close_result(part.ctx.result)
 
 
-def finish_top_k(parts: list[FilteredPlan]) -> QueryResult:
-    """One top-k plan's result over every planner it was filtered on: the
-    parts' statistics merged, then :func:`rank_top_k` once."""
-    result = QueryResult(
-        statistics=QueryStatistics.merge(part.ctx.result.statistics for part in parts)
-    )
+def finish_top_k(part: FilteredPlan) -> QueryResult:
+    """A filtered top-k plan's result: :func:`rank_top_k` once, in this
+    process."""
+    result = part.ctx.result
     stage_stats = StageStatistics(stage=VerificationStage.name)
     timer = Timer()
     with timer:
-        result.answers = rank_top_k(parts, result.statistics, stage_stats)
+        result.answers.extend(rank_top_k(part, result.statistics, stage_stats))
     stage_stats.seconds = timer.elapsed
     result.statistics.stages.append(stage_stats)
     return close_result(result)
 
 
 def rank_top_k(
-    parts: list[FilteredPlan], statistics: QueryStatistics, stage_stats: StageStatistics
+    part: FilteredPlan, statistics: QueryStatistics, stage_stats: StageStatistics
 ) -> list[QueryAnswer]:
-    """The top-k answers of one plan over the candidates of every part.
+    """The top-k answers of one filtered plan.
 
-    The parts' ``(graph id, usim, lsim)`` tables are concatenated and walked
-    once by :func:`replay_top_k`, whose estimator verifies a candidate
-    through the planner that owns it.  The candidates below the seeded floor
-    are booked as the PMI stage's ``pruned``, those the walk passes over as
-    the verification stage's.
+    The part's ``(graph id, usim, lsim)`` table is walked once by
+    :func:`replay_top_k`, whose estimator verifies a candidate through the
+    part's planner.  The candidates below the seeded floor are booked as the
+    PMI stage's ``pruned``, those the walk passes over as the verification
+    stage's.
     """
-    owner = {}
-    for part in parts:
-        for graph_id, row in zip(part.planner.global_ids[part.rows].tolist(), part.rows.tolist()):
-            owner[graph_id] = (part, row)
-    plan = parts[0].ctx.plan
+    planner, plan, root = part.planner, part.ctx.plan, part.ctx.root
+    graph_ids = planner.global_ids[part.rows]
+    row_of = dict(zip(graph_ids.tolist(), part.rows.tolist()))
 
     def verify(graph_id: int) -> QueryAnswer:
-        part, row = owner[graph_id]
-        planner = part.planner
+        row = row_of[graph_id]
         (probability,), sampled = verify_rows(
-            planner._verifier_for(plan), planner.graphs, planner.global_ids, plan, [row], part.ctx.root
+            planner._verifier_for(plan), planner.graphs, planner.global_ids, plan, [row], root
         )
         statistics.sampled += sampled
         return QueryAnswer(graph_id, planner.graphs[row].name, probability, "verification")
 
-    answers, examined, verified = replay_top_k(
-        np.concatenate([part.planner.global_ids[part.rows] for part in parts]),
-        np.concatenate([part.usim for part in parts]),
-        np.concatenate([part.lsim for part in parts]),
-        verify,
-        plan.k,
-    )
-    below_seed = len(owner) - examined
+    answers, examined, verified = replay_top_k(graph_ids, part.usim, part.lsim, verify, plan.k)
+    below_seed = len(row_of) - examined
     pmi = next(stage for stage in statistics.stages if stage.stage == PmiPruningStage.name)
     pmi.pruned += below_seed
     pmi.passed -= below_seed

@@ -20,14 +20,13 @@ graph*.  :class:`QueryPlanner` splits that work by lifetime:
 * **per candidate** (:meth:`execute_plan`): the pipeline stages — columnar
   PMI row reads, vectorized pruning decisions, verification.
 
-A :class:`QueryPlanner` runs one slice of the database: each shard of a
-:class:`~repro.core.sharding.ShardedPlanner` — the planner a
-:class:`~repro.core.catalog.GraphCatalog` holds for every shard count — owns
-one, runs every stage before verification on it (:meth:`filter_plan`) and
-then places the verification.  :meth:`execute_plan` runs all three stages at
-once; the single-query ``execute`` / ``execute_top_k`` below plan and run in
-one call and are what the parity suites build their from-scratch reference
-from.
+A :class:`~repro.core.catalog.GraphCatalog` holds one :class:`QueryPlanner`
+over its whole storage, inside the
+:class:`~repro.core.sharding.ShardedPlanner` that runs every stage before
+verification on it (:meth:`filter_plan`) and then places the verification.
+:meth:`execute_plan` runs all three stages at once; the single-query
+``execute`` / ``execute_top_k`` below plan and run in one call and are what
+the parity suites build their from-scratch reference from.
 """
 
 from __future__ import annotations
@@ -166,11 +165,11 @@ class QueryPlan:
 
 
 class QueryPlanner:
-    """Owns the staged candidate pipeline for one indexed database (or shard).
+    """Owns the staged candidate pipeline for one indexed database.
 
     Determinism contract: with the same ``rng`` seed, every ``execute*``
     method returns byte-identical answers and counters across runs,
-    processes, and execution strategies — a sharded fan-out
+    processes, and execution strategies — a pooled fan-out
     (:class:`~repro.core.sharding.ShardedPlanner`) or a mutated catalog
     (:class:`~repro.core.catalog.GraphCatalog`) reproduces this planner's
     output exactly, because all stochastic work and all orderings key on
@@ -190,12 +189,12 @@ class QueryPlanner:
         self.pmi = pmi
         self.structural_index = structural_index
         # A planner over the whole database uses row positions as global
-        # ids.  A catalog shard passes explicit `graph_ids` — the stable
+        # ids.  A catalog passes explicit `graph_ids` — the stable
         # external id of every storage row — plus an `active_mask` that turns
         # tombstoned rows off before any stage runs.  Everything downstream
         # (answers, RNG salts, top-k visit order) keys on `global_ids`, so
         # answers depend only on the (id → graph) mapping, never on row
-        # placement, and a sharded run is indistinguishable from the
+        # placement, and a pooled run is indistinguishable from the
         # sequential one.
         if graph_ids is None:
             self.global_ids = np.arange(len(graphs), dtype=np.int64)
@@ -249,7 +248,7 @@ class QueryPlanner:
 
         Planning is fully deterministic (no RNG is consumed): the same
         query, thresholds, and config always yield the same plan, so plans
-        can be built once in a parent process and shipped to every shard.
+        can be built once in a parent process and shipped to every worker.
         """
         distance_threshold = validate_query(query, probability_threshold, distance_threshold)
         return self._prepare_plan(
@@ -311,7 +310,7 @@ class QueryPlanner:
         """Plan and execute one threshold (T-PS) query.
 
         With an int seed (or seeded generator) the result is byte-identical
-        across runs and identical to any sharded/catalog execution of the
+        across runs and identical to any pooled/catalog execution of the
         same query over the same live graphs (see :meth:`execute_plan`).
         """
         return self.execute_plan(
@@ -334,8 +333,8 @@ class QueryPlanner:
         heap, so candidates are verified in descending PMI upper-bound order
         and late candidates prune against the running k-th best
         (:func:`repro.core.pipeline.replay_top_k`).  Under the same seed the
-        ranked list and the counters are byte-identical to a sharded planner's
-        over any partition of the same live graphs.
+        ranked list and the counters are byte-identical to a pooled planner's
+        over the same live graphs.
         """
         return self.execute_plan(self.plan_top_k(query, k, distance_threshold, config), rng=rng)
 
@@ -347,7 +346,7 @@ class QueryPlanner:
         sampling in verification) derives its own generator from
         ``(root, stage, global graph id)``.  Results therefore depend only on
         the root and the graph, not on candidate ordering or database
-        partitioning — a sharded executor passing the same root reproduces
+        placement — a pooled executor passing the same root reproduces
         this method's answers exactly.
         """
         return self.pipeline.run(self._new_candidates(), self._context(plan, rng))

@@ -119,8 +119,8 @@ class ProbabilisticPruner:
             if f.num_edges and all(map(f.graph.degree, f.graph.vertices()))
         }
         # stacked by the first relaxed query small enough to fit inside a
-        # feature (a shard worker, handed its containment relations with the
-        # plan, never needs it), then joined by every later one
+        # feature (a planner handed its containment relations with the plan
+        # never needs it), then joined by every later one
         self._feature_block: GraphBlock | None = None
         self.config = config or PruningConfig()
         self.rng = ensure_rng(rng)

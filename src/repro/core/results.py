@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from repro.exceptions import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -97,56 +96,6 @@ class QueryStatistics:
     total_seconds: float = 0.0
     relaxed_query_count: int = 0
     stages: list[StageStatistics] = field(default_factory=list)
-
-    @classmethod
-    def merge(cls, parts: Iterable["QueryStatistics"]) -> "QueryStatistics":
-        """Combine per-shard statistics of *one* query into whole-database stats.
-
-        Each shard runs the full pipeline over a disjoint slice of the
-        database, so candidate/pruned/accepted/verified/answer counters (and
-        the per-shard database sizes) sum to exactly the sequential planner's
-        counters — both the top-level fields and the per-stage
-        ``stages`` entries, which are matched positionally and must name the
-        same stage sequence in every part (a :class:`ValueError` otherwise:
-        summing counters across *different* pipelines would silently produce
-        nonsense).  Wall-clock fields take the *max* over shards — the
-        critical path of a concurrent run; when shards instead run serially
-        in-process (``max_workers<=1``) this understates total elapsed time,
-        so treat the counters as the contract and the timings as concurrent-
-        execution diagnostics.  ``relaxed_query_count`` also takes the max:
-        every shard computes it identically for the same query.
-        """
-        merged = cls()
-        stage_names: list[str] | None = None
-        for stats in parts:
-            merged.database_size += stats.database_size
-            merged.structural_candidates += stats.structural_candidates
-            merged.probabilistic_candidates += stats.probabilistic_candidates
-            merged.accepted_by_lower_bound += stats.accepted_by_lower_bound
-            merged.pruned_by_upper_bound += stats.pruned_by_upper_bound
-            merged.verified += stats.verified
-            merged.sampled += stats.sampled
-            merged.answers += stats.answers
-            merged.total_seconds = max(merged.total_seconds, stats.total_seconds)
-            merged.relaxed_query_count = max(
-                merged.relaxed_query_count, stats.relaxed_query_count
-            )
-            names = [stage.stage for stage in stats.stages]
-            if stage_names is None:
-                stage_names = names
-                merged.stages = [StageStatistics(stage=name) for name in names]
-            elif names != stage_names:
-                raise ConfigurationError(
-                    "cannot merge statistics from different pipelines: "
-                    f"stage lists {stage_names!r} and {names!r} disagree"
-                )
-            for merged_stage, stage in zip(merged.stages, stats.stages):
-                merged_stage.examined += stage.examined
-                merged_stage.pruned += stage.pruned
-                merged_stage.accepted += stage.accepted
-                merged_stage.passed += stage.passed
-                merged_stage.seconds = max(merged_stage.seconds, stage.seconds)
-        return merged
 
     def as_dict(self) -> dict:
         """Plain-dict view (benchmarks serialize this).

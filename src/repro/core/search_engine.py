@@ -1,4 +1,4 @@
-"""A one-shard, build-once adapter over :class:`~repro.core.catalog.GraphCatalog`.
+"""A build-once adapter over :class:`~repro.core.catalog.GraphCatalog`.
 
 :class:`GraphCatalog` is the front door: ``GraphCatalog.build`` /
 ``GraphCatalog.from_index`` take the arguments this class takes.  The class
@@ -25,7 +25,7 @@ from repro.utils.rng import RandomLike
 
 
 class ProbabilisticGraphDatabase:
-    """``GraphCatalog.build`` behind a build-then-query handle (one shard)."""
+    """``GraphCatalog.build`` behind a build-then-query handle."""
 
     def __init__(self, graphs: list[ProbabilisticGraph]) -> None:
         self.graphs = list(graphs)
@@ -76,9 +76,9 @@ class ProbabilisticGraphDatabase:
     def to_catalog(self, directory: str | Path | None = None) -> GraphCatalog:
         """A second catalog over the built index (no SIP bound is recomputed):
         :meth:`GraphCatalog.from_index`, durable when ``directory`` is given."""
-        shard = self._indexed().planner().shards[0]
+        planner = self._indexed().planner().query_planner
         return GraphCatalog.from_index(
-            self.graphs, shard.pmi.base, shard.structural_index.base, directory=directory
+            self.graphs, planner.pmi.base, planner.structural_index.base, directory=directory
         )
 
     def close(self) -> None:

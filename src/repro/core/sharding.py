@@ -1,81 +1,63 @@
-"""Sharded query execution over database partitions.
+"""Verification of threshold survivors in a pool of forked worker slots.
 
-The T-PS pipeline is embarrassingly partitionable: every candidate graph is
-filtered, pruned, and verified independently of every other graph, so a
-database of N probabilistic graphs can be split into K disjoint *shards*,
-each owning a PMI row slice, a structural-index row slice, and its own
-:class:`~repro.core.planner.QueryPlanner`.  :class:`ShardedPlanner` is the
-one planner a :class:`~repro.core.catalog.GraphCatalog` holds, for every K,
-and it runs one flow of which a single shard is the degenerate case
+Every candidate graph is filtered, pruned and verified independently of
+every other graph, and of the three stages only verification costs enough to
+move.  :class:`ShardedPlanner` is the one planner a
+:class:`~repro.core.catalog.GraphCatalog` holds.  It wraps the catalog's one
+:class:`~repro.core.planner.QueryPlanner` and runs one flow
 (:meth:`ShardedPlanner.execute_plans`):
 
 1. **The parent decides.**  The structural filter (Theorem 1) and the PMI
    bounds (Theorems 3 and 4) are cheap array passes over indexes the parent
-   already holds, so it runs them for every plan on every shard's in-process
-   planner.
+   already holds, so it runs them for every plan, once.
 2. **Verification is the only work that moves.**  A threshold plan's
-   survivors go to the pool slot that owns their shard —
-   one frame per slot that has any, none to a slot that has none — and are
-   verified there in blocks; at width <= 1 they are verified in-process
-   through the same block loop (:func:`~repro.core.pipeline.verify_rows`).
-   A top-k plan's candidates of every shard are concatenated and ranked once,
-   in the parent (:func:`~repro.core.pipeline.rank_top_k`): the floor is
-   seeded once and each candidate the walk reaches is verified through the
-   shard planner that owns it.
+   survivors are dealt to the pool's slots in blocks: a survivor whose graph
+   a slot's worker already holds goes to that slot, and the rest go as one
+   block to the slot that holds the fewest graphs, lowest index on ties.  A
+   slot dealt nothing gets no frame, unless it has a drop list to deliver.
+   At width <= 1 survivors are verified in-process through the same block
+   loop (:func:`~repro.core.pipeline.verify_rows`).  A top-k plan is ranked
+   in the parent (:func:`~repro.core.pipeline.rank_top_k`).
 
-Determinism is the load-bearing property: a sharded run reproduces the
-one-shard run *exactly*, answers and counters, regardless of K, worker count,
-or OS scheduling.  Every stochastic sub-task derives its generator from
-``(root, stage, global graph id)`` (:func:`repro.utils.rng.derive_rng`), so
-the draws a graph consumes never depend on which process handles it or how
-many other candidates ran first; the per-query roots arrive with the plans.
-A threshold plan's per-shard answers are concatenated and sorted by
-``(-probability, graph_id)`` — one shard's order (:func:`merge_query_results`)
-— and per-shard statistics combine via :meth:`QueryStatistics.merge`
-(counters sum across the disjoint slices; wall-clock fields take the max).
-
-Shards are built and owned by :class:`~repro.core.catalog.GraphCatalog`, the
-front door of every query: every shard carries the stable external id of each
-storage row plus a tombstone mask, and its indexes are the catalog's segmented
-base+delta views.
+Determinism is the load-bearing property: answers and counters are the same
+for every pool width and every way the survivors are dealt.  Every
+stochastic sub-task derives its generator from ``(root, stage, global graph
+id)`` (:func:`repro.utils.rng.derive_rng`), so the draws a graph consumes
+never depend on which process verifies it or on what else its block holds.
 
 **The frame carries the graphs.**  A worker verifies graphs and reads
 nothing else, so that is all it is sent, and only the ones it verifies.  A
-threshold plan's frame to a slot names each survivor by ``(global id,
-digest)`` — the digest is a 16-byte blake2b of the graph's pickle, computed
-in the parent the first time the graph survives to a slot and memoised per
-graph object — and carries the pickle of every survivor graph that slot's
-worker does not hold yet, plus a drop list.  The worker is one ``digest →
-graph`` store: it drops, installs, then verifies by digest; a digest it does
-not hold is a :class:`~repro.exceptions.ShmError`, and the slot stays
-usable.  Each :class:`_Slot` records the digests its worker holds, each with
-a weak reference to the parent's graph it was shipped for; once that graph
-is gone from the parent, its digest goes out in the next frame's drop list.
-So a graph goes to a slot once, a repeated request ships no graph bytes, and
-a graph that survives a mutation, a compaction or a reopen (an equal pickle)
-is the same object in its worker, caches included.
+frame names each survivor by ``(global id, digest)`` — the digest is a
+16-byte blake2b of the graph's pickle, computed in the parent the first
+time the graph survives to a slot and memoised per graph object — and
+carries the pickle of every survivor graph that slot's worker does not hold
+yet, plus a drop list.  The worker is one ``digest → graph`` store: it
+drops, installs, then verifies by digest; a digest it does not hold is a
+:class:`~repro.exceptions.SlotError`, and the slot stays usable.  Each
+:class:`_Slot` records the digests its worker holds, each with a weak
+reference to the parent's graph it was shipped for; once that graph is gone
+from the parent, its digest goes out in the slot's next drop list.  Dealing
+by digest keeps each graph in at most one worker, a repeated request ships
+no graph bytes, and a graph that survives a mutation, a compaction or a
+reopen (an equal pickle) is the same object in its worker, caches included.
 
 The pool is one forked worker per slot, driven over a duplex pipe: the
 worker receives a task frame, runs it and sends the reply frame, in order,
-and the parent resolves each slot's pending replies oldest first.  Shard
-``i`` is served by slot ``i mod W`` only: each shard's graphs are
-deserialized in exactly one worker.
+and the parent resolves each slot's pending replies oldest first.
 
-Lifecycle: a catalog mutation hands the planner new views of the shards it
-touched (:meth:`ShardedPlanner.replace_shards`) and a compaction views of
-every shard over new bases (:meth:`ShardedPlanner.rebase`); both are a swap
-of views, and the pool stays.  :meth:`ShardedPlanner.close` — taken by the
-catalog's ``close()`` and a compaction that changes the shard count —
-*parks* the workers: one release task per slot, queued behind every task
-already submitted, makes each worker keep the graphs it verified since its
-previous park and drop the rest, and the digests it kept become the slot's
-record, held until its next park.  The slot list waits in a process-wide
-registry, at most one list per width, and the next planner of that width
-takes it instead of forking.  A slot list with a dead worker, or one that
-fails to release, is shut down, never parked; parked pools are shut down at
-interpreter exit or by :func:`shutdown_parked_pools`.  Answers stay
-byte-identical throughout because the graphs workers read unpickle from the
-parent's.
+Lifecycle: a catalog mutation and a compaction both hand the planner a new
+query planner over the catalog's new view (:meth:`ShardedPlanner.swap`),
+and the pool stays.  :meth:`ShardedPlanner.close` — taken by the catalog's
+``close()`` — *parks* the workers: one release task per slot, queued behind
+every task already submitted, makes each worker keep the graphs it verified
+since its previous park and drop the rest, and the digests it kept become
+the slot's record, held until its next park.  The slot list waits in a
+process-wide registry, at most one list per width, and the next planner of
+that width takes it instead of forking.  A slot list with a dead worker, or
+one that fails to release, is shut down, never parked; parked pools are
+shut down at interpreter exit or by :func:`shutdown_parked_pools`.  Answers
+stay byte-identical throughout because the graphs workers read unpickle
+from the parent's.
 """
 
 from __future__ import annotations
@@ -83,12 +65,12 @@ from __future__ import annotations
 import atexit
 import hashlib
 import multiprocessing
+import operator
 import os
 import pickle
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.util import register_after_fork
 from weakref import WeakKeyDictionary
@@ -103,119 +85,12 @@ from repro.core.pipeline import (
     verify_rows,
 )
 from repro.core.planner import QueryPlan, QueryPlanner
-from repro.core.results import QueryResult, QueryStatistics
+from repro.core.results import QueryResult
 from repro.core.verification import Verifier
-from repro.exceptions import BrokenSlotError, ConfigurationError, ShmError
+from repro.exceptions import BrokenSlotError, ConfigurationError, SlotError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
-from repro.pmi.index import ProbabilisticMatrixIndex
-from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.timer import Timer
-
-
-# ----------------------------------------------------------------------
-# partitioning
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShardSpec:
-    """One contiguous slice ``[start, stop)`` of the global graph-id space."""
-
-    shard_id: int
-    start: int
-    stop: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-    def global_ids(self) -> range:
-        return range(self.start, self.stop)
-
-
-def partition_ranges(num_graphs: int, num_shards: int) -> list[ShardSpec]:
-    """Balanced contiguous partition of ``range(num_graphs)`` into K shards.
-
-    The first ``num_graphs % num_shards`` shards get one extra graph (the
-    ``numpy.array_split`` rule).  ``num_shards`` is clamped to ``num_graphs``
-    so no shard is ever empty.
-    """
-    if num_graphs <= 0:
-        raise ConfigurationError("cannot partition an empty database")
-    if num_shards < 1:
-        raise ConfigurationError(f"num_shards must be >= 1, got {num_shards!r}")
-    num_shards = min(num_shards, num_graphs)
-    base, extra = divmod(num_graphs, num_shards)
-    specs: list[ShardSpec] = []
-    start = 0
-    for shard_id in range(num_shards):
-        size = base + (1 if shard_id < extra else 0)
-        specs.append(ShardSpec(shard_id=shard_id, start=start, stop=start + size))
-        start += size
-    return specs
-
-
-@dataclass
-class DatabaseShard:
-    """One shard's graphs plus its PMI and structural-index row views.
-
-    ``graph_ids`` holds the stable external id of every storage row (not
-    necessarily contiguous) and ``active_mask`` switches tombstoned rows
-    off; ``spec`` records only the shard id and the live-row count.
-    ``pmi``/``structural_index`` are the catalog's segmented base+delta
-    views (:mod:`repro.core.catalog`) — planners only need their row-read
-    protocol.
-    """
-
-    spec: ShardSpec
-    graphs: list[ProbabilisticGraph]
-    pmi: ProbabilisticMatrixIndex
-    structural_index: StructuralFeatureIndex
-    graph_ids: np.ndarray
-    active_mask: np.ndarray
-
-    def make_planner(self) -> QueryPlanner:
-        """A planner whose answers and RNG salts use *global* graph ids."""
-        return QueryPlanner(
-            self.graphs,
-            self.pmi,
-            self.structural_index,
-            graph_ids=self.graph_ids,
-            active_mask=self.active_mask,
-        )
-
-    def live_global_ids(self) -> np.ndarray:
-        """The global ids this shard can answer with (tombstones excluded)."""
-        ids = np.asarray(self.graph_ids, dtype=np.int64)
-        return ids[np.asarray(self.active_mask, dtype=bool)]
-
-
-def route_to_smallest(live_counts: list[int]) -> int:
-    """The shard index a new graph routes to: fewest live graphs, lowest
-    index on ties.  This is the catalog's ``add_graph`` placement rule; it
-    keeps shards balanced without moving existing rows (rebalancing proper
-    happens on ``compact()`` via :func:`partition_ranges`)."""
-    if not live_counts:
-        raise ConfigurationError("cannot route into an empty shard list")
-    return int(np.argmin(np.asarray(live_counts, dtype=np.int64)))
-
-
-# ----------------------------------------------------------------------
-# result merging
-# ----------------------------------------------------------------------
-def merge_query_results(parts: list[QueryResult]) -> QueryResult:
-    """Combine per-shard results of one query into a whole-database result.
-
-    Shards cover disjoint graph-id slices, so the merged answer list is the
-    concatenation re-sorted by ``(-probability, graph_id)`` — precisely the
-    sequential planner's output order — and the counters sum via
-    :meth:`QueryStatistics.merge`.
-    """
-    merged = QueryResult()
-    for part in parts:
-        merged.answers.extend(part.answers)
-    merged.answers.sort(key=lambda a: (-a.probability, a.graph_id))
-    merged.statistics = QueryStatistics.merge(part.statistics for part in parts)
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -239,44 +114,43 @@ _WORKER_USED: set[bytes] = set()
 def _verify_slot(
     drops: list[bytes],
     installs: dict[bytes, bytes],
-    work: list[tuple[bytes, list[tuple[np.ndarray, list[bytes]]]]],
+    work: list[tuple[bytes, np.ndarray, list[bytes]]],
 ) -> list[tuple[list[float], int, float]]:
-    """One slot's part of a fan-out: verify the graphs each plan left.
+    """One slot's part of a fan-out: verify the blocks it was dealt.
 
     ``drops`` are digests the worker lets go and ``installs`` maps each
     shipped graph's digest to its pickle; both apply before anything is
-    verified.  ``work`` holds, per plan, the pickled ``(plan, root)`` —
-    pickled once in the parent for every slot that verifies it — and one
-    ``(global ids, digests)`` pair per shard, the survivors in row order.
-    Returns ``(estimates, sampled, seconds)`` per pair, in order.  A digest
-    the worker does not hold raises :class:`~repro.exceptions.ShmError`
-    before any verification, and the store stays as the frame left it.
+    verified.  ``work`` holds one block per plan: the pickled ``(plan,
+    root)`` — pickled once in the parent for every slot that verifies it —
+    and the block's global ids and digests.  Returns ``(estimates, sampled,
+    seconds)`` per block, in order.  A digest the worker does not hold
+    raises :class:`~repro.exceptions.SlotError` before any verification, and
+    the store stays as the frame left it.
     """
     for digest in drops:
         _WORKER_GRAPHS.pop(digest, None)
         _WORKER_USED.discard(digest)
     for digest, payload in installs.items():
         _WORKER_GRAPHS[digest] = pickle.loads(payload)
-    named = [digest for _, pairs in work for _, digests in pairs for digest in digests]
+    named = [digest for _, _, digests in work for digest in digests]
     missing = [digest for digest in named if digest not in _WORKER_GRAPHS]
     if missing:
-        raise ShmError(
+        raise SlotError(
             f"this worker holds no graph with digest {missing[0].hex()} "
             f"({len(missing)} of {len(named)} unknown)"
         )
     _WORKER_USED.update(named)
     verdicts = []
-    for payload, pairs in work:
+    for payload, graph_ids, digests in work:
         plan, root = pickle.loads(payload)
         verifier = Verifier(config=plan.config.verification, relaxation=plan.config.relaxation)
-        for graph_ids, digests in pairs:
-            graphs = [_WORKER_GRAPHS[digest] for digest in digests]
-            timer = Timer()
-            with timer:
-                probabilities, sampled = verify_rows(
-                    verifier, graphs, graph_ids, plan, range(len(graphs)), root
-                )
-            verdicts.append((probabilities, sampled, timer.elapsed))
+        graphs = [_WORKER_GRAPHS[digest] for digest in digests]
+        timer = Timer()
+        with timer:
+            probabilities, sampled = verify_rows(
+                verifier, graphs, graph_ids, plan, range(len(graphs)), root
+            )
+        verdicts.append((probabilities, sampled, timer.elapsed))
     return verdicts
 
 
@@ -293,108 +167,74 @@ def _release_worker() -> list[bytes]:
     return list(kept)
 
 
+def _digest(graph: ProbabilisticGraph) -> tuple[bytes, bytes | None]:
+    """``graph``'s digest, plus its pickle when this call had to make one."""
+    digest = _DIGESTS.get(graph)
+    if digest is not None:
+        return digest, None
+    payload = pickle.dumps(graph, protocol=_PICKLE_PROTOCOL)
+    digest = hashlib.blake2b(payload, digest_size=_DIGEST_BYTES).digest()
+    _DIGESTS[graph] = digest
+    return digest, payload
+
+
 # ----------------------------------------------------------------------
-# the sharded planner
+# the planner
 # ----------------------------------------------------------------------
 class ShardedPlanner:
-    """Runs finished plans over K database shards and merges the answers.
+    """Runs finished plans over the catalog's one query planner, and deals
+    the verification of threshold survivors to a pool of slots.
 
     The query surface is :meth:`plan`, :meth:`plan_top_k` and
     :meth:`execute_plans` — the three methods a
     :class:`~repro.core.catalog.GraphCatalog` calls — and results are
-    identical for every shard count and worker count.  The parent filters
-    every plan on every shard; only the verification of threshold survivors
-    goes to the pool.  ``max_workers`` picks the pool width (``None`` →
-    ``min(num_shards, usable_cores())``); at width <= 1 survivors are
-    verified in-process, which is also the zero-dependency fallback path.
-    The pool is one forked worker per *slot*, each driven over a duplex
-    pipe, and shard ``i`` is always served by slot ``i mod width``, so each
-    shard's graphs are deserialized in exactly one worker.  A frame carries
-    each survivor's global id and digest, plus the pickle of every survivor
+    identical for every pool width.  The parent filters every plan once;
+    only the verification of threshold survivors goes to the pool.  The
+    pool width is ``max_workers`` capped by ``num_shards`` (``None`` → the
+    usable CPUs); at width <= 1 survivors are verified in-process, which is
+    also the zero-dependency fallback path.  The pool is one forked worker
+    per *slot*, each driven over a duplex pipe; a frame carries each
+    survivor's global id and digest, plus the pickle of every survivor
     graph the slot's worker does not hold yet.
 
-    Shards carry explicit stable ids plus a tombstone mask (see
-    :class:`DatabaseShard`) and are validated for live-id disjointness.
-    The determinism contract: answers and counters are byte-identical to a
-    sequential run over the same live graphs under the same roots.
-
-    A catalog mutation reaches the planner as :meth:`replace_shards` — new
-    views of the shards it touched — and a compaction as :meth:`rebase` —
-    every shard over a new base generation.  Both are a swap of views: the
-    pool and the graphs its workers hold stay.
+    The determinism contract: answers and counters are byte-identical to
+    ``query_planner`` run alone under the same roots.  A catalog mutation
+    or compaction reaches the planner as :meth:`swap`: the pool and the
+    graphs its workers hold stay.
     """
 
     def __init__(
         self,
-        shards: list[DatabaseShard],
+        query_planner: QueryPlanner,
         max_workers: int | None = None,
+        num_shards: int = 1,
     ) -> None:
-        _resolve_workers(max_workers, len(shards))  # rejects a negative width
-        self.shards = _validated(shards)
-        self.max_workers = max_workers
-        # slot i: the one worker that serves shards i, i + W, ...
+        self.max_workers, self.num_shards = pool_arguments(max_workers, num_shards)
+        self.query_planner = query_planner
         self._slots: list[_Slot] = []
-        self._local_planners: dict[int, QueryPlanner] = {}
-        # Guards the shard views and the pool lifecycle against concurrent
+        # Guards the query planner and the pool lifecycle against concurrent
         # submission: the query service fans requests in from worker threads
-        # while mutations swap shard views, so view replacement, rebase, slot
-        # creation, frame building and sending (a slot's record of what its
-        # worker holds must change in the order its frames go out), resize,
-        # and close must serialize.  Waiting for the workers' replies happens
-        # outside it: each slot orders its own sends and receives.
-        # Reentrant because locked helpers call one another (execute_plans
-        # -> _send -> _ensure_slots -> _take_slots).
+        # while mutations swap the planner, so the swap, slot creation,
+        # dealing and sending (a slot's record of what its worker holds must
+        # change in the order its frames go out), resize, and close must
+        # serialize.  Waiting for the workers' replies happens outside it:
+        # each slot orders its own sends and receives.  Reentrant because
+        # locked helpers call one another (execute_plans -> _send ->
+        # _ensure_slots -> _take_slots).
         self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------
-    # metadata
-    # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        with self._lock:
-            return len(self.shards)
 
     @property
     def width(self) -> int:
         """The slots a fan-out uses; 1 means survivors are verified in-process."""
         return _resolve_workers(self.max_workers, self.num_shards)
 
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def replace_shards(self, shards: list[DatabaseShard]) -> None:
-        """Swap in new views of mutated shards, in one step.
-
-        Each view replaces the current shard of the same id (the caller —
-        the catalog, whose live-id map is the authority — keeps live ids
-        disjoint), and that shard's in-process planner is dropped.  The
-        pool, the other shards and their planners stay, and a fan-out sees
-        either all of ``shards`` or none of them.
-        """
+    def swap(self, query_planner: QueryPlanner) -> None:
+        """Replace the query planner, in one step: how a catalog mutation
+        and a compaction reach a live planner.  The pool stays, and so does
+        every graph its workers hold; a fan-out in flight keeps the planner
+        it filtered with."""
         with self._lock:
-            by_id = {shard.spec.shard_id: shard for shard in shards}
-            unknown = by_id.keys() - {shard.spec.shard_id for shard in self.shards}
-            if unknown:
-                raise ConfigurationError(f"no shard with id {sorted(unknown)!r} to replace")
-            # a new list: a fan-out that already read the old one keeps it
-            self.shards = [by_id.get(shard.spec.shard_id, shard) for shard in self.shards]
-            for shard_id in by_id:
-                self._local_planners.pop(shard_id, None)
-
-    def rebase(self, shards: list[DatabaseShard]) -> None:
-        """Swap every shard for its view over a new base generation.
-
-        This is how a compaction reaches a live planner: the shard ids must
-        be the current ones (a compaction that changes the shard count takes
-        the full swap, :meth:`close`).  The pool stays, and so does every
-        graph its workers hold that the new generation still stores.
-        """
-        ordered = _validated(shards)
-        with self._lock:
-            if [s.spec.shard_id for s in ordered] != [s.spec.shard_id for s in self.shards]:
-                raise ConfigurationError("a rebase keeps the planner's shard ids")
-            self.shards = ordered
-            self._local_planners.clear()
+            self.query_planner = query_planner
 
     # ------------------------------------------------------------------
     # planning and execution
@@ -406,73 +246,56 @@ class ShardedPlanner:
         distance_threshold: int,
         config=None,
     ) -> QueryPlan:
-        """Validate and plan one threshold query, once for every shard.
-
-        A :class:`QueryPlan` depends only on the query, thresholds, config
-        and the globally shared feature set, so the first shard's planner
-        builds it (Lemma-1 relaxation, then the count profile and the
-        containment relations from one join of each feature into the query)
-        and every shard receives the finished plan instead of re-deriving the
-        same one K times.
-        """
-        return self._planning_planner().plan(
-            query, probability_threshold, distance_threshold, config
-        )
+        """Validate and plan one threshold query
+        (:meth:`~repro.core.planner.QueryPlanner.plan`)."""
+        with self._lock:
+            planner = self.query_planner
+        return planner.plan(query, probability_threshold, distance_threshold, config)
 
     def plan_top_k(
         self, query: LabeledGraph, k: int, distance_threshold: int, config=None
     ) -> QueryPlan:
-        """Validate and plan one top-k query, once for every shard."""
-        return self._planning_planner().plan_top_k(query, k, distance_threshold, config)
+        """Validate and plan one top-k query."""
+        with self._lock:
+            planner = self.query_planner
+        return planner.plan_top_k(query, k, distance_threshold, config)
 
     def execute_plans(self, plans: list[QueryPlan], roots: list[int]) -> list[QueryResult]:
-        """Run finished plans over every shard, one result per plan.
+        """Run finished plans, one result per plan.
 
         Plan ``i`` runs under root ``roots[i]``.  The parent runs every stage
-        before verification of every plan on every shard's in-process planner
+        before verification of every plan
         (:meth:`~repro.core.planner.QueryPlanner.filter_plan`), then places
-        verification.  A threshold plan's survivors are verified by the slot
-        that owns their shard, or in-process at width <= 1, and its shard
-        parts merge by :func:`merge_query_results`.  A top-k plan is ranked
-        once over every shard's candidates, in the parent
-        (:func:`~repro.core.pipeline.finish_top_k`).  Because every estimate
-        derives from ``(root, VERIFY_STREAM, global graph id)``, answers and
-        counters are byte-identical to one shard's over the same live graphs
-        with the same roots — for any shard count, worker count or OS
-        scheduling.
+        verification: a threshold plan's survivors are dealt to slots in
+        blocks, or verified in-process at width <= 1, and a top-k plan is
+        ranked in the parent (:func:`~repro.core.pipeline.finish_top_k`).
+        Because every estimate derives from ``(root, VERIFY_STREAM, global
+        graph id)``, answers and counters are byte-identical to the query
+        planner's own for any worker count, dealing or OS scheduling.
 
         Filtering and sending happen under the lifecycle lock, so a fan-out
-        filters one set of views and its frames leave in the order the
-        slots' records of their workers' graphs changed.
+        filters one view and its frames leave in the order the slots'
+        records of their workers' graphs changed.
         """
         if not plans:
             return []
         with self._lock:
-            planners = [self._planner_for(shard) for shard in self.shards]
             parts = [
-                [planner.filter_plan(plan, root) for planner in planners]
-                for plan, root in zip(plans, roots)
+                self.query_planner.filter_plan(plan, root) for plan, root in zip(plans, roots)
             ]
-            # (plan index, shard position) -> a threshold part with rows to verify
+            # plan index -> a threshold part with rows to verify
             survivors = {
-                (i, j): part
-                for i, plan_parts in enumerate(parts)
-                if plans[i].mode != TOP_K_MODE
-                for j, part in enumerate(plan_parts)
-                if len(part.rows)
+                i: part
+                for i, (plan, part) in enumerate(zip(plans, parts))
+                if plan.mode != TOP_K_MODE and len(part.rows)
             }
             sent = self._send(survivors)
         verdicts = self._receive(sent, survivors)
         return [
-            finish_top_k(plan_parts)
+            finish_top_k(part)
             if plan.mode == TOP_K_MODE
-            else merge_query_results(
-                [
-                    finish_threshold(part, *verdicts.get((i, j), ([], 0, 0.0)))
-                    for j, part in enumerate(plan_parts)
-                ]
-            )
-            for i, (plan, plan_parts) in enumerate(zip(plans, parts))
+            else finish_threshold(part, *verdicts.get(i, ([], 0, 0.0)))
+            for i, (plan, part) in enumerate(zip(plans, parts))
         ]
 
     # ------------------------------------------------------------------
@@ -489,12 +312,10 @@ class ShardedPlanner:
         forking (this one included).  A slot that cannot release — its
         worker died, or the release raised — takes every slot down with it
         and nothing is parked; a release that raised still raises here.
-        This is the full swap: the catalog's ``close()`` and a compaction
-        that changes the shard count come here; the dead-worker fallback
-        (:class:`~repro.exceptions.BrokenSlotError`) takes it too, shutting
-        the slots down instead of parking them.  A mutation does not
-        (:meth:`replace_shards`), and neither does a compaction that keeps
-        the shard count (:meth:`rebase`).
+        The catalog's ``close()`` comes here; the dead-worker fallback
+        (:class:`~repro.exceptions.BrokenSlotError`) shuts the slots down
+        instead of parking them.  A mutation or a compaction does not
+        (:meth:`swap`).
 
         Safe under concurrency (the drain-on-close contract): idempotent
         — a second ``close()``, including one racing the first from another
@@ -516,61 +337,83 @@ class ShardedPlanner:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _send(self, survivors: dict[tuple[int, int], FilteredPlan]):
-        """Send every slot that owns a survivor one frame; None when nothing
-        goes to a pool (width <= 1, or no survivor at all).
+    def _send(self, survivors: dict[int, FilteredPlan]):
+        """Deal every threshold plan's survivors to the slots and send each
+        slot that was dealt a block one frame; None when nothing goes to a
+        pool (width <= 1, or no survivor at all).
 
-        Called under the lifecycle lock, atomically: the slots are acquired
-        and the frames built and sent, shard ``j``'s survivors to slot ``j
-        mod W`` — so a concurrent ``close()`` either runs before this batch
+        A survivor whose digest a slot holds goes to that slot, and the rest
+        of the plan's survivors go as one block to the slot that holds the
+        fewest graphs, lowest index on ties.  A slot whose record names a
+        graph this process let go of is sent a frame too, for its drop list.
+        Called under the lifecycle lock, atomically: the slots are acquired and the frames built and
+        sent — so a concurrent ``close()`` either runs before this batch
         (which then takes a parked pool or forks one) or drains it (its
-        release tasks queue behind the batch's), and a concurrent mutation or
-        rebase lands wholly before or wholly after it.  Each plan is pickled
-        once, however many slots verify it, and each graph a worker does not
-        hold once per slot (:meth:`_Slot.hold`).  A frame that fails to go
-        out leaves its slot's record ahead of its worker, so it shuts every
-        slot down before it raises.
+        release tasks queue behind the batch's), and a concurrent swap lands
+        wholly before or wholly after it.  Each plan is pickled once, however
+        many slots verify it, and each graph a worker does not hold once per
+        slot (:meth:`_Slot.hold`).  A frame that fails to go out leaves its
+        slot's record ahead of its worker, so it shuts every slot down
+        before it raises.
         """
         workers = self.width
         if workers <= 1 or not survivors:
             return None
         with self._lock:
             slots = self._ensure_slots(workers)
+            # per plan, every survivor as (graph, digest, pickle or None)
+            shipped = {
+                i: [
+                    (graph, *_digest(graph))
+                    for graph in map(part.planner.graphs.__getitem__, part.rows)
+                ]
+                for i, part in survivors.items()
+            }
+            surviving = {digest for rows in shipped.values() for _, digest, _ in rows}
+            installs: list[dict[bytes, bytes]] = [{} for _ in slots]
+            # per slot: plan index -> (positions in the plan's rows, digests)
+            dealt: list[dict[int, tuple[list[int], list[bytes]]]] = [{} for _ in slots]
             submitted = []
             try:
+                drops = [slot.stale(surviving) for slot in slots]
+                for i, rows in shipped.items():
+                    fewest = min(range(len(slots)), key=lambda s: len(slots[s].held))
+                    for position, (graph, digest, payload) in enumerate(rows):
+                        s = next((s for s, slot in enumerate(slots) if digest in slot.held), fewest)
+                        slots[s].hold(graph, digest, payload, installs[s])
+                        positions, named = dealt[s].setdefault(i, ([], []))
+                        positions.append(position)
+                        named.append(digest)
                 payloads: dict[int, bytes] = {}
-                for slot_index, slot in enumerate(slots):
-                    keys = [key for key in survivors if key[1] % workers == slot_index]
-                    if not keys:
+                for slot, work, dropped, shipping in zip(slots, dealt, drops, installs):
+                    if not work and not dropped:
                         continue
-                    installs: dict[bytes, bytes] = {}
-                    work: dict[int, list] = {}
-                    for i, j in keys:
-                        part = survivors[i, j]
+                    frame = []
+                    for i, (positions, named) in work.items():
+                        part = survivors[i]
                         if i not in payloads:
                             payloads[i] = pickle.dumps(
                                 (part.ctx.plan, part.ctx.root), protocol=_PICKLE_PROTOCOL
                             )
-                        graphs = part.planner.graphs
-                        digests = [slot.hold(graphs[row], installs) for row in part.rows.tolist()]
-                        work.setdefault(i, []).append((part.planner.global_ids[part.rows], digests))
-                    frame = [(payloads[i], pairs) for i, pairs in work.items()]
-                    reply = slot.submit(_verify_slot, slot.stale(), installs, frame)
+                        ids = part.planner.global_ids[part.rows[positions]]
+                        frame.append((payloads[i], ids, named))
+                    reply = slot.submit(_verify_slot, dropped, shipping, frame)
+                    keys = [(i, positions) for i, (positions, _) in work.items()]
                     submitted.append((slot, reply, keys))
             except BaseException:
                 self._close(park=False)
                 raise
             return submitted
 
-    def _receive(self, sent, survivors: dict[tuple[int, int], FilteredPlan]) -> dict:
-        """Every survivor's ``(estimates, sampled, seconds)``, keyed like
-        ``survivors``: the slots' replies, or — without a pool, or after a
-        dead worker — :meth:`~repro.core.pipeline.FilteredPlan.verify` in this
-        process.  Waiting for the replies happens outside the lock so
-        concurrent submitters and a draining ``close()`` never deadlock on
-        each other."""
+    def _receive(self, sent, survivors: dict[int, FilteredPlan]) -> dict:
+        """Every threshold plan's ``(estimates, sampled, seconds)``, keyed
+        like ``survivors``: the slots' blocks put back in row order (seconds:
+        the slowest block's), or — without a pool, or after a dead worker —
+        :meth:`~repro.core.pipeline.FilteredPlan.verify` in this process.
+        Waiting for the replies happens outside the lock so concurrent
+        submitters and a draining ``close()`` never deadlock on each other."""
         if sent is None:
-            return {key: part.verify() for key, part in survivors.items()}
+            return {i: part.verify() for i, part in survivors.items()}
         try:
             replies = _gather([(slot, reply) for slot, reply, _ in sent])
         except BrokenSlotError:
@@ -578,33 +421,23 @@ class ShardedPlanner:
             # either way, so finish this call in-process and let the next
             # call fork fresh slots (a broken slot list is never parked)
             self._close(park=False)
-            return {key: part.verify() for key, part in survivors.items()}
-        return {
-            key: verdict
-            for (_, _, keys), values in zip(sent, replies)
-            for key, verdict in zip(keys, values, strict=True)
-        }
-
-    def _planning_planner(self) -> QueryPlanner:
-        with self._lock:
-            return self._planner_for(self.shards[0])
-
-    def _planner_for(self, shard: DatabaseShard) -> QueryPlanner:
-        with self._lock:
-            planner = self._local_planners.get(shard.spec.shard_id)
-            if planner is None:
-                planner = shard.make_planner()
-                self._local_planners[shard.spec.shard_id] = planner
-            return planner
+            return {i: part.verify() for i, part in survivors.items()}
+        verdicts = {i: ([0.0] * len(part.rows), 0, 0.0) for i, part in survivors.items()}
+        for (_, _, keys), values in zip(sent, replies):
+            for (i, positions), (estimates, sampled, seconds) in zip(keys, values, strict=True):
+                probabilities, total, slowest = verdicts[i]
+                for position, estimate in zip(positions, estimates, strict=True):
+                    probabilities[position] = estimate
+                verdicts[i] = (probabilities, total + sampled, max(slowest, seconds))
+        return verdicts
 
     def map_slots(self, fn, *args) -> list:
         """``fn(*args)`` run once in the worker of every slot, in slot order
-        (starting the pool if there is none; ``[]`` without one).  Slot ``s``
-        serves shards ``s, s + W, ...``: how tests and benchmarks reach the
-        worker of a given shard to inspect or kill it.  A dead worker takes
-        the fan-out's path — every slot shut down, none parked — and raises
-        :class:`~repro.exceptions.BrokenSlotError`; the next call forks
-        fresh workers."""
+        (starting the pool if there is none; ``[]`` without one): how tests
+        and benchmarks reach a worker to inspect or kill it.  A dead worker
+        takes the fan-out's path — every slot shut down, none parked — and
+        raises :class:`~repro.exceptions.BrokenSlotError`; the next call
+        forks fresh workers."""
         workers = self.width
         if workers <= 1:
             return []
@@ -685,27 +518,34 @@ class _Slot:
             self, _stop_worker, os.getpid(), self._conn, self._process
         )
 
-    def hold(self, graph: ProbabilisticGraph, installs: dict[bytes, bytes]) -> bytes:
-        """The digest ``graph`` goes by in this slot's worker.  Its pickle
-        goes into ``installs`` unless the worker holds that digest already;
-        the worker then keeps it while ``graph`` lives in this process."""
-        digest, payload = _DIGESTS.get(graph), None
-        if digest is None:
-            payload = pickle.dumps(graph, protocol=_PICKLE_PROTOCOL)
-            digest = hashlib.blake2b(payload, digest_size=_DIGEST_BYTES).digest()
-            _DIGESTS[graph] = digest
+    def hold(
+        self,
+        graph: ProbabilisticGraph,
+        digest: bytes,
+        payload: bytes | None,
+        installs: dict[bytes, bytes],
+    ) -> None:
+        """Record ``graph``, which goes by ``digest``, as held by this slot's
+        worker.  Its pickle (``payload``, or a new one) goes into
+        ``installs`` unless the worker holds that digest already; the worker
+        then keeps it while ``graph`` lives in this process."""
         if digest not in self.held:
             installs[digest] = payload or pickle.dumps(graph, protocol=_PICKLE_PROTOCOL)
             self.graph_bytes += len(installs[digest])
             self.held[digest] = weakref.ref(graph)
         elif self.held[digest] is not None and self.held[digest]() is None:
             self.held[digest] = weakref.ref(graph)  # an equal graph outlived the first
-        return digest
 
-    def stale(self) -> list[bytes]:
+    def stale(self, surviving: set[bytes]) -> list[bytes]:
         """Forget every graph shipped for an object this process no longer
-        holds; the digests are the next frame's drop list."""
-        dead = [digest for digest, ref in self.held.items() if ref is not None and ref() is None]
+        holds, unless an equal graph is among the ``surviving`` digests
+        (:meth:`hold` then re-points the record); the digests are the next
+        frame's drop list."""
+        dead = [
+            digest
+            for digest, ref in self.held.items()
+            if ref is not None and ref() is None and digest not in surviving
+        ]
         for digest in dead:
             del self.held[digest]
         return dead
@@ -738,7 +578,7 @@ class _Slot:
         try:
             ok, value = pickle.loads(frame)
         except Exception as exc:
-            raise ShmError(f"a slot worker's reply does not unpickle: {exc!r}") from exc
+            raise SlotError(f"a slot worker's reply does not unpickle: {exc!r}") from exc
         if ok:
             return value
         raise value
@@ -812,7 +652,7 @@ def _serve_slot(conn: Connection) -> None:
 def _run_task(frame: bytes) -> bytes:
     """Run one task frame; the reply frame is ``(True, value)`` or ``(False,
     exception)``.  A value or an exception that does not pickle becomes a
-    :class:`~repro.exceptions.ShmError`, so a reply is always a whole frame."""
+    :class:`~repro.exceptions.SlotError`, so a reply is always a whole frame."""
     try:
         fn, args = pickle.loads(frame)
         outcome = (True, fn(*args))
@@ -822,7 +662,7 @@ def _run_task(frame: bytes) -> bytes:
         return pickle.dumps(outcome, protocol=_PICKLE_PROTOCOL)
     except Exception as exc:
         what = "result" if outcome[0] else "exception"
-        error = ShmError(f"a {type(outcome[1]).__name__} {what} does not pickle: {exc!r}")
+        error = SlotError(f"a {type(outcome[1]).__name__} {what} does not pickle: {exc!r}")
         return pickle.dumps((False, error), protocol=_PICKLE_PROTOCOL)
 
 
@@ -885,24 +725,6 @@ def shutdown_parked_pools() -> None:
         _shutdown(slots)
 
 
-def _validated(shards: list[DatabaseShard]) -> list[DatabaseShard]:
-    """``shards`` in shard-id order, checked: at least one, distinct ids
-    (planner caches, slots and pool tasks are keyed by them) and disjoint live
-    ids (the merge invariants need them)."""
-    if not shards:
-        raise ConfigurationError("a sharded planner needs at least one shard")
-    ordered = sorted(shards, key=lambda shard: shard.spec.shard_id)
-    all_ids = np.concatenate([shard.live_global_ids() for shard in ordered])
-    if len(np.unique(all_ids)) != len(all_ids):
-        raise ConfigurationError("catalog shards must cover disjoint live graph ids")
-    seen_ids: set[int] = set()
-    for shard in ordered:
-        if shard.spec.shard_id in seen_ids:
-            raise ConfigurationError(f"duplicate shard id {shard.spec.shard_id!r}")
-        seen_ids.add(shard.spec.shard_id)
-    return ordered
-
-
 def usable_cores() -> int:
     """The CPUs this process may run on: its affinity set where the platform
     has one, else the machine's CPU count."""
@@ -912,13 +734,33 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _resolve_workers(max_workers: int | None, num_tasks: int) -> int:
-    """The effective pool width: never more than tasks, ``None`` → the usable
-    CPUs (:func:`usable_cores`)."""
-    if max_workers is not None and max_workers < 0:
-        raise ConfigurationError(f"max_workers must be >= 0, got {max_workers!r}")
-    if num_tasks <= 1:
+def pool_arguments(max_workers, num_shards) -> tuple[int | None, int]:
+    """``(max_workers, num_shards)`` checked once, the way the catalog checks
+    an id: plain ints (anything ``operator.index`` takes, never a bool),
+    ``max_workers`` >= 0 or None and ``num_shards`` >= 1."""
+    return (
+        None if max_workers is None else _count(max_workers, "max_workers", 0),
+        _count(num_shards, "num_shards", 1),
+    )
+
+
+def _count(value, name: str, minimum: int) -> int:
+    if isinstance(value, bool):  # operator.index(True) is 1
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
+    return number
+
+
+def _resolve_workers(max_workers: int | None, num_shards: int) -> int:
+    """The effective pool width: ``max_workers`` (``None`` → the usable CPUs,
+    :func:`usable_cores`) capped by ``num_shards``."""
+    if num_shards <= 1:
         return 1
     if max_workers is None:
-        return min(num_tasks, usable_cores())
-    return min(max_workers, num_tasks)
+        return min(num_shards, usable_cores())
+    return min(max_workers, num_shards)

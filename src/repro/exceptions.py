@@ -90,15 +90,15 @@ class WalError(CatalogError):
     expected crash damage, silently truncated on open — never this error.)"""
 
 
-class ShmError(ReproError):
-    """Raised for shard-slot transport failures: a verify frame naming a
+class SlotError(ReproError):
+    """Raised for pool-slot transport failures: a verify frame naming a
     graph digest the slot's worker does not hold, a worker's result or
     exception that does not pickle, or a reply that does not unpickle.  The
     slot stays usable after each of them."""
 
 
-class BrokenSlotError(ShmError):
-    """Raised when a shard slot's worker process is gone (killed, or exited):
+class BrokenSlotError(SlotError):
+    """Raised when a pool slot's worker process is gone (killed, or exited):
     every reply still pending on that slot fails with it.  The planner then
     shuts its slots down instead of parking them, and its next fan-out forks
     fresh workers; a query fan-out answers in-process instead of raising."""

@@ -130,8 +130,8 @@ class ProbabilisticMatrixIndex:
 
         Monte-Carlo SIP-bound sampling derives one RNG stream per graph from
         ``(rng, BUILD_STREAM, stable graph id)``, where the stable id of row
-        ``k`` is ``graph_ids[k]`` when given and ``k`` otherwise.  A shard
-        build over ``database[start:stop]`` with ``graph_ids=range(start,
+        ``k`` is ``graph_ids[k]`` when given and ``k`` otherwise.  A build
+        over ``database[start:stop]`` with ``graph_ids=range(start,
         stop)`` (and the globally mined ``features``) therefore produces
         exactly the rows a sequential full build would, and more generally a
         build with explicit ``graph_ids`` produces exactly the rows a
@@ -411,7 +411,7 @@ class ProbabilisticMatrixIndex:
 
         ``graph_ids`` is any sequence (or range) of indexed graph ids; row
         ``k`` of the subset is the old row ``graph_ids[k]``.  This is how a
-        prebuilt or loaded full PMI is split into shard slices without
+        catalog adopts a prebuilt or loaded PMI and compacts its rows without
         recomputing any SIP bounds.  Contiguous ascending ranges slice the
         columnar arrays zero-copy; arbitrary id lists fall back to a fancy-
         indexed copy.

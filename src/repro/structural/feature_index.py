@@ -205,7 +205,7 @@ class StructuralFeatureIndex:
         Mirrors :meth:`ProbabilisticMatrixIndex.subset`: row ``k`` of the
         slice is old row ``graph_ids[k]``, features are shared, and
         contiguous ascending ranges keep a zero-copy view of the counts.
-        Used to split one built structural index into per-shard slices.
+        Used to adopt a built index into a catalog and to compact one.
         """
         if not self._built:
             raise StateError("the structural feature index must be built first")

@@ -72,8 +72,8 @@ class StructuralFilter:
         upstream stage may already have narrowed the candidate set.  The
         Grafil feature-count deficit and the signature bound are each one
         vectorized pass over the whole index.  ``profile`` is the query's
-        count profile when the caller holds it: a plan does, so that every
-        shard reads the planner's instead of re-deriving its own.
+        count profile when the caller holds it: a plan does, so that the
+        filter reads the planner's instead of re-deriving its own.
         """
         if profile is None:
             profile = self.index.query_profile(query)

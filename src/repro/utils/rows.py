@@ -2,7 +2,7 @@
 
 Both :class:`~repro.pmi.index.ProbabilisticMatrixIndex` and
 :class:`~repro.structural.feature_index.StructuralFeatureIndex` store one
-row per graph and slice themselves into shard views the same way; this
+row per graph and slice themselves into row subsets the same way; this
 helper keeps the validation and the zero-copy rule in one place.
 """
 

@@ -113,35 +113,35 @@ class TestGuardedAttributes:
                 def size(self):
                     with self._lock:
                         width = len(self._slots)
-                    return width + len(self._local_planners)
+                    return width + len(self.query_planner.graphs)
             """
         )
         assert rule_ids(report) == ["LOCK001"]
-        assert "_local_planners" in report.findings[0].message
+        assert "query_planner" in report.findings[0].message
 
-    def test_shard_views_and_stale_deltas_are_guarded(self, analyze):
+    def test_query_planner_and_slots_are_guarded(self, analyze):
         """What a mutation swaps under a live pool is part of the contract:
-        the shard list and the stale-delta set, read or written."""
+        the query planner and the slot list, read or written."""
         report = analyze(
             """
             class ShardedPlanner:
-                def replace_shards(self, shards):
+                def swap(self, query_planner):
                     with self._lock:
-                        self._stale_deltas.update(s.spec.shard_id for s in shards)
-                    self.shards = shards
+                        self._slots.sort(key=id)
+                    self.query_planner = query_planner
 
                 def pending(self):
-                    return len(self._stale_deltas)
+                    return len(self._slots)
 
                 def width(self):
                     with self._lock:
-                        return len(self.shards)
+                        return len(self.query_planner.graphs)
             """
         )
         assert rule_ids(report) == ["LOCK001", "LOCK001"]
         messages = " ".join(finding.message for finding in report.findings)
-        assert "self.shards" in messages and "replace_shards" in messages
-        assert "self._stale_deltas" in messages and "pending" in messages
+        assert "self.query_planner" in messages and "swap" in messages
+        assert "self._slots" in messages and "pending" in messages
 
 
 class TestBuiltinRaise:

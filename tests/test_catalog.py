@@ -1,11 +1,11 @@
 """Unit and edge-case tests for the mutable GraphCatalog layer.
 
 Covers the mutation API (add/remove/update and their error paths), the
-delta/tombstone/compaction lifecycle — including the ISSUE's edge cases:
+delta/tombstone/compaction lifecycle — including its edge cases:
 remove-then-re-add of the same external id, compaction with an empty delta,
-querying an all-tombstoned database, and rebalancing when the requested
-shard count exceeds the live graph count — plus the low-level building
-blocks (PMI row append / concat, segmented views, shard routing).
+querying an all-tombstoned database, and a pool capped by more shards than
+live graphs — the checks on the two pool arguments, plus the low-level
+building blocks (PMI row append / concat, segmented views).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core import (
     SegmentedStructuralView,
     ShardedPlanner,
     VerificationConfig,
-    route_to_smallest,
 )
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.core.wal import WriteAheadLog, wal_filename
@@ -250,7 +249,7 @@ class TestCompaction:
             catalog.remove_graph(external_id)
         catalog.compact()
         assert catalog.num_live == 0
-        assert catalog.num_shards == 1
+        assert catalog.delta_rows == catalog.tombstone_count == 0
         assert catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11).answers == []
         # ids continue from the high-water mark, and querying works again
         assert catalog.add_graph(extra_graphs[0]) == 8
@@ -259,30 +258,9 @@ class TestCompaction:
 
 
 # ----------------------------------------------------------------------
-# sharding: routing and rebalancing
+# the pool arguments
 # ----------------------------------------------------------------------
 class TestShardedCatalog:
-    def test_route_to_smallest_prefers_lowest_index_on_ties(self):
-        assert route_to_smallest([3, 1, 1]) == 1
-        assert route_to_smallest([2, 2, 2]) == 0
-        with pytest.raises(ValueError):
-            route_to_smallest([])
-
-    def test_adds_route_to_smallest_shard(self, base_graphs, extra_graphs):
-        catalog = GraphCatalog.build(
-            base_graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BOUND_CONFIG,
-            rng=7,
-            num_shards=3,
-        )
-        # 8 graphs over 3 shards -> [3, 3, 2]; adds fill the smallest first
-        assert catalog.shard_live_counts() == [3, 3, 2]
-        catalog.add_graph(extra_graphs[0])
-        assert catalog.shard_live_counts() == [3, 3, 3]
-        catalog.add_graph(extra_graphs[1])
-        assert catalog.shard_live_counts() == [4, 3, 3]
-
     def test_rebalance_with_more_shards_than_live_graphs(
         self, base_graphs, query
     ):
@@ -301,24 +279,9 @@ class TestShardedCatalog:
             sequential.remove_graph(external_id)
         catalog.compact()
         assert catalog.num_live == 2
-        assert catalog.num_shards == 2  # partition_ranges clamps K to live count
         result = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
         expected = sequential.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
         assert answers(result) == answers(expected)
-
-    def test_sharded_planner_rejects_overlapping_catalog_shards(self, base_graphs):
-        catalog = GraphCatalog.build(
-            base_graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BOUND_CONFIG,
-            rng=7,
-            num_shards=2,
-        )
-        shard_a = catalog._stores[0].make_shard(0)
-        clash = catalog._stores[0].make_shard(1)  # same live ids, new shard id
-        with pytest.raises(ValueError, match="disjoint"):
-            ShardedPlanner([shard_a, clash])
-
 
     @pytest.mark.parametrize(
         "entry", ["planner_one_shard", "planner_two_shards", "build", "from_index", "open"]
@@ -338,11 +301,14 @@ class TestShardedCatalog:
             directory=tmp_path,
         )
         catalog.close()
-        shards = [store.make_shard(i) for i, store in enumerate(catalog._stores)]
-        store = catalog._stores[0]
+        store = catalog._store
         attempts = {
-            "planner_one_shard": lambda: ShardedPlanner(shards[:1], max_workers=-5),
-            "planner_two_shards": lambda: ShardedPlanner(shards, max_workers=-5),
+            "planner_one_shard": lambda: ShardedPlanner(
+                store.make_planner(), max_workers=-5, num_shards=1
+            ),
+            "planner_two_shards": lambda: ShardedPlanner(
+                store.make_planner(), max_workers=-5, num_shards=2
+            ),
             "build": lambda: GraphCatalog.build(
                 base_graphs[:2],
                 feature_config=FEATURE_CONFIG,
@@ -357,6 +323,57 @@ class TestShardedCatalog:
         }
         with pytest.raises(ConfigurationError, match="max_workers"):
             attempts[entry]()
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("num_shards", 1.5),
+            ("num_shards", "2"),
+            ("num_shards", True),
+            ("num_shards", 0),
+            ("max_workers", 1.5),
+            ("max_workers", "2"),
+            ("max_workers", True),
+            ("max_workers", -1),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["build", "from_index", "planner"])
+    def test_pool_arguments_are_integers_and_never_bools(
+        self, base_graphs, argument, value, entry
+    ):
+        """Each pool argument is checked once where it is handed over: an
+        integer (``operator.index``), never a bool, in range — else a
+        :class:`ConfigurationError` naming it, not a raw ``TypeError`` and
+        not a width of ``True``."""
+        catalog = GraphCatalog.build(
+            base_graphs[:3], feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=7
+        )
+        store = catalog._store
+        attempts = {
+            "build": lambda: GraphCatalog.build(
+                base_graphs[:2], feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG,
+                rng=7, **{argument: value},
+            ),
+            "from_index": lambda: GraphCatalog.from_index(
+                store.graphs, store.base_pmi, store.base_structural, **{argument: value}
+            ),
+            "planner": lambda: ShardedPlanner(store.make_planner(), **{argument: value}),
+        }
+        with pytest.raises(ConfigurationError, match=argument):
+            attempts[entry]()
+
+    def test_integer_like_pool_arguments_are_taken(self, base_graphs):
+        catalog = GraphCatalog.build(
+            base_graphs[:3],
+            feature_config=FEATURE_CONFIG,
+            bound_config=BOUND_CONFIG,
+            rng=7,
+            num_shards=np.int64(2),
+            max_workers=np.int32(0),
+        )
+        planner = catalog.planner()
+        assert (planner.num_shards, planner.max_workers) == (2, 0) and planner.width <= 1
+        assert type(planner.num_shards) is int and type(planner.max_workers) is int
 
 
 # ----------------------------------------------------------------------

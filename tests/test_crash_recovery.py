@@ -39,7 +39,6 @@ from tests.test_catalog_parity import (
     DISTANCE_THRESHOLD,
     PROBABILITY_THRESHOLD,
     SEARCH_CONFIG,
-    answer_tuples,
     assert_result_parity,
     rebuild_from_scratch,
 )
@@ -221,12 +220,7 @@ def _assert_recovers(directory, prefix_states, num_shards, check_answers):
         expected_top = reference.execute_top_k(
             query, 3, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=SEED
         )
-        if num_shards == 1:
-            assert_result_parity(top_k, expected_top, f"shards={num_shards}")
-        else:
-            # sharded top-k: answers byte-equal, work counters legitimately
-            # differ (per-shard floors) — the repo-wide sharding convention
-            assert answer_tuples(top_k) == answer_tuples(expected_top)
+        assert_result_parity(top_k, expected_top, f"shards={num_shards}")
     finally:
         recovered.close()
 
@@ -236,8 +230,8 @@ def test_kill_at_every_fsync_boundary(tmp_path, num_shards):
     """Sweep the kill point across every durability boundary of the workload.
 
     ``K=1`` checks answer parity at sampled crash points in addition to the
-    prefix-state invariant at all of them; the sharded runs sample fewer
-    (the invariant machinery is shard-count independent, the sweep is not).
+    prefix-state invariant at all of them; the pooled runs (``num_shards``
+    caps the pool at K) sample fewer crash points.
     """
     graphs, pool = _dataset()
     prefix_states = _prefix_states(graphs, pool)

@@ -64,6 +64,14 @@ class TestPersistAndOpen:
         assert (root / CURRENT_FILENAME).exists()
         assert (root / "gen_00000000" / "catalog.json").exists()
         assert (root / wal_filename(0)).exists()
+        # one store: graphs, PMI and counts sit in the generation directory
+        assert sorted(path.name for path in (root / "gen_00000000").iterdir()) == [
+            "catalog.json",
+            "graphs.json",
+            "pmi_arrays.npz",
+            "pmi_meta.json",
+            "structural_counts.npy",
+        ]
         catalog.close()
 
     def test_in_memory_catalog_is_not_durable(self):
@@ -120,6 +128,25 @@ class TestPersistAndOpen:
         with pytest.raises(CatalogError, match="unsupported catalog snapshot"):
             GraphCatalog.open(tmp_path / "catalog")
 
+    def test_open_refuses_a_version_one_snapshot(self, tmp_path):
+        """Version 1 kept one ``shard_NNN/`` directory per shard and listed
+        their ids under ``shards``: ``open`` refuses it with the typed error
+        for an unsupported version before it reads a file."""
+        catalog, _ = durable_catalog(tmp_path, num_shards=2)
+        catalog.close()
+        generation = tmp_path / "catalog" / "gen_00000000"
+        meta = json.loads((generation / "catalog.json").read_text())
+        shard = generation / "shard_000"
+        shard.mkdir()
+        for path in sorted(generation.iterdir()):
+            if path.is_file() and path.name != "catalog.json":
+                path.rename(shard / path.name)
+        meta["version"] = 1
+        meta["shards"] = [{"external_ids": meta.pop("external_ids")}]
+        (generation / "catalog.json").write_text(json.dumps(meta))
+        with pytest.raises(CatalogError, match="unsupported catalog snapshot version 1"):
+            GraphCatalog.open(tmp_path / "catalog")
+
     def test_to_catalog_with_directory(self, tmp_path):
         """An index adopted into a catalog (``GraphCatalog.from_index``) with a
         directory is durable from birth."""
@@ -163,16 +190,16 @@ class TestPersistAndOpen:
         reopened.close()
         assert not rebuilds, f"open() rebuilt {rebuilds} instead of loading"
 
-        assert reopened.num_shards == built.num_shards == num_shards
-        for built_store, reopened_store in zip(built._stores, reopened._stores):
-            for name in ("_lower", "_upper", "_present"):
-                assert np.array_equal(
-                    getattr(built_store.base_pmi, name), getattr(reopened_store.base_pmi, name)
-                ), name
+        assert reopened._num_shards == built._num_shards == num_shards
+        built_store, reopened_store = built._store, reopened._store
+        for name in ("_lower", "_upper", "_present"):
             assert np.array_equal(
-                built_store.base_structural.counts_matrix(),
-                reopened_store.base_structural.counts_matrix(),
-            )
+                getattr(built_store.base_pmi, name), getattr(reopened_store.base_pmi, name)
+            ), name
+        assert np.array_equal(
+            built_store.base_structural.counts_matrix(),
+            reopened_store.base_structural.counts_matrix(),
+        )
 
 
 class TestRecoveryInvariant:
@@ -229,7 +256,7 @@ class TestRecoveryInvariant:
         catalog.close()
 
         recovered = GraphCatalog.open(tmp_path / "catalog")
-        # replay reproduces smallest-shard routing decision for decision
+        # replay reproduces every storage row
         recovered_placement = {
             eid: recovered._live[eid] for eid in recovered.live_external_ids()
         }
@@ -253,18 +280,13 @@ class TestRecoveryInvariant:
             ),
             f"ops={ops}",
         )
-        # sharded top-k merges per-shard partials whose work counters
-        # legitimately differ from the sequential reference; answers must
-        # still be byte-equal (the repo-wide sharding convention)
-        assert answer_tuples(
+        assert_result_parity(
             recovered.query_top_k(
                 query, 3, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=SEED
-            )
-        ) == answer_tuples(
-            reference.execute_top_k(
-                query, 3, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=SEED
-            )
-        ), f"ops={ops}"
+            ),
+            reference.execute_top_k(query, 3, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=SEED),
+            f"ops={ops}",
+        )
         recovered.compact()
         assert_signature_segment_matches_live_graphs(recovered, fresh=True)
         recovered.close()

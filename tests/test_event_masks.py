@@ -259,8 +259,7 @@ class TestLazyBitTable:
         catalog.close()
         reopened = GraphCatalog.open(tmp_path / "catalog", max_workers=0)
         try:
-            (shard,) = reopened.planner().shards
-            live = [added.skeleton, *(g.skeleton for g in shard.graphs)]
+            live = [added.skeleton, *(g.skeleton for g in reopened.planner().query_planner.graphs)]
             assert not any("_event_bits" in skeleton.__dict__ for skeleton in live)
             model = batch_kernel._MODEL_CACHE.get(added)
             assert model is None or not model._bits

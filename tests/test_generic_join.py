@@ -501,8 +501,7 @@ def test_index_contents_equal_the_block_of_one_oracle(workload, monkeypatch):
         feature_fingerprint(f) for f in oracle_features
     ]
 
-    # a cell is a pure function of (root, id, graph, feature): one oracle for
-    # every sharding
+    # a cell is a pure function of (root, id, graph, feature): one oracle
     oracle_cells = []
     oracle_counts = np.zeros((num_graphs, len(features)), dtype=np.int32)
     for graph_id, graph in enumerate(graphs):
@@ -514,25 +513,20 @@ def test_index_contents_equal_the_block_of_one_oracle(workload, monkeypatch):
                 feature.graph, graph.skeleton, limit=E2E_FEATURES.embedding_limit
             )
 
-    for num_shards in (1, 2):
-        with GraphCatalog.build(
-            graphs,
-            feature_config=E2E_FEATURES,
-            bound_config=E2E_BOUNDS,
-            rng=E2E_BUILD_SEED,
-            num_shards=num_shards,
-            max_workers=0,
-        ) as catalog:
-            assert [feature_fingerprint(f) for f in catalog.features] == [
-                feature_fingerprint(f) for f in features
-            ]
-            cells = []
-            counts = []
-            for store in catalog._stores:
-                pmi: ProbabilisticMatrixIndex = store.base_pmi
-                structural: StructuralFeatureIndex = store.base_structural
-                for row in range(pmi.num_graphs):
-                    cells.extend(pmi.bounds(row, f.feature_id) for f in features)
-                counts.append(structural.counts_matrix())
-            assert cells == oracle_cells
-            assert np.array_equal(np.vstack(counts), oracle_counts)
+    with GraphCatalog.build(
+        graphs,
+        feature_config=E2E_FEATURES,
+        bound_config=E2E_BOUNDS,
+        rng=E2E_BUILD_SEED,
+        max_workers=0,
+    ) as catalog:
+        assert [feature_fingerprint(f) for f in catalog.features] == [
+            feature_fingerprint(f) for f in features
+        ]
+        pmi: ProbabilisticMatrixIndex = catalog._store.base_pmi
+        structural: StructuralFeatureIndex = catalog._store.base_structural
+        cells = [
+            pmi.bounds(row, f.feature_id) for row in range(pmi.num_graphs) for f in features
+        ]
+        assert cells == oracle_cells
+        assert np.array_equal(structural.counts_matrix(), oracle_counts)

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from test_shm_parity import _mark_held_graphs
+from test_pool_parity import _mark_held_graphs
 from test_sharding_parity import (
     FEATURE_CONFIG,
     SEARCH_CONFIG,
@@ -30,7 +30,7 @@ from test_sharding_parity import (
 )
 
 from repro.core import GraphCatalog, sharding
-from repro.exceptions import ShmError
+from repro.exceptions import SlotError
 from repro.pmi import BoundConfig
 
 from tests.conftest import resident_segment_names
@@ -86,7 +86,7 @@ def mapped_segments(pid: int) -> list[str]:
 
 def _held_graphs() -> tuple[int, int]:
     """Runs in a pool worker: (graphs it holds, how many of them carry
-    :func:`test_shm_parity._mark_held_graphs`' tag)."""
+    :func:`test_pool_parity._mark_held_graphs`' tag)."""
     held = list(sharding._WORKER_GRAPHS.values())
     return len(held), sum("_held_before" in graph.__dict__ for graph in held)
 
@@ -152,7 +152,7 @@ def test_answers_on_a_parked_pool_equal_a_fresh_pool(tmp_path, num_shards):
 
 def test_a_parked_worker_maps_nothing_and_dev_shm_is_empty(tmp_path):
     database = random_database(9301, 10)
-    # a query from every graph: each shard has survivors, so each worker is
+    # a query from every graph: the survivors are dealt to both slots, so each worker is
     # sent a frame with graphs in it
     queries = random_workload(database, seed=9302, num_queries=len(database.graphs))
     before = set(resident_segment_names())
@@ -256,7 +256,7 @@ def test_a_pooled_catalog_lifecycle_leaves_dev_shm_unchanged(tmp_path):
 def _refuse_release() -> int:
     """Stands in for ``sharding._release_worker`` in a worker: a release
     that fails for a reason other than a dead worker."""
-    raise ShmError("release refused")
+    raise SlotError("release refused")
 
 
 def test_a_release_that_raises_shuts_every_slot_down(monkeypatch):
@@ -279,7 +279,7 @@ def test_a_release_that_raises_shuts_every_slot_down(monkeypatch):
         run(catalog, queries)
         planner = catalog.planner()
         pids = planner.map_slots(os.getpid)
-        with pytest.raises(ShmError, match="release refused"):
+        with pytest.raises(SlotError, match="release refused"):
             catalog.close()
         assert planner._slots == []
         assert (os.getpid(), 2) not in sharding._PARKED

@@ -18,7 +18,6 @@ from repro.core import (
     QueryPipeline,
     QueryStatistics,
     SearchConfig,
-    StageStatistics,
     ThresholdState,
     VerificationConfig,
     validate_top_k_query,
@@ -148,53 +147,6 @@ class TestStageStatistics:
         result = indexed.catalog.query(query, 0.3, 1, config=EXACT_CONFIG, rng=3)
         for stage in result.statistics.stages[:-1]:  # filters: examined splits up
             assert stage.examined == stage.pruned + stage.accepted + stage.passed
-
-
-class TestStatisticsMergeStages:
-    def make_stats(self, scale: int) -> QueryStatistics:
-        stats = QueryStatistics(database_size=scale, verified=scale)
-        stats.stages = [
-            StageStatistics("structural_filter", examined=4 * scale, pruned=scale,
-                            passed=3 * scale, seconds=0.1 * scale),
-            StageStatistics("verification", examined=3 * scale, accepted=scale,
-                            passed=scale, seconds=0.2 * scale),
-        ]
-        return stats
-
-    def test_merge_sums_stage_counters_and_maxes_seconds(self):
-        merged = QueryStatistics.merge([self.make_stats(1), self.make_stats(2)])
-        assert [s.stage for s in merged.stages] == ["structural_filter", "verification"]
-        assert merged.stages[0].examined == 12
-        assert merged.stages[0].pruned == 3
-        assert merged.stages[1].accepted == 3
-        assert merged.stages[0].seconds == pytest.approx(0.2)
-        assert merged.stages[1].seconds == pytest.approx(0.4)
-
-    def test_merge_of_nothing_is_zero(self):
-        merged = QueryStatistics.merge([])
-        assert merged.stages == []
-        assert merged.as_dict()["stage_counters"] == []
-
-    def test_merge_single_part_is_identity(self):
-        part = self.make_stats(3)
-        merged = QueryStatistics.merge([part])
-        assert merged.as_dict() == part.as_dict()
-
-    def test_merge_mismatched_stage_lists_raises(self):
-        other = self.make_stats(1)
-        other.stages = other.stages[::-1]
-        with pytest.raises(ValueError, match="stage lists"):
-            QueryStatistics.merge([self.make_stats(1), other])
-        empty = QueryStatistics()
-        with pytest.raises(ValueError, match="stage lists"):
-            QueryStatistics.merge([self.make_stats(1), empty])
-
-    def test_merge_legacy_only_parts_still_works(self):
-        left = QueryStatistics(database_size=4, verified=1)
-        right = QueryStatistics(database_size=3, verified=2)
-        merged = QueryStatistics.merge([left, right])
-        assert merged.database_size == 7 and merged.verified == 3
-        assert merged.stages == []
 
 
 class TestPipelineComposability:

@@ -1,7 +1,7 @@
 """What planning and verifying a query costs, in counts (CI cannot assert
 timings): edge tables built, joins issued, canonical forms computed and graphs
 copied or built per plan, bytes a fan-out ships per plan, feature enumerations
-per query on a sharded catalog, matching passes per candidate block — one for
+per query on a pooled catalog, matching passes per candidate block — one for
 the whole relaxed set, the plan's variant family — and worlds drawn: none where
 every candidate's support is narrow."""
 
@@ -206,11 +206,11 @@ class TestPlanCosts:
             assert "_generic_join_table" not in shipped.query.__dict__
             assert (shipped.profile, shipped.containment) == (plan.profile, plan.containment)
             # the relaxed set's rows go over the one shipped copy of the query; no graph of
-            # a variant travels, and each is still there when a shard indexes it
+            # a variant travels, and each is still there when a worker indexes it
             assert shipped.relaxed_queries.base is shipped.query
             assert shipped.relaxed_queries.materialized_count() == 0
             assert list(shipped.relaxed_queries) == list(plan.relaxed_queries)
-            # ... and with the compiled relaxed set, so that no shard derives it
+            # ... and with the compiled relaxed set, so that no worker derives it
             assert (shipped.family.levels, shipped.family.loners) == (
                 plan.family.levels,
                 plan.family.loners,
@@ -221,7 +221,7 @@ class TestPlanCosts:
     def test_sharded_catalog_enumerates_once_per_query(
         self, catalog, six_edge_queries, monkeypatch
     ):
-        assert catalog.num_shards == 2
+        assert catalog.planner().num_shards == 2
         enumerations = _count_calls(monkeypatch, StructuralFeatureIndex, "query_embeddings")
         results = catalog.query_many(six_edge_queries, 0.3, 1, CONFIG, rng=7)
         assert len(enumerations) == len(six_edge_queries)
@@ -267,7 +267,7 @@ class TestVerificationCosts:
     def test_top_k_query_runs_one_pass_per_verified_candidate(
         self, graphs, six_edge_queries, spies
     ):
-        """One shard: the top-k loop verifies a candidate when it reaches it."""
+        """In-process: the top-k loop verifies a candidate when it reaches it."""
         with _build(graphs, num_shards=1) as catalog:
             planner = catalog.planner()
             verified = 0
@@ -286,9 +286,9 @@ class TestVerificationCosts:
     def test_top_k_runs_the_one_loop_once_per_plan(
         self, graphs, six_edge_queries, spies, monkeypatch, num_shards
     ):
-        """``replay_top_k`` walks each top-k plan once over every shard's
-        candidates, and verifies each candidate it reaches as a block of one
-        whatever the shard count."""
+        """``replay_top_k`` walks each top-k plan once over its candidates,
+        and verifies each candidate it reaches as a block of one, whatever
+        the pool cap."""
         loops = _count_calls(monkeypatch, pipeline, "replay_top_k")
         with _build(graphs, num_shards) as catalog:
             planner = catalog.planner()
@@ -318,7 +318,7 @@ E2E_WORKLOADS = ["verify_heavy", "filter_heavy", "service_mixed", "catalog_churn
 
 def _e2e_smoke_catalog(workload):
     """The e2e corpus and request stream themselves (importable under the tier-1
-    command, run from the root), on a 2-shard in-process catalog."""
+    command, run from the root), on an in-process catalog."""
     from benchmarks.e2e import corpus as e2e
 
     corpus = e2e.build_corpus(workload, smoke=True)
@@ -407,9 +407,8 @@ def test_plan_canonicalises_only_colliding_variants(workload, monkeypatch):
 
 
 def test_sampled_sums_across_shards_to_the_dense_count(wide_support_corpus):
-    """Threshold mode verifies the same candidates however they are sharded,
-    so the route counter merges like ``verified`` (a top-k shard partial may
-    legitimately verify, and sample, more than the sequential loop)."""
+    """A catalog capped at two slots verifies the same candidates as the
+    dense one, so the route counter matches like ``verified``."""
     graphs, queries = wide_support_corpus
     build = dict(
         feature_config=FeatureSelectionConfig(max_vertices=3, max_features=NUM_FEATURES),

@@ -158,15 +158,14 @@ class TestMalformedBatchDoesNoWork:
 
 class TestPlanner:
     def test_k1_build_equals_the_dense_build_cell_for_cell(self, planner_database):
-        """``GraphCatalog.build(rng=s)`` on one shard holds exactly the arrays
-        of a dense ``ProbabilisticMatrixIndex.build(graphs, rng=s)`` and of the
+        """``GraphCatalog.build(rng=s)`` holds exactly the arrays of a dense ``ProbabilisticMatrixIndex.build(graphs, rng=s)`` and of the
         structural index counted over its features (sampled bounds, so the
         per-graph build streams are in play)."""
         bounds = BoundConfig(num_samples=40)
-        (shard,) = GraphCatalog.build(
+        view = GraphCatalog.build(
             planner_database.graphs, feature_config=FEATURES, bound_config=bounds, rng=23
-        ).planner().shards
-        pmi, structural_index = shard.pmi.base, shard.structural_index.base
+        ).planner().query_planner
+        pmi, structural_index = view.pmi.base, view.structural_index.base
         dense = ProbabilisticMatrixIndex(
             feature_config=FEATURES, bound_config=bounds
         ).build(planner_database.graphs, rng=23)
@@ -181,19 +180,20 @@ class TestPlanner:
         assert np.array_equal(structural_index.counts_matrix(), structural.counts_matrix())
 
     def test_build_index_constructs_planner(self, indexed):
-        """A catalog's planner — a sharded planner over one shard — reads the
-        very arrays of the base PMI its shard holds (no copy between them)."""
+        """A catalog's planner — a sharded planner over its one query planner
+        — reads the very arrays of the base PMI the catalog holds (no copy
+        between them)."""
         planner = indexed.catalog.planner()
         assert isinstance(planner, ShardedPlanner) and planner.num_shards == 1
-        (shard,) = planner.shards
-        base = shard.pmi.base
+        view = planner.query_planner
+        base = view.pmi.base
         assert isinstance(base, ProbabilisticMatrixIndex)
-        row = shard.pmi.row(0)
+        row = view.pmi.row(0)
         assert np.shares_memory(row.lower, base._lower)
         assert np.shares_memory(row.upper, base._upper)
         assert np.shares_memory(row.present, base._present)
-        assert isinstance(shard.structural_index.base, StructuralFeatureIndex)
-        assert shard.structural_index.num_graphs == len(indexed.graphs)
+        assert isinstance(view.structural_index.base, StructuralFeatureIndex)
+        assert view.structural_index.num_graphs == len(indexed.graphs)
 
     def test_plan_is_reusable(self, indexed, workload):
         config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))

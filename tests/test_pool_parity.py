@@ -1,19 +1,21 @@
 """Pool parity harness: workers that hold only the graphs they verify.
 
-The contract under test: sending threshold survivors to pool workers is
+The contract under test: dealing threshold survivors to pool workers is
 *invisible* — answers, probabilities, ranks, and every per-stage counter are
-byte-identical to the sequential in-process planner for any shard count K,
-any worker count, and across catalog mutations and compactions under a live
-pool.  The assertions reuse the byte-parity helpers from
-``test_sharding_parity`` / ``test_catalog_parity`` so the pool is held to
-exactly the same bar as the original fan-out.
+byte-identical to the sequential in-process planner for any worker count,
+and across catalog mutations and compactions under a live pool.  The
+assertions reuse the byte-parity helpers from ``test_sharding_parity`` /
+``test_catalog_parity`` so the pool is held to exactly the same bar as the
+in-process planner.
 
-Also locked in here: what a worker holds — a ``digest → graph`` store of
-exactly the survivors its slot was sent, each shard's graphs in one worker
-only, the same objects across a mutation and a compaction, bounded over many
-of both — and what a frame ships: each graph once per worker, nothing on a
-repeated request, and after a mutation only the updated graph, once it
-survives.  Nothing is ever published to ``/dev/shm``.
+Also locked in here: how survivors are dealt — a survivor whose graph a slot
+holds goes to that slot, the rest as one block to the slot holding the
+fewest graphs — and so what a worker holds: a ``digest → graph`` store of
+exactly the survivors its slot was sent, each graph in one worker only, the
+same objects across a mutation and a compaction, bounded over many of both;
+and what a frame ships: each graph once, nothing on a repeated request, and
+after a mutation only the updated graph, once it survives.  Nothing is ever
+published to ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from tests.conftest import WIDE_SUPPORT_DISTANCE, resident_segment_names
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
+# the graphs the dealing test extracts its queries from, in query order
+QUERY_SOURCES = (1, 3, 9)
 
 
 @pytest.fixture(autouse=True)
@@ -62,11 +66,11 @@ def no_segment_leaks():
     assert not leaked, f"orphaned shared-memory segments: {sorted(leaked)}"
 
 
-class TestPoolShmParity:
+class TestPoolParity:
     """Pool answers == sequential answers, byte for byte."""
 
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_shm_pool_matches_sequential(self, num_shards):
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    def test_pool_matches_sequential(self, max_workers):
         database = random_database(8101, 8)
         workload = random_workload(database, seed=8103)
 
@@ -78,23 +82,23 @@ class TestPoolShmParity:
             workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=3
         )
 
-        sharded = GraphCatalog.build(
+        pooled = GraphCatalog.build(
             database.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=3,
-            num_shards=num_shards,
-            max_workers=2,
+            num_shards=2,
+            max_workers=max_workers,
         )
         try:
-            actual = sharded.query_many(
+            actual = pooled.query_many(
                 workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=3
             )
-            if num_shards > 1:
-                # the pool really ran: every slot was shipped graphs
-                assert any(slot.graph_bytes for slot in sharded.planner()._slots)
+            # the pool really ran: graphs were shipped
+            graph_bytes = [slot.graph_bytes for slot in pooled.planner()._slots]
+            assert bool(sum(graph_bytes)) == (max_workers > 1)
         finally:
-            sharded.close()
+            pooled.close()
         for expected_result, actual_result in zip(expected, actual):
             assert answer_tuples(expected_result) == answer_tuples(actual_result)
             assert counter_dict(expected_result.statistics) == counter_dict(
@@ -102,14 +106,14 @@ class TestPoolShmParity:
             )
 
     @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_top_k_parity_through_shm_pool(self, k):
+    def test_top_k_parity_through_the_pool(self, k):
         database = random_database(8202, 7)
         query = random_workload(database, seed=8205, num_queries=1)[0]
         sequential = GraphCatalog.build(
             database.graphs,
             feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=5
         )
-        sharded = GraphCatalog.build(
+        pooled = GraphCatalog.build(
             database.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
@@ -121,34 +125,34 @@ class TestPoolShmParity:
             expected = sequential.query_top_k(
                 query, k, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=17
             )
-            actual = sharded.query_top_k(
+            actual = pooled.query_top_k(
                 query, k, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=17
             )
         finally:
-            sharded.close()
+            pooled.close()
         assert answer_tuples(actual) == answer_tuples(expected)
+        assert counter_dict(actual.statistics) == counter_dict(expected.statistics)
 
-
-    def test_wide_support_request_through_shm_pool(self, wide_support_corpus):
+    def test_wide_support_request_through_the_pool(self, wide_support_corpus):
         """Pool workers pick the estimator per candidate exactly as the
         sequential engine does: the exact values and the sampled ones of one
         request come back byte-identical, threshold and top-k."""
         graphs, queries = wide_support_corpus
         build = dict(feature_config=FEATURE_CONFIG, bound_config=BoundConfig(num_samples=40), rng=3)
         sequential = GraphCatalog.build(graphs, **build)
-        sharded = GraphCatalog.build(graphs, **build, num_shards=2, max_workers=2)
+        pooled = GraphCatalog.build(graphs, **build, num_shards=2, max_workers=2)
         try:
             for query in queries:
                 expected = sequential.query(
                     query, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
                 )
-                actual = sharded.query(
+                actual = pooled.query(
                     query, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
                 )
                 assert 0 < actual.statistics.sampled < actual.statistics.verified
                 assert answer_tuples(actual) == answer_tuples(expected)
                 assert counter_dict(actual.statistics) == counter_dict(expected.statistics)
-                top = sharded.query_top_k(
+                top = pooled.query_top_k(
                     query, 3, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
                 )
                 assert 0 < top.statistics.sampled < top.statistics.verified
@@ -157,13 +161,12 @@ class TestPoolShmParity:
                         query, 3, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=3
                     )
                 )
-            assert sharded.planner()._slots  # the pool really ran
+            assert pooled.planner()._slots  # the pool really ran
         finally:
-            sharded.close()
+            pooled.close()
 
     @pytest.mark.parametrize("max_workers", [0, 2])
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_mixed_plan_batch_matches_dense_reference(self, num_shards, max_workers):
+    def test_mixed_plan_batch_matches_dense_reference(self, max_workers):
         """One ``execute_plans`` batch mixing threshold and top-k plans, each
         under its own root, equals the from-scratch dense planner answering
         the same queries one by one — and again after mutations and a
@@ -176,7 +179,7 @@ class TestPoolShmParity:
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(num_samples=40),
             rng=8301,
-            num_shards=num_shards,
+            num_shards=2,
             max_workers=max_workers,
         )
         # (query, k or None for a threshold plan, root)
@@ -203,38 +206,27 @@ class TestPoolShmParity:
                     for query, k, _ in batch
                 ]
                 results = planner.execute_plans(plans, [root for _, _, root in batch])
-                assert bool(planner._slots) == (num_shards > 1 and max_workers > 1)
+                assert bool(planner._slots) == (max_workers > 1)
                 outcomes.append((phase, rebuild_from_scratch(catalog), results))
         finally:
             catalog.close()
         for phase, reference, results in outcomes:
             assert len(results) == len(batch)
             for position, ((query, k, root), actual) in enumerate(zip(batch, results)):
-                context = f"K={num_shards} workers={max_workers} {phase} plan {position}"
+                context = f"workers={max_workers} {phase} plan {position}"
                 if k is None:
                     expected = reference.execute(
                         query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
                     )
-                    assert_result_parity(actual, expected, context)
-                    continue
-                expected = reference.execute_top_k(
-                    query, k, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
-                )
-                assert answer_tuples(actual) == answer_tuples(expected), context
-                got, want = counter_dict(actual.statistics), counter_dict(expected.statistics)
-                if num_shards > 1:
-                    # a shard verifies against its local floor, so the pruning
-                    # and verification counters legitimately exceed the dense
-                    # run's (test_topk_parity::test_merged_statistics_report_shard_work)
-                    kept = ("database_size", "structural_candidates", "answers",
-                            "relaxed_query_count")
-                    got = {key: got[key] for key in kept}
-                    want = {key: want[key] for key in kept}
-                assert got == want, context
+                else:
+                    expected = reference.execute_top_k(
+                        query, k, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
+                    )
+                assert_result_parity(actual, expected, context)
 
 
 def pooled_catalog(database, seed: int) -> GraphCatalog:
-    """Two shards behind a two-worker pool."""
+    """A two-slot pool (``num_shards=2`` caps ``max_workers=2`` at two)."""
     return GraphCatalog.build(
         database.graphs,
         feature_config=FEATURE_CONFIG,
@@ -256,17 +248,14 @@ def digest_of(graph) -> bytes:
     return hashlib.blake2b(payload, digest_size=16).digest()
 
 
-def survivor_digests(catalog, query, root) -> list[set[bytes]]:
-    """Per slot, the digests of the graphs a threshold query under ``root``
-    leaves to verify on the shards that slot serves, filtered in this
-    process the way the planner filters before it sends anything."""
-    planner = catalog.planner()
+def survivor_digests(catalog, query, root) -> set[bytes]:
+    """The digests of the graphs a threshold query under ``root`` leaves to
+    verify, filtered in this process the way the planner filters before it
+    deals anything."""
+    planner = catalog.planner().query_planner
     plan = planner.plan(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
-    per_slot = [set() for _ in range(planner.width)]
-    for position, shard in enumerate(planner.shards):
-        part = shard.make_planner().filter_plan(plan, root)
-        per_slot[position % planner.width] |= {digest_of(shard.graphs[row]) for row in part.rows}
-    return per_slot
+    part = planner.filter_plan(plan, root)
+    return {digest_of(planner.graphs[row]) for row in part.rows}
 
 
 def _stored_digests() -> tuple[int, set[bytes]]:
@@ -317,6 +306,38 @@ def count_shipped(monkeypatch) -> list[list[bytes]]:
 
     monkeypatch.setattr(sharding._Slot, "submit", recording_submit)
     return shipped
+
+
+def record_dealt(monkeypatch, slots) -> list[set[bytes]]:
+    """Patch the slots so the digests every verify frame names are recorded
+    per slot, in slot order."""
+    dealt: list[set[bytes]] = [set() for _ in slots]
+    original = sharding._Slot.submit
+
+    def recording_submit(self, fn, *args):
+        if fn is sharding._verify_slot:
+            dealt[slots.index(self)].update(d for _, _, digests in args[2] for d in digests)
+        return original(self, fn, *args)
+
+    monkeypatch.setattr(sharding._Slot, "submit", recording_submit)
+    return dealt
+
+
+def deal(stores: list[set[bytes]], plans: list[set[bytes]]) -> list[set[bytes]]:
+    """The dealing rule, written out: per plan, a survivor whose digest a
+    slot holds goes to that slot, and the rest go to the slot that holds the
+    fewest graphs, lowest index on ties.  ``stores`` are the digests each
+    slot's worker holds before; returns them after."""
+    stores = [set(store) for store in stores]
+    for digests in plans:
+        fewest = min(range(len(stores)), key=lambda slot: len(stores[slot]))
+        owners = {
+            digest: next((s for s, store in enumerate(stores) if digest in store), fewest)
+            for digest in digests
+        }
+        for digest, owner in owners.items():
+            stores[owner].add(digest)
+    return stores
 
 
 class TestWorkersOnlyVerify:
@@ -373,7 +394,7 @@ class TestWorkersOnlyVerify:
 
     def test_a_repeated_request_list_ships_no_graph_bytes(self, monkeypatch):
         """The first pass of a request list ships each slot the pickle of
-        every distinct graph it verifies, once; the second pass of the same
+        every distinct graph dealt to it, once; the second pass of the same
         list ships nothing."""
         seed = 8463
         database = random_database(seed, num_graphs=12)
@@ -386,10 +407,10 @@ class TestWorkersOnlyVerify:
         }
         try:
             planner = catalog.planner()
-            expected = [set(), set()]
-            for position, query in enumerate(queries):
-                for slot, digests in enumerate(survivor_digests(catalog, query, position)):
-                    expected[slot] |= digests
+            expected = deal(
+                [set(), set()],
+                [survivor_digests(catalog, query, root) for root, query in enumerate(queries)],
+            )
             catalog.query_many(
                 queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG,
                 rngs=list(range(len(queries))),
@@ -515,24 +536,24 @@ class TestGenerationHotSwap:
 
         try:
             before = survivor_digests(catalog, query, 1)
-            assert ask(query) == set().union(*before)
+            assert ask(query) == before
             shipped.clear()
-            catalog.update_graph(0, spare[0])  # both halves in shard 0
+            catalog.update_graph(0, spare[0])
             catalog.update_graph(1, spare[1])
             catalog.remove_graph(2)
             assert shipped == []  # no frame
             after = survivor_digests(catalog, query, 1)
             updated = {digest_of(spare[0]), digest_of(spare[1])}
-            new = set().union(*after) - set().union(*before)
+            new = after - before
             assert new <= updated
             assert ask(query) == new
             assert ask(query) == set()
 
             # a query the first replacement survives ships it, once
             follow = extract_query(spare[0].skeleton, 3, rng=seed)
-            survivors = set().union(*survivor_digests(catalog, follow, 1))
+            survivors = survivor_digests(catalog, follow, 1)
             assert digest_of(spare[0]) in survivors
-            assert ask(follow) == survivors - set().union(*after)
+            assert ask(follow) == survivors - after
             assert ask(follow) == set()
         finally:
             catalog.close()
@@ -568,7 +589,7 @@ class TestGenerationHotSwap:
             for step in range(50):
                 if step % 3 == 0:
                     catalog.add_graph(spare[step % len(spare)], external_id=1000)
-                elif step % 3 == 1:  # a base id of either shard in turn
+                elif step % 3 == 1:  # each base id in turn
                     catalog.update_graph(step // 3 % 8, spare[step % len(spare)])
                 else:
                     catalog.remove_graph(1000)
@@ -627,52 +648,93 @@ class TestGenerationHotSwap:
             catalog.close()
 
     def test_a_cold_worker_deserializes_the_candidates_not_the_shard(self):
-        """The parent filters; after the first query on a fresh pool each
-        worker holds exactly the graphs the pipeline of the shards it serves
-        handed on to verification — a fraction of the database."""
+        """The parent filters; after the first query on a fresh pool the
+        worker of slot 0 — the fewest graphs, lowest index — holds exactly
+        the graphs the pipeline handed on to verification, a fraction of the
+        database, and the other worker none."""
         seed = 8471
         database = random_database(seed, num_graphs=16)
         query = extract_query(database.graphs[3].skeleton, 4, rng=seed)
         catalog = pooled_catalog(database, seed)
         try:
             expected = survivor_digests(catalog, query, seed)
-            assert 0 < sum(map(len, expected)) < len(database.graphs) // 2
+            assert 0 < len(expected) < len(database.graphs) // 2
             catalog.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=seed)
-            assert stored_digests(catalog) == expected
+            assert stored_digests(catalog) == [expected, set()]
         finally:
             catalog.close()
 
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_each_shard_is_materialized_in_exactly_one_worker(self, num_shards):
-        """Shard i is served by slot i mod W only, before and after a
-        compaction: no graph of a shard is held in a second process, however
-        many queries pass."""
+    def test_a_survivor_a_slot_holds_is_verified_by_that_slot(self, monkeypatch):
+        """Query by query, each survivor a slot's worker already holds is
+        named in that slot's frame, and the rest go as one block to the slot
+        holding the fewest graphs: the workers' stores follow the rule
+        written out (:func:`deal`), and the last query splits between the
+        slots — its held survivors to their holders, its new ones to the
+        other slot."""
         seed = 8481
         database = random_database(seed, num_graphs=12)
-        queries = random_workload(database, seed=seed + 1, num_queries=3)
-        catalog = GraphCatalog.build(
-            database.graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(num_samples=40),
-            rng=seed,
-            num_shards=num_shards,
-            max_workers=2,
-        )
+        queries = [
+            extract_query(database.graphs[index].skeleton, 3, rng=seed + index)
+            for index in QUERY_SOURCES
+        ]
+        catalog = pooled_catalog(database, seed)
         try:
-            for _ in range(2):
-                for query in queries:
-                    catalog.query(
-                        query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=3
-                    )
-                served = [set(), set()]
-                for position, shard in enumerate(catalog.planner().shards):
-                    served[position % 2] |= {digest_of(graph) for graph in shard.graphs}
-                stores = stored_digests(catalog)
-                assert all(stores)
-                for store, own in zip(stores, served):
-                    assert store <= own
-                assert not stores[0] & stores[1]
-                catalog.compact()
+            planner = catalog.planner()
+            planner.map_slots(os.getpid)  # start the pool
+            slots = list(planner._slots)
+            stores = [set(), set()]
+            for root, query in enumerate(queries):
+                survivors = survivor_digests(catalog, query, root)
+                holder = {digest: slot for slot, store in enumerate(stores) for digest in store}
+                dealt = record_dealt(monkeypatch, slots)
+                catalog.query(
+                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=root
+                )
+                monkeypatch.undo()
+                assert set().union(*dealt) == survivors, root
+                for digest in survivors & holder.keys():
+                    assert digest in dealt[holder[digest]], root
+                stores = deal(stores, [survivors])
+                assert stored_digests(catalog) == stores, root
+            assert all(dealt) and survivors & holder.keys() and survivors - holder.keys()
+        finally:
+            catalog.close()
+
+    def test_no_digest_is_held_by_two_slots_over_the_filter_heavy_requests(self):
+        """The full ``filter_heavy`` request list of the end-to-end benchmark,
+        then a mutation, then a compaction, each followed by the list again:
+        no graph is held by two workers, and each worker's store is its
+        slot's record."""
+        from benchmarks.e2e import corpus as e2e
+        from benchmarks.e2e.workloads import call
+
+        corpus = e2e.build_corpus("filter_heavy", smoke=False)
+        profile = corpus.profile
+        requests = e2e.build_requests(corpus, seed=7)
+        catalog = GraphCatalog.build(
+            corpus.graphs,
+            feature_config=e2e.FEATURE_CONFIG,
+            bound_config=e2e.BOUND_CONFIG,
+            rng=e2e.BUILD_SEED,
+            num_shards=profile.shards,
+            max_workers=profile.workers,
+        )
+
+        def replay_and_check(step: str) -> None:
+            for request in requests:
+                call(catalog, request, profile.delta, profile.search_config)
+            stores = stored_digests(catalog)
+            assert all(stores), step
+            assert not stores[0] & stores[1], step
+            assert stores == [set(slot.held) for slot in catalog.planner()._slots], step
+
+        try:
+            replay_and_check("request list")
+            catalog.update_graph(corpus.victims[0], corpus.arrivals[0])
+            catalog.add_graph(corpus.arrivals[1])
+            replay_and_check("mutation")
+            catalog.compact()
+            replay_and_check("compaction")
         finally:
             catalog.close()
 
@@ -680,12 +742,11 @@ class TestGenerationHotSwap:
         """Across compact() a worker keeps every graph it holds that the new
         generation stores again — the object itself, caches included — and
         drops the one an update replaced once this process lets go of it.
-        One query comes from each shard, so each worker has survivors to
-        verify."""
+        The two queries deal survivors to both slots, two graphs and four."""
         seed = 8491
         database = random_database(seed, num_graphs=8)
         replacement = random_database(seed + 1000, num_graphs=1).graphs[0]
-        queries = [extract_query(database.graphs[i].skeleton, 3, rng=seed) for i in (0, 4)]
+        queries = [extract_query(database.graphs[i].skeleton, 3, rng=seed) for i in (1, 4)]
         catalog = pooled_catalog(database, seed)
 
         def ask(context):
@@ -732,12 +793,11 @@ class TestGenerationHotSwap:
         finally:
             catalog.close()
 
-    def test_a_compaction_that_changes_the_shard_count_takes_the_full_swap(self):
-        """A pooled two-shard catalog compacted down to one live graph, then
-        to none, drops its sharded planner (one store is one planner) and
+    def test_a_compaction_down_to_no_live_graph_keeps_the_pool(self):
+        """A pooled catalog compacted down to one live graph, then to none,
+        then grown back keeps its planner and its workers throughout, and
         answers byte-identically to a rebuild — or, with nothing live, to the
-        in-process twin that took the same steps; grown back and compacted to
-        two shards again, it pools again."""
+        in-process twin that took the same steps."""
         seed = 8511
         database = random_database(seed, num_graphs=6)
         query = extract_query(database.graphs[2].skeleton, 3, rng=seed)
@@ -764,15 +824,12 @@ class TestGenerationHotSwap:
             )
 
         try:
-            assert_result_parity(ask(pooled), expected(), "two shards")
-            first = pooled.planner()
-            assert first._slots
+            assert_result_parity(ask(pooled), expected(), "six live graphs")
+            planner, pids = pooled.planner(), worker_pids(pooled)
             for catalog in (pooled, twin):
                 for graph_id in range(1, 6):
                     catalog.remove_graph(graph_id)
                 catalog.compact()
-            assert pooled.num_shards == 1 and first._slots == []
-            assert pooled.planner() is not first and pooled.planner().width == 1
             assert_result_parity(ask(pooled), expected(), "one live graph")
 
             for catalog in (pooled, twin):
@@ -784,9 +841,8 @@ class TestGenerationHotSwap:
                 for graph in database.graphs[:4]:
                     catalog.add_graph(graph)
                 catalog.compact()
-            assert pooled.num_shards == 2
-            assert_result_parity(ask(pooled), expected(), "two shards again")
-            assert pooled.planner()._slots
+            assert_result_parity(ask(pooled), expected(), "four live graphs")
+            assert pooled.planner() is planner and worker_pids(pooled) == pids
         finally:
             pooled.close()
             twin.close()

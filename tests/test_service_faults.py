@@ -1,4 +1,4 @@
-"""Fault injection for the query service and the sharded-planner lifecycle.
+"""Fault injection for the query service and the pooled-planner lifecycle.
 
 Every failure mode must resolve into a *typed* error frame or a clean
 recovery — never a hang, never a crashed dispatcher, and (the autouse
@@ -67,7 +67,7 @@ SEARCH_CONFIG = SearchConfig(
 
 @pytest.fixture(autouse=True)
 def no_segment_leaks():
-    """Same bar as test_shm_parity: faults must not leave shm segments."""
+    """Same bar as test_pool_parity: faults must not leave shm segments."""
     before = set(resident_segment_names())
     yield
     gc.collect()
@@ -233,9 +233,10 @@ def _stored_digests() -> set[bytes]:
     return set(sharding._WORKER_GRAPHS)
 
 
-def shard_zero_worker(planner) -> int:
-    """The pid of the one worker that serves shard 0 (slot 0's): killing it
-    breaks the very next fan-out, which always sends shard 0 a task."""
+def slot_zero_worker(planner) -> int:
+    """The pid of slot 0's worker: a cold pool deals a query's survivors to
+    slot 0, so killing it breaks the next fan-out of the same query, whose
+    survivors go to the slot that holds them."""
     return planner.map_slots(os.getpid)[0]
 
 
@@ -256,11 +257,11 @@ def test_sigkilled_pool_worker_recovers_with_identical_answers():
         try:
             async with QueryService(catalog, config) as service:
                 client = ServiceClient(service)
-                # Warm the pool, then murder the worker of shard 0.
+                # Warm the pool, then murder the worker of slot 0.
                 await client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=9)
                 planner = catalog.planner()
                 assert planner._slots, "pool should be warm"
-                os.kill(shard_zero_worker(planner), signal.SIGKILL)
+                os.kill(slot_zero_worker(planner), signal.SIGKILL)
 
                 result = await client.query(
                     query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=10
@@ -305,7 +306,7 @@ def test_a_sigkilled_slot_is_never_parked(then):
         ask(catalog, 121)
         planner = catalog.planner()
         pids = planner.map_slots(os.getpid)
-        os.kill(shard_zero_worker(planner), signal.SIGKILL)
+        os.kill(slot_zero_worker(planner), signal.SIGKILL)
         if then == "query":
             assert ask(catalog, 122) == twin_answer(catalog, query, rng=122)
         catalog.close()
@@ -656,11 +657,11 @@ class TestShardedPlannerCloseRegression:
 
 
 class TestMutationsKeepTheReadPath:
-    """A mutation swaps shard views under a live pool; nothing tears."""
+    """A mutation swaps the query planner under a live pool; nothing tears."""
 
     @staticmethod
     def mutations(database, spare):
-        """20 mutations over both shards, each round closed by a compaction.
+        """20 mutations, each round closed by a compaction.
         Ids 0, 2, 4 and 6 answer the query below in every whole state: each
         round copies one of them to an arrival id, swaps it for another
         answering graph and back (an answer list without that id can only
@@ -694,7 +695,7 @@ class TestMutationsKeepTheReadPath:
         applies 20 mutations and a compaction after every fifth: every
         answer is the from-scratch twin's for the state before or after some
         mutation (an update is one step, never the missing-id state between
-        its halves) — no ``ShmError`` from a frame naming a graph its worker
+        its halves) — no ``SlotError`` from a frame naming a graph its worker
         does not hold, no broken pool, no hang, and each slot's record equal
         to its worker's store once the readers stop.  Three readers over two
         workers, so one fan-out ships or drops graphs while another's frames
@@ -788,9 +789,9 @@ class TestMutationsKeepTheReadPath:
         """SIGKILL a worker after a mutation and before the query that would
         republish it: the query answers in-process, byte-identical to the
         twin of the *mutated* state, and the next one forks a fresh pool and
-        ships it that state's graphs; nothing leaks (the autouse fixture).  The query comes
-        from a graph of shard 0 that no mutation touches, so it has survivors
-        to send to the killed worker."""
+        ships it that state's graphs; nothing leaks (the autouse fixture).  The
+        query comes from a graph no mutation touches, so its survivors, held
+        by slot 0 since the warm-up, go to the killed worker."""
         database, catalog = build_catalog(seed=7012, num_graphs=8, num_shards=2, max_workers=2)
         spare = build_catalog(seed=8012, num_graphs=2)[0].graphs
         query = extract_query(database.graphs[1].skeleton, 3, rng=110)
@@ -808,7 +809,7 @@ class TestMutationsKeepTheReadPath:
             first_pids = set(planner.map_slots(os.getpid))
             catalog.update_graph(0, spare[0])
             catalog.add_graph(spare[1])
-            os.kill(shard_zero_worker(planner), signal.SIGKILL)
+            os.kill(slot_zero_worker(planner), signal.SIGKILL)
 
             assert ask(112) == twin_answer(catalog, query, rng=112)
             assert catalog.planner() is planner

@@ -2,7 +2,7 @@
 byte-identically to sequential library-mode calls.
 
 The contract: for any batch window, any max batch size, any interleaving
-of concurrent clients, any shard count K ∈ {1, 2, 4}, and any sequence of
+of concurrent clients, any pool cap K ∈ {1, 2, 4}, and any sequence of
 catalog mutations applied through the service, a seeded request's answers
 (probabilities, ranks, decided_by) and deterministic statistics counters
 equal those of ``catalog.query(...)`` / ``catalog.query_top_k(...)`` on a
@@ -54,7 +54,7 @@ def build_twins(seed: int, num_graphs: int = 6, num_shards: int = 1):
     database = random_database(seed, num_graphs)
     kwargs = dict(feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=seed)
     if num_shards > 1:
-        kwargs.update(num_shards=num_shards, max_workers=0)
+        kwargs.update(num_shards=num_shards, max_workers=2)
     served = GraphCatalog.build(database.graphs, **kwargs)
     twin = GraphCatalog.build(database.graphs, **kwargs)
     return database, served, twin
@@ -175,7 +175,8 @@ def test_batch_size_never_changes_answers(max_batch_size):
 
 @pytest.mark.parametrize("num_shards", [2, 4])
 def test_sharded_backend_parity(num_shards):
-    """The service over a K-sharded catalog answers like a sequential twin."""
+    """The service over a pooled catalog (``num_shards`` caps its width)
+    answers like a sequential twin."""
 
     async def scenario():
         database, served, twin = build_twins(seed=9003, num_shards=num_shards)
@@ -332,7 +333,7 @@ def test_wide_support_requests_over_tcp_take_both_routes(wide_support_corpus):
     async def scenario():
         graphs, queries = wide_support_corpus
         kwargs = dict(feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=9008)
-        served = GraphCatalog.build(graphs, num_shards=2, max_workers=0, **kwargs)
+        served = GraphCatalog.build(graphs, num_shards=2, max_workers=2, **kwargs)
         twin = GraphCatalog.build(graphs, **kwargs)
         config = ServiceConfig(batch_window=0.005, search_config=SEARCH_CONFIG)
         try:

@@ -1,4 +1,4 @@
-"""The shard slot: one forked worker on a duplex pipe.
+"""The pool slot: one forked worker on a duplex pipe.
 
 A pooled planner drives each worker over its own pipe: one task frame in,
 one reply frame out, in order.  Under test: replies reach their own callers
@@ -33,7 +33,7 @@ from test_sharding_parity import (
 )
 
 from repro.core import GraphCatalog, sharding
-from repro.exceptions import ShmError
+from repro.exceptions import SlotError
 from repro.pmi import BoundConfig
 
 PROBABILITY_THRESHOLD = 0.3
@@ -63,7 +63,7 @@ def outcome_bytes(results) -> list[bytes]:
 
 
 def test_concurrent_callers_each_get_their_own_answers():
-    """Four threads send interleaved batches through one 2-shard x 2-worker
+    """Four threads send interleaved batches through one two-slot
     planner; each batch's answers and counters are pickle-identical to the
     in-process planner's for the same batch."""
     database = random_database(9801, 12)
@@ -150,14 +150,14 @@ def _divide_by_zero():
     "fn, error, message",
     [
         (_divide_by_zero, ZeroDivisionError, "division by zero"),
-        (_return_a_lock, ShmError, "lock result does not pickle"),
-        (_raise_a_locked_error, ShmError, "_LockedError exception does not pickle"),
-        (_raise_a_two_part_error, ShmError, "reply does not unpickle"),
+        (_return_a_lock, SlotError, "lock result does not pickle"),
+        (_raise_a_locked_error, SlotError, "_LockedError exception does not pickle"),
+        (_raise_a_two_part_error, SlotError, "reply does not unpickle"),
     ],
 )
 def test_a_worker_error_crosses_back_typed_and_the_slot_lives(fn, error, message):
     """A worker-side exception comes back as itself; a reply that cannot
-    cross the pipe comes back as a ``ShmError``.  Either way the slot's
+    cross the pipe comes back as a ``SlotError``.  Either way the slot's
     worker lives on and the next query answers as the in-process one."""
     database = random_database(9901, 10)
     queries = random_workload(database, seed=9902, num_queries=2)
@@ -189,7 +189,7 @@ def _store_digests() -> list[bytes]:
 
 def test_a_frame_naming_an_unknown_digest_is_a_typed_error_and_the_slot_lives():
     """A verify frame that names a graph its worker does not hold raises a
-    ``ShmError`` before anything is verified; the worker keeps its store as
+    ``SlotError`` before anything is verified; the worker keeps its store as
     it was and the next query answers as the in-process one."""
     database = random_database(9951, 10)
     queries = random_workload(database, seed=9952, num_queries=2)
@@ -210,8 +210,8 @@ def test_a_frame_naming_an_unknown_digest_is_a_typed_error_and_the_slot_lives():
         assert any(held)
         plan = planner.plan(queries[0], PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG)
         unknown = bytes(16)
-        frame = [(pickle.dumps((plan, 3)), [(np.array([0]), [unknown])])]
-        with pytest.raises(ShmError, match=f"holds no graph with digest {unknown.hex()}"):
+        frame = [(pickle.dumps((plan, 3)), np.array([0]), [unknown])]
+        with pytest.raises(SlotError, match=f"holds no graph with digest {unknown.hex()}"):
             planner.map_slots(sharding._verify_slot, [], {}, frame)
         assert planner.map_slots(os.getpid) == pids
         assert planner.map_slots(_store_digests) == held
@@ -265,7 +265,7 @@ def test_no_slot_worker_outlives_its_process():
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
 def test_default_width_counts_usable_cpus_not_the_machine(monkeypatch):
     """``max_workers=None`` sizes the pool by the CPUs this process may run
-    on: pinned to one CPU, a two-shard catalog runs width 1 and forks
+    on: pinned to one CPU, a catalog capped at two slots runs width 1 and forks
     nothing, whatever ``os.cpu_count()`` says."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "cpu_count", lambda: 8)

@@ -1,11 +1,12 @@
-"""Randomized cross-shard parity harness and determinism regression tests.
+"""Randomized pool parity harness and determinism regression tests.
 
-The contract under test: for *any* database, workload, shard count K, and
-worker count, :class:`ShardedPlanner` answers are **identical** to the
-sequential :class:`QueryPlanner` — same accepted set, same pruned set, same
-SSP estimates, same answer order, same counters.  The harness generates
-seeded random probabilistic databases (odd and even sizes) and random T-PS
-workloads, and checks every query under K ∈ {1, 2, 4}.
+The contract under test: for *any* database, workload and worker count,
+:class:`ShardedPlanner` answers are **identical** to the sequential
+:class:`QueryPlanner` — same accepted set, same pruned set, same SSP
+estimates, same answer order, same counters.  The harness generates seeded
+random probabilistic databases (odd and even sizes) and random T-PS
+workloads, and checks every query in-process and through a two-slot pool
+(``num_shards=2`` caps the width at two).
 
 The determinism regression locks in the per-graph RNG derivation scheme:
 two runs with the same seed must produce byte-identical answers and
@@ -20,15 +21,7 @@ import pickle
 
 import pytest
 
-from repro.core import (
-    GraphCatalog,
-    QueryStatistics,
-    SearchConfig,
-    ShardSpec,
-    StageStatistics,
-    VerificationConfig,
-    partition_ranges,
-)
+from repro.core import GraphCatalog, QueryStatistics, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.exceptions import CatalogError
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
@@ -92,10 +85,9 @@ def accepted_and_pruned(result):
 
 
 class TestRandomizedCrossShardParity:
-    """Sharded answers == sequential answers, over randomized workloads."""
+    """Pooled answers == sequential answers, over randomized workloads."""
 
-    # odd and even database sizes: 7 does not divide evenly by 2 or 4,
-    # 8 splits evenly by both — the two partition edge cases
+    # odd and even database sizes
     @pytest.mark.parametrize("seed,num_graphs", [(101, 7), (202, 8)])
     def test_sharded_matches_sequential(self, seed, num_graphs):
         database = random_database(seed, num_graphs)
@@ -109,18 +101,25 @@ class TestRandomizedCrossShardParity:
             workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=seed
         )
 
-        for num_shards in (1, 2, 4):
+        for max_workers in (0, 2):
             sharded = GraphCatalog.build(
                 database.graphs,
                 feature_config=FEATURE_CONFIG,
                 bound_config=BoundConfig(method="exact"),
                 rng=seed,
-                num_shards=num_shards,
-                max_workers=0,  # in-process: parity must not depend on the pool
+                num_shards=2,
+                max_workers=max_workers,
             )
-            sharded_results = sharded.query_many(
-                workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=seed
-            )
+            try:
+                sharded_results = sharded.query_many(
+                    workload,
+                    PROBABILITY_THRESHOLD,
+                    DISTANCE_THRESHOLD,
+                    config=SEARCH_CONFIG,
+                    rng=seed,
+                )
+            finally:
+                sharded.close()
 
             assert len(sequential_results) == len(sharded_results) == len(workload)
             for sequential_result, sharded_result in zip(sequential_results, sharded_results):
@@ -129,16 +128,15 @@ class TestRandomizedCrossShardParity:
                 # the accept/prune partition itself
                 assert accepted_and_pruned(sequential_result) == accepted_and_pruned(
                     sharded_result
-                ), num_shards
+                ), max_workers
                 # every non-timing counter
                 assert counter_dict(sequential_result.statistics) == counter_dict(
                     sharded_result.statistics
-                ), num_shards
+                ), max_workers
 
     def test_sampled_bound_build_parity(self):
         """Parity also holds when the PMI itself is built by Monte-Carlo
-        sampling — the per-graph build streams make shard builds identical
-        to the sequential build."""
+        sampling: the pool verifies what the in-process planner verifies."""
         database = random_database(77, 7)
         workload = random_workload(database, seed=500)
         sampled_bounds = BoundConfig(num_samples=40)
@@ -152,8 +150,8 @@ class TestRandomizedCrossShardParity:
             feature_config=FEATURE_CONFIG,
             bound_config=sampled_bounds,
             rng=9,
-            num_shards=3,
-            max_workers=0,
+            num_shards=2,
+            max_workers=2,
         )
         for query in workload:
             before = sequential.query(
@@ -163,12 +161,13 @@ class TestRandomizedCrossShardParity:
                 query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=4
             )
             assert answer_tuples(before) == answer_tuples(after)
+        sharded.close()
 
     def test_wide_support_request_takes_both_routes_identically(self, wide_support_corpus):
         """The estimator is chosen per candidate: a narrow support is summed
         exactly, a wide one draws worlds on the candidate's own stream.  One
-        request holds both, and every shard layout reproduces both to the
-        byte — the sampled estimates are what makes that a contract."""
+        request holds both, and the pool reproduces both to the byte — the
+        sampled estimates are what makes that a contract."""
         graphs, queries = wide_support_corpus
         engines = [
             GraphCatalog.build(
@@ -176,10 +175,10 @@ class TestRandomizedCrossShardParity:
                 feature_config=FEATURE_CONFIG,
                 bound_config=BoundConfig(num_samples=40),
                 rng=9,
-                num_shards=num_shards,
-                max_workers=0,
+                num_shards=2,
+                max_workers=max_workers,
             )
-            for num_shards in (1, 2, 4)
+            for max_workers in (0, 2)
         ]
         sequential, *sharded = [
             engine.query_many(
@@ -194,6 +193,8 @@ class TestRandomizedCrossShardParity:
                 assert counter_dict(results[position].statistics) == counter_dict(
                     expected.statistics
                 )
+        for engine in engines:
+            engine.close()
 
     def test_single_query_parity_through_process_pool(self):
         """One end-to-end case through a real process pool (the others run
@@ -227,9 +228,9 @@ class TestRandomizedCrossShardParity:
 
 
     def test_loaded_pmi_sharded_matches_sequential(self, tmp_path):
-        """A persisted PMI row-sliced into shards answers byte-identically
-        (threshold answers and counters, top-k ranked answers) to the
-        one-shard catalog adopted from the same loaded PMI."""
+        """A persisted PMI adopted by a pooled catalog answers byte-identically
+        (answers and counters, threshold and top-k) to the in-process
+        catalog adopted from the same loaded PMI."""
         database = random_database(414, 7)
         workload = random_workload(database, seed=41)
         built = build_index(
@@ -248,9 +249,9 @@ class TestRandomizedCrossShardParity:
             ProbabilisticMatrixIndex.load(tmp_path),
             built.structural_index,
             num_shards=3,
-            max_workers=0,
+            max_workers=2,
         )
-        assert sharded.planner().num_shards == 3
+        assert (sharded.planner().num_shards, sharded.planner().width) == (3, 2)
         for expected, actual in zip(
             sequential.query_many(
                 workload, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=6
@@ -261,9 +262,6 @@ class TestRandomizedCrossShardParity:
         ):
             assert answer_tuples(expected) == answer_tuples(actual)
             assert counter_dict(expected.statistics) == counter_dict(actual.statistics)
-        # top-k: ranked answers only — shard-partial mode verifies against a
-        # shard-local floor, so merged work counters may exceed sequential
-        # (tests/test_topk_parity.py::test_merged_statistics_report_shard_work)
         for expected, actual in zip(
             sequential.query_top_k_many(
                 workload, 3, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=6
@@ -273,13 +271,14 @@ class TestRandomizedCrossShardParity:
             ),
         ):
             assert answer_tuples(expected) == answer_tuples(actual)
-            assert expected.statistics.answers == actual.statistics.answers
+            assert counter_dict(expected.statistics) == counter_dict(actual.statistics)
+        sharded.close()
 
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_loaded_pmi_without_build_root_is_refused(self, tmp_path, num_shards):
         """Delta appends must reuse the build root, so a payload that predates
         its recording cannot back a catalog — a typed error, not a mismatch,
-        and the same one for every shard count."""
+        and the same one for every pool cap."""
         database = random_database(515, 4)
         built = build_index(
             database.graphs,
@@ -354,113 +353,3 @@ class TestDeterminismRegression:
         )
         for a, b in zip(first, second):
             assert pickle.dumps(answer_tuples(a)) == pickle.dumps(answer_tuples(b))
-
-
-class TestPartitioning:
-    def test_balanced_contiguous_partition(self):
-        specs = partition_ranges(10, 4)
-        assert [spec.size for spec in specs] == [3, 3, 2, 2]
-        assert specs[0].start == 0 and specs[-1].stop == 10
-        for left, right in zip(specs, specs[1:]):
-            assert left.stop == right.start
-
-    def test_more_shards_than_graphs_clamped(self):
-        specs = partition_ranges(3, 8)
-        assert len(specs) == 3
-        assert all(spec.size == 1 for spec in specs)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            partition_ranges(0, 2)
-        with pytest.raises(ValueError):
-            partition_ranges(5, 0)
-
-
-class TestStatisticsMerge:
-    def test_merge_sums_counters_and_maxes_times(self):
-        left = QueryStatistics(
-            database_size=4,
-            structural_candidates=3,
-            probabilistic_candidates=2,
-            accepted_by_lower_bound=1,
-            pruned_by_upper_bound=1,
-            verified=1,
-            answers=2,
-            total_seconds=2.0,
-            relaxed_query_count=3,
-            stages=[
-                StageStatistics(stage="structural_filter", seconds=0.5),
-                StageStatistics(stage="pmi_pruning", seconds=0.25),
-                StageStatistics(stage="verification", seconds=1.0),
-            ],
-        )
-        right = QueryStatistics(
-            database_size=3,
-            structural_candidates=2,
-            probabilistic_candidates=2,
-            accepted_by_lower_bound=0,
-            pruned_by_upper_bound=1,
-            verified=2,
-            answers=1,
-            total_seconds=1.5,
-            relaxed_query_count=3,
-            stages=[
-                StageStatistics(stage="structural_filter", seconds=0.75),
-                StageStatistics(stage="pmi_pruning", seconds=0.1),
-                StageStatistics(stage="verification", seconds=0.5),
-            ],
-        )
-        merged = QueryStatistics.merge([left, right])
-        assert merged.database_size == 7
-        assert merged.structural_candidates == 5
-        assert merged.probabilistic_candidates == 4
-        assert merged.accepted_by_lower_bound == 1
-        assert merged.pruned_by_upper_bound == 2
-        assert merged.verified == 3
-        assert merged.answers == 3
-        assert [(stage.stage, stage.seconds) for stage in merged.stages] == [
-            ("structural_filter", 0.75),
-            ("pmi_pruning", 0.25),
-            ("verification", 1.0),
-        ]
-        assert merged.total_seconds == 2.0
-        assert merged.relaxed_query_count == 3
-
-    def test_merge_of_nothing_is_zero(self):
-        merged = QueryStatistics.merge([])
-        assert merged.as_dict() == QueryStatistics().as_dict()
-
-    def test_sharded_counters_sum_to_sequential(self):
-        """End-to-end: merged shard counters equal the sequential counters."""
-        database = random_database(707, 6)
-        query = random_workload(database, seed=70, num_queries=1)[0]
-        sequential = GraphCatalog.build(
-            database.graphs,
-            feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=8
-        )
-        sharded = GraphCatalog.build(
-            database.graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(method="exact"),
-            rng=8,
-            num_shards=2,
-            max_workers=0,
-        )
-        before = sequential.query(
-            query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=2
-        )
-        after = sharded.query(
-            query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=2
-        )
-        full_before = before.statistics.as_dict()
-        full_after = after.statistics.as_dict()
-        for key in full_before:
-            if not key.endswith("_seconds"):
-                assert full_before[key] == full_after[key], key
-
-
-class TestShardSpec:
-    def test_spec_accessors(self):
-        spec = ShardSpec(shard_id=1, start=3, stop=7)
-        assert spec.size == 4
-        assert list(spec.global_ids()) == [3, 4, 5, 6]

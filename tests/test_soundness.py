@@ -6,7 +6,7 @@ the production configuration — ``method="sampling"`` — must return exactly
 what ``ExactScanBaseline`` computes with Equation 21: no true answer
 dismissed by the structural filter or the PMI, no false one accepted, at
 thresholds placed on, just above and far from the probabilities themselves,
-under both correlation models, sharded and not.  Exact SIP bounds keep the
+under both correlation models, in-process and pooled.  Exact SIP bounds keep the
 pruning provably sound, as in ``test_topk_parity``.
 """
 
@@ -19,6 +19,7 @@ import pytest
 
 from repro.baselines.exact_scan import ExactScanBaseline, ExactScanConfig
 from repro.core import GraphCatalog, SearchConfig, VerificationConfig
+from repro.core.sharding import shutdown_parked_pools
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
@@ -34,7 +35,7 @@ EXACT_SCAN_CONFIG = ExactScanConfig(fallback_to_sampling=False)
 
 @pytest.fixture(scope="module", params=["max", "independent"])
 def case(request):
-    """(graphs, queries, engines by shard count, exact scan) for one
+    """(graphs, queries, engines by worker count, exact scan) for one
     correlation model."""
     config = PPIDatasetConfig(
         num_graphs=12,
@@ -51,17 +52,20 @@ def case(request):
     graphs = generate_ppi_database(config, rng=321).graphs
     queries = [extract_query(graphs[index].skeleton, 3, rng=40 + index) for index in range(4)]
     engines = {
-        num_shards: GraphCatalog.build(
+        max_workers: GraphCatalog.build(
             graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=321,
-            num_shards=num_shards,
-            max_workers=0,
+            num_shards=2,
+            max_workers=max_workers,
         )
-        for num_shards in (1, 2)
+        for max_workers in (0, 2)
     }
-    return graphs, queries, engines, ExactScanBaseline(graphs, EXACT_SCAN_CONFIG)
+    yield graphs, queries, engines, ExactScanBaseline(graphs, EXACT_SCAN_CONFIG)
+    for engine in engines.values():
+        engine.close()
+    shutdown_parked_pools()
 
 
 def exact_probabilities(scan, query) -> dict[int, float]:
@@ -100,7 +104,7 @@ def test_threshold_answers_equal_the_exact_scan(case):
         # the middle of the widest gap between two probabilities: no tie possible
         gaps = list(zip([0.0, *positive], [*positive, 1.0]))
         low, high = max(gaps, key=lambda gap: gap[1] - gap[0])
-        for num_shards, engine in engines.items():
+        for max_workers, engine in engines.items():
             run = partial(
                 engine.query,
                 query,
@@ -108,7 +112,7 @@ def test_threshold_answers_equal_the_exact_scan(case):
                 config=SEARCH_CONFIG,
                 rng=7,
             )
-            context = (query_index, num_shards)
+            context = (query_index, max_workers)
             assert_sound(run((low + high) / 2.0), exact, (low + high) / 2.0, context)
             assert_sound(run(1.0), exact, 1.0, context)
             everything = run(min(positive) / 2.0)
@@ -134,11 +138,11 @@ def test_top_k_ranks_equal_the_exact_scan(case):
     for query_index, query in enumerate(queries):
         for k in (1, 3, len(graphs)):
             expected = scan.top_k(query, k, DISTANCE_THRESHOLD, rng=7).answers
-            for num_shards, engine in engines.items():
+            for max_workers, engine in engines.items():
                 result = engine.query_top_k(
                     query, k, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=7
                 )
-                context = (query_index, k, num_shards)
+                context = (query_index, k, max_workers)
                 assert result.statistics.sampled == 0, context
                 assert [a.graph_id for a in result.answers] == [
                     a.graph_id for a in expected

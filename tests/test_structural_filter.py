@@ -189,7 +189,6 @@ class TestSignatureSegment:
             feature_config=FeatureSelectionConfig(max_vertices=3, max_features=8),
             bound_config=BoundConfig(num_samples=20),
             rng=5,
-            num_shards=2,
             max_workers=0,
         )
         catalog.add_graph(graphs[6])
@@ -197,15 +196,14 @@ class TestSignatureSegment:
         catalog.remove_graph(5)
         queries = [extract_query(graphs[source].skeleton, 4, rng=source) for source in (2, 6, 7)]
         for compacted in (False, True):
-            shards = catalog.planner().shards
-            assert compacted or any(not shard.active_mask.all() for shard in shards)
-            assert compacted or any(shard.structural_index.delta.num_graphs for shard in shards)
-            for shard in shards:
-                skeletons = [graph.skeleton for graph in shard.graphs]
-                for query in queries:
-                    assert shard.structural_index.signature_missing(
-                        query
-                    ).tolist() == oracle_missing(query, skeletons)
+            view = catalog.planner().query_planner
+            assert compacted or not view.active_mask.all()
+            assert compacted or view.structural_index.delta.num_graphs
+            skeletons = [graph.skeleton for graph in view.graphs]
+            for query in queries:
+                assert view.structural_index.signature_missing(
+                    query
+                ).tolist() == oracle_missing(query, skeletons)
             catalog.compact()
         catalog.close()
 

@@ -5,14 +5,14 @@ Two contracts under test:
 1. **Reference parity** — pipeline ``query_top_k`` answers (graph ids *and*
    probabilities) equal the index-free ``ExactScanBaseline.top_k`` reference,
    which verifies every graph and ranks by ``(-probability, graph_id)``.
-   Randomized databases, K shards ∈ {1, 2, 4}, k ∈ {1, 3, len(db)}.  Exact
+   Randomized databases, in-process and pooled, k ∈ {1, 3, len(db)}.  Exact
    SIP bounds + exact verification keep the pruning provably sound, so the
    two sides must agree exactly.
-2. **Cross-shard invariant** — sharded top-k is byte-identical to the
-   sequential planner for any shard/worker count, answers and counters,
+2. **Pool invariant** — top-k through a pooled catalog is byte-identical to
+   the sequential planner for any worker count, answers and counters,
    *including stochastic (sampling) verification*: the parent runs the one
-   loop over every shard's candidates with per-graph-seeded estimates, so it
-   never depends on which shard holds what.
+   loop over every candidate with per-graph-seeded estimates, so it never
+   depends on which process verifies what.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class TestReferenceParity:
         workload = random_workload(database, seed=seed * 5 + 1)
         reference = ExactScanBaseline(database.graphs, EXACT_SCAN_CONFIG)
         engines = {
-            num_shards: build_engine(database.graphs, seed, num_shards=num_shards)
-            for num_shards in (1, 2, 4)
+            max_workers: build_engine(database.graphs, seed, num_shards=2, max_workers=max_workers)
+            for max_workers in (0, 2)
         }
         for query_index, query in enumerate(workload):
             for k in (1, 3, num_graphs):
@@ -104,13 +104,15 @@ class TestReferenceParity:
                 expected_tuples = [
                     (a.graph_id, a.probability) for a in expected.answers
                 ]
-                for num_shards, engine in engines.items():
+                for max_workers, engine in engines.items():
                     result = engine.query_top_k(
                         query, k, DISTANCE_THRESHOLD, config=EXACT_SEARCH_CONFIG, rng=seed
                     )
                     assert [
                         (a.graph_id, a.probability) for a in result.answers
-                    ] == expected_tuples, (query_index, k, num_shards)
+                    ] == expected_tuples, (query_index, k, max_workers)
+        for engine in engines.values():
+            engine.close()
 
     def test_k_larger_than_matches_returns_all_positive(self):
         database = random_database(333, 6)
@@ -144,7 +146,7 @@ class TestReferenceParity:
 
 
 class TestCrossShardMergeInvariant:
-    """Sharded top-k ≡ sequential top-k, byte for byte."""
+    """Pooled top-k ≡ sequential top-k, byte for byte."""
 
     @pytest.mark.parametrize("seed,num_graphs", [(555, 7), (666, 8)])
     def test_sharded_byte_identical_to_sequential_with_sampling(self, seed, num_graphs):
@@ -162,29 +164,32 @@ class TestCrossShardMergeInvariant:
                 )
                 for query in workload
             ]
-            for num_shards in (2, 4):
-                sharded = build_engine(database.graphs, seed, num_shards=num_shards)
-                results = sharded.query_top_k_many(
+            for max_workers in (0, 2):
+                pooled = build_engine(
+                    database.graphs, seed, num_shards=2, max_workers=max_workers
+                )
+                results = pooled.query_top_k_many(
                     workload, k, DISTANCE_THRESHOLD, config=SAMPLING_SEARCH_CONFIG, rng=seed
                 )
+                pooled.close()
                 assert [
                     pickle.dumps(answer_tuples(result)) for result in results
-                ] == expected, (k, num_shards)
+                ] == expected, (k, max_workers)
 
     def test_wide_support_replay_over_both_routes(self, wide_support_corpus):
         """The one loop ranks estimates of both kinds — exact sums over narrow
-        supports, sampled ones over wide supports — over every shard's
-        candidates as the sequential loop does, and samples as often."""
+        supports, sampled ones over wide supports — in a pooled catalog as the
+        sequential loop does, and samples as often."""
         graphs, queries = wide_support_corpus
         engines = {}
-        for num_shards in (1, 2, 4):
-            engines[num_shards] = GraphCatalog.build(
+        for max_workers in (0, 2):
+            engines[max_workers] = GraphCatalog.build(
                 graphs,
                 feature_config=FEATURE_CONFIG,
                 bound_config=BoundConfig(num_samples=40),
                 rng=5,
-                num_shards=num_shards,
-                max_workers=0,
+                num_shards=2,
+                max_workers=max_workers,
             )
         for query in queries:
             for k in (1, 3):
@@ -204,6 +209,8 @@ class TestCrossShardMergeInvariant:
                         == result.statistics.sampled
                         < result.statistics.verified
                     )
+        for engine in engines.values():
+            engine.close()
 
     def test_worker_count_does_not_change_answers(self):
         database = random_database(777, 6)
@@ -235,10 +242,10 @@ class TestCrossShardMergeInvariant:
         assert answer_tuples(first) == answer_tuples(second)
 
     def test_merged_statistics_report_shard_work(self):
-        """The floor is seeded once over every shard's candidates and the
-        walk runs once in the parent, so a sharded top-k counts exactly what
-        one shard counts, whatever the shard count, the worker count or the
-        verification method."""
+        """The floor is seeded once over every candidate and the walk runs
+        once in the parent, so a pooled top-k counts exactly what the
+        in-process one counts, whatever the worker count or the verification
+        method."""
         database = random_database(999, 8)
         queries = random_workload(database, seed=91, num_queries=2)
         sequential = build_engine(database.graphs, 999)
@@ -247,23 +254,19 @@ class TestCrossShardMergeInvariant:
                 queries, 2, DISTANCE_THRESHOLD, config=config, rng=3
             )
             assert sum(result.statistics.verified for result in expected) > 0
-            for num_shards in (1, 2, 4):
-                for max_workers in (0, 2):
-                    sharded = build_engine(
-                        database.graphs, 999, num_shards=num_shards, max_workers=max_workers
+            for max_workers in (0, 2):
+                pooled = build_engine(
+                    database.graphs, 999, num_shards=2, max_workers=max_workers
+                )
+                try:
+                    results = pooled.query_top_k_many(
+                        queries, 2, DISTANCE_THRESHOLD, config=config, rng=3
                     )
-                    try:
-                        results = sharded.query_top_k_many(
-                            queries, 2, DISTANCE_THRESHOLD, config=config, rng=3
-                        )
-                    finally:
-                        sharded.close()
-                    for want, got in zip(expected, results, strict=True):
-                        assert answer_tuples(got) == answer_tuples(want)
-                        assert _counters(got.statistics) == _counters(want.statistics), (
-                            num_shards,
-                            max_workers,
-                        )
+                finally:
+                    pooled.close()
+                for want, got in zip(expected, results, strict=True):
+                    assert answer_tuples(got) == answer_tuples(want)
+                    assert _counters(got.statistics) == _counters(want.statistics), max_workers
 
 
 def _counters(statistics) -> dict:
@@ -299,7 +302,7 @@ class TestTopKPruningEffectiveness:
     def test_one_shard_floor_skips_on_a_two_tier_database(self):
         """A high-probability tier the answers come from beside a low one, as
         in ``benchmarks/bench_topk_throughput.py``.  The pinned counts are
-        what one shard's floor must skip: a floor that stops skipping
+        what the floor must skip: a floor that stops skipping
         verifies every survivor (12 per query here).  Answers stay the exact
         scan's."""
         high, low = (
