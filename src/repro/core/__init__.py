@@ -23,18 +23,7 @@ from repro.core.results import (
     StageStatistics,
     aggregate_statistics,
 )
-from repro.core.pipeline import (
-    CandidateSet,
-    PipelineContext,
-    PipelineStage,
-    PmiPruningStage,
-    QueryPipeline,
-    StructuralFilterStage,
-    ThresholdState,
-    VerificationStage,
-    build_default_pipeline,
-    replay_top_k,
-)
+from repro.core.pipeline import replay_top_k
 from repro.core.planner import (
     QueryPlan,
     QueryPlanner,
@@ -69,15 +58,6 @@ __all__ = [
     "QueryStatistics",
     "StageStatistics",
     "aggregate_statistics",
-    "CandidateSet",
-    "PipelineContext",
-    "PipelineStage",
-    "PmiPruningStage",
-    "QueryPipeline",
-    "StructuralFilterStage",
-    "ThresholdState",
-    "VerificationStage",
-    "build_default_pipeline",
     "replay_top_k",
     "QueryPlan",
     "QueryPlanner",

@@ -1,55 +1,52 @@
-"""The staged candidate-pipeline engine behind every query mode.
+"""The query cascade: :func:`filter_plan`, then a ``finish_*`` function.
 
-The paper's query algorithm is a fixed cascade — structural similarity
-filtering (Theorem 1), PMI probabilistic pruning (Theorems 3 & 4), exact
-verification (Section 5) — and earlier revisions hard-wired that cascade
-inside ``QueryPlanner.query()``.  This module turns the cascade into data:
+The paper's search is a fixed filter-and-verify cascade — structural
+similarity filtering (Theorem 1), PMI probabilistic pruning (Theorems 3 & 4),
+verification (Section 5) — and every query runs it as two calls:
 
-* a :class:`CandidateSet` — a numpy boolean membership mask over the
-  planner's graph slice plus per-graph ``usim``/``lsim`` bound columns —
-  threaded through
-* an ordered list of :class:`PipelineStage` objects
-  (:class:`StructuralFilterStage`, :class:`PmiPruningStage`,
-  :class:`VerificationStage`), each with a vectorized
-  ``run(candidates, ctx, stage_stats)`` and per-stage
-  :class:`~repro.core.results.StageStatistics`, driven by
-* a :class:`QueryPipeline` built once per planner, with all per-query state
-  in a :class:`PipelineContext`.
+* :func:`filter_plan` runs the structural pass and then the PMI pass over one
+  planner's live rows, each timed into one
+  :class:`~repro.core.results.StageStatistics`, and returns a
+  :class:`FilteredPlan`: the result so far and the rows left to verify, with
+  their PMI bounds;
+* :func:`finish_threshold` books a threshold plan's verified survivors — their
+  estimates come from :func:`verify_rows`, run in this process
+  (:meth:`FilteredPlan.verify`) or in the pool slots the survivors were dealt
+  to (:class:`~repro.core.sharding.ShardedPlanner`) — and
+  :func:`finish_top_k` ranks a top-k plan, in this process.
 
-Two query modes share the stages through a :class:`ThresholdState`:
+:meth:`QueryPlanner.execute_plan <repro.core.planner.QueryPlanner.execute_plan>`
+is these two calls with no pool: the sharded planner's flow at width <= 1.
 
-* **threshold (T-PS)** — the probability floor is the fixed query ``ε``;
-  stage behaviour (and answers) are identical to the pre-pipeline planner.
-* **top_k** — the floor starts at the k-th largest PMI lower bound among
-  the surviving candidates (at least k graphs have SSP above it, so nothing
-  provably below can rank) and *tightens* as verified answers fill a
-  k-sized heap; candidates are visited in descending ``usim`` order so later
-  candidates prune against the running k-th-best probability.
+Two query modes:
+
+* **threshold (T-PS)** — the floor is the plan's fixed
+  ``probability_threshold``: the PMI pass applies Pruning 1 (``usim < ε`` ⇒
+  discard) and Pruning 2 (``lsim ≥ ε`` ⇒ answer without verification), and a
+  verified estimate at or above ``ε`` is an answer.
+* **top_k** — the PMI pass records the bound columns and decides nothing; the
+  floor starts at the k-th largest PMI lower bound among the candidates (at
+  least k graphs have SSP above it, so nothing provably below can rank) and
+  *tightens* as verified answers fill a :class:`TopKHeap`; candidates are
+  visited in descending ``usim`` order so later candidates prune against the
+  running k-th-best probability.
 
 **One top-k loop.**  :func:`replay_top_k` is the only walk of the top-k
 visit order — ``(-usim, graph_id)`` under a floor seeded once from the
 candidates' ``lsim`` and tightened by every answer the heap keeps — and it
-asks an *estimator* for each candidate it reaches above the floor.  The PMI
-stage of a top-k plan records the bound columns and decides nothing, so the
-walk sees every structural candidate of the database: :func:`rank_top_k` runs
-it over the planner's ``(graph id, usim, lsim)`` table with an estimator
-that verifies the candidate there and then, in the parent.  Because every
-estimate derives from ``(root, VERIFY_STREAM, global graph id)``
-(:func:`repro.utils.rng.derive_seed`), answers and counters are the same for
-any worker count, for stochastic and exact verification alike.
-
-**Verification is the only work that moves.**  :meth:`QueryPipeline.filter`
-runs every stage before verification; a threshold plan's survivors are then
-the storage rows :func:`verify_rows` estimates, in blocks, wherever they are
-placed (:class:`~repro.core.sharding.ShardedPlanner` deals them to pool
-slots), and :func:`finish_threshold` records the estimates as the
-verification stage would have.
+asks an *estimator* for each candidate it reaches above the floor.  Because
+the PMI pass of a top-k plan decides nothing, the walk sees every structural
+candidate of the database: :func:`finish_top_k` runs it over the part's
+``(graph id, usim, lsim)`` table with an estimator that verifies the
+candidate there and then.  Because every estimate derives from ``(root,
+VERIFY_STREAM, global graph id)`` (:func:`repro.utils.rng.derive_seed`),
+answers and counters are the same for any worker count, for stochastic and
+exact verification alike.
 """
 
 from __future__ import annotations
 
 import heapq
-import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -60,12 +57,11 @@ from repro.core.pruning import VACUOUS_BOUNDS
 from repro.core.results import (
     QueryAnswer,
     QueryResult,
-    QueryStatistics,
     StageStatistics,
 )
 from repro.utils.rng import PRUNE_STREAM, VERIFY_STREAM, derive_seed
 from repro.utils.timer import Timer
-from repro.exceptions import ConfigurationError, StateError
+from repro.exceptions import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.planner import QueryPlan, QueryPlanner
@@ -89,83 +85,31 @@ TOP_K_MODE = "top_k"
 VERIFY_BLOCK_SIZE = 64
 
 
-class CandidateSet:
-    """The explicit candidate state threaded through the pipeline stages.
-
-    ``mask[i]`` is True while local graph ``i`` is still in play; ``usim`` /
-    ``lsim`` carry the per-graph SSP bound columns once the PMI stage has
-    filled them (``1.0`` / ``0.0`` — the vacuous bounds — before that, and
-    for graphs whose bounds were never computed).  A catalog planner starts
-    the mask at its live (non-tombstoned) rows instead of all-True, which is
-    the only difference a mutated database makes to the stages — counters
-    and answers then match a from-scratch build over the live rows exactly.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.mask = np.ones(size, dtype=bool)
-        self.usim = np.ones(size, dtype=np.float64)
-        self.lsim = np.zeros(size, dtype=np.float64)
-
-    @property
-    def active_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-    def active_ids(self) -> np.ndarray:
-        """Active local graph ids, ascending."""
-        return np.flatnonzero(self.mask)
-
-    def deactivate(self, ids) -> None:
-        self.mask[ids] = False
-
-    def record_bounds(self, ids, usim, lsim) -> None:
-        """Fill the bound columns for ``ids`` (index-aligned arrays)."""
-        self.usim[ids] = usim
-        self.lsim[ids] = lsim
-
-
 @dataclass
-class ThresholdState:
-    """The mutable probability floor the stages prune against.
+class TopKHeap:
+    """The k best verified answers so far and the probability floor they set.
 
-    In threshold mode the floor is the query's fixed ``ε``.  In top-k mode
-    it starts at 0, is seeded with the k-th largest PMI lower bound
+    The floor starts at 0, is seeded with the k-th largest PMI lower bound
     (:meth:`seed_floor`), and rises to the running k-th best verified
     probability as :meth:`offer` fills the heap.  Only :func:`replay_top_k`
-    seeds and offers; a pipeline's own top-k state only says the plan ranks.
+    builds one.
     """
 
-    mode: str = THRESHOLD_MODE
+    k: int
     floor: float = 0.0
-    k: int | None = None
     _heap: list = field(default_factory=list, repr=False)
 
-    @classmethod
-    def fixed(cls, probability_threshold: float) -> "ThresholdState":
-        """The threshold-mode state: a floor that never moves."""
-        return cls(mode=THRESHOLD_MODE, floor=probability_threshold)
-
-    @classmethod
-    def for_top_k(cls, k: int) -> "ThresholdState":
-        return cls(mode=TOP_K_MODE, floor=0.0, k=k)
-
-    @property
-    def is_top_k(self) -> bool:
-        return self.mode == TOP_K_MODE
-
     def admits(self, upper_bound: float) -> bool:
-        """Can a graph with this SSP upper bound still enter the answer set?"""
+        """Can a graph with this SSP upper bound still enter the top k?"""
         return upper_bound >= self.floor
 
     def seed_floor(self, lower_bounds) -> None:
-        """Tighten to the k-th largest lower bound (top-k mode only).
+        """Tighten to the k-th largest lower bound.
 
         At least ``k`` graphs have SSP at or above their own lower bound, so
         any graph whose *upper* bound is strictly below the k-th largest
         lower bound is provably outside the top k.
         """
-        if self.k is None:
-            return
         values = np.asarray(lower_bounds, dtype=np.float64)
         if values.size < self.k:
             return
@@ -182,8 +126,6 @@ class ThresholdState:
         exactly as the final sort does.  Zero-probability graphs are never
         answers.
         """
-        if self.k is None:
-            raise StateError("offer() is only meaningful in top-k mode")
         if answer.probability <= 0.0:
             return False
         entry = (answer.probability, -answer.graph_id, answer)
@@ -211,73 +153,66 @@ class ThresholdState:
 
 
 @dataclass
-class PipelineContext:
-    """Everything one query execution threads through the stages."""
+class FilteredPlan:
+    """One plan after the structural and PMI passes over one planner's rows:
+    the result so far and the storage rows left to verify, with their PMI
+    bounds (ascending rows; ``usim`` / ``lsim`` aligned with them)."""
 
+    planner: "QueryPlanner"
     plan: "QueryPlan"
     root: int
-    state: ThresholdState
     result: QueryResult
+    rows: np.ndarray
+    usim: np.ndarray
+    lsim: np.ndarray
+
+    def verify(self) -> tuple[list[float], int, float]:
+        """:func:`verify_rows` over the survivors, in this process, plus its
+        seconds."""
+        with Timer() as timer:
+            probabilities, sampled = verify_rows(
+                self.planner._verifier_for(self.plan),
+                self.planner.graphs,
+                self.planner.global_ids,
+                self.plan,
+                self.rows,
+                self.root,
+            )
+        return probabilities, sampled, timer.elapsed
 
 
-class PipelineStage:
-    """One composable step of the candidate pipeline.
+def filter_plan(planner: "QueryPlanner", plan: "QueryPlan", root: int) -> FilteredPlan:
+    """The structural pass, then the PMI pass, of ``plan`` over ``planner``'s
+    live rows (every row, or those its ``active_mask`` keeps).
 
-    ``run`` narrows (never widens) the candidate set, may append answers to
-    ``ctx.result``, and records its pruned/accepted/passed counts on the
-    provided :class:`StageStatistics` (``examined`` and ``seconds`` are
-    filled in by the driving :class:`QueryPipeline`).
+    Deterministic given ``(root, plan, the live graphs)``: every per-graph
+    draw keys on the graph's stable global id, never on its row.
     """
+    if plan.mode == TOP_K_MODE and plan.k is None:
+        raise QueryError("a top-k plan needs k")
+    result = QueryResult()
+    stats = result.statistics
+    live = planner.active_mask
+    # the *live* candidate universe: what a from-scratch rebuild over the
+    # live graphs would report
+    stats.database_size = len(planner.graphs) if live is None else int(np.count_nonzero(live))
+    stats.relaxed_query_count = len(plan.relaxed_queries)
 
-    name = "stage"
-
-    def run(
-        self, candidates: CandidateSet, ctx: PipelineContext, stage_stats: StageStatistics
-    ) -> None:
-        raise NotImplementedError
-
-
-class StructuralFilterStage(PipelineStage):
-    """Stage 1 (Theorem 1): discard graphs whose skeleton cannot match."""
-
-    name = "structural_filter"
-
-    def __init__(self, planner: "QueryPlanner") -> None:
-        self.planner = planner
-
-    def run(self, candidates, ctx, stage_stats):
-        keep = self.planner.structural_filter.filter_mask(
-            ctx.plan.query,
-            ctx.plan.distance_threshold,
-            active=candidates.mask,
-            profile=ctx.plan.profile,
+    # Theorem 1: discard graphs whose skeleton cannot match
+    structural = StageStatistics(stage="structural_filter", examined=stats.database_size)
+    with Timer() as timer:
+        rows = np.flatnonzero(
+            planner.structural_filter.filter_mask(
+                plan.query, plan.distance_threshold, active=live, profile=plan.profile
+            )
         )
-        candidates.mask &= keep
-        passed = candidates.active_count
-        ctx.result.statistics.structural_candidates = passed
-        stage_stats.pruned = stage_stats.examined - passed
-        stage_stats.passed = passed
+    structural.seconds = timer.elapsed
+    structural.passed = stats.structural_candidates = len(rows)
+    structural.pruned = structural.examined - structural.passed
 
-
-class PmiPruningStage(PipelineStage):
-    """Stage 2 (Theorems 3 & 4): SSP bounds from the PMI's SIP intervals.
-
-    Threshold mode applies Pruning 1 (``usim < ε`` ⇒ discard) and Pruning 2
-    (``lsim ≥ ε`` ⇒ answer without verification).  Top-k mode records the
-    bound columns and decides nothing: the floor is seeded once, over every
-    candidate, by :func:`rank_top_k`, which also books the candidates below
-    that seed as this stage's ``pruned``.
-    """
-
-    name = "pmi_pruning"
-
-    def __init__(self, planner: "QueryPlanner") -> None:
-        self.planner = planner
-
-    def run(self, candidates, ctx, stage_stats):
-        plan = ctx.plan
-        active = candidates.active_ids()
-        planner = self.planner
+    # Theorems 3 & 4: SSP bounds from the PMI's SIP intervals
+    pmi = StageStatistics(stage="pmi_pruning", examined=len(rows))
+    with Timer() as timer:
         pruner = planner._pruner_for(plan)
         if plan.containment:
             bounds_list = [
@@ -285,117 +220,35 @@ class PmiPruningStage(PipelineStage):
                     plan.relaxed_queries,
                     row,
                     plan.containment,
-                    rng=derive_seed(
-                        ctx.root, PRUNE_STREAM, int(planner.global_ids[row.graph_id])
-                    ),
+                    rng=derive_seed(root, PRUNE_STREAM, int(planner.global_ids[row.graph_id])),
                 )
-                for row in planner.pmi.rows(active)
+                for row in planner.pmi.rows(rows)
             ]
         else:
             # no feature bounds anything: what the loop returns, without a draw
-            bounds_list = [VACUOUS_BOUNDS] * len(active)
-        candidates.record_bounds(
-            active,
-            np.array([bounds.usim for bounds in bounds_list], dtype=np.float64),
-            np.array([bounds.lsim for bounds in bounds_list], dtype=np.float64),
-        )
-        stats = ctx.result.statistics
-        if ctx.state.is_top_k:
-            stats.probabilistic_candidates = len(active)
-            stage_stats.passed = len(active)
-            return
-        pruned_mask, accepted_mask = pruner.decide_batch(bounds_list, ctx.state.floor)
-        for index in np.flatnonzero(accepted_mask):
-            graph_id = int(active[index])
-            ctx.result.answers.append(
+            bounds_list = [VACUOUS_BOUNDS] * len(rows)
+        usim = np.array([bounds.usim for bounds in bounds_list], dtype=np.float64)
+        lsim = np.array([bounds.lsim for bounds in bounds_list], dtype=np.float64)
+        if plan.mode != TOP_K_MODE:
+            pruned, accepted = pruner.decide_batch(bounds_list, plan.probability_threshold)
+            result.answers.extend(
                 QueryAnswer(
-                    graph_id=int(planner.global_ids[graph_id]),
-                    graph_name=planner.graphs[graph_id].name,
+                    graph_id=int(planner.global_ids[rows[index]]),
+                    graph_name=planner.graphs[rows[index]].name,
                     probability=bounds_list[index].lsim,
                     decided_by="lower_bound",
                 )
+                for index in np.flatnonzero(accepted)
             )
-        candidates.deactivate(active[pruned_mask | accepted_mask])
-        stats.pruned_by_upper_bound = int(pruned_mask.sum())
-        stats.accepted_by_lower_bound = int(accepted_mask.sum())
-        stats.probabilistic_candidates = len(active) - stats.pruned_by_upper_bound
-        stage_stats.pruned = stats.pruned_by_upper_bound
-        stage_stats.accepted = stats.accepted_by_lower_bound
-        stage_stats.passed = candidates.active_count
-
-
-class VerificationStage(PipelineStage):
-    """Stage 3 (Section 5): compute the SSP of the surviving candidates.
-
-    A threshold query verifies candidate *blocks* (:func:`verify_rows`):
-    survivors are chunked in row order and each block goes through one
-    :meth:`~repro.core.verification.Verifier.verify_block` call, where the
-    batch kernel draws and evaluates every candidate's whole sample matrix at
-    once.  Block composition never changes an estimate — each candidate's
-    draws come from its own ``derive_seed(root, VERIFY_STREAM, global id)``
-    stream — so verifying a block of survivors in a pool worker reproduces the
-    in-process answers byte-for-byte.
-
-    A top-k query hands the candidates to :func:`rank_top_k`, which verifies
-    a candidate (the block of one) only when its descending-``usim`` walk
-    reaches it above the tightening floor; the candidates it passes over are
-    the stage's ``pruned``.
-    """
-
-    name = "verification"
-
-    def __init__(self, planner: "QueryPlanner") -> None:
-        self.planner = planner
-
-    def run(self, candidates, ctx, stage_stats):
-        part = FilteredPlan.of(self.planner, ctx, candidates)
-        if ctx.state.is_top_k:
-            ctx.result.answers.extend(rank_top_k(part, ctx.result.statistics, stage_stats))
-        else:
-            probabilities, sampled, _ = part.verify()  # the stage loop times it
-            record_verified(part, probabilities, sampled, stage_stats)
-
-
-class QueryPipeline:
-    """Drives an ordered stage list over one query's candidate set.
-
-    The last stage is the verification stage: :meth:`filter` runs every
-    stage before it, and :meth:`run` all of them.  ``run`` is deterministic
-    given ``(ctx.root, ctx.plan, the live graphs)``: wall-clock fields aside,
-    two executions produce byte-identical answers and counters, independent
-    of process or storage row placement (all per-graph work keys on stable
-    global ids).
-    """
-
-    def __init__(self, stages: list[PipelineStage]) -> None:
-        if not stages:
-            raise ConfigurationError("a query pipeline needs at least one stage")
-        self.stages = list(stages)
-
-    def filter(self, candidates: CandidateSet, ctx: PipelineContext) -> None:
-        """Every stage before verification, in order."""
-        stats = ctx.result.statistics
-        # the *live* candidate universe: equals candidates.size for a static
-        # planner (mask starts all-True), and the non-tombstoned count for a
-        # catalog planner — which is what a from-scratch rebuild would report
-        stats.database_size = candidates.active_count
-        stats.relaxed_query_count = len(ctx.plan.relaxed_queries)
-        for stage in self.stages[:-1]:
-            self._run_stage(stage, candidates, ctx)
-
-    def run(self, candidates: CandidateSet, ctx: PipelineContext) -> QueryResult:
-        self.filter(candidates, ctx)
-        self._run_stage(self.stages[-1], candidates, ctx)
-        return close_result(ctx.result)
-
-    @staticmethod
-    def _run_stage(stage: PipelineStage, candidates: CandidateSet, ctx: PipelineContext) -> None:
-        stage_stats = StageStatistics(stage=stage.name, examined=candidates.active_count)
-        timer = Timer()
-        with timer:
-            stage.run(candidates, ctx, stage_stats)
-        stage_stats.seconds = timer.elapsed
-        ctx.result.statistics.stages.append(stage_stats)
+            pmi.pruned = stats.pruned_by_upper_bound = int(pruned.sum())
+            pmi.accepted = stats.accepted_by_lower_bound = int(accepted.sum())
+            undecided = ~(pruned | accepted)
+            rows, usim, lsim = rows[undecided], usim[undecided], lsim[undecided]
+    pmi.seconds = timer.elapsed
+    pmi.passed = len(rows)
+    stats.probabilistic_candidates = pmi.examined - pmi.pruned
+    stats.stages += [structural, pmi]
+    return FilteredPlan(planner, plan, root, result, rows, usim, lsim)
 
 
 def close_result(result: QueryResult) -> QueryResult:
@@ -405,23 +258,6 @@ def close_result(result: QueryResult) -> QueryResult:
     stats.answers = len(result.answers)
     stats.total_seconds = sum(stage.seconds for stage in stats.stages)
     return result
-
-
-def build_default_pipeline(planner: "QueryPlanner") -> QueryPipeline:
-    """The paper's three-stage cascade over one planner's graph slice.
-
-    The stages reach the planner that owns them through a weak proxy: no
-    reference cycle, so a dropped planner frees its graphs and index views
-    at once.
-    """
-    owner = weakref.proxy(planner)
-    return QueryPipeline(
-        [
-            StructuralFilterStage(owner),
-            PmiPruningStage(owner),
-            VerificationStage(owner),
-        ]
-    )
 
 
 # ----------------------------------------------------------------------
@@ -456,49 +292,17 @@ def verify_rows(
     return probabilities, verifier.sampled - sampled_before
 
 
-@dataclass
-class FilteredPlan:
-    """One plan after every stage before verification, over one planner's
-    rows: the result so far and the storage rows left to verify, with their
-    PMI bounds (ascending rows; ``usim`` / ``lsim`` aligned with them)."""
-
-    planner: "QueryPlanner"
-    ctx: PipelineContext
-    rows: np.ndarray
-    usim: np.ndarray
-    lsim: np.ndarray
-
-    @classmethod
-    def of(cls, planner, ctx: PipelineContext, candidates: CandidateSet) -> "FilteredPlan":
-        rows = candidates.active_ids()
-        return cls(planner, ctx, rows, candidates.usim[rows], candidates.lsim[rows])
-
-    def verify(self) -> tuple[list[float], int, float]:
-        """:func:`verify_rows` over the survivors, in this process, plus its
-        seconds."""
-        timer = Timer()
-        with timer:
-            plan = self.ctx.plan
-            probabilities, sampled = verify_rows(
-                self.planner._verifier_for(plan),
-                self.planner.graphs,
-                self.planner.global_ids,
-                plan,
-                self.rows,
-                self.ctx.root,
-            )
-        return probabilities, sampled, timer.elapsed
-
-
-def record_verified(
-    part: FilteredPlan, probabilities, sampled: int, stage_stats: StageStatistics
-) -> None:
-    """Book a threshold plan's verified survivors: every estimate at or above
-    the floor is an answer."""
-    stats = part.ctx.result.statistics
+def finish_threshold(
+    part: FilteredPlan, probabilities, sampled: int, seconds: float
+) -> QueryResult:
+    """A filtered threshold plan's result, once its survivors' estimates are
+    in (from pool slots or :meth:`FilteredPlan.verify`): every estimate at or
+    above the plan's threshold is an answer."""
+    result = part.result
+    stats = result.statistics
     stats.verified += len(part.rows)
     stats.sampled += sampled
-    floor = part.ctx.state.floor
+    floor = part.plan.probability_threshold
     answers = [
         QueryAnswer(
             graph_id=int(part.planner.global_ids[row]),
@@ -509,49 +313,29 @@ def record_verified(
         for row, probability in zip(part.rows.tolist(), probabilities, strict=True)
         if probability >= floor
     ]
-    part.ctx.result.answers.extend(answers)
-    stage_stats.accepted = len(answers)
-    stage_stats.passed = len(answers)
-
-
-def finish_threshold(
-    part: FilteredPlan, probabilities, sampled: int, seconds: float
-) -> QueryResult:
-    """A filtered threshold plan's result, once its survivors' estimates
-    are in (from a pool worker or :meth:`FilteredPlan.verify`)."""
-    stage_stats = StageStatistics(
-        stage=VerificationStage.name, examined=len(part.rows), seconds=seconds
+    result.answers.extend(answers)
+    stats.stages.append(
+        StageStatistics(
+            stage="verification",
+            examined=len(part.rows),
+            accepted=len(answers),
+            passed=len(answers),
+            seconds=seconds,
+        )
     )
-    record_verified(part, probabilities, sampled, stage_stats)
-    part.ctx.result.statistics.stages.append(stage_stats)
-    return close_result(part.ctx.result)
-
-
-def finish_top_k(part: FilteredPlan) -> QueryResult:
-    """A filtered top-k plan's result: :func:`rank_top_k` once, in this
-    process."""
-    result = part.ctx.result
-    stage_stats = StageStatistics(stage=VerificationStage.name)
-    timer = Timer()
-    with timer:
-        result.answers.extend(rank_top_k(part, result.statistics, stage_stats))
-    stage_stats.seconds = timer.elapsed
-    result.statistics.stages.append(stage_stats)
     return close_result(result)
 
 
-def rank_top_k(
-    part: FilteredPlan, statistics: QueryStatistics, stage_stats: StageStatistics
-) -> list[QueryAnswer]:
-    """The top-k answers of one filtered plan.
+def finish_top_k(part: FilteredPlan) -> QueryResult:
+    """A filtered top-k plan's result, ranked in this process.
 
     The part's ``(graph id, usim, lsim)`` table is walked once by
     :func:`replay_top_k`, whose estimator verifies a candidate through the
     part's planner.  The candidates below the seeded floor are booked as the
-    PMI stage's ``pruned``, those the walk passes over as the verification
-    stage's.
+    PMI pass's ``pruned``, those the walk passes over as verification's.
     """
-    planner, plan, root = part.planner, part.ctx.plan, part.ctx.root
+    planner, plan, root, result = part.planner, part.plan, part.root, part.result
+    stats = result.statistics
     graph_ids = planner.global_ids[part.rows]
     row_of = dict(zip(graph_ids.tolist(), part.rows.tolist()))
 
@@ -560,22 +344,30 @@ def rank_top_k(
         (probability,), sampled = verify_rows(
             planner._verifier_for(plan), planner.graphs, planner.global_ids, plan, [row], root
         )
-        statistics.sampled += sampled
+        stats.sampled += sampled
         return QueryAnswer(graph_id, planner.graphs[row].name, probability, "verification")
 
-    answers, examined, verified = replay_top_k(graph_ids, part.usim, part.lsim, verify, plan.k)
+    with Timer() as timer:
+        answers, examined, verified = replay_top_k(graph_ids, part.usim, part.lsim, verify, plan.k)
     below_seed = len(row_of) - examined
-    pmi = next(stage for stage in statistics.stages if stage.stage == PmiPruningStage.name)
+    _, pmi = stats.stages
     pmi.pruned += below_seed
     pmi.passed -= below_seed
-    statistics.pruned_by_upper_bound += below_seed
-    statistics.probabilistic_candidates -= below_seed
-    statistics.verified += verified
-    stage_stats.examined = examined
-    stage_stats.pruned = examined - verified
-    stage_stats.accepted = len(answers)
-    stage_stats.passed = len(answers)
-    return answers
+    stats.pruned_by_upper_bound += below_seed
+    stats.probabilistic_candidates -= below_seed
+    stats.verified += verified
+    result.answers.extend(answers)
+    stats.stages.append(
+        StageStatistics(
+            stage="verification",
+            examined=examined,
+            pruned=examined - verified,
+            accepted=len(answers),
+            passed=len(answers),
+            seconds=timer.elapsed,
+        )
+    )
+    return close_result(result)
 
 
 def replay_top_k(
@@ -593,15 +385,15 @@ def replay_top_k(
     candidates are at or above the seeded floor, and how many the loop asked
     for.
     """
-    state = ThresholdState.for_top_k(k)
-    state.seed_floor(lsim)
-    above_seed = usim >= state.floor
+    heap = TopKHeap(k)
+    heap.seed_floor(lsim)
+    above_seed = usim >= heap.floor
     ids = candidate_ids[above_seed]
     upper = usim[above_seed]
     verified = 0
     for index in np.lexsort((ids, -upper)):
-        if not state.admits(float(upper[index])):
+        if not heap.admits(float(upper[index])):
             continue
         verified += 1
-        state.offer(estimate(int(ids[index])))
-    return state.ranked(), len(ids), verified
+        heap.offer(estimate(int(ids[index])))
+    return heap.ranked(), len(ids), verified

@@ -1,15 +1,9 @@
 """The reusable query planner: one plan object per workload, not per query.
 
-The seed engine rebuilt its :class:`StructuralFilter`, its
-:class:`ProbabilisticPruner` (including the feature dictionary) and its
-:class:`Verifier` from scratch inside every ``query()`` call, and recomputed
-the feature-vs-relaxed-query containment relations once *per candidate
-graph*.  :class:`QueryPlanner` splits that work by lifetime:
+:class:`QueryPlanner` splits a query's work by lifetime:
 
 * **per database** (planner construction): the structural filter over the
-  index, the pruner over the PMI's features, the default verifier, and
-  the staged candidate pipeline itself
-  (:func:`repro.core.pipeline.build_default_pipeline`);
+  index, the pruner over the PMI's features and the default verifier;
 * **per query** (:meth:`plan` / :meth:`plan_top_k`): array work over one edge
   order of the query — relaxation (Lemma 1) as rows of a mask matrix over it
   (no graph per variant), each feature's embeddings in the query (read off
@@ -17,16 +11,18 @@ graph*.  :class:`QueryPlanner` splits that work by lifetime:
   the structural count profile and the containment relations are read (an
   embedding lies in a relaxed query iff it uses no deleted edge), and the
   rows compiled into the verifier's variant family;
-* **per candidate** (:meth:`execute_plan`): the pipeline stages — columnar
-  PMI row reads, vectorized pruning decisions, verification.
+* **per candidate** (:meth:`execute_plan`): the cascade of
+  :mod:`repro.core.pipeline` — :meth:`filter_plan` (the structural filter,
+  columnar PMI row reads, vectorized pruning decisions), then
+  ``finish_threshold`` or ``finish_top_k`` (verification).
 
 A :class:`~repro.core.catalog.GraphCatalog` holds one :class:`QueryPlanner`
 over its whole storage, inside the
-:class:`~repro.core.sharding.ShardedPlanner` that runs every stage before
-verification on it (:meth:`filter_plan`) and then places the verification.
-:meth:`execute_plan` runs all three stages at once; the single-query
-``execute`` / ``execute_top_k`` below plan and run in one call and are what
-the parity suites build their from-scratch reference from.
+:class:`~repro.core.sharding.ShardedPlanner` that runs :meth:`filter_plan` on
+it and then places the verification; :meth:`execute_plan` makes the same
+calls in this process.  The single-query ``execute`` / ``execute_top_k``
+below plan and run in one call and are what the parity suites build their
+from-scratch reference from.
 """
 
 from __future__ import annotations
@@ -34,20 +30,19 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
+from repro.core import pipeline
 from repro.core.pipeline import (
     PRUNE_STREAM,
     VERIFY_STREAM,
-    CandidateSet,
-    FilteredPlan,
-    PipelineContext,
-    QueryPipeline,
     THRESHOLD_MODE,
     TOP_K_MODE,
-    ThresholdState,
-    build_default_pipeline,
+    FilteredPlan,
+    finish_threshold,
+    finish_top_k,
 )
 from repro.core.pruning import FeatureContainment, ProbabilisticPruner, PruningConfig
 from repro.core.relaxation import RelaxationConfig, relax_query
@@ -75,7 +70,7 @@ __all__ = [
 
 @dataclass
 class SearchConfig:
-    """Per-query configuration of the pipeline stages."""
+    """Per-query configuration of the cascade's passes."""
 
     relaxation: RelaxationConfig = field(default_factory=RelaxationConfig)
     pruning: PruningConfig = field(default_factory=PruningConfig)
@@ -110,10 +105,16 @@ def _validate_query_structure(query_graph: LabeledGraph, distance_threshold: int
 def validate_query(
     query_graph: LabeledGraph, probability_threshold: float, distance_threshold: int
 ) -> int:
-    """Reject malformed T-PS queries before any pipeline work starts; return
-    the distance threshold as a plain int (integer-like values are accepted
-    via ``operator.index``, bools and non-integers are rejected)."""
+    """Reject malformed T-PS queries before any work starts; return the
+    distance threshold as a plain int (integer-like values are accepted via
+    ``operator.index``, bools and non-integers are rejected).  The probability
+    threshold is any real number (``numbers.Real``: ints, floats, numpy
+    scalars) in ``(0, 1]``, never a bool."""
     distance_threshold = _validate_query_structure(query_graph, distance_threshold)
+    if isinstance(probability_threshold, bool) or not isinstance(probability_threshold, Real):
+        raise QueryError(
+            f"probability threshold must be a real number, got {probability_threshold!r}"
+        )
     if not 0.0 < probability_threshold <= 1.0:
         raise QueryError(
             f"probability threshold must be in (0, 1], got {probability_threshold!r}"
@@ -139,10 +140,10 @@ class QueryPlan:
 
     The plan is reusable: executing it twice (or against a reloaded PMI)
     yields the same candidate partition, so workloads can relax and prepare
-    once and execute many times.  ``mode`` selects how the pipeline's
-    :class:`~repro.core.pipeline.ThresholdState` behaves: ``"threshold"``
-    (fixed floor ``probability_threshold``) or ``"top_k"`` (floor tightens
-    toward the running ``k``-th best verified probability).
+    once and execute many times.  ``mode`` selects the probability floor:
+    ``"threshold"`` (the fixed ``probability_threshold``) or ``"top_k"`` (a
+    :class:`~repro.core.pipeline.TopKHeap`'s floor, tightening toward the
+    running ``k``-th best verified probability).
 
     ``relaxed_queries`` is the set as :func:`relax_query` returns it: masks over
     the query's edges in discovery order (the member indices in ``containment``
@@ -165,7 +166,7 @@ class QueryPlan:
 
 
 class QueryPlanner:
-    """Owns the staged candidate pipeline for one indexed database.
+    """Plans and runs the query cascade over one indexed database.
 
     Determinism contract: with the same ``rng`` seed, every ``execute*``
     method returns byte-identical answers and counters across runs,
@@ -217,14 +218,6 @@ class QueryPlanner:
         self.structural_filter = StructuralFilter(structural_index)
         self.pruner = ProbabilisticPruner(pmi.features)
         self._default_verifier: Verifier | None = None
-        self.pipeline: QueryPipeline = build_default_pipeline(self)
-
-    def _new_candidates(self) -> CandidateSet:
-        """A fresh candidate set: every storage row, minus tombstoned ones."""
-        candidates = CandidateSet(len(self.graphs))
-        if self.active_mask is not None:
-            candidates.mask &= self.active_mask
-        return candidates
 
     def _pruner_for(self, plan: QueryPlan) -> ProbabilisticPruner:
         """The planner-owned pruner, rebuilt only when the config changes."""
@@ -264,9 +257,9 @@ class QueryPlanner:
     ) -> QueryPlan:
         """A reusable plan for a top-k subgraph similarity query.
 
-        The plan's probability floor starts at zero; the pipeline's
-        :class:`~repro.core.pipeline.ThresholdState` supplies the dynamic
-        floor at execution time.
+        The plan's probability floor starts at zero; a
+        :class:`~repro.core.pipeline.TopKHeap` supplies the dynamic floor at
+        execution time.
         """
         k, distance_threshold = validate_top_k_query(query, k, distance_threshold)
         plan = self._prepare_plan(query, 0.0, distance_threshold, config)
@@ -339,7 +332,10 @@ class QueryPlanner:
         return self.execute_plan(self.plan_top_k(query, k, distance_threshold, config), rng=rng)
 
     def execute_plan(self, plan: QueryPlan, rng: RandomLike = None) -> QueryResult:
-        """Run the staged candidate pipeline for one plan.
+        """Run one plan in this process: :meth:`filter_plan`, then
+        :func:`~repro.core.pipeline.finish_top_k` or
+        :func:`~repro.core.pipeline.finish_threshold` over the survivors'
+        in-process estimates — the sharded planner's flow at width <= 1.
 
         The ``rng`` argument is collapsed to a 64-bit *root* and every
         stochastic per-candidate task (QP rounding in pruning, Karp–Luby
@@ -349,26 +345,16 @@ class QueryPlanner:
         placement — a pooled executor passing the same root reproduces
         this method's answers exactly.
         """
-        return self.pipeline.run(self._new_candidates(), self._context(plan, rng))
+        part = self.filter_plan(plan, rng)
+        if plan.mode == TOP_K_MODE:
+            return finish_top_k(part)
+        return finish_threshold(part, *part.verify())
 
     def filter_plan(self, plan: QueryPlan, rng: RandomLike = None) -> FilteredPlan:
-        """Every stage of ``plan`` before verification: the structural filter
-        and the PMI bounds, array passes over this planner's index rows.  The
-        returned part holds the rows left to verify; a sharded planner places
-        their verification (:mod:`repro.core.sharding`)."""
-        candidates = self._new_candidates()
-        ctx = self._context(plan, rng)
-        self.pipeline.filter(candidates, ctx)
-        return FilteredPlan.of(self, ctx, candidates)
-
-    def _context(self, plan: QueryPlan, rng: RandomLike) -> PipelineContext:
-        if plan.mode == TOP_K_MODE:
-            if plan.k is None:
-                raise QueryError("a top-k plan needs k")
-            state = ThresholdState.for_top_k(plan.k)
-        else:
-            state = ThresholdState.fixed(plan.probability_threshold)
-        return PipelineContext(plan=plan, root=rng_root(rng), state=state, result=QueryResult())
+        """The structural and PMI passes of ``plan`` over this planner's live
+        rows (:func:`repro.core.pipeline.filter_plan`); the returned part
+        holds the rows left to verify."""
+        return pipeline.filter_plan(self, plan, rng_root(rng))
 
     # `query*()` aliases for symmetry with the catalog's API
     query = execute

@@ -47,7 +47,8 @@ class QueryAnswer:
 
 @dataclass
 class StageStatistics:
-    """Counters and wall time for one pipeline stage of one query run.
+    """Counters and wall time for one stage of one query run: the
+    structural filter, PMI pruning or verification.
 
     ``examined`` is the candidate-set size entering the stage; ``pruned``
     counts candidates the stage discarded (including top-k candidates skipped
@@ -79,10 +80,9 @@ class QueryStatistics:
     """Per-phase counters and timings for one query run.
 
     The top-level counters mirror the paper's three-phase accounting;
-    ``stages`` carries one :class:`StageStatistics` per pipeline stage in
-    execution order — its ``seconds`` is the only per-stage wall time, and
-    ``total_seconds`` covers the whole run — so custom pipelines report
-    per-stage work without new top-level fields.
+    ``stages`` carries one :class:`StageStatistics` per stage in execution
+    order — its ``seconds`` is the only per-stage wall time, and
+    ``total_seconds`` is their sum.
     """
 
     database_size: int = 0
@@ -197,8 +197,7 @@ def aggregate_statistics(results: Iterable[QueryResult]) -> dict:
 
     Counters and per-phase timings are summed; ``num_queries`` and the mean
     per-query wall clock are derived.  Per-stage entries accumulate by stage
-    name (queries run under different pipelines simply contribute their own
-    stages).  Benchmarks serialize this alongside
+    name.  Benchmarks serialize this alongside
     :meth:`QueryStatistics.as_dict`.
     """
     totals = QueryStatistics()

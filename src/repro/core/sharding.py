@@ -17,7 +17,7 @@ move.  :class:`ShardedPlanner` is the one planner a
    slot dealt nothing gets no frame, unless it has a drop list to deliver.
    At width <= 1 survivors are verified in-process through the same block
    loop (:func:`~repro.core.pipeline.verify_rows`).  A top-k plan is ranked
-   in the parent (:func:`~repro.core.pipeline.rank_top_k`).
+   in the parent (:func:`~repro.core.pipeline.finish_top_k`).
 
 Determinism is the load-bearing property: answers and counters are the same
 for every pool width and every way the survivors are dealt.  Every
@@ -87,7 +87,7 @@ from repro.core.pipeline import (
 from repro.core.planner import QueryPlan, QueryPlanner
 from repro.core.results import QueryResult
 from repro.core.verification import Verifier
-from repro.exceptions import BrokenSlotError, ConfigurationError, SlotError
+from repro.exceptions import BrokenSlotError, ConfigurationError, QueryError, SlotError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.utils.timer import Timer
@@ -263,8 +263,9 @@ class ShardedPlanner:
     def execute_plans(self, plans: list[QueryPlan], roots: list[int]) -> list[QueryResult]:
         """Run finished plans, one result per plan.
 
-        Plan ``i`` runs under root ``roots[i]``.  The parent runs every stage
-        before verification of every plan
+        Plan ``i`` runs under root ``roots[i]``; a ``roots`` list of another
+        length is a :class:`~repro.exceptions.QueryError`.  The parent runs
+        the structural and PMI passes of every plan
         (:meth:`~repro.core.planner.QueryPlanner.filter_plan`), then places
         verification: a threshold plan's survivors are dealt to slots in
         blocks, or verified in-process at width <= 1, and a top-k plan is
@@ -277,6 +278,8 @@ class ShardedPlanner:
         filters one view and its frames leave in the order the slots'
         records of their workers' graphs changed.
         """
+        if len(roots) != len(plans):
+            raise QueryError(f"roots has {len(roots)} entries for {len(plans)} plans")
         if not plans:
             return []
         with self._lock:
@@ -393,7 +396,7 @@ class ShardedPlanner:
                         part = survivors[i]
                         if i not in payloads:
                             payloads[i] = pickle.dumps(
-                                (part.ctx.plan, part.ctx.root), protocol=_PICKLE_PROTOCOL
+                                (part.plan, part.root), protocol=_PICKLE_PROTOCOL
                             )
                         ids = part.planner.global_ids[part.rows[positions]]
                         frame.append((payloads[i], ids, named))

@@ -348,7 +348,7 @@ class ProbabilisticMatrixIndex:
         """Zero-copy row views for a whole candidate batch, in input order.
 
         Convenience over looping :meth:`row` — same per-row work, but it
-        accepts numpy id arrays directly (the pipeline's candidate sets),
+        accepts numpy id arrays directly (the cascade's candidate rows),
         handling the ``int()`` coercion in one place.
         """
         return [self.row(int(graph_id)) for graph_id in graph_ids]

@@ -1,30 +1,28 @@
-"""Unit tests for the staged candidate-pipeline engine (``core.pipeline``):
-candidate-set mechanics, the mutable ``ThresholdState``, per-stage
-statistics (recording and merge edge cases), pipeline composability, and
-the mask-honoring structural filter entry point."""
+"""Unit tests for the query cascade (``core.pipeline``): the top-k heap,
+per-stage statistics, the planner's lifetime, and the mask-honoring
+structural filter entry point."""
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    CandidateSet,
     GraphCatalog,
-    PipelineStage,
     QueryAnswer,
-    QueryPipeline,
     QueryStatistics,
     SearchConfig,
-    ThresholdState,
     VerificationConfig,
     validate_top_k_query,
 )
+from repro.core.pipeline import TopKHeap
 from repro.core.pruning import FeatureContainment, ProbabilisticPruner
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
-from repro.exceptions import QueryError, StateError
+from repro.exceptions import QueryError
 from repro.graphs import LabeledGraph
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.structural.similarity_filter import StructuralFilter
@@ -60,64 +58,40 @@ def indexed(pipeline_database):
     )
 
 
-class TestCandidateSet:
-    def test_starts_full_with_vacuous_bounds(self):
-        candidates = CandidateSet(5)
-        assert candidates.active_count == 5
-        assert list(candidates.active_ids()) == [0, 1, 2, 3, 4]
-        assert np.all(candidates.usim == 1.0)
-        assert np.all(candidates.lsim == 0.0)
-
-    def test_record_bounds(self):
-        candidates = CandidateSet(4)
-        candidates.record_bounds(np.array([1, 2]), np.array([0.8, 0.6]), np.array([0.2, 0.1]))
-        assert candidates.usim[1] == 0.8 and candidates.lsim[2] == 0.1
-        assert candidates.usim[0] == 1.0 and candidates.lsim[0] == 0.0
-
-
-class TestThresholdState:
-    def test_fixed_floor_never_moves(self):
-        state = ThresholdState.fixed(0.4)
-        assert not state.is_top_k
-        assert state.admits(0.4) and not state.admits(0.39)
-
+class TestTopKHeap:
     def test_top_k_heap_fills_then_tightens(self):
-        state = ThresholdState.for_top_k(2)
-        assert state.admits(0.01)  # floor starts at zero
-        assert state.offer(QueryAnswer(0, None, 0.5, "verification"))
-        assert state.floor == 0.0  # heap not yet full
-        assert state.offer(QueryAnswer(1, None, 0.3, "verification"))
-        assert state.floor == 0.3  # k-th best verified probability
-        assert not state.admits(0.29)
-        assert state.offer(QueryAnswer(2, None, 0.9, "verification"))
-        assert state.floor == 0.5
-        assert [a.graph_id for a in state.ranked()] == [2, 0]
+        heap = TopKHeap(2)
+        assert heap.admits(0.01)  # floor starts at zero
+        assert heap.offer(QueryAnswer(0, None, 0.5, "verification"))
+        assert heap.floor == 0.0  # heap not yet full
+        assert heap.offer(QueryAnswer(1, None, 0.3, "verification"))
+        assert heap.floor == 0.3  # k-th best verified probability
+        assert not heap.admits(0.29)
+        assert heap.offer(QueryAnswer(2, None, 0.9, "verification"))
+        assert heap.floor == 0.5
+        assert [a.graph_id for a in heap.ranked()] == [2, 0]
 
     def test_top_k_tie_breaks_by_smaller_graph_id(self):
-        state = ThresholdState.for_top_k(2)
-        state.offer(QueryAnswer(5, None, 0.5, "verification"))
-        state.offer(QueryAnswer(9, None, 0.5, "verification"))
+        heap = TopKHeap(2)
+        heap.offer(QueryAnswer(5, None, 0.5, "verification"))
+        heap.offer(QueryAnswer(9, None, 0.5, "verification"))
         # equal probability, smaller id than the k-th place: displaces it
-        assert state.offer(QueryAnswer(7, None, 0.5, "verification"))
+        assert heap.offer(QueryAnswer(7, None, 0.5, "verification"))
         # equal probability, larger id than the k-th place: rejected
-        assert not state.offer(QueryAnswer(10, None, 0.5, "verification"))
-        assert [a.graph_id for a in state.ranked()] == [5, 7]
+        assert not heap.offer(QueryAnswer(10, None, 0.5, "verification"))
+        assert [a.graph_id for a in heap.ranked()] == [5, 7]
 
     def test_zero_probability_is_never_an_answer(self):
-        state = ThresholdState.for_top_k(3)
-        assert not state.offer(QueryAnswer(0, None, 0.0, "verification"))
-        assert state.ranked() == []
+        heap = TopKHeap(3)
+        assert not heap.offer(QueryAnswer(0, None, 0.0, "verification"))
+        assert heap.ranked() == []
 
     def test_seed_floor_uses_kth_largest_lower_bound(self):
-        state = ThresholdState.for_top_k(2)
-        state.seed_floor(np.array([0.1, 0.7, 0.4]))
-        assert state.floor == 0.4
-        state.seed_floor(np.array([0.05]))  # fewer than k values: no-op
-        assert state.floor == 0.4
-
-    def test_offer_requires_top_k_mode(self):
-        with pytest.raises(StateError):
-            ThresholdState.fixed(0.5).offer(QueryAnswer(0, None, 0.5, "verification"))
+        heap = TopKHeap(2)
+        heap.seed_floor(np.array([0.1, 0.7, 0.4]))
+        assert heap.floor == 0.4
+        heap.seed_floor(np.array([0.05]))  # fewer than k values: no-op
+        assert heap.floor == 0.4
 
 
 class TestStageStatistics:
@@ -142,52 +116,40 @@ class TestStageStatistics:
         counters = stats.as_dict()["stage_counters"]
         assert [c["stage"] for c in counters] == [s.stage for s in stats.stages]
 
-    def test_stage_accounting_is_conserved(self, indexed, pipeline_database):
+    @pytest.mark.parametrize("top_k", [False, True])
+    @pytest.mark.parametrize("route", ["catalog", "execute_plan"])
+    def test_stage_accounting_is_conserved(self, indexed, pipeline_database, route, top_k):
         query = extract_query(pipeline_database.graphs[1].skeleton, 3, rng=9)
-        result = indexed.catalog.query(query, 0.3, 1, config=EXACT_CONFIG, rng=3)
+        if route == "catalog":
+            run = indexed.catalog.query_top_k if top_k else indexed.catalog.query
+            result = run(query, 2 if top_k else 0.3, 1, config=EXACT_CONFIG, rng=3)
+        else:
+            planner = indexed.planner()
+            plan_for = planner.plan_top_k if top_k else planner.plan
+            plan = plan_for(query, 2 if top_k else 0.3, 1, EXACT_CONFIG)
+            result = planner.execute_plan(plan, rng=3)
         for stage in result.statistics.stages[:-1]:  # filters: examined splits up
             assert stage.examined == stage.pruned + stage.accepted + stage.passed
 
 
-class TestPipelineComposability:
-    def test_planner_owns_a_default_pipeline(self, indexed):
-        planner = indexed.planner()
-        assert isinstance(planner.pipeline, QueryPipeline)
-        assert [stage.name for stage in planner.pipeline.stages] == [
-            "structural_filter",
-            "pmi_pruning",
-            "verification",
-        ]
-
-    def test_custom_stage_composes(self, indexed, pipeline_database):
-        """A caller-defined stage slots into the cascade without planner edits."""
-
-        class EvenIdOnlyStage(PipelineStage):
-            name = "even_ids_only"
-
-            def run(self, candidates, ctx, stage_stats):
-                active = candidates.active_ids()
-                odd = active[active % 2 == 1]
-                candidates.deactivate(odd)
-                stage_stats.pruned = len(odd)
-                stage_stats.passed = candidates.active_count
-
-        planner = indexed.planner()
-        planner.pipeline = QueryPipeline(
-            [EvenIdOnlyStage(), *planner.pipeline.stages]
-        )
+class TestPlannerLifetime:
+    def test_a_dropped_planner_is_freed_by_reference_counting(
+        self, indexed, pipeline_database
+    ):
+        """No reference cycle runs through a planner: a pool slot's drop
+        list watches graph weakrefs, so a planner a mutation drops must let
+        go of its graphs at once, without waiting for the cycle collector."""
         query = extract_query(pipeline_database.graphs[0].skeleton, 3, rng=5)
-        result = planner.execute(query, 0.1, 1, config=EXACT_CONFIG, rng=3)
-        assert all(answer.graph_id % 2 == 0 for answer in result.answers)
-        assert result.statistics.stages[0].stage == "even_ids_only"
-        baseline = indexed.catalog.query(query, 0.1, 1, config=EXACT_CONFIG, rng=3)
-        assert result.answer_ids() == {
-            gid for gid in baseline.answer_ids() if gid % 2 == 0
-        }
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            QueryPipeline([])
+        planner = indexed.planner()
+        gc.disable()
+        try:
+            planner.execute(query, 0.3, 1, config=EXACT_CONFIG, rng=3)
+            planner.execute_top_k(query, 2, 1, config=EXACT_CONFIG, rng=3)
+            dropped = weakref.ref(planner)
+            del planner
+            assert dropped() is None
+        finally:
+            gc.enable()
 
 
 class TestVacuousPmiStage:

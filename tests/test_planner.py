@@ -320,3 +320,34 @@ class TestDistanceThreshold:
         assert answers_as_tuples(
             indexed.catalog.query(workload[0], 0.3, np.int64(1), rng=3)
         ) == answers_as_tuples(indexed.catalog.query(workload[0], 0.3, 1, rng=3))
+
+
+class TestProbabilityThreshold:
+    """ε is any real number in (0, 1], never a bool: the library refuses
+    what the wire protocol refuses, with a ``QueryError``."""
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, 0.5j])
+    def test_a_non_real_epsilon_is_a_query_error(self, indexed, workload, bad):
+        with pytest.raises(QueryError, match="real number"):
+            indexed.catalog.query(workload[0], bad, 1)
+        with pytest.raises(QueryError, match="real number"):
+            indexed.planner().plan(workload[0], bad, 1)
+
+    @pytest.mark.parametrize("epsilon", [np.float32(0.5), np.float64(0.5), 1, np.int64(1)])
+    def test_a_real_epsilon_is_accepted(self, indexed, workload, epsilon):
+        assert indexed.planner().plan(workload[0], epsilon, 1).probability_threshold == epsilon
+        assert answers_as_tuples(
+            indexed.catalog.query(workload[0], epsilon, 1, rng=3)
+        ) == answers_as_tuples(indexed.catalog.query(workload[0], float(epsilon), 1, rng=3))
+
+
+class TestExecutePlansArity:
+    """One root per plan: a ``roots`` list of another length is refused, not
+    truncated to the shorter list."""
+
+    @pytest.mark.parametrize("plans, roots", [(2, [3]), (1, [3, 4]), (0, [3])])
+    def test_a_length_mismatch_is_a_query_error(self, indexed, workload, plans, roots):
+        planner = indexed.catalog.planner()
+        plan = planner.plan(workload[0], 0.3, 1)
+        with pytest.raises(QueryError, match="roots"):
+            planner.execute_plans([plan] * plans, roots)

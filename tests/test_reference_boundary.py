@@ -208,7 +208,9 @@ def test_top_k_has_no_partial_mode_and_the_arena_no_index():
         assert gone not in core.__all__ and not hasattr(core, gone), gone
         assert not hasattr(pipeline, gone), gone
     assert not hasattr(planner.QueryPlanner, "execute_top_k_partial")
-    assert not hasattr(pipeline.PipelineContext, "gather_partial")
+    # FilteredPlan carries what the per-query context used to
+    for holder in (pipeline, pipeline.FilteredPlan):
+        assert not hasattr(holder, "gather_partial"), holder
     for gone in ("arena_arrays", "arena_meta", "from_arrays", "ARENA_ARRAY_KEYS"):
         assert not hasattr(ProbabilisticMatrixIndex, gone), gone
     assert "partial" not in (sharding.__doc__ + pipeline.__doc__ + planner.__doc__).lower()
@@ -228,3 +230,19 @@ def test_the_shared_memory_plane_is_gone():
         assert not hasattr(sharding, gone), gone
     assert importlib.util.find_spec("repro.utils.shm") is None
     assert not hasattr(sharding.ShardedPlanner, "shard_plane")
+
+
+def test_the_stage_framework_is_gone():
+    """A query is ``filter_plan`` then ``finish_threshold`` / ``finish_top_k``:
+    no stage object, candidate set or per-query context is left to import,
+    and a planner holds no stage list."""
+    from repro import core
+    from repro.core import pipeline, planner
+
+    for gone in ("QueryPipeline", "PipelineStage", "StructuralFilterStage",
+                 "PmiPruningStage", "VerificationStage", "build_default_pipeline",
+                 "PipelineContext", "CandidateSet", "ThresholdState", "record_verified"):
+        assert gone not in core.__all__ and not hasattr(core, gone), gone
+        assert not hasattr(pipeline, gone), gone
+    assert not hasattr(planner.QueryPlanner, "pipeline")
+    assert "weakref" not in vars(pipeline)
