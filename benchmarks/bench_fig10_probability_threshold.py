@@ -14,8 +14,10 @@ shrinking as ε grows, with sub-second pruning time slightly above SSPBound.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core import PruningConfig, relax_query
-from repro.core.pruning import ProbabilisticPruner, PruningDecision
+from repro.core.pruning import ProbabilisticPruner
 from repro.structural import StructuralFilter
 from repro.utils.timer import Timer
 
@@ -45,12 +47,13 @@ def run_threshold_sweep(index, workload) -> list[dict]:
                     index.pmi.features, config=entry["config"], rng=BENCH_SEED
                 )
                 with entry["timer"]:
-                    for graph_id in structural.candidate_ids:
-                        bounds = pruner.compute_bounds(
-                            relaxed, index.pmi.bounds_for_graph(graph_id)
-                        )
-                        if pruner.decide(bounds, epsilon) is not PruningDecision.PRUNED:
-                            entry["candidates"] += 1
+                    containment = pruner.prepare(relaxed)
+                    bounds_list = [
+                        pruner.compute_bounds(relaxed, row, containment)
+                        for row in index.pmi.rows(structural.candidate_ids)
+                    ]
+                    pruned, _ = pruner.decide_batch(bounds_list, epsilon)
+                    entry["candidates"] += int(np.count_nonzero(~pruned))
         queries = len(workload)
         rows.append(
             {

@@ -15,8 +15,10 @@ extra pruning time for fewer candidates.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core import PruningConfig, relax_query
-from repro.core.pruning import ProbabilisticPruner, PruningDecision
+from repro.core.pruning import ProbabilisticPruner
 from repro.pmi import BoundConfig, ProbabilisticMatrixIndex
 from repro.structural import StructuralFilter
 from repro.utils.timer import Timer
@@ -62,11 +64,13 @@ def run_distance_sweep(index, workload) -> list[dict]:
                     index.features, config=PruningConfig(True, True), rng=BENCH_SEED
                 )
                 with series[name]["timer"]:
-                    for graph_id in structural.candidate_ids:
-                        bounds = pruner.compute_bounds(relaxed, index.bounds_for_graph(graph_id))
-                        decision = pruner.decide(bounds, PROBABILITY_THRESHOLD)
-                        if decision is not PruningDecision.PRUNED:
-                            series[name]["candidates"] += 1
+                    containment = pruner.prepare(relaxed)
+                    bounds_list = [
+                        pruner.compute_bounds(relaxed, row, containment)
+                        for row in index.rows(structural.candidate_ids)
+                    ]
+                    pruned, _ = pruner.decide_batch(bounds_list, PROBABILITY_THRESHOLD)
+                    series[name]["candidates"] += int(np.count_nonzero(~pruned))
         queries = len(workload)
         rows.append(
             {

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.core import PruningConfig, relax_query
-from repro.core.pruning import ProbabilisticPruner, PruningDecision
+from repro.core.pruning import ProbabilisticPruner
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.structural import StructuralFeatureIndex, StructuralFilter
 
@@ -43,10 +45,13 @@ def _candidate_count(database, index, workload) -> float:
     for record in workload:
         relaxed = relax_query(record.query, DISTANCE_THRESHOLD)
         outcome = structural_filter.filter(record.query, DISTANCE_THRESHOLD)
-        for graph_id in outcome.candidate_ids:
-            bounds = pruner.compute_bounds(relaxed, index.bounds_for_graph(graph_id))
-            if pruner.decide(bounds, PROBABILITY_THRESHOLD) is not PruningDecision.PRUNED:
-                total += 1
+        containment = pruner.prepare(relaxed)
+        bounds_list = [
+            pruner.compute_bounds(relaxed, row, containment)
+            for row in index.rows(outcome.candidate_ids)
+        ]
+        pruned, _ = pruner.decide_batch(bounds_list, PROBABILITY_THRESHOLD)
+        total += int(np.count_nonzero(~pruned))
     return total / len(workload)
 
 

@@ -48,10 +48,6 @@ class AnalysisConfig:
     # recipe every persisted artifact must go through.
     atomic_io_owner_modules: frozenset[str] = frozenset({"repro/utils/atomic_io.py"})
 
-    # SHM001: the one module allowed to touch multiprocessing.shared_memory
-    # directly; everyone else goes through its pid-guarded segment registry.
-    shm_owner_modules: frozenset[str] = frozenset({"repro/utils/shm.py"})
-
     # DET002: packages whose code computes answers (so wall-clock time and
     # uuids must never feed seeds or ordering there).  Benchmarks stamp
     # trajectory points with time.time() by design, hence the src-only scope.
@@ -93,9 +89,6 @@ class AnalysisConfig:
 
     def is_atomic_io_owner(self, path: str) -> bool:
         return _suffix_match(path, self.atomic_io_owner_modules)
-
-    def is_shm_owner(self, path: str) -> bool:
-        return _suffix_match(path, self.shm_owner_modules)
 
     def on_query_path(self, path: str) -> bool:
         if _suffix_match(path, self.query_path_exempt_modules):

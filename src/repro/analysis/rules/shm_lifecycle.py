@@ -1,11 +1,9 @@
-"""SHM0xx — shared-memory lifecycle rules.
+"""SHM0xx — shared-memory rules.
 
-``utils/shm.py`` owns every ``multiprocessing.shared_memory`` segment: its
-pid-guarded registry is what guarantees segments are unlinked exactly once
-(by their creator), survive resource-tracker interference, and never outlive
-the re-attach barrier of the hot-swap protocol.  A direct ``SharedMemory``
-anywhere else reintroduces the leak/double-unlink classes that registry
-exists to kill.
+No module owns a ``multiprocessing.shared_memory`` segment: pool workers
+receive their graphs in pipe frames.  A segment needs an owner that unlinks
+it exactly once, also when its process dies, and nothing here is that owner,
+so every use is a finding.
 """
 
 from __future__ import annotations
@@ -21,16 +19,14 @@ _SHM_MODULE = "multiprocessing.shared_memory"
 
 class DirectSharedMemoryRule(Rule):
     rule_id = "SHM001"
-    title = "direct multiprocessing.shared_memory use outside utils/shm.py"
+    title = "multiprocessing.shared_memory use"
     invariant = (
-        "Only utils/shm.py touches multiprocessing.shared_memory; everyone "
-        "else creates/attaches/releases segments through its pid-guarded "
-        "registry (create_segment/attach_segment/release_segment)."
+        "Nothing touches multiprocessing.shared_memory: pool workers receive "
+        "their graphs in pipe frames, so no segment needs creating, attaching "
+        "or unlinking."
     )
 
     def check(self, source: SourceFile) -> list[Finding]:
-        if self.config.is_shm_owner(source.path):
-            return []
         findings: list[Finding] = []
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Import):
@@ -54,7 +50,6 @@ class DirectSharedMemoryRule(Rule):
         return source.finding(
             self.rule_id,
             node,
-            f"{what} used directly; go through repro.utils.shm's segment "
-            "registry so lifecycle (create/attach/unlink/atexit sweep) stays "
-            "single-owner",
+            f"{what} used; no module owns a shared-memory segment — ship the "
+            "data to pool workers in their pipe frames instead",
         )

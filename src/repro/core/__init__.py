@@ -12,7 +12,6 @@ from repro.core.pruning import (
     FeatureContainment,
     ProbabilisticPruner,
     PruningConfig,
-    PruningDecision,
     SspBounds,
 )
 from repro.core.verification import Verifier, VerificationConfig
@@ -50,7 +49,6 @@ __all__ = [
     "FeatureContainment",
     "ProbabilisticPruner",
     "PruningConfig",
-    "PruningDecision",
     "SspBounds",
     "Verifier",
     "VerificationConfig",

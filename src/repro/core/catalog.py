@@ -309,6 +309,7 @@ class _Store:
         self.delta_structural = StructuralFeatureIndex.from_counts(
             base_pmi.features,
             np.zeros((0, len(base_pmi.features)), dtype=np.int32),
+            _signatures_of(()),
             embedding_limit=base_pmi.feature_config.embedding_limit,
         )
 
@@ -340,9 +341,9 @@ class _Store:
             np.vstack(
                 [self.delta_structural.counts_matrix(), structural_row.counts_matrix()]
             ),
+            _signatures_of(graphs[self.base_pmi.num_graphs :]),
             embedding_limit=self.delta_structural.embedding_limit,
             copy=False,  # the stacked matrix is already a fresh int32 buffer
-            signatures=_signatures_of(graphs[self.base_pmi.num_graphs :]),
         )
         self.graphs = graphs
         self.external_ids = np.append(self.external_ids, np.int64(external_id))
@@ -486,9 +487,9 @@ class GraphCatalog:
         appends must derive their streams from the same root.
         """
         pool_arguments(max_workers, num_shards)
-        if pmi.database_size != len(graphs):
+        if pmi.num_graphs != len(graphs):
             raise CatalogError(
-                f"base PMI covers {pmi.database_size} graphs, got {len(graphs)}"
+                f"base PMI covers {pmi.num_graphs} graphs, got {len(graphs)}"
             )
         if pmi.build_root is None:
             raise CatalogError(
@@ -577,9 +578,12 @@ class GraphCatalog:
             raise CatalogError(
                 f"corrupt CURRENT pointer at {str(current_path)!r}: {error}"
             ) from error
-        generation = current.get("generation")
-        if current.get("type") != "graph_catalog_current" or not isinstance(
-            generation, int
+        generation = current.get("generation") if isinstance(current, dict) else None
+        # a plain int: never a bool, which would read as generation 0 or 1
+        if (
+            type(generation) is not int
+            or generation < 0
+            or current.get("type") != "graph_catalog_current"
         ):
             raise CatalogError(
                 f"malformed CURRENT pointer at {str(current_path)!r}: {current!r}"
@@ -690,15 +694,24 @@ class GraphCatalog:
             raise CatalogError(
                 f"corrupt snapshot metadata at {str(meta_path)!r}: {error}"
             ) from error
-        if meta.get("type") != "graph_catalog_snapshot":
-            raise CatalogError(
-                f"not a catalog snapshot payload: {meta.get('type')!r}"
-            )
+        if not isinstance(meta, dict) or meta.get("type") != "graph_catalog_snapshot":
+            kind = meta.get("type") if isinstance(meta, dict) else type(meta).__name__
+            raise CatalogError(f"not a catalog snapshot payload: {kind!r}")
         if meta.get("version") != SNAPSHOT_FORMAT_VERSION:
             raise CatalogError(
                 f"unsupported catalog snapshot version {meta.get('version')!r}; "
                 f"this build reads version {SNAPSHOT_FORMAT_VERSION}"
             )
+        try:
+            # ids get the live calls' check, as WAL replay's do
+            external_ids = [_external_id(eid) for eid in meta["external_ids"]]
+            next_external_id = _external_id(meta["next_external_id"])
+            build_root = int(meta["build_root"])
+            num_shards = int(meta["num_shards"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise CatalogError(
+                f"malformed snapshot metadata at {str(meta_path)!r}: {error!r}"
+            ) from error
         graphs = load_database(gen_dir / _GRAPHS_FILENAME)
         pmi = ProbabilisticMatrixIndex.load(gen_dir)
         try:
@@ -707,7 +720,6 @@ class GraphCatalog:
             raise CatalogError(
                 f"corrupt structural counts at {str(gen_dir / _COUNTS_FILENAME)!r}: {error}"
             ) from error
-        external_ids = [int(eid) for eid in meta["external_ids"]]
         if (
             len(graphs) != len(external_ids)
             or pmi.num_graphs != len(graphs)
@@ -720,20 +732,18 @@ class GraphCatalog:
         structural = StructuralFeatureIndex.from_counts(
             pmi.features,
             counts,
+            _signatures_of(graphs),
             embedding_limit=pmi.feature_config.embedding_limit,
-            signatures=_signatures_of(graphs),
         )
         catalog = cls(
             _Store(graphs, external_ids, pmi, structural),
             pmi.feature_config,
             pmi.bound_config,
-            int(meta["build_root"]),
-            int(meta["num_shards"]),
+            build_root,
+            num_shards,
             max_workers,
         )
-        catalog._next_external_id = max(
-            catalog._next_external_id, int(meta["next_external_id"])
-        )
+        catalog._next_external_id = max(catalog._next_external_id, next_external_id)
         return catalog
 
     # -- logging and replay --------------------------------------------
@@ -1026,8 +1036,8 @@ class GraphCatalog:
             StructuralFeatureIndex.from_counts(
                 self.features,
                 counts[order],
+                _signatures_of(graphs),
                 embedding_limit=self._feature_config.embedding_limit,
-                signatures=_signatures_of(graphs),
             ),
         )
         self._mutation_generation += 1

@@ -216,7 +216,7 @@ def filter_plan(planner: "QueryPlanner", plan: "QueryPlan", root: int) -> Filter
         pruner = planner._pruner_for(plan)
         if plan.containment:
             bounds_list = [
-                pruner.compute_bounds_from_row(
+                pruner.compute_bounds(
                     plan.relaxed_queries,
                     row,
                     plan.containment,

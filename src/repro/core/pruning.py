@@ -23,15 +23,15 @@ some edges — a row of the relaxed set's ``kept`` matrix — and contains ``f``
 iff one of those embeddings uses no edge the row deleted; the planner
 enumerates them once, for the structural count profile too), ``rq ⊆iso f`` is
 one join per small-enough relaxed query over the stacked features, its size
-read off the row before any graph is built.  On the hot path the pruner reads
-SIP intervals straight from the PMI's columnar row views
-(:meth:`compute_bounds_from_row`) and the final pruned/accepted decision over a
-whole candidate set is one vectorized array pass (:meth:`decide_batch`).
+read off the row before any graph is built.  Per candidate the pruner reads
+SIP intervals straight from the PMI's columnar row view
+(:meth:`~ProbabilisticPruner.compute_bounds`), and the pruned/accepted
+decision over a whole candidate set is one vectorized array pass
+(:meth:`~ProbabilisticPruner.decide_batch`).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -45,18 +45,9 @@ from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.variant_rows import VariantRows
 from repro.isomorphism.embeddings import EmbeddingEnumeration
 from repro.isomorphism.generic_join import GraphBlock, match_block
-from repro.pmi.bounds import SipBounds
 from repro.pmi.features import Feature
 from repro.pmi.index import PMIRow
 from repro.utils.rng import RandomLike, ensure_rng
-
-
-class PruningDecision(enum.Enum):
-    """Outcome of probabilistic pruning for one graph."""
-
-    PRUNED = "pruned"              # Usim < ε : cannot be an answer
-    ACCEPTED = "accepted"          # Lsim ≥ ε : answer without verification
-    CANDIDATE = "candidate"        # needs verification
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,6 @@ class ProbabilisticPruner:
         rng: RandomLike = None,
     ) -> None:
         self.features = {feature.feature_id: feature for feature in features}
-        self._feature_position = {fid: position for position, fid in enumerate(self.features)}
         self._max_feature_edges = max((f.num_edges for f in features), default=0)
         self._max_feature_vertices = max((f.num_vertices for f in features), default=0)
         # every vertex on an edge: an embedding's edge set then names all of it
@@ -144,7 +134,7 @@ class ProbabilisticPruner:
         Features related to no relaxed query can never contribute a bound
         candidate, so they are dropped here and the per-candidate loop skips them.
         """
-        relations = self._containment_for(self.features, relaxed_queries, query, embeddings)
+        relations = self._containment_for(relaxed_queries, query, embeddings)
         return {
             feature_id: containment
             for feature_id, containment in relations.items()
@@ -154,71 +144,43 @@ class ProbabilisticPruner:
     def compute_bounds(
         self,
         relaxed_queries: Sequence[LabeledGraph],
-        graph_bounds: dict[int, SipBounds],
-        containment: dict[int, FeatureContainment] | None = None,
-        rng: RandomLike = None,
-    ) -> SspBounds:
-        """Compute ``(Usim, Lsim)`` for one graph.
-
-        Parameters
-        ----------
-        relaxed_queries:
-            The set ``U = {rq1..rqa}``.
-        graph_bounds:
-            The graph's PMI row ``Dg`` — {feature_id: SipBounds} restricted to
-            features present in the graph's skeleton.
-        containment:
-            Optional precomputed relations from :meth:`prepare`; computed on
-            the fly (restricted to ``graph_bounds``) when omitted.
-        """
-        if containment is None:
-            containment = self._containment_for(graph_bounds, relaxed_queries)
-        intervals = {
-            feature_id: bounds.as_pair()
-            for feature_id, bounds in graph_bounds.items()
-            if feature_id in containment
-        }
-        return self._bounds_from_intervals(relaxed_queries, intervals, containment, rng)
-
-    def compute_bounds_from_row(
-        self,
-        relaxed_queries: Sequence[LabeledGraph],
         row: PMIRow,
         containment: dict[int, FeatureContainment],
         rng: RandomLike = None,
     ) -> SspBounds:
-        """Hot-path variant of :meth:`compute_bounds` over a columnar PMI row.
+        """Compute ``(Usim, Lsim)`` for one graph from its PMI row.
 
-        Reads ``(LowerB, UpperB)`` straight from the row's array views,
-        building only a small interval map for the features that are both
-        present in the graph and useful for the query — no per-candidate
-        full-row dict copies or ``SipBounds`` reconstruction.
+        ``relaxed_queries`` is the set ``U = {rq1..rqa}`` and ``containment``
+        its relations from :meth:`prepare`.  Reads ``(LowerB, UpperB)``
+        straight from the row's array views, building only a small interval
+        map for the features that are both present in the graph and useful
+        for the query.
         """
         intervals: dict[int, tuple[float, float]] = {}
         for column in np.flatnonzero(row.present):
             feature_id = int(row.feature_ids[column])
             if feature_id in containment:
                 intervals[feature_id] = row.interval(column)
-        return self._bounds_from_intervals(relaxed_queries, intervals, containment, rng)
-
-    def decide(self, bounds: SspBounds, probability_threshold: float) -> PruningDecision:
-        """Apply the two pruning conditions to the computed bounds."""
-        if bounds.usim_covered and bounds.usim < probability_threshold:
-            return PruningDecision.PRUNED
-        if bounds.lsim_covered and bounds.lsim >= probability_threshold:
-            return PruningDecision.ACCEPTED
-        return PruningDecision.CANDIDATE
+        usim, usim_covered = self._upper_bound(relaxed_queries, intervals, containment)
+        # the stream (a seed from the pipeline) is drawn from only by the QP rounding
+        lsim, lsim_covered = self._lower_bound(
+            relaxed_queries, intervals, containment, self.rng if rng is None else rng
+        )
+        return SspBounds(
+            usim=usim, lsim=lsim, usim_covered=usim_covered, lsim_covered=lsim_covered
+        )
 
     @staticmethod
     def decide_batch(
         bounds_list: list[SspBounds], probability_threshold: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`decide` over a whole candidate set.
+        """Apply Pruning 1 and 2 to a whole candidate set at once.
 
         Returns ``(pruned_mask, accepted_mask)`` boolean arrays index-aligned
-        with ``bounds_list``; candidates with neither flag set need
-        verification.  The masks reproduce the sequential rule exactly:
-        Pruning 1 wins when both conditions fire.
+        with ``bounds_list``: pruned where ``Usim`` is covered and below ε,
+        accepted where ``Lsim`` is covered and at least ε.  Candidates with
+        neither flag set need verification; Pruning 1 wins when both
+        conditions fire.
         """
         if not bounds_list:
             empty = np.zeros(0, dtype=bool)
@@ -236,12 +198,11 @@ class ProbabilisticPruner:
     # ------------------------------------------------------------------
     def _containment_for(
         self,
-        feature_ids,
         relaxed_queries: Sequence[LabeledGraph],
         query: LabeledGraph | None = None,
         embeddings: dict[int, EmbeddingEnumeration] | None = None,
     ) -> dict[int, FeatureContainment]:
-        """Relations for the given feature ids (iterated in their order).
+        """Relations of every feature, useful or not, in feature order.
 
         A relaxed query that is ``query`` minus some edges (same vertex ids) is
         a row of ``VariantRows.kept``, and it contains ``f`` iff one of ``f``'s
@@ -273,16 +234,13 @@ class ProbabilisticPruner:
         spans = dict(zip(usable, pairwise(accumulate(map(len, usable.values()), initial=0))))
         relaxed_block = None
         relations: dict[int, FeatureContainment] = {}
-        for feature_id in feature_ids:
-            position = self._feature_position.get(feature_id)
-            if position is None:
-                continue
+        for position, (feature_id, feature) in enumerate(self.features.items()):
             if feature_id in spans:
                 matched = holds[slice(*spans[feature_id])]
             else:
                 if relaxed_block is None:
                     relaxed_block = GraphBlock(relaxed_queries)
-                matched = [match_block(self.features[feature_id].graph, relaxed_block)]
+                matched = [match_block(feature.graph, relaxed_block)]
             relations[feature_id] = FeatureContainment(
                 sub_of=frozenset(i for held in matched for i, match in enumerate(held) if match),
                 super_of=frozenset(i for i, matches in contained_in.items() if matches[position]),
@@ -299,22 +257,6 @@ class ProbabilisticPruner:
         if self._feature_block is None:
             self._feature_block = GraphBlock(f.graph for f in self.features.values())
         return match_block(relaxed, self._feature_block)
-
-    def _bounds_from_intervals(
-        self,
-        relaxed_queries: Sequence[LabeledGraph],
-        intervals: dict[int, tuple[float, float]],
-        containment: dict[int, FeatureContainment],
-        rng: RandomLike = None,
-    ) -> SspBounds:
-        usim, usim_covered = self._upper_bound(relaxed_queries, intervals, containment)
-        # the stream (a seed from the pipeline) is drawn from only by the QP rounding
-        lsim, lsim_covered = self._lower_bound(
-            relaxed_queries, intervals, containment, self.rng if rng is None else rng
-        )
-        return SspBounds(
-            usim=usim, lsim=lsim, usim_covered=usim_covered, lsim_covered=lsim_covered
-        )
 
     def _upper_bound(
         self,

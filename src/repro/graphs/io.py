@@ -136,12 +136,20 @@ def save_database(graphs: list[ProbabilisticGraph], path: str | Path) -> None:
 
 
 def load_database(path: str | Path) -> list[ProbabilisticGraph]:
-    """Load a list of probabilistic graphs written by :func:`save_database`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("type") != "probabilistic_graph_database":
-        raise GraphError(f"not a database payload: {payload.get('type')!r}")
+    """Load a list of probabilistic graphs written by :func:`save_database`;
+    a file that does not parse as one raises :class:`GraphError`."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise GraphError(f"corrupt database payload at {str(path)!r}: {error}") from error
+    if not isinstance(payload, dict) or payload.get("type") != "probabilistic_graph_database":
+        kind = payload.get("type") if isinstance(payload, dict) else type(payload).__name__
+        raise GraphError(f"not a database payload: {kind!r}")
     _require_version(payload, "probabilistic graph database")
-    return [probabilistic_graph_from_dict(entry) for entry in payload["graphs"]]
+    try:
+        return [probabilistic_graph_from_dict(entry) for entry in payload["graphs"]]
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise GraphError(f"malformed database payload at {str(path)!r}: {error!r}") from error
 
 
 def save_labeled_graphs(graphs: list[LabeledGraph], path: str | Path) -> None:

@@ -10,7 +10,7 @@ from repro.pmi.cuts import (
 )
 from repro.pmi.bounds import SipBounds, compute_sip_bounds, BoundConfig
 from repro.pmi.features import Feature, FeatureMiner, FeatureSelectionConfig
-from repro.pmi.index import ProbabilisticMatrixIndex, PMIEntry, PMIRow
+from repro.pmi.index import ProbabilisticMatrixIndex, PMIRow
 
 __all__ = [
     "maximum_weight_clique",
@@ -26,6 +26,5 @@ __all__ = [
     "FeatureMiner",
     "FeatureSelectionConfig",
     "ProbabilisticMatrixIndex",
-    "PMIEntry",
     "PMIRow",
 ]

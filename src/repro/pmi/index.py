@@ -7,13 +7,11 @@ skeleton at all.
 
 The matrix is stored *columnar*: dense ``float64`` arrays
 ``lower[graph, feature]`` / ``upper[graph, feature]`` plus a boolean presence
-mask, with per-cell embedding/cut counts in parallel ``int32`` arrays and the
-(rare, variable-length) chosen embedding/cut index tuples in a sparse side
-table.  The dict-of-dicts view of Section 3.1 is still available through
-:meth:`bounds_for_graph`, but the query hot path reads zero-copy row views
-(:class:`PMIRow`) so probabilistic pruning never materializes per-graph
-dictionaries.  Feature lookup by id is a dict hit, and the whole index can be
-persisted with :meth:`save` (``.npz`` arrays + JSON feature metadata) and
+mask — the interval of Figure 4 and nothing else, since Pruning 1 and 2 read
+nothing else (the embedding and cut diagnostics of a :class:`SipBounds` are
+dropped when its cell is stored).  Every reader goes through zero-copy row
+views (:meth:`row` / :meth:`rows`, :class:`PMIRow`), and the whole index can
+be persisted with :meth:`save` (``.npz`` arrays + JSON feature metadata) and
 rebuilt with :meth:`load` so one expensive build can serve many processes.
 """
 
@@ -26,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, IndexError_
+from repro.exceptions import ConfigurationError, GraphError, IndexError_
 from repro.graphs.io import labeled_graph_from_dict, labeled_graph_to_dict
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.embeddings import find_embeddings_block
 from repro.isomorphism.generic_join import GraphBlock
-from repro.pmi.bounds import BoundConfig, SipBounds, compute_sip_bounds, draw_worlds
+from repro.pmi.bounds import BoundConfig, compute_sip_bounds, draw_worlds
 from repro.pmi.features import Feature, FeatureMiner, FeatureSelectionConfig
 from repro.utils.atomic_io import atomic_write_text, atomic_writer
 from repro.utils.rng import BUILD_STREAM, RandomLike, derive_rng, rng_root
@@ -44,21 +42,15 @@ from repro.utils.timer import Timer
 # mutable catalog years later — yields cells identical to the same rows of a
 # sequential full build under the same root.
 
-PERSIST_FORMAT_VERSION = 1
+# version 2 stores the three cell arrays and the feature ids; version 1 also
+# stored embedding/cut counts and chosen sets, which load() skips
+PERSIST_FORMAT_VERSION = 2
+_READABLE_FORMAT_VERSIONS = (1, 2)
 # graphs whose embeddings are enumerated (and held) at once during a build;
 # bounds the enumeration's memory on large databases, changes no cell
 _BUILD_BLOCK_GRAPHS = 256
 ARRAYS_FILENAME = "pmi_arrays.npz"
 META_FILENAME = "pmi_meta.json"
-
-
-@dataclass(frozen=True)
-class PMIEntry:
-    """One PMI cell: feature id, graph id, and the SIP bounds."""
-
-    feature_id: int
-    graph_id: int
-    bounds: SipBounds
 
 
 @dataclass(frozen=True)
@@ -86,9 +78,8 @@ class ProbabilisticMatrixIndex:
     Typical usage::
 
         index = ProbabilisticMatrixIndex()
-        index.build(database)                      # mines features, fills cells
-        entries = index.bounds_for_graph(graph_id) # {feature_id: SipBounds}
-        row = index.row(graph_id)                  # zero-copy columnar view
+        index.build(database)      # mines features, fills cells
+        row = index.row(graph_id)  # zero-copy columnar view
     """
 
     def __init__(
@@ -100,18 +91,11 @@ class ProbabilisticMatrixIndex:
         self.bound_config = bound_config or BoundConfig()
         self.features: list[Feature] = []
         self._feature_ids: np.ndarray = np.empty(0, dtype=np.int64)
-        self._feature_pos: dict[int, int] = {}
-        self._features_by_id: dict[int, Feature] = {}
         self._lower: np.ndarray = np.empty((0, 0))
         self._upper: np.ndarray = np.empty((0, 0))
         self._present: np.ndarray = np.empty((0, 0), dtype=bool)
-        self._num_embeddings: np.ndarray = np.empty((0, 0), dtype=np.int32)
-        self._num_cuts: np.ndarray = np.empty((0, 0), dtype=np.int32)
-        # (graph_id, feature_id) -> (chosen embedding indices, chosen cut indices)
-        self._chosen: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._built = False
         self.build_seconds = 0.0
-        self.database_size = 0
         # 64-bit root of the build streams; delta appends (GraphCatalog) must
         # reuse it so appended rows equal a from-scratch build's rows
         self.build_root: int | None = None
@@ -164,7 +148,6 @@ class ProbabilisticMatrixIndex:
                     start, database[start : start + _BUILD_BLOCK_GRAPHS], root, stable_ids
                 )
         self.build_seconds = timer.elapsed
-        self.database_size = len(database)
         self._built = True
         self.build_root = root
         return self
@@ -208,7 +191,9 @@ class ProbabilisticMatrixIndex:
                     worlds=worlds,
                 )
                 if not bounds.is_empty():
-                    self._store_cell(row, column, feature.feature_id, bounds)
+                    self._lower[row, column] = bounds.lower
+                    self._upper[row, column] = bounds.upper
+                    self._present[row, column] = True
 
     @classmethod
     def empty(
@@ -265,15 +250,6 @@ class ProbabilisticMatrixIndex:
         merged._lower = np.vstack([part._lower for part in parts])
         merged._upper = np.vstack([part._upper for part in parts])
         merged._present = np.vstack([part._present for part in parts])
-        merged._num_embeddings = np.vstack([part._num_embeddings for part in parts])
-        merged._num_cuts = np.vstack([part._num_cuts for part in parts])
-        merged._chosen = {}
-        row_offset = 0
-        for part in parts:
-            for (row, feature_id), chosen in part._chosen.items():
-                merged._chosen[(row + row_offset, feature_id)] = chosen
-            row_offset += part._present.shape[0]
-        merged.database_size = merged._present.shape[0]
         merged.build_root = first.build_root
         merged._built = True
         return merged
@@ -282,32 +258,11 @@ class ProbabilisticMatrixIndex:
         self._feature_ids = np.array(
             [feature.feature_id for feature in self.features], dtype=np.int64
         )
-        self._feature_pos = {
-            feature.feature_id: column for column, feature in enumerate(self.features)
-        }
-        self._features_by_id = {feature.feature_id: feature for feature in self.features}
 
     def _allocate(self, num_graphs: int, num_features: int) -> None:
         self._lower = np.zeros((num_graphs, num_features))
         self._upper = np.zeros((num_graphs, num_features))
         self._present = np.zeros((num_graphs, num_features), dtype=bool)
-        self._num_embeddings = np.zeros((num_graphs, num_features), dtype=np.int32)
-        self._num_cuts = np.zeros((num_graphs, num_features), dtype=np.int32)
-        self._chosen = {}
-
-    def _store_cell(
-        self, graph_id: int, column: int, feature_id: int, bounds: SipBounds
-    ) -> None:
-        self._lower[graph_id, column] = bounds.lower
-        self._upper[graph_id, column] = bounds.upper
-        self._present[graph_id, column] = True
-        self._num_embeddings[graph_id, column] = bounds.num_embeddings
-        self._num_cuts[graph_id, column] = bounds.num_cuts
-        if bounds.chosen_embeddings or bounds.chosen_cuts:
-            self._chosen[(graph_id, feature_id)] = (
-                tuple(bounds.chosen_embeddings),
-                tuple(bounds.chosen_cuts),
-            )
 
     # ------------------------------------------------------------------
     # lookups
@@ -323,13 +278,6 @@ class ProbabilisticMatrixIndex:
     @property
     def num_graphs(self) -> int:
         return self._present.shape[0]
-
-    def feature_by_id(self, feature_id: int) -> Feature:
-        self._require_built()
-        feature = self._features_by_id.get(feature_id)
-        if feature is None:
-            raise IndexError_(f"unknown feature id {feature_id!r}")
-        return feature
 
     def row(self, graph_id: int) -> PMIRow:
         """Zero-copy columnar view of one graph's row (the pruning hot path)."""
@@ -353,56 +301,6 @@ class ProbabilisticMatrixIndex:
         """
         return [self.row(int(graph_id)) for graph_id in graph_ids]
 
-    def _cell(self, graph_id: int, column: int, feature_id: int) -> SipBounds:
-        chosen_embeddings, chosen_cuts = self._chosen.get((graph_id, feature_id), ((), ()))
-        return SipBounds(
-            lower=float(self._lower[graph_id, column]),
-            upper=float(self._upper[graph_id, column]),
-            num_embeddings=int(self._num_embeddings[graph_id, column]),
-            num_cuts=int(self._num_cuts[graph_id, column]),
-            chosen_embeddings=chosen_embeddings,
-            chosen_cuts=chosen_cuts,
-        )
-
-    def bounds_for_graph(self, graph_id: int) -> dict[int, SipBounds]:
-        """The ``Dg`` of Section 3.1: {feature_id: bounds} for one graph.
-
-        Reconstructs :class:`SipBounds` cells from the columnar storage; use
-        :meth:`row` on hot paths instead.
-        """
-        row = self.row(graph_id)
-        return {
-            int(self._feature_ids[column]): self._cell(
-                graph_id, column, int(self._feature_ids[column])
-            )
-            for column in np.flatnonzero(row.present)
-        }
-
-    def bounds(self, graph_id: int, feature_id: int) -> SipBounds | None:
-        """Bounds for one cell, or None when the feature is absent from the graph."""
-        self._require_built()
-        column = self._feature_pos.get(feature_id)
-        if column is None or not 0 <= graph_id < self._present.shape[0]:
-            return None
-        if not self._present[graph_id, column]:
-            return None
-        return self._cell(graph_id, column, feature_id)
-
-    def entries(self) -> list[PMIEntry]:
-        """Every non-empty cell as a flat list (useful for inspection/tests)."""
-        self._require_built()
-        result = []
-        for graph_id, column in zip(*np.nonzero(self._present)):
-            feature_id = int(self._feature_ids[column])
-            result.append(
-                PMIEntry(
-                    feature_id=feature_id,
-                    graph_id=int(graph_id),
-                    bounds=self._cell(int(graph_id), int(column), feature_id),
-                )
-            )
-        return result
-
     # ------------------------------------------------------------------
     # slicing
     # ------------------------------------------------------------------
@@ -418,7 +316,7 @@ class ProbabilisticMatrixIndex:
         """
         self._require_built()
         try:
-            ids, selector = resolve_row_selector(graph_ids, self._present.shape[0])
+            _, selector = resolve_row_selector(graph_ids, self._present.shape[0])
         except ValueError as error:
             raise IndexError_(str(error)) from None
         sub = ProbabilisticMatrixIndex(
@@ -429,18 +327,6 @@ class ProbabilisticMatrixIndex:
         sub._lower = self._lower[selector]
         sub._upper = self._upper[selector]
         sub._present = self._present[selector]
-        sub._num_embeddings = self._num_embeddings[selector]
-        sub._num_cuts = self._num_cuts[selector]
-        chosen_by_graph: dict[int, list[tuple[int, tuple]]] = {}
-        for (graph_id, feature_id), chosen in self._chosen.items():
-            chosen_by_graph.setdefault(graph_id, []).append((feature_id, chosen))
-        # keyed per output row, so duplicated ids keep their entries too
-        sub._chosen = {
-            (new_id, feature_id): chosen
-            for new_id, old_id in enumerate(ids)
-            for feature_id, chosen in chosen_by_graph.get(old_id, [])
-        }
-        sub.database_size = len(ids)
         sub.build_seconds = 0.0
         sub.build_root = self.build_root
         sub._built = True
@@ -452,10 +338,10 @@ class ProbabilisticMatrixIndex:
     def save(self, path: str | Path) -> None:
         """Persist the built index to ``path`` (a directory).
 
-        Numeric columns go to ``pmi_arrays.npz``; features, configs and the
-        sparse chosen-set table go to ``pmi_meta.json``.  Both files are
-        written atomically (tmp + fsync + rename), so a crash mid-save leaves
-        the previous payload intact rather than a torn one.
+        The cell arrays and feature ids go to ``pmi_arrays.npz``; features
+        and configs go to ``pmi_meta.json``.  Both files are written
+        atomically (tmp + fsync + rename), so a crash mid-save leaves the
+        previous payload intact rather than a torn one.
         """
         self._require_built()
         directory = Path(path)
@@ -466,14 +352,11 @@ class ProbabilisticMatrixIndex:
                 lower=self._lower,
                 upper=self._upper,
                 present=self._present,
-                num_embeddings=self._num_embeddings,
-                num_cuts=self._num_cuts,
                 feature_ids=self._feature_ids,
             )
         meta = {
             "type": "probabilistic_matrix_index",
             "version": PERSIST_FORMAT_VERSION,
-            "database_size": self.database_size,
             "build_seconds": self.build_seconds,
             "build_root": self.build_root,
             "feature_config": asdict(self.feature_config),
@@ -487,16 +370,18 @@ class ProbabilisticMatrixIndex:
                 }
                 for feature in self.features
             ],
-            "chosen": {
-                f"{graph_id}:{feature_id}": [list(embeddings), list(cuts)]
-                for (graph_id, feature_id), (embeddings, cuts) in self._chosen.items()
-            },
         }
         atomic_write_text(directory / META_FILENAME, json.dumps(meta))
 
     @classmethod
     def load(cls, path: str | Path) -> "ProbabilisticMatrixIndex":
-        """Rebuild an index persisted by :meth:`save`."""
+        """Rebuild an index persisted by :meth:`save` (format version 1 or 2).
+
+        Only the cell arrays and the feature ids are read: the embedding/cut
+        diagnostics a version-1 payload also holds are skipped.  Any payload
+        that does not parse as one :meth:`save` writes raises
+        :class:`IndexError_` naming the file.
+        """
         directory = Path(path)
         meta_path = directory / META_FILENAME
         arrays_path = directory / ARRAYS_FILENAME
@@ -510,43 +395,43 @@ class ProbabilisticMatrixIndex:
                 "payload was probably torn by a crash mid-write — restore the "
                 "directory from a catalog snapshot or rebuild the index"
             ) from error
-        if meta.get("type") != "probabilistic_matrix_index":
-            raise IndexError_(f"not a PMI payload: {meta.get('type')!r}")
-        if meta.get("version") != PERSIST_FORMAT_VERSION:
+        if not isinstance(meta, dict) or meta.get("type") != "probabilistic_matrix_index":
+            kind = meta.get("type") if isinstance(meta, dict) else type(meta).__name__
+            raise IndexError_(f"not a PMI payload: {kind!r}")
+        if meta.get("version") not in _READABLE_FORMAT_VERSIONS:
             raise IndexError_(
                 f"unsupported PMI format version {meta.get('version')!r}; "
-                f"this build reads version {PERSIST_FORMAT_VERSION}"
+                f"this build reads versions {_READABLE_FORMAT_VERSIONS}"
             )
-        index = cls(
-            feature_config=FeatureSelectionConfig(**meta["feature_config"]),
-            bound_config=BoundConfig(**meta["bound_config"]),
-        )
-        index.features = [
-            Feature(
-                feature_id=entry["feature_id"],
-                graph=labeled_graph_from_dict(entry["graph"]),
-                support=frozenset(entry["support"]),
-                canonical=entry["canonical"],
+        try:
+            index = cls(
+                feature_config=FeatureSelectionConfig(**meta["feature_config"]),
+                bound_config=BoundConfig(**meta["bound_config"]),
             )
-            for entry in meta["features"]
-        ]
+            index.features = [
+                Feature(
+                    feature_id=entry["feature_id"],
+                    graph=labeled_graph_from_dict(entry["graph"]),
+                    support=frozenset(entry["support"]),
+                    canonical=entry["canonical"],
+                )
+                for entry in meta["features"]
+            ]
+            index.build_seconds = float(meta["build_seconds"])
+            # absent in payloads written before the mutable-catalog layer
+            build_root = meta.get("build_root")
+            index.build_root = None if build_root is None else int(build_root)
+        except (KeyError, TypeError, ValueError, AttributeError, GraphError) as error:
+            raise IndexError_(
+                f"malformed PMI metadata at {str(meta_path)!r}: {error!r}"
+            ) from error
         index._index_features()
         try:
             with np.load(arrays_path) as arrays:
-                saved_feature_ids = arrays["feature_ids"]
-                expected_shape = (meta["database_size"], len(index.features))
-                if arrays["lower"].shape != expected_shape or not np.array_equal(
-                    saved_feature_ids, index._feature_ids
-                ):
-                    raise IndexError_(
-                        f"inconsistent PMI payload at {str(directory)!r}: array shapes "
-                        "or feature ids disagree with the JSON metadata"
-                    )
                 index._lower = arrays["lower"]
                 index._upper = arrays["upper"]
                 index._present = arrays["present"]
-                index._num_embeddings = arrays["num_embeddings"]
-                index._num_cuts = arrays["num_cuts"]
+                saved_feature_ids = arrays["feature_ids"]
         except (zipfile.BadZipFile, KeyError, ValueError, EOFError, OSError) as error:
             # np.load surfaces truncation as any of these depending on where
             # the bytes stop; a bare propagated error used to leave no hint of
@@ -556,17 +441,18 @@ class ProbabilisticMatrixIndex:
                 "payload is truncated or damaged — restore the directory from "
                 "a catalog snapshot or rebuild the index"
             ) from error
-        index._chosen = {}
-        for key, (embeddings, cuts) in meta["chosen"].items():
-            graph_id, feature_id = key.split(":")
-            index._chosen[(int(graph_id), int(feature_id))] = (
-                tuple(embeddings),
-                tuple(cuts),
+        shape = index._present.shape
+        if (
+            len(shape) != 2
+            or shape[1] != len(index.features)
+            or index._lower.shape != shape
+            or index._upper.shape != shape
+            or not np.array_equal(saved_feature_ids, index._feature_ids)
+        ):
+            raise IndexError_(
+                f"inconsistent PMI payload at {str(directory)!r}: array shapes "
+                "or feature ids disagree with the JSON metadata"
             )
-        index.database_size = meta["database_size"]
-        index.build_seconds = meta["build_seconds"]
-        # absent in payloads written before the mutable-catalog layer
-        index.build_root = meta.get("build_root")
         index._built = True
         return index
 
@@ -580,11 +466,8 @@ class ProbabilisticMatrixIndex:
             self._lower.nbytes
             + self._upper.nbytes
             + self._present.nbytes
-            + self._num_embeddings.nbytes
-            + self._num_cuts.nbytes
             + self._feature_ids.nbytes
         )
-        total += 64 * len(self._chosen)
         for feature in self.features:
             total += 48 * (feature.num_vertices + feature.num_edges)
         return total
@@ -593,7 +476,7 @@ class ProbabilisticMatrixIndex:
         """Human-readable build summary used by examples and benchmarks."""
         self._require_built()
         return {
-            "database_size": self.database_size,
+            "database_size": self.num_graphs,
             "num_features": self.num_features,
             "non_empty_cells": int(self._present.sum()),
             "build_seconds": round(self.build_seconds, 4),
@@ -604,5 +487,5 @@ class ProbabilisticMatrixIndex:
         state = "built" if self._built else "unbuilt"
         return (
             f"ProbabilisticMatrixIndex({state}, features={len(self.features)}, "
-            f"graphs={self.database_size})"
+            f"graphs={self.num_graphs})"
         )

@@ -17,11 +17,12 @@ reproduce its core counting filter:
   allowance — cannot contain ``q`` within distance ``δ`` and is pruned
   (Theorem 1 keeps this sound for probabilistic graphs).
 
-Counts are stored as a dense ``int32`` matrix ``counts[graph, feature]`` so
-the per-query deficit test runs as one vectorized pass over the whole
-database (:meth:`deficit_prunable_mask`) instead of a per-graph dict walk.
-Beside it sits a second segment, :class:`SignaturePostings`: every graph's
-edge-signature counts, inverted, from which :meth:`signature_missing` reads the
+An index always holds two parts over the same rows.  Counts are a dense
+``int32`` matrix ``counts[graph, feature]``, so the per-query deficit test
+runs as one vectorized pass over the whole database
+(:meth:`StructuralFeatureIndex.deficit_prunable_mask`).  Beside it sits
+:class:`SignaturePostings`: every graph's edge-signature counts, inverted,
+from which :meth:`StructuralFeatureIndex.signature_missing` reads the
 edge-signature distance bound of the whole database without opening a graph.
 """
 
@@ -134,14 +135,15 @@ class StructuralFeatureIndex:
         cls,
         features: list[Feature],
         counts: np.ndarray,
+        signatures: SignaturePostings,
         embedding_limit: int = 64,
         copy: bool = True,
-        signatures: SignaturePostings | None = None,
     ) -> "StructuralFeatureIndex":
         """Reconstruct an index from a persisted ``counts[graph, feature]``
         matrix (the snapshot-open path), skipping embedding enumeration.
-        ``signatures`` is the same rows' second segment; an index over any
-        rows without it can count deficits but not :meth:`signature_missing`.
+        ``signatures`` is the same rows' second segment (it is never
+        persisted: the caller reads it off the graphs), so it must cover
+        exactly as many rows as ``counts``.
 
         ``copy=False`` adopts the matrix as-is, for a caller that already
         holds a fresh ``int32`` buffer (the catalog's stacked delta rows).
@@ -150,6 +152,11 @@ class StructuralFeatureIndex:
             raise ConfigurationError(
                 f"counts matrix has {counts.shape[1]} feature columns, "
                 f"got {len(features)} features"
+            )
+        if signatures.num_graphs != counts.shape[0]:
+            raise ConfigurationError(
+                f"signature postings cover {signatures.num_graphs} graphs, "
+                f"the counts matrix {counts.shape[0]}"
             )
         index = cls(embedding_limit=embedding_limit)
         index.features = list(features)
@@ -164,8 +171,7 @@ class StructuralFeatureIndex:
                     f"copy=False requires an int32 counts matrix, got {counts.dtype}"
                 )
             index._counts = counts
-        if signatures is not None:
-            index.signatures = signatures
+        index.signatures = signatures
         index._built = True
         return index
 
@@ -214,8 +220,7 @@ class StructuralFeatureIndex:
         sub.features = list(self.features)
         sub._feature_pos = dict(self._feature_pos)
         sub._counts = self._counts[selector]
-        if self.signatures.num_graphs == self.num_graphs:  # else: restored without them
-            sub.signatures = self.signatures.take(selector)
+        sub.signatures = self.signatures.take(selector)
         sub._built = True
         return sub
 
@@ -235,21 +240,6 @@ class StructuralFeatureIndex:
     @property
     def num_graphs(self) -> int:
         return self._counts.shape[0]
-
-    def count(self, graph_id: int, feature_id: int) -> int:
-        column = self._feature_pos.get(feature_id)
-        if column is None or not 0 <= graph_id < self._counts.shape[0]:
-            return 0
-        return int(self._counts[graph_id, column])
-
-    def counts_for_graph(self, graph_id: int) -> dict[int, int]:
-        if not 0 <= graph_id < self._counts.shape[0]:
-            return {}
-        row = self._counts[graph_id]
-        return {
-            self.features[column].feature_id: int(row[column])
-            for column in np.flatnonzero(row)
-        }
 
     def query_embeddings(self, query: LabeledGraph) -> dict[int, EmbeddingEnumeration]:
         """Every feature's embeddings in the query (capped at ``embedding_limit``)
@@ -325,9 +315,4 @@ class StructuralFeatureIndex:
         """Per graph, a lower bound on ``dis(query, g)`` — the scalar
         ``repro.reference.signature_distance_lower_bound(query, skeleton)`` —
         in one pass over the postings."""
-        if self.signatures.num_graphs != self.num_graphs:
-            raise StateError("this structural index was restored without its signature segment")
         return self.signatures.missing(query)
-
-    def graph_ids(self) -> list[int]:
-        return list(range(self._counts.shape[0]))

@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import GraphCatalog, QueryPlanner
@@ -216,6 +217,14 @@ def reordered_rows(rows: VariantRows, order: list[int]) -> VariantRows:
     position ``order[k]`` held (what reads ``U`` must not notice)."""
     loners = {k: rows.loners[old] for k, old in enumerate(order) if old in rows.loners}
     return VariantRows(rows.base, rows.held[order].tolist(), loners)
+
+
+def assert_same_cells(got, want) -> None:
+    """Two PMIs hold the same cells: feature ids, interval arrays and presence
+    mask equal element for element."""
+    assert np.array_equal(got._feature_ids, want._feature_ids)
+    for name in ("_lower", "_upper", "_present"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def assert_same_postings(got, want) -> None:

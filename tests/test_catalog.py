@@ -25,7 +25,9 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.exceptions import CatalogError, ConfigurationError, IndexError_
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
-from repro.structural.feature_index import StructuralFeatureIndex
+from repro.structural.feature_index import SignaturePostings, StructuralFeatureIndex
+
+from tests.conftest import assert_same_cells
 
 FEATURE_CONFIG = FeatureSelectionConfig(
     alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=10
@@ -438,12 +440,8 @@ class TestBuildingBlocks:
                 )
             ]
         )
-        assert grown.database_size == full.database_size
-        for graph_id in range(len(base_graphs)):
-            full_row, grown_row = full.row(graph_id), grown.row(graph_id)
-            assert np.array_equal(full_row.present, grown_row.present)
-            assert np.array_equal(full_row.lower, grown_row.lower)
-            assert np.array_equal(full_row.upper, grown_row.upper)
+        assert grown.num_graphs == full.num_graphs
+        assert_same_cells(grown, full)
 
     def test_pmi_append_validates_id_count(self, base_graphs):
         pmi = ProbabilisticMatrixIndex(
@@ -461,9 +459,8 @@ class TestBuildingBlocks:
         merged = ProbabilisticMatrixIndex.concat_rows(
             [full.subset(range(0, 3)), full.subset(range(3, len(base_graphs)))]
         )
-        assert merged.database_size == full.database_size
-        for graph_id in range(len(base_graphs)):
-            assert full.bounds_for_graph(graph_id) == merged.bounds_for_graph(graph_id)
+        assert merged.num_graphs == full.num_graphs
+        assert_same_cells(merged, full)
 
     def test_concat_rows_rejects_mismatched_features(self, base_graphs):
         first = ProbabilisticMatrixIndex(
@@ -513,8 +510,12 @@ class TestBuildingBlocks:
         ).build(skeletons, full.features)
         counts = np.asarray(structural.counts_matrix())
         seg = SegmentedStructuralView(
-            StructuralFeatureIndex.from_counts(full.features, counts[:5]),
-            StructuralFeatureIndex.from_counts(full.features, counts[5:]),
+            StructuralFeatureIndex.from_counts(
+                full.features, counts[:5], SignaturePostings.build(skeletons[:5])
+            ),
+            StructuralFeatureIndex.from_counts(
+                full.features, counts[5:], SignaturePostings.build(skeletons[5:])
+            ),
         )
         assert seg.is_built
         profile = structural.query_profile(query)

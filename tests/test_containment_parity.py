@@ -14,7 +14,7 @@ from repro.core.pruning import ProbabilisticPruner
 from repro.graphs import LabeledGraph
 from repro.pmi import ProbabilisticMatrixIndex
 from repro.pmi.features import Feature
-from repro.structural.feature_index import StructuralFeatureIndex
+from repro.structural.feature_index import SignaturePostings, StructuralFeatureIndex
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -59,7 +59,10 @@ def _index(embedding_limit: int) -> StructuralFeatureIndex:
     """A structural index over no graphs: the query-side methods only read
     the features and the limit."""
     return StructuralFeatureIndex.from_counts(
-        FEATURES, np.zeros((0, len(FEATURES)), dtype=np.int32), embedding_limit=embedding_limit
+        FEATURES,
+        np.zeros((0, len(FEATURES)), dtype=np.int32),
+        SignaturePostings.build(()),
+        embedding_limit=embedding_limit,
     )
 
 
@@ -97,8 +100,8 @@ class TestContainmentParity:
         relaxed = relax_query(query, delta, relaxation, edge_label_alphabet=EDGE_ALPHABET)
         pruner = ProbabilisticPruner(FEATURES)
         embeddings = _index(embedding_limit).query_embeddings(query)
-        joined = pruner._containment_for(pruner.features, relaxed)
-        assert pruner._containment_for(pruner.features, relaxed, query, embeddings) == joined
+        joined = pruner._containment_for(relaxed)
+        assert pruner._containment_for(relaxed, query, embeddings) == joined
         assert pruner.prepare(relaxed, query, embeddings) == pruner.prepare(relaxed)
 
     @SETTINGS
@@ -139,8 +142,8 @@ class TestFallbacks:
         pruner = ProbabilisticPruner(FEATURES)
         with monkeypatch.context() as patch:
             patch.setattr(pruning, "match_block", spy)
-            got = pruner._containment_for(pruner.features, relaxed, query, embeddings)
-        assert got == pruner._containment_for(pruner.features, relaxed)
+            got = pruner._containment_for(relaxed, query, embeddings)
+        assert got == pruner._containment_for(relaxed)
         return [f.feature_id for f in FEATURES if any(f.graph is p for p in patterns)]
 
     def test_only_uncovered_features_join_a_deletion_set(self, monkeypatch):

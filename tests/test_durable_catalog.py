@@ -9,6 +9,7 @@ covers the same recovery paths with surgically constructed on-disk states.
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.core import GraphCatalog
 from repro.core.catalog import CURRENT_FILENAME
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.datasets import extract_query
-from repro.exceptions import CatalogError, ConfigurationError
+from repro.exceptions import CatalogError, ConfigurationError, GraphError, IndexError_
 from repro.pmi import ProbabilisticMatrixIndex
 from repro.reference import WorldSampler
 from repro.structural.feature_index import StructuralFeatureIndex
@@ -200,6 +201,85 @@ class TestPersistAndOpen:
             built_store.base_structural.counts_matrix(),
             reopened_store.base_structural.counts_matrix(),
         )
+
+
+def _rewrite_json(path, change) -> None:
+    """Replace the JSON document at ``path`` with ``change(document)``."""
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+
+
+def _without(key):
+    return lambda document: {k: v for k, v in document.items() if k != key}
+
+
+def _with(key, value):
+    return lambda document: {**document, key: value}
+
+
+def _second_id(value):
+    """Swap the id of row 1 (which is 1) for ``value``: an id ``true`` read as
+    1 would then open the very catalog that was written."""
+
+    def change(document):
+        first, second, *rest = document["external_ids"]
+        assert second == 1
+        return {**document, "external_ids": [first, value, *rest]}
+
+    return change
+
+
+_GENERATION = "gen_00000000"
+# (file under the catalog directory, how it is damaged, the typed error)
+_MALFORMED_FILES = {
+    "pmi_meta without features": ("pmi_meta.json", _without("features"), IndexError_),
+    "pmi_meta with an unknown feature_config key": (
+        "pmi_meta.json",
+        lambda meta: {**meta, "feature_config": {**meta["feature_config"], "bogus": 1}},
+        IndexError_,
+    ),
+    "pmi_meta that is a list": ("pmi_meta.json", lambda meta: [meta], IndexError_),
+    "catalog without external_ids": ("catalog.json", _without("external_ids"), CatalogError),
+    "catalog without build_root": ("catalog.json", _without("build_root"), CatalogError),
+    "catalog with num_shards x": ("catalog.json", _with("num_shards", "x"), CatalogError),
+    "catalog with an id a": ("catalog.json", _second_id("a"), CatalogError),
+    "catalog with a negative id": ("catalog.json", _second_id(-1), CatalogError),
+    "catalog with an id true": ("catalog.json", _second_id(True), CatalogError),
+    "catalog that is a list": ("catalog.json", lambda meta: [meta], CatalogError),
+    "CURRENT that is a list": (CURRENT_FILENAME, lambda current: [current], CatalogError),
+    "truncated graphs": ("graphs.json", None, GraphError),
+}
+
+
+@pytest.fixture(scope="module")
+def snapshot_directory(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("snapshot") / "catalog"
+    catalog, _ = durable_catalog(directory.parent)
+    catalog.close()
+    return directory
+
+
+class TestMalformedSnapshotFiles:
+    """Every file ``open`` reads refuses damage with the error type of its
+    layer — never a raw ``KeyError`` / ``TypeError`` / ``ValueError`` /
+    ``AttributeError`` / ``JSONDecodeError`` — and snapshot ids get the same
+    check as live calls and WAL replay."""
+
+    @pytest.mark.parametrize("case", list(_MALFORMED_FILES))
+    def test_open_raises_the_typed_error(self, snapshot_directory, tmp_path, case):
+        name, change, error = _MALFORMED_FILES[case]
+        directory = tmp_path / "catalog"
+        shutil.copytree(snapshot_directory, directory)
+        path = directory / (name if name == CURRENT_FILENAME else f"{_GENERATION}/{name}")
+        if change is None:
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            _rewrite_json(path, change)
+        with pytest.raises(error):
+            GraphCatalog.open(directory)
+
+    def test_the_undamaged_copy_opens(self, snapshot_directory, tmp_path):
+        shutil.copytree(snapshot_directory, tmp_path / "catalog")
+        GraphCatalog.open(tmp_path / "catalog").close()
 
 
 class TestRecoveryInvariant:

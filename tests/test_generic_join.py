@@ -508,7 +508,7 @@ def test_index_contents_equal_the_block_of_one_oracle(workload, monkeypatch):
         worlds = draw_worlds(graph, E2E_BOUNDS, derive_rng(E2E_BUILD_SEED, BUILD_STREAM, graph_id))
         for column, feature in enumerate(features):
             bounds = compute_sip_bounds(feature.graph, graph, config=E2E_BOUNDS, worlds=worlds)
-            oracle_cells.append(None if bounds.is_empty() else bounds)
+            oracle_cells.append(None if bounds.is_empty() else bounds.as_pair())
             oracle_counts[graph_id, column] = count_embeddings(
                 feature.graph, graph.skeleton, limit=E2E_FEATURES.embedding_limit
             )
@@ -526,7 +526,9 @@ def test_index_contents_equal_the_block_of_one_oracle(workload, monkeypatch):
         pmi: ProbabilisticMatrixIndex = catalog._store.base_pmi
         structural: StructuralFeatureIndex = catalog._store.base_structural
         cells = [
-            pmi.bounds(row, f.feature_id) for row in range(pmi.num_graphs) for f in features
+            row.interval(column) if row.present[column] else None
+            for row in pmi.rows(range(pmi.num_graphs))
+            for column in range(len(features))
         ]
         assert cells == oracle_cells
         assert np.array_equal(structural.counts_matrix(), oracle_counts)

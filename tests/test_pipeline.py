@@ -171,13 +171,13 @@ class TestVacuousPmiStage:
         )
         planner = catalog.planner()
         bounded = []
-        original = ProbabilisticPruner.compute_bounds_from_row
+        original = ProbabilisticPruner.compute_bounds
 
         def spy(self, relaxed_queries, row, containment, rng=None):
             bounded.append(row.graph_id)
             return original(self, relaxed_queries, row, containment, rng=rng)
 
-        monkeypatch.setattr(ProbabilisticPruner, "compute_bounds_from_row", spy)
+        monkeypatch.setattr(ProbabilisticPruner, "compute_bounds", spy)
         for graph_index in (1, 3, 5):
             query = extract_query(pipeline_database.graphs[graph_index].skeleton, 3, rng=7)
             if top_k:

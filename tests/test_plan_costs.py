@@ -42,7 +42,7 @@ from repro.isomorphism.embeddings import (
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.pmi.features import Feature
 from repro.probability import batch_kernel
-from repro.structural.feature_index import StructuralFeatureIndex
+from repro.structural.feature_index import SignaturePostings, StructuralFeatureIndex
 
 from tests.conftest import WIDE_SUPPORT_DISTANCE
 
@@ -106,7 +106,7 @@ def mixed_planner(catalog, larger_features):
     """A planner over no graphs: planning reads the features only."""
     features = [*catalog.features, *larger_features]
     structural = StructuralFeatureIndex.from_counts(
-        features, np.zeros((0, len(features)), dtype=np.int32)
+        features, np.zeros((0, len(features)), dtype=np.int32), SignaturePostings.build(())
     )
     return QueryPlanner([], ProbabilisticMatrixIndex.empty(features), structural)
 
@@ -178,7 +178,9 @@ class TestPlanCosts:
         )
         hub = Feature(len(features), LabeledGraph.from_edges({0: "a", 1: "b"}, [(0, 1, "x")]))
         for limit in (2, 4, 64, None):
-            index = StructuralFeatureIndex.from_counts(features, empty, embedding_limit=limit)
+            index = StructuralFeatureIndex.from_counts(
+                features, empty, SignaturePostings.build(()), embedding_limit=limit
+            )
             for query in six_edge_queries:
                 found = index.query_embeddings(query)
                 assert list(found) == [feature.feature_id for feature in features]
@@ -187,7 +189,7 @@ class TestPlanCosts:
                         feature.graph, query, limit=limit
                     )
             index = StructuralFeatureIndex.from_counts(
-                [hub], empty[:, :1], embedding_limit=limit
+                [hub], empty[:, :1], SignaturePostings.build(()), embedding_limit=limit
             )
             (found,) = index.query_embeddings(star).values()
             assert found == enumerate_embeddings(hub.graph, star, limit=limit)

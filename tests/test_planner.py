@@ -12,7 +12,6 @@ import pytest
 from repro.core import (
     GraphCatalog,
     ProbabilisticPruner,
-    PruningDecision,
     QueryPlanner,
     SearchConfig,
     ShardedPlanner,
@@ -24,7 +23,7 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.exceptions import CatalogError, IndexError_, QueryError
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
-from tests.conftest import build_index
+from tests.conftest import assert_same_cells, build_index
 
 
 @pytest.fixture(scope="module")
@@ -226,39 +225,44 @@ class TestPlanner:
 
 class TestVectorizedPrunerParity:
     def test_partition_matches_per_graph_loop(self, indexed, workload):
-        """The batched row-view pruner must reproduce the seed's sequential
-        per-graph partition (pruned / accepted / remaining) exactly."""
+        """The batched pruner must reproduce a sequential per-graph partition
+        (pruned / accepted / remaining) exactly: Pruning 1 first, then 2."""
         pmi = indexed.pmi
         for query_index, query in enumerate(workload):
             relaxed = relax_query(query, 1)
             candidate_ids = list(range(len(indexed.graphs)))
 
-            # seed-style loop: per-graph dict rows, containment recomputed per
-            # graph, sequential decisions
+            # loop: containment recomputed per graph, the two conditions
+            # applied one graph at a time
             loop_pruner = ProbabilisticPruner(pmi.features, rng=random.Random(5))
             loop_partition = []
             for graph_id in candidate_ids:
-                bounds = loop_pruner.compute_bounds(relaxed, pmi.bounds_for_graph(graph_id))
-                loop_partition.append(loop_pruner.decide(bounds, 0.4))
+                bounds = loop_pruner.compute_bounds(
+                    relaxed, pmi.row(graph_id), loop_pruner.prepare(relaxed)
+                )
+                if bounds.usim_covered and bounds.usim < 0.4:
+                    loop_partition.append("pruned")
+                elif bounds.lsim_covered and bounds.lsim >= 0.4:
+                    loop_partition.append("accepted")
+                else:
+                    loop_partition.append("candidate")
 
-            # planner-style batch: shared containment, columnar row views,
+            # planner-style batch: shared containment, one pass over the rows,
             # vectorized decision masks
             batch_pruner = ProbabilisticPruner(pmi.features)
             containment = batch_pruner.prepare(relaxed)
             generator = random.Random(5)
             bounds_list = [
-                batch_pruner.compute_bounds_from_row(
-                    relaxed, pmi.row(graph_id), containment, rng=generator
-                )
-                for graph_id in candidate_ids
+                batch_pruner.compute_bounds(relaxed, row, containment, rng=generator)
+                for row in pmi.rows(candidate_ids)
             ]
             pruned_mask, accepted_mask = batch_pruner.decide_batch(bounds_list, 0.4)
 
             for position, decision in enumerate(loop_partition):
-                assert (decision is PruningDecision.PRUNED) == bool(
+                assert (decision == "pruned") == bool(
                     pruned_mask[position]
                 ), f"query {query_index}, graph {candidate_ids[position]}"
-                assert (decision is PruningDecision.ACCEPTED) == bool(
+                assert (decision == "accepted") == bool(
                     accepted_mask[position]
                 ), f"query {query_index}, graph {candidate_ids[position]}"
 
@@ -275,7 +279,7 @@ class TestPmiPersistenceRoundTrip:
         loaded = ProbabilisticMatrixIndex.load(target)
 
         assert loaded.summary() == indexed.pmi.summary()
-        assert loaded.entries() == indexed.pmi.entries()
+        assert_same_cells(loaded, indexed.pmi)
         assert [f.canonical for f in loaded.features] == [
             f.canonical for f in indexed.pmi.features
         ]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, IndexError_
@@ -10,6 +13,9 @@ from repro.isomorphism import is_subgraph_isomorphic
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.probability import JointProbabilityTable
 from repro.reference import WorldSampler
+from repro.utils.atomic_io import atomic_write_text, atomic_writer
+
+from tests.conftest import assert_same_cells
 
 
 @pytest.fixture(scope="module")
@@ -28,35 +34,42 @@ class TestBuild:
     def test_requires_build_before_lookup(self):
         index = ProbabilisticMatrixIndex()
         with pytest.raises(IndexError_):
-            index.bounds_for_graph(0)
+            index.row(0)
         with pytest.raises(IndexError_):
-            index.entries()
+            index.rows([0])
 
     def test_build_fills_rows_for_every_graph(self, built_index):
         index, database = built_index
-        for graph_id in range(len(database.graphs)):
-            row = index.bounds_for_graph(graph_id)
-            assert isinstance(row, dict)
+        rows = index.rows(range(len(database.graphs)))
+        assert [row.graph_id for row in rows] == list(range(len(database.graphs)))
+        for row in rows:
+            assert row.present.shape == row.lower.shape == (index.num_features,)
+            assert row.feature_ids.tolist() == [f.feature_id for f in index.features]
 
     def test_non_empty_cells_only_for_contained_features(self, built_index):
         index, database = built_index
-        for entry in index.entries()[:30]:
-            feature = index.feature_by_id(entry.feature_id)
-            skeleton = database.graphs[entry.graph_id].skeleton
-            assert is_subgraph_isomorphic(feature.graph, skeleton)
+        cells = list(zip(*np.nonzero(index._present)))
+        assert cells
+        for graph_id, column in cells[:30]:
+            skeleton = database.graphs[graph_id].skeleton
+            assert is_subgraph_isomorphic(index.features[column].graph, skeleton)
 
     def test_bounds_are_valid_probability_intervals(self, built_index):
-        index, _ = built_index
-        for entry in index.entries():
-            assert 0.0 <= entry.bounds.lower <= entry.bounds.upper <= 1.0
+        index, database = built_index
+        for row in index.rows(range(len(database.graphs))):
+            for column in np.flatnonzero(row.present):
+                lower, upper = row.interval(column)
+                assert 0.0 <= lower <= upper <= 1.0
+            # an empty cell holds no interval
+            assert not row.lower[~row.present].any() and not row.upper[~row.present].any()
 
     def test_unknown_graph_or_feature(self, built_index):
         index, _ = built_index
         with pytest.raises(IndexError_):
-            index.bounds_for_graph(9999)
+            index.row(9999)
         with pytest.raises(IndexError_):
-            index.feature_by_id(9999)
-        assert index.bounds(0, 9999) is None
+            index.rows([0, 9999])
+        assert 9999 not in index.row(0).feature_ids
 
     def test_summary_and_size(self, built_index):
         index, database = built_index
@@ -97,9 +110,9 @@ class TestCellPurity:
 
     def cells(self, index, num_graphs):
         return {
-            (graph_id, feature.canonical): index.bounds(graph_id, feature.feature_id)
-            for graph_id in range(num_graphs)
-            for feature in index.features
+            (row.graph_id, feature.canonical): row.interval(column) if row.present[column] else None
+            for row in index.rows(range(num_graphs))
+            for column, feature in enumerate(index.features)
         }
 
     @pytest.mark.parametrize(
@@ -116,7 +129,7 @@ class TestCellPurity:
         )
         assert other.num_features == len(features) > 0
         for key, bounds in self.cells(other, len(database.graphs)).items():
-            assert bounds == expected[key], key  # bit-equal, chosen sets included
+            assert bounds == expected[key], key  # bit-equal intervals, or both empty
 
     def test_cells_follow_the_stable_id_not_the_row(self, built_index):
         index, database = built_index
@@ -126,9 +139,7 @@ class TestCellPurity:
             rng=5,
             graph_ids=range(len(database.graphs) - 1, -1, -1),
         )
-        last = len(database.graphs) - 1
-        for graph_id in range(len(database.graphs)):
-            assert moved.bounds_for_graph(last - graph_id) == index.bounds_for_graph(graph_id)
+        assert_same_cells(moved.subset(range(len(database.graphs) - 1, -1, -1)), index)
 
 
 class TestScalarSamplerIsOutOfTheBuild:
@@ -150,7 +161,7 @@ class TestScalarSamplerIsOutOfTheBuild:
         )
         index = ProbabilisticMatrixIndex.concat_rows([base, tail])
         assert index.num_graphs == len(graphs)
-        assert index.entries()
+        assert index._present.any()
 
 
 class TestRefusedGraphs:
@@ -167,39 +178,30 @@ class TestRefusedGraphs:
 
 
 class TestRowViews:
-    def test_row_matches_dict_view(self, built_index):
-        index, database = built_index
-        for graph_id in range(len(database.graphs)):
-            row = index.row(graph_id)
-            dict_view = index.bounds_for_graph(graph_id)
-            for column, feature_id in enumerate(row.feature_ids):
-                feature_id = int(feature_id)
-                if row.present[column]:
-                    assert dict_view[feature_id].as_pair() == row.interval(column)
-                else:
-                    assert feature_id not in dict_view
-
     def test_row_rejects_unknown_graph(self, built_index):
         index, _ = built_index
         with pytest.raises(IndexError_):
             index.row(9999)
 
 
+def assert_rows_moved(sub, index, old_ids) -> None:
+    """Row ``k`` of ``sub`` holds the cells of ``index``'s row ``old_ids[k]``."""
+    assert sub.num_graphs == len(old_ids)
+    assert np.array_equal(sub._feature_ids, index._feature_ids)
+    for name in ("_lower", "_upper", "_present"):
+        assert np.array_equal(getattr(sub, name), getattr(index, name)[list(old_ids)]), name
+
+
 class TestSubset:
     def test_subset_rows_match_source(self, built_index):
         index, _ = built_index
         sub = index.subset(range(2, 6))
-        assert sub.database_size == 4
         assert sub.num_features == index.num_features
-        for new_id, old_id in enumerate(range(2, 6)):
-            assert sub.bounds_for_graph(new_id) == index.bounds_for_graph(old_id)
+        assert_rows_moved(sub, index, range(2, 6))
 
     def test_subset_accepts_arbitrary_id_lists(self, built_index):
         index, _ = built_index
-        sub = index.subset([5, 1, 3])
-        assert sub.database_size == 3
-        for new_id, old_id in enumerate([5, 1, 3]):
-            assert sub.bounds_for_graph(new_id) == index.bounds_for_graph(old_id)
+        assert_rows_moved(index.subset([5, 1, 3]), index, [5, 1, 3])
 
     def test_subset_rejects_unknown_ids(self, built_index):
         index, _ = built_index
@@ -224,15 +226,11 @@ class TestSubset:
         index.save(tmp_path / "full")
         sliced_loaded = ProbabilisticMatrixIndex.load(tmp_path / "full").subset(ids)
 
-        assert loaded_slice.entries() == sliced_loaded.entries()
-        assert loaded_slice.database_size == sliced_loaded.database_size == 4
+        assert_same_cells(loaded_slice, sliced_loaded)
+        assert loaded_slice.num_graphs == sliced_loaded.num_graphs == 4
         assert [f.canonical for f in loaded_slice.features] == [
             f.canonical for f in sliced_loaded.features
         ]
-        for graph_id in range(4):
-            assert loaded_slice.bounds_for_graph(graph_id) == sliced_loaded.bounds_for_graph(
-                graph_id
-            )
 
 
 class TestPersistence:
@@ -240,14 +238,54 @@ class TestPersistence:
         index, _ = built_index
         index.save(tmp_path / "pmi")
         loaded = type(index).load(tmp_path / "pmi")
-        assert loaded.entries() == index.entries()
+        assert_same_cells(loaded, index)
         assert loaded.summary() == index.summary()
         assert loaded.feature_config == index.feature_config
         assert loaded.bound_config == index.bound_config
-        for feature in index.features:
-            restored = loaded.feature_by_id(feature.feature_id)
+        assert loaded.build_root == index.build_root
+        for restored, feature in zip(loaded.features, index.features, strict=True):
+            assert restored.feature_id == feature.feature_id
             assert restored.canonical == feature.canonical
             assert restored.support == feature.support
+
+    def test_version_1_payload_loads_with_the_cells_of_a_fresh_build(
+        self, built_index, tmp_path
+    ):
+        """A version-1 directory also holds per-cell embedding and cut counts
+        and a chosen-set table; ``load`` skips them and keeps the cells."""
+        index, database = built_index
+        directory = tmp_path / "pmi"
+        index.save(directory)
+        shape = index._present.shape
+        with atomic_writer(directory / "pmi_arrays.npz") as handle:
+            np.savez_compressed(
+                handle,
+                lower=index._lower,
+                upper=index._upper,
+                present=index._present,
+                num_embeddings=np.ones(shape, dtype=np.int32),
+                num_cuts=np.ones(shape, dtype=np.int32),
+                feature_ids=index._feature_ids,
+            )
+        meta = json.loads((directory / "pmi_meta.json").read_text())
+        meta.update(version=1, database_size=shape[0], chosen={"0:0": [[0, 2], [1]]})
+        atomic_write_text(directory / "pmi_meta.json", json.dumps(meta))
+
+        loaded = ProbabilisticMatrixIndex.load(directory)
+        fresh = ProbabilisticMatrixIndex(
+            feature_config=index.feature_config, bound_config=index.bound_config
+        ).build(database.graphs, rng=5)
+        assert_same_cells(loaded, fresh)
+        assert loaded.build_root == fresh.build_root
+
+    def test_saves_format_version_2_without_the_diagnostics(self, built_index, tmp_path):
+        index, _ = built_index
+        index.save(tmp_path / "pmi")
+        meta = json.loads((tmp_path / "pmi" / "pmi_meta.json").read_text())
+        assert meta["version"] == 2
+        assert "chosen" not in meta and "database_size" not in meta
+        with np.load(tmp_path / "pmi" / "pmi_arrays.npz") as arrays:
+            assert sorted(arrays.files) == ["feature_ids", "lower", "present", "upper"]
 
     def test_save_requires_built(self, tmp_path):
         from repro.pmi import ProbabilisticMatrixIndex

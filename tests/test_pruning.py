@@ -6,20 +6,15 @@ import math
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PruningConfig, relax_query
-from repro.core.pruning import (
-    FeatureContainment,
-    ProbabilisticPruner,
-    PruningDecision,
-    SspBounds,
-)
+from repro.core.pruning import FeatureContainment, ProbabilisticPruner, SspBounds
 from repro.graphs import LabeledGraph
-from repro.pmi import BoundConfig, compute_sip_bounds
-from repro.pmi.bounds import SipBounds
+from repro.pmi import BoundConfig, PMIRow, ProbabilisticMatrixIndex
 from repro.pmi.features import Feature
 
 from tests.conftest import make_simple_probabilistic_graph, reordered_rows
@@ -52,35 +47,53 @@ def two_edge_path():
     return graph
 
 
+def pmi_row(graph, features):
+    """The graph's row of an exact PMI built over ``features``."""
+    index = ProbabilisticMatrixIndex(bound_config=BoundConfig(method="exact"))
+    return index.build([graph], features=features, rng=0).row(0)
+
+
+def synthetic_row(intervals: dict) -> PMIRow:
+    """A PMI row holding the given ``{feature_id: (lower, upper)}`` cells."""
+    feature_ids = np.array(sorted(intervals), dtype=np.int64)
+    return PMIRow(
+        graph_id=0,
+        feature_ids=feature_ids,
+        lower=np.array([intervals[fid][0] for fid in feature_ids.tolist()]),
+        upper=np.array([intervals[fid][1] for fid in feature_ids.tolist()]),
+        present=np.ones(feature_ids.size, dtype=bool),
+    )
+
+
+def bounds_of(pruner, relaxed, row, rng=None):
+    return pruner.compute_bounds(relaxed, row, pruner.prepare(relaxed), rng=rng)
+
+
 @pytest.fixture
 def pruning_setup(rng):
     """A small, fully exact setup: features, PMI row and relaxed queries."""
     graph = make_simple_probabilistic_graph(edge_probability=0.6)
     features = [feature_from(single_edge(), 0), feature_from(two_edge_path(), 1)]
-    bounds = {
-        f.feature_id: compute_sip_bounds(f.graph, graph, BoundConfig(method="exact"))
-        for f in features
-    }
     query = two_edge_path()
     relaxed = relax_query(query, 1)
-    return graph, features, bounds, relaxed
+    return graph, features, pmi_row(graph, features), relaxed
 
 
 class TestBoundsComputation:
     def test_bounds_are_probability_interval(self, pruning_setup, rng):
-        _, features, graph_bounds, relaxed = pruning_setup
+        _, features, row, relaxed = pruning_setup
         pruner = ProbabilisticPruner(features, rng=rng)
-        bounds = pruner.compute_bounds(relaxed, graph_bounds)
+        bounds = bounds_of(pruner, relaxed, row)
         assert 0.0 <= bounds.lsim <= 1.0
         assert 0.0 <= bounds.usim <= 1.0
 
     def test_usim_upper_bounds_true_ssp(self, pruning_setup, rng):
         """Theorem 3: the Usim derived from the PMI never underestimates SSP."""
-        graph, features, graph_bounds, relaxed = pruning_setup
+        graph, features, row, relaxed = pruning_setup
         from repro.core.verification import VerificationConfig, Verifier
 
         pruner = ProbabilisticPruner(features, rng=rng)
-        bounds = pruner.compute_bounds(relaxed, graph_bounds)
+        bounds = bounds_of(pruner, relaxed, row)
         verifier = Verifier(VerificationConfig(method="inclusion_exclusion"))
         truth = verifier.subgraph_similarity_probability(
             two_edge_path(), graph, 1, relaxed_queries=relaxed
@@ -93,47 +106,46 @@ class TestBoundsComputation:
     def test_no_matching_features_means_no_usable_bounds(self, rng):
         graph = make_simple_probabilistic_graph()
         odd_feature = feature_from(single_edge("z", "z", "q"), 0)
-        bounds_row = {0: compute_sip_bounds(odd_feature.graph, graph, BoundConfig(method="exact"))}
         pruner = ProbabilisticPruner([odd_feature], rng=rng)
         relaxed = relax_query(two_edge_path(), 1)
-        result = pruner.compute_bounds(relaxed, bounds_row)
+        result = bounds_of(pruner, relaxed, pmi_row(graph, [odd_feature]))
         assert not result.usim_covered
         assert not result.lsim_covered
         assert result.usim == 1.0
         assert result.lsim == 0.0
 
     def test_plain_variant_is_no_tighter_than_opt(self, pruning_setup, rng):
-        _, features, graph_bounds, relaxed = pruning_setup
-        opt = ProbabilisticPruner(features, PruningConfig(True, True), rng=rng).compute_bounds(
-            relaxed, graph_bounds
-        )
-        plain = ProbabilisticPruner(features, PruningConfig(False, False), rng=rng).compute_bounds(
-            relaxed, graph_bounds
+        _, features, row, relaxed = pruning_setup
+        opt = bounds_of(ProbabilisticPruner(features, PruningConfig(True, True), rng=rng), relaxed, row)
+        plain = bounds_of(
+            ProbabilisticPruner(features, PruningConfig(False, False), rng=rng), relaxed, row
         )
         if opt.usim_covered and plain.usim_covered:
             assert opt.usim <= plain.usim + 1e-9
 
 
+def decide(bounds: SspBounds, threshold: float) -> tuple[bool, bool]:
+    """``(pruned, accepted)`` of one candidate through ``decide_batch``."""
+    pruned, accepted = ProbabilisticPruner.decide_batch([bounds], threshold)
+    return bool(pruned[0]), bool(accepted[0])
+
+
 class TestDecisions:
-    def test_prune_when_usim_below_threshold(self, rng):
-        pruner = ProbabilisticPruner([], rng=rng)
+    def test_prune_when_usim_below_threshold(self):
         bounds = SspBounds(usim=0.2, lsim=0.0, usim_covered=True, lsim_covered=True)
-        assert pruner.decide(bounds, 0.5) is PruningDecision.PRUNED
+        assert decide(bounds, 0.5) == (True, False)
 
-    def test_accept_when_lsim_reaches_threshold(self, rng):
-        pruner = ProbabilisticPruner([], rng=rng)
+    def test_accept_when_lsim_reaches_threshold(self):
         bounds = SspBounds(usim=0.9, lsim=0.7, usim_covered=True, lsim_covered=True)
-        assert pruner.decide(bounds, 0.6) is PruningDecision.ACCEPTED
+        assert decide(bounds, 0.6) == (False, True)
 
-    def test_candidate_when_thresholds_inconclusive(self, rng):
-        pruner = ProbabilisticPruner([], rng=rng)
+    def test_candidate_when_thresholds_inconclusive(self):
         bounds = SspBounds(usim=0.9, lsim=0.1, usim_covered=True, lsim_covered=True)
-        assert pruner.decide(bounds, 0.5) is PruningDecision.CANDIDATE
+        assert decide(bounds, 0.5) == (False, False)
 
-    def test_uncovered_bounds_never_prune(self, rng):
-        pruner = ProbabilisticPruner([], rng=rng)
+    def test_uncovered_bounds_never_prune(self):
         bounds = SspBounds(usim=0.0, lsim=1.0, usim_covered=False, lsim_covered=False)
-        assert pruner.decide(bounds, 0.5) is PruningDecision.CANDIDATE
+        assert decide(bounds, 0.5) == (False, False)
 
 
 class TestOrderFreedom:
@@ -158,10 +170,12 @@ class TestOrderFreedom:
         random.Random(seed).shuffle(order)
         moved = reordered_rows(relaxed, order)
         position = {old: new for new, old in enumerate(order)}
-        graph_bounds = {
-            feature.feature_id: SipBounds(min(low, high), max(low, high), 1, 1)
-            for feature, low, high in zip(FEATURES, weights[::2], weights[1::2])
-        }
+        row = synthetic_row(
+            {
+                feature.feature_id: (min(low, high), max(low, high))
+                for feature, low, high in zip(FEATURES, weights[::2], weights[1::2])
+            }
+        )
         for optimal_usim, optimal_lsim in product((True, False), repeat=2):
             pruner = ProbabilisticPruner(FEATURES, PruningConfig(optimal_usim, optimal_lsim))
             containment = pruner.prepare(relaxed)
@@ -173,8 +187,8 @@ class TestOrderFreedom:
                 for feature_id, relations in containment.items()
             }
             assert reindexed == pruner.prepare(moved)
-            expected = pruner.compute_bounds(relaxed, graph_bounds, containment, rng=seed)
-            actual = pruner.compute_bounds(moved, graph_bounds, reindexed, rng=seed)
+            expected = pruner.compute_bounds(relaxed, row, containment, rng=seed)
+            actual = pruner.compute_bounds(moved, row, reindexed, rng=seed)
             assert actual == expected  # floats compare exactly
 
     def test_plain_bounds_sum_in_an_order_of_their_own(self):
@@ -185,11 +199,11 @@ class TestOrderFreedom:
         )
         relaxed = relax_query(query, 2)  # three single edges: features 0, 1 and 2 each hold one
         weight = dict(zip(range(3), (0.1, 0.2, 0.3)))
-        graph_bounds = {fid: SipBounds(w, w, 1, 1) for fid, w in weight.items()}
+        row = synthetic_row({fid: (w, w) for fid, w in weight.items()})
         pruner = ProbabilisticPruner(FEATURES[:3], PruningConfig(False, False))
         results = set()
         for order in permutations(range(3)):
             moved = reordered_rows(relaxed, list(order))
-            results.add(pruner.compute_bounds(moved, graph_bounds, pruner.prepare(moved)))
+            results.add(bounds_of(pruner, moved, row))
         (only,) = results
         assert only.usim_covered and only.lsim_covered and only.usim == math.fsum(weight.values())

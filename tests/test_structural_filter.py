@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from repro.core.catalog import GraphCatalog, SegmentedStructuralView
 from repro.datasets import extract_query
-from repro.exceptions import StateError
+from repro.exceptions import ConfigurationError, StateError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.pmi import BoundConfig, FeatureMiner, FeatureSelectionConfig
 from repro.reference import is_subgraph_similar, signature_distance_lower_bound
 from repro.structural import StructuralFeatureIndex, StructuralFilter
+from repro.structural.feature_index import SignaturePostings
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +32,9 @@ def structural_setup(small_ppi_database):
 class TestFeatureIndex:
     def test_counts_are_nonnegative(self, structural_setup):
         index, skeletons, _ = structural_setup
-        for graph_id in index.graph_ids():
-            for count in index.counts_for_graph(graph_id).values():
-                assert count > 0
+        counts = index.counts_matrix()
+        assert counts.shape == (len(skeletons), len(index.features))
+        assert (counts >= 0).all() and counts.any()
 
     def test_query_profile_shape(self, structural_setup):
         index, skeletons, _ = structural_setup
@@ -52,8 +53,7 @@ class TestFeatureIndex:
         sub = index.subset(range(2, 5))
         assert sub.num_graphs == 3
         assert [f.feature_id for f in sub.features] == [f.feature_id for f in index.features]
-        for new_id, old_id in enumerate(range(2, 5)):
-            assert sub.counts_for_graph(new_id) == index.counts_for_graph(old_id)
+        assert np.array_equal(sub.counts_matrix(), index.counts_matrix()[2:5])
 
     def test_subset_rejects_unknown_or_unbuilt(self, structural_setup):
         index, _, _ = structural_setup
@@ -207,9 +207,16 @@ class TestSignatureSegment:
             catalog.compact()
         catalog.close()
 
-    def test_index_without_the_segment_refuses_the_bound(self, structural_setup):
+    def test_from_counts_refuses_signatures_over_other_rows(self, structural_setup):
         index, skeletons, _ = structural_setup
-        bare = StructuralFeatureIndex.from_counts(index.features, index.counts_matrix())
-        for index in (bare, bare.subset([0, 2])):  # rows still slice; the bound has nothing to read
-            with pytest.raises(StateError):
-                index.signature_missing(skeletons[0])
+        counts = index.counts_matrix()
+        for rows in (skeletons[:-1], [*skeletons, skeletons[0]], []):
+            with pytest.raises(ConfigurationError, match="signature postings cover"):
+                StructuralFeatureIndex.from_counts(
+                    index.features, counts, SignaturePostings.build(rows)
+                )
+        restored = StructuralFeatureIndex.from_counts(
+            index.features, counts, SignaturePostings.build(skeletons)
+        )
+        for query in skeletons[:3]:
+            assert np.array_equal(restored.signature_missing(query), index.signature_missing(query))
