@@ -4,8 +4,8 @@ The catalog's planner filters in the parent and deals the verification of
 threshold survivors to a process pool; this benchmark measures what that
 costs and what it buys:
 
-* **throughput** — ``query_many`` through W workers (``num_shards`` caps
-  the pool) against the sequential planner, with answer-for-answer parity
+* **throughput** — ``query_many`` through W workers (``num_shards`` and
+  the usable CPUs cap the pool) against the sequential planner, with answer-for-answer parity
   checked along the way (the pool must be a pure speedup, never a
   different answer);
 * **graph bytes shipped** — the graph pickles each slot's frames carry on
@@ -30,6 +30,9 @@ costs and what it buys:
 The speedup assertion (>= 1.5x at 4 workers) only fires on a full run when
 the hardware can express it: with fewer than 4 usable cores (or under
 xdist) the benchmark still runs, verifies parity, and records the ratio.
+The pool is never wider than the CPUs the process may run on, so with fewer
+than 2 usable CPUs there is no pool to measure: the benchmark exits non-zero
+before it builds anything.
 
 Run as a script::
 
@@ -392,6 +395,11 @@ def main() -> None:
         help="trajectory file to append this run's point to",
     )
     args = parser.parse_args()
+    if usable_cores() < FANOUT_WIDTH:
+        sys.exit(
+            f"bench_sharded_throughput measures a pool and needs {FANOUT_WIDTH} usable "
+            f"CPUs to fork one; this process may run on {usable_cores()}"
+        )
     profile = SMOKE if args.smoke else FULL
 
     report = run_benchmark(profile)

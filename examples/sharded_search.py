@@ -1,10 +1,12 @@
 """Pooled multiprocess search: filter in the parent, deal verification out.
 
 Builds the same synthetic PPI database twice — once in-process, once behind
-a pool of up to 4 worker slots (``num_shards`` caps the pool, ``max_workers``
-defaults to the usable CPUs) — runs an identical workload through both, and
-shows that the answers match exactly.  The parent filters every query and
-deals the survivors to the slots in blocks.  Also demonstrates the
+a pool of up to 4 worker slots — runs an identical workload through both, and
+shows that the answers match exactly.  The pool width is ``min(max_workers,
+num_shards, usable CPUs)``: ``num_shards`` caps it at four, ``max_workers``
+defaults to the usable CPUs, and a process that may run on one CPU forks no
+worker at all (its survivors are verified in-process, same answers).  The
+parent filters every query and deals the survivors to the slots in blocks.  Also demonstrates the
 warm-start path: a durable ``GraphCatalog`` snapshots its index on the first
 build, and ``GraphCatalog.open`` loads it instead of rebuilding.
 
@@ -58,7 +60,10 @@ def main() -> None:
             rng=SEED,
             num_shards=NUM_SHARDS,
         )
-    print(f"pooled catalog build (pool capped at {NUM_SHARDS}): {build_timer.elapsed:.3f}s")
+    print(
+        f"pooled catalog build (pool capped at {NUM_SHARDS}, width "
+        f"{sharded.planner().width} on this host's usable CPUs): {build_timer.elapsed:.3f}s"
+    )
 
     timer = Timer()
     with timer:
@@ -70,8 +75,8 @@ def main() -> None:
     # and kept for the next query.  close() below parks the workers.
     verified = sum(result.statistics.verified for result in sharded_results)
     print(
-        f"pool workers verified {verified} candidates over {len(queries)} queries "
-        f"and were shipped each of those graphs once, none of the others "
+        f"{verified} candidates verified over {len(queries)} queries; with a pool, "
+        f"each of those graphs was shipped to one worker once, none of the others "
         f"({len(dataset.graphs)} graphs in the database)"
     )
     sharded.close()

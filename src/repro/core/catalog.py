@@ -443,7 +443,10 @@ class GraphCatalog:
         ``ProbabilisticMatrixIndex.build(graphs, rng=...)`` plus a
         ``StructuralFeatureIndex`` counted over its features — the catalog
         only *adds* the mutation layer on top.  ``num_shards`` and
-        ``max_workers`` set the pool (:class:`ShardedPlanner`).  Passing a
+        ``max_workers`` cap the pool (:class:`ShardedPlanner`): its width is
+        ``min(max_workers, num_shards, usable CPUs)``, ``max_workers=None``
+        meaning the usable CPUs, so a process that may run on one CPU never
+        forks and verifies in-process.  Passing a
         ``directory`` makes the catalog durable from birth (see
         :meth:`persist`).
         """

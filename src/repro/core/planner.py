@@ -88,6 +88,15 @@ def _integer(value, name: str) -> int:
 
 
 def _validate_query_structure(query_graph: LabeledGraph, distance_threshold: int) -> int:
+    if not isinstance(query_graph, LabeledGraph):
+        hint = (
+            " (a database graph; its .skeleton is its LabeledGraph)"
+            if isinstance(query_graph, ProbabilisticGraph)
+            else ""
+        )
+        raise QueryError(
+            f"query graph must be a LabeledGraph, got {type(query_graph).__name__}{hint}"
+        )
     distance_threshold = _integer(distance_threshold, "distance threshold")
     if query_graph.num_edges == 0:
         raise QueryError("query graph must contain at least one edge")

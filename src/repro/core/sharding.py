@@ -16,8 +16,11 @@ move.  :class:`ShardedPlanner` is the one planner a
    block to the slot that holds the fewest graphs, lowest index on ties.  A
    slot dealt nothing gets no frame, unless it has a drop list to deliver.
    At width <= 1 survivors are verified in-process through the same block
-   loop (:func:`~repro.core.pipeline.verify_rows`).  A top-k plan is ranked
-   in the parent (:func:`~repro.core.pipeline.finish_top_k`).
+   loop (:func:`~repro.core.pipeline.verify_rows`).  The width is never more
+   than the CPUs the process may run on: two workers on one CPU only take
+   turns, and every block would still pay the round trip and the ship.  A
+   top-k plan is ranked in the parent
+   (:func:`~repro.core.pipeline.finish_top_k`).
 
 Determinism is the load-bearing property: answers and counters are the same
 for every pool width and every way the survivors are dealt.  Every
@@ -190,12 +193,13 @@ class ShardedPlanner:
     :class:`~repro.core.catalog.GraphCatalog` calls — and results are
     identical for every pool width.  The parent filters every plan once;
     only the verification of threshold survivors goes to the pool.  The
-    pool width is ``max_workers`` capped by ``num_shards`` (``None`` → the
-    usable CPUs); at width <= 1 survivors are verified in-process, which is
-    also the zero-dependency fallback path.  The pool is one forked worker
-    per *slot*, each driven over a duplex pipe; a frame carries each
-    survivor's global id and digest, plus the pickle of every survivor
-    graph the slot's worker does not hold yet.
+    pool width is ``min(max_workers, num_shards, usable CPUs)``
+    (``max_workers=None`` → the usable CPUs); at width <= 1 — one usable
+    CPU included — survivors are verified in-process and no worker is
+    forked, which is also the zero-dependency fallback path.  The pool is
+    one forked worker per *slot*, each driven over a duplex pipe; a frame
+    carries each survivor's global id and digest, plus the pickle of every
+    survivor graph the slot's worker does not hold yet.
 
     The determinism contract: answers and counters are byte-identical to
     ``query_planner`` run alone under the same roots.  A catalog mutation
@@ -225,7 +229,10 @@ class ShardedPlanner:
 
     @property
     def width(self) -> int:
-        """The slots a fan-out uses; 1 means survivors are verified in-process."""
+        """The slots a fan-out uses, ``min(max_workers, num_shards, usable
+        CPUs)``; 1 means survivors are verified in-process.  Read per
+        fan-out, so an affinity change takes effect at the next call; a pool
+        forked wider sits idle until :meth:`close` parks it."""
         return _resolve_workers(self.max_workers, self.num_shards)
 
     def swap(self, query_planner: QueryPlanner) -> None:
@@ -760,10 +767,10 @@ def _count(value, name: str, minimum: int) -> int:
 
 
 def _resolve_workers(max_workers: int | None, num_shards: int) -> int:
-    """The effective pool width: ``max_workers`` (``None`` → the usable CPUs,
-    :func:`usable_cores`) capped by ``num_shards``."""
+    """The effective pool width: ``min(max_workers, num_shards, usable
+    CPUs)`` (:func:`usable_cores`; ``max_workers=None`` is no cap of its
+    own), so a process that may run on one CPU never forks."""
     if num_shards <= 1:
         return 1
-    if max_workers is None:
-        return min(num_shards, usable_cores())
-    return min(max_workers, num_shards)
+    cap = min(num_shards, usable_cores())
+    return cap if max_workers is None else min(max_workers, cap)

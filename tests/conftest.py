@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import GraphCatalog, QueryPlanner
+from repro.core import GraphCatalog, QueryPlanner, sharding
 from repro.core.sharding import shutdown_parked_pools
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph, VariantRows
@@ -26,6 +26,19 @@ def no_parked_pools():
     test that patches worker-side code reaches freshly forked workers."""
     yield
     shutdown_parked_pools()
+
+
+@pytest.fixture
+def two_usable_cpus():
+    """Opt-in: the pool sees two usable CPUs
+    (:func:`repro.core.sharding.usable_cores`) for the rest of the test.  The
+    pool width is capped by the CPUs the process may run on, so a test of the
+    pool itself takes this fixture and forks the two workers it tests on any
+    host, a one-CPU one included.  The patch is its own, so a test's
+    ``monkeypatch.undo()`` leaves it in place."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sharding, "usable_cores", lambda: 2)
+        yield
 
 
 def resident_segment_names() -> list[str]:

@@ -172,6 +172,7 @@ def test_mutated_catalog_matches_from_scratch_rebuild(seed):
             )
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 @pytest.mark.parametrize("seed", [1301, 1302])
 @pytest.mark.parametrize("num_shards", [2, 4])
 def test_mutated_sharded_catalog_matches_sequential(seed, num_shards):

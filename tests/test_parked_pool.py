@@ -38,7 +38,11 @@ from tests.conftest import resident_segment_names
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
 
-pytestmark = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>")
+# every test here drives a real two-slot pool, on a one-CPU host too
+pytestmark = [
+    pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>"),
+    pytest.mark.usefixtures("two_usable_cpus"),
+]
 
 
 @pytest.fixture(autouse=True)

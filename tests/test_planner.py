@@ -345,6 +345,41 @@ class TestProbabilityThreshold:
         ) == answers_as_tuples(indexed.catalog.query(workload[0], float(epsilon), 1, rng=3))
 
 
+# each catalog entry point a query reaches, asking it once
+ENTRY_POINTS = {
+    "query": lambda catalog, query: catalog.query(query, 0.3, 1),
+    "query_top_k": lambda catalog, query: catalog.query_top_k(query, 2, 1),
+    "query_many": lambda catalog, query: catalog.query_many([query], 0.3, 1),
+}
+
+
+class TestQueryType:
+    """A query that is not a ``LabeledGraph`` is a ``QueryError`` naming the
+    type it got, from every entry point; a database graph is pointed to its
+    ``.skeleton`` but never taken in its place."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("none", "NoneType"),
+            ("database graph", "ProbabilisticGraph"),
+            ("dict", "dict"),
+            ("string", "str"),
+        ],
+    )
+    def test_a_non_graph_query_is_a_query_error(self, indexed, kind, name, entry):
+        query = {
+            "none": None,
+            "database graph": indexed.graphs[0],
+            "dict": {},
+            "string": "abc",
+        }[kind]
+        with pytest.raises(QueryError, match=f"must be a LabeledGraph, got {name}") as raised:
+            ENTRY_POINTS[entry](indexed.catalog, query)
+        assert (".skeleton" in str(raised.value)) == (kind == "database graph")
+
+
 class TestExecutePlansArity:
     """One root per plan: a ``roots`` list of another length is refused, not
     truncated to the shorter list."""

@@ -52,6 +52,8 @@ from tests.conftest import WIDE_SUPPORT_DISTANCE, resident_segment_names
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
+# every test here drives a real two-slot pool, on a one-CPU host too
+pytestmark = pytest.mark.usefixtures("two_usable_cpus")
 # the graphs the dealing test extracts its queries from, in query order
 QUERY_SOURCES = (1, 3, 9)
 

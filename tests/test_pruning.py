@@ -114,6 +114,31 @@ class TestBoundsComputation:
         assert result.usim == 1.0
         assert result.lsim == 0.0
 
+    @pytest.mark.parametrize("config", [PruningConfig(True, True), PruningConfig(False, False)])
+    def test_lsim_cannot_fire_past_the_largest_feature(self, config, rng):
+        """``rq ⊆iso f`` needs ``f`` at least as large as ``rq``: over features
+        of at most two edges, the 3-edge variants of a 4-edge path are held by
+        none, so Lsim is uncovered and 0 however high the row's lower bounds
+        are, and no candidate is accepted — while Usim still covers."""
+        path = LabeledGraph()
+        for vertex, label in enumerate("ababa"):
+            path.add_vertex(vertex, label)
+        for vertex in range(4):
+            path.add_edge(vertex, vertex + 1, "x")
+        features = [feature_from(single_edge(), 0), feature_from(two_edge_path(), 1)]
+        relaxed = relax_query(path, 1)
+        assert min(variant.num_edges for variant in relaxed) > max(
+            feature.num_edges for feature in features
+        )
+        pruner = ProbabilisticPruner(features, config, rng=rng)
+        bounds = bounds_of(pruner, relaxed, synthetic_row({0: (0.95, 1.0), 1: (0.95, 1.0)}))
+        assert not bounds.lsim_covered
+        assert bounds.lsim == 0.0
+        assert bounds.usim_covered
+        pruned, accepted = ProbabilisticPruner.decide_batch([bounds], 0.01)
+        assert not pruned.any()
+        assert not accepted.any()
+
     def test_plain_variant_is_no_tighter_than_opt(self, pruning_setup, rng):
         _, features, row, relaxed = pruning_setup
         opt = bounds_of(ProbabilisticPruner(features, PruningConfig(True, True), rng=rng), relaxed, row)

@@ -240,6 +240,7 @@ def slot_zero_worker(planner) -> int:
     return planner.map_slots(os.getpid)[0]
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 def test_sigkilled_pool_worker_recovers_with_identical_answers():
     """SIGKILL a pool worker: the poisoned pool falls back in-process and the
     answers stay byte-identical (determinism is execution-strategy-free)."""
@@ -285,6 +286,7 @@ def test_sigkilled_pool_worker_recovers_with_identical_answers():
     asyncio.run(scenario())
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 @pytest.mark.parametrize("then", ["close", "query"])
 def test_a_sigkilled_slot_is_never_parked(then):
     """A closed planner parks its workers for the next one of its width, but
@@ -323,6 +325,7 @@ def test_a_sigkilled_slot_is_never_parked(then):
             successor.close()
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 def test_map_slots_after_a_sigkilled_worker_raises_once_then_forks_fresh():
     """``map_slots`` meets a dead worker the way a query fan-out does: every
     slot is shut down (the live sibling too, never parked) — but it raises a
@@ -522,6 +525,7 @@ def test_graceful_shutdown_mid_batch_drains_then_refuses():
     asyncio.run(scenario())
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 class TestShardedPlannerCloseRegression:
     """The close() lifecycle fixes: idempotent, concurrent, drain-on-close."""
 
@@ -656,6 +660,7 @@ class TestShardedPlannerCloseRegression:
             reference.close()
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 class TestMutationsKeepTheReadPath:
     """A mutation swaps the query planner under a live pool; nothing tears."""
 

@@ -173,6 +173,7 @@ def test_batch_size_never_changes_answers(max_batch_size):
     asyncio.run(scenario())
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 @pytest.mark.parametrize("num_shards", [2, 4])
 def test_sharded_backend_parity(num_shards):
     """The service over a pooled catalog (``num_shards`` caps its width)
@@ -325,6 +326,7 @@ def test_tcp_transport_byte_parity():
     asyncio.run(scenario())
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 def test_wide_support_requests_over_tcp_take_both_routes(wide_support_corpus):
     """Requests that verify some candidates exactly and sample the others,
     batched and shipped over the wire: answers and counters — ``sampled``

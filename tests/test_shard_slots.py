@@ -62,6 +62,7 @@ def outcome_bytes(results) -> list[bytes]:
     ]
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 def test_concurrent_callers_each_get_their_own_answers():
     """Four threads send interleaved batches through one two-slot
     planner; each batch's answers and counters are pickle-identical to the
@@ -146,6 +147,7 @@ def _divide_by_zero():
     return 1 / 0
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 @pytest.mark.parametrize(
     "fn, error, message",
     [
@@ -187,6 +189,7 @@ def _store_digests() -> list[bytes]:
     return sorted(sharding._WORKER_GRAPHS)
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 def test_a_frame_naming_an_unknown_digest_is_a_typed_error_and_the_slot_lives():
     """A verify frame that names a graph its worker does not hold raises a
     ``SlotError`` before anything is verified; the worker keeps its store as
@@ -226,9 +229,10 @@ ORPHAN_SCRIPT = textwrap.dedent(
     import json, os, sys
     sys.path[:0] = [{root!r}, {src!r}, {tests!r}]
     from test_sharding_parity import FEATURE_CONFIG, SEARCH_CONFIG, random_database, random_workload
-    from repro.core import GraphCatalog
+    from repro.core import GraphCatalog, sharding
     from repro.pmi import BoundConfig
 
+    sharding.usable_cores = lambda: 2  # fork the pool under test on any host
     database = random_database(9921, 10)
     catalog = GraphCatalog.build(
         database.graphs, feature_config=FEATURE_CONFIG,
@@ -240,6 +244,7 @@ ORPHAN_SCRIPT = textwrap.dedent(
 )
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 def test_no_slot_worker_outlives_its_process():
     """A process that exits without closing its pooled catalog leaves no
     worker behind; in this process, once every catalog is closed and the
@@ -263,15 +268,17 @@ def test_no_slot_worker_outlives_its_process():
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
-def test_default_width_counts_usable_cpus_not_the_machine(monkeypatch):
-    """``max_workers=None`` sizes the pool by the CPUs this process may run
-    on: pinned to one CPU, a catalog capped at two slots runs width 1 and forks
-    nothing, whatever ``os.cpu_count()`` says."""
+@pytest.mark.parametrize("max_workers", [None, 2])
+def test_default_width_counts_usable_cpus_not_the_machine(monkeypatch, max_workers):
+    """The pool is never wider than the CPUs this process may run on: pinned
+    to one CPU, a catalog capped at two slots runs width 1 and forks
+    nothing, whatever ``os.cpu_count()`` says — with ``max_workers=None``
+    (the usable CPUs) and with an explicit ``max_workers=2`` alike."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert sharding.usable_cores() == 1
     database = random_database(9941, 8)
-    catalog = build(database, None)
+    catalog = build(database, max_workers)
     try:
         planner = catalog.planner()
         assert planner.width == 1
@@ -285,3 +292,39 @@ def test_default_width_counts_usable_cpus_not_the_machine(monkeypatch):
         assert multiprocessing.active_children() == []
     finally:
         catalog.close()
+
+
+@pytest.mark.usefixtures("two_usable_cpus")
+def test_the_width_is_capped_by_the_usable_cpus():
+    """``max_workers`` is a ceiling like ``num_shards``: on two usable CPUs
+    a catalog of four shards and four workers forks two, and answers as the
+    in-process one."""
+    database = random_database(9961, 10)
+    queries = random_workload(database, seed=9962, num_queries=2)
+    pooled = GraphCatalog.build(
+        database.graphs,
+        feature_config=FEATURE_CONFIG,
+        bound_config=BoundConfig(num_samples=40),
+        rng=5,
+        num_shards=4,
+        max_workers=4,
+    )
+    in_process = build(database, 0)
+
+    def ask(catalog):
+        return outcome_bytes(
+            catalog.query_many(
+                queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rngs=[3, 4]
+            )
+        )
+
+    try:
+        planner = pooled.planner()
+        assert planner.width == 2
+        pids = planner.map_slots(os.getpid)
+        assert len(set(pids)) == 2
+        assert ask(pooled) == ask(in_process)
+        assert planner.map_slots(os.getpid) == pids
+    finally:
+        pooled.close()
+        in_process.close()

@@ -30,6 +30,8 @@ from tests.conftest import WIDE_SUPPORT_DISTANCE, build_index
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
+# the pooled runs here fork a real two-slot pool, on a one-CPU host too
+pytestmark = pytest.mark.usefixtures("two_usable_cpus")
 
 FEATURE_CONFIG = FeatureSelectionConfig(
     alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=10

@@ -94,6 +94,7 @@ def assert_sound(result, exact: dict[int, float], epsilon: float, context) -> No
             assert answer.probability <= exact[graph_id] + TOLERANCE, context
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 def test_threshold_answers_equal_the_exact_scan(case):
     _, queries, engines, scan = case
     boundaries = 0
