@@ -1,6 +1,6 @@
 """Mutation cost of the catalog layer vs full index rebuilds.
 
-The point of the delta/tombstone design: absorbing a mutation costs one
+The point of the append/tombstone design: absorbing a mutation costs one
 PMI row (for adds/updates) or one mask bit (for removes), while the naive
 alternative — rebuild the whole index — pays the full SIP-bound computation
 for every graph on *every* mutation.  This benchmark applies a mixed
@@ -122,7 +122,8 @@ def run_mutation_benchmark() -> dict:
             [
                 mutation[0],
                 catalog.num_live,
-                catalog.delta_rows,
+                catalog.num_live + catalog.tombstone_count,
+                catalog.tombstone_count,
                 f"{timer.elapsed * 1e3:.1f}",
                 f"{rebuild_timer.elapsed * 1e3:.1f}",
             ]
@@ -154,7 +155,7 @@ def run_mutation_benchmark() -> dict:
 
     print_table(
         "catalog mutations vs from-scratch rebuilds",
-        ["op", "live", "delta_rows", "mutate_ms", "rebuild_ms"],
+        ["op", "live", "rows", "tombstones", "mutate_ms", "rebuild_ms"],
         rows,
     )
     rebuild_seconds = sum(rebuild_each)

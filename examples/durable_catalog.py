@@ -110,7 +110,7 @@ def main() -> None:
     print(f"byte-identical to from-scratch rebuild: {identical}")
     assert identical
 
-    # 4. Compact: folds deltas AND rolls the storage to generation 1 —
+    # 4. Compact: reclaims dead rows AND rolls the storage to generation 1 —
     #    fresh snapshot, empty log, old generation retired after the
     #    atomic CURRENT swap.  Answers cannot move.
     recovered.compact()

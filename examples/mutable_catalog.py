@@ -1,14 +1,14 @@
-"""Mutable catalog walkthrough: live mutations over an immutable base index.
+"""Mutable catalog walkthrough: live mutations over one appendable index.
 
 Run with:  python examples/mutable_catalog.py
 
-Demonstrates the full delta/tombstone/compaction lifecycle:
+Demonstrates the full append/tombstone/compaction lifecycle:
 
 1. build a `GraphCatalog` over an initial database,
-2. add new graphs (appended to the delta segment), remove and update others,
+2. add new graphs (their rows appended to the index), remove and update others,
 3. show that answers are byte-identical to a from-scratch rebuild of the
    equivalent database — the catalog's core guarantee,
-4. compact: deltas fold into fresh base matrices, tombstones are reclaimed,
+4. compact: tombstoned rows are reclaimed, live rows sorted by external id,
    and the answers (provably) do not move.
 """
 
@@ -43,7 +43,7 @@ def main() -> None:
         dataset.graphs, query_size=3, num_queries=1, rng=3
     ).queries()[0]
 
-    # 1. Build: external ids 0..9, all in the base segment.
+    # 1. Build: external ids 0..9 in storage rows 0..9.
     catalog = GraphCatalog.build(
         dataset.graphs,
         feature_config=FEATURE_CONFIG,
@@ -53,8 +53,9 @@ def main() -> None:
     print(f"built: {catalog!r}")
     show("initial answers", catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=5))
 
-    # 2. Mutate: arrivals land in the delta segment; removals tombstone;
-    #    updates keep their stable external id.
+    # 2. Mutate: arrivals are appended as new rows; removals tombstone;
+    #    updates tombstone the old row, append the new one and keep their
+    #    stable external id.
     added = [catalog.add_graph(graph) for graph in arrivals.graphs[:3]]
     catalog.remove_graph(1)
     catalog.update_graph(4, arrivals.graphs[3])
@@ -84,8 +85,8 @@ def main() -> None:
     print(f"byte-identical to from-scratch rebuild: {identical}")
     assert identical
 
-    # 4. Compact: deltas fold into fresh base matrices and tombstones are
-    #    reclaimed; by the stable-id contract the answers cannot move.
+    # 4. Compact: tombstoned rows are reclaimed and the live rows sorted by
+    #    external id; by the stable-id contract the answers cannot move.
     catalog.compact()
     print(f"\nafter compact: {catalog!r}")
     compacted = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=5)

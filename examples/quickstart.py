@@ -31,7 +31,7 @@ def main() -> None:
 
     # 2. Build the catalog: frequent/discriminative features + the PMI matrix
     #    of subgraph-isomorphism-probability bounds.  The summary is the
-    #    catalog's base PMI.
+    #    catalog's PMI.
     #    Expected summary: database_size=12, num_features=16,
     #    non_empty_cells=62 (build_seconds/index_bytes vary by machine).
     catalog = GraphCatalog.build(
@@ -40,7 +40,7 @@ def main() -> None:
         bound_config=BoundConfig(num_samples=120),
         rng=7,
     )
-    summary = catalog.planner().query_planner.pmi.base.summary()
+    summary = catalog.planner().query_planner.pmi.summary()
     print("index summary:", summary)
     assert summary["database_size"] == 12 and summary["num_features"] == 16
     assert summary["non_empty_cells"] == 62

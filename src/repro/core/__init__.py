@@ -31,11 +31,7 @@ from repro.core.planner import (
     validate_top_k_query,
 )
 from repro.core.sharding import ShardedPlanner
-from repro.core.catalog import (
-    GraphCatalog,
-    SegmentedPmiView,
-    SegmentedStructuralView,
-)
+from repro.core.catalog import GraphCatalog
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.core.search_engine import ProbabilisticGraphDatabase
 
@@ -64,8 +60,6 @@ __all__ = [
     "SearchConfig",
     "ShardedPlanner",
     "GraphCatalog",
-    "SegmentedPmiView",
-    "SegmentedStructuralView",
     "WriteAheadLog",
     "wal_filename",
     "ProbabilisticGraphDatabase",

@@ -1,26 +1,25 @@
-"""The mutable graph-database layer: a catalog over immutable base indexes.
+"""The mutable graph-database layer: a catalog over one PMI and one
+structural index.
 
-The PMI and structural indexes of the paper are built once over a static
-database.  :class:`GraphCatalog` turns that snapshot into a *mutable*
-database without ever rebuilding it wholesale, borrowing the standard
-log-structured storage recipe (LogBase-style): the expensive base indexes
-stay **immutable**, mutations land in a small **append-only delta segment**,
-deletions become entries in a **tombstone mask**, and :meth:`compact`
-periodically folds everything back into fresh dense base matrices.
+The PMI and structural indexes of the paper are built over a static
+database.  :class:`GraphCatalog` turns them into a *mutable* database
+without ever recomputing a stored row: a new graph's rows are computed alone
+and **appended** to both indexes, deletions become entries in a
+**tombstone mask**, and :meth:`compact` periodically drops the dead rows.
 
 Lifecycle of the storage::
 
-    rows:       [ base segment (immutable) | delta segment (append-only) ]
-    tombstone:  [ F F T F ...              | F T ...                     ]
-                       ^ remove_graph()        ^ update_graph() tombstones
-                                                 the old row, re-adds under
-                                                 the same external id
+    rows:       [ g0 g1 g2 g3 ... | appended by add_graph / update_graph ]
+    tombstone:  [ F  F  T  F  ... | F  T ...                             ]
+                        ^ remove_graph()  ^ update_graph() tombstones the
+                                            old row, re-adds under the
+                                            same external id
 
-At query time the planner stages evaluate base *and* delta columns — the
-structural deficit test and the signature bound each run one vectorized pass
-per segment, the PMI stage reads zero-copy rows from whichever segment owns
-the candidate — and the tombstone mask is applied before any stage runs, so
-dead rows cost nothing beyond their (reclaimable-by-compaction) storage.
+At query time each planner stage reads the two indexes directly — the
+structural deficit test and the signature bound are one vectorized pass each,
+the PMI stage reads zero-copy rows — and the tombstone mask is applied before
+any stage runs, so dead rows cost nothing beyond their
+(reclaimable-by-compaction) storage.
 
 **Determinism contract.**  Every graph carries a *stable external id*,
 assigned at :meth:`add_graph` time and preserved across
@@ -63,15 +62,15 @@ graphs, instead of forking new ones (a broken pool is shut down instead).
 Answers stay byte-identical throughout because workers verify graphs
 unpickled from the catalog's own.
 
-The feature set is **pinned** at catalog construction: delta rows are
-indexed against the base features, and ``compact()`` deliberately does not
+The feature set is **pinned** at catalog construction: appended rows are
+indexed against the catalog's features, and ``compact()`` deliberately does not
 re-mine (that would change pruning behaviour and break the rebuild-parity
 contract).  Re-mining is a full :meth:`GraphCatalog.build` — by design an
 explicit, offline decision.
 
 **Durability.**  A catalog becomes *durable* by attaching a directory
 (:meth:`persist`, or ``directory=`` on :meth:`build` / :meth:`from_index`):
-the current state is snapshotted — the graphs (JSON database), the base
+the current state is snapshotted — the graphs (JSON database), the
 PMI (npz + JSON), and the structural count matrix, all written
 atomically (the index's signature postings are derived: re-read off the graphs
 by :meth:`open`, never written) — and from then on every ``add_graph`` /
@@ -114,8 +113,8 @@ from repro.graphs.io import (
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.pmi.bounds import BoundConfig
-from repro.pmi.features import FeatureMiner, FeatureSelectionConfig
-from repro.pmi.index import PMIRow, ProbabilisticMatrixIndex
+from repro.pmi.features import FeatureMiner, FeatureSelectionConfig, feature_fingerprint
+from repro.pmi.index import ProbabilisticMatrixIndex
 from repro.structural.feature_index import SignaturePostings, StructuralFeatureIndex
 from repro.utils.atomic_io import (
     atomic_write_text,
@@ -125,7 +124,7 @@ from repro.utils.atomic_io import (
 )
 from repro.utils.rng import RandomLike, rng_root
 
-__all__ = ["GraphCatalog", "SegmentedPmiView", "SegmentedStructuralView"]
+__all__ = ["GraphCatalog"]
 
 SNAPSHOT_FORMAT_VERSION = 2
 CURRENT_FILENAME = "CURRENT"
@@ -180,106 +179,10 @@ def _query_roots(
     return [rng_root(query_rng) for query_rng in rngs]
 
 
-# ----------------------------------------------------------------------
-# segmented (base + delta) index views
-# ----------------------------------------------------------------------
-class SegmentedPmiView:
-    """Read-only PMI protocol over a base segment and a delta segment.
-
-    Storage row ``r`` resolves to base row ``r`` when ``r < len(base)`` and
-    to delta row ``r - len(base)`` otherwise; returned :class:`PMIRow` views
-    stay zero-copy into whichever segment owns the row.  The feature columns
-    are shared (the delta is always built against the base's pinned feature
-    set), so pruning code cannot tell a segmented view from a dense index.
-    """
-
-    def __init__(
-        self, base: ProbabilisticMatrixIndex, delta: ProbabilisticMatrixIndex
-    ) -> None:
-        self.base = base
-        self.delta = delta
-
-    @property
-    def features(self):
-        return self.base.features
-
-    @property
-    def num_graphs(self) -> int:
-        return self.base.num_graphs + self.delta.num_graphs
-
-    def row(self, graph_id: int) -> PMIRow:
-        base_rows = self.base.num_graphs
-        if graph_id < base_rows:
-            segment_row = self.base.row(graph_id)
-        else:
-            segment_row = self.delta.row(graph_id - base_rows)
-        return PMIRow(
-            graph_id=graph_id,
-            feature_ids=segment_row.feature_ids,
-            lower=segment_row.lower,
-            upper=segment_row.upper,
-            present=segment_row.present,
-        )
-
-    def rows(self, graph_ids) -> list[PMIRow]:
-        return [self.row(int(graph_id)) for graph_id in graph_ids]
-
-
-class SegmentedStructuralView:
-    """Structural-index protocol over a base segment and a delta segment.
-
-    ``deficit_prunable_mask`` and ``signature_missing`` evaluate their
-    vectorized test once per segment and concatenate — base rows and delta
-    rows, exactly as the catalog stores them — leaving the caller (the
-    pipeline's structural stage) to apply the tombstone mask via its
-    ``active`` argument.
-    """
-
-    def __init__(
-        self, base: StructuralFeatureIndex, delta: StructuralFeatureIndex
-    ) -> None:
-        self.base = base
-        self.delta = delta
-
-    @property
-    def is_built(self) -> bool:
-        return self.base.is_built and self.delta.is_built
-
-    @property
-    def features(self):
-        return self.base.features
-
-    @property
-    def num_graphs(self) -> int:
-        return self.base.num_graphs + self.delta.num_graphs
-
-    # both depend only on the (shared) feature set, so the base answers them
-    def query_embeddings(self, query: LabeledGraph):
-        return self.base.query_embeddings(query)
-
-    def query_profile(self, query: LabeledGraph) -> dict[int, dict]:
-        return self.base.query_profile(query)
-
-    def deficit_prunable_mask(
-        self, query_profile: dict[int, dict], distance_threshold: int
-    ) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.base.deficit_prunable_mask(query_profile, distance_threshold),
-                self.delta.deficit_prunable_mask(query_profile, distance_threshold),
-            ]
-        )
-
-    def signature_missing(self, query: LabeledGraph) -> np.ndarray:
-        return np.concatenate(
-            [self.base.signature_missing(query), self.delta.signature_missing(query)]
-        )
-
-
 def _signatures_of(graphs) -> SignaturePostings:
     """The structural index's derived segment for ``graphs`` as its rows: read
-    off the graphs wherever a store takes rows in (open, append, compact),
-    because it is never written to a snapshot or a WAL record."""
+    off the graphs wherever a store takes rows in (open, compact), because it
+    is never written to a snapshot or a WAL record."""
     return SignaturePostings.build(graph.skeleton for graph in graphs)
 
 
@@ -287,35 +190,21 @@ def _signatures_of(graphs) -> SignaturePostings:
 # the storage
 # ----------------------------------------------------------------------
 class _Store:
-    """Base segment + delta segment + tombstone mask."""
+    """Every storage row, live or tombstoned, in storage order: the graphs,
+    their external ids, one PMI, one structural index and the tombstone mask."""
 
     def __init__(
         self,
         graphs: list[ProbabilisticGraph],
         external_ids,
-        base_pmi: ProbabilisticMatrixIndex,
-        base_structural: StructuralFeatureIndex,
+        pmi: ProbabilisticMatrixIndex,
+        structural: StructuralFeatureIndex,
     ) -> None:
         self.graphs = list(graphs)
         self.external_ids = np.asarray(external_ids, dtype=np.int64)
         self.tombstone = np.zeros(len(self.graphs), dtype=bool)
-        self.base_pmi = base_pmi
-        self.base_structural = base_structural
-        self.delta_pmi = ProbabilisticMatrixIndex.empty(
-            base_pmi.features,
-            feature_config=base_pmi.feature_config,
-            bound_config=base_pmi.bound_config,
-        )
-        self.delta_structural = StructuralFeatureIndex.from_counts(
-            base_pmi.features,
-            np.zeros((0, len(base_pmi.features)), dtype=np.int32),
-            _signatures_of(()),
-            embedding_limit=base_pmi.feature_config.embedding_limit,
-        )
-
-    @property
-    def delta_rows(self) -> int:
-        return self.delta_pmi.num_graphs
+        self.pmi = pmi
+        self.structural = structural
 
     def live_positions(self) -> np.ndarray:
         return np.flatnonzero(~self.tombstone)
@@ -327,59 +216,29 @@ class _Store:
         pmi_row: ProbabilisticMatrixIndex,
         structural_row: StructuralFeatureIndex,
     ) -> int:
-        """Append one graph's already computed one-row segments to the delta;
-        returns its storage row.  Pure row movement (the delta's signature
-        postings are re-read off its graphs' memoised counts): nothing here
-        can refuse the graph, so it is safe to run after the mutation has been
-        logged."""
+        """Append one graph's already computed one-row indexes; returns its
+        storage row.  Pure row movement over the catalog's own features:
+        nothing here can refuse the graph, so it is safe to run after the
+        mutation has been logged."""
         # every column is replaced, never grown in place: a QueryPlanner
         # handed out by make_planner() stays the snapshot it was
-        graphs = [*self.graphs, graph]
-        self.delta_pmi = ProbabilisticMatrixIndex.concat_rows([self.delta_pmi, pmi_row])
-        self.delta_structural = StructuralFeatureIndex.from_counts(
-            self.delta_structural.features,
-            np.vstack(
-                [self.delta_structural.counts_matrix(), structural_row.counts_matrix()]
-            ),
-            _signatures_of(graphs[self.base_pmi.num_graphs :]),
-            embedding_limit=self.delta_structural.embedding_limit,
-            copy=False,  # the stacked matrix is already a fresh int32 buffer
-        )
-        self.graphs = graphs
+        self.pmi = ProbabilisticMatrixIndex.concat_rows([self.pmi, pmi_row])
+        self.structural = StructuralFeatureIndex.concat_rows([self.structural, structural_row])
+        self.graphs = [*self.graphs, graph]
         self.external_ids = np.append(self.external_ids, np.int64(external_id))
         self.tombstone = np.append(self.tombstone, False)
         return len(self.graphs) - 1
 
     def make_planner(self) -> QueryPlanner:
-        """A :class:`QueryPlanner` over this store's segmented live view,
-        whose answers and RNG salts use external ids."""
+        """A :class:`QueryPlanner` over this store's rows, tombstoned ones
+        masked out, whose answers and RNG salts use external ids."""
         return QueryPlanner(
             self.graphs,
-            SegmentedPmiView(self.base_pmi, self.delta_pmi),
-            SegmentedStructuralView(self.base_structural, self.delta_structural),
+            self.pmi,
+            self.structural,
             graph_ids=self.external_ids,
             active_mask=~self.tombstone,
         )
-
-    def live_slice(self):
-        """``(graphs, external_ids, pmi, counts)`` of the live rows, in
-        storage order — the raw material of compaction."""
-        positions = self.live_positions()
-        base_rows = self.base_pmi.num_graphs
-        base_pos = [int(p) for p in positions if p < base_rows]
-        delta_pos = [int(p) - base_rows for p in positions if p >= base_rows]
-        pmi = ProbabilisticMatrixIndex.concat_rows(
-            [self.base_pmi.subset(base_pos), self.delta_pmi.subset(delta_pos)]
-        )
-        counts = np.vstack(
-            [
-                np.asarray(self.base_structural.counts_matrix())[base_pos],
-                np.asarray(self.delta_structural.counts_matrix())[delta_pos],
-            ]
-        )
-        graphs = [self.graphs[int(p)] for p in positions]
-        ids = self.external_ids[positions]
-        return graphs, ids, pmi, counts
 
 
 # ----------------------------------------------------------------------
@@ -436,9 +295,9 @@ class GraphCatalog:
         max_workers: int | None = None,
         directory: str | Path | None = None,
     ) -> "GraphCatalog":
-        """Mine features once, build the base indexes, seed external ids 0..N-1.
+        """Mine features once, build the indexes, seed external ids 0..N-1.
 
-        With the same ``rng`` (an int seed, for reproducibility) this base
+        With the same ``rng`` (an int seed, for reproducibility) this
         build is cell-for-cell identical to a dense
         ``ProbabilisticMatrixIndex.build(graphs, rng=...)`` plus a
         ``StructuralFeatureIndex`` counted over its features — the catalog
@@ -458,13 +317,13 @@ class GraphCatalog:
         root = rng_root(rng)
         features = FeatureMiner(feature_cfg).mine(graphs)
         external_ids = np.arange(len(graphs), dtype=np.int64)
-        base_pmi = ProbabilisticMatrixIndex(
+        pmi = ProbabilisticMatrixIndex(
             feature_config=feature_cfg, bound_config=bound_cfg
         ).build(graphs, features=features, rng=root, graph_ids=external_ids)
-        base_structural = StructuralFeatureIndex(
+        structural = StructuralFeatureIndex(
             embedding_limit=feature_cfg.embedding_limit
         ).build([graph.skeleton for graph in graphs], features)
-        store = _Store(graphs, external_ids, base_pmi, base_structural)
+        store = _Store(graphs, external_ids, pmi, structural)
         catalog = cls(store, feature_cfg, bound_cfg, root, num_shards, max_workers)
         if directory is not None:
             catalog.persist(directory)
@@ -480,23 +339,33 @@ class GraphCatalog:
         max_workers: int | None = None,
         directory: str | Path | None = None,
     ) -> "GraphCatalog":
-        """Adopt an already-built (or loaded) whole-database index as the base.
+        """Adopt an already-built (or loaded) whole-database index pair.
 
         External ids are the index's row positions ``0..N-1`` — exactly the
         stable ids the static build salted its RNG streams with, so an adopted
         index answers identically to :meth:`build` under the same root.  The
-        index must carry its ``build_root`` (recorded by every build since the
-        catalog layer; older persisted payloads lack it) because delta
-        appends must derive their streams from the same root.
+        PMI must carry its ``build_root`` (recorded by every build since the
+        catalog layer; older persisted payloads lack it) because appended
+        rows must derive their streams from the same root.  Both indexes must
+        cover exactly ``graphs`` and the structural index must count the
+        PMI's features: a mutation's rows are built against them and appended
+        to both after the mutation is logged, when nothing may refuse them.
         """
         pool_arguments(max_workers, num_shards)
         if pmi.num_graphs != len(graphs):
+            raise CatalogError(f"the PMI covers {pmi.num_graphs} graphs, got {len(graphs)}")
+        if structural_index.num_graphs != len(graphs):
             raise CatalogError(
-                f"base PMI covers {pmi.num_graphs} graphs, got {len(graphs)}"
+                f"the structural index covers {structural_index.num_graphs} graphs, "
+                f"got {len(graphs)}"
+            )
+        if feature_fingerprint(structural_index.features) != feature_fingerprint(pmi.features):
+            raise CatalogError(
+                "the structural index counts other features than the PMI indexes"
             )
         if pmi.build_root is None:
             raise CatalogError(
-                "the base index has no recorded build root (written by builds "
+                "the PMI has no recorded build root (written by builds "
                 "since the catalog layer); rebuild it or use GraphCatalog.build()"
             )
         rows = range(len(graphs))
@@ -519,9 +388,9 @@ class GraphCatalog:
     def persist(self, directory: str | Path) -> "GraphCatalog":
         """Attach ``directory`` and make every future mutation durable.
 
-        Compacts first (snapshots store compacted bases: deltas folded,
-        tombstones reclaimed — by the stable-id contract this moves no
-        answer), writes snapshot generation 0, starts ``wal_00000000.log``,
+        Compacts first (snapshots store compacted indexes: tombstones
+        reclaimed, rows in external-id order — by the stable-id contract this
+        moves no answer), writes snapshot generation 0, starts ``wal_00000000.log``,
         and commits by atomically writing the ``CURRENT`` pointer.  From then
         on each mutation is WAL-logged and fsync'd *before* it applies in
         memory, so :meth:`open` can always recover the exact mutation history
@@ -650,9 +519,9 @@ class GraphCatalog:
         gen_dir.mkdir(parents=True, exist_ok=True)
         store = self._store
         save_database(store.graphs, gen_dir / _GRAPHS_FILENAME)
-        store.base_pmi.save(gen_dir)
+        store.pmi.save(gen_dir)
         with atomic_writer(gen_dir / _COUNTS_FILENAME) as handle:
-            np.save(handle, np.asarray(store.base_structural.counts_matrix(), dtype=np.int32))
+            np.save(handle, np.asarray(store.structural.counts_matrix(), dtype=np.int32))
         meta = {
             "type": "graph_catalog_snapshot",
             "version": SNAPSHOT_FORMAT_VERSION,
@@ -764,22 +633,27 @@ class GraphCatalog:
             self._wal_suppressed = previous
 
     def _apply_record(self, record: dict) -> None:
-        """Re-apply one WAL mutation record through the normal paths."""
+        """Re-apply one WAL mutation record through the normal paths.
+
+        A checksummed record the catalog cannot have written — an unknown
+        ``op``, a missing field — raises :class:`WalError` naming its lsn;
+        a malformed graph payload raises :class:`GraphError`."""
         op = record.get("op")
-        if op == "add":
-            self.add_graph(
-                probabilistic_graph_from_dict(record["graph"]),
-                external_id=record["external_id"],
-            )
-        elif op == "remove":
-            self.remove_graph(record["external_id"])
-        elif op == "update":
-            self.update_graph(
-                record["external_id"],
-                probabilistic_graph_from_dict(record["graph"]),
-            )
-        else:
+        if op not in ("add", "remove", "update"):
             raise WalError(f"unknown WAL operation {op!r} (lsn {record.get('lsn')})")
+        for name in ("external_id",) if op == "remove" else ("external_id", "graph"):
+            if name not in record:
+                raise WalError(
+                    f"WAL {op!r} record (lsn {record.get('lsn')}) has no {name!r} field"
+                )
+        if op == "remove":
+            self.remove_graph(record["external_id"])
+        elif op == "add":
+            graph = probabilistic_graph_from_dict(record["graph"])
+            self.add_graph(graph, external_id=record["external_id"])
+        else:
+            graph = probabilistic_graph_from_dict(record["graph"])
+            self.update_graph(record["external_id"], graph)
 
     def _roll_generation(self) -> None:
         """Snapshot the compacted state as a new generation and retire the old.
@@ -836,12 +710,12 @@ class GraphCatalog:
     # ------------------------------------------------------------------
     @property
     def features(self):
-        """The pinned feature set every segment indexes against."""
-        return self._store.base_pmi.features
+        """The pinned feature set every row is indexed against."""
+        return self._store.pmi.features
 
     @property
     def build_root(self) -> int:
-        """The 64-bit root all base and delta RNG streams derive from."""
+        """The 64-bit root every row's RNG streams derive from."""
         return self._root
 
     @property
@@ -863,11 +737,6 @@ class GraphCatalog:
         stale hit would be a contract violation).
         """
         return self._mutation_generation
-
-    @property
-    def delta_rows(self) -> int:
-        """Rows currently in the delta segment (reset to 0 by :meth:`compact`)."""
-        return self._store.delta_rows
 
     @property
     def tombstone_count(self) -> int:
@@ -905,7 +774,7 @@ class GraphCatalog:
 
     def __repr__(self) -> str:
         return (
-            f"GraphCatalog(live={self.num_live}, delta_rows={self.delta_rows}, "
+            f"GraphCatalog(live={self.num_live}, rows={len(self._store.graphs)}, "
             f"tombstones={self.tombstone_count})"
         )
 
@@ -915,12 +784,12 @@ class GraphCatalog:
     def add_graph(
         self, graph: ProbabilisticGraph, external_id: int | None = None
     ) -> int:
-        """Index one new graph without touching the base; returns its id.
+        """Index one new graph without touching a stored row; returns its id.
 
         The graph's PMI row is computed with
         ``derive_rng(build_root, BUILD_STREAM, external_id)`` — the stream a
-        from-scratch build would use for that id — and appended to the delta
-        segment.  ``external_id``
+        from-scratch build would use for that id — and appended, with its
+        structural row, as storage row ``len(graphs)``.  ``external_id``
         defaults to the next unused id; passing an id that is currently live
         raises :class:`CatalogError` (use :meth:`update_graph`), while
         re-using the id of a *removed* graph is allowed and gives the new
@@ -947,7 +816,7 @@ class GraphCatalog:
     def _index_rows(
         self, graph: ProbabilisticGraph, external_id: int
     ) -> tuple[ProbabilisticMatrixIndex, StructuralFeatureIndex]:
-        """The graph's PMI and structural rows as one-row segments.
+        """The graph's PMI and structural rows as one-row indexes.
 
         Everything that can refuse a graph happens here, *before* its record
         reaches the write-ahead log: a record the index cannot apply would
@@ -976,7 +845,7 @@ class GraphCatalog:
             )
 
     def _install(self, graph: ProbabilisticGraph, external_id: int, rows) -> None:
-        """Append computed rows to the delta segment."""
+        """Append computed rows to the store."""
         self._live[external_id] = self._store.install(graph, external_id, *rows)
         self._next_external_id = max(self._next_external_id, external_id + 1)
         self._mutation_generation += 1
@@ -1002,7 +871,7 @@ class GraphCatalog:
         """Replace the graph stored under a live ``external_id``.
 
         Implemented as tombstone + re-add under the same id: the old row
-        dies, the new row lands in the delta segment, and every
+        dies, the new row is appended, and every
         RNG stream keyed by the id re-derives over the new content — so the
         update answers exactly as if the graph had always been this version.
         The planner sees both halves at once: no query runs over a state in
@@ -1019,32 +888,35 @@ class GraphCatalog:
         self._refresh_planner()
 
     def compact(self) -> "GraphCatalog":
-        """Fold delta rows and reclaim tombstones into fresh base matrices.
+        """Reclaim tombstoned rows: the store keeps only its live rows.
 
-        Live rows, ordered by external id, become the new base, with an
-        empty delta and a clear tombstone mask.  No SIP bound or embedding
-        count is recomputed: compaction is pure row movement, so by the
+        Live rows, ordered by external id, become the new indexes, with a
+        clear tombstone mask.  No SIP bound or embedding count is
+        recomputed: compaction is pure row movement (the signature postings
+        are re-read off the graphs, as at :meth:`open`), so by the
         stable-id contract query answers are unchanged.  With every graph
         removed, the catalog compacts to an empty store and keeps answering
         (with zero answers) until graphs are added again.  The planner keeps
         its read path and its pool (:meth:`ShardedPlanner.swap`).
         """
-        graphs, ids, pmi, counts = self._store.live_slice()
-        order = np.argsort(ids, kind="stable")
-        graphs = [graphs[int(row)] for row in order]
+        store = self._store
+        live = store.live_positions()
+        positions = live[np.argsort(store.external_ids[live], kind="stable")]
+        graphs = [store.graphs[position] for position in positions]
+        ids = store.external_ids[positions]
         self._store = _Store(
             graphs,
-            ids[order],
-            pmi.subset([int(row) for row in order]),
+            ids,
+            store.pmi.subset(positions.tolist()),
             StructuralFeatureIndex.from_counts(
                 self.features,
-                counts[order],
+                store.structural.counts_matrix()[positions],
                 _signatures_of(graphs),
                 embedding_limit=self._feature_config.embedding_limit,
             ),
         )
         self._mutation_generation += 1
-        self._live = {int(external_id): row for row, external_id in enumerate(ids[order])}
+        self._live = {int(external_id): row for row, external_id in enumerate(ids)}
         self._refresh_planner()
         if self._durability is not None:
             self._roll_generation()

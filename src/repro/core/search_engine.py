@@ -78,7 +78,7 @@ class ProbabilisticGraphDatabase:
         :meth:`GraphCatalog.from_index`, durable when ``directory`` is given."""
         planner = self._indexed().planner().query_planner
         return GraphCatalog.from_index(
-            self.graphs, planner.pmi.base, planner.structural_index.base, directory=directory
+            self.graphs, planner.pmi, planner.structural_index, directory=directory
         )
 
     def close(self) -> None:

@@ -57,8 +57,9 @@ def labeled_graph_to_dict(graph: LabeledGraph) -> dict:
 
 def labeled_graph_from_dict(data: dict) -> LabeledGraph:
     """Rebuild a labeled graph from :func:`labeled_graph_to_dict` output."""
-    if data.get("type") != "labeled_graph":
-        raise GraphError(f"not a labeled graph payload: {data.get('type')!r}")
+    if not isinstance(data, dict) or data.get("type") != "labeled_graph":
+        kind = data.get("type") if isinstance(data, dict) else type(data).__name__
+        raise GraphError(f"not a labeled graph payload: {kind!r}")
     _require_version(data, "labeled graph", required=False)
     graph = LabeledGraph(name=data.get("name"))
     for vertex, label in data["vertices"]:
@@ -94,8 +95,9 @@ def probabilistic_graph_to_dict(graph: ProbabilisticGraph) -> dict:
 
 def probabilistic_graph_from_dict(data: dict) -> ProbabilisticGraph:
     """Rebuild a probabilistic graph from its dictionary form."""
-    if data.get("type") != "probabilistic_graph":
-        raise GraphError(f"not a probabilistic graph payload: {data.get('type')!r}")
+    if not isinstance(data, dict) or data.get("type") != "probabilistic_graph":
+        kind = data.get("type") if isinstance(data, dict) else type(data).__name__
+        raise GraphError(f"not a probabilistic graph payload: {kind!r}")
     _require_version(data, "probabilistic graph", required=False)
     skeleton = labeled_graph_from_dict(data["skeleton"])
     factors = []

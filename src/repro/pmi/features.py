@@ -71,6 +71,12 @@ class Feature:
         )
 
 
+def feature_fingerprint(features: list[Feature]) -> list[tuple[int, str]]:
+    """``(feature_id, canonical)`` of every feature, in column order: two
+    indexes whose rows may be stacked share it."""
+    return [(feature.feature_id, feature.canonical) for feature in features]
+
+
 class FeatureMiner:
     """Frequent-and-discriminative feature mining over a graph database."""
 

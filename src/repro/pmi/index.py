@@ -30,7 +30,7 @@ from repro.graphs.probabilistic_graph import ProbabilisticGraph
 from repro.isomorphism.embeddings import find_embeddings_block
 from repro.isomorphism.generic_join import GraphBlock
 from repro.pmi.bounds import BoundConfig, compute_sip_bounds, draw_worlds
-from repro.pmi.features import Feature, FeatureMiner, FeatureSelectionConfig
+from repro.pmi.features import Feature, FeatureMiner, FeatureSelectionConfig, feature_fingerprint
 from repro.utils.atomic_io import atomic_write_text, atomic_writer
 from repro.utils.rng import BUILD_STREAM, RandomLike, derive_rng, rng_root
 from repro.utils.rows import resolve_row_selector
@@ -38,8 +38,8 @@ from repro.utils.timer import Timer
 
 # BUILD_STREAM (re-exported from repro.utils.rng): each graph's SIP-bound
 # sampling draws from derive_rng(root, BUILD_STREAM, stable graph id), so
-# building a row slice in a worker process — or appending a delta row to a
-# mutable catalog years later — yields cells identical to the same rows of a
+# building a row slice in a worker process — or appending a row to a mutable
+# catalog years later — yields cells identical to the same rows of a
 # sequential full build under the same root.
 
 # version 2 stores the three cell arrays and the feature ids; version 1 also
@@ -96,8 +96,8 @@ class ProbabilisticMatrixIndex:
         self._present: np.ndarray = np.empty((0, 0), dtype=bool)
         self._built = False
         self.build_seconds = 0.0
-        # 64-bit root of the build streams; delta appends (GraphCatalog) must
-        # reuse it so appended rows equal a from-scratch build's rows
+        # 64-bit root of the build streams; a catalog's appended rows must
+        # reuse it to equal a from-scratch build's rows
         self.build_root: int | None = None
 
     # ------------------------------------------------------------------
@@ -196,46 +196,25 @@ class ProbabilisticMatrixIndex:
                     self._present[row, column] = True
 
     @classmethod
-    def empty(
-        cls,
-        features: list[Feature],
-        feature_config: FeatureSelectionConfig | None = None,
-        bound_config: BoundConfig | None = None,
-    ) -> "ProbabilisticMatrixIndex":
-        """A built, zero-row index over a pinned feature set.
-
-        This is the seed of a catalog delta segment: each mutation builds its
-        graph's row against the same feature columns (:meth:`build` with the
-        graph's stable id) and stacks it on with :meth:`concat_rows`.
-        """
-        index = cls(feature_config=feature_config, bound_config=bound_config)
-        index.features = list(features)
-        index._index_features()
-        index._allocate(0, len(index.features))
-        index._built = True
-        return index
-
-    @classmethod
     def concat_rows(
         cls, parts: list["ProbabilisticMatrixIndex"]
     ) -> "ProbabilisticMatrixIndex":
         """Row-stack built indexes sharing one feature set into a fresh index.
 
-        This is how a catalog delta grows (one built row per mutation) and
-        :meth:`~repro.core.catalog.GraphCatalog.compact`'s merge step: base
-        and delta segments (already :meth:`subset` down to their live rows)
-        become one new dense base matrix.  All parts must carry identical
-        feature lists and build configurations.
+        This is how a catalog appends a mutation's row: the graph's one-row
+        index, built against the catalog's pinned features under its stable
+        id, is stacked under every row the catalog already stores.  All parts
+        must carry identical feature lists and build configurations.
         """
         if not parts:
             raise IndexError_("concat_rows() needs at least one part")
         first = parts[0]
         first._require_built()
-        fingerprint = [(f.feature_id, f.canonical) for f in first.features]
+        fingerprint = feature_fingerprint(first.features)
         for part in parts[1:]:
             part._require_built()
             if (
-                [(f.feature_id, f.canonical) for f in part.features] != fingerprint
+                feature_fingerprint(part.features) != fingerprint
                 or part.feature_config != first.feature_config
                 or part.bound_config != first.bound_config
             ):

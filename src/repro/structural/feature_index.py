@@ -40,7 +40,7 @@ from repro.isomorphism.embeddings import (
     enumerate_embeddings_block,
 )
 from repro.isomorphism.generic_join import GraphBlock
-from repro.pmi.features import Feature
+from repro.pmi.features import Feature, feature_fingerprint
 from repro.utils.rows import resolve_row_selector
 from repro.exceptions import ConfigurationError, StateError
 
@@ -88,6 +88,33 @@ class SignaturePostings:
             len(counters),
         )
 
+    @classmethod
+    def concat(cls, parts: list["SignaturePostings"]) -> "SignaturePostings":
+        """Row-stack postings: equal, field for field, to :meth:`build` over
+        the parts' graphs in order.  The first part's codes stay as they are;
+        a later part's signature new to the dictionary takes the next code,
+        in that part's first-seen order — the order a build would give it."""
+        first = parts[0]
+        codes = dict(first.codes)
+        entry_codes, rows, counts = [first.entry_codes()], [first.rows], [first.counts]
+        offset = first.num_graphs
+        for part in parts[1:]:
+            mapping = np.array(
+                [codes.setdefault(signature, len(codes)) for signature in part.codes],
+                dtype=np.int64,
+            )
+            entry_codes.append(mapping[part.entry_codes()])
+            rows.append(part.rows + offset)
+            counts.append(part.counts)
+            offset += part.num_graphs
+        return cls.from_entries(
+            codes, np.concatenate(entry_codes), np.concatenate(rows), np.concatenate(counts), offset
+        )
+
+    def entry_codes(self) -> np.ndarray:
+        """The signature code of every entry, in entry order."""
+        return np.repeat(np.arange(len(self.codes)), np.diff(self.code_offsets))
+
     def take(self, graph_ids) -> "SignaturePostings":
         """Row ``k`` of the result is old row ``graph_ids[k]`` (any order, repeats kept)."""
         ids = np.arange(self.num_graphs)[graph_ids]
@@ -96,10 +123,9 @@ class SignaturePostings:
         lengths = starts[ids + 1] - starts[ids]
         first = np.cumsum(lengths) - lengths  # where each picked row's entries land
         picked = by_row[np.repeat(starts[ids] - first, lengths) + np.arange(lengths.sum())]
-        entry_codes = np.repeat(np.arange(len(self.codes)), np.diff(self.code_offsets))
         return self.from_entries(
             self.codes,
-            entry_codes[picked],
+            self.entry_codes()[picked],
             np.repeat(np.arange(ids.size), lengths),
             self.counts[picked],
             ids.size,
@@ -137,16 +163,12 @@ class StructuralFeatureIndex:
         counts: np.ndarray,
         signatures: SignaturePostings,
         embedding_limit: int = 64,
-        copy: bool = True,
     ) -> "StructuralFeatureIndex":
         """Reconstruct an index from a persisted ``counts[graph, feature]``
         matrix (the snapshot-open path), skipping embedding enumeration.
         ``signatures`` is the same rows' second segment (it is never
         persisted: the caller reads it off the graphs), so it must cover
         exactly as many rows as ``counts``.
-
-        ``copy=False`` adopts the matrix as-is, for a caller that already
-        holds a fresh ``int32`` buffer (the catalog's stacked delta rows).
         """
         if counts.shape[1] != len(features):
             raise ConfigurationError(
@@ -163,14 +185,7 @@ class StructuralFeatureIndex:
         index._feature_pos = {
             feature.feature_id: column for column, feature in enumerate(index.features)
         }
-        if copy:
-            index._counts = np.array(counts, dtype=np.int32)  # own the buffer
-        else:
-            if counts.dtype != np.int32:
-                raise ConfigurationError(
-                    f"copy=False requires an int32 counts matrix, got {counts.dtype}"
-                )
-            index._counts = counts
+        index._counts = np.array(counts, dtype=np.int32)  # own the buffer
         index.signatures = signatures
         index._built = True
         return index
@@ -204,6 +219,33 @@ class StructuralFeatureIndex:
                 feature.graph, block, limit=self.embedding_limit
             )
         return counts
+
+    @classmethod
+    def concat_rows(cls, parts: list["StructuralFeatureIndex"]) -> "StructuralFeatureIndex":
+        """Row-stack built indexes over one feature set into a fresh index:
+        counts stacked, postings merged (:meth:`SignaturePostings.concat`),
+        so the result equals one :meth:`build` over the parts' skeletons.
+        This is how a catalog appends a mutation's row.  The query-side
+        ``embedding_limit`` is the first part's.  Raises
+        :class:`ConfigurationError` when a part's ``(feature_id, canonical)``
+        list is not the first part's.
+        """
+        first = parts[0]
+        fingerprint = feature_fingerprint(first.features)
+        for part in parts:
+            if not part._built:
+                raise StateError("the structural feature index must be built first")
+            if feature_fingerprint(part.features) != fingerprint:
+                raise ConfigurationError(
+                    "concat_rows() requires identical features in every part"
+                )
+        merged = cls(embedding_limit=first.embedding_limit)
+        merged.features = list(first.features)
+        merged._feature_pos = dict(first._feature_pos)
+        merged._counts = np.vstack([part._counts for part in parts])
+        merged.signatures = SignaturePostings.concat([part.signatures for part in parts])
+        merged._built = True
+        return merged
 
     def subset(self, graph_ids) -> "StructuralFeatureIndex":
         """A new index over the given rows of the count matrix.

@@ -27,7 +27,7 @@ RandomLike = random.Random | int | None
 
 # Canonical stream tags for derive_rng(root, STREAM, stable graph id).
 # PRUNE/VERIFY are consumed at query time (core.pipeline), BUILD at index
-# time (pmi.index and the catalog's delta appends).
+# time (pmi.index and the catalog's appended rows).
 PRUNE_STREAM = 1
 VERIFY_STREAM = 2
 BUILD_STREAM = 3

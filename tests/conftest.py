@@ -249,29 +249,26 @@ def assert_same_postings(got, want) -> None:
 
 
 def assert_signature_segment_matches_live_graphs(catalog, fresh: bool = False) -> None:
-    """The structural index's derived segment says of every live graph what
+    """The structural index's derived segment says of every storage row what
     the graph says of itself: recover ≡ rebuild for a segment no snapshot or
-    WAL record holds.  ``fresh`` (right after ``compact()``): the base
-    postings are, array for array, one built over its graphs, and no delta
-    row is left."""
+    WAL record holds.  Its postings are, array for array, one built over
+    every storage row's skeleton, tombstoned rows included.  ``fresh`` (right
+    after ``compact()``): no tombstoned row is left."""
     from repro.structural.feature_index import SignaturePostings
 
     store = catalog._store
-    rows: list[dict] = []
-    for postings in (store.base_structural.signatures, store.delta_structural.signatures):
-        segment = [{} for _ in range(postings.num_graphs)]
-        for signature, code in postings.codes.items():
-            span = slice(postings.code_offsets[code], postings.code_offsets[code + 1])
-            for row, count in zip(postings.rows[span].tolist(), postings.counts[span].tolist()):
-                assert signature not in segment[row]
-                segment[row][signature] = count
-        rows += segment
+    postings = store.structural.signatures
+    assert_same_postings(postings, SignaturePostings.build(g.skeleton for g in store.graphs))
+    rows = [{} for _ in range(postings.num_graphs)]
+    for signature, code in postings.codes.items():
+        span = slice(postings.code_offsets[code], postings.code_offsets[code + 1])
+        for row, count in zip(postings.rows[span].tolist(), postings.counts[span].tolist()):
+            assert signature not in rows[row]
+            rows[row][signature] = count
     assert len(rows) == len(store.graphs)
     held = {int(store.external_ids[row]): rows[row] for row in store.live_positions()}
     if fresh:
-        built = SignaturePostings.build(graph.skeleton for graph in store.graphs)
-        assert_same_postings(store.base_structural.signatures, built)
-        assert store.delta_structural.signatures.num_graphs == 0
+        assert not store.tombstone.any()
     assert held == {
         external_id: dict(graph.skeleton.edge_signature_counts())
         for external_id, graph in catalog.live_items()

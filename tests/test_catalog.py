@@ -1,11 +1,11 @@
 """Unit and edge-case tests for the mutable GraphCatalog layer.
 
 Covers the mutation API (add/remove/update and their error paths), the
-delta/tombstone/compaction lifecycle — including its edge cases:
-remove-then-re-add of the same external id, compaction with an empty delta,
+append/tombstone/compaction lifecycle — including its edge cases:
+remove-then-re-add of the same external id, compaction with nothing to reclaim,
 querying an all-tombstoned database, and a pool capped by more shards than
 live graphs — the checks on the two pool arguments, plus the low-level
-building blocks (PMI row append / concat, segmented views).
+building blocks (PMI and structural row concat).
 """
 
 from __future__ import annotations
@@ -13,21 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    GraphCatalog,
-    SearchConfig,
-    SegmentedPmiView,
-    SegmentedStructuralView,
-    ShardedPlanner,
-    VerificationConfig,
-)
+from repro.core import GraphCatalog, SearchConfig, ShardedPlanner, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.exceptions import CatalogError, ConfigurationError, IndexError_
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
-from repro.structural.feature_index import SignaturePostings, StructuralFeatureIndex
+from repro.structural.feature_index import StructuralFeatureIndex
 
-from tests.conftest import assert_same_cells
+from tests.conftest import assert_same_cells, assert_same_postings
 
 FEATURE_CONFIG = FeatureSelectionConfig(
     alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=10
@@ -91,7 +84,7 @@ class TestMutationApi:
         assert catalog.add_graph(extra_graphs[0]) == 8
         assert catalog.add_graph(extra_graphs[1]) == 9
         assert catalog.num_live == 10
-        assert catalog.delta_rows == 2
+        assert catalog.num_live + catalog.tombstone_count == 10  # storage rows
 
     def test_add_with_explicit_id_advances_counter(self, catalog, extra_graphs):
         assert catalog.add_graph(extra_graphs[0], external_id=50) == 50
@@ -188,7 +181,7 @@ class TestMutationApi:
         assert 2 in catalog.live_external_ids()
         assert catalog.get_graph(2) is extra_graphs[0]
         assert catalog.tombstone_count == 1
-        assert catalog.delta_rows == 1
+        assert catalog.num_live + catalog.tombstone_count == 9  # storage rows
 
     def test_update_unknown_id_raises(self, catalog, extra_graphs):
         with pytest.raises(CatalogError, match="not live"):
@@ -212,17 +205,17 @@ class TestMutationApi:
 # compaction lifecycle
 # ----------------------------------------------------------------------
 class TestCompaction:
-    def test_compact_on_empty_delta_is_identity(self, catalog, query):
+    def test_compact_without_mutations_is_identity(self, catalog, query):
         before = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
-        assert catalog.delta_rows == 0
+        assert catalog.num_live + catalog.tombstone_count == 8  # storage rows
         catalog.compact()
-        assert catalog.delta_rows == 0
+        assert catalog.num_live + catalog.tombstone_count == 8
         assert catalog.tombstone_count == 0
         assert catalog.num_live == 8
         after = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
         assert answers(after) == answers(before)
 
-    def test_compact_reclaims_tombstones_and_folds_delta(
+    def test_compact_reclaims_tombstones(
         self, catalog, extra_graphs, query
     ):
         catalog.add_graph(extra_graphs[0])
@@ -231,7 +224,7 @@ class TestCompaction:
         before = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
         live_before = catalog.live_external_ids()
         catalog.compact()
-        assert catalog.delta_rows == 0
+        assert catalog.num_live + catalog.tombstone_count == len(live_before)
         assert catalog.tombstone_count == 0
         assert catalog.live_external_ids() == live_before
         after = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
@@ -251,7 +244,7 @@ class TestCompaction:
             catalog.remove_graph(external_id)
         catalog.compact()
         assert catalog.num_live == 0
-        assert catalog.delta_rows == catalog.tombstone_count == 0
+        assert catalog.num_live + catalog.tombstone_count == catalog.tombstone_count == 0
         assert catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11).answers == []
         # ids continue from the high-water mark, and querying works again
         assert catalog.add_graph(extra_graphs[0]) == 8
@@ -319,7 +312,7 @@ class TestShardedCatalog:
                 max_workers=-5,
             ),
             "from_index": lambda: GraphCatalog.from_index(
-                store.graphs, store.base_pmi, store.base_structural, max_workers=-5
+                store.graphs, store.pmi, store.structural, max_workers=-5
             ),
             "open": lambda: GraphCatalog.open(tmp_path, max_workers=-5),
         }
@@ -357,7 +350,7 @@ class TestShardedCatalog:
                 rng=7, **{argument: value},
             ),
             "from_index": lambda: GraphCatalog.from_index(
-                store.graphs, store.base_pmi, store.base_structural, **{argument: value}
+                store.graphs, store.pmi, store.structural, **{argument: value}
             ),
             "planner": lambda: ShardedPlanner(store.make_planner(), **{argument: value}),
         }
@@ -410,6 +403,28 @@ class TestEngineAdoption:
         with pytest.raises(CatalogError, match="build root"):
             GraphCatalog.from_index(base_graphs, pmi, structural)
 
+    @pytest.mark.parametrize("case", ["more rows", "fewer rows", "other features"])
+    def test_from_index_refuses_a_structural_index_the_pmi_disagrees_with(
+        self, base_graphs, extra_graphs, case
+    ):
+        """Adoption checks the structural index against the PMI: a mutation's
+        structural row is appended after its WAL record, when nothing may
+        refuse it, so a mismatch must surface here."""
+        pmi = ProbabilisticMatrixIndex(
+            feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
+        ).build(base_graphs, rng=7)
+        skeletons = [g.skeleton for g in [*base_graphs, *extra_graphs]]
+        rows, features = {
+            "more rows": (skeletons, pmi.features),
+            "fewer rows": (skeletons[:6], pmi.features),
+            "other features": (skeletons[: len(base_graphs)], pmi.features[:3]),
+        }[case]
+        structural = StructuralFeatureIndex(
+            embedding_limit=FEATURE_CONFIG.embedding_limit
+        ).build(rows, features)
+        with pytest.raises(CatalogError, match="structural index"):
+            GraphCatalog.from_index(base_graphs, pmi, structural)
+
     def test_build_root_round_trips_through_persistence(self, base_graphs, tmp_path):
         pmi = ProbabilisticMatrixIndex(
             feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
@@ -420,12 +435,12 @@ class TestEngineAdoption:
 
 
 # ----------------------------------------------------------------------
-# building blocks: append / concat / segmented views
+# building blocks: append / concat
 # ----------------------------------------------------------------------
 class TestBuildingBlocks:
     def test_pmi_append_matches_scratch_build(self, base_graphs):
         """Rows built apart under their stable ids and stacked with
-        ``concat_rows`` — how a delta grows — equal one build's rows."""
+        ``concat_rows`` — how a catalog appends — equal one build's rows."""
         full = ProbabilisticMatrixIndex(
             feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
         ).build(base_graphs, rng=7)
@@ -477,7 +492,7 @@ class TestBuildingBlocks:
 
     def test_structural_rows_do_not_depend_on_their_block(self, base_graphs):
         """The catalog counts one arriving graph at a time and stacks the row
-        onto the delta: rows built apart must equal the rows of one build."""
+        onto its index: rows built apart must equal the rows of one build."""
         pmi = ProbabilisticMatrixIndex(
             feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
         ).build(base_graphs, rng=7)
@@ -493,36 +508,45 @@ class TestBuildingBlocks:
         stacked = np.vstack([counts(skeletons[:5]), counts(skeletons[5:])])
         assert np.array_equal(stacked, counts(skeletons))
 
-    def test_segmented_views_mirror_dense_indexes(self, base_graphs, query):
-        full = ProbabilisticMatrixIndex(
+    def test_structural_concat_rows_equals_one_build(self, base_graphs, query):
+        """Two halves built apart and stacked hold the counts and — field for
+        field, dictionary order too — the postings of one build."""
+        features = ProbabilisticMatrixIndex(
             feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
-        ).build(base_graphs, rng=7)
-        base, delta = full.subset(range(0, 5)), full.subset(range(5, len(base_graphs)))
-        view = SegmentedPmiView(base, delta)
-        assert view.num_graphs == full.num_graphs
-        for graph_id in range(full.num_graphs):
-            assert np.array_equal(view.row(graph_id).lower, full.row(graph_id).lower)
-            assert view.row(graph_id).graph_id == graph_id
-
+        ).build(base_graphs, rng=7).features
         skeletons = [graph.skeleton for graph in base_graphs]
-        structural = StructuralFeatureIndex(
-            embedding_limit=FEATURE_CONFIG.embedding_limit
-        ).build(skeletons, full.features)
-        counts = np.asarray(structural.counts_matrix())
-        seg = SegmentedStructuralView(
-            StructuralFeatureIndex.from_counts(
-                full.features, counts[:5], SignaturePostings.build(skeletons[:5])
-            ),
-            StructuralFeatureIndex.from_counts(
-                full.features, counts[5:], SignaturePostings.build(skeletons[5:])
-            ),
-        )
-        assert seg.is_built
-        profile = structural.query_profile(query)
-        assert np.array_equal(
-            seg.deficit_prunable_mask(profile, 1),
-            structural.deficit_prunable_mask(profile, 1),
-        )
+
+        def build(block):
+            return StructuralFeatureIndex(
+                embedding_limit=FEATURE_CONFIG.embedding_limit
+            ).build(block, features)
+
+        whole = build(skeletons)
+        for split in (0, 1, 5, len(skeletons)):
+            stacked = StructuralFeatureIndex.concat_rows(
+                [build(skeletons[:split]), build(skeletons[split:])]
+            )
+            assert stacked.num_graphs == whole.num_graphs
+            assert np.array_equal(stacked.counts_matrix(), whole.counts_matrix())
+            assert stacked.counts_matrix().dtype == np.int32
+            assert_same_postings(stacked.signatures, whole.signatures)
+            profile = whole.query_profile(query)
+            assert np.array_equal(
+                stacked.deficit_prunable_mask(profile, 1),
+                whole.deficit_prunable_mask(profile, 1),
+            )
+
+    def test_structural_concat_rows_rejects_mismatched_features(self, base_graphs):
+        skeletons = [graph.skeleton for graph in base_graphs]
+        features = ProbabilisticMatrixIndex(
+            feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
+        ).build(base_graphs, rng=7).features
+        first = StructuralFeatureIndex().build(skeletons[:4], features)
+        for other in (features[:-1], [*features[1:], features[0]]):
+            with pytest.raises(ConfigurationError, match="identical features"):
+                StructuralFeatureIndex.concat_rows(
+                    [first, StructuralFeatureIndex().build(skeletons[4:], other)]
+                )
 
     def test_catalog_is_a_context_manager(self, base_graphs, query):
         with GraphCatalog.build(

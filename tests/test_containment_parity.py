@@ -116,7 +116,7 @@ class TestContainmentParity:
         ``query_profile(query)`` returns and the relations the one-argument
         ``prepare`` derives from the relaxed set alone."""
         index = _index(embedding_limit)
-        planner = QueryPlanner([], ProbabilisticMatrixIndex.empty(FEATURES), index)
+        planner = QueryPlanner([], ProbabilisticMatrixIndex().build([], features=FEATURES), index)
         delta = min(delta, query.num_edges - 1)
         plan = planner.plan(query, 0.5, delta, SearchConfig(relaxation=relaxation))
         assert plan.profile == index.query_profile(query)

@@ -18,7 +18,7 @@ from repro.core import GraphCatalog
 from repro.core.catalog import CURRENT_FILENAME
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.datasets import extract_query
-from repro.exceptions import CatalogError, ConfigurationError, GraphError, IndexError_
+from repro.exceptions import CatalogError, ConfigurationError, GraphError, IndexError_, WalError
 from repro.pmi import ProbabilisticMatrixIndex
 from repro.reference import WorldSampler
 from repro.structural.feature_index import StructuralFeatureIndex
@@ -195,11 +195,11 @@ class TestPersistAndOpen:
         built_store, reopened_store = built._store, reopened._store
         for name in ("_lower", "_upper", "_present"):
             assert np.array_equal(
-                getattr(built_store.base_pmi, name), getattr(reopened_store.base_pmi, name)
+                getattr(built_store.pmi, name), getattr(reopened_store.pmi, name)
             ), name
         assert np.array_equal(
-            built_store.base_structural.counts_matrix(),
-            reopened_store.base_structural.counts_matrix(),
+            built_store.structural.counts_matrix(),
+            reopened_store.structural.counts_matrix(),
         )
 
 
@@ -280,6 +280,28 @@ class TestMalformedSnapshotFiles:
     def test_the_undamaged_copy_opens(self, snapshot_directory, tmp_path):
         shutil.copytree(snapshot_directory, tmp_path / "catalog")
         GraphCatalog.open(tmp_path / "catalog").close()
+
+    @pytest.mark.parametrize(
+        "record, error, match",
+        [
+            ({"op": "add", "external_id": 50}, WalError, r"'add' record \(lsn 1\) has no 'graph'"),
+            ({"op": "update", "external_id": 1}, WalError, r"'update' .* has no 'graph'"),
+            ({"op": "add", "external_id": 50, "graph": "x"}, GraphError, "payload: 'str'"),
+            ({"op": "remove"}, WalError, r"'remove' .* has no 'external_id'"),
+        ],
+    )
+    def test_replay_raises_the_typed_error(
+        self, snapshot_directory, tmp_path, record, error, match
+    ):
+        """A checksummed WAL record with a missing or mistyped field is
+        refused with a typed error, not a raw ``KeyError`` / ``AttributeError``."""
+        directory = tmp_path / "catalog"
+        shutil.copytree(snapshot_directory, directory)
+        wal, _ = WriteAheadLog.open(directory / wal_filename(0), generation=0)
+        wal.append(dict(record))
+        wal.close()
+        with pytest.raises(error, match=match):
+            GraphCatalog.open(directory)
 
 
 class TestRecoveryInvariant:
@@ -470,7 +492,7 @@ class TestRefusedMutations:
         return (
             catalog.live_external_ids(),
             catalog.mutation_generation,
-            catalog.delta_rows,
+            catalog.num_live + catalog.tombstone_count,
             catalog.tombstone_count,
             catalog.wal_records,
         )
@@ -523,6 +545,6 @@ class TestRefusedMutations:
         catalog.update_graph(1, pool[1])
         catalog.close()
         recovered = GraphCatalog.open(tmp_path / "catalog")  # replays both records
-        assert recovered.delta_rows == 2
+        assert recovered.num_live + recovered.tombstone_count == len(graphs) + 2
         assert sorted(recovered.live_external_ids()) == [*range(len(graphs)), added]
         recovered.close()

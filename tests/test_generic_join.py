@@ -523,8 +523,8 @@ def test_index_contents_equal_the_block_of_one_oracle(workload, monkeypatch):
         assert [feature_fingerprint(f) for f in catalog.features] == [
             feature_fingerprint(f) for f in features
         ]
-        pmi: ProbabilisticMatrixIndex = catalog._store.base_pmi
-        structural: StructuralFeatureIndex = catalog._store.base_structural
+        pmi: ProbabilisticMatrixIndex = catalog._store.pmi
+        structural: StructuralFeatureIndex = catalog._store.structural
         cells = [
             row.interval(column) if row.present[column] else None
             for row in pmi.rows(range(pmi.num_graphs))

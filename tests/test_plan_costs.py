@@ -108,7 +108,7 @@ def mixed_planner(catalog, larger_features):
     structural = StructuralFeatureIndex.from_counts(
         features, np.zeros((0, len(features)), dtype=np.int32), SignaturePostings.build(())
     )
-    return QueryPlanner([], ProbabilisticMatrixIndex.empty(features), structural)
+    return QueryPlanner([], ProbabilisticMatrixIndex().build([], features=features), structural)
 
 
 def _count_calls(monkeypatch, owner, name) -> list:

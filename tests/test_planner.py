@@ -164,7 +164,7 @@ class TestPlanner:
         view = GraphCatalog.build(
             planner_database.graphs, feature_config=FEATURES, bound_config=bounds, rng=23
         ).planner().query_planner
-        pmi, structural_index = view.pmi.base, view.structural_index.base
+        pmi, structural_index = view.pmi, view.structural_index
         dense = ProbabilisticMatrixIndex(
             feature_config=FEATURES, bound_config=bounds
         ).build(planner_database.graphs, rng=23)
@@ -180,18 +180,19 @@ class TestPlanner:
 
     def test_build_index_constructs_planner(self, indexed):
         """A catalog's planner — a sharded planner over its one query planner
-        — reads the very arrays of the base PMI the catalog holds (no copy
-        between them)."""
+        — reads the very indexes the catalog's store holds (no copy between
+        them)."""
         planner = indexed.catalog.planner()
         assert isinstance(planner, ShardedPlanner) and planner.num_shards == 1
         view = planner.query_planner
-        base = view.pmi.base
-        assert isinstance(base, ProbabilisticMatrixIndex)
+        store = indexed.catalog._store
+        assert isinstance(view.pmi, ProbabilisticMatrixIndex) and view.pmi is store.pmi
         row = view.pmi.row(0)
-        assert np.shares_memory(row.lower, base._lower)
-        assert np.shares_memory(row.upper, base._upper)
-        assert np.shares_memory(row.present, base._present)
-        assert isinstance(view.structural_index.base, StructuralFeatureIndex)
+        assert np.shares_memory(row.lower, store.pmi._lower)
+        assert np.shares_memory(row.upper, store.pmi._upper)
+        assert np.shares_memory(row.present, store.pmi._present)
+        assert isinstance(view.structural_index, StructuralFeatureIndex)
+        assert view.structural_index is store.structural
         assert view.structural_index.num_graphs == len(indexed.graphs)
 
     def test_plan_is_reusable(self, indexed, workload):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.catalog import GraphCatalog, SegmentedStructuralView
+from repro.core.catalog import GraphCatalog
 from repro.datasets import extract_query
 from repro.exceptions import ConfigurationError, StateError
 from repro.graphs.labeled_graph import LabeledGraph
@@ -17,6 +17,8 @@ from repro.pmi import BoundConfig, FeatureMiner, FeatureSelectionConfig
 from repro.reference import is_subgraph_similar, signature_distance_lower_bound
 from repro.structural import StructuralFeatureIndex, StructuralFilter
 from repro.structural.feature_index import SignaturePostings
+
+from tests.conftest import assert_signature_segment_matches_live_graphs
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +145,9 @@ class TestSignatureSegment:
     @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
     @given(data=st.data())
     def test_signature_missing_equals_the_scalar_bound(self, data):
-        """Over a whole index, a ``subset`` of it and a base ⧺ delta view; the
-        query may carry a signature no graph has (label ``"only in q"``)."""
+        """Over a whole index, a ``subset`` of it and ``concat_rows`` of two
+        halves; the query may carry a signature no graph has (label
+        ``"only in q"``)."""
         skeletons = data.draw(st.lists(labeled_graphs(), min_size=0, max_size=7))
         query = data.draw(labeled_graphs(min_edges=1, vertex_labels=[*VERTEX_LABELS, "only in q"]))
         index = StructuralFeatureIndex().build(skeletons, [])
@@ -156,18 +159,20 @@ class TestSignatureSegment:
         assert index.subset(rows).signature_missing(query).tolist() == oracle_missing(query, picked)
 
         split = data.draw(st.integers(min_value=0, max_value=len(skeletons)))
-        view = SegmentedStructuralView(
-            StructuralFeatureIndex().build(skeletons[:split], []),
-            StructuralFeatureIndex().build(skeletons[split:], []),
+        stacked = StructuralFeatureIndex.concat_rows(
+            [
+                StructuralFeatureIndex().build(skeletons[:split], []),
+                StructuralFeatureIndex().build(skeletons[split:], []),
+            ]
         )
-        assert view.signature_missing(query).tolist() == oracle_missing(query, skeletons)
+        assert stacked.signature_missing(query).tolist() == oracle_missing(query, skeletons)
 
         # tombstoned rows stay indexed; ``active`` masks them out of the answer
         flags = st.lists(st.booleans(), min_size=len(skeletons), max_size=len(skeletons))
         active = np.array(data.draw(flags), dtype=bool)
         for delta in (0, 1, 2):
-            got = StructuralFilter(view).filter_mask(query, delta, active=active)
-            want = loop_filter_mask(view, skeletons, query, delta, active)
+            got = StructuralFilter(stacked).filter_mask(query, delta, active=active)
+            want = loop_filter_mask(stacked, skeletons, query, delta, active)
             assert got.tolist() == want.tolist(), delta
 
     def test_filter_mask_equals_the_loop_over_mined_features(self, structural_setup):
@@ -181,8 +186,9 @@ class TestSignatureSegment:
                 assert got.tolist() == want.tolist(), (source, delta)
 
     def test_catalog_rows_stay_indexed_through_mutations(self, small_ppi_database):
-        """Delta rows are appended to the segment, tombstoned rows stay in it,
-        and ``compact()`` leaves one equal to a fresh build over the live graphs."""
+        """Appended rows join the segment, tombstoned rows stay in it, and
+        after every mutation and ``compact()`` it equals a fresh build over
+        every storage row."""
         graphs = small_ppi_database.graphs
         catalog = GraphCatalog.build(
             graphs[:6],
@@ -191,14 +197,19 @@ class TestSignatureSegment:
             rng=5,
             max_workers=0,
         )
-        catalog.add_graph(graphs[6])
-        catalog.update_graph(2, graphs[7])
-        catalog.remove_graph(5)
+        for mutate in (
+            lambda: catalog.add_graph(graphs[6]),
+            lambda: catalog.update_graph(2, graphs[7]),
+            lambda: catalog.remove_graph(5),
+        ):
+            mutate()
+            assert_signature_segment_matches_live_graphs(catalog)
         queries = [extract_query(graphs[source].skeleton, 4, rng=source) for source in (2, 6, 7)]
         for compacted in (False, True):
             view = catalog.planner().query_planner
             assert compacted or not view.active_mask.all()
-            assert compacted or view.structural_index.delta.num_graphs
+            assert view.structural_index is catalog._store.structural
+            assert view.structural_index.num_graphs == len(view.graphs) == 8 - 2 * compacted
             skeletons = [graph.skeleton for graph in view.graphs]
             for query in queries:
                 assert view.structural_index.signature_missing(
