@@ -89,7 +89,7 @@ def run_scalability_sweep() -> list[dict]:
                 "exact_seconds": exact_time.elapsed / NUM_QUERIES,
                 "pmi_verified": pmi_verified / NUM_QUERIES,
                 "exact_verified": exact_verified / NUM_QUERIES,
-                "index_build_seconds": catalog.planner().query_planner.pmi.build_seconds,
+                "index_build_seconds": catalog.planner().pmi.build_seconds,
             }
         )
     return rows

@@ -71,7 +71,6 @@ def main() -> None:
         feature_config=FEATURE_CONFIG,
         bound_config=BOUND_CONFIG,
         rng=11,
-        num_shards=2,
         directory=directory,
     )
     print(f"built durable catalog at {directory}")

@@ -40,7 +40,7 @@ def main() -> None:
         bound_config=BoundConfig(num_samples=120),
         rng=7,
     )
-    summary = catalog.planner().query_planner.pmi.summary()
+    summary = catalog.planner().pmi.summary()
     print("index summary:", summary)
     assert summary["database_size"] == 12 and summary["num_features"] == 16
     assert summary["non_empty_cells"] == 62

@@ -9,7 +9,7 @@ The public API mirrors the paper's pipeline:
   — the data model (Definitions 1–3);
 * :class:`~repro.core.GraphCatalog` — the front door of every query: the
   filter-and-verify engine (structural pruning → PMI probabilistic pruning →
-  verification) over a mutable, optionally pooled and durable database;
+  verification) over a mutable, optionally durable database;
 * :class:`~repro.pmi.ProbabilisticMatrixIndex` — the PMI index with SIP
   bounds per (feature, graph) cell;
 * :mod:`repro.datasets` — synthetic STRING/PPI, road and social network
@@ -66,7 +66,6 @@ from repro.pmi import (
 from repro.core import (
     GraphCatalog,
     QueryPlanner,
-    ShardedPlanner,
     SearchConfig,
     Verifier,
     VerificationConfig,
@@ -104,7 +103,6 @@ __all__ = [
     "compute_sip_bounds",
     "GraphCatalog",
     "QueryPlanner",
-    "ShardedPlanner",
     "SearchConfig",
     "aggregate_statistics",
     "Verifier",

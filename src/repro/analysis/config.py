@@ -57,26 +57,12 @@ class AnalysisConfig:
     # EXC001: packages that must raise the exceptions.py taxonomy.
     taxonomy_packages: frozenset[str] = frozenset({"repro"})
 
-    # LOCK001: class name -> concurrency contract.  These are the two
-    # classes the query service shares across threads (dispatcher backend
-    # thread vs event loop vs user threads).
+    # LOCK001: class name -> concurrency contract, for the classes the query
+    # service shares across threads (dispatcher backend thread vs event loop
+    # vs user threads) that guard state with a lock.  A catalog holds none:
+    # its planner is an immutable snapshot, replaced by reference.
     lock_contracts: dict[str, LockContract] = field(
         default_factory=lambda: {
-            "ShardedPlanner": LockContract(
-                lock_attribute="_lock",
-                guarded_attributes=frozenset(
-                    {
-                        # one forked worker per slot, each with the parent's
-                        # record of the graphs it holds; each slot orders its
-                        # own pipe traffic with locks of its own, so replies
-                        # are awaited outside _lock
-                        "_slots",
-                        # a mutation or a compaction swaps the query planner
-                        # under a live pool
-                        "query_planner",
-                    }
-                ),
-            ),
             "AnswerCache": LockContract(
                 lock_attribute="_lock",
                 guarded_attributes=frozenset({"_entries", "stats"}),

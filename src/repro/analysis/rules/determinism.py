@@ -1,7 +1,7 @@
 """DET0xx — determinism rules.
 
 The system's core promise is that answers are byte-identical across
-sequential, sharded, batched, mutated-catalog, and crash-recovered
+sequential, batched, mutated-catalog, and crash-recovered
 execution.  That holds only if every stochastic draw comes from the
 ``utils/rng.py`` stream registry, nothing derives entropy from the clock,
 and nothing lets ``PYTHONHASHSEED``-dependent set iteration order or

@@ -35,7 +35,7 @@ class GuardedAttributeRule(Rule):
     rule_id = "LOCK001"
     title = "guarded attribute touched outside its owning lock"
     invariant = (
-        "Classes shared across threads (ShardedPlanner, AnswerCache) declare "
+        "Classes shared across threads (AnswerCache) declare "
         "lock-guarded attributes; every read or write of a guarded attribute "
         "happens inside `with self._lock:` (construction in __init__ exempt)."
     )

@@ -1,9 +1,9 @@
 """SHM0xx — shared-memory rules.
 
-No module owns a ``multiprocessing.shared_memory`` segment: pool workers
-receive their graphs in pipe frames.  A segment needs an owner that unlinks
-it exactly once, also when its process dies, and nothing here is that owner,
-so every use is a finding.
+No module owns a ``multiprocessing.shared_memory`` segment: every query runs
+in one process.  A segment needs an owner that unlinks it exactly once, also
+when its process dies, and nothing here is that owner, so every use is a
+finding.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ class DirectSharedMemoryRule(Rule):
     rule_id = "SHM001"
     title = "multiprocessing.shared_memory use"
     invariant = (
-        "Nothing touches multiprocessing.shared_memory: pool workers receive "
-        "their graphs in pipe frames, so no segment needs creating, attaching "
-        "or unlinking."
+        "Nothing touches multiprocessing.shared_memory: every query runs in "
+        "one process, so no segment needs creating, attaching or unlinking."
     )
 
     def check(self, source: SourceFile) -> list[Finding]:
@@ -50,6 +49,5 @@ class DirectSharedMemoryRule(Rule):
         return source.finding(
             self.rule_id,
             node,
-            f"{what} used; no module owns a shared-memory segment — ship the "
-            "data to pool workers in their pipe frames instead",
+            f"{what} used; no module owns a shared-memory segment",
         )

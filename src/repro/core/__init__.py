@@ -30,7 +30,6 @@ from repro.core.planner import (
     validate_query,
     validate_top_k_query,
 )
-from repro.core.sharding import ShardedPlanner
 from repro.core.catalog import GraphCatalog
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.core.search_engine import ProbabilisticGraphDatabase
@@ -58,7 +57,6 @@ __all__ = [
     "validate_query",
     "validate_top_k_query",
     "SearchConfig",
-    "ShardedPlanner",
     "GraphCatalog",
     "WriteAheadLog",
     "wal_filename",

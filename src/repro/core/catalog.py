@@ -30,37 +30,23 @@ consequence, threshold and top-k answers over a mutated catalog are
 **byte-identical** — probabilities, ranks, and per-stage counters — to a
 from-scratch build over the *equivalent database*: the same
 ``(external id → graph)`` mapping, the catalog's pinned feature set, and
-the catalog's 64-bit build root, in **any** row order.  The same holds for
-every pool width, so mutation, compaction and the pool are all invisible in
-query output.
+the catalog's 64-bit build root, in **any** row order.  Mutation and
+compaction are invisible in query output.
 
-**The query path.**  The catalog is the front door of every query.  Its four
-query methods validate and plan the whole batch (``planner.plan`` /
-``plan_top_k``), then turn ``rng`` / ``rngs`` into one 64-bit root per
-query, in query order, and hand plans and roots to
-``planner.execute_plans``.  The planner is a
-:class:`~repro.core.sharding.ShardedPlanner` over the catalog's one
-:class:`~repro.core.planner.QueryPlanner`: it filters every plan in-process
-and deals only the verification of threshold survivors to its pool, if it
-has one.  ``num_shards`` only caps the pool's width
-(``max_workers``); it lays out no storage.
+**The query path.**  The catalog is the front door of every query, and one
+process runs each query end to end.  Its four query methods validate and
+plan the whole batch on the catalog's one
+:class:`~repro.core.planner.QueryPlanner` (``plan`` / ``plan_top_k``), then
+turn ``rng`` / ``rngs`` into one 64-bit root per query, in query order, and
+run each plan under its root (``execute_plan``).
 
 **Mutations and the read path.**  ``add_graph`` / ``remove_graph`` /
-``update_graph`` and :meth:`compact` leave the read path standing: each
-hands the cached ``ShardedPlanner`` a query planner over the new view (both
-halves of an update in one step, :meth:`ShardedPlanner.swap`).  None of them
-publishes anything: a pooled planner ships each survivor's graph in the
-frame that verifies it, once per worker, so the worker pool and, in every
-worker, the graphs it holds with their caches survive all of them, and an
-updated graph reaches a worker only once it survives to one.  Only
-:meth:`close` and a broken pool take the planner down, the full swap.
-:meth:`ShardedPlanner.close` parks the workers rather than joining them: a
-release task queued behind every running task makes each worker keep only
-the graphs it verified since its previous park, and the next planner of the
-same width — this catalog reopened, say — takes those workers, with those
-graphs, instead of forking new ones (a broken pool is shut down instead).
-Answers stay byte-identical throughout because workers verify graphs
-unpickled from the catalog's own.
+``update_graph`` and :meth:`compact` replace the cached planner with one
+over the new store (both halves of an update in one step).  The swap needs
+no lock: a planner is an immutable snapshot (:meth:`_Store.install` replaces
+every column rather than growing one), and a query reads the reference
+once, so it runs wholly on the state before a mutation or wholly on the
+state after it.  :meth:`close` drops the planner; the next query builds one.
 
 The feature set is **pinned** at catalog construction: appended rows are
 indexed against the catalog's features, and ``compact()`` deliberately does not
@@ -101,9 +87,8 @@ import numpy as np
 
 from repro.core.planner import QueryPlanner
 from repro.core.results import QueryResult
-from repro.core.sharding import ShardedPlanner, pool_arguments
 from repro.core.wal import WriteAheadLog, wal_filename
-from repro.exceptions import CatalogError, QueryError, WalError
+from repro.exceptions import CatalogError, ConfigurationError, QueryError, WalError
 from repro.graphs.io import (
     load_database,
     probabilistic_graph_from_dict,
@@ -159,6 +144,24 @@ def _external_id(value) -> int:
     if external_id < 0:
         raise CatalogError(f"external_id must be >= 0, got {value!r}")
     return external_id
+
+
+def _check_pool_arguments(num_shards, max_workers) -> None:
+    """Refuse what the retired worker pool refused: ``num_shards`` >= 1 and
+    ``max_workers`` >= 0 or None, each a plain int (anything
+    ``operator.index`` takes, never a bool).  Nothing else reads them (see
+    :meth:`GraphCatalog.build`)."""
+    for name, value, minimum in (("num_shards", num_shards, 1), ("max_workers", max_workers, 0)):
+        if value is None and name == "max_workers":
+            continue
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        try:
+            number = operator.index(value)
+        except TypeError:
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        if number < minimum:
+            raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def _query_roots(
@@ -260,17 +263,14 @@ class GraphCatalog:
         feature_config: FeatureSelectionConfig,
         bound_config: BoundConfig,
         root: int,
-        num_shards: int,
-        max_workers: int | None,
     ) -> None:
-        self._max_workers, self._num_shards = pool_arguments(max_workers, num_shards)
         self._store = store
         self._feature_config = feature_config
         self._bound_config = bound_config
         self._root = root
         self._durability: _Durability | None = None
         self._wal_suppressed = False
-        self._planner_cache: ShardedPlanner | None = None
+        self._planner_cache: QueryPlanner | None = None
         self._mutation_generation = 0
         # external id -> storage row; covers live rows only
         self._live: dict[int, int] = {}
@@ -301,17 +301,18 @@ class GraphCatalog:
         build is cell-for-cell identical to a dense
         ``ProbabilisticMatrixIndex.build(graphs, rng=...)`` plus a
         ``StructuralFeatureIndex`` counted over its features — the catalog
-        only *adds* the mutation layer on top.  ``num_shards`` and
-        ``max_workers`` cap the pool (:class:`ShardedPlanner`): its width is
-        ``min(max_workers, num_shards, usable CPUs)``, ``max_workers=None``
-        meaning the usable CPUs, so a process that may run on one CPU never
-        forks and verifies in-process.  Passing a
-        ``directory`` makes the catalog durable from birth (see
-        :meth:`persist`).
+        only *adds* the mutation layer on top.  Passing a ``directory``
+        makes the catalog durable from birth (see :meth:`persist`).
+
+        ``num_shards`` and ``max_workers`` sized a worker pool that no longer
+        exists: every query runs in this process.  They are still checked
+        (plain ints, ``num_shards`` >= 1, ``max_workers`` >= 0 or None, else
+        :class:`~repro.exceptions.ConfigurationError`) and otherwise ignored,
+        because the end-to-end benchmark still passes them.
         """
         if not graphs:
             raise CatalogError("the catalog needs at least one probabilistic graph")
-        pool_arguments(max_workers, num_shards)  # before the costly part
+        _check_pool_arguments(num_shards, max_workers)  # before the costly part
         feature_cfg = feature_config or FeatureSelectionConfig()
         bound_cfg = bound_config or BoundConfig()
         root = rng_root(rng)
@@ -324,7 +325,7 @@ class GraphCatalog:
             embedding_limit=feature_cfg.embedding_limit
         ).build([graph.skeleton for graph in graphs], features)
         store = _Store(graphs, external_ids, pmi, structural)
-        catalog = cls(store, feature_cfg, bound_cfg, root, num_shards, max_workers)
+        catalog = cls(store, feature_cfg, bound_cfg, root)
         if directory is not None:
             catalog.persist(directory)
         return catalog
@@ -350,8 +351,10 @@ class GraphCatalog:
         cover exactly ``graphs`` and the structural index must count the
         PMI's features: a mutation's rows are built against them and appended
         to both after the mutation is logged, when nothing may refuse them.
+        ``num_shards`` and ``max_workers`` are checked and ignored, as by
+        :meth:`build`.
         """
-        pool_arguments(max_workers, num_shards)
+        _check_pool_arguments(num_shards, max_workers)
         if pmi.num_graphs != len(graphs):
             raise CatalogError(f"the PMI covers {pmi.num_graphs} graphs, got {len(graphs)}")
         if structural_index.num_graphs != len(graphs):
@@ -370,14 +373,7 @@ class GraphCatalog:
             )
         rows = range(len(graphs))
         store = _Store(graphs, rows, pmi.subset(rows), structural_index.subset(rows))
-        catalog = cls(
-            store,
-            pmi.feature_config,
-            pmi.bound_config,
-            pmi.build_root,
-            num_shards,
-            max_workers,
-        )
+        catalog = cls(store, pmi.feature_config, pmi.bound_config, pmi.build_root)
         if directory is not None:
             catalog.persist(directory)
         return catalog
@@ -436,7 +432,9 @@ class GraphCatalog:
         logs plain ints only, so a record whose ``external_id`` is ``true``
         (or any non-integer) was not written by it, and ``open`` refuses it
         with :class:`CatalogError` rather than read it as id 1.
+        ``max_workers`` is checked and ignored, as by :meth:`build`.
         """
+        _check_pool_arguments(1, max_workers)
         directory = Path(directory)
         current_path = directory / CURRENT_FILENAME
         if not current_path.exists():
@@ -465,7 +463,7 @@ class GraphCatalog:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            catalog = cls._load_snapshot(directory, generation, max_workers)
+            catalog = cls._load_snapshot(directory, generation)
             wal, records = WriteAheadLog.open(
                 directory / wal_filename(generation), generation=generation
             )
@@ -526,7 +524,9 @@ class GraphCatalog:
             "type": "graph_catalog_snapshot",
             "version": SNAPSHOT_FORMAT_VERSION,
             "build_root": int(self._root),
-            "num_shards": int(self._num_shards),
+            # read by nothing since the worker pool went; written so that an
+            # older version, which requires it, can open this directory
+            "num_shards": 1,
             "next_external_id": int(self._next_external_id),
             "external_ids": [int(eid) for eid in store.external_ids],
         }
@@ -549,9 +549,7 @@ class GraphCatalog:
         )
 
     @classmethod
-    def _load_snapshot(
-        cls, directory: Path, generation: int, max_workers: int | None
-    ) -> "GraphCatalog":
+    def _load_snapshot(cls, directory: Path, generation: int) -> "GraphCatalog":
         """Reconstruct the catalog a snapshot generation stores."""
         gen_dir = directory / _generation_dirname(generation)
         meta_path = gen_dir / _SNAPSHOT_META_FILENAME
@@ -579,7 +577,6 @@ class GraphCatalog:
             external_ids = [_external_id(eid) for eid in meta["external_ids"]]
             next_external_id = _external_id(meta["next_external_id"])
             build_root = int(meta["build_root"])
-            num_shards = int(meta["num_shards"])
         except (KeyError, TypeError, ValueError) as error:
             raise CatalogError(
                 f"malformed snapshot metadata at {str(meta_path)!r}: {error!r}"
@@ -612,8 +609,6 @@ class GraphCatalog:
             pmi.feature_config,
             pmi.bound_config,
             build_root,
-            num_shards,
-            max_workers,
         )
         catalog._next_external_id = max(catalog._next_external_id, next_external_id)
         return catalog
@@ -744,8 +739,7 @@ class GraphCatalog:
         return int(np.count_nonzero(self._store.tombstone))
 
     def active_shm_segments(self) -> list[str]:
-        """Always ``[]``: the catalog publishes no shared-memory segment
-        (pool workers receive their graphs in the frames that verify them).
+        """Always ``[]``: the catalog publishes no shared-memory segment.
         Kept because the end-to-end benchmark's pool probe
         (``benchmarks/e2e/layers.py``) still sums the sizes of what it lists."""
         return []
@@ -896,8 +890,7 @@ class GraphCatalog:
         are re-read off the graphs, as at :meth:`open`), so by the
         stable-id contract query answers are unchanged.  With every graph
         removed, the catalog compacts to an empty store and keeps answering
-        (with zero answers) until graphs are added again.  The planner keeps
-        its read path and its pool (:meth:`ShardedPlanner.swap`).
+        (with zero answers) until graphs are added again.
         """
         store = self._store
         live = store.live_positions()
@@ -925,15 +918,14 @@ class GraphCatalog:
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def planner(self) -> ShardedPlanner:
-        """The current planner, built lazily: it follows mutations and
-        compactions in place (:meth:`_refresh_planner`) and is rebuilt only
-        after :meth:`close`."""
-        if self._planner_cache is None:
-            self._planner_cache = ShardedPlanner(
-                self._store.make_planner(), self._max_workers, self._num_shards
-            )
-        return self._planner_cache
+    def planner(self) -> QueryPlanner:
+        """The current planner, built lazily: a mutation or a compaction
+        replaces it (:meth:`_refresh_planner`), and :meth:`close` drops it.
+        Its ``pmi`` / ``structural_index`` are the store's."""
+        planner = self._planner_cache
+        if planner is None:
+            planner = self._planner_cache = self._store.make_planner()
+        return planner
 
     def query(
         self,
@@ -979,7 +971,8 @@ class GraphCatalog:
             planner.plan(query_graph, probability_threshold, distance_threshold, config)
             for query_graph in query_graphs
         ]
-        return planner.execute_plans(plans, _query_roots(rng, rngs, len(plans)))
+        roots = _query_roots(rng, rngs, len(plans))
+        return [planner.execute_plan(plan, root) for plan, root in zip(plans, roots)]
 
     def query_top_k(
         self,
@@ -1010,20 +1003,19 @@ class GraphCatalog:
             planner.plan_top_k(query_graph, k, distance_threshold, config)
             for query_graph in query_graphs
         ]
-        return planner.execute_plans(plans, _query_roots(rng, rngs, len(plans)))
+        roots = _query_roots(rng, rngs, len(plans))
+        return [planner.execute_plan(plan, root) for plan, root in zip(plans, roots)]
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the cached planner and the WAL append handle — the full
-        swap (idempotent; the catalog stays usable and durable).
+        """Drop the cached planner and close the WAL append handle.
 
-        A worker pool is parked, not shut down (:meth:`ShardedPlanner.close`):
-        its released workers serve the next catalog of the same pool width,
-        so a catalog reopened on the same directory forks nothing and finds
-        the graphs its workers had deserialized already there."""
-        self._invalidate()
+        Idempotent, and the catalog stays usable and durable: the next query
+        builds a planner again.  A query already running keeps the planner
+        it read, so a ``close()`` racing it leaves its answers unchanged."""
+        self._planner_cache = None
         if self._durability is not None:
             self._durability.wal.close()
 
@@ -1043,13 +1035,6 @@ class GraphCatalog:
         return location
 
     def _refresh_planner(self) -> None:
-        """Hand the cached planner a query planner over the current view: it
-        keeps its worker pool."""
+        """Replace a cached planner with one over the current store."""
         if self._planner_cache is not None:
-            self._planner_cache.swap(self._store.make_planner())
-
-    def _invalidate(self) -> None:
-        """The full swap: drop the cached planner, parking its pool."""
-        if self._planner_cache is not None:
-            self._planner_cache.close()
-        self._planner_cache = None
+            self._planner_cache = self._store.make_planner()

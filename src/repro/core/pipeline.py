@@ -9,14 +9,12 @@ verification (Section 5) — and every query runs it as two calls:
   :class:`~repro.core.results.StageStatistics`, and returns a
   :class:`FilteredPlan`: the result so far and the rows left to verify, with
   their PMI bounds;
-* :func:`finish_threshold` books a threshold plan's verified survivors — their
-  estimates come from :func:`verify_rows`, run in this process
-  (:meth:`FilteredPlan.verify`) or in the pool slots the survivors were dealt
-  to (:class:`~repro.core.sharding.ShardedPlanner`) — and
-  :func:`finish_top_k` ranks a top-k plan, in this process.
+* :func:`finish_threshold` verifies a threshold plan's survivors
+  (:func:`verify_rows`) and books them, and :func:`finish_top_k` ranks a
+  top-k plan.
 
 :meth:`QueryPlanner.execute_plan <repro.core.planner.QueryPlanner.execute_plan>`
-is these two calls with no pool: the sharded planner's flow at width <= 1.
+is these two calls, in one process.
 
 Two query modes:
 
@@ -40,8 +38,8 @@ candidate of the database: :func:`finish_top_k` runs it over the part's
 ``(graph id, usim, lsim)`` table with an estimator that verifies the
 candidate there and then.  Because every estimate derives from ``(root,
 VERIFY_STREAM, global graph id)`` (:func:`repro.utils.rng.derive_seed`),
-answers and counters are the same for any worker count, for stochastic and
-exact verification alike.
+answers and counters do not depend on the order candidates are verified in,
+for stochastic and exact verification alike.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.pruning import VACUOUS_BOUNDS
+from repro.core.verification import Verifier
 from repro.core.results import (
     QueryAnswer,
     QueryResult,
@@ -72,9 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # the stable id is the planner's global id for the graph (its row position in
 # a static database, its external id in a mutable catalog).  The streams a
 # graph consumes therefore depend only on (root, stage, stable id) — never on
-# how many other candidates ran before it, which process verifies it, or how
-# the database was mutated around it.  That is what lets a pool and a
-# mutated catalog reproduce a from-scratch sequential run bit-for-bit.
+# how many other candidates ran before it, what its verification block holds,
+# or how the database was mutated around it.  That is what lets a mutated
+# catalog reproduce a from-scratch run bit-for-bit.
 
 THRESHOLD_MODE = "threshold"
 TOP_K_MODE = "top_k"
@@ -166,20 +165,6 @@ class FilteredPlan:
     usim: np.ndarray
     lsim: np.ndarray
 
-    def verify(self) -> tuple[list[float], int, float]:
-        """:func:`verify_rows` over the survivors, in this process, plus its
-        seconds."""
-        with Timer() as timer:
-            probabilities, sampled = verify_rows(
-                self.planner._verifier_for(self.plan),
-                self.planner.graphs,
-                self.planner.global_ids,
-                self.plan,
-                self.rows,
-                self.root,
-            )
-        return probabilities, sampled, timer.elapsed
-
 
 def filter_plan(planner: "QueryPlanner", plan: "QueryPlan", root: int) -> FilteredPlan:
     """The structural pass, then the PMI pass, of ``plan`` over ``planner``'s
@@ -264,18 +249,19 @@ def close_result(result: QueryResult) -> QueryResult:
 # verification: the block loop, the threshold record, the top-k loop
 # ----------------------------------------------------------------------
 def verify_rows(
-    verifier, graphs, global_ids, plan: "QueryPlan", rows, root: int
+    planner: "QueryPlanner", plan: "QueryPlan", rows, root: int
 ) -> tuple[list[float], int]:
-    """The SSP estimate of every storage row in ``rows``, and how many of
-    them sampled.
+    """The SSP estimate of every storage row in ``rows`` of ``planner``, and
+    how many of them sampled.
 
     Rows go through :meth:`~repro.core.verification.Verifier.verify_block`
     ``VERIFY_BLOCK_SIZE`` at a time, each on its own ``(root, VERIFY_STREAM,
-    global id)`` stream: a planner in the parent and a pool worker holding
-    only the graphs it was dealt and their ids (:mod:`repro.core.sharding`)
-    run this same loop.
+    global id)`` stream.  The verifier is this call's own (it holds nothing
+    but the plan's configs and its ``sampled`` count), so threads verifying
+    on one planner never count each other's draws.
     """
-    sampled_before = verifier.sampled
+    verifier = Verifier(config=plan.config.verification, relaxation=plan.config.relaxation)
+    graphs, global_ids = planner.graphs, planner.global_ids
     probabilities: list[float] = []
     for start in range(0, len(rows), VERIFY_BLOCK_SIZE):
         block = [int(row) for row in rows[start : start + VERIFY_BLOCK_SIZE]]
@@ -289,15 +275,14 @@ def verify_rows(
                 family=plan.family,
             )
         )
-    return probabilities, verifier.sampled - sampled_before
+    return probabilities, verifier.sampled
 
 
-def finish_threshold(
-    part: FilteredPlan, probabilities, sampled: int, seconds: float
-) -> QueryResult:
-    """A filtered threshold plan's result, once its survivors' estimates are
-    in (from pool slots or :meth:`FilteredPlan.verify`): every estimate at or
-    above the plan's threshold is an answer."""
+def finish_threshold(part: FilteredPlan) -> QueryResult:
+    """A filtered threshold plan's result: its survivors are verified, and
+    every estimate at or above the plan's threshold is an answer."""
+    with Timer() as timer:
+        probabilities, sampled = verify_rows(part.planner, part.plan, part.rows, part.root)
     result = part.result
     stats = result.statistics
     stats.verified += len(part.rows)
@@ -320,7 +305,7 @@ def finish_threshold(
             examined=len(part.rows),
             accepted=len(answers),
             passed=len(answers),
-            seconds=seconds,
+            seconds=timer.elapsed,
         )
     )
     return close_result(result)
@@ -341,9 +326,7 @@ def finish_top_k(part: FilteredPlan) -> QueryResult:
 
     def verify(graph_id: int) -> QueryAnswer:
         row = row_of[graph_id]
-        (probability,), sampled = verify_rows(
-            planner._verifier_for(plan), planner.graphs, planner.global_ids, plan, [row], root
-        )
+        (probability,), sampled = verify_rows(planner, plan, [row], root)
         stats.sampled += sampled
         return QueryAnswer(graph_id, planner.graphs[row].name, probability, "verification")
 

@@ -17,12 +17,9 @@
   ``finish_threshold`` or ``finish_top_k`` (verification).
 
 A :class:`~repro.core.catalog.GraphCatalog` holds one :class:`QueryPlanner`
-over its whole storage, inside the
-:class:`~repro.core.sharding.ShardedPlanner` that runs :meth:`filter_plan` on
-it and then places the verification; :meth:`execute_plan` makes the same
-calls in this process.  The single-query ``execute`` / ``execute_top_k``
-below plan and run in one call and are what the parity suites build their
-from-scratch reference from.
+over its whole storage and runs every plan through :meth:`execute_plan`.  The
+single-query ``execute`` / ``execute_top_k`` below plan and run in one call
+and are what the parity suites build their from-scratch reference from.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from repro.core.pipeline import (
 from repro.core.pruning import FeatureContainment, ProbabilisticPruner, PruningConfig
 from repro.core.relaxation import RelaxationConfig, relax_query
 from repro.core.results import QueryResult
-from repro.core.verification import VerificationConfig, Verifier
+from repro.core.verification import VerificationConfig
 from repro.exceptions import ConfigurationError, QueryError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
@@ -178,13 +175,16 @@ class QueryPlanner:
     """Plans and runs the query cascade over one indexed database.
 
     Determinism contract: with the same ``rng`` seed, every ``execute*``
-    method returns byte-identical answers and counters across runs,
-    processes, and execution strategies — a pooled fan-out
-    (:class:`~repro.core.sharding.ShardedPlanner`) or a mutated catalog
+    method returns byte-identical answers and counters across runs and
+    processes — a mutated catalog
     (:class:`~repro.core.catalog.GraphCatalog`) reproduces this planner's
     output exactly, because all stochastic work and all orderings key on
     each graph's stable global id (``global_ids``), never on row positions
     or visit order.
+
+    A planner is shared by the threads querying one catalog, so its pruner
+    cache (:meth:`_pruner_for`) hands each caller the pruner it built or
+    found, never re-reads the attribute.
     """
 
     def __init__(
@@ -204,8 +204,7 @@ class QueryPlanner:
         # tombstoned rows off before any stage runs.  Everything downstream
         # (answers, RNG salts, top-k visit order) keys on `global_ids`, so
         # answers depend only on the (id → graph) mapping, never on row
-        # placement, and a pooled run is indistinguishable from the
-        # sequential one.
+        # placement.
         if graph_ids is None:
             self.global_ids = np.arange(len(graphs), dtype=np.int64)
         else:
@@ -226,15 +225,14 @@ class QueryPlanner:
         # the filter reads the index, never `graphs`
         self.structural_filter = StructuralFilter(structural_index)
         self.pruner = ProbabilisticPruner(pmi.features)
-        self._default_verifier: Verifier | None = None
 
     def _pruner_for(self, plan: QueryPlan) -> ProbabilisticPruner:
         """The planner-owned pruner, rebuilt only when the config changes."""
-        if plan.config.pruning != self.pruner.config:
-            self.pruner = ProbabilisticPruner(
-                self.pmi.features, config=plan.config.pruning
-            )
-        return self.pruner
+        pruner = self.pruner
+        if plan.config.pruning != pruner.config:
+            pruner = ProbabilisticPruner(self.pmi.features, config=plan.config.pruning)
+            self.pruner = pruner
+        return pruner
 
     # ------------------------------------------------------------------
     # planning
@@ -249,8 +247,8 @@ class QueryPlanner:
         """Relax the query; precompute its count profile and containment relations.
 
         Planning is fully deterministic (no RNG is consumed): the same
-        query, thresholds, and config always yield the same plan, so plans
-        can be built once in a parent process and shipped to every worker.
+        query, thresholds, and config always yield the same plan, so a plan
+        can be built once and executed many times.
         """
         distance_threshold = validate_query(query, probability_threshold, distance_threshold)
         return self._prepare_plan(
@@ -312,8 +310,8 @@ class QueryPlanner:
         """Plan and execute one threshold (T-PS) query.
 
         With an int seed (or seeded generator) the result is byte-identical
-        across runs and identical to any pooled/catalog execution of the
-        same query over the same live graphs (see :meth:`execute_plan`).
+        across runs and identical to a catalog's execution of the same query
+        over the same live graphs (see :meth:`execute_plan`).
         """
         return self.execute_plan(
             self.plan(query, probability_threshold, distance_threshold, config), rng=rng
@@ -335,29 +333,27 @@ class QueryPlanner:
         heap, so candidates are verified in descending PMI upper-bound order
         and late candidates prune against the running k-th best
         (:func:`repro.core.pipeline.replay_top_k`).  Under the same seed the
-        ranked list and the counters are byte-identical to a pooled planner's
-        over the same live graphs.
+        ranked list and the counters are byte-identical to a catalog's over
+        the same live graphs.
         """
         return self.execute_plan(self.plan_top_k(query, k, distance_threshold, config), rng=rng)
 
     def execute_plan(self, plan: QueryPlan, rng: RandomLike = None) -> QueryResult:
-        """Run one plan in this process: :meth:`filter_plan`, then
+        """Run one plan: :meth:`filter_plan`, then
         :func:`~repro.core.pipeline.finish_top_k` or
-        :func:`~repro.core.pipeline.finish_threshold` over the survivors'
-        in-process estimates — the sharded planner's flow at width <= 1.
+        :func:`~repro.core.pipeline.finish_threshold`.
 
         The ``rng`` argument is collapsed to a 64-bit *root* and every
         stochastic per-candidate task (QP rounding in pruning, Karp–Luby
         sampling in verification) derives its own generator from
         ``(root, stage, global graph id)``.  Results therefore depend only on
         the root and the graph, not on candidate ordering or database
-        placement — a pooled executor passing the same root reproduces
-        this method's answers exactly.
+        placement.
         """
         part = self.filter_plan(plan, rng)
         if plan.mode == TOP_K_MODE:
             return finish_top_k(part)
-        return finish_threshold(part, *part.verify())
+        return finish_threshold(part)
 
     def filter_plan(self, plan: QueryPlan, rng: RandomLike = None) -> FilteredPlan:
         """The structural and PMI passes of ``plan`` over this planner's live
@@ -368,20 +364,3 @@ class QueryPlanner:
     # `query*()` aliases for symmetry with the catalog's API
     query = execute
     query_top_k = execute_top_k
-
-    # ------------------------------------------------------------------
-    # stage-object lifecycle
-    # ------------------------------------------------------------------
-    def _verifier_for(self, plan: QueryPlan) -> Verifier:
-        """The planner-owned verifier, rebuilt only when the config changes."""
-        verifier = self._default_verifier
-        if (
-            verifier is None
-            or verifier.config != plan.config.verification
-            or verifier.relaxation != plan.config.relaxation
-        ):
-            verifier = Verifier(
-                config=plan.config.verification, relaxation=plan.config.relaxation
-            )
-            self._default_verifier = verifier
-        return verifier

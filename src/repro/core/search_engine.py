@@ -76,7 +76,7 @@ class ProbabilisticGraphDatabase:
     def to_catalog(self, directory: str | Path | None = None) -> GraphCatalog:
         """A second catalog over the built index (no SIP bound is recomputed):
         :meth:`GraphCatalog.from_index`, durable when ``directory`` is given."""
-        planner = self._indexed().planner().query_planner
+        planner = self._indexed().planner()
         return GraphCatalog.from_index(
             self.graphs, planner.pmi, planner.structural_index, directory=directory
         )

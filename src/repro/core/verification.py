@@ -139,7 +139,7 @@ class Verifier:
         runs the configured method with its own entry of ``rngs`` (the
         pipeline passes ``derive_seed(root, VERIFY_STREAM, global id)`` per
         graph), so estimates are independent of block composition and block
-        size — a sharded or re-chunked execution reproduces them exactly.
+        size — a re-chunked execution reproduces them exactly.
         Under ``method="sampling"`` a candidate whose events read few edges
         gets the exact value and consumes nothing of its stream; any other
         has all its samples drawn and evaluated as one matrix batch.

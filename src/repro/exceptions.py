@@ -90,20 +90,6 @@ class WalError(CatalogError):
     expected crash damage, silently truncated on open — never this error.)"""
 
 
-class SlotError(ReproError):
-    """Raised for pool-slot transport failures: a verify frame naming a
-    graph digest the slot's worker does not hold, a worker's result or
-    exception that does not pickle, or a reply that does not unpickle.  The
-    slot stays usable after each of them."""
-
-
-class BrokenSlotError(SlotError):
-    """Raised when a pool slot's worker process is gone (killed, or exited):
-    every reply still pending on that slot fails with it.  The planner then
-    shuts its slots down instead of parking them, and its next fan-out forks
-    fresh workers; a query fan-out answers in-process instead of raising."""
-
-
 class ServiceError(ReproError):
     """Raised by the query service for request-level failures.
 

@@ -38,8 +38,8 @@ from repro.utils.timer import Timer
 
 # BUILD_STREAM (re-exported from repro.utils.rng): each graph's SIP-bound
 # sampling draws from derive_rng(root, BUILD_STREAM, stable graph id), so
-# building a row slice in a worker process — or appending a row to a mutable
-# catalog years later — yields cells identical to the same rows of a
+# building a row slice on its own — or appending a row to a mutable catalog
+# years later — yields cells identical to the same rows of a
 # sequential full build under the same root.
 
 # version 2 stores the three cell arrays and the feature ids; version 1 also

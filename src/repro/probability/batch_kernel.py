@@ -50,9 +50,9 @@ from an earlier overlapping factor — and their values) in ascending pattern
 code order, rows in ascending order within a pattern.  On the independent
 fast path the batch is a single ``n x E`` uniform matrix.  Every step is a
 pure function of the generator and the (graph, events) pair — never of
-event discovery order, shard layout, block composition, or how many
-candidates ran before — so a graph's estimate is byte-identical across
-sequential, sharded, top-k-replay, catalog and service executions.  The exact
+event discovery order, block composition, or how many candidates ran
+before — so a graph's estimate is byte-identical across sequential,
+top-k-replay, catalog and service executions.  The exact
 route consumes no randomness at all: it is a pure function of (graph, events).
 """
 

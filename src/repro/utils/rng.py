@@ -5,15 +5,15 @@ fresh default generator), an integer seed, or an existing
 :class:`random.Random` instance.  :func:`ensure_rng` normalizes the three
 forms so internal code always works with a ``random.Random``.
 
-**Stream derivation.**  Reproducibility across sharding, batching, and —
-since the mutable catalog — database mutation rests on one rule: every
+**Stream derivation.**  Reproducibility across batching, candidate order,
+and — since the mutable catalog — database mutation rests on one rule: every
 stochastic per-graph task draws from ``derive_rng(root, STREAM, graph_id)``
 where ``graph_id`` is the graph's *stable external id* (for a static
 database that is simply its row position), never its current row position or
 visit order.  The stream tags below are the canonical registry; modules
 re-export the ones they use.  Because streams are keyed by stable id, a
-graph keeps the same random draws when the database is sharded differently,
-mutated around it, or compacted — which is what makes catalog answers
+graph keeps the same random draws when it is verified in another block,
+the database is mutated around it, or compacted — which is what makes catalog answers
 byte-identical to a from-scratch rebuild.
 """
 

@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import GraphCatalog, QueryPlanner, sharding
-from repro.core.sharding import shutdown_parked_pools
+from repro.core import GraphCatalog, QueryPlanner
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph, VariantRows
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
@@ -19,31 +18,9 @@ from repro.probability import JointProbabilityTable
 from repro.structural import StructuralFeatureIndex
 
 
-@pytest.fixture(autouse=True)
-def no_parked_pools():
-    """A closed planner parks its workers for the next one of its width;
-    shut them down after every test, so no worker outlives its test and a
-    test that patches worker-side code reaches freshly forked workers."""
-    yield
-    shutdown_parked_pools()
-
-
-@pytest.fixture
-def two_usable_cpus():
-    """Opt-in: the pool sees two usable CPUs
-    (:func:`repro.core.sharding.usable_cores`) for the rest of the test.  The
-    pool width is capped by the CPUs the process may run on, so a test of the
-    pool itself takes this fixture and forks the two workers it tests on any
-    host, a one-CPU one included.  The patch is its own, so a test's
-    ``monkeypatch.undo()`` leaves it in place."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sharding, "usable_cores", lambda: 2)
-        yield
-
-
 def resident_segment_names() -> list[str]:
     """Every ``tpsshm_*`` shared-memory segment resident on the system, for
-    leak checks: the library publishes none, and a pool must not either."""
+    leak checks: the library publishes none."""
     shm_dir = Path("/dev/shm")
     return sorted(path.name for path in shm_dir.glob("tpsshm_*")) if shm_dir.is_dir() else []
 

@@ -109,39 +109,58 @@ class TestGuardedAttributes:
     def test_nested_with_does_not_leak_lock(self, analyze):
         report = analyze(
             """
-            class ShardedPlanner:
+            class AnswerCache:
                 def size(self):
                     with self._lock:
-                        width = len(self._slots)
-                    return width + len(self.query_planner.graphs)
+                        entries = len(self._entries)
+                    return entries + self.stats.hits
             """
         )
         assert rule_ids(report) == ["LOCK001"]
-        assert "query_planner" in report.findings[0].message
+        assert "stats" in report.findings[0].message
 
-    def test_query_planner_and_slots_are_guarded(self, analyze):
-        """What a mutation swaps under a live pool is part of the contract:
-        the query planner and the slot list, read or written."""
+    def test_every_guarded_attribute_is_checked(self, analyze):
+        """Each attribute the contract names is guarded, read or written:
+        a write of one and a read of the other outside the lock are two
+        findings, each naming its attribute and its method."""
         report = analyze(
             """
-            class ShardedPlanner:
-                def swap(self, query_planner):
+            class AnswerCache:
+                def reset(self, stats):
                     with self._lock:
-                        self._slots.sort(key=id)
-                    self.query_planner = query_planner
+                        self._entries.clear()
+                    self.stats = stats
 
                 def pending(self):
-                    return len(self._slots)
+                    return len(self._entries)
 
-                def width(self):
+                def hits(self):
                     with self._lock:
-                        return len(self.query_planner.graphs)
+                        return self.stats.hits
             """
         )
         assert rule_ids(report) == ["LOCK001", "LOCK001"]
         messages = " ".join(finding.message for finding in report.findings)
-        assert "self.query_planner" in messages and "swap" in messages
-        assert "self._slots" in messages and "pending" in messages
+        assert "self.stats" in messages and "reset" in messages
+        assert "self._entries" in messages and "pending" in messages
+
+    def test_a_config_the_test_passes_is_read(self, tmp_path):
+        """The contracts come from the config, not from the rule: a class
+        the default config does not name is checked once a config names it."""
+        from repro.analysis import run_analysis
+        from repro.analysis.config import AnalysisConfig, LockContract
+
+        path = tmp_path / "repro" / "registry.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            "class Registry:\n    def peek(self):\n        return self._items\n",
+            encoding="utf-8",
+        )
+        config = AnalysisConfig(
+            lock_contracts={"Registry": LockContract("_lock", frozenset({"_items"}))}
+        )
+        assert rule_ids(run_analysis([str(path)], config)) == ["LOCK001"]
+        assert rule_ids(run_analysis([str(path)])) == []
 
 
 class TestBuiltinRaise:

@@ -3,17 +3,20 @@
 Covers the mutation API (add/remove/update and their error paths), the
 append/tombstone/compaction lifecycle — including its edge cases:
 remove-then-re-add of the same external id, compaction with nothing to reclaim,
-querying an all-tombstoned database, and a pool capped by more shards than
-live graphs — the checks on the two pool arguments, plus the low-level
-building blocks (PMI and structural row concat).
+querying an all-tombstoned database, and more shards asked for than live
+graphs — the checks on the two retired pool arguments, snapshots a pooled
+build wrote, plus the low-level building blocks (PMI and structural row
+concat).
 """
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core import GraphCatalog, SearchConfig, ShardedPlanner, VerificationConfig
+from repro.core import GraphCatalog, QueryPlanner, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.exceptions import CatalogError, ConfigurationError, IndexError_
@@ -70,6 +73,12 @@ def catalog(base_graphs):
 
 def answers(result):
     return [(a.graph_id, a.probability, a.decided_by) for a in result.answers]
+
+
+def counters(result) -> dict:
+    """The statistics without a wall time: what parity compares."""
+    full = result.statistics.as_dict()
+    return {key: value for key, value in full.items() if not key.endswith("_seconds")}
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +262,7 @@ class TestCompaction:
 
 
 # ----------------------------------------------------------------------
-# the pool arguments
+# the pool arguments: checked, then ignored
 # ----------------------------------------------------------------------
 class TestShardedCatalog:
     def test_rebalance_with_more_shards_than_live_graphs(
@@ -278,15 +287,12 @@ class TestShardedCatalog:
         expected = sequential.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
         assert answers(result) == answers(expected)
 
-    @pytest.mark.parametrize(
-        "entry", ["planner_one_shard", "planner_two_shards", "build", "from_index", "open"]
-    )
+    @pytest.mark.parametrize("entry", ["build", "from_index", "open"])
     def test_negative_max_workers_rejected_at_construction(
         self, base_graphs, tmp_path, entry
     ):
-        """A negative pool width is a configuration error where the planner
-        or catalog is constructed — for one shard too, and never as late as
-        the first fanned-out query."""
+        """A negative pool width is a configuration error where the catalog
+        is constructed, never as late as the first query."""
         catalog = GraphCatalog.build(
             base_graphs,
             feature_config=FEATURE_CONFIG,
@@ -298,12 +304,6 @@ class TestShardedCatalog:
         catalog.close()
         store = catalog._store
         attempts = {
-            "planner_one_shard": lambda: ShardedPlanner(
-                store.make_planner(), max_workers=-5, num_shards=1
-            ),
-            "planner_two_shards": lambda: ShardedPlanner(
-                store.make_planner(), max_workers=-5, num_shards=2
-            ),
             "build": lambda: GraphCatalog.build(
                 base_graphs[:2],
                 feature_config=FEATURE_CONFIG,
@@ -332,7 +332,7 @@ class TestShardedCatalog:
             ("max_workers", -1),
         ],
     )
-    @pytest.mark.parametrize("entry", ["build", "from_index", "planner"])
+    @pytest.mark.parametrize("entry", ["build", "from_index"])
     def test_pool_arguments_are_integers_and_never_bools(
         self, base_graphs, argument, value, entry
     ):
@@ -352,23 +352,66 @@ class TestShardedCatalog:
             "from_index": lambda: GraphCatalog.from_index(
                 store.graphs, store.pmi, store.structural, **{argument: value}
             ),
-            "planner": lambda: ShardedPlanner(store.make_planner(), **{argument: value}),
         }
         with pytest.raises(ConfigurationError, match=argument):
             attempts[entry]()
 
-    def test_integer_like_pool_arguments_are_taken(self, base_graphs):
+    def test_integer_like_pool_arguments_are_taken_and_ignored(self, base_graphs, query):
+        """Integer-like pool arguments pass the check, and then change
+        nothing: the catalog's planner is the store's one ``QueryPlanner``
+        and answers as a catalog built without them."""
         catalog = GraphCatalog.build(
             base_graphs[:3],
             feature_config=FEATURE_CONFIG,
             bound_config=BOUND_CONFIG,
             rng=7,
             num_shards=np.int64(2),
-            max_workers=np.int32(0),
+            max_workers=np.int32(2),
         )
-        planner = catalog.planner()
-        assert (planner.num_shards, planner.max_workers) == (2, 0) and planner.width <= 1
-        assert type(planner.num_shards) is int and type(planner.max_workers) is int
+        plain = GraphCatalog.build(
+            base_graphs[:3], feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=7
+        )
+        assert type(catalog.planner()) is QueryPlanner
+        assert catalog.planner().pmi is catalog._store.pmi
+        got = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
+        want = plain.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
+        assert answers(got) == answers(want) and counters(got) == counters(want)
+
+    def test_a_snapshot_a_pooled_build_wrote_opens_and_answers_identically(
+        self, base_graphs, query, tmp_path
+    ):
+        """A directory whose ``catalog.json`` says ``"num_shards": 2`` — what
+        a build with a two-shard pool wrote — opens and answers exactly as
+        the catalog that wrote it; this build writes ``1`` and reads the key
+        nowhere, so a snapshot without it opens too."""
+        import json
+
+        catalog = GraphCatalog.build(
+            base_graphs, feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=7,
+            directory=tmp_path,
+        )
+        catalog.remove_graph(3)
+        want = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
+        want_top = catalog.query_top_k(query, 2, 1, config=SEARCH_CONFIG, rng=11)
+        catalog.close()
+        (meta_path,) = tmp_path.glob("gen_*/catalog.json")
+        meta = json.loads(meta_path.read_text())
+        assert meta["num_shards"] == 1
+        for written in (2, None):
+            if written is None:
+                del meta["num_shards"]
+            else:
+                meta["num_shards"] = written
+            meta_path.write_text(json.dumps(meta))
+            reopened = GraphCatalog.open(tmp_path, max_workers=2)
+            got = reopened.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
+            got_top = reopened.query_top_k(query, 2, 1, config=SEARCH_CONFIG, rng=11)
+            reopened.close()
+            assert pickle.dumps((got.answers, got_top.answers)) == pickle.dumps(
+                (want.answers, want_top.answers)
+            ), written
+            assert counters(got) == counters(want), written
+            assert counters(got_top) == counters(want_top), written
 
 
 # ----------------------------------------------------------------------

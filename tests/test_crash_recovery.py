@@ -121,7 +121,7 @@ def _prefix_states(graphs, pool):
     return states
 
 
-def _scenario(directory, num_shards: int) -> None:
+def _scenario(directory) -> None:
     """Build the durable catalog and run the op sequence (child workload)."""
     graphs, pool = _dataset()
     catalog = GraphCatalog.build(
@@ -129,7 +129,6 @@ def _scenario(directory, num_shards: int) -> None:
         feature_config=FEATURE_CONFIG,
         bound_config=BOUND_CONFIG,
         rng=SEED,
-        num_shards=num_shards,
         directory=directory,
     )
     for op in _ops(len(graphs), pool):
@@ -163,14 +162,14 @@ def _install_crash(crash_at: int) -> None:
     atomic_io.replace_file = crashing(atomic_io.replace_file)
 
 
-def _run_child(directory, num_shards: int, crash_at: int) -> str:
+def _run_child(directory, crash_at: int) -> str:
     """Fork, run the scenario with a planted crash, and report the outcome."""
     pid = os.fork()
     if pid == 0:  # child: never return into pytest
         code = CHILD_FAILED
         try:
             _install_crash(crash_at)
-            _scenario(directory, num_shards)
+            _scenario(directory)
             code = CHILD_COMPLETED
         finally:
             os._exit(code)
@@ -182,7 +181,7 @@ def _run_child(directory, num_shards: int, crash_at: int) -> str:
     raise AssertionError(f"crash child died unexpectedly: status={status!r}")
 
 
-def _assert_recovers(directory, prefix_states, num_shards, check_answers):
+def _assert_recovers(directory, prefix_states, check_answers):
     """Recovery after one planted crash: prefix state, optionally answers."""
     if not (directory / CURRENT_FILENAME).exists():
         # killed before the first commit: there is no catalog, and open says so
@@ -213,51 +212,47 @@ def _assert_recovers(directory, prefix_states, num_shards, check_answers):
         expected = reference.execute(
             query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=SEED
         )
-        assert_result_parity(threshold, expected, f"shards={num_shards}")
+        assert_result_parity(threshold, expected, "threshold")
         top_k = recovered.query_top_k(
             query, 3, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=SEED
         )
         expected_top = reference.execute_top_k(
             query, 3, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=SEED
         )
-        assert_result_parity(top_k, expected_top, f"shards={num_shards}")
+        assert_result_parity(top_k, expected_top, "top-k")
     finally:
         recovered.close()
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 4])
-def test_kill_at_every_fsync_boundary(tmp_path, num_shards):
+def test_kill_at_every_fsync_boundary(tmp_path):
     """Sweep the kill point across every durability boundary of the workload.
 
-    ``K=1`` checks answer parity at sampled crash points in addition to the
-    prefix-state invariant at all of them; the pooled runs (``num_shards``
-    caps the pool at K) sample fewer crash points.
+    The prefix-state invariant is checked at every crash point, answer
+    parity at sampled ones.
     """
     graphs, pool = _dataset()
     prefix_states = _prefix_states(graphs, pool)
-    stride = 1 if num_shards == 1 else 2
     parity_every = 13  # full query-parity check at every 13th crash point
     crash_at = 1
     swept = 0
     while True:
         directory = tmp_path / f"crash_{crash_at:03d}"
-        outcome = _run_child(directory, num_shards, crash_at)
+        outcome = _run_child(directory, crash_at)
         if outcome == "completed":
             break
         _assert_recovers(
             directory,
             prefix_states,
-            num_shards,
             check_answers=(swept % parity_every == 0),
         )
         swept += 1
-        crash_at += stride
+        crash_at += 1
     assert swept >= 10, f"boundary sweep looks broken: only {swept} crash points"
 
 
 def test_crash_free_child_completes(tmp_path):
     """The harness itself: crash_at beyond the last boundary runs clean."""
-    outcome = _run_child(tmp_path / "clean", 1, 10_000)
+    outcome = _run_child(tmp_path / "clean", 10_000)
     assert outcome == "completed"
     recovered = GraphCatalog.open(tmp_path / "clean")
     graphs, pool = _dataset()
@@ -273,7 +268,7 @@ def test_double_recovery_is_stable(tmp_path):
     graphs, pool = _dataset()
     # crash mid-way through the op sequence, well after the first commit
     directory = tmp_path / "crash"
-    outcome = _run_child(directory, 1, 40)
+    outcome = _run_child(directory, 40)
     assert outcome == "crashed"
     if not (directory / CURRENT_FILENAME).exists():
         pytest.skip("boundary 40 fell before the first commit on this layout")

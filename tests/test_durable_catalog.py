@@ -40,7 +40,7 @@ from tests.test_pmi_index import wide_factor_graph
 SEED = 20120901
 
 
-def durable_catalog(tmp_path, seed=SEED, num_graphs=7, num_shards=1):
+def durable_catalog(tmp_path, seed=SEED, num_graphs=7):
     database = random_database(seed, num_graphs=num_graphs)
     return (
         GraphCatalog.build(
@@ -48,7 +48,6 @@ def durable_catalog(tmp_path, seed=SEED, num_graphs=7, num_shards=1):
             feature_config=FEATURE_CONFIG,
             bound_config=BOUND_CONFIG,
             rng=seed,
-            num_shards=num_shards,
             directory=tmp_path / "catalog",
         ),
         database.graphs,
@@ -133,7 +132,7 @@ class TestPersistAndOpen:
         """Version 1 kept one ``shard_NNN/`` directory per shard and listed
         their ids under ``shards``: ``open`` refuses it with the typed error
         for an unsupported version before it reads a file."""
-        catalog, _ = durable_catalog(tmp_path, num_shards=2)
+        catalog, _ = durable_catalog(tmp_path)
         catalog.close()
         generation = tmp_path / "catalog" / "gen_00000000"
         meta = json.loads((generation / "catalog.json").read_text())
@@ -166,14 +165,11 @@ class TestPersistAndOpen:
         reopened.close()
 
 
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_open_loads_the_snapshot_without_rebuilding(
-        self, tmp_path, monkeypatch, num_shards
-    ):
+    def test_open_loads_the_snapshot_without_rebuilding(self, tmp_path, monkeypatch):
         """A warm restart is build(directory=...) then open(): reopening a
         clean snapshot computes no SIP bound and enumerates no embedding, and
         hands back the exact base arrays the build wrote."""
-        built, _ = durable_catalog(tmp_path, num_shards=num_shards)
+        built, _ = durable_catalog(tmp_path)
         built.close()
 
         # spies: bit-equal arrays alone could also come from a silent rebuild
@@ -191,7 +187,6 @@ class TestPersistAndOpen:
         reopened.close()
         assert not rebuilds, f"open() rebuilt {rebuilds} instead of loading"
 
-        assert reopened._num_shards == built._num_shards == num_shards
         built_store, reopened_store = built._store, reopened._store
         for name in ("_lower", "_upper", "_present"):
             assert np.array_equal(
@@ -210,10 +205,6 @@ def _rewrite_json(path, change) -> None:
 
 def _without(key):
     return lambda document: {k: v for k, v in document.items() if k != key}
-
-
-def _with(key, value):
-    return lambda document: {**document, key: value}
 
 
 def _second_id(value):
@@ -240,7 +231,6 @@ _MALFORMED_FILES = {
     "pmi_meta that is a list": ("pmi_meta.json", lambda meta: [meta], IndexError_),
     "catalog without external_ids": ("catalog.json", _without("external_ids"), CatalogError),
     "catalog without build_root": ("catalog.json", _without("build_root"), CatalogError),
-    "catalog with num_shards x": ("catalog.json", _with("num_shards", "x"), CatalogError),
     "catalog with an id a": ("catalog.json", _second_id("a"), CatalogError),
     "catalog with a negative id": ("catalog.json", _second_id(-1), CatalogError),
     "catalog with an id true": ("catalog.json", _second_id(True), CatalogError),
@@ -348,9 +338,11 @@ class TestRecoveryInvariant:
         )
         recovered.close()
 
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_sharded_reopen_matches_rebuild(self, tmp_path, num_shards):
-        catalog, _ = durable_catalog(tmp_path, num_graphs=8, num_shards=num_shards)
+    def test_replay_reproduces_every_storage_row(self, tmp_path):
+        """``open`` replays the log through the live mutation paths, so every
+        live id lands on the storage row it had; answers match a rebuild,
+        before and after a compaction."""
+        catalog, _ = durable_catalog(tmp_path, num_graphs=8)
         pool = random_database(SEED + 1000, num_graphs=8).graphs
         ops = apply_random_mutations(catalog, pool, SEED, num_ops=10)
         placement = {eid: catalog._live[eid] for eid in catalog.live_external_ids()}
@@ -497,9 +489,8 @@ class TestRefusedMutations:
             catalog.wal_records,
         )
 
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_refused_add_and_update_leave_no_trace(self, tmp_path, num_shards):
-        catalog, graphs = durable_catalog(tmp_path, num_shards=num_shards)
+    def test_refused_add_and_update_leave_no_trace(self, tmp_path):
+        catalog, graphs = durable_catalog(tmp_path)
         catalog.add_graph(random_database(SEED + 1, num_graphs=1).graphs[0])
         query = extract_query(graphs[0].skeleton, 3, rng=SEED)
         wal_path = tmp_path / "catalog" / wal_filename(0)

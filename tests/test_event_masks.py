@@ -257,9 +257,9 @@ class TestLazyBitTable:
         catalog.add_graph(added)
         catalog.update_graph(0, ProbabilisticGraph(graphs[6].skeleton.copy(), graphs[6].factors))
         catalog.close()
-        reopened = GraphCatalog.open(tmp_path / "catalog", max_workers=0)
+        reopened = GraphCatalog.open(tmp_path / "catalog")
         try:
-            live = [added.skeleton, *(g.skeleton for g in reopened.planner().query_planner.graphs)]
+            live = [added.skeleton, *(g.skeleton for g in reopened.planner().graphs)]
             assert not any("_event_bits" in skeleton.__dict__ for skeleton in live)
             model = batch_kernel._MODEL_CACHE.get(added)
             assert model is None or not model._bits

@@ -518,7 +518,6 @@ def test_index_contents_equal_the_block_of_one_oracle(workload, monkeypatch):
         feature_config=E2E_FEATURES,
         bound_config=E2E_BOUNDS,
         rng=E2E_BUILD_SEED,
-        max_workers=0,
     ) as catalog:
         assert [feature_fingerprint(f) for f in catalog.features] == [
             feature_fingerprint(f) for f in features

@@ -156,18 +156,15 @@ class TestVacuousPmiStage:
     """A plan with no containment relation skips the per-candidate bound
     loop; answers and statistics are the loop's."""
 
-    @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("top_k", [False, True])
-    def test_skip_equals_loop(self, pipeline_database, monkeypatch, num_shards, top_k):
+    def test_skip_equals_loop(self, pipeline_database, monkeypatch, top_k):
         catalog = GraphCatalog.build(
             pipeline_database.graphs,
-            num_shards=num_shards,
             feature_config=FeatureSelectionConfig(
                 alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=3
             ),
             bound_config=BoundConfig(method="exact"),
             rng=17,
-            max_workers=0,
         )
         planner = catalog.planner()
         bounded = []
@@ -185,12 +182,12 @@ class TestVacuousPmiStage:
             else:
                 plan = planner.plan(query, 0.1, 1, EXACT_CONFIG)
             assert plan.containment == {}
-            skipped = planner.execute_plans([plan], [3])[0]
+            skipped = planner.execute_plan(plan, 3)
             assert bounded == [] and skipped.statistics.structural_candidates == 3
             # a feature related to no relaxed query: the loop runs and finds
             # nothing to bound with
             unrelated = {0: FeatureContainment(sub_of=frozenset(), super_of=frozenset())}
-            looped = planner.execute_plans([replace(plan, containment=unrelated)], [3])[0]
+            looped = planner.execute_plan(replace(plan, containment=unrelated), 3)
             assert len(bounded) == 3
             del bounded[:]
             assert skipped.answers == looped.answers and skipped.answers

@@ -1,7 +1,7 @@
 """What planning and verifying a query costs, in counts (CI cannot assert
 timings): edge tables built, joins issued, canonical forms computed and graphs
-copied or built per plan, bytes a fan-out ships per plan, feature enumerations
-per query on a pooled catalog, matching passes per candidate block — one for
+copied or built per plan, bytes a plan pickles to, feature enumerations per
+query on a catalog, matching passes per candidate block — one for
 the whole relaxed set, the plan's variant family — and worlds drawn: none where
 every candidate's support is narrow."""
 
@@ -44,7 +44,6 @@ from repro.pmi.features import Feature
 from repro.probability import batch_kernel
 from repro.structural.feature_index import SignaturePostings, StructuralFeatureIndex
 
-from tests.conftest import WIDE_SUPPORT_DISTANCE
 
 CONFIG = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=40))
 NUM_FEATURES = 16
@@ -65,20 +64,18 @@ def graphs():
     return generate_ppi_database(config, rng=31).graphs
 
 
-def _build(graphs, num_shards):
+def _build(graphs):
     return GraphCatalog.build(
         graphs,
-        num_shards=num_shards,
         feature_config=FeatureSelectionConfig(max_vertices=3, max_features=NUM_FEATURES),
         bound_config=BoundConfig(num_samples=20),
         rng=17,
-        max_workers=0,
     )
 
 
 @pytest.fixture(scope="module")
 def catalog(graphs):
-    built = _build(graphs, num_shards=2)
+    built = _build(graphs)
     assert len(built.features) == NUM_FEATURES
     yield built
     built.close()
@@ -207,12 +204,12 @@ class TestPlanCosts:
             assert shipped.query == plan.query
             assert "_generic_join_table" not in shipped.query.__dict__
             assert (shipped.profile, shipped.containment) == (plan.profile, plan.containment)
-            # the relaxed set's rows go over the one shipped copy of the query; no graph of
-            # a variant travels, and each is still there when a worker indexes it
+            # the relaxed set's rows go over the one pickled copy of the query; no graph
+            # of a variant travels, and each is still there when it is indexed
             assert shipped.relaxed_queries.base is shipped.query
             assert shipped.relaxed_queries.materialized_count() == 0
             assert list(shipped.relaxed_queries) == list(plan.relaxed_queries)
-            # ... and with the compiled relaxed set, so that no worker derives it
+            # ... and with the compiled relaxed set, so that nothing derives it again
             assert (shipped.family.levels, shipped.family.loners) == (
                 plan.family.levels,
                 plan.family.loners,
@@ -220,10 +217,7 @@ class TestPlanCosts:
             for name in ("edge_ends", "required", "degree", "seed"):
                 assert np.array_equal(getattr(shipped.family, name), getattr(plan.family, name))
 
-    def test_sharded_catalog_enumerates_once_per_query(
-        self, catalog, six_edge_queries, monkeypatch
-    ):
-        assert catalog.planner().num_shards == 2
+    def test_catalog_enumerates_once_per_query(self, catalog, six_edge_queries, monkeypatch):
         enumerations = _count_calls(monkeypatch, StructuralFeatureIndex, "query_embeddings")
         results = catalog.query_many(six_edge_queries, 0.3, 1, CONFIG, rng=7)
         assert len(enumerations) == len(six_edge_queries)
@@ -258,7 +252,7 @@ class TestVerificationCosts:
             assert not plan.family.loners  # plan() relaxes without an alphabet: no relabeling
             for calls in spies.values():
                 del calls[:]
-            (result,) = planner.execute_plans([plan], [7])
+            result = planner.execute_plan(plan, 7)
             blocks = len(spies["verify_block"])
             assert result.statistics.verified >= blocks >= 1
             assert len(spies["execute_variant_family"]) == blocks
@@ -270,47 +264,47 @@ class TestVerificationCosts:
         self, graphs, six_edge_queries, spies
     ):
         """In-process: the top-k loop verifies a candidate when it reaches it."""
-        with _build(graphs, num_shards=1) as catalog:
+        with _build(graphs) as catalog:
             planner = catalog.planner()
             verified = 0
             for query in six_edge_queries:
                 plan = planner.plan_top_k(query, 2, 2, CONFIG)
                 for calls in spies.values():
                     del calls[:]
-                (result,) = planner.execute_plans([plan], [7])
+                result = planner.execute_plan(plan, 7)
                 verified += result.statistics.verified
                 assert len(spies["execute_variant_family"]) == result.statistics.verified
                 assert all(len(args[2]) == 1 for args in spies["verify_block"])  # blocks of one
                 assert not spies["compile_variant_family"]
         assert verified > len(six_edge_queries)
 
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_top_k_runs_the_one_loop_once_per_plan(
-        self, graphs, six_edge_queries, spies, monkeypatch, num_shards
+        self, graphs, six_edge_queries, spies, monkeypatch
     ):
         """``replay_top_k`` walks each top-k plan once over its candidates,
-        and verifies each candidate it reaches as a block of one, whatever
-        the pool cap."""
+        and verifies each candidate it reaches as a block of one."""
         loops = _count_calls(monkeypatch, pipeline, "replay_top_k")
-        with _build(graphs, num_shards) as catalog:
+        with _build(graphs) as catalog:
             planner = catalog.planner()
             plans = [planner.plan_top_k(query, 2, 2, CONFIG) for query in six_edge_queries]
             threshold = planner.plan(six_edge_queries[0], 0.3, 2, CONFIG)
-            planner.execute_plans([threshold, *plans], [7] * (len(plans) + 1))
+            for plan in (threshold, *plans):
+                planner.execute_plan(plan, 7)
             assert len(loops) == len(plans)
             del spies["verify_block"][:]
-            planner.execute_plans(plans, [7] * len(plans))
+            for plan in plans:
+                planner.execute_plan(plan, 7)
         widest = max(len(args[2]) for args in spies["verify_block"])
         assert widest == 1
 
     def test_hand_made_plan_derives_its_family(self, catalog, six_edge_queries, spies):
         planner = catalog.planner()
         plan = planner.plan(six_edge_queries[0], 0.3, 1, CONFIG)
-        (expected,) = planner.execute_plans([plan], [7])
+        expected = planner.execute_plan(plan, 7)
         plan.family = None
         for calls in spies.values():
             del calls[:]
-        (derived,) = planner.execute_plans([plan], [7])
+        derived = planner.execute_plan(plan, 7)
         assert derived.answers == expected.answers
         assert len(spies["compile_variant_family"]) == len(spies["verify_block"]) >= 1
 
@@ -326,11 +320,9 @@ def _e2e_smoke_catalog(workload):
     corpus = e2e.build_corpus(workload, smoke=True)
     catalog = GraphCatalog.build(
         corpus.graphs,
-        num_shards=2,
         feature_config=e2e.FEATURE_CONFIG,
         bound_config=e2e.BOUND_CONFIG,
         rng=e2e.BUILD_SEED,
-        max_workers=0,
     )
     return corpus, catalog, e2e.build_requests(corpus, seed=7)
 
@@ -406,28 +398,6 @@ def test_plan_canonicalises_only_colliding_variants(workload, monkeypatch):
         query = next(q for _, q, _ in corpus.templates if q.name == "q4-001")
         assert len(set(map(query.edge_signature, query.edge_keys()))) == query.num_edges == 4
         assert per_template["q4-001"] == 0 and max(per_template.values()) > 0
-
-
-def test_sampled_sums_across_shards_to_the_dense_count(wide_support_corpus):
-    """A catalog capped at two slots verifies the same candidates as the
-    dense one, so the route counter matches like ``verified``."""
-    graphs, queries = wide_support_corpus
-    build = dict(
-        feature_config=FeatureSelectionConfig(max_vertices=3, max_features=NUM_FEATURES),
-        bound_config=BoundConfig(num_samples=20),
-        rng=17,
-        max_workers=0,
-    )
-    with GraphCatalog.build(graphs, **build) as dense, GraphCatalog.build(
-        graphs, num_shards=2, **build
-    ) as sharded:
-        for query in queries:
-            expected, actual = (
-                catalog.query(query, 0.3, WIDE_SUPPORT_DISTANCE, CONFIG, rng=7).statistics
-                for catalog in (dense, sharded)
-            )
-            assert 0 < expected.sampled < expected.verified
-            assert (actual.sampled, actual.verified) == (expected.sampled, expected.verified)
 
 
 def test_statistics_without_the_sampled_key_still_parse():

@@ -14,7 +14,6 @@ from repro.core import (
     ProbabilisticPruner,
     QueryPlanner,
     SearchConfig,
-    ShardedPlanner,
     VerificationConfig,
     aggregate_statistics,
     relax_query,
@@ -49,17 +48,15 @@ FEATURES = FeatureSelectionConfig(
 BUILD = dict(feature_config=FEATURES, bound_config=BoundConfig(method="exact"), rng=17)
 
 
-def _engine(graphs, num_shards):
+def _engine(graphs):
     """The adopted-index route: both indexes built directly, then handed to
     ``GraphCatalog.from_index``."""
     built = build_index(graphs, **BUILD)
-    return GraphCatalog.from_index(
-        graphs, built.pmi, built.structural_index, num_shards=num_shards, max_workers=0
-    )
+    return GraphCatalog.from_index(graphs, built.pmi, built.structural_index)
 
 
-def _catalog(graphs, num_shards):
-    return GraphCatalog.build(graphs, num_shards=num_shards, max_workers=0, **BUILD)
+def _catalog(graphs):
+    return GraphCatalog.build(graphs, **BUILD)
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +109,8 @@ class TestMalformedBatchDoesNoWork:
     the batch executes and before a shared ``random.Random`` is drawn from."""
 
     @pytest.mark.parametrize("position", [0, 2, 4])
-    @pytest.mark.parametrize(
-        "build,num_shards",
-        [(_engine, 1), (_engine, 3), (_catalog, 1), (_catalog, 3)],
-    )
-    def test_batch_is_refused_whole(
-        self, planner_database, workload, monkeypatch, build, num_shards, position
-    ):
+    @pytest.mark.parametrize("build", [_engine, _catalog])
+    def test_batch_is_refused_whole(self, planner_database, workload, monkeypatch, build, position):
         from repro.graphs import LabeledGraph
 
         disconnected = LabeledGraph.from_edges(
@@ -126,7 +118,7 @@ class TestMalformedBatchDoesNoWork:
         )
         batch = list(workload)
         batch.insert(position, disconnected)
-        target = build(planner_database.graphs, num_shards)
+        target = build(planner_database.graphs)
 
         executed = []
         for name in ("execute_plan", "filter_plan"):
@@ -163,7 +155,7 @@ class TestPlanner:
         bounds = BoundConfig(num_samples=40)
         view = GraphCatalog.build(
             planner_database.graphs, feature_config=FEATURES, bound_config=bounds, rng=23
-        ).planner().query_planner
+        ).planner()
         pmi, structural_index = view.pmi, view.structural_index
         dense = ProbabilisticMatrixIndex(
             feature_config=FEATURES, bound_config=bounds
@@ -179,12 +171,10 @@ class TestPlanner:
         assert np.array_equal(structural_index.counts_matrix(), structural.counts_matrix())
 
     def test_build_index_constructs_planner(self, indexed):
-        """A catalog's planner — a sharded planner over its one query planner
-        — reads the very indexes the catalog's store holds (no copy between
-        them)."""
-        planner = indexed.catalog.planner()
-        assert isinstance(planner, ShardedPlanner) and planner.num_shards == 1
-        view = planner.query_planner
+        """A catalog's planner — its one query planner — reads the very
+        indexes the catalog's store holds (no copy between them)."""
+        view = indexed.catalog.planner()
+        assert type(view) is QueryPlanner
         store = indexed.catalog._store
         assert isinstance(view.pmi, ProbabilisticMatrixIndex) and view.pmi is store.pmi
         row = view.pmi.row(0)
@@ -195,22 +185,46 @@ class TestPlanner:
         assert view.structural_index is store.structural
         assert view.structural_index.num_graphs == len(indexed.graphs)
 
+    def test_pruner_for_returns_the_pruner_it_built(self, indexed, workload):
+        """A planner is shared by the threads querying one catalog: when
+        another thread swaps ``planner.pruner`` right after this call stored
+        the one it built, this call still filters with its own config's."""
+        from repro.core import PruningConfig
+
+        mine, theirs = PruningConfig(optimal_usim=False), PruningConfig(optimal_lsim=False)
+
+        class Racing(QueryPlanner):
+            @property
+            def pruner(self):
+                return self.__dict__["_pruner"]
+
+            @pruner.setter
+            def pruner(self, value):
+                self.__dict__["_pruner"] = value
+                if value.config == mine:  # the other thread lands here
+                    self.__dict__["_pruner"] = ProbabilisticPruner(self.pmi.features, config=theirs)
+
+        planner = Racing(indexed.graphs, indexed.pmi, indexed.structural_index)
+        plan = planner.plan(workload[0], 0.3, 1, SearchConfig(pruning=mine))
+        assert planner._pruner_for(plan).config == mine
+        assert planner.pruner.config == theirs
+
     def test_plan_is_reusable(self, indexed, workload):
         config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
         planner = indexed.catalog.planner()
         plan = planner.plan(workload[0], 0.3, 1, config)
-        first, second = planner.execute_plans([plan, plan], [3, 3])
+        first, second = planner.execute_plan(plan, 3), planner.execute_plan(plan, 3)
         assert answers_as_tuples(first) == answers_as_tuples(second)
 
     def test_a_plan_pickles_the_same_after_its_query_was_matched(self, indexed, workload):
-        """A plan ships to a pool worker as its pickle: executing it in this
-        process (edge tables, event bits and signature counts memoised on the
-        query, relaxed members built) leaves those bytes as they were."""
+        """Executing a plan (edge tables, event bits and signature counts
+        memoised on the query, relaxed members built) leaves its pickle as it
+        was: the memo slots never travel."""
         config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
         planner = indexed.catalog.planner()
         plan = planner.plan(workload[0], 0.3, 1, config)
         before = pickle.dumps(plan)
-        planner.execute_plans([plan], [3])
+        planner.execute_plan(plan, 3)
         list(plan.relaxed_queries)
         assert plan.relaxed_queries.materialized_count()
         assert pickle.dumps(plan) == before
@@ -381,13 +395,14 @@ class TestQueryType:
         assert (".skeleton" in str(raised.value)) == (kind == "database graph")
 
 
-class TestExecutePlansArity:
-    """One root per plan: a ``roots`` list of another length is refused, not
-    truncated to the shorter list."""
+class TestRngsArity:
+    """One generator per query: an ``rngs`` list of another length is
+    refused, not truncated to the shorter list."""
 
-    @pytest.mark.parametrize("plans, roots", [(2, [3]), (1, [3, 4]), (0, [3])])
-    def test_a_length_mismatch_is_a_query_error(self, indexed, workload, plans, roots):
-        planner = indexed.catalog.planner()
-        plan = planner.plan(workload[0], 0.3, 1)
-        with pytest.raises(QueryError, match="roots"):
-            planner.execute_plans([plan] * plans, roots)
+    @pytest.mark.parametrize("queries, rngs", [(2, [3]), (1, [3, 4]), (0, [3])])
+    def test_a_length_mismatch_is_a_query_error(self, indexed, workload, queries, rngs):
+        batch = [workload[0]] * queries
+        with pytest.raises(QueryError, match="rngs"):
+            indexed.catalog.query_many(batch, 0.3, 1, rngs=rngs)
+        with pytest.raises(QueryError, match="rngs"):
+            indexed.catalog.query_top_k_many(batch, 2, 1, rngs=rngs)

@@ -198,10 +198,10 @@ def test_the_catalog_is_the_only_front_door():
 
 
 def test_top_k_has_no_partial_mode_and_the_arena_no_index():
-    """The parent ranks top-k once over every shard and a worker verifies
-    graphs: no shard-partial top-k and no PMI arena interchange is left."""
+    """Top-k is ranked once over every candidate: no shard-partial top-k and
+    no PMI arena interchange is left."""
     from repro import core
-    from repro.core import pipeline, planner, sharding
+    from repro.core import pipeline, planner
     from repro.pmi import ProbabilisticMatrixIndex
 
     for gone in ("TopKPartial", "merge_top_k_partials"):
@@ -213,23 +213,44 @@ def test_top_k_has_no_partial_mode_and_the_arena_no_index():
         assert not hasattr(holder, "gather_partial"), holder
     for gone in ("arena_arrays", "arena_meta", "from_arrays", "ARENA_ARRAY_KEYS"):
         assert not hasattr(ProbabilisticMatrixIndex, gone), gone
-    assert "partial" not in (sharding.__doc__ + pipeline.__doc__ + planner.__doc__).lower()
+    assert "partial" not in (pipeline.__doc__ + planner.__doc__).lower()
 
 
 def test_the_shared_memory_plane_is_gone():
-    """A pool worker receives its graphs in the frames that verify them: no
-    shared-memory plane, publication or descriptor is left to import."""
+    """No shared-memory plane, publication or descriptor is left to import."""
     import importlib.util
 
     from repro import core
-    from repro.core import sharding
 
     for gone in ("ShardDescriptor", "ShardPlane", "materialize_shard", "publish_base",
                  "publish_delta"):
         assert gone not in core.__all__ and not hasattr(core, gone), gone
-        assert not hasattr(sharding, gone), gone
     assert importlib.util.find_spec("repro.utils.shm") is None
-    assert not hasattr(sharding.ShardedPlanner, "shard_plane")
+
+
+def test_the_worker_pool_is_gone():
+    """A catalog verifies in-process through its one ``QueryPlanner``: no
+    pool module, planner wrapper or slot error is left to import, and no
+    library module imports ``multiprocessing`` (the SHM001 rule names it to
+    forbid it)."""
+    import importlib.util
+
+    from repro import core, exceptions
+
+    assert importlib.util.find_spec("repro.core.sharding") is None
+    for gone in ("ShardedPlanner", "SlotError", "BrokenSlotError"):
+        for module in (repro, core, exceptions):
+            assert not hasattr(module, gone), (module.__name__, gone)
+            assert gone not in getattr(module, "__all__", ()), (module.__name__, gone)
+    importers = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if any(
+            name.split(".")[0] == "multiprocessing"
+            for name in imported_names(path.read_text(encoding="utf-8"), "repro.module")
+        )
+    ]
+    assert importers == []
 
 
 def test_the_stage_framework_is_gone():

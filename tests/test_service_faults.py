@@ -1,4 +1,4 @@
-"""Fault injection for the query service and the pooled-planner lifecycle.
+"""Fault injection for the query service and the catalog lifecycle.
 
 Every failure mode must resolve into a *typed* error frame or a clean
 recovery — never a hang, never a crashed dispatcher, and (the autouse
@@ -6,20 +6,15 @@ fixture below) never an orphaned shared-memory segment:
 
 * client disconnect mid-request — the work is dropped, the service lives;
 * per-request deadline expiry — ``deadline_exceeded``, work skipped;
-* a SIGKILL'd pool worker — the broken pool falls back in-process with
-  byte-identical answers, then rebuilds; ``map_slots`` meeting one raises
-  ``BrokenSlotError`` once and forks fresh workers on the next call;
 * a full admission queue — immediate ``overloaded``;
 * a bool where a mutation expects an external id — ``bad_request``;
 * a non-integral, bool or non-finite δ or k — ``bad_request``, over TCP too;
 * graceful shutdown mid-batch — queued work completes, new work gets
   ``shutting_down``;
-* ``ShardedPlanner.close()`` double-close and close-during-inflight —
-  idempotent and drain-on-close under concurrent submission;
-* mutations racing pooled queries — every answer is that of a whole state,
-  and every frame names only graphs its worker holds;
-* a worker SIGKILL'd between a mutation and the next query — in-process
-  fallback over the mutated state, then a fresh pool.
+* ``GraphCatalog.close()`` twice, from racing threads, and during
+  in-flight ``query_many`` calls — a no-op for the answers: every query
+  in flight and every later one answers as the twin does;
+* mutations racing queries — every answer is that of a whole state.
 """
 
 from __future__ import annotations
@@ -27,8 +22,6 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
-import os
-import signal
 import sys
 import threading
 import time
@@ -38,9 +31,9 @@ import pytest
 import test_catalog_parity
 from test_catalog_parity import rebuild_from_scratch
 
-from repro.core import GraphCatalog, QueryResult, SearchConfig, VerificationConfig, sharding
+from repro.core import GraphCatalog, QueryResult, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
-from repro.exceptions import BrokenSlotError, ServiceError
+from repro.exceptions import ServiceError
 from repro.graphs.io import labeled_graph_to_dict
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig
@@ -67,7 +60,7 @@ SEARCH_CONFIG = SearchConfig(
 
 @pytest.fixture(autouse=True)
 def no_segment_leaks():
-    """Same bar as test_pool_parity: faults must not leave shm segments."""
+    """Faults must not leave shared-memory segments behind."""
     before = set(resident_segment_names())
     yield
     gc.collect()
@@ -226,136 +219,6 @@ def test_default_deadline_applies_to_requests_without_one():
             catalog.close()
 
     asyncio.run(scenario())
-
-
-def _stored_digests() -> set[bytes]:
-    """Runs in a pool worker: the digests of the graphs it holds."""
-    return set(sharding._WORKER_GRAPHS)
-
-
-def slot_zero_worker(planner) -> int:
-    """The pid of slot 0's worker: a cold pool deals a query's survivors to
-    slot 0, so killing it breaks the next fan-out of the same query, whose
-    survivors go to the slot that holds them."""
-    return planner.map_slots(os.getpid)[0]
-
-
-@pytest.mark.usefixtures("two_usable_cpus")
-def test_sigkilled_pool_worker_recovers_with_identical_answers():
-    """SIGKILL a pool worker: the poisoned pool falls back in-process and the
-    answers stay byte-identical (determinism is execution-strategy-free)."""
-
-    async def scenario():
-        database, catalog = build_catalog(seed=7004, num_shards=2, max_workers=2)
-        reference = GraphCatalog.build(
-            database.graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BOUND_CONFIG,
-            rng=7004,
-        )
-        query = extract_query(database.graphs[2].skeleton, 3, rng=8)
-        config = ServiceConfig(batch_window=0.0, search_config=SEARCH_CONFIG)
-        try:
-            async with QueryService(catalog, config) as service:
-                client = ServiceClient(service)
-                # Warm the pool, then murder the worker of slot 0.
-                await client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=9)
-                planner = catalog.planner()
-                assert planner._slots, "pool should be warm"
-                os.kill(slot_zero_worker(planner), signal.SIGKILL)
-
-                result = await client.query(
-                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=10
-                )
-                # the fan-out met the dead worker: the pool was dropped
-                assert planner._slots == []
-                expected = reference.query(
-                    query,
-                    PROBABILITY_THRESHOLD,
-                    DISTANCE_THRESHOLD,
-                    config=SEARCH_CONFIG,
-                    rng=10,
-                )
-                assert answer_tuples(result) == answer_tuples(expected)
-                health = await client.health()
-                assert health["status"] == "ok"
-        finally:
-            catalog.close()
-            reference.close()
-
-    asyncio.run(scenario())
-
-
-@pytest.mark.usefixtures("two_usable_cpus")
-@pytest.mark.parametrize("then", ["close", "query"])
-def test_a_sigkilled_slot_is_never_parked(then):
-    """A closed planner parks its workers for the next one of its width, but
-    not a pool with a dead worker: whether ``close()`` finds it dead (its
-    release task fails) or a query does first (the in-process fallback), the
-    next catalog forks fresh workers, all of them."""
-    database, catalog = build_catalog(seed=7013, num_shards=2, max_workers=2)
-    query = extract_query(database.graphs[0].skeleton, 3, rng=120)
-
-    def ask(target, rng):
-        return answer_tuples(
-            target.query(
-                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=rng
-            )
-        )
-
-    successor = None
-    try:
-        ask(catalog, 121)
-        planner = catalog.planner()
-        pids = planner.map_slots(os.getpid)
-        os.kill(slot_zero_worker(planner), signal.SIGKILL)
-        if then == "query":
-            assert ask(catalog, 122) == twin_answer(catalog, query, rng=122)
-        catalog.close()
-        assert not os.path.isdir(f"/proc/{pids[1]}"), "the live sibling was parked"
-        successor = build_catalog(seed=7014, num_shards=2, max_workers=2)[1]
-        assert not set(pids) & set(successor.planner().map_slots(os.getpid))
-        # and a healthy close parks as before
-        fresh = successor.planner().map_slots(os.getpid)
-        successor.close()
-        assert catalog.planner().map_slots(os.getpid) == fresh
-    finally:
-        catalog.close()
-        if successor is not None:
-            successor.close()
-
-
-@pytest.mark.usefixtures("two_usable_cpus")
-def test_map_slots_after_a_sigkilled_worker_raises_once_then_forks_fresh():
-    """``map_slots`` meets a dead worker the way a query fan-out does: every
-    slot is shut down (the live sibling too, never parked) — but it raises a
-    typed error instead of answering in-process.  The next call forks fresh
-    workers, and queries answer as before."""
-    database, catalog = build_catalog(seed=7015, num_shards=2, max_workers=2)
-    query = extract_query(database.graphs[1].skeleton, 3, rng=130)
-
-    def ask(rng):
-        return answer_tuples(
-            catalog.query(
-                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=rng
-            )
-        )
-
-    try:
-        ask(131)
-        planner = catalog.planner()
-        pids = planner.map_slots(os.getpid)
-        os.kill(pids[0], signal.SIGKILL)
-        with pytest.raises(BrokenSlotError):
-            planner.map_slots(os.getpid)
-        assert planner._slots == []
-        assert not any(os.path.isdir(f"/proc/{pid}") for pid in pids), "a slot outlived the list"
-        fresh = planner.map_slots(os.getpid)
-        assert len(fresh) == 2 and not set(fresh) & set(pids)
-        assert ask(132) == twin_answer(catalog, query, rng=132)
-        assert planner.map_slots(os.getpid) == fresh
-    finally:
-        catalog.close()
 
 
 def test_full_admission_queue_is_typed_and_never_hangs():
@@ -525,60 +388,51 @@ def test_graceful_shutdown_mid_batch_drains_then_refuses():
     asyncio.run(scenario())
 
 
-@pytest.mark.usefixtures("two_usable_cpus")
-class TestShardedPlannerCloseRegression:
-    """The close() lifecycle fixes: idempotent, concurrent, drain-on-close."""
+class TestCatalogClose:
+    """``close()`` drops the catalog's planner and nothing else: it is
+    idempotent, racing closes are safe, and a query in flight keeps the
+    planner it read."""
 
     def test_double_close_is_a_no_op(self):
-        database, catalog = build_catalog(seed=7007, num_shards=2, max_workers=2)
+        """A second ``close()``, and four more racing each other, raise
+        nothing, and the catalog answers afterwards as its twin does."""
+        database, catalog = build_catalog(seed=7007)
         query = extract_query(database.graphs[0].skeleton, 3, rng=70)
-        try:
-            catalog.query(
-                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
-                config=SEARCH_CONFIG, rng=71,
+
+        def ask(rng):
+            return answer_tuples(
+                catalog.query(
+                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
+                    config=SEARCH_CONFIG, rng=rng,
+                )
             )
-            planner = catalog.planner()
-            planner.close()
-            planner.close()  # regression: second close must not raise
-            assert planner._slots == []
-            # the planner keeps working after close (a parked or fresh pool)
-            catalog.query(
-                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
-                config=SEARCH_CONFIG, rng=72,
-            )
-        finally:
-            catalog.close()
 
-    def test_concurrent_close_races_are_safe(self):
-        database, catalog = build_catalog(seed=7008, num_shards=2, max_workers=2)
-        query = extract_query(database.graphs[1].skeleton, 3, rng=73)
-        try:
-            catalog.query(
-                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
-                config=SEARCH_CONFIG, rng=74,
-            )
-            planner = catalog.planner()
-            errors = []
+        before = ask(71)
+        catalog.close()
+        catalog.close()
+        errors = []
 
-            def closer():
-                try:
-                    planner.close()
-                except Exception as exc:  # pragma: no cover - the regression
-                    errors.append(exc)
+        def closer():
+            try:
+                catalog.close()
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
 
-            threads = [threading.Thread(target=closer) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert not errors, f"racing close() raised: {errors}"
-        finally:
-            catalog.close()
+        threads = [threading.Thread(target=closer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, f"racing close() raised: {errors}"
+        assert ask(71) == before
+        assert ask(72) == twin_answer(catalog, query, rng=72)
+        catalog.close()
 
-    def test_close_during_inflight_query_drains_not_tears(self):
-        """close() racing execute_plans: the in-flight workload still returns
-        byte-identical answers (pool shutdown waits for submitted tasks)."""
-        database, catalog = build_catalog(seed=7009, num_shards=2, max_workers=2)
+    def test_close_racing_inflight_query_many_leaves_its_answers(self):
+        """Three threads run ``query_many`` while this one closes the catalog
+        again and again: every batch, whichever planner it read, answers
+        byte-identically to a catalog nobody closed, and none hangs."""
+        database, catalog = build_catalog(seed=7009)
         reference = GraphCatalog.build(
             database.graphs,
             feature_config=FEATURE_CONFIG,
@@ -588,81 +442,40 @@ class TestShardedPlannerCloseRegression:
         queries = [
             extract_query(database.graphs[i % 6].skeleton, 3, rng=80 + i) for i in range(4)
         ]
-        try:
-            planner = catalog.planner()
-            results: dict[str, object] = {}
+        outcomes: list = [None] * 3
 
-            def run_workload():
-                plans = [
-                    planner.plan(
-                        query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG
-                    )
-                    for query in queries
-                ]
-                results["got"] = planner.execute_plans(plans, [81] * len(plans))
-
-            worker = threading.Thread(target=run_workload)
-            worker.start()
-            planner.close()  # may land before, during, or after the fan-out
-            worker.join()
-            expected = reference.query_many(
-                queries,
-                PROBABILITY_THRESHOLD,
-                DISTANCE_THRESHOLD,
-                config=SEARCH_CONFIG,
-                rng=81,
+        def run_workload(slot: int):
+            outcomes[slot] = catalog.query_many(
+                queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
+                config=SEARCH_CONFIG, rng=81 + slot,
             )
-            for got, want in zip(results["got"], expected):
-                assert answer_tuples(got) == answer_tuples(want)
-        finally:
-            catalog.close()
-            reference.close()
 
-    def test_concurrent_submissions_with_close_never_deadlock(self):
-        """Submitting threads racing close(): everything completes with the
-        right answers and no segment in /dev/shm (the autouse fixture)."""
-        database, catalog = build_catalog(seed=7010, num_shards=2, max_workers=2)
-        reference = GraphCatalog.build(
-            database.graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BOUND_CONFIG,
-            rng=7010,
-        )
-        query = extract_query(database.graphs[3].skeleton, 3, rng=90)
+        threads = [threading.Thread(target=run_workload, args=(slot,)) for slot in range(3)]
         try:
-            planner = catalog.planner()
-            outcomes: list = [None] * 3
-
-            def submitter(slot: int):
-                plan = planner.plan(
-                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG
-                )
-                (outcomes[slot],) = planner.execute_plans([plan], [91 + slot])
-
-            threads = [threading.Thread(target=submitter, args=(slot,)) for slot in range(3)]
             for thread in threads:
                 thread.start()
-            planner.close()
+            while any(thread.is_alive() for thread in threads):
+                catalog.close()  # lands before, during, or after each batch
+                time.sleep(0.001)
             for thread in threads:
                 thread.join(timeout=60)
-                assert not thread.is_alive(), "submission deadlocked against close()"
-            for slot in range(3):
-                expected = reference.query(
-                    query,
-                    PROBABILITY_THRESHOLD,
-                    DISTANCE_THRESHOLD,
-                    config=SEARCH_CONFIG,
-                    rng=91 + slot,
+                assert not thread.is_alive(), "a query hung against close()"
+            for slot, got in enumerate(outcomes):
+                expected = reference.query_many(
+                    queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
+                    config=SEARCH_CONFIG, rng=81 + slot,
                 )
-                assert answer_tuples(outcomes[slot]) == answer_tuples(expected)
+                assert [answer_tuples(result) for result in got] == [
+                    answer_tuples(result) for result in expected
+                ]
         finally:
             catalog.close()
             reference.close()
 
 
-@pytest.mark.usefixtures("two_usable_cpus")
 class TestMutationsKeepTheReadPath:
-    """A mutation swaps the query planner under a live pool; nothing tears."""
+    """A mutation replaces the catalog's planner under running queries;
+    nothing tears."""
 
     @staticmethod
     def mutations(database, spare):
@@ -696,16 +509,13 @@ class TestMutationsKeepTheReadPath:
             catalog.remove_graph(external_id)
 
     def test_queries_racing_mutations_answer_from_whole_states(self):
-        """Threads querying the pooled catalog in a loop while this thread
-        applies 20 mutations and a compaction after every fifth: every
-        answer is the from-scratch twin's for the state before or after some
-        mutation (an update is one step, never the missing-id state between
-        its halves) — no ``SlotError`` from a frame naming a graph its worker
-        does not hold, no broken pool, no hang, and each slot's record equal
-        to its worker's store once the readers stop.  Three readers over two
-        workers, so one fan-out ships or drops graphs while another's frames
-        are still queued."""
-        database, catalog = build_catalog(seed=7011, num_graphs=8, num_shards=2, max_workers=2)
+        """Threads querying the catalog in a loop while this thread applies
+        20 mutations and a compaction after every fifth: every answer is the
+        from-scratch twin's for the state before or after some mutation (an
+        update is one step, never the missing-id state between its halves)
+        — no error and no hang.  Three readers, so one query reads a planner
+        while another still runs on the one it replaced."""
+        database, catalog = build_catalog(seed=7011, num_graphs=8)
         spare = build_catalog(seed=8011, num_graphs=8)[0].graphs
         query = extract_query(database.graphs[0].skeleton, 3, rng=102)
         ops = self.mutations(database, spare)
@@ -754,8 +564,6 @@ class TestMutationsKeepTheReadPath:
             catalog.query(
                 query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=101
             )
-            planner = catalog.planner()
-            pids = planner.map_slots(os.getpid)
             for thread in threads:
                 thread.start()
             for op in ops:
@@ -776,58 +584,10 @@ class TestMutationsKeepTheReadPath:
                 query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=101
             )
             assert answer_tuples(settled) == allowed[-1] == twin_answer(catalog, query, rng=101)
-            # the read path was never torn down
-            assert catalog.planner() is planner
-            assert planner.map_slots(os.getpid) == pids
-            assert planner.map_slots(_stored_digests) == [
-                set(slot.held) for slot in planner._slots
-            ], "a slot's record drifted from its worker's store"
             assert set(resident_segment_names()) == resident_before
         finally:
             stop.set()
             for thread in threads:
                 thread.join(timeout=60)
             sys.setswitchinterval(interval)
-            catalog.close()
-
-    def test_sigkilled_worker_between_mutation_and_query_falls_back_then_rebuilds(self):
-        """SIGKILL a worker after a mutation and before the query that would
-        republish it: the query answers in-process, byte-identical to the
-        twin of the *mutated* state, and the next one forks a fresh pool and
-        ships it that state's graphs; nothing leaks (the autouse fixture).  The
-        query comes from a graph no mutation touches, so its survivors, held
-        by slot 0 since the warm-up, go to the killed worker."""
-        database, catalog = build_catalog(seed=7012, num_graphs=8, num_shards=2, max_workers=2)
-        spare = build_catalog(seed=8012, num_graphs=2)[0].graphs
-        query = extract_query(database.graphs[1].skeleton, 3, rng=110)
-
-        def ask(rng):
-            return answer_tuples(
-                catalog.query(
-                    query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=rng
-                )
-            )
-
-        try:
-            ask(111)
-            planner = catalog.planner()
-            first_pids = set(planner.map_slots(os.getpid))
-            catalog.update_graph(0, spare[0])
-            catalog.add_graph(spare[1])
-            os.kill(slot_zero_worker(planner), signal.SIGKILL)
-
-            assert ask(112) == twin_answer(catalog, query, rng=112)
-            assert catalog.planner() is planner
-            assert planner._slots == []
-
-            assert ask(113) == twin_answer(catalog, query, rng=113)
-            slots = planner._slots
-            assert slots and any(slot.graph_bytes for slot in slots)
-            fresh = planner.map_slots(os.getpid)
-            assert not first_pids & set(fresh)
-            # the rebuilt pool follows later mutations like the first one did
-            catalog.remove_graph(1)
-            assert ask(114) == twin_answer(catalog, query, rng=114)
-            assert planner._slots is slots and planner.map_slots(os.getpid) == fresh
-        finally:
             catalog.close()

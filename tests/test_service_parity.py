@@ -2,7 +2,7 @@
 byte-identically to sequential library-mode calls.
 
 The contract: for any batch window, any max batch size, any interleaving
-of concurrent clients, any pool cap K ∈ {1, 2, 4}, and any sequence of
+of concurrent clients, and any sequence of
 catalog mutations applied through the service, a seeded request's answers
 (probabilities, ranks, decided_by) and deterministic statistics counters
 equal those of ``catalog.query(...)`` / ``catalog.query_top_k(...)`` on a
@@ -49,12 +49,10 @@ def random_database(seed: int, num_graphs: int):
     return generate_ppi_database(config, rng=seed)
 
 
-def build_twins(seed: int, num_graphs: int = 6, num_shards: int = 1):
+def build_twins(seed: int, num_graphs: int = 6):
     """A service catalog and an identical library-mode reference catalog."""
     database = random_database(seed, num_graphs)
     kwargs = dict(feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=seed)
-    if num_shards > 1:
-        kwargs.update(num_shards=num_shards, max_workers=2)
     served = GraphCatalog.build(database.graphs, **kwargs)
     twin = GraphCatalog.build(database.graphs, **kwargs)
     return database, served, twin
@@ -169,33 +167,6 @@ def test_batch_size_never_changes_answers(max_batch_size):
         finally:
             served.close()
             twin.close()
-
-    asyncio.run(scenario())
-
-
-@pytest.mark.usefixtures("two_usable_cpus")
-@pytest.mark.parametrize("num_shards", [2, 4])
-def test_sharded_backend_parity(num_shards):
-    """The service over a pooled catalog (``num_shards`` caps its width)
-    answers like a sequential twin."""
-
-    async def scenario():
-        database, served, twin = build_twins(seed=9003, num_shards=num_shards)
-        sequential_twin = GraphCatalog.build(
-            database.graphs, feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=9003
-        )
-        config = ServiceConfig(batch_window=0.005, search_config=SEARCH_CONFIG)
-        try:
-            async with QueryService(served, config) as service:
-                client = ServiceClient(service)
-                requests = random_workload(database, seed=45, count=4)
-                await run_and_compare(
-                    client, sequential_twin, requests, context=f"shards={num_shards}"
-                )
-        finally:
-            served.close()
-            twin.close()
-            sequential_twin.close()
 
     asyncio.run(scenario())
 
@@ -326,7 +297,6 @@ def test_tcp_transport_byte_parity():
     asyncio.run(scenario())
 
 
-@pytest.mark.usefixtures("two_usable_cpus")
 def test_wide_support_requests_over_tcp_take_both_routes(wide_support_corpus):
     """Requests that verify some candidates exactly and sample the others,
     batched and shipped over the wire: answers and counters — ``sampled``
@@ -335,7 +305,7 @@ def test_wide_support_requests_over_tcp_take_both_routes(wide_support_corpus):
     async def scenario():
         graphs, queries = wide_support_corpus
         kwargs = dict(feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=9008)
-        served = GraphCatalog.build(graphs, num_shards=2, max_workers=2, **kwargs)
+        served = GraphCatalog.build(graphs, **kwargs)
         twin = GraphCatalog.build(graphs, **kwargs)
         config = ServiceConfig(batch_window=0.005, search_config=SEARCH_CONFIG)
         try:

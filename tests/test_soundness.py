@@ -6,8 +6,8 @@ the production configuration — ``method="sampling"`` — must return exactly
 what ``ExactScanBaseline`` computes with Equation 21: no true answer
 dismissed by the structural filter or the PMI, no false one accepted, at
 thresholds placed on, just above and far from the probabilities themselves,
-under both correlation models, in-process and pooled.  Exact SIP bounds keep the
-pruning provably sound, as in ``test_topk_parity``.
+under both correlation models.  Exact SIP bounds keep the pruning provably
+sound, as in ``test_topk_parity``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 
 from repro.baselines.exact_scan import ExactScanBaseline, ExactScanConfig
 from repro.core import GraphCatalog, SearchConfig, VerificationConfig
-from repro.core.sharding import shutdown_parked_pools
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
@@ -35,8 +34,7 @@ EXACT_SCAN_CONFIG = ExactScanConfig(fallback_to_sampling=False)
 
 @pytest.fixture(scope="module", params=["max", "independent"])
 def case(request):
-    """(graphs, queries, engines by worker count, exact scan) for one
-    correlation model."""
+    """(graphs, queries, catalog, exact scan) for one correlation model."""
     config = PPIDatasetConfig(
         num_graphs=12,
         num_families=2,
@@ -51,21 +49,14 @@ def case(request):
     )
     graphs = generate_ppi_database(config, rng=321).graphs
     queries = [extract_query(graphs[index].skeleton, 3, rng=40 + index) for index in range(4)]
-    engines = {
-        max_workers: GraphCatalog.build(
-            graphs,
-            feature_config=FEATURE_CONFIG,
-            bound_config=BoundConfig(method="exact"),
-            rng=321,
-            num_shards=2,
-            max_workers=max_workers,
-        )
-        for max_workers in (0, 2)
-    }
-    yield graphs, queries, engines, ExactScanBaseline(graphs, EXACT_SCAN_CONFIG)
-    for engine in engines.values():
-        engine.close()
-    shutdown_parked_pools()
+    engine = GraphCatalog.build(
+        graphs,
+        feature_config=FEATURE_CONFIG,
+        bound_config=BoundConfig(method="exact"),
+        rng=321,
+    )
+    yield graphs, queries, engine, ExactScanBaseline(graphs, EXACT_SCAN_CONFIG)
+    engine.close()
 
 
 def exact_probabilities(scan, query) -> dict[int, float]:
@@ -94,9 +85,8 @@ def assert_sound(result, exact: dict[int, float], epsilon: float, context) -> No
             assert answer.probability <= exact[graph_id] + TOLERANCE, context
 
 
-@pytest.mark.usefixtures("two_usable_cpus")
 def test_threshold_answers_equal_the_exact_scan(case):
-    _, queries, engines, scan = case
+    _, queries, engine, scan = case
     boundaries = 0
     for query_index, query in enumerate(queries):
         exact = exact_probabilities(scan, query)
@@ -105,50 +95,48 @@ def test_threshold_answers_equal_the_exact_scan(case):
         # the middle of the widest gap between two probabilities: no tie possible
         gaps = list(zip([0.0, *positive], [*positive, 1.0]))
         low, high = max(gaps, key=lambda gap: gap[1] - gap[0])
-        for max_workers, engine in engines.items():
-            run = partial(
-                engine.query,
-                query,
-                distance_threshold=DISTANCE_THRESHOLD,
-                config=SEARCH_CONFIG,
-                rng=7,
-            )
-            context = (query_index, max_workers)
-            assert_sound(run((low + high) / 2.0), exact, (low + high) / 2.0, context)
-            assert_sound(run(1.0), exact, 1.0, context)
-            everything = run(min(positive) / 2.0)
-            assert_sound(everything, exact, min(positive) / 2.0, context)
-            # an answer's own reported probability is still a threshold it
-            # meets (>=); the next float above it is one it does not
-            for answer in everything.answers:
-                if answer.decided_by != "verification":
-                    continue
-                boundaries += 1
-                own = answer.probability
-                at = run(own)
-                assert_sound(at, exact, own, context)
-                assert answer.graph_id in at.answer_ids(), (context, own)
-                above = run(math.nextafter(own, math.inf))
-                assert_sound(above, exact, own, context)
-                assert answer.graph_id not in above.answer_ids(), (context, own)
+        run = partial(
+            engine.query,
+            query,
+            distance_threshold=DISTANCE_THRESHOLD,
+            config=SEARCH_CONFIG,
+            rng=7,
+        )
+        context = query_index
+        assert_sound(run((low + high) / 2.0), exact, (low + high) / 2.0, context)
+        assert_sound(run(1.0), exact, 1.0, context)
+        everything = run(min(positive) / 2.0)
+        assert_sound(everything, exact, min(positive) / 2.0, context)
+        # an answer's own reported probability is still a threshold it
+        # meets (>=); the next float above it is one it does not
+        for answer in everything.answers:
+            if answer.decided_by != "verification":
+                continue
+            boundaries += 1
+            own = answer.probability
+            at = run(own)
+            assert_sound(at, exact, own, context)
+            assert answer.graph_id in at.answer_ids(), (context, own)
+            above = run(math.nextafter(own, math.inf))
+            assert_sound(above, exact, own, context)
+            assert answer.graph_id not in above.answer_ids(), (context, own)
     assert boundaries >= len(queries)
 
 
 def test_top_k_ranks_equal_the_exact_scan(case):
-    graphs, queries, engines, scan = case
+    graphs, queries, engine, scan = case
     for query_index, query in enumerate(queries):
         for k in (1, 3, len(graphs)):
             expected = scan.top_k(query, k, DISTANCE_THRESHOLD, rng=7).answers
-            for max_workers, engine in engines.items():
-                result = engine.query_top_k(
-                    query, k, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=7
-                )
-                context = (query_index, k, max_workers)
-                assert result.statistics.sampled == 0, context
-                assert [a.graph_id for a in result.answers] == [
-                    a.graph_id for a in expected
-                ], context
-                for actual, reference in zip(result.answers, expected):
-                    assert actual.probability == pytest.approx(
-                        reference.probability, abs=TOLERANCE
-                    ), context
+            result = engine.query_top_k(
+                query, k, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=7
+            )
+            context = (query_index, k)
+            assert result.statistics.sampled == 0, context
+            assert [a.graph_id for a in result.answers] == [
+                a.graph_id for a in expected
+            ], context
+            for actual, reference in zip(result.answers, expected):
+                assert actual.probability == pytest.approx(
+                    reference.probability, abs=TOLERANCE
+                ), context

@@ -195,7 +195,6 @@ class TestSignatureSegment:
             feature_config=FeatureSelectionConfig(max_vertices=3, max_features=8),
             bound_config=BoundConfig(num_samples=20),
             rng=5,
-            max_workers=0,
         )
         for mutate in (
             lambda: catalog.add_graph(graphs[6]),
@@ -206,7 +205,7 @@ class TestSignatureSegment:
             assert_signature_segment_matches_live_graphs(catalog)
         queries = [extract_query(graphs[source].skeleton, 4, rng=source) for source in (2, 6, 7)]
         for compacted in (False, True):
-            view = catalog.planner().query_planner
+            view = catalog.planner()
             assert compacted or not view.active_mask.all()
             assert view.structural_index is catalog._store.structural
             assert view.structural_index.num_graphs == len(view.graphs) == 8 - 2 * compacted

@@ -5,14 +5,14 @@ Two contracts under test:
 1. **Reference parity** — pipeline ``query_top_k`` answers (graph ids *and*
    probabilities) equal the index-free ``ExactScanBaseline.top_k`` reference,
    which verifies every graph and ranks by ``(-probability, graph_id)``.
-   Randomized databases, in-process and pooled, k ∈ {1, 3, len(db)}.  Exact
-   SIP bounds + exact verification keep the pruning provably sound, so the
-   two sides must agree exactly.
-2. **Pool invariant** — top-k through a pooled catalog is byte-identical to
-   the sequential planner for any worker count, answers and counters,
-   *including stochastic (sampling) verification*: the parent runs the one
-   loop over every candidate with per-graph-seeded estimates, so it never
-   depends on which process verifies what.
+   Randomized databases, k ∈ {1, 3, len(db)}.  Exact SIP bounds + exact
+   verification keep the pruning provably sound, so the two sides must agree
+   exactly.
+2. **Dense-planner invariant** — top-k through a catalog, a batch at a time,
+   is byte-identical to a dense planner built by hand over the same indexes,
+   answers and counters, *including stochastic (sampling) verification*: the
+   one loop visits every candidate with per-graph-seeded estimates, so
+   nothing depends on what else the batch holds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
-from tests.conftest import WIDE_SUPPORT_DISTANCE
+from tests.conftest import WIDE_SUPPORT_DISTANCE, build_index
 
 DISTANCE_THRESHOLD = 1
 
@@ -75,15 +75,21 @@ def answer_tuples(result):
     ]
 
 
-def build_engine(graphs, seed, num_shards=1, max_workers=0):
+def build_engine(graphs, seed):
     return GraphCatalog.build(
+        graphs, feature_config=FEATURE_CONFIG, bound_config=BoundConfig(method="exact"), rng=seed
+    )
+
+
+def dense_planner(graphs, seed, bound_config=None):
+    """The dense from-scratch planner over the indexes ``GraphCatalog.build``
+    builds with these arguments (exact SIP bounds by default)."""
+    return build_index(
         graphs,
         feature_config=FEATURE_CONFIG,
-        bound_config=BoundConfig(method="exact"),
+        bound_config=bound_config or BoundConfig(method="exact"),
         rng=seed,
-        num_shards=num_shards,
-        max_workers=max_workers,
-    )
+    ).planner()
 
 
 class TestReferenceParity:
@@ -94,25 +100,20 @@ class TestReferenceParity:
         database = random_database(seed, num_graphs)
         workload = random_workload(database, seed=seed * 5 + 1)
         reference = ExactScanBaseline(database.graphs, EXACT_SCAN_CONFIG)
-        engines = {
-            max_workers: build_engine(database.graphs, seed, num_shards=2, max_workers=max_workers)
-            for max_workers in (0, 2)
-        }
+        engine = build_engine(database.graphs, seed)
         for query_index, query in enumerate(workload):
             for k in (1, 3, num_graphs):
                 expected = reference.top_k(query, k, DISTANCE_THRESHOLD, rng=seed)
                 expected_tuples = [
                     (a.graph_id, a.probability) for a in expected.answers
                 ]
-                for max_workers, engine in engines.items():
-                    result = engine.query_top_k(
-                        query, k, DISTANCE_THRESHOLD, config=EXACT_SEARCH_CONFIG, rng=seed
-                    )
-                    assert [
-                        (a.graph_id, a.probability) for a in result.answers
-                    ] == expected_tuples, (query_index, k, max_workers)
-        for engine in engines.values():
-            engine.close()
+                result = engine.query_top_k(
+                    query, k, DISTANCE_THRESHOLD, config=EXACT_SEARCH_CONFIG, rng=seed
+                )
+                assert [
+                    (a.graph_id, a.probability) for a in result.answers
+                ] == expected_tuples, (query_index, k)
+        engine.close()
 
     def test_k_larger_than_matches_returns_all_positive(self):
         database = random_database(333, 6)
@@ -145,94 +146,59 @@ class TestReferenceParity:
         assert answer_tuples(top) == answer_tuples(threshold)[: len(top.answers)]
 
 
-class TestCrossShardMergeInvariant:
-    """Pooled top-k ≡ sequential top-k, byte for byte."""
+class TestDensePlannerInvariant:
+    """Catalog top-k ≡ dense-planner top-k, byte for byte."""
 
     @pytest.mark.parametrize("seed,num_graphs", [(555, 7), (666, 8)])
-    def test_sharded_byte_identical_to_sequential_with_sampling(self, seed, num_graphs):
+    def test_batch_byte_identical_to_dense_planner_with_sampling(self, seed, num_graphs):
         database = random_database(seed, num_graphs)
         workload = random_workload(database, seed=seed * 7 + 3)
-        sequential = build_engine(database.graphs, seed)
+        reference = dense_planner(database.graphs, seed)
+        engine = build_engine(database.graphs, seed)
         for k in (1, 3, num_graphs):
             expected = [
                 pickle.dumps(
                     answer_tuples(
-                        sequential.query_top_k(
-                            query, k, DISTANCE_THRESHOLD, config=SAMPLING_SEARCH_CONFIG, rng=seed
+                        reference.execute_top_k(
+                            query, k, DISTANCE_THRESHOLD, SAMPLING_SEARCH_CONFIG, rng=seed
                         )
                     )
                 )
                 for query in workload
             ]
-            for max_workers in (0, 2):
-                pooled = build_engine(
-                    database.graphs, seed, num_shards=2, max_workers=max_workers
-                )
-                results = pooled.query_top_k_many(
-                    workload, k, DISTANCE_THRESHOLD, config=SAMPLING_SEARCH_CONFIG, rng=seed
-                )
-                pooled.close()
-                assert [
-                    pickle.dumps(answer_tuples(result)) for result in results
-                ] == expected, (k, max_workers)
+            results = engine.query_top_k_many(
+                workload, k, DISTANCE_THRESHOLD, config=SAMPLING_SEARCH_CONFIG, rng=seed
+            )
+            assert [pickle.dumps(answer_tuples(result)) for result in results] == expected, k
+        engine.close()
 
     def test_wide_support_replay_over_both_routes(self, wide_support_corpus):
         """The one loop ranks estimates of both kinds — exact sums over narrow
-        supports, sampled ones over wide supports — in a pooled catalog as the
-        sequential loop does, and samples as often."""
+        supports, sampled ones over wide supports — in a catalog as in the
+        dense planner, and samples as often."""
         graphs, queries = wide_support_corpus
-        engines = {}
-        for max_workers in (0, 2):
-            engines[max_workers] = GraphCatalog.build(
-                graphs,
-                feature_config=FEATURE_CONFIG,
-                bound_config=BoundConfig(num_samples=40),
-                rng=5,
-                num_shards=2,
-                max_workers=max_workers,
-            )
+        bounds = BoundConfig(num_samples=40)
+        engine = GraphCatalog.build(graphs, feature_config=FEATURE_CONFIG, bound_config=bounds, rng=5)
+        reference = dense_planner(graphs, 5, bounds)
         for query in queries:
             for k in (1, 3):
-                expected, *sharded = [
-                    engine.query_top_k(
-                        query, k, WIDE_SUPPORT_DISTANCE, config=SAMPLING_SEARCH_CONFIG, rng=5
-                    )
-                    for engine in engines.values()
-                ]
-                assert 0 < expected.statistics.sampled < expected.statistics.verified
-                for result in sharded:
-                    assert pickle.dumps(answer_tuples(result)) == pickle.dumps(
-                        answer_tuples(expected)
-                    ), k
-                    assert (
-                        expected.statistics.sampled
-                        == result.statistics.sampled
-                        < result.statistics.verified
-                    )
-        for engine in engines.values():
-            engine.close()
-
-    def test_worker_count_does_not_change_answers(self):
-        database = random_database(777, 6)
-        query = random_workload(database, seed=71, num_queries=1)[0]
-        fingerprints = []
-        for max_workers in (0, 1, 2):
-            engine = build_engine(
-                database.graphs, 777, num_shards=2, max_workers=max_workers
-            )
-            try:
                 result = engine.query_top_k(
-                    query, 3, DISTANCE_THRESHOLD, config=SAMPLING_SEARCH_CONFIG, rng=13
+                    query, k, WIDE_SUPPORT_DISTANCE, config=SAMPLING_SEARCH_CONFIG, rng=5
                 )
-            finally:
-                engine.close()
-            fingerprints.append(pickle.dumps(answer_tuples(result)))
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+                expected = reference.execute_top_k(
+                    query, k, WIDE_SUPPORT_DISTANCE, SAMPLING_SEARCH_CONFIG, rng=5
+                )
+                assert 0 < expected.statistics.sampled < expected.statistics.verified
+                assert pickle.dumps(answer_tuples(result)) == pickle.dumps(
+                    answer_tuples(expected)
+                ), k
+                assert _counters(result.statistics) == _counters(expected.statistics), k
+        engine.close()
 
     def test_same_seed_same_answers(self):
         database = random_database(888, 7)
         query = random_workload(database, seed=81, num_queries=1)[0]
-        engine = build_engine(database.graphs, 888, num_shards=3)
+        engine = build_engine(database.graphs, 888)
         first = engine.query_top_k(
             query, 2, DISTANCE_THRESHOLD, config=SAMPLING_SEARCH_CONFIG, rng=5
         )
@@ -241,32 +207,25 @@ class TestCrossShardMergeInvariant:
         )
         assert answer_tuples(first) == answer_tuples(second)
 
-    def test_merged_statistics_report_shard_work(self):
+    def test_statistics_equal_the_dense_planners(self):
         """The floor is seeded once over every candidate and the walk runs
-        once in the parent, so a pooled top-k counts exactly what the
-        in-process one counts, whatever the worker count or the verification
-        method."""
+        once per query, so a catalog's top-k batch counts exactly what the
+        dense planner counts, whatever the verification method."""
         database = random_database(999, 8)
         queries = random_workload(database, seed=91, num_queries=2)
-        sequential = build_engine(database.graphs, 999)
+        reference = dense_planner(database.graphs, 999)
+        engine = build_engine(database.graphs, 999)
         for config in (EXACT_SEARCH_CONFIG, SAMPLING_SEARCH_CONFIG):
-            expected = sequential.query_top_k_many(
-                queries, 2, DISTANCE_THRESHOLD, config=config, rng=3
-            )
+            expected = [
+                reference.execute_top_k(query, 2, DISTANCE_THRESHOLD, config, rng=3)
+                for query in queries
+            ]
             assert sum(result.statistics.verified for result in expected) > 0
-            for max_workers in (0, 2):
-                pooled = build_engine(
-                    database.graphs, 999, num_shards=2, max_workers=max_workers
-                )
-                try:
-                    results = pooled.query_top_k_many(
-                        queries, 2, DISTANCE_THRESHOLD, config=config, rng=3
-                    )
-                finally:
-                    pooled.close()
-                for want, got in zip(expected, results, strict=True):
-                    assert answer_tuples(got) == answer_tuples(want)
-                    assert _counters(got.statistics) == _counters(want.statistics), max_workers
+            results = engine.query_top_k_many(queries, 2, DISTANCE_THRESHOLD, config=config, rng=3)
+            for want, got in zip(expected, results, strict=True):
+                assert answer_tuples(got) == answer_tuples(want)
+                assert _counters(got.statistics) == _counters(want.statistics)
+        engine.close()
 
 
 def _counters(statistics) -> dict:
