@@ -320,29 +320,35 @@ class TestShardedCatalog:
             attempts[entry]()
 
     @pytest.mark.parametrize(
-        "argument, value",
+        "entry, argument, value",
         [
-            ("num_shards", 1.5),
-            ("num_shards", "2"),
-            ("num_shards", True),
-            ("num_shards", 0),
-            ("max_workers", 1.5),
-            ("max_workers", "2"),
-            ("max_workers", True),
-            ("max_workers", -1),
+            (entry, argument, value)
+            for entry in ("build", "from_index", "open")
+            for argument, value in (
+                ("num_shards", 1.5),
+                ("num_shards", "2"),
+                ("num_shards", True),
+                ("num_shards", 0),
+                ("max_workers", 1.5),
+                ("max_workers", "2"),
+                ("max_workers", True),
+                ("max_workers", -1),
+            )
+            if (entry, argument) != ("open", "num_shards")  # open takes no num_shards
         ],
     )
-    @pytest.mark.parametrize("entry", ["build", "from_index"])
     def test_pool_arguments_are_integers_and_never_bools(
-        self, base_graphs, argument, value, entry
+        self, base_graphs, tmp_path, argument, value, entry
     ):
         """Each pool argument is checked once where it is handed over: an
         integer (``operator.index``), never a bool, in range — else a
         :class:`ConfigurationError` naming it, not a raw ``TypeError`` and
         not a width of ``True``."""
         catalog = GraphCatalog.build(
-            base_graphs[:3], feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=7
+            base_graphs[:3], feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=7,
+            directory=tmp_path,
         )
+        catalog.close()
         store = catalog._store
         attempts = {
             "build": lambda: GraphCatalog.build(
@@ -352,6 +358,7 @@ class TestShardedCatalog:
             "from_index": lambda: GraphCatalog.from_index(
                 store.graphs, store.pmi, store.structural, **{argument: value}
             ),
+            "open": lambda: GraphCatalog.open(tmp_path, **{argument: value}),
         }
         with pytest.raises(ConfigurationError, match=argument):
             attempts[entry]()
@@ -377,8 +384,9 @@ class TestShardedCatalog:
         want = plain.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
         assert answers(got) == answers(want) and counters(got) == counters(want)
 
+    @pytest.mark.parametrize("written", [2, 4, None], ids=["2", "4", "absent"])
     def test_a_snapshot_a_pooled_build_wrote_opens_and_answers_identically(
-        self, base_graphs, query, tmp_path
+        self, base_graphs, query, tmp_path, written
     ):
         """A directory whose ``catalog.json`` says ``"num_shards": 2`` — what
         a build with a two-shard pool wrote — opens and answers exactly as
@@ -397,21 +405,20 @@ class TestShardedCatalog:
         (meta_path,) = tmp_path.glob("gen_*/catalog.json")
         meta = json.loads(meta_path.read_text())
         assert meta["num_shards"] == 1
-        for written in (2, None):
-            if written is None:
-                del meta["num_shards"]
-            else:
-                meta["num_shards"] = written
-            meta_path.write_text(json.dumps(meta))
-            reopened = GraphCatalog.open(tmp_path, max_workers=2)
-            got = reopened.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
-            got_top = reopened.query_top_k(query, 2, 1, config=SEARCH_CONFIG, rng=11)
-            reopened.close()
-            assert pickle.dumps((got.answers, got_top.answers)) == pickle.dumps(
-                (want.answers, want_top.answers)
-            ), written
-            assert counters(got) == counters(want), written
-            assert counters(got_top) == counters(want_top), written
+        if written is None:
+            del meta["num_shards"]
+        else:
+            meta["num_shards"] = written
+        meta_path.write_text(json.dumps(meta))
+        reopened = GraphCatalog.open(tmp_path, max_workers=2)
+        got = reopened.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
+        got_top = reopened.query_top_k(query, 2, 1, config=SEARCH_CONFIG, rng=11)
+        reopened.close()
+        assert pickle.dumps((got.answers, got_top.answers)) == pickle.dumps(
+            (want.answers, want_top.answers)
+        )
+        assert counters(got) == counters(want)
+        assert counters(got_top) == counters(want_top)
 
 
 # ----------------------------------------------------------------------

@@ -173,7 +173,67 @@ def test_mutated_catalog_matches_from_scratch_rebuild(seed):
             )
 
 
-def test_wide_support_request_after_mutations_matches_rebuild(wide_support_corpus):
+@pytest.mark.parametrize("seed", [1301, 1302])
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_mutated_sharded_catalog_matches_sequential(seed, num_shards):
+    """A catalog given the pool arguments the end-to-end harness still
+    passes (``num_shards`` and ``max_workers`` are checked, then ignored)
+    == a catalog given none == the dense rebuild, after the same mutations.
+    """
+    database = random_database(seed, num_graphs=7)
+    pool = random_database(seed + 1000, num_graphs=8).graphs
+    query = extract_query(database.graphs[0].skeleton, 3, rng=seed)
+    sequential = GraphCatalog.build(
+        database.graphs,
+        feature_config=FEATURE_CONFIG,
+        bound_config=BOUND_CONFIG,
+        rng=seed,
+    )
+    sharded = GraphCatalog.build(
+        database.graphs,
+        feature_config=FEATURE_CONFIG,
+        bound_config=BOUND_CONFIG,
+        rng=seed,
+        num_shards=num_shards,
+        max_workers=2,
+    )
+    ops = apply_random_mutations(sequential, pool, seed, num_ops=8)
+    ops_sharded = apply_random_mutations(sharded, pool, seed, num_ops=8)
+    assert ops == ops_sharded  # same seed, same sizes -> same decisions
+    context = f"seed={seed} K={num_shards} ops={ops}"
+    reference = rebuild_from_scratch(sequential)
+    threshold_results = [
+        planner_like.query(
+            query,
+            PROBABILITY_THRESHOLD,
+            DISTANCE_THRESHOLD,
+            config=SEARCH_CONFIG,
+            rng=seed,
+        )
+        for planner_like in (sequential, sharded)
+    ]
+    expected = reference.execute(
+        query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=seed
+    )
+    for result in threshold_results:
+        assert_result_parity(result, expected, context)
+    for k in (1, 2, 4):
+        expected_top = reference.execute_top_k(
+            query, k, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=seed
+        )
+        sequential_top = sequential.query_top_k(
+            query, k, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=seed
+        )
+        sharded_top = sharded.query_top_k(
+            query, k, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=seed
+        )
+        assert_result_parity(sequential_top, expected_top, f"{context} k={k}")
+        assert_result_parity(sharded_top, expected_top, f"{context} k={k}")
+    sharded.close()
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_wide_support_request_after_mutations_matches_rebuild(wide_support_corpus, num_shards):
     """Rebuild parity where one request takes both verification routes: the
     candidates that sample do so on their stable external id's stream, the
     others are summed exactly, before and after the catalog moved rows."""
@@ -183,6 +243,8 @@ def test_wide_support_request_after_mutations_matches_rebuild(wide_support_corpu
         feature_config=FEATURE_CONFIG,
         bound_config=BOUND_CONFIG,
         rng=1501,
+        num_shards=num_shards,
+        max_workers=0,
     )
     catalog.add_graph(graphs[6])
     catalog.remove_graph(1)
@@ -196,7 +258,7 @@ def test_wide_support_request_after_mutations_matches_rebuild(wide_support_corpu
             query, PROBABILITY_THRESHOLD, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=15
         )
         assert 0 < actual.statistics.sampled < actual.statistics.verified
-        assert_result_parity(actual, expected, "after mutations")
+        assert_result_parity(actual, expected, f"after mutations, K={num_shards}")
         assert answer_tuples(
             catalog.query_top_k(query, 2, WIDE_SUPPORT_DISTANCE, config=SEARCH_CONFIG, rng=15)
         ) == answer_tuples(

@@ -121,7 +121,7 @@ def _prefix_states(graphs, pool):
     return states
 
 
-def _scenario(directory) -> None:
+def _scenario(directory, num_shards: int) -> None:
     """Build the durable catalog and run the op sequence (child workload)."""
     graphs, pool = _dataset()
     catalog = GraphCatalog.build(
@@ -129,6 +129,7 @@ def _scenario(directory) -> None:
         feature_config=FEATURE_CONFIG,
         bound_config=BOUND_CONFIG,
         rng=SEED,
+        num_shards=num_shards,
         directory=directory,
     )
     for op in _ops(len(graphs), pool):
@@ -162,14 +163,14 @@ def _install_crash(crash_at: int) -> None:
     atomic_io.replace_file = crashing(atomic_io.replace_file)
 
 
-def _run_child(directory, crash_at: int) -> str:
+def _run_child(directory, num_shards: int, crash_at: int) -> str:
     """Fork, run the scenario with a planted crash, and report the outcome."""
     pid = os.fork()
     if pid == 0:  # child: never return into pytest
         code = CHILD_FAILED
         try:
             _install_crash(crash_at)
-            _scenario(directory)
+            _scenario(directory, num_shards)
             code = CHILD_COMPLETED
         finally:
             os._exit(code)
@@ -224,20 +225,24 @@ def _assert_recovers(directory, prefix_states, check_answers):
         recovered.close()
 
 
-def test_kill_at_every_fsync_boundary(tmp_path):
+@pytest.mark.parametrize("num_shards", [1, 2, 4])
+def test_kill_at_every_fsync_boundary(tmp_path, num_shards):
     """Sweep the kill point across every durability boundary of the workload.
 
     The prefix-state invariant is checked at every crash point, answer
-    parity at sampled ones.
+    parity at sampled ones.  ``num_shards`` (checked, then ignored; the
+    snapshot records 1 whatever it was) changes no boundary, so the runs
+    given one other than 1 sweep every other crash point.
     """
     graphs, pool = _dataset()
     prefix_states = _prefix_states(graphs, pool)
+    stride = 1 if num_shards == 1 else 2
     parity_every = 13  # full query-parity check at every 13th crash point
     crash_at = 1
     swept = 0
     while True:
         directory = tmp_path / f"crash_{crash_at:03d}"
-        outcome = _run_child(directory, crash_at)
+        outcome = _run_child(directory, num_shards, crash_at)
         if outcome == "completed":
             break
         _assert_recovers(
@@ -246,13 +251,13 @@ def test_kill_at_every_fsync_boundary(tmp_path):
             check_answers=(swept % parity_every == 0),
         )
         swept += 1
-        crash_at += 1
+        crash_at += stride
     assert swept >= 10, f"boundary sweep looks broken: only {swept} crash points"
 
 
 def test_crash_free_child_completes(tmp_path):
     """The harness itself: crash_at beyond the last boundary runs clean."""
-    outcome = _run_child(tmp_path / "clean", 10_000)
+    outcome = _run_child(tmp_path / "clean", 1, 10_000)
     assert outcome == "completed"
     recovered = GraphCatalog.open(tmp_path / "clean")
     graphs, pool = _dataset()
@@ -268,7 +273,7 @@ def test_double_recovery_is_stable(tmp_path):
     graphs, pool = _dataset()
     # crash mid-way through the op sequence, well after the first commit
     directory = tmp_path / "crash"
-    outcome = _run_child(directory, 40)
+    outcome = _run_child(directory, 1, 40)
     assert outcome == "crashed"
     if not (directory / CURRENT_FILENAME).exists():
         pytest.skip("boundary 40 fell before the first commit on this layout")

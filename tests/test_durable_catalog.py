@@ -40,7 +40,7 @@ from tests.test_pmi_index import wide_factor_graph
 SEED = 20120901
 
 
-def durable_catalog(tmp_path, seed=SEED, num_graphs=7):
+def durable_catalog(tmp_path, seed=SEED, num_graphs=7, num_shards=1):
     database = random_database(seed, num_graphs=num_graphs)
     return (
         GraphCatalog.build(
@@ -48,6 +48,7 @@ def durable_catalog(tmp_path, seed=SEED, num_graphs=7):
             feature_config=FEATURE_CONFIG,
             bound_config=BOUND_CONFIG,
             rng=seed,
+            num_shards=num_shards,
             directory=tmp_path / "catalog",
         ),
         database.graphs,
@@ -165,11 +166,16 @@ class TestPersistAndOpen:
         reopened.close()
 
 
-    def test_open_loads_the_snapshot_without_rebuilding(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_open_loads_the_snapshot_without_rebuilding(
+        self, tmp_path, monkeypatch, num_shards
+    ):
         """A warm restart is build(directory=...) then open(): reopening a
         clean snapshot computes no SIP bound and enumerates no embedding, and
-        hands back the exact base arrays the build wrote."""
-        built, _ = durable_catalog(tmp_path)
+        hands back the exact base arrays the build wrote.  The snapshot says
+        ``"num_shards": 1`` whatever the build was given, so an older reader
+        that still reads the key opens one store."""
+        built, _ = durable_catalog(tmp_path, num_shards=num_shards)
         built.close()
 
         # spies: bit-equal arrays alone could also come from a silent rebuild
@@ -186,6 +192,8 @@ class TestPersistAndOpen:
         monkeypatch.undo()
         reopened.close()
         assert not rebuilds, f"open() rebuilt {rebuilds} instead of loading"
+        meta = json.loads((tmp_path / "catalog" / "gen_00000000" / "catalog.json").read_text())
+        assert meta["num_shards"] == 1
 
         built_store, reopened_store = built._store, reopened._store
         for name in ("_lower", "_upper", "_present"):
@@ -338,11 +346,13 @@ class TestRecoveryInvariant:
         )
         recovered.close()
 
-    def test_replay_reproduces_every_storage_row(self, tmp_path):
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_replay_reproduces_every_storage_row(self, tmp_path, num_shards):
         """``open`` replays the log through the live mutation paths, so every
         live id lands on the storage row it had; answers match a rebuild,
-        before and after a compaction."""
-        catalog, _ = durable_catalog(tmp_path, num_graphs=8)
+        before and after a compaction — whatever ``num_shards`` the build
+        was given."""
+        catalog, _ = durable_catalog(tmp_path, num_graphs=8, num_shards=num_shards)
         pool = random_database(SEED + 1000, num_graphs=8).graphs
         ops = apply_random_mutations(catalog, pool, SEED, num_ops=10)
         placement = {eid: catalog._live[eid] for eid in catalog.live_external_ids()}
@@ -489,8 +499,9 @@ class TestRefusedMutations:
             catalog.wal_records,
         )
 
-    def test_refused_add_and_update_leave_no_trace(self, tmp_path):
-        catalog, graphs = durable_catalog(tmp_path)
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_refused_add_and_update_leave_no_trace(self, tmp_path, num_shards):
+        catalog, graphs = durable_catalog(tmp_path, num_shards=num_shards)
         catalog.add_graph(random_database(SEED + 1, num_graphs=1).graphs[0])
         query = extract_query(graphs[0].skeleton, 3, rng=SEED)
         wal_path = tmp_path / "catalog" / wal_filename(0)
@@ -538,4 +549,31 @@ class TestRefusedMutations:
         recovered = GraphCatalog.open(tmp_path / "catalog")  # replays both records
         assert recovered.num_live + recovered.tombstone_count == len(graphs) + 2
         assert sorted(recovered.live_external_ids()) == [*range(len(graphs)), added]
+        recovered.close()
+
+    def test_a_closed_catalog_stays_durable(self, tmp_path):
+        """``close()`` drops the planner and the log's handle, not the
+        catalog: a mutation after it is logged, a second close is a no-op,
+        and a reopen replays the mutation and answers as a rebuild."""
+        catalog, graphs = durable_catalog(tmp_path)
+        catalog.close()
+        records = catalog.wal_records
+        added = catalog.add_graph(random_database(SEED + 2, num_graphs=1).graphs[0])
+        catalog.remove_graph(0)
+        assert catalog.wal_records == records + 2
+        catalog.close()
+        catalog.close()
+        recovered = GraphCatalog.open(tmp_path / "catalog")
+        assert recovered.live_external_ids() == catalog.live_external_ids()
+        assert added in recovered.live_external_ids() and 0 not in recovered.live_external_ids()
+        query = extract_query(graphs[1].skeleton, 3, rng=SEED)
+        assert_result_parity(
+            recovered.query(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=SEED
+            ),
+            rebuild_from_scratch(recovered).execute(
+                query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=SEED
+            ),
+            "after close, mutate, reopen",
+        )
         recovered.close()

@@ -165,13 +165,15 @@ def capped(cap):
     return mock.patch.object(generic_join, "_MAX_OPEN_BRANCHES", cap)
 
 
-def build_database(dataset, cap):
+def build_database(dataset, cap, num_shards=None):
     with capped(cap):
+        kwargs = {} if num_shards is None else {"num_shards": num_shards, "max_workers": 0}
         database = GraphCatalog.build(
             dataset.graphs,
             feature_config=FEATURE_CONFIG,
             bound_config=BoundConfig(method="exact"),
             rng=17,
+            **kwargs,
         )
     return database
 
@@ -226,4 +228,17 @@ class TestPipelineByteParity:
         split = build_database(parity_dataset, SPLIT_CAP)
         assert run_top_k(default, None, parity_workload, SAMPLING_CONFIG) == run_top_k(
             split, SPLIT_CAP, parity_workload, SAMPLING_CONFIG
+        )
+
+    def test_sharded_queries(self, parity_dataset, parity_workload):
+        """The pool arguments a harness still passes change neither side."""
+        default = build_database(parity_dataset, None, num_shards=2)
+        split = build_database(parity_dataset, SPLIT_CAP, num_shards=2)
+        assert run_queries(
+            default, None, parity_workload, SAMPLING_CONFIG
+        ) == run_queries(split, SPLIT_CAP, parity_workload, SAMPLING_CONFIG)
+        assert run_queries(
+            default, None, parity_workload, SAMPLING_CONFIG
+        ) == run_queries(
+            build_database(parity_dataset, None), None, parity_workload, SAMPLING_CONFIG
         )

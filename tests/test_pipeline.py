@@ -156,15 +156,18 @@ class TestVacuousPmiStage:
     """A plan with no containment relation skips the per-candidate bound
     loop; answers and statistics are the loop's."""
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("top_k", [False, True])
-    def test_skip_equals_loop(self, pipeline_database, monkeypatch, top_k):
+    def test_skip_equals_loop(self, pipeline_database, monkeypatch, num_shards, top_k):
         catalog = GraphCatalog.build(
             pipeline_database.graphs,
+            num_shards=num_shards,
             feature_config=FeatureSelectionConfig(
                 alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=3
             ),
             bound_config=BoundConfig(method="exact"),
             rng=17,
+            max_workers=0,
         )
         planner = catalog.planner()
         bounded = []

@@ -64,12 +64,14 @@ def graphs():
     return generate_ppi_database(config, rng=31).graphs
 
 
-def _build(graphs):
+def _build(graphs, num_shards=1):
     return GraphCatalog.build(
         graphs,
+        num_shards=num_shards,
         feature_config=FeatureSelectionConfig(max_vertices=3, max_features=NUM_FEATURES),
         bound_config=BoundConfig(num_samples=20),
         rng=17,
+        max_workers=0,
     )
 
 
@@ -278,13 +280,15 @@ class TestVerificationCosts:
                 assert not spies["compile_variant_family"]
         assert verified > len(six_edge_queries)
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_top_k_runs_the_one_loop_once_per_plan(
-        self, graphs, six_edge_queries, spies, monkeypatch
+        self, graphs, six_edge_queries, spies, monkeypatch, num_shards
     ):
         """``replay_top_k`` walks each top-k plan once over its candidates,
-        and verifies each candidate it reaches as a block of one."""
+        and verifies each candidate it reaches as a block of one, whatever
+        ``num_shards`` the catalog was given."""
         loops = _count_calls(monkeypatch, pipeline, "replay_top_k")
-        with _build(graphs) as catalog:
+        with _build(graphs, num_shards) as catalog:
             planner = catalog.planner()
             plans = [planner.plan_top_k(query, 2, 2, CONFIG) for query in six_edge_queries]
             threshold = planner.plan(six_edge_queries[0], 0.3, 2, CONFIG)

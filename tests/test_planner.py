@@ -22,7 +22,7 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.exceptions import CatalogError, IndexError_, QueryError
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
-from tests.conftest import assert_same_cells, build_index
+from tests.conftest import WIDE_SUPPORT_DISTANCE, assert_same_cells, build_index
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +48,17 @@ FEATURES = FeatureSelectionConfig(
 BUILD = dict(feature_config=FEATURES, bound_config=BoundConfig(method="exact"), rng=17)
 
 
-def _engine(graphs):
+def _engine(graphs, num_shards=1):
     """The adopted-index route: both indexes built directly, then handed to
     ``GraphCatalog.from_index``."""
     built = build_index(graphs, **BUILD)
-    return GraphCatalog.from_index(graphs, built.pmi, built.structural_index)
+    return GraphCatalog.from_index(
+        graphs, built.pmi, built.structural_index, num_shards=num_shards, max_workers=0
+    )
 
 
-def _catalog(graphs):
-    return GraphCatalog.build(graphs, **BUILD)
+def _catalog(graphs, num_shards=1):
+    return GraphCatalog.build(graphs, num_shards=num_shards, max_workers=0, **BUILD)
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +111,15 @@ class TestMalformedBatchDoesNoWork:
     the batch executes and before a shared ``random.Random`` is drawn from."""
 
     @pytest.mark.parametrize("position", [0, 2, 4])
-    @pytest.mark.parametrize("build", [_engine, _catalog])
-    def test_batch_is_refused_whole(self, planner_database, workload, monkeypatch, build, position):
+    @pytest.mark.parametrize(
+        "build,num_shards",
+        [(_engine, 1), (_engine, 3), (_catalog, 1), (_catalog, 3)],
+    )
+    def test_batch_is_refused_whole(
+        self, planner_database, workload, monkeypatch, build, num_shards, position
+    ):
+        """Whatever ``num_shards`` the harness still passes (it is checked,
+        then ignored), the refusal happens before any work."""
         from repro.graphs import LabeledGraph
 
         disconnected = LabeledGraph.from_edges(
@@ -118,7 +127,7 @@ class TestMalformedBatchDoesNoWork:
         )
         batch = list(workload)
         batch.insert(position, disconnected)
-        target = build(planner_database.graphs)
+        target = build(planner_database.graphs, num_shards)
 
         executed = []
         for name in ("execute_plan", "filter_plan"):
@@ -406,3 +415,78 @@ class TestRngsArity:
             indexed.catalog.query_many(batch, 0.3, 1, rngs=rngs)
         with pytest.raises(QueryError, match="rngs"):
             indexed.catalog.query_top_k_many(batch, 2, 1, rngs=rngs)
+
+
+
+@pytest.fixture(scope="module")
+def sampling_corpus(wide_support_corpus):
+    """A catalog over the wide-support corpus, where verification samples
+    (so the roots show in every estimate), and four queries."""
+    graphs, queries = wide_support_corpus
+    catalog = GraphCatalog.build(graphs, **{**BUILD, "bound_config": BoundConfig(num_samples=40)})
+    yield catalog, [*queries, *queries[::-1]]
+    catalog.close()
+
+
+class TestPerQueryRngs:
+    """The micro-batching contract of ``rngs``: a batch answers as one call
+    per query under that query's generator, so what else a batch holds never
+    shows in an answer."""
+
+    SAMPLING = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=40))
+
+    @staticmethod
+    def run(catalog, kind, queries, **rng_arguments):
+        config, distance = TestPerQueryRngs.SAMPLING, WIDE_SUPPORT_DISTANCE
+        if kind == "threshold":
+            return catalog.query_many(queries, 0.3, distance, config, **rng_arguments)
+        return catalog.query_top_k_many(queries, 2, distance, config, **rng_arguments)
+
+    @staticmethod
+    def fingerprint(results):
+        return pickle.dumps([answers_as_tuples(result) for result in results])
+
+    @pytest.mark.parametrize("kind", ["threshold", "top_k"])
+    def test_rngs_equal_one_call_per_query(self, sampling_corpus, kind):
+        catalog, queries = sampling_corpus
+        seeds = [11, 12, 11, 13]
+        batched = self.run(catalog, kind, queries, rngs=seeds)
+        assert all(result.statistics.sampled for result in batched)
+        # the roots reach the estimates: other seeds, other bytes
+        assert self.fingerprint(batched) != self.fingerprint(
+            self.run(catalog, kind, queries, rngs=[14] * len(queries))
+        )
+        alone = [
+            self.run(catalog, kind, [query], rng=seed)[0] for query, seed in zip(queries, seeds)
+        ]
+        assert self.fingerprint(batched) == self.fingerprint(alone)
+        # a query keeps its answer when the batch around it changes
+        reordered = self.run(catalog, kind, queries[::-1], rngs=seeds[::-1])
+        assert self.fingerprint(reordered[::-1]) == self.fingerprint(batched)
+
+    @pytest.mark.parametrize("kind", ["threshold", "top_k"])
+    def test_rng_and_rngs_together_are_refused(self, sampling_corpus, kind):
+        catalog, queries = sampling_corpus
+        shared, twin = random.Random(5), random.Random(5)
+        with pytest.raises(QueryError, match="either rng or rngs"):
+            self.run(catalog, kind, queries, rng=shared, rngs=[1] * len(queries))
+        assert shared.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("kind", ["threshold", "top_k"])
+    def test_an_int_seed_is_renormalised_per_query(self, sampling_corpus, kind):
+        catalog, queries = sampling_corpus
+        batched = self.run(catalog, kind, queries, rng=7)
+        alone = [self.run(catalog, kind, [query], rng=7)[0] for query in queries]
+        assert self.fingerprint(batched) == self.fingerprint(alone)
+
+    @pytest.mark.parametrize("kind", ["threshold", "top_k"])
+    def test_a_shared_random_is_drawn_once_per_query_in_order(self, sampling_corpus, kind):
+        catalog, queries = sampling_corpus
+        batched = self.run(catalog, kind, queries, rng=random.Random(5))
+        shared = random.Random(5)
+        alone = [self.run(catalog, kind, [query], rng=shared)[0] for query in queries]
+        assert self.fingerprint(batched) == self.fingerprint(alone)
+        # and not as one root for every query
+        assert self.fingerprint(batched) != self.fingerprint(
+            self.run(catalog, kind, queries, rng=random.Random(5).getrandbits(64))
+        )

@@ -428,10 +428,12 @@ class TestCatalogClose:
         assert ask(72) == twin_answer(catalog, query, rng=72)
         catalog.close()
 
-    def test_close_racing_inflight_query_many_leaves_its_answers(self):
-        """Three threads run ``query_many`` while this one closes the catalog
-        again and again: every batch, whichever planner it read, answers
-        byte-identically to a catalog nobody closed, and none hangs."""
+    @pytest.mark.parametrize("kind", ["threshold", "top_k"])
+    def test_close_racing_inflight_query_many_leaves_its_answers(self, kind):
+        """Three threads run ``query_many`` (or ``query_top_k_many``) while
+        this one closes the catalog again and again: every batch, whichever
+        planner it read, answers byte-identically to a catalog nobody
+        closed, and none hangs."""
         database, catalog = build_catalog(seed=7009)
         reference = GraphCatalog.build(
             database.graphs,
@@ -444,11 +446,18 @@ class TestCatalogClose:
         ]
         outcomes: list = [None] * 3
 
-        def run_workload(slot: int):
-            outcomes[slot] = catalog.query_many(
-                queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
-                config=SEARCH_CONFIG, rng=81 + slot,
+        def batch(target, slot: int):
+            if kind == "threshold":
+                return target.query_many(
+                    queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
+                    config=SEARCH_CONFIG, rng=81 + slot,
+                )
+            return target.query_top_k_many(
+                queries, 2, DISTANCE_THRESHOLD, config=SEARCH_CONFIG, rng=81 + slot
             )
+
+        def run_workload(slot: int):
+            outcomes[slot] = batch(catalog, slot)
 
         threads = [threading.Thread(target=run_workload, args=(slot,)) for slot in range(3)]
         try:
@@ -461,10 +470,7 @@ class TestCatalogClose:
                 thread.join(timeout=60)
                 assert not thread.is_alive(), "a query hung against close()"
             for slot, got in enumerate(outcomes):
-                expected = reference.query_many(
-                    queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
-                    config=SEARCH_CONFIG, rng=81 + slot,
-                )
+                expected = batch(reference, slot)
                 assert [answer_tuples(result) for result in got] == [
                     answer_tuples(result) for result in expected
                 ]

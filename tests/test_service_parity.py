@@ -49,10 +49,12 @@ def random_database(seed: int, num_graphs: int):
     return generate_ppi_database(config, rng=seed)
 
 
-def build_twins(seed: int, num_graphs: int = 6):
+def build_twins(seed: int, num_graphs: int = 6, num_shards: int = 1):
     """A service catalog and an identical library-mode reference catalog."""
     database = random_database(seed, num_graphs)
     kwargs = dict(feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=seed)
+    if num_shards > 1:
+        kwargs.update(num_shards=num_shards, max_workers=2)
     served = GraphCatalog.build(database.graphs, **kwargs)
     twin = GraphCatalog.build(database.graphs, **kwargs)
     return database, served, twin
@@ -167,6 +169,32 @@ def test_batch_size_never_changes_answers(max_batch_size):
         finally:
             served.close()
             twin.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_sharded_backend_parity(num_shards):
+    """The service over a catalog given the pool arguments a harness still
+    passes (checked, then ignored) answers like a catalog given none."""
+
+    async def scenario():
+        database, served, twin = build_twins(seed=9003, num_shards=num_shards)
+        sequential_twin = GraphCatalog.build(
+            database.graphs, feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=9003
+        )
+        config = ServiceConfig(batch_window=0.005, search_config=SEARCH_CONFIG)
+        try:
+            async with QueryService(served, config) as service:
+                client = ServiceClient(service)
+                requests = random_workload(database, seed=45, count=4)
+                await run_and_compare(
+                    client, sequential_twin, requests, context=f"shards={num_shards}"
+                )
+        finally:
+            served.close()
+            twin.close()
+            sequential_twin.close()
 
     asyncio.run(scenario())
 

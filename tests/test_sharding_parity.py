@@ -212,9 +212,11 @@ class TestRandomizedCatalogParity:
             )
         catalog.close()
 
-    def test_loaded_pmi_without_build_root_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_loaded_pmi_without_build_root_is_refused(self, tmp_path, num_shards):
         """Delta appends must reuse the build root, so a payload that predates
-        its recording cannot back a catalog — a typed error, not a mismatch."""
+        its recording cannot back a catalog — a typed error, not a mismatch,
+        and the same one whatever ``num_shards`` is passed."""
         database = random_database(515, 4)
         built = build_index(
             database.graphs,
@@ -226,7 +228,9 @@ class TestRandomizedCatalogParity:
         loaded = ProbabilisticMatrixIndex.load(tmp_path)
         loaded.build_root = None
         with pytest.raises(CatalogError, match="build root"):
-            GraphCatalog.from_index(database.graphs, loaded, built.structural_index)
+            GraphCatalog.from_index(
+                database.graphs, loaded, built.structural_index, num_shards=num_shards
+            )
 
 
 class TestDeterminismRegression:

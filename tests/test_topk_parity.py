@@ -195,6 +195,30 @@ class TestDensePlannerInvariant:
                 assert _counters(result.statistics) == _counters(expected.statistics), k
         engine.close()
 
+    def test_worker_count_does_not_change_answers(self):
+        """``max_workers`` is still taken (the end-to-end harness passes it)
+        and changes nothing: each width answers as a catalog built without it."""
+        database = random_database(777, 6)
+        query = random_workload(database, seed=71, num_queries=1)[0]
+        fingerprints = []
+        for max_workers in (None, 0, 1, 2):
+            extra = {} if max_workers is None else dict(num_shards=2, max_workers=max_workers)
+            engine = GraphCatalog.build(
+                database.graphs,
+                feature_config=FEATURE_CONFIG,
+                bound_config=BoundConfig(method="exact"),
+                rng=777,
+                **extra,
+            )
+            try:
+                result = engine.query_top_k(
+                    query, 3, DISTANCE_THRESHOLD, config=SAMPLING_SEARCH_CONFIG, rng=13
+                )
+            finally:
+                engine.close()
+            fingerprints.append(pickle.dumps((answer_tuples(result), _counters(result.statistics))))
+        assert len(set(fingerprints)) == 1
+
     def test_same_seed_same_answers(self):
         database = random_database(888, 7)
         query = random_workload(database, seed=81, num_queries=1)[0]
