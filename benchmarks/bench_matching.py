@@ -301,7 +301,7 @@ def run_comparison(profile: dict) -> dict:
         "results_identical": identical,
         "family_identical": family_identical,
         **family_timing,
-        "family_block_reruns": family_reroute_count()[0],
+        "family_block_reruns": family_reroute_count(),
         "mine_s": mine_timer.elapsed,
         **blocks,
         **pmi_build_profile(graphs, features),

@@ -200,9 +200,6 @@ def step_breakdown(verifier: Verifier, query, graphs, relaxed, repeats: int) -> 
     for _ in range(repeats):
         with timers["join"]:
             found = [embeddings._shared_pass_codes(family, block.table, limit)]
-            found += [
-                embeddings._variant_codes(relaxed[k], block.table, limit) for k in family.loners
-            ]
         with timers["codes_to_masks"]:
             masks, owner = embeddings._code_masks(block, found)
         with timers["order_absorb"]:

@@ -24,7 +24,6 @@ and are what the parity suites build their from-scratch reference from.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from numbers import Real
@@ -42,7 +41,7 @@ from repro.core.pipeline import (
     finish_top_k,
 )
 from repro.core.pruning import FeatureContainment, ProbabilisticPruner, PruningConfig
-from repro.core.relaxation import RelaxationConfig, relax_query
+from repro.core.relaxation import RelaxationConfig, as_integer, relax_query
 from repro.core.results import QueryResult
 from repro.core.verification import VerificationConfig
 from repro.exceptions import ConfigurationError, QueryError
@@ -74,16 +73,6 @@ class SearchConfig:
     verification: VerificationConfig = field(default_factory=VerificationConfig)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a plain int: anything ``operator.index`` takes, never a bool."""
-    if isinstance(value, bool):  # operator.index(True) is 1
-        raise QueryError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise QueryError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _validate_query_structure(query_graph: LabeledGraph, distance_threshold: int) -> int:
     if not isinstance(query_graph, LabeledGraph):
         hint = (
@@ -94,7 +83,7 @@ def _validate_query_structure(query_graph: LabeledGraph, distance_threshold: int
         raise QueryError(
             f"query graph must be a LabeledGraph, got {type(query_graph).__name__}{hint}"
         )
-    distance_threshold = _integer(distance_threshold, "distance threshold")
+    distance_threshold = as_integer(distance_threshold, "distance threshold")
     if query_graph.num_edges == 0:
         raise QueryError("query graph must contain at least one edge")
     if not query_graph.is_connected():
@@ -134,7 +123,7 @@ def validate_top_k_query(
     """Reject malformed top-k queries; return ``(k, distance_threshold)`` as
     plain ints, each normalised like :func:`validate_query`'s threshold."""
     distance_threshold = _validate_query_structure(query_graph, distance_threshold)
-    k = _integer(k, "k")
+    k = as_integer(k, "k")
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k!r}")
     return k, distance_threshold

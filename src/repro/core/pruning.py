@@ -209,10 +209,10 @@ class ProbabilisticPruner:
         ``embeddings`` in ``query`` uses no edge the row deleted: one array
         pass for every feature and row, no graph of a variant.  The join of
         ``f`` over the stacked relaxed queries is the exact fallback: without
-        a ``query``, for a set that holds any other variant (a relabeling), and
-        for a feature whose enumeration is missing or truncated or that has a
-        vertex off every edge.  ``rq ⊆iso f`` is answered from a variant's
-        edge and vertex counts unless some feature is large enough to hold it.
+        a ``query``, and for a feature whose enumeration is missing or
+        truncated or that has a vertex off every edge.  ``rq ⊆iso f`` is
+        answered from a variant's edge and vertex counts unless some feature
+        is large enough to hold it.
         """
         rows = None if query is None else VariantRows.of(query, relaxed_queries)
         small = range(len(relaxed_queries))  # the variants a feature may be large enough to hold
@@ -222,12 +222,11 @@ class ProbabilisticPruner:
                 (rows.kept.sum(axis=1) <= self._max_feature_edges)
                 & (rows.present.sum(axis=1) <= self._max_feature_vertices)
             ).tolist()
-            if not rows.loners:
-                usable = {
-                    feature_id: [embedding.edges for embedding in found.embeddings]
-                    for feature_id, found in (embeddings or {}).items()
-                    if feature_id in self._edge_covered and not found.truncated
-                }
+            usable = {
+                feature_id: [embedding.edges for embedding in found.embeddings]
+                for feature_id, found in (embeddings or {}).items()
+                if feature_id in self._edge_covered and not found.truncated
+            }
         contained_in = {i: self._features_containing(relaxed_queries[i]) for i in small}
         # holds[s][i]: row i kept every edge of the s-th of the usable features' stacked embeddings
         holds = rows.holding(list(chain.from_iterable(usable.values()))).tolist() if usable else []

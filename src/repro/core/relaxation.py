@@ -1,11 +1,12 @@
 """Query relaxation: the remaining-graph set ``U = {rq1, ..., rqa}``.
 
 Lemma 1 rewrites the subgraph similarity probability as the probability that
-at least one graph obtained from ``q`` by relaxing exactly ``δ`` edges is a
-subgraph of the possible world.  Relaxation operations are edge deletions and
-edge relabelings (insertions never help a subgraph query).  A deletion variant
-is ``q`` minus ``δ`` edges on ``q``'s own vertex ids, so the set is generated
-as rows of a mask matrix over ``q``'s edge list
+at least one graph obtained from ``q`` by deleting exactly ``δ`` edges is a
+subgraph of the possible world: ``q`` minus ``δ`` edges on ``q``'s own vertex
+ids, possibly disconnected, no isolated vertex kept — the remainder of
+Definition 8.  (A relabeled variant is a supergraph of its deletion variant,
+so relabelings add nothing to the union.)  The set is generated as rows of a
+mask matrix over ``q``'s edge list
 (:class:`~repro.graphs.variant_rows.VariantRows`): no graph per ``δ``-subset.
 
 The set holds one member per isomorphism class, exactly.  Two subsets can only
@@ -19,17 +20,18 @@ confirmed with the join.
 
 **Order.**  Discovery order: ``δ``-subsets in ``itertools.combinations`` order
 over ``sorted(query.edge_keys(), key=repr)``, the first member of each
-isomorphism class kept (a subset's relabelings follow its deletion variant);
-a binding ``max_variants`` keeps the first ``max_variants`` of that order,
-mirroring the role of [38] in the paper.  Nothing downstream reads a position
-in ``U``, and the order does not depend on the matching engine's.
+isomorphism class kept; a binding ``max_variants`` keeps the first
+``max_variants`` of that order, mirroring the role of [38] in the paper.
+Nothing downstream reads a position in ``U``, and the order does not depend on
+the matching engine's.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from numbers import Integral
 
 from repro.exceptions import ConfigurationError, QueryError
@@ -45,27 +47,11 @@ class RelaxationConfig:
 
     Attributes
     ----------
-    include_relabelings:
-        Also generate variants where deleted-edge slots are replaced by a
-        relabeled edge.  The paper allows deletions and relabelings; pure
-        deletions already dominate the probability (a relabeled variant is a
-        supergraph of the deletion variant), so the default keeps only
-        deletions, which is both cheaper and sufficient for the bound
-        computations.
-    require_connected:
-        Drop relaxed graphs that become disconnected.  Connected variants
-        make feature containment tests cheaper; disconnected ones are still
-        legal per Definition 5, so this defaults to False.
-    drop_isolated_vertices:
-        Remove vertices left with no incident edge after deletion.
     max_variants:
         Hard cap on the size of ``U`` (an integer >= 1: an empty ``U`` would
         answer every query with nothing, silently).
     """
 
-    include_relabelings: bool = False
-    require_connected: bool = False
-    drop_isolated_vertices: bool = True
     max_variants: int = 64
 
     def __post_init__(self) -> None:
@@ -74,11 +60,18 @@ class RelaxationConfig:
             raise ConfigurationError(f"max_variants must be an integer >= 1, got {cap!r}")
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as a plain int: anything ``operator.index`` takes, never a bool."""
+    if isinstance(value, bool):  # operator.index(True) is 1
+        raise QueryError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise QueryError(f"{name} must be an integer, got {value!r}") from None
+
+
 def relax_query(
-    query: LabeledGraph,
-    distance_threshold: int,
-    config: RelaxationConfig | None = None,
-    edge_label_alphabet: list | None = None,
+    query: LabeledGraph, distance_threshold: int, config: RelaxationConfig | None = None
 ) -> VariantRows:
     """Generate the relaxed query set ``U`` for ``distance_threshold`` edges.
 
@@ -87,11 +80,9 @@ def relax_query(
     query:
         The connected query graph.
     distance_threshold:
-        ``δ``; exactly this many edges are relaxed (Lemma 1 shows the sets
-        for smaller relaxations are subsumed).
-    edge_label_alphabet:
-        Labels available for relabeling variants (ignored unless
-        ``config.include_relabelings``).
+        ``δ``, an integer (bools refused, like every δ); exactly this many
+        edges are deleted (Lemma 1 shows the sets for smaller relaxations are
+        subsumed).
 
     Returns
     -------
@@ -101,6 +92,7 @@ def relax_query(
         original query alone when ``δ == 0``.
     """
     cfg = config or RelaxationConfig()
+    distance_threshold = as_integer(distance_threshold, "distance threshold")
     if distance_threshold < 0:
         raise QueryError("distance threshold must be >= 0")
     if query.num_edges == 0:
@@ -110,18 +102,13 @@ def relax_query(
             f"distance threshold {distance_threshold} must be smaller than the "
             f"query size ({query.num_edges} edges); every graph would match trivially"
         )
-    alphabet = edge_label_alphabet if cfg.include_relabelings else None
-    variants = _distinct_variants(VariantRows(query), distance_threshold, cfg, alphabet)
-    distinct = list(islice(variants, cfg.max_variants))
-    loners = {k: graph for k, (_, graph) in enumerate(distinct) if graph is not None}
-    return VariantRows(query, [row for row, _ in distinct], loners)
+    variants = _distinct_variants(VariantRows(query), distance_threshold)
+    return VariantRows(query, list(islice(variants, cfg.max_variants)))
 
 
-def _distinct_variants(
-    frame: VariantRows, delta: int, cfg: RelaxationConfig, alphabet: list | None
-) -> Iterator[tuple[list[bool], LabeledGraph | None]]:
-    """``(row, None)`` per isomorphism class of ``δ``-deletions of ``frame.base``,
-    ``(blank row, graph)`` per class of relabelings, in discovery order."""
+def _distinct_variants(frame: VariantRows, delta: int) -> Iterator[list[bool]]:
+    """The row of each isomorphism class of ``δ``-deletions of ``frame.base``,
+    in discovery order."""
     query, edges = frame.base, frame.edges
     column = {vertex: i for i, vertex in enumerate(frame.vertices)}
     ends = [(column[u], column[v]) for u, v in edges]
@@ -131,44 +118,27 @@ def _distinct_variants(
     degree = [query.degree(vertex) for vertex in frame.vertices]
     first: dict[tuple, list[bool]] = {}  # invariant -> the first row that has it
     classes: dict[tuple, dict] = {}  # ... -> its classes by form, once a second row has it
-    relabeled_classes: dict[str, list[LabeledGraph]] = {}
     for deleted in combinations(range(len(edges)), delta):
         kept, left = [True] * len(edges), list(degree)
         for e in deleted:
             kept[e] = False
             left[ends[e][0]] -= 1
             left[ends[e][1]] -= 1
-        present = [not cfg.drop_isolated_vertices or remaining > 0 for remaining in left]
-        row = kept + present
-        if cfg.require_connected and not frame.graph_of(row).is_connected():
-            continue
+        row = kept + [remaining > 0 for remaining in left]
         invariant = (
             tuple(sorted(signature[e] for e in deleted)),
-            tuple(sorted(pair for pair, held in zip(zip(vlabel, left), present) if held)),
+            tuple(sorted(pair for pair in zip(vlabel, left) if pair[1])),  # the vertices kept
         )
         if invariant not in first:
             first[invariant] = row
-            yield row, None
+            yield row
         else:  # a collision: only the canonical form tells isomorphic from merely alike
             known = classes.get(invariant)
             if known is None:
                 known = classes[invariant] = {}
                 _is_new_class(frame.graph_of(first[invariant]), known)
             if _is_new_class(frame.graph_of(row), known):
-                yield row, None
-        # relabelings: an alphabet label in the place of one deleted edge, the rest deleted
-        for e, label in product(deleted, alphabet or ()):
-            if label == query.edge_label(*edges[e]):
-                continue
-            relabeled = frame.graph_of(kept + [True] * len(present))
-            relabeled.add_edge(*edges[e], label)
-            if cfg.drop_isolated_vertices:
-                relabeled.remove_isolated_vertices()
-            if cfg.require_connected and not relabeled.is_connected():
-                continue
-            # one edge more than a deletion: never one of those
-            if _is_new_class(relabeled, relabeled_classes):
-                yield [False] * len(row), relabeled
+                yield row
 
 
 def _is_new_class(graph: LabeledGraph, classes: dict[str, list[LabeledGraph]]) -> bool:

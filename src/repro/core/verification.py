@@ -54,7 +54,7 @@ from repro.probability.batch_kernel import (
     support_union_probability,
 )
 from repro.probability.dnf import exact_union_probability
-from repro.probability.sampling import check_sample_count
+from repro.probability.sampling import check_embedding_limit, check_sample_count
 from repro.utils.rng import RandomLike, ensure_rng
 
 VERIFICATION_METHODS = ("sampling", "inclusion_exclusion")
@@ -73,6 +73,7 @@ class VerificationConfig:
 
     def __post_init__(self) -> None:
         check_sample_count(self.num_samples)
+        check_embedding_limit(self.embedding_limit)
         if self.method not in VERIFICATION_METHODS:
             raise ConfigurationError(
                 f"unknown verification method {self.method!r}; "

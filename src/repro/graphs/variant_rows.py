@@ -5,8 +5,8 @@ so a set of them is a boolean matrix, not a list of graphs: one column per
 edge of the ``base`` graph (``sorted(base.edge_keys(), key=repr)``, the one
 coordinate system planning uses), one per vertex, one row per variant.  What a
 plan derives from the set is array work over those rows; a
-:class:`LabeledGraph` is built only for a member somebody indexes.  A variant
-that is no such sub-graph (a relabeling) stays an explicit graph, a *loner*.
+:class:`LabeledGraph` is built only for a member somebody indexes.  A graph
+that is no such sub-graph is no variant, and is refused.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.exceptions import QueryError
 from repro.graphs.labeled_graph import LabeledGraph
 
 
@@ -22,17 +23,16 @@ class VariantRows(Sequence):
     """A list-like sequence of variants of ``base``; item ``k`` is a graph.
 
     ``kept[k, e]`` / ``present[k, v]`` (views of ``held[K, E + V]``): member
-    ``k`` holds ``edges[e]`` / ``vertices[v]``.  A position in ``loners`` holds
-    that explicit graph and a blank row.  Built graphs are memoised, not pickled.
+    ``k`` holds ``edges[e]`` / ``vertices[v]``.  Built graphs are memoised,
+    not pickled.
     """
 
-    def __init__(self, base: LabeledGraph, rows: Sequence = (), loners: dict | None = None):
+    def __init__(self, base: LabeledGraph, rows: Sequence = ()):
         self.base = base
         self.edges = tuple(sorted(base.edge_keys(), key=repr))
         self.vertices = tuple(base.vertices())
         width = len(self.edges) + len(self.vertices)
         self.held = np.array(rows, dtype=bool).reshape(len(rows), width)
-        self.loners: dict[int, LabeledGraph] = dict(loners or {})
         self._built: dict[int, LabeledGraph] = {}
 
     @classmethod
@@ -53,24 +53,15 @@ class VariantRows(Sequence):
     def present(self) -> np.ndarray:
         return self.held[:, len(self.edges) :]
 
-    @property
-    def members(self) -> np.ndarray:
-        """Positions of the variants that are rows (every one but the loners)."""
-        return np.array([k for k in range(len(self)) if k not in self.loners], dtype=np.int64)
-
     def append(self, variant: LabeledGraph) -> None:
-        """Add a graph: a row when it has an edge and lies in ``base`` (same ids
-        and labels), a loner otherwise."""
-        position = len(self)
-        row = np.zeros((1, self.held.shape[1]), dtype=bool)
-        if variant.num_edges and variant.is_subgraph_of(self.base):
-            row[0] = [variant.has_edge(*key) for key in self.edges] + [
-                variant.has_vertex(vertex) for vertex in self.vertices
-            ]
-            self._built[position] = variant
-        else:
-            self.loners[position] = variant
-        self.held = np.concatenate([self.held, row])
+        """Add a graph as a row: it must have an edge and lie in ``base`` (same
+        ids and labels), else :class:`QueryError`."""
+        if not (variant.num_edges and variant.is_subgraph_of(self.base)):
+            raise QueryError("a variant must be its base minus some edges, with an edge left")
+        row = [variant.has_edge(*key) for key in self.edges]
+        row += [variant.has_vertex(vertex) for vertex in self.vertices]
+        self._built[len(self)] = variant
+        self.held = np.concatenate([self.held, [row]])
 
     def holding(self, edge_sets: Sequence[Iterable]) -> np.ndarray:
         """``out[s, k]``: member ``k`` kept every edge (key of ``base``) of ``edge_sets[s]``."""
@@ -94,8 +85,6 @@ class VariantRows(Sequence):
         if isinstance(index, slice):
             return [self[k] for k in range(*index.indices(len(self)))]
         position = range(len(self))[index]
-        if position in self.loners:
-            return self.loners[position]
         if position not in self._built:
             self._built[position] = self.graph_of(self.held[position].tolist())
         return self._built[position]

@@ -15,8 +15,9 @@ The cap applies to distinct embeddings per graph, and truncation is
 *surfaced*: a ``truncated`` flag per graph plus a module-level counter
 record when the cap actually bit.
 
-Verification's events (:func:`find_family_events_block`) skip the
-``Embedding`` objects: the edge codes of the join's rows become each
+Verification's events (:func:`find_family_events_block`) come from one
+shared pass over every relaxed variant (each is the query minus edges) and
+skip the ``Embedding`` objects: the edge codes of the join's rows become each
 candidate's event masks (:mod:`repro.probability.events`) through a per-graph
 table of the mask bit of every row of its edge table, built on the graph's
 first verification and kept until its ``mutation_version`` moves.
@@ -54,18 +55,19 @@ def reset_truncation_count() -> None:
     _truncation_count = 0
 
 
-# what left the shared pass of find_family_events_block: blocks rerun per variant
-# (limit, cap) and, once per block, variants joined on their own (relabelings)
-_family_reroutes = [0, 0]
+# blocks of find_family_events_block that left the shared pass and were rerun
+# per variant (limit, cap); read via family_reroute_count()
+_family_reroutes = 0
 
 
-def family_reroute_count() -> tuple[int, int]:
-    """``(blocks rerun per variant, variants joined on their own)`` since the last reset."""
-    return tuple(_family_reroutes)
+def family_reroute_count() -> int:
+    """Number of blocks (since the last reset) rerun per variant."""
+    return _family_reroutes
 
 
 def reset_family_reroute_count() -> None:
-    _family_reroutes[:] = 0, 0
+    global _family_reroutes
+    _family_reroutes = 0
 
 
 @dataclass(frozen=True)
@@ -195,26 +197,26 @@ def find_family_events_block(
     of every variant — as its normalised mask matrix (``(m, W)`` ``uint64``,
     canonical order: :func:`repro.probability.events.normalize_masks`).
 
-    The members of ``family`` (``compile_variant_family(query, variants)``)
-    share one pass; its loners are joined on their own.  Without a family, past
-    the branch cap, or when a (variant, target) holds more than ``limit``
-    distinct embeddings (truncation stays the per-variant one), every variant
-    is joined on its own.  Either way the rows' edge codes become masks in one
-    conversion and the whole block is normalised by one ``lexsort``."""
+    The variants of ``family`` (``compile_variant_family(query, variants)``)
+    share one pass.  Without a family, past the branch cap, or when a
+    (variant, target) holds more than ``limit`` distinct embeddings
+    (truncation stays the per-variant one), every variant is joined on its
+    own.  Either way the rows' edge codes become masks in one conversion and
+    the whole block is normalised by one ``lexsort``."""
+    global _family_reroutes
     block = GraphBlock.of(targets)
     if not block.graphs:
         return []
-    found = []  # (edge codes, -1 where none, and owning graph) per source of rows
-    alone = range(len(variants))
     if family is not None:
         try:
-            found.append(_shared_pass_codes(family, block.table, limit))
-            alone = family.loners
-            _family_reroutes[1] += len(alone)
+            # (edge codes, -1 where none, and owning graph) per source of rows
+            found = [_shared_pass_codes(family, block.table, limit)]
         except (generic_join.GenericJoinOverflow, _OverLimit) as reason:
-            _family_reroutes[0] += 1
+            _family_reroutes += 1
             logger.debug("family pass rerun per variant: %s", reason)
-    found += [_variant_codes(variants[index], block.table, limit) for index in alone]
+            family = None
+    if family is None:
+        found = [_variant_codes(variant, block.table, limit) for variant in variants]
     masks, owner = normalize_masks(*_code_masks(block, found))
     bounds = np.searchsorted(owner, np.arange(len(block.graphs) + 1)).tolist()
     return [

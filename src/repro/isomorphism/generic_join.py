@@ -517,8 +517,7 @@ class VariantFamily:
     and differ in ``required[k, e]`` (member ``k`` kept query edge ``e``, whose
     levels are ``edge_ends[:, e]``), ``degree[k, l]`` and ``seed[k, l]``: the
     position of the first back edge of level ``l`` it kept, ``_POOL`` at a
-    component start, ``_ABSENT`` for a dropped vertex.  ``loners`` indexes the
-    variants that are no such deletion (relabelings), joined on their own.
+    component start, ``_ABSENT`` for a dropped vertex.
     """
 
     levels: tuple
@@ -526,13 +525,12 @@ class VariantFamily:
     required: np.ndarray
     degree: np.ndarray
     seed: np.ndarray
-    loners: tuple
 
 
 def compile_variant_family(query: LabeledGraph, variants) -> VariantFamily:
     """Compile ``variants`` — the relaxed set of ``query`` (its
     :class:`~repro.graphs.variant_rows.VariantRows`, read as they are) or any
-    list of graphs (classified into rows and loners first) — into a
+    list of graphs, each of them ``query`` minus some edges — into a
     :class:`VariantFamily`: the rows' columns permuted to the level-major edge
     order, degrees and seeds as array passes over them."""
     rows = VariantRows.of(query, variants)
@@ -549,9 +547,9 @@ def compile_variant_family(query: LabeledGraph, variants) -> VariantFamily:
         keys += [edge_key(vertex, n) for _, n in prev]
         ends += [(lo, li) for lo, _ in prev]
         rank += range(len(prev))
-    members, column = rows.members, {key: e for e, key in enumerate(rows.edges)}
-    required = rows.kept[np.ix_(members, [column[key] for key in keys])]
-    held = rows.present[np.ix_(members, [rows.vertices.index(vertex) for vertex in order])]
+    column = {key: e for e, key in enumerate(rows.edges)}
+    required = rows.kept[:, [column[key] for key in keys]]
+    held = rows.present[:, [rows.vertices.index(vertex) for vertex in order]]
     edge_ends = np.array(ends, dtype=np.int16).reshape(len(keys), 2).T
     incidence = np.zeros((len(keys), len(order)), dtype=np.int16)
     incidence[np.arange(len(keys)), edge_ends] = 1
@@ -565,7 +563,6 @@ def compile_variant_family(query: LabeledGraph, variants) -> VariantFamily:
         required=required,
         degree=required @ incidence,
         seed=np.where(first < len(keys), first, np.where(held, _POOL, _ABSENT)).astype(np.int16),
-        loners=tuple(sorted(rows.loners)),
     )
 
 

@@ -51,7 +51,11 @@ from repro.isomorphism.embeddings import Embedding, find_embeddings
 from repro.pmi.cuts import best_disjoint_cuts, enumerate_embedding_cuts
 from repro.pmi.embedding_graph import best_disjoint_embeddings
 from repro.probability.batch_kernel import compile_events
-from repro.probability.sampling import check_sample_count, monte_carlo_sample_size
+from repro.probability.sampling import (
+    check_embedding_limit,
+    check_sample_count,
+    monte_carlo_sample_size,
+)
 from repro.probability.world_batch import (
     WorldBatch,
     enumerate_world_batch,
@@ -98,6 +102,7 @@ class BoundConfig:
 
     def __post_init__(self) -> None:
         check_sample_count(self.num_samples)
+        check_embedding_limit(self.embedding_limit)
         if self.method not in BOUND_METHODS:
             raise ConfigurationError(
                 f"unknown bound method {self.method!r}; expected one of {BOUND_METHODS}"

@@ -32,6 +32,7 @@ from repro.isomorphism.embeddings import (
     maximal_disjoint_embeddings,
 )
 from repro.isomorphism.generic_join import GraphBlock, match_block
+from repro.probability.sampling import check_embedding_limit
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,9 @@ class FeatureSelectionConfig:
     max_features: int = 60
     max_candidates_per_level: int = 200
     embedding_limit: int = 64
+
+    def __post_init__(self) -> None:
+        check_embedding_limit(self.embedding_limit)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 The sample-size rule ``N = (4 ln(2/ξ)) / τ²`` used by Algorithms 3 and 5
 (Section 4.1.1 / Section 5, following Mitzenmacher & Upfal [26]) and the
-validation of an explicit sample count.  Worlds themselves are drawn by
-:mod:`repro.probability.batch_kernel`.
+validation of an explicit sample count and embedding cap.  Worlds themselves
+are drawn by :mod:`repro.probability.batch_kernel`.
 """
 
 from __future__ import annotations
@@ -41,13 +41,17 @@ def check_sample_count(num_samples: int | None) -> None:
     one fails in numpy or yields a silent ``0.0``; bool is an int subclass
     and is rejected explicitly.
     """
-    if num_samples is None:
-        return
-    if (
-        isinstance(num_samples, bool)
-        or not isinstance(num_samples, Integral)
-        or num_samples < 1
+    _check_count(num_samples, "num_samples")
+
+
+def check_embedding_limit(embedding_limit: int | None) -> None:
+    """Reject an embedding cap that is not an integer >= 1 (``None``: no cap):
+    a cap below 1 enumerates nothing, so every probability would be 0.0."""
+    _check_count(embedding_limit, "embedding_limit")
+
+
+def _check_count(value: int | None, name: str) -> None:
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, Integral) or value < 1
     ):
-        raise ConfigurationError(
-            f"num_samples must be an integer >= 1 or None, got {num_samples!r}"
-        )
+        raise ConfigurationError(f"{name} must be an integer >= 1 or None, got {value!r}")

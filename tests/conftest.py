@@ -205,8 +205,7 @@ def make_simple_probabilistic_graph(
 def reordered_rows(rows: VariantRows, order: list[int]) -> VariantRows:
     """The same relaxed set in another order: position ``k`` holds what
     position ``order[k]`` held (what reads ``U`` must not notice)."""
-    loners = {k: rows.loners[old] for k, old in enumerate(order) if old in rows.loners}
-    return VariantRows(rows.base, rows.held[order].tolist(), loners)
+    return VariantRows(rows.base, rows.held[order].tolist())
 
 
 def assert_same_cells(got, want) -> None:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core import SearchConfig, VerificationConfig
 from repro.core import pruning
 from repro.core.catalog import GraphCatalog
-from repro.core.relaxation import RelaxationConfig, relax_query
+from repro.core.relaxation import relax_query
 from repro.datasets import extract_query
 from repro.graphs import LabeledGraph, ProbabilisticGraph
 from repro.isomorphism import embeddings
@@ -203,8 +203,7 @@ class TestMasksEqualTheFrozensetOracle:
 @st.composite
 def mixed_targets_and_relaxed_sets(draw):
     """A target under one id pool (sometimes over 64 edges), a connected query
-    taken from it, and its relaxed set under one of three configs (relabelings
-    give events of unequal sizes)."""
+    taken from it, and its relaxed set."""
     rename = ID_POOLS[draw(st.sampled_from(sorted(ID_POOLS)))]
     n = draw(st.integers(4, 14))
     threshold = draw(st.sampled_from([0, 1, 3]))  # edge kept unless the draw is below
@@ -218,11 +217,8 @@ def mixed_targets_and_relaxed_sets(draw):
     # A bare path on four vertices has only three edges to take a query from.
     size = draw(st.integers(2, min(4, target.num_edges)))
     query = extract_query(target, size, rng=draw(st.integers(0, 99)))
-    config = draw(
-        st.sampled_from([RelaxationConfig(), RelaxationConfig(include_relabelings=True)])
-    )
     delta = draw(st.integers(0, min(1, query.num_edges - 1)))
-    return target, query, relax_query(query, delta, config, edge_label_alphabet=["x", "y"])
+    return target, query, relax_query(query, delta)
 
 
 class TestFamilyMasksEqualTheOracle:

@@ -1,9 +1,9 @@
 """The variant-family pass (all relaxed variants of a query joined against a
 block in one level-at-a-time pass) held to the per-variant loop it replaces:
-equal event masks per graph on random queries, relaxation configs and blocks,
-and both equal to the frozenset oracle (every variant's embeddings, normalised
-as sets); block entry k equal to the block of one; and the three reroutes —
-embedding limit, branch cap, relabelings joined on their own — exact."""
+equal event masks per graph on random queries, relaxed sets and blocks, and
+both equal to the frozenset oracle (every variant's embeddings, normalised as
+sets); block entry k equal to the block of one; and the two reroutes —
+embedding limit, branch cap — exact."""
 
 from __future__ import annotations
 
@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.relaxation import RelaxationConfig, relax_query
+from repro.core.relaxation import relax_query
 from repro.core.verification import VerificationConfig, Verifier
-from repro.graphs import LabeledGraph, ProbabilisticGraph
+from repro.exceptions import QueryError
+from repro.graphs import LabeledGraph, ProbabilisticGraph, VariantRows
 from repro.isomorphism import generic_join
 from repro.isomorphism.embeddings import (
     family_reroute_count,
@@ -37,16 +38,23 @@ FAMILY_SETTINGS = settings(
 )
 VERTEX_LABELS = st.sampled_from(["a", "b"])
 EDGE_LABELS = ["x", "y"]
-CONFIGS = [
-    RelaxationConfig(),
-    RelaxationConfig(require_connected=True),
-    RelaxationConfig(drop_isolated_vertices=False),
-    RelaxationConfig(include_relabelings=True),
-]
 
 
 def build(vertex_labels, edges):
     return LabeledGraph.from_edges(vertex_labels, edges)
+
+
+def every_vertex_kept(query, variants) -> VariantRows:
+    """``variants`` with every vertex of ``query`` put back: rows with a
+    present vertex that keeps no edge, which the pass seeds from its label pool."""
+    graphs = []
+    for variant in variants:
+        graph = variant.copy()
+        for vertex in query.vertices():
+            if not graph.has_vertex(vertex):
+                graph.add_vertex(vertex, query.vertex_label(vertex))
+        graphs.append(graph)
+    return VariantRows.of(query, graphs)
 
 
 @st.composite
@@ -88,15 +96,15 @@ def targets_holding(draw, query, delta):
 
 @st.composite
 def families_and_blocks(draw):
-    """(query, variants, family, targets): a connected query relaxed under one
-    of the four configs, against 1-5 targets — random ones and ones that hold
-    a relaxed copy of the query, one that matches nothing now and then, and
-    one graph object in the block twice."""
+    """(query, variants, family, targets): a connected query relaxed, half of
+    the time with every vertex put back, against 1-5 targets — random ones and
+    ones that hold a relaxed copy of the query, one that matches nothing now
+    and then, and one graph object in the block twice."""
     query = draw(labelled_graphs(3, 6, connected=True))
     delta = draw(st.integers(0, min(2, query.num_edges - 1)))
-    variants = relax_query(
-        query, delta, draw(st.sampled_from(CONFIGS)), edge_label_alphabet=EDGE_LABELS
-    )
+    variants = relax_query(query, delta)
+    if draw(st.booleans()):
+        variants = every_vertex_kept(query, variants)
     targets = draw(st.lists(targets_holding(query, delta), min_size=1, max_size=3))
     if draw(st.booleans()):
         targets.insert(draw(st.integers(0, len(targets))), build({0: "z", 1: "z"}, [(0, 1, "x")]))
@@ -139,7 +147,7 @@ class TestFamilyEqualsPerVariant:
         reset_family_reroute_count()
         shared = find_family_events_block(family, variants, targets, None)
         # nothing to truncate and no cap in reach: the pass itself answered
-        assert family_reroute_count() == (0, len(family.loners))
+        assert family_reroute_count() == 0
         oracle = frozenset_events(variants, targets)
         assert_same_events(shared, per_variant(variants, targets), targets, oracle)
         for position, target in enumerate(targets):
@@ -157,11 +165,11 @@ class TestFamilyEqualsPerVariant:
         reset_family_reroute_count()
         shared = find_family_events_block(family, variants, targets, limit)
         assert truncation_count() == cut
-        if family_reroute_count()[0]:  # a member over the limit somewhere: the per-variant lists
+        if family_reroute_count():  # a member over the limit somewhere: the per-variant lists
             oracle = frozenset_events(variants, targets, limit)
             assert_same_events(shared, reference, targets, oracle)
-        else:  # only a loner can have been cut, and it was cut by the same call
-            assert cut == 0 or family.loners
+        else:  # nothing was cut
+            assert cut == 0
             assert_same_events(shared, reference, targets)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
@@ -172,7 +180,7 @@ class TestFamilyEqualsPerVariant:
             patch.setattr(generic_join, "_MAX_OPEN_BRANCHES", cap)
             reset_family_reroute_count()
             shared = find_family_events_block(family, variants, targets, None)
-            if family_reroute_count()[0]:
+            if family_reroute_count():
                 assert same_masks(shared, per_variant(variants, targets))
         assert_same_events(shared, per_variant(variants, targets), targets)
 
@@ -190,10 +198,7 @@ class TestOrderFreedom:
         shuffler.shuffle(order)
         moved = reordered_rows(variants, order)
         moved_family = compile_variant_family(query, moved)
-        assert moved_family.loners == tuple(sorted(order.index(k) for k in family.loners))
-        members = [k for k in order if k not in family.loners]
-        moved_from = np.searchsorted(variants.members, members)  # rows of the old family
-        assert np.array_equal(moved_family.required, family.required[moved_from])
+        assert np.array_equal(moved_family.required, family.required[order])
         events = find_family_events_block(family, variants, targets, None)
         moved_events = find_family_events_block(moved_family, moved, targets, None)
         assert same_masks(moved_events, events)
@@ -227,59 +232,28 @@ TARGETS = [
 
 
 class TestReroutes:
-    def test_only_relabelings_are_joined_alone(self, monkeypatch):
-        variants = relax_query(QUERY, 2, RelaxationConfig(drop_isolated_vertices=False))
-        relabeled = QUERY.copy()
-        relabeled.remove_edge(0, 3)
-        relabeled.add_edge(0, 3, "x")
-        variants.append(relabeled)
-        family = compile_variant_family(QUERY, variants)
-        assert family.loners == (len(variants) - 1,)
-        assert family.required.shape == (len(variants) - 1, QUERY.num_edges)
-        passes, joins = [], []
-        family_pass, join = generic_join.execute_variant_family, generic_join._join
-        monkeypatch.setattr(
-            generic_join,
-            "execute_variant_family",
-            lambda *args: passes.append(args) or family_pass(*args),
-        )
-        monkeypatch.setattr(
-            generic_join, "_join", lambda *args, **kw: joins.append(args) or join(*args, **kw)
-        )
-        reset_family_reroute_count()
-        shared = find_family_events_block(family, variants, TARGETS)
-        assert (len(passes), len(joins)) == (1, 1)
-        assert family_reroute_count() == (0, 1)
-        assert_same_events(
-            shared,
-            per_variant(variants, TARGETS, 200),
-            TARGETS,
-            frozenset_events(variants, TARGETS),
-        )
-
     def test_mid_component_start_is_seeded_inside_the_pass(self):
-        for config in (RelaxationConfig(), RelaxationConfig(drop_isolated_vertices=False)):
-            (mid,) = (
-                variant
-                for variant in relax_query(QUERY, 2, config)
-                if set(variant.edge_keys()) == {(0, 2), (1, 2)}
-            )
-            family = compile_variant_family(QUERY, [mid])
-            assert not family.loners and family.seed[0, 1] == generic_join._POOL
-            shared = find_family_events_block(family, [mid], TARGETS, None)
+        (mid,) = (
+            variant
+            for variant in relax_query(QUERY, 2)
+            if set(variant.edge_keys()) == {(0, 2), (1, 2)}
+        )
+        # ... and with vertex 3 present though it keeps no edge
+        for rows in ([mid], every_vertex_kept(QUERY, [mid])):
+            family = compile_variant_family(QUERY, rows)
+            assert family.seed[0, 1] == generic_join._POOL
+            shared = find_family_events_block(family, rows, TARGETS, None)
             assert len(shared[0]) and not len(shared[1])
             assert_same_events(
-                shared, per_variant([mid], TARGETS), TARGETS, frozenset_events([mid], TARGETS)
+                shared, per_variant(rows, TARGETS), TARGETS, frozenset_events(rows, TARGETS)
             )
 
-    def test_family_of_loners_only(self):
+    def test_a_relabeling_is_refused(self):
         relabeled = QUERY.copy()
         relabeled.remove_edge(0, 3)
         relabeled.add_edge(0, 3, "x")
-        family = compile_variant_family(QUERY, [relabeled])
-        assert family.required.shape == (0, QUERY.num_edges) and family.loners == (0,)
-        shared = find_family_events_block(family, [relabeled], TARGETS, None)
-        assert same_masks(shared, per_variant([relabeled], TARGETS)) and len(shared[0])
+        with pytest.raises(QueryError, match="minus some edges"):
+            compile_variant_family(QUERY, [relabeled])
 
     def test_label_absent_from_the_block_matches_nothing(self):
         query = build({0: "a", 1: "a", 2: "nowhere"}, [(0, 1, "x"), (0, 2, "y"), (1, 2, "never")])
@@ -290,7 +264,7 @@ class TestReroutes:
         shared = find_family_events_block(family, variants, TARGETS, None)
         assert same_masks(shared, per_variant(variants, TARGETS))
         assert [len(masks) for masks in shared] == [0, 0]
-        assert family_reroute_count() == (0, len(family.loners))
+        assert family_reroute_count() == 0
         reset_family_reroute_count()
         # a label only some variants need: the others still match
         query = build({0: "a", 1: "a", 2: "b"}, [(0, 1, "x"), (0, 2, "x"), (1, 2, "never")])
@@ -305,7 +279,7 @@ class TestReroutes:
         assert_same_events(
             shared, per_variant(variants, TARGETS), TARGETS, frozenset_events(variants, TARGETS)
         )
-        assert family_reroute_count() == (0, len(family.loners))
+        assert family_reroute_count() == 0
 
     def test_cap_and_limit_reroutes_are_counted(self, monkeypatch):
         variants = relax_query(QUERY, 1)
@@ -314,11 +288,11 @@ class TestReroutes:
         reset_truncation_count()
         shared = find_family_events_block(family, variants, TARGETS, 1)
         assert same_masks(shared, per_variant(variants, TARGETS, 1))
-        assert family_reroute_count() == (1, 0) and truncation_count() > 0
+        assert family_reroute_count() == 1 and truncation_count() > 0
         monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 3)
         shared = find_family_events_block(family, variants, TARGETS, None)
         assert same_masks(shared, per_variant(variants, TARGETS))
-        assert family_reroute_count() == (2, 0)
+        assert family_reroute_count() == 2
 
     def test_degree_feasibility_prunes_the_frontier(self, monkeypatch):
         """A member's degree is a filter — no event depends on it — so it is

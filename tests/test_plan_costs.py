@@ -212,10 +212,7 @@ class TestPlanCosts:
             assert shipped.relaxed_queries.materialized_count() == 0
             assert list(shipped.relaxed_queries) == list(plan.relaxed_queries)
             # ... and with the compiled relaxed set, so that nothing derives it again
-            assert (shipped.family.levels, shipped.family.loners) == (
-                plan.family.levels,
-                plan.family.loners,
-            )
+            assert shipped.family.levels == plan.family.levels
             for name in ("edge_ends", "required", "degree", "seed"):
                 assert np.array_equal(getattr(shipped.family, name), getattr(plan.family, name))
 
@@ -251,7 +248,6 @@ class TestVerificationCosts:
         for query in six_edge_queries:
             plan = planner.plan(query, 0.3, 1, CONFIG)
             assert len(spies["compile_variant_family"]) == 1  # once per plan()
-            assert not plan.family.loners  # plan() relaxes without an alphabet: no relabeling
             for calls in spies.values():
                 del calls[:]
             result = planner.execute_plan(plan, 7)
@@ -355,7 +351,7 @@ def test_no_block_rerun_on_the_e2e_smoke_corpora(workload, monkeypatch):
     # which no production module imports (test_reference_boundary)
     assert counted
     assert not [graph for (graph,) in counted if id(graph) in stored]
-    assert family_reroute_count() == (0, 0) and truncation_count() == 0
+    assert family_reroute_count() == 0 and truncation_count() == 0
     # ... so nothing indexes the relaxed set: a pass builds no graph of a variant
     assert not variants
     # every support of these corpora fits the kernel's exact enumeration
@@ -395,7 +391,7 @@ def test_plan_canonicalises_only_colliding_variants(workload, monkeypatch):
             else:
                 plan = planner.plan_top_k(request.query, int(request.param), delta, config)
             assert len(forms) == _colliding_subsets(request.query, delta)
-            assert plan.relaxed_queries.materialized_count() == 0 and not plan.family.loners
+            assert plan.relaxed_queries.materialized_count() == 0
             per_template[request.query.name] = len(forms)
     assert not copies
     if workload == "verify_heavy":  # four edges, four signatures: nothing to tell apart

@@ -1,6 +1,8 @@
 """Tests for relaxed query set generation (Lemma 1's U set): the row-based
 ``relax_query`` held to the copy-and-canonicalise algorithm it replaced
-(``reference_relax``, the oracle), its stated order, and its sequence surface."""
+(``reference_relax``, the oracle), its stated order, its sequence surface, and
+Lemma 1 itself: some member of ``U`` is in a graph iff the query is within
+distance δ of it (Definition 8, ``repro.reference.is_subgraph_similar``)."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,8 @@ from repro.core import RelaxationConfig, VerificationConfig, Verifier, relax_que
 from repro.exceptions import ConfigurationError, QueryError
 from repro.graphs import LabeledGraph, ProbabilisticGraph, VariantRows
 from repro.graphs.canonical import MAX_EXACT_VERTICES, canonical_form
-from repro.reference import vf2_exists
+from repro.isomorphism import is_subgraph_isomorphic
+from repro.reference import is_subgraph_similar, vf2_exists
 
 
 def build(vertex_labels, edges):
@@ -84,22 +88,6 @@ class TestBasicRelaxation:
         for variant in relaxed:
             assert all(variant.degree(v) > 0 for v in variant.vertices())
 
-    def test_isolated_vertices_kept_when_requested(self):
-        star = build({0: "a", 1: "b", 2: "c"}, [(0, 1, "x"), (0, 2, "x")])
-        config = RelaxationConfig(drop_isolated_vertices=False)
-        relaxed = relax_query(star, 1, config)
-        assert any(variant.num_vertices == 3 for variant in relaxed)
-
-    def test_connectivity_requirement(self):
-        path = build(
-            {0: "a", 1: "b", 2: "c", 3: "d"},
-            [(0, 1, "x"), (1, 2, "x"), (2, 3, "x")],
-        )
-        all_variants = relax_query(path, 1)
-        connected_only = relax_query(path, 1, RelaxationConfig(require_connected=True))
-        assert len(connected_only) <= len(all_variants)
-        assert all(v.is_connected() for v in connected_only)
-
     def test_max_variants_cap(self, square_query):
         relaxed = relax_query(square_query, 2, RelaxationConfig(max_variants=2))
         assert len(relaxed) <= 2
@@ -110,16 +98,6 @@ class TestBasicRelaxation:
         assert len(whole) == 3 and list(capped) == whole[:2]
 
 
-class TestRelabelings:
-    def test_relabel_variants_added(self):
-        edge = build({0: "a", 1: "b", 2: "c"}, [(0, 1, "x"), (1, 2, "x")])
-        config = RelaxationConfig(include_relabelings=True)
-        relaxed = relax_query(edge, 1, config, edge_label_alphabet=["x", "y"])
-        # deletion variants have 1 edge; relabeled variants keep 2 edges
-        assert any(v.num_edges == 2 for v in relaxed)
-        assert any(v.num_edges == 1 for v in relaxed)
-
-
 class TestValidation:
     @pytest.mark.parametrize("cap", [0, -1, 1.5, True, None])
     def test_a_cap_that_would_empty_the_set_is_rejected(self, cap):
@@ -128,6 +106,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="max_variants"):
             RelaxationConfig(max_variants=cap)
         assert RelaxationConfig(max_variants=1).max_variants == 1
+
+    @pytest.mark.parametrize("delta", [1.5, "1", True, False, None])
+    def test_a_distance_that_is_no_integer_is_a_query_error(self, square_query, delta):
+        """As the planner and the exact scan refuse it: ``True`` was taken as 1
+        and 1.5 or ``"1"`` raised a builtin ``TypeError``."""
+        with pytest.raises(QueryError, match="distance threshold must be an integer"):
+            relax_query(square_query, delta)
+        graph = ProbabilisticGraph.from_edge_probabilities(
+            square_query, dict.fromkeys(square_query.edge_keys(), 0.5)
+        )
+        with pytest.raises(QueryError, match="distance threshold must be an integer"):
+            Verifier().subgraph_similarity_probability(square_query, graph, delta)
+
+    def test_an_integer_like_distance_is_accepted(self, square_query):
+        assert list(relax_query(square_query, np.int64(1))) == list(relax_query(square_query, 1))
 
     def test_negative_distance_rejected(self, square_query):
         with pytest.raises(QueryError):
@@ -145,7 +138,7 @@ class TestValidation:
 # ----------------------------------------------------------------------
 # the oracle: the algorithm relax_query replaced, kept verbatim
 # ----------------------------------------------------------------------
-def reference_relax(query, distance_threshold, config=None, edge_label_alphabet=None):
+def reference_relax(query, distance_threshold, config=None):
     """One copy of the query per δ-subset, each canonicalised; the result
     sorted by canonical string (the order production no longer keeps)."""
     cfg = config or RelaxationConfig()
@@ -157,58 +150,20 @@ def reference_relax(query, distance_threshold, config=None, edge_label_alphabet=
         relaxed = query.copy()
         for u, v in deletion:
             relaxed.remove_edge(u, v)
-        if cfg.drop_isolated_vertices:
-            relaxed.remove_isolated_vertices()
+        relaxed.remove_isolated_vertices()
         if relaxed.num_edges == 0:
-            continue
-        if cfg.require_connected and not relaxed.is_connected():
             continue
         key = canonical_form(relaxed)
         if key not in variants:
             variants[key] = relaxed
-        if cfg.include_relabelings and edge_label_alphabet:
-            for relabeled in _reference_relabelings(query, deletion, edge_label_alphabet, cfg):
-                relabel_key = canonical_form(relabeled)
-                if relabel_key not in variants:
-                    variants[relabel_key] = relabeled
-                if len(variants) >= cfg.max_variants:
-                    break
         if len(variants) >= cfg.max_variants:
             break
     ordered = [variants[key] for key in sorted(variants)]
     return ordered[: cfg.max_variants]
 
 
-def _reference_relabelings(query, deletion, edge_label_alphabet, cfg):
-    variants = []
-    for u, v in deletion:
-        original_label = query.edge_label(u, v)
-        for label in edge_label_alphabet:
-            if label == original_label:
-                continue
-            relabeled = query.copy()
-            for du, dv in deletion:
-                relabeled.remove_edge(du, dv)
-            relabeled.add_edge(u, v, label)
-            if cfg.drop_isolated_vertices:
-                relabeled.remove_isolated_vertices()
-            if relabeled.num_edges == 0:
-                continue
-            if cfg.require_connected and not relabeled.is_connected():
-                continue
-            variants.append(relabeled)
-    return variants
-
-
-ALPHABET = ["x", "y"]
+EDGE_LABELS = ["x", "y"]
 UNCAPPED = 10_000
-CONFIGS = {
-    "default": {},
-    "connected": {"require_connected": True},
-    "isolated_kept": {"drop_isolated_vertices": False},
-    "connected_isolated_kept": {"require_connected": True, "drop_isolated_vertices": False},
-    "relabelings": {"include_relabelings": True},
-}
 
 
 @st.composite
@@ -216,7 +171,7 @@ def relaxation_cases(draw):
     """A connected query of 3-7 edges over few labels — 1-3 vertex labels, 1-2
     edge labels, so invariants collide and isomorphic duplicates exist — and a δ."""
     vertex_labels = "abc"[: draw(st.integers(1, 3))]
-    edge_labels = ALPHABET[: draw(st.integers(1, 2))]
+    edge_labels = EDGE_LABELS[: draw(st.integers(1, 2))]
     num_edges = draw(st.integers(3, 7))
     graph = LabeledGraph()
     graph.add_vertex(0, draw(st.sampled_from(vertex_labels)))
@@ -241,78 +196,127 @@ class TestAgainstTheReference:
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
 
-    @pytest.mark.parametrize("flags", CONFIGS.values(), ids=CONFIGS)
     @SETTINGS
     @given(case=relaxation_cases())
-    def test_same_isomorphism_classes(self, flags, case):
+    def test_same_isomorphism_classes(self, case):
         query, delta = case
-        config = RelaxationConfig(max_variants=UNCAPPED, **flags)
-        relaxed = relax_query(query, delta, config, edge_label_alphabet=ALPHABET)
-        reference = reference_relax(query, delta, config, edge_label_alphabet=ALPHABET)
+        config = RelaxationConfig(max_variants=UNCAPPED)
+        relaxed = relax_query(query, delta, config)
+        reference = reference_relax(query, delta, config)
         assert forms_of(relaxed) == forms_of(reference)
         assert set(forms_of(relaxed).values()) <= {1}  # no class twice
-        for position, variant in enumerate(relaxed):
-            assert variant.is_subgraph_of(query) != (position in relaxed.loners)
-            assert variant.num_edges == query.num_edges - delta + (position in relaxed.loners)
+        for variant in relaxed:
+            assert variant.is_subgraph_of(query)
+            assert variant.num_edges == query.num_edges - delta
 
-    @pytest.mark.parametrize("flags", CONFIGS.values(), ids=CONFIGS)
     @SETTINGS
     @given(case=relaxation_cases(), cap=st.integers(1, 4))
-    def test_a_binding_cap_keeps_distinct_members_of_the_whole_set(self, flags, case, cap):
+    def test_a_binding_cap_keeps_distinct_members_of_the_whole_set(self, case, cap):
         query, delta = case
-        whole = reference_relax(
-            query, delta, RelaxationConfig(max_variants=UNCAPPED, **flags), ALPHABET
-        )
-        capped = relax_query(query, delta, RelaxationConfig(max_variants=cap, **flags), ALPHABET)
+        whole = reference_relax(query, delta, RelaxationConfig(max_variants=UNCAPPED))
+        capped = relax_query(query, delta, RelaxationConfig(max_variants=cap))
         assert len(capped) == min(cap, len(whole))
         assert set(forms_of(capped).values()) <= {1}
         assert forms_of(capped).keys() <= forms_of(whole).keys()
         # ... and they are the first ones of the uncapped order
-        uncapped = relax_query(
-            query, delta, RelaxationConfig(max_variants=UNCAPPED, **flags), ALPHABET
-        )
+        uncapped = relax_query(query, delta, RelaxationConfig(max_variants=UNCAPPED))
         assert list(capped) == uncapped[: len(capped)]
 
     @SETTINGS
-    @given(case=relaxation_cases(), flags=st.sampled_from(list(CONFIGS.values())))
-    def test_the_result_is_a_sequence_of_graphs(self, case, flags):
+    @given(case=relaxation_cases())
+    def test_the_result_is_a_sequence_of_graphs(self, case):
         query, delta = case
-        relaxed = relax_query(query, delta, RelaxationConfig(**flags), ALPHABET)
+        relaxed = relax_query(query, delta)
         assert isinstance(relaxed, VariantRows) and relaxed.materialized_count() == 0
         items = list(relaxed)
-        assert len(items) == len(relaxed) == relaxed.materialized_count() + len(relaxed.loners)
+        assert len(items) == len(relaxed) == relaxed.materialized_count()
         assert all(isinstance(item, LabeledGraph) and item.name == query.name for item in items)
         assert all(relaxed[k] is items[k] for k in range(len(items)))  # built once
         assert relaxed[1:] == items[1:] and relaxed[:-1] == items[:-1]
-        if items:  # require_connected can leave nothing
-            assert relaxed[-1] is items[-1] and items[0] in relaxed
+        assert relaxed[-1] is items[-1] and items[0] in relaxed
         with pytest.raises(IndexError):
             relaxed[len(items)]
         shipped = pickle.loads(pickle.dumps(relaxed, protocol=pickle.HIGHEST_PROTOCOL))
         assert shipped.materialized_count() == 0  # masks travel, graphs do not
         assert list(shipped) == items and shipped.base == query
-        assert (shipped.held == relaxed.held).all() and shipped.loners == relaxed.loners
+        assert (shipped.held == relaxed.held).all()
         # each row is its graph: edges and vertices kept
-        for k in relaxed.members.tolist():
+        for k, item in enumerate(items):
             kept = {key for key, held in zip(relaxed.edges, relaxed.kept[k]) if held}
             present = {v for v, held in zip(relaxed.vertices, relaxed.present[k]) if held}
-            assert (set(items[k].edge_keys()), set(items[k].vertices())) == (kept, present)
+            assert (set(item.edge_keys()), set(item.vertices())) == (kept, present)
+
+
+@st.composite
+def similarity_cases(draw):
+    """A relaxation case and a target skeleton: the query with up to δ + 1
+    edges removed, now and then a vertex relabeled, and 0-2 stray edges, so
+    that both answers come up."""
+    query, delta = draw(relaxation_cases())
+    target = query.copy()
+    edges = sorted(query.edge_keys())
+    for key in draw(st.sets(st.sampled_from(edges), max_size=delta + 1)):
+        target.remove_edge(*key)
+    if draw(st.booleans()):
+        target.add_vertex(draw(st.sampled_from(sorted(query.vertices()))), "c")  # relabels it
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.sampled_from(sorted(target.vertices())))
+        v = target.num_vertices + 1
+        target.add_vertex(v, draw(st.sampled_from("abc")))
+        target.add_edge(u, v, draw(st.sampled_from(EDGE_LABELS)))
+    return query, delta, target
+
+
+def some_variant_embeds(query, delta, target) -> bool:
+    relaxed = relax_query(query, delta, RelaxationConfig(max_variants=UNCAPPED))
+    return any(is_subgraph_isomorphic(variant, target) for variant in relaxed)
+
+
+class TestLemmaOne:
+    """``∪ rq ⊆iso g`` over the δ-deletion variants is Definition 8's
+    ``dis(q, g) <= δ``: the remainder is edge-induced, may be disconnected and
+    keeps no isolated vertex."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=similarity_cases())
+    def test_some_variant_embeds_iff_the_query_is_similar(self, case):
+        query, delta, target = case
+        assert some_variant_embeds(query, delta, target) == is_subgraph_similar(
+            query, target, delta
+        )
+
+    def test_a_dropped_end_vertex_is_not_required(self):
+        path = build({0: "a", 1: "b", 2: "c"}, [(0, 1, "x"), (1, 2, "x")])
+        target = build({0: "a", 1: "b"}, [(0, 1, "x")])
+        assert is_subgraph_similar(path, target, 1)
+        assert some_variant_embeds(path, 1, target)
+
+    def test_a_disconnected_remainder_counts(self):
+        path = build({0: "a", 1: "b", 2: "c", 3: "d"}, [(0, 1, "x"), (1, 2, "x"), (2, 3, "x")])
+        target = build({0: "a", 1: "b", 2: "c", 3: "d"}, [(0, 1, "x"), (2, 3, "x")])
+        assert is_subgraph_similar(path, target, 1)
+        assert some_variant_embeds(path, 1, target)
 
 
 class TestVariantRows:
-    def test_any_graph_list_classifies_into_rows_and_loners(self, square_query):
+    def test_a_graph_list_becomes_rows_and_anything_else_is_refused(self, square_query):
         path = square_query.copy()
         path.remove_edge(0, 3)
+        rows = VariantRows.of(square_query, [path])
+        assert list(rows) == [path] and rows[0] is path
+        assert rows.kept.tolist() == [[True, False, True, True]]
+        assert rows.present.all(axis=1).tolist() == [True]
+        assert VariantRows.of(square_query, rows) is rows
         relabeled = square_query.copy()
         relabeled.add_edge(0, 3, "y")
         elsewhere = build({7: "a", 8: "b"}, [(7, 8, "x")])
         edgeless = build({0: "a"}, [])
-        rows = VariantRows.of(square_query, [path, relabeled, elsewhere, edgeless])
-        assert rows.members.tolist() == [0] and sorted(rows.loners) == [1, 2, 3]
-        assert list(rows) == [path, relabeled, elsewhere, edgeless] and rows[0] is path
-        assert rows.kept.tolist()[0] == [True, False, True, True]
-        assert rows.present.all(axis=1).tolist() == [True, False, False, False]
-        assert VariantRows.of(square_query, rows) is rows
+        for stranger in (relabeled, elsewhere, edgeless):
+            with pytest.raises(QueryError, match="minus some edges"):
+                VariantRows.of(square_query, [path, stranger])
+            with pytest.raises(QueryError, match="minus some edges"):
+                rows.append(stranger)
+        assert len(rows) == 1
 
     def test_holding_is_an_edge_subset_test(self, square_query):
         rows = relax_query(square_query, 1)  # one class: three of the four edges

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import VerificationConfig, Verifier
+from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.graphs import LabeledGraph
 from repro.reference import similarity_probability_by_enumeration
@@ -118,3 +119,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("method", ["sampling", "inclusion_exclusion"])
     def test_the_two_methods_are_accepted(self, method):
         assert VerificationConfig(method=method).method == method
+
+    @pytest.mark.parametrize("limit", [0, -1, True, 2.5, "64"])
+    @pytest.mark.parametrize("config", [VerificationConfig, BoundConfig, FeatureSelectionConfig])
+    def test_embedding_limit_is_an_integer_of_at_least_one_or_none(self, config, limit):
+        """A cap of 0 or -1 enumerated no embedding, so every SSP came out 0.0
+        and every candidate was dismissed; ``True`` was taken as a cap of 1."""
+        with pytest.raises(ConfigurationError, match="embedding_limit"):
+            config(embedding_limit=limit)
+        assert config(embedding_limit=None).embedding_limit is None
+        assert config(embedding_limit=1).embedding_limit == 1
