@@ -59,13 +59,18 @@ class AnalysisConfig:
 
     # LOCK001: class name -> concurrency contract, for the classes the query
     # service shares across threads (dispatcher backend thread vs event loop
-    # vs user threads) that guard state with a lock.  A catalog holds none:
-    # its planner is an immutable snapshot, replaced by reference.
+    # vs user threads) that guard state with a lock.  A catalog's planner
+    # needs none (an immutable snapshot, replaced by reference); the plan
+    # cache every planner of the catalog shares does.
     lock_contracts: dict[str, LockContract] = field(
         default_factory=lambda: {
             "AnswerCache": LockContract(
                 lock_attribute="_lock",
                 guarded_attributes=frozenset({"_entries", "stats"}),
+            ),
+            "PlanCache": LockContract(
+                lock_attribute="_lock",
+                guarded_attributes=frozenset({"_entries", "_hits", "_misses", "_evictions"}),
             ),
         }
     )

@@ -38,7 +38,11 @@ process runs each query end to end.  Its four query methods validate and
 plan the whole batch on the catalog's one
 :class:`~repro.core.planner.QueryPlanner` (``plan`` / ``plan_top_k``), then
 turn ``rng`` / ``rngs`` into one 64-bit root per query, in query order, and
-run each plan under its root (``execute_plan``).
+run each plan under its root (``execute_plan``).  What a plan derives from the
+query alone comes from the catalog's one
+:class:`~repro.core.planner.PlanCache`, which every planner of the catalog's
+life shares: the features are pinned, so no mutation or compaction changes a
+query shape (:meth:`open` and :meth:`from_index` start with an empty cache).
 
 **Mutations and the read path.**  ``add_graph`` / ``remove_graph`` /
 ``update_graph`` and :meth:`compact` replace the cached planner with one
@@ -85,7 +89,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.planner import QueryPlanner
+from repro.core.planner import PlanCache, QueryPlanner
 from repro.core.results import QueryResult
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.exceptions import CatalogError, ConfigurationError, QueryError, WalError
@@ -232,15 +236,17 @@ class _Store:
         self.tombstone = np.append(self.tombstone, False)
         return len(self.graphs) - 1
 
-    def make_planner(self) -> QueryPlanner:
+    def make_planner(self, plan_cache: PlanCache) -> QueryPlanner:
         """A :class:`QueryPlanner` over this store's rows, tombstoned ones
-        masked out, whose answers and RNG salts use external ids."""
+        masked out, whose answers and RNG salts use external ids, planning
+        through the catalog's ``plan_cache``."""
         return QueryPlanner(
             self.graphs,
             self.pmi,
             self.structural,
             graph_ids=self.external_ids,
             active_mask=~self.tombstone,
+            plan_cache=plan_cache,
         )
 
 
@@ -271,6 +277,9 @@ class GraphCatalog:
         self._durability: _Durability | None = None
         self._wal_suppressed = False
         self._planner_cache: QueryPlanner | None = None
+        # query shapes depend on the query and the pinned features only, so
+        # every planner of this catalog's life plans through this one cache
+        self._plan_cache = PlanCache()
         self._mutation_generation = 0
         # external id -> storage row; covers live rows only
         self._live: dict[int, int] = {}
@@ -924,8 +933,13 @@ class GraphCatalog:
         Its ``pmi`` / ``structural_index`` are the store's."""
         planner = self._planner_cache
         if planner is None:
-            planner = self._planner_cache = self._store.make_planner()
+            planner = self._planner_cache = self._store.make_planner(self._plan_cache)
         return planner
+
+    def plan_cache_stats(self) -> dict[str, int]:
+        """The plan cache's ``hits``, ``misses``, ``entries`` and
+        ``evictions`` over this catalog's life (:class:`~repro.core.planner.PlanCache`)."""
+        return self._plan_cache.stats()
 
     def query(
         self,
@@ -1037,4 +1051,4 @@ class GraphCatalog:
     def _refresh_planner(self) -> None:
         """Replace a cached planner with one over the current store."""
         if self._planner_cache is not None:
-            self._planner_cache = self._store.make_planner()
+            self._planner_cache = self._store.make_planner(self._plan_cache)

@@ -1,32 +1,43 @@
-"""The reusable query planner: one plan object per workload, not per query.
+"""The reusable query planner: each query shape is planned once, not per request.
 
 :class:`QueryPlanner` splits a query's work by lifetime:
 
 * **per database** (planner construction): the structural filter over the
   index, the pruner over the PMI's features and the default verifier;
-* **per query** (:meth:`plan` / :meth:`plan_top_k`): array work over one edge
-  order of the query — relaxation (Lemma 1) as rows of a mask matrix over it
-  (no graph per variant), each feature's embeddings in the query (read off
-  the edge list for a single edge, one join for a larger feature), from which
-  the structural count profile and the containment relations are read (an
+* **per query shape, cached per catalog** (a :class:`QueryShape` in the
+  :class:`PlanCache`): array work over one edge order of a frozen copy of the
+  query — relaxation (Lemma 1) as rows of a mask matrix over it (no graph per
+  variant), each feature's embeddings in the query (read off the edge list
+  for a single edge, one join for a larger feature), from which the
+  structural count profile and the containment relations are read (an
   embedding lies in a relaxed query iff it uses no deleted edge), and the
-  rows compiled into the verifier's variant family;
+  rows compiled into the verifier's variant family.  None of it depends on a
+  candidate, a threshold or ``k``, only on the query as given, ``δ``, the
+  relaxation config and the features — and a catalog's features never change;
+* **per request** (:meth:`plan` / :meth:`plan_top_k`): validation, then a
+  :class:`QueryPlan` — the threshold, ``mode``, ``k`` and the request's
+  :class:`SearchConfig` — assembled around the cached shape;
 * **per candidate** (:meth:`execute_plan`): the cascade of
   :mod:`repro.core.pipeline` — :meth:`filter_plan` (the structural filter,
   columnar PMI row reads, vectorized pruning decisions), then
   ``finish_threshold`` or ``finish_top_k`` (verification).
 
 A :class:`~repro.core.catalog.GraphCatalog` holds one :class:`QueryPlanner`
-over its whole storage and runs every plan through :meth:`execute_plan`.  The
+over its whole storage and runs every plan through :meth:`execute_plan`; it
+owns one :class:`PlanCache` for its whole life and hands it to every planner
+it makes, so a shape stays planned across mutations and compactions.  The
 single-query ``execute`` / ``execute_top_k`` below plan and run in one call
 and are what the parity suites build their from-scratch reference from.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Real
+from threading import Lock
 
 import numpy as np
 
@@ -44,9 +55,10 @@ from repro.core.pruning import FeatureContainment, ProbabilisticPruner, PruningC
 from repro.core.relaxation import RelaxationConfig, as_integer, relax_query
 from repro.core.results import QueryResult
 from repro.core.verification import VerificationConfig
-from repro.exceptions import ConfigurationError, QueryError
+from repro.exceptions import ConfigurationError, GraphError, QueryError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
+from repro.graphs.variant_rows import VariantRows
 from repro.isomorphism.generic_join import VariantFamily, compile_variant_family
 from repro.pmi.index import ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
@@ -54,8 +66,11 @@ from repro.structural.similarity_filter import StructuralFilter
 from repro.utils.rng import RandomLike, rng_root
 
 __all__ = [
+    "PLAN_CACHE_CAPACITY",
+    "PlanCache",
     "QueryPlan",
     "QueryPlanner",
+    "QueryShape",
     "SearchConfig",
     "validate_query",
     "validate_top_k_query",
@@ -64,13 +79,43 @@ __all__ = [
 ]
 
 
-@dataclass
+# query shapes a PlanCache holds before it evicts the least recently used
+PLAN_CACHE_CAPACITY = 256
+
+
+@dataclass(frozen=True)
 class SearchConfig:
-    """Per-query configuration of the cascade's passes."""
+    """Per-query configuration of the cascade's passes.  Frozen, so the type
+    checks below hold for its life (``relaxation`` is part of a plan-cache
+    key)."""
 
     relaxation: RelaxationConfig = field(default_factory=RelaxationConfig)
     pruning: PruningConfig = field(default_factory=PruningConfig)
     verification: VerificationConfig = field(default_factory=VerificationConfig)
+
+    def __post_init__(self) -> None:
+        for name, kind in (
+            ("relaxation", RelaxationConfig),
+            ("pruning", PruningConfig),
+            ("verification", VerificationConfig),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"SearchConfig.{name} must be a {kind.__name__}, "
+                    f"got {type(value).__name__}"
+                )
+
+
+def _search_config(config) -> SearchConfig:
+    """``config``, or the default for ``None``; anything else is refused."""
+    if config is None:
+        return SearchConfig()
+    if not isinstance(config, SearchConfig):
+        raise ConfigurationError(
+            f"config must be a SearchConfig or None, got {type(config).__name__}"
+        )
+    return config
 
 
 def _validate_query_structure(query_graph: LabeledGraph, distance_threshold: int) -> int:
@@ -129,9 +174,124 @@ def validate_top_k_query(
     return k, distance_threshold
 
 
+class _FrozenQuery(LabeledGraph):
+    """The copy of a query a :class:`QueryShape` holds.  Every request of the
+    shape plans on it, so it refuses every mutation (its memo slots still
+    fill); ``copy()`` gives an editable graph."""
+
+    @classmethod
+    def of(cls, query: LabeledGraph) -> "_FrozenQuery":
+        """``query``'s vertices, edges and labels in its insertion order; no name."""
+        frozen = cls()
+        frozen._vertex_labels = dict(query._vertex_labels)
+        frozen._adjacency = {vertex: dict(nbrs) for vertex, nbrs in query._adjacency.items()}
+        frozen._edge_labels = dict(query._edge_labels)
+        return frozen
+
+    def _refuse(self, *args, **kwargs) -> None:
+        raise GraphError("a planned query is shared by every request of its shape; copy() it")
+
+    add_vertex = add_edge = remove_edge = remove_vertex = remove_isolated_vertices = _refuse
+
+
+@dataclass(frozen=True)
+class QueryShape:
+    """What planning derives from the query alone: a frozen copy of it (the
+    caller's graph is never held), its relaxed set as rows over that copy's
+    edges, the features' containment relations, the Grafil count profile and
+    the compiled variant family.  Shared by every request of the shape and by
+    the threads running them: read-only."""
+
+    query: LabeledGraph
+    relaxed_queries: VariantRows
+    containment: dict[int, FeatureContainment]
+    profile: dict[int, dict]
+    family: VariantFamily
+
+
+def _shape_key(
+    query: LabeledGraph, distance_threshold: int, relaxation: RelaxationConfig, embedding_limit
+) -> tuple | None:
+    """The query exactly as given — vertex labels, adjacency and edge labels in
+    insertion order, and the type of every id and label, so that ``1``,
+    ``1.0`` and ``True`` stay apart — with ``δ``, the relaxation config and
+    the embedding limit the profile was read under; ``None`` when a label or
+    id is unhashable."""
+    labels, edges = query._vertex_labels, query._edge_labels
+    ids_and_labels = chain(labels, labels.values(), chain.from_iterable(edges), edges.values())
+    key = (
+        tuple(labels.items()),
+        tuple((vertex, tuple(nbrs.items())) for vertex, nbrs in query._adjacency.items()),
+        tuple(edges.items()),
+        tuple(map(type, ids_and_labels)),
+        distance_threshold,
+        relaxation,
+        embedding_limit,
+    )
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+class PlanCache:
+    """A bounded LRU of :class:`QueryShape` s by :func:`_shape_key`, holding
+    :data:`PLAN_CACHE_CAPACITY` of them, with monotonic ``hits`` / ``misses``
+    / ``evictions`` counters (an uncacheable query counts as a miss).
+
+    Thread-safe under one lock: a catalog's planners share it, and the query
+    service plans batches from a worker thread.  Two threads missing one shape
+    at once both derive it; the first to store it wins, and both plan on
+    that one (:meth:`store`).
+    """
+
+    def __init__(self) -> None:
+        self._capacity = PLAN_CACHE_CAPACITY
+        self._entries: OrderedDict[tuple, QueryShape] = OrderedDict()
+        self._lock = Lock()
+        self._hits = self._misses = self._evictions = 0
+
+    def lookup(self, key: tuple | None) -> QueryShape | None:
+        with self._lock:
+            shape = None if key is None else self._entries.get(key)
+            if shape is None:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return shape
+
+    def store(self, key: tuple | None, shape: QueryShape) -> QueryShape:
+        """The shape cached under ``key`` from now on: ``shape``, or one
+        another thread stored first."""
+        if key is None:
+            return shape
+        with self._lock:
+            shape = self._entries.setdefault(key, shape)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+            return shape
+
+    def stats(self) -> dict[str, int]:
+        """``hits``, ``misses``, ``entries`` and ``evictions``."""
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "entries": len(self._entries),
+                "evictions": self._evictions,
+            }
+
+
 @dataclass
 class QueryPlan:
-    """Everything derivable from (query, thresholds, config) alone.
+    """One request: its thresholds, ``mode``, ``k`` and config around the
+    query-only facts of its :class:`QueryShape` (``query`` is the shape's
+    frozen copy, ``relaxed_queries`` / ``containment`` / ``profile`` /
+    ``family`` the shape's, shared with every request of the shape).
 
     The plan is reusable: executing it twice (or against a reloaded PMI)
     yields the same candidate partition, so workloads can relax and prepare
@@ -173,7 +333,9 @@ class QueryPlanner:
 
     A planner is shared by the threads querying one catalog, so its pruner
     cache (:meth:`_pruner_for`) hands each caller the pruner it built or
-    found, never re-reads the attribute.
+    found, never re-reads the attribute.  Query shapes come from
+    ``plan_cache`` (a catalog passes the one it owns); without one the
+    planner makes its own.
     """
 
     def __init__(
@@ -183,6 +345,7 @@ class QueryPlanner:
         structural_index: StructuralFeatureIndex,
         graph_ids=None,
         active_mask: np.ndarray | None = None,
+        plan_cache: PlanCache | None = None,
     ) -> None:
         self.graphs = graphs
         self.pmi = pmi
@@ -214,6 +377,7 @@ class QueryPlanner:
         # the filter reads the index, never `graphs`
         self.structural_filter = StructuralFilter(structural_index)
         self.pruner = ProbabilisticPruner(pmi.features)
+        self.plan_cache = PlanCache() if plan_cache is None else plan_cache
 
     def _pruner_for(self, plan: QueryPlan) -> ProbabilisticPruner:
         """The planner-owned pruner, rebuilt only when the config changes."""
@@ -237,12 +401,13 @@ class QueryPlanner:
 
         Planning is fully deterministic (no RNG is consumed): the same
         query, thresholds, and config always yield the same plan, so a plan
-        can be built once and executed many times.
+        can be built once and executed many times.  The query is validated
+        on every call; what it derives is read from the plan cache when the
+        same shape was planned before (:class:`QueryShape`).
         """
+        config = _search_config(config)
         distance_threshold = validate_query(query, probability_threshold, distance_threshold)
-        return self._prepare_plan(
-            query, probability_threshold, distance_threshold, config
-        )
+        return self._plan_for(query, probability_threshold, distance_threshold, config)
 
     def plan_top_k(
         self,
@@ -257,33 +422,58 @@ class QueryPlanner:
         :class:`~repro.core.pipeline.TopKHeap` supplies the dynamic floor at
         execution time.
         """
+        config = _search_config(config)
         k, distance_threshold = validate_top_k_query(query, k, distance_threshold)
-        plan = self._prepare_plan(query, 0.0, distance_threshold, config)
-        plan.mode = TOP_K_MODE
-        plan.k = k
-        return plan
+        return self._plan_for(query, 0.0, distance_threshold, config, TOP_K_MODE, k)
 
-    def _prepare_plan(
+    def _plan_for(
         self,
         query: LabeledGraph,
         probability_threshold: float,
         distance_threshold: int,
-        config: SearchConfig | None,
+        config: SearchConfig,
+        mode: str = THRESHOLD_MODE,
+        k: int | None = None,
     ) -> QueryPlan:
-        cfg = config or SearchConfig()
-        relaxed = relax_query(query, distance_threshold, cfg.relaxation)
-        # one enumeration of each feature in q serves the profile and the f ⊆iso rq relations
-        embeddings = self.structural_index.query_embeddings(query)
+        shape = self._shape(query, distance_threshold, config.relaxation)
         return QueryPlan(
-            query=query,
+            query=shape.query,
             probability_threshold=probability_threshold,
             distance_threshold=distance_threshold,
-            config=cfg,
-            relaxed_queries=relaxed,
-            containment=self.pruner.prepare(relaxed, query, embeddings),
-            profile=StructuralFeatureIndex.count_profile(embeddings),
-            family=compile_variant_family(query, relaxed),
+            config=config,
+            relaxed_queries=shape.relaxed_queries,
+            containment=shape.containment,
+            mode=mode,
+            k=k,
+            profile=shape.profile,
+            family=shape.family,
         )
+
+    def _shape(
+        self, query: LabeledGraph, distance_threshold: int, relaxation: RelaxationConfig
+    ) -> QueryShape:
+        """The cached shape of ``query``, derived on a miss over a copy of it,
+        so that the caller's graph is neither memoised on nor held."""
+        key = _shape_key(
+            query, distance_threshold, relaxation, self.structural_index.embedding_limit
+        )
+        shape = self.plan_cache.lookup(key)
+        if shape is None:
+            query = _FrozenQuery.of(query)  # nameless: the name is not in the key
+            relaxed = relax_query(query, distance_threshold, relaxation)
+            # one enumeration of each feature in q serves the profile and the f ⊆iso rq relations
+            embeddings = self.structural_index.query_embeddings(query)
+            shape = self.plan_cache.store(
+                key,
+                QueryShape(
+                    query=query,
+                    relaxed_queries=relaxed,
+                    containment=self.pruner.prepare(relaxed, query, embeddings),
+                    profile=StructuralFeatureIndex.count_profile(embeddings),
+                    family=compile_variant_family(query, relaxed),
+                ),
+            )
+        return shape
 
     # ------------------------------------------------------------------
     # execution

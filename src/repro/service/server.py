@@ -285,7 +285,8 @@ class QueryService:
         }
 
     def stats(self) -> dict:
-        """Counters, batch shape, cache accounting, latency percentiles."""
+        """Counters, batch shape, answer- and plan-cache accounting, latency
+        percentiles."""
         batches = self._counters.batches
         return {
             "queue_depth": len(self._pending),
@@ -300,6 +301,7 @@ class QueryService:
                 "max_size": self._counters.max_batch_size,
             },
             "cache": {**self._cache.stats.as_dict(), "entries": len(self._cache)},
+            "plan_cache": self._catalog.plan_cache_stats(),
             "latency": {
                 "queue_seconds": _percentiles(self._queue_seconds),
                 "execute_seconds": _percentiles(self._execute_seconds),

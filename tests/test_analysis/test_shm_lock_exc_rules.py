@@ -143,6 +143,26 @@ class TestGuardedAttributes:
         messages = " ".join(finding.message for finding in report.findings)
         assert "self.stats" in messages and "reset" in messages
         assert "self._entries" in messages and "pending" in messages
+        # ... and so in every class the default config contracts, the plan
+        # cache's counters included: one finding per attribute touched unlocked
+        from repro.analysis.config import DEFAULT_CONFIG
+
+        assert {"AnswerCache", "PlanCache"} <= DEFAULT_CONFIG.lock_contracts.keys()
+        for name, contract in DEFAULT_CONFIG.lock_contracts.items():
+            guarded = sorted(contract.guarded_attributes)
+            methods = "".join(
+                f"\n    def touch{i}(self):\n        return self.{attribute}\n"
+                f"\n    def locked{i}(self):\n        with self.{contract.lock_attribute}:"
+                f"\n            return self.{attribute}\n"
+                for i, attribute in enumerate(guarded)
+            )
+            report = analyze(f"class {name}:{methods}")
+            assert rule_ids(report) == ["LOCK001"] * len(guarded), name
+            for i, attribute in enumerate(guarded):
+                assert any(
+                    f"self.{attribute}" in finding.message and f"touch{i}" in finding.message
+                    for finding in report.findings
+                ), (name, attribute)
 
     def test_a_config_the_test_passes_is_read(self, tmp_path):
         """The contracts come from the config, not from the rule: a class

@@ -200,14 +200,15 @@ class TestPlannerSnapshots:
 
     def test_a_catalog_never_queried_builds_no_planner(self, corpus, monkeypatch):
         """Mutations of a catalog nobody queries build no planner; the first
-        query builds one, over the mutated state."""
+        query builds one, over the mutated state, planning through the
+        catalog's plan cache."""
         graphs, spare, queries = corpus
         made = []
         original = _Store.make_planner
 
-        def counting(store):
-            made.append(store)
-            return original(store)
+        def counting(store, plan_cache):
+            made.append(plan_cache)
+            return original(store, plan_cache)
 
         monkeypatch.setattr(_Store, "make_planner", counting)
         catalog = build(graphs)
@@ -215,7 +216,7 @@ class TestPlannerSnapshots:
             mutate(catalog, mutation, spare)
         assert made == []
         got = ask(catalog, queries[0])
-        assert len(made) == 1
+        assert made == [catalog._plan_cache]
         assert got == ask(rebuild_from_scratch(catalog), queries[0])
         catalog.close()
 
@@ -228,16 +229,17 @@ class TestPlannerSnapshots:
         made = []
         original = _Store.make_planner
 
-        def counting(store):
-            made.append(store)
-            return original(store)
+        def counting(store, plan_cache):
+            made.append(plan_cache)
+            return original(store, plan_cache)
 
         monkeypatch.setattr(_Store, "make_planner", counting)
         catalog.add_graph(spare[0])
         catalog.remove_graph(0)
         catalog.update_graph(3, spare[1])
         catalog.compact()
-        assert len(made) == 4
+        # one planner per mutation, each over the catalog's one plan cache
+        assert made == [catalog._plan_cache] * 4
         ask(catalog, queries[0])
         assert len(made) == 4  # the query reads the planner the compaction built
         catalog.close()

@@ -1,9 +1,10 @@
 """What planning and verifying a query costs, in counts (CI cannot assert
 timings): edge tables built, joins issued, canonical forms computed and graphs
-copied or built per plan, bytes a plan pickles to, feature enumerations per
-query on a catalog, matching passes per candidate block — one for
-the whole relaxed set, the plan's variant family — and worlds drawn: none where
-every candidate's support is narrow."""
+copied or built per query shape — the first plan of a shape pays them, a repeat
+pays none — bytes a plan pickles to, feature enumerations per shape on a
+catalog, matching passes per candidate block — one for the whole relaxed set,
+the plan's variant family — and worlds drawn: none where every candidate's
+support is narrow."""
 
 from __future__ import annotations
 
@@ -110,6 +111,17 @@ def mixed_planner(catalog, larger_features):
     return QueryPlanner([], ProbabilisticMatrixIndex().build([], features=features), structural)
 
 
+def _cold(planner: QueryPlanner) -> QueryPlanner:
+    """``planner``'s rows behind a plan cache of its own, still empty."""
+    return QueryPlanner(
+        planner.graphs,
+        planner.pmi,
+        planner.structural_index,
+        graph_ids=planner.global_ids,
+        active_mask=planner.active_mask,
+    )
+
+
 def _count_calls(monkeypatch, owner, name) -> list:
     calls = []
     original = getattr(owner, name)
@@ -126,27 +138,34 @@ class TestPlanCosts:
     def test_plan_builds_one_edge_table(
         self, catalog, mixed_planner, six_edge_queries, monkeypatch
     ):
-        """At most one, the query's: none while every feature is a single edge
-        (its embeddings are read off the query's edge list), and no variant is
-        built into a graph, let alone compiled."""
-        planner = catalog.planner()
+        """At most one per query shape, the plan's copy of the query's: none
+        while every feature is a single edge (its embeddings are read off the
+        query's edge list), none when the shape was planned before, and no
+        variant is built into a graph, let alone compiled.  The caller's
+        query never carries one."""
+        planner = _cold(catalog.planner())
         planner.plan(six_edge_queries[0], 0.5, 1, CONFIG)  # features and their plans warm
         built = _count_calls(monkeypatch, generic_join, "_build_edge_table")
         for query in six_edge_queries[1:]:
             plan = planner.plan(query, 0.5, 1, CONFIG)
-            assert not built and "_generic_join_table" not in query.__dict__
+            assert not built and "_generic_join_table" not in plan.query.__dict__
             assert plan.relaxed_queries.materialized_count() == 0
         for query in six_edge_queries[1:]:  # a feature with more edges is joined into the query
             del built[:]
-            mixed_planner.plan(query, 0.5, 1, CONFIG)
+            plan = mixed_planner.plan(query, 0.5, 1, CONFIG)
             assert [args[0] for args in built] == [query]
-            assert "_generic_join_table" in query.__dict__
+            assert built[0][0] is plan.query is not query
+            assert "_generic_join_table" in plan.query.__dict__
+            assert "_generic_join_table" not in query.__dict__
+            del built[:]
+            assert mixed_planner.plan_top_k(query, 2, 1, CONFIG).query is plan.query
+            assert not built
 
     def test_plan_joins_each_feature_once(
         self, catalog, mixed_planner, larger_features, graphs, six_edge_queries, monkeypatch
     ):
         """... if it has more than one edge; a single-edge feature never."""
-        planner = catalog.planner()
+        planner = _cold(catalog.planner())
         joins = _count_calls(monkeypatch, generic_join, "_join")
         for query in six_edge_queries:
             plan = planner.plan(query, 0.5, 1, CONFIG)
@@ -216,14 +235,20 @@ class TestPlanCosts:
             for name in ("edge_ends", "required", "degree", "seed"):
                 assert np.array_equal(getattr(shipped.family, name), getattr(plan.family, name))
 
-    def test_catalog_enumerates_once_per_query(self, catalog, six_edge_queries, monkeypatch):
+    def test_catalog_enumerates_once_per_query_shape(self, graphs, six_edge_queries, monkeypatch):
+        """Once per (query, δ) a catalog has not planned before; a repeat —
+        threshold or top-k, any threshold, any k — enumerates nothing."""
         enumerations = _count_calls(monkeypatch, StructuralFeatureIndex, "query_embeddings")
-        results = catalog.query_many(six_edge_queries, 0.3, 1, CONFIG, rng=7)
-        assert len(enumerations) == len(six_edge_queries)
-        assert [result.statistics.database_size for result in results] == [12] * 3
-        del enumerations[:]
-        catalog.query_top_k(six_edge_queries[0], 2, 1, CONFIG, rng=7)
-        assert len(enumerations) == 1
+        with _build(graphs) as catalog:
+            results = catalog.query_many(six_edge_queries, 0.3, 1, CONFIG, rng=7)
+            assert len(enumerations) == len(six_edge_queries)
+            assert [result.statistics.database_size for result in results] == [12] * 3
+            del enumerations[:]
+            catalog.query_many(six_edge_queries, 0.5, 1, CONFIG, rng=8)
+            catalog.query_top_k(six_edge_queries[0], 2, 1, CONFIG, rng=7)
+            assert not enumerations
+            catalog.query_top_k(six_edge_queries[0], 2, 2, CONFIG, rng=7)
+            assert len(enumerations) == 1
 
 
 class TestVerificationCosts:
@@ -244,10 +269,13 @@ class TestVerificationCosts:
     def test_threshold_query_runs_one_pass_per_candidate_block(
         self, catalog, six_edge_queries, spies
     ):
-        planner = catalog.planner()
+        planner = _cold(catalog.planner())
         for query in six_edge_queries:
             plan = planner.plan(query, 0.3, 1, CONFIG)
-            assert len(spies["compile_variant_family"]) == 1  # once per plan()
+            assert len(spies["compile_variant_family"]) == 1  # once per query shape
+            del spies["compile_variant_family"][:]
+            assert planner.plan(query, 0.4, 1, CONFIG).family is plan.family
+            assert not spies["compile_variant_family"]  # ... and not on a repeat
             for calls in spies.values():
                 del calls[:]
             result = planner.execute_plan(plan, 7)
@@ -376,23 +404,30 @@ def _colliding_subsets(query: LabeledGraph, delta: int) -> int:
 @pytest.mark.parametrize("workload", E2E_WORKLOADS)
 def test_plan_canonicalises_only_colliding_variants(workload, monkeypatch):
     """``canonical_form`` runs inside invariant collisions only — never for a
-    query whose edge signatures are all distinct — and no δ-subset copies a graph."""
+    query whose edge signatures are all distinct, never for a shape planned
+    before — and no δ-subset copies a graph (the plan cache's frozen copy of
+    the query is built without ``copy()``)."""
     corpus, catalog, requests = _e2e_smoke_catalog(workload)
     delta, config = corpus.profile.delta, corpus.profile.search_config
     with catalog as built:
         planner = built.planner()
         forms = _count_calls(monkeypatch, relaxation, "canonical_form")
         copies = _count_calls(monkeypatch, LabeledGraph, "copy")
-        per_template = {}
-        for request in requests:
+        per_template, planned = {}, set()
+        for request in (*requests, *requests):  # the second pass repeats every shape
             del forms[:]
             if request.kind == "query":
                 plan = planner.plan(request.query, request.param, delta, config)
             else:
                 plan = planner.plan_top_k(request.query, int(request.param), delta, config)
-            assert len(forms) == _colliding_subsets(request.query, delta)
+            repeat = id(plan.query) in planned
+            planned.add(id(plan.query))
+            assert len(forms) == (0 if repeat else _colliding_subsets(request.query, delta))
             assert plan.relaxed_queries.materialized_count() == 0
-            per_template[request.query.name] = len(forms)
+            per_template.setdefault(request.query.name, len(forms))
+        stats = built.plan_cache_stats()
+    assert stats["entries"] == len(planned) == stats["misses"] <= len(requests)
+    assert stats["hits"] == 2 * len(requests) - len(planned)
     assert not copies
     if workload == "verify_heavy":  # four edges, four signatures: nothing to tell apart
         query = next(q for _, q, _ in corpus.templates if q.name == "q4-001")

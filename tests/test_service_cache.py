@@ -167,6 +167,29 @@ def test_unseeded_requests_bypass_the_cache():
     asyncio.run(scenario())
 
 
+def test_stats_report_the_plan_cache_beside_the_answer_cache():
+    """Unseeded requests bypass the answer cache, but the catalog plans their
+    shape once: the second is a plan-cache hit."""
+
+    async def scenario():
+        database, catalog = build_catalog(seed=8003)
+        query = extract_query(database.graphs[1].skeleton, 3, rng=5)
+        config = ServiceConfig(batch_window=0.0, search_config=SEARCH_CONFIG)
+        try:
+            async with QueryService(catalog, config) as service:
+                client = ServiceClient(service)
+                for _ in range(2):
+                    await client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD)
+                stats = await client.stats()
+                assert stats["cache"]["hits"] == 0
+                assert stats["plan_cache"] == {"hits": 1, "misses": 1, "entries": 1, "evictions": 0}
+                assert stats["plan_cache"] == catalog.plan_cache_stats()
+        finally:
+            catalog.close()
+
+    asyncio.run(scenario())
+
+
 @pytest.mark.parametrize("mutation", ["add", "remove", "update", "compact"])
 def test_every_mutation_op_invalidates(mutation):
     """After any mutation through the service, the next identical request is
