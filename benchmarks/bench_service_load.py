@@ -204,13 +204,9 @@ async def run_throughput_phase(profile: dict, database, requests, twin) -> dict:
     only the coalescing limit differs.  Parity is asserted on the batched
     side (the interesting one) against the sequential twin."""
     measurements = {}
-    for label, max_batch, window in (
-        ("unbatched", 1, 0.0),
-        ("batched", profile["max_batch_size"], 0.004),
-    ):
+    for label, max_batch in (("unbatched", 1), ("batched", profile["max_batch_size"])):
         catalog = build_catalog(database)
         config = ServiceConfig(
-            batch_window=window,
             max_batch_size=max_batch,
             max_queue_depth=max(64, profile["clients"] * 2),
             cache_entries=0,  # measure batching, not memoization
@@ -256,7 +252,6 @@ async def run_churn_phase(profile: dict, database, twin) -> dict:
     catalog = build_catalog(database)
     requests = build_workload(database, profile["churn_requests"], seed=SEED + 2)
     config = ServiceConfig(
-        batch_window=0.004,
         max_batch_size=profile["max_batch_size"],
         max_queue_depth=max(64, profile["clients"] * 2),
         search_config=SEARCH_CONFIG,

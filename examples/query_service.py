@@ -58,9 +58,10 @@ async def main() -> None:
         dataset.graphs, feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=3
     )
 
-    # 1. Stand the service up.  batch_window is how long the dispatcher
-    # lingers to let concurrent requests coalesce into one backend call.
-    config = ServiceConfig(batch_window=0.005, max_batch_size=16, search_config=SEARCH_CONFIG)
+    # 1. Stand the service up.  Whenever its lane frees up, the dispatcher
+    # coalesces the queued requests of one kind into one backend call of at
+    # most max_batch_size requests; it never waits for more to arrive.
+    config = ServiceConfig(max_batch_size=16, search_config=SEARCH_CONFIG)
     async with QueryService(catalog, config) as service:
         client = ServiceClient(service)
 

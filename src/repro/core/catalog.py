@@ -358,8 +358,10 @@ class GraphCatalog:
         catalog layer; older persisted payloads lack it) because appended
         rows must derive their streams from the same root.  Both indexes must
         cover exactly ``graphs`` and the structural index must count the
-        PMI's features: a mutation's rows are built against them and appended
-        to both after the mutation is logged, when nothing may refuse them.
+        PMI's features under the PMI's ``feature_config.embedding_limit``: a
+        mutation's rows are built against them and appended to both after the
+        mutation is logged, when nothing may refuse them, and ``compact()``
+        recounts with that limit.
         ``num_shards`` and ``max_workers`` are checked and ignored, as by
         :meth:`build`.
         """
@@ -374,6 +376,12 @@ class GraphCatalog:
         if feature_fingerprint(structural_index.features) != feature_fingerprint(pmi.features):
             raise CatalogError(
                 "the structural index counts other features than the PMI indexes"
+            )
+        if structural_index.embedding_limit != pmi.feature_config.embedding_limit:
+            raise CatalogError(
+                f"the structural index counts up to {structural_index.embedding_limit} "
+                "embeddings per feature, the PMI's feature config "
+                f"{pmi.feature_config.embedding_limit}"
             )
         if pmi.build_root is None:
             raise CatalogError(

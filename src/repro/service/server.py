@@ -8,12 +8,13 @@ surface) behind an asyncio front end.  Requests enter through
 handler — pass admission control, and wait on a future that a single
 dispatcher loop resolves.
 
-**Micro-batching.**  The dispatcher takes the oldest pending request, waits
-up to ``batch_window`` seconds for company, then coalesces every queued
-request with the same group key (op + thresholds/k) into one backend
-``query_many()`` / ``query_top_k_many()`` call, up to ``max_batch_size``
-requests.  Each request's RNG root is pinned at parse time and rides along
-via the ``rngs`` parameter, so answers are byte-identical to a sequential
+**Micro-batching.**  Whenever the lane is free, the dispatcher takes the
+oldest pending request and coalesces every queued request with the same
+group key (op + thresholds/k) into one backend ``query_many()`` /
+``query_top_k_many()`` call, up to ``max_batch_size`` requests.  It never
+waits for company: a batch is what arrived while the previous one ran.
+Each request's RNG root is pinned at parse time and rides along via the
+``rngs`` parameter, so answers are byte-identical to a sequential
 library-mode call with the same seed — batch composition never leaks in.
 
 **Ordering.**  Execution is a single serialized lane (one
@@ -35,10 +36,13 @@ possible.  :meth:`stop` drains: queued work completes (bounded by
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Real
 
 from repro.core.catalog import GraphCatalog
+from repro.core.planner import SearchConfig
 from repro.exceptions import ConfigurationError, ReproError, ServiceError
 from repro.graphs.io import probabilistic_graph_from_dict
 from repro.service.cache import AnswerCache
@@ -63,34 +67,59 @@ from repro.service.protocol import (
 class ServiceConfig:
     """Tuning knobs for :class:`QueryService`.
 
-    ``batch_window`` is how long the dispatcher lingers for more requests
-    before executing a query batch (0 disables coalescing delay — batches
-    then only form from already-queued requests); ``max_batch_size`` caps
-    one backend call.  ``max_queue_depth`` bounds admission;
-    ``default_deadline`` (seconds) applies to requests that carry none, and
-    ``None`` means wait forever.  ``drain_timeout`` bounds :meth:`QueryService.stop`.
+    ``max_batch_size`` caps one backend call (1 turns coalescing off).
+    ``max_queue_depth`` bounds admission; ``default_deadline`` (seconds)
+    applies to requests that carry none, and ``None`` means wait forever.
+    ``drain_timeout`` (seconds) bounds :meth:`QueryService.stop`.
+    ``cache_entries`` sizes the answer cache (0 turns it off) and
+    ``stats_window`` the latency samples ``/stats`` keeps.
     ``search_config`` is the server-side pipeline configuration applied to
     every query — the wire protocol deliberately does not let clients vary
     it per request, since answers cached under one configuration must never
-    be served under another.
+    be served under another.  A field of the wrong type or range is a
+    :class:`~repro.exceptions.ConfigurationError`.
     """
 
-    batch_window: float = 0.002
     max_batch_size: int = 16
     max_queue_depth: int = 64
     default_deadline: float | None = None
     drain_timeout: float = 5.0
     cache_entries: int = 1024
     stats_window: int = 2048
-    search_config: object | None = None
+    search_config: SearchConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ConfigurationError(f"batch_window must be >= 0, got {self.batch_window!r}")
-        if self.max_batch_size < 1:
-            raise ConfigurationError(f"max_batch_size must be >= 1, got {self.max_batch_size!r}")
-        if self.max_queue_depth < 1:
-            raise ConfigurationError(f"max_queue_depth must be >= 1, got {self.max_queue_depth!r}")
+        for name, minimum in (
+            ("max_batch_size", 1),
+            ("max_queue_depth", 1),
+            ("cache_entries", 0),
+            ("stats_window", 0),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {minimum}, got {value!r}"
+                )
+        if self.default_deadline is not None:
+            _check_seconds("default_deadline", self.default_deadline)
+        _check_seconds("drain_timeout", self.drain_timeout)
+        if self.search_config is not None and not isinstance(self.search_config, SearchConfig):
+            raise ConfigurationError(
+                "search_config must be None or a SearchConfig, "
+                f"got {type(self.search_config).__name__}"
+            )
+
+
+def _check_seconds(name: str, value: object) -> None:
+    """A duration is a finite real > 0 (a bool is no duration)."""
+    if (
+        not isinstance(value, Real)
+        or isinstance(value, bool)
+        or not (value > 0 and math.isfinite(value))
+    ):
+        raise ConfigurationError(
+            f"{name} must be a positive, finite number of seconds, got {value!r}"
+        )
 
 
 @dataclass
@@ -379,14 +408,6 @@ class QueryService:
                 self._wake.clear()
                 continue
             head = self._pending[0].request
-            if head.op not in MUTATION_OPS:
-                if (
-                    self._config.batch_window > 0
-                    and len(self._pending) < self._config.max_batch_size
-                    and not self._draining
-                ):
-                    # Linger so concurrent callers can join this batch.
-                    await asyncio.sleep(self._config.batch_window)
             batch = [item for item in self._collect(head.group_key()) if self._still_wanted(item)]
             if not batch:
                 continue

@@ -3,7 +3,9 @@ and reusable query graphs."""
 
 from __future__ import annotations
 
+import asyncio
 import random
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -249,3 +251,57 @@ def assert_signature_segment_matches_live_graphs(catalog, fresh: bool = False) -
         external_id: dict(graph.skeleton.edge_signature_counts())
         for external_id, graph in catalog.live_items()
     }
+
+
+class GatedCatalog:
+    """A catalog whose batch query calls wait until the test opens a gate.
+
+    Behind a ``QueryService`` the first query batch takes the lane and
+    blocks in ``query_many`` / ``query_top_k_many`` on a ``threading.Event``,
+    so every request submitted meanwhile stays queued — held by the gate,
+    not by timing — until :meth:`open`.  Everything else is the wrapped
+    catalog's.  ``calls`` records the size of every batch call, in order.
+    Open the gate in a ``finally``: a lane left blocked stalls ``stop()``
+    for its ``drain_timeout``.
+    """
+
+    TIMEOUT = 60.0
+
+    def __init__(self, catalog: GraphCatalog) -> None:
+        self._catalog = catalog
+        self._gate = threading.Event()
+        self._entered = threading.Event()
+        self.calls: list[int] = []
+
+    def __getattr__(self, name: str):
+        return getattr(self._catalog, name)
+
+    def _hold(self, queries: list) -> None:
+        self._entered.set()
+        if not self._gate.wait(self.TIMEOUT):
+            raise RuntimeError("the gate was never opened")
+        self.calls.append(len(queries))
+
+    def query_many(self, queries, *args, **kwargs):
+        self._hold(queries)
+        return self._catalog.query_many(queries, *args, **kwargs)
+
+    def query_top_k_many(self, queries, *args, **kwargs):
+        self._hold(queries)
+        return self._catalog.query_top_k_many(queries, *args, **kwargs)
+
+    async def entered(self) -> None:
+        """Return once a batch call waits at the gate: the lane is held."""
+        assert await asyncio.to_thread(self._entered.wait, self.TIMEOUT), "no batch arrived"
+
+    def open(self) -> None:
+        self._gate.set()
+
+
+async def eventually(predicate, what: str, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` on the running loop until it holds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, f"timed out waiting for {what}"
+        await asyncio.sleep(0.001)

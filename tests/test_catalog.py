@@ -475,6 +475,23 @@ class TestEngineAdoption:
         with pytest.raises(CatalogError, match="structural index"):
             GraphCatalog.from_index(base_graphs, pmi, structural)
 
+    @pytest.mark.parametrize("limit", [1, 63, None])
+    def test_from_index_refuses_a_structural_index_counting_under_another_limit(
+        self, base_graphs, limit
+    ):
+        """Appended rows and ``compact()`` count embeddings under the PMI's
+        ``feature_config.embedding_limit``; a structural index adopted under
+        another limit would change answers at the first compaction."""
+        pmi = ProbabilisticMatrixIndex(
+            feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG
+        ).build(base_graphs, rng=7)
+        assert FEATURE_CONFIG.embedding_limit not in (1, 63, None)
+        structural = StructuralFeatureIndex(embedding_limit=limit).build(
+            [g.skeleton for g in base_graphs], pmi.features
+        )
+        with pytest.raises(CatalogError, match="embeddings per feature"):
+            GraphCatalog.from_index(base_graphs, pmi, structural)
+
     def test_build_root_round_trips_through_persistence(self, base_graphs, tmp_path):
         pmi = ProbabilisticMatrixIndex(
             feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG

@@ -116,7 +116,7 @@ def test_hit_miss_accounting_through_the_service():
         database, catalog = build_catalog(seed=8001)
         query = extract_query(database.graphs[0].skeleton, 3, rng=2)
         other = extract_query(database.graphs[1].skeleton, 3, rng=3)
-        config = ServiceConfig(batch_window=0.0, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(catalog, config) as service:
                 client = ServiceClient(service)
@@ -150,7 +150,7 @@ def test_unseeded_requests_bypass_the_cache():
     async def scenario():
         database, catalog = build_catalog(seed=8002)
         query = extract_query(database.graphs[2].skeleton, 3, rng=4)
-        config = ServiceConfig(batch_window=0.0, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(catalog, config) as service:
                 client = ServiceClient(service)
@@ -174,7 +174,7 @@ def test_stats_report_the_plan_cache_beside_the_answer_cache():
     async def scenario():
         database, catalog = build_catalog(seed=8003)
         query = extract_query(database.graphs[1].skeleton, 3, rng=5)
-        config = ServiceConfig(batch_window=0.0, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(catalog, config) as service:
                 client = ServiceClient(service)
@@ -211,7 +211,7 @@ def test_every_mutation_op_invalidates(mutation):
             rng=9003,
         ).graphs
         query = extract_query(database.graphs[0].skeleton, 3, rng=5)
-        config = ServiceConfig(batch_window=0.0, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(catalog, config) as service:
                 client = ServiceClient(service)
@@ -270,7 +270,7 @@ def test_stale_generation_answer_never_served_after_hot_swap():
         jpt = JointProbabilityTable.from_max_dominance({(0, 1): 0.5})
         husk = ProbabilisticGraph(skeleton, [NeighborEdgeFactor(((0, 1),), jpt)], name="husk")
 
-        config = ServiceConfig(batch_window=0.0, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(catalog, config) as service:
                 client = ServiceClient(service)
@@ -317,7 +317,7 @@ def test_batched_requests_share_cache_entries():
         database, catalog = build_catalog(seed=8005)
         query_a = extract_query(database.graphs[0].skeleton, 3, rng=7)
         query_b = extract_query(database.graphs[1].skeleton, 3, rng=8)
-        config = ServiceConfig(batch_window=0.01, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(catalog, config) as service:
                 client = ServiceClient(service)

@@ -31,7 +31,7 @@ from test_catalog_parity import rebuild_from_scratch
 
 from repro.core import GraphCatalog, QueryResult, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
-from repro.exceptions import ServiceError
+from repro.exceptions import ConfigurationError, ServiceError
 from repro.graphs.io import labeled_graph_to_dict
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig
@@ -42,6 +42,8 @@ from repro.service.protocol import (
     SHUTTING_DOWN,
     encode_frame,
 )
+
+from tests.conftest import GatedCatalog, eventually
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -99,18 +101,24 @@ def twin_answer(catalog: GraphCatalog, query, rng: int):
 
 
 def test_client_disconnect_mid_request_does_not_kill_the_service():
-    """A TCP client that vanishes mid-request leaves the service healthy."""
+    """A TCP client that vanishes mid-request leaves the service healthy,
+    and its queued request never reaches the backend."""
 
     async def scenario():
         database, catalog = build_catalog(seed=7001)
         query = extract_query(database.graphs[0].skeleton, 3, rng=1)
-        # A long batch window guarantees the rude client's request is still
-        # queued (not executing) when the connection dies.
-        config = ServiceConfig(batch_window=0.2, search_config=SEARCH_CONFIG)
+        backend = GatedCatalog(catalog)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
-            async with QueryService(catalog, config) as service:
+            async with QueryService(backend, config) as service:
                 host, port = await service.serve_tcp()
                 client = ServiceClient(service)
+                # The held lane keeps the rude client's request queued (not
+                # executing) when the connection dies.
+                blocker = asyncio.create_task(
+                    client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=4)
+                )
+                await backend.entered()
 
                 from repro.service.client import TcpServiceClient
 
@@ -118,13 +126,21 @@ def test_client_disconnect_mid_request_does_not_kill_the_service():
                 rude_job = asyncio.create_task(
                     rude.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=5)
                 )
-                await asyncio.sleep(0.02)  # let the frame reach the queue
+                await eventually(
+                    lambda: service.health()["queue_depth"] == 1, "the frame to reach the queue"
+                )
                 await rude.close()
                 rude_job.cancel()
                 try:
                     await rude_job
                 except (asyncio.CancelledError, ServiceError):
                     pass
+                await eventually(
+                    lambda: all(item.cancelled for item in service._pending),
+                    "the service to see the disconnect",
+                )
+                backend.open()
+                await blocker
 
                 # The service still answers correctly for everyone else.
                 result = await client.query(
@@ -140,7 +156,11 @@ def test_client_disconnect_mid_request_does_not_kill_the_service():
                 assert answer_tuples(result) == answer_tuples(expected)
                 health = await client.health()
                 assert health["status"] == "ok"
+                stats = await client.stats()
+                assert stats["counters"]["dropped_before_execution"] == 1
+                assert backend.calls == [1, 1]
         finally:
+            backend.open()
             catalog.close()
 
     asyncio.run(scenario())
@@ -153,12 +173,17 @@ def test_deadline_expiry_is_typed_and_skips_execution():
     async def scenario():
         database, catalog = build_catalog(seed=7002)
         query = extract_query(database.graphs[0].skeleton, 3, rng=2)
-        # Window far longer than the deadline: the request must time out in
-        # the queue, and the later batch must skip it.
-        config = ServiceConfig(batch_window=0.3, search_config=SEARCH_CONFIG)
+        backend = GatedCatalog(catalog)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
-            async with QueryService(catalog, config) as service:
+            async with QueryService(backend, config) as service:
                 client = ServiceClient(service)
+                # A held lane: the request must time out in the queue, and
+                # the lane must skip it once it frees up.
+                blocker = asyncio.create_task(
+                    client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=2)
+                )
+                await backend.entered()
                 with pytest.raises(ServiceError) as excinfo:
                     await client.query(
                         query,
@@ -170,6 +195,8 @@ def test_deadline_expiry_is_typed_and_skips_execution():
                 assert excinfo.value.code == DEADLINE_EXCEEDED
                 stats = await client.stats()
                 assert stats["counters"]["deadline_expired"] == 1
+                backend.open()
+                await blocker
                 # An unhurried request on the same service still completes.
                 result = await client.query(
                     query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=3
@@ -182,7 +209,11 @@ def test_deadline_expiry_is_typed_and_skips_execution():
                     rng=3,
                 )
                 assert answer_tuples(result) == answer_tuples(expected)
+                stats = await client.stats()
+                assert stats["counters"]["dropped_before_execution"] == 1
+                assert backend.calls == [1, 1]
         finally:
+            backend.open()
             catalog.close()
 
     asyncio.run(scenario())
@@ -192,16 +223,25 @@ def test_default_deadline_applies_to_requests_without_one():
     async def scenario():
         database, catalog = build_catalog(seed=7003)
         query = extract_query(database.graphs[1].skeleton, 3, rng=4)
-        config = ServiceConfig(
-            batch_window=0.3, default_deadline=0.01, search_config=SEARCH_CONFIG
-        )
+        backend = GatedCatalog(catalog)
+        config = ServiceConfig(default_deadline=0.01, search_config=SEARCH_CONFIG)
         try:
-            async with QueryService(catalog, config) as service:
+            async with QueryService(backend, config) as service:
                 client = ServiceClient(service)
+                # its own deadline outlasts the default while it holds the lane
+                blocker = asyncio.create_task(
+                    client.query(
+                        query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=5, deadline=60
+                    )
+                )
+                await backend.entered()
                 with pytest.raises(ServiceError) as excinfo:
                     await client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=6)
                 assert excinfo.value.code == DEADLINE_EXCEEDED
+                backend.open()
+                await blocker
         finally:
+            backend.open()
             catalog.close()
 
     asyncio.run(scenario())
@@ -213,14 +253,17 @@ def test_full_admission_queue_is_typed_and_never_hangs():
     async def scenario():
         database, catalog = build_catalog(seed=7005)
         query = extract_query(database.graphs[0].skeleton, 3, rng=11)
-        # Big window keeps the first submissions parked in the queue while
-        # the overflow submission arrives.
-        config = ServiceConfig(
-            batch_window=0.3, max_queue_depth=2, search_config=SEARCH_CONFIG
-        )
+        backend = GatedCatalog(catalog)
+        config = ServiceConfig(max_queue_depth=2, search_config=SEARCH_CONFIG)
         try:
-            async with QueryService(catalog, config) as service:
+            async with QueryService(backend, config) as service:
                 client = ServiceClient(service)
+                # The held lane keeps the next submissions parked in the
+                # queue while the overflow submission arrives.
+                blocker = asyncio.create_task(
+                    client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=19)
+                )
+                await backend.entered()
                 jobs = [
                     asyncio.create_task(
                         client.query(
@@ -229,7 +272,7 @@ def test_full_admission_queue_is_typed_and_never_hangs():
                     )
                     for i in range(2)
                 ]
-                await asyncio.sleep(0.02)  # both queued, window still open
+                await eventually(lambda: service.health()["queue_depth"] == 2, "both queued")
                 overflow = ServiceClient(service)
                 with pytest.raises(ServiceError) as excinfo:
                     await asyncio.wait_for(
@@ -239,14 +282,73 @@ def test_full_admission_queue_is_typed_and_never_hangs():
                         timeout=2.0,  # "never hangs": rejection is immediate
                     )
                 assert excinfo.value.code == OVERLOADED
-                results = await asyncio.gather(*jobs)  # queued work unharmed
+                backend.open()
+                results = await asyncio.gather(blocker, *jobs)  # queued work unharmed
                 assert all(result is not None for result in results)
                 stats = await client.stats()
                 assert stats["counters"]["rejected_overloaded"] == 1
         finally:
+            backend.open()
             catalog.close()
 
     asyncio.run(scenario())
+
+
+SERVICE_CONFIG_FIELDS = [
+    # (field, value, accepted)
+    ("max_batch_size", 1, True),
+    ("max_batch_size", 0, False),
+    ("max_batch_size", True, False),
+    ("max_batch_size", 2.5, False),
+    ("max_batch_size", "8", False),
+    ("max_queue_depth", 1, True),
+    ("max_queue_depth", 0, False),
+    ("max_queue_depth", "3", False),
+    ("max_queue_depth", False, False),
+    ("cache_entries", 0, True),
+    ("cache_entries", -1, False),
+    ("cache_entries", 1.0, False),
+    ("cache_entries", True, False),
+    ("stats_window", 0, True),
+    ("stats_window", -1, False),
+    ("stats_window", None, False),
+    ("default_deadline", None, True),
+    ("default_deadline", 2, True),
+    ("default_deadline", 0.5, True),
+    ("default_deadline", -1.0, False),
+    ("default_deadline", 0, False),
+    ("default_deadline", True, False),
+    ("default_deadline", "1", False),
+    ("default_deadline", float("nan"), False),
+    ("default_deadline", float("inf"), False),
+    ("drain_timeout", 1, True),
+    ("drain_timeout", 0.0, False),
+    ("drain_timeout", None, False),
+    ("drain_timeout", False, False),
+    ("drain_timeout", float("inf"), False),
+    ("search_config", SEARCH_CONFIG, True),
+    ("search_config", {}, False),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, accepted",
+    SERVICE_CONFIG_FIELDS,
+    ids=[f"{field}={value!r}" for field, value, _ in SERVICE_CONFIG_FIELDS],
+)
+def test_service_config_checks_every_field(field, value, accepted):
+    """Counts are ints (never bools) >= 1 (batch, queue) or >= 0 (cache,
+    stats window); durations are finite reals > 0 (``None`` is no default
+    deadline); anything else is a ``ConfigurationError`` at construction,
+    never a raw error from the service later, nor a deadline that expires
+    every request."""
+    if not accepted:
+        with pytest.raises(ConfigurationError, match=field):
+            ServiceConfig(**{field: value})
+        return
+    config = ServiceConfig(**{field: value})
+    assert getattr(config, field) == value
+    QueryService(None, config)  # sizes its answer cache and latency windows from it
 
 
 def test_bool_external_id_is_a_bad_request():
@@ -336,24 +438,31 @@ def test_a_non_finite_threshold_over_tcp_still_gets_a_response_frame():
 
 
 def test_graceful_shutdown_mid_batch_drains_then_refuses():
-    """stop() during queued traffic: admitted work completes with real
-    answers; post-stop submissions get ``shutting_down``."""
+    """stop() while a batch runs and more is queued: admitted work completes
+    with real answers; submissions once stop() began get ``shutting_down``."""
 
     async def scenario():
         database, catalog = build_catalog(seed=7006)
         queries = [extract_query(database.graphs[i].skeleton, 3, rng=40 + i) for i in range(3)]
-        config = ServiceConfig(batch_window=0.1, search_config=SEARCH_CONFIG)
-        service = await QueryService(catalog, config).start()
+        backend = GatedCatalog(catalog)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
+        service = await QueryService(backend, config).start()
         client = ServiceClient(service)
+
+        def ask(i):
+            return asyncio.create_task(
+                client.query(queries[i], PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=50 + i)
+            )
+
         try:
-            jobs = [
-                asyncio.create_task(
-                    client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=50 + i)
-                )
-                for i, query in enumerate(queries)
-            ]
-            await asyncio.sleep(0.02)  # admitted, sitting in the window
-            await service.stop()
+            jobs = [ask(0)]
+            await backend.entered()  # query 0 holds the lane
+            jobs += [ask(1), ask(2)]
+            await eventually(lambda: service.health()["queue_depth"] == 2, "both queued")
+            stopping = asyncio.create_task(service.stop())
+            await eventually(lambda: service.health()["status"] == "draining", "the drain")
+            backend.open()
+            await stopping
             results = await asyncio.gather(*jobs)
             for i, (query, result) in enumerate(zip(queries, results)):
                 expected = catalog.query(
@@ -369,6 +478,7 @@ def test_graceful_shutdown_mid_batch_drains_then_refuses():
             assert excinfo.value.code == SHUTTING_DOWN
             await service.stop()  # idempotent
         finally:
+            backend.open()
             catalog.close()
 
     asyncio.run(scenario())

@@ -1,8 +1,8 @@
 """Service-parity harness: the always-on query service must answer
 byte-identically to sequential library-mode calls.
 
-The contract: for any batch window, any max batch size, any interleaving
-of concurrent clients, and any sequence of
+The contract: for any max batch size, any interleaving of concurrent
+clients, any batch the dispatcher forms from its queue, and any sequence of
 catalog mutations applied through the service, a seeded request's answers
 (probabilities, ranks, decided_by) and deterministic statistics counters
 equal those of ``catalog.query(...)`` / ``catalog.query_top_k(...)`` on a
@@ -22,7 +22,7 @@ from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_databas
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig, TcpServiceClient
 
-from tests.conftest import WIDE_SUPPORT_DISTANCE
+from tests.conftest import WIDE_SUPPORT_DISTANCE, GatedCatalog, eventually
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -120,15 +120,13 @@ async def run_and_compare(client, twin, requests, context=""):
         assert_result_parity(actual, expected, f"{context} request={index} kind={kind}")
 
 
-@pytest.mark.parametrize("batch_window", [0.0, 0.002, 0.02])
-def test_concurrent_mixed_workload_matches_sequential(batch_window):
-    """Any batch window: concurrent mixed traffic == sequential twin calls."""
+@pytest.mark.parametrize("max_batch_size", [1, 8, 16])
+def test_concurrent_mixed_workload_matches_sequential(max_batch_size):
+    """Any coalescing limit: concurrent mixed traffic == sequential twin calls."""
 
     async def scenario():
         database, served, twin = build_twins(seed=9001)
-        config = ServiceConfig(
-            batch_window=batch_window, max_batch_size=8, search_config=SEARCH_CONFIG
-        )
+        config = ServiceConfig(max_batch_size=max_batch_size, search_config=SEARCH_CONFIG)
         try:
             async with QueryService(served, config) as service:
                 client = ServiceClient(service)
@@ -136,7 +134,7 @@ def test_concurrent_mixed_workload_matches_sequential(batch_window):
                     client,
                     twin,
                     random_workload(database, seed=21, count=8),
-                    context=f"window={batch_window}",
+                    context=f"max_batch={max_batch_size}",
                 )
         finally:
             served.close()
@@ -154,9 +152,7 @@ def test_batch_size_never_changes_answers(max_batch_size):
 
     async def scenario():
         database, served, twin = build_twins(seed=9002)
-        config = ServiceConfig(
-            batch_window=0.005, max_batch_size=max_batch_size, search_config=SEARCH_CONFIG
-        )
+        config = ServiceConfig(max_batch_size=max_batch_size, search_config=SEARCH_CONFIG)
         try:
             async with QueryService(served, config) as service:
                 client = ServiceClient(service)
@@ -183,7 +179,7 @@ def test_sharded_backend_parity(num_shards):
         sequential_twin = GraphCatalog.build(
             database.graphs, feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=9003
         )
-        config = ServiceConfig(batch_window=0.005, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(served, config) as service:
                 client = ServiceClient(service)
@@ -210,7 +206,7 @@ def test_interleaved_mutations_stay_in_parity():
     async def scenario():
         database, served, twin = build_twins(seed=9004)
         pool = random_database(10004, num_graphs=4).graphs
-        config = ServiceConfig(batch_window=0.005, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(served, config) as service:
                 client = ServiceClient(service)
@@ -264,7 +260,7 @@ def test_queries_concurrent_with_mutations_match_some_serialization():
             database.graphs, feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=9005
         )
         twin_after.add_graph(pool[0])
-        config = ServiceConfig(batch_window=0.002, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         query = extract_query(database.graphs[0].skeleton, 3, rng=77)
         try:
             async with QueryService(served, config) as service:
@@ -298,6 +294,72 @@ def test_queries_concurrent_with_mutations_match_some_serialization():
     asyncio.run(scenario())
 
 
+def test_a_freed_lane_takes_the_queue_up_to_the_mutation():
+    """Hold the lane, queue k same-group queries, a mutation and more
+    queries, then release: the k queries run as one backend call, the
+    mutation alone, the rest after it — and every answer is byte-identical
+    to sequential calls in admission order."""
+    k, later = 4, 3
+
+    async def scenario():
+        database, served, twin = build_twins(seed=9009)
+        backend = GatedCatalog(served)
+        queries = [
+            extract_query(database.graphs[i % 3].skeleton, 3, rng=90 + i)
+            for i in range(1 + k + later)
+        ]
+        seeds = [700 + i for i in range(len(queries))]
+        try:
+            config = ServiceConfig(search_config=SEARCH_CONFIG)
+            async with QueryService(backend, config) as service:
+                client = ServiceClient(service)
+
+                def ask(i):
+                    return asyncio.create_task(
+                        client.query(
+                            queries[i], PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=seeds[i]
+                        )
+                    )
+
+                jobs = [ask(0)]
+                await backend.entered()  # query 0 holds the lane
+                jobs += [ask(i) for i in range(1, 1 + k)]
+                added = asyncio.create_task(client.add_graph(database.graphs[0]))
+                jobs += [ask(i) for i in range(1 + k, len(queries))]
+                await eventually(
+                    lambda: service.health()["queue_depth"] == k + 1 + later, "the queue"
+                )
+                backend.open()
+                served_results = await asyncio.gather(*jobs)
+                assert (await added)["external_id"] == 6
+                stats = await client.stats()
+            assert backend.calls == [1, k, later]
+            assert stats["batch"]["max_size"] == k
+            assert (stats["batch"]["count"], stats["counters"]["mutations"]) == (4, 1)
+
+            def sequential(i):
+                return twin.query(
+                    queries[i], PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD,
+                    config=SEARCH_CONFIG, rng=seeds[i],
+                )
+
+            expected = [sequential(i) for i in range(1 + k)]
+            crossed = [sequential(i) for i in range(1 + k, len(queries))]
+            twin.add_graph(database.graphs[0])
+            expected += [sequential(i) for i in range(1 + k, len(queries))]
+            assert any(
+                answer_tuples(a) != answer_tuples(b) for a, b in zip(crossed, expected[1 + k :])
+            ), "the mutation must change an answer queued behind it"
+            for index, (actual, want) in enumerate(zip(served_results, expected)):
+                assert_result_parity(actual, want, f"request={index}")
+        finally:
+            backend.open()
+            served.close()
+            twin.close()
+
+    asyncio.run(scenario())
+
+
 def test_tcp_transport_byte_parity():
     """The NDJSON TCP path carries the same bytes as the in-process path.
 
@@ -307,7 +369,7 @@ def test_tcp_transport_byte_parity():
 
     async def scenario():
         database, served, twin = build_twins(seed=9006)
-        config = ServiceConfig(batch_window=0.005, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(served, config) as service:
                 host, port = await service.serve_tcp()
@@ -335,7 +397,7 @@ def test_wide_support_requests_over_tcp_take_both_routes(wide_support_corpus):
         kwargs = dict(feature_config=FEATURE_CONFIG, bound_config=BOUND_CONFIG, rng=9008)
         served = GraphCatalog.build(graphs, **kwargs)
         twin = GraphCatalog.build(graphs, **kwargs)
-        config = ServiceConfig(batch_window=0.005, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         try:
             async with QueryService(served, config) as service:
                 host, port = await service.serve_tcp()
@@ -374,7 +436,7 @@ def test_cached_answers_are_byte_identical():
 
     async def scenario():
         database, served, twin = build_twins(seed=9007)
-        config = ServiceConfig(batch_window=0.0, search_config=SEARCH_CONFIG)
+        config = ServiceConfig(search_config=SEARCH_CONFIG)
         query = extract_query(database.graphs[1].skeleton, 3, rng=88)
         try:
             async with QueryService(served, config) as service:
