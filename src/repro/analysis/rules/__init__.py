@@ -14,7 +14,12 @@ from .determinism import (
     UnorderedSetIterationRule,
     WallClockEntropyRule,
 )
-from .durability import CommitPrimitiveRule, RawPathWriteRule, RawWriteOpenRule
+from .durability import (
+    CommitPrimitiveRule,
+    NumpyWriterRule,
+    RawPathWriteRule,
+    RawWriteOpenRule,
+)
 from .exception_taxonomy import BuiltinRaiseRule
 from .locking import GuardedAttributeRule
 from .shm_lifecycle import DirectSharedMemoryRule
@@ -27,6 +32,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     RawWriteOpenRule,
     RawPathWriteRule,
     CommitPrimitiveRule,
+    NumpyWriterRule,
     DirectSharedMemoryRule,
     GuardedAttributeRule,
     BuiltinRaiseRule,

@@ -4,7 +4,8 @@ Crash-safety rests on one discipline (LogBase-style): every persisted
 artifact is written tmp + flush + fsync + ``os.replace`` + dir-fsync, and
 the only module that composes those primitives is ``utils/atomic_io.py``.
 A raw ``open(path, "w")`` anywhere else can leave a torn file a recovery
-path will later trust.  The write-ahead log's append-mode handle is the one
+path will later trust, and so can a numpy writer handed a path instead of a
+handle from ``atomic_writer``.  The write-ahead log's append-mode handle is the one
 deliberate exception, carried as an inline suppression where it lives so
 the justification sits next to the code.
 """
@@ -20,6 +21,8 @@ from .base import Rule
 _OPEN_FUNCTIONS = {"open", "io.open", "os.fdopen"}
 _WRITE_MODE_CHARS = set("wax+")
 _PATH_WRITERS = {"write_text", "write_bytes"}
+_NUMPY_WRITERS = {"numpy.save", "numpy.savez", "numpy.savez_compressed"}
+_ATOMIC_WRITER = "repro.utils.atomic_io.atomic_writer"
 _COMMIT_PRIMITIVES = {
     "os.replace": "rename-over-live-path",
     "os.rename": "rename-over-live-path",
@@ -135,3 +138,73 @@ class CommitPrimitiveRule(Rule):
                 )
             )
         return findings
+
+
+class NumpyWriterRule(Rule):
+    rule_id = "IO004"
+    title = "numpy writer not handed an atomic_writer handle"
+    invariant = (
+        "numpy.save/savez/savez_compressed and ndarray.tofile write in place "
+        "when given a path; they may only write to the handle of an enclosing "
+        "`with atomic_writer(...) as handle`, so a crash cannot tear the file."
+    )
+
+    def check(self, source: SourceFile) -> list[Finding]:
+        if self.config.is_atomic_io_owner(source.path):
+            return []
+        findings: list[Finding] = []
+        for call in self.walk_calls(source):
+            name = source.resolver.qualified_name(call.func)
+            if name in _NUMPY_WRITERS:
+                what = f"{name}()"
+            elif isinstance(call.func, ast.Attribute) and call.func.attr == "tofile":
+                what = ".tofile()"
+            else:
+                continue
+            target = call.args[0] if call.args else _keyword(call, ("file", "fid"))
+            if target is not None and self._is_atomic_handle(source, call, target):
+                continue
+            findings.append(
+                source.finding(
+                    self.rule_id,
+                    call,
+                    f"{what} does not write to an atomic_writer handle; write "
+                    f"inside `with {_ATOMIC_WRITER}(path) as handle` and pass "
+                    "the handle, so a crash cannot tear the file",
+                )
+            )
+        return findings
+
+    @staticmethod
+    def _is_atomic_handle(source: SourceFile, call: ast.Call, target: ast.expr) -> bool:
+        """True when ``target`` is the name an enclosing ``with`` bound to an
+        ``atomic_writer(...)`` call."""
+        if not isinstance(target, ast.Name):
+            return False
+        node = source.parent(call)
+        while node is not None:
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    opener = item.context_expr
+                    if (
+                        isinstance(item.optional_vars, ast.Name)
+                        and item.optional_vars.id == target.id
+                        and isinstance(opener, ast.Call)
+                        and _is_atomic_writer(source.resolver.qualified_name(opener.func))
+                    ):
+                        return True
+            node = source.parent(node)
+        return False
+
+
+def _keyword(call: ast.Call, names: tuple[str, ...]) -> ast.expr | None:
+    for keyword in call.keywords:
+        if keyword.arg in names:
+            return keyword.value
+    return None
+
+
+def _is_atomic_writer(name: str | None) -> bool:
+    # a relative import (``from ..utils.atomic_io import atomic_writer``)
+    # leaves the bare name, which the resolver cannot qualify
+    return name in (_ATOMIC_WRITER, "atomic_writer")

@@ -60,7 +60,8 @@ explicit, offline decision.
 
 **Durability.**  A catalog becomes *durable* by attaching a directory
 (:meth:`persist`, or ``directory=`` on :meth:`build` / :meth:`from_index`):
-the current state is snapshotted — the graphs (JSON database), the
+the current state is snapshotted — the graphs (one npz of stacked
+columns, :func:`~repro.graphs.io.save_graph_columns`), the
 PMI (npz + JSON), and the structural count matrix, all written
 atomically (the index's signature postings are derived: re-read off the graphs
 by :meth:`open`, never written) — and from then on every ``add_graph`` /
@@ -95,9 +96,10 @@ from repro.core.wal import WriteAheadLog, wal_filename
 from repro.exceptions import CatalogError, ConfigurationError, QueryError, WalError
 from repro.graphs.io import (
     load_database,
+    load_graph_columns,
     probabilistic_graph_from_dict,
     probabilistic_graph_to_dict,
-    save_database,
+    save_graph_columns,
 )
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.probabilistic_graph import ProbabilisticGraph
@@ -115,10 +117,13 @@ from repro.utils.rng import RandomLike, rng_root
 
 __all__ = ["GraphCatalog"]
 
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
+# a format-2 snapshot differs only in holding its graphs as one JSON database
+_READABLE_SNAPSHOT_VERSIONS = (2, 3)
 CURRENT_FILENAME = "CURRENT"
 _SNAPSHOT_META_FILENAME = "catalog.json"
-_GRAPHS_FILENAME = "graphs.json"
+_GRAPHS_FILENAME = "graphs.npz"
+_JSON_GRAPHS_FILENAME = "graphs.json"
 _COUNTS_FILENAME = "structural_counts.npy"
 
 
@@ -533,7 +538,7 @@ class GraphCatalog:
             shutil.rmtree(gen_dir)
         gen_dir.mkdir(parents=True, exist_ok=True)
         store = self._store
-        save_database(store.graphs, gen_dir / _GRAPHS_FILENAME)
+        save_graph_columns(store.graphs, gen_dir / _GRAPHS_FILENAME)
         store.pmi.save(gen_dir)
         with atomic_writer(gen_dir / _COUNTS_FILENAME) as handle:
             np.save(handle, np.asarray(store.structural.counts_matrix(), dtype=np.int32))
@@ -541,9 +546,6 @@ class GraphCatalog:
             "type": "graph_catalog_snapshot",
             "version": SNAPSHOT_FORMAT_VERSION,
             "build_root": int(self._root),
-            # read by nothing since the worker pool went; written so that an
-            # older version, which requires it, can open this directory
-            "num_shards": 1,
             "next_external_id": int(self._next_external_id),
             "external_ids": [int(eid) for eid in store.external_ids],
         }
@@ -584,10 +586,11 @@ class GraphCatalog:
         if not isinstance(meta, dict) or meta.get("type") != "graph_catalog_snapshot":
             kind = meta.get("type") if isinstance(meta, dict) else type(meta).__name__
             raise CatalogError(f"not a catalog snapshot payload: {kind!r}")
-        if meta.get("version") != SNAPSHOT_FORMAT_VERSION:
+        version = meta.get("version")
+        if type(version) is not int or version not in _READABLE_SNAPSHOT_VERSIONS:
             raise CatalogError(
-                f"unsupported catalog snapshot version {meta.get('version')!r}; "
-                f"this build reads version {SNAPSHOT_FORMAT_VERSION}"
+                f"unsupported catalog snapshot version {version!r}; "
+                f"this build reads versions {_READABLE_SNAPSHOT_VERSIONS}"
             )
         try:
             # ids get the live calls' check, as WAL replay's do
@@ -598,7 +601,10 @@ class GraphCatalog:
             raise CatalogError(
                 f"malformed snapshot metadata at {str(meta_path)!r}: {error!r}"
             ) from error
-        graphs = load_database(gen_dir / _GRAPHS_FILENAME)
+        if version == 2:
+            graphs = load_database(gen_dir / _JSON_GRAPHS_FILENAME)
+        else:
+            graphs = load_graph_columns(gen_dir / _GRAPHS_FILENAME)
         pmi = ProbabilisticMatrixIndex.load(gen_dir)
         try:
             counts = np.load(gen_dir / _COUNTS_FILENAME)

@@ -24,6 +24,10 @@ from repro.exceptions import ProbabilityError
 from repro.probability.factors import Assignment, Factor, Variable
 
 
+# how far a table's mass may be from 1 before the constructor refuses it
+MASS_TOLERANCE = 1e-6
+
+
 class JointProbabilityTable(Factor):
     """A normalized factor: a proper joint distribution over its variables."""
 
@@ -31,7 +35,7 @@ class JointProbabilityTable(Factor):
         self,
         variables: Iterable[Variable],
         table: Mapping[Assignment, float],
-        tolerance: float = 1e-6,
+        tolerance: float = MASS_TOLERANCE,
         normalize: bool = False,
     ) -> None:
         super().__init__(variables, table)
@@ -91,6 +95,21 @@ class JointProbabilityTable(Factor):
                 weights.append(p if value == 1 else 1.0 - p)
             table[assignment] = max(weights)
         return cls(variables, table, normalize=True)
+
+    @classmethod
+    def from_checked(
+        cls, variables: tuple[Variable, ...], table: dict[Assignment, float]
+    ) -> "JointProbabilityTable":
+        """Adopt ``variables`` and ``table`` as they are, without the
+        per-entry checks of the constructor.  The caller has already checked
+        what the constructor would: distinct variables, 0/1 assignment tuples
+        of the right width with int members, float values > 0, and a mass
+        within :data:`MASS_TOLERANCE` of 1.  The object equals what the
+        constructor builds from the same arguments, attribute for attribute."""
+        jpt = cls.__new__(cls)
+        jpt.variables = variables
+        jpt.table = table
+        return jpt
 
     @classmethod
     def from_factor(cls, factor: Factor, normalize: bool = True) -> "JointProbabilityTable":

@@ -314,8 +314,9 @@ class QueryService:
         }
 
     def stats(self) -> dict:
-        """Counters, batch shape, answer- and plan-cache accounting, latency
-        percentiles."""
+        """Counters, batch shape (query batches only: a mutation runs alone
+        and counts under ``counters.mutations``), answer- and plan-cache
+        accounting, latency percentiles."""
         batches = self._counters.batches
         return {
             "queue_depth": len(self._pending),
@@ -411,9 +412,10 @@ class QueryService:
             batch = [item for item in self._collect(head.group_key()) if self._still_wanted(item)]
             if not batch:
                 continue
-            self._counters.batches += 1
-            self._counters.batched_requests += len(batch)
-            self._counters.max_batch_size = max(self._counters.max_batch_size, len(batch))
+            if head.op not in MUTATION_OPS:
+                self._counters.batches += 1
+                self._counters.batched_requests += len(batch)
+                self._counters.max_batch_size = max(self._counters.max_batch_size, len(batch))
             started = self._loop.time()
             for item in batch:
                 self._queue_seconds.append(started - item.admitted_at)

@@ -4,6 +4,9 @@ and reusable query graphs."""
 from __future__ import annotations
 
 import asyncio
+import io
+import json
+import pickle
 import random
 import threading
 from dataclasses import dataclass
@@ -15,6 +18,7 @@ import pytest
 from repro.core import GraphCatalog, QueryPlanner
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph, VariantRows
+from repro.graphs.io import load_graph_columns, save_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.probability import JointProbabilityTable
 from repro.structural import StructuralFeatureIndex
@@ -251,6 +255,33 @@ def assert_signature_segment_matches_live_graphs(catalog, fresh: bool = False) -
         external_id: dict(graph.skeleton.edge_signature_counts())
         for external_id, graph in catalog.live_items()
     }
+
+
+def unshared_pickle(obj) -> bytes:
+    """``obj`` pickled with the memo off: every value, type, dict insertion
+    order and float bit shows in the bytes, but not which equal values share
+    one object (a columnar load shares one label string per symbol where a
+    JSON load makes one per occurrence)."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(obj)
+    return buffer.getvalue()
+
+
+def write_as_format_2(directory) -> None:
+    """Rewrite the durable catalog at ``directory`` as snapshot format 2 wrote
+    it: the graphs as one JSON database (``graphs.json``), and
+    ``"version": 2, "num_shards": 1`` in ``catalog.json`` and ``CURRENT``."""
+    directory = Path(directory)
+    current = json.loads((directory / "CURRENT").read_text())
+    generation = directory / f"gen_{current['generation']:08d}"
+    save_database(load_graph_columns(generation / "graphs.npz"), generation / "graphs.json")
+    (generation / "graphs.npz").unlink()
+    meta = json.loads((generation / "catalog.json").read_text())
+    meta = {**meta, "version": 2, "num_shards": 1}
+    (generation / "catalog.json").write_text(json.dumps(meta))
+    (directory / "CURRENT").write_text(json.dumps({**current, "version": 2}))
 
 
 class GatedCatalog:

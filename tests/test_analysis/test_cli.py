@@ -131,6 +131,7 @@ class TestOutputs:
             "IO001",
             "IO002",
             "IO003",
+            "IO004",
             "SHM001",
             "LOCK001",
             "EXC001",

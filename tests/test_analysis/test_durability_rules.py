@@ -1,4 +1,5 @@
-"""IO0xx fixture tests: write-mode opens, in-place path writes, commit primitives."""
+"""IO0xx fixture tests: write-mode opens, in-place path writes, commit
+primitives, numpy writers."""
 
 from __future__ import annotations
 
@@ -120,5 +121,108 @@ class TestCommitPrimitives:
             def move(a, b):
                 shutil.move(a, b)
             """
+        )
+        assert report.findings == []
+
+
+class TestNumpyWriters:
+    def test_writers_given_a_path_flagged(self, analyze):
+        report = analyze(
+            """
+            import numpy as np
+            from numpy import savez_compressed
+
+            def save(path, array):
+                np.save(path, array)
+                np.savez(path / "arrays.npz", lower=array)
+                savez_compressed(str(path), upper=array)
+                array.tofile(path)
+                np.save(file=path, arr=array)
+            """
+        )
+        assert rule_ids(report) == ["IO004"] * 5
+        assert "atomic_writer" in report.findings[0].message
+
+    def test_a_handle_opened_elsewhere_flagged(self, analyze):
+        report = analyze(
+            """
+            import numpy as np
+
+            def save(path, array):
+                with open(path, "rb") as handle:
+                    np.save(handle, array)
+                with other_writer(path) as handle:
+                    np.savez(handle, array=array)
+            """
+        )
+        assert rule_ids(report) == ["IO004", "IO004"]
+
+    def test_the_handle_must_be_the_enclosing_one(self, analyze):
+        report = analyze(
+            """
+            import numpy as np
+            from repro.utils.atomic_io import atomic_writer
+
+            def save(path, array, stream):
+                with atomic_writer(path) as handle:
+                    np.save(stream, array)
+                np.save(handle, array)
+            """
+        )
+        assert rule_ids(report) == ["IO004", "IO004"]
+
+    def test_atomic_writer_handles_allowed(self, analyze):
+        report = analyze(
+            """
+            import numpy
+            import numpy as np
+            from repro.utils import atomic_io
+            from repro.utils.atomic_io import atomic_writer
+
+            def save(path, array):
+                with atomic_writer(path) as handle:
+                    np.savez_compressed(handle, lower=array)
+                with atomic_io.atomic_writer(path, "wb") as out, atomic_writer(path) as extra:
+                    numpy.save(out, array)
+                    array.tofile(extra)
+                    np.savez(file=out, array=array)
+            """
+        )
+        assert report.findings == []
+
+    def test_relative_import_of_atomic_writer_allowed(self, analyze):
+        report = analyze(
+            """
+            import numpy as np
+            from ..utils.atomic_io import atomic_writer
+
+            def save(path, array):
+                with atomic_writer(path) as handle:
+                    np.save(handle, array)
+            """,
+            relpath="repro/core/fixture_mod.py",
+        )
+        assert report.findings == []
+
+    def test_loads_not_in_scope(self, analyze):
+        report = analyze(
+            """
+            import numpy as np
+
+            def load(path):
+                return np.load(path), np.fromfile(path)
+            """
+        )
+        assert report.findings == []
+
+    def test_atomic_io_owner_exempt(self, analyze):
+        report = analyze(
+            """
+            import numpy as np
+
+            def dump(path, array):
+                np.save(path, array)
+            """,
+            relpath="repro/utils/atomic_io.py",
         )
         assert report.findings == []

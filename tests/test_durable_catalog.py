@@ -22,7 +22,11 @@ from repro.exceptions import CatalogError, ConfigurationError, GraphError, Index
 from repro.pmi import ProbabilisticMatrixIndex
 from repro.reference import WorldSampler
 from repro.structural.feature_index import StructuralFeatureIndex
-from tests.conftest import assert_signature_segment_matches_live_graphs, build_index
+from tests.conftest import (
+    assert_signature_segment_matches_live_graphs,
+    build_index,
+    write_as_format_2,
+)
 from tests.test_catalog_parity import (
     BOUND_CONFIG,
     DISTANCE_THRESHOLD,
@@ -68,7 +72,7 @@ class TestPersistAndOpen:
         # one store: graphs, PMI and counts sit in the generation directory
         assert sorted(path.name for path in (root / "gen_00000000").iterdir()) == [
             "catalog.json",
-            "graphs.json",
+            "graphs.npz",
             "pmi_arrays.npz",
             "pmi_meta.json",
             "structural_counts.npy",
@@ -172,9 +176,8 @@ class TestPersistAndOpen:
     ):
         """A warm restart is build(directory=...) then open(): reopening a
         clean snapshot computes no SIP bound and enumerates no embedding, and
-        hands back the exact base arrays the build wrote.  The snapshot says
-        ``"num_shards": 1`` whatever the build was given, so an older reader
-        that still reads the key opens one store."""
+        hands back the exact base arrays the build wrote.  Format 3 writes no
+        ``num_shards``, whatever the build was given: nothing reads it."""
         built, _ = durable_catalog(tmp_path, num_shards=num_shards)
         built.close()
 
@@ -193,7 +196,7 @@ class TestPersistAndOpen:
         reopened.close()
         assert not rebuilds, f"open() rebuilt {rebuilds} instead of loading"
         meta = json.loads((tmp_path / "catalog" / "gen_00000000" / "catalog.json").read_text())
-        assert meta["num_shards"] == 1
+        assert meta["version"] == 3 and "num_shards" not in meta
 
         built_store, reopened_store = built._store, reopened._store
         for name in ("_lower", "_upper", "_present"):
@@ -227,24 +230,166 @@ def _second_id(value):
     return change
 
 
+def _rewrite_npz(path, change) -> None:
+    """Replace the arrays of the ``.npz`` at ``path`` with ``change(arrays)``."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    np.savez(path, **change(arrays))
+
+
+def _set(name, index, value):
+    """Copy of the columns with ``arrays[name][index] = value``."""
+
+    def change(arrays):
+        column = arrays[name].copy()
+        column[index] = value
+        return {**arrays, name: column}
+
+    return change
+
+
+def _symbol_count(arrays, key) -> int:
+    return len(json.loads(arrays["symbols"].tobytes())[key])
+
+
+def _out_of_range(name, key):
+    """The first code of ``name`` set one past the ``key`` symbol list."""
+    return lambda arrays: _set(name, 0, _symbol_count(arrays, key))(arrays)
+
+
+def _widen_last(name):
+    """``name``'s last offset one past the end of what it indexes."""
+    return lambda arrays: _set(name, -1, arrays[name][-1] + 1)(arrays)
+
+
+def _uncovered_edge(arrays):
+    """One more skeleton edge in the last graph, which no factor names."""
+    vertex_offsets, edge_offsets = arrays["vertex_offsets"], arrays["edge_offsets"]
+    taken = {tuple(sorted(ends)) for ends in arrays["edge_ends"][edge_offsets[-2] :].tolist()}
+    size = int(vertex_offsets[-1] - vertex_offsets[-2])
+    pair = next(
+        (a, b) for a in range(size) for b in range(a + 1, size) if (a, b) not in taken
+    )
+    return {
+        **arrays,
+        "edge_ends": np.vstack([arrays["edge_ends"], np.array([pair], dtype=np.int32)]),
+        "edge_labels": np.append(arrays["edge_labels"], arrays["edge_labels"][-1]),
+        "edge_offsets": np.append(edge_offsets[:-1], edge_offsets[-1] + 1),
+    }
+
+
+def _first_factor(arrays, offsets: str) -> int:
+    """Index of the first factor spanning at least two entries of ``offsets``
+    (``variable_offsets``: two edges; ``entry_offsets``: two table rows)."""
+    return int(np.flatnonzero(np.diff(arrays[offsets]) >= 2)[0])
+
+
+def _repeated_variable(arrays):
+    start = arrays["variable_offsets"][_first_factor(arrays, "variable_offsets")]
+    return _set("factor_edges", start + 1, arrays["factor_edges"][start])(arrays)
+
+
+def _repeated_assignment(arrays):
+    factor = _first_factor(arrays, "entry_offsets")
+    widths = np.diff(arrays["variable_offsets"])
+    sizes = np.diff(arrays["entry_offsets"])
+    start = int((widths[:factor] * sizes[:factor]).sum())
+    width = int(widths[factor])
+    bits = arrays["bits"].copy()
+    bits[start + width : start + 2 * width] = bits[start : start + width]
+    return {**arrays, "bits": bits}
+
+
 _GENERATION = "gen_00000000"
-# (file under the catalog directory, how it is damaged, the typed error)
+# (file under the catalog directory, how it is damaged, the typed error, what
+# the error says or None); ``graphs.json`` is damaged in a format-2 copy, every
+# other file in a format-3 one
 _MALFORMED_FILES = {
-    "pmi_meta without features": ("pmi_meta.json", _without("features"), IndexError_),
+    "pmi_meta without features": ("pmi_meta.json", _without("features"), IndexError_, None),
     "pmi_meta with an unknown feature_config key": (
         "pmi_meta.json",
         lambda meta: {**meta, "feature_config": {**meta["feature_config"], "bogus": 1}},
         IndexError_,
+        None,
     ),
-    "pmi_meta that is a list": ("pmi_meta.json", lambda meta: [meta], IndexError_),
-    "catalog without external_ids": ("catalog.json", _without("external_ids"), CatalogError),
-    "catalog without build_root": ("catalog.json", _without("build_root"), CatalogError),
-    "catalog with an id a": ("catalog.json", _second_id("a"), CatalogError),
-    "catalog with a negative id": ("catalog.json", _second_id(-1), CatalogError),
-    "catalog with an id true": ("catalog.json", _second_id(True), CatalogError),
-    "catalog that is a list": ("catalog.json", lambda meta: [meta], CatalogError),
-    "CURRENT that is a list": (CURRENT_FILENAME, lambda current: [current], CatalogError),
-    "truncated graphs": ("graphs.json", None, GraphError),
+    "pmi_meta that is a list": ("pmi_meta.json", lambda meta: [meta], IndexError_, None),
+    "catalog without external_ids": ("catalog.json", _without("external_ids"), CatalogError, None),
+    "catalog without build_root": ("catalog.json", _without("build_root"), CatalogError, None),
+    "catalog with an id a": ("catalog.json", _second_id("a"), CatalogError, None),
+    "catalog with a negative id": ("catalog.json", _second_id(-1), CatalogError, None),
+    "catalog with an id true": ("catalog.json", _second_id(True), CatalogError, None),
+    "catalog that is a list": ("catalog.json", lambda meta: [meta], CatalogError, None),
+    "catalog with version 3.0": (
+        "catalog.json",
+        lambda meta: {**meta, "version": 3.0},
+        CatalogError,
+        "unsupported catalog snapshot version 3.0",
+    ),
+    "CURRENT that is a list": (CURRENT_FILENAME, lambda current: [current], CatalogError, None),
+    "truncated graphs": ("graphs.json", None, GraphError, "corrupt database"),
+    "truncated graphs.npz": ("graphs.npz", None, GraphError, "corrupt graph columns"),
+    "graphs.npz without values": (
+        "graphs.npz",
+        lambda arrays: {k: v for k, v in arrays.items() if k != "values"},
+        GraphError,
+        "corrupt graph columns",
+    ),
+    "vertex offsets past the vertex ids": (
+        "graphs.npz", _widen_last("vertex_offsets"), GraphError, "vertex_offsets do not grow"
+    ),
+    "entry offsets past the values": (
+        "graphs.npz", _widen_last("entry_offsets"), GraphError, "entry_offsets do not grow"
+    ),
+    "edge offsets that shrink": (
+        "graphs.npz", _set("edge_offsets", 1, -1), GraphError, "edge_offsets do not grow"
+    ),
+    "vertex id code out of range": (
+        "graphs.npz", _out_of_range("vertex_ids", "vertex_ids"), GraphError, "vertex_ids holds"
+    ),
+    "negative vertex id code": (
+        "graphs.npz", _set("vertex_ids", 0, -1), GraphError, "vertex_ids holds"
+    ),
+    "edge label code out of range": (
+        "graphs.npz", _out_of_range("edge_labels", "labels"), GraphError, "edge_labels holds"
+    ),
+    "negative edge end": ("graphs.npz", _set("edge_ends", (0, 0), -1), GraphError, "edge_ends"),
+    "factor edge out of range": (
+        "graphs.npz", _set("factor_edges", 0, 10**6), GraphError, "factor_edges holds"
+    ),
+    "negative factor edge": (
+        "graphs.npz", _set("factor_edges", 0, -1), GraphError, "factor_edges holds"
+    ),
+    "self loop": (
+        "graphs.npz",
+        lambda arrays: _set("edge_ends", (0, 1), arrays["edge_ends"][0, 0])(arrays),
+        GraphError,
+        "self loop",
+    ),
+    "assignment bit 2": ("graphs.npz", _set("bits", 0, 2), GraphError, "not 0 or 1"),
+    "table value 0": ("graphs.npz", _set("values", 0, 0.0), GraphError, "finite number > 0"),
+    "table value -1": ("graphs.npz", _set("values", 0, -1.0), GraphError, "finite number > 0"),
+    "table value nan": ("graphs.npz", _set("values", 0, np.nan), GraphError, "finite number"),
+    "factor with a repeated edge": (
+        "graphs.npz", _repeated_variable, GraphError, "names one edge twice"
+    ),
+    "uncovered skeleton edge": (
+        "graphs.npz", _uncovered_edge, GraphError, "has no probability factor"
+    ),
+    "duplicate vertex": (
+        "graphs.npz",
+        lambda arrays: _set("vertex_ids", 1, arrays["vertex_ids"][0])(arrays),
+        GraphError,
+        "one vertex twice",
+    ),
+    "repeated assignment": (
+        "graphs.npz", _repeated_assignment, GraphError, "repeated assignment"
+    ),
+    "symbol table that is not JSON": (
+        "graphs.npz",
+        lambda arrays: {**arrays, "symbols": np.frombuffer(b"{not json", dtype=np.uint8)},
+        GraphError,
+        "not JSON",
+    ),
 }
 
 
@@ -256,27 +401,44 @@ def snapshot_directory(tmp_path_factory):
     return directory
 
 
+@pytest.fixture(scope="module")
+def format_2_snapshot_directory(snapshot_directory, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("format_2") / "catalog"
+    shutil.copytree(snapshot_directory, directory)
+    write_as_format_2(directory)
+    return directory
+
+
 class TestMalformedSnapshotFiles:
     """Every file ``open`` reads refuses damage with the error type of its
     layer — never a raw ``KeyError`` / ``TypeError`` / ``ValueError`` /
-    ``AttributeError`` / ``JSONDecodeError`` — and snapshot ids get the same
-    check as live calls and WAL replay."""
+    ``IndexError`` / ``AttributeError`` / ``JSONDecodeError`` — and snapshot
+    ids get the same check as live calls and WAL replay."""
 
     @pytest.mark.parametrize("case", list(_MALFORMED_FILES))
-    def test_open_raises_the_typed_error(self, snapshot_directory, tmp_path, case):
-        name, change, error = _MALFORMED_FILES[case]
+    def test_open_raises_the_typed_error(
+        self, snapshot_directory, format_2_snapshot_directory, tmp_path, case
+    ):
+        name, change, error, match = _MALFORMED_FILES[case]
         directory = tmp_path / "catalog"
-        shutil.copytree(snapshot_directory, directory)
+        source = format_2_snapshot_directory if name == "graphs.json" else snapshot_directory
+        shutil.copytree(source, directory)
         path = directory / (name if name == CURRENT_FILENAME else f"{_GENERATION}/{name}")
         if change is None:
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif path.suffix == ".npz":
+            _rewrite_npz(path, change)
         else:
             _rewrite_json(path, change)
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             GraphCatalog.open(directory)
 
     def test_the_undamaged_copy_opens(self, snapshot_directory, tmp_path):
         shutil.copytree(snapshot_directory, tmp_path / "catalog")
+        GraphCatalog.open(tmp_path / "catalog").close()
+
+    def test_the_undamaged_format_2_copy_opens(self, format_2_snapshot_directory, tmp_path):
+        shutil.copytree(format_2_snapshot_directory, tmp_path / "catalog")
         GraphCatalog.open(tmp_path / "catalog").close()
 
     @pytest.mark.parametrize(

@@ -335,7 +335,9 @@ def test_a_freed_lane_takes_the_queue_up_to_the_mutation():
                 stats = await client.stats()
             assert backend.calls == [1, k, later]
             assert stats["batch"]["max_size"] == k
-            assert (stats["batch"]["count"], stats["counters"]["mutations"]) == (4, 1)
+            # the mutation counts under mutations, not as a batch of one
+            assert (stats["batch"]["count"], stats["counters"]["mutations"]) == (3, 1)
+            assert stats["batch"]["mean_size"] == round((1 + k + later) / 3, 6)
 
             def sequential(i):
                 return twin.query(
