@@ -1,9 +1,9 @@
 """Ablation (extra, not a paper figure): SMP estimator error versus sample count.
 
 The paper fixes the Monte-Carlo parameters (ξ, τ) and never reports how the
-Karp-Luby verification accuracy depends on the sample budget; DESIGN.md lists
-this as an ablation.  We compare the sampled SSP against the exact value on a
-small graph for increasing sample counts and confirm the error shrinks.
+Karp-Luby verification accuracy depends on the sample budget.  We compare the
+sampled SSP against the exact value on a small graph for increasing sample
+counts and confirm the error shrinks.
 
 The estimates come from the kernel's estimator called directly on the
 verifier's events: ``method="sampling"`` answers a support this narrow

@@ -191,7 +191,7 @@ class _FrozenQuery(LabeledGraph):
     def _refuse(self, *args, **kwargs) -> None:
         raise GraphError("a planned query is shared by every request of its shape; copy() it")
 
-    add_vertex = add_edge = remove_edge = remove_vertex = remove_isolated_vertices = _refuse
+    add_vertex = add_edge = remove_edge = remove_isolated_vertices = _refuse
 
 
 @dataclass(frozen=True)

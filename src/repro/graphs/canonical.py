@@ -22,7 +22,6 @@ from __future__ import annotations
 from itertools import groupby, permutations, product
 
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.exceptions import ConfigurationError
 
 MAX_EXACT_VERTICES = 8
 
@@ -91,20 +90,3 @@ def canonical_form(graph: LabeledGraph, max_exact_vertices: int = MAX_EXACT_VERT
             best = candidate
     assert best is not None
     return "exact:" + best
-
-
-def are_isomorphic_small(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Exact isomorphism test for small graphs via canonical forms.
-
-    Both graphs must fit the exact canonical-form regime; for larger graphs
-    with equal vertex and edge counts use
-    :func:`repro.isomorphism.generic_join.is_subgraph_isomorphic`.
-    """
-    if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
-        return False
-    if g1.num_vertices > MAX_EXACT_VERTICES or g2.num_vertices > MAX_EXACT_VERTICES:
-        raise ConfigurationError(
-            "are_isomorphic_small only supports small graphs; use the generic join's "
-            "is_subgraph_isomorphic instead"
-        )
-    return canonical_form(g1) == canonical_form(g2)

@@ -67,7 +67,11 @@ def labeled_graph_to_dict(graph: LabeledGraph) -> dict:
 
 
 def labeled_graph_from_dict(data: dict) -> LabeledGraph:
-    """Rebuild a labeled graph from :func:`labeled_graph_to_dict` output."""
+    """Rebuild a labeled graph from :func:`labeled_graph_to_dict` output.
+
+    A payload that names one vertex or one edge twice raises
+    :class:`GraphError`: the writer names each once, and ``add_vertex`` /
+    ``add_edge`` would let the last label win without a word."""
     if not isinstance(data, dict) or data.get("type") != "labeled_graph":
         kind = data.get("type") if isinstance(data, dict) else type(data).__name__
         raise GraphError(f"not a labeled graph payload: {kind!r}")
@@ -77,6 +81,11 @@ def labeled_graph_from_dict(data: dict) -> LabeledGraph:
         graph.add_vertex(_maybe_tuple(vertex), label)
     for u, v, label in data["edges"]:
         graph.add_edge(_maybe_tuple(u), _maybe_tuple(v), label)
+    # a repeated vertex or edge overwrote its first occurrence: fewer were added
+    if graph.num_vertices != len(data["vertices"]):
+        raise GraphError(f"a labeled graph payload names one vertex twice: {graph.name!r}")
+    if graph.num_edges != len(data["edges"]):
+        raise GraphError(f"a labeled graph payload names one edge twice: {graph.name!r}")
     return graph
 
 
@@ -105,7 +114,8 @@ def probabilistic_graph_to_dict(graph: ProbabilisticGraph) -> dict:
 
 
 def probabilistic_graph_from_dict(data: dict) -> ProbabilisticGraph:
-    """Rebuild a probabilistic graph from its dictionary form."""
+    """Rebuild a probabilistic graph from its dictionary form; a repeated
+    vertex, edge or table assignment raises :class:`GraphError`."""
     if not isinstance(data, dict) or data.get("type") != "probabilistic_graph":
         kind = data.get("type") if isinstance(data, dict) else type(data).__name__
         raise GraphError(f"not a probabilistic graph payload: {kind!r}")
@@ -115,6 +125,8 @@ def probabilistic_graph_from_dict(data: dict) -> ProbabilisticGraph:
     for entry in data["factors"]:
         edges = tuple(tuple(_maybe_tuple(v) for v in key) for key in entry["edges"])
         table = {tuple(int(v) for v in assignment): value for assignment, value in entry["table"]}
+        if len(table) != len(entry["table"]):
+            raise GraphError(f"a factor over {edges!r} has a repeated assignment")
         # Only rescale tables that are actually denormalized (hand-built
         # payloads).  Unconditional normalize=True divided every entry by a
         # total of 1.0±ulp on each load, so a graph drifted by 1 ulp per
@@ -163,25 +175,6 @@ def load_database(path: str | Path) -> list[ProbabilisticGraph]:
         return [probabilistic_graph_from_dict(entry) for entry in payload["graphs"]]
     except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise GraphError(f"malformed database payload at {str(path)!r}: {error!r}") from error
-
-
-def save_labeled_graphs(graphs: list[LabeledGraph], path: str | Path) -> None:
-    """Atomically write a list of labeled graphs (for example query workloads)."""
-    payload = {
-        "type": "labeled_graph_collection",
-        "version": FORMAT_VERSION,
-        "graphs": [labeled_graph_to_dict(g) for g in graphs],
-    }
-    atomic_write_text(path, json.dumps(payload))
-
-
-def load_labeled_graphs(path: str | Path) -> list[LabeledGraph]:
-    """Load a list of labeled graphs written by :func:`save_labeled_graphs`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("type") != "labeled_graph_collection":
-        raise GraphError(f"not a labeled graph collection payload: {payload.get('type')!r}")
-    _require_version(payload, "labeled graph collection")
-    return [labeled_graph_from_dict(entry) for entry in payload["graphs"]]
 
 
 # ----------------------------------------------------------------------

@@ -52,10 +52,6 @@ class Edge:
         """The canonical undirected key of this edge."""
         return edge_key(self.u, self.v)
 
-    def endpoints(self) -> frozenset:
-        """The endpoints as a frozenset (order independent)."""
-        return frozenset((self.u, self.v))
-
     def other(self, vertex: VertexId) -> VertexId:
         """The endpoint that is not ``vertex``."""
         if vertex == self.u:
@@ -165,16 +161,6 @@ class LabeledGraph:
         del self._adjacency[v][u]
         self._version += 1
 
-    def remove_vertex(self, vertex: VertexId) -> None:
-        """Remove ``vertex`` and every incident edge."""
-        if vertex not in self._vertex_labels:
-            raise VertexNotFoundError(vertex)
-        for neighbor in list(self._adjacency[vertex]):
-            self.remove_edge(vertex, neighbor)
-        del self._adjacency[vertex]
-        del self._vertex_labels[vertex]
-        self._version += 1
-
     def remove_isolated_vertices(self) -> list[VertexId]:
         """Remove all vertices with degree zero; return the removed ids."""
         isolated = [v for v in self._vertex_labels if not self._adjacency[v]]
@@ -266,10 +252,6 @@ class LabeledGraph:
         """Multiset of vertex labels (used by quick filters)."""
         return Counter(self._vertex_labels.values())
 
-    def edge_label_counts(self) -> Counter:
-        """Multiset of edge labels (used by quick filters)."""
-        return Counter(self._edge_labels.values())
-
     def edge_signature_counts(self) -> Counter:
         """Multiset of (sorted endpoint labels, edge label) signatures.
 
@@ -323,43 +305,6 @@ class LabeledGraph:
                     queue.append(neighbor)
         return len(seen) == self.num_vertices
 
-    def connected_components(self) -> list[set]:
-        """Vertex sets of the connected components.
-
-        Components are returned in vertex-insertion order (each anchored at
-        its first-inserted vertex), never in set-iteration order: with str
-        vertex ids the latter varies with ``PYTHONHASHSEED``, so two worker
-        processes could disagree on component order.
-        """
-        remaining = set(self._vertex_labels)
-        components: list[set] = []
-        for start in self._vertex_labels:  # dicts iterate in insertion order
-            if start not in remaining:
-                continue
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                current = queue.popleft()
-                for neighbor in self._adjacency[current]:
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        queue.append(neighbor)
-            components.append(seen)
-            remaining -= seen
-        return components
-
-    def triangles(self) -> list[tuple[VertexId, VertexId, VertexId]]:
-        """Enumerate all triangles as sorted vertex triples."""
-        found: set[tuple] = set()
-        for u in self._adjacency:
-            nbrs_u = self._adjacency[u]
-            for v in nbrs_u:
-                for w in self._adjacency[v]:
-                    if w != u and w in nbrs_u:
-                        triple = tuple(sorted((u, v, w), key=repr))
-                        found.add(triple)
-        return sorted(found, key=repr)
-
     def subgraph_by_edges(
         self, edge_keys: Iterable[tuple[VertexId, VertexId]], name: str | None = None
     ) -> "LabeledGraph":
@@ -377,19 +322,6 @@ class LabeledGraph:
                 if not sub.has_vertex(vertex):
                     sub.add_vertex(vertex, self._vertex_labels[vertex])
             sub.add_edge(key[0], key[1], self._edge_labels[key])
-        return sub
-
-    def subgraph_by_vertices(
-        self, vertex_ids: Iterable[VertexId], name: str | None = None
-    ) -> "LabeledGraph":
-        """Return the vertex-induced subgraph on ``vertex_ids``."""
-        keep = set(vertex_ids)
-        sub = LabeledGraph(name=name)
-        for vertex in keep:
-            sub.add_vertex(vertex, self.vertex_label(vertex))
-        for (u, v), label in self._edge_labels.items():
-            if u in keep and v in keep:
-                sub.add_edge(u, v, label)
         return sub
 
     def relabel_vertices(self, mapping: Mapping[VertexId, VertexId]) -> "LabeledGraph":

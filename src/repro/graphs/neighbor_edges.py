@@ -1,85 +1,24 @@
-"""Neighbor-edge-set detection (Definition 1 of the paper).
+"""Neighbor-edge sets (Definition 1 of the paper) as the factor scopes of a
+probabilistic graph.
 
 A *neighbor edge set* (``ne``) is a set of edges that are either all incident
 to the same vertex or form a triangle.  Probabilistic graphs attach one joint
 probability table per neighbor edge set; the paper's Figure 1 shows two such
 tables for graph 002 (a triangle set and a star set).
 
-Two entry points are provided:
-
-* :func:`neighbor_edge_sets` enumerates the "natural" neighbor edge sets of a
-  deterministic graph (one per vertex of degree >= 2, one per triangle).
-* :func:`partition_into_neighbor_sets` produces a *partition* of the edge set
-  into neighbor edge sets of bounded size.  The synthetic dataset generators
-  use the partition form so that the possible-world product measure is an
-  exact probability distribution (see DESIGN.md §4).
+:func:`partition_into_neighbor_sets` splits the edge set of a deterministic
+graph into star-shaped neighbor edge sets of bounded size.  The synthetic
+dataset generators use it, so every edge lies in exactly one factor and the
+possible-world product measure is a proper distribution.  The definition
+itself is the oracle :func:`repro.reference.is_neighbor_edge_set`.
 """
 
 from __future__ import annotations
 
-from repro.graphs.labeled_graph import LabeledGraph, VertexId, edge_key
+from repro.graphs.labeled_graph import LabeledGraph, VertexId
 from repro.exceptions import ConfigurationError
 
 EdgeKey = tuple[VertexId, VertexId]
-
-
-def star_edge_sets(graph: LabeledGraph, min_size: int = 2) -> list[frozenset]:
-    """Neighbor edge sets formed by edges sharing a vertex.
-
-    Returns one frozenset of edge keys per vertex whose degree is at least
-    ``min_size``.
-    """
-    sets: list[frozenset] = []
-    for vertex in graph.vertices():
-        incident = [edge.key() for edge in graph.incident_edges(vertex)]
-        if len(incident) >= min_size:
-            sets.append(frozenset(incident))
-    return sets
-
-
-def triangle_edge_sets(graph: LabeledGraph) -> list[frozenset]:
-    """Neighbor edge sets formed by the three edges of each triangle."""
-    sets: list[frozenset] = []
-    for u, v, w in graph.triangles():
-        sets.append(frozenset({edge_key(u, v), edge_key(v, w), edge_key(u, w)}))
-    return sets
-
-
-def neighbor_edge_sets(graph: LabeledGraph, min_star_size: int = 2) -> list[frozenset]:
-    """All neighbor edge sets of ``graph`` (stars plus triangles), deduplicated.
-
-    The result is sorted deterministically (by size then repr) so callers can
-    rely on a stable ordering.
-    """
-    found = set(star_edge_sets(graph, min_size=min_star_size))
-    found.update(triangle_edge_sets(graph))
-    return sorted(found, key=lambda s: (len(s), repr(sorted(s, key=repr))))
-
-
-def is_neighbor_edge_set(graph: LabeledGraph, edges: frozenset | set) -> bool:
-    """Check whether ``edges`` qualifies as a neighbor edge set of ``graph``.
-
-    Either all edges share a common vertex, or the edges are exactly the
-    three edges of a triangle.  Singleton sets qualify trivially (an isolated
-    uncertain edge), which is how the generators model low-degree regions.
-    """
-    keys = [edge_key(u, v) for u, v in edges]
-    if not keys:
-        return False
-    for u, v in keys:
-        if not graph.has_edge(u, v):
-            return False
-    if len(keys) == 1:
-        return True
-    common = set(keys[0])
-    for key in keys[1:]:
-        common &= set(key)
-    if common:
-        return True
-    vertices = set()
-    for key in keys:
-        vertices.update(key)
-    return len(keys) == 3 and len(vertices) == 3
 
 
 def partition_into_neighbor_sets(
@@ -125,10 +64,3 @@ def partition_into_neighbor_sets(
             assigned.add(key)
     return partition
 
-
-def covers_all_edges(graph: LabeledGraph, sets: list[frozenset]) -> bool:
-    """True when every edge of ``graph`` appears in at least one set."""
-    covered: set[EdgeKey] = set()
-    for edge_set in sets:
-        covered.update(edge_set)
-    return covered == set(graph.edge_keys())

@@ -11,8 +11,8 @@ The probability of a possible world is the product of the factor
 probabilities of the world's restriction to each factor (Equation 1).  When
 the factors partition the edge set this product is a proper distribution;
 when factors overlap (shared edges) the library normalizes in exact
-computations and uses chain-rule conditional sampling, as documented in
-DESIGN.md §4.
+computations and uses chain-rule conditional sampling, as ARCHITECTURE.md's
+"The batch verification kernel" describes.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ from repro.pmi.max_clique import maximum_weight_clique
 from repro.pmi.embedding_graph import build_embedding_graph, best_disjoint_embeddings
 from repro.pmi.cuts import (
     enumerate_embedding_cuts,
-    build_parallel_graph,
     best_disjoint_cuts,
 )
 from repro.pmi.bounds import SipBounds, compute_sip_bounds, BoundConfig
@@ -17,7 +16,6 @@ __all__ = [
     "build_embedding_graph",
     "best_disjoint_embeddings",
     "enumerate_embedding_cuts",
-    "build_parallel_graph",
     "best_disjoint_cuts",
     "SipBounds",
     "compute_sip_bounds",

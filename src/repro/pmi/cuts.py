@@ -1,4 +1,4 @@
-"""Embedding cuts and the parallel graph ``cG`` (Section 4.1.2, Figure 8).
+"""Embedding cuts and their compatibility graph (Section 4.1.2, Figure 8).
 
 An *embedding cut* of feature ``f`` in skeleton ``gc`` is a set of ``gc``
 edges whose removal destroys every embedding of ``f``; a cut is minimal when
@@ -7,10 +7,7 @@ with the minimal s-t edge cuts of a "parallel graph" ``cG`` in which each
 embedding becomes a parallel s→t path of its edges.  Cutting every parallel
 path means hitting at least one edge of every embedding, so minimal embedding
 cuts are exactly the *minimal hitting sets (transversals)* of the embeddings'
-edge sets — which is how we enumerate them.
-
-The explicit ``cG`` construction is also provided so tests can exercise the
-paper's transformation literally.
+edge sets — which is how we enumerate them, without building ``cG``.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import math
 from collections.abc import Sequence
 from itertools import combinations
 
-from repro.graphs.labeled_graph import LabeledGraph
 from repro.isomorphism.embeddings import Embedding
 from repro.pmi.max_clique import maximum_weight_clique
 from repro.exceptions import ConfigurationError
@@ -29,32 +25,6 @@ Cut = frozenset
 
 DEFAULT_MAX_CUTS = 64
 DEFAULT_MAX_CUT_SIZE = 4
-
-
-def build_parallel_graph(embeddings: Sequence[Embedding]) -> LabeledGraph:
-    """Materialize the parallel graph ``cG`` of Figure 8.
-
-    Each embedding with k edges becomes a line of k labeled edges between
-    fresh nodes, spliced between the shared terminals ``s`` and ``t`` through
-    unlabeled connector edges.  Edge labels carry the original edge keys so a
-    cut of ``cG`` can be mapped back to skeleton edges.
-    """
-    graph = LabeledGraph(name="parallel-graph")
-    graph.add_vertex("s", "terminal")
-    graph.add_vertex("t", "terminal")
-    for index, embedding in enumerate(embeddings):
-        ordered = sorted(embedding.edges, key=repr)
-        if not ordered:
-            continue
-        # k edges need k + 1 line nodes
-        line_nodes = [("line", index, position) for position in range(len(ordered) + 1)]
-        for node in line_nodes:
-            graph.add_vertex(node, "line-node")
-        for position, key in enumerate(ordered):
-            graph.add_edge(line_nodes[position], line_nodes[position + 1], key)
-        graph.add_edge("s", line_nodes[0], None)  # connector edges carry no label
-        graph.add_edge(line_nodes[-1], "t", None)
-    return graph
 
 
 def enumerate_embedding_cuts(
@@ -90,11 +60,6 @@ def enumerate_embedding_cuts(
     return cuts
 
 
-def cuts_are_disjoint(cut_a: Cut, cut_b: Cut) -> bool:
-    """Cuts are disjoint when they share no skeleton edge."""
-    return not (cut_a & cut_b)
-
-
 def build_cut_graph(
     cuts: Sequence[Cut], probabilities: Sequence[float]
 ) -> tuple[dict[int, set], dict[int, float]]:
@@ -109,7 +74,7 @@ def build_cut_graph(
     adjacency: dict[int, set] = {i: set() for i in range(len(cuts))}
     for i in range(len(cuts)):
         for j in range(i + 1, len(cuts)):
-            if cuts_are_disjoint(cuts[i], cuts[j]):
+            if not cuts[i] & cuts[j]:  # edge-disjoint
                 adjacency[i].add(j)
                 adjacency[j].add(i)
     clamp = 1e-12
@@ -136,11 +101,3 @@ def best_disjoint_cuts(
     clique, weight = maximum_weight_clique(adjacency, weights)
     upper_bound = math.exp(-weight)
     return clique, min(1.0, max(0.0, upper_bound))
-
-
-def upper_bound_from_probabilities(probabilities: Sequence[float]) -> float:
-    """``Π (1 - p_i)`` for an already-chosen disjoint cut set (Equation 20)."""
-    product = 1.0
-    for p in probabilities:
-        product *= 1.0 - min(1.0, max(0.0, p))
-    return product

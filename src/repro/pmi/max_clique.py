@@ -101,12 +101,3 @@ def _greedy_clique(adjacency: Mapping[Node, set], weights: Mapping[Node, float])
         if all(node in adjacency[member] for member in clique):
             clique.append(node)
     return clique
-
-
-def is_clique(adjacency: Mapping[Node, set], nodes: list[Node]) -> bool:
-    """Check that every pair in ``nodes`` is adjacent (used in tests)."""
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            if v not in adjacency[u]:
-                return False
-    return True

@@ -111,27 +111,12 @@ class JointProbabilityTable(Factor):
         jpt.table = table
         return jpt
 
-    @classmethod
-    def from_factor(cls, factor: Factor, normalize: bool = True) -> "JointProbabilityTable":
-        """Promote a factor to a JPT (optionally normalizing it)."""
-        return cls(factor.variables, dict(factor.table), normalize=normalize)
-
     # ------------------------------------------------------------------
     # convenience accessors
     # ------------------------------------------------------------------
     def edge_marginal(self, variable: Variable) -> float:
         """Marginal existence probability of one edge variable."""
         return self.marginal_probability(variable, 1)
-
-    def entropy(self) -> float:
-        """Shannon entropy in bits; useful for dataset diagnostics."""
-        import math
-
-        h = 0.0
-        for value in self.table.values():
-            if value > 0:
-                h -= value * math.log2(value)
-        return h
 
     def __repr__(self) -> str:
         return f"JointProbabilityTable(variables={self.variables!r}, entries={len(self.table)})"

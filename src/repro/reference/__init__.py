@@ -19,7 +19,10 @@
   and 8) and the scalar signature bound the structural index's postings are
   held equal to;
 * :mod:`repro.reference.set_cover` — the optimal weighted set cover the
-  greedy ``Usim`` cover is checked against.
+  greedy ``Usim`` cover is checked against;
+* :mod:`repro.reference.neighbor_edges` — Definition 1's
+  :func:`is_neighbor_edge_set`, which every set of the neighbor-edge
+  partition must satisfy.
 
 No production module imports this package (a test walks ``src/repro`` to
 hold that).
@@ -42,6 +45,7 @@ from repro.reference.sampling import (
     estimate_union_probability,
     replay_union_probability,
 )
+from repro.reference.neighbor_edges import is_neighbor_edge_set
 from repro.reference.set_cover import exhaustive_weighted_set_cover
 from repro.reference.vf2 import VF2Matcher, vf2_embeddings, vf2_exists
 from repro.reference.worlds import (
@@ -66,6 +70,7 @@ __all__ = [
     "exact_sip",
     "exhaustive_weighted_set_cover",
     "factor_probability",
+    "is_neighbor_edge_set",
     "is_subgraph_similar",
     "mask_events",
     "maximum_common_subgraph_size",

@@ -118,13 +118,3 @@ def numpy_generator(rng: RandomLike = None) -> np.random.Generator:
     strategy.
     """
     return np.random.Generator(np.random.PCG64(ensure_rng(rng).getrandbits(64)))
-
-
-def spawn_rng(rng: random.Random, salt: int = 0) -> random.Random:
-    """Derive an independent child generator from ``rng``.
-
-    Used when a long-running task wants to hand reproducible, independent
-    streams to sub-tasks without sharing one generator across them.
-    """
-    seed = rng.getrandbits(64) ^ (salt * 0x9E3779B97F4A7C15 & (2**64 - 1))
-    return random.Random(seed)

@@ -1,10 +1,12 @@
 """Regression tests for the hash-seed hazards the contract linter surfaced.
 
-DET003 flagged real bugs: component ordering in ``connected_components`` and
-extension ordering in feature mining depended on set iteration order, which
-for str vertex ids varies with ``PYTHONHASHSEED`` across worker processes.
-These tests run the fixed code under several adversarial hash seeds in
-subprocesses and require byte-identical results.
+DET003 flagged real bugs: component ordering in a since-deleted
+``connected_components`` and extension ordering in feature mining depended
+on set iteration order, which for str vertex ids varies with
+``PYTHONHASHSEED`` across processes.  These tests run code that orders str
+vertex ids — the neighbor-edge partition, query relaxation, feature mining —
+under several adversarial hash seeds in subprocesses and require
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -16,17 +18,21 @@ from pathlib import Path
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
-COMPONENTS_PROBE = """
+STR_IDS_PROBE = """
+from repro.core.relaxation import relax_query
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.neighbor_edges import partition_into_neighbor_sets
 
 graph = LabeledGraph()
-# three components with string ids, inserted in a fixed order
-for name in ["zeta", "alpha", "mu", "beta", "omega", "kappa"]:
+# a triangle with a tail and a separate star, string ids in a fixed order
+for name in ["zeta", "alpha", "mu", "beta", "omega", "kappa", "nu"]:
     graph.add_vertex(name, "L")
-graph.add_edge("zeta", "mu", "e")
-graph.add_edge("alpha", "omega", "e")
-components = graph.connected_components()
-print([sorted(component) for component in components])
+for u, v in [("zeta", "mu"), ("mu", "alpha"), ("alpha", "zeta"), ("alpha", "beta"),
+             ("omega", "kappa"), ("omega", "nu")]:
+    graph.add_edge(u, v, "e")
+print([sorted(group) for group in partition_into_neighbor_sets(graph, max_size=2)])
+relaxed = relax_query(graph, 2)
+print([list(relaxed[k].edge_keys()) for k in range(len(relaxed))])
 """
 
 MINING_PROBE = """
@@ -57,11 +63,11 @@ def run_probe(code: str, hash_seed: str) -> str:
     return result.stdout
 
 
-def test_connected_components_order_is_hash_seed_independent():
-    outputs = {run_probe(COMPONENTS_PROBE, seed) for seed in ("0", "1", "4242")}
+def test_str_id_orders_are_hash_seed_independent():
+    outputs = {run_probe(STR_IDS_PROBE, seed) for seed in ("0", "1", "4242")}
     assert len(outputs) == 1
-    # insertion order anchors the components, so zeta's component leads
-    assert next(iter(outputs)).startswith("[['mu', 'zeta']")
+    # the degree-3 vertices claim their stars first, ties broken by repr
+    assert next(iter(outputs)).startswith("[[('alpha', 'beta'), ('alpha', 'mu')], ")
 
 
 def test_mined_features_are_hash_seed_independent():

@@ -5,13 +5,10 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-import pytest
-
 from repro.graphs import LabeledGraph
 from repro.graphs.canonical import (
     _ordering_string,
     _refined_colors,
-    are_isomorphic_small,
     canonical_form,
     refinement_certificate,
 )
@@ -67,21 +64,6 @@ class TestCanonicalForm:
         mapping = {i: f"v{i}" for i in range(10)}
         g2 = g1.relabel_vertices(mapping)
         assert refinement_certificate(g1) == refinement_certificate(g2)
-
-
-class TestIsomorphismSmall:
-    def test_isomorphic(self):
-        g1 = path(["a", "b", "a"])
-        g2 = path(["a", "b", "a"]).relabel_vertices({0: 10, 1: 11, 2: 12})
-        assert are_isomorphic_small(g1, g2)
-
-    def test_non_isomorphic_sizes(self):
-        assert not are_isomorphic_small(path(["a", "b"]), path(["a", "b", "c"]))
-
-    def test_large_graphs_rejected(self):
-        big = path(list("abcdefghij"))
-        with pytest.raises(ValueError):
-            are_isomorphic_small(big, big.copy())
 
 
 def all_permutations_canonical_form(graph: LabeledGraph) -> str:

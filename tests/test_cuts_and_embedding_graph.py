@@ -1,4 +1,4 @@
-"""Tests for embedding cuts, the parallel graph cG, and the embedding graph fG."""
+"""Tests for embedding cuts, the cut graph and the embedding graph fG."""
 
 from __future__ import annotations
 
@@ -12,10 +12,7 @@ from repro.isomorphism.embeddings import Embedding
 from repro.pmi.cuts import (
     best_disjoint_cuts,
     build_cut_graph,
-    build_parallel_graph,
-    cuts_are_disjoint,
     enumerate_embedding_cuts,
-    upper_bound_from_probabilities,
 )
 from repro.pmi.embedding_graph import (
     best_disjoint_embeddings,
@@ -74,28 +71,6 @@ class TestEmbeddingCuts:
         assert frozenset({e2, e3}) in cuts
         assert frozenset({e1, e3}) in cuts
 
-    def test_disjointness_predicate(self):
-        assert cuts_are_disjoint(frozenset({(1, 2)}), frozenset({(3, 4)}))
-        assert not cuts_are_disjoint(frozenset({(1, 2)}), frozenset({(1, 2), (3, 4)}))
-
-
-class TestParallelGraph:
-    def test_structure_of_cg(self):
-        embeddings = [embedding((1, 2), (2, 3)), embedding((3, 4))]
-        cg = build_parallel_graph(embeddings)
-        assert cg.has_vertex("s") and cg.has_vertex("t")
-        # line for embedding 0 has 3 nodes and 2 labeled edges; embedding 1 has 2 nodes/1 edge
-        labeled_edges = [e for e in cg.edges() if e.label is not None]
-        assert len(labeled_edges) == 3
-        connector_edges = [e for e in cg.edges() if e.label is None]
-        assert len(connector_edges) == 4  # one s-connector and one t-connector per embedding
-
-    def test_labels_carry_original_edge_keys(self):
-        embeddings = [embedding((1, 2), (2, 3))]
-        cg = build_parallel_graph(embeddings)
-        labels = {e.label for e in cg.edges() if e.label is not None}
-        assert labels == {(1, 2), (2, 3)}
-
 
 class TestEmbeddingGraph:
     def test_weights_are_negative_log_survival(self):
@@ -135,10 +110,6 @@ class TestCutGraph:
         chosen, upper = best_disjoint_cuts([cut_a, cut_b], [0.3, 0.4])
         assert set(chosen) == {0, 1}
         assert upper == pytest.approx(0.7 * 0.6)
-
-    def test_upper_bound_from_probabilities(self):
-        assert upper_bound_from_probabilities([0.3, 0.4]) == pytest.approx(0.42)
-        assert upper_bound_from_probabilities([]) == 1.0
 
     def test_no_cuts_means_no_pruning_power(self):
         chosen, upper = best_disjoint_cuts([], [])

@@ -19,6 +19,7 @@ from repro.core.catalog import CURRENT_FILENAME
 from repro.core.wal import WriteAheadLog, wal_filename
 from repro.datasets import extract_query
 from repro.exceptions import CatalogError, ConfigurationError, GraphError, IndexError_, WalError
+from repro.graphs.io import probabilistic_graph_to_dict
 from repro.pmi import ProbabilisticMatrixIndex
 from repro.reference import WorldSampler
 from repro.structural.feature_index import StructuralFeatureIndex
@@ -230,6 +231,33 @@ def _second_id(value):
     return change
 
 
+# where a graph payload names an element twice: (the list that repeats its
+# first entry, what the refusal says)
+_REPEATS = {
+    "vertex": (("skeleton", "vertices"), "names one vertex twice"),
+    "edge": (("skeleton", "edges"), "names one edge twice"),
+    "assignment": (("factors", 0, "table"), "repeated assignment"),
+}
+
+
+def repeat_first(graph_payload: dict, element: str) -> dict:
+    """``graph_payload`` (a probabilistic graph's dict form) with the first
+    entry of its ``element`` list named a second time, in place."""
+    entries = graph_payload
+    for key in _REPEATS[element][0]:
+        entries = entries[key]
+    entries.append(entries[0])
+    return graph_payload
+
+
+def _repeat_in_first_graph(element):
+    def change(document):
+        repeat_first(document["graphs"][0], element)
+        return document
+
+    return change
+
+
 def _rewrite_npz(path, change) -> None:
     """Replace the arrays of the ``.npz`` at ``path`` with ``change(arrays)``."""
     with np.load(path) as archive:
@@ -327,6 +355,12 @@ _MALFORMED_FILES = {
     ),
     "CURRENT that is a list": (CURRENT_FILENAME, lambda current: [current], CatalogError, None),
     "truncated graphs": ("graphs.json", None, GraphError, "corrupt database"),
+    **{
+        f"graphs.json naming one {element} twice": (
+            "graphs.json", _repeat_in_first_graph(element), GraphError, _REPEATS[element][1]
+        )
+        for element in _REPEATS
+    },
     "truncated graphs.npz": ("graphs.npz", None, GraphError, "corrupt graph columns"),
     "graphs.npz without values": (
         "graphs.npz",
@@ -461,6 +495,22 @@ class TestMalformedSnapshotFiles:
         wal.append(dict(record))
         wal.close()
         with pytest.raises(error, match=match):
+            GraphCatalog.open(directory)
+
+    @pytest.mark.parametrize("element", list(_REPEATS))
+    def test_replay_refuses_a_graph_naming_an_element_twice(
+        self, snapshot_directory, tmp_path, element
+    ):
+        """A repeated vertex, edge or table row is refused, not read as its
+        last occurrence, as in a graphs.npz."""
+        directory = tmp_path / "catalog"
+        shutil.copytree(snapshot_directory, directory)
+        graph = random_database(SEED + 1, num_graphs=1).graphs[0]
+        payload = repeat_first(probabilistic_graph_to_dict(graph), element)
+        wal, _ = WriteAheadLog.open(directory / wal_filename(0), generation=0)
+        wal.append({"op": "add", "external_id": 50, "graph": payload})
+        wal.close()
+        with pytest.raises(GraphError, match=_REPEATS[element][1]):
             GraphCatalog.open(directory)
 
 

@@ -60,11 +60,13 @@ def pattern_target_pairs(draw):
     """
     target = draw(small_labeled_graphs(min_vertices=3))
     vertices = list(target.vertices())
-    subset = [v for v in vertices if draw(st.booleans())] or vertices[:2]
-    pattern = target.subgraph_by_vertices(subset)
-    pattern.remove_isolated_vertices()
+    keep = {v for v in vertices if draw(st.booleans())}
+    # the subset's edges, which leaves out the subset's isolated vertices
+    pattern = target.subgraph_by_edges(
+        [(u, v) for u, v in target.edge_keys() if u in keep and v in keep]
+    )
     if pattern.num_edges == 0:
-        pattern = target.subgraph_by_vertices(vertices[:2])
+        pattern = target.subgraph_by_edges([(vertices[0], vertices[1])])
     return pattern, target
 
 

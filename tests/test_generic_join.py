@@ -206,7 +206,7 @@ class TestCompiledStructureCaching:
         graph.add_vertex(3, "d")
         graph.add_edge(2, 3, "y")
         graph.remove_edge(2, 3)
-        graph.remove_vertex(3)
+        graph.remove_isolated_vertices()  # drops vertex 3
         assert graph.mutation_version == version + 4
         # no isolated vertices: a no-op sweep must not invalidate caches
         table = compile_edge_table(graph)

@@ -1,4 +1,4 @@
-"""Tests for graph serialization and the generic random generators."""
+"""Tests for graph serialization."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ import json
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graphs import (
-    LabeledGraph,
-    attach_independent_probabilities,
-    io,
-    random_connected_labeled_graph,
-    random_labeled_graph,
-)
+from repro.graphs import LabeledGraph, io
 from repro.reference import enumerate_possible_worlds
 
 
@@ -31,15 +25,14 @@ class TestLabeledGraphIO:
         with pytest.raises(GraphError):
             io.labeled_graph_from_dict({"type": "something-else"})
 
-    def test_collection_round_trip(self, tmp_path):
-        graphs = [
-            LabeledGraph.from_edges({1: "a", 2: "b"}, [(1, 2, "x")], name=f"g{i}")
-            for i in range(3)
-        ]
-        path = tmp_path / "queries.json"
-        io.save_labeled_graphs(graphs, path)
-        loaded = io.load_labeled_graphs(path)
-        assert loaded == graphs
+    @pytest.mark.parametrize("key, entry", [("vertices", [1, "z"]), ("edges", [2, 1, "z"])])
+    def test_an_element_named_twice_is_refused(self, key, entry):
+        """Not read as its last occurrence: (2, 1) is the edge (1, 2) again."""
+        graph = LabeledGraph.from_edges({1: "a", 2: "b"}, [(1, 2, "x")])
+        payload = io.labeled_graph_to_dict(graph)
+        payload[key].append(entry)
+        with pytest.raises(GraphError, match="twice"):
+            io.labeled_graph_from_dict(payload)
 
 
 class TestProbabilisticGraphIO:
@@ -112,16 +105,6 @@ class TestFormatVersioning:
         with pytest.raises(GraphError, match="unsupported .* format version"):
             io.load_database(path)
 
-    def test_load_labeled_graphs_rejects_unknown_version(self, tmp_path):
-        graph = LabeledGraph.from_edges({1: "a", 2: "b"}, [(1, 2, "x")], name="g")
-        path = tmp_path / "queries.json"
-        io.save_labeled_graphs([graph], path)
-        payload = json.loads(path.read_text())
-        payload["version"] = io.FORMAT_VERSION + 1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(GraphError, match="unsupported .* format version"):
-            io.load_labeled_graphs(path)
-
     def test_nested_graph_dict_rejects_inconsistent_version(self, triangle_graph_001):
         payload = io.probabilistic_graph_to_dict(triangle_graph_001)
         payload["version"] = io.FORMAT_VERSION + 1
@@ -134,38 +117,3 @@ class TestFormatVersioning:
         del payload["version"]
         rebuilt = io.probabilistic_graph_from_dict(payload)
         assert rebuilt.skeleton == triangle_graph_001.skeleton
-
-
-class TestRandomGenerators:
-    def test_random_labeled_graph_shape(self, rng):
-        graph = random_labeled_graph(10, 15, rng=rng)
-        assert graph.num_vertices == 10
-        assert graph.num_edges == 15
-
-    def test_random_labeled_graph_clamps_edges(self, rng):
-        graph = random_labeled_graph(4, 100, rng=rng)
-        assert graph.num_edges == 6  # complete graph on 4 vertices
-
-    def test_connected_generator_is_connected(self, rng):
-        for _ in range(5):
-            graph = random_connected_labeled_graph(12, 15, rng=rng)
-            assert graph.is_connected()
-            assert graph.num_vertices == 12
-            assert graph.num_edges >= 11
-
-    def test_connected_generator_single_vertex(self, rng):
-        graph = random_connected_labeled_graph(1, 0, rng=rng)
-        assert graph.num_vertices == 1
-        assert graph.num_edges == 0
-
-    def test_connected_generator_rejects_zero_vertices(self, rng):
-        with pytest.raises(ValueError):
-            random_connected_labeled_graph(0, 0, rng=rng)
-
-    def test_attach_probabilities(self, rng):
-        skeleton = random_connected_labeled_graph(10, 14, rng=rng)
-        graph = attach_independent_probabilities(skeleton, mean_probability=0.5, rng=rng)
-        assert graph.num_edges == skeleton.num_edges
-        assert 0.05 <= graph.average_edge_probability() <= 0.95
-        for factor in graph.factors:
-            assert factor.jpt.is_normalized()

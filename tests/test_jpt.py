@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ProbabilityError
-from repro.probability import Factor, JointProbabilityTable
+from repro.probability import JointProbabilityTable
 
 
 class TestValidation:
@@ -20,11 +20,6 @@ class TestValidation:
     def test_zero_mass_rejected(self):
         with pytest.raises(ProbabilityError):
             JointProbabilityTable(("x",), {(0,): 0.0}, normalize=True)
-
-    def test_from_factor(self):
-        factor = Factor(("x",), {(0,): 2.0, (1,): 2.0})
-        jpt = JointProbabilityTable.from_factor(factor)
-        assert jpt.is_normalized()
 
 
 class TestIndependentConstruction:
@@ -72,11 +67,3 @@ class TestMaxDominanceConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ProbabilityError):
             JointProbabilityTable.from_max_dominance({})
-
-
-class TestEntropy:
-    def test_entropy_bounds(self):
-        uniform = JointProbabilityTable.from_independent_marginals({"a": 0.5, "b": 0.5})
-        skewed = JointProbabilityTable.from_independent_marginals({"a": 0.99, "b": 0.99})
-        assert uniform.entropy() == pytest.approx(2.0)
-        assert skewed.entropy() < uniform.entropy()

@@ -6,7 +6,12 @@ import random
 
 import pytest
 
-from repro.pmi.max_clique import is_clique, maximum_weight_clique
+from repro.pmi.max_clique import maximum_weight_clique
+
+
+def is_clique(adjacency, nodes) -> bool:
+    """Every pair in ``nodes`` is adjacent."""
+    return all(v in adjacency[u] for i, u in enumerate(nodes) for v in nodes[i + 1 :])
 
 
 def make_adjacency(edges, nodes):

@@ -199,11 +199,11 @@ class TestBoundProperties:
     @SETTINGS
     @given(st.lists(probabilities, min_size=1, max_size=6))
     def test_upper_bound_formula_antitone_in_probabilities(self, values):
-        from repro.pmi.cuts import upper_bound_from_probabilities
+        from repro.pmi.cuts import best_disjoint_cuts
 
-        bound = upper_bound_from_probabilities(values)
+        # pairwise disjoint cuts: Equation 20's product over all of them
+        cuts = [frozenset({(i, i + 1)}) for i in range(len(values))]
+        _, bound = best_disjoint_cuts(cuts, values)
         assert 0.0 <= bound <= 1.0
         assert bound <= 1.0 - max(values) + 1e-12
-        assert math.isclose(
-            upper_bound_from_probabilities([]), 1.0
-        )
+        assert math.isclose(best_disjoint_cuts([], [])[1], 1.0)

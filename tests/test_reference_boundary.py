@@ -93,7 +93,7 @@ def test_the_frozenset_event_oracle_is_defined_only_in_the_reference_package():
 
 
 # the definitions themselves: possible worlds, subgraph distance, exact SIP,
-# the optimal cover — by the module that now holds each
+# the optimal cover, the neighbor edge set — by the module that now holds each
 DEFINITION_ORACLES = {
     "reference/worlds.py": {
         "factor_probability",
@@ -112,6 +112,7 @@ DEFINITION_ORACLES = {
         "maximum_common_subgraph_size",
     },
     "reference/set_cover.py": {"exhaustive_weighted_set_cover"},
+    "reference/neighbor_edges.py": {"is_neighbor_edge_set"},
 }
 
 

@@ -32,7 +32,7 @@ from test_catalog_parity import rebuild_from_scratch
 from repro.core import GraphCatalog, QueryResult, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.exceptions import ConfigurationError, ServiceError
-from repro.graphs.io import labeled_graph_to_dict
+from repro.graphs.io import labeled_graph_to_dict, probabilistic_graph_to_dict
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig
 from repro.service.protocol import (
@@ -365,6 +365,39 @@ def test_bool_external_id_is_a_bad_request():
                     await client.add_graph(database.graphs[1], external_id=True)
                 assert excinfo.value.code == BAD_REQUEST
                 assert catalog.live_external_ids() == [0, 2, 3, 4, 5]
+        finally:
+            catalog.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_graph_payload_naming_an_element_twice_is_a_bad_request():
+    """A query naming a vertex twice, or an added or updated graph naming an
+    edge or a table row twice, gets a ``bad_request`` frame; before, the last
+    occurrence won and the request ran on a graph the client never sent."""
+
+    async def scenario():
+        database, catalog = build_catalog(seed=7014)
+        query = labeled_graph_to_dict(extract_query(database.graphs[0].skeleton, 3, rng=1))
+        query["vertices"].append([query["vertices"][0][0], "another label"])
+        edge_twice = probabilistic_graph_to_dict(database.graphs[1])
+        edge_twice["skeleton"]["edges"].append(edge_twice["skeleton"]["edges"][0])
+        row_twice = probabilistic_graph_to_dict(database.graphs[1])
+        row_twice["factors"][0]["table"].append(row_twice["factors"][0]["table"][0])
+        frames = [
+            {"op": "query", "query": query, "probability_threshold": 0.3,
+             "distance_threshold": 1},
+            {"op": "add_graph", "graph": edge_twice},
+            {"op": "update_graph", "external_id": 1, "graph": row_twice},
+        ]
+        try:
+            async with QueryService(catalog, ServiceConfig(search_config=SEARCH_CONFIG)) as service:
+                for frame in frames:
+                    error = (await service.submit(frame))["error"]
+                    assert error["code"] == BAD_REQUEST, frame["op"]
+                    assert "twice" in error["message"] or "repeated" in error["message"]
+            assert catalog.live_external_ids() == list(range(6))
+            assert catalog.mutation_generation == 0
         finally:
             catalog.close()
 

@@ -25,7 +25,6 @@ from repro.pmi.bounds import (
     _witness_event_probabilities,
     draw_worlds,
 )
-from repro.pmi.cuts import cuts_are_disjoint
 from repro.probability.world_batch import WorldBatch
 from repro.reference import enumerate_possible_worlds, exact_sip
 
@@ -50,7 +49,7 @@ def oracle_conditional_probabilities(weighted_worlds, embeddings, cuts):
         embedding_probs.append(joint / conditioning if conditioning > 0 else 0.0)
 
     overlapping_cuts = [
-        [j for j, other in enumerate(cuts) if j != i and not cuts_are_disjoint(cut, other)]
+        [j for j, other in enumerate(cuts) if j != i and cut & other]
         for i, cut in enumerate(cuts)
     ]
     cut_probs = []

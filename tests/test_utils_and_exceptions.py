@@ -9,7 +9,6 @@ import pytest
 
 from repro import exceptions
 from repro.utils import Timer, ensure_rng
-from repro.utils.rng import spawn_rng
 
 
 class TestEnsureRng:
@@ -30,12 +29,6 @@ class TestEnsureRng:
     def test_other_types_rejected(self):
         with pytest.raises(TypeError):
             ensure_rng("seed")
-
-    def test_spawn_rng_streams_are_independent(self):
-        parent = random.Random(3)
-        child_a = spawn_rng(parent, salt=1)
-        child_b = spawn_rng(parent, salt=2)
-        assert child_a.random() != child_b.random()
 
 
 class TestTimer:
