@@ -93,7 +93,7 @@ import numpy as np
 from repro.core.planner import PlanCache, QueryPlanner
 from repro.core.results import QueryResult
 from repro.core.wal import WriteAheadLog, wal_filename
-from repro.exceptions import CatalogError, ConfigurationError, QueryError, WalError
+from repro.exceptions import CatalogError, ConfigurationError, GraphError, QueryError, WalError
 from repro.graphs.io import (
     load_database,
     load_graph_columns,
@@ -666,11 +666,16 @@ class GraphCatalog:
                 )
         if op == "remove":
             self.remove_graph(record["external_id"])
-        elif op == "add":
+            return
+        try:
             graph = probabilistic_graph_from_dict(record["graph"])
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise GraphError(
+                f"malformed graph in WAL {op!r} record (lsn {record.get('lsn')}): {error!r}"
+            ) from error
+        if op == "add":
             self.add_graph(graph, external_id=record["external_id"])
         else:
-            graph = probabilistic_graph_from_dict(record["graph"])
             self.update_graph(record["external_id"], graph)
 
     def _roll_generation(self) -> None:

@@ -50,6 +50,25 @@ class TestCanonicalForm:
         three_path = path(["a", "a", "a"])
         assert canonical_form(triangle) != canonical_form(three_path)
 
+    def test_different_sizes_change_canonical_form(self):
+        assert canonical_form(path(["a", "b"])) != canonical_form(path(["a", "b", "c"]))
+
+    def test_random_vertex_permutations_keep_canonical_form(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            graph = random_small_graph(rng)
+            vertices = list(graph.vertices())
+            shuffled = vertices[:]
+            rng.shuffle(shuffled)
+            renamed = graph.relabel_vertices(dict(zip(vertices, shuffled, strict=True)))
+            assert canonical_form(renamed) == canonical_form(graph)
+
+    def test_large_isomorphic_graphs_share_canonical_form(self):
+        """Past the exact search's size the refinement fallback still
+        identifies a reversed path with the path."""
+        labels = list("abcdefghij")
+        assert canonical_form(path(labels)) == canonical_form(path(labels[::-1]))
+
     def test_empty_graph(self):
         assert canonical_form(LabeledGraph()) == "empty"
 

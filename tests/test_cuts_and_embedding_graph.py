@@ -123,6 +123,17 @@ class TestCutGraph:
         assert 1 not in adjacency[0]
         assert len(weights) == 2
 
+    def test_cut_graph_links_exactly_the_disjoint_pairs(self):
+        cuts = [
+            frozenset({(1, 2)}),
+            frozenset({(3, 4)}),
+            frozenset({(1, 2), (5, 6)}),
+            frozenset({(5, 6)}),
+        ]
+        adjacency, _ = build_cut_graph(cuts, [0.5] * len(cuts))
+        for i, cut in enumerate(cuts):
+            assert adjacency[i] == {j for j, other in enumerate(cuts) if not cut & other}
+
     def test_tighter_bound_with_more_disjoint_cuts(self):
         one_cut = best_disjoint_cuts([frozenset({(1, 2)})], [0.5])[1]
         two_cuts = best_disjoint_cuts(

@@ -332,6 +332,8 @@ _GENERATION = "gen_00000000"
 # (file under the catalog directory, how it is damaged, the typed error, what
 # the error says or None); ``graphs.json`` is damaged in a format-2 copy, every
 # other file in a format-3 one
+_EMPTY_SKELETON = {"type": "labeled_graph", "vertices": [], "edges": []}
+
 _MALFORMED_FILES = {
     "pmi_meta without features": ("pmi_meta.json", _without("features"), IndexError_, None),
     "pmi_meta with an unknown feature_config key": (
@@ -482,6 +484,25 @@ class TestMalformedSnapshotFiles:
             ({"op": "update", "external_id": 1}, WalError, r"'update' .* has no 'graph'"),
             ({"op": "add", "external_id": 50, "graph": "x"}, GraphError, "payload: 'str'"),
             ({"op": "remove"}, WalError, r"'remove' .* has no 'external_id'"),
+            *(
+                (
+                    {"op": "add", "external_id": 50, "graph": graph},
+                    GraphError,
+                    rf"malformed graph in WAL 'add' record \(lsn 1\): KeyError\('{field}'\)",
+                )
+                for graph, field in (
+                    ({"type": "probabilistic_graph"}, "skeleton"),
+                    ({"type": "probabilistic_graph", "skeleton": _EMPTY_SKELETON}, "factors"),
+                    (
+                        {
+                            "type": "probabilistic_graph",
+                            "skeleton": _EMPTY_SKELETON,
+                            "factors": [{"edges": []}],
+                        },
+                        "table",
+                    ),
+                )
+            ),
         ],
     )
     def test_replay_raises_the_typed_error(

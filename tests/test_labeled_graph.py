@@ -89,6 +89,15 @@ class TestRemoval:
         with pytest.raises(EdgeNotFoundError):
             graph.remove_edge(1, 2)
 
+    def test_removing_a_vertex_edges_isolates_and_drops_it(self):
+        graph = LabeledGraph.from_edges(
+            {1: "a", 2: "b", 3: "c"}, [(1, 2, "x"), (2, 3, "y")]
+        )
+        for edge in graph.incident_edges(2):
+            graph.remove_edge(*edge.key())
+        assert graph.remove_isolated_vertices() == [1, 2, 3]
+        assert graph.num_vertices == graph.num_edges == 0
+
     def test_remove_isolated_vertices(self):
         graph = LabeledGraph.from_edges({1: "a", 2: "b", 3: "c"}, [(1, 2, "x")])
         removed = graph.remove_isolated_vertices()

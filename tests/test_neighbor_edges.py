@@ -40,6 +40,15 @@ class TestDetection:
     def test_singleton_counts_as_neighbor_set(self, paper_002_skeleton):
         assert is_neighbor_edge_set(paper_002_skeleton, {(1, 2)})
 
+    def test_every_vertex_star_is_a_neighbor_set(self, paper_002_skeleton):
+        for vertex in paper_002_skeleton.vertices():
+            star = {edge.key() for edge in paper_002_skeleton.incident_edges(vertex)}
+            assert is_neighbor_edge_set(paper_002_skeleton, star), vertex
+
+    def test_a_path_of_three_edges_is_not_a_neighbor_set(self, paper_002_skeleton):
+        """Neither a star nor a triangle: no shared vertex, four endpoints."""
+        assert not is_neighbor_edge_set(paper_002_skeleton, {(1, 2), (2, 3), (3, 4)})
+
 
 class TestPartition:
     def test_partition_covers_every_edge_exactly_once(self, paper_002_skeleton):

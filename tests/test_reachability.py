@@ -33,6 +33,8 @@ import tempfile
 import threading
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "repro"
 NOT_PRODUCTION = ("reference", "analysis")
@@ -217,6 +219,77 @@ def test_the_check_reports_each_kind_of_problem():
     assert reachability_problems(defined, {"m.C.h", "m.C.i", "m.g"}, {"m.g": "x"}) == [
         "never entered and not allowlisted: m.f",
         "allowlisted but entered: m.g (m.g)",
+    ]
+
+
+OWNERS = (
+    "item ",
+    "oracle",
+    "example",
+    "benchmark",
+    "option",
+    "input-gated",
+    "error path",
+    "protocol",
+    "public API",
+)
+
+
+def test_every_allowlist_reason_starts_with_its_owner():
+    """The header's owners are the only ones: an entry no open item, oracle
+    or public caller claims has no reason to stay."""
+    unowned = [
+        name for name, reason in read_allowlist().items() if not reason.startswith(OWNERS)
+    ]
+    assert not unowned, unowned
+
+
+def test_the_allowlist_reader_refuses_a_bare_name_and_a_repeat(tmp_path):
+    listing = tmp_path / "allowlist.txt"
+    listing.write_text("# a comment\n\nm.f oracle: kept\nm.g\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match="allowlist.txt:4: m.g gives no reason"):
+        read_allowlist(listing)
+    listing.write_text("m.f oracle: kept\nm.f example: again\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match="allowlist.txt:2: m.f is listed twice"):
+        read_allowlist(listing)
+    listing.write_text("# a comment\n\nm.f oracle: kept, for now\n", encoding="utf-8")
+    assert read_allowlist(listing) == {"m.f": "oracle: kept, for now"}
+
+
+def test_an_entry_covers_its_members_not_its_namesakes():
+    assert covers("m.C", "m.C") and covers("m.C", "m.C.h") and covers("m", "m.C.h")
+    assert not covers("m.f", "m.fg") and not covers("m.C.h", "m.C")
+
+
+def test_a_new_uncalled_function_is_found_and_reported(tmp_path, monkeypatch):
+    """The walk finds a function nothing calls wherever it is nested, skips
+    the oracles, and the check reports it."""
+    package = tmp_path / "repro"
+    (package / "reference").mkdir(parents=True)
+    (package / "__init__.py").write_text("def entry():\n    pass\n", encoding="utf-8")
+    (package / "reference" / "oracle.py").write_text("def slow():\n    pass\n", encoding="utf-8")
+    (package / "tools.py").write_text(
+        "class Box:\n"
+        "    def used(self):\n"
+        "        def helper():\n"
+        "            pass\n"
+        "    async def unused(self):\n"
+        "        pass\n",
+        encoding="utf-8",
+    )
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "SRC", tmp_path)
+    monkeypatch.setattr(module, "PACKAGE", package)
+    defined = defined_functions()
+    assert defined == {
+        "repro.entry",
+        "repro.tools.Box.used",
+        "repro.tools.Box.used.<locals>.helper",
+        "repro.tools.Box.unused",
+    }
+    reached = {"repro.entry", "repro.tools.Box.used", "repro.tools.Box.used.<locals>.helper"}
+    assert reachability_problems(defined, reached, {}) == [
+        "never entered and not allowlisted: repro.tools.Box.unused"
     ]
 
 
