@@ -8,64 +8,47 @@ Compares three filters for ε in {0.3 .. 0.7}:
 * **OPT-SSPBound** — probabilistic pruning with the tightest bounds
   (set cover + QP rounding).
 
+Every count and time comes from the production cascade,
+``QueryPlanner.filter_plan``, under ``SearchConfig(pruning=PruningConfig(...))``:
+the candidates are the ``structural_candidates`` / ``probabilistic_candidates``
+counters and the times the ``structural_filter`` / ``pmi_pruning`` stage
+spans.  Planning (the query's count profile and containment relations) runs
+once per query shape and is in neither time column.
+
 The paper reports OPT-SSPBound candidate sets of ~15 graphs on average,
 shrinking as ε grows, with sub-second pruning time slightly above SSPBound.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from repro.core import PruningConfig, QueryPlanner
 
-from repro.core import PruningConfig, relax_query
-from repro.core.pruning import ProbabilisticPruner
-from repro.structural import StructuralFilter
-from repro.utils.timer import Timer
-
-from benchmarks.conftest import BENCH_SEED, print_table
+from benchmarks.conftest import filter_totals, print_table
 
 PROBABILITY_THRESHOLDS = [0.3, 0.4, 0.5, 0.6, 0.7]
 DISTANCE_THRESHOLD = 1
+PRUNING = {"sspbound": PruningConfig(False, False), "opt": PruningConfig(True, True)}
 
 
 def run_threshold_sweep(index, workload) -> list[dict]:
-    structural_filter = StructuralFilter(index.structural_index)
+    planner = QueryPlanner(index.graphs, index.pmi, index.structural_index)
+    queries = [record.query for record in workload]
     rows = []
     for epsilon in PROBABILITY_THRESHOLDS:
-        structure_candidates = 0
-        structure_time = Timer()
-        results = {
-            "SSPBound": {"candidates": 0, "timer": Timer(), "config": PruningConfig(False, False)},
-            "OPT-SSPBound": {"candidates": 0, "timer": Timer(), "config": PruningConfig(True, True)},
+        totals = {
+            name: filter_totals(planner, queries, epsilon, DISTANCE_THRESHOLD, pruning)
+            for name, pruning in PRUNING.items()
         }
-        for record in workload:
-            relaxed = relax_query(record.query, DISTANCE_THRESHOLD)
-            with structure_time:
-                structural = structural_filter.filter(record.query, DISTANCE_THRESHOLD)
-            structure_candidates += structural.candidate_count
-            for _name, entry in results.items():
-                pruner = ProbabilisticPruner(
-                    index.pmi.features, config=entry["config"], rng=BENCH_SEED
-                )
-                with entry["timer"]:
-                    containment = pruner.prepare(relaxed)
-                    bounds_list = [
-                        pruner.compute_bounds(relaxed, row, containment)
-                        for row in index.pmi.rows(structural.candidate_ids)
-                    ]
-                    pruned, _ = pruner.decide_batch(bounds_list, epsilon)
-                    entry["candidates"] += int(np.count_nonzero(~pruned))
-        queries = len(workload)
-        rows.append(
-            {
-                "epsilon": epsilon,
-                "structure_candidates": structure_candidates / queries,
-                "structure_seconds": structure_time.elapsed / queries,
-                "sspbound_candidates": results["SSPBound"]["candidates"] / queries,
-                "sspbound_seconds": results["SSPBound"]["timer"].elapsed / queries,
-                "opt_candidates": results["OPT-SSPBound"]["candidates"] / queries,
-                "opt_seconds": results["OPT-SSPBound"]["timer"].elapsed / queries,
-            }
-        )
+        row = {
+            "epsilon": epsilon,
+            # the structural pass is the same under either pruning config
+            "structure_candidates": totals["opt"]["structural_candidates"] / len(queries),
+            "structure_seconds": totals["opt"]["structural_filter"] / len(queries),
+        }
+        for name, total in totals.items():
+            row[f"{name}_candidates"] = total["probabilistic_candidates"] / len(queries)
+            row[f"{name}_seconds"] = total["pmi_pruning"] / len(queries)
+        rows.append(row)
     return rows
 
 

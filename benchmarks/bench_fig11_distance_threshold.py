@@ -8,6 +8,14 @@ Compares, for δ in {1, 2, 3} (paper: 2-6):
 * **OPT-SIPBound** — probabilistic pruning fed by the *tightest* SIP bounds
   (maximum-weight-clique selection).
 
+Each PMI gets its own ``QueryPlanner`` over the same structural index, and
+every count and time comes from the production cascade,
+``QueryPlanner.filter_plan``, under ``SearchConfig(pruning=PruningConfig(...))``:
+the candidates are the ``structural_candidates`` / ``probabilistic_candidates``
+counters and the times the ``structural_filter`` / ``pmi_pruning`` stage
+spans.  Planning (the query's count profile and containment relations) runs
+once per query shape and is in neither time column.
+
 The paper reports all bars growing with δ (looser queries keep more graphs),
 with both SIP variants far below Structure and OPT-SIPBound paying a little
 extra pruning time for fewer candidates.
@@ -15,18 +23,14 @@ extra pruning time for fewer candidates.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import PruningConfig, relax_query
-from repro.core.pruning import ProbabilisticPruner
+from repro.core import PruningConfig, QueryPlanner
 from repro.pmi import BoundConfig, ProbabilisticMatrixIndex
-from repro.structural import StructuralFilter
-from repro.utils.timer import Timer
 
-from benchmarks.conftest import BENCH_BOUND_CONFIG, BENCH_SEED, print_table
+from benchmarks.conftest import BENCH_BOUND_CONFIG, BENCH_SEED, filter_totals, print_table
 
 DISTANCE_THRESHOLDS = [1, 2, 3]
 PROBABILITY_THRESHOLD = 0.5
+PRUNING = PruningConfig(True, True)
 
 
 def build_plain_index(index) -> ProbabilisticMatrixIndex:
@@ -44,45 +48,28 @@ def build_plain_index(index) -> ProbabilisticMatrixIndex:
 
 
 def run_distance_sweep(index, workload) -> list[dict]:
-    structural_filter = StructuralFilter(index.structural_index)
-    plain_index = build_plain_index(index)
-    indexes = {"SIPBound": plain_index, "OPT-SIPBound": index.pmi}
+    planners = {
+        "sip": QueryPlanner(index.graphs, build_plain_index(index), index.structural_index),
+        "opt": QueryPlanner(index.graphs, index.pmi, index.structural_index),
+    }
     rows = []
     for delta in DISTANCE_THRESHOLDS:
-        structure_candidates = 0
-        structure_time = Timer()
-        series = {name: {"candidates": 0, "timer": Timer()} for name in indexes}
-        for record in workload:
-            if delta >= record.query.num_edges:
-                continue
-            relaxed = relax_query(record.query, delta)
-            with structure_time:
-                structural = structural_filter.filter(record.query, delta)
-            structure_candidates += structural.candidate_count
-            for name, index in indexes.items():
-                pruner = ProbabilisticPruner(
-                    index.features, config=PruningConfig(True, True), rng=BENCH_SEED
-                )
-                with series[name]["timer"]:
-                    containment = pruner.prepare(relaxed)
-                    bounds_list = [
-                        pruner.compute_bounds(relaxed, row, containment)
-                        for row in index.rows(structural.candidate_ids)
-                    ]
-                    pruned, _ = pruner.decide_batch(bounds_list, PROBABILITY_THRESHOLD)
-                    series[name]["candidates"] += int(np.count_nonzero(~pruned))
-        queries = len(workload)
-        rows.append(
-            {
-                "delta": delta,
-                "structure_candidates": structure_candidates / queries,
-                "structure_seconds": structure_time.elapsed / queries,
-                "sip_candidates": series["SIPBound"]["candidates"] / queries,
-                "sip_seconds": series["SIPBound"]["timer"].elapsed / queries,
-                "opt_candidates": series["OPT-SIPBound"]["candidates"] / queries,
-                "opt_seconds": series["OPT-SIPBound"]["timer"].elapsed / queries,
-            }
-        )
+        # a query with no more than δ edges relaxes to nothing
+        queries = [record.query for record in workload if delta < record.query.num_edges]
+        totals = {
+            name: filter_totals(planner, queries, PROBABILITY_THRESHOLD, delta, PRUNING)
+            for name, planner in planners.items()
+        }
+        row = {
+            "delta": delta,
+            # the structural pass reads the shared structural index, not the PMI
+            "structure_candidates": totals["opt"]["structural_candidates"] / len(workload),
+            "structure_seconds": totals["opt"]["structural_filter"] / len(workload),
+        }
+        for name, total in totals.items():
+            row[f"{name}_candidates"] = total["probabilistic_candidates"] / len(workload)
+            row[f"{name}_seconds"] = total["pmi_pruning"] / len(workload)
+        rows.append(row)
     return rows
 
 

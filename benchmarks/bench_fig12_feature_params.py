@@ -8,20 +8,20 @@
 The paper's trends: larger maxL → looser bounds → more candidates; candidate
 counts dip around α ≈ 0.1-0.15; larger β or γ → fewer features → cheaper,
 smaller index.  We sweep scaled parameter grids and report the same metrics.
+
+The candidate counts are the ``probabilistic_candidates`` counter of the
+production cascade, ``QueryPlanner.filter_plan``, one planner per index.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from repro.core import PruningConfig, relax_query
-from repro.core.pruning import ProbabilisticPruner
+from repro.core import PruningConfig, QueryPlanner
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
-from repro.structural import StructuralFeatureIndex, StructuralFilter
+from repro.structural import StructuralFeatureIndex
 
-from benchmarks.conftest import BENCH_SEED, print_table
+from benchmarks.conftest import BENCH_SEED, filter_totals, print_table
 
 MAXL_VALUES = [2, 3, 4]
 ALPHA_VALUES = [0.05, 0.15, 0.25]
@@ -39,20 +39,12 @@ BOUNDS = BoundConfig(num_samples=80)
 def _candidate_count(database, index, workload) -> float:
     skeletons = [graph.skeleton for graph in database.graphs]
     structural = StructuralFeatureIndex().build(skeletons, index.features)
-    structural_filter = StructuralFilter(structural)
-    pruner = ProbabilisticPruner(index.features, config=PruningConfig(True, True), rng=BENCH_SEED)
-    total = 0
-    for record in workload:
-        relaxed = relax_query(record.query, DISTANCE_THRESHOLD)
-        outcome = structural_filter.filter(record.query, DISTANCE_THRESHOLD)
-        containment = pruner.prepare(relaxed)
-        bounds_list = [
-            pruner.compute_bounds(relaxed, row, containment)
-            for row in index.rows(outcome.candidate_ids)
-        ]
-        pruned, _ = pruner.decide_batch(bounds_list, PROBABILITY_THRESHOLD)
-        total += int(np.count_nonzero(~pruned))
-    return total / len(workload)
+    planner = QueryPlanner(database.graphs, index, structural)
+    queries = [record.query for record in workload]
+    totals = filter_totals(
+        planner, queries, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, PruningConfig(True, True)
+    )
+    return totals["probabilistic_candidates"] / len(workload)
 
 
 def _build(database, feature_config) -> ProbabilisticMatrixIndex:

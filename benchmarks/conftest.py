@@ -24,7 +24,7 @@ import pytest
 # next to the SIP-bound computations being measured).
 sys.dont_write_bytecode = True
 
-from repro.core import GraphCatalog
+from repro.core import GraphCatalog, PruningConfig, QueryPlanner, SearchConfig
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.graphs import ProbabilisticGraph
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
@@ -57,6 +57,29 @@ def print_table(title: str, header: list[str], rows: list[list]) -> None:
     print("  ".join(str(h).ljust(widths[i]) for i, h in enumerate(header)))
     for row in rows:
         print("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
+
+
+def filter_totals(
+    planner: QueryPlanner, queries, epsilon: float, delta: int, pruning: PruningConfig
+) -> dict:
+    """The production structural and PMI passes (``planner.filter_plan``) of
+    every query, summed: the candidates each leaves and each stage's seconds.
+
+    The planner plans a query shape once (its plan cache), so the stage
+    seconds hold no planning: the count profile and the containment
+    relations are the plan's, not the stages'."""
+    config = SearchConfig(pruning=pruning)
+    totals = dict.fromkeys(
+        ("structural_candidates", "probabilistic_candidates", "structural_filter", "pmi_pruning"), 0
+    )
+    for query in queries:
+        plan = planner.plan(query, epsilon, delta, config)
+        statistics = planner.filter_plan(plan, BENCH_SEED).result.statistics
+        totals["structural_candidates"] += statistics.structural_candidates
+        totals["probabilistic_candidates"] += statistics.probabilistic_candidates
+        for stage in statistics.stages:
+            totals[stage.stage] += stage.seconds
+    return totals
 
 
 @pytest.fixture(scope="session")

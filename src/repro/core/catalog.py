@@ -502,18 +502,9 @@ class GraphCatalog:
         return catalog
 
     @property
-    def is_durable(self) -> bool:
-        """True when mutations are write-ahead logged to an attached directory."""
-        return self._durability is not None
-
-    @property
-    def durable_directory(self) -> Path | None:
-        """The attached directory, or None for an in-memory catalog."""
-        return None if self._durability is None else self._durability.directory
-
-    @property
     def generation(self) -> int | None:
-        """The committed snapshot generation (bumped by :meth:`compact`)."""
+        """The committed snapshot generation (bumped by :meth:`compact`);
+        None for a catalog with no directory attached."""
         return None if self._durability is None else self._durability.generation
 
     @property
@@ -521,7 +512,7 @@ class GraphCatalog:
         """Mutation records in the active log (0 right after a compact)."""
         if self._durability is None:
             return 0
-        return max(self._durability.wal.record_count - 1, 0)
+        return max(self._durability.wal.next_lsn - 1, 0)
 
     # -- snapshot writing ----------------------------------------------
     def _write_snapshot(self, directory: Path, generation: int) -> None:
@@ -772,10 +763,6 @@ class GraphCatalog:
         (``benchmarks/e2e/layers.py``) still sums the sizes of what it lists."""
         return []
 
-    def live_external_ids(self) -> list[int]:
-        """Every live external id, ascending."""
-        return sorted(self._live)
-
     def live_items(self) -> list[tuple[int, ProbabilisticGraph]]:
         """``(external_id, graph)`` pairs, ascending by id.
 
@@ -786,10 +773,6 @@ class GraphCatalog:
         """
         graphs = self._store.graphs
         return [(external_id, graphs[row]) for external_id, row in sorted(self._live.items())]
-
-    def get_graph(self, external_id: int) -> ProbabilisticGraph:
-        """The live graph stored under ``external_id``."""
-        return self._store.graphs[self._locate(_external_id(external_id))]
 
     def __len__(self) -> int:
         return self.num_live

@@ -47,7 +47,7 @@ from repro.isomorphism.embeddings import EmbeddingEnumeration
 from repro.isomorphism.generic_join import GraphBlock, match_block
 from repro.pmi.features import Feature
 from repro.pmi.index import PMIRow
-from repro.utils.rng import RandomLike, ensure_rng
+from repro.utils.rng import RandomLike
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,7 @@ class PruningConfig:
 class ProbabilisticPruner:
     """Applies Pruning 1 and Pruning 2 using PMI bounds."""
 
-    def __init__(
-        self,
-        features: list[Feature],
-        config: PruningConfig | None = None,
-        rng: RandomLike = None,
-    ) -> None:
+    def __init__(self, features: list[Feature], config: PruningConfig | None = None) -> None:
         self.features = {feature.feature_id: feature for feature in features}
         self._max_feature_edges = max((f.num_edges for f in features), default=0)
         self._max_feature_vertices = max((f.num_vertices for f in features), default=0)
@@ -113,7 +108,6 @@ class ProbabilisticPruner:
         # never needs it), then joined by every later one
         self._feature_block: GraphBlock | None = None
         self.config = config or PruningConfig()
-        self.rng = ensure_rng(rng)
 
     # ------------------------------------------------------------------
     # public API
@@ -154,7 +148,8 @@ class ProbabilisticPruner:
         its relations from :meth:`prepare`.  Reads ``(LowerB, UpperB)``
         straight from the row's array views, building only a small interval
         map for the features that are both present in the graph and useful
-        for the query.
+        for the query.  ``rng`` is the stream the QP rounding draws from: the
+        pipeline passes each graph's own seed, ``None`` draws a fresh one.
         """
         intervals: dict[int, tuple[float, float]] = {}
         for column in np.flatnonzero(row.present):
@@ -162,10 +157,7 @@ class ProbabilisticPruner:
             if feature_id in containment:
                 intervals[feature_id] = row.interval(column)
         usim, usim_covered = self._upper_bound(relaxed_queries, intervals, containment)
-        # the stream (a seed from the pipeline) is drawn from only by the QP rounding
-        lsim, lsim_covered = self._lower_bound(
-            relaxed_queries, intervals, containment, self.rng if rng is None else rng
-        )
+        lsim, lsim_covered = self._lower_bound(relaxed_queries, intervals, containment, rng)
         return SspBounds(
             usim=usim, lsim=lsim, usim_covered=usim_covered, lsim_covered=lsim_covered
         )

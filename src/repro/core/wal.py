@@ -79,7 +79,7 @@ class WriteAheadLog:
     def __init__(self, path: Path, generation: int, next_lsn: int) -> None:
         self.path = path
         self.generation = generation
-        self._next_lsn = next_lsn
+        self.next_lsn = next_lsn  # records on disk, header included
         self._handle = None
 
     # ------------------------------------------------------------------
@@ -213,22 +213,14 @@ class WriteAheadLog:
         if self._handle is None or self._handle.closed:
             # repro: allow[IO001] -- WAL append-only discipline, see module docstring
             self._handle = open(self.path, "ab")
-        record["lsn"] = self._next_lsn
+        record["lsn"] = self.next_lsn
         self._handle.write(_encode_record(record))
         atomic_io.fsync_file(self._handle)
-        self._next_lsn += 1
+        self.next_lsn += 1
         return record["lsn"]
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def record_count(self) -> int:
-        """Records on disk, header included (``lsn`` of the next append)."""
-        return self._next_lsn
 
     def __repr__(self) -> str:
         return (
             f"WriteAheadLog({str(self.path)!r}, generation={self.generation}, "
-            f"records={self._next_lsn})"
+            f"records={self.next_lsn})"
         )

@@ -52,14 +52,6 @@ class Edge:
         """The canonical undirected key of this edge."""
         return edge_key(self.u, self.v)
 
-    def other(self, vertex: VertexId) -> VertexId:
-        """The endpoint that is not ``vertex``."""
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise VertexNotFoundError(vertex)
-
 
 class LabeledGraph:
     """A simple undirected graph with labels on vertices and edges.

@@ -2,32 +2,26 @@
 embedding enumeration."""
 
 from repro.isomorphism.generic_join import (
-    GenericJoinMatcher,
     GenericJoinOverflow,
     GraphBlock,
     compile_edge_table,
     compile_join_plan,
     connectivity_order,
-    find_isomorphism_mapping,
     is_subgraph_isomorphic,
     match_block,
 )
 from repro.isomorphism.embeddings import (
     Embedding,
     EmbeddingEnumeration,
-    enumerate_embeddings,
     enumerate_embeddings_block,
     find_embeddings,
     find_embeddings_block,
-    count_embeddings,
     count_embeddings_block,
 )
 
 __all__ = [
     "connectivity_order",
     "is_subgraph_isomorphic",
-    "find_isomorphism_mapping",
-    "GenericJoinMatcher",
     "GenericJoinOverflow",
     "GraphBlock",
     "compile_edge_table",
@@ -35,10 +29,8 @@ __all__ = [
     "match_block",
     "Embedding",
     "EmbeddingEnumeration",
-    "enumerate_embeddings",
     "enumerate_embeddings_block",
     "find_embeddings",
     "find_embeddings_block",
-    "count_embeddings",
     "count_embeddings_block",
 ]

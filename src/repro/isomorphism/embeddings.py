@@ -88,10 +88,6 @@ class Embedding:
     def is_edge_disjoint(self, other: "Embedding") -> bool:
         return not self.overlaps(other)
 
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class EmbeddingEnumeration:
@@ -152,16 +148,6 @@ def _note_truncations(cut: int, limit: int | None, pattern: LabeledGraph) -> Non
         logger.debug("enumeration of %r truncated at limit=%s in %d target(s)", pattern, limit, cut)
 
 
-def enumerate_embeddings(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-    limit: int | None = DEFAULT_EMBEDDING_LIMIT,
-    label_sensitive: bool = True,
-) -> EmbeddingEnumeration:
-    """:func:`enumerate_embeddings_block` for the block of one graph."""
-    return enumerate_embeddings_block(pattern, (target,), limit, label_sensitive)[0]
-
-
 def find_embeddings(
     pattern: LabeledGraph,
     target: LabeledGraph,
@@ -170,7 +156,7 @@ def find_embeddings(
 ) -> list[Embedding]:
     """All distinct embeddings of ``pattern`` in ``target`` (canonical order);
     truncation is still counted and logged."""
-    return enumerate_embeddings(pattern, target, limit, label_sensitive).embeddings
+    return enumerate_embeddings_block(pattern, (target,), limit, label_sensitive)[0].embeddings
 
 
 def find_embeddings_block(
@@ -323,16 +309,6 @@ def count_embeddings_block(
     )
     _note_truncations(int(truncated.sum()), limit, pattern)
     return counts.tolist()
-
-
-def count_embeddings(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-    limit: int | None = DEFAULT_EMBEDDING_LIMIT,
-    label_sensitive: bool = True,
-) -> int:
-    """Number of distinct embeddings (capped at ``limit``)."""
-    return count_embeddings_block(pattern, (target,), limit, label_sensitive)[0]
 
 
 def maximal_disjoint_embeddings(embeddings: list[Embedding]) -> list[Embedding]:

@@ -40,7 +40,6 @@ from repro.graphs.variant_rows import VariantRows
 
 __all__ = [
     "EdgeTable",
-    "GenericJoinMatcher",
     "GenericJoinOverflow",
     "GraphBlock",
     "JoinLevel",
@@ -50,7 +49,6 @@ __all__ = [
     "compile_join_plan",
     "compile_variant_family",
     "connectivity_order",
-    "find_isomorphism_mapping",
     "is_subgraph_isomorphic",
     "match_block",
 ]
@@ -637,42 +635,6 @@ def is_subgraph_isomorphic(
 ) -> bool:
     """``pattern ⊆iso target`` (Definition 5): :func:`match_block` on the block of one."""
     return match_block(pattern, (target,), label_sensitive)[0]
-
-
-def find_isomorphism_mapping(
-    pattern: LabeledGraph, target: LabeledGraph, label_sensitive: bool = True
-) -> dict[VertexId, VertexId] | None:
-    """One witnessing mapping for ``pattern ⊆iso target``, or None."""
-    return GenericJoinMatcher(pattern, target, label_sensitive).first_mapping()
-
-
-@dataclass(eq=False)
-class GenericJoinMatcher:
-    """The join engine for one (pattern, target) pair."""
-
-    pattern: LabeledGraph
-    target: LabeledGraph
-    label_sensitive: bool = True
-
-    def exists(self) -> bool:
-        return is_subgraph_isomorphic(self.pattern, self.target, self.label_sensitive)
-
-    def first_mapping(self) -> dict[VertexId, VertexId] | None:
-        """One witnessing mapping, or None."""
-        mappings = self.all_mappings(limit=1)
-        return mappings[0] if mappings else None
-
-    def all_mappings(self, limit: int | None = None) -> list[dict[VertexId, VertexId]]:
-        """All injective mappings (the first ``limit``), in discovery order."""
-        if self.pattern.num_vertices == 0:
-            return [{}]
-        plan = compile_join_plan(self.pattern, self.label_sensitive)
-        table = compile_edge_table(self.target)
-        ids = table.vertex_ids
-        return [
-            {level.vertex: ids[image] for level, image in zip(plan.levels, row)}
-            for row in _join(plan, table, settle_at=limit)[:limit].tolist()
-        ]
 
 
 # ----------------------------------------------------------------------

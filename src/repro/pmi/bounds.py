@@ -134,9 +134,6 @@ class SipBounds:
         """True when the feature does not occur in the graph at all."""
         return self.num_embeddings == 0
 
-    def as_pair(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
-
 
 def draw_worlds(
     graph: ProbabilisticGraph, config: BoundConfig, rng: RandomLike = None

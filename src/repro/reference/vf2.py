@@ -221,7 +221,7 @@ def vf2_embeddings(
 ) -> EmbeddingEnumeration:
     """The distinct embeddings of ``pattern`` in ``target`` by VF2, streamed and
     deduplicated by edge set, in the canonical order of
-    :func:`repro.isomorphism.embeddings.enumerate_embeddings`; ``truncated``
+    :func:`repro.isomorphism.embeddings.enumerate_embeddings_block`; ``truncated``
     when a distinct embedding beyond the first ``limit`` exists."""
     if pattern.num_edges == 0:
         return EmbeddingEnumeration(embeddings=[], truncated=False)

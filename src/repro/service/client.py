@@ -23,7 +23,9 @@ from repro.service.server import QueryService
 
 
 class _RequestBuilder:
-    """Frame construction and response decoding shared by both transports."""
+    """Frame construction, response decoding and the eight calls, shared by
+    both transports; a transport adds only its ``_call`` (send one frame,
+    return the unwrapped result) and its connection code."""
 
     def __init__(self) -> None:
         self._ids = itertools.count(1)
@@ -45,60 +47,7 @@ class _RequestBuilder:
             error.get("code", "internal"), error.get("message", "unknown service error")
         )
 
-    # -- frame builders ------------------------------------------------
-    def query_frame(
-        self,
-        query: LabeledGraph,
-        probability_threshold: float,
-        distance_threshold: int,
-        rng=None,
-        deadline=None,
-    ) -> dict:
-        return self._frame(
-            "query",
-            query=labeled_graph_to_dict(query),
-            probability_threshold=probability_threshold,
-            distance_threshold=distance_threshold,
-            rng=rng,
-            deadline=deadline,
-        )
-
-    def query_top_k_frame(
-        self,
-        query: LabeledGraph,
-        k: int,
-        distance_threshold: int,
-        rng=None,
-        deadline=None,
-    ) -> dict:
-        return self._frame(
-            "query_top_k",
-            query=labeled_graph_to_dict(query),
-            k=k,
-            distance_threshold=distance_threshold,
-            rng=rng,
-            deadline=deadline,
-        )
-
-
-class ServiceClient(_RequestBuilder):
-    """In-process client: frames go straight to :meth:`QueryService.submit`.
-
-    The request/response dicts are the same objects a TCP client would
-    serialize, so in-process tests exercise the full protocol layer minus
-    only the socket.  ``last_response`` keeps the raw frame of the most
-    recent call for assertions on ``cached`` and error metadata.
-    """
-
-    def __init__(self, service: QueryService) -> None:
-        super().__init__()
-        self._service = service
-        self.last_response: dict | None = None
-
-    async def _call(self, frame: dict) -> dict:
-        self.last_response = await self._service.submit(frame)
-        return self._unwrap(self.last_response)
-
+    # -- the calls: each transport supplies ``_call(frame) -> result`` ----
     async def query(
         self,
         query: LabeledGraph,
@@ -107,10 +56,15 @@ class ServiceClient(_RequestBuilder):
         rng=None,
         deadline=None,
     ) -> QueryResult:
-        result = await self._call(
-            self.query_frame(query, probability_threshold, distance_threshold, rng, deadline)
+        frame = self._frame(
+            "query",
+            query=labeled_graph_to_dict(query),
+            probability_threshold=probability_threshold,
+            distance_threshold=distance_threshold,
+            rng=rng,
+            deadline=deadline,
         )
-        return QueryResult.from_dict(result)
+        return QueryResult.from_dict(await self._call(frame))
 
     async def query_top_k(
         self,
@@ -120,10 +74,15 @@ class ServiceClient(_RequestBuilder):
         rng=None,
         deadline=None,
     ) -> QueryResult:
-        result = await self._call(
-            self.query_top_k_frame(query, k, distance_threshold, rng, deadline)
+        frame = self._frame(
+            "query_top_k",
+            query=labeled_graph_to_dict(query),
+            k=k,
+            distance_threshold=distance_threshold,
+            rng=rng,
+            deadline=deadline,
         )
-        return QueryResult.from_dict(result)
+        return QueryResult.from_dict(await self._call(frame))
 
     async def add_graph(self, graph: ProbabilisticGraph, external_id: int | None = None) -> dict:
         fields = {"graph": probabilistic_graph_to_dict(graph)}
@@ -151,6 +110,25 @@ class ServiceClient(_RequestBuilder):
 
     async def stats(self) -> dict:
         return await self._call(self._frame("stats"))
+
+
+class ServiceClient(_RequestBuilder):
+    """In-process client: frames go straight to :meth:`QueryService.submit`.
+
+    The request/response dicts are the same objects a TCP client would
+    serialize, so in-process tests exercise the full protocol layer minus
+    only the socket.  ``last_response`` keeps the raw frame of the most
+    recent call for assertions on ``cached`` and error metadata.
+    """
+
+    def __init__(self, service: QueryService) -> None:
+        super().__init__()
+        self._service = service
+        self.last_response: dict | None = None
+
+    async def _call(self, frame: dict) -> dict:
+        self.last_response = await self._service.submit(frame)
+        return self._unwrap(self.last_response)
 
 
 class TcpServiceClient(_RequestBuilder):
@@ -232,56 +210,3 @@ class TcpServiceClient(_RequestBuilder):
             return self._unwrap(await future)
         finally:
             self._waiting.pop(frame["id"], None)
-
-    async def query(
-        self,
-        query: LabeledGraph,
-        probability_threshold: float,
-        distance_threshold: int,
-        rng=None,
-        deadline=None,
-    ) -> QueryResult:
-        result = await self._call(
-            self.query_frame(query, probability_threshold, distance_threshold, rng, deadline)
-        )
-        return QueryResult.from_dict(result)
-
-    async def query_top_k(
-        self,
-        query: LabeledGraph,
-        k: int,
-        distance_threshold: int,
-        rng=None,
-        deadline=None,
-    ) -> QueryResult:
-        result = await self._call(
-            self.query_top_k_frame(query, k, distance_threshold, rng, deadline)
-        )
-        return QueryResult.from_dict(result)
-
-    async def add_graph(self, graph: ProbabilisticGraph, external_id: int | None = None) -> dict:
-        fields = {"graph": probabilistic_graph_to_dict(graph)}
-        if external_id is not None:
-            fields["external_id"] = external_id
-        return await self._call(self._frame("add_graph", **fields))
-
-    async def remove_graph(self, external_id: int) -> dict:
-        return await self._call(self._frame("remove_graph", external_id=external_id))
-
-    async def update_graph(self, external_id: int, graph: ProbabilisticGraph) -> dict:
-        return await self._call(
-            self._frame(
-                "update_graph",
-                external_id=external_id,
-                graph=probabilistic_graph_to_dict(graph),
-            )
-        )
-
-    async def compact(self) -> dict:
-        return await self._call(self._frame("compact"))
-
-    async def health(self) -> dict:
-        return await self._call(self._frame("health"))
-
-    async def stats(self) -> dict:
-        return await self._call(self._frame("stats"))

@@ -309,7 +309,7 @@ class QueryService:
         return {
             "status": status,
             "queue_depth": len(self._pending),
-            "live_graphs": len(self._catalog.live_external_ids()),
+            "live_graphs": self._catalog.num_live,
             "generation": self._catalog.mutation_generation,
         }
 
@@ -556,7 +556,7 @@ class QueryService:
                 self._catalog.compact()
                 result = {
                     "op": "compact",
-                    "live_graphs": len(self._catalog.live_external_ids()),
+                    "live_graphs": self._catalog.num_live,
                 }
         finally:
             # Even a failed mutation may have advanced partway (update =

@@ -34,10 +34,6 @@ class StructuralFilterResult:
     pruned_ids: list[int] = field(default_factory=list)
     seconds: float = 0.0
 
-    @property
-    def candidate_count(self) -> int:
-        return len(self.candidate_ids)
-
 
 class StructuralFilter:
     """Runs the deterministic filters against all indexed skeletons."""

@@ -36,11 +36,6 @@ class Timer:
         self._started_at = None
         return self.elapsed
 
-    def reset(self) -> None:
-        """Zero the accumulated time and forget any running interval."""
-        self.elapsed = 0.0
-        self._started_at = None
-
     def __enter__(self) -> "Timer":
         return self.start()
 

@@ -19,6 +19,7 @@ from repro.core import GraphCatalog, QueryPlanner
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph, VariantRows
 from repro.graphs.io import load_graph_columns, save_database
+from repro.isomorphism import compile_edge_table, compile_join_plan, generic_join
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.probability import JointProbabilityTable
 from repro.structural import StructuralFeatureIndex
@@ -255,6 +256,27 @@ def assert_signature_segment_matches_live_graphs(catalog, fresh: bool = False) -
         external_id: dict(graph.skeleton.edge_signature_counts())
         for external_id, graph in catalog.live_items()
     }
+
+
+def join_mappings(pattern, target, label_sensitive=True, limit=None) -> list[dict]:
+    """The join's assignment rows of ``pattern`` in ``target`` as ``{pattern
+    vertex: target vertex}`` mappings, in discovery order: the rows of
+    ``compile_join_plan`` + ``execute_join_plan`` (carried on depth first past
+    the branch cap).  With ``limit``, the first ``limit`` rows of the pass that
+    settles once ``limit`` edge sets are found: a prefix of the full list."""
+    plan = compile_join_plan(pattern, label_sensitive)
+    table = compile_edge_table(target)
+    rows = generic_join._join(plan, table, settle_at=limit)[:limit]
+    ids = table.vertex_ids
+    return [
+        {level.vertex: ids[image] for level, image in zip(plan.levels, row)}
+        for row in rows.tolist()
+    ]
+
+
+def live_ids(catalog) -> list[int]:
+    """The catalog's live external ids, ascending (off ``live_items``)."""
+    return [external_id for external_id, _ in catalog.live_items()]
 
 
 def unshared_pickle(obj) -> bytes:

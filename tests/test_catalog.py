@@ -23,7 +23,7 @@ from repro.exceptions import CatalogError, ConfigurationError, IndexError_
 from repro.pmi import BoundConfig, FeatureSelectionConfig, ProbabilisticMatrixIndex
 from repro.structural.feature_index import StructuralFeatureIndex
 
-from tests.conftest import assert_same_cells, assert_same_postings
+from tests.conftest import assert_same_cells, assert_same_postings, live_ids
 
 FEATURE_CONFIG = FeatureSelectionConfig(
     alpha=0.1, beta=0.2, gamma=0.1, max_vertices=3, max_features=10
@@ -87,7 +87,7 @@ def counters(result) -> dict:
 class TestMutationApi:
     def test_build_seeds_row_position_ids(self, catalog, base_graphs):
         assert catalog.num_live == len(base_graphs)
-        assert catalog.live_external_ids() == list(range(len(base_graphs)))
+        assert live_ids(catalog) == list(range(len(base_graphs)))
 
     def test_add_assigns_next_free_id(self, catalog, extra_graphs):
         assert catalog.add_graph(extra_graphs[0]) == 8
@@ -117,29 +117,28 @@ class TestMutationApi:
         for flag in (True, False):
             with pytest.raises(CatalogError, match="integer"):
                 catalog.add_graph(extra_graphs[0], external_id=flag)
-        assert catalog.live_external_ids() == list(range(2, 8))
+        assert live_ids(catalog) == list(range(2, 8))
 
     @pytest.mark.parametrize("bad_id", [True, False, 1.5, "1"])
     def test_every_id_taking_entry_point_refuses_a_non_integer(
         self, catalog, extra_graphs, bad_id
     ):
-        """``get_graph`` / ``remove_graph`` / ``update_graph`` run the check
-        ``add_graph`` runs: ``True`` is not id 1, nor ``False`` id 0."""
+        """``remove_graph`` / ``update_graph`` run the check ``add_graph``
+        runs: ``True`` is not id 1, nor ``False`` id 0."""
         for entry in (
-            lambda: catalog.get_graph(bad_id),
             lambda: catalog.remove_graph(bad_id),
             lambda: catalog.update_graph(bad_id, extra_graphs[0]),
         ):
             with pytest.raises(CatalogError, match="integer"):
                 entry()
-        assert catalog.live_external_ids() == list(range(8))
+        assert live_ids(catalog) == list(range(8))
         assert catalog.tombstone_count == 0
 
     def test_integer_like_ids_still_name_their_graph(self, catalog, extra_graphs):
         catalog.update_graph(np.int64(2), extra_graphs[0])
-        assert catalog.get_graph(np.int32(2)) is extra_graphs[0]
+        assert dict(catalog.live_items())[2] is extra_graphs[0]
         catalog.remove_graph(np.int64(2))
-        assert 2 not in catalog.live_external_ids()
+        assert 2 not in live_ids(catalog)
 
     def test_a_refused_bool_id_is_never_logged(self, base_graphs, tmp_path):
         durable = GraphCatalog.build(
@@ -153,7 +152,7 @@ class TestMutationApi:
             durable.remove_graph(True)
         assert durable.wal_records == 0
         durable.close()
-        assert GraphCatalog.open(tmp_path).live_external_ids() == list(range(8))
+        assert live_ids(GraphCatalog.open(tmp_path)) == list(range(8))
 
     def test_open_refuses_a_logged_bool_id(self, base_graphs, tmp_path):
         """The catalog logs plain ints, so a record naming ``true`` was not
@@ -175,7 +174,7 @@ class TestMutationApi:
         catalog.remove_graph(3)
         assert catalog.num_live == 7
         assert catalog.tombstone_count == 1
-        assert 3 not in catalog.live_external_ids()
+        assert 3 not in live_ids(catalog)
 
     def test_remove_unknown_id_raises(self, catalog):
         with pytest.raises(CatalogError, match="not live"):
@@ -187,8 +186,8 @@ class TestMutationApi:
     def test_update_preserves_external_id(self, catalog, extra_graphs):
         catalog.update_graph(2, extra_graphs[0])
         assert catalog.num_live == 8
-        assert 2 in catalog.live_external_ids()
-        assert catalog.get_graph(2) is extra_graphs[0]
+        assert 2 in live_ids(catalog)
+        assert dict(catalog.live_items())[2] is extra_graphs[0]
         assert catalog.tombstone_count == 1
         assert catalog.num_live + catalog.tombstone_count == 9  # storage rows
 
@@ -199,7 +198,7 @@ class TestMutationApi:
     def test_remove_then_readd_same_id(self, catalog, extra_graphs, query):
         catalog.remove_graph(5)
         assert catalog.add_graph(extra_graphs[2], external_id=5) == 5
-        assert catalog.get_graph(5) is extra_graphs[2]
+        assert dict(catalog.live_items())[5] is extra_graphs[2]
         assert catalog.num_live == 8
         assert catalog.tombstone_count == 1  # the old row 5, awaiting compact
         # the revived id must appear at most once in any answer list
@@ -231,16 +230,16 @@ class TestCompaction:
         catalog.remove_graph(1)
         catalog.update_graph(6, extra_graphs[1])
         before = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
-        live_before = catalog.live_external_ids()
+        live_before = live_ids(catalog)
         catalog.compact()
         assert catalog.num_live + catalog.tombstone_count == len(live_before)
         assert catalog.tombstone_count == 0
-        assert catalog.live_external_ids() == live_before
+        assert live_ids(catalog) == live_before
         after = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
         assert answers(after) == answers(before)
 
     def test_query_all_tombstoned(self, catalog, query):
-        for external_id in catalog.live_external_ids():
+        for external_id in live_ids(catalog):
             catalog.remove_graph(external_id)
         result = catalog.query(query, 0.2, 1, config=SEARCH_CONFIG, rng=11)
         assert result.answers == []
@@ -249,7 +248,7 @@ class TestCompaction:
         assert top.answers == []
 
     def test_compact_all_tombstoned_then_revive(self, catalog, extra_graphs, query):
-        for external_id in catalog.live_external_ids():
+        for external_id in live_ids(catalog):
             catalog.remove_graph(external_id)
         catalog.compact()
         assert catalog.num_live == 0

@@ -33,7 +33,7 @@ from repro.structural.feature_index import StructuralFeatureIndex
 
 from test_sharding_parity import random_workload
 
-from tests.conftest import WIDE_SUPPORT_DISTANCE
+from tests.conftest import WIDE_SUPPORT_DISTANCE, live_ids
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -82,7 +82,7 @@ def apply_random_mutations(catalog: GraphCatalog, pool, seed: int, num_ops: int)
     ops = []
     for _ in range(num_ops):
         op = decider.choice(["add", "add", "remove", "update", "compact"])
-        live = catalog.live_external_ids()
+        live = live_ids(catalog)
         if op == "add" and pool:
             ops.append(("add", catalog.add_graph(pool.pop())))
         elif op == "remove" and len(live) > 2:
@@ -385,7 +385,7 @@ def test_catalog_fuzz_with_queries_between_mutations(seed):
     decider = random.Random(seed)
     spare = list(pool)
     for step, op in enumerate(["add", "remove", "update", "add", "update", "remove"]):
-        live = catalog.live_external_ids()
+        live = live_ids(catalog)
         if op == "add":
             catalog.add_graph(spare.pop())
         elif op == "remove":

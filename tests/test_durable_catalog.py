@@ -26,6 +26,7 @@ from repro.structural.feature_index import StructuralFeatureIndex
 from tests.conftest import (
     assert_signature_segment_matches_live_graphs,
     build_index,
+    live_ids,
     write_as_format_2,
 )
 from tests.test_catalog_parity import (
@@ -64,7 +65,6 @@ class TestPersistAndOpen:
     def test_build_with_directory_creates_the_layout(self, tmp_path):
         catalog, _ = durable_catalog(tmp_path)
         root = tmp_path / "catalog"
-        assert catalog.is_durable
         assert catalog.generation == 0
         assert catalog.wal_records == 0
         assert (root / CURRENT_FILENAME).exists()
@@ -87,9 +87,7 @@ class TestPersistAndOpen:
             bound_config=BOUND_CONFIG,
             rng=SEED,
         )
-        assert not catalog.is_durable
-        assert catalog.durable_directory is None
-        assert catalog.generation is None
+        assert catalog.generation is None  # nothing is logged
         assert catalog.wal_records == 0
 
     def test_persist_refuses_an_already_durable_catalog(self, tmp_path):
@@ -163,7 +161,7 @@ class TestPersistAndOpen:
         catalog = GraphCatalog.from_index(
             graphs, built.pmi, built.structural_index, directory=tmp_path / "adopted"
         )
-        assert catalog.is_durable
+        assert catalog.generation is not None
         catalog.add_graph(random_database(SEED + 1, num_graphs=1).graphs[0])
         catalog.close()
         reopened = GraphCatalog.open(tmp_path / "adopted")
@@ -547,7 +545,7 @@ class TestRecoveryInvariant:
         catalog.close()
 
         recovered = GraphCatalog.open(tmp_path / "catalog")
-        assert recovered.is_durable
+        assert recovered.generation is not None
         assert_signature_segment_matches_live_graphs(recovered)
         reference = rebuild_from_scratch(recovered)
         context = f"ops={ops}"
@@ -588,14 +586,14 @@ class TestRecoveryInvariant:
         catalog, _ = durable_catalog(tmp_path, num_graphs=8, num_shards=num_shards)
         pool = random_database(SEED + 1000, num_graphs=8).graphs
         ops = apply_random_mutations(catalog, pool, SEED, num_ops=10)
-        placement = {eid: catalog._live[eid] for eid in catalog.live_external_ids()}
+        placement = {eid: catalog._live[eid] for eid in live_ids(catalog)}
         query = extract_query(catalog.live_items()[0][1].skeleton, 3, rng=SEED)
         catalog.close()
 
         recovered = GraphCatalog.open(tmp_path / "catalog")
         # replay reproduces every storage row
         recovered_placement = {
-            eid: recovered._live[eid] for eid in recovered.live_external_ids()
+            eid: recovered._live[eid] for eid in live_ids(recovered)
         }
         assert recovered_placement == placement, f"ops={ops}"
         assert_signature_segment_matches_live_graphs(recovered)
@@ -636,7 +634,7 @@ class TestRecoveryInvariant:
         catalog.close()
         recovered = GraphCatalog.open(tmp_path / "catalog")
         assert recovered.num_live == len(graphs)
-        assert sorted(recovered.live_external_ids()) == list(range(len(graphs)))
+        assert sorted(live_ids(recovered)) == list(range(len(graphs)))
         recovered.close()
 
     def test_external_id_counter_survives_recovery(self, tmp_path):
@@ -725,7 +723,7 @@ class TestRefusedMutations:
 
     def snapshot_of(self, catalog):
         return (
-            catalog.live_external_ids(),
+            live_ids(catalog),
             catalog.mutation_generation,
             catalog.num_live + catalog.tombstone_count,
             catalog.tombstone_count,
@@ -756,11 +754,11 @@ class TestRefusedMutations:
         with pytest.raises(ConfigurationError, match=r"graph 2 .*33 edges"):
             catalog.update_graph(2, wide_factor_graph(33))
         assert (self.snapshot_of(catalog), wal_path.stat().st_size, answers(catalog)) == before
-        assert catalog.get_graph(2) is graphs[2]  # the update removed nothing
+        assert dict(catalog.live_items())[2] is graphs[2]  # the update removed nothing
         catalog.close()
 
         recovered = GraphCatalog.open(tmp_path / "catalog")
-        assert recovered.live_external_ids() == before[0][0]
+        assert live_ids(recovered) == before[0][0]
         assert recovered.wal_records == before[0][4]
         assert answers(recovered) == before[2]
         # the refused id was never burnt, and the log still takes records
@@ -781,7 +779,7 @@ class TestRefusedMutations:
         catalog.close()
         recovered = GraphCatalog.open(tmp_path / "catalog")  # replays both records
         assert recovered.num_live + recovered.tombstone_count == len(graphs) + 2
-        assert sorted(recovered.live_external_ids()) == [*range(len(graphs)), added]
+        assert sorted(live_ids(recovered)) == [*range(len(graphs)), added]
         recovered.close()
 
     def test_a_closed_catalog_stays_durable(self, tmp_path):
@@ -797,8 +795,8 @@ class TestRefusedMutations:
         catalog.close()
         catalog.close()
         recovered = GraphCatalog.open(tmp_path / "catalog")
-        assert recovered.live_external_ids() == catalog.live_external_ids()
-        assert added in recovered.live_external_ids() and 0 not in recovered.live_external_ids()
+        assert live_ids(recovered) == live_ids(catalog)
+        assert added in live_ids(recovered) and 0 not in live_ids(recovered)
         query = extract_query(graphs[1].skeleton, 3, rng=SEED)
         assert_result_parity(
             recovered.query(

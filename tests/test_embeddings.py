@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.graphs import LabeledGraph
-from repro.isomorphism import count_embeddings, find_embeddings
+from repro.isomorphism import count_embeddings_block, find_embeddings
 from repro.isomorphism.embeddings import Embedding, maximal_disjoint_embeddings
 
 
@@ -28,7 +28,7 @@ class TestEnumeration:
         target = build(
             {0: "a", 1: "a", 2: "a"}, [(0, 1, "x"), (1, 2, "x"), (0, 2, "x")]
         )
-        assert count_embeddings(pattern, target) == 3
+        assert count_embeddings_block(pattern, (target,)) == [3]
 
     def test_path_pattern_in_square(self):
         pattern = build({0: "a", 1: "a", 2: "a"}, [(0, 1, "x"), (1, 2, "x")])
@@ -38,7 +38,7 @@ class TestEnumeration:
         )
         embeddings = find_embeddings(pattern, square)
         assert len(embeddings) == 4  # one 2-edge path per corner vertex
-        assert all(e.size == 2 for e in embeddings)
+        assert all(len(e.edges) == 2 for e in embeddings)
 
     def test_no_embeddings_when_labels_differ(self):
         assert find_embeddings(single_edge("q", "q"), single_edge()) == []

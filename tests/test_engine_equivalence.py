@@ -16,14 +16,11 @@ from hypothesis import strategies as st
 from repro.core import GraphCatalog, SearchConfig, VerificationConfig
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.graphs import LabeledGraph
-from repro.isomorphism import (
-    find_embeddings,
-    find_isomorphism_mapping,
-    generic_join,
-    is_subgraph_isomorphic,
-)
+from repro.isomorphism import find_embeddings, generic_join, is_subgraph_isomorphic
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.reference import VF2Matcher, vf2_embeddings, vf2_exists
+
+from tests.conftest import join_mappings
 
 SETTINGS = settings(
     max_examples=30,
@@ -100,7 +97,8 @@ class TestRandomizedEquivalence:
     @SETTINGS
     @given(small_labeled_graphs(max_vertices=4), small_labeled_graphs(), st.booleans())
     def test_first_mapping_foundness_and_validity(self, pattern, target, label_sensitive):
-        gj = find_isomorphism_mapping(pattern, target, label_sensitive=label_sensitive)
+        first = join_mappings(pattern, target, label_sensitive, limit=1)
+        gj = first[0] if first else None
         vf2 = VF2Matcher(pattern, target, label_sensitive=label_sensitive).first_mapping()
         assert (gj is None) == (vf2 is None)
         if gj is not None:

@@ -1,10 +1,11 @@
-"""Unit tests for the vectorized generic-join matching engine: the matcher
-API, block entry points, compiled-structure caching against the graph
-mutation counter, the depth-first split past the branch cap (results
-independent of the cap, early exit), truncation reporting, and the block path
-held to the block-of-one path and to the VF2 reference — on random blocks
-(hypothesis) and on corpora drawn with the end-to-end benchmark's generator
-settings (mined features, PMI cells, structural counts)."""
+"""Unit tests for the vectorized generic-join matching engine: existence and
+the join's assignment rows as mappings, block entry points, compiled-structure
+caching against the graph mutation counter, the depth-first split past the
+branch cap (results independent of the cap, early exit), truncation
+reporting, and the block path held to the block-of-one path and to the VF2
+reference — on random blocks (hypothesis) and on corpora drawn with the
+end-to-end benchmark's generator settings (mined features, PMI cells,
+structural counts)."""
 
 from __future__ import annotations
 
@@ -19,13 +20,10 @@ from repro.core import GraphCatalog
 from repro.datasets import PPIDatasetConfig, generate_ppi_database
 from repro.graphs import LabeledGraph
 from repro.isomorphism import (
-    GenericJoinMatcher,
     GenericJoinOverflow,
     compile_edge_table,
     compile_join_plan,
-    count_embeddings,
     count_embeddings_block,
-    enumerate_embeddings,
     find_embeddings,
     find_embeddings_block,
     is_subgraph_isomorphic,
@@ -46,6 +44,8 @@ from repro.pmi.features import FeatureMiner
 from repro.reference import VF2Matcher, vf2_embeddings, vf2_exists
 from repro.structural.feature_index import StructuralFeatureIndex
 from repro.utils.rng import BUILD_STREAM, derive_rng
+
+from tests.conftest import join_mappings
 
 
 def build(vertex_labels, edges):
@@ -73,50 +73,51 @@ def triangle_target():
     )
 
 
-class TestGenericJoinMatcher:
+class TestMatching:
     def test_single_edge_exists(self, triangle_target):
         pattern = build({0: "a", 1: "b"}, [(0, 1, "x")])
-        assert GenericJoinMatcher(pattern, triangle_target).exists()
+        assert is_subgraph_isomorphic(pattern, triangle_target)
 
     def test_vertex_label_mismatch(self, triangle_target):
         pattern = build({0: "a", 1: "z"}, [(0, 1, "x")])
-        assert not GenericJoinMatcher(pattern, triangle_target).exists()
+        assert not is_subgraph_isomorphic(pattern, triangle_target)
 
     def test_edge_label_mismatch(self, triangle_target):
         pattern = build({0: "a", 1: "b"}, [(0, 1, "y")])
-        assert not GenericJoinMatcher(pattern, triangle_target).exists()
+        assert not is_subgraph_isomorphic(pattern, triangle_target)
 
     def test_label_insensitive_ignores_labels(self, triangle_target):
         pattern = build({0: "p", 1: "q"}, [(0, 1, "zzz")])
-        assert not GenericJoinMatcher(pattern, triangle_target).exists()
-        assert GenericJoinMatcher(pattern, triangle_target, label_sensitive=False).exists()
+        assert not is_subgraph_isomorphic(pattern, triangle_target)
+        assert is_subgraph_isomorphic(pattern, triangle_target, label_sensitive=False)
 
     def test_triangle_in_triangle(self, triangle_target):
         pattern = build({0: "a", 1: "a", 2: "b"}, [(0, 1, "x"), (0, 2, "x"), (1, 2, "x")])
-        matcher = GenericJoinMatcher(pattern, triangle_target)
-        assert matcher.exists()
-        mapping = matcher.first_mapping()
-        assert_valid_mapping(pattern, triangle_target, mapping)
+        assert is_subgraph_isomorphic(pattern, triangle_target)
+        mappings = join_mappings(pattern, triangle_target)
+        assert mappings
+        assert_valid_mapping(pattern, triangle_target, mappings[0])
 
     def test_triangle_not_in_path(self):
         triangle = build({0: "a", 1: "a", 2: "a"}, [(0, 1, "x"), (1, 2, "x"), (0, 2, "x")])
         path = build({0: "a", 1: "a", 2: "a"}, [(0, 1, "x"), (1, 2, "x")])
-        assert not GenericJoinMatcher(triangle, path).exists()
-        assert GenericJoinMatcher(triangle, path).first_mapping() is None
+        assert not is_subgraph_isomorphic(triangle, path)
+        assert join_mappings(triangle, path) == []
 
     def test_non_induced_semantics(self):
         path = build({0: "a", 1: "a", 2: "a"}, [(0, 1, "x"), (1, 2, "x")])
         triangle = build({0: "a", 1: "a", 2: "a"}, [(0, 1, "x"), (1, 2, "x"), (0, 2, "x")])
-        assert GenericJoinMatcher(path, triangle).exists()
+        assert is_subgraph_isomorphic(path, triangle)
 
     def test_disconnected_pattern(self, triangle_target):
         pattern = build({0: "a", 1: "a", 2: "b", 3: "b"}, [(0, 1, "x"), (2, 3, "y")])
-        mapping = GenericJoinMatcher(pattern, triangle_target).first_mapping()
-        assert_valid_mapping(pattern, triangle_target, mapping)
+        for mapping in join_mappings(pattern, triangle_target):
+            assert_valid_mapping(pattern, triangle_target, mapping)
+        assert is_subgraph_isomorphic(pattern, triangle_target)
 
     def test_all_mappings_match_vf2(self, triangle_target):
         pattern = build({0: "a", 1: "a", 2: "b"}, [(0, 1, "x"), (0, 2, "x"), (1, 2, "x")])
-        gj = GenericJoinMatcher(pattern, triangle_target).all_mappings()
+        gj = join_mappings(pattern, triangle_target)
         vf2 = VF2Matcher(pattern, triangle_target).all_mappings()
         key = lambda m: sorted(m.items(), key=repr)
         assert sorted(gj, key=key) == sorted(vf2, key=key)
@@ -125,11 +126,13 @@ class TestGenericJoinMatcher:
 
     def test_all_mappings_limit(self, triangle_target):
         pattern = build({0: "a", 1: "b"}, [(0, 1, "x")])
-        assert len(GenericJoinMatcher(pattern, triangle_target).all_mappings(limit=1)) == 1
+        everything = join_mappings(pattern, triangle_target)
+        assert len(everything) == 2
+        assert join_mappings(pattern, triangle_target, limit=1) == everything[:1]
 
     def test_missing_label_in_target(self, triangle_target):
         pattern = build({0: "zzz"}, [])
-        assert not GenericJoinMatcher(pattern, triangle_target).exists()
+        assert not is_subgraph_isomorphic(pattern, triangle_target)
 
 
 class TestBlockAPIs:
@@ -168,7 +171,8 @@ class TestTruncation:
         """The flag means the same for the join and for the VF2 reference: a
         distinct embedding beyond the limit exists.  The join's cuts are counted."""
         pattern = build({0: "a", 1: "b"}, [(0, 1, "x")])
-        enumerate_ = {"generic_join": enumerate_embeddings, "vf2": vf2_embeddings}[engine]
+        block_of_one = lambda p, t, limit: enumerate_embeddings_block(p, (t,), limit)[0]
+        enumerate_ = {"generic_join": block_of_one, "vf2": vf2_embeddings}[engine]
         reset_truncation_count()
         full = enumerate_(pattern, star, limit=None)
         assert len(full.embeddings) == 5
@@ -186,7 +190,7 @@ class TestTruncation:
         reset_truncation_count()
 
     def test_edgeless_pattern_has_no_embeddings(self, star):
-        result = enumerate_embeddings(build({0: "a"}, []), star)
+        (result,) = enumerate_embeddings_block(build({0: "a"}, []), (star,))
         assert result.embeddings == [] and not result.truncated
 
 
@@ -232,27 +236,28 @@ class TestCompiledStructureCaching:
         """The end-to-end regression: answers must track graph edits."""
         pattern = build({0: "a", 1: "a"}, [(0, 1, "x")])
         target = build({0: "a", 1: "a"}, [])
-        assert not GenericJoinMatcher(pattern, target).exists()
+        assert not is_subgraph_isomorphic(pattern, target)
         target.add_edge(0, 1, "x")
-        assert GenericJoinMatcher(pattern, target).exists()
+        assert is_subgraph_isomorphic(pattern, target)
         target.remove_edge(0, 1)
-        assert not GenericJoinMatcher(pattern, target).exists()
+        assert not is_subgraph_isomorphic(pattern, target)
 
 
 class TestOverflowFallback:
     def test_overflow_splits_the_frontier(self, monkeypatch, triangle_target):
         pattern = build({0: "a", 1: "a", 2: "b"}, [(0, 1, "x"), (0, 2, "x"), (1, 2, "x")])
-        matcher = GenericJoinMatcher(pattern, triangle_target)
-        uncapped = (matcher.exists(), matcher.all_mappings(), matcher.first_mapping())
+        plan, table = compile_join_plan(pattern), compile_edge_table(triangle_target)
+        one_pass = generic_join.execute_join_plan(plan, table)
         expected = find_embeddings(pattern, triangle_target, limit=None)
         monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 1)
         with pytest.raises(GenericJoinOverflow):
-            generic_join.execute_join_plan(
-                compile_join_plan(pattern), compile_edge_table(triangle_target)
-            )
-        # the public APIs carry on through the split: the same answers
-        assert (matcher.exists(), matcher.all_mappings(), matcher.first_mapping()) == uncapped
-        assert_valid_mapping(pattern, triangle_target, uncapped[2])
+            generic_join.execute_join_plan(plan, table)
+        # the entry points carry on through the split: the same rows, in the same order
+        assert np.array_equal(generic_join._join(plan, table), one_pass)
+        assert generic_join._join(plan, table, settle_at=1).tolist() == one_pass[:1].tolist()
+        assert is_subgraph_isomorphic(pattern, triangle_target)
+        assert join_mappings(pattern, triangle_target, limit=1)
+        assert_valid_mapping(pattern, triangle_target, join_mappings(pattern, triangle_target)[0])
         assert find_embeddings(pattern, triangle_target, limit=None) == expected
 
 
@@ -310,9 +315,9 @@ class TestBlockEqualsBlockOfOne:
         graphs, pattern = case
         options = dict(limit=limit, label_sensitive=label_sensitive)
         reset_truncation_count()
-        one_by_one = [enumerate_embeddings(pattern, graph, **options) for graph in graphs]
+        one_by_one = [enumerate_embeddings_block(pattern, (g,), **options)[0] for g in graphs]
         cut_one_by_one = truncation_count()
-        counts_one_by_one = [count_embeddings(pattern, graph, **options) for graph in graphs]
+        counts_one_by_one = [count_embeddings_block(pattern, (g,), **options)[0] for g in graphs]
         assert truncation_count() == 2 * cut_one_by_one
 
         for targets in (graphs, GraphBlock(graphs)):
@@ -361,7 +366,8 @@ class TestBlockEqualsBlockOfOne:
 
 
 def cap_bound_results(pattern, graphs, limit, label_sensitive):
-    """What the five entry points that run :func:`generic_join._join` return."""
+    """What the four entry points that run :func:`generic_join._join` return,
+    and the join's rows per graph as mappings, a limit settling on a prefix."""
     enumerations = enumerate_embeddings_block(pattern, graphs, limit, label_sensitive)
     events = []
     if pattern.num_edges:  # a family of one member, the pattern itself
@@ -374,7 +380,7 @@ def cap_bound_results(pattern, graphs, limit, label_sensitive):
         [(result.embeddings, result.truncated) for result in enumerations],
         count_embeddings_block(pattern, graphs, limit, label_sensitive),
         events,
-        [GenericJoinMatcher(pattern, g, label_sensitive).all_mappings(limit) for g in graphs],
+        [join_mappings(pattern, g, label_sensitive, limit) for g in graphs],
     )
 
 
@@ -432,7 +438,7 @@ class TestCapIndependence:
         one_pass = sum(opened)
         runs = {
             "exists": lambda: match_block(k4, [k14]),
-            "limit": lambda: enumerate_embeddings(k4, k14, limit=5),
+            "limit": lambda: enumerate_embeddings_block(k4, (k14,), limit=5),
         }
         expected = {name: run() for name, run in runs.items()}
         monkeypatch.setattr(generic_join, "_MAX_OPEN_BRANCHES", 64)
@@ -508,9 +514,9 @@ def test_index_contents_equal_the_block_of_one_oracle(workload, monkeypatch):
         worlds = draw_worlds(graph, E2E_BOUNDS, derive_rng(E2E_BUILD_SEED, BUILD_STREAM, graph_id))
         for column, feature in enumerate(features):
             bounds = compute_sip_bounds(feature.graph, graph, config=E2E_BOUNDS, worlds=worlds)
-            oracle_cells.append(None if bounds.is_empty() else bounds.as_pair())
-            oracle_counts[graph_id, column] = count_embeddings(
-                feature.graph, graph.skeleton, limit=E2E_FEATURES.embedding_limit
+            oracle_cells.append(None if bounds.is_empty() else (bounds.lower, bounds.upper))
+            (oracle_counts[graph_id, column],) = count_embeddings_block(
+                feature.graph, (graph.skeleton,), limit=E2E_FEATURES.embedding_limit
             )
 
     with GraphCatalog.build(

@@ -70,11 +70,8 @@ class TestEdgeKey:
 
     def test_edge_dataclass(self):
         edge = Edge(2, 1, "x")
-        assert edge.key() == (1, 2)
-        assert edge.other(1) == 2
-        assert edge.other(2) == 1
-        with pytest.raises(VertexNotFoundError):
-            edge.other(5)
+        assert edge.key() == (1, 2) == Edge(1, 2, "x").key()
+        assert edge.label == "x"
 
 
 class TestRemoval:

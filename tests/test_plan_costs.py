@@ -34,7 +34,7 @@ from repro.datasets import (
 from repro.graphs import LabeledGraph, VariantRows
 from repro.isomorphism import generic_join
 from repro.isomorphism.embeddings import (
-    enumerate_embeddings,
+    enumerate_embeddings_block,
     family_reroute_count,
     reset_family_reroute_count,
     reset_truncation_count,
@@ -203,14 +203,14 @@ class TestPlanCosts:
                 found = index.query_embeddings(query)
                 assert list(found) == [feature.feature_id for feature in features]
                 for feature in features:
-                    assert found[feature.feature_id] == enumerate_embeddings(
-                        feature.graph, query, limit=limit
+                    assert [found[feature.feature_id]] == enumerate_embeddings_block(
+                        feature.graph, (query,), limit=limit
                     )
             index = StructuralFeatureIndex.from_counts(
                 [hub], empty[:, :1], SignaturePostings.build(()), embedding_limit=limit
             )
             (found,) = index.query_embeddings(star).values()
-            assert found == enumerate_embeddings(hub.graph, star, limit=limit)
+            assert [found] == enumerate_embeddings_block(hub.graph, (star,), limit=limit)
             assert found.truncated == (limit in (2, 4))
 
     def test_pickled_plan_batch_is_small(self, catalog, six_edge_queries):

@@ -258,11 +258,12 @@ class TestVectorizedPrunerParity:
 
             # loop: containment recomputed per graph, the two conditions
             # applied one graph at a time
-            loop_pruner = ProbabilisticPruner(pmi.features, rng=random.Random(5))
+            loop_pruner = ProbabilisticPruner(pmi.features)
+            loop_stream = random.Random(5)
             loop_partition = []
             for graph_id in candidate_ids:
                 bounds = loop_pruner.compute_bounds(
-                    relaxed, pmi.row(graph_id), loop_pruner.prepare(relaxed)
+                    relaxed, pmi.row(graph_id), loop_pruner.prepare(relaxed), rng=loop_stream
                 )
                 if bounds.usim_covered and bounds.usim < 0.4:
                     loop_partition.append("pruned")

@@ -82,8 +82,8 @@ def pruning_setup(rng):
 class TestBoundsComputation:
     def test_bounds_are_probability_interval(self, pruning_setup, rng):
         _, features, row, relaxed = pruning_setup
-        pruner = ProbabilisticPruner(features, rng=rng)
-        bounds = bounds_of(pruner, relaxed, row)
+        pruner = ProbabilisticPruner(features)
+        bounds = bounds_of(pruner, relaxed, row, rng)
         assert 0.0 <= bounds.lsim <= 1.0
         assert 0.0 <= bounds.usim <= 1.0
 
@@ -92,8 +92,8 @@ class TestBoundsComputation:
         graph, features, row, relaxed = pruning_setup
         from repro.core.verification import VerificationConfig, Verifier
 
-        pruner = ProbabilisticPruner(features, rng=rng)
-        bounds = bounds_of(pruner, relaxed, row)
+        pruner = ProbabilisticPruner(features)
+        bounds = bounds_of(pruner, relaxed, row, rng)
         verifier = Verifier(VerificationConfig(method="inclusion_exclusion"))
         truth = verifier.subgraph_similarity_probability(
             two_edge_path(), graph, 1, relaxed_queries=relaxed
@@ -106,9 +106,9 @@ class TestBoundsComputation:
     def test_no_matching_features_means_no_usable_bounds(self, rng):
         graph = make_simple_probabilistic_graph()
         odd_feature = feature_from(single_edge("z", "z", "q"), 0)
-        pruner = ProbabilisticPruner([odd_feature], rng=rng)
+        pruner = ProbabilisticPruner([odd_feature])
         relaxed = relax_query(two_edge_path(), 1)
-        result = bounds_of(pruner, relaxed, pmi_row(graph, [odd_feature]))
+        result = bounds_of(pruner, relaxed, pmi_row(graph, [odd_feature]), rng)
         assert not result.usim_covered
         assert not result.lsim_covered
         assert result.usim == 1.0
@@ -130,8 +130,8 @@ class TestBoundsComputation:
         assert min(variant.num_edges for variant in relaxed) > max(
             feature.num_edges for feature in features
         )
-        pruner = ProbabilisticPruner(features, config, rng=rng)
-        bounds = bounds_of(pruner, relaxed, synthetic_row({0: (0.95, 1.0), 1: (0.95, 1.0)}))
+        pruner = ProbabilisticPruner(features, config)
+        bounds = bounds_of(pruner, relaxed, synthetic_row({0: (0.95, 1.0), 1: (0.95, 1.0)}), rng)
         assert not bounds.lsim_covered
         assert bounds.lsim == 0.0
         assert bounds.usim_covered
@@ -141,9 +141,9 @@ class TestBoundsComputation:
 
     def test_plain_variant_is_no_tighter_than_opt(self, pruning_setup, rng):
         _, features, row, relaxed = pruning_setup
-        opt = bounds_of(ProbabilisticPruner(features, PruningConfig(True, True), rng=rng), relaxed, row)
+        opt = bounds_of(ProbabilisticPruner(features, PruningConfig(True, True)), relaxed, row, rng)
         plain = bounds_of(
-            ProbabilisticPruner(features, PruningConfig(False, False), rng=rng), relaxed, row
+            ProbabilisticPruner(features, PruningConfig(False, False)), relaxed, row, rng
         )
         if opt.usim_covered and plain.usim_covered:
             assert opt.usim <= plain.usim + 1e-9

@@ -1,6 +1,7 @@
 """Production reachability: every function under ``src/repro`` that a smoke
 lifecycle never enters is deleted or named, with its reason, on the committed
-allowlist ``tests/reachability_allowlist.txt``.
+allowlist ``tests/reachability_allowlist.txt``, and every ``example:`` or
+``benchmark:`` reason names, by path, callers that mention the entry.
 
 The lifecycle runs in a fresh interpreter under ``sys.setprofile`` and
 ``threading.setprofile``, so test order and worker processes cannot change
@@ -27,6 +28,7 @@ import asyncio
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,7 +37,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 NOT_PRODUCTION = ("reference", "analysis")
 ALLOWLIST = Path(__file__).with_name("reachability_allowlist.txt")
@@ -106,6 +109,35 @@ def reachability_problems(
         entered = sorted(function for function in reached & defined if covers(entry, function))
         if entered:
             problems.append(f"allowlisted but entered: {entry} ({', '.join(entered)})")
+    return problems
+
+
+CALLER_PATH = re.compile(r"\b(?:examples|benchmarks)/[\w/]+\.py")
+
+
+def caller_problems(allowlist: dict[str, str], root: Path = ROOT) -> list[str]:
+    """What is wrong with the callers the ``example:`` / ``benchmark:``
+    reasons name, one line each: a reason that names no caller path, a named
+    file that does not exist, and one that never mentions the entry's last
+    name component (so cannot call it).  A function's name must stand alone;
+    a module's may be part of a longer one (``generate_road_network`` names
+    the ``road_network`` module)."""
+    problems = []
+    for entry, reason in allowlist.items():
+        if not reason.startswith(("example", "benchmark")):
+            continue
+        paths = CALLER_PATH.findall(reason)
+        if not paths:
+            problems.append(f"names no caller path: {entry}")
+        last = re.escape(entry.rpartition(".")[2])
+        module = SRC.joinpath(*entry.split(".")).with_suffix(".py").is_file()
+        name = re.compile(last if module else rf"\b{last}\b")
+        for path in paths:
+            caller = root / path
+            if not caller.is_file():
+                problems.append(f"names a missing caller: {entry} ({path})")
+            elif not name.search(caller.read_text(encoding="utf-8")):
+                problems.append(f"names a caller that does not mention it: {entry} ({path})")
     return problems
 
 
@@ -231,7 +263,6 @@ OWNERS = (
     "input-gated",
     "error path",
     "protocol",
-    "public API",
 )
 
 
@@ -254,6 +285,44 @@ def test_the_allowlist_reader_refuses_a_bare_name_and_a_repeat(tmp_path):
         read_allowlist(listing)
     listing.write_text("# a comment\n\nm.f oracle: kept, for now\n", encoding="utf-8")
     assert read_allowlist(listing) == {"m.f": "oracle: kept, for now"}
+
+
+def test_every_example_and_benchmark_reason_names_callers_that_mention_it():
+    problems = caller_problems(read_allowlist())
+    assert not problems, "\n".join(problems)
+
+
+def test_the_caller_check_reports_each_kind_of_problem(tmp_path):
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text("box.used()\nbox.used_too()\n", encoding="utf-8")
+    allowlist = {
+        "m.Box.used": "example: examples/demo.py",
+        "m.Box.vague": "benchmark: the figure benches",
+        "m.Box.gone": "example: examples/missing.py",
+        "m.Box.used_t": "example: examples/demo.py calls used_too, not it",
+        "m.Box.other": "option: not a caller claim",
+    }
+    assert caller_problems(allowlist, tmp_path) == [
+        "names no caller path: m.Box.vague",
+        "names a missing caller: m.Box.gone (examples/missing.py)",
+        "names a caller that does not mention it: m.Box.used_t (examples/demo.py)",
+    ]
+
+
+def test_a_reason_naming_a_file_that_does_not_call_the_entry_fails():
+    """The structural filter's old reason, "the Fig 10-13 benches", went stale
+    when those benches moved onto ``filter_plan``; named by path, the check
+    catches it."""
+    entry = "repro.structural.similarity_filter.StructuralFilter.filter"
+    stale = {entry: "benchmark: benchmarks/bench_fig10_probability_threshold.py"}
+    assert caller_problems(stale) == [
+        f"names a caller that does not mention it: {entry} "
+        "(benchmarks/bench_fig10_probability_threshold.py)"
+    ]
+    assert caller_problems({entry: "benchmark: the Fig 10-13 benches"}) == [
+        f"names no caller path: {entry}"
+    ]
+    assert not caller_problems({entry: "benchmark: benchmarks/e2e/layers.py"})
 
 
 def test_an_entry_covers_its_members_not_its_namesakes():
@@ -308,7 +377,7 @@ def test_the_walk_names_functions_as_the_interpreter_does():
     codes = [
         (load_graph_columns.__module__, load_graph_columns.__code__),
         (GraphCatalog.__module__, GraphCatalog.open.__func__.__code__),
-        (GraphCatalog.__module__, GraphCatalog.is_durable.fget.__code__),
+        (GraphCatalog.__module__, GraphCatalog.generation.fget.__code__),
         (TcpServiceClient.__module__, TcpServiceClient.connect.__code__),
         (solve_relaxed_qp.__module__, nested),
     ]

@@ -166,7 +166,7 @@ class TestAdapter:
         built = GraphCatalog.build(graphs, **arguments)
         direct = build_index(graphs, **arguments)
         adopted = adapter.to_catalog(directory=tmp_path)
-        assert adopted.is_durable
+        assert adopted.generation is not None
         config = SearchConfig(verification=VerificationConfig(method="sampling", num_samples=200))
         queries = [extract_query(graph.skeleton, 4, rng=seed) for seed, graph in enumerate(graphs)]
         for index, query in enumerate(queries):

@@ -43,7 +43,7 @@ from repro.service.protocol import (
     encode_frame,
 )
 
-from tests.conftest import GatedCatalog, eventually
+from tests.conftest import GatedCatalog, eventually, live_ids
 
 PROBABILITY_THRESHOLD = 0.3
 DISTANCE_THRESHOLD = 1
@@ -364,7 +364,7 @@ def test_bool_external_id_is_a_bad_request():
                 with pytest.raises(ServiceError) as excinfo:
                     await client.add_graph(database.graphs[1], external_id=True)
                 assert excinfo.value.code == BAD_REQUEST
-                assert catalog.live_external_ids() == [0, 2, 3, 4, 5]
+                assert live_ids(catalog) == [0, 2, 3, 4, 5]
         finally:
             catalog.close()
 
@@ -396,7 +396,7 @@ def test_a_graph_payload_naming_an_element_twice_is_a_bad_request():
                     error = (await service.submit(frame))["error"]
                     assert error["code"] == BAD_REQUEST, frame["op"]
                     assert "twice" in error["message"] or "repeated" in error["message"]
-            assert catalog.live_external_ids() == list(range(6))
+            assert live_ids(catalog) == list(range(6))
             assert catalog.mutation_generation == 0
         finally:
             catalog.close()

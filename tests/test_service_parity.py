@@ -13,12 +13,20 @@ the wire round-trip must all be invisible in the bytes.
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 
 import pytest
 
-from repro.core import GraphCatalog, QueryStatistics, SearchConfig, VerificationConfig
+from repro.core import (
+    GraphCatalog,
+    QueryResult,
+    QueryStatistics,
+    SearchConfig,
+    VerificationConfig,
+)
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
+from repro.graphs.io import labeled_graph_to_dict, probabilistic_graph_to_dict
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.service import QueryService, ServiceClient, ServiceConfig, TcpServiceClient
 
@@ -382,6 +390,116 @@ def test_tcp_transport_byte_parity():
                     )
                 finally:
                     await tcp.close()
+        finally:
+            served.close()
+            twin.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("transport", [ServiceClient, TcpServiceClient])
+def test_every_client_call_sends_and_decodes_the_protocol_frames(transport):
+    """The eight calls, one copy shared by both transports: each sends the
+    frame the protocol defines and returns exactly what the service's
+    response frame holds (decoded into a ``QueryResult`` for the two
+    queries), and the answers and replies equal the library's on a twin."""
+
+    async def scenario():
+        database, served, twin = build_twins(seed=9009)
+        arrivals = random_database(9010, num_graphs=2).graphs
+        query = extract_query(database.graphs[2].skeleton, 3, rng=90)
+        exchanged = []
+        try:
+            async with QueryService(served, ServiceConfig(search_config=SEARCH_CONFIG)) as service:
+                submit = service.submit
+
+                async def recording(frame):
+                    response = await submit(frame)
+                    exchanged.append((frame, response))
+                    return response
+
+                service.submit = recording  # what both the TCP handler and ServiceClient call
+                if transport is TcpServiceClient:
+                    client = await TcpServiceClient().connect(*await service.serve_tcp())
+                else:
+                    client = ServiceClient(service)
+                try:
+                    results = [
+                        await client.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, rng=5),
+                        await client.query_top_k(query, 2, DISTANCE_THRESHOLD, rng=6),
+                        await client.add_graph(arrivals[0]),
+                        await client.update_graph(0, arrivals[1]),
+                        await client.remove_graph(1),
+                        await client.compact(),
+                        await client.health(),
+                        await client.stats(),
+                    ]
+                finally:
+                    if transport is TcpServiceClient:
+                        await client.close()
+            expected_frames = [
+                {
+                    "op": "query",
+                    "query": labeled_graph_to_dict(query),
+                    "probability_threshold": PROBABILITY_THRESHOLD,
+                    "distance_threshold": DISTANCE_THRESHOLD,
+                    "rng": 5,
+                },
+                {
+                    "op": "query_top_k",
+                    "query": labeled_graph_to_dict(query),
+                    "k": 2,
+                    "distance_threshold": DISTANCE_THRESHOLD,
+                    "rng": 6,
+                },
+                {"op": "add_graph", "graph": probabilistic_graph_to_dict(arrivals[0])},
+                {
+                    "op": "update_graph",
+                    "external_id": 0,
+                    "graph": probabilistic_graph_to_dict(arrivals[1]),
+                },
+                {"op": "remove_graph", "external_id": 1},
+                {"op": "compact"},
+                {"op": "health"},
+                {"op": "stats"},
+            ]
+            wire = lambda value: json.loads(json.dumps(value))
+            assert [wire(frame) for frame, _ in exchanged] == [
+                wire({"id": number, **frame}) for number, frame in enumerate(expected_frames, 1)
+            ]
+            replies = [response["result"] for _, response in exchanged]
+            for result, reply in zip(results[:2], replies):
+                assert_result_parity(result, QueryResult.from_dict(reply), transport.__name__)
+            assert results[2:] == replies[2:]
+
+            assert_result_parity(
+                results[0],
+                twin.query(query, PROBABILITY_THRESHOLD, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=5),
+                "query",
+            )
+            assert_result_parity(
+                results[1],
+                twin.query_top_k(query, 2, DISTANCE_THRESHOLD, SEARCH_CONFIG, rng=6),
+                "top-k",
+            )
+            added = twin.add_graph(arrivals[0])
+            assert results[2] == {
+                "op": "add_graph", "external_id": added, "generation": twin.mutation_generation
+            }
+            twin.update_graph(0, arrivals[1])
+            assert results[3] == {
+                "op": "update_graph", "external_id": 0, "generation": twin.mutation_generation
+            }
+            twin.remove_graph(1)
+            assert results[4] == {
+                "op": "remove_graph", "external_id": 1, "generation": twin.mutation_generation
+            }
+            twin.compact()
+            live = {"live_graphs": twin.num_live, "generation": twin.mutation_generation}
+            assert results[5] == {"op": "compact", **live}
+            assert results[6] == {"status": "ok", "queue_depth": 0, **live}
+            assert results[7]["generation"] == twin.mutation_generation
+            assert results[7]["counters"]["mutations"] == 4
         finally:
             served.close()
             twin.close()

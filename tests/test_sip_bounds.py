@@ -82,7 +82,7 @@ class TestBoundsSandwichExactValue:
         graph = make_simple_probabilistic_graph()
         bounds = compute_sip_bounds(single_edge_feature("z", "z"), graph)
         assert bounds.is_empty()
-        assert bounds.as_pair() == (0.0, 0.0)
+        assert (bounds.lower, bounds.upper) == (0.0, 0.0)
 
 
 class TestSamplingMethod:

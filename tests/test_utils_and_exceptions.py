@@ -46,13 +46,6 @@ class TestTimer:
         with pytest.raises(RuntimeError):
             Timer().stop()
 
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.elapsed == 0.0
-
 
 class TestExceptionHierarchy:
     @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
-"""Tests for labeled subgraph isomorphism: the join-backed predicates and the
-VF2-style reference matcher."""
+"""Tests for labeled subgraph isomorphism: the join-backed predicate, the
+join's rows as witnessing mappings, and the VF2-style reference matcher."""
 
 from __future__ import annotations
 
 from repro.graphs import LabeledGraph
-from repro.isomorphism import find_isomorphism_mapping, is_subgraph_isomorphic
+from repro.isomorphism import is_subgraph_isomorphic
 from repro.reference import VF2Matcher
+
+from tests.conftest import join_mappings
 
 
 def build(vertex_labels, edges):
@@ -80,8 +82,9 @@ class TestMappings:
             {10: "a", 11: "b", 12: "c", 13: "d"},
             [(10, 11, "x"), (11, 12, "y"), (12, 13, "z")],
         )
-        mapping = find_isomorphism_mapping(pattern, target)
-        assert mapping is not None
+        mappings = join_mappings(pattern, target)
+        assert len(mappings) == 1
+        (mapping,) = mappings
         assert len(set(mapping.values())) == pattern.num_vertices
         for u, v in pattern.edge_keys():
             assert target.has_edge(mapping[u], mapping[v])
@@ -92,7 +95,7 @@ class TestMappings:
     def test_no_mapping_when_impossible(self):
         pattern = build({0: "a", 1: "q"}, [(0, 1, "x")])
         target = build({0: "a", 1: "b"}, [(0, 1, "x")])
-        assert find_isomorphism_mapping(pattern, target) is None
+        assert join_mappings(pattern, target) == []
 
     def test_all_mappings_count_in_symmetric_target(self):
         # a single labeled edge a-a in a triangle of 'a' vertices: 3 edges x 2
@@ -103,6 +106,7 @@ class TestMappings:
         )
         matcher = VF2Matcher(pattern, target)
         assert len(matcher.all_mappings()) == 6
+        assert len(join_mappings(pattern, target)) == 6
 
     def test_all_mappings_respects_limit(self):
         pattern = build({0: "a", 1: "a"}, [(0, 1, "x")])
@@ -111,6 +115,4 @@ class TestMappings:
         )
         matcher = VF2Matcher(pattern, target)
         assert len(matcher.all_mappings(limit=2)) == 2
-
-    def test_empty_mapping_for_empty_pattern(self):
-        assert find_isomorphism_mapping(LabeledGraph(), build({0: "a"}, [])) == {}
+        assert join_mappings(pattern, target, limit=2) == join_mappings(pattern, target)[:2]

@@ -21,7 +21,7 @@ class TestLifecycle:
     def test_create_append_open_roundtrip(self, tmp_path):
         path = tmp_path / wal_filename(0)
         wal = WriteAheadLog.create(path, 0)
-        assert wal.record_count == 1  # the header
+        assert wal.next_lsn == 1  # the header
         assert wal.append({"op": "add", "external_id": 4}) == 1
         assert wal.append({"op": "remove", "external_id": 4}) == 2
         wal.close()
@@ -29,7 +29,7 @@ class TestLifecycle:
         reopened, records = WriteAheadLog.open(path, generation=0)
         assert [r["op"] for r in records] == ["add", "remove"]
         assert [r["lsn"] for r in records] == [1, 2]
-        assert reopened.record_count == 3
+        assert reopened.next_lsn == 3
 
     def test_append_after_open_continues_the_sequence(self, tmp_path):
         path = tmp_path / wal_filename(0)
