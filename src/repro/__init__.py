@@ -74,7 +74,6 @@ from repro.core import (
     PruningConfig,
     QueryResult,
     QueryAnswer,
-    aggregate_statistics,
 )
 from repro.baselines import ExactScanBaseline, to_independent_model
 from repro.datasets import (
@@ -104,7 +103,6 @@ __all__ = [
     "GraphCatalog",
     "QueryPlanner",
     "SearchConfig",
-    "aggregate_statistics",
     "Verifier",
     "VerificationConfig",
     "relax_query",

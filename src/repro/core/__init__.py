@@ -20,7 +20,6 @@ from repro.core.results import (
     QueryResult,
     QueryStatistics,
     StageStatistics,
-    aggregate_statistics,
 )
 from repro.core.pipeline import replay_top_k
 from repro.core.planner import (
@@ -50,7 +49,6 @@ __all__ = [
     "QueryAnswer",
     "QueryStatistics",
     "StageStatistics",
-    "aggregate_statistics",
     "replay_top_k",
     "QueryPlan",
     "QueryPlanner",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 
@@ -190,43 +189,3 @@ class QueryResult:
 
     def __iter__(self):
         return iter(self.answers)
-
-
-def aggregate_statistics(results: Iterable[QueryResult]) -> dict:
-    """Workload-level totals over many query results (``query_many`` output).
-
-    Counters and per-phase timings are summed; ``num_queries`` and the mean
-    per-query wall clock are derived.  Per-stage entries accumulate by stage
-    name.  Benchmarks serialize this alongside
-    :meth:`QueryStatistics.as_dict`.
-    """
-    totals = QueryStatistics()
-    stage_totals: dict[str, StageStatistics] = {}
-    num_queries = 0
-    for result in results:
-        stats = result.statistics
-        num_queries += 1
-        totals.database_size = max(totals.database_size, stats.database_size)
-        totals.structural_candidates += stats.structural_candidates
-        totals.probabilistic_candidates += stats.probabilistic_candidates
-        totals.accepted_by_lower_bound += stats.accepted_by_lower_bound
-        totals.pruned_by_upper_bound += stats.pruned_by_upper_bound
-        totals.verified += stats.verified
-        totals.sampled += stats.sampled
-        totals.answers += stats.answers
-        totals.total_seconds += stats.total_seconds
-        totals.relaxed_query_count += stats.relaxed_query_count
-        for stage in stats.stages:
-            bucket = stage_totals.setdefault(stage.stage, StageStatistics(stage=stage.stage))
-            bucket.examined += stage.examined
-            bucket.pruned += stage.pruned
-            bucket.accepted += stage.accepted
-            bucket.passed += stage.passed
-            bucket.seconds += stage.seconds
-    totals.stages = list(stage_totals.values())
-    aggregated = totals.as_dict()
-    aggregated["num_queries"] = num_queries
-    aggregated["mean_seconds_per_query"] = round(
-        totals.total_seconds / num_queries if num_queries else 0.0, 6
-    )
-    return aggregated

@@ -593,6 +593,6 @@ def _percentiles(samples: deque[float]) -> dict:
     count = len(ordered)
 
     def rank(fraction: float) -> float:
-        return round(ordered[min(count - 1, int(fraction * count))], 6)
+        return round(ordered[math.ceil(fraction * count) - 1], 6)
 
     return {"p50": rank(0.50), "p95": rank(0.95), "p99": rank(0.99), "count": count}

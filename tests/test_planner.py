@@ -15,7 +15,6 @@ from repro.core import (
     QueryPlanner,
     SearchConfig,
     VerificationConfig,
-    aggregate_statistics,
     relax_query,
 )
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
@@ -95,15 +94,6 @@ class TestQueryMany:
         )
         with pytest.raises(QueryError):
             indexed.catalog.query_many([*workload, disconnected], 0.3, 1)
-
-    def test_aggregate_statistics(self, indexed, workload):
-        config = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
-        batch = indexed.catalog.query_many(workload, 0.3, 1, config=config, rng=3)
-        totals = aggregate_statistics(batch)
-        assert totals["num_queries"] == len(workload)
-        assert totals["answers"] == sum(len(r.answers) for r in batch)
-        assert totals["database_size"] == len(indexed.graphs)
-        assert totals["mean_seconds_per_query"] >= 0.0
 
 
 class TestMalformedBatchDoesNoWork:

@@ -23,6 +23,7 @@ import json
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.service.protocol import (
     SHUTTING_DOWN,
     encode_frame,
 )
+from repro.service.server import _percentiles
 
 from tests.conftest import GatedCatalog, eventually, live_ids
 
@@ -349,6 +351,23 @@ def test_service_config_checks_every_field(field, value, accepted):
     config = ServiceConfig(**{field: value})
     assert getattr(config, field) == value
     QueryService(None, config)  # sizes its answer cache and latency windows from it
+
+
+@pytest.mark.parametrize(
+    "samples, expected",
+    [
+        ([1.0, 2.0], (1.0, 2.0, 2.0)),
+        ([float(x) for x in range(100, 0, -1)], (50.0, 95.0, 99.0)),
+        ([3.0], (3.0, 3.0, 3.0)),
+    ],
+)
+def test_latency_percentiles_are_nearest_rank(samples, expected):
+    """``/stats``' p-th latency percentile is the ``ceil(p/100 * n)``-th
+    smallest sample (1-based), whatever order the window holds them in."""
+    summary = _percentiles(deque(samples))
+    assert (summary["p50"], summary["p95"], summary["p99"]) == expected
+    assert summary["count"] == len(samples)
+    assert _percentiles(deque()) == {"p50": 0.0, "p95": 0.0, "p99": 0.0, "count": 0}
 
 
 def test_bool_external_id_is_a_bad_request():

@@ -283,11 +283,10 @@ class TestTopKPruningEffectiveness:
         )
 
     def test_one_shard_floor_skips_on_a_two_tier_database(self):
-        """A high-probability tier the answers come from beside a low one, as
-        in ``benchmarks/bench_topk_throughput.py``.  The pinned counts are
-        what the floor must skip: a floor that stops skipping
-        verifies every survivor (12 per query here).  Answers stay the exact
-        scan's."""
+        """A high-probability tier the answers come from beside a low one.
+        The pinned counts are what the floor must skip: a floor that stops
+        skipping verifies every survivor (12 per query here).  Answers stay
+        the exact scan's."""
         high, low = (
             generate_ppi_database(
                 PPIDatasetConfig(
