@@ -32,14 +32,18 @@ Two query modes:
 **One top-k loop.**  :func:`replay_top_k` is the only walk of the top-k
 visit order — ``(-usim, graph_id)`` under a floor seeded once from the
 candidates' ``lsim`` and tightened by every answer the heap keeps — and it
-asks an *estimator* for each candidate it reaches above the floor.  Because
+asks an *estimator* for the candidates it reaches above the floor.  Because
 the PMI pass of a top-k plan decides nothing, the walk sees every structural
 candidate of the database: :func:`finish_top_k` runs it over the part's
-``(graph id, usim, lsim)`` table with an estimator that verifies the
-candidate there and then.  Because every estimate derives from ``(root,
-VERIFY_STREAM, global graph id)`` (:func:`repro.utils.rng.derive_seed`),
-answers and counters do not depend on the order candidates are verified in,
-for stochastic and exact verification alike.
+``(graph id, usim, lsim)`` table with an estimator that verifies a list of
+candidates through :func:`verify_rows`.  Every Usim, seeded floor and
+verified probability lies in [0, 1], so no floor passes over a candidate
+whose Usim is 1: the walk hands the leading run of them over in one call,
+verified ``VERIFY_BLOCK_SIZE`` to a family pass, and every later candidate
+alone.  Because every estimate derives from ``(root, VERIFY_STREAM, global
+graph id)`` (:func:`repro.utils.rng.derive_seed`), answers and counters do
+not depend on the order or the blocks candidates are verified in, for
+stochastic and exact verification alike.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 THRESHOLD_MODE = "threshold"
 TOP_K_MODE = "top_k"
 
-# candidates per verify_block() call in threshold mode; block composition
+# candidates per verify_block() call (verify_rows); block composition
 # never changes an estimate (each graph keeps its own stream), only how the
 # work is chunked
 VERIFY_BLOCK_SIZE = 64
@@ -315,8 +319,10 @@ def finish_top_k(part: FilteredPlan) -> QueryResult:
     """A filtered top-k plan's result, ranked in this process.
 
     The part's ``(graph id, usim, lsim)`` table is walked once by
-    :func:`replay_top_k`, whose estimator verifies a candidate through the
-    part's planner.  The candidates below the seeded floor are booked as the
+    :func:`replay_top_k`, whose estimator verifies the candidates of each call
+    in one :func:`verify_rows` through the part's planner.  The walk verifies
+    a prefix of its order, so every estimate made is one the one-at-a-time
+    walk makes too.  The candidates below the seeded floor are booked as the
     PMI pass's ``pruned``, those the walk passes over as verification's.
     """
     planner, plan, root, result = part.planner, part.plan, part.root, part.result
@@ -324,11 +330,14 @@ def finish_top_k(part: FilteredPlan) -> QueryResult:
     graph_ids = planner.global_ids[part.rows]
     row_of = dict(zip(graph_ids.tolist(), part.rows.tolist()))
 
-    def verify(graph_id: int) -> QueryAnswer:
-        row = row_of[graph_id]
-        (probability,), sampled = verify_rows(planner, plan, [row], root)
+    def verify(ids: list[int]) -> list[QueryAnswer]:
+        rows = [row_of[graph_id] for graph_id in ids]
+        probabilities, sampled = verify_rows(planner, plan, rows, root)
         stats.sampled += sampled
-        return QueryAnswer(graph_id, planner.graphs[row].name, probability, "verification")
+        return [
+            QueryAnswer(graph_id, planner.graphs[row].name, probability, "verification")
+            for graph_id, row, probability in zip(ids, rows, probabilities, strict=True)
+        ]
 
     with Timer() as timer:
         answers, examined, verified = replay_top_k(graph_ids, part.usim, part.lsim, verify, plan.k)
@@ -357,12 +366,20 @@ def replay_top_k(
     candidate_ids: np.ndarray,
     usim: np.ndarray,
     lsim: np.ndarray,
-    estimate: Callable[[int], QueryAnswer],
+    estimate: Callable[[list[int]], list[QueryAnswer]],
     k: int,
 ) -> tuple[list[QueryAnswer], int, int]:
     """The top-k loop: walk the candidates by ``(-usim, graph_id)`` under the
     floor seeded from ``lsim`` and tightened by every answer the heap keeps,
-    asking ``estimate(graph_id)`` for each candidate reached above the floor.
+    asking ``estimate(graph_ids)`` (answers in the order asked) for the
+    candidates reached above the floor, and offering each answer to the heap.
+
+    Usim never rises along the walk and the floor never falls, so the walk
+    stops at the first candidate the floor rejects: what it verifies is a
+    prefix of its order.  Every Usim, floor and estimate lies in [0, 1], so
+    the leading run of candidates whose Usim is 1 is verified whatever the
+    heap holds; it goes to ``estimate`` in one call, every later candidate
+    alone.
 
     Returns ``(answers, examined, verified)``: the ranked answers, how many
     candidates are at or above the seeded floor, and how many the loop asked
@@ -371,12 +388,14 @@ def replay_top_k(
     heap = TopKHeap(k)
     heap.seed_floor(lsim)
     above_seed = usim >= heap.floor
-    ids = candidate_ids[above_seed]
-    upper = usim[above_seed]
+    ids, upper = candidate_ids[above_seed], usim[above_seed]
+    order = np.lexsort((ids, -upper))
+    ids, upper = ids[order].tolist(), upper[order]
+    certain = int(np.count_nonzero(upper >= 1.0))
     verified = 0
-    for index in np.lexsort((ids, -upper)):
-        if not heap.admits(float(upper[index])):
-            continue
-        verified += 1
-        heap.offer(estimate(int(ids[index])))
+    while verified < len(ids) and heap.admits(float(upper[verified])):
+        stop = max(certain, verified + 1)
+        for answer in estimate(ids[verified:stop]):
+            heap.offer(answer)
+        verified = stop
     return heap.ranked(), len(ids), verified

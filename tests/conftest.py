@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import GraphCatalog, QueryPlanner
+from repro.core.pipeline import TopKHeap
 from repro.datasets import PPIDatasetConfig, generate_ppi_database, generate_query_workload
 from repro.graphs import LabeledGraph, NeighborEdgeFactor, ProbabilisticGraph, VariantRows
 from repro.graphs.io import load_graph_columns, save_database
@@ -190,6 +191,25 @@ def build_index(
     structural.build([graph.skeleton for graph in graphs], pmi.features)
     catalog = GraphCatalog.from_index(graphs, pmi, structural)
     return BuiltIndex(list(graphs), pmi, structural, catalog)
+
+
+def replay_top_k_one_at_a_time(candidate_ids, usim, lsim, estimate, k):
+    """The one-at-a-time top-k walk, the reference
+    :func:`repro.core.pipeline.replay_top_k` must equal: every candidate by
+    ``(-usim, graph_id)``, each one the floor admits asked of
+    ``estimate(graph_id)`` alone, the rejected ones passed over."""
+    heap = TopKHeap(k)
+    heap.seed_floor(lsim)
+    above_seed = usim >= heap.floor
+    ids = candidate_ids[above_seed]
+    upper = usim[above_seed]
+    verified = 0
+    for index in np.lexsort((ids, -upper)):
+        if not heap.admits(float(upper[index])):
+            continue
+        verified += 1
+        heap.offer(estimate(int(ids[index])))
+    return heap.ranked(), len(ids), verified
 
 
 def make_simple_probabilistic_graph(

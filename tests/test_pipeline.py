@@ -6,10 +6,14 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     GraphCatalog,
@@ -19,14 +23,14 @@ from repro.core import (
     VerificationConfig,
     validate_top_k_query,
 )
-from repro.core.pipeline import TopKHeap
+from repro.core.pipeline import TopKHeap, replay_top_k
 from repro.core.pruning import FeatureContainment, ProbabilisticPruner
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.exceptions import QueryError
 from repro.graphs import LabeledGraph
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 from repro.structural.similarity_filter import StructuralFilter
-from tests.conftest import build_index
+from tests.conftest import build_index, replay_top_k_one_at_a_time
 
 EXACT_CONFIG = SearchConfig(verification=VerificationConfig(method="inclusion_exclusion"))
 
@@ -92,6 +96,60 @@ class TestTopKHeap:
         assert heap.floor == 0.4
         heap.seed_floor(np.array([0.05]))  # fewer than k values: no-op
         assert heap.floor == 0.4
+
+
+@st.composite
+def top_k_tables(draw):
+    """A candidate table as a top-k plan hands it over: distinct ids, Usim
+    with ties at 1 and below it, ``lsim ≤ usim``, an SSP estimate per id
+    (0 included), and a k from 1 to past the table."""
+    n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    unit = st.floats(0.0, 1.0)
+    bound = st.one_of(st.just(1.0), st.sampled_from((0.25, 0.5)), unit)
+    usim = draw(st.lists(bound, min_size=n, max_size=n))
+    lsim = [upper * draw(unit) for upper in usim]
+    probability = {graph_id: draw(st.one_of(st.just(0.0), unit)) for graph_id in ids}
+    k = draw(st.integers(1, n + 2))
+    return np.array(ids, dtype=np.int64), np.array(usim), np.array(lsim), probability, k
+
+
+class TestReplayTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(top_k_tables())
+    def test_equals_the_one_at_a_time_walk(self, table):
+        """Handing the Usim-1 run over in one call changes nothing the walk
+        returns or asks for, and every estimate asked for reaches the heap."""
+        ids, usim, lsim, probability, k = table
+
+        def answer(graph_id):
+            return QueryAnswer(graph_id, None, probability[graph_id], "verification")
+
+        asked_alone = []
+
+        def alone(graph_id):
+            asked_alone.append(graph_id)
+            return answer(graph_id)
+
+        calls = []
+
+        def in_runs(graph_ids):
+            calls.append(graph_ids)
+            return [answer(graph_id) for graph_id in graph_ids]
+
+        expected = replay_top_k_one_at_a_time(ids, usim, lsim, alone, k)
+        with mock.patch.object(
+            TopKHeap, "offer", autospec=True, side_effect=TopKHeap.offer
+        ) as offer:
+            got = replay_top_k(ids, usim, lsim, in_runs, k)
+        assert got == expected
+        asked = [graph_id for call in calls for graph_id in call]
+        assert Counter(asked) == Counter(asked_alone)
+        assert [c.args[1].graph_id for c in offer.call_args_list] == asked
+        # only the leading run at Usim 1 shares a call
+        assert all(len(call) == 1 for call in calls[1:])
+        if calls and len(calls[0]) > 1:
+            assert all(usim[ids == graph_id][0] == 1.0 for graph_id in calls[0])
 
 
 class TestStageStatistics:

@@ -8,6 +8,7 @@ support is narrow."""
 
 from __future__ import annotations
 
+import math
 import pickle
 from collections import Counter
 from itertools import combinations
@@ -286,31 +287,57 @@ class TestVerificationCosts:
             # no relaxed variant is compiled or joined on its own
             assert not spies["_join"] and not spies["_build_join_plan"]
 
-    def test_top_k_query_runs_one_pass_per_verified_candidate(
+    def test_top_k_query_verifies_no_estimate_it_discards(
         self, graphs, six_edge_queries, spies
     ):
-        """In-process: the top-k loop verifies a candidate when it reaches it."""
+        """In-process: the rows the top-k walk hands to ``verify_block`` are
+        the ones it counts as verified, one family pass per block."""
         with _build(graphs) as catalog:
             planner = catalog.planner()
             verified = 0
             for query in six_edge_queries:
-                plan = planner.plan_top_k(query, 2, 2, CONFIG)
+                for distance in (1, 2, 3):
+                    plan = planner.plan_top_k(query, 2, distance, CONFIG)
+                    for calls in spies.values():
+                        del calls[:]
+                    result = planner.execute_plan(plan, 7)
+                    verified += result.statistics.verified
+                    rows = sum(len(args[2]) for args in spies["verify_block"])
+                    assert rows == result.statistics.verified
+                    assert len(spies["execute_variant_family"]) == len(spies["verify_block"])
+                    assert not spies["compile_variant_family"]
+        assert verified > len(six_edge_queries)
+
+    @pytest.mark.parametrize("block_size", [pipeline.VERIFY_BLOCK_SIZE, 4])
+    def test_top_k_verifies_a_certain_run_in_blocks(
+        self, graphs, six_edge_queries, spies, monkeypatch, block_size
+    ):
+        """A top-k query whose n candidates all have Usim 1 verifies all of
+        them in ceil(n / VERIFY_BLOCK_SIZE) family passes."""
+        monkeypatch.setattr(pipeline, "VERIFY_BLOCK_SIZE", block_size)
+        with _build(graphs) as catalog:
+            planner = catalog.planner()
+            sizes = []
+            for query in six_edge_queries:
+                plan = planner.plan_top_k(query, 2, 3, CONFIG)
+                part = pipeline.filter_plan(planner, plan, 7)
+                assert np.all(part.usim == 1.0)
                 for calls in spies.values():
                     del calls[:]
                 result = planner.execute_plan(plan, 7)
-                verified += result.statistics.verified
-                assert len(spies["execute_variant_family"]) == result.statistics.verified
-                assert all(len(args[2]) == 1 for args in spies["verify_block"])  # blocks of one
-                assert not spies["compile_variant_family"]
-        assert verified > len(six_edge_queries)
+                n = len(part.rows)
+                assert result.statistics.verified == n
+                assert len(spies["execute_variant_family"]) == math.ceil(n / block_size)
+                sizes.append(n)
+        assert max(sizes) > 4
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_top_k_runs_the_one_loop_once_per_plan(
         self, graphs, six_edge_queries, spies, monkeypatch, num_shards
     ):
         """``replay_top_k`` walks each top-k plan once over its candidates,
-        and verifies each candidate it reaches as a block of one, whatever
-        ``num_shards`` the catalog was given."""
+        and verifies just the candidates it counts, whatever ``num_shards``
+        the catalog was given."""
         loops = _count_calls(monkeypatch, pipeline, "replay_top_k")
         with _build(graphs, num_shards) as catalog:
             planner = catalog.planner()
@@ -320,10 +347,8 @@ class TestVerificationCosts:
                 planner.execute_plan(plan, 7)
             assert len(loops) == len(plans)
             del spies["verify_block"][:]
-            for plan in plans:
-                planner.execute_plan(plan, 7)
-        widest = max(len(args[2]) for args in spies["verify_block"])
-        assert widest == 1
+            verified = sum(planner.execute_plan(plan, 7).statistics.verified for plan in plans)
+        assert sum(len(args[2]) for args in spies["verify_block"]) == verified
 
     def test_hand_made_plan_derives_its_family(self, catalog, six_edge_queries, spies):
         planner = catalog.planner()

@@ -22,11 +22,12 @@ import pickle
 import pytest
 
 from repro.baselines.exact_scan import ExactScanBaseline, ExactScanConfig
-from repro.core import GraphCatalog, SearchConfig, VerificationConfig
+from repro.core import GraphCatalog, SearchConfig, VerificationConfig, pipeline
+from repro.core.verification import Verifier
 from repro.datasets import PPIDatasetConfig, extract_query, generate_ppi_database
 from repro.pmi import BoundConfig, FeatureSelectionConfig
 
-from tests.conftest import WIDE_SUPPORT_DISTANCE, build_index
+from tests.conftest import WIDE_SUPPORT_DISTANCE, build_index, replay_top_k_one_at_a_time
 
 DISTANCE_THRESHOLD = 1
 
@@ -195,6 +196,51 @@ class TestDensePlannerInvariant:
                 assert _counters(result.statistics) == _counters(expected.statistics), k
         engine.close()
 
+    def test_wide_support_top_k_equals_the_walk_of_blocks_of_one(
+        self, wide_support_corpus, monkeypatch
+    ):
+        """The top-k walk that verifies its Usim-1 run in one call answers and
+        counts as the one-at-a-time walk whose estimator verifies each
+        candidate alone, ``verify_rows(planner, plan, [row], root)``, on both
+        verification routes."""
+        graphs, queries = wide_support_corpus
+        engine = GraphCatalog.build(
+            graphs, feature_config=FEATURE_CONFIG, bound_config=BoundConfig(num_samples=40), rng=5
+        )
+        blocks = []
+        verify_rows = pipeline.verify_rows
+
+        def counted_rows(planner, plan, rows, root):
+            blocks.append(len(rows))
+            return verify_rows(planner, plan, rows, root)
+
+        def walk_alone(candidate_ids, usim, lsim, estimate, k):
+            return replay_top_k_one_at_a_time(
+                candidate_ids, usim, lsim, lambda graph_id: estimate([graph_id])[0], k
+            )
+
+        def top_k_runs():
+            return [
+                engine.query_top_k(
+                    query, k, WIDE_SUPPORT_DISTANCE, config=SAMPLING_SEARCH_CONFIG, rng=5
+                )
+                for query in queries
+                for k in (1, 3)
+            ]
+
+        monkeypatch.setattr(pipeline, "verify_rows", counted_rows)
+        runs = top_k_runs()
+        assert max(blocks) > 1
+        del blocks[:]
+        monkeypatch.setattr(pipeline, "replay_top_k", walk_alone)
+        expected = top_k_runs()
+        engine.close()
+        assert set(blocks) == {1}
+        for result, want in zip(runs, expected, strict=True):
+            assert 0 < want.statistics.sampled < want.statistics.verified
+            assert pickle.dumps(answer_tuples(result)) == pickle.dumps(answer_tuples(want))
+            assert _counters(result.statistics) == _counters(want.statistics)
+
     def test_worker_count_does_not_change_answers(self):
         """``max_workers`` is still taken (the end-to-end harness passes it)
         and changes nothing: each width answers as a catalog built without it."""
@@ -282,11 +328,12 @@ class TestTopKPruningEffectiveness:
             == verification_stage.examined - top.statistics.verified
         )
 
-    def test_one_shard_floor_skips_on_a_two_tier_database(self):
+    def test_one_shard_floor_skips_on_a_two_tier_database(self, monkeypatch):
         """A high-probability tier the answers come from beside a low one.
         The pinned counts are what the floor must skip: a floor that stops
-        skipping verifies every survivor (12 per query here).  Answers stay
-        the exact scan's."""
+        skipping verifies every survivor (12 per query here), and a walk that
+        verifies past the floor hands more rows to ``verify_block`` than it
+        counts.  Answers stay the exact scan's."""
         high, low = (
             generate_ppi_database(
                 PPIDatasetConfig(
@@ -313,11 +360,21 @@ class TestTopKPruningEffectiveness:
             rng=7,
         )
         queries = list(high.family_motifs)
+        blocks = []
+        verify_block = Verifier.verify_block
+
+        def spy(verifier, query, graphs, *args, **kwargs):
+            blocks.append(len(graphs))
+            return verify_block(verifier, query, graphs, *args, **kwargs)
+
+        monkeypatch.setattr(Verifier, "verify_block", spy)
         results = engine.query_top_k_many(
             queries, 2, DISTANCE_THRESHOLD, config=EXACT_SEARCH_CONFIG, rng=7
         )
         assert [result.statistics.verified for result in results] == [4, 12, 11]
         assert [result.statistics.stages[-1].pruned for result in results] == [8, 0, 1]
+        # no query verifies fewer rows than it counts, so the totals pin each
+        assert sum(blocks) == 4 + 12 + 11
         reference = ExactScanBaseline(graphs, EXACT_SCAN_CONFIG)
         for query, result in zip(queries, results):
             expected = reference.top_k(query, 2, DISTANCE_THRESHOLD, rng=7)
